@@ -26,7 +26,8 @@ versions remain.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Set
+from operator import attrgetter
+from typing import TYPE_CHECKING, Any, Callable, Dict, Iterator, List, Optional, Set
 
 from repro.core.ids import StateId
 from repro.errors import GarbageCollectedError
@@ -90,15 +91,13 @@ class GarbageCollector:
         dag = store.dag
         with store._lock:
             self.cycles += 1
-            marked = self._mark_pass(stats)
-            if marked:
+            if self._mark_pass():
                 # Marking changes which states find_read_state may
                 # return without touching the DAG's shape, so the
                 # read-path caches must see a generation move (splice
                 # and retirement below bump it again, destructively).
                 dag.bump_generation()
-                self._safe_pass(stats)
-                self._collect_pass(stats)
+                self._collect_pass(stats, self._safe_pass(stats))
             promoted, dropped = store.versions.promote_and_prune(dag)
             stats.records_promoted = promoted
             stats.records_dropped = dropped
@@ -132,7 +131,7 @@ class GarbageCollector:
 
     # -- pass 1: ceiling marking (bottom-up) --------------------------------
 
-    def _mark_pass(self, stats: GCStats) -> bool:
+    def _mark_pass(self) -> bool:
         """Mark states above *every* client's ceiling.
 
         A state is only unreadable once every ceiling-placing client has
@@ -156,9 +155,8 @@ class GarbageCollector:
             return False
         for sid in common:
             state = dag.get(sid)
-            if state is not None and not state.marked:
+            if state is not None:
                 state.marked = True
-        stats.marked = sum(1 for s in dag.states() if s.marked)
         return True
 
     def _strict_ancestors(self, state: "State") -> Set[StateId]:
@@ -174,50 +172,91 @@ class GarbageCollector:
 
     # -- pass 2: safe-to-gc (top-down) ----------------------------------------
 
-    def _safe_pass(self, stats: GCStats) -> None:
-        dag = self._store.dag
-        for state in sorted(dag.states(), key=lambda s: s.id):
+    def _safe_pass(self, stats: GCStats) -> List[StateId]:
+        """Flag safe states, parents before children (ids are topological).
+
+        This is the cycle's one walk over the whole DAG, so it also
+        counts the marked states for ``stats`` and returns the ids of the
+        safe *interior* states, oldest first: the only states the collect
+        pass can ever splice. Ids rather than states, so that nothing
+        here keeps a spliced state alive.
+        """
+        interior: List[StateId] = []
+        marked = safe = 0
+        for state in sorted(self._store.dag.states(), key=attrgetter("id")):
             state.safe_to_gc = (
                 state.marked
                 and state.pins == 0
                 and all(p.safe_to_gc for p in state.parents)
             )
-        stats.safe = sum(1 for s in dag.states() if s.safe_to_gc)
+            marked += state.marked
+            if state.safe_to_gc:
+                safe += 1
+                if state.children:
+                    interior.append(state.id)
+        stats.marked = marked
+        stats.safe = safe
+        return interior
 
     # -- pass 3: collection ------------------------------------------------------
 
-    def _collect_pass(self, stats: GCStats) -> None:
-        # Iterate to a fixpoint: a fork point whose branches fully
-        # collapse into their merge during this cycle becomes a
-        # single-child state and is collectable in the next sweep.
+    def _collect_pass(self, stats: GCStats, interior: List[StateId]) -> None:
+        """Splice out every safe interior state with one distinct child.
+
+        Sweeps oldest-first to a fixpoint: a fork point whose branches
+        fully collapse into their merge during one sweep becomes a
+        single-child state and is collectable in the next. A later sweep
+        looks only at what the previous one left of ``interior``, because
+        splicing never turns a state into a fork point or a leaf.
+
+        Write keys survive compression (§6.2), at one union per survivor:
+        ``inherited`` maps a live state to the write keys of the run of
+        states spliced into it so far. Splicing a state moves its entry
+        on to its child, where two runs that meet at a merge state are
+        joined smaller-into-larger, and what is left when the sweeps end
+        is unioned into the survivors once.
+        """
         dag = self._store.dag
         dead_forks: Set[StateId] = set()
-        while True:
-            candidates = [
-                s
-                for s in sorted(dag.states(), key=lambda s: s.id)
-                if s.safe_to_gc and s.children and not s.is_fork_point
-            ]
-            if self.consent_filter is not None:
-                allowed = self.consent_filter({s.id for s in candidates})
-                candidates = [s for s in candidates if s.id in allowed]
-            removed = 0
-            for state in candidates:
-                if dag.get(state.id) is not state:
-                    continue  # already spliced this sweep
-                if state.is_fork_point or not state.children:
-                    continue
-                if state.next_branch >= 2:
-                    # A former fork point whose branches fully collapsed:
-                    # once it is gone, every live state carries either
-                    # all of its fork-path entries (merge descendants) or
-                    # none (its ancestors), so the entries are scrubbable.
-                    dead_forks.add(state.id)
-                dag.splice_out(state)
-                removed += 1
-            stats.states_removed += removed
-            if not removed:
-                break
+        inherited: Dict["State", Set[Any]] = {}
+        try:
+            while True:
+                candidates = [
+                    sid for sid in interior if not dag.resolve(sid).is_fork_point
+                ]
+                if self.consent_filter is not None:
+                    allowed = self.consent_filter(set(candidates))
+                    candidates = [sid for sid in candidates if sid in allowed]
+                if not candidates:
+                    break
+                for sid in candidates:
+                    state = dag.resolve(sid)
+                    if state.next_branch >= 2:
+                        # A former fork point whose branches fully collapsed:
+                        # once it is gone, every live state carries either
+                        # all of its fork-path entries (merge descendants) or
+                        # none (its ancestors), so the entries are scrubbable.
+                        dead_forks.add(sid)
+                    child = dag.splice_out(state)
+                    keys = inherited.pop(state, None)
+                    if keys is None:
+                        keys = set(state.write_keys)
+                    else:
+                        keys.update(state.write_keys)
+                    other = inherited.get(child)
+                    if other is not None:
+                        if len(other) > len(keys):
+                            keys, other = other, keys
+                        keys.update(other)
+                    inherited[child] = keys
+                stats.states_removed += len(candidates)
+                spliced = set(candidates)
+                interior = [sid for sid in interior if sid not in spliced]
+        finally:
+            # Also on an exception out of consent_filter: the states
+            # spliced so far are gone, their write keys must not be.
+            for survivor, keys in inherited.items():
+                survivor.write_keys = survivor.write_keys | keys
         if dead_forks:
             # Dead-fork rewriting now happens through the ancestry index:
             # the dead forks' bits are cleared from every live state's

@@ -82,9 +82,9 @@ class State:
         #: read set of the transaction that created this state
         #: (needed by the Serializability end constraint, §6.1.1).
         self.read_keys = read_keys
-        #: write set of the creating transaction; garbage collection merges
-        #: promoted states' write keys in, so conflict detection survives
-        #: DAG compression.
+        #: write set of the creating transaction; a collection cycle unions
+        #: in the write keys of every state spliced into this one, so
+        #: conflict detection survives DAG compression (§6.2, §6.3).
         self.write_keys = write_keys
         #: branch number the next child of this state will take.
         self.next_branch = 0
@@ -118,7 +118,11 @@ class State:
         were merged and then fully compressed away (leaving the merge
         state as both children) becomes collectable again.
         """
-        return len({id(c) for c in self.children}) > 1
+        children = self.children
+        for child in children:
+            if child is not children[0]:
+                return True
+        return False
 
     @property
     def is_merge(self) -> bool:
@@ -439,8 +443,14 @@ class StateDAG:
 
         The state's only child takes over its position under every parent
         (branch numbers are per-state counters, so fork-path entries stay
-        valid), inherits its write keys for conflict detection, and the
-        promotion table redirects the dead id to the child.
+        valid) and the promotion table redirects the dead id to the child.
+
+        The child must also inherit the state's write keys for conflict
+        detection (§6.2). That union is the caller's: the collector
+        carries one accumulator per run of spliced states and unions it
+        into each survivor once (``GarbageCollector._collect_pass``),
+        because a union per splice copies the running set once per
+        victim — quadratic in the length of a compressed chain.
         """
         if state.is_fork_point or not state.children:
             raise ValueError("only states with one distinct child can be spliced out")
@@ -452,13 +462,13 @@ class StateDAG:
         replacement = [p for p in state.parents if p not in new_parents and p is not child]
         new_parents[pos : pos + 1] = replacement
         child.parents = tuple(new_parents)
-        child.write_keys = child.write_keys | state.write_keys
         if state is self.root:
             self.root = child
         del self._states[state.id]
         self._promotions[state.id] = child.id
-        # Splicing merges write keys into the child and rewrites the
-        # promotion table: destructive for every read-path cache.
+        # Splicing rewrites edges and the promotion table, and the caller
+        # merges write keys into the child: destructive for every
+        # read-path cache.
         self.mark_destructive()
         m = _met.DEFAULT
         if m.enabled:

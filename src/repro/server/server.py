@@ -973,9 +973,21 @@ class TardisServer:
             "interval_s": self.obs_sample_interval,
             "subscribers": subscribers,
             # The light form: gauges/counters/latency/shards, no series.
-            "snapshot": ObsSampler.trim(self.obs.latest_or_sample(), 0),
+            "snapshot": ObsSampler.trim(self._current_obs_snapshot(), 0),
         }
         return ok_response(request_id, stats=stats)
+
+    def _current_obs_snapshot(self) -> Dict[str, Any]:
+        """The snapshot STATS and OBS_SNAPSHOT answer with.
+
+        With the sampler running, its latest snapshot (cheap, at most one
+        interval stale); without it nothing refreshes ``latest``, so
+        sample on demand — handlers run on the store executor, so this
+        is race-free.
+        """
+        if self._obs_task is not None:
+            return self.obs.latest_or_sample()
+        return self.obs.sample()
 
     def _op_obs_snapshot(
         self, conn: _Connection, request_id: Any, request: Dict[str, Any]
@@ -983,13 +995,7 @@ class TardisServer:
         tail = request.get("tail")
         if tail is not None and not isinstance(tail, int):
             raise _RequestError("BAD_REQUEST", "tail must be an integer")
-        # With the sampler running, serve its latest snapshot (cheap, at
-        # most one interval stale); without it, sample on demand — we are
-        # already on the store executor, so this is race-free.
-        if self._obs_task is not None:
-            snapshot = self.obs.latest_or_sample()
-        else:
-            snapshot = self.obs.sample()
+        snapshot = self._current_obs_snapshot()
         return ok_response(request_id, snapshot=ObsSampler.trim(snapshot, tail))
 
     def _op_obs_subscribe(

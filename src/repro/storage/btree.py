@@ -17,6 +17,7 @@ composite ``(user_key, state_id)``.
 from __future__ import annotations
 
 import pickle
+from bisect import bisect_left
 from typing import Any, Iterator, List, Optional, Tuple
 
 
@@ -77,7 +78,7 @@ class BTree:
         node = self._root
         while True:
             self.stats.node_visits += 1
-            idx = _bisect(node.keys, key)
+            idx = bisect_left(node.keys, key)
             if idx < len(node.keys) and node.keys[idx] == key:
                 return node.values[idx]
             if node.is_leaf:
@@ -117,7 +118,7 @@ class BTree:
     def _insert_nonfull(self, node: _BNode, key: Any, value: Any) -> None:
         while True:
             self.stats.node_visits += 1
-            idx = _bisect(node.keys, key)
+            idx = bisect_left(node.keys, key)
             if idx < len(node.keys) and node.keys[idx] == key:
                 node.values[idx] = value
                 return
@@ -151,7 +152,7 @@ class BTree:
     def _delete(self, node: _BNode, key: Any) -> bool:
         t = self._t
         self.stats.node_visits += 1
-        idx = _bisect(node.keys, key)
+        idx = bisect_left(node.keys, key)
         if idx < len(node.keys) and node.keys[idx] == key:
             if node.is_leaf:
                 node.keys.pop(idx)
@@ -254,7 +255,7 @@ class BTree:
 
     def _range_node(self, node: _BNode, lo: Any, hi: Any) -> Iterator[Tuple[Any, Any]]:
         self.stats.node_visits += 1
-        idx = _bisect(node.keys, lo)
+        idx = bisect_left(node.keys, lo)
         for i in range(idx, len(node.keys)):
             if not node.is_leaf:
                 yield from self._range_node(node.children[i], lo, hi)
@@ -317,18 +318,6 @@ class BTree:
         }
         assert len(depths) == 1, "leaves at different depths"
         return depths.pop() + 1
-
-
-def _bisect(keys: List[Any], key: Any) -> int:
-    """Index of the first element >= key (keys are unique and sorted)."""
-    lo, hi = 0, len(keys)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if keys[mid] < key:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
 
 
 class _Missing:

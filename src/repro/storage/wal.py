@@ -142,6 +142,9 @@ class WriteAheadLog:
         return kept
 
     def close(self) -> None:
+        """Flush and close the log file; a second call does nothing."""
+        if self._file.closed:
+            return
         self.flush()
         self._file.close()
 

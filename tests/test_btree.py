@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.ids import StateId
 from repro.storage.btree import BTree
+
+
+def record_key(k):
+    """The key type production uses: ``(user_key, StateId)`` (§6.1.3)."""
+    return ("k%d" % (k % 5), StateId(k // 10, "AB"[k // 5 % 2]))
 
 
 class TestBTreeBasics:
@@ -139,12 +145,15 @@ class TestBTreeProperties:
             max_size=200,
         ),
         st.integers(2, 5),
+        st.booleans(),
     )
     @settings(max_examples=100)
-    def test_mixed_ops_match_dict(self, ops, t):
+    def test_mixed_ops_match_dict(self, ops, t, record_keys):
         bt = BTree(t=t)
         model = {}
         for op, k in ops:
+            if record_keys:
+                k = record_key(k)
             if op == "ins":
                 bt.insert(k, k)
                 model[k] = k
@@ -153,6 +162,13 @@ class TestBTreeProperties:
                 model.pop(k, None)
             bt.check_invariants()
         assert list(bt.items()) == sorted(model.items())
+        for k in model:
+            assert bt.get(k) == k
+        if record_keys:
+            lo, hi = ("k2", StateId(0, "")), ("k3", StateId(0, ""))
+            assert [k for k, _ in bt.range(lo, hi)] == sorted(
+                k for k in model if k[0] == "k2"
+            )
 
     @given(st.lists(st.integers(0, 300), min_size=1), st.integers(0, 300), st.integers(0, 300))
     @settings(max_examples=100)

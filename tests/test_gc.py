@@ -1,9 +1,13 @@
 """Tests for garbage collection: ceilings, DAG compression, record promotion."""
 
+import random
+import tracemalloc
+
 import pytest
 
 from repro import TardisStore
-from repro.errors import GarbageCollectedError
+from repro.core.gc import GCStats
+from repro.errors import GarbageCollectedError, TransactionAborted
 
 
 @pytest.fixture
@@ -261,3 +265,254 @@ class TestRecordPromotion:
             assert t.get("k") == 9
             t.commit()
         assert len(store.dag) <= 2
+
+
+# ---------------------------------------------------------------------------
+# The chain splice: one write-key union per survivor (docs/internals.md §3).
+
+
+def reference_collect(store):
+    """The collector before the chain splice, kept as the oracle.
+
+    Splices one state at a time and merges write keys with the rule the
+    production collector replaced — ``child.write_keys | state.write_keys``
+    per victim — re-sorting the DAG and re-testing every state on every
+    sweep. Quadratic on long chains, which is why it lives here.
+    """
+    dag, gc = store.dag, store.gc
+    stats = GCStats()
+    common = None
+    for state_id in gc.ceilings.values():
+        try:
+            ceiling = dag.resolve(state_id)
+        except GarbageCollectedError:
+            continue
+        ancestors, stack = set(), list(ceiling.parents)
+        while stack:
+            current = stack.pop()
+            if current.id not in ancestors:
+                ancestors.add(current.id)
+                stack.extend(current.parents)
+        common = ancestors if common is None else common & ancestors
+    if common:
+        for state in list(dag.states()):
+            if state.id in common:
+                state.marked = True
+        stats.marked = sum(1 for s in dag.states() if s.marked)
+        dag.bump_generation()
+        for state in sorted(dag.states(), key=lambda s: s.id):
+            state.safe_to_gc = (
+                state.marked
+                and state.pins == 0
+                and all(p.safe_to_gc for p in state.parents)
+            )
+        stats.safe = sum(1 for s in dag.states() if s.safe_to_gc)
+        dead_forks = set()
+        while True:
+            candidates = [
+                s
+                for s in sorted(dag.states(), key=lambda s: s.id)
+                if s.safe_to_gc and s.children and len(set(map(id, s.children))) == 1
+            ]
+            if gc.consent_filter is not None:
+                allowed = gc.consent_filter({s.id for s in candidates})
+                candidates = [s for s in candidates if s.id in allowed]
+            for state in candidates:
+                if state.next_branch >= 2:
+                    dead_forks.add(state.id)
+                child = dag.splice_out(state)
+                child.write_keys = child.write_keys | state.write_keys
+            stats.states_removed += len(candidates)
+            if not candidates:
+                break
+        if dead_forks:
+            stats.fork_entries_scrubbed = dag.retire_forks(dead_forks)
+    promoted, dropped = store.versions.promote_and_prune(dag)
+    stats.records_promoted, stats.records_dropped = promoted, dropped
+    stats.live_states = len(dag)
+    stats.live_records = store.versions.num_records()
+    return stats
+
+
+class TestChainSpliceEquivalence:
+    """INV-4 with its write-set clause: the production collector and the
+    one-state-at-a-time reference leave bit-identical stores behind."""
+
+    KEYS = ["base"] + ["k%d" % i for i in range(7)]
+
+    def snapshot(self, store, ever_seen):
+        dag = store.dag
+        live = sorted(dag.states(), key=lambda s: s.id)
+        return (
+            [
+                (
+                    s.id,
+                    s.write_keys,
+                    tuple(p.id for p in s.parents),
+                    tuple(c.id for c in s.children),
+                    s.path_mask,
+                )
+                for s in live
+            ],
+            [dag.resolve(sid).id for sid in sorted(ever_seen)],
+            [
+                store.versions.read_visible(key, s, dag)
+                for s in live
+                for key in self.KEYS
+            ],
+        )
+
+    def drive(self, store, rng, collect):
+        """Replay a randomized fork/merge/pin/consent history."""
+        sessions = [store.session("s%d" % i) for i in range(3)]
+        observed, ever_seen, pinned = [], set(), []
+        seen = {"scrubbed": 0, "refused": 0, "pinned": 0}
+        refusing = [False]
+
+        def consent(ids):
+            # Pessimistic-GC stand-in: while ``refusing``, a fixed third
+            # of the candidates is withheld, as a lagging replica would.
+            allowed = {
+                sid for sid in ids if not (refusing[0] and sid.counter % 3 == 0)
+            }
+            seen["refused"] += len(ids) - len(allowed)
+            return allowed
+
+        store.gc.consent_filter = consent
+        for step in range(160):
+            op = rng.random()
+            sess = sessions[rng.randrange(3)]
+            if op < 0.15:
+                # Read-write conflicting pair on ``base``: forks.
+                other = sessions[(sessions.index(sess) + 1) % 3]
+                t1, t2 = store.begin(session=sess), store.begin(session=other)
+                t1.put("base", t1.get("base", default=0) + 1)
+                t2.put("base", t2.get("base", default=0) + 10)
+                t2.put(rng.choice(self.KEYS[1:]), step)
+                observed.append(("pair", t1.commit(), t2.commit()))
+            elif op < 0.60:
+                txn = store.begin(session=sess)
+                for _ in range(rng.randrange(1, 4)):
+                    txn.put(rng.choice(self.KEYS[1:]), (step, sess.name))
+                try:
+                    observed.append(("commit", txn.commit()))
+                except TransactionAborted:
+                    observed.append(("abort",))
+            elif op < 0.68:
+                # A reader that stays open across collections pins its
+                # read state (and everything below it) in the DAG.
+                pinned.append(store.begin(session=store.session("reader"), read_only=True))
+            elif op < 0.74 and pinned:
+                pinned.pop(0).commit()
+            elif op < 0.86:
+                if len(store.dag.leaves()) > 1:
+                    merge = store.begin_merge(session=sess)
+                    conflicts = merge.find_conflict_writes()
+                    observed.append(("conflicts", tuple(conflicts)))
+                    for key in conflicts:
+                        merge.put(key, max(merge.get_all(key), key=repr))
+                    observed.append(("merge", merge.commit()))
+            else:
+                ever_seen.update(s.id for s in store.dag.states())
+                refusing[0] = rng.random() < 0.4
+                head = max(s.last_commit_id for s in sessions)
+                for s in sessions:
+                    # Ceilings at the newest commit let a merged fork
+                    # collapse completely; per-session ones leave it up.
+                    store.gc.place_ceiling(
+                        s.name, head if rng.random() < 0.5 else s.last_commit_id
+                    )
+                stats = collect(store)
+                seen["scrubbed"] += stats.fork_entries_scrubbed
+                seen["pinned"] += stats.safe < stats.marked
+                observed.append(("gc", stats, self.snapshot(store, ever_seen)))
+                store.dag.check_invariants()
+        for txn in pinned:
+            txn.abort()
+        return observed, seen
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 42, 2016])
+    def test_fuzz_matches_reference_collector(self, seed):
+        production, reference = TardisStore("site"), TardisStore("site")
+        got, seen = self.drive(
+            production, random.Random(seed), lambda s: s.collect_garbage()
+        )
+        want, _ = self.drive(reference, random.Random(seed), reference_collect)
+        assert got == want
+        assert production.metrics.forks > 0 and production.metrics.merges > 0
+        # Each seed must reach every shape the equivalence is claimed for.
+        assert all(seen.values()), seen
+
+    def test_runs_meeting_at_a_merge_are_joined(self, store):
+        """Both branches of a collapsed fork end up in the merge state."""
+        a, b = store.session("a"), store.session("b")
+        store.put("x", 0, session=a)
+        t1, t2 = store.begin(session=a), store.begin(session=b)
+        t1.put("x", t1.get("x") + 1)
+        t2.put("x", t2.get("x") + 5)
+        t1.commit()
+        t2.commit()
+        commit_chain(store, a, 3, key="left")
+        for i in range(2):
+            store.put("right%d" % i, i, session=b)
+        m = store.begin_merge(session=a)
+        m.put("x", 6)
+        m.commit()
+        store.put("tail", 1, session=a)
+        for name in ("a", "b"):
+            store.gc.place_ceiling(name, a.last_commit_id)
+        store.collect_garbage()
+        (survivor,) = store.dag.states()
+        assert survivor.write_keys == {"x", "left", "right0", "right1", "tail"}
+
+    def test_write_keys_survive_a_failing_consent_filter(self, store):
+        sess = store.session("a")
+        commit_chain(store, sess, 5, key="x")
+        store.put("y", 0, session=sess)
+        sess.place_ceiling()
+        calls = []
+
+        def consent(ids):
+            calls.append(ids)
+            if len(calls) == 2:
+                raise RuntimeError("peer unreachable")
+            return ids
+
+        store.gc.consent_filter = consent
+        with pytest.raises(RuntimeError):
+            store.collect_garbage()
+        (survivor,) = store.dag.states()
+        assert survivor.write_keys == {"x", "y"}
+
+
+class TestCycleMemory:
+    """A cycle allocates O(keys), not O(states collected x keys)."""
+
+    @staticmethod
+    def peak_mb_of_cycle(n_commits, n_keys=2000):
+        store = TardisStore("A")
+        sess = store.session("a")
+        for i in range(n_commits):
+            t = store.begin(session=sess)
+            t.put("k%04d" % (i % n_keys), i)
+            t.commit()
+        sess.place_ceiling()
+        # Holding the victims makes the peak count every write-key set a
+        # splice hangs on one of them, not only those alive at one time.
+        victims = list(store.dag.states())
+        tracemalloc.start()
+        try:
+            stats = store.collect_garbage()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert stats.states_removed == n_commits == len(victims) - 1
+        (survivor,) = store.dag.states()
+        assert len(survivor.write_keys) == n_keys
+        return peak / 1e6
+
+    def test_chain_compression_peak_is_bounded_and_flat(self):
+        # The per-victim union this replaced peaks at ~125 MB here.
+        small = self.peak_mb_of_cycle(2000)
+        assert small < 16.0
+        assert self.peak_mb_of_cycle(4000) < 2 * small + 2.0

@@ -240,6 +240,15 @@ class TestObsSnapshotOp:
             assert "series" not in stats["obs"]["snapshot"]  # light form
             assert "gauges" in stats["obs"]["snapshot"]
 
+    def test_stats_snapshot_is_fresh_without_sampler(self, served_cold):
+        with TardisClient(port=served_cold.port) as client:
+            first = client.stats()["obs"]["snapshot"]["latency_ms"]
+            for i in range(100):
+                client.put("x", i)
+            second = client.stats()["obs"]["snapshot"]["latency_ms"]
+            before = first.get("COMMIT", {"count": 0})["count"]
+            assert second["COMMIT"]["count"] - before == 100
+
     def test_sampler_ticks_accumulate(self, served_live):
         with TardisClient(port=served_live.port) as client:
             assert _wait_until(lambda: client.stats()["obs_samples"] >= 2)

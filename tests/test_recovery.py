@@ -109,6 +109,14 @@ class TestRecovery:
         assert recovered.get("y") is None
         assert recovered.get("z") is None
 
+    def test_store_close_twice(self, tmp_path):
+        store = make_store(tmp_path, sync=False, group_commit=16)
+        store.put("x", 1)
+        store.close()
+        store.close()
+        _, report = recover_store("A", str(tmp_path / "wal.log"))
+        assert report["replayed"] == 1
+
     def test_metrics_count_replays_as_local(self, tmp_path):
         store = make_store(tmp_path)
         store.put("x", 1)

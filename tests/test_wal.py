@@ -97,6 +97,14 @@ class TestWal:
             wal.append_commit((2, "A"), (), ())
         assert commit_ids(path) == [(1, "A"), (2, "A")]
 
+    def test_close_is_idempotent(self, tmp_path):
+        path = str(tmp_path / "wal.log")
+        with WriteAheadLog(path, sync=False) as wal:
+            wal.append_commit((1, "A"), (), ())
+            wal.close()  # __exit__ closes again
+        wal.close()
+        assert commit_ids(path) == [(1, "A")]
+
     def test_record_roundtrip(self):
         rec = LogRecord(COMMIT, {"state_id": (3, "B"), "parent_ids": (), "write_keys": ("a",)})
         assert LogRecord.decode(rec.encode()[8:]).payload == rec.payload
