@@ -92,7 +92,7 @@ def test_backend_btree(benchmark):
     """TARDiS-BDB configuration: records in the B-tree (§6.6)."""
     from repro import TardisStore
 
-    result = benchmark(lambda: _direct_ops(TardisStore("A", backend="btree")))
+    result = benchmark(lambda: _direct_ops(TardisStore("A", engine="btree")))
     assert result == 2000
 
 
@@ -102,7 +102,7 @@ def test_backend_hash(benchmark):
     the paper reports it ~10% faster than the B-tree build."""
     from repro import TardisStore
 
-    result = benchmark(lambda: _direct_ops(TardisStore("A", backend="hash")))
+    result = benchmark(lambda: _direct_ops(TardisStore("A", engine="hash")))
     assert result == 2000
 
 

@@ -362,7 +362,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--shard-workers", type=int, default=None,
-        help="spawn the server with --shard-workers N (proc-sharded store)",
+        help="spawn the server with --shard-workers N (shards in worker processes)",
     )
     parser.add_argument(
         "--connect", default=None, metavar="HOST:PORT",

@@ -2,8 +2,8 @@
 
 Measures real wall-clock read/write throughput of the partitioned
 storage layer on the Figure 9(a) mix (Read-Heavy, uniform keys): the
-in-process :class:`ShardedRecordStore` versus the process-parallel
-``proc-sharded`` plane at 1/2/4/8 workers, all behind the same
+in-process shards (``TardisStore(shards=8)``) versus the same shards
+in 1/2/4/8 worker processes (``shard_workers=N``), all behind the same
 ``TardisStore`` transaction API.
 
 The workload is built to exercise the part of the read path the worker
@@ -54,12 +54,9 @@ WORKER_SWEEP = [1, 2, 4, 8]
 
 def _build_store(arm: str, workers: int) -> TardisStore:
     if arm == "inproc":
-        return TardisStore(
-            "bench", engine="sharded", shards=N_SHARDS, read_cache=False
-        )
+        return TardisStore("bench", shards=N_SHARDS, read_cache=False)
     return TardisStore(
         "bench",
-        engine="proc-sharded",
         shards=N_SHARDS,
         shard_workers=workers,
         read_cache=False,

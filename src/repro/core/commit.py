@@ -21,15 +21,16 @@ log appends and, later, fault injection.
 
 from __future__ import annotations
 
-from typing import Any, Dict, FrozenSet, Iterable, Optional, Sequence, Tuple
+from typing import Any, Dict, FrozenSet, Iterable, Optional, Sequence, Tuple, Union
 
 from repro.core.ids import StateId
 from repro.core.state_dag import State, StateDAG
 from repro.core.transaction import OpTrace
 from repro.core.versions import VersionedRecordStore
-from repro.errors import CrossShardAbort, ShardError
+from repro.errors import CrossShardAbort, ShardError, ShardUnavailableError
 from repro.obs import metrics as _met
 from repro.obs.context import TraceContext
+from repro.partitioning.workers import ShardedRecordStore
 from repro.storage.wal import WriteAheadLog
 
 #: commit origins
@@ -68,6 +69,7 @@ class CommitPipeline:
     __slots__ = (
         "dag",
         "versions",
+        "staged",
         "wal",
         "log_values",
         "group_commit",
@@ -84,14 +86,17 @@ class CommitPipeline:
     def __init__(
         self,
         dag: StateDAG,
-        versions: VersionedRecordStore,
+        versions: Union[VersionedRecordStore, ShardedRecordStore],
         wal: Optional[WriteAheadLog] = None,
         log_values: bool = True,
         group_commit: int = 0,
         write_index: Any = None,
     ) -> None:
         self.dag = dag
-        self.versions = versions
+        #: a flat VersionedRecordStore, or (``staged``) the routed
+        #: ShardedRecordStore with its prepare/install/abandon contract.
+        self.versions: Any = versions
+        self.staged = isinstance(versions, ShardedRecordStore)
         self.wal = wal
         self.log_values = log_values
         self.group_commit = int(group_commit)
@@ -140,17 +145,14 @@ class CommitPipeline:
         with a typed :class:`~repro.errors.CrossShardAbort` instead of
         leaving a committed-looking state whose writes were lost.
         """
-        # The storage layer is duck-typed here: flat VersionedRecordStore
-        # or a sharded store with the staged-commit contract.
-        versions: Any = self.versions
+        versions = self.versions
         staged: Optional[Any] = None
-        prepare = getattr(versions, "prepare_commit", None)
-        if prepare is not None and writes:
+        if self.staged and writes:
             try:
-                staged = prepare(writes)
+                staged = versions.prepare_commit(writes)
             except ShardError as exc:
                 self._observe_shard_abort()
-                shard = getattr(exc, "shard", None)
+                shard = exc.shard if isinstance(exc, ShardUnavailableError) else None
                 raise CrossShardAbort(
                     shard, "shard prepare failed: %s" % exc
                 ) from exc
@@ -184,7 +186,7 @@ class CommitPipeline:
             versions.install_commit(staged, state)
         else:
             for key, value in writes.items():
-                self.versions.write(key, state.id, value)
+                versions.write(key, state.id, value)
         if trace is not None:
             trace.writes_applied += len(writes)
         self._append_log(state, writes)

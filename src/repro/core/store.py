@@ -61,7 +61,7 @@ from repro.errors import (
     TardisError,
     TransactionAborted,
 )
-from repro.storage.engine import create_record_store, is_record_store
+from repro.partitioning.workers import ShardedRecordStore
 from repro.storage.wal import WriteAheadLog
 
 
@@ -154,7 +154,6 @@ class TardisStore:
         log_values: bool = True,
         btree_degree: int = 16,
         seed: Optional[int] = 0,
-        backend: Optional[str] = None,
         engine: Any = None,
         group_commit: int = 0,
         read_cache: bool = True,
@@ -173,41 +172,34 @@ class TardisStore:
         #: ``dag.destructive_gen``. ``read_cache=False`` runs every read
         #: path cold (the A/B arm of bench_readpath).
         self.read_cache = read_cache
-        #: the storage layer: flat by default; an ``engine`` naming a
-        #: registered record store (``"sharded"``, ``"proc-sharded"``)
-        #: or an explicit ``shards``/``shard_workers`` count swaps in
-        #: the shard plane behind the same interface.
-        spec = engine if engine is not None else backend
-        if is_record_store(spec) or shards is not None or shard_workers:
-            if is_record_store(spec):
-                store_name, inner = spec, None
-            else:
-                store_name = "proc-sharded" if shard_workers else "sharded"
-                inner = spec
-            self.versions = create_record_store(
-                store_name,
-                engine=inner,
+        #: the storage layer: one flat record store by default; a
+        #: ``shards`` and/or ``shard_workers`` count partitions it
+        #: behind the same interface (in-process shards, or shards in
+        #: worker processes). ``engine`` names the flat substrate
+        #: (``"btree"``/``"hash"``) under the store or under each shard.
+        n_workers = shard_workers or 0
+        self._sharded = shards is not None or n_workers > 0
+        if self._sharded:
+            self.versions: Any = ShardedRecordStore(
+                self.dag,
+                n_shards=n_workers if shards is None else shards,
+                n_workers=n_workers,
                 btree_degree=btree_degree,
                 seed=seed,
-                cache=read_cache,
-                shards=shards,
-                shard_workers=shard_workers,
                 shard_of=shard_of,
+                cache=read_cache,
+                engine=engine,
             )
         else:
             self.versions = VersionedRecordStore(
                 btree_degree=btree_degree,
                 seed=seed,
-                backend=backend,
                 engine=engine,
                 cache=read_cache,
             )
         #: workers the storage layer failed to stop cleanly (set by
         #: ``close``; always 0 for in-process storage).
         self.leaked_workers: int = 0
-        bind_dag = getattr(self.versions, "bind_dag", None)
-        if bind_dag is not None:
-            bind_dag(self.dag)
         self.metrics = StoreMetrics()
         self._lock = threading.RLock()
         self._sessions: Dict[str, ClientSession] = {}
@@ -438,9 +430,9 @@ class TardisStore:
     def _read_many(self, keys: List[Any], state: State, trace: OpTrace) -> List[Any]:
         """Batched ``_read``: one storage call for a whole key batch.
 
-        Against the process-level sharded store the batch scatters
-        across workers and their version walks run in parallel; flat
-        and in-process-sharded storage just loop.
+        With shard workers the batch scatters across them and their
+        version walks run in parallel; flat and in-process-sharded
+        storage just loop.
         """
         scanned = [0]
         hits = [0]
@@ -799,24 +791,22 @@ class TardisStore:
     def shard_health(self, ping: bool = True) -> Optional[Dict[str, Any]]:
         """Per-shard access totals and worker health; None for flat stores.
 
-        One locked call the live obs sampler polls. In-process sharded
-        stores report shard count + access balance; the proc-sharded
-        plane adds per-worker liveness, queue depth, and a timed ping
-        round trip (see ``ProcShardedRecordStore.worker_health``) plus
-        the running ``leaked_workers`` count — dead workers surface here
-        live, not only in the shutdown report.
+        One locked call the live obs sampler polls. In-process shards
+        report shard count + access balance; shards in worker processes
+        add per-worker liveness, queue depth, and a timed ping round
+        trip (see ``ShardedRecordStore.worker_health``) plus the running
+        ``leaked_workers`` count — dead workers surface here live, not
+        only in the shutdown report.
         """
+        if not self._sharded:
+            return None
         with self._lock:
-            accesses = getattr(self.versions, "accesses", None)
-            if accesses is None:
-                return None
             health: Dict[str, Any] = {
                 "n_shards": self.versions.n_shards,
-                "accesses": list(accesses),
+                "accesses": list(self.versions.accesses),
             }
-            worker_health = getattr(self.versions, "worker_health", None)
-            if worker_health is not None:
-                workers: List[Dict[str, Any]] = worker_health(ping=ping)
+            if self.versions.n_workers:
+                workers = self.versions.worker_health(ping=ping)
                 health["n_workers"] = self.versions.n_workers
                 health["workers"] = workers
                 health["workers_alive"] = sum(1 for w in workers if w["alive"])
@@ -833,20 +823,22 @@ class TardisStore:
     def close(self) -> None:
         if self.wal is not None:
             self.wal.close()
-        # Process-level shard planes own worker processes; stop them and
-        # record how many failed to exit cleanly (the leak gate).
-        close_storage = getattr(self.versions, "close", None)
-        if close_storage is not None:
-            leaked = close_storage()
-            if leaked:
-                self.leaked_workers = int(leaked)
+        if self._sharded:
+            # Shards in worker processes must be stopped; how many
+            # failed to exit cleanly is the leak gate.
+            self.leaked_workers = self.versions.close()
 
     def __repr__(self) -> str:
-        return "<TardisStore site=%s states=%d records=%d>" % (
-            self.site,
-            len(self.dag),
-            self.versions.num_records(),
-        )
+        # No storage calls: with shard workers a record count is a pipe
+        # round trip that needs the store lock and fails once a worker
+        # is dead, and a repr must be safe from a log line or debugger.
+        text = "<TardisStore site=%s states=%d" % (self.site, len(self.dag))
+        if self._sharded:
+            text += " shards=%d workers=%d" % (
+                self.versions.n_shards,
+                self.versions.n_workers,
+            )
+        return text + ">"
 
 
 def _read_states_of(txn: BaseTransaction) -> List[State]:

@@ -196,8 +196,8 @@ class Transaction(BaseTransaction):
 
         Own buffered writes are consulted per key as in :meth:`get`; the
         remaining keys go to the storage layer as one batch, which the
-        sharded stores scatter across their shards (and the process-level
-        store across its workers, in parallel). Results align with
+        sharded store scatters across its shards (with shard workers,
+        across the worker processes in parallel). Results align with
         ``keys``; ``default`` applies per missing key.
         """
         self._check_active()

@@ -58,8 +58,7 @@ class VersionedRecordStore:
     ``engine`` is a :class:`~repro.storage.engine.RecordEngine` instance
     or registered engine name: ``"btree"`` (the TARDiS-BDB
     configuration, default) or ``"hash"`` (the TARDiS-MDB configuration,
-    §6.6). ``backend`` is the older string-only spelling, kept as an
-    alias.
+    §6.6).
     """
 
     # The record store has no lock of its own: every mutation runs under
@@ -77,14 +76,13 @@ class VersionedRecordStore:
         self,
         btree_degree: int = 16,
         seed: Optional[int] = None,
-        backend: Optional[str] = None,
         engine: Any = None,
         cache: bool = True,
     ) -> None:
         self._versions: Dict[Any, SkipList] = {}
-        if engine is None:
-            engine = backend if backend is not None else "btree"
-        self._records: RecordEngine = create_engine(engine, degree=btree_degree)
+        self._records: RecordEngine = create_engine(
+            "btree" if engine is None else engine, degree=btree_degree
+        )
         self._seed = seed
         self._next_list = 0
         #: per-key visibility cache (module docstring): ``(key, mask) ->
@@ -260,7 +258,7 @@ class VersionedRecordStore:
 
         Flat storage walks the same lists either way — the batch entry
         point exists so callers can hand whole read sets down and let
-        the sharded/process-level stores scatter them in parallel.
+        the sharded store scatter them across its shards.
         """
         return [
             self.read_visible(key, read_state, dag, scanned, hits)

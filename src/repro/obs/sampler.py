@@ -233,8 +233,7 @@ class ObsSampler:
 
     def _shard_section(self, now: float) -> Optional[Dict[str, Any]]:
         """Per-shard/per-worker health, or None for a flat store."""
-        health_fn = getattr(self.store, "shard_health", None)
-        health = health_fn() if health_fn is not None else None
+        health = self.store.shard_health()
         if health is None:
             return None
         for i, count in enumerate(health.get("accesses", [])):

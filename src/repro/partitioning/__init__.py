@@ -6,99 +6,30 @@ a datacenter (with the State DAG collocated with the transaction
 manager) and replicating transactions asynchronously across
 datacenters", following COPS.
 
-This package implements that sketch at three levels behind one
-interface. A :class:`ShardRouter` (consistent-hash ring with virtual
-nodes) decides key placement; a :class:`ShardedRecordStore` fans record
-operations out to N in-process shards; a
-:class:`ProcShardedRecordStore` moves those shards into worker
-processes, batching requests over pipes so version walks run outside
-the coordinator's GIL. A :class:`PartitionedStore` is one datacenter: a
-single transaction manager owns the consistency layer (State DAG,
-constraint engine, sessions — unchanged), while records are partitioned
-across the shards. Transactions therefore span shards but serialize
-their begin/commit decisions through the collocated DAG, exactly as the
-paper proposes; cross-datacenter replication is unchanged (the
-replicator speaks state ids, not shards).
-
-Importing this package registers the ``"sharded"`` and
-``"proc-sharded"`` record stores with the engine registry, making
-``engine="proc-sharded"`` a drop-in spec anywhere a store accepts an
-engine name (``TardisStore``, ``tardis serve``, the sim adapters).
+This package implements that sketch at two levels. A
+:class:`ShardRouter` (consistent-hash ring with virtual nodes) decides
+key placement; a :class:`ShardedRecordStore` fans record operations out
+to N shards that live either in-process or in worker processes, behind
+one link interface. A ``TardisStore(site, shards=N[, shard_workers=M])``
+is then one datacenter: a single transaction manager owns the
+consistency layer (State DAG, constraint engine, sessions — unchanged),
+while records are partitioned across the shards. Transactions therefore
+span shards but serialize their begin/commit decisions through the
+collocated DAG, exactly as the paper proposes; cross-datacenter
+replication is unchanged (the replicator speaks state ids, not shards).
 """
-
-from typing import Any, Optional
 
 from repro.partitioning.router import (
     ShardRouter,
     default_shard_of,
-    legacy_shard_of,
     stable_key_bytes,
 )
-from repro.partitioning.sharded import (
-    PartitionedStore,
-    ShardedRecordStore,
-    StagedShardCommit,
-)
-from repro.partitioning.workers import ProcShardedRecordStore
-from repro.storage.engine import register_record_store
+from repro.partitioning.workers import ShardedRecordStore, StagedShardCommit
 
 __all__ = [
     "ShardRouter",
     "ShardedRecordStore",
-    "ProcShardedRecordStore",
-    "PartitionedStore",
     "StagedShardCommit",
     "default_shard_of",
-    "legacy_shard_of",
     "stable_key_bytes",
 ]
-
-
-def _make_sharded(
-    engine: Any = None,
-    btree_degree: int = 16,
-    seed: Optional[int] = 0,
-    cache: bool = True,
-    shards: Optional[int] = None,
-    shard_of: Any = None,
-    **_: Any,
-) -> ShardedRecordStore:
-    return ShardedRecordStore(
-        n_shards=shards or 4,
-        btree_degree=btree_degree,
-        seed=seed,
-        shard_of=shard_of,
-        cache=cache,
-        engine=engine,
-    )
-
-
-def _make_proc_sharded(
-    engine: Any = None,
-    btree_degree: int = 16,
-    seed: Optional[int] = 0,
-    cache: bool = True,
-    shards: Optional[int] = None,
-    shard_workers: Optional[int] = None,
-    shard_of: Any = None,
-    worker_timeout: Optional[float] = None,
-    **_: Any,
-) -> ProcShardedRecordStore:
-    workers = shard_workers or 4
-    options: dict = {}
-    if worker_timeout is not None:
-        options["timeout"] = worker_timeout
-    return ProcShardedRecordStore(
-        n_shards=shards or workers,
-        n_workers=workers,
-        btree_degree=btree_degree,
-        seed=seed,
-        shard_of=shard_of,
-        cache=cache,
-        engine=engine,
-        **options,
-    )
-
-
-register_record_store("sharded", _make_sharded, overwrite=True)
-register_record_store("proc-sharded", _make_proc_sharded, overwrite=True)

@@ -11,8 +11,7 @@ owns this key?* Two layers provide it:
   strings, so a write to ``5`` landed on a different shard than a read
   of ``5.0``. The stable form normalizes equal numbers to one tag and
   prefixes every type so ``"5"`` (a string) still routes independently
-  of ``5`` (a number). :func:`legacy_shard_of` keeps the old behaviour
-  as a compat shim for fixtures pinned to the historical placement.
+  of ``5`` (a number).
 
 * :class:`ShardRouter` — a consistent-hash ring with virtual nodes.
   Each shard owns ``replicas`` pseudo-random points on a 32-bit ring; a
@@ -37,7 +36,6 @@ __all__ = [
     "stable_key_bytes",
     "stable_shard_of",
     "default_shard_of",
-    "legacy_shard_of",
     "ShardRouter",
 ]
 
@@ -77,15 +75,6 @@ def stable_shard_of(key: Any, n_shards: int) -> int:
 #: the default key-to-shard function (stable serialization; see module
 #: docstring for why repr-based hashing was wrong).
 default_shard_of = stable_shard_of
-
-
-def legacy_shard_of(key: Any, n_shards: int) -> int:
-    """Compat shim: the historical ``repr``-based CRC32 partitioning.
-
-    Only for fixtures pinned to the old placement; new code must not
-    use it (equal-but-distinct keys drift, module docstring).
-    """
-    return zlib.crc32(repr(key).encode()) % n_shards
 
 
 def _ring_points(n_shards: int, replicas: int) -> Tuple[List[int], List[int]]:
@@ -149,13 +138,7 @@ class ShardRouter:
             batches.setdefault(self.shard_of(key), []).append(key)
         return dict(sorted(batches.items()))
 
-    # -- rebalance / migration hooks ------------------------------------
-
-    def rebalanced(self, n_shards: int) -> "ShardRouter":
-        """A router for a grown/shrunk shard count on the same ring."""
-        return ShardRouter(
-            n_shards, replicas=self.replicas, shard_of=self._shard_of
-        )
+    # -- migration hook ---------------------------------------------------
 
     def migration_plan(
         self, keys: Iterable[Any], target: "ShardRouter"

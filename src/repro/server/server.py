@@ -388,8 +388,8 @@ class TardisServer:
         report["forced_closes"] = len(survivors)
         report["leaked_sessions"] = leaked
         report["open_states"] = len(self.store.dag)
-        # A server that built its own store tears it down too; with a
-        # proc-sharded storage layer that reaps the shard workers, and
+        # A server that built its own store tears it down too; with
+        # shard workers that reaps the worker processes, and
         # any that had to be force-killed count as leaks in the report.
         leaked_workers = 0
         if self._owns_store:
@@ -962,10 +962,10 @@ class TardisServer:
             "merges": self.store.metrics.merges,
             "records": self.store.versions.num_records(),
         }
-        workers_alive = getattr(self.store.versions, "workers_alive", None)
-        if workers_alive is not None:
-            stats["store"]["shard_workers"] = self.store.versions.n_workers
-            stats["store"]["shard_workers_alive"] = workers_alive()
+        shards = self.store.shard_health(ping=False)
+        if shards is not None and "workers" in shards:
+            stats["store"]["shard_workers"] = shards["n_workers"]
+            stats["store"]["shard_workers_alive"] = shards["workers_alive"]
         with self._lock:
             subscribers = len(self._obs_subs)
         stats["obs"] = {

@@ -265,7 +265,7 @@ class TardisAdapter(SystemAdapter):
         return cost
 
     def close(self) -> None:
-        """Tear down the store (reaps proc-sharded shard workers)."""
+        """Tear down the store (reaps shard workers, if any)."""
         self.store.close()
 
     def merge_all_lww(self) -> float:

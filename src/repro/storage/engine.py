@@ -24,18 +24,19 @@ client) plugs in without touching the stores.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Protocol,
+    Tuple,
+    runtime_checkable,
+)
 
 from repro.storage.btree import BTree
 from repro.storage.hashstore import HashStore
-
-try:  # Protocol is 3.8+; fall back gracefully for exotic interpreters.
-    from typing import Protocol, runtime_checkable
-except ImportError:  # pragma: no cover
-    Protocol = object  # type: ignore[assignment]
-
-    def runtime_checkable(cls):  # type: ignore[misc]
-        return cls
 
 
 @runtime_checkable
@@ -67,13 +68,6 @@ class RecordEngine(Protocol):
 #: engine name -> factory(**options) -> RecordEngine
 _REGISTRY: Dict[str, Callable[..., Any]] = {}
 
-#: record-store name -> factory(**options) -> a whole versioned record
-#: store (the VersionedRecordStore interface), not a flat engine. The
-#: shard plane registers ``"sharded"`` and ``"proc-sharded"`` here so
-#: the same ``engine=`` spec the CLI threads everywhere can swap the
-#: entire storage layer, not just the substrate under it.
-_STORE_REGISTRY: Dict[str, Callable[..., Any]] = {}
-
 
 def register_engine(
     name: str, factory: Callable[..., Any], overwrite: bool = False
@@ -104,12 +98,6 @@ def create_engine(spec: Any, **options: Any) -> Any:
     if isinstance(spec, str):
         factory = _REGISTRY.get(spec)
         if factory is None:
-            if is_record_store(spec):
-                raise ValueError(
-                    "%r is a record *store* (a whole versioned storage "
-                    "layer); it cannot back a flat-engine slot such as "
-                    "the lock/OCC baselines" % (spec,)
-                )
             raise ValueError(
                 "unknown record engine %r (available: %s)"
                 % (spec, ", ".join(available_engines()))
@@ -118,62 +106,6 @@ def create_engine(spec: Any, **options: Any) -> Any:
     if _looks_like_engine(spec):
         return spec
     raise ValueError("not a record engine: %r" % (spec,))
-
-
-def register_record_store(
-    name: str, factory: Callable[..., Any], overwrite: bool = False
-) -> None:
-    """Register a whole-record-store factory under ``name``.
-
-    Unlike :func:`register_engine` factories, these return an object
-    implementing the ``VersionedRecordStore`` interface (reads, staged
-    commits, promotion) and receive the store-level options
-    (``btree_degree``, ``seed``, ``cache``, ``shards``,
-    ``shard_workers``, ``shard_of``, plus ``engine`` naming the flat
-    substrate inside each shard).
-    """
-    if name in _REGISTRY:
-        raise ValueError("%r is already a flat engine name" % (name,))
-    if name in _STORE_REGISTRY and not overwrite:
-        raise ValueError("record store %r already registered" % name)
-    _STORE_REGISTRY[name] = factory
-
-
-def available_record_stores() -> List[str]:
-    """Registered record-store names, sorted."""
-    _load_shard_plane()
-    return sorted(_STORE_REGISTRY)
-
-
-def is_record_store(spec: Any) -> bool:
-    """True when ``spec`` names a registered whole-record-store."""
-    if not isinstance(spec, str):
-        return False
-    if spec not in _STORE_REGISTRY:
-        _load_shard_plane()
-    return spec in _STORE_REGISTRY
-
-
-def create_record_store(spec: str, **options: Any) -> Any:
-    """Resolve a record-store name to a constructed storage layer."""
-    if not is_record_store(spec):
-        raise ValueError(
-            "unknown record store %r (available: %s)"
-            % (spec, ", ".join(available_record_stores()))
-        )
-    return _STORE_REGISTRY[spec](**options)
-
-
-def _load_shard_plane() -> None:
-    """Import the partitioning package, which registers its stores.
-
-    Deferred because partitioning sits *above* this module (it imports
-    the core store); a plain top-level import would be circular.
-    """
-    try:
-        import repro.partitioning  # noqa: F401  (import-time registration)
-    except ImportError:  # pragma: no cover - partitioning ships with repro
-        pass
 
 
 def _looks_like_engine(obj: Any) -> bool:

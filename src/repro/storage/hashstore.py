@@ -5,7 +5,7 @@ and TARDiS-MDB (records in MapDB, a hash-based engine), noting MapDB
 runs ~10% faster. This module is the MapDB stand-in: a dict-backed
 record store with the same interface as :class:`repro.storage.btree.BTree`
 (point ops, ordered iteration computed on demand, dump/load, access
-statistics), selectable via ``TardisStore(..., backend="hash")``.
+statistics), selectable via ``TardisStore(..., engine="hash")``.
 """
 
 from __future__ import annotations

@@ -50,7 +50,7 @@ from repro.obs.flight import FlightRecorder, format_flight
 from repro.replication.cluster import Cluster
 from repro.server.server import TardisServer, run_server
 from repro.sim.adapters import OCCAdapter, TardisAdapter, TwoPLAdapter
-from repro.storage.engine import available_engines, available_record_stores
+from repro.storage.engine import available_engines
 from repro.tools.inspect import dag_to_dot, describe_store, store_summary
 from repro.tools.top import cmd_top
 from repro.workload import RunConfig, YCSBWorkload, run_simulation
@@ -482,18 +482,18 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--site", default="net", help="store site name")
     serve.add_argument(
         "--engine",
-        choices=available_engines() + available_record_stores(),
+        choices=available_engines(),
         default="btree",
-        help="flat record engine, or a whole record store "
-        "(sharded / proc-sharded)",
+        help="flat record engine (under the store, or under each shard)",
     )
     serve.add_argument(
         "--shards", type=int, default=None,
-        help="partition records across N shards (implies the sharded store)",
+        help="partition records across N shards (in-process unless "
+        "--shard-workers is given)",
     )
     serve.add_argument(
         "--shard-workers", type=int, default=None,
-        help="run the shards in N worker processes (implies proc-sharded)",
+        help="run the shards in N worker processes (fault isolation)",
     )
     serve.add_argument("--max-connections", type=int, default=128)
     serve.add_argument(

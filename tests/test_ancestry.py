@@ -184,12 +184,12 @@ class TestEngineRegistry:
         assert store.get("x") == 41
         assert store.versions.records is engine
 
-    def test_legacy_backend_alias_still_works(self):
-        store = TardisStore("A", backend="hash")
+    def test_engine_by_name(self):
+        store = TardisStore("A", engine="hash")
         store.put("x", 1)
         assert store.get("x") == 1
         with pytest.raises(ValueError):
-            TardisStore("B", backend="rocksdb")
+            TardisStore("B", engine="rocksdb")
 
 
 class TestCommitPipelineRecovery:

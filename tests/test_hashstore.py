@@ -65,14 +65,14 @@ class TestHashStore:
 
 class TestHashBackedStore:
     def test_store_with_hash_backend(self):
-        store = TardisStore("A", backend="hash")
+        store = TardisStore("A", engine="hash")
         with store.begin() as t:
             t.put("x", 1)
         assert store.get("x") == 1
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError):
-            TardisStore("A", backend="rocksdb")
+            TardisStore("A", engine="rocksdb")
 
     def test_backends_equivalent_on_random_history(self):
         """Identical schedule => identical behaviour across backends."""
@@ -107,12 +107,12 @@ class TestHashBackedStore:
             store.collect_garbage()
             return out
 
-        assert run(TardisStore("A", backend="btree")) == run(
-            TardisStore("A", backend="hash")
+        assert run(TardisStore("A", engine="btree")) == run(
+            TardisStore("A", engine="hash")
         )
 
     def test_gc_prunes_hash_backend(self):
-        store = TardisStore("A", backend="hash")
+        store = TardisStore("A", engine="hash")
         sess = store.session("w")
         for i in range(20):
             txn = store.begin(session=sess)

@@ -148,7 +148,7 @@ class TestObsSampler:
 
 class TestWorkerHealth:
     def test_health_lists_every_worker_with_ping(self):
-        store = TardisStore("A", engine="proc-sharded", shards=4, shard_workers=2)
+        store = TardisStore("A", shards=4, shard_workers=2)
         try:
             store.put("x", 1)
             health = store.shard_health()
@@ -166,7 +166,7 @@ class TestWorkerHealth:
             store.close()
 
     def test_dead_worker_is_visible(self):
-        store = TardisStore("A", engine="proc-sharded", shards=2, shard_workers=2)
+        store = TardisStore("A", shards=2, shard_workers=2)
         try:
             store.put("x", 1)
             store.versions.kill_worker(0)
@@ -181,14 +181,14 @@ class TestWorkerHealth:
         assert store.shard_health() is None
 
     def test_in_process_sharded_reports_accesses_only(self):
-        store = TardisStore("A", engine="sharded", shards=4)
+        store = TardisStore("A", shards=4)
         store.put("x", 1)
         health = store.shard_health()
         assert health["n_shards"] == 4
         assert "workers" not in health
 
     def test_sampler_feeds_shard_series(self):
-        store = TardisStore("A", engine="proc-sharded", shards=2, shard_workers=2)
+        store = TardisStore("A", shards=2, shard_workers=2)
         try:
             store.put("x", 1)
             sampler = ObsSampler(store, site="A")
@@ -440,14 +440,13 @@ class TestSamplerOffEquivalence:
 
 
 # ---------------------------------------------------------------------------
-# Proc-sharded servers expose worker health over the wire.
+# Servers with shard workers expose worker health over the wire.
 
 
 class TestShardedObsOverWire:
     def test_snapshot_has_shard_section_and_sees_dead_worker(self):
         handle = start_in_thread(
             site="shard-obs",
-            engine="proc-sharded",
             shards=4,
             shard_workers=2,
             obs_sample_interval=0.05,

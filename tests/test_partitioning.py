@@ -8,13 +8,11 @@ from repro import TardisStore
 from repro.core.state_dag import StateDAG
 from repro.obs import metrics as _met
 from repro.partitioning import (
-    PartitionedStore,
     ShardedRecordStore,
     ShardRouter,
-    legacy_shard_of,
+    default_shard_of,
     stable_key_bytes,
 )
-from repro.partitioning.sharded import default_shard_of
 from repro.replication.network import SimNetwork
 from repro.replication.replicator import Replicator
 from repro.sim.des import Simulator
@@ -42,13 +40,13 @@ class TestShardRouter:
         """Growing the ring 4->5 moves ~1/5 of keys, not ~4/5 (modulo)."""
         router = ShardRouter(4)
         keys = ["key%05d" % i for i in range(2000)]
-        moves = router.migration_plan(keys, router.rebalanced(5))
+        moves = router.migration_plan(keys, ShardRouter(5))
         assert 0 < len(moves) < len(keys) * 0.40
 
     def test_migration_plan_is_sorted_and_typed(self):
         router = ShardRouter(3)
         moves = router.migration_plan(
-            ["k%d" % i for i in range(100)], router.rebalanced(4)
+            ["k%d" % i for i in range(100)], ShardRouter(4)
         )
         assert moves == sorted(moves, key=lambda m: (m[1], m[2]))
         for _key, old, new in moves:
@@ -93,13 +91,6 @@ class TestStableShardOf:
         assert stable_key_bytes(b"x") != stable_key_bytes("x")
         assert stable_key_bytes(("a",)) != stable_key_bytes("a")
 
-    def test_legacy_shim_preserves_old_assignments(self):
-        # The repr-based compat shim for stores sharded under the old
-        # scheme: pinned to the historical values.
-        assert legacy_shard_of("alice", 8) == 6
-        assert legacy_shard_of(42, 8) == 0
-        assert legacy_shard_of(42.0, 8) == 4  # the old inconsistency
-
     def test_distribution_of_stable_hash(self):
         counts = [0] * 8
         for i in range(4000):
@@ -115,7 +106,7 @@ class TestShardAccessMetrics:
         registry = _met.MetricsRegistry(enabled=True)
         previous = _met.set_default_registry(registry)
         try:
-            store = PartitionedStore("A", n_shards=4)
+            store = TardisStore("A", shards=4)
             with store.begin() as txn:
                 for i in range(64):
                     txn.put("key%04d" % i, i)
@@ -125,7 +116,7 @@ class TestShardAccessMetrics:
                 total += registry.counter_value(
                     "tardis_shard_access_total@s%d" % shard
                 )
-            assert total == sum(store.shard_accesses())
+            assert total == sum(store.versions.accesses)
             assert total >= 64
         finally:
             _met.set_default_registry(previous)
@@ -134,10 +125,10 @@ class TestShardAccessMetrics:
 class TestShardedRecordStore:
     def test_validation(self):
         with pytest.raises(ValueError):
-            ShardedRecordStore(n_shards=0)
+            ShardedRecordStore(StateDAG("A"), n_shards=0)
 
     def test_routing_is_stable(self):
-        store = ShardedRecordStore(n_shards=4)
+        store = ShardedRecordStore(StateDAG("A"), n_shards=4)
         for key in ("a", "b", ("tuple", 1), 42):
             assert store.shard_index(key) == store.shard_index(key)
 
@@ -149,16 +140,16 @@ class TestShardedRecordStore:
         assert max(counts) < 4000 / 8 * 1.5
 
     def test_custom_shard_function(self):
-        store = ShardedRecordStore(n_shards=2, shard_of=lambda k, n: 0)
         dag = StateDAG("A")
+        store = ShardedRecordStore(dag, n_shards=2, shard_of=lambda k, n: 0)
         state = dag.create_state([dag.root])
         store.write("x", state.id, 1)
         store.write("y", state.id, 2)
         assert store.balance() == [2, 0]
 
     def test_staged_commit_contract(self):
-        store = ShardedRecordStore(n_shards=4)
         dag = StateDAG("A")
+        store = ShardedRecordStore(dag, n_shards=4)
         state = dag.create_state([dag.root])
         writes = {"key%03d" % i: i for i in range(32)}
         staged = store.prepare_commit(writes)
@@ -173,28 +164,18 @@ class TestShardedRecordStore:
         for key, value in writes.items():
             assert store.read_visible(key, state, dag) == (state.id, value)
 
-    def test_abandon_commit_is_a_noop(self):
-        store = ShardedRecordStore(n_shards=2)
-        staged = store.prepare_commit({"a": 1})
+    def test_abandon_commit_installs_nothing(self):
+        dag = StateDAG("A")
+        store = ShardedRecordStore(dag, n_shards=2)
+        writes = {"key%03d" % i: i for i in range(8)}
+        staged = store.prepare_commit(writes)
+        assert staged.n_shards == 2
         store.abandon_commit(staged)
         assert store.num_records() == 0
-
-    def test_rebalance_moves_records(self):
-        store = ShardedRecordStore(n_shards=2)
-        dag = StateDAG("A")
-        state = dag.create_state([dag.root])
-        keys = ["key%03d" % i for i in range(50)]
-        for i, key in enumerate(keys):
-            store.write(key, state.id, i)
-        moved = store.rebalance(4)
-        assert store.n_shards == 4
-        assert sum(store.balance()) == len(keys)
-        assert 0 < len(moved) < len(keys)
-        for i, key in enumerate(keys):
-            assert store.read_visible(key, state, dag) == (state.id, i)
+        assert store._links[0]._staged == {}
 
 
-class TestPartitionedStore:
+class TestShardedTardisStore:
     def test_behaves_like_tardis_store(self):
         """Property: identical schedule => identical outcomes vs unsharded."""
         rng = random.Random(7)
@@ -225,21 +206,21 @@ class TestPartitionedStore:
             return outcomes
 
         plain = run(TardisStore("A"))
-        sharded = run(PartitionedStore("A", n_shards=4))
+        sharded = run(TardisStore("A", shards=4))
         assert plain == sharded
 
     def test_records_spread_across_shards(self):
-        store = PartitionedStore("A", n_shards=4)
+        store = TardisStore("A", shards=4)
         with store.begin() as txn:
             for i in range(100):
                 txn.put("key%04d" % i, i)
-        balance = store.shard_balance()
+        balance = store.versions.balance()
         assert sum(balance) == 100
         assert all(b > 0 for b in balance)
-        assert sum(store.shard_accesses()) >= 100
+        assert sum(store.versions.accesses) >= 100
 
     def test_cross_shard_transaction_atomic(self):
-        store = PartitionedStore("A", n_shards=4, shard_of=lambda k, n: hash(k) % n)
+        store = TardisStore("A", shards=4, shard_of=lambda k, n: hash(k) % n)
         with store.begin() as txn:
             txn.put("a", 1)
             txn.put("b", 2)
@@ -250,7 +231,7 @@ class TestPartitionedStore:
         assert len(store.dag) == 2
 
     def test_branching_and_merge_work_sharded(self):
-        store = PartitionedStore("A", n_shards=3)
+        store = TardisStore("A", shards=3)
         a, b = store.session("a"), store.session("b")
         store.put("x", 0, session=a)
         t1, t2 = store.begin(session=a), store.begin(session=b)
@@ -267,7 +248,7 @@ class TestPartitionedStore:
         assert store.get("x") == 6
 
     def test_gc_prunes_every_shard(self):
-        store = PartitionedStore("A", n_shards=4)
+        store = TardisStore("A", shards=4)
         sess = store.session("w")
         for i in range(30):
             txn = store.begin(session=sess)
@@ -287,8 +268,8 @@ class TestPartitionedStore:
         """Two sharded datacenters replicate asynchronously (§6.4)."""
         sim = Simulator()
         network = SimNetwork(sim, default_latency_ms=10)
-        dc1 = PartitionedStore("dc1", n_shards=2)
-        dc2 = PartitionedStore("dc2", n_shards=4)  # shard counts differ
+        dc1 = TardisStore("dc1", shards=2)
+        dc2 = TardisStore("dc2", shards=4)  # shard counts differ
         Replicator(dc1, network)
         Replicator(dc2, network)
         dc1.put("x", 1)
@@ -306,16 +287,16 @@ class TestPartitionedStore:
         from repro import recover_store
 
         wal = str(tmp_path / "wal.log")
-        store = PartitionedStore("A", n_shards=3, wal_path=wal)
+        store = TardisStore("A", shards=3, wal_path=wal)
         for i in range(10):
             store.put("k%d" % i, i)
         store.close()
         recovered, report = recover_store(
             "A",
             wal,
-            store_factory=lambda site, **kw: PartitionedStore(site, n_shards=3, **kw),
+            store_factory=lambda site, **kw: TardisStore(site, shards=3, **kw),
         )
         assert report["replayed"] == 10
-        assert recovered.n_shards == 3
+        assert recovered.versions.n_shards == 3
         for i in range(10):
             assert recovered.get("k%d" % i) == i

@@ -488,7 +488,7 @@ class TestAsyncClient:
 
 
 # ---------------------------------------------------------------------------
-# The shard plane behind the server: a PartitionedStore with worker
+# The shard plane behind the server: a sharded store with worker
 # processes must be wire-indistinguishable from the flat store, and the
 # server must reap its workers at shutdown even after rude disconnects.
 

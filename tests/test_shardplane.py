@@ -1,9 +1,10 @@
-"""Tests for the process-parallel shard plane (workers + cross-shard commits).
+"""Tests for the shard plane (routed store, links, cross-shard commits).
 
-Covers the ``proc-sharded`` record store end to end: drop-in engine
-selection through ``TardisStore``, scatter/gather batched reads, the
-prepare/install cross-shard commit protocol (including typed aborts on
-a killed worker), oracle equivalence against the flat store under a
+Covers ``TardisStore(site, shards=N[, shard_workers=M])`` end to end:
+scatter/gather batched reads, the prepare/install cross-shard commit
+protocol (including typed aborts on a killed worker and the drain rule
+after a partial scatter failure), mask-table pruning, oracle
+equivalence of both planes against the flat store under a
 branching/merging/GC workload, and worker lifecycle (clean close, no
 leaks).
 
@@ -24,27 +25,23 @@ from repro.errors import (
     TransactionAborted,
 )
 from repro.obs import metrics as _met
-from repro.partitioning import PartitionedStore, ProcShardedRecordStore
+from repro.core.state_dag import StateDAG
+from repro.partitioning import ShardedRecordStore
 
 
 @pytest.fixture
 def proc_store():
-    store = TardisStore("A", engine="proc-sharded", shards=4, shard_workers=2)
+    store = TardisStore("A", shards=4, shard_workers=2)
     yield store
     store.close()
 
 
-class TestProcShardedBasics:
+class TestShardWorkerBasics:
     def test_validation(self):
         with pytest.raises(ValueError):
-            ProcShardedRecordStore(n_shards=2, n_workers=4)  # workers > shards
+            ShardedRecordStore(StateDAG("A"), n_shards=2, n_workers=4)
         with pytest.raises(ValueError):
-            ProcShardedRecordStore(n_shards=0)
-
-    def test_engine_spec_is_a_drop_in(self, proc_store):
-        assert isinstance(proc_store.versions, ProcShardedRecordStore)
-        assert proc_store.versions.n_workers == 2
-        assert proc_store.versions.workers_alive() == 2
+            ShardedRecordStore(StateDAG("A"), n_shards=0)
 
     def test_round_trip_and_delete(self, proc_store):
         proc_store.put("x", {"nested": [1, 2]})
@@ -80,9 +77,7 @@ class TestProcShardedBasics:
     def test_cross_shard_commit_metric(self):
         registry = _met.MetricsRegistry(enabled=True)
         previous = _met.set_default_registry(registry)
-        store = TardisStore(
-            "A", engine="proc-sharded", shards=4, shard_workers=2
-        )
+        store = TardisStore("A", shards=4, shard_workers=2)
         try:
             txn = store.begin()
             for i in range(16):  # certainly spans shards
@@ -94,9 +89,7 @@ class TestProcShardedBasics:
             _met.set_default_registry(previous)
 
     def test_close_is_idempotent_and_leak_free(self):
-        store = TardisStore(
-            "A", engine="proc-sharded", shards=4, shard_workers=2
-        )
+        store = TardisStore("A", shards=4, shard_workers=2)
         store.put("x", 1)
         store.close()
         assert store.leaked_workers == 0
@@ -106,9 +99,7 @@ class TestProcShardedBasics:
 
 class TestWorkerFailure:
     def test_commit_to_dead_worker_aborts_typed(self):
-        store = TardisStore(
-            "A", engine="proc-sharded", shards=4, shard_workers=2
-        )
+        store = TardisStore("A", shards=4, shard_workers=2)
         try:
             store.put("seed", 0)
             states = len(store.dag)
@@ -128,9 +119,7 @@ class TestWorkerFailure:
             store.close()
 
     def test_read_from_dead_worker_raises_shard_unavailable(self):
-        store = TardisStore(
-            "A", engine="proc-sharded", shards=2, shard_workers=2
-        )
+        store = TardisStore("A", shards=2, shard_workers=2)
         try:
             txn = store.begin()
             for i in range(16):
@@ -146,9 +135,7 @@ class TestWorkerFailure:
     def test_shard_abort_metric(self):
         registry = _met.MetricsRegistry(enabled=True)
         previous = _met.set_default_registry(registry)
-        store = TardisStore(
-            "A", engine="proc-sharded", shards=2, shard_workers=2
-        )
+        store = TardisStore("A", shards=2, shard_workers=2)
         try:
             store.versions.kill_worker(0)
             txn = store.begin()
@@ -160,6 +147,142 @@ class TestWorkerFailure:
         finally:
             store.close()
             _met.set_default_registry(previous)
+
+
+class TestDrainAfterPartialFailure:
+    """A scatter that fails part-way must not leave a reply unread.
+
+    ``collect`` returns a link's *oldest* outstanding reply, so a reply
+    abandoned on the healthy worker would answer the next request.
+    """
+
+    @staticmethod
+    def _store_with_dead_worker():
+        store = TardisStore("A", shards=4, shard_workers=2)
+        keys = ["k%d" % i for i in range(16)]
+        for i, key in enumerate(keys):
+            store.put(key, i)
+        by_worker = {0: [], 1: []}
+        for key in keys:
+            by_worker[store.versions.shard_index(key) % 2].append(key)
+        store.versions.kill_worker(1)
+        return store, by_worker
+
+    @staticmethod
+    def _assert_live_worker_in_step(store, live_keys):
+        for key in live_keys:
+            assert store.get(key) == int(key[1:])
+        live = store.shard_health(ping=False)["workers"][0]
+        assert live["alive"] and live["queue_depth"] == 0
+
+    def test_reads_after_a_failed_read_scatter(self):
+        store, by_worker = self._store_with_dead_worker()
+        try:
+            txn = store.begin(read_only=True)
+            with pytest.raises(ShardUnavailableError):
+                txn.get_many([by_worker[0][0], by_worker[1][0]])
+            txn.abort()
+            self._assert_live_worker_in_step(store, by_worker[0])
+        finally:
+            store.close()
+
+    def test_reads_after_a_failed_multi_shard_install(self):
+        store, by_worker = self._store_with_dead_worker()
+        try:
+            versions = store.versions
+            shards = {versions.shard_index(k): k for k in by_worker[0]}
+            assert len(shards) == 2  # two shards, both on the live worker
+            live_a, live_b = shards.values()
+            staged = versions.prepare_commit({live_a: "a", live_b: "b"})
+            # The plan grows a shard on the dead worker between prepare
+            # and install: the worker-death window install documents.
+            dead_key = by_worker[1][0]
+            staged.plan.append((versions.shard_index(dead_key), [(dead_key, "c")]))
+            state = store.dag.create_state(store.dag.leaves())
+            with pytest.raises(ShardUnavailableError):
+                versions.install_commit(staged, state)
+            self._assert_live_worker_in_step(
+                store, [k for k in by_worker[0] if k not in (live_a, live_b)]
+            )
+        finally:
+            store.close()
+
+    def test_repr_with_a_dead_worker_is_a_string(self):
+        store, _by_worker = self._store_with_dead_worker()
+        try:
+            assert "shards=4 workers=2" in repr(store)
+            with pytest.raises(ShardUnavailableError):
+                store.versions.num_records()
+        finally:
+            store.close()
+
+
+class TestMaskTable:
+    def test_stats_are_one_request_per_worker(self, proc_store):
+        proc_store.put("x", 1)
+        versions = proc_store.versions
+        before = next(versions._batch_ids)
+        assert versions.num_records() == 1
+        assert versions.num_keys() == 1
+        assert sum(versions.balance()) == 1
+        assert versions.cache_info()["enabled"] is True
+        # 4 calls x 2 workers (+ the probe above), not 4 x 4 shards.
+        assert next(versions._batch_ids) - before == 1 + 4 * 2
+
+    def test_table_stays_bounded_across_gc_cycles(self, proc_store):
+        flat = TardisStore("A")
+        keys = ["key%d" % i for i in range(5)]
+        for store in (proc_store, flat):
+            session = store.session("w")
+            for i in range(300):
+                store.put(keys[i % 5], i, session=session)
+                if i % 50 == 49:
+                    session.place_ceiling()
+                    store.collect_garbage()
+        assert len(proc_store.dag) == len(flat.dag)
+        live = len(proc_store.dag) + proc_store.versions.num_records()
+        for handle in proc_store.versions._links:
+            assert len(handle._shipped) <= 4 * live
+        for store in (proc_store, flat):
+            store.session("w").place_ceiling()
+            store.collect_garbage()
+        txn, oracle = proc_store.begin(read_only=True), flat.begin(read_only=True)
+        assert txn.get_many(keys) == oracle.get_many(keys)
+        assert proc_store.versions.num_records() == flat.versions.num_records()
+
+    def test_heir_state_is_resolvable_on_every_worker(self):
+        """A record promoted to an heir whose own commit never touched
+        this worker must stay visible (the heir's mask is shipped)."""
+        stores = [
+            TardisStore("A"),
+            TardisStore("A", shards=2, shard_workers=2, shard_of=_a_alone),
+        ]
+        try:
+            seen = []
+            for store in stores:
+                session = store.session("w")
+                store.put("a", 1, session=session)
+                for i in range(5):
+                    store.put("b", i, session=session)
+                session.place_ceiling()
+                store.collect_garbage()
+                store.put("b", 9, session=session)
+                store.collect_garbage()
+                seen.append(
+                    (
+                        store.get("a", session=session),
+                        store.get("b", session=session),
+                        store.versions.num_records(),
+                    )
+                )
+            assert seen[0] == seen[1] == (1, 9, 3)
+        finally:
+            for store in stores:
+                store.close()
+
+
+def _a_alone(key, n_shards):
+    return 0 if key == "a" else 1
 
 
 class TestOracleEquivalence:
@@ -224,25 +347,20 @@ class TestOracleEquivalence:
         obs.append(("states", len(store.dag)))
         return obs
 
-    def test_bit_identical_observables(self):
+    @pytest.mark.parametrize("seed", [42, 9])
+    @pytest.mark.parametrize(
+        "sharding",
+        [{}, {"shards": 4}, {"shards": 4, "shard_workers": 2}],
+        ids=["flat", "inline", "pipe"],
+    )
+    def test_bit_identical_observables(self, sharding, seed):
         flat = TardisStore("site")
-        proc = PartitionedStore("site", n_shards=4, shard_workers=2)
+        store = TardisStore("site", **sharding)
         try:
-            expected = self._run_schedule(flat, seed=42)
-            actual = self._run_schedule(proc, seed=42)
+            expected = self._run_schedule(flat, seed=seed)
+            actual = self._run_schedule(store, seed=seed)
             assert actual == expected
         finally:
             flat.close()
-            proc.close()
-            assert proc.leaked_workers == 0
-
-    def test_in_process_sharded_matches_too(self):
-        flat = TardisStore("site")
-        sharded = TardisStore("site", engine="sharded", shards=4)
-        try:
-            assert self._run_schedule(sharded, seed=9) == self._run_schedule(
-                flat, seed=9
-            )
-        finally:
-            flat.close()
-            sharded.close()
+            store.close()
+            assert store.leaked_workers == 0
