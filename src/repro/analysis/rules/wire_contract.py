@@ -1,24 +1,18 @@
 """``wire-contract``: the protocol catalogue must agree across layers.
 
-The wire contract lives in five places that nothing ties together: the
-op and error-code catalogues in ``server/protocol.py`` (the source of
-truth), the ``_op_<name>`` dispatch surface in ``server/server.py``,
-the ``_request("OP")`` call sites in both clients, and the op/error
-tables in docs/internals.md §12. A new op added to the server but not
-the async client, or an error code the docs never mention, is exactly
-the kind of silent drift that surfaces as an UNKNOWN_OP in production
-instead of a diff in review. This project-wide rule extracts each
-layer's catalogue and flags every op or error code present in one layer
-but missing in another:
+The op and error-code catalogues in ``server/protocol.py`` are the
+source of truth. Two of their users are tied to them by the code itself
+— the handler table is checked against ``OPS`` when
+``server/handlers.py`` is imported, and ``ClientChannel.request``
+refuses an op outside ``OPS``, for both clients — so this rule checks
+only the two artefacts nothing else ties down:
 
-* every op in ``OPS`` needs a ``_op_<lower>`` handler, and every
-  handler an op (dispatch is ``getattr(self, "_op_" + op.lower())``);
-* every op must be issued by every client (``self._request("OP")``
-  literal), and no client may issue an op outside the catalogue;
-* every error code raised or sent by the server
-  (``_RequestError("CODE")`` / ``error_response(_, "CODE")``) must be
-  catalogued, and every catalogued code must appear as a literal in the
-  server module (a code nothing emits is dead contract);
+* every error code the server emits (``RequestError("CODE")`` /
+  ``error_response(_, "CODE")`` in ``server/server.py`` and
+  ``server/handlers.py``, and the codes of the exception table
+  ``ERROR_TABLE``) must be catalogued, and every catalogued code must
+  appear as a literal at one of those sites (a code nothing emits is
+  dead contract);
 * the §12 markdown tables — any table whose header's first cell is
   ``op`` or ``code`` — must list exactly the catalogued ops and codes
   (first cell per row, backticked ALL_CAPS token).
@@ -44,13 +38,13 @@ _ROW_TOKEN_RE = re.compile(r"^\s*\|\s*`([A-Z][A-Z0-9_]*)`\s*\|")
 class WireContractRule(Rule):
     id = "wire-contract"
     description = (
-        "ops and error codes must agree across protocol catalogue, server "
-        "dispatch, both clients, and the docs §12 tables"
+        "error codes the server emits, and the docs §12 op/code tables, "
+        "must agree with the protocol catalogues"
     )
 
     PROTOCOL_MODULE = "server/protocol.py"
     SERVER_MODULE = "server/server.py"
-    CLIENT_MODULES = ("client/client.py", "client/aio.py")
+    HANDLERS_MODULE = "server/handlers.py"
     DOC_FILE = "docs/internals.md"
 
     def check_project(self, project: Project) -> List[Finding]:
@@ -64,12 +58,9 @@ class WireContractRule(Rule):
             return []
 
         findings: List[Finding] = []
-        self._check_dispatch(protocol, server, ops, findings)
-        for suffix in self.CLIENT_MODULES:
-            client = project.module(suffix)
-            if client is not None:
-                self._check_client(protocol, client, ops, findings)
-        self._check_server_codes(protocol, server, codes, findings)
+        handlers = project.module(self.HANDLERS_MODULE)
+        emitters = [server] if handlers is None else [server, handlers]
+        self._check_server_codes(protocol, emitters, codes, findings)
         doc = project.doc(self.DOC_FILE)
         if doc is not None:
             self._check_doc_table(protocol, doc, "op", ops, "op", findings)
@@ -127,139 +118,48 @@ class WireContractRule(Rule):
                 out[key.value] = key.lineno
         return out
 
-    # -- server dispatch ----------------------------------------------------
-
-    def _check_dispatch(
-        self,
-        protocol: SourceModule,
-        server: SourceModule,
-        ops: Dict[str, int],
-        findings: List[Finding],
-    ) -> None:
-        handlers: Dict[str, int] = {}
-        for node in ast.walk(server.tree):
-            if isinstance(
-                node, (ast.FunctionDef, ast.AsyncFunctionDef)
-            ) and node.name.startswith("_op_"):
-                handlers[node.name[len("_op_") :].upper()] = node.lineno
-        for op in sorted(set(ops) - set(handlers)):
-            findings.append(
-                Finding(
-                    file=protocol.relpath,
-                    line=ops[op],
-                    rule=self.id,
-                    severity="error",
-                    message=(
-                        "op %s is catalogued in OPS but %s defines no "
-                        "_op_%s handler" % (op, server.relpath, op.lower())
-                    ),
-                    hint="add the handler or retire the op from OPS",
-                )
-            )
-        for op in sorted(set(handlers) - set(ops)):
-            findings.append(
-                Finding(
-                    file=server.relpath,
-                    line=handlers[op],
-                    rule=self.id,
-                    severity="error",
-                    message=(
-                        "handler _op_%s has no op %s in the OPS catalogue — "
-                        "it is unreachable (dispatch validates against OPS)"
-                        % (op.lower(), op)
-                    ),
-                    hint="add %s to OPS in %s or delete the handler"
-                    % (op, protocol.relpath),
-                )
-            )
-
-    # -- clients -------------------------------------------------------------
-
-    def _client_ops(self, client: SourceModule) -> Dict[str, int]:
-        """Ops the client issues: first literal arg of ``*._request(...)``."""
-        out: Dict[str, int] = {}
-        for node in ast.walk(client.tree):
-            if not (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "_request"
-                and node.args
-            ):
-                continue
-            arg = node.args[0]
-            if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
-                out.setdefault(arg.value, node.lineno)
-        return out
-
-    def _check_client(
-        self,
-        protocol: SourceModule,
-        client: SourceModule,
-        ops: Dict[str, int],
-        findings: List[Finding],
-    ) -> None:
-        issued = self._client_ops(client)
-        for op in sorted(set(ops) - set(issued)):
-            findings.append(
-                Finding(
-                    file=protocol.relpath,
-                    line=ops[op],
-                    rule=self.id,
-                    severity="error",
-                    message=(
-                        "op %s is catalogued in OPS but %s never issues it "
-                        "(no _request(%r) call)" % (op, client.relpath, op)
-                    ),
-                    hint="add the client method or retire the op",
-                )
-            )
-        for op in sorted(set(issued) - set(ops)):
-            findings.append(
-                Finding(
-                    file=client.relpath,
-                    line=issued[op],
-                    rule=self.id,
-                    severity="error",
-                    message=(
-                        "client issues op %s which is not in the OPS "
-                        "catalogue — the server will reject it with "
-                        "UNKNOWN_OP" % op
-                    ),
-                    hint="add %s to OPS in %s or fix the client literal"
-                    % (op, protocol.relpath),
-                )
-            )
-
     # -- error codes ---------------------------------------------------------
 
     def _check_server_codes(
         self,
         protocol: SourceModule,
-        server: SourceModule,
+        emitters: List[SourceModule],
         codes: Dict[str, int],
         findings: List[Finding],
     ) -> None:
-        emitted: Dict[str, int] = {}
-        for node in ast.walk(server.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            name = ""
-            if isinstance(node.func, ast.Name):
-                name = node.func.id
-            elif isinstance(node.func, ast.Attribute):
-                name = node.func.attr
-            arg: Optional[ast.expr] = None
-            if name == "_RequestError" and node.args:
-                arg = node.args[0]
-            elif name == "error_response" and len(node.args) >= 2:
-                arg = node.args[1]
-            if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
-                emitted.setdefault(arg.value, arg.lineno)
+        #: code -> (file, line) of its first emission site.
+        emitted: Dict[str, Tuple[str, int]] = {}
+        literals: Set[str] = set()
+        # The exception table answers an exception with its code: every
+        # string in it is an emission site.
+        table = self._assigned_value(protocol, "ERROR_TABLE")
+        for node in ast.walk(table) if table is not None else ():
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                emitted.setdefault(node.value, (protocol.relpath, node.lineno))
+        for module in emitters:
+            for node in ast.walk(module.tree):
+                if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    literals.add(node.value)
+                if not isinstance(node, ast.Call):
+                    continue
+                name = ""
+                if isinstance(node.func, ast.Name):
+                    name = node.func.id
+                elif isinstance(node.func, ast.Attribute):
+                    name = node.func.attr
+                arg: Optional[ast.expr] = None
+                if name == "RequestError" and node.args:
+                    arg = node.args[0]
+                elif name == "error_response" and len(node.args) >= 2:
+                    arg = node.args[1]
+                if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
+                    emitted.setdefault(arg.value, (module.relpath, arg.lineno))
+        where = " or ".join(module.relpath for module in emitters)
         for code in sorted(set(emitted) - set(codes)):
             findings.append(
                 Finding(
-                    file=server.relpath,
-                    line=emitted[code],
+                    file=emitted[code][0],
+                    line=emitted[code][1],
                     rule=self.id,
                     severity="error",
                     message=(
@@ -272,14 +172,9 @@ class WireContractRule(Rule):
                 )
             )
         # Liveness: a catalogued code must at least appear as a literal
-        # somewhere in the server module (emission sites aren't always
+        # somewhere in the emitting modules (emission sites aren't always
         # direct calls — some codes flow through tables/variables).
-        literals: Set[str] = {
-            node.value
-            for node in ast.walk(server.tree)
-            if isinstance(node, ast.Constant) and isinstance(node.value, str)
-        }
-        for code in sorted(set(codes) - literals):
+        for code in sorted(set(codes) - literals - set(emitted)):
             findings.append(
                 Finding(
                     file=protocol.relpath,
@@ -288,8 +183,7 @@ class WireContractRule(Rule):
                     severity="error",
                     message=(
                         "error code %s is catalogued in ERROR_CODES but "
-                        "never appears in %s — dead contract"
-                        % (code, server.relpath)
+                        "never appears in %s — dead contract" % (code, where)
                     ),
                     hint="emit it from the server or retire the code",
                 )

@@ -3,7 +3,9 @@
 ``tardis serve`` (see :mod:`repro.tools.cli`) wraps
 :class:`TardisServer` with signal handling and a shutdown report; tests
 and in-process demos use :func:`start_in_thread`. The protocol is
-specified in docs/internals.md §12.
+specified in docs/internals.md §12; §12.3 maps the three modules
+(protocol: framing, catalogues, client channel, error table · handlers:
+executor thread, socket-free · server: loop-thread transport).
 """
 
 from repro.server.protocol import (

@@ -1,0 +1,395 @@
+"""The store-executor half of the server: sessions and op handlers.
+
+Everything in this module runs on the server's single store-executor
+thread (so it is serialized with every other store access) and touches
+no socket, event loop or clock. ``server/server.py`` is the other half —
+the event-loop transport — and reaches the store only through
+:meth:`WireSession.handle` and :meth:`WireSession.close`.
+
+A request is answered by one plain function ``(server, session,
+request) -> response fields`` looked up in :data:`HANDLERS`; the table
+is checked against the protocol's ``OPS`` catalogue at import, so an op
+without a handler (or a handler without an op) cannot ship. Handlers
+validate everything that arrives from outside before it reaches the
+store and raise :class:`RequestError` for a typed wire error.
+"""
+
+from __future__ import annotations
+
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
+
+from repro.core import constraints
+from repro.core.merge import MergeTransaction
+from repro.core.transaction import ACTIVE, COMMITTED, BaseTransaction
+from repro.obs.sampler import ObsSampler
+from repro.server.protocol import (
+    OPS,
+    PROTOCOL_VERSION,
+    code_for,
+    error_response,
+    ok_response,
+)
+
+if TYPE_CHECKING:
+    from repro.server.server import TardisServer
+
+__all__ = ["HANDLERS", "RequestError", "WireSession"]
+
+#: begin-constraint names accepted by BEGIN (Table 1 of the paper).
+BEGIN_CONSTRAINTS: Dict[str, Callable[[], constraints.Constraint]] = {
+    "ancestor": constraints.AncestorConstraint,
+    "any": constraints.AnyConstraint,
+    "parent": constraints.ParentConstraint,
+}
+
+#: end-constraint names accepted by COMMIT.
+END_CONSTRAINTS: Dict[str, Callable[[], constraints.Constraint]] = {
+    "serializability": constraints.SerializabilityConstraint,
+    "snapshot-isolation": constraints.SnapshotIsolationConstraint,
+    "read-committed": constraints.ReadCommittedConstraint,
+    "any": constraints.AnyConstraint,
+}
+
+#: a decoded request, or the fields of an ok response.
+_Json = Dict[str, Any]
+
+#: sentinel distinguishing "key absent" from an explicit None value.
+_MISSING = object()
+
+
+class RequestError(Exception):
+    """Raised by a handler to produce a typed wire error response."""
+
+    def __init__(self, code: str, message: str = "") -> None:
+        super().__init__(code)
+        self.code = code
+        self.message = message
+
+
+class WireSession:
+    """One connection's protocol state: the session binding and the
+    open transactions, and the one way a request reaches the store.
+
+    Everything here is mutated only on the store executor thread
+    (``handle``) or after the connection's request loop has exited
+    (``close``, also dispatched to the executor), never concurrently.
+    """
+
+    _GUARDED_BY = {
+        "txns": "external:store-executor",
+        "session_name": "external:store-executor",
+    }
+
+    __slots__ = ("server", "id", "session_name", "txns", "next_txn_id", "hello_done")
+
+    def __init__(self, server: TardisServer, conn_id: int) -> None:
+        self.server = server
+        self.id = conn_id
+        self.session_name: Optional[str] = None
+        #: txn wire id -> open BaseTransaction.
+        self.txns: Dict[int, BaseTransaction] = {}
+        self.next_txn_id = 1
+        self.hello_done = False
+
+    def handle(self, request: _Json) -> _Json:
+        """Run one request; always returns a response, never raises."""
+        request_id = request.get("id")
+        op = request.get("op")
+        try:
+            handler = HANDLERS.get(op) if isinstance(op, str) else None
+            if handler is None:
+                raise RequestError("UNKNOWN_OP", "op=%r" % (op,))
+            if not self.hello_done and op != "HELLO":
+                raise RequestError("NO_HELLO", "say HELLO first")
+            return ok_response(request_id, **handler(self.server, self, request))
+        except RequestError as exc:
+            return error_response(request_id, exc.code, exc.message)
+        except Exception as exc:  # tardis: ignore[bare-except] — one bad request must not kill the connection loop
+            code = code_for(exc)
+            if code is None:
+                return error_response(request_id, "INTERNAL", repr(exc))
+            return error_response(request_id, code, str(exc))
+
+    def close(self) -> int:
+        """Abort what is open and close the store session; returns how
+        many transactions were still active."""
+        open_txns = sum(1 for t in self.txns.values() if t.status == ACTIVE)
+        self.txns.clear()
+        if self.session_name is not None:
+            # close_session aborts whatever is still ACTIVE on the
+            # session (including txns above) and is idempotent, so a
+            # polite BYE racing a socket drop stays safe.
+            self.server.store.close_session(self.session_name)
+        return open_txns
+
+    def txn(self, request: _Json) -> BaseTransaction:
+        """The open transaction a request names (``true`` is not 1)."""
+        txn_id = request.get("txn")
+        txn = self.txns.get(txn_id) if type(txn_id) is int else None
+        if txn is None:
+            raise RequestError("UNKNOWN_TXN", "txn=%r" % (txn_id,))
+        return txn
+
+    def open(self, txn: BaseTransaction) -> int:
+        """Register a freshly begun transaction; returns its wire id."""
+        txn_id = self.next_txn_id
+        self.next_txn_id += 1
+        self.txns[txn_id] = txn
+        return txn_id
+
+
+# -- input validation --------------------------------------------------------
+
+
+def _scalar(key: Any) -> Any:
+    # JSON arrays and objects decode to unhashable values; the store
+    # would answer them with a TypeError deep inside a handler.
+    if isinstance(key, (list, dict)):
+        raise RequestError("BAD_REQUEST", "a key must be a scalar, got %r" % (key,))
+    return key
+
+
+def _key(request: _Json) -> Any:
+    if "key" not in request:
+        raise RequestError("BAD_REQUEST", "%s needs a key" % request["op"])
+    return _scalar(request["key"])
+
+
+def _constraint(
+    request: _Json, kind: str, table: Dict[str, Callable[[], constraints.Constraint]]
+) -> Optional[constraints.Constraint]:
+    name = request.get("constraint")
+    if name is None:
+        return None
+    factory = table.get(name) if isinstance(name, str) else None
+    if factory is None:
+        raise RequestError(
+            "BAD_CONSTRAINT", "%r (%s constraints: %s)" % (name, kind, sorted(table))
+        )
+    return factory()
+
+
+def _accepting(server: TardisServer) -> None:
+    if server._closing:
+        raise RequestError("SHUTTING_DOWN", "no new transactions while draining")
+
+
+# -- op handlers ---------------------------------------------------------------
+
+
+def _hello(server: TardisServer, session: WireSession, request: _Json) -> _Json:
+    if session.hello_done:
+        raise RequestError(
+            "ALREADY_HELLO", "connection is bound to %r" % session.session_name
+        )
+    version = request.get("protocol", PROTOCOL_VERSION)
+    if version != PROTOCOL_VERSION:
+        raise RequestError(
+            "BAD_VERSION",
+            "server speaks protocol %d, client sent %r" % (PROTOCOL_VERSION, version),
+        )
+    name = request.get("session")
+    if name is not None and not isinstance(name, str):
+        raise RequestError("BAD_REQUEST", "session must be a string")
+    with server._lock:
+        if name is not None and name in server._session_names:
+            raise RequestError("SESSION_IN_USE", name)
+    bound = server.store.session(name)
+    with server._lock:
+        server._session_names.add(bound.name)
+        server._owned_sessions.add(bound.name)
+    session.session_name = bound.name
+    session.hello_done = True
+    return {"session": bound.name, "site": server.store.site, "protocol": PROTOCOL_VERSION}
+
+
+def _begin(server: TardisServer, session: WireSession, request: _Json) -> _Json:
+    _accepting(server)
+    txn = server.store.begin(
+        begin_constraint=_constraint(request, "begin", BEGIN_CONSTRAINTS),
+        session=server.store.session(session.session_name),
+        read_only=bool(request.get("read_only", False)),
+    )
+    return {"txn": session.open(txn), "read_state": repr(txn.read_state.id)}
+
+
+def _merge(server: TardisServer, session: WireSession, request: _Json) -> _Json:
+    _accepting(server)
+    merge = server.store.begin_merge(session=server.store.session(session.session_name))
+    txn_id = session.open(merge)
+    fork_points = merge.find_fork_points()
+    conflicts: List[_Json] = []
+    for key in merge.find_conflict_writes():
+        base = (
+            merge.get_for_id(key, fork_points[0], default=None)
+            if fork_points
+            else None
+        )
+        conflicts.append({"key": key, "base": base, "values": merge.get_all(key)})
+    server._count(None, "merges")
+    return {
+        "txn": txn_id,
+        "parents": [repr(p) for p in merge.parents],
+        "fork_points": [repr(f) for f in fork_points],
+        "conflicts": conflicts,
+    }
+
+
+def _read(server: TardisServer, session: WireSession, request: _Json) -> _Json:
+    key = _key(request)
+    value = session.txn(request).get(key, default=_MISSING)
+    if value is _MISSING:
+        return {"found": False, "value": None}
+    return {"found": True, "value": value}
+
+
+def _read_many(server: TardisServer, session: WireSession, request: _Json) -> _Json:
+    keys = request.get("keys")
+    if not isinstance(keys, list):
+        raise RequestError("BAD_REQUEST", "READ_MANY needs a keys list")
+    for key in keys:
+        _scalar(key)
+    values = session.txn(request).get_many(keys, default=_MISSING)
+    return {
+        "found": [value is not _MISSING for value in values],
+        "values": [None if value is _MISSING else value for value in values],
+    }
+
+
+def _write(server: TardisServer, session: WireSession, request: _Json) -> _Json:
+    key = _key(request)
+    txn = session.txn(request)
+    if request.get("delete", False):
+        txn.delete(key)
+    elif "value" in request:
+        txn.put(key, request["value"])
+    else:
+        raise RequestError("BAD_REQUEST", "WRITE needs a value (or delete)")
+    return {}
+
+
+def _commit(server: TardisServer, session: WireSession, request: _Json) -> _Json:
+    txn = session.txn(request)
+    constraint = _constraint(request, "end", END_CONSTRAINTS)
+    try:
+        commit_id = txn.commit(constraint)
+    finally:
+        if txn.status != ACTIVE:
+            session.txns.pop(request["txn"], None)
+            server._count(None, "commits" if txn.status == COMMITTED else "aborts")
+    return {"commit_state": repr(commit_id), "merge": isinstance(txn, MergeTransaction)}
+
+
+def _abort(server: TardisServer, session: WireSession, request: _Json) -> _Json:
+    session.txn(request).abort()
+    session.txns.pop(request["txn"], None)
+    server._count(None, "aborts")
+    return {}
+
+
+def _obs_snapshot_now(server: TardisServer) -> _Json:
+    """The snapshot STATS and OBS_SNAPSHOT answer with.
+
+    With the sampler running, its latest snapshot (cheap, at most one
+    interval stale); without it nothing refreshes ``latest``, so
+    sample on demand — handlers run on the store executor, so this
+    is race-free.
+    """
+    if server._obs_task is not None:
+        return server.obs.latest_or_sample()
+    return server.obs.sample()
+
+
+def _stats(server: TardisServer, session: WireSession, request: _Json) -> _Json:
+    store = server.store
+    stats = server._obs_counters()
+    gauges = server._obs_gauges()
+    stats["connections_active"] = gauges["connections"]
+    stats["inflight"] = gauges["inflight"]
+    stats["draining"] = server._closing
+    stats["open_sessions"] = gauges["sessions"]
+    stats["open_txns"] = sum(
+        1
+        for sess in store.sessions()
+        for txn in list(sess._active_txns)
+        if txn.status == ACTIVE
+    )
+    stats["store"] = {
+        "site": store.site,
+        "states": len(store.dag),
+        "leaves": len(store.dag.leaves()),
+        "commits": store.metrics.commits,
+        "merges": store.metrics.merges,
+        "records": store.versions.num_records(),
+    }
+    shards = store.shard_health(ping=False)
+    if shards is not None and "workers" in shards:
+        stats["store"]["shard_workers"] = shards["n_workers"]
+        stats["store"]["shard_workers_alive"] = shards["workers_alive"]
+    with server._lock:
+        subscribers = len(server._obs_subs)
+    stats["obs"] = {
+        "sampler": server._obs_task is not None,
+        "interval_s": server.obs_sample_interval,
+        "subscribers": subscribers,
+        # The light form: gauges/counters/latency/shards, no series.
+        "snapshot": ObsSampler.trim(_obs_snapshot_now(server), 0),
+    }
+    return {"stats": stats}
+
+
+def _obs_snapshot(server: TardisServer, session: WireSession, request: _Json) -> _Json:
+    tail = request.get("tail")
+    if tail is not None and not isinstance(tail, int):
+        raise RequestError("BAD_REQUEST", "tail must be an integer")
+    return {"snapshot": ObsSampler.trim(_obs_snapshot_now(server), tail)}
+
+
+def _obs_subscribe(server: TardisServer, session: WireSession, request: _Json) -> _Json:
+    if server._obs_task is None or server._closing:
+        raise RequestError("OBS_UNAVAILABLE")
+    return {
+        "resumed": server._subscribe_obs(session.id),
+        "interval_s": server.obs_sample_interval,
+        "tail": server.obs.tail,
+    }
+
+
+def _obs_unsubscribe(
+    server: TardisServer, session: WireSession, request: _Json
+) -> _Json:
+    sub = server._unsubscribe_obs(session.id)
+    # Idempotent: unsubscribing while not subscribed just reports so.
+    return {
+        "subscribed": sub is not None,
+        "frames": sub.sent if sub is not None else 0,
+        "dropped": sub.dropped if sub is not None else 0,
+    }
+
+
+def _bye(server: TardisServer, session: WireSession, request: _Json) -> _Json:
+    # The response is sent first; the connection loop closes after.
+    return {}
+
+
+#: op -> handler. ``WireSession.handle`` is the only caller.
+HANDLERS: Dict[str, Callable[[TardisServer, WireSession, _Json], _Json]] = {
+    "HELLO": _hello,
+    "BEGIN": _begin,
+    "MERGE": _merge,
+    "READ": _read,
+    "READ_MANY": _read_many,
+    "WRITE": _write,
+    "COMMIT": _commit,
+    "ABORT": _abort,
+    "STATS": _stats,
+    "OBS_SNAPSHOT": _obs_snapshot,
+    "OBS_SUBSCRIBE": _obs_subscribe,
+    "OBS_UNSUBSCRIBE": _obs_unsubscribe,
+    "BYE": _bye,
+}
+
+if set(HANDLERS) != OPS:
+    raise ImportError(
+        "HANDLERS and the OPS catalogue disagree on %s" % sorted(set(HANDLERS) ^ OPS)
+    )

@@ -26,15 +26,32 @@ One exception to request/response pairing: a connection that issued
 — interleaved between responses on the sampler's cadence. Push frames
 carry no ``id``; clients route on the ``push`` key (docs/internals.md
 §14 specifies the snapshot schema and the slow-consumer drop policy).
+
+Each protocol decision lives here once, for both directions: which ops
+exist (:data:`OPS`), which exception is which wire code
+(:data:`ERROR_TABLE`), and how a client numbers requests, pairs
+responses and parks push frames (:class:`ClientChannel`).
 """
 
 from __future__ import annotations
 
 import json
 import struct
-from typing import Any, Dict, Iterator, Optional
+from collections import deque
+from typing import Any, Deque, Dict, Iterator, Optional
 
-from repro.errors import FrameTooLarge, ProtocolError
+from repro.errors import (
+    BeginError,
+    FrameTooLarge,
+    MultipleValuesError,
+    NetworkError,
+    ProtocolError,
+    ReadOnlyViolation,
+    ServerError,
+    ShardUnavailableError,
+    TransactionAborted,
+    TransactionClosed,
+)
 
 __all__ = [
     "PROTOCOL_VERSION",
@@ -43,8 +60,12 @@ __all__ = [
     "OPS",
     "PUSH_KINDS",
     "ERROR_CODES",
+    "ERROR_TABLE",
+    "code_for",
+    "exception_for",
     "encode_frame",
     "FrameDecoder",
+    "ClientChannel",
     "ok_response",
     "error_response",
 ]
@@ -105,6 +126,42 @@ ERROR_CODES: Dict[str, str] = {
     "SHUTTING_DOWN": "the server is draining and takes no new work",
     "INTERNAL": "unexpected server-side failure",
 }
+
+#: the one exception <-> wire code table: the server answers an exception
+#: of class ``[0]`` with code ``[1]`` and ``str(exc)`` (:func:`code_for`);
+#: a client re-raises ``[2](message)`` for that code, or — ``[2]`` None —
+#: a :class:`~repro.errors.ServerError` carrying it (:func:`exception_for`).
+#: The four re-raised are what retry loops written against the in-process
+#: store catch. Anything unlisted is ``INTERNAL`` out, ``ServerError`` in.
+ERROR_TABLE = (
+    (TransactionAborted, "TXN_ABORTED", TransactionAborted),
+    (TransactionClosed, "TXN_CLOSED", TransactionClosed),
+    (BeginError, "BEGIN_FAILED", BeginError),
+    # A dead shard worker is a typed, retryable condition, not an
+    # opaque INTERNAL (the shard number does not cross the wire).
+    (ShardUnavailableError, "SHARD_UNAVAILABLE", lambda m: ShardUnavailableError(None, m)),
+    (ReadOnlyViolation, "READ_ONLY", None),
+    (MultipleValuesError, "KEY_CONFLICT", None),
+)
+
+
+def code_for(exc: BaseException) -> Optional[str]:
+    """The wire code for a server-side exception; None means INTERNAL."""
+    for kind, code, _rebuild in ERROR_TABLE:
+        if isinstance(exc, kind):
+            return code
+    return None
+
+
+def exception_for(response: Dict[str, Any]) -> Exception:
+    """Map an error response onto the library's exception hierarchy."""
+    error = response.get("error") or {}
+    code = error.get("code", "INTERNAL")
+    message = error.get("message", "")
+    for _kind, known, rebuild in ERROR_TABLE:
+        if known == code and rebuild is not None:
+            return rebuild(message)
+    return ServerError(code, message)
 
 
 def encode_frame(obj: Dict[str, Any], max_frame: int = MAX_FRAME) -> bytes:
@@ -193,6 +250,106 @@ class FrameDecoder:
             if message is None:
                 return
             yield message
+
+
+class ClientChannel:
+    """The client role of the protocol as a socket-free state machine.
+
+    The owner moves bytes — send ``encode_frame(channel.request(op,
+    fields))``, then ``feed`` what arrives until ``response()`` is not
+    None — and the channel decides the rest: numbering, pairing,
+    push-frame diversion, error mapping, and when the connection is lost.
+    Requests are answered strictly in order, so one is in flight at a
+    time (``awaiting`` is its id). The channel goes permanently
+    ``closed`` (later requests and reads raise ``NetworkError``) on a
+    response whose id is not the awaited one, a torn frame, EOF
+    (``feed(b"")``) and :meth:`abandon`: a stream that lost its pairing
+    cannot be resynchronized, only dropped.
+    """
+
+    __slots__ = ("_decoder", "_next_id", "_pushes", "awaiting", "closed")
+
+    def __init__(self) -> None:
+        self._decoder = FrameDecoder()
+        self._next_id = 1
+        #: server-push frames (OBS_SUBSCRIBE streams) met while reading
+        #: for a response, oldest first; drained by :meth:`push`.
+        self._pushes: Deque[Dict[str, Any]] = deque()
+        #: id of the request in flight; None between round trips.
+        self.awaiting: Optional[int] = None
+        self.closed = False
+
+    def request(self, op: str, fields: Dict[str, Any]) -> Dict[str, Any]:
+        """Number one request and return the message for the caller to
+        encode and send. An op outside :data:`OPS` never leaves."""
+        if self.closed:
+            raise NetworkError("client is closed")
+        if op not in OPS:
+            raise ValueError("op %r is not in the protocol" % (op,))
+        message: Dict[str, Any] = {"id": self._next_id, "op": op}
+        message.update(fields)
+        self.awaiting = self._next_id
+        self._next_id += 1
+        return message
+
+    def feed(self, data: bytes) -> None:
+        """Bytes from the peer; ``b""`` means it closed the connection."""
+        if not data:
+            self.closed = True
+            raise NetworkError("server closed the connection")
+        self._decoder.feed(data)
+
+    def abandon(self) -> None:
+        """Give the connection up: the owner is closing, or a request
+        timed out mid-flight and its answer would pair with the next."""
+        self.closed = True
+
+    def _next_frame(self) -> Optional[Dict[str, Any]]:
+        if self.closed:
+            raise NetworkError("client is closed")
+        try:
+            return self._decoder.next_frame()
+        except ProtocolError:
+            self.closed = True
+            raise
+
+    def response(self) -> Optional[Dict[str, Any]]:
+        """The awaited response, or None until more bytes arrive. An
+        error response raises its exception (:func:`exception_for`) and
+        leaves the channel usable — the server answered."""
+        while True:
+            frame = self._next_frame()
+            if frame is None:
+                return None
+            if "push" in frame:
+                # Server-initiated frame interleaved with a response:
+                # park it so request/response pairing stays strict
+                # while subscribed.
+                self._pushes.append(frame)
+                continue
+            awaited, self.awaiting = self.awaiting, None
+            if awaited is None or frame.get("id") != awaited:
+                self.closed = True
+                raise NetworkError(
+                    "response id %r does not match request id %r (protocol is ordered)"
+                    % (frame.get("id"), awaited)
+                )
+            if frame.get("ok", False):
+                return frame
+            raise exception_for(frame)
+
+    def push(self) -> Optional[Dict[str, Any]]:
+        """The next push frame — the whole wire frame, parked ones
+        first — or None until more bytes arrive."""
+        if self._pushes:
+            return self._pushes.popleft()
+        frame = self._next_frame()
+        if frame is None or "push" in frame:
+            return frame
+        # A response with no request in flight is a protocol violation;
+        # surface it rather than swallowing.
+        self.closed = True
+        raise NetworkError("unexpected response frame %r" % (frame.get("id"),))
 
 
 def ok_response(request_id: Any, **fields: Any) -> Dict[str, Any]:

@@ -14,7 +14,12 @@ is lock-protected, but its read path is optimized for the one-writer
 discrete-event harness, and a single worker keeps the wall-clock
 behaviour honest while still letting the loop time out stuck requests
 (``asyncio.wait_for`` around the executor hop) and keep accepting,
-parsing, and answering frames meanwhile.
+parsing, and answering frames meanwhile. The module boundary is that
+thread boundary: this module is what runs on the loop (accepting,
+limits, timeouts, the read loop, counters, obs fan-out, shutdown);
+:mod:`repro.server.handlers` is what runs on the executor, and nothing
+in a coroutine here touches the store except through
+``WireSession.handle`` / ``WireSession.close``.
 
 Production plumbing:
 
@@ -49,12 +54,9 @@ the shard plane's worker health on a wall-clock cadence (each sample
 runs on the store executor, serialized with request handlers), and runs
 the flight-recorder triggers live so threshold trips become alerts.
 Snapshots are served one-shot via ``OBS_SNAPSHOT`` and streamed to
-``OBS_SUBSCRIBE``-ed connections as push frames. Slow-consumer policy:
-each subscription buffers at most ``obs_queue_frames`` snapshots; when
-the subscriber's socket cannot keep up, new snapshots are *dropped*
-(never buffered unboundedly, never blocking the sampler), counted per
-subscription, and the next delivered frame carries the cumulative
-``dropped`` count so the gap is visible downstream.
+``OBS_SUBSCRIBE``-ed connections as push frames, at most
+``OBS_QUEUE_FRAMES`` buffered per stream (the slow-consumer drop policy
+is :class:`_ObsSubscription`'s).
 """
 
 from __future__ import annotations
@@ -64,105 +66,19 @@ import signal
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Callable, Dict, List, Optional, Set
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
-from repro.core.constraints import (
-    AncestorConstraint,
-    AnyConstraint,
-    Constraint,
-    ParentConstraint,
-    ReadCommittedConstraint,
-    SerializabilityConstraint,
-    SnapshotIsolationConstraint,
-)
-from repro.core.merge import MergeTransaction
 from repro.core.store import TardisStore
-from repro.core.transaction import ACTIVE, COMMITTED, BaseTransaction
-from repro.errors import (
-    BeginError,
-    FrameTooLarge,
-    MultipleValuesError,
-    ProtocolError,
-    ReadOnlyViolation,
-    ShardUnavailableError,
-    TardisError,
-    TransactionAborted,
-    TransactionClosed,
-)
+from repro.errors import FrameTooLarge, ProtocolError
 from repro.obs import metrics as _met
 from repro.obs.sampler import ObsSampler
-from repro.server.protocol import (
-    MAX_FRAME,
-    OPS,
-    PROTOCOL_VERSION,
-    FrameDecoder,
-    encode_frame,
-    error_response,
-    ok_response,
-)
+from repro.server.handlers import WireSession
+from repro.server.protocol import OPS, FrameDecoder, encode_frame, error_response
 
 __all__ = ["TardisServer", "ServerThread", "start_in_thread", "run_server"]
 
-#: begin-constraint names accepted by BEGIN (Table 1 of the paper).
-BEGIN_CONSTRAINTS: Dict[str, Callable[[], Constraint]] = {
-    "ancestor": AncestorConstraint,
-    "any": AnyConstraint,
-    "parent": ParentConstraint,
-}
-
-#: end-constraint names accepted by COMMIT.
-END_CONSTRAINTS: Dict[str, Callable[[], Constraint]] = {
-    "serializability": SerializabilityConstraint,
-    "snapshot-isolation": SnapshotIsolationConstraint,
-    "read-committed": ReadCommittedConstraint,
-    "any": AnyConstraint,
-}
-
-#: sentinel distinguishing "key absent" from an explicit None value.
-_MISSING = object()
-
-
-class _RequestError(Exception):
-    """Raised by a handler to produce a typed wire error response."""
-
-    def __init__(self, code: str, message: str = "") -> None:
-        super().__init__(code)
-        self.code = code
-        self.message = message
-
-
-class _Connection:
-    """Per-connection state: the session binding and open transactions.
-
-    Everything here is mutated only on the store executor thread (the
-    handlers) or after the connection's request loop has exited (the
-    cleanup, also dispatched to the executor), never concurrently.
-    """
-
-    _GUARDED_BY = {
-        "txns": "external:store-executor",
-        "session_name": "external:store-executor",
-    }
-
-    __slots__ = (
-        "id",
-        "peer",
-        "writer",
-        "session_name",
-        "txns",
-        "next_txn_id",
-        "hello_done",
-    )
-
-    def __init__(self, conn_id: int, peer: str, writer: asyncio.StreamWriter) -> None:
-        self.id = conn_id
-        self.peer = peer
-        self.writer = writer
-        self.session_name: Optional[str] = None
-        #: txn wire id -> open BaseTransaction.
-        self.txns: Dict[int, BaseTransaction] = {}
-        self.next_txn_id = 1
-        self.hello_done = False
+#: snapshots one OBS_SUBSCRIBE stream buffers before it drops new ones.
+OBS_QUEUE_FRAMES = 4
 
 
 class _ObsSubscription:
@@ -224,10 +140,7 @@ class TardisServer:
         max_connections: int = 128,
         request_timeout: float = 5.0,
         drain_timeout: float = 5.0,
-        max_frame: int = MAX_FRAME,
         obs_sample_interval: Optional[float] = None,
-        obs_tail: int = 60,
-        obs_queue_frames: int = 4,
     ) -> None:
         #: the server owns (and closes at shutdown) only a store it built.
         self._owns_store = store is None
@@ -243,7 +156,6 @@ class TardisServer:
         self.max_connections = max_connections
         self.request_timeout = request_timeout
         self.drain_timeout = drain_timeout
-        self.max_frame = max_frame
         self._server: Optional[asyncio.AbstractServer] = None
         #: single worker: store calls are serialized here so the loop can
         #: time them out and keep servicing sockets (module docstring).
@@ -251,7 +163,8 @@ class TardisServer:
             max_workers=1, thread_name_prefix="tardis-store"
         )
         self._lock = threading.Lock()
-        self._conns: Dict[int, _Connection] = {}
+        #: connection id -> its protocol state and its socket.
+        self._conns: Dict[int, Tuple[WireSession, asyncio.StreamWriter]] = {}
         self._session_names: Set[str] = set()
         #: every session name this server ever bound; the shutdown report
         #: counts the ones still present in the store as leaks.
@@ -281,12 +194,9 @@ class TardisServer:
         #: wall seconds between sampler ticks; None leaves the sampler
         #: task off (OBS_SNAPSHOT still works — it samples on demand).
         self.obs_sample_interval = obs_sample_interval
-        self.obs_tail = obs_tail
-        self.obs_queue_frames = obs_queue_frames
         self.obs = ObsSampler(
             self.store,
             site=self.store.site,
-            tail=obs_tail,
             counters_fn=self._obs_counters,
             gauges_fn=self._obs_gauges,
             latency_fn=self._obs_latency,
@@ -360,7 +270,7 @@ class TardisServer:
         while True:
             with self._lock:
                 busy = self._inflight > 0 or any(
-                    conn.txns for conn in self._conns.values()
+                    session.txns for session, _writer in self._conns.values()
                 )
             if not busy:
                 drained = True
@@ -370,8 +280,8 @@ class TardisServer:
             await asyncio.sleep(0.01)
         with self._lock:
             survivors = list(self._conns.values())
-        for conn in survivors:
-            conn.writer.close()
+        for _session, writer in survivors:
+            writer.close()
         if self._tasks:
             await asyncio.wait(list(self._tasks), timeout=5.0)
         self._executor.shutdown(wait=True)
@@ -406,83 +316,74 @@ class TardisServer:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         task = asyncio.current_task()
-        if task is not None:
-            self._tasks.add(task)
-        try:
-            await self._serve_connection(reader, writer)
-        finally:
-            if task is not None:
-                self._tasks.discard(task)
-
-    async def _serve_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        peername = writer.get_extra_info("peername")
-        peer = "%s:%s" % peername[:2] if peername else "?"
-        m = _met.DEFAULT
+        assert task is not None
+        self._tasks.add(task)  # shutdown waits for these
+        task.add_done_callback(self._tasks.discard)
         with self._lock:
             rejected = self._closing or len(self._conns) >= self.max_connections
-            if rejected:
-                self._stats["connections_rejected"] += 1
-            else:
-                conn = _Connection(self._next_conn_id, peer, writer)
+            if not rejected:
+                session = WireSession(self, self._next_conn_id)
                 self._next_conn_id += 1
-                self._conns[conn.id] = conn
-                self._stats["connections_total"] += 1
-                active = len(self._conns)
+                self._conns[session.id] = (session, writer)
         if rejected:
+            self._count(None, "connections_rejected")
             code = "SHUTTING_DOWN" if self._closing else "SERVER_BUSY"
-            await self._send(None, writer, error_response(None, code))
+            await self._send(writer, error_response(None, code))
             writer.close()
             return
-        if m.enabled:
-            m.inc("tardis_net_server_connections_total")
-            m.set_gauge("tardis_net_server_connections_active", active)
-        decoder = FrameDecoder(self.max_frame)
+        self._count("tardis_net_server_connections_total", "connections_total")
+        self._gauge_connections()
+        # The server's one read loop; the frame cap is checked by the
+        # decoder before a payload is buffered.
+        decoder = FrameDecoder()
         try:
             while True:
                 message = None
                 try:
                     message = decoder.next_frame()
-                except FrameTooLarge as exc:
-                    await self._send(
-                        conn, writer, error_response(None, "FRAME_TOO_LARGE", str(exc))
-                    )
-                    break
                 except ProtocolError as exc:
-                    await self._send(
-                        conn, writer, error_response(None, "BAD_FRAME", str(exc))
-                    )
+                    # Framing is lost: answer once, then drop the link.
+                    too_large = isinstance(exc, FrameTooLarge)
+                    code = "FRAME_TOO_LARGE" if too_large else "BAD_FRAME"
+                    await self._send(writer, error_response(None, code, str(exc)))
                     break
                 if message is None:
                     data = await reader.read(65536)
                     if not data:
                         break  # EOF
-                    with self._lock:
-                        self._stats["bytes_in"] += len(data)
-                    if m.enabled:
-                        m.inc("tardis_net_server_bytes_in_total", len(data))
+                    self._count("tardis_net_server_bytes_in_total", "bytes_in", len(data))
                     decoder.feed(data)
                     continue
-                response = await self._dispatch(conn, message)
-                await self._send(conn, writer, response)
+                await self._send(writer, await self._dispatch(session, message))
                 if message.get("op") == "BYE":
                     break
-        except (ConnectionResetError, BrokenPipeError, asyncio.CancelledError):
-            pass
-        except OSError:
-            pass
+        except (asyncio.CancelledError, OSError):
+            pass  # peer reset / broken pipe, or the server is stopping
         finally:
-            await self._teardown_connection(conn, writer)
+            await self._teardown_connection(session, writer)
+
+    def _count(self, metric: Optional[str], stat: str, n: int = 1) -> None:
+        """Count ``n`` events in the stats dict (always on: STATS and the
+        shutdown report read it) and, under ``metric``, in the registry
+        (when enabled; None for a stat with no registry counterpart)."""
+        with self._lock:
+            self._stats[stat] += n
+        m = _met.DEFAULT
+        if metric is not None and m.enabled:
+            m.inc(metric, n)
+
+    def _gauge_connections(self) -> None:
+        m = _met.DEFAULT
+        if m.enabled:
+            with self._lock:
+                active = len(self._conns)
+            m.set_gauge("tardis_net_server_connections_active", active)
 
     async def _send(
-        self,
-        conn: Optional[_Connection],
-        writer: asyncio.StreamWriter,
-        response: Dict[str, Any],
+        self, writer: asyncio.StreamWriter, response: Dict[str, Any]
     ) -> None:
         try:
-            frame = encode_frame(response, self.max_frame)
+            frame = encode_frame(response)
         except (TypeError, ValueError, FrameTooLarge):
             # A stored value was not JSON-serializable (possible when the
             # store is shared with in-process writers) or the response
@@ -492,69 +393,48 @@ class TardisServer:
                     response.get("id"), "INTERNAL", "response not serializable"
                 )
             )
-        m = _met.DEFAULT
-        with self._lock:
-            self._stats["bytes_out"] += len(frame)
-            if not response.get("ok", False):
-                self._stats["errors_total"] += 1
-        if m.enabled:
-            m.inc("tardis_net_server_bytes_out_total", len(frame))
-            if not response.get("ok", False):
-                m.inc("tardis_net_server_errors_total")
+        self._count("tardis_net_server_bytes_out_total", "bytes_out", len(frame))
+        if not response.get("ok", False):
+            self._count("tardis_net_server_errors_total", "errors_total")
         try:
             writer.write(frame)
             await writer.drain()
-        except (ConnectionResetError, BrokenPipeError, OSError):
-            pass
+        except OSError:
+            pass  # peer reset / broken pipe: the read loop sees the EOF
 
     async def _teardown_connection(
-        self, conn: _Connection, writer: asyncio.StreamWriter
+        self, session: WireSession, writer: asyncio.StreamWriter
     ) -> None:
         # Cleanup runs on the store executor like every other store
         # access, so it serializes behind any still-running handler for
         # this connection instead of racing it.
         loop = asyncio.get_running_loop()
         try:
-            await loop.run_in_executor(self._executor, self._cleanup_sync, conn)
+            await loop.run_in_executor(self._executor, self._cleanup_sync, session)
         except RuntimeError:
             # Executor already shut down (server stopped underneath us):
             # clean up inline — the worker is gone, nothing races.
-            self._cleanup_sync(conn)
+            self._cleanup_sync(session)
         try:
             writer.close()
         except OSError:
             pass
-        m = _met.DEFAULT
-        with self._lock:
-            active = len(self._conns)
-        if m.enabled:
-            m.set_gauge("tardis_net_server_connections_active", active)
+        self._gauge_connections()
 
-    def _cleanup_sync(self, conn: _Connection) -> None:
-        open_txns = [t for t in conn.txns.values() if t.status == ACTIVE]
-        conn.txns.clear()
-        if conn.session_name is not None:
-            # close_session aborts whatever is still ACTIVE on the
-            # session (including txns above) and is idempotent, so a
-            # polite BYE racing a socket drop stays safe.
-            self.store.close_session(conn.session_name)
-        m = _met.DEFAULT
+    def _cleanup_sync(self, session: WireSession) -> None:
+        """Disconnect cleanup (executor thread): abort, close, forget."""
+        aborted = session.close()
         with self._lock:
-            self._conns.pop(conn.id, None)
-            if conn.session_name is not None:
-                self._session_names.discard(conn.session_name)
-            if open_txns:
-                self._stats["disconnect_aborts"] += len(open_txns)
-            sub = self._obs_subs.pop(conn.id, None)
-        if sub is not None and self._loop is not None:
-            # A subscriber that disconnected (politely or not) must not
-            # leak its writer task; the cancel hops to the loop thread.
-            try:
-                self._loop.call_soon_threadsafe(self._cancel_sub_writer, sub)
-            except RuntimeError:
-                pass  # loop already closed (server stopping)
-        if open_txns and m.enabled:
-            m.inc("tardis_net_server_disconnect_aborts_total", len(open_txns))
+            self._conns.pop(session.id, None)
+            if session.session_name is not None:
+                self._session_names.discard(session.session_name)
+        # A subscriber that disconnected (politely or not) must not
+        # leak its writer task.
+        self._unsubscribe_obs(session.id)
+        if aborted:
+            self._count(
+                "tardis_net_server_disconnect_aborts_total", "disconnect_aborts", aborted
+            )
 
     # -- live ops plane (sampler task + push streams) ----------------------
 
@@ -618,22 +498,44 @@ class TardisServer:
 
     def _publish_obs(self, snapshot: Dict[str, Any]) -> None:
         """Offer one snapshot to every subscription (event loop thread)."""
-        m = _met.DEFAULT
+        self._count("tardis_net_server_obs_samples_total", "obs_samples")
         with self._lock:
-            self._stats["obs_samples"] += 1
             subs = list(self._obs_subs.values())
-        dropped = 0
-        for sub in subs:
-            if not sub.offer(snapshot):
-                dropped += 1
+        dropped = sum(1 for sub in subs if not sub.offer(snapshot))
         if dropped:
-            with self._lock:
-                self._stats["obs_frames_dropped"] += dropped
+            self._count(
+                "tardis_net_server_obs_dropped_total", "obs_frames_dropped", dropped
+            )
+        m = _met.DEFAULT
         if m.enabled:
-            m.inc("tardis_net_server_obs_samples_total")
             m.set_gauge("tardis_net_server_obs_subscribers", len(subs))
-            if dropped:
-                m.inc("tardis_net_server_obs_dropped_total", dropped)
+
+    def _subscribe_obs(self, conn_id: int) -> bool:
+        """OBS_SUBSCRIBE's transport half (called on the store executor):
+        register the stream; True when one was already running."""
+        with self._lock:
+            sub = self._obs_subs.get(conn_id)
+            resumed = sub is not None
+            if sub is None:
+                writer = self._conns[conn_id][1]
+                sub = _ObsSubscription(conn_id, writer, OBS_QUEUE_FRAMES)
+                self._obs_subs[conn_id] = sub
+        # The writer task must be created on the event loop thread.
+        assert self._loop is not None
+        self._loop.call_soon_threadsafe(self._ensure_sub_writer, sub)
+        return resumed
+
+    def _unsubscribe_obs(self, conn_id: int) -> Optional[_ObsSubscription]:
+        """Drop ``conn_id``'s stream, if any (executor thread); returns
+        it for the accounting reply."""
+        with self._lock:
+            sub = self._obs_subs.pop(conn_id, None)
+        if sub is not None and self._loop is not None:
+            try:  # the cancel hops to the loop thread
+                self._loop.call_soon_threadsafe(self._cancel_sub_writer, sub)
+            except RuntimeError:
+                pass  # loop already closed (server stopping)
+        return sub
 
     def _ensure_sub_writer(self, sub: _ObsSubscription) -> None:
         """Start the writer task for ``sub`` (event loop thread)."""
@@ -655,7 +557,6 @@ class TardisServer:
         plus drop counting in ``offer`` is what keeps a slow consumer
         from buffering the server into the ground.
         """
-        m = _met.DEFAULT
         try:
             while True:
                 snapshot = await sub.queue.get()
@@ -665,19 +566,15 @@ class TardisServer:
                     "dropped": sub.dropped,
                     "snapshot": snapshot,
                 }
-                data = encode_frame(frame, self.max_frame)
+                data = encode_frame(frame)
                 sub.writer.write(data)
                 await sub.writer.drain()
                 sub.sent += 1
-                with self._lock:
-                    self._stats["obs_frames_total"] += 1
-                    self._stats["bytes_out"] += len(data)
-                if m.enabled:
-                    m.inc("tardis_net_server_obs_frames_total")
-                    m.inc("tardis_net_server_bytes_out_total", len(data))
+                self._count("tardis_net_server_obs_frames_total", "obs_frames_total")
+                self._count("tardis_net_server_bytes_out_total", "bytes_out", len(data))
         except asyncio.CancelledError:
             pass
-        except (ConnectionResetError, BrokenPipeError, OSError, FrameTooLarge):
+        except (OSError, FrameTooLarge):
             # Socket gone (the connection teardown does the accounting)
             # or a snapshot outgrew the frame cap: stop the stream, keep
             # the connection's request/response framing intact.
@@ -686,360 +583,42 @@ class TardisServer:
     # -- request dispatch --------------------------------------------------
 
     async def _dispatch(
-        self, conn: _Connection, request: Dict[str, Any]
+        self, session: WireSession, request: Dict[str, Any]
     ) -> Dict[str, Any]:
-        request_id = request.get("id")
+        """One request: hop to the store executor, under the timeout."""
         op = request.get("op")
-        m = _met.DEFAULT
+        if not isinstance(op, str) or op not in OPS:
+            op = None  # answered UNKNOWN_OP; no per-op histogram
+        self._count("tardis_net_server_requests_total", "requests_total")
         with self._lock:
-            self._stats["requests_total"] += 1
             self._inflight += 1
-        if m.enabled:
-            m.inc("tardis_net_server_requests_total")
         start = time.perf_counter()
+        loop = asyncio.get_running_loop()
         try:
-            if not isinstance(op, str) or op not in OPS:
-                return error_response(request_id, "UNKNOWN_OP", "op=%r" % (op,))
-            loop = asyncio.get_running_loop()
-            try:
-                return await asyncio.wait_for(
-                    loop.run_in_executor(self._executor, self._execute, conn, request),
-                    self.request_timeout,
-                )
-            except asyncio.TimeoutError:
-                with self._lock:
-                    self._stats["timeouts_total"] += 1
-                if m.enabled:
-                    m.inc("tardis_net_server_timeouts_total")
-                return error_response(
-                    request_id,
-                    "TIMEOUT",
-                    "request exceeded %.3fs" % self.request_timeout,
-                )
+            return await asyncio.wait_for(
+                loop.run_in_executor(self._executor, session.handle, request),
+                self.request_timeout,
+            )
+        except asyncio.TimeoutError:
+            self._count("tardis_net_server_timeouts_total", "timeouts_total")
+            message = "request exceeded %.3fs" % self.request_timeout
+            return error_response(request.get("id"), "TIMEOUT", message)
         finally:
             with self._lock:
                 self._inflight -= 1
             elapsed_ms = (time.perf_counter() - start) * 1000.0
-            if isinstance(op, str) and op in OPS:
+            if op is not None:
                 hist = self._op_latency.get(op)
                 if hist is None:
                     hist = self._op_latency[op] = _met.Histogram(
                         "tardis_net_server_request_ms@op=%s" % op
                     )
                 hist.record(elapsed_ms)
+            m = _met.DEFAULT
             if m.enabled:
                 m.observe("tardis_net_server_request_ms", elapsed_ms)
-                if isinstance(op, str) and op in OPS:
+                if op is not None:
                     m.observe("tardis_net_server_request_ms@op=%s" % op, elapsed_ms)
-
-    def _execute(self, conn: _Connection, request: Dict[str, Any]) -> Dict[str, Any]:
-        """Run one request on the store executor; always returns a response."""
-        request_id = request.get("id")
-        op = request["op"]
-        try:
-            handler = getattr(self, "_op_%s" % op.lower())
-            if op != "HELLO" and not conn.hello_done:
-                raise _RequestError("NO_HELLO", "say HELLO first")
-            return handler(conn, request_id, request)
-        except _RequestError as exc:
-            return error_response(request_id, exc.code, exc.message)
-        except TransactionAborted as exc:
-            return error_response(request_id, "TXN_ABORTED", str(exc))
-        except TransactionClosed as exc:
-            return error_response(request_id, "TXN_CLOSED", str(exc))
-        except ReadOnlyViolation as exc:
-            return error_response(request_id, "READ_ONLY", str(exc))
-        except MultipleValuesError as exc:
-            return error_response(request_id, "KEY_CONFLICT", str(exc))
-        except BeginError as exc:
-            return error_response(request_id, "BEGIN_FAILED", str(exc))
-        except ShardUnavailableError as exc:
-            # Before TardisError: a dead shard worker is a typed,
-            # retryable condition, not an opaque INTERNAL.
-            return error_response(request_id, "SHARD_UNAVAILABLE", str(exc))
-        except TardisError as exc:
-            return error_response(request_id, "INTERNAL", repr(exc))
-        except Exception as exc:  # tardis: ignore[bare-except] — one bad request must not kill the connection loop
-            return error_response(request_id, "INTERNAL", repr(exc))
-
-    # -- op handlers (store executor thread) -------------------------------
-
-    def _op_hello(
-        self, conn: _Connection, request_id: Any, request: Dict[str, Any]
-    ) -> Dict[str, Any]:
-        if conn.hello_done:
-            raise _RequestError("ALREADY_HELLO", "connection is bound to %r" % conn.session_name)
-        version = request.get("protocol", PROTOCOL_VERSION)
-        if version != PROTOCOL_VERSION:
-            raise _RequestError(
-                "BAD_VERSION",
-                "server speaks protocol %d, client sent %r" % (PROTOCOL_VERSION, version),
-            )
-        name = request.get("session")
-        if name is not None and not isinstance(name, str):
-            raise _RequestError("BAD_REQUEST", "session must be a string")
-        with self._lock:
-            if name is not None and name in self._session_names:
-                raise _RequestError("SESSION_IN_USE", name)
-        session = self.store.session(name)
-        with self._lock:
-            self._session_names.add(session.name)
-            self._owned_sessions.add(session.name)
-        conn.session_name = session.name
-        conn.hello_done = True
-        return ok_response(
-            request_id,
-            session=session.name,
-            site=self.store.site,
-            protocol=PROTOCOL_VERSION,
-        )
-
-    def _session(self, conn: _Connection) -> Any:
-        assert conn.session_name is not None
-        return self.store.session(conn.session_name)
-
-    def _txn_of(self, conn: _Connection, request: Dict[str, Any]) -> BaseTransaction:
-        txn_id = request.get("txn")
-        txn = conn.txns.get(txn_id) if isinstance(txn_id, int) else None
-        if txn is None:
-            raise _RequestError("UNKNOWN_TXN", "txn=%r" % (txn_id,))
-        return txn
-
-    def _op_begin(
-        self, conn: _Connection, request_id: Any, request: Dict[str, Any]
-    ) -> Dict[str, Any]:
-        if self._closing:
-            raise _RequestError("SHUTTING_DOWN", "no new transactions while draining")
-        constraint = None
-        name = request.get("constraint")
-        if name is not None:
-            factory = BEGIN_CONSTRAINTS.get(name)
-            if factory is None:
-                raise _RequestError(
-                    "BAD_CONSTRAINT",
-                    "%r (begin constraints: %s)" % (name, sorted(BEGIN_CONSTRAINTS)),
-                )
-            constraint = factory()
-        txn = self.store.begin(
-            begin_constraint=constraint,
-            session=self._session(conn),
-            read_only=bool(request.get("read_only", False)),
-        )
-        txn_id = conn.next_txn_id
-        conn.next_txn_id += 1
-        conn.txns[txn_id] = txn
-        return ok_response(request_id, txn=txn_id, read_state=repr(txn.read_state.id))
-
-    def _op_merge(
-        self, conn: _Connection, request_id: Any, request: Dict[str, Any]
-    ) -> Dict[str, Any]:
-        if self._closing:
-            raise _RequestError("SHUTTING_DOWN", "no new transactions while draining")
-        merge = self.store.begin_merge(session=self._session(conn))
-        txn_id = conn.next_txn_id
-        conn.next_txn_id += 1
-        conn.txns[txn_id] = merge
-        fork_points = merge.find_fork_points()
-        conflicts: List[Dict[str, Any]] = []
-        for key in merge.find_conflict_writes():
-            base = (
-                merge.get_for_id(key, fork_points[0], default=None)
-                if fork_points
-                else None
-            )
-            conflicts.append(
-                {"key": key, "base": base, "values": merge.get_all(key)}
-            )
-        with self._lock:
-            self._stats["merges"] += 1
-        return ok_response(
-            request_id,
-            txn=txn_id,
-            parents=[repr(p) for p in merge.parents],
-            fork_points=[repr(f) for f in fork_points],
-            conflicts=conflicts,
-        )
-
-    def _op_read(
-        self, conn: _Connection, request_id: Any, request: Dict[str, Any]
-    ) -> Dict[str, Any]:
-        if "key" not in request:
-            raise _RequestError("BAD_REQUEST", "READ needs a key")
-        txn = self._txn_of(conn, request)
-        value = txn.get(request["key"], default=_MISSING)
-        if value is _MISSING:
-            return ok_response(request_id, found=False, value=None)
-        return ok_response(request_id, found=True, value=value)
-
-    def _op_read_many(
-        self, conn: _Connection, request_id: Any, request: Dict[str, Any]
-    ) -> Dict[str, Any]:
-        keys = request.get("keys")
-        if not isinstance(keys, list):
-            raise _RequestError("BAD_REQUEST", "READ_MANY needs a keys list")
-        txn = self._txn_of(conn, request)
-        values = txn.get_many(keys, default=_MISSING)
-        return ok_response(
-            request_id,
-            found=[value is not _MISSING for value in values],
-            values=[None if value is _MISSING else value for value in values],
-        )
-
-    def _op_write(
-        self, conn: _Connection, request_id: Any, request: Dict[str, Any]
-    ) -> Dict[str, Any]:
-        if "key" not in request:
-            raise _RequestError("BAD_REQUEST", "WRITE needs a key")
-        txn = self._txn_of(conn, request)
-        if request.get("delete", False):
-            txn.delete(request["key"])
-        else:
-            if "value" not in request:
-                raise _RequestError("BAD_REQUEST", "WRITE needs a value (or delete)")
-            txn.put(request["key"], request["value"])
-        return ok_response(request_id)
-
-    def _op_commit(
-        self, conn: _Connection, request_id: Any, request: Dict[str, Any]
-    ) -> Dict[str, Any]:
-        txn = self._txn_of(conn, request)
-        constraint = None
-        name = request.get("constraint")
-        if name is not None:
-            factory = END_CONSTRAINTS.get(name)
-            if factory is None:
-                raise _RequestError(
-                    "BAD_CONSTRAINT",
-                    "%r (end constraints: %s)" % (name, sorted(END_CONSTRAINTS)),
-                )
-            constraint = factory()
-        try:
-            commit_id = txn.commit(constraint)
-        finally:
-            if txn.status != ACTIVE:
-                conn.txns.pop(request.get("txn"), None)
-                with self._lock:
-                    if txn.status == COMMITTED:
-                        self._stats["commits"] += 1
-                    else:
-                        self._stats["aborts"] += 1
-        return ok_response(
-            request_id,
-            commit_state=repr(commit_id),
-            merge=isinstance(txn, MergeTransaction),
-        )
-
-    def _op_abort(
-        self, conn: _Connection, request_id: Any, request: Dict[str, Any]
-    ) -> Dict[str, Any]:
-        txn = self._txn_of(conn, request)
-        txn.abort()
-        conn.txns.pop(request.get("txn"), None)
-        with self._lock:
-            self._stats["aborts"] += 1
-        return ok_response(request_id)
-
-    def _op_stats(
-        self, conn: _Connection, request_id: Any, request: Dict[str, Any]
-    ) -> Dict[str, Any]:
-        with self._lock:
-            stats: Dict[str, Any] = dict(self._stats)
-            stats["connections_active"] = len(self._conns)
-            stats["inflight"] = self._inflight
-        stats["draining"] = self._closing
-        stats["open_sessions"] = len(self.store.sessions())
-        stats["open_txns"] = sum(
-            1
-            for sess in self.store.sessions()
-            for txn in list(sess._active_txns)
-            if txn.status == ACTIVE
-        )
-        stats["store"] = {
-            "site": self.store.site,
-            "states": len(self.store.dag),
-            "leaves": len(self.store.dag.leaves()),
-            "commits": self.store.metrics.commits,
-            "merges": self.store.metrics.merges,
-            "records": self.store.versions.num_records(),
-        }
-        shards = self.store.shard_health(ping=False)
-        if shards is not None and "workers" in shards:
-            stats["store"]["shard_workers"] = shards["n_workers"]
-            stats["store"]["shard_workers_alive"] = shards["workers_alive"]
-        with self._lock:
-            subscribers = len(self._obs_subs)
-        stats["obs"] = {
-            "sampler": self._obs_task is not None,
-            "interval_s": self.obs_sample_interval,
-            "subscribers": subscribers,
-            # The light form: gauges/counters/latency/shards, no series.
-            "snapshot": ObsSampler.trim(self._current_obs_snapshot(), 0),
-        }
-        return ok_response(request_id, stats=stats)
-
-    def _current_obs_snapshot(self) -> Dict[str, Any]:
-        """The snapshot STATS and OBS_SNAPSHOT answer with.
-
-        With the sampler running, its latest snapshot (cheap, at most one
-        interval stale); without it nothing refreshes ``latest``, so
-        sample on demand — handlers run on the store executor, so this
-        is race-free.
-        """
-        if self._obs_task is not None:
-            return self.obs.latest_or_sample()
-        return self.obs.sample()
-
-    def _op_obs_snapshot(
-        self, conn: _Connection, request_id: Any, request: Dict[str, Any]
-    ) -> Dict[str, Any]:
-        tail = request.get("tail")
-        if tail is not None and not isinstance(tail, int):
-            raise _RequestError("BAD_REQUEST", "tail must be an integer")
-        snapshot = self._current_obs_snapshot()
-        return ok_response(request_id, snapshot=ObsSampler.trim(snapshot, tail))
-
-    def _op_obs_subscribe(
-        self, conn: _Connection, request_id: Any, request: Dict[str, Any]
-    ) -> Dict[str, Any]:
-        if self._obs_task is None or self._closing:
-            raise _RequestError("OBS_UNAVAILABLE")
-        with self._lock:
-            sub = self._obs_subs.get(conn.id)
-            resumed = sub is not None
-            if sub is None:
-                sub = _ObsSubscription(conn.id, conn.writer, self.obs_queue_frames)
-                self._obs_subs[conn.id] = sub
-        # The writer task must be created on the event loop thread; this
-        # handler runs on the store executor.
-        assert self._loop is not None
-        self._loop.call_soon_threadsafe(self._ensure_sub_writer, sub)
-        return ok_response(
-            request_id,
-            interval_s=self.obs_sample_interval,
-            tail=self.obs_tail,
-            resumed=resumed,
-        )
-
-    def _op_obs_unsubscribe(
-        self, conn: _Connection, request_id: Any, request: Dict[str, Any]
-    ) -> Dict[str, Any]:
-        with self._lock:
-            sub = self._obs_subs.pop(conn.id, None)
-        if sub is not None and self._loop is not None:
-            self._loop.call_soon_threadsafe(self._cancel_sub_writer, sub)
-        # Idempotent: unsubscribing while not subscribed just reports so.
-        return ok_response(
-            request_id,
-            subscribed=sub is not None,
-            frames=sub.sent if sub is not None else 0,
-            dropped=sub.dropped if sub is not None else 0,
-        )
-
-    def _op_bye(
-        self, conn: _Connection, request_id: Any, request: Dict[str, Any]
-    ) -> Dict[str, Any]:
-        # The response is sent first; the connection loop closes after.
-        return ok_response(request_id)
 
 
 # ---------------------------------------------------------------------------

@@ -557,46 +557,32 @@ PROTOCOL_SRC = """
     ERROR_CODES = {
         "BAD_REQUEST": "missing field",
         "UNKNOWN_OP": "no such verb",
+        "TXN_ABORTED": "could not commit",
     }
+
+    ERROR_TABLE = (
+        (TransactionAborted, "TXN_ABORTED", TransactionAborted),
+    )
     """
 
 SERVER_SRC = """
-    class _RequestError(Exception):
-        def __init__(self, code, message=""):
-            self.code = code
-            self.message = message
-
-
     class Server:
-        def _op_hello(self, request):
-            if "bad" in request:
-                raise _RequestError("BAD_REQUEST", "nope")
-            return {}
-
-        def _op_ping(self, request):
-            return {}
-
         def dispatch(self, op):
             if op not in ("HELLO", "PING"):
                 return error_response(1, "UNKNOWN_OP")
     """
 
-CLIENT_SRC = """
-    class Client:
-        def hello(self):
-            return self._request("HELLO")
+HANDLERS_SRC = """
+    class RequestError(Exception):
+        def __init__(self, code, message=""):
+            self.code = code
+            self.message = message
 
-        def ping(self):
-            return self._request("PING")
-    """
 
-AIO_SRC = """
-    class AsyncClient:
-        async def hello(self):
-            return await self._request("HELLO")
-
-        async def ping(self):
-            return await self._request("PING")
+    def _hello(server, session, request):
+        if "bad" in request:
+            raise RequestError("BAD_REQUEST", "nope")
+        return {}
     """
 
 DOC_TEXT = """\
@@ -611,17 +597,17 @@ DOC_TEXT = """\
 |---|---|
 | `BAD_REQUEST` | missing field |
 | `UNKNOWN_OP` | no such verb |
+| `TXN_ABORTED` | could not commit |
 """
 
 
-def _wire_project(protocol=PROTOCOL_SRC, server=SERVER_SRC, client=CLIENT_SRC,
-                  aio=AIO_SRC, doc=DOC_TEXT):
+def _wire_project(protocol=PROTOCOL_SRC, server=SERVER_SRC, handlers=HANDLERS_SRC,
+                  doc=DOC_TEXT):
     return _project(
         {
             "src/repro/server/protocol.py": protocol,
             "src/repro/server/server.py": server,
-            "src/repro/client/client.py": client,
-            "src/repro/client/aio.py": aio,
+            "src/repro/server/handlers.py": handlers,
         },
         doc_text=doc,
     )
@@ -634,39 +620,6 @@ class TestWireContract:
     def test_rule_is_silent_without_the_layout(self):
         project = _project({"src/repro/mod.py": "def f():\n    return 1\n"})
         assert WireContractRule().check_project(project) == []
-
-    def test_op_removed_from_client_stub(self):
-        # The seeded-drift acceptance case: drop PING from the async
-        # client and exactly one finding names that client and that op.
-        desynced = AIO_SRC.replace(
-            'return await self._request("PING")', "return None"
-        )
-        findings = WireContractRule().check_project(_wire_project(aio=desynced))
-        assert len(findings) == 1
-        assert findings[0].rule == "wire-contract"
-        assert "PING" in findings[0].message
-        assert "client/aio.py" in findings[0].message
-        assert findings[0].file == "src/repro/server/protocol.py"
-
-    def test_client_op_outside_catalogue(self):
-        rogue = CLIENT_SRC + "\n        def stats(self):\n            return self._request(\"STATS\")\n"
-        findings = WireContractRule().check_project(_wire_project(client=rogue))
-        assert len(findings) == 1
-        assert "STATS" in findings[0].message
-        assert findings[0].file == "src/repro/client/client.py"
-
-    def test_op_without_server_handler(self):
-        desynced = SERVER_SRC.replace("def _op_ping", "def _unused_ping")
-        findings = WireContractRule().check_project(_wire_project(server=desynced))
-        assert len(findings) == 1
-        assert "_op_ping" in findings[0].message
-
-    def test_handler_without_op(self):
-        extra = SERVER_SRC + "\n        def _op_extra(self, request):\n            return {}\n"
-        findings = WireContractRule().check_project(_wire_project(server=extra))
-        assert len(findings) == 1
-        assert "unreachable" in findings[0].message
-        assert findings[0].file == "src/repro/server/server.py"
 
     def test_error_code_removed_from_docs_table(self):
         desynced = DOC_TEXT.replace("| `UNKNOWN_OP` | no such verb |\n", "")
@@ -683,14 +636,33 @@ class TestWireContract:
         assert findings[0].file == "docs/internals.md"
 
     def test_emitted_code_outside_catalogue(self):
-        rogue = SERVER_SRC.replace('"BAD_REQUEST"', '"MADE_UP"')
-        findings = WireContractRule().check_project(_wire_project(server=rogue))
+        rogue = HANDLERS_SRC.replace('"BAD_REQUEST"', '"MADE_UP"')
+        findings = WireContractRule().check_project(_wire_project(handlers=rogue))
         # Two sides of the same drift: the rogue emission, and the
         # catalogued BAD_REQUEST it replaced going dead in the server.
         assert len(findings) == 2
-        assert any("MADE_UP" in f.message for f in findings)
+        assert any(
+            "MADE_UP" in f.message and f.file == "src/repro/server/handlers.py"
+            for f in findings
+        )
         assert any(
             "BAD_REQUEST" in f.message and "dead contract" in f.message
+            for f in findings
+        )
+
+    def test_exception_table_codes_are_emission_sites(self):
+        # TXN_ABORTED appears nowhere but ERROR_TABLE and is live (the
+        # synced fixture is clean); a table code outside the catalogue
+        # is a rogue emission anchored at the table.
+        rogue = PROTOCOL_SRC.replace(
+            '(TransactionAborted, "TXN_ABORTED"', '(TransactionAborted, "TXN_GONE"'
+        )
+        findings = WireContractRule().check_project(_wire_project(protocol=rogue))
+        assert len(findings) == 2
+        (emission,) = [f for f in findings if "TXN_GONE" in f.message]
+        assert emission.file == "src/repro/server/protocol.py"
+        assert any(
+            "TXN_ABORTED" in f.message and "dead contract" in f.message
             for f in findings
         )
 

@@ -13,6 +13,7 @@ from repro.client import AsyncTardisClient, TardisClient
 from repro.errors import (
     BeginError,
     KeyNotFound,
+    NetworkError,
     ServerError,
     ShardUnavailableError,
 )
@@ -448,6 +449,30 @@ class TestWireErrors:
                 ask({"id": 7, "op": "WRITE", "txn": 1})["error"]["code"]
                 == "BAD_REQUEST"
             )
+            # Outside input is checked before it reaches the store: an
+            # array/object key is unhashable, ``true`` is not txn 1, and
+            # a constraint name that is not a string names nothing.
+            assert ask({"id": 8, "op": "BEGIN"})["txn"] == 1
+            misuse = [
+                ({"op": "READ", "txn": 1, "key": ["a"]}, "BAD_REQUEST"),
+                ({"op": "READ", "txn": 1, "key": {"a": 1}}, "BAD_REQUEST"),
+                ({"op": "WRITE", "txn": 1, "key": ["a"], "value": 1}, "BAD_REQUEST"),
+                ({"op": "WRITE", "txn": 1, "key": {}, "delete": True}, "BAD_REQUEST"),
+                ({"op": "READ_MANY", "txn": 1, "keys": ["a", ["b"]]}, "BAD_REQUEST"),
+                ({"op": "READ_MANY", "txn": 1, "keys": "ab"}, "BAD_REQUEST"),
+                ({"op": "READ", "txn": True, "key": "x"}, "UNKNOWN_TXN"),
+                ({"op": "COMMIT", "txn": True}, "UNKNOWN_TXN"),
+                ({"op": "ABORT", "txn": 1.0}, "UNKNOWN_TXN"),
+                ({"op": "COMMIT", "txn": 1, "constraint": "nope"}, "BAD_CONSTRAINT"),
+                ({"op": "COMMIT", "txn": 1, "constraint": ["any"]}, "BAD_CONSTRAINT"),
+                ({"op": "BEGIN", "constraint": {"any": 1}}, "BAD_CONSTRAINT"),
+                ({"op": ["READ"]}, "UNKNOWN_OP"),
+            ]
+            for request_id, (request, code) in enumerate(misuse, start=9):
+                request["id"] = request_id
+                assert ask(request)["error"]["code"] == code, request
+            # None of it cost the connection or the transaction.
+            assert ask({"id": 99, "op": "COMMIT", "txn": 1})["ok"] is True
         finally:
             sock.close()
 
@@ -457,8 +482,110 @@ class TestWireErrors:
             txn.put("x", 1)
             txn.commit()
             with pytest.raises(ServerError) as exc_info:
-                client._request("COMMIT", txn=txn._txn_id)
+                client._call("COMMIT", {"txn": txn._txn_id}, dict)
             assert exc_info.value.code == "UNKNOWN_TXN"
+
+    def test_commit_with_a_bad_constraint_leaves_the_handle_active(self, served):
+        # The server answered BAD_CONSTRAINT and kept the transaction:
+        # the handle must say so, or ``with`` skips the abort and the
+        # read-state pin leaks. One ``commit`` serves both clients.
+        with TardisClient(port=served.port) as client:
+            txn = client.begin()
+            txn.put("x", 1)
+            with pytest.raises(ServerError) as exc_info:
+                txn.commit(constraint="nope")
+            assert exc_info.value.code == "BAD_CONSTRAINT"
+            assert txn.status == "active"
+            txn.abort()
+            assert txn.status == "aborted"
+            assert client.stats()["open_txns"] == 0
+
+        async def _go():
+            client = await AsyncTardisClient.connect(port=served.port)
+            try:
+                txn = await client.begin()
+                await txn.put("x", 1)
+                with pytest.raises(ServerError) as exc_info:
+                    await txn.commit(constraint="nope")
+                assert exc_info.value.code == "BAD_CONSTRAINT"
+                assert txn.status == "active"
+                await txn.abort()
+                assert txn.status == "aborted"
+                assert (await client.stats())["open_txns"] == 0
+            finally:
+                await client.close()
+
+        asyncio.run(_go())
+
+
+# ---------------------------------------------------------------------------
+# A request abandoned mid-flight: its answer may still arrive and would be
+# taken for the next request's, so the client must end closed and the
+# server must clean up behind it.
+
+
+class TestAbandonedRequest:
+    @staticmethod
+    def _slow_begin(store, seconds):
+        begin = store.begin
+
+        def slow(*args, **kwargs):
+            time.sleep(seconds)
+            return begin(*args, **kwargs)
+
+        store.begin = slow
+        return begin
+
+    @staticmethod
+    def _open_txns(port):
+        with TardisClient(port=port, session="observer") as observer:
+            return observer.stats()["open_txns"]
+
+    def test_sync_timeout_closes_the_client_and_the_server_cleans_up(self, served):
+        store = served.server.store
+        client = TardisClient(port=served.port, session="impatient", timeout=0.1)
+        original = self._slow_begin(store, 0.3)
+        try:
+            with pytest.raises(socket.timeout):
+                client.begin()
+        finally:
+            store.begin = original
+        assert client._channel.closed
+        for _ in range(3):
+            with pytest.raises(NetworkError, match="client is closed"):
+                client.stats()
+        # The orphaned BEGIN still ran; dropping the socket is what lets
+        # the server's disconnect cleanup abort it.
+        assert _wait_until(
+            lambda: not any(s.name == "impatient" for s in store.sessions())
+        ), "session leaked after the timeout"
+        assert self._open_txns(served.port) == 0
+        client.close()  # idempotent on a closed client
+
+    def test_async_timeout_closes_the_client_and_the_server_cleans_up(self, served):
+        store = served.server.store
+
+        async def _go():
+            client = await AsyncTardisClient.connect(
+                port=served.port, session="impatient"
+            )
+            original = self._slow_begin(store, 0.3)
+            try:
+                with pytest.raises(asyncio.TimeoutError):
+                    await asyncio.wait_for(client.begin(), 0.1)
+            finally:
+                store.begin = original
+            assert client._channel.closed
+            for _ in range(3):
+                with pytest.raises(NetworkError, match="client is closed"):
+                    await client.stats()
+            await client.close()
+
+        asyncio.run(_go())
+        assert _wait_until(
+            lambda: not any(s.name == "impatient" for s in store.sessions())
+        ), "session leaked after the timeout"
+        assert self._open_txns(served.port) == 0
 
 
 # ---------------------------------------------------------------------------

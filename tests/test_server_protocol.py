@@ -6,16 +6,33 @@ import struct
 
 import pytest
 
-from repro.errors import FrameTooLarge, ProtocolError
+from repro import TardisStore
+from repro.client import AsyncTardisClient, TardisClient
+from repro.errors import (
+    BeginError,
+    FrameTooLarge,
+    MultipleValuesError,
+    NetworkError,
+    ProtocolError,
+    ServerError,
+    ShardUnavailableError,
+    TransactionAborted,
+)
+from repro.server import TardisServer, handlers, protocol, start_in_thread
+from repro.server.handlers import HANDLERS, WireSession
 from repro.server.protocol import (
     ERROR_CODES,
+    ERROR_TABLE,
     HEADER,
     MAX_FRAME,
     OPS,
     PROTOCOL_VERSION,
+    ClientChannel,
     FrameDecoder,
+    code_for,
     encode_frame,
     error_response,
+    exception_for,
     ok_response,
 )
 
@@ -164,3 +181,219 @@ class TestResponseHelpers:
         for code in ("BAD_FRAME", "TIMEOUT", "SHUTTING_DOWN", "INTERNAL"):
             assert code in ERROR_CODES
         assert PROTOCOL_VERSION == 1
+
+
+# ---------------------------------------------------------------------------
+# The client role, sans-IO: no sockets, no threads.
+
+
+def _feed_chunked(channel, blob, rng):
+    """Yield after each randomly sized chunk of ``blob`` is fed."""
+    position = 0
+    while position < len(blob):
+        step = rng.randrange(1, 37)
+        channel.feed(blob[position : position + step])
+        position += step
+        yield
+
+
+class TestClientChannel:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_fuzz_pairs_responses_and_parks_pushes_whatever_the_chunking(self, seed):
+        rng = random.Random(seed)
+        n = 40
+        # The server's side of the stream: response i answers request
+        # i + 1, with push frames dropped in at random positions.
+        stream, n_pushes = [], 0
+        for i in range(1, n + 1):
+            for _ in range(rng.choice([0, 0, 1, 3])):
+                n_pushes += 1
+                stream.append({"push": "obs", "seq": n_pushes, "dropped": 0})
+            stream.append(ok_response(i, value="v" * rng.randrange(150)))
+        n_pushes += 1
+        stream.append({"push": "obs", "seq": n_pushes, "dropped": 0})  # trailing
+        blob = b"".join(encode_frame(frame) for frame in stream)
+        expected = [frame for frame in stream if "push" not in frame]
+
+        channel = ClientChannel()
+        feeder = _feed_chunked(channel, blob, rng)
+        responses = []
+        for i in range(1, n + 1):
+            request = channel.request("STATS", {})
+            assert request == {"id": i, "op": "STATS"}
+            response = channel.response()
+            while response is None:
+                next(feeder)
+                response = channel.response()
+            assert channel.awaiting is None
+            responses.append(response)
+        assert responses == expected
+        pushes = []
+        while len(pushes) < n_pushes:
+            frame = channel.push()
+            if frame is None:
+                next(feeder)
+            else:
+                pushes.append(frame)
+        assert [frame["seq"] for frame in pushes] == list(range(1, n_pushes + 1))
+        assert channel.push() is None and not channel.closed
+
+    def test_byte_at_a_time(self):
+        channel = ClientChannel()
+        channel.request("STATS", {})
+        blob = encode_frame({"push": "obs", "seq": 1}) + encode_frame(ok_response(1))
+        for i, byte in enumerate(blob):
+            assert channel.response() is None
+            channel.feed(bytes([byte]))
+        assert channel.response() == {"id": 1, "ok": True}
+        assert channel.push() == {"push": "obs", "seq": 1}
+
+    def test_request_refuses_an_op_outside_the_catalogue(self):
+        channel = ClientChannel()
+        with pytest.raises(ValueError):
+            channel.request("FROB", {})
+        # Nothing was numbered: the next request is still id 1.
+        assert channel.request("HELLO", {})["id"] == 1
+
+    def test_error_response_raises_and_leaves_the_channel_usable(self):
+        channel = ClientChannel()
+        channel.request("COMMIT", {"txn": 1})
+        channel.feed(encode_frame(error_response(1, "TXN_ABORTED", "lost the race")))
+        with pytest.raises(TransactionAborted, match="lost the race"):
+            channel.response()
+        assert not channel.closed and channel.awaiting is None
+        channel.request("BEGIN", {})
+        channel.feed(encode_frame(error_response(2, "BAD_CONSTRAINT")))
+        with pytest.raises(ServerError) as exc_info:
+            channel.response()
+        assert exc_info.value.code == "BAD_CONSTRAINT"
+        assert not channel.closed
+
+    def _assert_closed(self, channel):
+        assert channel.closed
+        for call in (lambda: channel.request("STATS", {}), channel.response):
+            with pytest.raises(NetworkError):
+                call()
+
+    def test_wrong_id_closes(self):
+        channel = ClientChannel()
+        channel.request("STATS", {})
+        channel.feed(encode_frame(ok_response(7)))
+        with pytest.raises(NetworkError, match="does not match"):
+            channel.response()
+        self._assert_closed(channel)
+
+    def test_response_with_no_request_in_flight_closes(self):
+        for read in (ClientChannel.response, ClientChannel.push):
+            channel = ClientChannel()
+            channel.feed(encode_frame(ok_response(1)))
+            with pytest.raises(NetworkError):
+                read(channel)
+            self._assert_closed(channel)
+
+    def test_eof_closes_but_parked_pushes_stay_readable(self):
+        channel = ClientChannel()
+        channel.request("STATS", {})
+        channel.feed(encode_frame({"push": "obs", "seq": 1}))
+        assert channel.response() is None  # parks the push
+        with pytest.raises(NetworkError, match="closed the connection"):
+            channel.feed(b"")
+        assert channel.push() == {"push": "obs", "seq": 1}
+        with pytest.raises(NetworkError):
+            channel.push()
+        self._assert_closed(channel)
+
+    def test_torn_frame_closes(self):
+        channel = ClientChannel()
+        channel.request("STATS", {})
+        channel.feed(HEADER.pack(MAX_FRAME + 1))
+        with pytest.raises(FrameTooLarge):
+            channel.response()
+        self._assert_closed(channel)
+
+    def test_calls_after_abandon_raise(self):
+        channel = ClientChannel()
+        channel.request("BEGIN", {})
+        channel.abandon()
+        with pytest.raises(NetworkError, match="client is closed"):
+            channel.request("STATS", {})
+        self._assert_closed(channel)
+
+
+class TestErrorTable:
+    def test_both_directions_agree(self):
+        samples = {
+            "TXN_ABORTED": TransactionAborted("x"),
+            "BEGIN_FAILED": BeginError("x"),
+            "SHARD_UNAVAILABLE": ShardUnavailableError(3, "x"),
+            "KEY_CONFLICT": MultipleValuesError("k", [1, 2]),
+        }
+        for code, exc in samples.items():
+            assert code_for(exc) == code
+        assert code_for(KeyError("x")) is None  # INTERNAL
+        assert {code for _kind, code, _rebuild in ERROR_TABLE} <= set(ERROR_CODES)
+        # Exactly four codes come back as in-process exceptions; the
+        # rest, listed or not, are ServerError carrying the code.
+        reraised = sorted(code for _kind, code, rebuild in ERROR_TABLE if rebuild)
+        assert reraised == ["BEGIN_FAILED", "SHARD_UNAVAILABLE", "TXN_ABORTED", "TXN_CLOSED"]
+        for kind, code, rebuild in ERROR_TABLE:
+            exc = exception_for(error_response(1, code, "why"))
+            if rebuild is None:
+                assert type(exc) is ServerError and exc.code == code
+            else:
+                assert type(exc) is kind and "why" in str(exc)
+        assert exception_for(error_response(1, "TIMEOUT")).code == "TIMEOUT"
+
+
+# ---------------------------------------------------------------------------
+# The handler table, and the guard that splitting the server along its
+# thread boundary changed no byte on the wire.
+
+
+class TestHandlerTable:
+    def test_handlers_cover_exactly_the_catalogue(self):
+        assert set(HANDLERS) == OPS
+
+    def test_import_time_check_fires_on_a_seeded_mismatch(self, monkeypatch):
+        import importlib
+
+        monkeypatch.setattr(protocol, "OPS", OPS | {"FROB"})
+        try:
+            with pytest.raises(ImportError, match="FROB"):
+                importlib.reload(handlers)
+        finally:
+            monkeypatch.undo()
+            importlib.reload(handlers)
+        assert set(handlers.HANDLERS) == OPS
+
+    def test_both_clients_expose_the_same_calls(self):
+        def public(cls):
+            return {name for name in dir(cls) if not name.startswith("_")}
+
+        assert public(AsyncTardisClient) - {"connect"} == public(TardisClient)
+
+    def test_handle_never_raises_on_junk(self):
+        session = WireSession(TardisServer(TardisStore("junk")), 1)
+        for request in ({}, {"op": None}, {"op": ["READ"]}, {"op": "READ"}, {"id": []}):
+            response = session.handle(request)
+            assert response["ok"] is False
+        assert session.handle({"op": "FROB"})["error"]["code"] == "UNKNOWN_OP"
+        assert session.handle({"op": "STATS"})["error"]["code"] == "NO_HELLO"
+
+    def test_handle_answers_the_oracle_script_as_the_socket_path_does(self):
+        from tests.test_obs_live import TestSamplerOffEquivalence as oracle
+
+        served = start_in_thread(site="oracle")
+        try:
+            wire = oracle._run_script(served.port)
+        finally:
+            served.stop()
+        # No socket, no loop, no thread: an unstarted server and the
+        # session object the read loop would have driven.
+        session = WireSession(TardisServer(TardisStore("oracle")), 1)
+        direct = []
+        for i, fields in enumerate(oracle.SCRIPT, start=1):
+            response = session.handle(dict(fields, id=i))
+            direct.append(encode_frame(response)[HEADER.size :])
+        assert direct == wire
+        assert session.close() == 0
