@@ -12,6 +12,11 @@ concurrent tasks on a single client — open one client per task::
     await txn.commit()
     await client.close()
 
+As on the sync client a transaction is two round trips: ``begin``,
+``put`` and ``delete`` send nothing (they return an already-completed
+awaitable) and ride on the transaction's next request, so the snapshot
+is chosen when the first operation reaches the server.
+
 A call cancelled or timed out (``asyncio.wait_for``) before its answer
 arrives closes the client, as a socket timeout does the sync one.
 """
@@ -25,7 +30,6 @@ from typing import Any, Callable, List, Optional
 from repro.client.client import _BaseClient, _MergeMode, _SingleMode
 from repro.client.client import _Json, _OnError, _Parse
 from repro.errors import NetworkError
-from repro.server.protocol import encode_frame
 
 __all__ = ["AsyncTardisClient", "AsyncClientTransaction", "AsyncClientMergeTransaction"]
 
@@ -63,10 +67,7 @@ class AsyncTardisClient(_BaseClient):
         client._reader, client._writer = await asyncio.open_connection(host, port)
         return await client._hello(session)
 
-    async def _call(
-        self, op: str, fields: _Json, parse: _Parse, on_error: _OnError = None
-    ) -> Any:
-        frame = encode_frame(self._channel.request(op, fields))
+    async def _exchange(self, frame: bytes, parse: _Parse, on_error: _OnError) -> Any:
         try:
             self._writer.write(frame)
             await self._writer.drain()
@@ -78,6 +79,15 @@ class AsyncTardisClient(_BaseClient):
             self._failed(exc, on_error)
             raise
         return parse(response)
+
+    def _ready(self, value: Any) -> "asyncio.Future[Any]":
+        ready = asyncio.get_running_loop().create_future()
+        ready.set_result(value)
+        return ready
+
+    async def _then(self, first: Any, rest: Callable[[], Any]) -> Any:
+        await first
+        return await rest()
 
     def _drop(self) -> None:
         self._writer.close()

@@ -18,10 +18,20 @@ Requests on one connection are answered strictly in order, so the
 client is a simple send-one/read-one loop; one ``TardisClient`` must not
 be shared across threads (open one per thread — sessions are cheap).
 
-Every one-round-trip call is written once, here, as ``self._call(op,
-fields, parse)``: it returns the parsed value on :class:`TardisClient`
-and an awaitable of it on :class:`~repro.client.aio.AsyncTardisClient`.
-The protocol itself (numbering, pairing, push frames, error mapping) is
+A transaction costs two round trips, not one per call: ``begin()`` sends
+nothing and ``put``/``delete`` only buffer; the BEGIN and the buffered
+writes ride on the transaction's next request (a read, or the commit).
+So **the snapshot is chosen when the first operation reaches the server,
+not when** ``begin()`` **returns** (``read_state`` is ``None`` until
+then), and what BEGIN can raise (``SHUTTING_DOWN``, ``BEGIN_FAILED``,
+``BAD_CONSTRAINT``, a timeout) comes from that first call — which then
+fails as a unit: nothing stays open on the server, the handle is
+``aborted``.
+
+Every call is written once, here, over ``self._call(op, fields,
+parse)``: it returns the parsed value on :class:`TardisClient` and an
+awaitable of it on :class:`~repro.client.aio.AsyncTardisClient`. The
+protocol itself (numbering, pairing, push frames, error mapping) is
 :class:`~repro.server.protocol.ClientChannel`; a client only moves bytes.
 
 Error mapping (``ERROR_TABLE`` in :mod:`repro.server.protocol`):
@@ -39,8 +49,20 @@ from __future__ import annotations
 import socket
 from typing import Any, Callable, Dict, List, Optional
 
-from repro.errors import KeyNotFound, NetworkError, TransactionAborted, TransactionClosed
-from repro.server.protocol import PROTOCOL_VERSION, ClientChannel, encode_frame
+from repro.errors import (
+    FrameTooLarge,
+    KeyNotFound,
+    NetworkError,
+    TransactionAborted,
+    TransactionClosed,
+)
+from repro.server.protocol import (
+    PROTOCOL_VERSION,
+    ClientChannel,
+    encode_frame,
+    error_response,
+    exception_for,
+)
 
 __all__ = ["TardisClient", "ClientTransaction", "ClientMergeTransaction"]
 
@@ -64,12 +86,88 @@ class _BaseClientTransaction:
     """The calls and bookkeeping of every transaction handle, sync or
     async (each call returns what the client's ``_call`` returns)."""
 
-    def __init__(self, client: "_BaseClient", txn_id: int) -> None:
+    #: a read-only handle refuses ``put``/``delete`` without a frame.
+    read_only = False
+
+    def __init__(
+        self, client: "_BaseClient", txn_id: Optional[int], begin: Optional[_Json] = None
+    ) -> None:
         self._client = client
+        #: the server's id for the transaction; None until it has
+        #: answered the request that carried the BEGIN.
         self._txn_id = txn_id
+        #: BEGIN fields nothing has carried yet: the next request does.
+        self._begin = begin
+        #: ``put``/``delete`` since the last request: the next one
+        #: carries them, and the server applies them before it acts.
+        self._writes: List[_Json] = []
         self.status = "active"
         #: state id repr of the commit state, once committed.
         self.commit_state: Optional[str] = None
+
+    def _check_active(self) -> None:
+        if self.status != "active":
+            raise TransactionClosed("transaction is %s" % self.status)
+
+    def _request(
+        self,
+        op: str,
+        fields: _Json,
+        parse: _Parse,
+        on_error: _OnError = None,
+        carry: Optional[int] = None,
+    ) -> Any:
+        """One frame of this transaction: ``fields`` plus the BEGIN when
+        nothing was sent yet, plus the buffered writes (the first
+        ``carry`` of them; all by default). Writes leave the buffer for
+        good only when the server answers ``ok``: a request that cannot
+        be framed, or an error answer that leaves the transaction open,
+        puts them back (resending applied writes changes nothing)."""
+        self._check_active()
+        begin, pending = self._begin, self._writes
+        writes = pending if carry is None else pending[:carry]
+        if begin is None:
+            fields["txn"] = self._txn_id
+        else:
+            fields["begin"] = begin
+        if writes:
+            fields["writes"] = writes
+            self._writes = pending[len(writes) :]
+
+        def answered(response: _Json) -> Any:
+            if begin is not None:
+                self._begin = None
+                self._txn_id = response["txn"]
+                self.read_state = response["read_state"]
+            return parse(response)
+
+        def refused(exc: BaseException) -> None:
+            if begin is not None:
+                # BEGIN + op fail as a unit: the server kept nothing open.
+                self.status = "aborted"
+                return
+            if on_error is not None:
+                on_error(exc)
+            if self.status == "active":
+                self._writes[:0] = writes
+
+        try:
+            frame = self._client._frame(op, fields)
+        except (TypeError, ValueError, FrameTooLarge) as exc:
+            self._writes[:0] = writes
+            if not isinstance(exc, FrameTooLarge) or len(writes) < 2:
+                raise
+            # More buffered than one frame holds: ship the first half as
+            # WRITE frame(s), then this request with what is left.
+            for name in ("begin", "txn", "writes"):
+                fields.pop(name, None)
+            half = len(writes) // 2
+            rest = None if carry is None else len(writes) - half
+            return self._client._then(
+                self._request("WRITE", {}, _nothing, None, half),
+                lambda: self._request(op, fields, parse, on_error, rest),
+            )
+        return self._client._exchange(frame, answered, refused)
 
     def get(self, key: Any, default: Any = _RAISE) -> Any:
         def parse(response: _Json) -> Any:
@@ -79,7 +177,7 @@ class _BaseClientTransaction:
                 raise KeyNotFound(key)
             return default
 
-        return self._client._call("READ", {"txn": self._txn_id, "key": key}, parse)
+        return self._request("READ", {"key": key}, parse)
 
     def get_many(self, keys: List[Any], default: Any = _RAISE) -> Any:
         """Batch read: one READ_MANY round trip for the whole key list.
@@ -99,24 +197,28 @@ class _BaseClientTransaction:
                 values.append(value)
             return values
 
-        fields = {"txn": self._txn_id, "keys": list(keys)}
-        return self._client._call("READ_MANY", fields, parse)
+        return self._request("READ_MANY", {"keys": list(keys)}, parse)
 
-    def _write(self, fields: Dict[str, Any]) -> Any:
-        fields["txn"] = self._txn_id
-        return self._client._call("WRITE", fields, _nothing)
+    def _buffer(self, write: _Json) -> Any:
+        """``put``/``delete``: no frame; the next request carries it."""
+        self._check_active()
+        if self.read_only:
+            raise exception_for(error_response(None, "READ_ONLY"))
+        self._writes.append(write)
+        return self._client._ready(None)
 
     def put(self, key: Any, value: Any) -> Any:
-        return self._write({"key": key, "value": value})
+        return self._buffer({"key": key, "value": value})
 
     def delete(self, key: Any) -> Any:
-        return self._write({"key": key, "delete": True})
+        return self._buffer({"key": key, "delete": True})
 
     def commit(self, constraint: Optional[str] = None) -> Any:
         """Commit; returns the commit state's id repr. The handle turns
-        ``aborted`` only when the server says the transaction is over —
-        any other error (``BAD_CONSTRAINT``...) leaves it ``active``."""
-        fields: Dict[str, Any] = {"txn": self._txn_id}
+        ``aborted`` only when the server says the transaction is over
+        (or never opened: a failed first request) — any other error
+        (``BAD_CONSTRAINT``...) leaves it ``active``."""
+        fields: Dict[str, Any] = {}
         if constraint is not None:
             fields["constraint"] = constraint
 
@@ -129,25 +231,34 @@ class _BaseClientTransaction:
             if isinstance(exc, (TransactionAborted, TransactionClosed)):
                 self.status = "aborted"
 
-        return self._client._call("COMMIT", fields, parse, on_error)
+        return self._request("COMMIT", fields, parse, on_error)
 
     def abort(self) -> Any:
+        """Abort, dropping the buffered writes; local when no request
+        of this transaction ever reached the server."""
+        self._writes = []
+        if self._begin is not None and self.status == "active":
+            self.status = "aborted"
+            return self._client._ready(None)
+
         def parse(response: _Json) -> None:
             self.status = "aborted"
 
-        return self._client._call("ABORT", {"txn": self._txn_id}, parse)
+        return self._request("ABORT", {}, parse)
 
     def __repr__(self) -> str:
-        return "<%s txn=%d %s>" % (type(self).__name__, self._txn_id, self.status)
+        return "<%s txn=%s %s>" % (type(self).__name__, self._txn_id, self.status)
 
 
 class _SingleMode(_BaseClientTransaction):
     """What a single-mode handle knows: the snapshot it reads."""
 
-    def __init__(self, client: "_BaseClient", response: _Json) -> None:
-        super().__init__(client, response["txn"])
-        #: state id repr of the snapshot this transaction reads.
-        self.read_state: str = response["read_state"]
+    def __init__(self, client: "_BaseClient", begin: _Json) -> None:
+        super().__init__(client, None, begin)
+        self.read_only = bool(begin["read_only"])
+        #: state id repr of the snapshot this transaction reads; None
+        #: until its first request is answered (the server picks it then).
+        self.read_state: Optional[str] = None
 
 
 class _MergeMode(_BaseClientTransaction):
@@ -188,10 +299,12 @@ class ClientMergeTransaction(_SyncContext, _MergeMode):
 
 
 class _BaseClient:
-    """One connection/session: the channel and every one-round-trip
-    call. A subclass supplies ``_call(op, fields, parse, on_error)``
-    (move bytes until the channel has the response), ``_drop()`` (close
-    the socket) and the two handle classes."""
+    """One connection/session: the channel and every call. A subclass
+    supplies ``_exchange(frame, parse, on_error)`` (move bytes until the
+    channel has the response), ``_drop()`` (close the socket), how a
+    call that needs no round trip answers (``_ready(value)``) and how
+    two calls run in order (``_then(first, rest)``), and the two handle
+    classes."""
 
     _txn_class: Callable[..., _SingleMode]
     _merge_class: Callable[..., _MergeMode]
@@ -202,6 +315,19 @@ class _BaseClient:
         self.session: Optional[str] = None
         #: the server's site name.
         self.site: Optional[str] = None
+
+    def _frame(self, op: str, fields: _Json) -> bytes:
+        """Number and encode one request, before anything is sent: one
+        that cannot be framed (value not JSON, over the cap) costs an
+        id, not the link."""
+        return encode_frame(self._channel.request(op, fields))
+
+    def _call(
+        self, op: str, fields: _Json, parse: _Parse, on_error: _OnError = None
+    ) -> Any:
+        """One round trip: the parsed answer (an awaitable of it on the
+        async client)."""
+        return self._exchange(self._frame(op, fields), parse, on_error)
 
     def _failed(self, exc: BaseException, on_error: _OnError) -> None:
         """A round trip raised. An error *answer* leaves the connection
@@ -228,12 +354,14 @@ class _BaseClient:
     # -- transactions -----------------------------------------------------
 
     def begin(self, read_only: bool = False, constraint: Optional[str] = None) -> Any:
-        """Start a transaction; constraint is a begin-constraint name
-        (``ancestor``, ``any``, ``parent``; server default: ancestor)."""
+        """A transaction handle; constraint is a begin-constraint name
+        (``ancestor``, ``any``, ``parent``; server default: ancestor).
+        Nothing is sent: the handle's first request carries the BEGIN,
+        and the server picks the snapshot when that request arrives."""
         fields: Dict[str, Any] = {"read_only": read_only}
         if constraint is not None:
             fields["constraint"] = constraint
-        return self._call("BEGIN", fields, lambda r: self._txn_class(self, r))
+        return self._ready(self._txn_class(self, fields))
 
     def merge(self) -> Any:
         """Start a merge transaction over the current branch heads."""
@@ -304,13 +432,8 @@ class TardisClient(_BaseClient):
 
     # -- plumbing ---------------------------------------------------------
 
-    def _call(
-        self, op: str, fields: _Json, parse: _Parse, on_error: _OnError = None
-    ) -> Any:
+    def _exchange(self, frame: bytes, parse: _Parse, on_error: _OnError) -> Any:
         channel = self._channel
-        # Encoded before anything is sent: a request that cannot be
-        # framed (value not JSON, over the cap) costs an id, not the link.
-        frame = encode_frame(channel.request(op, fields))
         try:
             self._sock.sendall(frame)
             response = channel.response()
@@ -321,6 +444,12 @@ class TardisClient(_BaseClient):
             self._failed(exc, on_error)
             raise
         return parse(response)
+
+    def _ready(self, value: Any) -> Any:
+        return value
+
+    def _then(self, first: Any, rest: Callable[[], Any]) -> Any:
+        return rest()
 
     def _drop(self) -> None:
         try:

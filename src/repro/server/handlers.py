@@ -12,11 +12,18 @@ is checked against the protocol's ``OPS`` catalogue at import, so an op
 without a handler (or a handler without an op) cannot ship. Handlers
 validate everything that arrives from outside before it reaches the
 store and raise :class:`RequestError` for a typed wire error.
+
+A transaction costs a client two requests, not one per call: any op
+that names a transaction may carry ``begin`` (the BEGIN fields, in place
+of ``txn``) and ``writes`` (a batch of WRITEs), and
+:meth:`WireSession.txn` — the one place such ops get their transaction —
+runs both before the op itself. ``BEGIN`` and ``WRITE`` remain as the
+one-op spelling of the same two functions.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core import constraints
 from repro.core.merge import MergeTransaction
@@ -78,9 +85,12 @@ class WireSession:
     _GUARDED_BY = {
         "txns": "external:store-executor",
         "session_name": "external:store-executor",
+        "began": "external:store-executor",
     }
 
-    __slots__ = ("server", "id", "session_name", "txns", "next_txn_id", "hello_done")
+    __slots__ = (
+        "server", "id", "session_name", "txns", "next_txn_id", "hello_done", "began",
+    )
 
     def __init__(self, server: TardisServer, conn_id: int) -> None:
         self.server = server
@@ -90,25 +100,50 @@ class WireSession:
         self.txns: Dict[int, BaseTransaction] = {}
         self.next_txn_id = 1
         self.hello_done = False
+        #: (request, what it opened) for the last request that began a
+        #: transaction, until the next request: a request that opens one
+        #: and is not answered ``ok`` must leave nothing open. Keyed on
+        #: the request object, not its ``id``: ids are the client's and
+        #: may repeat.
+        self.began: Optional[Tuple[_Json, _Json]] = None
 
     def handle(self, request: _Json) -> _Json:
         """Run one request; always returns a response, never raises."""
         request_id = request.get("id")
         op = request.get("op")
+        self.began = None
         try:
             handler = HANDLERS.get(op) if isinstance(op, str) else None
             if handler is None:
                 raise RequestError("UNKNOWN_OP", "op=%r" % (op,))
             if not self.hello_done and op != "HELLO":
                 raise RequestError("NO_HELLO", "say HELLO first")
-            return ok_response(request_id, **handler(self.server, self, request))
+            fields = handler(self.server, self, request)
+            if self.began is not None:
+                fields.update(self.began[1])  # a piggy-backed begin answers here
+            return ok_response(request_id, **fields)
         except RequestError as exc:
+            self.undo(request)
             return error_response(request_id, exc.code, exc.message)
         except Exception as exc:  # tardis: ignore[bare-except] — one bad request must not kill the connection loop
+            self.undo(request)
             code = code_for(exc)
             if code is None:
                 return error_response(request_id, "INTERNAL", repr(exc))
             return error_response(request_id, code, str(exc))
+
+    def undo(self, request: _Json) -> None:
+        """Abort and forget the transaction ``request`` began, if it is
+        still open: the request is being answered with an error (here, or
+        ``TIMEOUT`` by the transport), so no client will learn its id."""
+        began = self.began
+        if began is None or began[0] is not request:
+            return
+        self.began = None
+        txn = self.txns.pop(began[1]["txn"], None)
+        if txn is not None and txn.status == ACTIVE:
+            txn.abort()
+            self.server._count(None, "aborts")
 
     def close(self) -> int:
         """Abort what is open and close the store session; returns how
@@ -123,19 +158,35 @@ class WireSession:
         return open_txns
 
     def txn(self, request: _Json) -> BaseTransaction:
-        """The open transaction a request names (``true`` is not 1)."""
+        """The open transaction a request names (``true`` is not 1) — or
+        begins: ``begin`` in place of ``txn`` runs BEGIN first and leaves
+        the new id in ``request["txn"]``. Then the request's ``writes``
+        are applied, all of them or (ill-formed) none."""
+        writes = _writes(request)
+        begin = request.get("begin")
+        if begin is not None:
+            if "txn" in request or not isinstance(begin, dict):
+                raise RequestError("BAD_REQUEST", "begin is an object, given in place of txn")
+            request["txn"] = _begin(self.server, self, request, begin)["txn"]
         txn_id = request.get("txn")
         txn = self.txns.get(txn_id) if type(txn_id) is int else None
         if txn is None:
             raise RequestError("UNKNOWN_TXN", "txn=%r" % (txn_id,))
+        for write in writes:
+            if write.get("delete", False):
+                txn.delete(write["key"])
+            else:
+                txn.put(write["key"], write["value"])
         return txn
 
-    def open(self, txn: BaseTransaction) -> int:
-        """Register a freshly begun transaction; returns its wire id."""
-        txn_id = self.next_txn_id
+    def open(self, txn: BaseTransaction, request: _Json, **opened: Any) -> _Json:
+        """Register the transaction ``request`` began; returns what its
+        answer says about it (``txn``, the wire id, plus ``opened``)."""
+        opened["txn"] = self.next_txn_id
         self.next_txn_id += 1
-        self.txns[txn_id] = txn
-        return txn_id
+        self.txns[opened["txn"]] = txn
+        self.began = (request, opened)
+        return opened
 
 
 # -- input validation --------------------------------------------------------
@@ -153,6 +204,22 @@ def _key(request: _Json) -> Any:
     if "key" not in request:
         raise RequestError("BAD_REQUEST", "%s needs a key" % request["op"])
     return _scalar(request["key"])
+
+
+def _writes(request: _Json) -> List[_Json]:
+    """The request's ``writes``, checked whole before any is applied."""
+    writes = request.get("writes")
+    if writes is None:
+        return []
+    if not isinstance(writes, list):
+        raise RequestError("BAD_REQUEST", "writes must be a list")
+    for write in writes:
+        if not isinstance(write, dict) or "key" not in write:
+            raise RequestError("BAD_REQUEST", "a write needs a key")
+        _scalar(write["key"])
+        if "value" not in write and not write.get("delete", False):
+            raise RequestError("BAD_REQUEST", "a write needs a value (or delete)")
+    return writes
 
 
 def _constraint(
@@ -203,20 +270,26 @@ def _hello(server: TardisServer, session: WireSession, request: _Json) -> _Json:
     return {"session": bound.name, "site": server.store.site, "protocol": PROTOCOL_VERSION}
 
 
-def _begin(server: TardisServer, session: WireSession, request: _Json) -> _Json:
+def _begin(
+    server: TardisServer, session: WireSession, request: _Json, fields: Optional[_Json] = None
+) -> _Json:
+    """BEGIN: as an op of its own (its fields are the request's), or
+    piggy-backed (``fields`` is the ``begin`` object of ``request``)."""
+    if fields is None:
+        fields = request
     _accepting(server)
     txn = server.store.begin(
-        begin_constraint=_constraint(request, "begin", BEGIN_CONSTRAINTS),
+        begin_constraint=_constraint(fields, "begin", BEGIN_CONSTRAINTS),
         session=server.store.session(session.session_name),
-        read_only=bool(request.get("read_only", False)),
+        read_only=bool(fields.get("read_only", False)),
     )
-    return {"txn": session.open(txn), "read_state": repr(txn.read_state.id)}
+    return session.open(txn, request, read_state=repr(txn.read_state.id))
 
 
 def _merge(server: TardisServer, session: WireSession, request: _Json) -> _Json:
     _accepting(server)
     merge = server.store.begin_merge(session=server.store.session(session.session_name))
-    txn_id = session.open(merge)
+    txn_id = session.open(merge, request)["txn"]
     fork_points = merge.find_fork_points()
     conflicts: List[_Json] = []
     for key in merge.find_conflict_writes():
@@ -257,14 +330,12 @@ def _read_many(server: TardisServer, session: WireSession, request: _Json) -> _J
 
 
 def _write(server: TardisServer, session: WireSession, request: _Json) -> _Json:
-    key = _key(request)
-    txn = session.txn(request)
-    if request.get("delete", False):
-        txn.delete(key)
-    elif "value" in request:
-        txn.put(key, request["value"])
-    else:
-        raise RequestError("BAD_REQUEST", "WRITE needs a value (or delete)")
+    if "writes" not in request:
+        # The one-write spelling: key/value/delete on the request itself.
+        request["writes"] = [
+            {name: request[name] for name in ("key", "value", "delete") if name in request}
+        ]
+    session.txn(request)
     return {}
 
 

@@ -71,7 +71,9 @@ __all__ = [
 ]
 
 #: bumped on any incompatible change; HELLO negotiates (exact match).
-PROTOCOL_VERSION = 1
+#: 2: a transaction's BEGIN and its buffered writes ride on its next
+#: request (``begin`` / ``writes``, docs/internals.md §12.2).
+PROTOCOL_VERSION = 2
 
 #: default cap on one frame's JSON payload, in bytes.
 MAX_FRAME = 1 << 20
@@ -83,10 +85,10 @@ HEADER = struct.Struct(">I")
 OPS = frozenset(
     {
         "HELLO",   # handshake: bind the connection to a client session
-        "BEGIN",   # start a single-mode transaction
+        "BEGIN",   # start a single-mode transaction (or: ``begin`` on its first op)
         "READ",    # read a key inside a transaction
         "READ_MANY",  # read a batch of keys in one round trip
-        "WRITE",   # buffer a write (or delete) inside a transaction
+        "WRITE",   # buffer writes (or deletes) inside a transaction
         "COMMIT",  # commit a transaction
         "ABORT",   # abort a transaction
         "MERGE",   # start a merge transaction over the current branches
@@ -164,6 +166,11 @@ def exception_for(response: Dict[str, Any]) -> Exception:
     return ServerError(code, message)
 
 
+#: one encoder for every frame either side sends (``json.dumps`` with
+#: options would build one per call); compact and key-sorted.
+_encode_json = json.JSONEncoder(separators=(",", ":"), sort_keys=True).encode
+
+
 def encode_frame(obj: Dict[str, Any], max_frame: int = MAX_FRAME) -> bytes:
     """Serialize one message to its wire form (header + JSON payload).
 
@@ -171,7 +178,7 @@ def encode_frame(obj: Dict[str, Any], max_frame: int = MAX_FRAME) -> bytes:
     exceeds ``max_frame`` — the sender's half of the cap both sides
     enforce.
     """
-    payload = json.dumps(obj, separators=(",", ":"), sort_keys=True).encode("utf-8")
+    payload = _encode_json(obj).encode("utf-8")
     if len(payload) > max_frame:
         raise FrameTooLarge(len(payload), max_frame)
     return HEADER.pack(len(payload)) + payload

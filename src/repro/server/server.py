@@ -601,6 +601,14 @@ class TardisServer:
             )
         except asyncio.TimeoutError:
             self._count("tardis_net_server_timeouts_total", "timeouts_total")
+            # The handler may still be running, or yet to run. If it
+            # begins a transaction, nobody will learn its id: undo that
+            # behind it on the executor (serially, before this
+            # connection's next request).
+            try:
+                self._executor.submit(session.undo, request)
+            except RuntimeError:
+                pass  # executor shut down: disconnect cleanup covers it
             message = "request exceeded %.3fs" % self.request_timeout
             return error_response(request.get("id"), "TIMEOUT", message)
         finally:

@@ -213,9 +213,10 @@ class TestObsSnapshotOp:
             assert snapshot["obs_schema"] == OBS_SCHEMA_VERSION
             assert snapshot["gauges"]["connections"] == 1
             assert snapshot["counters"]["requests_total"] > 0
-            # The request's own op shows up in the latency table.
-            assert "WRITE" in snapshot["latency_ms"]
-            assert snapshot["latency_ms"]["WRITE"]["p99"] >= 0.0
+            # The request's own op shows up in the latency table (the
+            # put rode on its COMMIT frame).
+            assert "COMMIT" in snapshot["latency_ms"]
+            assert snapshot["latency_ms"]["COMMIT"]["p99"] >= 0.0
 
     def test_tail_trims_series(self, served_cold):
         with TardisClient(port=served_cold.port) as client:

@@ -12,10 +12,12 @@ from repro import TardisStore
 from repro.client import AsyncTardisClient, TardisClient
 from repro.errors import (
     BeginError,
+    FrameTooLarge,
     KeyNotFound,
     NetworkError,
     ServerError,
     ShardUnavailableError,
+    TransactionClosed,
 )
 from repro.server import start_in_thread
 from repro.server.protocol import HEADER, MAX_FRAME, FrameDecoder
@@ -267,6 +269,7 @@ class TestDisconnectCleanup:
         client = TardisClient(port=served.port, session="dropper")
         txn = client.begin()
         txn.put("doomed", 1)
+        assert txn.get("doomed") == 1  # the request that carries BEGIN + write
         assert any(s.name == "dropper" for s in store.sessions())
         client._sock.close()  # hard drop: no BYE, mid-transaction
 
@@ -305,6 +308,7 @@ class TestGracefulShutdown:
         client = TardisClient(port=handle.port, session="worker")
         txn = client.begin()
         txn.put("x", 1)
+        assert txn.get("x") == 1  # the request that carries BEGIN + write
 
         reports = {}
         stopper = threading.Thread(
@@ -314,9 +318,11 @@ class TestGracefulShutdown:
         assert _wait_until(lambda: handle.server._closing)
 
         # New transactions are refused while draining...
+        late = client.begin()
         with pytest.raises(ServerError) as exc_info:
-            client.begin()
+            late.get("x", default=None)  # the request that carries its BEGIN
         assert exc_info.value.code == "SHUTTING_DOWN"
+        assert late.status == "aborted"
         # ...but the open one is allowed to finish.
         txn.commit()
         client.close()
@@ -330,7 +336,9 @@ class TestGracefulShutdown:
     def test_drain_timeout_force_closes_and_still_leaks_nothing(self):
         handle = start_in_thread(site="force-test", drain_timeout=0.2)
         client = TardisClient(port=handle.port, session="straggler")
-        client.begin().put("x", 1)  # left open on purpose
+        straggler = client.begin()
+        straggler.put("x", 1)
+        assert straggler.get("x") == 1  # on the server, left open on purpose
         report = handle.stop()
         assert report["drained_in_time"] is False
         assert report["forced_closes"] >= 1
@@ -342,6 +350,7 @@ class TestGracefulShutdown:
         handle = start_in_thread(site="reject-test", drain_timeout=5.0)
         client = TardisClient(port=handle.port, session="holder")
         txn = client.begin()
+        txn.get("x", default=None)  # the request that carries the BEGIN
         stopper = threading.Thread(target=handle.stop)
         stopper.start()
         assert _wait_until(lambda: handle.server._closing)
@@ -492,6 +501,7 @@ class TestWireErrors:
         with TardisClient(port=served.port) as client:
             txn = client.begin()
             txn.put("x", 1)
+            assert txn.get("x") == 1  # open on the server from here on
             with pytest.raises(ServerError) as exc_info:
                 txn.commit(constraint="nope")
             assert exc_info.value.code == "BAD_CONSTRAINT"
@@ -499,12 +509,22 @@ class TestWireErrors:
             txn.abort()
             assert txn.status == "aborted"
             assert client.stats()["open_txns"] == 0
+            # A handle that never sent anything: BEGIN rides on the
+            # failing COMMIT, they fail as a unit, nothing is open.
+            unsent = client.begin()
+            unsent.put("x", 1)
+            with pytest.raises(ServerError) as exc_info:
+                unsent.commit(constraint="nope")
+            assert exc_info.value.code == "BAD_CONSTRAINT"
+            assert unsent.status == "aborted"
+            assert client.stats()["open_txns"] == 0
 
         async def _go():
             client = await AsyncTardisClient.connect(port=served.port)
             try:
                 txn = await client.begin()
                 await txn.put("x", 1)
+                assert await txn.get("x") == 1
                 with pytest.raises(ServerError) as exc_info:
                     await txn.commit(constraint="nope")
                 assert exc_info.value.code == "BAD_CONSTRAINT"
@@ -547,14 +567,14 @@ class TestAbandonedRequest:
         original = self._slow_begin(store, 0.3)
         try:
             with pytest.raises(socket.timeout):
-                client.begin()
+                client.begin().get("x", default=None)
         finally:
             store.begin = original
         assert client._channel.closed
         for _ in range(3):
             with pytest.raises(NetworkError, match="client is closed"):
                 client.stats()
-        # The orphaned BEGIN still ran; dropping the socket is what lets
+        # The orphaned BEGIN + READ still ran; dropping the socket is what lets
         # the server's disconnect cleanup abort it.
         assert _wait_until(
             lambda: not any(s.name == "impatient" for s in store.sessions())
@@ -571,8 +591,9 @@ class TestAbandonedRequest:
             )
             original = self._slow_begin(store, 0.3)
             try:
+                txn = await client.begin()
                 with pytest.raises(asyncio.TimeoutError):
-                    await asyncio.wait_for(client.begin(), 0.1)
+                    await asyncio.wait_for(txn.get("x", default=None), 0.1)
             finally:
                 store.begin = original
             assert client._channel.closed
@@ -698,3 +719,296 @@ class TestShardedServing:
             served_sharded.server.store.versions.kill_worker(1)
             with pytest.raises(ShardUnavailableError):
                 client.get_many(["key-%03d" % i for i in range(16)])
+
+
+# ---------------------------------------------------------------------------
+# Two round trips per transaction: BEGIN rides on the first op, buffered
+# writes on the next one. Counted in frames, for both clients.
+
+
+def _frames(client_stats, work):
+    """How many request frames ``work`` put on the wire (the closing
+    STATS frame counts itself)."""
+    before = client_stats()["requests_total"]
+    work()
+    return client_stats()["requests_total"] - before - 1
+
+
+def _fork(port):
+    """Two sessions commit the same key from the same snapshot."""
+    with TardisClient(port=port) as a, TardisClient(port=port) as b:
+        txns = [a.begin(), b.begin()]
+        for txn in txns:
+            txn.get("x", default=None)
+        for value, txn in enumerate(txns, start=1):
+            txn.put("x", value)
+            txn.commit()
+
+
+class TestFramesPerTransaction:
+    def test_sync_client(self, served):
+        _fork(served.port)
+        with TardisClient(port=served.port) as client:
+
+            def read_only():
+                txn = client.begin(read_only=True)
+                assert txn.read_state is None  # nothing was sent yet
+                txn.get_many(["x", "y"], default=None)
+                assert isinstance(txn.read_state, str)
+                txn.commit()
+
+            def read_modify_write():
+                txn = client.begin()
+                txn.put("n", txn.get("n", default=0) + 1)
+                txn.commit()
+
+            def blind_writes():
+                txn = client.begin()
+                for i in range(100):
+                    txn.put("key-%d" % i, i)
+                txn.delete("key-0")
+                txn.commit()
+
+            def merge():
+                txn = client.merge()
+                assert [c["key"] for c in txn.conflicts] == ["x"]
+                for conflict in txn.conflicts:
+                    txn.put(conflict["key"], max(conflict["values"]))
+                txn.put("merged", True)
+                txn.commit()
+
+            def begin_then_abort():
+                txn = client.begin()
+                txn.put("never", 1)
+                txn.abort()
+                assert txn.status == "aborted"
+
+            assert _frames(client.stats, read_only) == 2
+            assert _frames(client.stats, read_modify_write) == 2
+            assert _frames(client.stats, blind_writes) == 1
+            assert _frames(client.stats, merge) == 2
+            assert _frames(client.stats, begin_then_abort) == 0
+            assert client.get_many(["x", "n", "key-0", "key-99", "merged", "never"]) == [
+                2, 1, None, 99, True, None,
+            ]
+            assert client.stats()["open_txns"] == 0
+
+    def test_async_client(self, served):
+        _fork(served.port)
+
+        async def _go():
+            client = await AsyncTardisClient.connect(port=served.port)
+            counts = []
+
+            async def frames(work):
+                before = (await client.stats())["requests_total"]
+                await work()
+                counts.append((await client.stats())["requests_total"] - before - 1)
+
+            async def read_only():
+                txn = await client.begin(read_only=True)
+                assert txn.read_state is None
+                await txn.get_many(["x", "y"], default=None)
+                assert isinstance(txn.read_state, str)
+                await txn.commit()
+
+            async def read_modify_write():
+                async with await client.begin() as txn:
+                    await txn.put("n", await txn.get("n", default=0) + 1)
+
+            async def blind_writes():
+                txn = await client.begin()
+                for i in range(100):
+                    await txn.put("key-%d" % i, i)
+                await txn.delete("key-0")
+                await txn.commit()
+
+            async def merge():
+                txn = await client.merge()
+                for conflict in txn.conflicts:
+                    await txn.put(conflict["key"], max(conflict["values"]))
+                await txn.commit()
+
+            async def begin_then_abort():
+                txn = await client.begin()
+                await txn.put("never", 1)
+                await txn.abort()
+                assert txn.status == "aborted"
+
+            try:
+                for work in (read_only, read_modify_write, blind_writes, merge, begin_then_abort):
+                    await frames(work)
+                assert counts == [2, 2, 1, 2, 0]
+                keys = ["x", "n", "key-0", "key-99", "never"]
+                assert await client.get_many(keys) == [2, 1, None, 99, None]
+                assert (await client.stats())["open_txns"] == 0
+            finally:
+                await client.close()
+
+        asyncio.run(_go())
+
+
+class TestBufferedWrites:
+    def test_a_closed_handle_refuses_writes_locally(self, served):
+        with TardisClient(port=served.port) as client:
+            committed = client.begin()
+            committed.put("x", 1)
+            committed.commit()
+            aborted = client.begin()
+            aborted.abort()
+
+            def attempts():
+                for txn in (committed, aborted):
+                    for call in (lambda: txn.put("x", 2), lambda: txn.delete("x")):
+                        with pytest.raises(TransactionClosed):
+                            call()
+                    assert txn._writes == []
+
+            assert _frames(client.stats, attempts) == 0
+            assert client.get("x") == 1
+
+    def test_a_read_only_handle_refuses_writes_without_a_frame(self, served):
+        with TardisClient(port=served.port) as client:
+            txn = client.begin(read_only=True)
+
+            def attempts():
+                for call in (lambda: txn.put("x", 1), lambda: txn.delete("x")):
+                    with pytest.raises(ServerError) as exc_info:
+                        call()
+                    assert exc_info.value.code == "READ_ONLY"
+
+            assert _frames(client.stats, attempts) == 0
+            assert txn.status == "active" and txn._writes == []
+            txn.commit()
+
+    def test_an_unframeable_request_costs_an_id_not_the_buffer(self, served):
+        with TardisClient(port=served.port) as client:
+            txn = client.begin()
+            txn.put("good", 1)
+            txn.put("bad", object())  # not JSON: only framing finds out
+            for call in (lambda: txn.get("good"), txn.commit):
+                with pytest.raises(TypeError):
+                    call()
+            assert txn.status == "active"
+            assert [w["key"] for w in txn._writes] == ["good", "bad"]
+            txn.abort()  # never sent anything: local
+            assert txn.status == "aborted"
+            assert client.get("good") is None  # the link survived
+            assert client.stats()["open_txns"] == 0
+
+    def test_an_error_answer_on_an_open_txn_keeps_the_buffer(self, served):
+        with TardisClient(port=served.port) as client:
+            txn = client.begin()
+            assert txn.get("a", default=None) is None
+            txn.put("a", 1)
+            txn.put(("not", "scalar"), 2)  # the server refuses the batch whole
+            for call in (lambda: txn.get("a"), txn.commit):
+                with pytest.raises(ServerError) as exc_info:
+                    call()
+                assert exc_info.value.code == "BAD_REQUEST"
+            # Nothing was silently dropped: the handle is open, holds
+            # both writes, and can only be aborted.
+            assert txn.status == "active" and len(txn._writes) == 2
+            txn.abort()
+            assert client.get("a") is None
+            assert client.stats()["open_txns"] == 0
+
+    def test_more_writes_than_one_frame_holds_still_commit(self, served):
+        blob = "v" * (40 * 1024)
+        with TardisClient(port=served.port) as client:
+
+            def big_txn():
+                txn = client.begin()
+                for i in range(64):  # 2.5 MiB against the 1 MiB frame cap
+                    txn.put("big-%02d" % i, blob + str(i))
+                txn.commit()
+
+            # Halved until it fits: 3 WRITE frames of 16 and the COMMIT
+            # carrying the last 16.
+            assert _frames(client.stats, big_txn) == 4
+            values = client.get_many(["big-%02d" % i for i in (0, 31, 32, 63)])
+            assert values == [blob + str(i) for i in (0, 31, 32, 63)]
+            # One write that is too large by itself raises, as before.
+            txn = client.begin()
+            txn.put("small", 1)
+            txn.put("huge", "v" * (MAX_FRAME + 1))
+            with pytest.raises(FrameTooLarge):
+                txn.commit()
+            assert txn.status == "active"
+            txn.abort()
+            assert client.stats()["open_txns"] == 0
+            assert client.get("small") is None
+
+    def test_async_client_gets_the_same_rules(self, served):
+        blob = "v" * (40 * 1024)
+
+        async def _go():
+            client = await AsyncTardisClient.connect(port=served.port)
+            try:
+                before = (await client.stats())["requests_total"]
+                txn = await client.begin()
+                for i in range(64):
+                    await txn.put("big-%02d" % i, blob + str(i))
+                await txn.commit()
+                after = (await client.stats())["requests_total"]
+                assert after - before - 1 == 4
+                assert await client.get("big-63") == blob + "63"
+                with pytest.raises(TransactionClosed):
+                    await txn.put("x", 1)
+                reader = await client.begin(read_only=True)
+                with pytest.raises(ServerError) as exc_info:
+                    await reader.put("x", 1)
+                assert exc_info.value.code == "READ_ONLY"
+                await reader.abort()
+                unframeable = await client.begin()
+                await unframeable.put("bad", object())
+                with pytest.raises(TypeError):
+                    await unframeable.commit()
+                assert unframeable.status == "active" and len(unframeable._writes) == 1
+                await unframeable.abort()
+                assert (await client.stats())["open_txns"] == 0
+            finally:
+                await client.close()
+
+        asyncio.run(_go())
+
+
+# ---------------------------------------------------------------------------
+# A request answered TIMEOUT must not leave behind a transaction whose id
+# no client ever learned.
+
+
+class TestTimedOutBegin:
+    @pytest.mark.parametrize("piggy_backed", [False, True])
+    def test_a_begin_answered_timeout_is_undone(self, piggy_backed):
+        handle = start_in_thread(site="timeout-test", request_timeout=0.1)
+        store = handle.server.store
+        client = TardisClient(port=handle.port, session="slow")
+        try:
+            original = TestAbandonedRequest._slow_begin(store, 0.3)
+            try:
+                with pytest.raises(ServerError) as exc_info:
+                    if piggy_backed:
+                        txn = client.begin()
+                        txn.put("x", 1)
+                        txn.get("x")
+                    else:  # the one-op spelling a raw client may use
+                        client._call("BEGIN", {}, dict)
+                assert exc_info.value.code == "TIMEOUT"
+            finally:
+                store.begin = original
+            if piggy_backed:
+                assert txn.status == "aborted"
+            # The slow handler runs to its end behind the answer (a STATS
+            # queued behind it would time out too); the undo behind it
+            # leaves nothing open.
+            time.sleep(0.35)
+            assert client.stats()["open_txns"] == 0
+            assert _total_pins(store) == 0
+            assert client.get("x") is None
+        finally:
+            # Still connected: the drain has nothing to wait for.
+            report = handle.stop(drain_timeout=1.0)
+            client.close()
+        assert report["drained_in_time"] is True
+        assert report["leaked_sessions"] == []

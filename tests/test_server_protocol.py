@@ -180,7 +180,7 @@ class TestResponseHelpers:
         assert "HELLO" in OPS and "MERGE" in OPS
         for code in ("BAD_FRAME", "TIMEOUT", "SHUTTING_DOWN", "INTERNAL"):
             assert code in ERROR_CODES
-        assert PROTOCOL_VERSION == 1
+        assert PROTOCOL_VERSION == 2
 
 
 # ---------------------------------------------------------------------------
@@ -397,3 +397,188 @@ class TestHandlerTable:
             direct.append(encode_frame(response)[HEADER.size :])
         assert direct == wire
         assert session.close() == 0
+
+
+# ---------------------------------------------------------------------------
+# The piggy-back seam, sans-IO: ``begin`` and ``writes`` ride on any op
+# that names a transaction (``WireSession.txn``), and a request that
+# began a transaction without answering ``ok`` leaves nothing open.
+
+
+def _session(site="seam"):
+    server = TardisServer(TardisStore(site))
+    session = WireSession(server, 1)
+    assert session.handle({"id": 0, "op": "HELLO", "session": "s"})["ok"]
+    return server, session
+
+
+def _open_txns(session):
+    return session.handle({"op": "STATS"})["stats"]["open_txns"]
+
+
+class TestPiggyBackedBeginAndWrites:
+    def test_begin_rides_on_the_first_read(self):
+        _server, session = _session()
+        first = session.handle({"id": 1, "op": "READ", "begin": {"read_only": True}, "key": "x"})
+        assert first["ok"] and first["found"] is False
+        assert first["txn"] == 1 and isinstance(first["read_state"], str)
+        # A commit lands in between; the open txn keeps its snapshot.
+        session.handle(
+            {"op": "COMMIT", "begin": {}, "writes": [{"key": "x", "value": 1}]}
+        )
+        again = session.handle({"id": 2, "op": "READ", "txn": 1, "key": "x"})
+        assert again["ok"] and again["found"] is False
+        assert "txn" not in again and "read_state" not in again
+        assert session.handle({"op": "COMMIT", "txn": 1})["ok"]
+        assert session.txns == {}
+
+    def test_begin_writes_and_commit_in_one_frame(self):
+        server, session = _session()
+        writes = [
+            {"key": "a", "value": 1},
+            {"key": "b", "value": 2},
+            {"key": "a", "delete": True},
+        ]
+        answer = session.handle({"id": 1, "op": "COMMIT", "begin": {}, "writes": writes})
+        assert answer["ok"] and answer["txn"] == 1 and answer["commit_state"]
+        assert server._stats["commits"] == 1
+        assert session.txns == {} and _open_txns(session) == 0
+        read = session.handle(
+            {"op": "READ_MANY", "begin": {"read_only": True}, "keys": ["a", "b"]}
+        )
+        assert read["found"] == [False, True] and read["values"] == [None, 2]
+
+    def test_writes_are_applied_before_the_read_that_carries_them(self):
+        _server, session = _session()
+        answer = session.handle(
+            {"op": "READ", "begin": {}, "writes": [{"key": "k", "value": 7}], "key": "k"}
+        )
+        assert answer["found"] is True and answer["value"] == 7
+
+    def test_write_op_is_writes_of_length_one(self):
+        _server, session = _session()
+        assert session.handle({"op": "BEGIN"})["txn"] == 1
+        assert session.handle({"op": "WRITE", "txn": 1, "key": "a", "value": 1})["ok"]
+        batch = [{"key": "b", "value": 2}, {"key": "c", "value": 3}]
+        assert session.handle({"op": "WRITE", "txn": 1, "writes": batch})["ok"]
+        read = session.handle({"op": "READ_MANY", "txn": 1, "keys": ["a", "b", "c"]})
+        assert read["values"] == [1, 2, 3]
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"begin": {}, "txn": 1},  # begin comes in place of txn
+            {"begin": "yes"},
+            {"begin": ["read_only"]},
+            {"txn": 1, "writes": {"key": "w", "value": 1}},
+            {"txn": 1, "writes": "w"},
+            {"txn": 1, "writes": [{"key": "w", "value": 1}, "w"]},
+            {"txn": 1, "writes": [{"key": "w", "value": 1}, {"value": 2}]},
+            {"txn": 1, "writes": [{"key": "w", "value": 1}, {"key": "v"}]},
+            {"txn": 1, "writes": [{"key": "w", "value": 1}, {"key": ["v"], "value": 2}]},
+            {"txn": 1, "writes": [{"key": "w", "value": 1}, {"key": {}, "delete": True}]},
+        ],
+    )
+    @pytest.mark.parametrize("op", ["READ", "READ_MANY", "WRITE", "COMMIT"])
+    def test_ill_formed_fields_are_bad_request_and_apply_nothing(self, op, bad):
+        _server, session = _session()
+        assert session.handle({"op": "BEGIN"})["txn"] == 1
+        request = dict(bad, op=op, key="w", keys=["w"], value=0)
+        answer = session.handle(request)
+        assert answer["error"]["code"] == "BAD_REQUEST", answer
+        # None of the batch was applied, the open txn is untouched and
+        # nothing else was opened.
+        assert list(session.txns) == [1]
+        read = session.handle({"op": "READ", "txn": 1, "key": "w"})
+        assert read["ok"] and read["found"] is False
+
+    def test_read_only_begin_refuses_the_whole_batch(self):
+        _server, session = _session()
+        answer = session.handle(
+            {
+                "op": "COMMIT",
+                "begin": {"read_only": True},
+                "writes": [{"key": "a", "value": 1}],
+            }
+        )
+        assert answer["error"]["code"] == "READ_ONLY"
+        assert session.txns == {} and _open_txns(session) == 0
+
+    @pytest.mark.parametrize(
+        "request_, code",
+        [
+            ({"op": "READ", "begin": {"constraint": "nope"}, "key": "x"}, "BAD_CONSTRAINT"),
+            ({"op": "READ", "begin": {}, "key": ["x"]}, "BAD_REQUEST"),
+            ({"op": "READ_MANY", "begin": {}, "keys": "xy"}, "BAD_REQUEST"),
+            ({"op": "COMMIT", "begin": {}, "constraint": "nope"}, "BAD_CONSTRAINT"),
+            ({"op": "COMMIT", "begin": {}, "writes": [{"key": "x"}]}, "BAD_REQUEST"),
+            ({"op": "WRITE", "begin": {}}, "BAD_REQUEST"),
+        ],
+    )
+    def test_begin_plus_op_fails_as_a_unit(self, request_, code):
+        server, session = _session()
+        answer = session.handle(request_)
+        assert answer["error"]["code"] == code
+        assert "txn" not in answer
+        assert session.txns == {} and _open_txns(session) == 0
+        assert all(state.pins == 0 for state in server.store.dag.states())
+
+    def test_piggy_backed_begin_is_refused_while_draining(self):
+        server, session = _session()
+        server._closing = True
+        answer = session.handle({"op": "READ", "begin": {}, "key": "x"})
+        assert answer["error"]["code"] == "SHUTTING_DOWN"
+        assert session.txns == {} and _open_txns(session) == 0
+
+    def test_a_failing_op_on_an_open_txn_keeps_it_and_its_writes(self):
+        _server, session = _session()
+        assert session.handle({"op": "READ", "begin": {}, "key": "x"})["txn"] == 1
+        answer = session.handle(
+            {
+                "op": "COMMIT",
+                "txn": 1,
+                "constraint": "nope",
+                "writes": [{"key": "x", "value": 1}],
+            }
+        )
+        assert answer["error"]["code"] == "BAD_CONSTRAINT"
+        assert list(session.txns) == [1]
+        assert session.handle({"op": "READ", "txn": 1, "key": "x"})["value"] == 1
+
+    def test_a_repeated_request_id_undoes_nothing(self):
+        # ``id`` is the client's bookkeeping and may repeat: what a
+        # failing request undoes is what *it* began, nothing older.
+        _server, session = _session()
+        assert session.handle({"id": 7, "op": "READ", "begin": {}, "key": "x"})["txn"] == 1
+        assert session.handle({"id": 7, "op": "READ", "txn": 1, "key": ["x"]})["ok"] is False
+        assert list(session.txns) == [1]
+
+    def test_writes_on_a_merge_txn(self):
+        _server, session = _session()
+        other = WireSession(session.server, 2)
+        assert other.handle({"op": "HELLO", "session": "t"})["ok"]
+        # Both begin before either commits: the second commit forks.
+        for who in (session, other):
+            assert who.handle({"op": "READ", "begin": {}, "key": "x"})["txn"] == 1
+        for who, value in ((session, 1), (other, 2)):
+            who.handle({"op": "COMMIT", "txn": 1, "writes": [{"key": "x", "value": value}]})
+        merge = session.handle({"op": "MERGE"})
+        assert [c["key"] for c in merge["conflicts"]] == ["x"]
+        answer = session.handle(
+            {"op": "COMMIT", "txn": merge["txn"], "writes": [{"key": "x", "value": 2}]}
+        )
+        assert answer["ok"] and answer["merge"] is True and "read_state" not in answer
+        read = other.handle({"op": "READ", "begin": {"constraint": "any"}, "key": "x"})
+        assert read["value"] == 2
+
+    def test_undo_aborts_only_what_that_request_began(self):
+        # The transport's half of TIMEOUT: the handler ran to the end
+        # after the loop gave up on it; ``undo`` runs behind it.
+        _server, session = _session()
+        slow = {"id": 1, "op": "READ", "begin": {}, "key": "x"}
+        assert session.handle(slow)["txn"] == 1
+        session.undo({"id": 1, "op": "READ", "begin": {}, "key": "x"})  # an equal twin
+        assert list(session.txns) == [1]
+        session.undo(slow)
+        assert session.txns == {} and _open_txns(session) == 0
+        session.undo(slow)  # idempotent
