@@ -1,27 +1,33 @@
 """``async-discipline``: event-loop hygiene for coroutine code.
 
 The server's concurrency model (docs/internals.md §12.3) has one hard
-rule: the asyncio loop must never block, and store access from a
-coroutine must hop through the single-worker executor. Python enforces
-none of this — a stray ``time.sleep`` in a handler stalls every
-connection, and an un-awaited coroutine is silently dropped with only a
-runtime warning nobody reads. This rule makes four violation classes
-static errors:
+rule: the asyncio loop must never block, and store access from the loop
+must hop through the single-worker executor. Python enforces none of
+this — a stray ``time.sleep`` in a handler stalls every connection, and
+an un-awaited coroutine is silently dropped with only a runtime warning
+nobody reads. This rule makes four violation classes static errors.
+
+*Loop context*, for classes 1 and 2, is the body of an ``async def``
+and of every method of a class whose bases name ``asyncio.Protocol`` /
+``BufferedProtocol`` / ``DatagramProtocol`` / ``SubprocessProtocol``:
+a transport's callbacks are plain ``def``s, and they run on the loop
+thread all the same (the server's request path is such a class).
 
 1. **Blocking call in a coroutine.** Calls known to block the thread —
    ``time.sleep``, anything in the ``socket`` module, sync file I/O via
    ``open``/``input``, ``subprocess.run`` and friends, ``os.system`` —
-   are errors anywhere inside an ``async def`` body. Nested *sync*
-   ``def``s and lambdas are a new execution context (they typically run
-   on an executor) and are exempt.
+   are errors anywhere in loop context. Nested *sync* ``def``s and
+   lambdas are a new execution context (they typically run on an
+   executor) and are exempt.
 
-2. **Direct store call in a coroutine.** In the server, every store
+2. **Direct store call on the loop.** In the server, every store
    operation must go through the store executor
-   (``run_in_executor(self._executor, ...)``) so the loop can time it
-   out and the single worker serializes it. A direct
-   ``self.store.<method>(...)`` call inside an ``async def`` is an
-   error. Passing the bound method *to* the executor is fine — only
-   actual calls are flagged.
+   (``self._executor.submit(...)`` / ``run_in_executor``) so the loop
+   can time it out and the single worker serializes it. A direct
+   ``self.store.<method>(...)`` call — or one through another object,
+   ``self.server.store.<method>(...)`` — in loop context is an error.
+   Passing the bound method *to* the executor is fine — only actual
+   calls are flagged.
 
 3. **``await`` while a ``threading`` lock is held.** An ``await``
    inside ``with self.<lock>:`` — where ``<lock>`` is named as a guard
@@ -71,8 +77,24 @@ BLOCKING_BUILTINS = frozenset({"open", "input"})
 TASK_SPAWNERS = frozenset({"create_task", "ensure_future"})
 
 #: ``self.<attr>`` receivers whose method calls must go through the
-#: store executor when made from a coroutine.
+#: store executor when made in loop context.
 EXECUTOR_ONLY_ATTRS = frozenset({"store"})
+
+#: base-class names whose methods are transport callbacks: plain
+#: ``def``s that run on the event loop thread.
+PROTOCOL_BASES = frozenset(
+    {"Protocol", "BufferedProtocol", "DatagramProtocol", "SubprocessProtocol"}
+)
+
+
+def _is_protocol_class(cls: ast.ClassDef) -> bool:
+    """Whether a base of ``cls`` names an asyncio protocol class
+    (``asyncio.Protocol`` or a bare imported ``BufferedProtocol``)."""
+    for base in cls.bases:
+        chain = _receiver_chain(base)
+        if chain and chain[-1] in PROTOCOL_BASES and chain[:-1] in ([], ["asyncio"]):
+            return True
+    return False
 
 
 def _lock_ctors(cls: ast.ClassDef) -> Dict[str, str]:
@@ -175,10 +197,12 @@ class AsyncDisciplineRule(Rule):
                     self._check_dropped(module, cls_name, stmt.value)
                 )
 
-        # Coroutine-context checks: blocking calls, direct store calls,
-        # await under a threading lock.
+        # Loop-context checks: blocking calls, direct store calls, await
+        # under a threading lock (a plain def has no await to find).
         for cls, func in self._functions(module.tree):
-            if not isinstance(func, ast.AsyncFunctionDef):
+            if not isinstance(func, ast.AsyncFunctionDef) and not (
+                cls is not None and _is_protocol_class(cls)
+            ):
                 continue
             locks = _class_lock_attrs(cls) if cls is not None else set()
             self._walk_async(module, func.body, locks, frozenset(), findings)
@@ -313,9 +337,14 @@ class AsyncDisciplineRule(Rule):
         held: frozenset,
         findings: List[Finding],
     ) -> None:
-        for node in ast.walk(expr):
-            if isinstance(node, (ast.Lambda,)):
+        # A lambda's body is another execution context (module docstring):
+        # walk the expression without descending into one.
+        todo = [expr]
+        while todo:
+            node = todo.pop()
+            if isinstance(node, ast.Lambda):
                 continue
+            todo.extend(ast.iter_child_nodes(node))
             if isinstance(node, ast.Await) and held:
                 findings.append(
                     Finding(
@@ -350,7 +379,7 @@ class AsyncDisciplineRule(Rule):
                     rule=self.id,
                     severity="error",
                     message=(
-                        "blocking %s() inside a coroutine stalls the "
+                        "blocking %s() on the event loop stalls the "
                         "event loop" % func.id
                     ),
                     hint="hop it off the loop with run_in_executor (or "
@@ -372,8 +401,8 @@ class AsyncDisciplineRule(Rule):
                         rule=self.id,
                         severity="error",
                         message=(
-                            "blocking %s.%s() inside a coroutine stalls "
-                            "the event loop" % (func.value.id, func.attr)
+                            "blocking %s.%s() on the event loop stalls "
+                            "every connection" % (func.value.id, func.attr)
                         ),
                         hint="use the asyncio equivalent (asyncio.sleep, "
                         "asyncio streams) or run_in_executor",
@@ -387,7 +416,7 @@ class AsyncDisciplineRule(Rule):
         if (
             len(chain) >= 3
             and chain[0] == "self"
-            and chain[1] in EXECUTOR_ONLY_ATTRS
+            and not EXECUTOR_ONLY_ATTRS.isdisjoint(chain[1:-1])
         ):
             findings.append(
                 Finding(
@@ -396,11 +425,11 @@ class AsyncDisciplineRule(Rule):
                     rule=self.id,
                     severity="error",
                     message=(
-                        "direct %s() call inside a coroutine bypasses the "
+                        "direct %s() call on the event loop bypasses the "
                         "store executor" % ".".join(chain)
                     ),
-                    hint="dispatch via await loop.run_in_executor("
-                    "self._executor, ...) so the single worker serializes "
-                    "it and the loop can time it out",
+                    hint="hand it to the store executor (self._executor.submit / "
+                    "run_in_executor) so the single worker serializes it "
+                    "and the loop can time it out",
                 )
             )

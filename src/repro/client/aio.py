@@ -65,7 +65,11 @@ class AsyncTardisClient(_BaseClient):
     ) -> "AsyncTardisClient":
         client = cls()
         client._reader, client._writer = await asyncio.open_connection(host, port)
-        return await client._hello(session)
+        try:
+            return await client._hello(session)
+        except BaseException:
+            client._drop()  # refused: give the server its slot back
+            raise
 
     async def _exchange(self, frame: bytes, parse: _Parse, on_error: _OnError) -> Any:
         try:

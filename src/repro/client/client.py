@@ -428,7 +428,13 @@ class TardisClient(_BaseClient):
         self._sock = socket.create_connection((host, port), timeout=timeout)
         self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self.timeout = timeout
-        self._hello(session)
+        try:
+            self._hello(session)
+        except BaseException:
+            # Refused (SESSION_IN_USE, SERVER_BUSY, ...): no client comes
+            # of it, so nobody else would give the server its slot back.
+            self._drop()
+            raise
 
     # -- plumbing ---------------------------------------------------------
 

@@ -8,17 +8,19 @@ paper's session guarantees — Ancestor begin anchored at the client's
 last commit — hold per connection exactly as they do in-process.
 
 Concurrency model: the asyncio event loop multiplexes socket I/O across
-every connection; the store operations themselves run on a dedicated
-single worker thread (``_executor``), which serializes them — the store
-is lock-protected, but its read path is optimized for the one-writer
-discrete-event harness, and a single worker keeps the wall-clock
-behaviour honest while still letting the loop time out stuck requests
-(``asyncio.wait_for`` around the executor hop) and keep accepting,
-parsing, and answering frames meanwhile. The module boundary is that
-thread boundary: this module is what runs on the loop (accepting,
-limits, timeouts, the read loop, counters, obs fan-out, shutdown);
-:mod:`repro.server.handlers` is what runs on the executor, and nothing
-in a coroutine here touches the store except through
+every connection, one callback-driven :class:`_Connection` per socket;
+the store operations themselves run on a dedicated single worker thread
+(``_executor``), which serializes them — the store is lock-protected,
+but its read path is optimized for the one-writer discrete-event
+harness, and a single worker keeps the wall-clock behaviour honest while
+still letting the loop time out stuck requests and keep accepting,
+parsing, and answering frames meanwhile. A request costs the loop two
+turns: the read that decodes and submits it, and the one
+``call_soon_threadsafe`` callback that brings the handler's answer back.
+The module boundary is that thread boundary: this module is what runs on
+the loop (accepting, limits, timeouts, framing, counters, obs fan-out,
+shutdown); :mod:`repro.server.handlers` is what runs on the executor,
+and nothing on the loop here touches the store except through
 ``WireSession.handle`` / ``WireSession.close``.
 
 Production plumbing:
@@ -26,11 +28,14 @@ Production plumbing:
 * **Backpressure** — at most ``max_connections`` live connections (the
   excess gets a ``SERVER_BUSY`` error frame and an immediate close);
   requests on one connection are processed strictly in order, so a
-  pipelining client is throttled by its own unanswered frames; responses
-  go through ``writer.drain()`` so a slow reader blocks its own
-  connection only.
-* **Per-request timeouts** — a request that exceeds ``request_timeout``
-  is answered with a ``TIMEOUT`` error; the connection survives.
+  pipelining client is throttled by its own unanswered frames; between
+  the transport's ``pause_writing`` and ``resume_writing`` (the peer is
+  not reading) a connection starts no request, so a slow reader blocks
+  its own connection only, one response past the high-water mark.
+* **Per-request timeouts** — a request not answered ``request_timeout``
+  seconds after it was submitted (one ``loop.call_later`` timer each,
+  cancelled by the answer) is answered with a ``TIMEOUT`` error; the
+  connection survives and the late answer is dropped.
 * **Graceful shutdown** — :meth:`TardisServer.shutdown` stops accepting,
   refuses new transactions (``SHUTTING_DOWN``) while letting open ones
   run to COMMIT/ABORT for up to ``drain_timeout`` seconds, then closes
@@ -65,8 +70,9 @@ import asyncio
 import signal
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from collections import deque
+from concurrent.futures import Future, ThreadPoolExecutor
+from typing import Any, Callable, Deque, Dict, Optional, Set
 
 from repro.core.store import TardisStore
 from repro.errors import FrameTooLarge, ProtocolError
@@ -80,40 +86,244 @@ __all__ = ["TardisServer", "ServerThread", "start_in_thread", "run_server"]
 #: snapshots one OBS_SUBSCRIBE stream buffers before it drops new ones.
 OBS_QUEUE_FRAMES = 4
 
+#: bytes of the one receive buffer a connection reads into, for its life.
+RECV_BUFFER = 1 << 16
 
-class _ObsSubscription:
-    """One OBS_SUBSCRIBE stream: a bounded snapshot queue + writer task.
 
-    The drop policy lives here: ``offer`` never blocks and never buffers
-    more than ``capacity`` snapshots — when the writer task (throttled
-    by the subscriber's socket) falls behind, the *new* snapshot is
-    dropped and counted, and the next frame that does go out carries the
-    cumulative ``dropped`` total. ``offer`` runs on the event loop only
-    (like the writer task), so the counters need no lock; the
-    unsubscribe handler merely reads them for its accounting reply.
+class _Connection(asyncio.BufferedProtocol):
+    """One accepted socket. Everything here runs on the event loop
+    thread, as transport callbacks, except ``_run`` (store executor).
+
+    In-order dispatch and back-pressure are one rule, kept by ``_pump``:
+    the next frame leaves the decoder only when no request of this
+    connection is in flight and the transport is not ``paused``. Bytes
+    that arrive while that rule holds the connection back stop the
+    reading too, until the decoder runs dry.
     """
 
-    __slots__ = ("conn_id", "writer", "capacity", "queue", "sent", "dropped", "task")
+    __slots__ = (
+        "server", "session", "transport", "decoder", "_view", "_unread",
+        "busy", "_since", "_timer", "paused", "eof",
+    )
 
-    def __init__(
-        self, conn_id: int, writer: asyncio.StreamWriter, capacity: int
-    ) -> None:
-        self.conn_id = conn_id
-        self.writer = writer
+    def __init__(self, server: "TardisServer") -> None:
+        self.server = server
+        #: None on a connection refused at the cap.
+        self.session: Optional[WireSession] = None
+        self.decoder = FrameDecoder()
+        self._view = memoryview(bytearray(RECV_BUFFER))
+        #: bytes received and not yet counted (they are, with the next request).
+        self._unread = 0
+        #: the request in flight. A handler that answers after ``TIMEOUT``
+        #: did finds another request (or none) here and is dropped.
+        self.busy: Optional[Dict[str, Any]] = None
+        self.paused = False  # the peer is not reading: start nothing
+        self.eof = False
+
+    # -- transport callbacks -------------------------------------------------
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        assert isinstance(transport, asyncio.Transport)
+        self.transport = transport
+        server = self.server
+        with server._lock:
+            refused = server._closing or len(server._conns) >= server.max_connections
+            if not refused:
+                self.session = WireSession(server, server._next_conn_id)
+                server._next_conn_id += 1
+                server._conns[self.session.id] = self
+        if refused:
+            server._count(None, "connections_rejected")
+            code = "SHUTTING_DOWN" if server._closing else "SERVER_BUSY"
+            self.send(error_response(None, code))
+            transport.close()
+            return
+        server._count("tardis_net_server_connections_total", "connections_total")
+        server._gauge_connections()
+
+    def get_buffer(self, sizehint: int) -> memoryview:
+        return self._view
+
+    def buffer_updated(self, nbytes: int) -> None:
+        self._unread += nbytes
+        self.decoder.feed(self._view[:nbytes])
+        if self.busy is None and not self.paused:
+            self._pump()
+        else:
+            # A pipelining peer: what it sent is buffered (the frame cap
+            # was checked), more is not read until ``_pump`` runs dry.
+            self.transport.pause_reading()
+
+    def eof_received(self) -> bool:
+        self.eof = True
+        self._pump()  # what is buffered is still answered, then the close
+        return True
+
+    def pause_writing(self) -> None:
+        self.paused = True
+
+    def resume_writing(self) -> None:
+        self.paused = False
+        self._pump()
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        if self.session is None:
+            return
+        server = self.server
+        if self._unread:
+            server._count("tardis_net_server_bytes_in_total", "bytes_in", self._unread)
+        # Cleanup runs on the store executor like every other store
+        # access, so it serializes behind a still-running handler of this
+        # connection (whose answer ``write`` will then drop) instead of
+        # racing it. ``shutdown`` joins the executor only after every
+        # connection was lost, so there is one to submit to.
+        server._submit(server._cleanup_sync, self.session)
+
+    # -- the request path ----------------------------------------------------
+
+    def _pump(self) -> None:
+        """Start the next buffered request, if this connection may."""
+        if self.busy is not None or self.paused or self.transport.is_closing():
+            return
+        try:
+            request = self.decoder.next_frame()
+        except ProtocolError as exc:
+            # Framing is lost: answer once, then drop the link.
+            code = "FRAME_TOO_LARGE" if isinstance(exc, FrameTooLarge) else "BAD_FRAME"
+            self.send(error_response(None, code, str(exc)))
+            self.transport.close()  # once that is flushed
+            return
+        if request is None:
+            if self.eof:
+                self.transport.close()
+            else:
+                self.transport.resume_reading()  # a no-op unless paused above
+            return
+        server = self.server
+        server._started(self._unread)
+        self._unread = 0
+        self.busy = request
+        self._since = time.perf_counter()
+        assert server._loop is not None
+        self._timer = server._loop.call_later(
+            server.request_timeout, self._timed_out, request
+        )
+        server._executor.submit(self._run, request)
+
+    def _run(self, request: Dict[str, Any]) -> None:
+        """Store executor thread: one request, its answer back to the loop."""
+        assert self.session is not None and self.server._loop is not None
+        response = self.session.handle(request)
+        try:
+            self.server._loop.call_soon_threadsafe(self._answered, request, response)
+        except RuntimeError:
+            pass  # loop already closed (server stopping)
+
+    def _answered(self, request: Dict[str, Any], response: Dict[str, Any]) -> None:
+        if self.busy is request:  # else: TIMEOUT was answered in its place
+            self._timer.cancel()
+            self._finish(request, response)
+
+    def _timed_out(self, request: Dict[str, Any]) -> None:
+        server = self.server
+        server._count("tardis_net_server_timeouts_total", "timeouts_total")
+        # The handler may still be running, or yet to run. If it begins a
+        # transaction, nobody will learn its id: undo that behind it on
+        # the executor (serially, before this connection's next request).
+        assert self.session is not None
+        try:
+            server._submit(self.session.undo, request)
+        except RuntimeError:
+            pass  # executor shut down: disconnect cleanup covers it
+        message = "request exceeded %.3fs" % server.request_timeout
+        self._finish(request, error_response(request.get("id"), "TIMEOUT", message))
+
+    def _finish(self, request: Dict[str, Any], response: Dict[str, Any]) -> None:
+        elapsed_ms = (time.perf_counter() - self._since) * 1000.0
+        self.busy = None
+        op = request.get("op")
+        # an op answered UNKNOWN_OP has no per-op histogram
+        self.server._observe(op if isinstance(op, str) and op in OPS else None, elapsed_ms)
+        self.send(response, answers=True)
+        if op == "BYE":
+            self.transport.close()
+        else:
+            self._pump()
+
+    def send(self, response: Dict[str, Any], answers: bool = False) -> None:
+        """Encode, count and write one response; ``answers``: it ends the
+        request in flight."""
+        try:
+            frame = encode_frame(response)
+        except (TypeError, ValueError, FrameTooLarge):
+            # A stored value was not JSON-serializable (possible when the
+            # store is shared with in-process writers) or the response
+            # outgrew the frame cap: degrade to a typed error.
+            frame = encode_frame(
+                error_response(
+                    response.get("id"), "INTERNAL", "response not serializable"
+                )
+            )
+        self.server._sent(len(frame), not response.get("ok", False), answers)
+        self.write(frame)
+
+    def write(self, frame: bytes) -> None:
+        if not self.transport.is_closing():  # else: peer gone, cleanup is on its way
+            self.transport.write(frame)
+
+
+class _ObsSubscription:
+    """One OBS_SUBSCRIBE stream: a bounded snapshot queue in front of
+    its connection's transport.
+
+    The drop policy lives here: ``offer`` never blocks and never buffers
+    more than ``capacity`` snapshots — while the subscriber's socket is
+    not taking bytes (the connection is ``paused``) they queue, to go
+    out ahead of the first snapshot offered after it does; when the
+    queue is full the *new* snapshot is dropped and counted, and the
+    next frame that does go out carries the cumulative ``dropped``
+    total. ``offer`` runs on the event loop only, so the counters need
+    no lock; the unsubscribe handler merely reads them for its
+    accounting reply.
+    """
+
+    __slots__ = ("conn", "capacity", "queue", "sent", "dropped")
+
+    def __init__(self, conn: _Connection, capacity: int) -> None:
+        self.conn = conn
         self.capacity = capacity
-        self.queue: asyncio.Queue = asyncio.Queue(maxsize=capacity)
+        self.queue: Deque[Dict[str, Any]] = deque()
         self.sent = 0
         self.dropped = 0
-        self.task: Optional[asyncio.Task] = None
 
     def offer(self, snapshot: Dict[str, Any]) -> bool:
-        """Enqueue for delivery; False (and counted) when full."""
-        try:
-            self.queue.put_nowait(snapshot)
-            return True
-        except asyncio.QueueFull:
+        """Deliver, behind what is queued; False (and counted) when the
+        peer is not reading and the queue is full."""
+        conn = self.conn
+        if conn.paused and len(self.queue) >= self.capacity:
             self.dropped += 1
             return False
+        self.queue.append(snapshot)
+        while self.queue and not conn.paused:
+            snapshot = self.queue.popleft()
+            frame = {
+                "push": "obs",
+                "seq": snapshot["seq"],
+                "dropped": self.dropped,
+                "snapshot": snapshot,
+            }
+            try:
+                data = encode_frame(frame)
+            except FrameTooLarge:
+                # The snapshot outgrew the frame cap: skip it, keep the
+                # connection's request/response framing intact.
+                self.dropped += 1
+                continue
+            conn.write(data)
+            self.sent += 1
+            conn.server._count("tardis_net_server_obs_frames_total", "obs_frames_total")
+            conn.server._count("tardis_net_server_bytes_out_total", "bytes_out", len(data))
+        return True
 
 
 class TardisServer:
@@ -163,8 +373,8 @@ class TardisServer:
             max_workers=1, thread_name_prefix="tardis-store"
         )
         self._lock = threading.Lock()
-        #: connection id -> its protocol state and its socket.
-        self._conns: Dict[int, Tuple[WireSession, asyncio.StreamWriter]] = {}
+        #: connection id -> the live connection (until its cleanup ran).
+        self._conns: Dict[int, _Connection] = {}
         self._session_names: Set[str] = set()
         #: every session name this server ever bound; the shutdown report
         #: counts the ones still present in the store as leaks.
@@ -188,7 +398,6 @@ class TardisServer:
             "obs_frames_total": 0,
             "obs_frames_dropped": 0,
         }
-        self._tasks: Set[asyncio.Task] = set()
         self.report: Optional[Dict[str, Any]] = None
         # -- live ops plane (docs/internals.md §14) ------------------------
         #: wall seconds between sampler ticks; None leaves the sampler
@@ -213,11 +422,11 @@ class TardisServer:
 
     async def start(self) -> "TardisServer":
         """Bind and start accepting; ``self.port`` holds the real port."""
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port
+        self._loop = asyncio.get_running_loop()
+        self._server = await self._loop.create_server(
+            lambda: _Connection(self), self.host, self.port
         )
         self.port = self._server.sockets[0].getsockname()[1]
-        self._loop = asyncio.get_running_loop()
         if self.obs_sample_interval is not None and self.obs_sample_interval > 0:
             self._obs_task = self._loop.create_task(self._obs_loop())
         return self
@@ -234,7 +443,8 @@ class TardisServer:
         2. Wait up to ``drain_timeout`` for in-flight requests and open
            transactions to finish.
         3. Force-close surviving connections; their cleanup aborts open
-           transactions and closes their sessions.
+           transactions and closes their sessions. Wait for every
+           connection's cleanup, then join the store executor off-loop.
 
         Returns (and stores in ``self.report``) a summary including the
         sessions the server leaked — an empty list on a clean drain.
@@ -244,53 +454,34 @@ class TardisServer:
         self._closing = True
         if self._server is not None:
             self._server.close()
-            await self._server.wait_closed()
         # Stop the live ops plane first: the sampler must not hop onto
-        # the executor after it shuts down, and subscriber writer tasks
-        # must not race the force-close below.
-        obs_tasks: List[asyncio.Task] = []
+        # the executor after it shuts down.
         if self._obs_task is not None:
             self._obs_task.cancel()
-            obs_tasks.append(self._obs_task)
+            await asyncio.wait([self._obs_task], timeout=2.0)
             self._obs_task = None
         with self._lock:
-            subs = list(self._obs_subs.values())
             self._obs_subs.clear()
-        for sub in subs:
-            if sub.task is not None:
-                sub.task.cancel()
-                obs_tasks.append(sub.task)
-        if obs_tasks:
-            await asyncio.wait(obs_tasks, timeout=2.0)
-        loop = asyncio.get_running_loop()
-        deadline = loop.time() + (
-            self.drain_timeout if drain_timeout is None else drain_timeout
+        drained = await self._poll(
+            lambda: not self._inflight
+            and not any(conn.session.txns for conn in self._conns.values()),  # type: ignore[union-attr]
+            self.drain_timeout if drain_timeout is None else drain_timeout,
         )
-        drained = False
-        while True:
-            with self._lock:
-                busy = self._inflight > 0 or any(
-                    session.txns for session, _writer in self._conns.values()
-                )
-            if not busy:
-                drained = True
-                break
-            if loop.time() >= deadline:
-                break
-            await asyncio.sleep(0.01)
         with self._lock:
             survivors = list(self._conns.values())
-        for _session, writer in survivors:
-            writer.close()
-        if self._tasks:
-            await asyncio.wait(list(self._tasks), timeout=5.0)
-        self._executor.shutdown(wait=True)
+        for conn in survivors:
+            conn.transport.abort()  # a peer that is not reading cannot hold the close up
+        # Every connection_lost has submitted its cleanup once _conns is
+        # empty; a handler slower than this wait is joined below anyway.
+        await self._poll(lambda: not self._conns, 5.0)
+        loop = asyncio.get_running_loop()
+        await loop.run_in_executor(None, self._executor.shutdown)
         with self._lock:
             leaked = sorted(
                 name
                 for name in self._owned_sessions
-                # Executor already drained (shutdown(wait=True) above): the
-                # store is quiesced, there is no serialization to bypass.
+                # Executor already joined (above): the store is quiesced,
+                # there is no serialization to bypass.
                 if any(s.name == name for s in self.store.sessions())  # tardis: ignore[async-discipline]
             )
             report: Dict[str, Any] = dict(self._stats)
@@ -303,64 +494,40 @@ class TardisServer:
         # any that had to be force-killed count as leaks in the report.
         leaked_workers = 0
         if self._owns_store:
-            # Executor drained above: teardown is single-threaded by now.
+            # Executor joined above: teardown is single-threaded by now.
             self.store.close()  # tardis: ignore[async-discipline]
             leaked_workers = self.store.leaked_workers
         report["leaked_workers"] = leaked_workers
         self.report = report
         return report
 
-    # -- connection handling ----------------------------------------------
+    async def _poll(self, done: Callable[[], bool], timeout: float) -> bool:
+        """Wait up to ``timeout`` for ``done()`` (evaluated under the lock)."""
+        loop = asyncio.get_running_loop()
+        deadline = loop.time() + timeout
+        while True:
+            with self._lock:
+                if done():
+                    return True
+            if loop.time() >= deadline:
+                return False
+            await asyncio.sleep(0.01)
 
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        assert task is not None
-        self._tasks.add(task)  # shutdown waits for these
-        task.add_done_callback(self._tasks.discard)
-        with self._lock:
-            rejected = self._closing or len(self._conns) >= self.max_connections
-            if not rejected:
-                session = WireSession(self, self._next_conn_id)
-                self._next_conn_id += 1
-                self._conns[session.id] = (session, writer)
-        if rejected:
-            self._count(None, "connections_rejected")
-            code = "SHUTTING_DOWN" if self._closing else "SERVER_BUSY"
-            await self._send(writer, error_response(None, code))
-            writer.close()
-            return
-        self._count("tardis_net_server_connections_total", "connections_total")
-        self._gauge_connections()
-        # The server's one read loop; the frame cap is checked by the
-        # decoder before a payload is buffered.
-        decoder = FrameDecoder()
-        try:
-            while True:
-                message = None
-                try:
-                    message = decoder.next_frame()
-                except ProtocolError as exc:
-                    # Framing is lost: answer once, then drop the link.
-                    too_large = isinstance(exc, FrameTooLarge)
-                    code = "FRAME_TOO_LARGE" if too_large else "BAD_FRAME"
-                    await self._send(writer, error_response(None, code, str(exc)))
-                    break
-                if message is None:
-                    data = await reader.read(65536)
-                    if not data:
-                        break  # EOF
-                    self._count("tardis_net_server_bytes_in_total", "bytes_in", len(data))
-                    decoder.feed(data)
-                    continue
-                await self._send(writer, await self._dispatch(session, message))
-                if message.get("op") == "BYE":
-                    break
-        except (asyncio.CancelledError, OSError):
-            pass  # peer reset / broken pipe, or the server is stopping
-        finally:
-            await self._teardown_connection(session, writer)
+    def _submit(self, job: Callable[..., Any], *args: Any) -> None:
+        """Run ``job`` on the store executor with nobody waiting for it;
+        should it raise, the loop's exception handler hears of it."""
+        loop = self._loop
+        assert loop is not None
+
+        def done(future: "Future[Any]") -> None:
+            exc = future.exception()
+            if exc is not None:
+                context = {"message": "store-executor job failed", "exception": exc}
+                loop.call_soon_threadsafe(loop.call_exception_handler, context)
+
+        self._executor.submit(job, *args).add_done_callback(done)
+
+    # -- counters (the transport is _Connection, above) ---------------------
 
     def _count(self, metric: Optional[str], stat: str, n: int = 1) -> None:
         """Count ``n`` events in the stats dict (always on: STATS and the
@@ -372,54 +539,54 @@ class TardisServer:
         if metric is not None and m.enabled:
             m.inc(metric, n)
 
+    def _started(self, nbytes: int) -> None:
+        """A request left the decoder, ``nbytes`` read since the last one."""
+        with self._lock:
+            self._stats["requests_total"] += 1
+            self._stats["bytes_in"] += nbytes
+            self._inflight += 1
+        m = _met.DEFAULT
+        if m.enabled:
+            m.inc("tardis_net_server_requests_total")
+            m.inc("tardis_net_server_bytes_in_total", nbytes)
+
+    def _sent(self, nbytes: int, error: bool, answers: bool) -> None:
+        """A response frame is about to be written; ``answers``: the
+        request in flight ends with it."""
+        with self._lock:
+            self._stats["bytes_out"] += nbytes
+            if error:
+                self._stats["errors_total"] += 1
+            if answers:
+                self._inflight -= 1
+        m = _met.DEFAULT
+        if m.enabled:
+            m.inc("tardis_net_server_bytes_out_total", nbytes)
+            if error:
+                m.inc("tardis_net_server_errors_total")
+
+    def _observe(self, op: Optional[str], elapsed_ms: float) -> None:
+        """Record one request's latency: from leaving the decoder to its
+        answer being ready, before encode/write (event loop thread)."""
+        if op is not None:
+            hist = self._op_latency.get(op)
+            if hist is None:
+                hist = self._op_latency[op] = _met.Histogram(
+                    "tardis_net_server_request_ms@op=%s" % op
+                )
+            hist.record(elapsed_ms)
+        m = _met.DEFAULT
+        if m.enabled:
+            m.observe("tardis_net_server_request_ms", elapsed_ms)
+            if op is not None:
+                m.observe("tardis_net_server_request_ms@op=%s" % op, elapsed_ms)
+
     def _gauge_connections(self) -> None:
         m = _met.DEFAULT
         if m.enabled:
             with self._lock:
                 active = len(self._conns)
             m.set_gauge("tardis_net_server_connections_active", active)
-
-    async def _send(
-        self, writer: asyncio.StreamWriter, response: Dict[str, Any]
-    ) -> None:
-        try:
-            frame = encode_frame(response)
-        except (TypeError, ValueError, FrameTooLarge):
-            # A stored value was not JSON-serializable (possible when the
-            # store is shared with in-process writers) or the response
-            # outgrew the frame cap: degrade to a typed error.
-            frame = encode_frame(
-                error_response(
-                    response.get("id"), "INTERNAL", "response not serializable"
-                )
-            )
-        self._count("tardis_net_server_bytes_out_total", "bytes_out", len(frame))
-        if not response.get("ok", False):
-            self._count("tardis_net_server_errors_total", "errors_total")
-        try:
-            writer.write(frame)
-            await writer.drain()
-        except OSError:
-            pass  # peer reset / broken pipe: the read loop sees the EOF
-
-    async def _teardown_connection(
-        self, session: WireSession, writer: asyncio.StreamWriter
-    ) -> None:
-        # Cleanup runs on the store executor like every other store
-        # access, so it serializes behind any still-running handler for
-        # this connection instead of racing it.
-        loop = asyncio.get_running_loop()
-        try:
-            await loop.run_in_executor(self._executor, self._cleanup_sync, session)
-        except RuntimeError:
-            # Executor already shut down (server stopped underneath us):
-            # clean up inline — the worker is gone, nothing races.
-            self._cleanup_sync(session)
-        try:
-            writer.close()
-        except OSError:
-            pass
-        self._gauge_connections()
 
     def _cleanup_sync(self, session: WireSession) -> None:
         """Disconnect cleanup (executor thread): abort, close, forget."""
@@ -428,13 +595,12 @@ class TardisServer:
             self._conns.pop(session.id, None)
             if session.session_name is not None:
                 self._session_names.discard(session.session_name)
-        # A subscriber that disconnected (politely or not) must not
-        # leak its writer task.
         self._unsubscribe_obs(session.id)
         if aborted:
             self._count(
                 "tardis_net_server_disconnect_aborts_total", "disconnect_aborts", aborted
             )
+        self._gauge_connections()
 
     # -- live ops plane (sampler task + push streams) ----------------------
 
@@ -514,119 +680,18 @@ class TardisServer:
         """OBS_SUBSCRIBE's transport half (called on the store executor):
         register the stream; True when one was already running."""
         with self._lock:
-            sub = self._obs_subs.get(conn_id)
-            resumed = sub is not None
-            if sub is None:
-                writer = self._conns[conn_id][1]
-                sub = _ObsSubscription(conn_id, writer, OBS_QUEUE_FRAMES)
-                self._obs_subs[conn_id] = sub
-        # The writer task must be created on the event loop thread.
-        assert self._loop is not None
-        self._loop.call_soon_threadsafe(self._ensure_sub_writer, sub)
+            resumed = conn_id in self._obs_subs
+            if not resumed:
+                self._obs_subs[conn_id] = _ObsSubscription(
+                    self._conns[conn_id], OBS_QUEUE_FRAMES
+                )
         return resumed
 
     def _unsubscribe_obs(self, conn_id: int) -> Optional[_ObsSubscription]:
         """Drop ``conn_id``'s stream, if any (executor thread); returns
         it for the accounting reply."""
         with self._lock:
-            sub = self._obs_subs.pop(conn_id, None)
-        if sub is not None and self._loop is not None:
-            try:  # the cancel hops to the loop thread
-                self._loop.call_soon_threadsafe(self._cancel_sub_writer, sub)
-            except RuntimeError:
-                pass  # loop already closed (server stopping)
-        return sub
-
-    def _ensure_sub_writer(self, sub: _ObsSubscription) -> None:
-        """Start the writer task for ``sub`` (event loop thread)."""
-        with self._lock:
-            current = self._obs_subs.get(sub.conn_id)
-        if current is not sub:
-            return  # unsubscribed/disconnected before the task started
-        if sub.task is None and self._loop is not None:
-            sub.task = self._loop.create_task(self._sub_writer(sub))
-
-    def _cancel_sub_writer(self, sub: _ObsSubscription) -> None:
-        if sub.task is not None:
-            sub.task.cancel()
-
-    async def _sub_writer(self, sub: _ObsSubscription) -> None:
-        """Drain one subscription's queue onto its socket.
-
-        The socket (via ``drain``) throttles this task; the queue bound
-        plus drop counting in ``offer`` is what keeps a slow consumer
-        from buffering the server into the ground.
-        """
-        try:
-            while True:
-                snapshot = await sub.queue.get()
-                frame = {
-                    "push": "obs",
-                    "seq": snapshot["seq"],
-                    "dropped": sub.dropped,
-                    "snapshot": snapshot,
-                }
-                data = encode_frame(frame)
-                sub.writer.write(data)
-                await sub.writer.drain()
-                sub.sent += 1
-                self._count("tardis_net_server_obs_frames_total", "obs_frames_total")
-                self._count("tardis_net_server_bytes_out_total", "bytes_out", len(data))
-        except asyncio.CancelledError:
-            pass
-        except (OSError, FrameTooLarge):
-            # Socket gone (the connection teardown does the accounting)
-            # or a snapshot outgrew the frame cap: stop the stream, keep
-            # the connection's request/response framing intact.
-            pass
-
-    # -- request dispatch --------------------------------------------------
-
-    async def _dispatch(
-        self, session: WireSession, request: Dict[str, Any]
-    ) -> Dict[str, Any]:
-        """One request: hop to the store executor, under the timeout."""
-        op = request.get("op")
-        if not isinstance(op, str) or op not in OPS:
-            op = None  # answered UNKNOWN_OP; no per-op histogram
-        self._count("tardis_net_server_requests_total", "requests_total")
-        with self._lock:
-            self._inflight += 1
-        start = time.perf_counter()
-        loop = asyncio.get_running_loop()
-        try:
-            return await asyncio.wait_for(
-                loop.run_in_executor(self._executor, session.handle, request),
-                self.request_timeout,
-            )
-        except asyncio.TimeoutError:
-            self._count("tardis_net_server_timeouts_total", "timeouts_total")
-            # The handler may still be running, or yet to run. If it
-            # begins a transaction, nobody will learn its id: undo that
-            # behind it on the executor (serially, before this
-            # connection's next request).
-            try:
-                self._executor.submit(session.undo, request)
-            except RuntimeError:
-                pass  # executor shut down: disconnect cleanup covers it
-            message = "request exceeded %.3fs" % self.request_timeout
-            return error_response(request.get("id"), "TIMEOUT", message)
-        finally:
-            with self._lock:
-                self._inflight -= 1
-            elapsed_ms = (time.perf_counter() - start) * 1000.0
-            if op is not None:
-                hist = self._op_latency.get(op)
-                if hist is None:
-                    hist = self._op_latency[op] = _met.Histogram(
-                        "tardis_net_server_request_ms@op=%s" % op
-                    )
-                hist.record(elapsed_ms)
-            m = _met.DEFAULT
-            if m.enabled:
-                m.observe("tardis_net_server_request_ms", elapsed_ms)
-                if op is not None:
-                    m.observe("tardis_net_server_request_ms@op=%s" % op, elapsed_ms)
+            return self._obs_subs.pop(conn_id, None)
 
 
 # ---------------------------------------------------------------------------

@@ -141,6 +141,74 @@ class TestAsyncStoreCalls:
         )
 
 
+class TestProtocolCallbacksAreLoopContext:
+    """A transport's callbacks are plain ``def``s on the loop thread."""
+
+    def test_store_call_in_buffer_updated(self):
+        (finding,) = _findings(
+            AsyncDisciplineRule(),
+            """
+            import asyncio
+
+            class Connection(asyncio.BufferedProtocol):
+                def buffer_updated(self, nbytes):
+                    self.txn = self.server.store.begin()
+            """,
+        )
+        assert "self.server.store.begin" in finding.message
+        assert "executor" in finding.message
+
+    def test_same_call_inside_the_function_handed_to_submit_is_fine(self):
+        assert not _findings(
+            AsyncDisciplineRule(),
+            """
+            import asyncio
+
+            class Connection(asyncio.BufferedProtocol):
+                def buffer_updated(self, nbytes):
+                    def work():
+                        return self.server.store.begin()
+                    self.server._executor.submit(work)
+                    self.server._executor.submit(lambda: self.store.begin())
+                    self.server._executor.submit(self.server.store.begin)
+            """,
+        )
+
+    def test_blocking_call_in_data_received(self):
+        (finding,) = _findings(
+            AsyncDisciplineRule(),
+            """
+            import time
+            from asyncio import Protocol
+
+            class Connection(Protocol):
+                def data_received(self, data):
+                    time.sleep(0.1)
+            """,
+        )
+        assert "time.sleep" in finding.message
+
+    def test_plain_class_methods_stay_out_of_scope(self):
+        assert not _findings(
+            AsyncDisciplineRule(),
+            """
+            import time
+
+            class Protocol:
+                pass
+
+            class Session(WireProtocol):
+                def handle(self):
+                    time.sleep(0.1)
+                    return self.store.begin()
+
+            class Other(mylib.Protocol):
+                def handle(self):
+                    return self.store.begin()
+            """,
+        )
+
+
 class TestAwaitUnderLock:
     GUARDED = """
         import asyncio

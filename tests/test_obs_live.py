@@ -327,10 +327,13 @@ class TestObsSubscribe:
             client.subscribe_obs()
             assert _wait_until(lambda: len(server._obs_subs) == 1)
             sub = next(iter(server._obs_subs.values()))
-            # Stall the delivery side: cancel the writer task so the
-            # bounded queue fills and the sampler starts dropping.
-            served_live.loop.call_soon_threadsafe(server._cancel_sub_writer, sub)
+            # Stall the delivery side as a peer that stops reading does
+            # (the transport pauses the connection): the bounded queue
+            # fills and the sampler starts dropping.
+            served_live.loop.call_soon_threadsafe(sub.conn.pause_writing)
             assert _wait_until(lambda: sub.dropped > 0)
+            assert len(sub.queue) == sub.capacity
+            served_live.loop.call_soon_threadsafe(sub.conn.resume_writing)
             accounting = client.unsubscribe_obs()
             assert accounting["dropped"] > 0
             assert client.stats()["obs_frames_dropped"] > 0
@@ -347,21 +350,18 @@ class TestObsSubscribe:
         assert report["leaked_sessions"] == []
 
     def test_subscription_drop_policy_unit(self):
-        class _Writer:
-            pass
+        from repro.server.server import _ObsSubscription
 
-        async def scenario():
-            from repro.server.server import _ObsSubscription
+        class _StalledConnection:
+            paused = True  # the peer is not reading
 
-            sub = _ObsSubscription(1, _Writer(), capacity=2)
-            assert sub.offer({"seq": 1}) is True
-            assert sub.offer({"seq": 2}) is True
-            assert sub.offer({"seq": 3}) is False  # full: dropped
-            assert sub.offer({"seq": 4}) is False
-            assert sub.dropped == 2
-            assert (await sub.queue.get())["seq"] == 1
-
-        asyncio.run(scenario())
+        sub = _ObsSubscription(_StalledConnection(), capacity=2)
+        assert sub.offer({"seq": 1}) is True
+        assert sub.offer({"seq": 2}) is True
+        assert sub.offer({"seq": 3}) is False  # full: dropped
+        assert sub.offer({"seq": 4}) is False
+        assert sub.dropped == 2
+        assert sub.queue.popleft()["seq"] == 1
 
 
 class TestAsyncClientObs:

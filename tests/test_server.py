@@ -3,6 +3,7 @@ disconnect cleanup, graceful shutdown, and the wire error paths."""
 
 import asyncio
 import socket
+import struct
 import threading
 import time
 
@@ -20,7 +21,7 @@ from repro.errors import (
     TransactionClosed,
 )
 from repro.server import start_in_thread
-from repro.server.protocol import HEADER, MAX_FRAME, FrameDecoder
+from repro.server.protocol import HEADER, MAX_FRAME, FrameDecoder, encode_frame
 
 
 def _wait_until(predicate, timeout=5.0, interval=0.02):
@@ -336,15 +337,44 @@ class TestGracefulShutdown:
     def test_drain_timeout_force_closes_and_still_leaks_nothing(self):
         handle = start_in_thread(site="force-test", drain_timeout=0.2)
         client = TardisClient(port=handle.port, session="straggler")
-        straggler = client.begin()
-        straggler.put("x", 1)
-        assert straggler.get("x") == 1  # on the server, left open on purpose
-        report = handle.stop()
+        try:
+            straggler = client.begin()
+            straggler.put("x", 1)
+            assert straggler.get("x") == 1  # on the server, left open on purpose
+            report = handle.stop()
+        finally:
+            client.close()
         assert report["drained_in_time"] is False
         assert report["forced_closes"] >= 1
         assert report["leaked_sessions"] == []
         assert report["disconnect_aborts"] >= 1
         assert handle.server.store.sessions() == []
+
+    def test_the_loop_keeps_turning_while_shutdown_waits_a_slow_handler_out(self):
+        handle = start_in_thread(site="join-test", drain_timeout=0.05)
+        server, store = handle.server, handle.server.store
+        gaps = []
+
+        def tick(last):  # on the loop: how long between two turns of it
+            now = time.perf_counter()
+            gaps.append(now - last)
+            if server.report is None:
+                handle.loop.call_later(0.01, tick, now)
+
+        original = TestAbandonedRequest._slow_begin(store, 0.6)
+        try:
+            with _Raw(handle.port) as raw:
+                raw.send({"id": 1, "op": "BEGIN"})
+                assert _wait_until(lambda: server._inflight == 1)
+                handle.loop.call_soon_threadsafe(tick, time.perf_counter())
+                report = handle.stop()  # waits the slow handler out
+        finally:
+            store.begin = original
+        assert report["drained_in_time"] is False
+        assert report["leaked_sessions"] == []
+        assert store.sessions() == []
+        # The loop kept turning (TIMEOUTs, connection_lost) meanwhile.
+        assert len(gaps) > 10 and max(gaps) < 0.3
 
     def test_new_connections_rejected_while_draining(self):
         handle = start_in_thread(site="reject-test", drain_timeout=5.0)
@@ -1012,3 +1042,223 @@ class TestTimedOutBegin:
             client.close()
         assert report["drained_in_time"] is True
         assert report["leaked_sessions"] == []
+
+    def test_a_late_answer_is_dropped_and_the_next_request_keeps_its_id(self):
+        handle = start_in_thread(site="late-test", request_timeout=0.1)
+        store = handle.server.store
+        try:
+            with _Raw(handle.port) as raw:
+                original = TestAbandonedRequest._slow_begin(store, 0.3)
+                try:
+                    answer = raw.ask({"id": 7, "op": "BEGIN"})
+                finally:
+                    store.begin = original
+                assert answer["id"] == 7
+                assert answer["error"]["code"] == "TIMEOUT"
+                time.sleep(0.35)  # the handler finishes: its answer goes nowhere
+                # Exactly one frame answered 7: a second would be read here.
+                stats = raw.ask({"id": 8, "op": "STATS"})
+                assert stats["id"] == 8 and stats["ok"] is True
+                assert stats["stats"]["open_txns"] == 0
+                assert stats["stats"]["timeouts_total"] == 1
+                assert stats["stats"]["inflight"] == 1  # this STATS itself
+        finally:
+            report = handle.stop(drain_timeout=1.0)
+        assert report["drained_in_time"] is True
+        assert report["leaked_sessions"] == []
+
+
+# ---------------------------------------------------------------------------
+# A constructor whose HELLO is refused gives the server its slot back.
+
+
+class TestRefusedHello:
+    def test_sync_constructor_closes_its_socket(self, served):
+        with TardisClient(port=served.port, session="solo") as holder:
+            before = holder.stats()["connections_active"]
+            # exc_info keeps the half-built client alive: no GC closes it.
+            with pytest.raises(ServerError) as exc_info:
+                TardisClient(port=served.port, session="solo")
+            assert exc_info.value.code == "SESSION_IN_USE"
+            assert _wait_until(
+                lambda: holder.stats()["connections_active"] == before
+            ), "the refused constructor left its socket open"
+
+    def test_async_connect_closes_its_writer(self, served):
+        async def _go():
+            holder = await AsyncTardisClient.connect(port=served.port, session="solo")
+            before = (await holder.stats())["connections_active"]
+            with pytest.raises(ServerError) as exc_info:
+                await AsyncTardisClient.connect(port=served.port, session="solo")
+            assert exc_info.value.code == "SESSION_IN_USE"
+            for _ in range(100):
+                if (await holder.stats())["connections_active"] == before:
+                    break
+                await asyncio.sleep(0.02)
+            else:
+                pytest.fail("the refused connect left its writer open")
+            await holder.close()
+
+        asyncio.run(_go())
+
+
+# ---------------------------------------------------------------------------
+# What the stream reader/writer used to give for free, pinned against the
+# callback transport with raw sockets.
+
+
+class _Raw:
+    """A raw socket speaking frames: what a client library would hide."""
+
+    def __init__(self, port, session=None, hello=True, rcvbuf=None):
+        self.sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        if rcvbuf is not None:  # before connect: it bounds the window
+            self.sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, rcvbuf)
+        self.sock.settimeout(5.0)
+        self.sock.connect(("127.0.0.1", port))
+        self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self.decoder = FrameDecoder()
+        if hello:
+            assert self.ask({"id": 0, "op": "HELLO", "session": session})["ok"]
+
+    def send(self, *requests):
+        self.sock.sendall(b"".join(encode_frame(r) for r in requests))
+
+    def frame(self):
+        """The next frame the server wrote, or None at EOF."""
+        while True:
+            frame = self.decoder.next_frame()
+            if frame is not None:
+                return frame
+            data = self.sock.recv(65536)
+            if not data:
+                return None
+            self.decoder.feed(data)
+
+    def ask(self, request):
+        self.send(request)
+        return self.frame()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.sock.close()
+
+
+class TestCallbackTransport:
+    def test_fifty_requests_in_one_sendall_are_answered_in_order(self, served):
+        with _Raw(served.port) as raw:
+            requests = [{"id": 1, "op": "BEGIN"}]
+            requests += [
+                {"id": i, "op": "WRITE", "txn": 1, "key": "k%d" % i, "value": i}
+                for i in range(2, 50)
+            ]
+            requests.append({"id": 50, "op": "COMMIT", "txn": 1})
+            raw.send(*requests)
+            answers = [raw.frame() for _ in requests]
+        assert [a["id"] for a in answers] == list(range(1, 51))
+        assert all(a["ok"] for a in answers)
+        with TardisClient(port=served.port) as client:
+            assert client.get_many(["k2", "k49"]) == [2, 49]
+
+    def test_a_frame_delivered_one_byte_per_send_decodes(self, served):
+        with _Raw(served.port, hello=False) as raw:
+            for byte in encode_frame({"id": 9, "op": "HELLO", "session": "drip"}):
+                raw.sock.send(bytes([byte]))
+            answer = raw.frame()
+        assert answer["id"] == 9 and answer["session"] == "drip"
+
+    def test_half_close_still_gets_every_answer_then_eof(self, served):
+        with _Raw(served.port) as raw:
+            raw.send(
+                {"id": 1, "op": "BEGIN"},
+                {"id": 2, "op": "WRITE", "txn": 1, "key": "x", "value": 1},
+                {"id": 3, "op": "COMMIT", "txn": 1},
+            )
+            raw.sock.shutdown(socket.SHUT_WR)
+            answers = [raw.frame() for _ in range(3)]
+            assert [a["id"] for a in answers] == [1, 2, 3]
+            assert all(a["ok"] for a in answers)
+            assert raw.frame() is None  # then the server closes its half
+        assert _wait_until(lambda: served.server.store.sessions() == [])
+
+    def test_a_peer_that_never_reads_stalls_only_itself(self, served):
+        server = served.server
+        keys = ["big%d" % i for i in range(16)]
+        with TardisClient(port=served.port, session="other") as other:
+            txn = other.begin()
+            for key in keys:
+                txn.put(key, "v" * 32768)  # one READ_MANY answer: ~512 KiB
+            txn.commit()
+            with _Raw(served.port, session="deaf", rcvbuf=65536) as raw:
+                assert raw.ask({"id": 1, "op": "BEGIN", "read_only": True})["txn"] == 1
+                (conn,) = [
+                    c for c in server._conns.values()
+                    if c.session.session_name == "deaf"
+                ]
+                pipelined = 40  # ~20 MiB of answers: no socket buffer holds that
+                raw.send(*[
+                    {"id": 2 + i, "op": "READ_MANY", "txn": 1, "keys": keys}
+                    for i in range(pipelined)
+                ])
+                assert _wait_until(lambda: conn.paused and server._inflight == 0)
+                started = server._stats["requests_total"]
+                time.sleep(0.2)
+                # Paused: nothing more of this connection is started, and
+                # what is buffered is one answer past the high-water mark.
+                assert server._stats["requests_total"] == started
+                assert conn.decoder.pending() > 0
+                high_water = conn.transport.get_write_buffer_limits()[1]
+                assert conn.transport.get_write_buffer_size() <= high_water + MAX_FRAME + 4
+                # Everybody else is served meanwhile.
+                other.put("small", 1)
+                assert other.get("small") == 1
+                # Once the peer reads, the rest is started and answered.
+                ids = [raw.frame()["id"] for _ in range(pipelined)]
+                assert ids == list(range(2, 2 + pipelined))
+                assert not conn.paused
+            assert _wait_until(
+                lambda: [s.name for s in server.store.sessions()] == ["other"]
+            )
+
+    @pytest.mark.parametrize("reset", [False, True])
+    def test_a_socket_dropped_while_its_handler_runs_leaks_nothing(self, served, reset):
+        server, store = served.server, served.server.store
+        raw = _Raw(served.port, session="dropper")
+        original = TestAbandonedRequest._slow_begin(store, 0.3)
+        try:
+            raw.send({"id": 1, "op": "READ", "begin": {}, "key": "x"})
+            assert _wait_until(lambda: server._inflight == 1)
+            if reset:  # RST instead of FIN: connection_lost comes at once
+                linger = struct.pack("ii", 1, 0)
+                raw.sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, linger)
+            raw.sock.close()
+            # Cleanup queues behind the handler: the session is still
+            # there while it runs, and gone (with its txn) after.
+            assert any(s.name == "dropper" for s in store.sessions())
+        finally:
+            time.sleep(0.35)
+            store.begin = original
+        assert _wait_until(lambda: store.sessions() == [])
+        assert _wait_until(lambda: server._inflight == 0 and not server._conns)
+        assert _total_pins(store) == 0
+        assert TestAbandonedRequest._open_txns(served.port) == 0
+        assert server._stats["disconnect_aborts"] == 1
+
+    def test_refusals_are_answered_before_the_close(self):
+        handle = start_in_thread(site="cap-test", max_connections=1)
+        try:
+            with TardisClient(port=handle.port, session="holder") as holder:
+                with _Raw(handle.port, hello=False) as extra:
+                    refusal = extra.frame()
+                    assert refusal["error"]["code"] == "SERVER_BUSY"
+                    assert extra.frame() is None
+                assert holder.stats()["connections_rejected"] == 1
+            assert _wait_until(lambda: not handle.server._conns)
+            with _Raw(handle.port, hello=False) as raw:
+                raw.sock.sendall(HEADER.pack(MAX_FRAME + 1))
+                assert raw.frame()["error"]["code"] == "FRAME_TOO_LARGE"
+                assert raw.frame() is None
+        finally:
+            handle.stop()
