@@ -12,10 +12,12 @@ concurrent tasks on a single client — open one client per task::
     await txn.commit()
     await client.close()
 
-As on the sync client a transaction is two round trips: ``begin``,
-``put`` and ``delete`` send nothing (they return an already-completed
-awaitable) and ride on the transaction's next request, so the snapshot
-is chosen when the first operation reaches the server.
+As on the sync client a transaction is at most two round trips:
+``begin``, ``put`` and ``delete`` send nothing (they return an
+already-completed awaitable) and ride on the transaction's next request,
+so the snapshot is chosen when the first operation reaches the server.
+A transaction that wrote nothing is one: ``commit()`` is completed too,
+with the read state; the connection's next frame tells the server.
 
 A call cancelled or timed out (``asyncio.wait_for``) before its answer
 arrives closes the client, as a socket timeout does the sync one.

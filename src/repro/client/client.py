@@ -18,15 +18,21 @@ Requests on one connection are answered strictly in order, so the
 client is a simple send-one/read-one loop; one ``TardisClient`` must not
 be shared across threads (open one per thread — sessions are cheap).
 
-A transaction costs two round trips, not one per call: ``begin()`` sends
-nothing and ``put``/``delete`` only buffer; the BEGIN and the buffered
-writes ride on the transaction's next request (a read, or the commit).
-So **the snapshot is chosen when the first operation reaches the server,
-not when** ``begin()`` **returns** (``read_state`` is ``None`` until
-then), and what BEGIN can raise (``SHUTTING_DOWN``, ``BEGIN_FAILED``,
-``BAD_CONSTRAINT``, a timeout) comes from that first call — which then
-fails as a unit: nothing stays open on the server, the handle is
-``aborted``.
+A transaction costs at most two round trips, not one per call:
+``begin()`` sends nothing and ``put``/``delete`` only buffer; the begin
+and the buffered writes ride on the transaction's next request (a read,
+or the commit). So **the snapshot is chosen when the first operation
+reaches the server, not when** ``begin()`` **returns** (``read_state``
+is ``None`` until then), and what the begin can raise
+(``SHUTTING_DOWN``, ``BEGIN_FAILED``, ``BAD_CONSTRAINT``, a timeout)
+comes from that first call — which then fails as a unit: nothing stays
+open on the server, the handle is ``aborted``.
+
+A transaction that wrote nothing is one round trip: ``commit()`` on it
+(begin answered, no end constraint named) sends nothing, cannot raise and
+returns the read state (``commit_state == read_state``: it adds no state).
+The server learns with this connection's next frame, or its disconnect;
+until then it counts the transaction open, one pin on its read state.
 
 Every call is written once, here, over ``self._call(op, fields,
 parse)``: it returns the parsed value on :class:`TardisClient` and an
@@ -86,13 +92,12 @@ class _BaseClientTransaction:
     """The calls and bookkeeping of every transaction handle, sync or
     async (each call returns what the client's ``_call`` returns)."""
 
-    #: a read-only handle refuses ``put``/``delete`` without a frame.
-    read_only = False
-
     def __init__(
         self, client: "_BaseClient", txn_id: Optional[int], begin: Optional[_Json] = None
     ) -> None:
         self._client = client
+        #: a read-only handle refuses ``put``/``delete`` without a frame.
+        self.read_only = bool(begin and begin["read_only"])
         #: the server's id for the transaction; None until it has
         #: answered the request that carried the BEGIN.
         self._txn_id = txn_id
@@ -101,6 +106,10 @@ class _BaseClientTransaction:
         #: ``put``/``delete`` since the last request: the next one
         #: carries them, and the server applies them before it acts.
         self._writes: List[_Json] = []
+        self._wrote = False  # ``put``/``delete`` ever buffered anything
+        #: state id repr of the snapshot a single-mode transaction reads;
+        #: None on a merge handle, and until the first request is answered.
+        self.read_state: Optional[str] = None
         self.status = "active"
         #: state id repr of the commit state, once committed.
         self.commit_state: Optional[str] = None
@@ -205,6 +214,7 @@ class _BaseClientTransaction:
         if self.read_only:
             raise exception_for(error_response(None, "READ_ONLY"))
         self._writes.append(write)
+        self._wrote = True
         return self._client._ready(None)
 
     def put(self, key: Any, value: Any) -> Any:
@@ -217,15 +227,22 @@ class _BaseClientTransaction:
         """Commit; returns the commit state's id repr. The handle turns
         ``aborted`` only when the server says the transaction is over
         (or never opened: a failed first request) — any other error
-        (``BAD_CONSTRAINT``...) leaves it ``active``."""
-        fields: Dict[str, Any] = {}
-        if constraint is not None:
-            fields["constraint"] = constraint
+        (``BAD_CONSTRAINT``...) leaves it ``active``. Write-free, begun and
+        naming no constraint, the answer is the read state held (§6.1.4: no
+        state, no conflict); the connection's next frame tells the server."""
 
         def parse(response: _Json) -> str:
             self.status = "committed"
             self.commit_state = response["commit_state"]
             return response["commit_state"]
+
+        if constraint is None and self.read_state is not None and not self._wrote:
+            self._check_active()
+            self._client._closed.append(self._txn_id)
+            return self._client._ready(parse({"commit_state": self.read_state}))
+        fields: Dict[str, Any] = {}
+        if constraint is not None:
+            fields["constraint"] = constraint
 
         def on_error(exc: BaseException) -> None:
             if isinstance(exc, (TransactionAborted, TransactionClosed)):
@@ -251,14 +268,7 @@ class _BaseClientTransaction:
 
 
 class _SingleMode(_BaseClientTransaction):
-    """What a single-mode handle knows: the snapshot it reads."""
-
-    def __init__(self, client: "_BaseClient", begin: _Json) -> None:
-        super().__init__(client, None, begin)
-        self.read_only = bool(begin["read_only"])
-        #: state id repr of the snapshot this transaction reads; None
-        #: until its first request is answered (the server picks it then).
-        self.read_state: Optional[str] = None
+    """A single-mode handle: it knows the snapshot it reads (``read_state``)."""
 
 
 class _MergeMode(_BaseClientTransaction):
@@ -311,6 +321,8 @@ class _BaseClient:
 
     def __init__(self) -> None:
         self._channel = ClientChannel()
+        #: write-free transactions committed locally since the last frame.
+        self._closed: List[int] = []
         #: the session name the server bound this connection to.
         self.session: Optional[str] = None
         #: the server's site name.
@@ -319,8 +331,13 @@ class _BaseClient:
     def _frame(self, op: str, fields: _Json) -> bytes:
         """Number and encode one request, before anything is sent: one
         that cannot be framed (value not JSON, over the cap) costs an
-        id, not the link."""
-        return encode_frame(self._channel.request(op, fields))
+        id, not the link, nor the ``closed`` list the next frame carries."""
+        message = self._channel.request(op, fields)
+        if self._closed:
+            message["closed"] = self._closed
+        frame = encode_frame(message)
+        self._closed = []
+        return frame
 
     def _call(
         self, op: str, fields: _Json, parse: _Parse, on_error: _OnError = None
@@ -361,7 +378,7 @@ class _BaseClient:
         fields: Dict[str, Any] = {"read_only": read_only}
         if constraint is not None:
             fields["constraint"] = constraint
-        return self._ready(self._txn_class(self, fields))
+        return self._ready(self._txn_class(self, None, fields))
 
     def merge(self) -> Any:
         """Start a merge transaction over the current branch heads."""

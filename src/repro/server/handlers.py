@@ -14,11 +14,13 @@ validate everything that arrives from outside before it reaches the
 store and raise :class:`RequestError` for a typed wire error.
 
 A transaction costs a client two requests, not one per call: any op
-that names a transaction may carry ``begin`` (the BEGIN fields, in place
+that names a transaction may carry ``begin`` (the begin fields, in place
 of ``txn``) and ``writes`` (a batch of WRITEs), and
 :meth:`WireSession.txn` — the one place such ops get their transaction —
-runs both before the op itself. ``BEGIN`` and ``WRITE`` remain as the
-one-op spelling of the same two functions.
+runs both before the op itself (``WRITE`` is the one-op spelling of
+``writes``). A write-free transaction costs one: any request may carry
+``closed``, the ids of those its client committed locally, and
+:meth:`WireSession.handle` commits them before the op runs.
 """
 
 from __future__ import annotations
@@ -40,9 +42,9 @@ from repro.server.protocol import (
 if TYPE_CHECKING:
     from repro.server.server import TardisServer
 
-__all__ = ["HANDLERS", "RequestError", "WireSession"]
+__all__ = ["HANDLERS", "RequestError", "WireSession", "holds_work"]
 
-#: begin-constraint names accepted by BEGIN (Table 1 of the paper).
+#: begin-constraint names accepted by ``begin`` (Table 1 of the paper).
 BEGIN_CONSTRAINTS: Dict[str, Callable[[], constraints.Constraint]] = {
     "ancestor": constraints.AncestorConstraint,
     "any": constraints.AnyConstraint,
@@ -118,6 +120,8 @@ class WireSession:
                 raise RequestError("UNKNOWN_OP", "op=%r" % (op,))
             if not self.hello_done and op != "HELLO":
                 raise RequestError("NO_HELLO", "say HELLO first")
+            if "closed" in request:
+                self.commit_closed(request["closed"])
             fields = handler(self.server, self, request)
             if self.began is not None:
                 fields.update(self.began[1])  # a piggy-backed begin answers here
@@ -144,6 +148,20 @@ class WireSession:
         if txn is not None and txn.status == ACTIVE:
             txn.abort()
             self.server._count(None, "aborts")
+
+    def commit_closed(self, closed: Any) -> None:
+        """A request's ``closed``: write-free single-mode transactions its
+        client committed locally. Checked whole, then committed ahead of the op
+        (so the anchor precedes its ``begin``); an id of nothing open is ignored."""
+        if not isinstance(closed, list) or any(type(i) is not int for i in closed):
+            raise RequestError("BAD_REQUEST", "closed must be a list of txn ids")
+        if any(i in self.txns and holds_work(self.txns[i]) for i in closed):
+            raise RequestError("BAD_REQUEST", "closed names a txn with writes or a merge")
+        for txn_id in closed:
+            txn = self.txns.pop(txn_id, None)
+            if txn is not None:
+                txn.commit()
+                self.server._count(None, "commits")
 
     def close(self) -> int:
         """Abort what is open and close the store session; returns how
@@ -187,6 +205,11 @@ class WireSession:
         self.txns[opened["txn"]] = txn
         self.began = (request, opened)
         return opened
+
+
+def holds_work(txn: BaseTransaction) -> bool:
+    """Has writes or is a merge: ``closed`` may not name it, a drain waits for it."""
+    return bool(txn.writes) or isinstance(txn, MergeTransaction)
 
 
 # -- input validation --------------------------------------------------------
@@ -270,13 +293,8 @@ def _hello(server: TardisServer, session: WireSession, request: _Json) -> _Json:
     return {"session": bound.name, "site": server.store.site, "protocol": PROTOCOL_VERSION}
 
 
-def _begin(
-    server: TardisServer, session: WireSession, request: _Json, fields: Optional[_Json] = None
-) -> _Json:
-    """BEGIN: as an op of its own (its fields are the request's), or
-    piggy-backed (``fields`` is the ``begin`` object of ``request``)."""
-    if fields is None:
-        fields = request
+def _begin(server: TardisServer, session: WireSession, request: _Json, fields: _Json) -> _Json:
+    """Begin the transaction ``request`` carries (``fields``: its ``begin`` object)."""
     _accepting(server)
     txn = server.store.begin(
         begin_constraint=_constraint(fields, "begin", BEGIN_CONSTRAINTS),
@@ -446,7 +464,6 @@ def _bye(server: TardisServer, session: WireSession, request: _Json) -> _Json:
 #: op -> handler. ``WireSession.handle`` is the only caller.
 HANDLERS: Dict[str, Callable[[TardisServer, WireSession, _Json], _Json]] = {
     "HELLO": _hello,
-    "BEGIN": _begin,
     "MERGE": _merge,
     "READ": _read,
     "READ_MANY": _read_many,

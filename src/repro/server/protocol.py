@@ -73,7 +73,8 @@ __all__ = [
 #: bumped on any incompatible change; HELLO negotiates (exact match).
 #: 2: a transaction's BEGIN and its buffered writes ride on its next
 #: request (``begin`` / ``writes``, docs/internals.md §12.2).
-PROTOCOL_VERSION = 2
+#: 3: a write-free commit rides on the next request (``closed``); no BEGIN op.
+PROTOCOL_VERSION = 3
 
 #: default cap on one frame's JSON payload, in bytes.
 MAX_FRAME = 1 << 20
@@ -85,7 +86,6 @@ HEADER = struct.Struct(">I")
 OPS = frozenset(
     {
         "HELLO",   # handshake: bind the connection to a client session
-        "BEGIN",   # start a single-mode transaction (or: ``begin`` on its first op)
         "READ",    # read a key inside a transaction
         "READ_MANY",  # read a batch of keys in one round trip
         "WRITE",   # buffer writes (or deletes) inside a transaction

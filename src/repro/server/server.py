@@ -78,7 +78,7 @@ from repro.core.store import TardisStore
 from repro.errors import FrameTooLarge, ProtocolError
 from repro.obs import metrics as _met
 from repro.obs.sampler import ObsSampler
-from repro.server.handlers import WireSession
+from repro.server.handlers import WireSession, holds_work
 from repro.server.protocol import OPS, FrameDecoder, encode_frame, error_response
 
 __all__ = ["TardisServer", "ServerThread", "start_in_thread", "run_server"]
@@ -438,10 +438,11 @@ class TardisServer:
     async def shutdown(self, drain_timeout: Optional[float] = None) -> Dict[str, Any]:
         """Graceful stop: drain in-flight work, close every session.
 
-        1. Stop accepting (the listening socket closes); new BEGIN/MERGE
-           requests on live connections get ``SHUTTING_DOWN``.
+        1. Stop accepting (the listening socket closes); a new ``begin``
+           or MERGE on a live connection gets ``SHUTTING_DOWN``.
         2. Wait up to ``drain_timeout`` for in-flight requests and open
-           transactions to finish.
+           transactions with writes (or merges): a write-free one may be
+           closed on an idle client already, and aborting it loses nothing.
         3. Force-close surviving connections; their cleanup aborts open
            transactions and closes their sessions. Wait for every
            connection's cleanup, then join the store executor off-loop.
@@ -464,7 +465,11 @@ class TardisServer:
             self._obs_subs.clear()
         drained = await self._poll(
             lambda: not self._inflight
-            and not any(conn.session.txns for conn in self._conns.values()),  # type: ignore[union-attr]
+            and not any(
+                holds_work(txn)  # ``txns`` changes on the executor thread: a snapshot
+                for conn in self._conns.values()
+                for txn in list(conn.session.txns.values())  # type: ignore[union-attr]
+            ),
             self.drain_timeout if drain_timeout is None else drain_timeout,
         )
         with self._lock:

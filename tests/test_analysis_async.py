@@ -703,6 +703,16 @@ class TestWireContract:
         assert "GONE_CODE" in findings[0].message
         assert findings[0].file == "docs/internals.md"
 
+    def test_a_deleted_op_re_added_to_the_docs_is_reported(self):
+        # Protocol version 3 deleted BEGIN: its §12.2 row without an OPS
+        # entry is exactly this.
+        stale = DOC_TEXT.replace("| `PING` | — | — |", "| `PING` | — | — |\n| `BEGIN` | — | — |")
+        findings = WireContractRule().check_project(_wire_project(doc=stale))
+        assert len(findings) == 1
+        assert "BEGIN" in findings[0].message
+        assert "not in the catalogue" in findings[0].message
+        assert findings[0].file == "docs/internals.md"
+
     def test_emitted_code_outside_catalogue(self):
         rogue = HANDLERS_SRC.replace('"BAD_REQUEST"', '"MADE_UP"')
         findings = WireContractRule().check_project(_wire_project(handlers=rogue))

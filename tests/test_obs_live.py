@@ -393,13 +393,13 @@ class TestAsyncClientObs:
 class TestSamplerOffEquivalence:
     SCRIPT = [
         {"op": "HELLO", "session": "oracle", "protocol": PROTOCOL_VERSION},
-        {"op": "BEGIN"},
-        {"op": "WRITE", "txn": 1, "key": "x", "value": 41},
+        {"op": "WRITE", "begin": {}, "key": "x", "value": 41},
         {"op": "COMMIT", "txn": 1},
-        {"op": "BEGIN", "read_only": True},
-        {"op": "READ", "txn": 2, "key": "x"},
+        {"op": "READ", "begin": {"read_only": True}, "key": "x"},
         {"op": "READ_MANY", "txn": 2, "keys": ["x", "missing"]},
-        {"op": "COMMIT", "txn": 2},
+        # txn 2's close rides on the frame that begins txn 3
+        {"op": "READ", "begin": {"read_only": True}, "closed": [2], "key": "x"},
+        {"op": "COMMIT", "txn": 3},
         {"op": "BYE"},
     ]
 

@@ -334,6 +334,25 @@ class TestGracefulShutdown:
         assert report["leaked_sessions"] == []
         assert report["commits"] == 1
 
+    def test_an_idle_client_whose_last_act_was_a_get_does_not_hold_the_drain(self):
+        # Its write-free transaction is closed on the client and still
+        # open on the server; aborting it with the force-close loses
+        # nothing, so the drain does not wait for a frame that may never
+        # come. (A transaction that holds writes does: next test.)
+        handle = start_in_thread(site="idle-test", drain_timeout=5.0)
+        client = TardisClient(port=handle.port, session="idle")
+        try:
+            assert client.get("x") is None
+            started = time.perf_counter()
+            report = handle.stop()
+            assert time.perf_counter() - started < 4.0
+        finally:
+            client.close()
+        assert report["drained_in_time"] is True
+        assert report["leaked_sessions"] == []
+        assert handle.server.store.sessions() == []
+        assert _total_pins(handle.server.store) == 0
+
     def test_drain_timeout_force_closes_and_still_leaks_nothing(self):
         handle = start_in_thread(site="force-test", drain_timeout=0.2)
         client = TardisClient(port=handle.port, session="straggler")
@@ -364,7 +383,7 @@ class TestGracefulShutdown:
         original = TestAbandonedRequest._slow_begin(store, 0.6)
         try:
             with _Raw(handle.port) as raw:
-                raw.send({"id": 1, "op": "BEGIN"})
+                raw.send({"id": 1, "op": "READ", "begin": {}, "key": "x"})
                 assert _wait_until(lambda: server._inflight == 1)
                 handle.loop.call_soon_threadsafe(tick, time.perf_counter())
                 report = handle.stop()  # waits the slow handler out
@@ -436,13 +455,15 @@ class TestWireErrors:
         try:
             from repro.server.protocol import encode_frame
 
-            sock.sendall(
-                encode_frame({"id": 1, "op": "HELLO", "protocol": 99})
-            )
             decoder = FrameDecoder()
-            decoder.feed(sock.recv(65536))
-            response = decoder.next_frame()
-            assert response["error"]["code"] == "BAD_VERSION"
+            # 2: the version before ``closed``. A pair that disagrees on
+            # that field would leak pins silently, so it fails here.
+            for request_id, version in enumerate((99, 2), start=1):
+                hello = {"id": request_id, "op": "HELLO", "protocol": version}
+                sock.sendall(encode_frame(hello))
+                decoder.feed(sock.recv(65536))
+                response = decoder.next_frame()
+                assert response["error"]["code"] == "BAD_VERSION"
         finally:
             sock.close()
 
@@ -462,7 +483,8 @@ class TestWireErrors:
                     decoder.feed(sock.recv(65536))
 
             assert (
-                ask({"id": 1, "op": "BEGIN"})["error"]["code"] == "NO_HELLO"
+                ask({"id": 1, "op": "READ", "begin": {}, "key": "x"})["error"]["code"]
+                == "NO_HELLO"
             )
             assert ask({"id": 2, "op": "HELLO"})["ok"] is True
             assert (
@@ -476,9 +498,9 @@ class TestWireErrors:
                 == "UNKNOWN_TXN"
             )
             assert (
-                ask({"id": 5, "op": "BEGIN", "constraint": "nope"})["error"][
-                    "code"
-                ]
+                ask({"id": 5, "op": "READ", "begin": {"constraint": "nope"}, "key": "x"})[
+                    "error"
+                ]["code"]
                 == "BAD_CONSTRAINT"
             )
             assert (
@@ -491,7 +513,9 @@ class TestWireErrors:
             # Outside input is checked before it reaches the store: an
             # array/object key is unhashable, ``true`` is not txn 1, and
             # a constraint name that is not a string names nothing.
-            assert ask({"id": 8, "op": "BEGIN"})["txn"] == 1
+            # The op the last protocol version spelled BEGIN is gone.
+            assert ask({"id": 8, "op": "BEGIN"})["error"]["code"] == "UNKNOWN_OP"
+            assert ask({"id": 8, "op": "WRITE", "begin": {}, "writes": []})["txn"] == 1
             misuse = [
                 ({"op": "READ", "txn": 1, "key": ["a"]}, "BAD_REQUEST"),
                 ({"op": "READ", "txn": 1, "key": {"a": 1}}, "BAD_REQUEST"),
@@ -504,7 +528,10 @@ class TestWireErrors:
                 ({"op": "ABORT", "txn": 1.0}, "UNKNOWN_TXN"),
                 ({"op": "COMMIT", "txn": 1, "constraint": "nope"}, "BAD_CONSTRAINT"),
                 ({"op": "COMMIT", "txn": 1, "constraint": ["any"]}, "BAD_CONSTRAINT"),
-                ({"op": "BEGIN", "constraint": {"any": 1}}, "BAD_CONSTRAINT"),
+                (
+                    {"op": "READ", "begin": {"constraint": {"any": 1}}, "key": "x"},
+                    "BAD_CONSTRAINT",
+                ),
                 ({"op": ["READ"]}, "UNKNOWN_OP"),
             ]
             for request_id, (request, code) in enumerate(misuse, start=9):
@@ -752,8 +779,10 @@ class TestShardedServing:
 
 
 # ---------------------------------------------------------------------------
-# Two round trips per transaction: BEGIN rides on the first op, buffered
-# writes on the next one. Counted in frames, for both clients.
+# At most two round trips per transaction, one when it wrote nothing: the
+# begin rides on the first op, buffered writes on the next one, and the
+# close of a write-free transaction on the connection's next frame.
+# Counted in frames, for both clients.
 
 
 def _frames(client_stats, work):
@@ -785,7 +814,8 @@ class TestFramesPerTransaction:
                 assert txn.read_state is None  # nothing was sent yet
                 txn.get_many(["x", "y"], default=None)
                 assert isinstance(txn.read_state, str)
-                txn.commit()
+                assert txn.commit() == txn.read_state == txn.commit_state
+                assert txn.status == "committed"
 
             def read_modify_write():
                 txn = client.begin()
@@ -813,11 +843,28 @@ class TestFramesPerTransaction:
                 txn.abort()
                 assert txn.status == "aborted"
 
-            assert _frames(client.stats, read_only) == 2
+            def write_free_with_an_end_constraint():
+                txn = client.begin()
+                txn.get("x")
+                # The server validates the name: that is a COMMIT frame.
+                assert txn.commit(constraint="serializability") == txn.read_state
+
+            def write_free_with_a_bogus_end_constraint():
+                txn = client.begin(read_only=True)
+                txn.get("x")
+                with pytest.raises(ServerError) as exc_info:
+                    txn.commit(constraint="nope")
+                assert exc_info.value.code == "BAD_CONSTRAINT"
+                assert txn.status == "active"
+                txn.commit()
+
+            assert _frames(client.stats, read_only) == 1
             assert _frames(client.stats, read_modify_write) == 2
             assert _frames(client.stats, blind_writes) == 1
             assert _frames(client.stats, merge) == 2
             assert _frames(client.stats, begin_then_abort) == 0
+            assert _frames(client.stats, write_free_with_an_end_constraint) == 2
+            assert _frames(client.stats, write_free_with_a_bogus_end_constraint) == 2
             assert client.get_many(["x", "n", "key-0", "key-99", "merged", "never"]) == [
                 2, 1, None, 99, True, None,
             ]
@@ -840,7 +887,8 @@ class TestFramesPerTransaction:
                 assert txn.read_state is None
                 await txn.get_many(["x", "y"], default=None)
                 assert isinstance(txn.read_state, str)
-                await txn.commit()
+                assert await txn.commit() == txn.read_state == txn.commit_state
+                assert txn.status == "committed"
 
             async def read_modify_write():
                 async with await client.begin() as txn:
@@ -865,10 +913,32 @@ class TestFramesPerTransaction:
                 await txn.abort()
                 assert txn.status == "aborted"
 
+            async def write_free_with_an_end_constraint():
+                async with await client.begin() as txn:
+                    await txn.get("x")
+                    assert await txn.commit(constraint="any") == txn.read_state
+
+            async def write_free_with_a_bogus_end_constraint():
+                txn = await client.begin(read_only=True)
+                await txn.get("x")
+                with pytest.raises(ServerError) as exc_info:
+                    await txn.commit(constraint="nope")
+                assert exc_info.value.code == "BAD_CONSTRAINT"
+                assert txn.status == "active"
+                await txn.commit()
+
             try:
-                for work in (read_only, read_modify_write, blind_writes, merge, begin_then_abort):
+                for work in (
+                    read_only,
+                    read_modify_write,
+                    blind_writes,
+                    merge,
+                    begin_then_abort,
+                    write_free_with_an_end_constraint,
+                    write_free_with_a_bogus_end_constraint,
+                ):
                     await frames(work)
-                assert counts == [2, 2, 1, 2, 0]
+                assert counts == [1, 2, 1, 2, 0, 2, 2]
                 keys = ["x", "n", "key-0", "key-99", "never"]
                 assert await client.get_many(keys) == [2, 1, None, 99, None]
                 assert (await client.stats())["open_txns"] == 0
@@ -876,6 +946,207 @@ class TestFramesPerTransaction:
                 await client.close()
 
         asyncio.run(_go())
+
+
+# ---------------------------------------------------------------------------
+# A write-free commit returns locally; the server learns with the
+# connection's next frame, whatever that frame is, or with the disconnect.
+
+
+def _state_named(store, name):
+    (state,) = [s for s in store.dag.states() if repr(s.id) == name]
+    return state
+
+
+def _anchors_seen_by_begin(store, session_name):
+    """Wrap ``store.begin``: the session's anchor as each of its begins
+    finds it. Returns (the list it fills, the function to put back)."""
+    original, anchors = store.begin, []
+
+    def begin(*args, **kwargs):
+        if kwargs["session"].name == session_name:
+            anchors.append(repr(kwargs["session"].last_commit_id))
+        return original(*args, **kwargs)
+
+    store.begin = begin
+    return anchors, original
+
+
+class TestDeferredClose:
+    def test_the_anchor_is_in_place_before_the_sessions_next_begin(self, served):
+        store = served.server.store
+        a = TardisClient(port=served.port, session="A")
+        b = TardisClient(port=served.port, session="B")
+        try:
+            a.put("x", 0)
+            b.put("x", 1)
+            reader = a.begin(read_only=True)
+            assert reader.get("x") == 1
+            read_at = reader.commit()  # local: the server has not heard
+            assert repr(store.session("A").last_commit_id) != read_at
+            b.put("x", 2)
+            anchors, original = _anchors_seen_by_begin(store, "A")
+            try:
+                later = a.begin(constraint="ancestor")
+                assert later.get("x") == 2
+            finally:
+                store.begin = original
+            # The close rode ahead of the begin, in the same frame.
+            assert anchors == [read_at]
+            assert later.read_state != read_at
+            assert store.dag.descendant_check(
+                _state_named(store, read_at), _state_named(store, later.read_state)
+            )
+            later.commit()
+        finally:
+            a.close()
+            b.close()
+
+    def test_async_anchor(self, served):
+        store = served.server.store
+
+        async def _go():
+            a = await AsyncTardisClient.connect(port=served.port, session="A")
+            b = await AsyncTardisClient.connect(port=served.port, session="B")
+            try:
+                await b.put("x", 1)
+                async with await a.begin(read_only=True) as reader:
+                    assert await reader.get("x") == 1
+                assert reader.status == "committed"
+                await b.put("x", 2)
+                anchors, original = _anchors_seen_by_begin(store, "A")
+                try:
+                    later = await a.begin()
+                    assert await later.get("x") == 2
+                finally:
+                    store.begin = original
+                assert anchors == [reader.commit_state]
+                await later.commit()
+            finally:
+                await a.close()
+                await b.close()
+
+        asyncio.run(_go())
+
+    @staticmethod
+    def _next_frames(client):
+        """One call per kind of frame a close can ride on."""
+
+        def read_with_begin():
+            txn = client.begin()
+            txn.get("x", default=None)
+            txn.abort()
+
+        def merge():
+            client.merge().abort()
+
+        return [read_with_begin, merge, client.stats, client.close]
+
+    def test_no_pin_outlives_the_connections_next_frame(self, served):
+        store = served.server.store
+        for n in range(4):
+            client = TardisClient(port=served.port, session="pins-%d" % n)
+            try:
+                with client.begin(read_only=True) as txn:
+                    txn.get("x", default=None)
+                assert txn.status == "committed"
+                # Closed here, open there: one pin, until the next frame.
+                assert _total_pins(store) == 1
+                assert TestAbandonedRequest._open_txns(served.port) == 1
+                self._next_frames(client)[n]()
+                assert _total_pins(store) == 0
+                assert TestAbandonedRequest._open_txns(served.port) == 0
+            finally:
+                client.close()
+        assert store.metrics.read_only_commits == 4
+
+    def test_async_no_pin_outlives_the_next_frame(self, served):
+        store = served.server.store
+
+        async def _go():
+            client = await AsyncTardisClient.connect(port=served.port)
+            try:
+                assert await client.get("x") is None  # autocommit: one frame
+                assert _total_pins(store) == 1
+                assert (await client.stats())["open_txns"] == 0
+                assert _total_pins(store) == 0
+                assert await client.get_many(["x", "y"]) == [None, None]
+                merge = await client.merge()
+                assert _total_pins(store) == 1  # the merge's own
+                await merge.abort()
+                assert await client.get("x") is None
+            finally:
+                await client.close()  # BYE carries the last one
+            assert _total_pins(store) == 0
+
+        asyncio.run(_go())
+        assert store.metrics.read_only_commits == 3
+
+    def test_a_bare_socket_drop_releases_the_pin(self, served):
+        store = served.server.store
+        client = TardisClient(port=served.port, session="dropper")
+        assert client.get("x") is None
+        assert _total_pins(store) == 1
+        client._sock.close()  # the close never travels: cleanup aborts
+        assert _wait_until(lambda: store.sessions() == [])
+        assert _total_pins(store) == 0
+        assert TestAbandonedRequest._open_txns(served.port) == 0
+
+    def test_a_frame_that_cannot_be_encoded_does_not_lose_the_closes(
+        self, served, monkeypatch
+    ):
+        from repro.server.handlers import WireSession
+
+        delivered = []
+        commit_closed = WireSession.commit_closed
+
+        def spy(session, closed):
+            delivered.append(list(closed))
+            commit_closed(session, closed)
+
+        monkeypatch.setattr(WireSession, "commit_closed", spy)
+        blob = "v" * (40 * 1024)
+        with TardisClient(port=served.port) as client:
+            reader = client.begin(read_only=True)
+            reader.get("x", default=None)
+            reader.commit()
+            unframeable = client.begin()
+            unframeable.put("bad", object())
+            with pytest.raises(TypeError):
+                unframeable.commit()
+            unframeable.abort()
+            assert delivered == [] and client._closed == [reader._txn_id]
+
+            def big_txn():
+                txn = client.begin()
+                for i in range(64):  # 2.5 MiB: FrameTooLarge, then halves
+                    txn.put("big-%02d" % i, blob + str(i))
+                txn.commit()
+
+            assert _frames(client.stats, big_txn) == 4
+            # Exactly once, on the first frame that did encode.
+            assert delivered == [[reader._txn_id]]
+            assert client.stats()["open_txns"] == 0
+        assert _total_pins(served.server.store) == 0
+
+    def test_every_deferred_close_is_delivered_by_a_clean_shutdown(self):
+        handle = start_in_thread(site="deliver-test", drain_timeout=2.0)
+        store = handle.server.store
+        clients = [TardisClient(port=handle.port, session="s%d" % i) for i in range(3)]
+        try:
+            clients[0].put("x", 1)
+            for n, client in enumerate(clients, start=1):
+                for _ in range(n):
+                    assert client.get("x") == 1
+        finally:
+            for client in clients:
+                client.close()
+        report = handle.stop()
+        assert report["leaked_sessions"] == []
+        assert report["drained_in_time"] is True
+        assert report["disconnect_aborts"] == 0  # delivered, not aborted
+        assert store.metrics.read_only_commits == 1 + 2 + 3
+        assert report["commits"] == 1 + store.metrics.read_only_commits
 
 
 class TestBufferedWrites:
@@ -1022,8 +1293,8 @@ class TestTimedOutBegin:
                         txn = client.begin()
                         txn.put("x", 1)
                         txn.get("x")
-                    else:  # the one-op spelling a raw client may use
-                        client._call("BEGIN", {}, dict)
+                    else:  # a begin with nothing else to do, as a raw client may send
+                        client._call("WRITE", {"begin": {}, "writes": []}, dict)
                 assert exc_info.value.code == "TIMEOUT"
             finally:
                 store.begin = original
@@ -1050,7 +1321,7 @@ class TestTimedOutBegin:
             with _Raw(handle.port) as raw:
                 original = TestAbandonedRequest._slow_begin(store, 0.3)
                 try:
-                    answer = raw.ask({"id": 7, "op": "BEGIN"})
+                    answer = raw.ask({"id": 7, "op": "READ", "begin": {}, "key": "x"})
                 finally:
                     store.begin = original
                 assert answer["id"] == 7
@@ -1149,7 +1420,7 @@ class _Raw:
 class TestCallbackTransport:
     def test_fifty_requests_in_one_sendall_are_answered_in_order(self, served):
         with _Raw(served.port) as raw:
-            requests = [{"id": 1, "op": "BEGIN"}]
+            requests = [{"id": 1, "op": "WRITE", "begin": {}, "key": "k1", "value": 1}]
             requests += [
                 {"id": i, "op": "WRITE", "txn": 1, "key": "k%d" % i, "value": i}
                 for i in range(2, 50)
@@ -1160,7 +1431,7 @@ class TestCallbackTransport:
         assert [a["id"] for a in answers] == list(range(1, 51))
         assert all(a["ok"] for a in answers)
         with TardisClient(port=served.port) as client:
-            assert client.get_many(["k2", "k49"]) == [2, 49]
+            assert client.get_many(["k1", "k2", "k49"]) == [1, 2, 49]
 
     def test_a_frame_delivered_one_byte_per_send_decodes(self, served):
         with _Raw(served.port, hello=False) as raw:
@@ -1172,7 +1443,7 @@ class TestCallbackTransport:
     def test_half_close_still_gets_every_answer_then_eof(self, served):
         with _Raw(served.port) as raw:
             raw.send(
-                {"id": 1, "op": "BEGIN"},
+                {"id": 1, "op": "READ", "begin": {}, "key": "x"},
                 {"id": 2, "op": "WRITE", "txn": 1, "key": "x", "value": 1},
                 {"id": 3, "op": "COMMIT", "txn": 1},
             )
@@ -1192,7 +1463,8 @@ class TestCallbackTransport:
                 txn.put(key, "v" * 32768)  # one READ_MANY answer: ~512 KiB
             txn.commit()
             with _Raw(served.port, session="deaf", rcvbuf=65536) as raw:
-                assert raw.ask({"id": 1, "op": "BEGIN", "read_only": True})["txn"] == 1
+                first = {"id": 1, "op": "READ", "begin": {"read_only": True}, "key": "small"}
+                assert raw.ask(first)["txn"] == 1
                 (conn,) = [
                     c for c in server._conns.values()
                     if c.session.session_name == "deaf"

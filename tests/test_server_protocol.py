@@ -5,6 +5,8 @@ import random
 import struct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import TardisStore
 from repro.client import AsyncTardisClient, TardisClient
@@ -177,10 +179,10 @@ class TestResponseHelpers:
             error_response(1, "NOT_A_CODE", "nope")
 
     def test_catalogued_codes_and_ops(self):
-        assert "HELLO" in OPS and "MERGE" in OPS
+        assert "HELLO" in OPS and "MERGE" in OPS and "BEGIN" not in OPS
         for code in ("BAD_FRAME", "TIMEOUT", "SHUTTING_DOWN", "INTERNAL"):
             assert code in ERROR_CODES
-        assert PROTOCOL_VERSION == 2
+        assert PROTOCOL_VERSION == 3
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +264,7 @@ class TestClientChannel:
         with pytest.raises(TransactionAborted, match="lost the race"):
             channel.response()
         assert not channel.closed and channel.awaiting is None
-        channel.request("BEGIN", {})
+        channel.request("READ", {"begin": {}, "key": "x"})
         channel.feed(encode_frame(error_response(2, "BAD_CONSTRAINT")))
         with pytest.raises(ServerError) as exc_info:
             channel.response()
@@ -313,7 +315,7 @@ class TestClientChannel:
 
     def test_calls_after_abandon_raise(self):
         channel = ClientChannel()
-        channel.request("BEGIN", {})
+        channel.request("READ", {"begin": {}, "key": "x"})
         channel.abandon()
         with pytest.raises(NetworkError, match="client is closed"):
             channel.request("STATS", {})
@@ -457,7 +459,7 @@ class TestPiggyBackedBeginAndWrites:
 
     def test_write_op_is_writes_of_length_one(self):
         _server, session = _session()
-        assert session.handle({"op": "BEGIN"})["txn"] == 1
+        assert session.handle({"op": "WRITE", "begin": {}, "writes": []})["txn"] == 1
         assert session.handle({"op": "WRITE", "txn": 1, "key": "a", "value": 1})["ok"]
         batch = [{"key": "b", "value": 2}, {"key": "c", "value": 3}]
         assert session.handle({"op": "WRITE", "txn": 1, "writes": batch})["ok"]
@@ -482,7 +484,7 @@ class TestPiggyBackedBeginAndWrites:
     @pytest.mark.parametrize("op", ["READ", "READ_MANY", "WRITE", "COMMIT"])
     def test_ill_formed_fields_are_bad_request_and_apply_nothing(self, op, bad):
         _server, session = _session()
-        assert session.handle({"op": "BEGIN"})["txn"] == 1
+        assert session.handle({"op": "WRITE", "begin": {}, "writes": []})["txn"] == 1
         request = dict(bad, op=op, key="w", keys=["w"], value=0)
         answer = session.handle(request)
         assert answer["error"]["code"] == "BAD_REQUEST", answer
@@ -582,3 +584,194 @@ class TestPiggyBackedBeginAndWrites:
         session.undo(slow)
         assert session.txns == {} and _open_txns(session) == 0
         session.undo(slow)  # idempotent
+
+
+# ---------------------------------------------------------------------------
+# ``closed``: a write-free transaction's commit costs no frame of its own —
+# its id rides on whatever its connection sends next, and
+# ``WireSession.handle`` commits it before the op.
+
+
+def _pins(server):
+    return sum(state.pins for state in server.store.dag.states())
+
+
+class TestClosedField:
+    READ = {"op": "READ", "begin": {"read_only": True}, "key": "x"}
+
+    def test_closes_run_before_the_op_that_carries_them(self):
+        server, session = _session()
+        assert session.handle(dict(self.READ))["txn"] == 1
+        assert session.handle(dict(self.READ))["txn"] == 2
+        assert _pins(server) == 2
+        answer = session.handle({"op": "STATS", "closed": [1, 2]})
+        assert answer["ok"] and answer["stats"]["open_txns"] == 0
+        assert answer["stats"]["commits"] == 2
+        assert session.txns == {} and _pins(server) == 0
+        assert server.store.metrics.read_only_commits == 2
+
+    @pytest.mark.parametrize(
+        "closed", [1, "1", {"1": 1}, [True], ["1"], [1, "1"], [1, 1.0], [1, None], [[1]]]
+    )
+    def test_ill_formed_closed_is_bad_request_and_nothing_runs(self, closed):
+        server, session = _session()
+        assert session.handle(dict(self.READ))["txn"] == 1
+        answer = session.handle(
+            {
+                "op": "COMMIT",
+                "begin": {},
+                "writes": [{"key": "x", "value": 1}],
+                "closed": closed,
+            }
+        )
+        assert answer["error"]["code"] == "BAD_REQUEST", answer
+        assert "txn" not in answer
+        # Not the close, not the begin, not the write, not the commit.
+        assert list(session.txns) == [1] and session.next_txn_id == 2
+        assert _open_txns(session) == 1 and _pins(server) == 1
+        assert server._stats["commits"] == 0 and len(server.store.dag) == 1
+        assert session.handle({"op": "READ", "txn": 1, "key": "x"})["found"] is False
+
+    def test_an_unknown_id_is_ignored(self):
+        server, session = _session()
+        assert session.handle(dict(self.READ))["txn"] == 1
+        assert session.handle({"op": "COMMIT", "txn": 1})["ok"]
+        # Over already (1), never was (99), named twice (2).
+        assert session.handle(dict(self.READ))["txn"] == 2
+        assert session.handle({"op": "STATS", "closed": [1, 99, 2, 2]})["ok"]
+        assert session.txns == {} and server._stats["commits"] == 2
+
+    def test_a_transaction_with_writes_is_refused_and_stays_open(self):
+        server, session = _session()
+        assert session.handle(dict(self.READ))["txn"] == 1
+        wrote = {"op": "READ", "begin": {}, "writes": [{"key": "x", "value": 7}], "key": "x"}
+        assert session.handle(wrote)["txn"] == 2
+        answer = session.handle({"op": "STATS", "closed": [1, 2]})
+        assert answer["error"]["code"] == "BAD_REQUEST"
+        # Checked whole: the write-free one named before it is open too.
+        assert sorted(session.txns) == [1, 2] and server._stats["commits"] == 0
+        assert session.handle({"op": "COMMIT", "txn": 2})["ok"]
+        assert session.handle({"op": "READ", "begin": {}, "closed": [1], "key": "x"})["value"] == 7
+
+    def test_a_merge_is_refused_and_stays_open(self):
+        _server, session = _session()
+        merge = session.handle({"op": "MERGE"})["txn"]
+        answer = session.handle({"op": "STATS", "closed": [merge]})
+        assert answer["error"]["code"] == "BAD_REQUEST"
+        assert list(session.txns) == [merge]
+        assert session.handle({"op": "COMMIT", "txn": merge})["merge"] is True
+
+    def test_a_carried_op_that_fails_leaves_the_closes_done(self):
+        server, session = _session()
+        assert session.handle(dict(self.READ))["txn"] == 1
+        answer = session.handle({"op": "READ", "txn": 99, "key": "x", "closed": [1]})
+        assert answer["error"]["code"] == "UNKNOWN_TXN"
+        assert session.txns == {} and _pins(server) == 0
+        assert server.store.metrics.read_only_commits == 1
+
+    def test_closed_before_hello_runs_nothing(self):
+        session = WireSession(TardisServer(TardisStore("early")), 1)
+        answer = session.handle({"op": "STATS", "closed": "junk"})
+        assert answer["error"]["code"] == "NO_HELLO"
+
+
+# Equivalence: the same two-session history with every write-free commit
+# sent as a COMMIT frame, or ridden on the session's next frame, leaves
+# the same store behind.
+
+_TXN_KINDS = st.sampled_from(["read-only", "write-free", "rmw", "blind"])
+_SCRIPT = st.lists(st.tuples(_TXN_KINDS, st.sampled_from("abc")), max_size=6)
+
+
+def _frames_of(script):
+    """A session's script as steps, one per frame the explicit spelling sends."""
+    steps = []
+    for n, (kind, key) in enumerate(script):
+        if kind == "blind":
+            steps.append(("blind", key, n))
+            continue
+        steps.append(("read", {"read_only": kind == "read-only"}, key))
+        steps.append(("commit-writes", key) if kind == "rmw" else ("commit-free",))
+    return steps
+
+
+def _run_history(scripts, schedule, ride):
+    server = TardisServer(TardisStore("equiv"))
+    sessions = [WireSession(server, n) for n in (1, 2)]
+    for session, name in zip(sessions, "AB"):
+        assert session.handle({"op": "HELLO", "session": name})["ok"]
+    steps = [_frames_of(script) for script in scripts]
+    closed = [[], []]  # ridden mode: committed locally, not yet told
+    open_txn = [None, None]
+    last_read = [None, None]
+    reads = [[], []]
+
+    def send(who, request):
+        if closed[who]:
+            request["closed"], closed[who] = closed[who], []
+        answer = sessions[who].handle(request)
+        assert answer["ok"], answer
+        return answer
+
+    def step(who):
+        kind, *args = steps[who].pop(0)
+        if kind == "read":
+            answer = send(who, {"op": "READ", "begin": args[0], "key": args[1]})
+            open_txn[who] = answer["txn"]
+            last_read[who] = answer["value"] or 0
+            reads[who].append((answer["read_state"], answer["found"], answer["value"]))
+        elif kind == "blind":
+            writes = [{"key": args[0], "value": args[1]}]
+            send(who, {"op": "COMMIT", "begin": {}, "writes": writes})
+        elif kind == "commit-writes":
+            writes = [{"key": args[0], "value": last_read[who] + 1}]
+            send(who, {"op": "COMMIT", "txn": open_txn[who], "writes": writes})
+        elif ride:
+            closed[who].append(open_txn[who])
+        else:
+            send(who, {"op": "COMMIT", "txn": open_txn[who]})
+
+    for who in schedule:
+        if steps[who]:
+            step(who)
+    for who in (0, 1):
+        while steps[who]:
+            step(who)
+    for who in (0, 1):
+        send(who, {"op": "BYE"})
+    store = server.store
+    outcome = {
+        "anchors": [repr(store.session(name).last_commit_id) for name in "AB"],
+        "read_only_commits": store.metrics.read_only_commits,
+        "store_commits": store.metrics.commits,
+        "server_commits": server._stats["commits"],
+        "pins": _pins(server),
+        "open": [dict(session.txns) for session in sessions],
+        "states": len(store.dag),
+        "reads": reads,
+    }
+    for session in sessions:
+        assert session.close() == 0
+    return outcome
+
+
+class TestRiddenCloseEquivalence:
+    @given(_SCRIPT, _SCRIPT, st.lists(st.integers(0, 1), max_size=24))
+    @settings(max_examples=60, deadline=None)
+    def test_explicit_commit_and_ridden_close_end_in_the_same_store(
+        self, script_a, script_b, schedule
+    ):
+        explicit = _run_history((script_a, script_b), schedule, ride=False)
+        ridden = _run_history((script_a, script_b), schedule, ride=True)
+        assert ridden == explicit
+        assert explicit["pins"] == 0 and explicit["open"] == [{}, {}]
+
+    def test_the_property_sees_forks_and_write_free_commits(self):
+        # Both sessions read before either commits: the second forks, and
+        # each then reads its own branch in a write-free transaction.
+        scripts = ([("rmw", "a"), ("write-free", "a")], [("rmw", "a"), ("read-only", "a")])
+        outcome = _run_history(scripts, [0, 1, 0, 1, 0, 0, 1, 1], ride=True)
+        assert outcome == _run_history(scripts, [0, 1, 0, 1, 0, 0, 1, 1], ride=False)
+        assert outcome["states"] == 3 and outcome["read_only_commits"] == 2
+        assert [read[-1][2] for read in outcome["reads"]] == [1, 1]
+        assert outcome["anchors"][0] != outcome["anchors"][1]
