@@ -12,8 +12,11 @@ versions, read-only transactions pin an *old* read state
 (``StateIdConstraint``), so each read is a version walk that skips the
 whole newer history, and the six reads of a read-only transaction go
 through ``Transaction.get_many`` — one scatter/gather batch across the
-shard workers instead of six sequential round trips. Read caches are
-disabled on both arms so every read pays its walk.
+shard workers instead of six sequential round trips. The visibility
+cache has no off switch: once a key has been walked from the pinned
+state, the shard owning it answers repeats from its cache until an
+update transaction reads that key at the head, so the arms compare a mix
+of walks and cache hits.
 
 Results go to ``BENCH_shardplane.json``: per-arm read/write key
 throughput plus ``speedup_vs_inproc`` ratios. ``cpu_count`` and
@@ -54,13 +57,8 @@ WORKER_SWEEP = [1, 2, 4, 8]
 
 def _build_store(arm: str, workers: int) -> TardisStore:
     if arm == "inproc":
-        return TardisStore("bench", shards=N_SHARDS, read_cache=False)
-    return TardisStore(
-        "bench",
-        shards=N_SHARDS,
-        shard_workers=workers,
-        read_cache=False,
-    )
+        return TardisStore("bench", shards=N_SHARDS)
+    return TardisStore("bench", shards=N_SHARDS, shard_workers=workers)
 
 
 def _preload_and_stack(store: TardisStore, n_keys: int, history: int):

@@ -3,7 +3,7 @@
 ``tardis check`` (see :mod:`repro.tools.cli`) runs the AST rule engine
 over ``src/repro``; :mod:`repro.analysis.lockset` adds an Eraser-style
 dynamic checker for guards the static rules cannot see. The contracts
-themselves — ``_GUARDED_BY`` maps, the generation-bump rule, the metric
+themselves — ``_GUARDED_BY`` maps, the lock order, the metric
 catalogue — are documented in ``docs/internals.md`` §11.
 """
 

@@ -1,9 +1,8 @@
 """The ``tardis check`` rule engine: AST lint over the reproduction itself.
 
 The codebase carries invariants that nothing in Python enforces: fields
-guarded by a lock only by convention (``_GUARDED_BY``), the rule that
-every :class:`~repro.core.state_dag.StateDAG` mutator must move the
-cache generation, a single catalogue of ``tardis_*`` metric names. This
+guarded by a lock only by convention (``_GUARDED_BY``), a single
+catalogue of ``tardis_*`` metric names. This
 module turns those conventions into machine-checked contracts, the same
 way TARDiS itself turns concurrency anomalies into explicit branches
 instead of silent corruption (§3-§4 of the paper).

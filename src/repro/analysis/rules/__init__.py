@@ -6,7 +6,6 @@ from typing import Dict, List, Sequence, Type
 
 from repro.analysis.engine import Rule
 from repro.analysis.rules.async_discipline import AsyncDisciplineRule
-from repro.analysis.rules.generation_contract import GenerationContractRule
 from repro.analysis.rules.hygiene import BareExceptRule, ImportHygieneRule
 from repro.analysis.rules.lock_discipline import LockDisciplineRule
 from repro.analysis.rules.lock_order import LockOrderRule
@@ -17,7 +16,6 @@ __all__ = [
     "ALL_RULES",
     "AsyncDisciplineRule",
     "BareExceptRule",
-    "GenerationContractRule",
     "ImportHygieneRule",
     "LockDisciplineRule",
     "LockOrderRule",
@@ -32,7 +30,6 @@ ALL_RULES: Sequence[Type[Rule]] = (
     LockDisciplineRule,
     LockOrderRule,
     AsyncDisciplineRule,
-    GenerationContractRule,
     MetricNameDriftRule,
     WireContractRule,
     ImportHygieneRule,

@@ -80,7 +80,7 @@ class _Catalog:
         if token in self.metrics or token in self.series:
             return True
         # Underscore-boundary prefix of at least one catalogue name
-        # ("tardis_begin_cache" + "_hit_total", "tardis_net_"...).
+        # ("tardis_vis_cache" + "_hit_total", "tardis_net_"...).
         for name in self.names:
             if name.startswith(token) and (
                 token.endswith("_") or name[len(token) : len(token) + 1] == "_"

@@ -74,7 +74,6 @@ class CommitPipeline:
         "log_values",
         "group_commit",
         "_unflushed",
-        "write_index",
         "tracer",
         "last_ctx",
         "_hot_registry",
@@ -90,7 +89,6 @@ class CommitPipeline:
         wal: Optional[WriteAheadLog] = None,
         log_values: bool = True,
         group_commit: int = 0,
-        write_index: Any = None,
     ) -> None:
         self.dag = dag
         #: a flat VersionedRecordStore, or (``staged``) the routed
@@ -101,9 +99,6 @@ class CommitPipeline:
         self.log_values = log_values
         self.group_commit = int(group_commit)
         self._unflushed = 0
-        #: merge write-set index topped up at commit time (None when the
-        #: store runs with read-path caches disabled).
-        self.write_index = write_index
         #: per-store tracer (set via TardisStore.set_tracer); None means
         #: trace contexts are not generated and last_ctx stays None.
         self.tracer: Optional[Any] = None
@@ -156,8 +151,6 @@ class CommitPipeline:
                 raise CrossShardAbort(
                     shard, "shard prepare failed: %s" % exc
                 ) from exc
-        # create_state bumps dag.generation, which is what tells the
-        # begin-state cache to revalidate against the new leaf set.
         try:
             state = self.dag.create_state(
                 parents,
@@ -169,8 +162,6 @@ class CommitPipeline:
             if staged is not None:
                 versions.abandon_commit(staged)
             raise
-        if self.write_index is not None:
-            self.write_index.on_commit(state)
         tracer = self.tracer
         if ctx is None and tracer is not None and tracer.enabled:
             # LOCAL/MERGE commits originate a new trace here; REMOTE

@@ -92,11 +92,6 @@ class GarbageCollector:
         with store._lock:
             self.cycles += 1
             if self._mark_pass():
-                # Marking changes which states find_read_state may
-                # return without touching the DAG's shape, so the
-                # read-path caches must see a generation move (splice
-                # and retirement below bump it again, destructively).
-                dag.bump_generation()
                 self._collect_pass(stats, self._safe_pass(stats))
             promoted, dropped = store.versions.promote_and_prune(dag)
             stats.records_promoted = promoted

@@ -17,7 +17,7 @@ is genuinely conflicted, steering the application to the explicit API.
 
 from __future__ import annotations
 
-from typing import Any, FrozenSet, List, Optional, TYPE_CHECKING
+from typing import Any, List, Optional, TYPE_CHECKING
 
 from repro.core.ids import StateId
 from repro.core.state_dag import State
@@ -27,120 +27,7 @@ from repro.obs import metrics as _met
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.constraints import Constraint
-    from repro.core.state_dag import StateDAG
     from repro.core.store import ClientSession, TardisStore
-
-#: write-set index size cap; a full clear keeps memory bounded when
-#: many (state, fork) pairs are queried between GC cycles.
-_INDEX_MAX = 1 << 16
-
-
-class WriteSetIndex:
-    """Cumulative write-key summaries for conflict detection (§6.2).
-
-    ``writes_since(head, fork)`` is the union of ``write_keys`` over
-    ``states_between(head, fork)`` — what ``find_conflict_writes``
-    intersects across branches. The index memoizes the summary per
-    ``(state, fork)`` pair with the recurrence
-
-        W(s, f) = s.write_keys ∪ ⋃ { W(p, f) : p ∈ s.parents,
-                                      p ≠ f, f ⊆ p }
-
-    so repeated conflict queries against the same fork (long-lived
-    branches probed every maintenance tick, merge retries, explicit
-    ``find_conflict_writes`` calls) cost one dict lookup per head
-    instead of re-walking the branch. ``on_commit`` extends a parent's
-    summaries to the new state at commit time, keeping the steady-state
-    query O(1) per head. The whole memo is dropped when the DAG's
-    destructive generation moves — splice-out merges write keys into
-    surviving states and fork retirement rewrites the masks the
-    recurrence's descendant checks rely on.
-    """
-
-    __slots__ = ("_dag", "_memo", "_forks_of", "_epoch", "hits", "misses")
-
-    def __init__(self, dag: "StateDAG") -> None:
-        self._dag = dag
-        #: (state_id, fork_id) -> frozenset of write keys since the fork.
-        self._memo: dict = {}
-        #: state_id -> set of fork ids memoized for it (for on_commit).
-        self._forks_of: dict = {}
-        self._epoch = dag.destructive_gen
-        self.hits = 0
-        self.misses = 0
-
-    def _check_epoch(self) -> None:
-        if self._epoch != self._dag.destructive_gen or len(self._memo) > _INDEX_MAX:
-            self._memo.clear()
-            self._forks_of.clear()
-            self._epoch = self._dag.destructive_gen
-
-    def __len__(self) -> int:
-        return len(self._memo)
-
-    def on_commit(self, state: State) -> None:
-        """Extend the parent's summaries to a freshly committed state.
-
-        Only the cheap single-parent top-up is done eagerly (the common
-        sequential-branch shape); merge states fall back to the lazy
-        recurrence on first query.
-        """
-        if len(state.parents) != 1:
-            return
-        self._check_epoch()
-        parent = state.parents[0]
-        forks = self._forks_of.get(parent.id)
-        if not forks:
-            return
-        memo = self._memo
-        write_keys = state.write_keys
-        mine = self._forks_of.setdefault(state.id, set())
-        for fork_id in forks:
-            memo[(state.id, fork_id)] = memo[(parent.id, fork_id)] | write_keys
-            mine.add(fork_id)
-
-    def writes_since(self, head: State, fork: State) -> FrozenSet[Any]:
-        """Union of write keys over ``states_between(head, fork)``."""
-        self._check_epoch()
-        dag = self._dag
-        if not dag.descendant_check(fork, head):
-            return frozenset()
-        memo = self._memo
-        fork_id = fork.id
-        key = (head.id, fork_id)
-        cached = memo.get(key)
-        if cached is not None:
-            self.hits += 1
-            return cached
-        self.misses += 1
-        forks_of = self._forks_of
-        descendant_check = dag.descendant_check
-        # Iterative post-order accumulation (a long un-collected branch
-        # would overflow the recursion limit).
-        stack = [head]
-        while stack:
-            state = stack[-1]
-            if (state.id, fork_id) in memo:
-                stack.pop()
-                continue
-            pending = False
-            for parent in state.parents:
-                if parent.id == fork_id or not descendant_check(fork, parent):
-                    continue
-                if (parent.id, fork_id) not in memo:
-                    stack.append(parent)
-                    pending = True
-            if pending:
-                continue
-            acc = set(state.write_keys)
-            for parent in state.parents:
-                if parent.id == fork_id or not descendant_check(fork, parent):
-                    continue
-                acc |= memo[(parent.id, fork_id)]
-            memo[(state.id, fork_id)] = frozenset(acc)
-            forks_of.setdefault(state.id, set()).add(fork_id)
-            stack.pop()
-        return memo[key]
 
 
 class MergeTransaction(BaseTransaction):

@@ -153,19 +153,13 @@ class StateDAG:
         self._promotions: Dict[StateId, StateId] = {}
         #: count of retroactive fork-path pushes (exposed for benchmarks).
         self.retro_updates = 0
-        #: monotone counter bumped on every event that can change what a
-        #: read observes: state creation (commits, remote grafts), GC
-        #: ceiling marking, splice-out, fork retirement, and record
-        #: promotion. Read-path caches validate against it (§6.1.3-6.1.4
-        #: reproduction note: see docs/internals.md §10).
-        self.generation = 0
-        #: value of :attr:`generation` at the last *destructive* event —
-        #: one that rewrites existing bookkeeping (splice-out merges
-        #: write keys into the child, fork retirement rewrites masks,
-        #: record promotion rewrites version lists) rather than only
-        #: appending. Caches keyed on masks or state contents must drop
-        #: everything older than this watermark; append-only events
-        #: (plain commits) leave it alone.
+        #: count of *destructive* events — ones that rewrite existing
+        #: bookkeeping (splice-out merges write keys into the child, fork
+        #: retirement rewrites masks, record promotion rewrites version
+        #: lists, dropped promotions make ids unresolvable) rather than
+        #: only appending. The visibility cache drops everything built
+        #: under an older value (docs/internals.md §10); append-only
+        #: events (plain commits, GC marking) leave it alone.
         self.destructive_gen = 0
         #: cached splice counter — splice_out runs once per collected
         #: state (roughly once per commit at steady state), so the
@@ -194,16 +188,10 @@ class StateDAG:
     def num_forks(self) -> int:
         return sum(1 for s in self._states.values() if s.is_fork_point)
 
-    def bump_generation(self) -> int:
-        """Advance the cache generation (appending events; cheap)."""
-        self.generation += 1
-        return self.generation
-
     def mark_destructive(self) -> int:
-        """Advance the generation and move the destructive watermark."""
-        self.generation += 1
-        self.destructive_gen = self.generation
-        return self.generation
+        """Record a destructive event: cached reads are now stale."""
+        self.destructive_gen += 1
+        return self.destructive_gen
 
     def resolve(self, state_id: StateId) -> State:
         """Map an id to its live state, following promotions (§6.3).
@@ -220,11 +208,11 @@ class StateDAG:
                 raise GarbageCollectedError(state_id)
             current = self._promotions[current]
         # Path-compress the promotion chains we just walked. Redirecting
-        # an alias to the same live state is invisible to readers, so no
-        # generation bump is required.
+        # an alias to the same live state is invisible to readers, so it
+        # is not a destructive event.
         for sid in seen:
             self._promotions[sid] = current
-        return self._states[current]  # tardis: ignore[generation-contract]
+        return self._states[current]
 
     # -- construction -----------------------------------------------------
 
@@ -276,7 +264,6 @@ class StateDAG:
             self._leaves.pop(parent.id, None)
         self._states[state_id] = state
         self._leaves[state_id] = state
-        self.generation += 1
         return state
 
     def _retro_add(self, subtree_root: State, point: ForkPoint) -> None:
@@ -293,9 +280,7 @@ class StateDAG:
             self.retro_updates += 1
         m = _met.DEFAULT
         if m.enabled:
-            # Only create_state calls this, and it bumps the generation
-            # after the retro pass; bumping here too would double-count.
-            m.inc("tardis_dag_retro_updates_total", len(visited))  # tardis: ignore[generation-contract]
+            m.inc("tardis_dag_retro_updates_total", len(visited))
 
     # -- visibility (Figure 7) ---------------------------------------------
 
@@ -365,29 +350,6 @@ class StateDAG:
                     seen.add(parent.id)
                     queue.append(parent)
         return None
-
-    def revalidate_read_state(
-        self, state: State, predicate: Callable[[State], bool]
-    ) -> bool:
-        """Cheaply confirm that ``state`` is still what
-        :meth:`find_read_state` would return for ``predicate``.
-
-        The BFS visits all leaves newest-first before any interior
-        state, so a cached result remains correct exactly when it is
-        still a live, unmarked leaf that satisfies the predicate and no
-        *newer* leaf is acceptable. That check is O(leaves) — typically
-        one predicate evaluation — versus the BFS's queue/seen-set
-        machinery, and it is what the begin-state cache runs on a hit
-        candidate (docs/internals.md §10).
-        """
-        if self._leaves.get(state.id) is not state:
-            return False
-        for leaf in self.leaves():
-            if leaf.id == state.id:
-                return not leaf.marked and predicate(leaf)
-            if not leaf.marked and predicate(leaf):
-                return False  # a newer leaf wins the BFS
-        return False
 
     # -- branch structure queries (§6.2) -------------------------------------
 
@@ -467,8 +429,8 @@ class StateDAG:
         del self._states[state.id]
         self._promotions[state.id] = child.id
         # Splicing rewrites edges and the promotion table, and the caller
-        # merges write keys into the child: destructive for every
-        # read-path cache.
+        # merges write keys into the child: destructive for the
+        # visibility cache.
         self.mark_destructive()
         m = _met.DEFAULT
         if m.enabled:

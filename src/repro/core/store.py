@@ -37,7 +37,7 @@ from repro.core.constraints import (
 )
 from repro.core.gc import GarbageCollector, GCStats
 from repro.core.ids import ROOT_ID, StateId
-from repro.core.merge import MergeTransaction, WriteSetIndex
+from repro.core.merge import MergeTransaction
 from repro.core.state_dag import State, StateDAG
 from repro.core.transaction import (
     ABORTED,
@@ -79,9 +79,6 @@ class ClientSession:
         self._store = store
         self.name = name
         self.last_commit_id: StateId = store.dag.root.id
-        #: begin-state memoization: constraint -> last chosen read state
-        #: (revalidated structurally on every hit; docs/internals.md §10).
-        self._begin_cache: Dict[Constraint, State] = {}
         #: transactions begun against this session and still ACTIVE;
         #: ``close_session`` aborts them so a disconnected client cannot
         #: leave read states pinned forever.
@@ -108,8 +105,6 @@ class StoreMetrics:
         "forks",
         "merges",
         "remote_applied",
-        "begin_cache_hits",
-        "begin_cache_misses",
     )
 
     def __init__(self) -> None:
@@ -119,8 +114,6 @@ class StoreMetrics:
         self.forks = 0
         self.merges = 0
         self.remote_applied = 0
-        self.begin_cache_hits = 0
-        self.begin_cache_misses = 0
 
 
 class _ConstraintProbe:
@@ -156,7 +149,6 @@ class TardisStore:
         seed: Optional[int] = 0,
         engine: Any = None,
         group_commit: int = 0,
-        read_cache: bool = True,
         shards: Optional[int] = None,
         shard_workers: Optional[int] = None,
         shard_of: Any = None,
@@ -166,12 +158,6 @@ class TardisStore:
         self.default_begin = default_begin or AncestorConstraint()
         self.default_end = default_end or SerializabilityConstraint()
         self.dag = StateDAG(site)
-        #: generation-stamped read-path caching (docs/internals.md §10):
-        #: begin-state memoization, per-key visibility cache, and the
-        #: merge write-set index all key off ``dag.generation`` /
-        #: ``dag.destructive_gen``. ``read_cache=False`` runs every read
-        #: path cold (the A/B arm of bench_readpath).
-        self.read_cache = read_cache
         #: the storage layer: one flat record store by default; a
         #: ``shards`` and/or ``shard_workers`` count partitions it
         #: behind the same interface (in-process shards, or shards in
@@ -187,7 +173,6 @@ class TardisStore:
                 btree_degree=btree_degree,
                 seed=seed,
                 shard_of=shard_of,
-                cache=read_cache,
                 engine=engine,
             )
         else:
@@ -195,7 +180,6 @@ class TardisStore:
                 btree_degree=btree_degree,
                 seed=seed,
                 engine=engine,
-                cache=read_cache,
             )
         #: workers the storage layer failed to stop cleanly (set by
         #: ``close``; always 0 for in-process storage).
@@ -207,11 +191,6 @@ class TardisStore:
         self.wal: Optional[WriteAheadLog] = (
             WriteAheadLog(wal_path, sync=wal_sync) if wal_path else None
         )
-        #: incremental conflict-detection summaries (docs/internals.md
-        #: §10); None when the read-path caches are disabled.
-        self._write_index: Optional[WriteSetIndex] = (
-            WriteSetIndex(self.dag) if read_cache else None
-        )
         #: the single commit code path: DAG install, version insert,
         #: WAL append (with optional group-commit batching), metrics.
         self.pipeline = CommitPipeline(
@@ -220,7 +199,6 @@ class TardisStore:
             wal=self.wal,
             log_values=log_values,
             group_commit=group_commit,
-            write_index=self._write_index,
         )
         self.gc = GarbageCollector(self)
         #: listeners notified of each local commit (the replicator hooks in).
@@ -243,8 +221,6 @@ class TardisStore:
         self._hot_abort = m.counter("tardis_txn_abort_total")
         self._hot_ripple = m.histogram("tardis_commit_ripple_steps")
         self._hot_fork = m.counter("tardis_branch_fork_total")
-        self._hot_begin_cache_hit = m.counter("tardis_begin_cache_hit_total")
-        self._hot_begin_cache_miss = m.counter("tardis_begin_cache_miss_total")
 
     def set_tracer(self, tracer: Optional[Tracer]) -> None:
         """Give this store (and its commit pipeline) a dedicated tracer."""
@@ -285,8 +261,7 @@ class TardisStore:
         no-op, so the network server's disconnect cleanup can race a
         polite client-side close without crashing. Any transaction still
         ACTIVE on the session is aborted first (releasing its read-state
-        pins), and the session's begin-state cache is dropped with it.
-        Returns True when a live session was actually closed.
+        pins). Returns True when a live session was actually closed.
         """
         with self._lock:
             sess = self._sessions.pop(name, None)
@@ -295,7 +270,6 @@ class TardisStore:
                     if txn.status == ACTIVE:
                         self._finish(txn, ABORTED)
                 sess._active_txns.clear()
-                sess._begin_cache.clear()
         self.gc.clear_ceiling(name)
         return sess is not None
 
@@ -319,33 +293,17 @@ class TardisStore:
         session = session or self.session()
         with self._lock:
             probe = _ConstraintProbe(session, self.dag)
-            predicate = lambda s: constraint.satisfied_as_read_state(s, probe)
-            state = None
-            begin_cached = False
-            if self.read_cache:
-                cached = session._begin_cache.get(constraint)
-                if cached is not None and self.dag.revalidate_read_state(
-                    cached, predicate
-                ):
-                    state = cached
-                    begin_cached = True
-                    self.metrics.begin_cache_hits += 1
             visits = [0]
+            state = self.dag.find_read_state(
+                lambda s: constraint.satisfied_as_read_state(s, probe),
+                count_visits=visits,
+            )
             if state is None:
-                state = self.dag.find_read_state(predicate, count_visits=visits)
-                if state is None:
-                    raise BeginError(
-                        "no state satisfies begin constraint %s" % constraint.name
-                    )
-                if self.read_cache:
-                    self.metrics.begin_cache_misses += 1
-                    cache = session._begin_cache
-                    if len(cache) >= 8 and constraint not in cache:
-                        cache.clear()  # bound per-session memory
-                    cache[constraint] = state
+                raise BeginError(
+                    "no state satisfies begin constraint %s" % constraint.name
+                )
             txn = Transaction(self, session, state, constraint, read_only=read_only)
             txn.trace.begin_visits = visits[0]
-            txn.trace.begin_cached = begin_cached
             state.pins += 1
             session._active_txns.add(txn)
         m = _met.DEFAULT
@@ -354,11 +312,6 @@ class TardisStore:
                 self._hot_metrics(m)
             self._hot_begin.inc()
             self._hot_begin_visits.record(visits[0])
-            if self.read_cache:
-                if begin_cached:
-                    self._hot_begin_cache_hit.inc()
-                else:
-                    self._hot_begin_cache_miss.inc()
         return txn
 
     def begin_merge(
@@ -468,23 +421,12 @@ class TardisStore:
         if not forks:
             return []
         fork = forks[0]
-        index = self._write_index
-        if index is not None:
-            before_hits, before_misses = index.hits, index.misses
-            branch_writes = [set(index.writes_since(head, fork)) for head in states]
-            m = _met.DEFAULT
-            if m.enabled:
-                m.inc("tardis_writeset_index_hit_total", index.hits - before_hits)
-                m.inc(
-                    "tardis_writeset_index_miss_total", index.misses - before_misses
-                )
-        else:
-            branch_writes = []
-            for head in states:
-                written: set = set()
-                for state in self.dag.states_between(head, fork):
-                    written |= state.write_keys
-                branch_writes.append(written)
+        branch_writes = []
+        for head in states:
+            written: set = set()
+            for state in self.dag.states_between(head, fork):
+                written |= state.write_keys
+            branch_writes.append(written)
         conflicting: set = set()
         for i, left in enumerate(branch_writes):
             for right in branch_writes[i + 1 :]:
@@ -768,25 +710,6 @@ class TardisStore:
         return value
 
     # -- maintenance --------------------------------------------------------------
-
-    def cache_stats(self) -> Dict[str, Any]:
-        """Read-path cache effectiveness (docs/internals.md §10)."""
-        stats = {
-            "enabled": self.read_cache,
-            "generation": self.dag.generation,
-            "destructive_gen": self.dag.destructive_gen,
-            "begin_hits": self.metrics.begin_cache_hits,
-            "begin_misses": self.metrics.begin_cache_misses,
-        }
-        stats.update(
-            ("vis_%s" % k, v) for k, v in self.versions.cache_info().items()
-        )
-        index = self._write_index
-        if index is not None:
-            stats["writeset_hits"] = index.hits
-            stats["writeset_misses"] = index.misses
-            stats["writeset_entries"] = len(index)
-        return stats
 
     def shard_health(self, ping: bool = True) -> Optional[Dict[str, Any]]:
         """Per-shard access totals and worker health; None for flat stores.

@@ -76,7 +76,8 @@ class OpTrace:
 
     def __init__(self) -> None:
         self.begin_visits = 0
-        #: the begin-state cache satisfied begin without the leaf BFS.
+        #: always False: begin has no cache. Kept because
+        #: benchmarks/e2e/tracewrap.py reads it.
         self.begin_cached = False
         self.versions_scanned = 0
         #: reads answered by the visibility cache (scan nothing).

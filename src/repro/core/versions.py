@@ -16,10 +16,11 @@ identity, then discards all but the newest of the versions that collapsed
 onto the same id.
 
 **Visibility cache.** Repeated reads on a stable branch redo the same
-walk, so the store keeps a per-key cache mapping ``(key,
-read_state.path_mask)`` to the winning ``(state_id, value)``. An entry
-remembers the id of the read state it was computed at (``cid``); it may
-be reused from read state ``r`` when
+walk, so the store keeps one entry per key, ``key -> [cid, result,
+mask]``: the winning ``(state_id, value)`` (None for "no visible
+version") of the last walk, the id of the read state it was computed at
+and that state's ``path_mask``. A read from state ``r`` reuses the entry
+when ``r.path_mask == mask`` and
 
 * ``r.id == cid`` (the very same read point), or
 * ``r.id > cid`` and the key's newest version id is ``<= cid`` — ids
@@ -27,12 +28,14 @@ be reused from read state ``r`` when
   still the complete candidate set for the newer read point (the entry
   then adopts ``r.id`` as its new ``cid``).
 
-Writes to the key are caught by the newest-version-id comparison (an
-O(1) peek at the reversed skip list's head), and everything that
-rewrites masks, version lists, or the promotion table — GC splice-out,
-fork retirement, record promotion — moves the DAG's destructive
-generation, which drops the whole cache. See docs/internals.md §10 for
-why the two id conditions above are exactly sufficient.
+Anything else walks and overwrites the entry, so the cache never holds
+more entries than there are written keys. Writes to the key are caught
+by the newest-version-id comparison (an O(1) peek at the reversed skip
+list's head), and everything that rewrites masks, version lists, or the
+promotion table — GC splice-out, fork retirement, record promotion —
+moves the DAG's ``destructive_gen``, which drops the whole cache. See
+docs/internals.md §10 for why the two id conditions above are exactly
+sufficient.
 """
 
 from __future__ import annotations
@@ -46,10 +49,6 @@ from repro.obs import metrics as _met
 from repro.obs.metrics import Counter, MetricsRegistry
 from repro.storage.engine import RecordEngine, create_engine
 from repro.storage.skiplist import SkipList
-
-#: visibility-cache size cap; a full clear (counted as invalidations)
-#: keeps the structure bounded on adversarial key/mask churn.
-_VIS_CACHE_MAX = 1 << 16
 
 
 class VersionedRecordStore:
@@ -77,7 +76,6 @@ class VersionedRecordStore:
         btree_degree: int = 16,
         seed: Optional[int] = None,
         engine: Any = None,
-        cache: bool = True,
     ) -> None:
         self._versions: Dict[Any, SkipList] = {}
         self._records: RecordEngine = create_engine(
@@ -85,11 +83,9 @@ class VersionedRecordStore:
         )
         self._seed = seed
         self._next_list = 0
-        #: per-key visibility cache (module docstring): ``(key, mask) ->
-        #: [cid, hit]`` where ``hit`` is the ``(state_id, value)`` result
-        #: (None for a cached "no visible version").
-        self.cache_enabled = cache
-        self._vis_cache: Dict[Tuple[Any, int], list] = {}
+        #: per-key visibility cache (module docstring): ``key -> [cid,
+        #: result, mask]``.
+        self._vis_cache: Dict[Any, list] = {}
         #: destructive watermark the cache contents were built under.
         self._vis_epoch = -1
         self.vis_hits = 0
@@ -111,7 +107,6 @@ class VersionedRecordStore:
     def cache_info(self) -> Dict[str, Any]:
         """Visibility-cache introspection (tests, ``tardis top``)."""
         return {
-            "enabled": self.cache_enabled,
             "size": len(self._vis_cache),
             "hits": self.vis_hits,
             "misses": self.vis_misses,
@@ -175,11 +170,11 @@ class VersionedRecordStore:
         visibility-cache hits, which scan nothing.
         """
         slist = self._versions.get(key)
-        if not self.cache_enabled:
-            return self._walk_versions(key, slist, read_state, dag, scanned)
+        if slist is None:
+            return None  # never written: no walk, and no entry to keep
         cache = self._vis_cache
         epoch = dag.destructive_gen
-        if epoch != self._vis_epoch or len(cache) > _VIS_CACHE_MAX:
+        if epoch != self._vis_epoch:
             dropped = len(cache)
             if dropped:
                 cache.clear()
@@ -190,9 +185,9 @@ class VersionedRecordStore:
                         self._hot_metrics(m)
                     self._hot_vis_inval.inc(dropped)
             self._vis_epoch = epoch
-        ckey = (key, read_state.path_mask)
-        entry = cache.get(ckey)
-        if entry is not None:
+        mask = read_state.path_mask
+        entry = cache.get(key)
+        if entry is not None and entry[2] == mask:
             cid = entry[0]
             rid = read_state.id
             valid = rid == cid
@@ -200,7 +195,7 @@ class VersionedRecordStore:
                 # Branch-monotone ids: when nothing newer than the
                 # entry's walk exists for this key, the cached winner is
                 # still the first visible version from ``read_state``.
-                newest = slist.first_key() if slist is not None else None
+                newest = slist.first_key()
                 if newest is None or newest <= cid:
                     entry[0] = rid
                     valid = True
@@ -215,7 +210,7 @@ class VersionedRecordStore:
                     self._hot_vis_hit.inc()
                 return entry[1]
         result = self._walk_versions(key, slist, read_state, dag, scanned)
-        cache[ckey] = [read_state.id, result]
+        cache[key] = [read_state.id, result, mask]
         self.vis_misses += 1
         m = _met.DEFAULT
         if m.enabled:

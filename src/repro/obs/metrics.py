@@ -485,8 +485,6 @@ class MetricsRegistry:
 
 #: registry metrics (counters/gauges/histograms), name -> help.
 METRIC_NAMES: Dict[str, str] = {
-    "tardis_begin_cache_hit_total": "begin() served from the begin cache",
-    "tardis_begin_cache_miss_total": "begin() recomputed read states",
     "tardis_begin_visits": "DAG states visited per begin()",
     "tardis_branch_count": "current leaf count (gauge)",
     "tardis_branch_fork_total": "forks created by concurrent commits",
@@ -549,8 +547,6 @@ METRIC_NAMES: Dict[str, str] = {
     "tardis_vis_cache_invalidations_total": "visibility-cache invalidations",
     "tardis_vis_cache_miss_total": "visibility-cache misses",
     "tardis_wal_group_flush_total": "WAL group-commit flushes",
-    "tardis_writeset_index_hit_total": "write-set index hits",
-    "tardis_writeset_index_miss_total": "write-set index misses",
 }
 
 #: windowed-series base names; instances carry an ``@<site>`` suffix

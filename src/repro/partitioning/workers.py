@@ -182,7 +182,6 @@ def _build_shards(spec) -> Dict[int, VersionedRecordStore]:
         shard: VersionedRecordStore(
             btree_degree=spec["btree_degree"],
             seed=None if seed is None else seed + 1000 * shard,
-            cache=spec["cache"],
             engine=spec["engine"],
         )
         for shard in spec["shards"]
@@ -573,7 +572,6 @@ class ShardedRecordStore:
         btree_degree: int = 16,
         seed: Optional[int] = 0,
         shard_of=None,
-        cache: bool = True,
         engine: Optional[str] = None,
     ):
         if n_shards < 1 or n_workers < 0:
@@ -591,7 +589,6 @@ class ShardedRecordStore:
         self.n_shards = n_shards
         self.n_workers = n_workers
         self.router = ShardRouter(n_shards, shard_of=shard_of)
-        self.cache_enabled = cache
         #: per-shard operation counters (reads + writes), for balance
         #: inspection and the simulation's shard-RPC accounting.
         self.accesses: List[int] = [0] * n_shards
@@ -607,7 +604,6 @@ class ShardedRecordStore:
                 "shards": [s for s in range(n_shards) if s % n_links == index],
                 "btree_degree": btree_degree,
                 "seed": seed,
-                "cache": cache,
                 "engine": engine or "btree",
             }
             for index in range(n_links)
@@ -842,10 +838,9 @@ class ShardedRecordStore:
 
     def cache_info(self):
         """Aggregate visibility-cache stats across all shards."""
-        totals = {"enabled": self.cache_enabled, "size": 0, "hits": 0,
-                  "misses": 0, "invalidations": 0}
+        totals = {"size": 0, "hits": 0, "misses": 0, "invalidations": 0}
         for stats in self._stats():
-            for field in ("size", "hits", "misses", "invalidations"):
+            for field in totals:
                 totals[field] += stats["cache"][field]
         return totals
 

@@ -131,7 +131,6 @@ class TardisAdapter(SystemAdapter):
         costs: Optional[CostModel] = None,
         merge_resolver=None,
         engine: Any = None,
-        read_cache: bool = True,
         shards: Optional[int] = None,
         shard_workers: Optional[int] = None,
     ):
@@ -140,7 +139,6 @@ class TardisAdapter(SystemAdapter):
             store = TardisStore(
                 "sim",
                 engine=engine,
-                read_cache=read_cache,
                 shards=shards,
                 shard_workers=shard_workers,
             )
@@ -183,13 +181,10 @@ class TardisAdapter(SystemAdapter):
         txn = self.store.begin(
             self.begin_constraint, session=session, read_only=read_only
         )
-        # A begin-cache hit replaces the leaf BFS (begin_visits is 0)
-        # with one memo probe + structural revalidation.
         cost = (
             self.costs.txn_overhead
             + self.costs.begin_base
             + txn.trace.begin_visits * self.costs.dag_visit
-            + (self.costs.cache_probe if txn.trace.begin_cached else 0.0)
         )
         return txn, cost
 

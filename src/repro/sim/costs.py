@@ -38,11 +38,9 @@ class CostModel:
     dag_visit: float = 0.0015        # per state visited by the begin BFS
     version_check: float = 0.002     # per key-version entry scanned
     kvm_lookup: float = 0.001        # key-version map access
-    cache_probe: float = 0.002       # read-path cache lookup + validity
-    #   check (generation compare, newest-version peek); a visibility
-    #   hit costs kvm_lookup + cache_probe instead of the walk + B-tree
-    #   access, a begin hit costs begin_base + cache_probe with no
-    #   per-state BFS visits.
+    cache_probe: float = 0.002       # visibility-cache lookup + validity
+    #   check (mask compare, newest-version peek); a hit costs
+    #   kvm_lookup + cache_probe instead of the walk + B-tree access.
     write_insert: float = 0.008      # skip-list insert + record create
     commit_base: float = 0.003
     ripple_check: float = 0.001      # per child write-set check at commit

@@ -19,7 +19,7 @@ Commands:
 * ``flight`` — pretty-print a flight-recorder dump produced by the
   divergence monitor (or ``trace --dump``).
 * ``check`` — run the static-analysis rules (lock discipline,
-  generation contract, metric-name drift, hygiene) over the package and
+  lock order, metric-name drift, hygiene) over the package and
   exit nonzero on findings; ``--format=json`` is the CI gate's input.
 * ``serve`` — run the asyncio network server (docs/internals.md §12):
   one TardisStore behind the length-prefixed JSON wire protocol, until
@@ -212,27 +212,16 @@ def cmd_metrics(args) -> int:
             )
         )
         print()
-        print("-- read-path caches " + "-" * 40)
-
-        def hit_rate(prefix):
-            hits = registry.counter_value("%s_hit_total" % prefix)
-            misses = registry.counter_value("%s_miss_total" % prefix)
-            rate = 100.0 * hits / max(hits + misses, 1)
-            return hits, misses, rate
-
-        begin_hits, begin_misses, begin_rate = hit_rate("tardis_begin_cache")
-        vis_hits, vis_misses, vis_rate = hit_rate("tardis_vis_cache")
+        print("-- visibility cache " + "-" * 40)
+        vis_hits = registry.counter_value("tardis_vis_cache_hit_total")
+        vis_reads = vis_hits + registry.counter_value("tardis_vis_cache_miss_total")
         print(
-            "begin: %5.1f%% (%d/%d)  visibility: %5.1f%% (%d/%d)  invalidations=%d  generation=%d"
+            "visibility: %5.1f%% (%d/%d)  invalidations=%d"
             % (
-                begin_rate,
-                begin_hits,
-                begin_hits + begin_misses,
-                vis_rate,
+                100.0 * vis_hits / max(vis_reads, 1),
                 vis_hits,
-                vis_hits + vis_misses,
+                vis_reads,
                 registry.counter_value("tardis_vis_cache_invalidations_total"),
-                store.dag.generation,
             )
         )
 
@@ -438,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     check = sub.add_parser(
         "check",
         help="static analysis: lock discipline, lock order, async "
-        "discipline, generation contract, metric drift, wire contract, "
+        "discipline, metric drift, wire contract, "
         "hygiene (docs/internals.md §11)",
     )
     check.add_argument(

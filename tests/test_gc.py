@@ -299,7 +299,6 @@ def reference_collect(store):
             if state.id in common:
                 state.marked = True
         stats.marked = sum(1 for s in dag.states() if s.marked)
-        dag.bump_generation()
         for state in sorted(dag.states(), key=lambda s: s.id):
             state.safe_to_gc = (
                 state.marked

@@ -1,20 +1,24 @@
-"""Read-path caching: equivalence with the cold paths and invalidation.
+"""The visibility cache: equal to the uncached walk, bounded, invalidated.
 
-The generation-stamped caches (docs/internals.md §10) are pure
-memoization — a cached store must be observationally identical to one
-built with ``read_cache=False``. These tests drive both arms through
-identical histories (including forks, merges, GC, and record promotion)
-and assert bit-identical reads, begin states, and conflict-write sets,
-then pin down each invalidation edge individually.
+The per-key visibility cache (docs/internals.md §10) is pure
+memoization of ``VersionedRecordStore._walk_versions``. The fuzz below
+drives one store through forks, merges, ceilings + GC, record promotion
+and fork retirement, and checks every ``read_visible`` /
+``read_visible_many`` / ``read_candidates`` answer against that walk as
+it is returned — on a flat store, on in-process shards and on shards in
+worker processes. The remaining tests pin the cache's size bound, each
+invalidation edge individually, and the begin states and merge conflict
+sets that earlier, since deleted, caches used to memoize.
 """
 
 import random
+from types import SimpleNamespace
 
 import pytest
 
 from repro import TardisStore
-from repro.core.constraints import AncestorConstraint
-from repro.errors import TransactionAborted
+from repro.core.versions import VersionedRecordStore
+from repro.errors import MultipleValuesError, TransactionAborted
 
 
 def fork_pair(store, a, b, n_rounds=1):
@@ -34,130 +38,234 @@ def fork_pair(store, a, b, n_rounds=1):
         t2.commit()
 
 
-class TestCachedUncachedEquivalence:
-    """Fuzz: one deterministic schedule, two stores, identical results."""
+class _Ids:
+    """A version-id list, iterated the way ``_walk_versions`` does."""
 
-    KEYS = ["base", "k0", "k1", "k2", "k3", "k4"]
+    def __init__(self, ids):
+        self._ids = ids
 
-    def drive(self, store, rng):
-        """Replay a randomized history; return every observable."""
-        sessions = [store.session("s%d" % i) for i in range(3)]
-        observed = []
-        for step in range(120):
-            op = rng.random()
-            sess = sessions[rng.randrange(len(sessions))]
-            if op < 0.20:
-                # Two overlapping transactions read-write conflicting on
-                # ``base``: branch-on-conflict must fork.
-                other = sessions[(sessions.index(sess) + 1) % len(sessions)]
-                t1 = store.begin(session=sess)
-                t2 = store.begin(session=other)
-                t1.put("base", t1.get("base", default=0) + 1)
-                t2.put("base", t2.get("base", default=0) + 10)
-                observed.append(("pair", t1.commit(), t2.commit()))
-            elif op < 0.70:
-                txn = store.begin(session=sess)
-                observed.append(("begin", txn.read_state.id))
-                for _ in range(rng.randrange(1, 4)):
-                    key = self.KEYS[rng.randrange(len(self.KEYS))]
-                    if rng.random() < 0.5 or key == "base":
-                        observed.append(("r", key, txn.get(key, default=None)))
-                    else:
-                        txn.put(key, (step, key))
-                # Conflicting read-write pairs on ``base`` force forks.
-                txn.put("base", txn.get("base", default=0) + 1)
-                try:
-                    observed.append(("commit", txn.commit()))
-                except TransactionAborted:
-                    observed.append(("abort",))
-            elif op < 0.85 and len(store.dag.leaves()) > 1:
-                merge = store.begin_merge(session=sess)
-                conflicts = merge.find_conflict_writes()
-                observed.append(("conflicts", tuple(conflicts)))
-                for key in conflicts:
-                    values = merge.get_all(key)
-                    merge.put(key, max(values, key=repr))
-                observed.append(("merge", merge.commit()))
-            else:
-                for s in sessions:
-                    s.place_ceiling()
-                stats = store.collect_garbage(
-                    flush_promotions=rng.random() < 0.3
+    def keys(self):
+        return iter(self._ids)
+
+
+def walk(store, key, state):
+    """``VersionedRecordStore._walk_versions``, uncached, on the
+    coordinator's DAG, over whichever plane holds the versions."""
+    versions = store.versions
+    ids = versions.versions_of(key)
+    return VersionedRecordStore._walk_versions(
+        SimpleNamespace(_records=versions.records),
+        key,
+        _Ids(ids) if ids else None,
+        state,
+        store.dag,
+        None,
+    )
+
+
+def walk_candidates(store, key, states):
+    """``read_candidates`` rebuilt from one uncached walk per read state."""
+    dag = store.dag
+    per_branch = {}
+    for state in states:
+        hit = walk(store, key, state)
+        if hit is not None:
+            per_branch.setdefault(hit[0], hit[1])
+    resolved = {sid: dag.resolve(sid) for sid in per_branch}
+    kept = [
+        (sid, value)
+        for sid, value in per_branch.items()
+        if not any(
+            sid != other and dag.descendant_check(resolved[sid], resolved[other])
+            for other in per_branch
+        )
+    ]
+    return sorted(kept, reverse=True)
+
+
+def check_every_read(store):
+    """Wrap the store's read entry points so each answer is compared
+    with the uncached walk before it is returned; returns the count."""
+    versions = store.versions
+    checked = [0]
+    read_visible = versions.read_visible
+    read_visible_many = versions.read_visible_many
+    read_candidates = versions.read_candidates
+
+    def visible(key, state, dag, scanned=None, hits=None):
+        got = read_visible(key, state, dag, scanned, hits)
+        assert got == walk(store, key, state), (key, state.id)
+        checked[0] += 1
+        return got
+
+    def visible_many(keys, state, dag, scanned=None, hits=None):
+        got = read_visible_many(keys, state, dag, scanned, hits)
+        assert got == [walk(store, key, state) for key in keys], (keys, state.id)
+        checked[0] += len(got)
+        return got
+
+    def candidates(key, states, dag, scanned=None, hits=None):
+        got = read_candidates(key, states, dag, scanned, hits)
+        assert got == walk_candidates(store, key, states), key
+        checked[0] += 1
+        return got
+
+    versions.read_visible = visible
+    versions.read_visible_many = visible_many
+    versions.read_candidates = candidates
+    return checked
+
+
+KEYS = ["base", "k0", "k1", "k2", "k3", "k4", "never-written"]
+
+
+def drive(store, rng, steps=150):
+    """A randomized history over one store; returns what it covered."""
+    sessions = [store.session("s%d" % i) for i in range(3)]
+    covered = {"removed": 0, "promoted": 0, "scrubbed": 0, "probes": 0}
+    for step in range(steps):
+        op = rng.random()
+        sess = sessions[rng.randrange(len(sessions))]
+        if op < 0.20:
+            # Overlapping read-write pairs on ``base``: branch on conflict.
+            other = sessions[(sessions.index(sess) + 1) % len(sessions)]
+            t1 = store.begin(session=sess)
+            t2 = store.begin(session=other)
+            t1.put("base", t1.get("base", default=0) + 1)
+            t2.put("base", t2.get("base", default=0) + 10)
+            t1.commit()
+            t2.commit()
+        elif op < 0.60:
+            txn = store.begin(session=sess)
+            txn.get_many(rng.sample(KEYS, 3), default=None)
+            for _ in range(rng.randrange(1, 4)):
+                key = KEYS[rng.randrange(1, len(KEYS) - 1)]
+                if rng.random() < 0.5:
+                    txn.get(key, default=None)
+                else:
+                    txn.put(key, (step, key))
+            txn.put("base", txn.get("base", default=0) + 1)
+            try:
+                txn.commit()
+            except TransactionAborted:
+                pass
+        elif op < 0.75:
+            # Reads from arbitrary live states, interior ones included:
+            # masks and ids the transactions above would not pick.
+            states = list(store.dag.states())
+            for _ in range(3):
+                state = states[rng.randrange(len(states))]
+                store.versions.read_visible(
+                    KEYS[rng.randrange(len(KEYS))], state, store.dag
                 )
-                observed.append(
-                    ("gc", stats.states_removed, stats.records_promoted)
-                )
-        # Final state: every leaf and every visible value per leaf.
-        for leaf in sorted(store.dag.leaves(), key=lambda s: s.id):
-            view = tuple(
-                store.versions.read_visible(key, leaf, store.dag)
-                for key in self.KEYS
-            )
-            observed.append(("leaf", leaf.id, view))
-        return observed
-
-    @pytest.mark.parametrize("seed", [0, 1, 7, 42])
-    def test_fuzz_bit_identical(self, seed):
-        cached = TardisStore("site")
-        cold = TardisStore("site", read_cache=False)
-        got_cached = self.drive(cached, random.Random(seed))
-        got_cold = self.drive(cold, random.Random(seed))
-        assert got_cached == got_cold
-        # The schedule must actually exercise the caches for the
-        # equivalence to mean anything.
-        stats = cached.cache_stats()
-        assert stats["begin_hits"] + stats["vis_hits"] > 0
-        assert cached.metrics.forks > 0
-
-    def test_conflict_write_sets_match(self):
-        """WriteSetIndex vs the legacy states_between walk, repeatedly."""
-        cached = TardisStore("site")
-        cold = TardisStore("site", read_cache=False)
-        for store in (cached, cold):
-            a, b = store.session("a"), store.session("b")
-            with store.begin(session=a) as t:
-                t.put("base", 0)
-            fork_pair(store, a, b, n_rounds=3)
-        m1 = cached.begin_merge(session=cached.session("a"))
-        m2 = cold.begin_merge(session=cold.session("a"))
-        first = m1.find_conflict_writes()
-        assert first == m2.find_conflict_writes()
-        assert "base" in first
-        # Second query is answered from the memo, identically.
-        assert m1.find_conflict_writes() == first
-        assert cached.cache_stats()["writeset_hits"] >= 2
-        m1.abort()
-        m2.abort()
-        # A commit extending one branch tops the memo up incrementally:
-        # the next query re-walks nothing.
-        t = cached.begin(session=cached.session("a"))
-        t.put("extra", 1)
-        t.commit()
-        misses_before = cached.cache_stats()["writeset_misses"]
-        m3 = cached.begin_merge(session=cached.session("a"))
-        m4 = cold.begin_merge(session=cold.session("a"))
-        t2 = cold.begin(session=cold.session("a"))
-        t2.put("extra", 1)
-        t2.commit()
-        m4.abort()
-        m4 = cold.begin_merge(session=cold.session("a"))
-        assert m3.find_conflict_writes() == m4.find_conflict_writes()
-        assert cached.cache_stats()["writeset_misses"] == misses_before
-        m3.abort()
-        m4.abort()
+                covered["probes"] += 1
+        elif op < 0.88 and len(store.dag.leaves()) > 1:
+            merge = store.begin_merge(session=sess)
+            for key in merge.find_conflict_writes():
+                merge.put(key, max(merge.get_all(key), key=repr))
+            try:
+                merge.get(KEYS[rng.randrange(1, len(KEYS))], default=None)
+            except MultipleValuesError:
+                pass
+            merge.commit()
+        else:
+            # Anchor every session at its newest branch head, then promise
+            # never to read below it: merged forks become collectable.
+            for s in sessions:
+                txn = store.begin(session=s)
+                txn.get("base", default=None)
+                txn.commit()
+                s.place_ceiling()
+            stats = store.collect_garbage(flush_promotions=rng.random() < 0.3)
+            covered["removed"] += stats.states_removed
+            covered["promoted"] += stats.records_promoted + stats.records_dropped
+            covered["scrubbed"] += stats.fork_entries_scrubbed
+    for leaf in store.dag.leaves():
+        store.versions.read_visible_many(KEYS, leaf, store.dag)
+    covered["forks"] = store.metrics.forks
+    covered["merges"] = store.metrics.merges
+    return covered
 
 
-class TestGenerationBumps:
-    """Every mutation class must move the right generation counter."""
+STORES = {
+    "flat": {},
+    "shards4": {"shards": 4},
+    "shards4-workers2": {"shards": 4, "shard_workers": 2},
+}
 
-    def test_commit_bumps_generation(self):
-        store = TardisStore("g")
-        before = store.dag.generation
+
+class TestCacheEqualsWalk:
+    """Fuzz: every cached answer equals the uncached walk, as it happens."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    @pytest.mark.parametrize("plane", sorted(STORES))
+    def test_fuzz(self, plane, seed):
+        store = TardisStore("site", **STORES[plane])
+        try:
+            checked = check_every_read(store)
+            covered = drive(store, random.Random(seed))
+            info = store.versions.cache_info()
+        finally:
+            store.close()
+        # The history must reach every path that can stale an entry, and
+        # the cache must actually answer, for the equality to mean much.
+        assert all(covered.values()), covered
+        assert info["hits"] > 0 and info["invalidations"] > 0, info
+        assert checked[0] > 300
+
+
+class TestCacheBound:
+    def test_forking_rounds_keep_one_entry_per_key(self):
+        # Entries used to be keyed by (key, path_mask); every fork makes
+        # a new mask, so a forking history grew the cache without bound.
+        # One session: both transactions of a round read its newest head,
+        # so every round forks it again.
+        store = TardisStore("v")
+        sess = store.session("a")
+        keys = ["k%d" % i for i in range(8)]
+        with store.begin(session=sess) as t:
+            for key in keys:
+                t.put(key, 0)
+        for i in range(200):
+            key = keys[i % len(keys)]
+            t1 = store.begin(session=sess)
+            t2 = store.begin(session=sess)
+            t1.get_many(keys)
+            t2.get_many(keys)
+            t1.put(key, i)
+            t2.put(key, -i)
+            t1.commit()
+            t2.commit()
+        assert store.metrics.forks >= 100
+        assert store.versions.cache_info()["size"] <= len(keys)
+
+    def test_never_written_keys_leave_no_entry(self):
+        store = TardisStore("v")
         with store.begin() as t:
             t.put("x", 1)
-        assert store.dag.generation > before
-        # Plain commits are append-only: no destructive move.
-        assert store.dag.destructive_gen < store.dag.generation
+        t = store.begin()
+        for i in range(10_000):
+            assert t.get("ghost%d" % i, default=None) is None
+        t.commit()
+        assert store.versions.cache_info()["size"] == 0
+
+
+class TestDestructiveEpoch:
+    """Every destructive event must move ``dag.destructive_gen``."""
+
+    def test_commit_is_not_destructive(self):
+        # Plain commits only append: the cache keeps its entries.
+        store = TardisStore("g")
+        with store.begin() as t:
+            t.put("x", 1)
+        t = store.begin()
+        t.get("x")
+        t.commit()
+        before = store.dag.destructive_gen
+        with store.begin() as t:
+            t.put("y", 1)
+        assert store.dag.destructive_gen == before
+        assert store.versions.cache_info()["size"] == 1
 
     def test_splice_out_marks_destructive(self):
         store = TardisStore("g")
@@ -176,52 +284,43 @@ class TestGenerationBumps:
         # promote_and_prune rewrites version lists even when invoked
         # directly, so it must flag the move itself.
         store = TardisStore("g")
-        sess = store.session("a")
-        for i in range(4):
-            t = store.begin(session=sess)
-            t.put("x", i)
-            t.commit()
-        sess.place_ceiling()
-        store.collect_garbage()
-        assert store.dag.destructive_gen == store.dag.generation
+        store.put("y", 0)
+        for i in range(3):
+            store.put("x", i)
+        dag = store.dag
+        dag.splice_out(dag.resolve(store.versions.versions_of("y")[0]))
+        before = dag.destructive_gen
+        promoted, dropped = store.versions.promote_and_prune(dag)
+        assert promoted + dropped > 0
+        assert dag.destructive_gen > before
 
-    def test_mark_pass_alone_bumps_generation(self):
-        # Marking changes find_read_state results without reshaping the
-        # DAG: generation must move (begin caches revalidate), but the
-        # move need not be destructive when nothing was spliced.
+    def test_mark_pass_alone_is_not_destructive(self):
+        # Marking changes which states a begin may pick but rewrites no
+        # version list and no path mask: cached reads stay valid across
+        # it. The fork is at the root, so the one marked state is a fork
+        # point and nothing is spliced.
         store = TardisStore("g")
         a, b = store.session("a"), store.session("b")
-        with store.begin(session=a) as t:
-            t.put("base", 0)
         fork_pair(store, a, b)
-        reader = store.begin(session=a)  # pins its read state
+        with store.begin(session=a) as t:
+            t.put("base", t.get("base") + 1)
+        reader = store.begin(session=b)
+        assert reader.get("base") == 10
         a.place_ceiling()
         b.place_ceiling()
-        before = store.dag.generation
+        before = store.dag.destructive_gen
         stats = store.collect_garbage()
-        assert stats.marked > 0
-        assert store.dag.generation > before
+        assert stats.marked > 0 and stats.states_removed == 0
+        assert store.dag.destructive_gen == before
+        hits = store.versions.cache_info()["hits"]
+        assert reader.get("base") == 10
+        info = store.versions.cache_info()
+        assert info["hits"] == hits + 1 and info["invalidations"] == 0
         reader.abort()
 
-    def test_group_commit_flush_keeps_generation_moving(self, tmp_path):
-        store = TardisStore(
-            "g",
-            wal_path=str(tmp_path / "wal.log"),
-            wal_sync=False,
-            group_commit=3,
-        )
-        generations = []
-        for i in range(7):
-            with store.begin() as t:
-                t.put("k%d" % i, i)
-            generations.append(store.dag.generation)
-        # Strictly monotone across the batch boundaries too.
-        assert generations == sorted(set(generations))
-        store.close()
 
-
-class TestBeginCache:
-    def test_hit_after_abort(self):
+class TestBegin:
+    def test_same_state_after_abort(self):
         store = TardisStore("b")
         sess = store.session("a")
         with store.begin(session=sess) as t:
@@ -229,37 +328,32 @@ class TestBeginCache:
         t1 = store.begin(session=sess)
         state_id = t1.read_state.id
         t1.abort()
-        hits_before = store.metrics.begin_cache_hits
         t2 = store.begin(session=sess)
         assert t2.read_state.id == state_id
-        assert store.metrics.begin_cache_hits == hits_before + 1
         t2.abort()
 
-    def test_miss_after_new_leaf(self):
+    def test_new_leaf_after_commit(self):
         store = TardisStore("b")
         sess = store.session("a")
         with store.begin(session=sess) as t:
             t.put("x", 1)
-        store.begin(session=sess).abort()  # populate the cache
+        store.begin(session=sess).abort()
         with store.begin(session=sess) as t:
-            t.put("x", 2)  # new leaf supersedes the cached one
-        misses_before = store.metrics.begin_cache_misses
+            t.put("x", 2)  # a new leaf supersedes the one read above
         t = store.begin(session=sess)
         assert t.read_state.id == sess.last_commit_id
-        assert store.metrics.begin_cache_misses == misses_before + 1
+        assert t.get("x") == 2
         t.abort()
 
-    def test_marked_leaf_never_served_from_cache(self):
-        # GC marking must invalidate cached begin states even though the
-        # DAG's shape is untouched.
+    def test_marked_leaf_never_chosen(self):
         store = TardisStore("b")
         a, b = store.session("a"), store.session("b")
         with store.begin(session=a) as t:
             t.put("base", 0)
         fork_pair(store, a, b)
-        store.begin(session=a).abort()  # cache a's branch leaf
-        # a commits again, then promises never to read below it: the
-        # cached leaf becomes marked.
+        store.begin(session=a).abort()
+        # a commits again, then promises never to read below it: a's
+        # old branch leaf becomes marked.
         with store.begin(session=a) as t:
             t.put("base", t.get("base") + 1)
         a.place_ceiling()
@@ -269,14 +363,36 @@ class TestBeginCache:
         assert not t.read_state.marked
         t.abort()
 
-    def test_disabled_store_counts_nothing(self):
-        store = TardisStore("b", read_cache=False)
-        with store.begin() as t:
-            t.put("x", 1)
-        store.begin().abort()
-        store.begin().abort()
-        assert store.metrics.begin_cache_hits == 0
-        assert store.metrics.begin_cache_misses == 0
+
+class TestConflictWrites:
+    def test_conflict_write_sets_match(self):
+        """``find_conflict_writes`` is the keys written on two branches
+        since the fork, however often it is asked and as branches grow."""
+        store = TardisStore("site")
+        a, b = store.session("a"), store.session("b")
+        with store.begin(session=a) as t:
+            t.put("base", 0)
+            t.put("extra", 0)
+        fork_pair(store, a, b, n_rounds=3)
+        merge = store.begin_merge(session=a)
+        first = merge.find_conflict_writes()
+        # a%d and b%d are each written on one branch only.
+        assert first == ["base"]
+        assert merge.find_conflict_writes() == first
+        merge.abort()
+        # A key written on one branch alone does not conflict ...
+        with store.begin(session=a) as t:
+            t.put("extra", 1)
+        merge = store.begin_merge(session=a)
+        assert merge.find_conflict_writes() == ["base"]
+        merge.abort()
+        # ... until the other branch writes it too.
+        with store.begin(session=b) as t:
+            t.put("extra", 2)
+        merge = store.begin_merge(session=a)
+        assert merge.find_conflict_writes() == ["base", "extra"]
+        assert sorted(merge.get_all("extra")) == [1, 2]
+        merge.abort()
 
 
 class TestVisibilityCache:
@@ -296,7 +412,6 @@ class TestVisibilityCache:
         store = TardisStore("v")
         with store.begin() as t:
             t.put("x", 1)
-        store.begin().abort() and None  # warm
         t = store.begin()
         t.get("x")
         t.abort()

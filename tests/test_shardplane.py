@@ -225,7 +225,7 @@ class TestMaskTable:
         assert versions.num_records() == 1
         assert versions.num_keys() == 1
         assert sum(versions.balance()) == 1
-        assert versions.cache_info()["enabled"] is True
+        assert versions.cache_info()["size"] == 0  # nothing was read
         # 4 calls x 2 workers (+ the probe above), not 4 x 4 shards.
         assert next(versions._batch_ids) - before == 1 + 4 * 2
 
