@@ -1,10 +1,9 @@
-"""Static analysis and concurrency contracts for the TARDiS reproduction.
+"""Static analysis for the TARDiS reproduction.
 
 ``tardis check`` (see :mod:`repro.tools.cli`) runs the AST rule engine
-over ``src/repro``; :mod:`repro.analysis.lockset` adds an Eraser-style
-dynamic checker for guards the static rules cannot see. The contracts
-themselves — ``_GUARDED_BY`` maps, the lock order, the metric
-catalogue — are documented in ``docs/internals.md`` §11.
+over ``src/repro``. The contracts it checks — ``_GUARDED_BY`` maps, the
+lock order, the metric catalogue — are documented in
+``docs/internals.md`` §11.
 """
 
 from __future__ import annotations
@@ -18,25 +17,20 @@ from repro.analysis.engine import (
     Report,
     Rule,
     SourceModule,
-    load_baseline,
     load_project,
     run_check,
 )
-from repro.analysis.lockset import LocksetChecker, TrackedLock
 from repro.analysis.rules import ALL_RULES, default_rules, rules_by_id
 
 __all__ = [
     "ALL_RULES",
     "Finding",
-    "LocksetChecker",
     "Project",
     "Report",
     "Rule",
     "SourceModule",
-    "TrackedLock",
     "check_repo",
     "default_rules",
-    "load_baseline",
     "load_project",
     "rules_by_id",
     "run_check",
@@ -46,21 +40,16 @@ __all__ = [
 def check_repo(
     src_root: Optional[Path] = None,
     rules: Optional[Sequence[Rule]] = None,
-    baseline: Optional[dict] = None,
 ) -> Report:
     """Run the full check over this checkout (convenience for CLI/tests).
 
     ``src_root`` defaults to the installed ``repro`` package directory,
     which inside the repo is ``src/repro`` — so tests and the CLI agree
-    on the lint target without path plumbing. ``baseline`` is a multiset
-    from :func:`load_baseline`; matching findings are dropped and
-    counted in ``Report.baselined``.
+    on the lint target without path plumbing.
     """
     if src_root is None:
         src_root = Path(__file__).resolve().parent.parent
     project = load_project(Path(src_root))
     return run_check(
-        project,
-        list(rules) if rules is not None else default_rules(),
-        baseline=baseline,
+        project, list(rules) if rules is not None else default_rules()
     )

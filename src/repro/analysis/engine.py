@@ -35,7 +35,7 @@ import re
 import tokenize
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 __all__ = [
     "Finding",
@@ -44,14 +44,11 @@ __all__ = [
     "Project",
     "Rule",
     "Report",
-    "baseline_key",
-    "load_baseline",
     "load_project",
     "run_check",
 ]
 
 SEVERITY_ERROR = "error"
-SEVERITY_WARNING = "warning"
 
 #: schema version of the JSON report (bump on breaking changes).
 REPORT_SCHEMA = 1
@@ -191,13 +188,6 @@ class Project:
                 return module
         return None
 
-    def doc(self, suffix: str) -> Optional[TextFile]:
-        """The doc file whose relpath ends with ``suffix``."""
-        for doc in self.docs:
-            if doc.relpath.replace("\\", "/").endswith(suffix):
-                return doc
-        return None
-
     def classes(self) -> Dict[str, List[Tuple["SourceModule", ast.ClassDef]]]:
         """Whole-repo class index: name -> [(module, ClassDef), ...].
 
@@ -239,17 +229,6 @@ class Report:
     suppressed: int
     rules: List[str]
     files_checked: int
-    #: findings dropped because a ``--baseline`` report already records
-    #: them — the "no *new* findings" CI mode.
-    baselined: int = 0
-
-    @property
-    def errors(self) -> List[Finding]:
-        return [f for f in self.findings if f.severity == SEVERITY_ERROR]
-
-    @property
-    def warnings(self) -> List[Finding]:
-        return [f for f in self.findings if f.severity == SEVERITY_WARNING]
 
     @property
     def ok(self) -> bool:
@@ -267,11 +246,7 @@ class Report:
             "files_checked": self.files_checked,
             "rules": list(self.rules),
             "suppressed": self.suppressed,
-            "baselined": self.baselined,
-            "counts": {
-                "error": len(self.errors),
-                "warning": len(self.warnings),
-            },
+            "counts": {"error": len(self.findings)},
             "findings": [f.to_dict() for f in self.findings],
         }
 
@@ -280,20 +255,10 @@ class Report:
 
     def format(self) -> str:
         lines = [f.format() for f in self.findings]
-        summary = (
-            "tardis check: %d finding(s) (%d error, %d warning), "
-            "%d suppressed, %d file(s)"
-            % (
-                len(self.findings),
-                len(self.errors),
-                len(self.warnings),
-                self.suppressed,
-                self.files_checked,
-            )
+        lines.append(
+            "tardis check: %d finding(s), %d suppressed, %d file(s)"
+            % (len(self.findings), self.suppressed, self.files_checked)
         )
-        if self.baselined:
-            summary += ", %d baselined" % self.baselined
-        lines.append(summary)
         return "\n".join(lines)
 
 
@@ -345,46 +310,8 @@ def load_project(
     return project
 
 
-def baseline_key(finding: Finding) -> Tuple[str, str, str]:
-    """The identity a baseline matches on.
-
-    Line numbers shift with every edit, so baselines match on
-    ``(file, rule, message)`` — stable until the offending code itself
-    changes, at which point the finding is (correctly) new again.
-    """
-    return (finding.file, finding.rule, finding.message)
-
-
-def load_baseline(path: Path) -> Dict[Tuple[str, str, str], int]:
-    """Load a prior ``--format=json`` report as a baseline.
-
-    Returns a multiset of finding keys (a key may appear several times
-    when one line of drift produces identical messages in two places).
-    Raises :class:`ValueError` on a document that is not a report.
-    """
-    with open(path) as handle:
-        doc = json.load(handle)
-    if not isinstance(doc, dict) or "findings" not in doc:
-        raise ValueError("%s is not a tardis check JSON report" % path)
-    keys: Dict[Tuple[str, str, str], int] = {}
-    for entry in doc["findings"]:
-        key = (entry["file"], entry["rule"], entry["message"])
-        keys[key] = keys.get(key, 0) + 1
-    return keys
-
-
-def run_check(
-    project: Project,
-    rules: Sequence[Rule],
-    baseline: Optional[Dict[Tuple[str, str, str], int]] = None,
-) -> Report:
-    """Apply ``rules`` to ``project``; filter suppressions; sort findings.
-
-    ``baseline`` (from :func:`load_baseline`) drops findings already
-    recorded in a prior report, so CI can gate on "no new findings"
-    without requiring a zero-count repo; dropped findings are counted
-    in ``Report.baselined``.
-    """
+def run_check(project: Project, rules: Sequence[Rule]) -> Report:
+    """Apply ``rules`` to ``project``; filter suppressions; sort findings."""
     modules_by_rel = {m.relpath: m for m in project.modules}
     raw: List[Finding] = []
     for rule in rules:
@@ -394,17 +321,10 @@ def run_check(
 
     kept: List[Finding] = []
     suppressed = 0
-    baselined = 0
-    remaining = dict(baseline) if baseline else {}
     for finding in raw:
         module = modules_by_rel.get(finding.file)
         if module is not None and module.suppressed(finding.line, finding.rule):
             suppressed += 1
-            continue
-        key = baseline_key(finding)
-        if remaining.get(key, 0) > 0:
-            remaining[key] -= 1
-            baselined += 1
             continue
         kept.append(finding)
     kept.sort(key=_sort_key)
@@ -413,5 +333,4 @@ def run_check(
         suppressed=suppressed,
         rules=[rule.id for rule in rules],
         files_checked=len(project.modules),
-        baselined=baselined,
     )

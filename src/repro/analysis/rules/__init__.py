@@ -10,7 +10,6 @@ from repro.analysis.rules.hygiene import BareExceptRule, ImportHygieneRule
 from repro.analysis.rules.lock_discipline import LockDisciplineRule
 from repro.analysis.rules.lock_order import LockOrderRule
 from repro.analysis.rules.metric_drift import MetricNameDriftRule
-from repro.analysis.rules.wire_contract import WireContractRule
 
 __all__ = [
     "ALL_RULES",
@@ -20,7 +19,6 @@ __all__ = [
     "LockDisciplineRule",
     "LockOrderRule",
     "MetricNameDriftRule",
-    "WireContractRule",
     "default_rules",
     "rules_by_id",
 ]
@@ -31,7 +29,6 @@ ALL_RULES: Sequence[Type[Rule]] = (
     LockOrderRule,
     AsyncDisciplineRule,
     MetricNameDriftRule,
-    WireContractRule,
     ImportHygieneRule,
     BareExceptRule,
 )

@@ -20,12 +20,7 @@ from __future__ import annotations
 import ast
 from typing import Dict, List, Optional
 
-from repro.analysis.engine import (
-    SEVERITY_WARNING,
-    Finding,
-    Rule,
-    SourceModule,
-)
+from repro.analysis.engine import Finding, Rule, SourceModule
 
 _BROAD_NAMES = frozenset({"Exception", "BaseException"})
 
@@ -76,7 +71,6 @@ def _handler_names(handler: ast.ExceptHandler) -> List[str]:
 
 class ImportHygieneRule(Rule):
     id = "import-hygiene"
-    severity = SEVERITY_WARNING
     description = (
         "imports belong at the top of the module; function-local imports "
         "need a try/except ImportError feature probe"

@@ -14,8 +14,7 @@ inside the class body happens lexically within a ``with self.<lock>:``
 block. Any other value (e.g. ``"external:TardisStore._lock"`` or
 ``"external:des-loop"``) documents a guard the class cannot see —
 typically the owning store's lock, or the single-threaded discrete-event
-loop — which only the dynamic lockset checker
-(:mod:`repro.analysis.lockset`) can enforce.
+loop. Such specs are documentation only: nothing checks them.
 
 What counts as a write to ``self.<field>``:
 
@@ -30,9 +29,8 @@ A method that runs entirely with the lock already held by its callers
 can carry ``# tardis: ignore[lock-discipline]`` on the offending line,
 with a comment saying who holds the lock.
 
-Reads are deliberately out of scope for the static rule — several hot
-paths read racily on purpose (double-checked metric creation, gauge
-snapshots) and the dynamic checker covers them.
+Reads are deliberately out of scope — several hot paths read racily on
+purpose (double-checked metric creation, gauge snapshots).
 """
 
 from __future__ import annotations

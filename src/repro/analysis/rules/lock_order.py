@@ -1,10 +1,9 @@
 """``lock-order``: static deadlock detection over the lock graph.
 
-The dynamic lockset checker (:mod:`repro.analysis.lockset`) watches lock
-*events* at runtime and so only sees orders that an execution actually
-exercised. This rule is its static complement: it builds the whole-repo
-lock-acquisition graph from the source and reports *potential* orders —
-including ones no test has ever interleaved.
+A deadlock needs an interleaving no test is likely to hit, so this rule
+builds the whole-repo lock-acquisition graph from the source and reports
+*potential* orders — including ones no test has ever interleaved — and
+re-acquisitions on paths no test runs.
 
 Lock identity is ``ClassName._attr``. A class's locks are the union of
 

@@ -75,8 +75,8 @@ class TwoPhaseLockingStore:
 
     # Deliberately lock-free: the baseline is driven from the
     # single-threaded discrete-event loop, so its state needs no
-    # threading.Lock. The annotation documents that assumption; running
-    # it from real threads would trip the dynamic lockset checker.
+    # threading.Lock. The annotation documents that assumption, and
+    # nothing checks it: running it from real threads would race.
     _GUARDED_BY = {
         "_records": "external:des-loop",
         "commits": "external:des-loop",

@@ -60,10 +60,9 @@ class VersionedRecordStore:
     §6.6).
     """
 
-    # The record store has no lock of its own: every mutation runs under
-    # the owning TardisStore's ``_lock``. The static lock-discipline
-    # rule cannot see an external guard; the dynamic lockset checker
-    # (``pytest -m lockset``) enforces it.
+    # The record store has no lock of its own: every access runs under
+    # the owning TardisStore's ``_lock``. An ``external:`` guard spec is
+    # documentation; nothing checks it.
     _GUARDED_BY = {
         "_versions": "external:TardisStore._lock",
         "_vis_cache": "external:TardisStore._lock",

@@ -503,8 +503,6 @@ METRIC_NAMES: Dict[str, str] = {
     "tardis_gc_records_dropped_total": "record versions GC reclaimed",
     "tardis_gc_records_promoted_total": "record versions GC promoted",
     "tardis_gc_states_removed_total": "DAG states GC removed",
-    "tardis_lockset_races_total": "races the lockset checker reported",
-    "tardis_lockset_tracked_total": "fields watched by the lockset checker",
     "tardis_merge_conflict_keys": "conflicting keys per merge",
     "tardis_merge_parents": "parents per merge commit",
     "tardis_net_buffered_dropped_total": "buffered messages dropped",

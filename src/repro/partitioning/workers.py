@@ -379,8 +379,8 @@ class _WorkerHandle:
     # The handle is only ever driven by the routed store, which itself
     # runs under the owning TardisStore's lock — liveness flag, the
     # in-order outstanding-batch queue and the mask bookkeeping
-    # included. Enforced dynamically by the lockset checker; the
-    # lock-order rule sees the guard too.
+    # included. An ``external:`` guard spec is documentation; nothing
+    # checks it.
     _GUARDED_BY = {
         "alive": "external:TardisStore._lock",
         "_inflight": "external:TardisStore._lock",
@@ -550,9 +550,9 @@ class ShardedRecordStore:
     coordinator-side concurrency to manage beyond that.
     """
 
-    # Guarded by the owning TardisStore's ``_lock``, like the flat
-    # store; enforced dynamically by the lockset checker, not the
-    # static rule.
+    # Every access runs under the owning TardisStore's ``_lock``, like
+    # the flat store. An ``external:`` guard spec is documentation;
+    # nothing checks it.
     _GUARDED_BY = {
         "accesses": "external:TardisStore._lock",
         "_links": "external:TardisStore._lock",

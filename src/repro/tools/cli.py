@@ -306,30 +306,18 @@ def cmd_check(args) -> int:
         for cls in analysis.ALL_RULES:
             print("%-20s %s" % (cls.id, cls.description))
         return 0
-    picked = args.only if args.only else args.rules
     try:
         rules = (
-            analysis.rules_by_id(picked.split(","))
-            if picked
+            analysis.rules_by_id(args.rules.split(","))
+            if args.rules
             else analysis.default_rules()
         )
-        if args.exclude:
-            dropped = args.exclude.split(",")
-            analysis.rules_by_id(dropped)  # validate ids; raises KeyError
-            rules = [rule for rule in rules if rule.id not in set(dropped)]
     except KeyError as exc:
         valid = ", ".join(cls.id for cls in analysis.ALL_RULES)
         print("unknown rule %s (valid: %s)" % (exc, valid), file=sys.stderr)
         return 2
-    baseline = None
-    if args.baseline:
-        try:
-            baseline = analysis.load_baseline(Path(args.baseline))
-        except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-            print("bad baseline %s: %s" % (args.baseline, exc), file=sys.stderr)
-            return 2
     src_root = Path(args.root).resolve() if args.root else None
-    report = analysis.check_repo(src_root=src_root, rules=rules, baseline=baseline)
+    report = analysis.check_repo(src_root=src_root, rules=rules)
     if args.format == "json":
         print(report.to_json())
     else:
@@ -427,8 +415,8 @@ def build_parser() -> argparse.ArgumentParser:
     check = sub.add_parser(
         "check",
         help="static analysis: lock discipline, lock order, async "
-        "discipline, metric drift, wire contract, "
-        "hygiene (docs/internals.md §11)",
+        "discipline, metric-name drift, import hygiene, bare excepts "
+        "(docs/internals.md §11)",
     )
     check.add_argument(
         "--format", choices=["text", "json"], default="text",
@@ -441,19 +429,6 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument(
         "--rules", default=None,
         help="comma-separated rule ids (default: all)",
-    )
-    check.add_argument(
-        "--only", default=None,
-        help="synonym of --rules: run only these rule ids",
-    )
-    check.add_argument(
-        "--exclude", default=None,
-        help="comma-separated rule ids to skip",
-    )
-    check.add_argument(
-        "--baseline", default=None,
-        help="prior --format=json report; findings it records are "
-        "dropped (gate on no *new* findings)",
     )
     check.add_argument(
         "--list-rules", action="store_true", help="print the rule catalogue"

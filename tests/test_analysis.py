@@ -1,11 +1,12 @@
 """Tests for ``tardis check``: the rule engine, each rule against fixture
-snippets, suppression comments, the JSON report schema, the dynamic
-lockset checker (planted race), and regression tests for the real
-violations the rules flagged when first run over the tree."""
+snippets, suppression comments, the JSON report schema, regression tests
+for the real violations the rules flagged when first run over the tree,
+and one planted bug per rule in the real source (the §11.4 ledger's
+evidence)."""
 
 import json
+import re
 import textwrap
-import threading
 from pathlib import Path
 
 import pytest
@@ -13,7 +14,7 @@ import pytest
 from repro import TardisStore
 from repro.analysis import (
     ALL_RULES,
-    LocksetChecker,
+    Rule,
     check_repo,
     default_rules,
     rules_by_id,
@@ -240,7 +241,7 @@ class TestHygieneRules:
         """
         findings = _findings(ImportHygieneRule(), src)
         assert len(findings) == 2
-        assert all(f.severity == "warning" for f in findings)
+        assert all(f.severity == "error" for f in findings)
         assert any("already imported" in f.message for f in findings)
         assert any("inside f()" in f.message for f in findings)
 
@@ -340,7 +341,7 @@ class TestReport:
         assert data["files_checked"] == 1
         assert data["rules"] == ["bare-except"]
         assert data["suppressed"] == 0
-        assert data["counts"] == {"error": 1, "warning": 0}
+        assert data["counts"] == {"error": 1}
         (finding,) = data["findings"]
         assert set(finding) == {"file", "line", "rule", "severity", "message", "hint"}
         assert finding["file"] == "m.py"
@@ -350,7 +351,7 @@ class TestReport:
         report = _run_bare_except()
         text = report.format()
         assert "m.py:" in text
-        assert "1 finding(s) (1 error, 0 warning)" in text
+        assert "1 finding(s), 0 suppressed, 1 file(s)" in text
 
     def test_rules_by_id(self):
         rules = rules_by_id(["bare-except", "lock-discipline"])
@@ -393,11 +394,24 @@ class TestCli:
         rc = cli_main(["check", "--rules", "no-such-rule"])
         assert rc == 2
 
+    def test_check_takes_four_options(self, capsys):
+        with pytest.raises(SystemExit):
+            cli_main(["check", "--help"])
+        options = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+        assert options == {"--help", "--format", "--root", "--rules", "--list-rules"}
+
     def test_list_rules(self, capsys):
         assert cli_main(["check", "--list-rules"]) == 0
-        out = capsys.readouterr().out
-        for cls in ALL_RULES:
-            assert cls.id in out
+        listed = [line.split()[0] for line in capsys.readouterr().out.splitlines()]
+        assert listed == [cls.id for cls in ALL_RULES]
+        assert sorted(listed) == [
+            "async-discipline",
+            "bare-except",
+            "import-hygiene",
+            "lock-discipline",
+            "lock-order",
+            "metric-name-drift",
+        ]
 
 
 def test_repo_is_clean():
@@ -407,97 +421,16 @@ def test_repo_is_clean():
     assert report.files_checked > 40
 
 
-def test_load_project_locates_tests_and_docs():
-    src_root = Path(_met.__file__).resolve().parent.parent
-    project = load_project(src_root)
-    assert project.module("obs/metrics.py") is not None
-    assert any("test_analysis" in m.relpath for m in project.test_modules)
-    assert any(d.relpath.endswith(".md") for d in project.docs)
+@pytest.fixture(scope="module")
+def real_project():
+    """The repo's own lint target, parsed once per module."""
+    return load_project(Path(_met.__file__).resolve().parent.parent)
 
 
-# ---------------------------------------------------------------------------
-# dynamic lockset checker
-# ---------------------------------------------------------------------------
-
-
-class _Account:
-    def __init__(self):
-        self.balance = 0
-
-
-def _run_thread(fn):
-    t = threading.Thread(target=fn)
-    t.start()
-    t.join()
-
-
-@pytest.mark.lockset
-class TestLocksetChecker:
-    def test_planted_race_is_reported(self):
-        checker = LocksetChecker()
-        lock = checker.wrap_lock(threading.Lock(), name="acct._lock")
-        acct = checker.watch(_Account(), "balance", label="Account")
-
-        def disciplined():
-            for _ in range(3):
-                with lock:
-                    acct.balance += 1
-
-        def racy():
-            acct.balance = 99  # no lock held: the planted race
-
-        _run_thread(disciplined)
-        _run_thread(racy)
-        races = checker.races
-        assert len(races) == 1
-        assert races[0].rule == "lockset-race"
-        assert "Account.balance" in races[0].message
-        # one report per field, even on further racy access
-        _run_thread(racy)
-        assert len(checker.races) == 1
-
-    def test_consistent_locking_is_clean(self):
-        checker = LocksetChecker()
-        lock = checker.wrap_lock(threading.RLock(), name="acct._lock")
-        acct = checker.watch(_Account(), "balance")
-
-        def disciplined():
-            for _ in range(3):
-                with lock:
-                    with lock:  # reentrant: still held after inner exit
-                        pass
-                    acct.balance += 1
-
-        for _ in range(3):
-            _run_thread(disciplined)
-        assert checker.races == []
-
-    def test_single_threaded_access_never_races(self):
-        checker = LocksetChecker()
-        acct = checker.watch(_Account(), "balance")
-        for _ in range(10):
-            acct.balance += 1  # EXCLUSIVE state: first thread, no lock needed
-        assert checker.races == []
-
-    def test_install_intercepts_lock_creation(self):
-        checker = LocksetChecker()
-        real_lock = threading.Lock
-        with checker.install():
-            inner = threading.Lock()
-            assert hasattr(inner, "_checker")
-            with inner:
-                assert checker.held_by_current_thread() == {"lock-1"}
-            assert checker.held_by_current_thread() == set()
-        assert threading.Lock is real_lock
-
-    def test_counters_reach_the_registry(self):
-        registry = _met.MetricsRegistry()
-        checker = LocksetChecker(registry=registry)
-        acct = checker.watch(_Account(), "balance")
-        _run_thread(lambda: setattr(acct, "balance", 1))
-        _run_thread(lambda: setattr(acct, "balance", 2))
-        assert registry.counter_value("tardis_lockset_tracked_total") == 1
-        assert registry.counter_value("tardis_lockset_races_total") == 1
+def test_load_project_locates_tests_and_docs(real_project):
+    assert real_project.module("obs/metrics.py") is not None
+    assert any("test_analysis" in m.relpath for m in real_project.test_modules)
+    assert any(d.relpath.endswith(".md") for d in real_project.docs)
 
 
 # ---------------------------------------------------------------------------
@@ -613,11 +546,9 @@ class TestFlaggedViolationRegressions:
         assert spec.status == FAILED
         assert spec.error is boom
 
-    def test_fixed_modules_stay_clean_under_their_rules(self):
+    def test_fixed_modules_stay_clean_under_their_rules(self, real_project):
         # Pin the fixes at the source level: re-linting the touched
         # modules (with real suppressions honoured) yields no findings.
-        src_root = Path(_met.__file__).resolve().parent.parent
-        project = load_project(src_root)
         fixed = [
             "obs/metrics.py",
             "core/store.py",
@@ -627,10 +558,147 @@ class TestFlaggedViolationRegressions:
             "apps/shopping.py",
             "speculation/executor.py",
         ]
-        modules = [project.module(suffix) for suffix in fixed]
+        modules = [real_project.module(suffix) for suffix in fixed]
         assert all(m is not None for m in modules)
-        subset = Project(root=project.root, modules=modules)
+        subset = Project(root=real_project.root, modules=modules)
         rules = [LockDisciplineRule(), BareExceptRule()]
         report = run_check(subset, rules)
         assert report.ok, "\n" + report.format()
         assert report.suppressed >= 1  # the justified executor one
+
+
+# ---------------------------------------------------------------------------
+# the ledger's evidence (docs/internals.md §11.4): a bug planted in the
+# real source is exactly one finding of its rule. Misspelled metric names
+# are split into two literals so that this file, which metric-name-drift
+# scans as a consumer, never holds them whole.
+# ---------------------------------------------------------------------------
+
+
+PLANTED = [
+    pytest.param(
+        "lock-discipline", "core/store.py",
+        "        with self._lock:\n            sess = self._sessions.pop(name, None)\n",
+        "        sess = self._sessions.pop(name, None)\n        with self._lock:\n",
+        id="lock-discipline:close_session-pops-before-locking",
+    ),
+    pytest.param(
+        "lock-discipline", "server/server.py",
+        "        with self._lock:\n            self._stats[stat] += n\n",
+        "        self._stats[stat] += n\n",
+        id="lock-discipline:server-count-unlocked",
+    ),
+    pytest.param(
+        "lock-discipline", "obs/tracing.py",
+        "            self._events.clear()\n            self.dropped = 0\n",
+        "            self._events.clear()\n        self.dropped = 0\n",
+        id="lock-discipline:tracer-clear-resets-unlocked",
+    ),
+    pytest.param(
+        "lock-order", "server/server.py",
+        "                self._session_names.discard(session.session_name)\n",
+        "                self._session_names.discard(session.session_name)\n"
+        "            self._gauge_connections()\n",
+        id="lock-order:cleanup-gauges-under-the-lock",
+    ),
+    pytest.param(
+        "lock-order", "server/server.py",
+        "        if dropped:\n            self._count(\n",
+        "        if dropped:\n            with self._lock:\n                self._count(\n",
+        id="lock-order:publish-counts-drops-under-the-lock",
+    ),
+    pytest.param(
+        "async-discipline", "server/server.py",
+        "            def _write_port() -> None:\n"
+        "                with open(port_file, \"w\") as handle:\n"
+        "                    handle.write(\"%d\\n\" % server.port)\n"
+        "\n"
+        "            await loop.run_in_executor(None, _write_port)\n",
+        "            with open(port_file, \"w\") as handle:\n"
+        "                handle.write(\"%d\\n\" % server.port)\n",
+        id="async-discipline:port-file-written-on-the-loop",
+    ),
+    pytest.param(
+        "async-discipline", "server/server.py",
+        "                    return True\n"
+        "            if loop.time() >= deadline:\n"
+        "                return False\n"
+        "            await asyncio.sleep(0.01)\n",
+        "                    return True\n"
+        "                if loop.time() >= deadline:\n"
+        "                    return False\n"
+        "                await asyncio.sleep(0.01)\n",
+        id="async-discipline:poll-sleeps-holding-the-lock",
+    ),
+    pytest.param(
+        "async-discipline", "server/server.py",
+        "            self._obs_task = self._loop.create_task(self._obs_loop())\n",
+        "            self._loop.create_task(self._obs_loop())\n",
+        id="async-discipline:sampler-task-dropped",
+    ),
+    pytest.param(
+        "metric-name-drift", "server/server.py",
+        'server._count("tardis_net_server_bytes_in_total",',
+        'server._count("tardis_net_server_" "bytesin_total",',
+        id="metric-name-drift:producer-misspelled",
+    ),
+    pytest.param(
+        "metric-name-drift", "tools/cli.py",
+        'commits = counter("tardis_txn_commit_total")',
+        'commits = counter("tardis_txn_" "comit_total")',
+        id="metric-name-drift:consumer-misspelled",
+    ),
+    pytest.param(
+        "metric-name-drift", "obs/metrics.py",
+        "METRIC_NAMES: Dict[str, str] = {\n",
+        'METRIC_NAMES: Dict[str, str] = {\n    "tardis_txn_" "retry_total": "never produced",\n',
+        id="metric-name-drift:catalogue-entry-without-producer",
+    ),
+    pytest.param(
+        "bare-except", "server/server.py",
+        "            except (NotImplementedError, ValueError):\n",
+        "            except Exception:\n",
+        id="bare-except:signal-handler-install-swallows-everything",
+    ),
+    pytest.param(
+        "bare-except", "apps/shopping.py",
+        "            except GarbageCollectedError:\n",
+        "            except Exception:\n",
+        id="bare-except:shopping-merge-skips-every-error",
+    ),
+    pytest.param(
+        "import-hygiene", "tools/cli.py",
+        "def cmd_flight(args) -> int:\n",
+        "def cmd_flight(args) -> int:\n    import json\n\n",
+        id="import-hygiene:function-local-import",
+    ),
+    pytest.param(
+        "import-hygiene", "core/versions.py",
+        "from repro.errors import GarbageCollectedError\n",
+        "from repro.errors import GarbageCollectedError\n"
+        "from repro.errors import GarbageCollectedError\n",
+        id="import-hygiene:duplicate-import",
+    ),
+]
+
+
+@pytest.mark.parametrize("rule_id, suffix, old, new", PLANTED)
+def test_planted_bug_is_one_finding(real_project, rule_id, suffix, old, new):
+    module = real_project.module(suffix)
+    assert module.source.count(old) == 1
+    planted = SourceModule(module.path, module.relpath, module.source.replace(old, new))
+    (rule,) = rules_by_id([rule_id])  # KeyError once the rule leaves ALL_RULES
+    # A per-module rule needs the planted module alone; a whole-project
+    # rule sees it among all the others.
+    if type(rule).check_project is Rule.check_project:
+        modules = [planted]
+    else:
+        modules = [planted if m is module else m for m in real_project.modules]
+    project = Project(
+        root=real_project.root,
+        modules=modules,
+        test_modules=real_project.test_modules,
+        docs=real_project.docs,
+    )
+    (finding,) = run_check(project, [rule]).findings
+    assert (finding.rule, finding.file) == (rule_id, module.relpath)

@@ -1,22 +1,15 @@
-"""Tests for the concurrency/protocol rule families of ``tardis check``:
+"""Tests for the concurrency rule families of ``tardis check``:
 ``async-discipline`` fixtures per violation class, interprocedural
-``lock-order`` cycles (positive and negative), ``wire-contract`` drift
-against a deliberately desynced fixture protocol, suppression handling,
-and the ``--only`` / ``--exclude`` / ``--baseline`` CLI modes."""
+``lock-order`` cycles (positive and negative), and suppression
+handling."""
 
-import json
 import textwrap
 from pathlib import Path
 
-import pytest
-
-from repro.analysis import check_repo, load_baseline, run_check
-from repro.analysis.engine import Project, SourceModule, TextFile
+from repro.analysis import check_repo, run_check
+from repro.analysis.engine import Project, SourceModule
 from repro.analysis.rules.async_discipline import AsyncDisciplineRule
-from repro.analysis.rules.hygiene import BareExceptRule
 from repro.analysis.rules.lock_order import LockOrderRule
-from repro.analysis.rules.wire_contract import WireContractRule
-from repro.tools.cli import main as cli_main
 
 
 def _module(source, relpath="src/repro/fixture.py"):
@@ -25,18 +18,6 @@ def _module(source, relpath="src/repro/fixture.py"):
 
 def _findings(rule, source, relpath="src/repro/fixture.py"):
     return rule.check_module(_module(source, relpath))
-
-
-def _project(sources, doc_text=None):
-    """A fixture Project from {relpath: source}, plus an optional doc."""
-    project = Project(root=Path("."))
-    for relpath, source in sources.items():
-        project.modules.append(_module(source, relpath))
-    if doc_text is not None:
-        project.docs.append(
-            TextFile(Path("docs/internals.md"), "docs/internals.md", doc_text)
-        )
-    return project
 
 
 # ---------------------------------------------------------------------------
@@ -612,293 +593,6 @@ class TestLockOrderInterprocedural:
             """
         )
         assert "Box._aux" in finding.message and "Box._lock" in finding.message
-
-
-# ---------------------------------------------------------------------------
-# wire-contract
-# ---------------------------------------------------------------------------
-
-
-PROTOCOL_SRC = """
-    OPS = frozenset({"HELLO", "PING"})
-
-    ERROR_CODES = {
-        "BAD_REQUEST": "missing field",
-        "UNKNOWN_OP": "no such verb",
-        "TXN_ABORTED": "could not commit",
-    }
-
-    ERROR_TABLE = (
-        (TransactionAborted, "TXN_ABORTED", TransactionAborted),
-    )
-    """
-
-SERVER_SRC = """
-    class Server:
-        def dispatch(self, op):
-            if op not in ("HELLO", "PING"):
-                return error_response(1, "UNKNOWN_OP")
-    """
-
-HANDLERS_SRC = """
-    class RequestError(Exception):
-        def __init__(self, code, message=""):
-            self.code = code
-            self.message = message
-
-
-    def _hello(server, session, request):
-        if "bad" in request:
-            raise RequestError("BAD_REQUEST", "nope")
-        return {}
-    """
-
-DOC_TEXT = """\
-## 12. Wire protocol
-
-| op | request | response |
-|---|---|---|
-| `HELLO` | — | — |
-| `PING` | — | — |
-
-| code | meaning |
-|---|---|
-| `BAD_REQUEST` | missing field |
-| `UNKNOWN_OP` | no such verb |
-| `TXN_ABORTED` | could not commit |
-"""
-
-
-def _wire_project(protocol=PROTOCOL_SRC, server=SERVER_SRC, handlers=HANDLERS_SRC,
-                  doc=DOC_TEXT):
-    return _project(
-        {
-            "src/repro/server/protocol.py": protocol,
-            "src/repro/server/server.py": server,
-            "src/repro/server/handlers.py": handlers,
-        },
-        doc_text=doc,
-    )
-
-
-class TestWireContract:
-    def test_synced_fixture_is_clean(self):
-        assert WireContractRule().check_project(_wire_project()) == []
-
-    def test_rule_is_silent_without_the_layout(self):
-        project = _project({"src/repro/mod.py": "def f():\n    return 1\n"})
-        assert WireContractRule().check_project(project) == []
-
-    def test_error_code_removed_from_docs_table(self):
-        desynced = DOC_TEXT.replace("| `UNKNOWN_OP` | no such verb |\n", "")
-        findings = WireContractRule().check_project(_wire_project(doc=desynced))
-        assert len(findings) == 1
-        assert "UNKNOWN_OP" in findings[0].message
-        assert "missing from the code table" in findings[0].message
-
-    def test_stale_docs_row(self):
-        stale = DOC_TEXT + "| `GONE_CODE` | long retired |\n"
-        findings = WireContractRule().check_project(_wire_project(doc=stale))
-        assert len(findings) == 1
-        assert "GONE_CODE" in findings[0].message
-        assert findings[0].file == "docs/internals.md"
-
-    def test_a_deleted_op_re_added_to_the_docs_is_reported(self):
-        # Protocol version 3 deleted BEGIN: its §12.2 row without an OPS
-        # entry is exactly this.
-        stale = DOC_TEXT.replace("| `PING` | — | — |", "| `PING` | — | — |\n| `BEGIN` | — | — |")
-        findings = WireContractRule().check_project(_wire_project(doc=stale))
-        assert len(findings) == 1
-        assert "BEGIN" in findings[0].message
-        assert "not in the catalogue" in findings[0].message
-        assert findings[0].file == "docs/internals.md"
-
-    def test_emitted_code_outside_catalogue(self):
-        rogue = HANDLERS_SRC.replace('"BAD_REQUEST"', '"MADE_UP"')
-        findings = WireContractRule().check_project(_wire_project(handlers=rogue))
-        # Two sides of the same drift: the rogue emission, and the
-        # catalogued BAD_REQUEST it replaced going dead in the server.
-        assert len(findings) == 2
-        assert any(
-            "MADE_UP" in f.message and f.file == "src/repro/server/handlers.py"
-            for f in findings
-        )
-        assert any(
-            "BAD_REQUEST" in f.message and "dead contract" in f.message
-            for f in findings
-        )
-
-    def test_exception_table_codes_are_emission_sites(self):
-        # TXN_ABORTED appears nowhere but ERROR_TABLE and is live (the
-        # synced fixture is clean); a table code outside the catalogue
-        # is a rogue emission anchored at the table.
-        rogue = PROTOCOL_SRC.replace(
-            '(TransactionAborted, "TXN_ABORTED"', '(TransactionAborted, "TXN_GONE"'
-        )
-        findings = WireContractRule().check_project(_wire_project(protocol=rogue))
-        assert len(findings) == 2
-        (emission,) = [f for f in findings if "TXN_GONE" in f.message]
-        assert emission.file == "src/repro/server/protocol.py"
-        assert any(
-            "TXN_ABORTED" in f.message and "dead contract" in f.message
-            for f in findings
-        )
-
-    def test_dead_catalogue_code(self):
-        bloated = PROTOCOL_SRC.replace(
-            '"UNKNOWN_OP": "no such verb",',
-            '"UNKNOWN_OP": "no such verb",\n        "NEVER_SENT": "dead",',
-        )
-        doc = DOC_TEXT.replace(
-            "| `UNKNOWN_OP` | no such verb |",
-            "| `UNKNOWN_OP` | no such verb |\n| `NEVER_SENT` | dead |",
-        )
-        findings = WireContractRule().check_project(
-            _wire_project(protocol=bloated, doc=doc)
-        )
-        assert len(findings) == 1
-        assert "NEVER_SENT" in findings[0].message
-        assert "dead contract" in findings[0].message
-
-    def test_missing_doc_table_is_one_finding(self):
-        no_codes = "\n".join(
-            line for line in DOC_TEXT.splitlines() if "code" not in line.lower()
-        )
-        findings = WireContractRule().check_project(_wire_project(doc=no_codes))
-        assert any("undocumented" in f.message for f in findings)
-
-
-def test_real_wire_surfaces_agree():
-    """The live repo passes its own wire-contract rule end to end."""
-    report = check_repo(rules=[WireContractRule()])
-    assert report.ok, "\n" + report.format()
-
-
-# ---------------------------------------------------------------------------
-# baseline mode
-# ---------------------------------------------------------------------------
-
-
-BARE_EXCEPT_SRC = """
-    def f():
-        try:
-            return 1
-        except Exception:
-            pass
-    """
-
-
-class TestBaseline:
-    def _report(self, baseline=None):
-        project = Project(
-            root=Path("."), modules=[_module(BARE_EXCEPT_SRC, "src/repro/m.py")]
-        )
-        return run_check(project, [BareExceptRule()], baseline=baseline)
-
-    def test_baseline_suppresses_known_findings(self, tmp_path):
-        first = self._report()
-        assert len(first.findings) == 1
-        path = tmp_path / "baseline.json"
-        path.write_text(first.to_json())
-        second = self._report(baseline=load_baseline(path))
-        assert second.findings == []
-        assert second.baselined == 1
-        assert second.ok and second.exit_code == 0
-        assert "1 baselined" in second.format()
-        assert second.to_dict()["baselined"] == 1
-
-    def test_baseline_does_not_hide_new_findings(self, tmp_path):
-        first = self._report()
-        path = tmp_path / "baseline.json"
-        path.write_text(first.to_json())
-        baseline = load_baseline(path)
-        project = Project(
-            root=Path("."),
-            modules=[
-                _module(BARE_EXCEPT_SRC, "src/repro/m.py"),
-                _module(BARE_EXCEPT_SRC, "src/repro/fresh.py"),
-            ],
-        )
-        report = run_check(project, [BareExceptRule()], baseline=baseline)
-        assert len(report.findings) == 1
-        assert report.findings[0].file == "src/repro/fresh.py"
-        assert report.baselined == 1
-
-    def test_load_baseline_rejects_non_reports(self, tmp_path):
-        path = tmp_path / "junk.json"
-        path.write_text("{}")
-        with pytest.raises(ValueError):
-            load_baseline(path)
-
-
-# ---------------------------------------------------------------------------
-# CLI filters
-# ---------------------------------------------------------------------------
-
-
-class TestCliFilters:
-    def _write_pkg(self, tmp_path, body=BARE_EXCEPT_SRC):
-        pkg = tmp_path / "pkg"
-        pkg.mkdir()
-        (pkg / "mod.py").write_text(textwrap.dedent(body))
-        return pkg
-
-    def test_only_runs_one_rule(self, tmp_path, capsys):
-        pkg = self._write_pkg(tmp_path)
-        rc = cli_main(
-            ["check", "--root", str(pkg), "--only", "bare-except", "--format=json"]
-        )
-        data = json.loads(capsys.readouterr().out)
-        assert rc == 1
-        assert data["rules"] == ["bare-except"]
-        assert data["counts"]["error"] == 1
-
-    def test_exclude_drops_the_rule(self, tmp_path, capsys):
-        pkg = self._write_pkg(tmp_path)
-        rc = cli_main(
-            ["check", "--root", str(pkg), "--exclude", "bare-except", "--format=json"]
-        )
-        data = json.loads(capsys.readouterr().out)
-        assert rc == 0
-        assert "bare-except" not in data["rules"]
-        assert data["findings"] == []
-
-    def test_exclude_unknown_rule_exits_two(self, tmp_path):
-        pkg = self._write_pkg(tmp_path)
-        assert cli_main(["check", "--root", str(pkg), "--exclude", "nope"]) == 2
-
-    def test_only_unknown_rule_exits_two(self, tmp_path):
-        pkg = self._write_pkg(tmp_path)
-        assert cli_main(["check", "--root", str(pkg), "--only", "nope"]) == 2
-
-    def test_baseline_gates_no_new_findings(self, tmp_path, capsys):
-        pkg = self._write_pkg(tmp_path)
-        rc = cli_main(["check", "--root", str(pkg), "--format=json"])
-        assert rc == 1
-        baseline = tmp_path / "baseline.json"
-        baseline.write_text(capsys.readouterr().out)
-        rc = cli_main(
-            [
-                "check",
-                "--root",
-                str(pkg),
-                "--baseline",
-                str(baseline),
-                "--format=json",
-            ]
-        )
-        data = json.loads(capsys.readouterr().out)
-        assert rc == 0
-        assert data["baselined"] >= 1
-        assert data["findings"] == []
-
-    def test_bad_baseline_exits_two(self, tmp_path):
-        pkg = self._write_pkg(tmp_path)
-        junk = tmp_path / "junk.json"
-        junk.write_text("{}")
-        assert (
-            cli_main(["check", "--root", str(pkg), "--baseline", str(junk)]) == 2
-        )
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,9 @@
 
 import json
 import random
+import re
 import struct
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -399,6 +401,112 @@ class TestHandlerTable:
             direct.append(encode_frame(response)[HEADER.size :])
         assert direct == wire
         assert session.close() == 0
+
+
+# ---------------------------------------------------------------------------
+# The wire contract across artefacts: the codes the server emits, the
+# catalogues, and the op and code tables of docs/internals.md §12.2.
+
+_EMITTERS = [Path(handlers.__file__).with_name("server.py"), Path(handlers.__file__)]
+_INTERNALS = Path(__file__).resolve().parent.parent / "docs" / "internals.md"
+#: the code at an emission site: ``RequestError("X"`` / ``error_response(id, "X"``.
+_EMITTED = re.compile(r'(?:RequestError\(|error_response\([^,]*,)\s*"([A-Z][A-Z0-9_]*)"')
+_CAPS_LITERAL = re.compile(r'"([A-Z][A-Z0-9_]*)"')
+_ROW = re.compile(r"^\|\s*`([A-Z][A-Z0-9_]*)`\s*\|")
+
+
+def _doc_tables(doc):
+    """'op' / 'code' -> the backticked first cells of every markdown
+    table whose first header cell is that word."""
+    tables = {"op": set(), "code": set()}
+    rows = None  # where this table's rows go; False: a table of something else
+    for line in doc.splitlines():
+        if not line.startswith("|"):
+            rows = None
+        elif rows is None:
+            rows = tables.get(line.split("|")[1].strip().strip("`").lower(), False)
+        elif rows is not False:
+            match = _ROW.match(line)
+            if match:
+                rows.add(match.group(1))
+    return tables
+
+
+def _wire_drift(ops, codes, table, sources, doc):
+    """Every disagreement between the catalogues and what uses them.
+
+    A code is live when some emitter names it in a literal (several are
+    picked into a variable first) or ``ERROR_TABLE`` maps an exception
+    onto it."""
+    emitted = {code for _kind, code, _rebuild in table}
+    literals = set(emitted)
+    for text in sources:
+        emitted.update(_EMITTED.findall(text))
+        literals.update(_CAPS_LITERAL.findall(text))
+    tables = _doc_tables(doc)
+    drift = ["%s emitted but not in ERROR_CODES" % c for c in sorted(emitted - set(codes))]
+    drift += ["%s in ERROR_CODES but emitted nowhere" % c for c in sorted(set(codes) - literals)]
+    for header, catalogue in (("op", set(ops)), ("code", set(codes))):
+        drift += [
+            "%s %s in only one of the docs table and the catalogue" % (header, token)
+            for token in sorted(tables[header] ^ catalogue)
+        ]
+    return drift
+
+
+def _wire_inputs():
+    return {
+        "ops": OPS,
+        "codes": ERROR_CODES,
+        "table": ERROR_TABLE,
+        "sources": [path.read_text() for path in _EMITTERS],
+        "doc": _INTERNALS.read_text(),
+    }
+
+
+#: (input, how it drifts, what every reported line must name).
+WIRE_DRIFTS = [
+    pytest.param(
+        "doc", lambda doc: doc.replace("| code | meaning |", "| wire code | meaning |"), "code ",
+        id="code-table-missing-from-docs",
+    ),
+    pytest.param(
+        "doc", lambda doc: doc.replace("| `UNKNOWN_OP` |", "| unknown op |"), "UNKNOWN_OP",
+        id="code-row-dropped-from-docs",
+    ),
+    pytest.param(
+        "doc", lambda doc: doc.replace("| `INTERNAL` |", "| `GONE_CODE` | x |\n| `INTERNAL` |"),
+        "GONE_CODE", id="stale-docs-row",
+    ),
+    pytest.param(
+        "doc", lambda doc: doc.replace("| `HELLO` |", "| `BEGIN` | x | x |\n| `HELLO` |"),
+        "BEGIN", id="deleted-op-back-in-docs",
+    ),
+    pytest.param(
+        "sources", lambda sources: sources + ['raise RequestError("MADE_UP")'], "MADE_UP",
+        id="rogue-request-error",
+    ),
+    pytest.param(
+        "codes", lambda codes: dict(codes, NEVER_SENT="dead"), "NEVER_SENT",
+        id="catalogued-code-never-emitted",
+    ),
+    pytest.param(
+        "table", lambda table: table + ((KeyError, "TXN_GONE", None),), "TXN_GONE",
+        id="error-table-code-outside-catalogue",
+    ),
+]
+
+
+class TestWireContract:
+    def test_catalogues_emitters_and_docs_agree(self):
+        assert _wire_drift(**_wire_inputs()) == []
+
+    @pytest.mark.parametrize("field, seed, token", WIRE_DRIFTS)
+    def test_seeded_drift_is_reported(self, field, seed, token):
+        inputs = _wire_inputs()
+        inputs[field] = seed(inputs[field])
+        drift = _wire_drift(**inputs)
+        assert drift and all(token in line for line in drift), drift
 
 
 # ---------------------------------------------------------------------------
