@@ -15,6 +15,7 @@ import random
 import pytest
 
 from repro import TardisStore
+from repro.core.ancestry import popcount
 from repro.errors import TransactionAborted
 
 from common import Report, run_once
@@ -58,7 +59,7 @@ def run_contended(n_rounds=100, n_sessions=6, n_keys=20, merge_every=20, seed=1)
                     anchor = store.dag.resolve(session.last_commit_id)
                     if store.dag.descendant_check(anchor, merged):
                         session.last_commit_id = merge.commit_id
-            lengths = [len(s.fork_path) for s in store.dag.states()]
+            lengths = [popcount(s.path_mask) for s in store.dag.states()]
             store.path_samples.append(
                 (sum(lengths) / len(lengths), max(lengths))
             )
@@ -71,7 +72,7 @@ def run_contended(n_rounds=100, n_sessions=6, n_keys=20, merge_every=20, seed=1)
 @pytest.mark.benchmark(group="ablation-metadata")
 def test_ablation_forkpath_metadata(benchmark):
     store = run_once(benchmark, run_contended)
-    paths = [len(s.fork_path) for s in store.dag.states()]
+    paths = [popcount(s.path_mask) for s in store.dag.states()]
     n_states = len(store.dag)
     commits = store.metrics.commits - store.metrics.merges
     forks = store.metrics.forks

@@ -4,8 +4,8 @@ The whole premise of fork paths (§6.1.3, Figure 7) is that the per-read
 ancestry check is cheap. This benchmark measures exactly that check at
 fork-path sizes 1, 8, and 64 in both representations:
 
-* **set** — the original ``ForkPath.issubset`` (a per-probe
-  ``frozenset`` ``<=`` comparison, with its hashing and allocation);
+* **set** — the original representation: a per-probe ``frozenset``
+  ``<=`` comparison of fork points, with its hashing and allocation;
 * **bitmask** — the interned-ancestry encoding the DAG now uses
   (``x_mask & y_mask == x_mask`` on plain ints).
 
@@ -19,8 +19,7 @@ Results land in ``BENCH_ancestry.json``.
 import random
 import time
 
-from repro.core.ancestry import AncestryIndex
-from repro.core.fork_path import ForkPath, ForkPoint
+from repro.core.ancestry import AncestryIndex, ForkPoint
 from repro.core.ids import StateId
 
 from common import Report
@@ -51,7 +50,7 @@ def _make_pairs(size: int, rng: random.Random):
             x_points = rng.sample(y_points, max(1, size // 2))  # subset
         else:
             x_points = rng.sample(universe, min(size, len(universe)))
-        x_set, y_set = ForkPath(x_points), ForkPath(y_points)
+        x_set, y_set = frozenset(x_points), frozenset(y_points)
         x_mask, y_mask = index.mask_of(x_points), index.mask_of(y_points)
         pairs.append((x_set, y_set, x_mask, y_mask))
     return pairs
@@ -62,7 +61,7 @@ def _time_set(pairs) -> float:
     acc = 0
     for _ in range(ROUNDS):
         for x_set, y_set, _xm, _ym in pairs:
-            if x_set.issubset(y_set):
+            if x_set <= y_set:
                 acc += 1
     elapsed = time.perf_counter() - start
     assert acc >= 0
@@ -101,7 +100,7 @@ def run_bench() -> dict:
         mask_s = min(_time_mask(pairs) for _ in range(3))
         # Sanity: both representations agree on every pair.
         for x_set, y_set, x_mask, y_mask in pairs:
-            assert x_set.issubset(y_set) == (x_mask & y_mask == x_mask)
+            assert (x_set <= y_set) == (x_mask & y_mask == x_mask)
         speedup = set_s / mask_s if mask_s else float("inf")
         report.metric("set_us_%d" % size, 1e6 * set_s / checks)
         report.metric("mask_us_%d" % size, 1e6 * mask_s / checks)

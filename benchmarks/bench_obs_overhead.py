@@ -5,7 +5,7 @@ duration): arm A runs with everything off — ``collect_metrics=False``,
 no tracer, no divergence monitor — so every instrumentation site
 reduces to one ``enabled`` attribute check; arm B runs the *full*
 observability stack: per-run metrics registry, an enabled trace-event
-ring buffer (with trace-context generation on every commit), and the
+ring buffer (every commit's events stamped with its trace ids), and the
 windowed divergence series sampled every 5 simulated ms. Because none
 of that charges *simulated* cost, the two arms must produce
 bit-identical simulated results — that is the correctness assertion.
@@ -65,7 +65,7 @@ def _run(instrumented: bool):
     tracer = None
     if instrumented:
         tracer = _trc.Tracer(capacity=4096, enabled=True)
-        adapter.store.set_tracer(tracer)
+        adapter.store.tracer = tracer
     gc.collect()  # don't charge this run for the previous run's garbage
     start = time.perf_counter()
     result = run_simulation(adapter, workload, cfg)

@@ -27,7 +27,6 @@ from repro.core import (
     AnyConstraint,
     ClientSession,
     CommitPipeline,
-    ForkPath,
     ForkPoint,
     GarbageCollector,
     IdAllocator,
@@ -61,7 +60,6 @@ __all__ = [
     "AnyConstraint",
     "ClientSession",
     "CommitPipeline",
-    "ForkPath",
     "ForkPoint",
     "GarbageCollector",
     "IdAllocator",

@@ -6,8 +6,7 @@ garbage collection, and recovery.
 """
 
 from repro.core.ids import StateId, ROOT_ID, IdAllocator
-from repro.core.ancestry import AncestryIndex
-from repro.core.fork_path import ForkPoint, ForkPath
+from repro.core.ancestry import AncestryIndex, ForkPoint
 from repro.core.state_dag import State, StateDAG
 from repro.core.commit import CommitPipeline, install_writes
 from repro.core.constraints import (
@@ -35,7 +34,6 @@ __all__ = [
     "IdAllocator",
     "AncestryIndex",
     "ForkPoint",
-    "ForkPath",
     "State",
     "StateDAG",
     "CommitPipeline",

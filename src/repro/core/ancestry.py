@@ -1,12 +1,24 @@
-"""The ancestry index: interned, integer-encoded fork paths (§6.1.3).
+"""Fork points, fork paths and the ancestry index (§6.1.3, Figures 5, 7).
 
-The Figure 7 visibility test reduces branch ancestry to a subset check
-over fork points. The paper argues this check is cheap enough to run on
-*every* read; a per-probe ``frozenset`` comparison squanders that
-cheapness on hashing and allocation. This module makes the test a single
-machine-word-ish operation: every :class:`~repro.core.fork_path.ForkPoint`
-ever observed by a DAG is *interned* to a small bit position, a state's
-fork path becomes an immutable int bitmask, and
+TARDiS abandons per-operation dependency tracking and summarizes a branch
+by its *fork points*. A fork point is a pair ``(i, b)`` meaning "this
+state is a descendant of the b-th child of state i". The set of fork
+points accumulated along a branch is its *fork path*, and the ancestry
+test of Figure 7 reduces to a subset check:
+
+    state ``y`` can see records written at state ``x`` iff
+    ``x.id == y.id``, or ``x.id < y.id`` and ``x.path ⊆ y.path``.
+
+Merge states take the *union* of their parents' fork paths: carrying both
+``(i, b1)`` and ``(i, b2)`` is precisely what makes the records of both
+merged branches visible downstream of the merge.
+
+The paper argues this check is cheap enough to run on *every* read; a
+per-probe ``frozenset`` comparison squanders that cheapness on hashing
+and allocation. This module makes the test a single machine-word-ish
+operation: every :class:`ForkPoint` ever observed by a DAG is *interned*
+to a small bit position, a state's fork path is an immutable int bitmask
+(``State.path_mask``), and
 
     ``x ⊆ y``  becomes  ``x_mask & y_mask == x_mask``.
 
@@ -25,10 +37,19 @@ site's interning stays self-consistent).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Set
 
-from repro.core.fork_path import ForkPath, ForkPoint
 from repro.core.ids import StateId
+
+
+class ForkPoint(NamedTuple):
+    """One branching decision: descendant of child ``branch`` of ``state_id``."""
+
+    state_id: StateId
+    branch: int
+
+    def __repr__(self) -> str:
+        return "(%r,%d)" % (self.state_id, self.branch)
 
 
 def popcount(mask: int) -> int:
@@ -47,9 +68,9 @@ class AncestryIndex:
     * :meth:`release_forks` — retire every bit belonging to collapsed
       fork states so positions can be reused (GC's dead-fork rewriting).
 
-    Decoding (:meth:`path_of`, :meth:`points_of`) is only needed for
-    repr, serialization, and the branch-structure queries of the
-    merge-mode API — never on the read path.
+    Decoding (:meth:`points_of`) is only needed for reports and the
+    branch-structure queries of the merge-mode API — never on the read
+    path.
     """
 
     __slots__ = ("_bit_of", "_point_at", "_fork_bits", "_free")
@@ -114,12 +135,6 @@ class AncestryIndex:
             if point is not None:
                 yield point
             mask ^= low
-
-    def path_of(self, mask: int) -> ForkPath:
-        """Decode a mask into a :class:`ForkPath` view (repr/wire format)."""
-        if not mask:
-            return ForkPath.EMPTY
-        return ForkPath(self.points_of(mask))
 
     def choices_by_fork(self, mask: int) -> Dict[StateId, Set[int]]:
         """Branch choices encoded in ``mask``, grouped by fork state."""

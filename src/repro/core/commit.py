@@ -29,7 +29,6 @@ from repro.core.transaction import OpTrace
 from repro.core.versions import VersionedRecordStore
 from repro.errors import CrossShardAbort, ShardError, ShardUnavailableError
 from repro.obs import metrics as _met
-from repro.obs.context import TraceContext
 from repro.partitioning.workers import ShardedRecordStore
 from repro.storage.wal import WriteAheadLog
 
@@ -74,8 +73,6 @@ class CommitPipeline:
         "log_values",
         "group_commit",
         "_unflushed",
-        "tracer",
-        "last_ctx",
         "_hot_registry",
         "_hot_commit",
         "_hot_write_keys",
@@ -99,13 +96,6 @@ class CommitPipeline:
         self.log_values = log_values
         self.group_commit = int(group_commit)
         self._unflushed = 0
-        #: per-store tracer (set via TardisStore.set_tracer); None means
-        #: trace contexts are not generated and last_ctx stays None.
-        self.tracer: Optional[Any] = None
-        #: TraceContext of the most recent commit, for the store to stamp
-        #: onto its trace events and hand to commit listeners. Read under
-        #: the store lock, immediately after commit() returns.
-        self.last_ctx: Optional[TraceContext] = None
         #: per-commit metric handles, re-resolved when the default
         #: registry changes identity (benchmark harnesses swap it per
         #: run) — the name lookup is measurable at commit rates.
@@ -123,14 +113,12 @@ class CommitPipeline:
         state_id: Optional[StateId] = None,
         origin: str = LOCAL,
         trace: Optional[OpTrace] = None,
-        ctx: Optional[TraceContext] = None,
     ) -> State:
         """Install one committed transaction and return its new state.
 
         ``state_id`` is given only for ``REMOTE`` commits (the state
-        keeps its origin-site id, §6.4), and ``ctx`` is the trace
-        context that arrived with a remote transaction. The caller holds
-        the store lock and has already settled all constraint questions.
+        keeps its origin-site id, §6.4). The caller holds the store lock
+        and has already settled all constraint questions.
 
         Against a sharded storage layer the pipeline runs the shard
         commit protocol: the write set is *prepared* (planned into
@@ -162,17 +150,6 @@ class CommitPipeline:
             if staged is not None:
                 versions.abandon_commit(staged)
             raise
-        tracer = self.tracer
-        if ctx is None and tracer is not None and tracer.enabled:
-            # LOCAL/MERGE commits originate a new trace here; REMOTE
-            # commits whose message lost its context get one derived
-            # from the origin-site state id they carry.
-            # state.id.site is the originating site even for REMOTE
-            # states, which keep their origin-site ids.
-            ctx = TraceContext.for_commit(
-                state.id, [p.id for p in parents], state.id.site
-            )
-        self.last_ctx = ctx
         if staged is not None:
             versions.install_commit(staged, state)
         else:

@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING, Any, Callable, Dict, Iterator, List, Optional,
 from repro.core.ids import StateId
 from repro.errors import GarbageCollectedError
 from repro.obs import metrics as _met
-from repro.obs import tracing as _trc
+from repro.obs.context import stamp
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.state_dag import State, StateDAG
@@ -111,7 +111,7 @@ class GarbageCollector:
             m.set_gauge("tardis_gc_live_states", stats.live_states)
             m.set_gauge("tardis_gc_live_records", stats.live_records)
             m.set_gauge("tardis_gc_promotion_table", dag.promotion_table_size)
-        t = _trc.DEFAULT
+        t = store.active_tracer()
         if t.enabled:
             t.event(
                 "gc.cycle",
@@ -212,6 +212,7 @@ class GarbageCollector:
         is unioned into the survivors once.
         """
         dag = self._store.dag
+        tracer = self._store.active_tracer()
         dead_forks: Set[StateId] = set()
         inherited: Dict["State", Set[Any]] = {}
         try:
@@ -233,6 +234,18 @@ class GarbageCollector:
                         # none (its ancestors), so the entries are scrubbable.
                         dead_forks.add(sid)
                     child = dag.splice_out(state)
+                    if tracer.enabled:
+                        # ``parent`` is the state's parent as it is spliced
+                        # (None once its ancestors went first).
+                        parents = state.parents
+                        ids = stamp(sid, parents[0].id if parents else None)
+                        tracer.event(
+                            "gc.promotion",
+                            state=ids["trace"],
+                            promoted_to=repr(child.id),
+                            site=dag.site,
+                            **ids
+                        )
                     keys = inherited.pop(state, None)
                     if keys is None:
                         keys = set(state.write_keys)

@@ -26,23 +26,21 @@ Fork-path *representation* (§6.1.3): each DAG owns an
 point to a small bit position, and a state stores its fork path as an
 immutable int bitmask (``State.path_mask``). The Figure 7 subset test is
 then a single integer operation — ``x_mask & y_mask == x_mask`` — with
-no hashing or allocation per probe. ``State.fork_path`` remains as a
-decoded :class:`ForkPath` view for repr, serialization, and the
-branch-structure queries; garbage collection retires the bits of fully
-collapsed forks through the index (:meth:`StateDAG.retire_forks`) so the
-bit universe tracks *live* conflicts, not history length.
+no hashing or allocation per probe; ``dag.ancestry.points_of(mask)``
+decodes a mask for reports and the branch-structure queries. Garbage
+collection retires the bits of fully collapsed forks through the index
+(:meth:`StateDAG.retire_forks`) so the bit universe tracks *live*
+conflicts, not history length.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
 
-from repro.core.ancestry import AncestryIndex, popcount
-from repro.core.fork_path import ForkPath, ForkPoint
+from repro.core.ancestry import AncestryIndex, ForkPoint, popcount
 from repro.core.ids import ROOT_ID, IdAllocator, StateId
 from repro.errors import GarbageCollectedError
 from repro.obs import metrics as _met
-from repro.obs import tracing as _trc
 
 
 class State:
@@ -53,7 +51,6 @@ class State:
         "parents",
         "children",
         "path_mask",
-        "ancestry",
         "read_keys",
         "write_keys",
         "next_branch",
@@ -67,18 +64,15 @@ class State:
         state_id: StateId,
         parents: Tuple["State", ...],
         path_mask: int,
-        ancestry: AncestryIndex,
         read_keys: FrozenSet = frozenset(),
         write_keys: FrozenSet = frozenset(),
     ) -> None:
         self.id = state_id
         self.parents = parents
         self.children: List[State] = []
-        #: fork path as an int bitmask over ``ancestry``'s interned
+        #: fork path as an int bitmask over the owning DAG's interned
         #: fork points; the Figure 7 subset test operates on this.
         self.path_mask = path_mask
-        #: the owning DAG's ancestry index (for decoding the mask).
-        self.ancestry = ancestry
         #: read set of the transaction that created this state
         #: (needed by the Serializability end constraint, §6.1.1).
         self.read_keys = read_keys
@@ -94,15 +88,6 @@ class State:
         self.marked = False
         #: set by the safe-to-gc pass (§6.3).
         self.safe_to_gc = False
-
-    @property
-    def fork_path(self) -> ForkPath:
-        """Decoded :class:`ForkPath` view of :attr:`path_mask`.
-
-        Read-only and rebuilt on access — use it for repr, serialization
-        and branch-structure queries, never on the visibility hot path.
-        """
-        return self.ancestry.path_of(self.path_mask)
 
     @property
     def is_leaf(self) -> bool:
@@ -129,10 +114,10 @@ class State:
         return len(self.parents) >= 2
 
     def __repr__(self) -> str:
-        return "<State %r children=%d path=%r>" % (
+        return "<State %r children=%d fork_points=%d>" % (
             self.id,
             len(self.children),
-            self.fork_path,
+            popcount(self.path_mask),
         )
 
 
@@ -144,7 +129,7 @@ class StateDAG:
         self._allocator = IdAllocator(site)
         #: interns fork points to bit positions; owns mask encoding.
         self.ancestry = AncestryIndex()
-        self.root = State(ROOT_ID, (), 0, self.ancestry)
+        self.root = State(ROOT_ID, (), 0)
         self._states: Dict[StateId, State] = {ROOT_ID: self.root}
         # Leaves in insertion order; iterated newest-first for BFS.
         self._leaves: Dict[StateId, State] = {ROOT_ID: self.root}
@@ -257,7 +242,7 @@ class StateDAG:
             if branch >= 1:
                 mask |= self.ancestry.intern(ForkPoint(parent.id, branch))
 
-        state = State(state_id, parents, mask, self.ancestry, read_keys, write_keys)
+        state = State(state_id, parents, mask, read_keys, write_keys)
         for parent in parents:
             parent.children.append(state)
             parent.next_branch += 1
@@ -438,14 +423,6 @@ class StateDAG:
                 self._hot_registry = m
                 self._hot_splice = m.counter("tardis_dag_splice_total")
             self._hot_splice.inc()
-        t = _trc.DEFAULT
-        if t.enabled:
-            t.event(
-                "gc.promotion",
-                state=repr(state.id),
-                promoted_to=repr(child.id),
-                site=self.site,
-            )
         return child
 
     def retire_forks(self, dead_fork_ids: Set[StateId]) -> int:
@@ -511,7 +488,6 @@ class StateDAG:
         leaf_ids = {s.id for s in self._leaves.values()}
         for state in states:
             assert (state.id in leaf_ids) == state.is_leaf, state
-            assert state.ancestry is self.ancestry, state
             for parent in state.parents:
                 assert parent.id < state.id, "child id not greater than parent"
                 assert state in parent.children, "parent/child asymmetry"

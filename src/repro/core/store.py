@@ -51,6 +51,7 @@ from repro.core.transaction import (
 )
 from repro.core.versions import VersionedRecordStore
 from repro.obs import metrics as _met
+from repro.obs.context import stamp
 from repro.obs.metrics import MetricsRegistry
 from repro.obs import tracing as _trc
 from repro.obs.tracing import Tracer
@@ -205,7 +206,8 @@ class TardisStore:
         self._commit_listeners: List = []
         #: per-store tracer; None falls back to the module default, so a
         #: cluster can give each site its own ring buffer while
-        #: single-store code keeps using ``obs.tracing.DEFAULT``.
+        #: single-store code keeps using ``obs.tracing.DEFAULT``. Every
+        #: event about this store's states goes through active_tracer().
         self.tracer: Optional[Tracer] = None
         #: per-transaction metric handles, re-resolved when the default
         #: registry changes identity (benchmark harnesses swap it per
@@ -222,12 +224,8 @@ class TardisStore:
         self._hot_ripple = m.histogram("tardis_commit_ripple_steps")
         self._hot_fork = m.counter("tardis_branch_fork_total")
 
-    def set_tracer(self, tracer: Optional[Tracer]) -> None:
-        """Give this store (and its commit pipeline) a dedicated tracer."""
-        self.tracer = tracer
-        self.pipeline.tracer = tracer
-
-    def _tracer(self) -> Tracer:
+    def active_tracer(self) -> Tracer:
+        """Where this store's events go: its own tracer, else the default."""
         return self.tracer if self.tracer is not None else _trc.DEFAULT
 
     # -- sessions -----------------------------------------------------------
@@ -474,7 +472,7 @@ class TardisStore:
             if not constraint.allows_commit_at(current, txn):
                 self._finish(txn, ABORTED)
                 self.metrics.aborts += 1
-                t = self._tracer()
+                t = self.active_tracer()
                 if t.enabled:
                     t.event("txn.abort", reason="end-constraint", site=self.site)
                 raise TransactionAborted(
@@ -494,14 +492,11 @@ class TardisStore:
                 # DAG is untouched, so this is a clean typed abort.
                 self._finish(txn, ABORTED)
                 self.metrics.aborts += 1
-                t = self._tracer()
+                t = self.active_tracer()
                 if t.enabled:
                     t.event("txn.abort", reason="shard-unavailable", site=self.site)
                 raise
             txn.trace.created_fork = created_fork
-            # Captured inside the lock: last_ctx is per-pipeline mutable
-            # state and the next commit overwrites it.
-            ctx = self.pipeline.last_ctx
             self.metrics.commits += 1
             if created_fork:
                 self.metrics.forks += 1
@@ -515,54 +510,28 @@ class TardisStore:
                 self._hot_ripple.record(txn.trace.ripple_steps)
                 if created_fork:
                     self._hot_fork.inc()
-            t = self._tracer()
+            t = self.active_tracer()
             if t.enabled:
                 # Events carry state *ids as strings* (== trace ids), so
                 # the ring buffer holds only atomic values and stays
                 # invisible to the cyclic GC — resident StateId tuples
-                # were the dominant tracing cost. With a ctx the string
-                # is already computed (ctx.trace IS repr(state.id));
-                # branched rather than building a **stamp dict because
-                # this fires once per traced commit.
-                if ctx is not None:
-                    t.event(
-                        "txn.commit",
-                        state=ctx.trace,
-                        writes=len(txn.writes),
-                        ripple=txn.trace.ripple_steps,
-                        fork=created_fork,
-                        site=self.site,
-                        trace=ctx.trace,
-                        parent=ctx.parent,
-                    )
-                else:
-                    t.event(
-                        "txn.commit",
-                        state=repr(state.id),
-                        writes=len(txn.writes),
-                        ripple=txn.trace.ripple_steps,
-                        fork=created_fork,
-                        site=self.site,
-                    )
+                # were the dominant tracing cost.
+                ids = stamp(state.id, current.id)
+                t.event(
+                    "txn.commit",
+                    state=ids["trace"],
+                    writes=len(txn.writes),
+                    ripple=txn.trace.ripple_steps,
+                    fork=created_fork,
+                    site=self.site,
+                    **ids
+                )
                 if created_fork:
-                    # fork already names its DAG parent; only the trace
-                    # id is stamped on top.
-                    if ctx is not None:
-                        t.event(
-                            "branch.fork",
-                            state=ctx.trace,
-                            parent=repr(current.id),
-                            site=self.site,
-                            trace=ctx.trace,
-                        )
-                    else:
-                        t.event(
-                            "branch.fork",
-                            state=repr(state.id),
-                            parent=repr(current.id),
-                            site=self.site,
-                        )
-        self._notify_commit(state, txn.writes, ctx)
+                    # ``parent`` is the fork's DAG parent: the stamp's.
+                    t.event(
+                        "branch.fork", state=ids["trace"], site=self.site, **ids
+                    )
+        self._notify_commit(state, txn.writes)
         return state.id
 
     def _commit_merge(self, txn: MergeTransaction, end_constraint: Optional[Constraint]) -> StateId:
@@ -573,7 +542,7 @@ class TardisStore:
                     if not constraint.allows_commit_at(parent, txn):
                         self._finish(txn, ABORTED)
                         self.metrics.aborts += 1
-                        t = self._tracer()
+                        t = self.active_tracer()
                         if t.enabled:
                             t.event(
                                 "txn.abort", reason="merge-end-constraint", site=self.site
@@ -593,48 +562,37 @@ class TardisStore:
             except CrossShardAbort:
                 self._finish(txn, ABORTED)
                 self.metrics.aborts += 1
-                t = self._tracer()
+                t = self.active_tracer()
                 if t.enabled:
                     t.event("txn.abort", reason="shard-unavailable", site=self.site)
                 raise
-            ctx = self.pipeline.last_ctx
             self.metrics.commits += 1
             self.metrics.merges += 1
             txn.commit_id = state.id
             txn.session.last_commit_id = state.id
             self._finish(txn, COMMITTED)
-            t = self._tracer()
+            t = self.active_tracer()
             if t.enabled:
                 t.event(
                     "branch.merge",
-                    state=ctx.trace if ctx is not None else repr(state.id),
+                    state=repr(state.id),
                     parents=tuple(repr(p.id) for p in txn.read_states),
                     writes=len(txn.writes),
                     site=self.site,
-                    **(
-                        {"trace": ctx.trace, "parent": ctx.parent}
-                        if ctx is not None
-                        else {}
-                    )
+                    **stamp(state.id, txn.read_states[0].id)
                 )
-        self._notify_commit(state, txn.writes, ctx)
+        self._notify_commit(state, txn.writes)
         return state.id
 
     # -- replication hooks (§6.4) -----------------------------------------------
 
     def add_commit_listener(self, listener: Callable[..., None]) -> None:
-        """``listener(state, writes, ctx)`` is called after each local commit.
-
-        ``ctx`` is the commit's :class:`~repro.obs.context.TraceContext`
-        (None unless a tracer is installed via :meth:`set_tracer`).
-        """
+        """``listener(state, writes)`` is called after each local commit."""
         self._commit_listeners.append(listener)
 
-    def _notify_commit(
-        self, state: State, writes: Dict[Any, Any], ctx: Optional[Any] = None
-    ) -> None:
+    def _notify_commit(self, state: State, writes: Dict[Any, Any]) -> None:
         for listener in self._commit_listeners:
-            listener(state, writes, ctx)
+            listener(state, writes)
 
     def apply_remote(
         self,
@@ -643,7 +601,6 @@ class TardisStore:
         writes: Dict[Any, Any],
         read_keys: Iterable[Any] = (),
         write_keys: Optional[Iterable[Any]] = None,
-        ctx: Optional[Any] = None,
     ) -> Optional[StateId]:
         """Apply a replicated transaction at its designated state (§6.4).
 
@@ -686,7 +643,6 @@ class TardisStore:
                 write_keys=write_keys,
                 state_id=state_id,
                 origin=REMOTE,
-                ctx=ctx,
             )
             self.metrics.remote_applied += 1
         return state.id

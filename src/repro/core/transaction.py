@@ -15,7 +15,6 @@ from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple, T
 
 from repro.core.ids import StateId
 from repro.core.state_dag import State, StateDAG
-from repro.obs import tracing as _trc
 from repro.errors import (
     KeyNotFound,
     ReadOnlyViolation,
@@ -141,7 +140,7 @@ class BaseTransaction:
         """Abandon the transaction; buffered writes are discarded."""
         self._check_active()
         self._store._finish(self, ABORTED)
-        t = _trc.DEFAULT
+        t = self._store.active_tracer()
         if t.enabled:
             t.event("txn.abort", reason="user", site=self._store.site)
 

@@ -17,7 +17,6 @@ Quick start::
 
 from repro.obs import metrics, tracing
 from repro.obs.context import (
-    TraceContext,
     causal_timeline,
     format_timeline,
     merge_events,
@@ -35,7 +34,6 @@ from repro.obs.sampler import ObsSampler
 from repro.obs.series import (
     DivergenceMonitor,
     Trigger,
-    WindowedCounter,
     WindowedGauge,
     dag_extent,
 )
@@ -48,14 +46,7 @@ from repro.obs.metrics import (
     set_default_registry,
     use_registry,
 )
-from repro.obs.tracing import (
-    Span,
-    TraceEvent,
-    Tracer,
-    default_tracer,
-    set_default_tracer,
-    use_tracer,
-)
+from repro.obs.tracing import TraceEvent, Tracer, set_default_tracer, use_tracer
 
 
 def enable(on: bool = True) -> None:
@@ -72,18 +63,14 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "ObsSampler",
-    "Span",
-    "TraceContext",
     "TraceEvent",
     "Tracer",
     "Trigger",
-    "WindowedCounter",
     "WindowedGauge",
     "causal_timeline",
     "dag_extent",
     "dag_snapshot",
     "default_registry",
-    "default_tracer",
     "diff",
     "enable",
     "format_flight",

@@ -1,33 +1,28 @@
-"""Cross-replica trace contexts and causal timeline reconstruction.
+"""Trace ids and causal timeline reconstruction across replicas.
 
-A :class:`TraceContext` names the *origin* of a committed transaction —
-one trace id per commit, generated by the
-:class:`~repro.core.commit.CommitPipeline` — plus the id of its causal
-parent (the state the transaction committed under). The context rides on
-every replication message (:class:`~repro.replication.replicator.TxnMessage`,
-fetch requests/responses) and is stamped onto the remote-side trace
-events (``repl.apply``, ``repl.fetch``, ``branch.merge``), so the event
-ring buffers of N sites can be merged back into one causally ordered
-timeline: commit at the origin → replicate → apply at each peer → merge.
+A trace id is a state id: ``repr(StateId)``, e.g. ``s14@us``. State ids
+are globally unique and replication carries them unchanged (§6.4), so the
+id of the state a transaction committed *is* its distributed trace id —
+no id allocator and no context object travel with the transaction. Each
+emitter stamps ``trace`` (the commit's state id) and ``parent`` (its
+first parent's, None for a root) from ids it already holds, through
+:func:`stamp`. The one stamp not derivable from the event's own state is
+``repl.fetch``: a fetch is charged to the transaction waiting on it, so
+the fetch request carries that transaction's state id and first parent.
 
-Trace ids are derived from state ids (``repr(StateId)``, e.g.
-``s14@us``): state ids are globally unique and survive replication
-verbatim (§6.4), so the id of a transaction's state *is* a valid
-distributed trace id — no extra id allocator, and a context can be
-reconstructed from any message that names its state. The context still
-travels on the wire explicitly because fetch traffic is attributed to
-the transaction that *triggered* it, which is not derivable from the
-fetched state id alone.
+Because every site stamps the same ids, the event rings of N sites merge
+back into one causally ordered timeline: commit at the origin →
+replicate → apply at each peer → merge.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional
 
 from repro.obs.tracing import TraceEvent, Tracer
 
 __all__ = [
-    "TraceContext",
+    "stamp",
     "trace_id_of",
     "merge_events",
     "causal_timeline",
@@ -40,56 +35,15 @@ def trace_id_of(state_id: Any) -> str:
     return repr(state_id)
 
 
-class TraceContext:
-    """Causal identity of one committed transaction.
+def stamp(state_id: Any, parent_id: Any = None) -> Dict[str, Optional[str]]:
+    """The ``trace``/``parent`` attrs of an event about ``state_id``.
 
-    ``trace`` — id of the originating commit (derived from its state id);
-    ``parent`` — trace id of the first parent state (the causal
-    predecessor; merges list all parents in their event's ``parents``
-    attr); ``site`` — the site that executed the originating commit.
-
-    A plain ``__slots__`` class, not a dataclass: one is created per
-    traced commit, so construction is on the hot path.
+    ``parent_id`` is the first parent of that state, None for a root.
     """
-
-    __slots__ = ("trace", "parent", "site")
-
-    def __init__(self, trace: str, parent: Optional[str], site: str):
-        self.trace = trace
-        self.parent = parent
-        self.site = site
-
-    @classmethod
-    def for_commit(
-        cls,
-        state_id: Any,
-        parent_ids: Sequence[Any],
-        site: str,
-    ) -> "TraceContext":
-        # repr() directly (== trace_id_of): one context per traced commit.
-        parent = repr(parent_ids[0]) if parent_ids else None
-        return cls(repr(state_id), parent, site)
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {"trace": self.trace, "parent": self.parent, "site": self.site}
-
-    def __eq__(self, other: Any) -> bool:
-        return (
-            isinstance(other, TraceContext)
-            and self.trace == other.trace
-            and self.parent == other.parent
-            and self.site == other.site
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.trace, self.parent, self.site))
-
-    def __repr__(self) -> str:
-        return "TraceContext(trace=%r, parent=%r, site=%r)" % (
-            self.trace,
-            self.parent,
-            self.site,
-        )
+    return {
+        "trace": repr(state_id),
+        "parent": None if parent_id is None else repr(parent_id),
+    }
 
 
 # -- timeline reconstruction -------------------------------------------------

@@ -1,9 +1,9 @@
 """Wall-clock observability sampling: the live ops plane's engine.
 
-The windowed series (:mod:`repro.obs.series`) and the flight recorder
-(:mod:`repro.obs.flight`) were built for discrete-event-simulator ticks;
-this module drives the very same machinery from wall-clock time against
-a *live* store — the network server's. An :class:`ObsSampler` owns
+The windowed series and triggers (:mod:`repro.obs.series`) were built
+for discrete-event-simulator ticks; this module drives the very same
+machinery from wall-clock time against a *live* store — the network
+server's. An :class:`ObsSampler` owns
 
 * a :class:`~repro.obs.series.DivergenceMonitor` over the one store it
   watches (branch count, DAG width/depth, merge debt, staleness), with
@@ -13,11 +13,9 @@ a *live* store — the network server's. An :class:`ObsSampler` owns
   counts, per-shard access totals, and per-worker queue depth/liveness
   from the proc-shard plane (the ``tardis_net_*`` / ``tardis_shard_*``
   entries of ``SERIES_NAMES``);
-* a :class:`~repro.obs.flight.FlightRecorder` whose triggers run *live*
-  on every sample: a threshold trip appends a JSON-safe alert to a
-  bounded ring (and keeps the full flight dump in memory, capped), so
-  divergence excursions surface while the server is up instead of in a
-  post-mortem file.
+* triggers that run *live* on every sample: a threshold trip appends a
+  JSON-safe alert to a bounded ring, so divergence excursions surface
+  while the server is up instead of in a post-mortem file.
 
 ``sample()`` builds one JSON-safe *snapshot* document — the unit the
 wire protocol ships for ``OBS_SNAPSHOT`` and ``OBS_SUBSCRIBE`` push
@@ -27,7 +25,7 @@ JSON; docs/internals.md §14 is the reference):
 .. code-block:: python
 
     {
-        "obs_schema": 1,
+        "obs_schema": 2,
         "seq": 7,                 # monotonically increasing sample number
         "t_ms": 1234.5,           # wall ms since the sampler started
         "site": "net",
@@ -45,7 +43,7 @@ JSON; docs/internals.md §14 is the reference):
         "series": {"tardis_branch_count@net": [[t, v], ...], ...},
         "alerts": [{"t_ms", "series", "value", "threshold",
                     "hold_ms", "reason"}, ...],
-        "flight_dumps": 1,        # in-memory dumps captured by trips
+        "alerts_total": 1,        # trips since the sampler started
     }
 
 Thread-safety: the sampler has no lock of its own. The server calls
@@ -61,13 +59,18 @@ import time
 from collections import deque
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.obs.flight import FlightRecorder
 from repro.obs.series import DivergenceMonitor
 
 __all__ = ["ObsSampler", "DEFAULT_TRIGGERS", "OBS_SCHEMA_VERSION"]
 
 #: schema version of snapshot documents (bumped on incompatible change).
-OBS_SCHEMA_VERSION = 1
+OBS_SCHEMA_VERSION = 2
+
+#: samples kept per series, and how many of the newest a snapshot ships.
+SERIES_CAPACITY = 512
+SNAPSHOT_TAIL = 60
+#: alerts kept in the ring a snapshot ships.
+ALERT_CAPACITY = 64
 
 #: default armed triggers: ``(series_prefix, threshold, hold_ms)``.
 #: Branch count / merge debt above 8 held for 2 wall-seconds is the
@@ -95,18 +98,13 @@ class ObsSampler:
         store: Any,
         site: Optional[str] = None,
         clock: Callable[[], float] = time.monotonic,
-        capacity: int = 512,
-        tail: int = 60,
         counters_fn: Optional[Callable[[], Dict[str, Any]]] = None,
         gauges_fn: Optional[Callable[[], Dict[str, Any]]] = None,
         latency_fn: Optional[Callable[[], Dict[str, Dict[str, Any]]]] = None,
         triggers: Tuple[Tuple[str, float, float], ...] = DEFAULT_TRIGGERS,
-        alert_capacity: int = 64,
-        flight_dump_cap: int = 8,
     ) -> None:
         self.store = store
         self.site = site if site is not None else getattr(store, "site", "local")
-        self.tail = tail
         self._clock = clock
         self._t0 = clock()
         #: wall ms since construction — the monitor's time axis.
@@ -114,15 +112,13 @@ class ObsSampler:
         self.monitor = DivergenceMonitor(
             {self.site: store},
             clock=monitor_clock,
-            capacity=capacity,
+            capacity=SERIES_CAPACITY,
             measure_lag=False,
         )
-        self.flight = FlightRecorder({}, {self.site: store}, monitor=self.monitor)
-        self.flight_dump_cap = flight_dump_cap
         self.counters_fn = counters_fn
         self.gauges_fn = gauges_fn
         self.latency_fn = latency_fn
-        self.alerts: deque = deque(maxlen=alert_capacity)
+        self.alerts: deque = deque(maxlen=ALERT_CAPACITY)
         self.alerts_total = 0
         self.seq = 0
         #: the newest completed snapshot; never mutated once published.
@@ -133,8 +129,8 @@ class ObsSampler:
     # -- triggers ----------------------------------------------------------
 
     def arm(self, series: str, threshold: float, hold_ms: float) -> None:
-        """Alert (and flight-dump, capped) when ``series`` > threshold
-        holds for ``hold_ms`` wall milliseconds; re-arms per excursion."""
+        """Alert when ``series`` > threshold holds for ``hold_ms`` wall
+        milliseconds; re-arms per excursion."""
 
         def action(monitor, trigger, now, name, value):
             self.alerts_total += 1
@@ -148,13 +144,6 @@ class ObsSampler:
                     "reason": "%s=%g > %g held %gms" % (name, value, threshold, hold_ms),
                 }
             )
-            if len(self.flight.dumps) < self.flight_dump_cap:
-                self.flight.record(
-                    reason="live trip: %s=%g > %g for %gms"
-                    % (name, value, threshold, hold_ms),
-                    tripped_at=now,
-                    rule={**trigger.to_dict(), "series_tripped": name, "value": value},
-                )
 
         self.monitor.add_trigger(series, threshold, hold_ms, action)
 
@@ -223,10 +212,9 @@ class ObsSampler:
             "counters": counters,
             "latency_ms": latency,
             "shards": shards,
-            "series": self.monitor.tails(self.tail),
+            "series": self.monitor.tails(SNAPSHOT_TAIL),
             "alerts": list(self.alerts),
             "alerts_total": self.alerts_total,
-            "flight_dumps": len(self.flight.dumps),
         }
         self.latest = snapshot
         return snapshot

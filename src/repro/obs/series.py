@@ -5,15 +5,15 @@ paper's Figures 10–13 are actually about — how branch count, DAG
 width/depth, replication lag, and merge debt evolve over (simulated)
 time. This module adds the missing shape:
 
-* :class:`WindowedGauge` / :class:`WindowedCounter` — a fixed-size ring
-  of ``(sim_time_ms, value)`` samples (memory bounded, O(1) append);
+* :class:`WindowedGauge` — a fixed-size ring of ``(sim_time_ms, value)``
+  samples (memory bounded, O(1) append);
 * :class:`DivergenceMonitor` — samples the branch-divergence state of
   one or many TARDiS stores on a discrete-event-simulator tick and
   feeds the series; in a cluster it also measures per-peer replication
   lag (states committed at one site, not yet applied at another);
 * :class:`Trigger` — a threshold rule (``value > threshold`` held for
   ``hold_ms``) that fires an action once per excursion — the hook the
-  flight recorder (:mod:`repro.obs.flight`) arms.
+  flight recorder (:mod:`repro.obs.flight`) and the live sampler arm.
 
 Series serialize as ``{"type": "series", "samples": [[t, v], ...]}`` and
 are folded into ``RunResult.obs_metrics`` / ``BENCH_*.json`` alongside
@@ -29,7 +29,6 @@ from repro.obs import metrics as _met
 
 __all__ = [
     "WindowedGauge",
-    "WindowedCounter",
     "Trigger",
     "DivergenceMonitor",
     "dag_extent",
@@ -73,33 +72,6 @@ class WindowedGauge:
             len(self._samples),
             self.capacity,
         )
-
-
-class WindowedCounter(WindowedGauge):
-    """A monotonically increasing count sampled onto the ring.
-
-    ``inc`` accumulates between ticks; ``sample(t)`` records the
-    cumulative total at ``t``, so the series is the counter's growth
-    curve and rates fall out of adjacent samples.
-    """
-
-    __slots__ = ("_total",)
-
-    def __init__(self, name: str, capacity: int = 512, help: str = ""):
-        super().__init__(name, capacity=capacity, help=help)
-        self._total = 0.0
-
-    @property
-    def total(self) -> float:
-        return self._total
-
-    def inc(self, n: float = 1.0) -> None:
-        self._total += n
-
-    def sample(self, t: float, value: Optional[float] = None) -> None:
-        if value is not None:
-            self._total += value
-        self._samples.append((t, self._total))
 
 
 class Trigger:

@@ -1,47 +1,39 @@
-"""Branch-aware tracing: spans and a bounded ring-buffer event log.
+"""Branch-aware tracing: a bounded ring-buffer event log.
 
-Two primitives:
+An event is a point-in-time record of a branch-level happening the paper
+reasons about — commit, fork, merge, promotion, GC, replication apply —
+a ``kind`` plus free-form attributes (state ids, key counts). A
+:class:`Tracer` keeps the newest ``capacity`` events and counts the ones
+it evicts, so tracing is safe to leave on in long runs: memory is fixed,
+and recording is an O(1) deque append under one lock.
 
-* **Spans** follow one logical operation (a transaction, a merge, a GC
-  cycle) through ``begin → ops → commit/abort``. Spans nest per thread;
-  a finished span records its duration and its parent into the event
-  log, so a transaction's life reads as one indented trace.
-* **Events** are point-in-time records of the branch-level happenings
-  the paper reasons about — fork, merge, promotion, GC, replication
-  apply — each a ``kind`` plus free-form attributes (state ids, key
-  counts).
-
-Both land in a bounded ring buffer (:class:`Tracer` keeps the newest
-``capacity`` events), so tracing is safe to leave on in long runs: memory
-is fixed, and ``record`` is an O(1) deque append under one lock.
-
-Like metrics, the module-level :data:`DEFAULT` tracer starts disabled —
-hot paths guard with ``if tracer.enabled:`` and pay one attribute check.
+Routing: every event about a store's states goes to that store's
+``tracer`` attribute, or to the module-level :data:`DEFAULT` when it is
+None. Like metrics, :data:`DEFAULT` starts disabled — hot paths guard
+with ``if tracer.enabled:`` and pay one attribute check.
 
 Event kind catalogue (see docs/internals.md §8):
 
-== ==================  ===========================================
-kind                    attrs
-== ==================  ===========================================
-``txn.commit``          ``state``, ``writes``, ``ripple``, ``fork``
-``txn.abort``           ``reason``
-``branch.fork``         ``state``, ``parent``
-``branch.merge``        ``state``, ``parents``, ``writes``
-``gc.cycle``            ``marked``, ``removed``, ``promoted``, ``dropped``, ``live_states``
-``gc.promotion``        ``state``, ``promoted_to``
-``repl.send``           ``state``, ``src``
-``repl.apply``          ``state``, ``src``
-``repl.cache``          ``state``, ``missing``
-``repl.fetch``          ``state``, ``peer``
-``repl.drop``           ``state``
+=====================  ===================================================
+kind                   attrs
+=====================  ===================================================
+``txn.commit``         ``state``, ``writes``, ``ripple``, ``fork``
+``txn.abort``          ``reason``
+``branch.fork``        ``state``, ``parent``
+``branch.merge``       ``state``, ``parents``, ``writes``
+``gc.cycle``           ``marked``, ``removed``, ``promoted``, ``dropped``, ``live_states``
+``gc.promotion``       ``state``, ``promoted_to``
+``repl.send``          ``state``, ``src``
+``repl.apply``         ``state``, ``src``
+``repl.cache``         ``state``, ``missing``
+``repl.fetch``         ``state``, ``peer``
+``repl.drop``          ``state``
+``spec.confirm``       ``tickets``
+``spec.misspeculate``  ``tickets``
+=====================  ===================================================
 
-Cross-replica events additionally carry ``trace``/``parent`` (the
-:class:`~repro.obs.context.TraceContext` of the originating commit) and
-``site`` once merged across ring buffers — see :mod:`repro.obs.context`.
-``spec.confirm``        ``tickets``
-``spec.misspeculate``   ``tickets``
-``span``                ``name``, ``ms``, ``depth``, ``parent``
-== ==================  ===========================================
+All but the ``spec.*`` events also carry ``site``, and every event that
+names a state carries ``trace``/``parent`` (see :mod:`repro.obs.context`).
 """
 
 from __future__ import annotations
@@ -56,10 +48,8 @@ from repro.obs import metrics as _met
 
 __all__ = [
     "TraceEvent",
-    "Span",
     "Tracer",
     "DEFAULT",
-    "default_tracer",
     "set_default_tracer",
     "enable",
     "use_tracer",
@@ -86,43 +76,8 @@ class TraceEvent:
         return "<%s %s>" % (self.kind, attrs)
 
 
-class Span:
-    """One live traced operation. Created via :meth:`Tracer.span`."""
-
-    __slots__ = ("name", "attrs", "start", "end", "depth", "parent")
-
-    def __init__(
-        self,
-        name: str,
-        attrs: Dict[str, Any],
-        start: float,
-        depth: int,
-        parent: Optional[str],
-    ):
-        self.name = name
-        self.attrs = attrs
-        self.start = start
-        self.end: Optional[float] = None
-        #: nesting depth at creation (0 == top level)
-        self.depth = depth
-        #: name of the enclosing span, if any
-        self.parent = parent
-
-    @property
-    def duration_ms(self) -> float:
-        end = self.end if self.end is not None else self.start
-        return (end - self.start) * 1000.0
-
-    def annotate(self, **attrs: Any) -> None:
-        self.attrs.update(attrs)
-
-    def __repr__(self) -> str:
-        state = "open" if self.end is None else "%.3fms" % self.duration_ms
-        return "<Span %s depth=%d %s>" % (self.name, self.depth, state)
-
-
 class Tracer:
-    """Span contexts plus a bounded ring buffer of trace events."""
+    """A bounded ring buffer of trace events with drop accounting."""
 
     _GUARDED_BY = {
         "_events": "self._lock",
@@ -140,7 +95,6 @@ class Tracer:
         self._clock = clock
         self._events: deque = deque(maxlen=capacity)
         self._lock = threading.Lock()
-        self._local = threading.local()
         #: events evicted by the ring buffer — a nonzero value means the
         #: oldest part of any reconstructed timeline is missing.
         self.dropped = 0
@@ -159,7 +113,11 @@ class Tracer:
     # the underlying attrs dicts, so attr mutations (e.g. the site
     # tagging in ``merge_events``) stick across calls.
 
-    def _record(self, ts: float, kind: str, attrs: Dict[str, Any]) -> None:
+    def event(self, kind: str, **attrs: Any) -> None:
+        """Record a point event; no-op when disabled."""
+        if not self.enabled:
+            return
+        ts = self._clock()
         with self._lock:
             evicting = len(self._events) == self.capacity
             if evicting:
@@ -174,12 +132,6 @@ class Tracer:
                         "tardis_trace_dropped_total"
                     )
                 self._drop_counter.inc()
-
-    def event(self, kind: str, **attrs: Any) -> None:
-        """Record a point event; no-op when disabled."""
-        if not self.enabled:
-            return
-        self._record(self._clock(), kind, attrs)
 
     def events(
         self, kind: Optional[str] = None, limit: Optional[int] = None
@@ -201,42 +153,6 @@ class Tracer:
     def __len__(self) -> int:
         return len(self._events)
 
-    # -- spans -----------------------------------------------------------
-
-    def _stack(self) -> List[Span]:
-        stack = getattr(self._local, "stack", None)
-        if stack is None:
-            stack = self._local.stack = []
-        return stack
-
-    def current_span(self) -> Optional[Span]:
-        stack = self._stack()
-        return stack[-1] if stack else None
-
-    @contextmanager
-    def span(self, name: str, **attrs: Any):
-        """Open a nested span; on exit, record it into the event log."""
-        if not self.enabled:
-            yield _NULL_SPAN
-            return
-        stack = self._stack()
-        parent = stack[-1].name if stack else None
-        span = Span(name, dict(attrs), self._clock(), len(stack), parent)
-        stack.append(span)
-        try:
-            yield span
-        finally:
-            span.end = self._clock()
-            stack.pop()
-            entry_attrs = {
-                "name": span.name,
-                "ms": span.duration_ms,
-                "depth": span.depth,
-                "parent": span.parent,
-            }
-            entry_attrs.update(span.attrs)
-            self._record(span.end, "span", entry_attrs)
-
     def to_list(self, limit: Optional[int] = None) -> List[Dict[str, Any]]:
         return [e.to_dict() for e in self.events(limit=limit)]
 
@@ -248,18 +164,8 @@ class Tracer:
         )
 
 
-#: sentinel yielded by a disabled tracer so ``with tracer.span(...) as s:``
-#: works unconditionally.
-_NULL_SPAN = Span("(disabled)", {}, 0.0, 0, None)
-_NULL_SPAN.end = 0.0
-
-
 #: The library-wide default tracer. Disabled until a consumer opts in.
 DEFAULT = Tracer(enabled=False)
-
-
-def default_tracer() -> Tracer:
-    return DEFAULT
 
 
 def set_default_tracer(tracer: Tracer) -> Tracer:

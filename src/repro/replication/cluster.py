@@ -80,7 +80,7 @@ class Cluster:
                     enabled=True,
                     clock=lambda: self.sim.now,
                 )
-                store.set_tracer(tracer)
+                store.tracer = tracer
                 self.tracers[site] = tracer
             self.stores[site] = store
             self.replicators[site] = Replicator(store, self.network)

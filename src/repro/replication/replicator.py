@@ -13,15 +13,14 @@ table) fetches the missing state back from the sender (§6.4).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.ids import StateId
 from repro.core.store import TardisStore
 from repro.errors import GarbageCollectedError
 from repro.obs import metrics as _met
-from repro.obs import tracing as _trc
-from repro.obs.context import TraceContext
+from repro.obs.context import stamp
 from repro.replication.network import SimNetwork
 
 
@@ -33,16 +32,15 @@ class TxnMessage:
     parent_ids: Tuple[StateId, ...]
     writes: Dict[Any, Any]
     write_keys: Tuple[Any, ...] = ()
-    #: trace context of the originating commit (None when tracing is off).
-    ctx: Optional[TraceContext] = None
 
 
 @dataclass
 class FetchRequest:
     state_id: StateId
-    #: context of the transaction that *triggered* the fetch — fetch
-    #: traffic is attributed to it, not to the fetched state.
-    ctx: Optional[TraceContext] = None
+    #: the transaction waiting on the fetch, and its first parent: fetch
+    #: traffic is charged to it, not to the fetched state.
+    waiting: StateId
+    waiting_parent: Optional[StateId] = None
 
 
 @dataclass
@@ -52,12 +50,11 @@ class FetchResponse:
     message: Optional[TxnMessage] = None
     #: ...or the id it was promoted to when compressed away.
     promoted_to: Optional[StateId] = None
-    ctx: Optional[TraceContext] = None
 
 
-def _stamp(ctx: Optional[TraceContext]) -> Dict[str, Any]:
-    """Event attrs carrying a context's causal identity, if any."""
-    return {"trace": ctx.trace, "parent": ctx.parent} if ctx is not None else {}
+def _stamp(message: TxnMessage) -> Dict[str, Optional[str]]:
+    """The trace ids of a replicated transaction's events."""
+    return stamp(message.state_id, *message.parent_ids[:1])
 
 
 class Replicator:
@@ -86,31 +83,26 @@ class Replicator:
 
     # -- outbound -----------------------------------------------------------
 
-    def _tracer(self):
-        tracer = self.store.tracer
-        return tracer if tracer is not None else _trc.DEFAULT
-
-    def _on_local_commit(self, state, writes: Dict[Any, Any], ctx=None) -> None:
+    def _on_local_commit(self, state, writes: Dict[Any, Any]) -> None:
         message = TxnMessage(
             state_id=state.id,
             parent_ids=tuple(p.id for p in state.parents),
             writes=dict(writes),
             write_keys=tuple(state.write_keys),
-            ctx=ctx,
         )
         m = _met.DEFAULT
         if m.enabled:
             m.inc("tardis_repl_send_total")
-        t = self._tracer()
+        t = self.store.active_tracer()
         if t.enabled:
             # state ids travel as strings (trace ids) so ring entries stay
-            # atomic and GC-invisible; ctx.trace is that string already.
+            # atomic and GC-invisible.
             t.event(
                 "repl.send",
-                state=ctx.trace if ctx is not None else repr(state.id),
+                state=repr(state.id),
                 src=self.site,
                 site=self.site,
-                **_stamp(ctx)
+                **_stamp(message)
             )
         self.network.broadcast(self.site, message)
 
@@ -128,7 +120,7 @@ class Replicator:
 
     def _apply_or_cache(self, src: str, message: TxnMessage) -> None:
         m = _met.DEFAULT
-        t = self._tracer()
+        t = self.store.active_tracer()
         missing = [pid for pid in message.parent_ids if pid not in self.store.dag]
         if missing:
             self.cached += 1
@@ -146,10 +138,14 @@ class Replicator:
                     state=repr(message.state_id),
                     missing=repr(missing[0]),
                     site=self.site,
-                    **_stamp(message.ctx)
+                    **_stamp(message)
                 )
-            # The fetch is attributed to the transaction waiting on it.
-            self.network.send(self.site, src, FetchRequest(missing[0], ctx=message.ctx))
+            # The fetch is charged to the transaction waiting on it.
+            self.network.send(
+                self.site,
+                src,
+                FetchRequest(missing[0], message.state_id, *message.parent_ids[:1]),
+            )
             return
         try:
             applied = self.store.apply_remote(
@@ -157,7 +153,6 @@ class Replicator:
                 message.parent_ids,
                 message.writes,
                 write_keys=message.write_keys,
-                ctx=message.ctx,
             )
         except GarbageCollectedError:
             # The parent's identity was collected in a way that cannot be
@@ -171,27 +166,20 @@ class Replicator:
                     "repl.drop",
                     state=repr(message.state_id),
                     site=self.site,
-                    **_stamp(message.ctx)
+                    **_stamp(message)
                 )
             return
         if applied is not None:
             self.applied += 1
-            ctx = message.ctx
-            if ctx is None and t.enabled:
-                # Gossip from an untraced site: reconstruct the context
-                # from the state id, which is the trace id (§6.4).
-                ctx = TraceContext.for_commit(
-                    message.state_id, message.parent_ids, message.state_id.site
-                )
             if m.enabled:
                 m.inc("tardis_repl_apply_total")
             if t.enabled:
                 t.event(
                     "repl.apply",
-                    state=ctx.trace if ctx is not None else repr(message.state_id),
+                    state=repr(message.state_id),
                     src=src,
                     site=self.site,
-                    **_stamp(ctx)
+                    **_stamp(message)
                 )
             if self.apply_listener is not None:
                 self.apply_listener(message)
@@ -207,14 +195,14 @@ class Replicator:
     # -- state fetch (optimistic GC, §6.4) --------------------------------------
 
     def _answer_fetch(self, src: str, request: FetchRequest) -> None:
-        t = self._tracer()
+        t = self.store.active_tracer()
         if t.enabled:
             t.event(
                 "repl.fetch",
                 state=repr(request.state_id),
                 peer=src,
                 site=self.site,
-                **_stamp(request.ctx)
+                **stamp(request.waiting, request.waiting_parent)
             )
         state = self.store.dag.get(request.state_id)
         if state is None:
@@ -222,30 +210,21 @@ class Replicator:
             self.network.send(
                 self.site,
                 src,
-                FetchResponse(request.state_id, promoted_to=promoted, ctx=request.ctx),
+                FetchResponse(request.state_id, promoted_to=promoted),
             )
             return
         writes = {}
         for key in state.write_keys:
             value = self.store.versions.records.get((key, state.id))
             writes[key] = value
-        fetched_ctx = None
-        if t.enabled:
-            # The re-sent transaction travels under its own identity.
-            fetched_ctx = TraceContext.for_commit(
-                state.id, [p.id for p in state.parents], state.id.site
-            )
         message = TxnMessage(
             state_id=state.id,
             parent_ids=tuple(p.id for p in state.parents),
             writes=writes,
             write_keys=tuple(state.write_keys),
-            ctx=fetched_ctx,
         )
         self.network.send(
-            self.site,
-            src,
-            FetchResponse(request.state_id, message=message, ctx=request.ctx),
+            self.site, src, FetchResponse(request.state_id, message=message)
         )
 
     def _absorb_fetch(self, src: str, response: FetchResponse) -> None:

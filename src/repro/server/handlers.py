@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 from repro.core import constraints
 from repro.core.merge import MergeTransaction
 from repro.core.transaction import ACTIVE, COMMITTED, BaseTransaction
-from repro.obs.sampler import ObsSampler
+from repro.obs.sampler import SNAPSHOT_TAIL, ObsSampler
 from repro.server.protocol import (
     OPS,
     PROTOCOL_VERSION,
@@ -440,7 +440,7 @@ def _obs_subscribe(server: TardisServer, session: WireSession, request: _Json) -
     return {
         "resumed": server._subscribe_obs(session.id),
         "interval_s": server.obs_sample_interval,
-        "tail": server.obs.tail,
+        "tail": SNAPSHOT_TAIL,
     }
 
 

@@ -37,7 +37,6 @@ from repro.core.constraints import (
 from repro.core.store import TardisStore
 from repro.errors import TransactionAborted
 from repro.obs import metrics as _met
-from repro.obs import tracing as _trc
 
 PENDING = "pending"
 CONFIRMED = "confirmed"
@@ -201,7 +200,7 @@ class SpeculativeExecutor:
             m = _met.DEFAULT
             if m.enabled:
                 m.inc("tardis_spec_confirm_total", len(pending))
-            t = _trc.DEFAULT
+            t = self.store.active_tracer()
             if t.enabled:
                 t.event("spec.confirm", tickets=tuple(s.ticket for s in pending))
             return True
@@ -213,7 +212,7 @@ class SpeculativeExecutor:
         if m.enabled:
             m.inc("tardis_spec_misspec_total")
             m.inc("tardis_spec_reexec_total", len(pending))
-        t = _trc.DEFAULT
+        t = self.store.active_tracer()
         if t.enabled:
             t.event("spec.misspeculate", tickets=tuple(s.ticket for s in pending))
         self._spec_tip = self._confirmed_tip

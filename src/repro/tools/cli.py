@@ -40,6 +40,7 @@ import sys
 from pathlib import Path
 
 from repro import analysis
+from repro.core.ancestry import popcount
 from repro.core.recovery import recover_store
 from repro.core.store import TardisStore
 from repro.obs import MetricsRegistry, Tracer, export
@@ -197,7 +198,7 @@ def cmd_metrics(args) -> int:
         for leaf in store.dag.leaves():
             print(
                 "  leaf %-24s depth=%-3d %s"
-                % (leaf.id, len(leaf.fork_path), "merge" if leaf.is_merge else "")
+                % (leaf.id, popcount(leaf.path_mask), "merge" if leaf.is_merge else "")
             )
         print()
         print("-- gc debt " + "-" * 49)

@@ -93,7 +93,8 @@ def describe_store(store: TardisStore, keys: Optional[List] = None) -> str:
     lines.append("")
     lines.append("branches (leaves, newest first):")
     for leaf in store.dag.leaves():
-        lines.append("  %r  path=%r" % (leaf.id, leaf.fork_path))
+        points = sorted(store.dag.ancestry.points_of(leaf.path_mask))
+        lines.append("  %r  path={%s}" % (leaf.id, "".join(map(repr, points))))
         for key in keys or []:
             hit = store.versions.read_visible(key, leaf, store.dag)
             lines.append(

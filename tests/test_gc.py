@@ -239,14 +239,14 @@ class TestRecordPromotion:
         tail = store.begin(session=a)
         tail.put("y", 1)
         tail.commit()
-        assert len(store.dag.resolve(a.last_commit_id).fork_path) > 0
+        assert store.dag.resolve(a.last_commit_id).path_mask != 0
         a.place_ceiling()
         store.gc.place_ceiling("b", a.last_commit_id)
         stats = store.collect_garbage()
         assert stats.fork_entries_scrubbed > 0
         # The surviving chain carries no fork-path entries at all.
         for state in store.dag.states():
-            assert len(state.fork_path) == 0
+            assert list(store.dag.ancestry.points_of(state.path_mask)) == []
         # Visibility still correct after the scrub.
         t = store.begin(session=a)
         assert t.get("x") == 6

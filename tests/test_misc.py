@@ -4,7 +4,7 @@ import pytest
 
 from repro import (
     AncestorConstraint,
-    ForkPath,
+    AncestryIndex,
     ForkPoint,
     KBranchingConstraint,
     NoBranchingConstraint,
@@ -55,11 +55,27 @@ class TestReprsAndHelpers:
         assert repr(StateId(3, "A")) == "s3@A"
 
     def test_fork_path_repr_and_choices(self):
-        path = ForkPath([ForkPoint(StateId(1, "A"), 0), ForkPoint(StateId(2, "A"), 1)])
-        assert "(s1@A,0)" in repr(path)
-        choices = path.branch_choices()
-        assert choices[0][0] == StateId(1, "A")
-        assert [c[1] for c in choices] == [0, 1]
+        index = AncestryIndex()
+        mask = index.mask_of([ForkPoint(StateId(1, "A"), 0), ForkPoint(StateId(2, "A"), 1)])
+        assert "(s1@A,0)" in repr(list(index.points_of(mask)))
+        choices = index.choices_by_fork(mask)
+        assert sorted(choices) == [StateId(1, "A"), StateId(2, "A")]
+        assert [choices[s] for s in sorted(choices)] == [{0}, {1}]
+
+    def test_state_repr_counts_fork_points(self):
+        store = TardisStore("A")
+        a, b = store.session("a"), store.session("b")
+        store.put("x", 0, session=a)
+        t1, t2 = store.begin(session=a), store.begin(session=b)
+        t1.put("x", t1.get("x") + 1)
+        t2.put("x", t2.get("x") + 2)
+        t1.commit()
+        t2.commit()
+        merge = store.begin_merge(session=a)
+        merge.put("x", 3)
+        merged = store.dag.resolve(merge.commit())
+        assert "fork_points=2" in repr(merged)
+        assert "fork_points=0" in repr(store.dag.root)
 
     def test_store_and_session_repr(self):
         store = TardisStore("A")

@@ -255,36 +255,7 @@ class TestTracer:
     def test_disabled_tracer_noop(self):
         tr = Tracer(enabled=False)
         tr.event("x")
-        with tr.span("op") as span:
-            span.annotate(note="ignored")
         assert len(tr) == 0
-
-    def test_span_nesting(self):
-        tr = Tracer(clock=iter(range(100)).__next__)
-        with tr.span("txn") as outer:
-            assert tr.current_span() is outer
-            with tr.span("merge", keys=3) as inner:
-                assert inner.depth == 1
-                assert inner.parent == "txn"
-                inner.annotate(conflicts=2)
-            assert tr.current_span() is outer
-        assert tr.current_span() is None
-        spans = tr.events(kind="span")
-        assert [e.attrs["name"] for e in spans] == ["merge", "txn"]  # inner ends first
-        assert spans[0].attrs["depth"] == 1
-        assert spans[0].attrs["parent"] == "txn"
-        assert spans[0].attrs["conflicts"] == 2
-        assert spans[1].attrs["depth"] == 0
-        assert spans[1].attrs["parent"] is None
-        assert spans[1].attrs["ms"] >= spans[0].attrs["ms"]
-
-    def test_span_recorded_on_exception(self):
-        tr = Tracer()
-        with pytest.raises(RuntimeError):
-            with tr.span("boom"):
-                raise RuntimeError("x")
-        assert len(tr.events(kind="span")) == 1
-        assert tr.current_span() is None  # stack unwound
 
     def test_default_tracer_swap(self):
         mine = Tracer()

@@ -1,5 +1,5 @@
 """Tests for windowed series, the divergence monitor, the flight
-recorder, and cross-replica trace contexts (repro.obs.series /
+recorder, and cross-replica timelines (repro.obs.series /
 repro.obs.flight / repro.obs.context)."""
 
 import json
@@ -10,17 +10,16 @@ from repro import TardisStore
 from repro.obs import metrics as met
 from repro.obs import tracing as trc
 from repro.obs.context import (
-    TraceContext,
     causal_timeline,
     format_timeline,
     merge_events,
+    stamp,
     trace_id_of,
 )
 from repro.obs.flight import FlightRecorder, dag_snapshot, format_flight
 from repro.obs.series import (
     DivergenceMonitor,
     Trigger,
-    WindowedCounter,
     WindowedGauge,
     dag_extent,
 )
@@ -63,15 +62,6 @@ class TestWindowedSeries:
         data = g.to_dict()
         assert data["type"] == "series"
         assert data["samples"] == [[1.0, 2.0]]
-
-    def test_counter_is_cumulative(self):
-        c = WindowedCounter("c", capacity=8)
-        c.inc()
-        c.inc(2)
-        c.sample(1.0)
-        c.sample(2.0, 5)  # sample(t, n) folds n in before sampling
-        assert c.total == 8
-        assert c.samples() == [(1.0, 3.0), (2.0, 8.0)]
 
 
 class TestTrigger:
@@ -190,7 +180,7 @@ class TestFlightRecorder:
     def build(self, out_dir=None):
         tracer = Tracer(capacity=64, enabled=True, clock=lambda: 0.0)
         store = TardisStore("f")
-        store.set_tracer(tracer)
+        store.tracer = tracer
         a, b = store.session("a"), store.session("b")
         store.put("x", 0, session=a)
         t1, t2 = store.begin(session=a), store.begin(session=b)
@@ -263,25 +253,14 @@ class TestFlightRecorder:
         assert snap["records"] >= 3
 
 
-class TestTraceContext:
-    def test_for_commit_derives_ids(self):
+class TestTimelineReconstruction:
+    def test_stamp_derives_ids(self):
         store = TardisStore("us")
         sid = store.put("x", 1)
-        ctx = TraceContext.for_commit(sid, [], "us")
-        assert ctx.trace == trace_id_of(sid) == repr(sid)
-        assert ctx.parent is None
-        ctx2 = TraceContext.for_commit(sid, [sid], "us")
-        assert ctx2.parent == repr(sid)
+        root = store.dag.root.id
+        assert stamp(sid, root) == {"trace": trace_id_of(sid), "parent": "s0"}
+        assert stamp(root) == {"trace": "s0", "parent": None}
 
-    def test_equality_and_dict(self):
-        a = TraceContext("s1@us", None, "us")
-        b = TraceContext("s1@us", None, "us")
-        assert a == b and hash(a) == hash(b)
-        assert a != TraceContext("s1@us", "s0@us", "us")
-        assert a.to_dict() == {"trace": "s1@us", "parent": None, "site": "us"}
-
-
-class TestTimelineReconstruction:
     def test_merge_events_orders_and_tags_sites(self):
         t_us = Tracer(clock=lambda: 0.0)
         t_eu = Tracer(clock=lambda: 0.0)
@@ -312,7 +291,7 @@ class TestTimelineReconstruction:
     def test_store_events_reconstruct_locally(self):
         tracer = Tracer(enabled=True, clock=lambda: 0.0)
         store = TardisStore("us")
-        store.set_tracer(tracer)
+        store.tracer = tracer
         sid = store.put("x", 1)
         timeline = causal_timeline(
             merge_events({"us": tracer}), trace_id_of(sid)

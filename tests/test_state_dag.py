@@ -6,10 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.fork_path import ForkPath, ForkPoint
+from repro.core.ancestry import ForkPoint, popcount
 from repro.core.ids import ROOT_ID, IdAllocator, StateId
 from repro.core.state_dag import StateDAG
 from repro.errors import GarbageCollectedError
+
+
+def points(dag, state):
+    """The fork points a state's path mask encodes."""
+    return set(dag.ancestry.points_of(state.path_mask))
 
 
 def chain(dag, parent, n, write_key=None):
@@ -52,37 +57,75 @@ class TestIds:
 
 
 class TestForkPath:
+    """Fork paths as a DAG encodes them: ``State.path_mask`` over ``dag.ancestry``."""
+
     def test_empty(self):
-        assert len(ForkPath.EMPTY) == 0
-        assert ForkPath.EMPTY.issubset(ForkPath.EMPTY)
+        dag = StateDAG("A")
+        child = dag.create_state([dag.root])
+        assert dag.root.path_mask == 0
+        assert points(dag, dag.root) == set()
+        # The empty path is a subset of every path, itself included.
+        assert dag.root.path_mask & dag.root.path_mask == dag.root.path_mask
+        assert dag.root.path_mask & child.path_mask == dag.root.path_mask
 
     def test_add_and_subset(self):
-        p1 = ForkPath.EMPTY.add(ForkPoint(StateId(1, "A"), 0))
-        p2 = p1.add(ForkPoint(StateId(4, "A"), 1))
-        assert p1.issubset(p2)
-        assert not p2.issubset(p1)
-        assert ForkPoint(StateId(1, "A"), 0) in p2
+        dag = StateDAG("A")
+        base = dag.create_state([dag.root])
+        first = dag.create_state([base])
+        dag.create_state([base])  # fork at base
+        deep = dag.create_state([first])
+        dag.create_state([first])  # fork at first
+        p1, p2 = first.path_mask, deep.path_mask
+        assert p1 & p2 == p1
+        assert p2 & p1 != p2
+        assert ForkPoint(base.id, 0) in points(dag, deep)
+        assert points(dag, deep) == {ForkPoint(base.id, 0), ForkPoint(first.id, 0)}
 
     def test_add_is_persistent(self):
-        p1 = ForkPath.EMPTY.add(ForkPoint(StateId(1, "A"), 0))
-        p1.add(ForkPoint(StateId(2, "A"), 0))
-        assert len(p1) == 1
+        dag = StateDAG("A")
+        base = dag.create_state([dag.root])
+        first = dag.create_state([base])
+        dag.create_state([base])  # fork at base
+        before = first.path_mask
+        dag.create_state([first])
+        dag.create_state([first])  # fork at first: only its children extend
+        assert first.path_mask == before
+        assert popcount(first.path_mask) == 1
 
     def test_add_duplicate_returns_self(self):
-        point = ForkPoint(StateId(1, "A"), 0)
-        p1 = ForkPath.EMPTY.add(point)
-        assert p1.add(point) is p1
+        dag = StateDAG("A")
+        base = dag.create_state([dag.root])
+        first = dag.create_state([base])
+        dag.create_state([base])  # fork at base
+        bit = dag.ancestry.intern(ForkPoint(base.id, 0))
+        assert first.path_mask | bit == first.path_mask
 
     def test_union(self):
-        a = ForkPath([ForkPoint(StateId(1, "A"), 0)])
-        b = ForkPath([ForkPoint(StateId(1, "A"), 1)])
-        u = a.union(b)
-        assert len(u) == 2
-        assert a.issubset(u) and b.issubset(u)
+        dag = StateDAG("A")
+        base = dag.create_state([dag.root])
+        left = dag.create_state([base])
+        right = dag.create_state([base])
+        merged = dag.create_state([left, right])
+        assert popcount(merged.path_mask) == 2
+        assert dag.ancestry.choices_by_fork(merged.path_mask) == {base.id: {0, 1}}
+        for parent in (left, right):
+            assert parent.path_mask & merged.path_mask == parent.path_mask
 
     def test_equality_and_hash(self):
-        a = ForkPath([ForkPoint(StateId(1, "A"), 0)])
-        b = ForkPath([ForkPoint(StateId(1, "A"), 0)])
+        def build():
+            dag = StateDAG("A")
+            base = dag.create_state([dag.root])
+            first = dag.create_state([base])
+            deep = dag.create_state([first])
+            dag.create_state([base])  # fork at base
+            return dag, first, deep
+
+        dag, first, deep = build()
+        # States on one branch share one path.
+        assert first.path_mask == deep.path_mask
+        # Two DAGs of the same shape decode to equal, equally hashed paths.
+        other, other_first, _ = build()
+        a, b = frozenset(points(dag, first)), frozenset(points(other, other_first))
         assert a == b
         assert hash(a) == hash(b)
 
@@ -100,7 +143,7 @@ class TestDagConstruction:
         states = chain(dag, dag.root, 5)
         assert dag.num_forks() == 0
         for s in states:
-            assert s.fork_path == ForkPath.EMPTY
+            assert s.path_mask == 0
         assert dag.leaves() == [states[-1]]
 
     def test_fork_creates_fork_point_and_retro_update(self):
@@ -109,13 +152,13 @@ class TestDagConstruction:
         first = dag.create_state([base])
         deep = dag.create_state([first])
         # Before the fork, the first branch has empty paths.
-        assert first.fork_path == ForkPath.EMPTY
+        assert first.path_mask == 0
         second = dag.create_state([base])  # fork at base
         assert base.is_fork_point
         # Retroactive update: first child subtree carries (base, 0).
-        assert ForkPoint(base.id, 0) in first.fork_path
-        assert ForkPoint(base.id, 0) in deep.fork_path
-        assert ForkPoint(base.id, 1) in second.fork_path
+        assert ForkPoint(base.id, 0) in points(dag, first)
+        assert ForkPoint(base.id, 0) in points(dag, deep)
+        assert ForkPoint(base.id, 1) in points(dag, second)
         assert dag.retro_updates == 2
 
     def test_third_child_gets_branch_2(self):
@@ -124,7 +167,7 @@ class TestDagConstruction:
         dag.create_state([base])
         dag.create_state([base])
         third = dag.create_state([base])
-        assert ForkPoint(base.id, 2) in third.fork_path
+        assert ForkPoint(base.id, 2) in points(dag, third)
 
     def test_merge_takes_union_of_paths(self):
         dag = StateDAG("A")
@@ -132,8 +175,8 @@ class TestDagConstruction:
         left = dag.create_state([base])
         right = dag.create_state([base])
         merged = dag.create_state([left, right])
-        assert left.fork_path.issubset(merged.fork_path)
-        assert right.fork_path.issubset(merged.fork_path)
+        assert points(dag, left) | points(dag, right) == points(dag, merged)
+        assert points(dag, left) != points(dag, right)
 
     def test_explicit_state_id(self):
         dag = StateDAG("A")

@@ -68,6 +68,8 @@ class TestSummary:
         assert "site 'demo'" in text
         assert "'x'" in text and "3" in text
         assert "branches" in text
+        # the merged leaf's path decodes to both branches of the fork
+        assert ",0)(s" in text and ",1)}" in text
 
 
 class TestCli:
