@@ -77,35 +77,6 @@ def test_forkpath_agrees_with_walk(branched_dag):
         assert dag.descendant_check(x, y) == dag.ancestor_walk_check(x, y)
 
 
-def _direct_ops(store, n=2000):
-    session = store.session("w")
-    for i in range(n):
-        txn = store.begin(session=session)
-        txn.get("k%d" % (i % 50), default=None)
-        txn.put("k%d" % (i % 50), i)
-        txn.commit()
-    return store.metrics.commits
-
-
-@pytest.mark.benchmark(group="ablation-backend")
-def test_backend_btree(benchmark):
-    """TARDiS-BDB configuration: records in the B-tree (§6.6)."""
-    from repro import TardisStore
-
-    result = benchmark(lambda: _direct_ops(TardisStore("A", engine="btree")))
-    assert result == 2000
-
-
-@pytest.mark.benchmark(group="ablation-backend")
-def test_backend_hash(benchmark):
-    """TARDiS-MDB configuration: records in the hash store (§6.6);
-    the paper reports it ~10% faster than the B-tree build."""
-    from repro import TardisStore
-
-    result = benchmark(lambda: _direct_ops(TardisStore("A", engine="hash")))
-    assert result == 2000
-
-
 @pytest.mark.benchmark(group="ablation-kbranching")
 def test_ablation_kbranching_sweep(benchmark):
     def _measure():

@@ -1,8 +1,8 @@
 """Comparison systems from the paper's evaluation (§7.1.1).
 
 * :class:`TwoPhaseLockingStore` — a single-version key-value store with
-  strict two-phase locking over the same B-tree substrate as TARDiS; the
-  stand-in for BerkeleyDB ("BDB" in the paper's figures).
+  strict two-phase locking over a B-tree record engine; the stand-in
+  for BerkeleyDB ("BDB" in the paper's figures).
 * :class:`OCCStore` — the paper's custom optimistic concurrency control
   comparator, a modified Kung-Robinson algorithm in which read-write
   transactions are not validated against read-only ones.

@@ -3,7 +3,8 @@
 The paper compares TARDiS against BerkeleyDB Java Edition configured as a
 plain ACID store: single-version records, strict two-phase locking,
 readers block writers and vice versa. This module reproduces that
-behaviour over the same B-tree substrate TARDiS uses, so the two systems
+behaviour over a B-tree record engine (:mod:`repro.storage.engine`); the
+simulation charges both systems the same B-tree access cost, so they
 differ only in concurrency control — exactly the comparison the paper
 makes.
 

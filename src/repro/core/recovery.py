@@ -6,7 +6,7 @@ values, which stands in for the record store's own persistence).
 Recovery iterates the log chronologically, (i) inserting each state into
 the DAG under its recorded parents, and (ii) re-adding the key-version
 entries — id monotonicity guarantees no child is recovered before its
-parents, and skip-list insertion order preserves the version ordering.
+parents, and each key's version list keeps itself in id order.
 
 With asynchronous flush, a crash may leave a transaction only partially
 persistent. The log is flushed sequentially, so the damage is confined
@@ -49,7 +49,7 @@ def checkpoint_store(store: TardisStore, snapshot_path: str) -> int:
             for s in sorted(store.dag.states(), key=lambda s: s.id)
         ]
         records = [
-            (key, sid, store.versions.records.get((key, sid)))
+            (key, sid, store.versions.record(key, sid))
             for key in store.versions.keys()
             for sid in store.versions.versions_of(key)
         ]

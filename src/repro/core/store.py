@@ -146,9 +146,6 @@ class TardisStore:
         wal_path: Optional[str] = None,
         wal_sync: bool = True,
         log_values: bool = True,
-        btree_degree: int = 16,
-        seed: Optional[int] = 0,
-        engine: Any = None,
         group_commit: int = 0,
         shards: Optional[int] = None,
         shard_workers: Optional[int] = None,
@@ -162,8 +159,7 @@ class TardisStore:
         #: the storage layer: one flat record store by default; a
         #: ``shards`` and/or ``shard_workers`` count partitions it
         #: behind the same interface (in-process shards, or shards in
-        #: worker processes). ``engine`` names the flat substrate
-        #: (``"btree"``/``"hash"``) under the store or under each shard.
+        #: worker processes).
         n_workers = shard_workers or 0
         self._sharded = shards is not None or n_workers > 0
         if self._sharded:
@@ -171,17 +167,10 @@ class TardisStore:
                 self.dag,
                 n_shards=n_workers if shards is None else shards,
                 n_workers=n_workers,
-                btree_degree=btree_degree,
-                seed=seed,
                 shard_of=shard_of,
-                engine=engine,
             )
         else:
-            self.versions = VersionedRecordStore(
-                btree_degree=btree_degree,
-                seed=seed,
-                engine=engine,
-            )
+            self.versions = VersionedRecordStore()
         #: workers the storage layer failed to stop cleanly (set by
         #: ``close``; always 0 for in-process storage).
         self.leaked_workers: int = 0

@@ -1,9 +1,12 @@
 """Multiversion record storage (§6.1.3-6.1.4).
 
 Every update creates a new record version tagged with the id of the state
-the committing transaction created. Records live in a B-tree keyed by
-``(key, state_id)``; the key-version mapping keeps, per key, a
-topologically ordered (newest-first) skip list of state ids.
+the committing transaction created. The paper keeps records in a B-tree
+keyed by ``(key, state_id)`` plus, per key, a topologically ordered list
+of state ids; the DES cost model charges for that layout. Here one Python
+list per key holds both: ``(state_id, value)`` pairs in ascending id
+order, so a local commit (always the newest id) appends, and an
+out-of-order id from replication or recovery is bisected into place.
 
 Reading key ``k`` from read state ``r`` walks ``k``'s version list
 newest-first and returns the first version whose state passes the
@@ -13,7 +16,9 @@ monotone along branches, is necessarily the branch's most recent version.
 Record promotion (§6.3) rewrites versions whose states were garbage
 collected to the id of the surviving descendant that took over their
 identity, then discards all but the newest of the versions that collapsed
-onto the same id.
+onto the same id. A promoted id can overtake a newer version on another
+branch, so a list with a re-keyed entry is re-sorted; a key left with no
+version leaves the mapping.
 
 **Visibility cache.** Repeated reads on a stable branch redo the same
 walk, so the store keeps one entry per key, ``key -> [cid, result,
@@ -30,16 +35,17 @@ when ``r.path_mask == mask`` and
 
 Anything else walks and overwrites the entry, so the cache never holds
 more entries than there are written keys. Writes to the key are caught
-by the newest-version-id comparison (an O(1) peek at the reversed skip
-list's head), and everything that rewrites masks, version lists, or the
-promotion table — GC splice-out, fork retirement, record promotion —
-moves the DAG's ``destructive_gen``, which drops the whole cache. See
-docs/internals.md §10 for why the two id conditions above are exactly
-sufficient.
+by the newest-version-id comparison (an O(1) peek at ``lst[-1]``, the
+list's largest id), and everything that rewrites masks, version lists,
+or the promotion table — GC splice-out, fork retirement, record
+promotion — moves the DAG's ``destructive_gen``, which drops the whole
+cache. See docs/internals.md §10 for why the two id conditions above
+are exactly sufficient.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.core.ids import StateId
@@ -47,41 +53,29 @@ from repro.core.state_dag import State, StateDAG
 from repro.errors import GarbageCollectedError
 from repro.obs import metrics as _met
 from repro.obs.metrics import Counter, MetricsRegistry
-from repro.storage.engine import RecordEngine, create_engine
-from repro.storage.skiplist import SkipList
+
+#: one record version: ``(state_id, value)``.
+Version = Tuple[StateId, Any]
 
 
 class VersionedRecordStore:
-    """Key-version mapping plus the backing record engine.
-
-    ``engine`` is a :class:`~repro.storage.engine.RecordEngine` instance
-    or registered engine name: ``"btree"`` (the TARDiS-BDB
-    configuration, default) or ``"hash"`` (the TARDiS-MDB configuration,
-    §6.6).
-    """
+    """The key-version mapping: per key, its versions and their values."""
 
     # The record store has no lock of its own: every access runs under
     # the owning TardisStore's ``_lock``. An ``external:`` guard spec is
     # documentation; nothing checks it.
     _GUARDED_BY = {
         "_versions": "external:TardisStore._lock",
+        "_n_records": "external:TardisStore._lock",
         "_vis_cache": "external:TardisStore._lock",
         "_vis_epoch": "external:TardisStore._lock",
-        "_next_list": "external:TardisStore._lock",
     }
 
-    def __init__(
-        self,
-        btree_degree: int = 16,
-        seed: Optional[int] = None,
-        engine: Any = None,
-    ) -> None:
-        self._versions: Dict[Any, SkipList] = {}
-        self._records: RecordEngine = create_engine(
-            "btree" if engine is None else engine, degree=btree_degree
-        )
-        self._seed = seed
-        self._next_list = 0
+    def __init__(self) -> None:
+        #: key -> its versions in ascending id order; never empty.
+        self._versions: Dict[Any, List[Version]] = {}
+        #: total versions across all keys (GC reads it every cycle).
+        self._n_records = 0
         #: per-key visibility cache (module docstring): ``key -> [cid,
         #: result, mask]``.
         self._vis_cache: Dict[Any, list] = {}
@@ -114,42 +108,59 @@ class VersionedRecordStore:
 
     # -- introspection -----------------------------------------------------
 
-    @property
-    def records(self) -> RecordEngine:
-        return self._records
-
     def num_records(self) -> int:
-        return len(self._records)
+        return self._n_records
 
     def num_keys(self) -> int:
         return len(self._versions)
 
     def num_versions(self, key: Any) -> int:
-        slist = self._versions.get(key)
-        return len(slist) if slist is not None else 0
+        lst = self._versions.get(key)
+        return len(lst) if lst is not None else 0
 
     def keys(self) -> Iterator[Any]:
         return iter(self._versions)
 
     def versions_of(self, key: Any) -> List[StateId]:
         """State ids of ``key``'s versions, newest first."""
-        slist = self._versions.get(key)
-        return list(slist.keys()) if slist is not None else []
+        lst = self._versions.get(key)
+        return [entry[0] for entry in reversed(lst)] if lst is not None else []
+
+    def record(self, key: Any, state_id: StateId, default: Any = None) -> Any:
+        """The value ``key``'s version ``state_id`` holds, else ``default``."""
+        lst = self._versions.get(key)
+        if lst is not None:
+            i = bisect_left(lst, (state_id,))
+            if i < len(lst) and lst[i][0] == state_id:
+                return lst[i][1]
+        return default
 
     # -- writes ------------------------------------------------------------
 
     def write(self, key: Any, state_id: StateId, value: Any) -> None:
-        """Insert a new record version (never blocks, §6.1.4)."""
-        slist = self._versions.get(key)
-        if slist is None:
-            slist = SkipList(
-                reverse=True,
-                seed=None if self._seed is None else self._seed + self._next_list,
-            )
-            self._next_list += 1
-            self._versions[key] = slist
-        slist.insert(state_id, None)
-        self._records.insert((key, state_id), value)
+        """Insert a new record version (never blocks, §6.1.4).
+
+        A local commit's id is the newest and appends. Replication and
+        recovery may deliver an older id, which is bisected into place;
+        an id already present has its value replaced.
+        """
+        lst = self._versions.get(key)
+        if lst is None:
+            self._versions[key] = [(state_id, value)]
+        elif state_id > lst[-1][0]:
+            lst.append((state_id, value))
+        else:
+            # Bisect on the 1-tuple: it sorts before every pair with the
+            # same id, so tuple order never compares values.
+            i = bisect_left(lst, (state_id,))
+            if i < len(lst) and lst[i][0] == state_id:
+                lst[i] = (state_id, value)
+                # The newest id did not move, so a cached winner would
+                # survive the peek: drop it.
+                self._vis_cache.pop(key, None)
+                return
+            lst.insert(i, (state_id, value))
+        self._n_records += 1
 
     # -- reads ------------------------------------------------------------
 
@@ -168,8 +179,8 @@ class VersionedRecordStore:
         counts versions examined, for the cost model; ``hits`` counts
         visibility-cache hits, which scan nothing.
         """
-        slist = self._versions.get(key)
-        if slist is None:
+        lst = self._versions.get(key)
+        if lst is None:
             return None  # never written: no walk, and no entry to keep
         cache = self._vis_cache
         epoch = dag.destructive_gen
@@ -194,8 +205,7 @@ class VersionedRecordStore:
                 # Branch-monotone ids: when nothing newer than the
                 # entry's walk exists for this key, the cached winner is
                 # still the first visible version from ``read_state``.
-                newest = slist.first_key()
-                if newest is None or newest <= cid:
+                if lst[-1][0] <= cid:
                     entry[0] = rid
                     valid = True
             if valid:
@@ -208,7 +218,7 @@ class VersionedRecordStore:
                         self._hot_metrics(m)
                     self._hot_vis_hit.inc()
                 return entry[1]
-        result = self._walk_versions(key, slist, read_state, dag, scanned)
+        result = self._walk_versions(lst, read_state, dag, scanned)
         cache[key] = [read_state.id, result, mask]
         self.vis_misses += 1
         m = _met.DEFAULT
@@ -218,26 +228,23 @@ class VersionedRecordStore:
             self._hot_vis_miss.inc()
         return result
 
+    @staticmethod
     def _walk_versions(
-        self,
-        key: Any,
-        slist: Optional[SkipList],
+        lst: List[Version],
         read_state: State,
         dag: StateDAG,
         scanned: Optional[List[int]],
-    ) -> Optional[Tuple[StateId, Any]]:
+    ) -> Optional[Version]:
         """The uncached newest-first walk (module docstring)."""
-        if slist is None:
-            return None
-        for state_id in slist.keys():
+        for entry in reversed(lst):
             if scanned is not None:
                 scanned[0] += 1
             try:
-                version_state = dag.resolve(state_id)
+                version_state = dag.resolve(entry[0])
             except GarbageCollectedError:
                 continue  # orphaned record awaiting pruning (§6.5)
             if dag.descendant_check(version_state, read_state):
-                return state_id, self._records.get((key, state_id))
+                return entry
         return None
 
     def read_visible_many(
@@ -306,45 +313,47 @@ class VersionedRecordStore:
         """
         promoted = 0
         dropped = 0
-        for key, slist in self._versions.items():
-            entries = list(slist.keys())  # newest first, pre-promotion order
-            rebuilt: List[Tuple[StateId, StateId]] = []  # (live_id, original)
+        emptied = []
+        resolve = dag.resolve
+        for key, lst in self._versions.items():
+            kept: List[Version] = []  # newest first, pre-promotion order
             seen: set = set()
-            changed = False
-            for state_id in entries:
+            changed = rekeyed = False
+            for entry in reversed(lst):
+                state_id = entry[0]
                 try:
-                    live_id = dag.resolve(state_id).id
+                    live_id = resolve(state_id).id
                 except GarbageCollectedError:
                     # Orphaned record: its state is gone without a
                     # successor (crash leftovers, §6.5). Discard.
-                    self._records.remove((key, state_id))
                     changed = True
                     dropped += 1
                     continue
                 if live_id in seen:
                     # An earlier (newer) version already owns this
                     # identity; this one can never be read again.
-                    self._records.remove((key, state_id))
                     changed = True
                     dropped += 1
                     continue
                 seen.add(live_id)
                 if live_id != state_id:
-                    value = self._records.get((key, state_id))
-                    self._records.remove((key, state_id))
-                    self._records.insert((key, live_id), value)
+                    entry = (live_id, entry[1])
                     promoted += 1
-                    changed = True
-                rebuilt.append((live_id, state_id))
+                    changed = rekeyed = True
+                kept.append(entry)
             if changed:
-                fresh = SkipList(
-                    reverse=True,
-                    seed=None if self._seed is None else self._seed + self._next_list,
-                )
-                self._next_list += 1
-                for live_id, _original in rebuilt:
-                    fresh.insert(live_id, None)
-                self._versions[key] = fresh
+                if rekeyed:
+                    # A promoted id can overtake a newer version on another
+                    # branch; ids are unique here, so no value is compared.
+                    kept.sort()
+                else:
+                    kept.reverse()
+                lst[:] = kept
+                if not kept:
+                    emptied.append(key)
+        for key in emptied:
+            del self._versions[key]
+        self._n_records -= dropped
         if promoted or dropped:
             # Version lists were rewritten under existing ids: cached
             # winners may now point at promoted/pruned records.

@@ -3,8 +3,8 @@
 One class, :class:`ShardedRecordStore`, routes every key through a
 :class:`~repro.partitioning.router.ShardRouter` to one of N shards.
 Each shard is a plain :class:`~repro.core.versions.VersionedRecordStore`
-(the per-shard leaf; its own key-version skip lists and record engine,
-as a separate storage node would have). Shards sit behind *shard
+(the per-shard leaf; its own per-key version lists, as a separate
+storage node would have). Shards sit behind *shard
 links* that all speak one pair of calls::
 
     link.request(batch_id, sync, cmds)   # send a command batch
@@ -172,20 +172,8 @@ class _ShardDagView:
 
 
 def _build_shards(spec) -> Dict[int, VersionedRecordStore]:
-    """The shard stores one link owns, keyed by shard index.
-
-    ``spec`` must survive pickling through the spawn start method, so
-    engines are named, never instances.
-    """
-    seed = spec["seed"]
-    return {
-        shard: VersionedRecordStore(
-            btree_degree=spec["btree_degree"],
-            seed=None if seed is None else seed + 1000 * shard,
-            engine=spec["engine"],
-        )
-        for shard in spec["shards"]
-    }
+    """The shard stores one link owns, keyed by shard index."""
+    return {shard: VersionedRecordStore() for shard in spec["shards"]}
 
 
 def _dispatch(stores, view, staged, cmd):
@@ -248,9 +236,9 @@ def _dispatch(stores, view, staged, cmd):
         return stores[cmd[1]].versions_of(cmd[2])
     if op == "keys":
         return list(stores[cmd[1]].keys())
-    if op == "record_get":
-        _, shard, composite, default = cmd
-        return stores[shard].records.get(composite, default)
+    if op == "record":
+        _, shard, key, sid, default = cmd
+        return stores[shard].record(key, sid, default)
     if op == "stats":
         store = stores[cmd[1]]
         return {
@@ -569,10 +557,7 @@ class ShardedRecordStore:
         dag: StateDAG,
         n_shards: int = 4,
         n_workers: int = 0,
-        btree_degree: int = 16,
-        seed: Optional[int] = 0,
         shard_of=None,
-        engine: Optional[str] = None,
     ):
         if n_shards < 1 or n_workers < 0:
             raise ValueError("need at least one shard")
@@ -580,11 +565,6 @@ class ShardedRecordStore:
             raise ValueError(
                 "%d workers for %d shards: a worker must own at least one shard"
                 % (n_workers, n_shards)
-            )
-        if engine is not None and not isinstance(engine, str):
-            raise ValueError(
-                "shards need a *named* engine (instances cannot cross "
-                "the process boundary): %r" % (engine,)
             )
         self.n_shards = n_shards
         self.n_workers = n_workers
@@ -600,12 +580,7 @@ class ShardedRecordStore:
         self._tokens = itertools.count(1)
         n_links = max(n_workers, 1)
         specs = [
-            {
-                "shards": [s for s in range(n_shards) if s % n_links == index],
-                "btree_degree": btree_degree,
-                "seed": seed,
-                "engine": engine or "btree",
-            }
+            {"shards": [s for s in range(n_shards) if s % n_links == index]}
             for index in range(n_links)
         ]
         make_link = _spawn_worker if n_workers else _InlineLink
@@ -875,10 +850,9 @@ class ShardedRecordStore:
         for batch in self._on_shards(cmds):
             yield from batch
 
-    @property
-    def records(self):
-        """Record lookup across shards (read-only facade)."""
-        return _Records(self)
+    def record(self, key: Any, state_id, default: Any = None) -> Any:
+        shard = self.shard_index(key)
+        return self._call(("record", shard, key, state_id, default))
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -931,21 +905,6 @@ class ShardedRecordStore:
             self._closed = True
             self.leaked_workers = sum(link.shutdown() for link in self._links)
         return self.leaked_workers
-
-
-class _Records:
-    """Facade matching the BTree ``get``/``__len__`` used by peers/fetch."""
-
-    def __init__(self, store: ShardedRecordStore):
-        self._store = store
-
-    def get(self, composite_key, default=None):
-        key, _sid = composite_key
-        shard = self._store.shard_index(key)
-        return self._store._call(("record_get", shard, composite_key, default))
-
-    def __len__(self) -> int:
-        return self._store.num_records()
 
 
 # Compatibility binding, kept only because benchmarks/e2e/tracewrap.py

@@ -54,15 +54,12 @@ class Cluster:
         default_latency_ms: float = 50.0,
         gc_mode: str = OPTIMISTIC,
         store_kwargs: Optional[dict] = None,
-        engine: Any = None,
         trace: bool = False,
         trace_capacity: int = 4096,
     ):
         if sites is None:
             sites = SITE_NAMES[:n_sites]
-        store_kwargs = dict(store_kwargs or {})
-        if engine is not None:
-            store_kwargs.setdefault("engine", engine)
+        store_kwargs = store_kwargs or {}
         self.sim = sim or Simulator()
         self.network = SimNetwork(self.sim, default_latency_ms=default_latency_ms)
         for pair, lat in (latencies or GEO_LATENCIES).items():
@@ -215,7 +212,6 @@ def run_replicated_workload(
         n_sites=n_sites,
         sim=sim,
         default_latency_ms=default_latency_ms,
-        store_kwargs={"engine": config.engine},
     )
     measures = []
     adapters = []

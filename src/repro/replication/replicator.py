@@ -213,10 +213,8 @@ class Replicator:
                 FetchResponse(request.state_id, promoted_to=promoted),
             )
             return
-        writes = {}
-        for key in state.write_keys:
-            value = self.store.versions.records.get((key, state.id))
-            writes[key] = value
+        versions = self.store.versions
+        writes = {key: versions.record(key, state.id) for key in state.write_keys}
         message = TxnMessage(
             state_id=state.id,
             parent_ids=tuple(p.id for p in state.parents),

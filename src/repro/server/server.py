@@ -344,7 +344,6 @@ class TardisServer:
         host: str = "127.0.0.1",
         port: int = 0,
         site: str = "net",
-        engine: Optional[str] = None,
         shards: Optional[int] = None,
         shard_workers: Optional[int] = None,
         max_connections: int = 128,
@@ -357,9 +356,7 @@ class TardisServer:
         self.store = (
             store
             if store is not None
-            else TardisStore(
-                site, engine=engine, shards=shards, shard_workers=shard_workers
-            )
+            else TardisStore(site, shards=shards, shard_workers=shard_workers)
         )
         self.host = host
         self.port = port  # rewritten with the bound port after start()

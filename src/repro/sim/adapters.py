@@ -130,18 +130,12 @@ class TardisAdapter(SystemAdapter):
         pressure_threshold: int = 50_000,
         costs: Optional[CostModel] = None,
         merge_resolver=None,
-        engine: Any = None,
         shards: Optional[int] = None,
         shard_workers: Optional[int] = None,
     ):
         super().__init__(costs)
         if store is None:
-            store = TardisStore(
-                "sim",
-                engine=engine,
-                shards=shards,
-                shard_workers=shard_workers,
-            )
+            store = TardisStore("sim", shards=shards, shard_workers=shard_workers)
         self.store = store
         self.begin_constraint = begin_constraint or AncestorConstraint()
         if end_constraint is not None:

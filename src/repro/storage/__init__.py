@@ -1,11 +1,11 @@
-"""Storage substrates: skip list, B-tree record store, write-ahead log.
+"""Storage substrates: the baselines' record engines and the write-ahead log.
 
 These are the building blocks the paper's prototype delegated to
-BerkeleyDB/MapDB plus its in-memory structures; here they are implemented
-from scratch so the whole system is self-contained.
+BerkeleyDB/MapDB; here they are implemented from scratch so the whole
+system is self-contained. The TARDiS store's own per-key version lists
+live in :mod:`repro.core.versions`.
 """
 
-from repro.storage.skiplist import SkipList
 from repro.storage.btree import BTree
 from repro.storage.engine import (
     RecordEngine,
@@ -16,7 +16,6 @@ from repro.storage.engine import (
 from repro.storage.wal import WriteAheadLog, LogRecord
 
 __all__ = [
-    "SkipList",
     "BTree",
     "WriteAheadLog",
     "LogRecord",

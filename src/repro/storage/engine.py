@@ -1,14 +1,12 @@
-"""The record-engine layer: a pluggable substrate behind every store.
+"""The record-engine layer: the pluggable substrate under the baselines.
 
-TARDiS prescribes the *branch* machinery — State DAG, fork paths, merge
-mode — but is agnostic about the ordered map that actually holds record
-versions (the paper's prototype sits on a B-tree; §6.1.2). This module
-makes that choice explicit and pluggable: a :class:`RecordEngine` is any
-object implementing the small mapping protocol below, and a registry
-maps engine names to factories so the choice can be threaded from the
-CLI / workload config all the way down to
-:class:`~repro.core.versions.VersionedRecordStore` and the baselines
-without each layer hand-wiring its own substrate.
+The single-version baselines (strict 2PL, OCC) keep one current value
+per key in an ordered map. A :class:`RecordEngine` is any object
+implementing the small mapping protocol below, and a registry maps
+engine names to factories, so ``TwoPhaseLockingStore(engine=...)`` and
+``OCCStore(engine=...)`` take a name or an instance. The TARDiS store
+has no engine: its per-key version lists hold the values themselves
+(:mod:`repro.core.versions`).
 
 Built-in engines:
 

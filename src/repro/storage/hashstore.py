@@ -1,11 +1,12 @@
-"""Hash-map record backend — the TARDiS-MDB configuration (§6.6).
+"""Hash-map record engine, after the paper's TARDiS-MDB build (§6.6).
 
 The paper ships two builds: TARDiS-BDB (records in BerkeleyDB's B-tree)
 and TARDiS-MDB (records in MapDB, a hash-based engine), noting MapDB
 runs ~10% faster. This module is the MapDB stand-in: a dict-backed
 record store with the same interface as :class:`repro.storage.btree.BTree`
 (point ops, ordered iteration computed on demand, dump/load, access
-statistics), selectable via ``TardisStore(..., engine="hash")``.
+statistics), selectable as ``engine="hash"`` on the single-version
+baselines (:mod:`repro.storage.engine`).
 """
 
 from __future__ import annotations

@@ -51,17 +51,16 @@ from repro.obs.flight import FlightRecorder, format_flight
 from repro.replication.cluster import Cluster
 from repro.server.server import TardisServer, run_server
 from repro.sim.adapters import OCCAdapter, TardisAdapter, TwoPLAdapter
-from repro.storage.engine import available_engines
 from repro.tools.inspect import dag_to_dot, describe_store, store_summary
 from repro.tools.top import cmd_top
 from repro.workload import RunConfig, YCSBWorkload, run_simulation
 from repro.workload.mixes import BLIND_WRITE, MIXED, READ_HEAVY, READ_ONLY, WRITE_HEAVY
 
 SYSTEMS = {
-    "tardis": lambda engine=None: TardisAdapter(branching=True, engine=engine),
-    "tardis-nb": lambda engine=None: TardisAdapter(branching=False, engine=engine),
-    "bdb": lambda engine=None: TwoPLAdapter(engine=engine),
-    "occ": lambda engine=None: OCCAdapter(engine=engine),
+    "tardis": lambda: TardisAdapter(branching=True),
+    "tardis-nb": lambda: TardisAdapter(branching=False),
+    "bdb": TwoPLAdapter,
+    "occ": OCCAdapter,
 }
 
 MIXES = {
@@ -74,7 +73,7 @@ MIXES = {
 
 
 def cmd_bench(args) -> int:
-    adapter = SYSTEMS[args.system](engine=args.engine)
+    adapter = SYSTEMS[args.system]()
     workload = YCSBWorkload(
         mix=MIXES[args.mix], n_keys=args.keys, pattern=args.pattern
     )
@@ -85,7 +84,6 @@ def cmd_bench(args) -> int:
         cores=args.cores,
         seed=args.seed,
         maintenance_interval_ms=5.0 if args.system.startswith("tardis") else None,
-        engine=args.engine,
     )
     result = run_simulation(adapter, workload, config)
     if args.json:
@@ -138,7 +136,7 @@ def cmd_recover(args) -> int:
 
 
 def cmd_metrics(args) -> int:
-    adapter = SYSTEMS[args.system](engine=args.engine)
+    adapter = SYSTEMS[args.system]()
     workload = YCSBWorkload(
         mix=MIXES[args.mix], n_keys=args.keys, pattern=args.pattern
     )
@@ -152,7 +150,6 @@ def cmd_metrics(args) -> int:
         # The runner would swap in its own per-run registry; we install
         # ours instead so the tracer and exporters see live objects.
         collect_metrics=False,
-        engine=args.engine,
     )
     registry = MetricsRegistry(enabled=True)
     tracer = Tracer(capacity=max(args.events * 8, 1024), enabled=True)
@@ -333,7 +330,6 @@ def cmd_serve(args) -> int:
         host=args.host,
         port=args.port,
         site=args.site,
-        engine=args.engine,
         shards=args.shards,
         shard_workers=args.shard_workers,
         max_connections=args.max_connections,
@@ -358,7 +354,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser("bench", help="run one microbenchmark point")
     bench.add_argument("--system", choices=sorted(SYSTEMS), default="tardis")
-    bench.add_argument("--engine", choices=available_engines(), default="btree")
     bench.add_argument("--mix", choices=sorted(MIXES), default="read-heavy")
     bench.add_argument("--pattern", choices=["uniform", "zipfian"], default="uniform")
     bench.add_argument("--clients", type=int, default=16)
@@ -381,7 +376,6 @@ def build_parser() -> argparse.ArgumentParser:
         "metrics", help="run a short workload and show branch/GC health"
     )
     metrics.add_argument("--system", choices=sorted(SYSTEMS), default="tardis")
-    metrics.add_argument("--engine", choices=available_engines(), default="btree")
     metrics.add_argument("--mix", choices=sorted(MIXES), default="mixed")
     metrics.add_argument("--pattern", choices=["uniform", "zipfian"], default="uniform")
     metrics.add_argument("--clients", type=int, default=16)
@@ -445,12 +439,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="TCP port; 0 picks an ephemeral port (see --port-file)",
     )
     serve.add_argument("--site", default="net", help="store site name")
-    serve.add_argument(
-        "--engine",
-        choices=available_engines(),
-        default="btree",
-        help="flat record engine (under the store, or under each shard)",
-    )
     serve.add_argument(
         "--shards", type=int, default=None,
         help="partition records across N shards (in-process unless "

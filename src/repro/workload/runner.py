@@ -42,9 +42,6 @@ class RunConfig:
     #: ``RunResult.obs_metrics``); the run installs it as the library
     #: default so store-level counters land in it too.
     collect_metrics: bool = True
-    #: record engine for the stores built from this config (a name from
-    #: :func:`repro.storage.engine.available_engines`).
-    engine: str = "btree"
 
 
 @dataclass
@@ -445,7 +442,6 @@ def sweep_clients(
             sample_interval_ms=base.sample_interval_ms,
             series_interval_ms=base.series_interval_ms,
             collect_metrics=base.collect_metrics,
-            engine=base.engine,
         )
         results.append(run_simulation(adapter_factory(), workload_factory(), cfg))
     return results

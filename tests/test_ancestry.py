@@ -14,6 +14,8 @@ import pytest
 
 from repro import AncestryIndex, TardisStore, recover_store
 from repro.core.ancestry import ForkPoint, popcount
+from repro.baselines.occ import OCCStore
+from repro.baselines.seqstore import TwoPhaseLockingStore
 from repro.core.ids import StateId
 from repro.errors import TransactionAborted
 from repro.storage.engine import available_engines, create_engine, register_engine
@@ -175,19 +177,29 @@ class TestEngineRegistry:
         with pytest.raises(ValueError):
             register_engine("btree", lambda **_: None)
 
+    # The registry serves the single-version baselines; the TARDiS store
+    # keeps its values in its version lists and takes no engine.
+
     def test_store_accepts_engine_instance(self):
         engine = HashStore()
-        store = TardisStore("A", engine=engine)
-        store.put("x", 41)
-        assert store.get("x") == 41
-        assert store.versions.records is engine
+        store = OCCStore(engine=engine)
+        txn = store.begin()
+        txn.put("x", 41)
+        txn.commit()
+        assert store.begin().get("x") == 41
+        assert store.records is engine
 
     def test_engine_by_name(self):
-        store = TardisStore("A", engine="hash")
-        store.put("x", 1)
-        assert store.get("x") == 1
+        store = TwoPhaseLockingStore(engine="hash")
+        assert isinstance(store.records, HashStore)
+        txn = store.begin()
+        txn.put("x", 1)
+        txn.commit()
+        assert store.records.get("x") == 1
         with pytest.raises(ValueError):
-            TardisStore("B", engine="rocksdb")
+            TwoPhaseLockingStore(engine="rocksdb")
+        with pytest.raises(TypeError):
+            TardisStore("B", engine="hash")
 
 
 class TestCommitPipelineRecovery:

@@ -1,4 +1,4 @@
-"""Tests for the hash record backend (TARDiS-MDB configuration, §6.6)."""
+"""Tests for the hash record engine (after TARDiS-MDB, §6.6)."""
 
 import random
 
@@ -6,9 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import TardisStore
+from repro.baselines import OCCStore, TwoPhaseLockingStore
 from repro.storage.hashstore import HashStore
-from repro.errors import TransactionAborted
 
 
 class TestHashStore:
@@ -64,61 +63,45 @@ class TestHashStore:
 
 
 class TestHashBackedStore:
+    """The engine registry serves the single-version baselines."""
+
     def test_store_with_hash_backend(self):
-        store = TardisStore("A", engine="hash")
-        with store.begin() as t:
-            t.put("x", 1)
-        assert store.get("x") == 1
+        store = OCCStore(engine="hash")
+        txn = store.begin()
+        txn.put("x", 1)
+        txn.commit()
+        assert isinstance(store.records, HashStore)
+        assert store.begin().get("x") == 1
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError):
-            TardisStore("A", engine="rocksdb")
+            OCCStore(engine="rocksdb")
 
     def test_backends_equivalent_on_random_history(self):
         """Identical schedule => identical behaviour across backends."""
         rng = random.Random(5)
-        schedule = []
-        for _ in range(80):
-            ops = [
+        schedule = [
+            [
                 ("r" if rng.random() < 0.5 else "w",
                  "k%d" % rng.randrange(6), rng.randrange(100))
                 for _ in range(rng.randint(1, 4))
             ]
-            schedule.append(("s%d" % rng.randrange(3), ops))
+            for _ in range(80)
+        ]
 
         def run(store):
             out = []
-            for name, ops in schedule:
-                txn = store.begin(session=store.session(name))
+            for ops in schedule:
+                txn = store.begin()
                 seen = []
                 for kind, key, value in ops:
                     if kind == "r":
                         seen.append(txn.get(key, default=None))
                     else:
                         txn.put(key, value)
-                try:
-                    txn.commit()
-                    out.append(("ok", tuple(seen)))
-                except TransactionAborted:
-                    out.append(("abort", tuple(seen)))
-            # interleave GC to cover record promotion on this backend
-            for sess in store.sessions():
-                sess.place_ceiling()
-            store.collect_garbage()
-            return out
+                txn.commit()
+                out.append(tuple(seen))
+            return out, sorted(store.records.items())
 
-        assert run(TardisStore("A", engine="btree")) == run(
-            TardisStore("A", engine="hash")
-        )
-
-    def test_gc_prunes_hash_backend(self):
-        store = TardisStore("A", engine="hash")
-        sess = store.session("w")
-        for i in range(20):
-            txn = store.begin(session=sess)
-            txn.put("x", i)
-            txn.commit()
-        sess.place_ceiling()
-        stats = store.collect_garbage()
-        assert stats.records_dropped == 19
-        assert store.get("x") == 19
+        for cls in (OCCStore, TwoPhaseLockingStore):
+            assert run(cls(engine="btree")) == run(cls(engine="hash"))

@@ -210,7 +210,5 @@ class TestMultiSiteConvergence:
             for key, value in expected.items():
                 versions = store.versions.versions_of(key)
                 assert versions, (store.site, key)
-                values = {
-                    store.versions.records.get((key, sid)) for sid in versions
-                }
+                values = {store.versions.record(key, sid) for sid in versions}
                 assert value in values, (store.site, key)

@@ -1,24 +1,26 @@
 """The visibility cache: equal to the uncached walk, bounded, invalidated.
 
 The per-key visibility cache (docs/internals.md §10) is pure
-memoization of ``VersionedRecordStore._walk_versions``. The fuzz below
-drives one store through forks, merges, ceilings + GC, record promotion
-and fork retirement, and checks every ``read_visible`` /
-``read_visible_many`` / ``read_candidates`` answer against that walk as
-it is returned — on a flat store, on in-process shards and on shards in
-worker processes. The remaining tests pin the cache's size bound, each
-invalidation edge individually, and the begin states and merge conflict
-sets that earlier, since deleted, caches used to memoize.
+memoization of the newest-first version walk. The fuzz below drives one
+store through forks, merges, ceilings + GC, record promotion and fork
+retirement, and checks every ``read_visible`` / ``read_visible_many`` /
+``read_candidates`` answer against a walk rebuilt from the public
+``versions_of`` / ``record`` lookups as it is returned — on a flat
+store, on in-process shards and on shards in worker processes; after
+every GC cycle it also checks the version lists' own invariants. The
+remaining tests pin the cache's size bound, each invalidation edge
+individually, the per-key version list's ordering rules, and the begin
+states and merge conflict sets that earlier, since deleted, caches used
+to memoize.
 """
 
 import random
-from types import SimpleNamespace
 
 import pytest
 
 from repro import TardisStore
-from repro.core.versions import VersionedRecordStore
-from repro.errors import MultipleValuesError, TransactionAborted
+from repro.core.ids import ROOT_ID, StateId
+from repro.errors import GarbageCollectedError, MultipleValuesError, TransactionAborted
 
 
 def fork_pair(store, a, b, n_rounds=1):
@@ -38,29 +40,31 @@ def fork_pair(store, a, b, n_rounds=1):
         t2.commit()
 
 
-class _Ids:
-    """A version-id list, iterated the way ``_walk_versions`` does."""
-
-    def __init__(self, ids):
-        self._ids = ids
-
-    def keys(self):
-        return iter(self._ids)
-
-
 def walk(store, key, state):
-    """``VersionedRecordStore._walk_versions``, uncached, on the
-    coordinator's DAG, over whichever plane holds the versions."""
+    """The uncached newest-first walk on the coordinator's DAG, over
+    whichever plane holds the versions: the first version whose state
+    ``state`` can see, skipping orphans."""
     versions = store.versions
-    ids = versions.versions_of(key)
-    return VersionedRecordStore._walk_versions(
-        SimpleNamespace(_records=versions.records),
-        key,
-        _Ids(ids) if ids else None,
-        state,
-        store.dag,
-        None,
-    )
+    dag = store.dag
+    for sid in versions.versions_of(key):
+        try:
+            version_state = dag.resolve(sid)
+        except GarbageCollectedError:
+            continue
+        if dag.descendant_check(version_state, state):
+            return sid, versions.record(key, sid)
+    return None
+
+
+def check_version_lists(versions):
+    """Every key's ids strictly descending and non-empty; the record
+    count is the sum of the list lengths."""
+    total = 0
+    for key in list(versions.keys()):
+        ids = versions.versions_of(key)
+        assert ids and all(a > b for a, b in zip(ids, ids[1:])), (key, ids)
+        total += len(ids)
+    assert versions.num_records() == total
 
 
 def walk_candidates(store, key, states):
@@ -177,6 +181,7 @@ def drive(store, rng, steps=150):
                 txn.commit()
                 s.place_ceiling()
             stats = store.collect_garbage(flush_promotions=rng.random() < 0.3)
+            check_version_lists(store.versions)
             covered["removed"] += stats.states_removed
             covered["promoted"] += stats.records_promoted + stats.records_dropped
             covered["scrubbed"] += stats.fork_entries_scrubbed
@@ -317,6 +322,87 @@ class TestDestructiveEpoch:
         info = store.versions.cache_info()
         assert info["hits"] == hits + 1 and info["invalidations"] == 0
         reader.abort()
+
+
+class TestVersionLists:
+    """A key's version list: ascending ids, values alongside."""
+
+    def test_promoted_heir_overtakes_newer_version(self):
+        # Two branches from the root write x: d (id 1), then v (id 2).
+        # d's only child h (id 3) writes nothing. Splicing d out promotes
+        # its version to h, which now sorts *after* v.
+        store = TardisStore("p")
+        dag, versions = store.dag, store.versions
+        d = dag.create_state([dag.root], write_keys=frozenset({"x"}))
+        versions.write("x", d.id, "d")
+        v = dag.create_state([dag.root], write_keys=frozenset({"x"}))
+        versions.write("x", v.id, "v")
+        h = dag.create_state([d])
+        assert d.id < v.id < h.id
+        dag.splice_out(d)
+        assert versions.promote_and_prune(dag) == (1, 0)
+        assert versions.versions_of("x") == [h.id, v.id]
+        check_version_lists(versions)
+        assert versions.record("x", h.id) == "d"
+        assert versions.record("x", d.id) is None
+        assert versions.read_visible("x", h, dag) == (h.id, "d")
+        # A later write on v's branch appends; h's cached read holds.
+        w = dag.create_state([v], write_keys=frozenset({"x"}))
+        versions.write("x", w.id, "w")
+        hits = versions.cache_info()["hits"]
+        assert versions.read_visible("x", h, dag) == (h.id, "d")
+        assert versions.cache_info()["hits"] == hits + 1
+        assert versions.read_visible("x", w, dag) == (w.id, "w")
+        # A state that sees both old branches reads the newest id.
+        both = dag.create_state([h, v])
+        assert versions.read_visible("x", both, dag) == (h.id, "d")
+        check_version_lists(versions)
+
+    def test_out_of_order_writes_and_same_id_rewrite(self):
+        store = TardisStore("m")
+        sess = store.session("a")
+        first = store.put("x", 1, session=sess)
+        second = store.put("x", 2, session=sess)
+        # Replicated states from other sites carry ids that sort below
+        # (site "a") and between (site "z") the local ones.
+        low, mid = StateId(1, "a"), StateId(1, "z")
+        store.apply_remote(mid, (ROOT_ID,), {"x": "mid"})
+        store.apply_remote(low, (ROOT_ID,), {"x": "low"})
+        versions = store.versions
+        assert versions.versions_of("x") == [second, mid, first, low]
+        check_version_lists(versions)
+        mid_state = store.dag.resolve(mid)
+        assert versions.read_visible("x", mid_state, store.dag) == (mid, "mid")
+        # Rewriting an existing id replaces its value in place, and the
+        # cached answer for that key goes with it.
+        versions.write("x", mid, "mid2")
+        assert versions.num_records() == 4
+        assert versions.record("x", mid) == "mid2"
+        assert versions.read_visible("x", mid_state, store.dag) == (mid, "mid2")
+        assert versions.read_visible("x", store.dag.resolve(second), store.dag) == (
+            second,
+            2,
+        )
+
+    def test_key_with_every_version_pruned_leaves(self):
+        store = TardisStore("o")
+        store.put("x", 1)
+        versions, dag = store.versions, store.dag
+        # Orphans: versions whose states are gone without an heir, as a
+        # crash can leave behind (§6.5).
+        for n in (50, 51):
+            versions.write("ghost", StateId(n, "gone"), n)
+        leaf = dag.leaves()[0]
+        assert versions.read_visible("ghost", leaf, dag) is None
+        assert versions.num_keys() == 2
+        assert versions.promote_and_prune(dag) == (0, 2)
+        assert versions.num_keys() == 1
+        assert versions.num_records() == 1
+        assert versions.versions_of("ghost") == []
+        assert versions.read_visible("ghost", leaf, dag) is None
+        assert versions.record("ghost", StateId(50, "gone"), "none") == "none"
+        assert store.get("x") == 1
+        check_version_lists(versions)
 
 
 class TestBegin:
