@@ -55,24 +55,16 @@ def make_tardis(branching: bool = True, **kw) -> TardisAdapter:
     return TardisAdapter(branching=branching, **kw)
 
 
-def make_bdb(**kw) -> TwoPLAdapter:
-    return TwoPLAdapter(**kw)
-
-
-def make_occ(**kw) -> OCCAdapter:
-    return OCCAdapter(**kw)
-
-
 SYSTEMS: List = [
     ("TARDiS", lambda: make_tardis(branching=True)),
-    ("BDB", make_bdb),
-    ("OCC", make_occ),
+    ("BDB", TwoPLAdapter),
+    ("OCC", OCCAdapter),
 ]
 
 SYSTEMS_NO_BRANCHING: List = [
     ("TARDiS", lambda: make_tardis(branching=False)),
-    ("BDB", make_bdb),
-    ("OCC", make_occ),
+    ("BDB", TwoPLAdapter),
+    ("OCC", OCCAdapter),
 ]
 
 

@@ -49,9 +49,8 @@ class _KeyLock:
 class LockManager:
     """Strict two-phase locking: locks are held until release_all."""
 
-    def __init__(self, detect_deadlocks: bool = True):
+    def __init__(self) -> None:
         self._locks: Dict[Any, _KeyLock] = {}
-        self._detect = detect_deadlocks
         #: lifetime counters for the cost model / goodput accounting.
         self.acquires = 0
         self.waits = 0
@@ -101,12 +100,11 @@ class LockManager:
         request = LockRequest(txn_id, key, mode)
         lock.queue.append(request)
         self.waits += 1
-        if self._detect:
-            cycle = self._find_cycle(txn_id)
-            if cycle:
-                lock.queue.remove(request)
-                self.deadlocks += 1
-                raise DeadlockError(txn_id, cycle)
+        cycle = self._find_cycle(txn_id)
+        if cycle:
+            lock.queue.remove(request)
+            self.deadlocks += 1
+            raise DeadlockError(txn_id, cycle)
         return request
 
     def _blockers_of(self, txn_id: Any) -> Set[Any]:

@@ -19,10 +19,8 @@ from __future__ import annotations
 import itertools
 from typing import Any, Dict, List, Set, Tuple
 
-from repro.core.commit import install_writes
 from repro.errors import KeyNotFound, TransactionClosed, ValidationError
 from repro.obs import metrics as _met
-from repro.storage.engine import RecordEngine, create_engine
 
 ACTIVE = "active"
 COMMITTED = "committed"
@@ -65,11 +63,8 @@ class OCCTransaction:
 class OCCStore:
     """Single-version KV store with backward OCC validation."""
 
-    def __init__(self, btree_degree: int = 16, engine: Any = None):
-        #: record substrate, pluggable via the RecordEngine registry.
-        self._records: RecordEngine = create_engine(
-            engine if engine is not None else "btree", degree=btree_degree
-        )
+    def __init__(self) -> None:
+        self._records: Dict[Any, Any] = {}
         #: committed write sets: list of (commit_seq, frozenset(keys)).
         self._history: List[Tuple[int, frozenset]] = []
         self._commit_seq = 0
@@ -80,10 +75,6 @@ class OCCStore:
         #: total number of (committed-writer, reader) set checks, for the
         #: cost model — this is OCC's expensive validation phase.
         self.validation_checks = 0
-
-    @property
-    def records(self) -> RecordEngine:
-        return self._records
 
     def __len__(self) -> int:
         return len(self._records)
@@ -143,7 +134,7 @@ class OCCStore:
                 m.inc("baseline_occ_abort_total")
                 m.inc("baseline_occ_validation_fail_total")
             raise
-        install_writes(self._records, txn.writes)
+        self._records.update(txn.writes)
         if txn.writes:
             # Only read-write transactions enter the validation history:
             # the paper's modification (no validation against read-only).

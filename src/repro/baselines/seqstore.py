@@ -3,8 +3,8 @@
 The paper compares TARDiS against BerkeleyDB Java Edition configured as a
 plain ACID store: single-version records, strict two-phase locking,
 readers block writers and vice versa. This module reproduces that
-behaviour over a B-tree record engine (:mod:`repro.storage.engine`); the
-simulation charges both systems the same B-tree access cost, so they
+behaviour over a dict of records; the simulation charges both systems the
+cost model's same ``btree_access`` constant per record touch, so they
 differ only in concurrency control — exactly the comparison the paper
 makes.
 
@@ -22,10 +22,8 @@ import itertools
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.baselines.locks import LockManager, LockMode, LockRequest
-from repro.core.commit import install_writes
 from repro.errors import KeyNotFound, TransactionClosed
 from repro.obs import metrics as _met
-from repro.storage.engine import RecordEngine, create_engine
 
 ACTIVE = "active"
 COMMITTED = "committed"
@@ -84,23 +82,11 @@ class TwoPhaseLockingStore:
         "aborts": "external:des-loop",
     }
 
-    def __init__(
-        self,
-        detect_deadlocks: bool = True,
-        btree_degree: int = 16,
-        engine: Any = None,
-    ):
-        #: record substrate, pluggable via the RecordEngine registry.
-        self._records: RecordEngine = create_engine(
-            engine if engine is not None else "btree", degree=btree_degree
-        )
-        self.locks = LockManager(detect_deadlocks=detect_deadlocks)
+    def __init__(self) -> None:
+        self._records: Dict[Any, Any] = {}
+        self.locks = LockManager()
         self.commits = 0
         self.aborts = 0
-
-    @property
-    def records(self) -> RecordEngine:
-        return self._records
 
     def __len__(self) -> int:
         return len(self._records)
@@ -131,21 +117,6 @@ class TwoPhaseLockingStore:
             return ("ok", txn.writes[key])
         return ("ok", self._records.get(key, _MISSING))
 
-    def write_lock(self, txn: LockingTransaction, key: Any) -> Tuple[str, Any]:
-        """Acquire the exclusive lock on ``key`` without writing yet.
-
-        The SELECT-FOR-UPDATE primitive: clients that know they will
-        update a key after reading it lock exclusively up front, avoiding
-        S -> X upgrade deadlocks.
-        """
-        self._check(txn)
-        request = self.locks.acquire(txn.txn_id, key, LockMode.EXCLUSIVE)
-        if not request.granted:
-            txn.blocked_on = request
-            return ("wait", request)
-        txn.blocked_on = None
-        return ("ok", None)
-
     def write(self, txn: LockingTransaction, key: Any, value: Any) -> Tuple[str, Any]:
         """Acquire an exclusive lock and buffer the write."""
         self._check(txn)
@@ -160,7 +131,7 @@ class TwoPhaseLockingStore:
     def commit(self, txn: LockingTransaction) -> List[LockRequest]:
         """Apply buffered writes, release locks; returns woken requests."""
         self._check(txn)
-        install_writes(self._records, txn.writes)
+        self._records.update(txn.writes)
         txn.status = COMMITTED
         self.commits += 1
         m = _met.DEFAULT

@@ -8,7 +8,7 @@ garbage collection, and recovery.
 from repro.core.ids import StateId, ROOT_ID, IdAllocator
 from repro.core.ancestry import AncestryIndex, ForkPoint
 from repro.core.state_dag import State, StateDAG
-from repro.core.commit import CommitPipeline, install_writes
+from repro.core.commit import CommitPipeline
 from repro.core.constraints import (
     AnyConstraint,
     SerializabilityConstraint,
@@ -37,7 +37,6 @@ __all__ = [
     "State",
     "StateDAG",
     "CommitPipeline",
-    "install_writes",
     "AnyConstraint",
     "SerializabilityConstraint",
     "SnapshotIsolationConstraint",

@@ -38,21 +38,6 @@ MERGE = "merge"
 REMOTE = "remote"
 
 
-def install_writes(engine: Any, writes: Dict[Any, Any]) -> int:
-    """Apply a committed write set to a flat record engine.
-
-    The non-versioned half of the story: the lock-based and OCC
-    baselines keep a single current value per key, so their commit step
-    is a plain engine insert per write. Shared here so every store's
-    write-apply loop is the same code. Returns the number of writes
-    applied.
-    """
-    insert = engine.insert
-    for key, value in writes.items():
-        insert(key, value)
-    return len(writes)
-
-
 class CommitPipeline:
     """One code path for DAG installation, version insertion, WAL, metrics.
 

@@ -138,28 +138,6 @@ class ShardRouter:
             batches.setdefault(self.shard_of(key), []).append(key)
         return dict(sorted(batches.items()))
 
-    # -- migration hook ---------------------------------------------------
-
-    def migration_plan(
-        self, keys: Iterable[Any], target: "ShardRouter"
-    ) -> List[Tuple[Any, int, int]]:
-        """Keys whose owner changes under ``target``.
-
-        Returns ``(key, old_shard, new_shard)`` triples sorted by
-        ``(old_shard, new_shard)`` — the per-source-shard batch order a
-        migration executor drains them in. With the ring, resizing
-        N -> N+1 moves ~1/(N+1) of the keys; a custom ``shard_of``
-        moves whatever that function says.
-        """
-        moves = []
-        for key in keys:
-            old = self.shard_of(key)
-            new = target.shard_of(key)
-            if old != new:
-                moves.append((key, old, new))
-        moves.sort(key=lambda move: (move[1], move[2]))
-        return moves
-
     def __repr__(self) -> str:
         return "<ShardRouter shards=%d replicas=%d custom=%s>" % (
             self.n_shards,

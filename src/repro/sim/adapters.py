@@ -331,18 +331,9 @@ class TwoPLAdapter(SystemAdapter):
         self,
         store: Optional[TwoPhaseLockingStore] = None,
         costs: Optional[CostModel] = None,
-        select_for_update: bool = False,
-        engine: Any = None,
     ):
         super().__init__(costs)
-        if store is None:
-            store = TwoPhaseLockingStore(engine=engine)
-        self.store = store
-        #: when true, reads of to-be-written keys take the X lock up
-        #: front. The paper's BDB client reads then upgrades (its
-        #: Table 3 put costs and Figure 14d goodput reflect the
-        #: resulting waits and deadlock aborts), so this defaults off.
-        self.select_for_update = select_for_update
+        self.store = store if store is not None else TwoPhaseLockingStore()
 
     def preload(self, items: Dict[Any, Any]) -> None:
         txn = self.store.begin()
@@ -354,16 +345,11 @@ class TwoPLAdapter(SystemAdapter):
         return self.store.begin(), self.costs.txn_overhead + self.costs.begin_base
 
     def read(self, txn: Any, key: Any, will_write: bool = False) -> OpResult:
+        # A read takes the S lock even when ``will_write``: the paper's BDB
+        # client reads, then upgrades, and its Table 3 put costs and
+        # Figure 14d goodput reflect the resulting waits and deadlocks.
         try:
-            if will_write and self.select_for_update:
-                # SELECT-FOR-UPDATE: take the exclusive lock up front so
-                # read-modify-write transactions do not deadlock on
-                # S -> X upgrades.
-                status, payload = self.store.write_lock(txn, key)
-                if status == "ok":
-                    status, payload = self.store.read(txn, key)
-            else:
-                status, payload = self.store.read(txn, key)
+            status, payload = self.store.read(txn, key)
         except DeadlockError:
             wakeups = tuple(self.store.abort(txn))
             return OpResult(
@@ -384,8 +370,6 @@ class TwoPLAdapter(SystemAdapter):
                 serial=self.costs.lock_wait_overhead,
                 token=payload,
             )
-        # Reads cost the same whether the lock taken is S or X
-        # (SELECT-FOR-UPDATE changes the mode, not the work).
         cost = self.costs.lock_acquire + self.costs.btree_access
         return OpResult(
             "ok", value=None if payload is _LOCK_MISSING else payload, cost=cost
@@ -449,12 +433,9 @@ class OCCAdapter(SystemAdapter):
         self,
         store: Optional[OCCStore] = None,
         costs: Optional[CostModel] = None,
-        engine: Any = None,
     ):
         super().__init__(costs)
-        if store is None:
-            store = OCCStore(engine=engine)
-        self.store = store
+        self.store = store if store is not None else OCCStore()
 
     def preload(self, items: Dict[Any, Any]) -> None:
         txn = self.store.begin()

@@ -62,11 +62,3 @@ class CostModel:
     validation_check: float = 0.004  # per committed write set compared
     occ_apply_write: float = 0.006   # install at commit
     occ_abort: float = 0.02          # discard buffers, bookkeeping
-
-    def scaled(self, factor: float) -> "CostModel":
-        """A copy with every constant multiplied by ``factor``."""
-        fields = {
-            name: getattr(self, name) * factor
-            for name in self.__dataclass_fields__
-        }
-        return CostModel(**fields)

@@ -48,7 +48,7 @@ class TxnSpec:
     ops: List[Tuple] = field(default_factory=list)
     read_only: bool = False
     program: Optional[Callable[[], Any]] = None
-    #: static SELECT-FOR-UPDATE hint for dynamic programs.
+    #: static write-set hint for dynamic programs.
     write_hint: frozenset = frozenset()
 
     def __iter__(self):
@@ -58,10 +58,9 @@ class TxnSpec:
     def write_keys(self) -> frozenset:
         """Keys this transaction will write.
 
-        Lock-based clients use this as a SELECT-FOR-UPDATE hint: reads of
-        to-be-written keys take the exclusive lock up front instead of
-        upgrading later, the standard way applications avoid
-        upgrade-deadlock storms on read-modify-write transactions.
+        The runner passes it to each read as ``will_write``. No adapter
+        acts on it: the 2PL baseline reads under a shared lock and
+        upgrades on write, as the paper's BDB client does.
         """
         if self.program is not None:
             return self.write_hint

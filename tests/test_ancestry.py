@@ -1,11 +1,10 @@
-"""Tests for the ancestry index, the engine registry, and the commit pipeline.
+"""Tests for the ancestry index and the commit pipeline.
 
-Covers the engine-layer refactor: bitmask ``descendant_check`` must stay
-equivalent to the reference graph walk under randomized fork/merge/GC
-interleavings, bit positions must be retired and reused after dead-fork
-scrubbing, the RecordEngine registry must accept names and instances and
-reject unknowns, and WAL recovery must hold through the unified
-CommitPipeline (including group-commit batching of async appends).
+Bitmask ``descendant_check`` must stay equivalent to the reference graph
+walk under randomized fork/merge/GC interleavings, bit positions must be
+retired and reused after dead-fork scrubbing, and WAL recovery must hold
+through the unified CommitPipeline (including group-commit batching of
+async appends).
 """
 
 import random
@@ -14,12 +13,8 @@ import pytest
 
 from repro import AncestryIndex, TardisStore, recover_store
 from repro.core.ancestry import ForkPoint, popcount
-from repro.baselines.occ import OCCStore
-from repro.baselines.seqstore import TwoPhaseLockingStore
 from repro.core.ids import StateId
 from repro.errors import TransactionAborted
-from repro.storage.engine import available_engines, create_engine, register_engine
-from repro.storage.hashstore import HashStore
 
 
 def _sid(n):
@@ -151,55 +146,6 @@ class TestAncestryFuzz:
         for state in store.dag.states():
             assert state.path_mask == 0
         store.dag.check_invariants()
-
-
-class TestEngineRegistry:
-    def test_builtin_engines_available(self):
-        assert {"btree", "hash"} <= set(available_engines())
-
-    def test_create_by_name(self):
-        engine = create_engine("btree", degree=4)
-        engine.insert("k", 1)
-        assert engine.get("k") == 1
-        assert create_engine("hash").get("missing", "d") == "d"
-
-    def test_instance_passthrough(self):
-        instance = HashStore()
-        assert create_engine(instance) is instance
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError):
-            create_engine("rocksdb")
-        with pytest.raises(ValueError):
-            create_engine(object())
-
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ValueError):
-            register_engine("btree", lambda **_: None)
-
-    # The registry serves the single-version baselines; the TARDiS store
-    # keeps its values in its version lists and takes no engine.
-
-    def test_store_accepts_engine_instance(self):
-        engine = HashStore()
-        store = OCCStore(engine=engine)
-        txn = store.begin()
-        txn.put("x", 41)
-        txn.commit()
-        assert store.begin().get("x") == 41
-        assert store.records is engine
-
-    def test_engine_by_name(self):
-        store = TwoPhaseLockingStore(engine="hash")
-        assert isinstance(store.records, HashStore)
-        txn = store.begin()
-        txn.put("x", 1)
-        txn.commit()
-        assert store.records.get("x") == 1
-        with pytest.raises(ValueError):
-            TwoPhaseLockingStore(engine="rocksdb")
-        with pytest.raises(TypeError):
-            TardisStore("B", engine="hash")
 
 
 class TestCommitPipelineRecovery:

@@ -1,6 +1,12 @@
 """Tests for the baseline systems: lock manager, 2PL store, OCC store."""
 
+import json
+import os
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.baselines import (
     LockManager,
@@ -9,6 +15,13 @@ from repro.baselines import (
     TwoPhaseLockingStore,
 )
 from repro.errors import DeadlockError, KeyNotFound, TransactionClosed, ValidationError
+from repro.sim.adapters import OCCAdapter, TwoPLAdapter
+from repro.workload import READ_HEAVY, WRITE_HEAVY, RunConfig, YCSBWorkload, run_simulation
+
+#: seeded DES results of both baselines (``run_des_cases()`` dumped with
+#: ``json.dump(..., indent=1, sort_keys=True)``). Rewrite it only with a
+#: change meant to alter what the baselines do.
+DES_FIXTURE = os.path.join(os.path.dirname(__file__), "baselines_des.json")
 
 
 class TestLockManager:
@@ -96,6 +109,46 @@ class TestLockManager:
         assert lm.held_keys(1) == []
         assert lm.holders("a") == {}
 
+    def test_three_way_deadlock_detected(self):
+        lm = LockManager()
+        for txn, key in ((1, "a"), (2, "b"), (3, "c")):
+            lm.acquire(txn, key, LockMode.EXCLUSIVE)
+        assert not lm.acquire(1, "b", LockMode.EXCLUSIVE).granted  # 1 -> 2
+        assert not lm.acquire(2, "c", LockMode.EXCLUSIVE).granted  # 2 -> 3
+        with pytest.raises(DeadlockError):
+            lm.acquire(3, "a", LockMode.EXCLUSIVE)  # 3 -> 1 closes the cycle
+        assert lm.deadlocks == 1
+        assert lm.waiting("a") == []
+
+    def test_competing_upgrades_deadlock(self):
+        """Two readers that both upgrade wait on each other."""
+        lm = LockManager()
+        lm.acquire(1, "k", LockMode.SHARED)
+        lm.acquire(2, "k", LockMode.SHARED)
+        assert not lm.acquire(1, "k", LockMode.EXCLUSIVE).granted
+        with pytest.raises(DeadlockError):
+            lm.acquire(2, "k", LockMode.EXCLUSIVE)
+        # The victim gives up its S lock; the survivor's upgrade goes through.
+        woken = lm.release_all(2)
+        assert [(r.txn_id, r.mode) for r in woken] == [(1, LockMode.EXCLUSIVE)]
+        assert lm.holders("k") == {1: LockMode.EXCLUSIVE}
+
+    def test_counters(self):
+        lm = LockManager()
+        lm.acquire(1, "k", LockMode.EXCLUSIVE)
+        lm.acquire(1, "k", LockMode.SHARED)  # already covered by X
+        lm.acquire(2, "k", LockMode.SHARED)  # queued
+        assert (lm.acquires, lm.waits, lm.deadlocks) == (3, 1, 0)
+
+    def test_release_cancels_queued_request(self):
+        lm = LockManager()
+        lm.acquire(1, "k", LockMode.EXCLUSIVE)
+        lm.acquire(2, "k", LockMode.EXCLUSIVE)
+        assert lm.release_all(2) == []
+        assert lm.waiting("k") == []
+        assert lm.release_all(1) == []
+        assert lm.holders("k") == {}
+
 
 class TestTwoPhaseLockingStore:
     def test_single_threaded_transactions(self):
@@ -160,6 +213,33 @@ class TestTwoPhaseLockingStore:
         assert store.write(t1, "b", 1)[0] == "wait"
         with pytest.raises(DeadlockError):
             store.write(t2, "a", 2)
+
+    def test_deadlock_victim_abort_unblocks_survivor(self):
+        store = TwoPhaseLockingStore()
+        t1, t2 = store.begin(), store.begin()
+        store.write(t1, "a", 1)
+        store.write(t2, "b", 2)
+        assert store.write(t1, "b", 1)[0] == "wait"
+        with pytest.raises(DeadlockError):
+            store.write(t2, "a", 2)
+        woken = store.abort(t2)
+        assert [r.txn_id for r in woken] == [t1.txn_id]
+        assert store.write(t1, "b", 1) == ("ok", None)
+        store.commit(t1)
+        reader = store.begin()
+        assert (reader.get("a"), reader.get("b")) == (1, 1)
+        assert (store.commits, store.aborts) == (1, 1)
+
+    def test_read_then_write_upgrades_lock(self):
+        store = TwoPhaseLockingStore()
+        t = store.begin()
+        assert store.read(t, "x")[0] == "ok"
+        assert store.locks.holders("x") == {t.txn_id: LockMode.SHARED}
+        assert store.write(t, "x", 5) == ("ok", None)
+        assert store.locks.holders("x") == {t.txn_id: LockMode.EXCLUSIVE}
+        store.commit(t)
+        assert store.locks.holders("x") == {}
+        assert store.begin().get("x") == 5
 
     def test_closed_transaction_rejected(self):
         store = TwoPhaseLockingStore()
@@ -272,3 +352,212 @@ class TestOCCStore:
                 outcomes.append(False)
         assert outcomes[0] is True
         assert outcomes[1:] == [False] * 4
+
+
+class TestMatchesDictModel:
+    @pytest.mark.parametrize("cls", [OCCStore, TwoPhaseLockingStore])
+    def test_random_serial_schedule(self, cls):
+        """Serially, either store reads and ends up exactly like a dict."""
+        rng = random.Random(5)
+        keys = ["k%d" % i for i in range(6)]
+        schedule = [
+            [
+                ("r" if rng.random() < 0.5 else "w",
+                 rng.choice(keys), rng.randrange(100))
+                for _ in range(rng.randint(1, 4))
+            ]
+            for _ in range(80)
+        ]
+        store, model = cls(), {}
+        for ops in schedule:
+            txn, writes = store.begin(), {}
+            for kind, key, value in ops:
+                if kind == "r":
+                    expected = writes.get(key, model.get(key))
+                    assert txn.get(key, default=None) == expected
+                else:
+                    txn.put(key, value)
+                    writes[key] = value
+            txn.commit()
+            model.update(writes)
+        final = store.begin()
+        assert {k: final.get(k, default=None) for k in model} == model
+        assert len(store) == len(model)
+
+    @pytest.mark.parametrize("cls", [OCCStore, TwoPhaseLockingStore])
+    @given(
+        st.lists(
+            st.tuples(
+                st.lists(
+                    st.tuples(st.sampled_from("rw"), st.integers(0, 8), st.integers()),
+                    min_size=1,
+                    max_size=5,
+                ),
+                st.booleans(),
+            ),
+            max_size=40,
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_serial_commits_and_aborts_match_dict(self, cls, history):
+        """Committed writes land as in a dict; aborted ones leave no trace."""
+        store, model = cls(), {}
+        for ops, commit in history:
+            txn, writes = store.begin(), {}
+            for kind, key, value in ops:
+                if kind == "r":
+                    assert txn.get(key, default=None) == writes.get(key, model.get(key))
+                else:
+                    txn.put(key, value)
+                    writes[key] = value
+            if commit:
+                txn.commit()
+                model.update(writes)
+            else:
+                txn.abort()
+        assert len(store) == len(model)
+        final = store.begin()
+        assert {k: final.get(k) for k in model} == model
+
+
+@pytest.mark.parametrize("cls", [OCCStore, TwoPhaseLockingStore])
+class TestRecordStoreContract:
+    """What both single-version stores promise about their records."""
+
+    def test_empty_store(self, cls):
+        store = cls()
+        assert len(store) == 0
+        txn = store.begin()
+        with pytest.raises(KeyNotFound):
+            txn.get("k")
+        assert txn.get("k", default="d") == "d"
+        txn.commit()
+        assert len(store) == 0  # a miss creates no record
+
+    def test_many_keys_round_trip(self, cls):
+        store = cls()
+        txn = store.begin()
+        for i in range(100):
+            txn.put(i, i * 2)
+        txn.commit()
+        assert len(store) == 100
+        reader = store.begin()
+        assert [reader.get(i) for i in range(100)] == [i * 2 for i in range(100)]
+
+    def test_overwrite_keeps_one_record(self, cls):
+        store = cls()
+        for value in range(20):
+            txn = store.begin()
+            txn.put("k", value)
+            txn.commit()
+        assert len(store) == 1
+        assert store.begin().get("k") == 19
+
+    def test_last_write_in_transaction_wins(self, cls):
+        store = cls()
+        txn = store.begin()
+        txn.put("k", "first")
+        assert txn.get("k") == "first"
+        txn.put("k", "second")
+        assert txn.get("k") == "second"
+        txn.commit()
+        assert store.begin().get("k") == "second"
+
+    def test_abort_installs_nothing(self, cls):
+        store = cls()
+        seed = store.begin()
+        seed.put("a", 1)
+        seed.commit()
+        txn = store.begin()
+        txn.put("a", 2)
+        txn.put("b", 3)
+        txn.abort()
+        assert len(store) == 1
+        reader = store.begin()
+        assert reader.get("a") == 1
+        assert reader.get("b", default=None) is None
+
+    def test_tuple_keys_are_distinct_records(self, cls):
+        store = cls()
+        txn = store.begin()
+        txn.put(("k", (1, "A")), "v1")
+        txn.put(("k", (2, "A")), "v2")
+        txn.put(("j", (1, "A")), "v3")
+        txn.commit()
+        assert len(store) == 3
+        reader = store.begin()
+        assert reader.get(("k", (1, "A"))) == "v1"
+        assert reader.get(("k", (2, "A"))) == "v2"
+        assert reader.get(("j", (1, "A"))) == "v3"
+        assert reader.get(("k", (3, "A")), default=None) is None
+
+    def test_none_is_a_value_not_a_miss(self, cls):
+        store = cls()
+        txn = store.begin()
+        txn.put("k", None)
+        txn.commit()
+        assert len(store) == 1
+        assert store.begin().get("k") is None  # no KeyNotFound
+
+    def test_finished_transaction_rejected(self, cls):
+        store = cls()
+        committed = store.begin()
+        committed.commit()
+        aborted = store.begin()
+        aborted.abort()
+        for txn in (committed, aborted):
+            with pytest.raises(TransactionClosed):
+                txn.get("k", default=None)
+            with pytest.raises(TransactionClosed):
+                txn.put("k", 1)
+            with pytest.raises(TransactionClosed):
+                txn.commit()
+            with pytest.raises(TransactionClosed):
+                txn.abort()
+        assert len(store) == 0
+
+    def test_commit_and_abort_counters(self, cls):
+        store = cls()
+        for i in range(3):
+            txn = store.begin()
+            txn.put(i, i)
+            txn.commit()
+        for _ in range(2):
+            store.begin().abort()
+        assert (store.commits, store.aborts) == (3, 2)
+
+
+DES_CASES = [
+    ("read-heavy-uniform", READ_HEAVY, "uniform"),
+    ("write-heavy-zipfian", WRITE_HEAVY, "zipfian"),
+]
+
+
+def run_des_cases():
+    """``{"<system>/<case>": outcome}`` for each baseline on each case."""
+    out = {}
+    for adapter_cls in (TwoPLAdapter, OCCAdapter):
+        for case, mix, pattern in DES_CASES:
+            result = run_simulation(
+                adapter_cls(),
+                YCSBWorkload(mix=mix, n_keys=200, pattern=pattern),
+                RunConfig(n_clients=16, duration_ms=60.0, warmup_ms=10.0, seed=3),
+            )
+            out["%s/%s" % (result.system, case)] = {
+                "commits": result.commits,
+                "aborts": result.aborts,
+                "lock_waits": result.lock_waits,
+                "p99_latency_ms": result.p99_latency_ms,
+                "op_breakdown_ms": result.op_breakdown_ms,
+                "adapter_stats": result.adapter_stats,
+            }
+    return json.loads(json.dumps(out))
+
+
+class TestDESOutputPinned:
+    def test_baseline_runs_match_the_fixture(self):
+        with open(DES_FIXTURE) as handle:
+            fixture = json.load(handle)
+        assert fixture["bdb/write-heavy-zipfian"]["lock_waits"] > 0
+        assert fixture["occ/write-heavy-zipfian"]["aborts"] > 0
+        assert run_des_cases() == fixture

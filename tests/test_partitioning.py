@@ -38,19 +38,18 @@ class TestShardRouter:
 
     def test_consistent_hashing_moves_few_keys(self):
         """Growing the ring 4->5 moves ~1/5 of keys, not ~4/5 (modulo)."""
-        router = ShardRouter(4)
+        old, new = ShardRouter(4), ShardRouter(5)
         keys = ["key%05d" % i for i in range(2000)]
-        moves = router.migration_plan(keys, ShardRouter(5))
-        assert 0 < len(moves) < len(keys) * 0.40
+        moved = [k for k in keys if old.shard_of(k) != new.shard_of(k)]
+        assert 0 < len(moved) < len(keys) * 0.40
+        # A key that moves goes to the new shard, never between old ones.
+        assert all(new.shard_of(k) == 4 for k in moved)
 
-    def test_migration_plan_is_sorted_and_typed(self):
-        router = ShardRouter(3)
-        moves = router.migration_plan(
-            ["k%d" % i for i in range(100)], ShardRouter(4)
-        )
-        assert moves == sorted(moves, key=lambda m: (m[1], m[2]))
-        for _key, old, new in moves:
-            assert old != new
+    def test_shrinking_the_ring_moves_only_the_dropped_shard(self):
+        old, new = ShardRouter(5), ShardRouter(4)
+        keys = ["key%05d" % i for i in range(2000)]
+        moved = {k for k in keys if old.shard_of(k) != new.shard_of(k)}
+        assert moved == {k for k in keys if old.shard_of(k) == 4}
 
     def test_custom_shard_fn_bypasses_ring(self):
         router = ShardRouter(3, shard_of=lambda k, n: 1)

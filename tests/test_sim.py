@@ -102,12 +102,6 @@ class TestCostModel:
         for name in costs.__dataclass_fields__:
             assert getattr(costs, name) > 0, name
 
-    def test_scaled(self):
-        costs = CostModel()
-        double = costs.scaled(2.0)
-        assert double.btree_access == pytest.approx(2 * costs.btree_access)
-        assert double.lock_acquire == pytest.approx(2 * costs.lock_acquire)
-
 
 class TestAdapters:
     def run_one_txn(self, adapter):
@@ -199,6 +193,70 @@ class TestAdapters:
         adapter.write(t1, "y", 1)
         result = adapter.commit(t1)
         assert result.status == "abort"
+
+    def test_twopl_deadlock_aborts_via_adapter(self):
+        adapter = TwoPLAdapter()
+        adapter.preload({"a": 0, "b": 0})
+        t1, _ = adapter.begin("c1")
+        t2, _ = adapter.begin("c2")
+        assert adapter.write(t1, "a", 1).status == "ok"
+        assert adapter.write(t2, "b", 2).status == "ok"
+        assert adapter.write(t1, "b", 1).status == "wait"
+        victim = adapter.write(t2, "a", 2)
+        assert victim.status == "abort"
+        assert victim.reason == "deadlock"
+        assert victim.cost == adapter.costs.deadlock_abort
+        # The victim's abort hands its lock to the waiting survivor.
+        assert [r.txn_id for r in victim.wakeups] == [t1.txn_id]
+        assert adapter.stats() == {"deadlocks": 1, "lock_waits": 2, "aborts": 1}
+
+    def test_record_access_charged_from_cost_model(self):
+        costs = CostModel(btree_access=0.5)
+        twopl = TwoPLAdapter(costs=costs)
+        txn, _ = twopl.begin("c")
+        assert twopl.read(txn, "k").cost == pytest.approx(
+            costs.lock_acquire + 0.5
+        )
+        assert twopl.write(txn, "k", 1).cost == pytest.approx(
+            costs.lock_acquire + 0.5 + costs.bdb_write_extra
+        )
+        occ = OCCAdapter(costs=costs)
+        txn, _ = occ.begin("c")
+        assert occ.read(txn, "k").cost == 0.5
+        assert occ.write(txn, "k", 1).cost == costs.occ_buffer_write
+
+    def test_twopl_commit_costs(self):
+        adapter = TwoPLAdapter()
+        costs = adapter.costs
+        reader, _ = adapter.begin("r")
+        adapter.read(reader, "a")
+        adapter.read(reader, "b")
+        assert adapter.commit_request(reader) is None  # nothing to log
+        assert adapter.commit(reader).cost == pytest.approx(
+            costs.commit_base + 2 * costs.lock_release
+        )
+        writer, _ = adapter.begin("w")
+        adapter.write(writer, "a", 1)
+        assert adapter.commit_request(writer).cost == costs.log_append
+        assert adapter.commit(writer).cost == pytest.approx(
+            costs.commit_base + costs.lock_release
+        )
+
+    def test_occ_validation_estimate_grows_with_committers(self):
+        adapter = OCCAdapter()
+        check = adapter.costs.validation_check
+        txn, _ = adapter.begin("slow")
+        adapter.read(txn, "x")
+        assert adapter.commit_request(txn).serial == pytest.approx(check)
+        for i in range(12):
+            other, _ = adapter.begin("fast")
+            adapter.write(other, "k%d" % i, i)
+            assert adapter.commit(other).status == "ok"
+        # Twelve committers since ``txn`` began; the estimate caps at eight.
+        estimate = adapter.commit_request(txn)
+        assert estimate.serial == estimate.cost == pytest.approx(9 * check)
+        assert adapter.commit(txn).status == "ok"
+        assert adapter.stats()["validation_checks"] == 12
 
     def test_pressure_default_and_configured(self):
         plain = TardisAdapter()
