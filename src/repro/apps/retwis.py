@@ -231,17 +231,9 @@ class RetwisWorkload:
             )
         if roll < read_frac + follow_frac:
             target = rng.choice(self._users)
-            return TxnSpec(
-                program=lambda: self._follow_program(user, target),
-                write_hint=frozenset(
-                    [following_key(user), followers_key(target)]
-                ),
-            )
+            return TxnSpec(program=lambda: self._follow_program(user, target))
         post_id = (next(self._post_seq), user)
-        return TxnSpec(
-            program=lambda: self._post_program(user, post_id),
-            write_hint=frozenset([posts_key(user), post_key(post_id)]),
-        )
+        return TxnSpec(program=lambda: self._post_program(user, post_id))
 
     def _read_timeline_program(self, user: str):
         timeline = yield ("r", timeline_key(user))

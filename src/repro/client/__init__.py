@@ -1,17 +1,10 @@
-"""Client libraries for the TARDiS network server.
+"""Client library for the TARDiS network server.
 
-* :class:`TardisClient` — blocking sockets, mirrors the in-process API.
-* :class:`AsyncTardisClient` — asyncio streams, ``await``-shaped twin.
-
-Both speak the length-prefixed JSON protocol of
-:mod:`repro.server.protocol` (docs/internals.md §12).
+:class:`TardisClient` — blocking sockets, mirrors the in-process API. It
+speaks the length-prefixed JSON protocol of :mod:`repro.server.protocol`
+(docs/internals.md §12).
 """
 
-from repro.client.aio import (
-    AsyncClientMergeTransaction,
-    AsyncClientTransaction,
-    AsyncTardisClient,
-)
 from repro.client.client import (
     ClientMergeTransaction,
     ClientTransaction,
@@ -19,9 +12,6 @@ from repro.client.client import (
 )
 
 __all__ = [
-    "AsyncClientMergeTransaction",
-    "AsyncClientTransaction",
-    "AsyncTardisClient",
     "ClientMergeTransaction",
     "ClientTransaction",
     "TardisClient",

@@ -34,11 +34,10 @@ returns the read state (``commit_state == read_state``: it adds no state).
 The server learns with this connection's next frame, or its disconnect;
 until then it counts the transaction open, one pin on its read state.
 
-Every call is written once, here, over ``self._call(op, fields,
-parse)``: it returns the parsed value on :class:`TardisClient` and an
-awaitable of it on :class:`~repro.client.aio.AsyncTardisClient`. The
-protocol itself (numbering, pairing, push frames, error mapping) is
-:class:`~repro.server.protocol.ClientChannel`; a client only moves bytes.
+Every call is one round trip through :meth:`TardisClient._exchange`:
+send one frame, read until its answer. The protocol itself (numbering,
+pairing, error mapping) is :class:`~repro.server.protocol.ClientChannel`;
+the client only moves bytes.
 
 Error mapping (``ERROR_TABLE`` in :mod:`repro.server.protocol`):
 ``TXN_ABORTED`` re-raises :class:`~repro.errors.TransactionAborted` and
@@ -75,25 +74,14 @@ __all__ = ["TardisClient", "ClientTransaction", "ClientMergeTransaction"]
 _RAISE = object()
 
 _Json = Dict[str, Any]
-#: ``_call``'s hooks: response -> the call's value; what a raise updates.
-_Parse = Callable[[_Json], Any]
-_OnError = Optional[Callable[[BaseException], None]]
-
-
-def _whole(response: _Json) -> _Json:
-    return response
-
-
-def _nothing(response: _Json) -> None:
-    return None
 
 
 class _BaseClientTransaction:
-    """The calls and bookkeeping of every transaction handle, sync or
-    async (each call returns what the client's ``_call`` returns)."""
+    """The calls and bookkeeping of every transaction handle. ``with``
+    commits it on a clean exit and aborts it on an exception."""
 
     def __init__(
-        self, client: "_BaseClient", txn_id: Optional[int], begin: Optional[_Json] = None
+        self, client: "TardisClient", txn_id: Optional[int], begin: Optional[_Json] = None
     ) -> None:
         self._client = client
         #: a read-only handle refuses ``put``/``delete`` without a frame.
@@ -118,20 +106,14 @@ class _BaseClientTransaction:
         if self.status != "active":
             raise TransactionClosed("transaction is %s" % self.status)
 
-    def _request(
-        self,
-        op: str,
-        fields: _Json,
-        parse: _Parse,
-        on_error: _OnError = None,
-        carry: Optional[int] = None,
-    ) -> Any:
-        """One frame of this transaction: ``fields`` plus the BEGIN when
-        nothing was sent yet, plus the buffered writes (the first
-        ``carry`` of them; all by default). Writes leave the buffer for
-        good only when the server answers ``ok``: a request that cannot
-        be framed, or an error answer that leaves the transaction open,
-        puts them back (resending applied writes changes nothing)."""
+    def _request(self, op: str, fields: _Json, carry: Optional[int] = None) -> _Json:
+        """One frame of this transaction, and its ``ok`` answer: ``fields``
+        plus the BEGIN when nothing was sent yet, plus the buffered writes
+        (the first ``carry`` of them; all by default). Writes leave the
+        buffer for good only when the server answers ``ok``: a request
+        that cannot be framed, or an error answer that leaves the
+        transaction open, puts them back (resending applied writes
+        changes nothing)."""
         self._check_active()
         begin, pending = self._begin, self._writes
         writes = pending if carry is None else pending[:carry]
@@ -142,26 +124,9 @@ class _BaseClientTransaction:
         if writes:
             fields["writes"] = writes
             self._writes = pending[len(writes) :]
-
-        def answered(response: _Json) -> Any:
-            if begin is not None:
-                self._begin = None
-                self._txn_id = response["txn"]
-                self.read_state = response["read_state"]
-            return parse(response)
-
-        def refused(exc: BaseException) -> None:
-            if begin is not None:
-                # BEGIN + op fail as a unit: the server kept nothing open.
-                self.status = "aborted"
-                return
-            if on_error is not None:
-                on_error(exc)
-            if self.status == "active":
-                self._writes[:0] = writes
-
+        client = self._client
         try:
-            frame = self._client._frame(op, fields)
+            frame = client._frame(op, fields)
         except (TypeError, ValueError, FrameTooLarge) as exc:
             self._writes[:0] = writes
             if not isinstance(exc, FrameTooLarge) or len(writes) < 2:
@@ -171,118 +136,89 @@ class _BaseClientTransaction:
             for name in ("begin", "txn", "writes"):
                 fields.pop(name, None)
             half = len(writes) // 2
-            rest = None if carry is None else len(writes) - half
-            return self._client._then(
-                self._request("WRITE", {}, _nothing, None, half),
-                lambda: self._request(op, fields, parse, on_error, rest),
-            )
-        return self._client._exchange(frame, answered, refused)
+            self._request("WRITE", {}, half)
+            return self._request(op, fields, None if carry is None else len(writes) - half)
+        try:
+            response = client._exchange(frame)
+        except BaseException as exc:
+            if not client._channel.closed:  # the server answered with an error
+                if begin is not None or isinstance(exc, (TransactionAborted, TransactionClosed)):
+                    # BEGIN + op failed as a unit, or the server says the
+                    # transaction is over: nothing of it stays open there.
+                    self.status = "aborted"
+                else:
+                    self._writes[:0] = writes
+            raise
+        if begin is not None:
+            self._begin = None
+            self._txn_id = response["txn"]
+            self.read_state = response["read_state"]
+        return response
 
     def get(self, key: Any, default: Any = _RAISE) -> Any:
-        def parse(response: _Json) -> Any:
-            if response["found"]:
-                return response["value"]
-            if default is _RAISE:
-                raise KeyNotFound(key)
-            return default
+        response = self._request("READ", {"key": key})
+        if response["found"]:
+            return response["value"]
+        if default is _RAISE:
+            raise KeyNotFound(key)
+        return default
 
-        return self._request("READ", {"key": key}, parse)
-
-    def get_many(self, keys: List[Any], default: Any = _RAISE) -> Any:
+    def get_many(self, keys: List[Any], default: Any = _RAISE) -> List[Any]:
         """Batch read: one READ_MANY round trip for the whole key list.
 
         Against a shard-partitioned server the batch fans out across the
         shard workers in parallel, so this is the wire API that actually
         exercises the scatter/gather read path.
         """
+        response = self._request("READ_MANY", {"keys": list(keys)})
+        values = []
+        for key, found, value in zip(keys, response["found"], response["values"]):
+            if not found:
+                if default is _RAISE:
+                    raise KeyNotFound(key)
+                value = default
+            values.append(value)
+        return values
 
-        def parse(response: _Json) -> List[Any]:
-            values = []
-            for key, found, value in zip(keys, response["found"], response["values"]):
-                if not found:
-                    if default is _RAISE:
-                        raise KeyNotFound(key)
-                    value = default
-                values.append(value)
-            return values
-
-        return self._request("READ_MANY", {"keys": list(keys)}, parse)
-
-    def _buffer(self, write: _Json) -> Any:
+    def _buffer(self, write: _Json) -> None:
         """``put``/``delete``: no frame; the next request carries it."""
         self._check_active()
         if self.read_only:
             raise exception_for(error_response(None, "READ_ONLY"))
         self._writes.append(write)
         self._wrote = True
-        return self._client._ready(None)
 
-    def put(self, key: Any, value: Any) -> Any:
-        return self._buffer({"key": key, "value": value})
+    def put(self, key: Any, value: Any) -> None:
+        self._buffer({"key": key, "value": value})
 
-    def delete(self, key: Any) -> Any:
-        return self._buffer({"key": key, "delete": True})
+    def delete(self, key: Any) -> None:
+        self._buffer({"key": key, "delete": True})
 
-    def commit(self, constraint: Optional[str] = None) -> Any:
+    def commit(self, constraint: Optional[str] = None) -> str:
         """Commit; returns the commit state's id repr. The handle turns
         ``aborted`` only when the server says the transaction is over
         (or never opened: a failed first request) — any other error
         (``BAD_CONSTRAINT``...) leaves it ``active``. Write-free, begun and
         naming no constraint, the answer is the read state held (§6.1.4: no
         state, no conflict); the connection's next frame tells the server."""
-
-        def parse(response: _Json) -> str:
-            self.status = "committed"
-            self.commit_state = response["commit_state"]
-            return response["commit_state"]
-
         if constraint is None and self.read_state is not None and not self._wrote:
             self._check_active()
             self._client._closed.append(self._txn_id)
-            return self._client._ready(parse({"commit_state": self.read_state}))
-        fields: Dict[str, Any] = {}
-        if constraint is not None:
-            fields["constraint"] = constraint
+            commit_state = self.read_state
+        else:
+            fields = {} if constraint is None else {"constraint": constraint}
+            commit_state = self._request("COMMIT", fields)["commit_state"]
+        self.status = "committed"
+        self.commit_state = commit_state
+        return commit_state
 
-        def on_error(exc: BaseException) -> None:
-            if isinstance(exc, (TransactionAborted, TransactionClosed)):
-                self.status = "aborted"
-
-        return self._request("COMMIT", fields, parse, on_error)
-
-    def abort(self) -> Any:
+    def abort(self) -> None:
         """Abort, dropping the buffered writes; local when no request
         of this transaction ever reached the server."""
         self._writes = []
-        if self._begin is not None and self.status == "active":
-            self.status = "aborted"
-            return self._client._ready(None)
-
-        def parse(response: _Json) -> None:
-            self.status = "aborted"
-
-        return self._request("ABORT", {}, parse)
-
-    def __repr__(self) -> str:
-        return "<%s txn=%s %s>" % (type(self).__name__, self._txn_id, self.status)
-
-
-class _SingleMode(_BaseClientTransaction):
-    """A single-mode handle: it knows the snapshot it reads (``read_state``)."""
-
-
-class _MergeMode(_BaseClientTransaction):
-    """What a merge handle knows: the reconciliation context."""
-
-    def __init__(self, client: "_BaseClient", response: _Json) -> None:
-        super().__init__(client, response["txn"])
-        self.parents: List[str] = response["parents"]
-        self.fork_points: List[str] = response["fork_points"]
-        self.conflicts: List[_Json] = response["conflicts"]
-
-
-class _SyncContext:
-    """``with`` support: commit on a clean exit, abort on an exception."""
+        if self._begin is None or self.status != "active":
+            self._request("ABORT", {})  # raises on a closed handle
+        self.status = "aborted"
 
     def __enter__(self) -> Any:
         return self
@@ -291,12 +227,16 @@ class _SyncContext:
         if self.status == "active":
             self.commit() if exc_type is None else self.abort()
 
+    def __repr__(self) -> str:
+        return "<%s txn=%s %s>" % (type(self).__name__, self._txn_id, self.status)
 
-class ClientTransaction(_SyncContext, _SingleMode):
-    """A single-mode transaction over the wire."""
+
+class ClientTransaction(_BaseClientTransaction):
+    """A single-mode transaction over the wire: it knows the snapshot it
+    reads (``read_state``)."""
 
 
-class ClientMergeTransaction(_SyncContext, _MergeMode):
+class ClientMergeTransaction(_BaseClientTransaction):
     """A merge transaction over the wire.
 
     The server computes the reconciliation context at MERGE time:
@@ -307,19 +247,23 @@ class ClientMergeTransaction(_SyncContext, _MergeMode):
     then ``commit``.
     """
 
+    def __init__(self, client: "TardisClient", response: _Json) -> None:
+        super().__init__(client, response["txn"])
+        self.parents: List[str] = response["parents"]
+        self.fork_points: List[str] = response["fork_points"]
+        self.conflicts: List[_Json] = response["conflicts"]
 
-class _BaseClient:
-    """One connection/session: the channel and every call. A subclass
-    supplies ``_exchange(frame, parse, on_error)`` (move bytes until the
-    channel has the response), ``_drop()`` (close the socket), how a
-    call that needs no round trip answers (``_ready(value)``) and how
-    two calls run in order (``_then(first, rest)``), and the two handle
-    classes."""
 
-    _txn_class: Callable[..., _SingleMode]
-    _merge_class: Callable[..., _MergeMode]
+class TardisClient:
+    """A blocking-socket client for one TARDiS server connection."""
 
-    def __init__(self) -> None:
+    def __init__(
+        self,
+        host: str = "127.0.0.1",
+        port: int = 7145,
+        session: Optional[str] = None,
+        timeout: float = 10.0,
+    ) -> None:
         self._channel = ClientChannel()
         #: write-free transactions committed locally since the last frame.
         self._closed: List[int] = []
@@ -327,6 +271,20 @@ class _BaseClient:
         self.session: Optional[str] = None
         #: the server's site name.
         self.site: Optional[str] = None
+        self._sock = socket.create_connection((host, port), timeout=timeout)
+        self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self.timeout = timeout
+        try:
+            hello = self._call("HELLO", {"session": session, "protocol": PROTOCOL_VERSION})
+        except BaseException:
+            # Refused (SESSION_IN_USE, SERVER_BUSY, ...): no client comes
+            # of it, so nobody else would give the server its slot back.
+            self._drop()
+            raise
+        self.session = hello["session"]
+        self.site = hello["site"]
+
+    # -- plumbing ---------------------------------------------------------
 
     def _frame(self, op: str, fields: _Json) -> bytes:
         """Number and encode one request, before anything is sent: one
@@ -339,123 +297,13 @@ class _BaseClient:
         self._closed = []
         return frame
 
-    def _call(
-        self, op: str, fields: _Json, parse: _Parse, on_error: _OnError = None
-    ) -> Any:
-        """One round trip: the parsed answer (an awaitable of it on the
-        async client)."""
-        return self._exchange(self._frame(op, fields), parse, on_error)
-
-    def _failed(self, exc: BaseException, on_error: _OnError) -> None:
-        """A round trip raised. An error *answer* leaves the connection
-        usable. A request still in flight (timeout, cancellation) cannot
-        be taken back — its answer would be read as the next request's —
-        so that loses the connection like EOF or an id mismatch: drop the
-        socket, and the server's disconnect cleanup aborts what was open."""
-        if self._channel.awaiting is not None:
-            self._channel.abandon()
-        if self._channel.closed:
-            self._drop()
-        elif on_error is not None:
-            on_error(exc)
-
-    def _hello(self, session: Optional[str]) -> Any:
-        def parse(response: _Json) -> "_BaseClient":
-            self.session = response["session"]
-            self.site = response["site"]
-            return self
-
-        fields = {"session": session, "protocol": PROTOCOL_VERSION}
-        return self._call("HELLO", fields, parse)
-
-    # -- transactions -----------------------------------------------------
-
-    def begin(self, read_only: bool = False, constraint: Optional[str] = None) -> Any:
-        """A transaction handle; constraint is a begin-constraint name
-        (``ancestor``, ``any``, ``parent``; server default: ancestor).
-        Nothing is sent: the handle's first request carries the BEGIN,
-        and the server picks the snapshot when that request arrives."""
-        fields: Dict[str, Any] = {"read_only": read_only}
-        if constraint is not None:
-            fields["constraint"] = constraint
-        return self._ready(self._txn_class(self, None, fields))
-
-    def merge(self) -> Any:
-        """Start a merge transaction over the current branch heads."""
-        return self._call("MERGE", {}, lambda r: self._merge_class(self, r))
-
-    def stats(self) -> Any:
-        """Server + store counters (see docs/internals.md §12)."""
-        return self._call("STATS", {}, lambda r: r["stats"])
-
-    # -- live observability (docs/internals.md §14) -----------------------
-
-    def obs_snapshot(self, tail: Optional[int] = None) -> Any:
-        """One observability snapshot (series tails cut to ``tail``)."""
-        fields = {} if tail is None else {"tail": tail}
-        return self._call("OBS_SNAPSHOT", fields, lambda r: r["snapshot"])
-
-    def subscribe_obs(self) -> Any:
-        """Start the push stream; returns ``{interval_s, tail, resumed}``.
-
-        Raises :class:`~repro.errors.ServerError` with code
-        ``OBS_UNAVAILABLE`` when the server runs no live sampler. After
-        subscribing, drain frames with ``next_obs_frame`` — ordinary
-        requests keep working, pushes are diverted internally.
-        """
-        return self._call("OBS_SUBSCRIBE", {}, _whole)
-
-    def unsubscribe_obs(self) -> Any:
-        """Stop the stream; returns ``{subscribed, frames, dropped}``."""
-        return self._call("OBS_UNSUBSCRIBE", {}, _whole)
-
-    def _bye(self) -> Any:
-        """The polite half of ``close``: the server answers, then drops
-        the link (callers treat any failure as already closed)."""
-        return self._call("BYE", {}, _nothing)
-
-    def __repr__(self) -> str:
-        return "<%s session=%s site=%s%s>" % (
-            type(self).__name__,
-            self.session,
-            self.site,
-            " closed" if self._channel.closed else "",
-        )
-
-
-class TardisClient(_BaseClient):
-    """A blocking-socket client for one TARDiS server connection."""
-
-    _txn_class = ClientTransaction
-    _merge_class = ClientMergeTransaction
-    # benchmarks/e2e/tracewrap.py patches these two through
-    # ``TardisClient.__dict__``, so they must be bound on this class; a
-    # later ``benchmark`` PR can point it at ``_BaseClient`` and drop this.
-    begin = _BaseClient.begin
-    merge = _BaseClient.merge
-
-    def __init__(
-        self,
-        host: str = "127.0.0.1",
-        port: int = 7145,
-        session: Optional[str] = None,
-        timeout: float = 10.0,
-    ) -> None:
-        super().__init__()
-        self._sock = socket.create_connection((host, port), timeout=timeout)
-        self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        self.timeout = timeout
-        try:
-            self._hello(session)
-        except BaseException:
-            # Refused (SESSION_IN_USE, SERVER_BUSY, ...): no client comes
-            # of it, so nobody else would give the server its slot back.
-            self._drop()
-            raise
-
-    # -- plumbing ---------------------------------------------------------
-
-    def _exchange(self, frame: bytes, parse: _Parse, on_error: _OnError) -> Any:
+    def _exchange(self, frame: bytes) -> _Json:
+        """One round trip: send ``frame``, read until its answer. An error
+        *answer* raises and leaves the connection usable. A request still
+        in flight (timeout, interrupt) cannot be taken back — its answer
+        would be read as the next request's — so that loses the connection
+        like EOF or an id mismatch: drop the socket, and the server's
+        disconnect cleanup aborts what was open."""
         channel = self._channel
         try:
             self._sock.sendall(frame)
@@ -463,22 +311,51 @@ class TardisClient(_BaseClient):
             while response is None:
                 channel.feed(self._sock.recv(65536))
                 response = channel.response()
-        except BaseException as exc:
-            self._failed(exc, on_error)
+        except BaseException:
+            if channel.awaiting is not None:
+                channel.abandon()
+            if channel.closed:
+                self._drop()
             raise
-        return parse(response)
+        return response
 
-    def _ready(self, value: Any) -> Any:
-        return value
-
-    def _then(self, first: Any, rest: Callable[[], Any]) -> Any:
-        return rest()
+    def _call(self, op: str, fields: _Json) -> _Json:
+        """One request outside any transaction, and its ``ok`` answer."""
+        return self._exchange(self._frame(op, fields))
 
     def _drop(self) -> None:
         try:
             self._sock.close()
         except OSError:
             pass
+
+    # -- transactions -----------------------------------------------------
+
+    def begin(
+        self, read_only: bool = False, constraint: Optional[str] = None
+    ) -> ClientTransaction:
+        """A transaction handle; constraint is a begin-constraint name
+        (``ancestor``, ``any``, ``parent``; server default: ancestor).
+        Nothing is sent: the handle's first request carries the BEGIN,
+        and the server picks the snapshot when that request arrives."""
+        fields: Dict[str, Any] = {"read_only": read_only}
+        if constraint is not None:
+            fields["constraint"] = constraint
+        return ClientTransaction(self, None, fields)
+
+    def merge(self) -> ClientMergeTransaction:
+        """Start a merge transaction over the current branch heads."""
+        return ClientMergeTransaction(self, self._call("MERGE", {}))
+
+    def stats(self) -> _Json:
+        """Server + store counters (see docs/internals.md §12)."""
+        return self._call("STATS", {})["stats"]
+
+    def obs_snapshot(self, tail: Optional[int] = None) -> _Json:
+        """One observability snapshot (series tails cut to ``tail``;
+        docs/internals.md §14)."""
+        fields = {} if tail is None else {"tail": tail}
+        return self._call("OBS_SNAPSHOT", fields)["snapshot"]
 
     # -- autocommit convenience -------------------------------------------
 
@@ -504,39 +381,13 @@ class TardisClient(_BaseClient):
             if txn.status == "active":
                 txn.commit()
 
-    def next_obs_frame(self, timeout: Optional[float] = None) -> Optional[Dict[str, Any]]:
-        """The next push frame, or None when ``timeout`` elapses first.
-
-        Returns the whole wire frame: ``{"push": "obs", "seq", "dropped",
-        "snapshot"}``. Frames already diverted by an interleaved request
-        are served before the socket is read again.
-        """
-        channel = self._channel
-        frame = channel.push()
-        if frame is not None:
-            return frame
-        previous = self._sock.gettimeout()
-        self._sock.settimeout(timeout if timeout is not None else previous)
-        try:
-            while frame is None:
-                try:
-                    channel.feed(self._sock.recv(65536))
-                except socket.timeout:
-                    return None
-                frame = channel.push()
-            return frame
-        finally:
-            try:
-                self._sock.settimeout(previous)
-            except OSError:
-                pass
-
     # -- lifecycle --------------------------------------------------------
 
     def close(self) -> None:
-        """Polite close: BYE (best effort), then drop the socket."""
+        """Polite close: BYE (best effort; the server answers, then drops
+        the link), then drop the socket."""
         try:
-            self._bye()
+            self._call("BYE", {})
         except (NetworkError, OSError):
             pass  # already closed included
         self._channel.abandon()
@@ -547,3 +398,11 @@ class TardisClient(_BaseClient):
 
     def __exit__(self, exc_type: Any, exc: Any, tb: Any) -> None:
         self.close()
+
+    def __repr__(self) -> str:
+        return "<%s session=%s site=%s%s>" % (
+            type(self).__name__,
+            self.session,
+            self.site,
+            " closed" if self._channel.closed else "",
+        )

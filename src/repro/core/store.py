@@ -138,11 +138,13 @@ class TardisStore:
         "_session_counter": "self._lock",
     }
 
+    #: the paper's defaults (§5.1): Ancestor begin, Serializability end.
+    default_begin: Constraint = AncestorConstraint()
+    default_end: Constraint = SerializabilityConstraint()
+
     def __init__(
         self,
         site: str,
-        default_begin: Optional[Constraint] = None,
-        default_end: Optional[Constraint] = None,
         wal_path: Optional[str] = None,
         wal_sync: bool = True,
         log_values: bool = True,
@@ -152,9 +154,6 @@ class TardisStore:
         shard_of: Any = None,
     ) -> None:
         self.site = site
-        #: paper defaults: Ancestor begin, Serializability end (§5.1).
-        self.default_begin = default_begin or AncestorConstraint()
-        self.default_end = default_end or SerializabilityConstraint()
         self.dag = StateDAG(site)
         #: the storage layer: one flat record store by default; a
         #: ``shards`` and/or ``shard_workers`` count partitions it

@@ -516,10 +516,7 @@ METRIC_NAMES: Dict[str, str] = {
     "tardis_net_server_connections_total": "connections the server accepted",
     "tardis_net_server_disconnect_aborts_total": "txns aborted by disconnect cleanup",
     "tardis_net_server_errors_total": "error responses sent",
-    "tardis_net_server_obs_dropped_total": "obs push frames dropped (slow consumers)",
-    "tardis_net_server_obs_frames_total": "obs push frames delivered to subscribers",
     "tardis_net_server_obs_samples_total": "live sampler ticks taken",
-    "tardis_net_server_obs_subscribers": "live obs subscriptions (gauge)",
     "tardis_net_server_request_ms": "server request latency (ms); also labeled @op=<OP>",
     "tardis_net_server_requests_total": "requests the server processed",
     "tardis_net_server_timeouts_total": "requests that hit the per-request timeout",

@@ -18,9 +18,9 @@ server's. An :class:`ObsSampler` owns
   while the server is up instead of in a post-mortem file.
 
 ``sample()`` builds one JSON-safe *snapshot* document — the unit the
-wire protocol ships for ``OBS_SNAPSHOT`` and ``OBS_SUBSCRIBE`` push
-frames, and the thing ``tardis top`` renders. Schema (all values plain
-JSON; docs/internals.md §14 is the reference):
+wire protocol ships for ``OBS_SNAPSHOT``, and the thing ``tardis top``
+renders. Schema (all values plain JSON; docs/internals.md §14 is the
+reference):
 
 .. code-block:: python
 

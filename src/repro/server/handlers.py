@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 from repro.core import constraints
 from repro.core.merge import MergeTransaction
 from repro.core.transaction import ACTIVE, COMMITTED, BaseTransaction
-from repro.obs.sampler import SNAPSHOT_TAIL, ObsSampler
+from repro.obs.sampler import ObsSampler
 from repro.server.protocol import (
     OPS,
     PROTOCOL_VERSION,
@@ -415,12 +415,9 @@ def _stats(server: TardisServer, session: WireSession, request: _Json) -> _Json:
     if shards is not None and "workers" in shards:
         stats["store"]["shard_workers"] = shards["n_workers"]
         stats["store"]["shard_workers_alive"] = shards["workers_alive"]
-    with server._lock:
-        subscribers = len(server._obs_subs)
     stats["obs"] = {
         "sampler": server._obs_task is not None,
         "interval_s": server.obs_sample_interval,
-        "subscribers": subscribers,
         # The light form: gauges/counters/latency/shards, no series.
         "snapshot": ObsSampler.trim(_obs_snapshot_now(server), 0),
     }
@@ -432,28 +429,6 @@ def _obs_snapshot(server: TardisServer, session: WireSession, request: _Json) ->
     if tail is not None and not isinstance(tail, int):
         raise RequestError("BAD_REQUEST", "tail must be an integer")
     return {"snapshot": ObsSampler.trim(_obs_snapshot_now(server), tail)}
-
-
-def _obs_subscribe(server: TardisServer, session: WireSession, request: _Json) -> _Json:
-    if server._obs_task is None or server._closing:
-        raise RequestError("OBS_UNAVAILABLE")
-    return {
-        "resumed": server._subscribe_obs(session.id),
-        "interval_s": server.obs_sample_interval,
-        "tail": SNAPSHOT_TAIL,
-    }
-
-
-def _obs_unsubscribe(
-    server: TardisServer, session: WireSession, request: _Json
-) -> _Json:
-    sub = server._unsubscribe_obs(session.id)
-    # Idempotent: unsubscribing while not subscribed just reports so.
-    return {
-        "subscribed": sub is not None,
-        "frames": sub.sent if sub is not None else 0,
-        "dropped": sub.dropped if sub is not None else 0,
-    }
 
 
 def _bye(server: TardisServer, session: WireSession, request: _Json) -> _Json:
@@ -472,8 +447,6 @@ HANDLERS: Dict[str, Callable[[TardisServer, WireSession, _Json], _Json]] = {
     "ABORT": _abort,
     "STATS": _stats,
     "OBS_SNAPSHOT": _obs_snapshot,
-    "OBS_SUBSCRIBE": _obs_subscribe,
-    "OBS_UNSUBSCRIBE": _obs_unsubscribe,
     "BYE": _bye,
 }
 

@@ -18,27 +18,21 @@ responses echo the id: ``{"id": <int>, "ok": true, ...}`` or
 ``{"id": <int>, "ok": false, "error": {"code", "message"}}``. Requests
 on one connection are processed strictly in order, so ``id`` exists for
 client-side bookkeeping, not reordering. The full command and error-code
-catalogue is specified in docs/internals.md §12.
-
-One exception to request/response pairing: a connection that issued
-``OBS_SUBSCRIBE`` also receives server-initiated *push frames* —
-``{"push": "obs", "seq": <int>, "dropped": <int>, "snapshot": {...}}``
-— interleaved between responses on the sampler's cadence. Push frames
-carry no ``id``; clients route on the ``push`` key (docs/internals.md
-§14 specifies the snapshot schema and the slow-consumer drop policy).
+catalogue is specified in docs/internals.md §12. Every frame the server
+writes answers a request (or, id ``null``, refuses the connection or a
+torn frame just before it closes): there are no server-initiated frames.
 
 Each protocol decision lives here once, for both directions: which ops
 exist (:data:`OPS`), which exception is which wire code
-(:data:`ERROR_TABLE`), and how a client numbers requests, pairs
-responses and parks push frames (:class:`ClientChannel`).
+(:data:`ERROR_TABLE`), and how a client numbers requests and pairs
+responses (:class:`ClientChannel`).
 """
 
 from __future__ import annotations
 
 import json
 import struct
-from collections import deque
-from typing import Any, Deque, Dict, Iterator, Optional
+from typing import Any, Dict, Iterator, Optional
 
 from repro.errors import (
     BeginError,
@@ -58,7 +52,6 @@ __all__ = [
     "MAX_FRAME",
     "HEADER",
     "OPS",
-    "PUSH_KINDS",
     "ERROR_CODES",
     "ERROR_TABLE",
     "code_for",
@@ -74,7 +67,9 @@ __all__ = [
 #: 2: a transaction's BEGIN and its buffered writes ride on its next
 #: request (``begin`` / ``writes``, docs/internals.md §12.2).
 #: 3: a write-free commit rides on the next request (``closed``); no BEGIN op.
-PROTOCOL_VERSION = 3
+#: 4: the obs push stream and its two ops are gone: every frame the
+#: server writes answers a request.
+PROTOCOL_VERSION = 4
 
 #: default cap on one frame's JSON payload, in bytes.
 MAX_FRAME = 1 << 20
@@ -93,15 +88,10 @@ OPS = frozenset(
         "ABORT",   # abort a transaction
         "MERGE",   # start a merge transaction over the current branches
         "STATS",   # server + store counters (health/leak checks)
-        "OBS_SNAPSHOT",     # one-shot observability snapshot
-        "OBS_SUBSCRIBE",    # push obs snapshots on the sampler cadence
-        "OBS_UNSUBSCRIBE",  # stop the push stream; returns accounting
+        "OBS_SNAPSHOT",  # one observability snapshot
         "BYE",     # polite close: server responds, then drops the link
     }
 )
-
-#: kinds of server-initiated push frames (the ``push`` field).
-PUSH_KINDS = frozenset({"obs"})
 
 #: wire error codes -> meaning. ``BAD_FRAME``/``FRAME_TOO_LARGE`` are
 #: connection-fatal (framing is lost); everything else is per-request.
@@ -122,7 +112,6 @@ ERROR_CODES: Dict[str, str] = {
     "READ_ONLY": "a write was issued in a read-only transaction",
     "BAD_CONSTRAINT": "unknown begin/end constraint name",
     "SHARD_UNAVAILABLE": "a shard worker died or timed out serving the request",
-    "OBS_UNAVAILABLE": "the server runs no live sampler (start with --obs-interval)",
     "TIMEOUT": "the request exceeded the server's per-request timeout",
     "SERVER_BUSY": "the server is at its connection cap",
     "SHUTTING_DOWN": "the server is draining and takes no new work",
@@ -264,24 +253,21 @@ class ClientChannel:
 
     The owner moves bytes — send ``encode_frame(channel.request(op,
     fields))``, then ``feed`` what arrives until ``response()`` is not
-    None — and the channel decides the rest: numbering, pairing,
-    push-frame diversion, error mapping, and when the connection is lost.
-    Requests are answered strictly in order, so one is in flight at a
-    time (``awaiting`` is its id). The channel goes permanently
-    ``closed`` (later requests and reads raise ``NetworkError``) on a
-    response whose id is not the awaited one, a torn frame, EOF
-    (``feed(b"")``) and :meth:`abandon`: a stream that lost its pairing
-    cannot be resynchronized, only dropped.
+    None — and the channel decides the rest: numbering, pairing, error
+    mapping, and when the connection is lost. Requests are answered
+    strictly in order, so one is in flight at a time (``awaiting`` is its
+    id), and every frame must be the answer to it. The channel goes
+    permanently ``closed`` (later requests and reads raise
+    ``NetworkError``) on a frame whose id is not the awaited one, a torn
+    frame, EOF (``feed(b"")``) and :meth:`abandon`: a stream that lost
+    its pairing cannot be resynchronized, only dropped.
     """
 
-    __slots__ = ("_decoder", "_next_id", "_pushes", "awaiting", "closed")
+    __slots__ = ("_decoder", "_next_id", "awaiting", "closed")
 
     def __init__(self) -> None:
         self._decoder = FrameDecoder()
         self._next_id = 1
-        #: server-push frames (OBS_SUBSCRIBE streams) met while reading
-        #: for a response, oldest first; drained by :meth:`push`.
-        self._pushes: Deque[Dict[str, Any]] = deque()
         #: id of the request in flight; None between round trips.
         self.awaiting: Optional[int] = None
         self.closed = False
@@ -311,52 +297,29 @@ class ClientChannel:
         timed out mid-flight and its answer would pair with the next."""
         self.closed = True
 
-    def _next_frame(self) -> Optional[Dict[str, Any]]:
-        if self.closed:
-            raise NetworkError("client is closed")
-        try:
-            return self._decoder.next_frame()
-        except ProtocolError:
-            self.closed = True
-            raise
-
     def response(self) -> Optional[Dict[str, Any]]:
         """The awaited response, or None until more bytes arrive. An
         error response raises its exception (:func:`exception_for`) and
         leaves the channel usable — the server answered."""
-        while True:
-            frame = self._next_frame()
-            if frame is None:
-                return None
-            if "push" in frame:
-                # Server-initiated frame interleaved with a response:
-                # park it so request/response pairing stays strict
-                # while subscribed.
-                self._pushes.append(frame)
-                continue
-            awaited, self.awaiting = self.awaiting, None
-            if awaited is None or frame.get("id") != awaited:
-                self.closed = True
-                raise NetworkError(
-                    "response id %r does not match request id %r (protocol is ordered)"
-                    % (frame.get("id"), awaited)
-                )
-            if frame.get("ok", False):
-                return frame
-            raise exception_for(frame)
-
-    def push(self) -> Optional[Dict[str, Any]]:
-        """The next push frame — the whole wire frame, parked ones
-        first — or None until more bytes arrive."""
-        if self._pushes:
-            return self._pushes.popleft()
-        frame = self._next_frame()
-        if frame is None or "push" in frame:
+        if self.closed:
+            raise NetworkError("client is closed")
+        try:
+            frame = self._decoder.next_frame()
+        except ProtocolError:
+            self.closed = True
+            raise
+        if frame is None:
+            return None
+        awaited, self.awaiting = self.awaiting, None
+        if awaited is None or frame.get("id") != awaited:
+            self.closed = True
+            raise NetworkError(
+                "response id %r does not match request id %r (protocol is ordered)"
+                % (frame.get("id"), awaited)
+            )
+        if frame.get("ok", False):
             return frame
-        # A response with no request in flight is a protocol violation;
-        # surface it rather than swallowing.
-        self.closed = True
-        raise NetworkError("unexpected response frame %r" % (frame.get("id"),))
+        raise exception_for(frame)
 
 
 def ok_response(request_id: Any, **fields: Any) -> Dict[str, Any]:

@@ -18,9 +18,9 @@ parsing, and answering frames meanwhile. A request costs the loop two
 turns: the read that decodes and submits it, and the one
 ``call_soon_threadsafe`` callback that brings the handler's answer back.
 The module boundary is that thread boundary: this module is what runs on
-the loop (accepting, limits, timeouts, framing, counters, obs fan-out,
-shutdown); :mod:`repro.server.handlers` is what runs on the executor,
-and nothing on the loop here touches the store except through
+the loop (accepting, limits, timeouts, framing, counters, the obs sampler
+task, shutdown); :mod:`repro.server.handlers` is what runs on the
+executor, and nothing on the loop here touches the store except through
 ``WireSession.handle`` / ``WireSession.close``.
 
 Production plumbing:
@@ -58,10 +58,9 @@ divergence series, the server gauges, per-op latency percentiles, and
 the shard plane's worker health on a wall-clock cadence (each sample
 runs on the store executor, serialized with request handlers), and runs
 the flight-recorder triggers live so threshold trips become alerts.
-Snapshots are served one-shot via ``OBS_SNAPSHOT`` and streamed to
-``OBS_SUBSCRIBE``-ed connections as push frames, at most
-``OBS_QUEUE_FRAMES`` buffered per stream (the slow-consumer drop policy
-is :class:`_ObsSubscription`'s).
+Snapshots are served by ``OBS_SNAPSHOT``: a watcher polls, and the server
+keeps nothing per watcher. Every frame a connection writes answers one of
+its requests.
 """
 
 from __future__ import annotations
@@ -70,9 +69,8 @@ import asyncio
 import signal
 import threading
 import time
-from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
-from typing import Any, Callable, Deque, Dict, Optional, Set
+from typing import Any, Callable, Dict, Optional, Set
 
 from repro.core.store import TardisStore
 from repro.errors import FrameTooLarge, ProtocolError
@@ -82,9 +80,6 @@ from repro.server.handlers import WireSession, holds_work
 from repro.server.protocol import OPS, FrameDecoder, encode_frame, error_response
 
 __all__ = ["TardisServer", "ServerThread", "start_in_thread", "run_server"]
-
-#: snapshots one OBS_SUBSCRIBE stream buffers before it drops new ones.
-OBS_QUEUE_FRAMES = 4
 
 #: bytes of the one receive buffer a connection reads into, for its life.
 RECV_BUFFER = 1 << 16
@@ -265,65 +260,8 @@ class _Connection(asyncio.BufferedProtocol):
                 )
             )
         self.server._sent(len(frame), not response.get("ok", False), answers)
-        self.write(frame)
-
-    def write(self, frame: bytes) -> None:
         if not self.transport.is_closing():  # else: peer gone, cleanup is on its way
             self.transport.write(frame)
-
-
-class _ObsSubscription:
-    """One OBS_SUBSCRIBE stream: a bounded snapshot queue in front of
-    its connection's transport.
-
-    The drop policy lives here: ``offer`` never blocks and never buffers
-    more than ``capacity`` snapshots — while the subscriber's socket is
-    not taking bytes (the connection is ``paused``) they queue, to go
-    out ahead of the first snapshot offered after it does; when the
-    queue is full the *new* snapshot is dropped and counted, and the
-    next frame that does go out carries the cumulative ``dropped``
-    total. ``offer`` runs on the event loop only, so the counters need
-    no lock; the unsubscribe handler merely reads them for its
-    accounting reply.
-    """
-
-    __slots__ = ("conn", "capacity", "queue", "sent", "dropped")
-
-    def __init__(self, conn: _Connection, capacity: int) -> None:
-        self.conn = conn
-        self.capacity = capacity
-        self.queue: Deque[Dict[str, Any]] = deque()
-        self.sent = 0
-        self.dropped = 0
-
-    def offer(self, snapshot: Dict[str, Any]) -> bool:
-        """Deliver, behind what is queued; False (and counted) when the
-        peer is not reading and the queue is full."""
-        conn = self.conn
-        if conn.paused and len(self.queue) >= self.capacity:
-            self.dropped += 1
-            return False
-        self.queue.append(snapshot)
-        while self.queue and not conn.paused:
-            snapshot = self.queue.popleft()
-            frame = {
-                "push": "obs",
-                "seq": snapshot["seq"],
-                "dropped": self.dropped,
-                "snapshot": snapshot,
-            }
-            try:
-                data = encode_frame(frame)
-            except FrameTooLarge:
-                # The snapshot outgrew the frame cap: skip it, keep the
-                # connection's request/response framing intact.
-                self.dropped += 1
-                continue
-            conn.write(data)
-            self.sent += 1
-            conn.server._count("tardis_net_server_obs_frames_total", "obs_frames_total")
-            conn.server._count("tardis_net_server_bytes_out_total", "bytes_out", len(data))
-        return True
 
 
 class TardisServer:
@@ -335,7 +273,6 @@ class TardisServer:
         "_owned_sessions": "self._lock",
         "_stats": "self._lock",
         "_inflight": "self._lock",
-        "_obs_subs": "self._lock",
     }
 
     def __init__(
@@ -392,8 +329,6 @@ class TardisServer:
             "bytes_in": 0,
             "bytes_out": 0,
             "obs_samples": 0,
-            "obs_frames_total": 0,
-            "obs_frames_dropped": 0,
         }
         self.report: Optional[Dict[str, Any]] = None
         # -- live ops plane (docs/internals.md §14) ------------------------
@@ -411,7 +346,6 @@ class TardisServer:
         #: created/updated on the event loop thread only, snapshotted by
         #: the sampler via _obs_latency.
         self._op_latency: Dict[str, _met.Histogram] = {}
-        self._obs_subs: Dict[int, _ObsSubscription] = {}
         self._obs_task: Optional[asyncio.Task] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
 
@@ -458,8 +392,6 @@ class TardisServer:
             self._obs_task.cancel()
             await asyncio.wait([self._obs_task], timeout=2.0)
             self._obs_task = None
-        with self._lock:
-            self._obs_subs.clear()
         drained = await self._poll(
             lambda: not self._inflight
             and not any(
@@ -597,14 +529,13 @@ class TardisServer:
             self._conns.pop(session.id, None)
             if session.session_name is not None:
                 self._session_names.discard(session.session_name)
-        self._unsubscribe_obs(session.id)
         if aborted:
             self._count(
                 "tardis_net_server_disconnect_aborts_total", "disconnect_aborts", aborted
             )
         self._gauge_connections()
 
-    # -- live ops plane (sampler task + push streams) ----------------------
+    # -- live ops plane (the sampler task) ---------------------------------
 
     def _obs_counters(self) -> Dict[str, Any]:
         """Cumulative server counters for the sampler (executor thread)."""
@@ -638,7 +569,7 @@ class TardisServer:
         return out
 
     async def _obs_loop(self) -> None:
-        """The sampler task: sample on the executor, publish, sleep.
+        """The sampler task: sample on the executor, count, sleep.
 
         Each sample runs on the store executor, serialized with request
         handlers — a sampler tick can delay one request by its own cost
@@ -650,50 +581,17 @@ class TardisServer:
             while not self._closing:
                 started = loop.time()
                 try:
-                    snapshot = await loop.run_in_executor(
-                        self._executor, self.obs.sample
-                    )
+                    await loop.run_in_executor(self._executor, self.obs.sample)
                 except RuntimeError:
                     break  # executor shut down underneath us
                 except Exception:  # tardis: ignore[bare-except] — a failed sample must not kill the server
-                    snapshot = None
-                if snapshot is not None:
-                    self._publish_obs(snapshot)
+                    pass
+                else:
+                    self._count("tardis_net_server_obs_samples_total", "obs_samples")
                 delay = self.obs_sample_interval - (loop.time() - started)
                 await asyncio.sleep(max(0.0, delay))
         except asyncio.CancelledError:
             pass
-
-    def _publish_obs(self, snapshot: Dict[str, Any]) -> None:
-        """Offer one snapshot to every subscription (event loop thread)."""
-        self._count("tardis_net_server_obs_samples_total", "obs_samples")
-        with self._lock:
-            subs = list(self._obs_subs.values())
-        dropped = sum(1 for sub in subs if not sub.offer(snapshot))
-        if dropped:
-            self._count(
-                "tardis_net_server_obs_dropped_total", "obs_frames_dropped", dropped
-            )
-        m = _met.DEFAULT
-        if m.enabled:
-            m.set_gauge("tardis_net_server_obs_subscribers", len(subs))
-
-    def _subscribe_obs(self, conn_id: int) -> bool:
-        """OBS_SUBSCRIBE's transport half (called on the store executor):
-        register the stream; True when one was already running."""
-        with self._lock:
-            resumed = conn_id in self._obs_subs
-            if not resumed:
-                self._obs_subs[conn_id] = _ObsSubscription(
-                    self._conns[conn_id], OBS_QUEUE_FRAMES
-                )
-        return resumed
-
-    def _unsubscribe_obs(self, conn_id: int) -> Optional[_ObsSubscription]:
-        """Drop ``conn_id``'s stream, if any (executor thread); returns
-        it for the accounting reply."""
-        with self._lock:
-            return self._obs_subs.pop(conn_id, None)
 
 
 # ---------------------------------------------------------------------------

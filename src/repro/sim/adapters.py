@@ -70,7 +70,7 @@ class SystemAdapter:
     def begin(self, client_id: str, read_only: bool = False) -> Tuple[Any, float]:
         raise NotImplementedError
 
-    def read(self, txn: Any, key: Any, will_write: bool = False) -> OpResult:
+    def read(self, txn: Any, key: Any) -> OpResult:
         raise NotImplementedError
 
     def write(self, txn: Any, key: Any, value: Any) -> OpResult:
@@ -182,7 +182,7 @@ class TardisAdapter(SystemAdapter):
         )
         return txn, cost
 
-    def read(self, txn: Transaction, key: Any, will_write: bool = False) -> OpResult:
+    def read(self, txn: Transaction, key: Any) -> OpResult:
         trace = txn.trace
         before_scanned = trace.versions_scanned
         before_hits = trace.vis_hits
@@ -344,10 +344,11 @@ class TwoPLAdapter(SystemAdapter):
     def begin(self, client_id: str, read_only: bool = False) -> Tuple[Any, float]:
         return self.store.begin(), self.costs.txn_overhead + self.costs.begin_base
 
-    def read(self, txn: Any, key: Any, will_write: bool = False) -> OpResult:
-        # A read takes the S lock even when ``will_write``: the paper's BDB
-        # client reads, then upgrades, and its Table 3 put costs and
-        # Figure 14d goodput reflect the resulting waits and deadlocks.
+    def read(self, txn: Any, key: Any) -> OpResult:
+        # A read takes the S lock even when the txn will write the key:
+        # the paper's BDB client reads, then upgrades, and its Table 3 put
+        # costs and Figure 14d goodput reflect the resulting waits and
+        # deadlocks.
         try:
             status, payload = self.store.read(txn, key)
         except DeadlockError:
@@ -446,7 +447,7 @@ class OCCAdapter(SystemAdapter):
     def begin(self, client_id: str, read_only: bool = False) -> Tuple[Any, float]:
         return self.store.begin(), self.costs.txn_overhead + self.costs.occ_begin
 
-    def read(self, txn: Any, key: Any, will_write: bool = False) -> OpResult:
+    def read(self, txn: Any, key: Any) -> OpResult:
         value = self.store.read(txn, key)
         return OpResult(
             "ok",

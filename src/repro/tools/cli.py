@@ -28,8 +28,9 @@ Commands:
   ``--obs-interval`` turns on the live ops sampler (§14).
 * ``top`` — terminal dashboard against a running server: divergence
   gauges, sparkline series, per-op latency percentiles, per-shard and
-  per-worker health, and the live alert strip. ``--live`` streams the
-  server's push frames; without it, one snapshot table and exit.
+  per-worker health, and the live alert strip. ``--live`` re-renders an
+  ``OBS_SNAPSHOT`` every ``--interval``; without it, one snapshot table
+  and exit.
 """
 
 from __future__ import annotations
@@ -487,9 +488,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     top.add_argument(
         "--live", action="store_true",
-        help="subscribe to the push stream and re-render per frame "
-        "(needs a TTY or --frames; falls back to polling when the "
-        "server runs no sampler)",
+        help="poll a snapshot and re-render every --interval "
+        "(needs a TTY or --frames)",
     )
     top.add_argument(
         "--frames", type=int, default=None,
@@ -497,7 +497,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     top.add_argument(
         "--interval", type=float, default=1.0,
-        help="polling cadence in seconds when not streaming",
+        help="polling cadence in seconds under --live",
     )
     top.add_argument(
         "--tail", type=int, default=None,

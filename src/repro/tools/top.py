@@ -8,12 +8,13 @@ serve``. Two modes:
 * **one-shot** (default): one ``OBS_SNAPSHOT`` request, one rendered
   table, exit. Works against any server — with the sampler off the
   server samples on demand.
-* **``--live``**: subscribe to the push stream (``OBS_SUBSCRIBE``) and
-  re-render on every frame, Ctrl-C to stop. When the server runs no
-  sampler the command falls back to polling one-shot snapshots on
-  ``--interval``. Live mode engages when stdout is a TTY *or* a frame
-  budget (``--frames``) is given; otherwise it degrades to one-shot so
-  piping ``tardis top --live`` into a file cannot hang a script.
+* **``--live``**: poll one ``OBS_SNAPSHOT`` every ``--interval`` and
+  re-render it, Ctrl-C to stop. Each snapshot carries the newest samples
+  of every series, so a poller loses no history between polls and the
+  server keeps nothing per watcher. Live mode engages when stdout is a
+  TTY *or* a frame budget (``--frames``) is given; otherwise it degrades
+  to one-shot so piping ``tardis top --live`` into a file cannot hang a
+  script.
 
 The renderer is pure (snapshot dict in, string out) so tests and the CI
 smoke job assert on the exact text without a pty.
@@ -26,8 +27,7 @@ import time
 from typing import Any, Dict, List, Sequence
 
 from repro.client.client import TardisClient
-from repro.errors import NetworkError, ServerError
-from repro.obs.sampler import ObsSampler
+from repro.errors import NetworkError
 
 __all__ = ["sparkline", "render_snapshot", "cmd_top"]
 
@@ -200,46 +200,18 @@ def cmd_top(args: Any) -> int:
     except (OSError, NetworkError) as exc:
         print("tardis top: cannot connect to %s:%d: %s" % (args.host, args.port, exc))
         return 1
-    frames_left = args.frames
     try:
         if not live:
             print(render_snapshot(client.obs_snapshot(tail=args.tail), width=args.width))
             return 0
-        streaming = True
-        try:
-            sub = client.subscribe_obs()
-            interval = sub.get("interval_s") or args.interval
-        except ServerError as exc:
-            if getattr(exc, "code", None) != "OBS_UNAVAILABLE":
-                raise
-            # No sampler on the server: poll one-shot snapshots instead.
-            streaming = False
-            interval = args.interval
         rendered = 0
-        while frames_left is None or rendered < frames_left:
-            if streaming:
-                frame = client.next_obs_frame(timeout=max(interval * 10.0, 5.0))
-                if frame is None:
-                    print("tardis top: no frame within timeout; server stalled?")
-                    return 1
-                snapshot = frame["snapshot"]
-                dropped = frame.get("dropped", 0)
-            else:
-                snapshot = client.obs_snapshot(tail=args.tail)
-                dropped = 0
-            text = render_snapshot(
-                snapshot if args.tail is None else ObsSampler.trim(snapshot, args.tail),
-                width=args.width,
-            )
-            if dropped:
-                text += "\n(%d frame(s) dropped: consumer too slow)" % dropped
+        while True:
+            text = render_snapshot(client.obs_snapshot(tail=args.tail), width=args.width)
             print("%s%s\n" % (clear, text), flush=True)
             rendered += 1
-            if not streaming and (frames_left is None or rendered < frames_left):
-                time.sleep(interval)
-        if streaming:
-            client.unsubscribe_obs()
-        return 0
+            if args.frames is not None and rendered >= args.frames:
+                return 0
+            time.sleep(args.interval)
     except KeyboardInterrupt:
         return 0
     except NetworkError as exc:

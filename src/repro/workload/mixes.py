@@ -48,23 +48,9 @@ class TxnSpec:
     ops: List[Tuple] = field(default_factory=list)
     read_only: bool = False
     program: Optional[Callable[[], Any]] = None
-    #: static write-set hint for dynamic programs.
-    write_hint: frozenset = frozenset()
 
     def __iter__(self):
         return iter(self.ops)
-
-    @property
-    def write_keys(self) -> frozenset:
-        """Keys this transaction will write.
-
-        The runner passes it to each read as ``will_write``. No adapter
-        acts on it: the 2PL baseline reads under a shared lock and
-        upgrades on write, as the paper's BDB client does.
-        """
-        if self.program is not None:
-            return self.write_hint
-        return frozenset(op[1] for op in self.ops if op[0] == "w")
 
 
 class YCSBWorkload:

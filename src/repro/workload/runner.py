@@ -140,7 +140,6 @@ class _Client:
         self.m = measure
         self.waiters = waiters
         self.serial = serial
-        self.spec_writes: frozenset = frozenset()
         self.gen = None
         self.outcome = None
         self.spec = None
@@ -158,7 +157,6 @@ class _Client:
 
     def _next_txn(self) -> None:
         self.spec = self.workload.next_txn(self.rng)
-        self.spec_writes = self.spec.write_keys
         self.txn_start = self.sim.now
         self._start_attempt()
 
@@ -247,9 +245,7 @@ class _Client:
             op_name = "get" if op[0] == "r" else "put"
             while True:
                 if op[0] == "r":
-                    result = adapter.read(
-                        txn, op[1], will_write=op[1] in self.spec_writes
-                    )
+                    result = adapter.read(txn, op[1])
                 else:
                     result = adapter.write(txn, op[1], op[2])
                 self._release(result.wakeups)

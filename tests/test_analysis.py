@@ -603,9 +603,9 @@ PLANTED = [
     ),
     pytest.param(
         "lock-order", "server/server.py",
-        "        if dropped:\n            self._count(\n",
-        "        if dropped:\n            with self._lock:\n                self._count(\n",
-        id="lock-order:publish-counts-drops-under-the-lock",
+        "        if aborted:\n            self._count(\n",
+        "        if aborted:\n            with self._lock:\n                self._count(\n",
+        id="lock-order:cleanup-counts-aborts-under-the-lock",
     ),
     pytest.param(
         "async-discipline", "server/server.py",

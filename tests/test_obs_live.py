@@ -1,13 +1,13 @@
-"""Live ops plane: sampler, OBS_* wire ops, push streams, `tardis top`.
+"""Live ops plane: sampler, the OBS_SNAPSHOT wire op, `tardis top`.
 
 Covers docs/internals.md §14 end to end — the ObsSampler snapshot
-schema, worker health, the subscribe/unsubscribe round trips over a real
-socket, slow-consumer drop accounting, disconnect cleanup, the
-sampler-off oracle-equivalence guard, and the dashboard renderer.
+schema, worker health, snapshots over a real socket, the rule that a
+watcher polls and the server writes nothing unasked, the sampler-off
+oracle-equivalence guard, and the dashboard renderer.
 """
 
-import asyncio
 import json
+import re
 import socket
 import struct
 import time
@@ -15,11 +15,11 @@ import time
 import pytest
 
 from repro import TardisStore
-from repro.client import AsyncTardisClient, TardisClient
+from repro.client import TardisClient
 from repro.errors import ServerError
 from repro.obs.sampler import OBS_SCHEMA_VERSION, ObsSampler
 from repro.server import start_in_thread
-from repro.server.protocol import HEADER, PROTOCOL_VERSION
+from repro.server.protocol import HEADER, PROTOCOL_VERSION, FrameDecoder, encode_frame
 from repro.tools.cli import main as cli_main
 
 
@@ -236,7 +236,6 @@ class TestObsSnapshotOp:
             stats = client.stats()
             assert stats["obs"]["sampler"] is True
             assert stats["obs"]["interval_s"] == pytest.approx(0.05)
-            assert stats["obs"]["subscribers"] == 0
             assert "series" not in stats["obs"]["snapshot"]  # light form
             assert "gauges" in stats["obs"]["snapshot"]
 
@@ -255,134 +254,48 @@ class TestObsSnapshotOp:
 
 
 # ---------------------------------------------------------------------------
-# Push streams: subscribe / frames / unsubscribe / drops / disconnect.
+# A watcher polls: the server writes a frame only to answer a request.
 
 
-class TestObsSubscribe:
-    def test_unavailable_without_sampler(self, served_cold):
-        with TardisClient(port=served_cold.port) as client:
-            with pytest.raises(ServerError) as excinfo:
-                client.subscribe_obs()
-            assert excinfo.value.code == "OBS_UNAVAILABLE"
+class TestNoPushStream:
+    def test_no_frame_arrives_unasked(self, served_live):
+        sock = socket.create_connection(("127.0.0.1", served_live.port), timeout=5.0)
+        decoder = FrameDecoder()
 
-    def test_frames_arrive_on_cadence_with_increasing_seq(self, served_live):
+        def ask(request):
+            sock.sendall(encode_frame(request))
+            while True:
+                frame = decoder.next_frame()
+                if frame is not None:
+                    return frame
+                decoder.feed(sock.recv(65536))
+
+        try:
+            assert ask({"id": 1, "op": "HELLO"})["ok"]
+            subscribe = ask({"id": 2, "op": "OBS_SUBSCRIBE"})
+            assert subscribe["error"]["code"] == "UNKNOWN_OP"
+            # Several sampler ticks go by; nothing is written meanwhile.
+            stats = served_live.server._stats
+            ticks = stats["obs_samples"]
+            assert _wait_until(lambda: stats["obs_samples"] >= ticks + 3)
+            sock.settimeout(0.2)
+            with pytest.raises(socket.timeout):
+                sock.recv(65536)
+            sock.settimeout(5.0)
+            # The next frame is the answer to the next request.
+            assert ask({"id": 3, "op": "OBS_SNAPSHOT", "tail": 0})["id"] == 3
+        finally:
+            sock.close()
+
+    def test_stats_and_report_keep_no_push_accounting(self, served_live):
         with TardisClient(port=served_live.port) as client:
-            sub = client.subscribe_obs()
-            assert sub["interval_s"] == pytest.approx(0.05)
-            assert sub["resumed"] is False
-            frames = [client.next_obs_frame(timeout=5.0) for _ in range(3)]
-            assert all(f is not None for f in frames)
-            seqs = [f["seq"] for f in frames]
-            assert seqs == sorted(seqs) and len(set(seqs)) == 3
-            for frame in frames:
-                assert frame["push"] == "obs"
-                assert frame["dropped"] == 0
-                assert frame["snapshot"]["obs_schema"] == OBS_SCHEMA_VERSION
-            accounting = client.unsubscribe_obs()
-            assert accounting["subscribed"] is True
-            assert accounting["frames"] >= 3
-            assert accounting["dropped"] == 0
-
-    def test_requests_interleave_with_pushes(self, served_live):
-        with TardisClient(port=served_live.port) as client:
-            client.subscribe_obs()
-            # Ordinary requests keep working while frames stream in; the
-            # client diverts pushes so responses pair up strictly.
-            for i in range(5):
-                client.put("k%d" % i, i)
-                time.sleep(0.02)
-            assert client.get("k4") == 4
-            frame = client.next_obs_frame(timeout=5.0)
-            assert frame is not None and frame["push"] == "obs"
-            client.unsubscribe_obs()
-
-    def test_resubscribe_reports_resumed(self, served_live):
-        with TardisClient(port=served_live.port) as client:
-            assert client.subscribe_obs()["resumed"] is False
-            assert client.subscribe_obs()["resumed"] is True
-            client.unsubscribe_obs()
-
-    def test_unsubscribe_is_idempotent(self, served_live):
-        with TardisClient(port=served_live.port) as client:
-            accounting = client.unsubscribe_obs()
-            assert accounting == {
-                "id": accounting["id"], "ok": True,
-                "subscribed": False, "frames": 0, "dropped": 0,
-            }
-
-    def test_unsubscribed_stream_goes_quiet(self, served_live):
-        with TardisClient(port=served_live.port) as client:
-            client.subscribe_obs()
-            assert client.next_obs_frame(timeout=5.0) is not None
-            client.unsubscribe_obs()
-            # Drain frames already in flight, then expect silence.
-            while client.next_obs_frame(timeout=0.3) is not None:
-                pass
-            assert client.next_obs_frame(timeout=0.3) is None
-
-    def test_slow_consumer_drops_are_counted(self, served_live):
-        server = served_live.server
-        with TardisClient(port=served_live.port) as client:
-            client.subscribe_obs()
-            assert _wait_until(lambda: len(server._obs_subs) == 1)
-            sub = next(iter(server._obs_subs.values()))
-            # Stall the delivery side as a peer that stops reading does
-            # (the transport pauses the connection): the bounded queue
-            # fills and the sampler starts dropping.
-            served_live.loop.call_soon_threadsafe(sub.conn.pause_writing)
-            assert _wait_until(lambda: sub.dropped > 0)
-            assert len(sub.queue) == sub.capacity
-            served_live.loop.call_soon_threadsafe(sub.conn.resume_writing)
-            accounting = client.unsubscribe_obs()
-            assert accounting["dropped"] > 0
-            assert client.stats()["obs_frames_dropped"] > 0
-
-    def test_disconnect_while_subscribed_leaks_nothing(self, served_live):
-        client = TardisClient(port=served_live.port)
-        client.subscribe_obs()
-        assert client.next_obs_frame(timeout=5.0) is not None
-        client._sock.close()  # impolite: no BYE, no unsubscribe
-        server = served_live.server
-        assert _wait_until(lambda: len(server._obs_subs) == 0)
-        assert _wait_until(lambda: len(server.store.sessions()) == 0)
+            stats = client.stats()
+        assert not [name for name in stats if name.startswith("obs_frames")]
+        assert set(stats["obs"]) == {"sampler", "interval_s", "snapshot"}
+        assert _wait_until(lambda: served_live.server._stats["obs_samples"] > 0)
         report = served_live.stop()
-        assert report["leaked_sessions"] == []
-
-    def test_subscription_drop_policy_unit(self):
-        from repro.server.server import _ObsSubscription
-
-        class _StalledConnection:
-            paused = True  # the peer is not reading
-
-        sub = _ObsSubscription(_StalledConnection(), capacity=2)
-        assert sub.offer({"seq": 1}) is True
-        assert sub.offer({"seq": 2}) is True
-        assert sub.offer({"seq": 3}) is False  # full: dropped
-        assert sub.offer({"seq": 4}) is False
-        assert sub.dropped == 2
-        assert sub.queue.popleft()["seq"] == 1
-
-
-class TestAsyncClientObs:
-    def test_async_subscribe_round_trip(self, served_live):
-        async def scenario():
-            client = await AsyncTardisClient.connect(port=served_live.port)
-            snapshot = await client.obs_snapshot(tail=0)
-            assert snapshot["obs_schema"] == OBS_SCHEMA_VERSION
-            await client.subscribe_obs()
-            frames = []
-            for _ in range(2):
-                frame = await client.next_obs_frame(timeout=5.0)
-                assert frame is not None
-                frames.append(frame["seq"])
-            # Interleave a request: pushes must not break pairing.
-            await client.put("k", "v")
-            accounting = await client.unsubscribe_obs()
-            assert accounting["subscribed"] is True
-            assert frames == sorted(frames)
-            await client.close()
-
-        asyncio.run(scenario())
+        assert report["obs_samples"] > 0
+        assert not [name for name in report if name.startswith("obs_frames")]
 
 
 # ---------------------------------------------------------------------------
@@ -502,6 +415,24 @@ class TestTardisTop:
         out = capsys.readouterr().out
         assert rc == 0
         assert out.count("tardis top — site=obs-cold") == 2
+
+    @pytest.mark.parametrize("sampler", [0.05, None], ids=["sampler-on", "sampler-off"])
+    def test_live_polls_a_fresh_snapshot_per_frame(self, sampler, capsys):
+        # Polls spaced by more than the sampler's cadence each find a
+        # newer sample; with the sampler off each poll samples itself.
+        handle = start_in_thread(site="obs-poll", obs_sample_interval=sampler)
+        try:
+            rc = cli_main(
+                ["top", "--port", str(handle.port), "--live", "--frames", "3",
+                 "--interval", "0.15"]
+            )
+        finally:
+            handle.stop()
+        out = capsys.readouterr().out
+        assert rc == 0
+        seqs = [int(seq) for seq in re.findall(r"site=obs-poll  seq=(\d+)", out)]
+        assert len(seqs) == 3
+        assert seqs[0] < seqs[1] < seqs[2]
 
     def test_sparkline_shapes(self):
         from repro.tools.top import sparkline

@@ -1,7 +1,6 @@
 """End-to-end tests for the network server: sessions, concurrency,
 disconnect cleanup, graceful shutdown, and the wire error paths."""
 
-import asyncio
 import socket
 import struct
 import threading
@@ -10,7 +9,7 @@ import time
 import pytest
 
 from repro import TardisStore
-from repro.client import AsyncTardisClient, TardisClient
+from repro.client import TardisClient
 from repro.errors import (
     BeginError,
     FrameTooLarge,
@@ -21,7 +20,14 @@ from repro.errors import (
     TransactionClosed,
 )
 from repro.server import start_in_thread
-from repro.server.protocol import HEADER, MAX_FRAME, FrameDecoder, encode_frame
+from repro.server.protocol import (
+    HEADER,
+    MAX_FRAME,
+    PROTOCOL_VERSION,
+    FrameDecoder,
+    encode_frame,
+    ok_response,
+)
 
 
 def _wait_until(predicate, timeout=5.0, interval=0.02):
@@ -467,6 +473,63 @@ class TestWireErrors:
         finally:
             sock.close()
 
+    def test_a_version_3_hello_is_refused(self, served):
+        # Version 3 still had the push stream; its peers are turned away at
+        # the handshake, and the refusal binds nothing.
+        with _Raw(served.port, hello=False) as raw:
+            refused = raw.ask({"id": 1, "op": "HELLO", "protocol": 3})
+            assert refused["error"]["code"] == "BAD_VERSION"
+            assert "protocol %d" % PROTOCOL_VERSION in refused["error"]["message"]
+            assert raw.ask({"id": 2, "op": "HELLO", "protocol": PROTOCOL_VERSION})["ok"]
+
+    def test_a_frame_the_client_did_not_ask_for_closes_it(self):
+        # A peer that writes a frame of its own between answers (a version
+        # 3 push frame, here) has broken the pairing: the client drops the
+        # link rather than guess which frame answers what.
+        listener = socket.create_server(("127.0.0.1", 0))
+        seen = []
+
+        def peer():
+            conn, _ = listener.accept()
+            decoder = FrameDecoder()
+
+            def request():
+                while True:
+                    frame = decoder.next_frame()
+                    if frame is not None:
+                        return frame
+                    data = conn.recv(65536)
+                    if not data:
+                        return None
+                    decoder.feed(data)
+
+            with conn:
+                hello = request()
+                conn.sendall(encode_frame(ok_response(
+                    hello["id"], session="s", site="fake", protocol=PROTOCOL_VERSION
+                )))
+                stats = request()
+                push = {"push": "obs", "seq": 1, "dropped": 0, "snapshot": {}}
+                conn.sendall(
+                    encode_frame(push) + encode_frame(ok_response(stats["id"], stats={}))
+                )
+                seen.append(request())  # what the client sends next
+
+        thread = threading.Thread(target=peer)
+        thread.start()
+        try:
+            client = TardisClient(port=listener.getsockname()[1], timeout=5.0)
+            with pytest.raises(NetworkError, match="does not match"):
+                client.stats()
+            assert client._channel.closed
+            with pytest.raises(NetworkError, match="client is closed"):
+                client.stats()
+            client.close()
+        finally:
+            thread.join(timeout=5.0)
+            listener.close()
+        assert seen == [None]  # nothing: the socket was dropped
+
     def test_no_hello_unknown_txn_bad_constraint(self, served):
         sock = socket.create_connection(("127.0.0.1", served.port), timeout=5.0)
         try:
@@ -533,6 +596,9 @@ class TestWireErrors:
                     "BAD_CONSTRAINT",
                 ),
                 ({"op": ["READ"]}, "UNKNOWN_OP"),
+                # The push stream's ops went with protocol version 4.
+                ({"op": "OBS_SUBSCRIBE"}, "UNKNOWN_OP"),
+                ({"op": "OBS_UNSUBSCRIBE"}, "UNKNOWN_OP"),
             ]
             for request_id, (request, code) in enumerate(misuse, start=9):
                 request["id"] = request_id
@@ -548,13 +614,13 @@ class TestWireErrors:
             txn.put("x", 1)
             txn.commit()
             with pytest.raises(ServerError) as exc_info:
-                client._call("COMMIT", {"txn": txn._txn_id}, dict)
+                client._call("COMMIT", {"txn": txn._txn_id})
             assert exc_info.value.code == "UNKNOWN_TXN"
 
     def test_commit_with_a_bad_constraint_leaves_the_handle_active(self, served):
         # The server answered BAD_CONSTRAINT and kept the transaction:
         # the handle must say so, or ``with`` skips the abort and the
-        # read-state pin leaks. One ``commit`` serves both clients.
+        # read-state pin leaks.
         with TardisClient(port=served.port) as client:
             txn = client.begin()
             txn.put("x", 1)
@@ -575,24 +641,6 @@ class TestWireErrors:
             assert exc_info.value.code == "BAD_CONSTRAINT"
             assert unsent.status == "aborted"
             assert client.stats()["open_txns"] == 0
-
-        async def _go():
-            client = await AsyncTardisClient.connect(port=served.port)
-            try:
-                txn = await client.begin()
-                await txn.put("x", 1)
-                assert await txn.get("x") == 1
-                with pytest.raises(ServerError) as exc_info:
-                    await txn.commit(constraint="nope")
-                assert exc_info.value.code == "BAD_CONSTRAINT"
-                assert txn.status == "active"
-                await txn.abort()
-                assert txn.status == "aborted"
-                assert (await client.stats())["open_txns"] == 0
-            finally:
-                await client.close()
-
-        asyncio.run(_go())
 
 
 # ---------------------------------------------------------------------------
@@ -639,57 +687,34 @@ class TestAbandonedRequest:
         assert self._open_txns(served.port) == 0
         client.close()  # idempotent on a closed client
 
-    def test_async_timeout_closes_the_client_and_the_server_cleans_up(self, served):
+    def test_an_interrupted_call_closes_the_client(self, served):
         store = served.server.store
+        client = TardisClient(port=served.port, session="interrupted")
 
-        async def _go():
-            client = await AsyncTardisClient.connect(
-                port=served.port, session="impatient"
-            )
-            original = self._slow_begin(store, 0.3)
-            try:
-                txn = await client.begin()
-                with pytest.raises(asyncio.TimeoutError):
-                    await asyncio.wait_for(txn.get("x", default=None), 0.1)
-            finally:
-                store.begin = original
-            assert client._channel.closed
-            for _ in range(3):
-                with pytest.raises(NetworkError, match="client is closed"):
-                    await client.stats()
-            await client.close()
+        class _Interrupted:  # the request goes out, the wait for it is cut short
+            def __init__(self, sock):
+                self.sock = sock
 
-        asyncio.run(_go())
+            def sendall(self, data):
+                self.sock.sendall(data)
+
+            def recv(self, size):
+                raise KeyboardInterrupt
+
+            def close(self):
+                self.sock.close()
+
+        client._sock = _Interrupted(client._sock)
+        with pytest.raises(KeyboardInterrupt):
+            client.begin().get("x", default=None)
+        assert client._channel.closed
+        with pytest.raises(NetworkError, match="client is closed"):
+            client.stats()
         assert _wait_until(
-            lambda: not any(s.name == "impatient" for s in store.sessions())
-        ), "session leaked after the timeout"
+            lambda: not any(s.name == "interrupted" for s in store.sessions())
+        ), "session leaked after the interrupt"
         assert self._open_txns(served.port) == 0
-
-
-# ---------------------------------------------------------------------------
-# The async client speaks the same protocol.
-
-
-class TestAsyncClient:
-    def test_async_round_trip(self, served):
-        async def _go():
-            client = await AsyncTardisClient.connect(
-                port=served.port, session="aio"
-            )
-            try:
-                async with await client.begin() as txn:
-                    await txn.put("async-key", [1, 2, 3])
-                assert await client.get("async-key") == [1, 2, 3]
-                merge = await client.merge()
-                for conflict in merge.conflicts:
-                    await merge.put(conflict["key"], max(conflict["values"]))
-                await merge.commit()
-                stats = await client.stats()
-                assert stats["commits"] >= 2
-            finally:
-                await client.close()
-
-        asyncio.run(_go())
+        client.close()
 
 
 # ---------------------------------------------------------------------------
@@ -870,82 +895,40 @@ class TestFramesPerTransaction:
             ]
             assert client.stats()["open_txns"] == 0
 
-    def test_async_client(self, served):
+    def test_with_blocks_cost_what_explicit_calls_do(self, served):
         _fork(served.port)
+        with TardisClient(port=served.port) as client:
 
-        async def _go():
-            client = await AsyncTardisClient.connect(port=served.port)
-            counts = []
+            def read_modify_write():
+                with client.begin() as txn:
+                    txn.put("n", txn.get("n", default=0) + 1)
 
-            async def frames(work):
-                before = (await client.stats())["requests_total"]
-                await work()
-                counts.append((await client.stats())["requests_total"] - before - 1)
+            def write_free():
+                with client.begin() as txn:
+                    txn.get("x")
 
-            async def read_only():
-                txn = await client.begin(read_only=True)
-                assert txn.read_state is None
-                await txn.get_many(["x", "y"], default=None)
-                assert isinstance(txn.read_state, str)
-                assert await txn.commit() == txn.read_state == txn.commit_state
+            def write_free_with_an_end_constraint():
+                with client.begin() as txn:
+                    txn.get("x")
+                    assert txn.commit(constraint="any") == txn.read_state
+
+            def merge():
+                with client.merge() as txn:
+                    for conflict in txn.conflicts:
+                        txn.put(conflict["key"], max(conflict["values"]))
                 assert txn.status == "committed"
 
-            async def read_modify_write():
-                async with await client.begin() as txn:
-                    await txn.put("n", await txn.get("n", default=0) + 1)
-
-            async def blind_writes():
-                txn = await client.begin()
-                for i in range(100):
-                    await txn.put("key-%d" % i, i)
-                await txn.delete("key-0")
-                await txn.commit()
-
-            async def merge():
-                txn = await client.merge()
-                for conflict in txn.conflicts:
-                    await txn.put(conflict["key"], max(conflict["values"]))
-                await txn.commit()
-
-            async def begin_then_abort():
-                txn = await client.begin()
-                await txn.put("never", 1)
-                await txn.abort()
+            def raised():
+                with pytest.raises(RuntimeError):
+                    with client.begin() as txn:
+                        txn.put("never", 1)
+                        raise RuntimeError("boom")
                 assert txn.status == "aborted"
 
-            async def write_free_with_an_end_constraint():
-                async with await client.begin() as txn:
-                    await txn.get("x")
-                    assert await txn.commit(constraint="any") == txn.read_state
-
-            async def write_free_with_a_bogus_end_constraint():
-                txn = await client.begin(read_only=True)
-                await txn.get("x")
-                with pytest.raises(ServerError) as exc_info:
-                    await txn.commit(constraint="nope")
-                assert exc_info.value.code == "BAD_CONSTRAINT"
-                assert txn.status == "active"
-                await txn.commit()
-
-            try:
-                for work in (
-                    read_only,
-                    read_modify_write,
-                    blind_writes,
-                    merge,
-                    begin_then_abort,
-                    write_free_with_an_end_constraint,
-                    write_free_with_a_bogus_end_constraint,
-                ):
-                    await frames(work)
-                assert counts == [1, 2, 1, 2, 0, 2, 2]
-                keys = ["x", "n", "key-0", "key-99", "never"]
-                assert await client.get_many(keys) == [2, 1, None, 99, None]
-                assert (await client.stats())["open_txns"] == 0
-            finally:
-                await client.close()
-
-        asyncio.run(_go())
+            work = [read_modify_write, write_free, write_free_with_an_end_constraint, merge, raised]
+            assert [_frames(client.stats, w) for w in work] == [2, 1, 2, 2, 0]
+            assert client.get_many(["n", "x", "never"]) == [1, 2, None]
+            assert client.stats()["open_txns"] == 0
 
 
 # ---------------------------------------------------------------------------
@@ -1002,31 +985,25 @@ class TestDeferredClose:
             a.close()
             b.close()
 
-    def test_async_anchor(self, served):
+    def test_a_with_block_read_anchors_the_next_begin(self, served):
         store = served.server.store
-
-        async def _go():
-            a = await AsyncTardisClient.connect(port=served.port, session="A")
-            b = await AsyncTardisClient.connect(port=served.port, session="B")
+        with TardisClient(port=served.port, session="A") as a, TardisClient(
+            port=served.port, session="B"
+        ) as b:
+            b.put("x", 1)
+            with a.begin(read_only=True) as reader:
+                assert reader.get("x") == 1
+            assert reader.status == "committed"
+            assert reader.commit_state == reader.read_state
+            b.put("x", 2)
+            anchors, original = _anchors_seen_by_begin(store, "A")
             try:
-                await b.put("x", 1)
-                async with await a.begin(read_only=True) as reader:
-                    assert await reader.get("x") == 1
-                assert reader.status == "committed"
-                await b.put("x", 2)
-                anchors, original = _anchors_seen_by_begin(store, "A")
-                try:
-                    later = await a.begin()
-                    assert await later.get("x") == 2
-                finally:
-                    store.begin = original
-                assert anchors == [reader.commit_state]
-                await later.commit()
+                later = a.begin()
+                assert later.get("x") == 2
             finally:
-                await a.close()
-                await b.close()
-
-        asyncio.run(_go())
+                store.begin = original
+            assert anchors == [reader.commit_state]
+            later.commit()
 
     @staticmethod
     def _next_frames(client):
@@ -1060,26 +1037,19 @@ class TestDeferredClose:
                 client.close()
         assert store.metrics.read_only_commits == 4
 
-    def test_async_no_pin_outlives_the_next_frame(self, served):
+    def test_autocommit_reads_hold_one_pin_until_the_next_frame(self, served):
         store = served.server.store
-
-        async def _go():
-            client = await AsyncTardisClient.connect(port=served.port)
-            try:
-                assert await client.get("x") is None  # autocommit: one frame
-                assert _total_pins(store) == 1
-                assert (await client.stats())["open_txns"] == 0
-                assert _total_pins(store) == 0
-                assert await client.get_many(["x", "y"]) == [None, None]
-                merge = await client.merge()
-                assert _total_pins(store) == 1  # the merge's own
-                await merge.abort()
-                assert await client.get("x") is None
-            finally:
-                await client.close()  # BYE carries the last one
+        with TardisClient(port=served.port) as client:
+            assert client.get("x") is None  # one frame; its close waits
+            assert _total_pins(store) == 1
+            assert client.stats()["open_txns"] == 0  # this frame carried it
             assert _total_pins(store) == 0
-
-        asyncio.run(_go())
+            assert client.get_many(["x", "y"]) == [None, None]
+            merge = client.merge()
+            assert _total_pins(store) == 1  # the merge's own
+            merge.abort()
+            assert client.get("x") is None
+        assert _total_pins(store) == 0  # BYE carried the last one
         assert store.metrics.read_only_commits == 3
 
     def test_a_bare_socket_drop_releases_the_pin(self, served):
@@ -1214,6 +1184,40 @@ class TestBufferedWrites:
             assert client.get("a") is None
             assert client.stats()["open_txns"] == 0
 
+    def test_a_read_carrying_more_writes_than_one_frame_holds(self, served):
+        blob = "v" * (40 * 1024)
+        with TardisClient(port=served.port) as client:
+            txn = client.begin()
+
+            def big_read():
+                for i in range(64):
+                    txn.put("big-%02d" % i, blob + str(i))
+                assert txn.get("big-63") == blob + "63"  # its own write
+
+            # 3 WRITE frames (the first carries the BEGIN), then the READ.
+            assert _frames(client.stats, big_read) == 4
+            assert isinstance(txn.read_state, str) and txn._writes == []
+            txn.commit()
+            assert client.get("big-00") == blob + "0"
+
+    def test_a_refused_first_half_fails_the_begin_as_a_unit(self, served):
+        blob = "v" * (40 * 1024)
+        with TardisClient(port=served.port) as client:
+            txn = client.begin()
+            txn.put(("not", "scalar"), 1)  # in the first WRITE frame
+            for i in range(63):
+                txn.put("big-%02d" % i, blob)
+
+            def refused():
+                with pytest.raises(ServerError) as exc_info:
+                    txn.commit()
+                assert exc_info.value.code == "BAD_REQUEST"
+
+            assert _frames(client.stats, refused) == 1  # the rest never left
+            assert txn.status == "aborted"
+            assert client.stats()["open_txns"] == 0
+            assert client.get("big-00") is None
+
     def test_more_writes_than_one_frame_holds_still_commit(self, served):
         blob = "v" * (40 * 1024)
         with TardisClient(port=served.port) as client:
@@ -1240,40 +1244,6 @@ class TestBufferedWrites:
             assert client.stats()["open_txns"] == 0
             assert client.get("small") is None
 
-    def test_async_client_gets_the_same_rules(self, served):
-        blob = "v" * (40 * 1024)
-
-        async def _go():
-            client = await AsyncTardisClient.connect(port=served.port)
-            try:
-                before = (await client.stats())["requests_total"]
-                txn = await client.begin()
-                for i in range(64):
-                    await txn.put("big-%02d" % i, blob + str(i))
-                await txn.commit()
-                after = (await client.stats())["requests_total"]
-                assert after - before - 1 == 4
-                assert await client.get("big-63") == blob + "63"
-                with pytest.raises(TransactionClosed):
-                    await txn.put("x", 1)
-                reader = await client.begin(read_only=True)
-                with pytest.raises(ServerError) as exc_info:
-                    await reader.put("x", 1)
-                assert exc_info.value.code == "READ_ONLY"
-                await reader.abort()
-                unframeable = await client.begin()
-                await unframeable.put("bad", object())
-                with pytest.raises(TypeError):
-                    await unframeable.commit()
-                assert unframeable.status == "active" and len(unframeable._writes) == 1
-                await unframeable.abort()
-                assert (await client.stats())["open_txns"] == 0
-            finally:
-                await client.close()
-
-        asyncio.run(_go())
-
-
 # ---------------------------------------------------------------------------
 # A request answered TIMEOUT must not leave behind a transaction whose id
 # no client ever learned.
@@ -1294,7 +1264,7 @@ class TestTimedOutBegin:
                         txn.put("x", 1)
                         txn.get("x")
                     else:  # a begin with nothing else to do, as a raw client may send
-                        client._call("WRITE", {"begin": {}, "writes": []}, dict)
+                        client._call("WRITE", {"begin": {}, "writes": []})
                 assert exc_info.value.code == "TIMEOUT"
             finally:
                 store.begin = original
@@ -1354,24 +1324,6 @@ class TestRefusedHello:
             assert _wait_until(
                 lambda: holder.stats()["connections_active"] == before
             ), "the refused constructor left its socket open"
-
-    def test_async_connect_closes_its_writer(self, served):
-        async def _go():
-            holder = await AsyncTardisClient.connect(port=served.port, session="solo")
-            before = (await holder.stats())["connections_active"]
-            with pytest.raises(ServerError) as exc_info:
-                await AsyncTardisClient.connect(port=served.port, session="solo")
-            assert exc_info.value.code == "SESSION_IN_USE"
-            for _ in range(100):
-                if (await holder.stats())["connections_active"] == before:
-                    break
-                await asyncio.sleep(0.02)
-            else:
-                pytest.fail("the refused connect left its writer open")
-            await holder.close()
-
-        asyncio.run(_go())
-
 
 # ---------------------------------------------------------------------------
 # What the stream reader/writer used to give for free, pinned against the

@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import TardisStore
-from repro.client import AsyncTardisClient, TardisClient
 from repro.errors import (
     BeginError,
     FrameTooLarge,
@@ -184,7 +183,7 @@ class TestResponseHelpers:
         assert "HELLO" in OPS and "MERGE" in OPS and "BEGIN" not in OPS
         for code in ("BAD_FRAME", "TIMEOUT", "SHUTTING_DOWN", "INTERNAL"):
             assert code in ERROR_CODES
-        assert PROTOCOL_VERSION == 3
+        assert PROTOCOL_VERSION == 4
 
 
 # ---------------------------------------------------------------------------
@@ -203,21 +202,12 @@ def _feed_chunked(channel, blob, rng):
 
 class TestClientChannel:
     @pytest.mark.parametrize("seed", range(5))
-    def test_fuzz_pairs_responses_and_parks_pushes_whatever_the_chunking(self, seed):
+    def test_fuzz_pairs_responses_whatever_the_chunking(self, seed):
         rng = random.Random(seed)
         n = 40
-        # The server's side of the stream: response i answers request
-        # i + 1, with push frames dropped in at random positions.
-        stream, n_pushes = [], 0
-        for i in range(1, n + 1):
-            for _ in range(rng.choice([0, 0, 1, 3])):
-                n_pushes += 1
-                stream.append({"push": "obs", "seq": n_pushes, "dropped": 0})
-            stream.append(ok_response(i, value="v" * rng.randrange(150)))
-        n_pushes += 1
-        stream.append({"push": "obs", "seq": n_pushes, "dropped": 0})  # trailing
+        # The server's side of the stream: response i answers request i.
+        stream = [ok_response(i, value="v" * rng.randrange(150)) for i in range(1, n + 1)]
         blob = b"".join(encode_frame(frame) for frame in stream)
-        expected = [frame for frame in stream if "push" not in frame]
 
         channel = ClientChannel()
         feeder = _feed_chunked(channel, blob, rng)
@@ -231,26 +221,39 @@ class TestClientChannel:
                 response = channel.response()
             assert channel.awaiting is None
             responses.append(response)
-        assert responses == expected
-        pushes = []
-        while len(pushes) < n_pushes:
-            frame = channel.push()
-            if frame is None:
-                next(feeder)
-            else:
-                pushes.append(frame)
-        assert [frame["seq"] for frame in pushes] == list(range(1, n_pushes + 1))
-        assert channel.push() is None and not channel.closed
+        assert responses == stream
+        assert next(feeder, "drained") == "drained" and not channel.closed
 
     def test_byte_at_a_time(self):
         channel = ClientChannel()
         channel.request("STATS", {})
-        blob = encode_frame({"push": "obs", "seq": 1}) + encode_frame(ok_response(1))
-        for i, byte in enumerate(blob):
+        for byte in encode_frame(ok_response(1)):
             assert channel.response() is None
             channel.feed(bytes([byte]))
         assert channel.response() == {"id": 1, "ok": True}
-        assert channel.push() == {"push": "obs", "seq": 1}
+
+    @pytest.mark.parametrize(
+        "stray",
+        [
+            {"push": "obs", "seq": 1, "dropped": 0, "snapshot": {}},
+            {"ok": True},
+            error_response(None, "SERVER_BUSY"),
+        ],
+        ids=["push-frame", "no-id", "null-id"],
+    )
+    def test_a_frame_that_does_not_answer_the_request_closes(self, stray):
+        # There are no server-initiated frames: whatever arrives in place
+        # of the awaited answer means the pairing is lost.
+        channel = ClientChannel()
+        channel.request("STATS", {})
+        channel.feed(encode_frame(stray) + encode_frame(ok_response(1)))
+        with pytest.raises(NetworkError, match="does not match"):
+            channel.response()
+        self._assert_closed(channel)
+
+    def test_public_surface_is_request_response_only(self):
+        public = {name for name in dir(ClientChannel) if not name.startswith("_")}
+        assert public == {"request", "feed", "response", "abandon", "awaiting", "closed"}
 
     def test_request_refuses_an_op_outside_the_catalogue(self):
         channel = ClientChannel()
@@ -288,23 +291,19 @@ class TestClientChannel:
         self._assert_closed(channel)
 
     def test_response_with_no_request_in_flight_closes(self):
-        for read in (ClientChannel.response, ClientChannel.push):
-            channel = ClientChannel()
-            channel.feed(encode_frame(ok_response(1)))
-            with pytest.raises(NetworkError):
-                read(channel)
-            self._assert_closed(channel)
+        channel = ClientChannel()
+        channel.feed(encode_frame(ok_response(1)))
+        with pytest.raises(NetworkError):
+            channel.response()
+        self._assert_closed(channel)
 
-    def test_eof_closes_but_parked_pushes_stay_readable(self):
+    def test_eof_closes(self):
         channel = ClientChannel()
         channel.request("STATS", {})
-        channel.feed(encode_frame({"push": "obs", "seq": 1}))
-        assert channel.response() is None  # parks the push
+        channel.feed(encode_frame(ok_response(1))[:3])
+        assert channel.response() is None
         with pytest.raises(NetworkError, match="closed the connection"):
             channel.feed(b"")
-        assert channel.push() == {"push": "obs", "seq": 1}
-        with pytest.raises(NetworkError):
-            channel.push()
         self._assert_closed(channel)
 
     def test_torn_frame_closes(self):
@@ -370,11 +369,13 @@ class TestHandlerTable:
             importlib.reload(handlers)
         assert set(handlers.HANDLERS) == OPS
 
-    def test_both_clients_expose_the_same_calls(self):
-        def public(cls):
-            return {name for name in dir(cls) if not name.startswith("_")}
-
-        assert public(AsyncTardisClient) - {"connect"} == public(TardisClient)
+    @pytest.mark.parametrize("op", ["BEGIN", "OBS_SUBSCRIBE", "OBS_UNSUBSCRIBE"])
+    def test_a_deleted_op_is_unknown(self, op):
+        _server, session = _session()
+        answer = session.handle({"id": 1, "op": op})
+        assert answer["error"]["code"] == "UNKNOWN_OP"
+        # The connection is no worse for it.
+        assert session.handle({"id": 2, "op": "STATS"})["ok"]
 
     def test_handle_never_raises_on_junk(self):
         session = WireSession(TardisServer(TardisStore("junk")), 1)

@@ -215,6 +215,21 @@ class TestConstraints:
         # 2nd forks; the rest abort.
         assert results == ["ok", "ok", "abort", "abort"]
 
+    def test_the_defaults_are_the_papers_and_fixed(self, store):
+        # §5.1: a begin naming no constraint is Ancestor, a commit naming
+        # none is Serializability; neither is a store option.
+        assert isinstance(store.default_begin, AncestorConstraint)
+        assert isinstance(store.default_end, SerializabilityConstraint)
+        with pytest.raises(TypeError):
+            TardisStore("B", default_begin=AnyConstraint())
+        store.put("x", 0)
+        t1, t2 = store.begin(), store.begin()
+        for t in (t1, t2):
+            t.put("x", t.get("x") + 1)
+        t1.commit()
+        t2.commit()  # read what t1 overwrote: it forks instead of rippling down
+        assert store.metrics.forks == 1
+
     def test_k_branching_validates_k(self):
         with pytest.raises(ValueError):
             KBranchingConstraint(1)

@@ -123,11 +123,6 @@ class TestMixes:
         assert len(spec.ops) == 1
         assert spec.ops[0][0] == "w"
 
-    def test_write_keys_hint(self):
-        wl = YCSBWorkload(mix=WRITE_HEAVY, n_keys=50)
-        spec = wl.next_txn(random.Random(0))
-        assert spec.write_keys == {op[1] for op in spec.ops if op[0] == "w"}
-
     def test_preload_covers_keyspace(self):
         wl = YCSBWorkload(n_keys=10)
         assert len(wl.preload) == 10
