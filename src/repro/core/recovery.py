@@ -32,11 +32,12 @@ _MISSING = object()
 
 
 def checkpoint_store(store: TardisStore, snapshot_path: str) -> int:
-    """Take a non-blocking checkpoint: snapshot + log compaction.
+    """Take a checkpoint: snapshot + log compaction.
 
     Serializes every DAG state and record version to ``snapshot_path``
-    and rewrites the log to a single checkpoint marker. Returns the
-    number of states checkpointed.
+    and rewrites the log to a single checkpoint marker, holding the
+    store lock throughout: every other store call waits for it. Returns
+    the number of states checkpointed.
     """
     with store._lock:
         states = [

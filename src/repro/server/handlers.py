@@ -2,9 +2,10 @@
 
 Everything in this module runs on the server's single store-executor
 thread (so it is serialized with every other store access) and touches
-no socket, event loop or clock. ``server/server.py`` is the other half —
-the event-loop transport — and reaches the store only through
-:meth:`WireSession.handle` and :meth:`WireSession.close`.
+no socket or event loop; its one clock times GC pauses.
+``server/server.py`` is the other half — the event-loop transport — and
+reaches the store only through :meth:`WireSession.handle` and
+:meth:`WireSession.close`.
 
 A request is answered by one plain function ``(server, session,
 request) -> response fields`` looked up in :data:`HANDLERS`; the table
@@ -21,10 +22,16 @@ runs both before the op itself (``WRITE`` is the one-op spelling of
 ``writes``). A write-free transaction costs one: any request may carry
 ``closed``, the ids of those its client committed locally, and
 :meth:`WireSession.handle` commits them before the op runs.
+
+The served store collects its garbage (docs/internals.md §3): every
+commit a session makes places its GC ceiling at its new anchor, and a
+COMMIT that leaves the DAG ``server._gc_at`` states large runs a cycle
+before it is answered.
 """
 
 from __future__ import annotations
 
+import time
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core import constraints
@@ -42,7 +49,15 @@ from repro.server.protocol import (
 if TYPE_CHECKING:
     from repro.server.server import TardisServer
 
-__all__ = ["HANDLERS", "RequestError", "WireSession", "holds_work"]
+__all__ = ["GC_GROWTH", "HANDLERS", "RequestError", "WireSession", "holds_work"]
+
+#: states a COMMIT may add past twice what the last GC cycle left alive
+#: before the next cycle runs (see ``_collect_if_grown``).
+GC_GROWTH = 512
+
+#: the GC fields of STATS ``store.gc``; the server's counters carry each
+#: as ``gc_<field>``.
+GC_FIELDS = ("cycles", "states_removed", "pause_ms_last", "pause_ms_max")
 
 #: begin-constraint names accepted by ``begin`` (Table 1 of the paper).
 BEGIN_CONSTRAINTS: Dict[str, Callable[[], constraints.Constraint]] = {
@@ -162,6 +177,7 @@ class WireSession:
             if txn is not None:
                 txn.commit()
                 self.server._count(None, "commits")
+                txn.session.place_ceiling()
 
     def close(self) -> int:
         """Abort what is open and close the store session; returns how
@@ -366,7 +382,29 @@ def _commit(server: TardisServer, session: WireSession, request: _Json) -> _Json
         if txn.status != ACTIVE:
             session.txns.pop(request["txn"], None)
             server._count(None, "commits" if txn.status == COMMITTED else "aborts")
+    txn.session.place_ceiling()
+    _collect_if_grown(server)
     return {"commit_state": repr(commit_id), "merge": isinstance(txn, MergeTransaction)}
+
+
+def _collect_if_grown(server: TardisServer) -> None:
+    """The growth trigger: one GC cycle once the DAG holds ``server._gc_at``
+    states. The next trigger is twice what the cycle left alive plus
+    :data:`GC_GROWTH`, so a collector held back by an old ceiling or a pin
+    runs at geometrically spaced sizes and its total cost stays linear."""
+    store = server.store
+    if len(store.dag) < server._gc_at:
+        return
+    started = time.perf_counter()
+    stats = store.collect_garbage()
+    pause_ms = (time.perf_counter() - started) * 1000.0
+    server._gc_at = 2 * stats.live_states + GC_GROWTH
+    with server._lock:
+        counters = server._stats
+        counters["gc_cycles"] += 1
+        counters["gc_states_removed"] += stats.states_removed
+        counters["gc_pause_ms_last"] = pause_ms
+        counters["gc_pause_ms_max"] = max(counters["gc_pause_ms_max"], pause_ms)
 
 
 def _abort(server: TardisServer, session: WireSession, request: _Json) -> _Json:
@@ -410,6 +448,8 @@ def _stats(server: TardisServer, session: WireSession, request: _Json) -> _Json:
         "commits": store.metrics.commits,
         "merges": store.metrics.merges,
         "records": store.versions.num_records(),
+        "promotions": store.dag.promotion_table_size,
+        "gc": {name: stats.pop("gc_" + name) for name in GC_FIELDS},
     }
     shards = store.shard_health(ping=False)
     if shards is not None and "workers" in shards:

@@ -76,7 +76,7 @@ from repro.core.store import TardisStore
 from repro.errors import FrameTooLarge, ProtocolError
 from repro.obs import metrics as _met
 from repro.obs.sampler import ObsSampler
-from repro.server.handlers import WireSession, holds_work
+from repro.server.handlers import GC_GROWTH, WireSession, holds_work
 from repro.server.protocol import OPS, FrameDecoder, encode_frame, error_response
 
 __all__ = ["TardisServer", "ServerThread", "start_in_thread", "run_server"]
@@ -273,6 +273,7 @@ class TardisServer:
         "_owned_sessions": "self._lock",
         "_stats": "self._lock",
         "_inflight": "self._lock",
+        "_gc_at": "external:store-executor",
     }
 
     def __init__(
@@ -316,7 +317,7 @@ class TardisServer:
         self._next_conn_id = 1
         self._inflight = 0
         self._closing = False
-        self._stats: Dict[str, int] = {
+        self._stats: Dict[str, float] = {
             "connections_total": 0,
             "connections_rejected": 0,
             "requests_total": 0,
@@ -329,7 +330,14 @@ class TardisServer:
             "bytes_in": 0,
             "bytes_out": 0,
             "obs_samples": 0,
+            # set by the GC cycles the executor runs (handlers._collect_if_grown)
+            "gc_cycles": 0,
+            "gc_states_removed": 0,
+            "gc_pause_ms_last": 0.0,
+            "gc_pause_ms_max": 0.0,
         }
+        #: the DAG size at which a COMMIT runs the next GC cycle.
+        self._gc_at = GC_GROWTH
         self.report: Optional[Dict[str, Any]] = None
         # -- live ops plane (docs/internals.md §14) ------------------------
         #: wall seconds between sampler ticks; None leaves the sampler

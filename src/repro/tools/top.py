@@ -28,6 +28,7 @@ from typing import Any, Dict, List, Sequence
 
 from repro.client.client import TardisClient
 from repro.errors import NetworkError
+from repro.server.handlers import GC_FIELDS
 
 __all__ = ["sparkline", "render_snapshot", "cmd_top"]
 
@@ -111,6 +112,10 @@ def render_snapshot(snapshot: Dict[str, Any], width: int = 40) -> str:
             _fmt(counters.get("store_commits", 0)),
             _fmt(counters.get("store_merges", 0)),
         )
+    )
+    lines.append(
+        "gc cycles=%s  removed=%s  pause_ms=%s  pause_ms_max=%s"
+        % tuple(_fmt(counters.get("gc_" + name, 0)) for name in GC_FIELDS)
     )
 
     series = snapshot.get("series", {})

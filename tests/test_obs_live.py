@@ -393,7 +393,18 @@ class TestTardisTop:
         assert rc == 0
         assert "tardis top — site=obs-cold" in out
         assert "branches=" in out
+        assert "gc cycles=0  removed=0" in out  # one commit: no cycle yet
         assert "p99" in out  # latency table rendered
+
+    def test_the_gc_row_renders_the_server_counters(self):
+        from repro.tools.top import render_snapshot
+
+        counters = {
+            "gc_cycles": 3, "gc_states_removed": 1500,
+            "gc_pause_ms_last": 2.5, "gc_pause_ms_max": 12.25,
+        }
+        text = render_snapshot({"counters": counters})
+        assert "gc cycles=3  removed=1500  pause_ms=2.50  pause_ms_max=12.2" in text
 
     def test_live_frames_against_streaming_server(self, served_live, capsys):
         with TardisClient(port=served_live.port) as client:
