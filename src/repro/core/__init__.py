@@ -5,7 +5,7 @@ paths, begin/end constraints, single-mode and merge-mode transactions,
 garbage collection, and recovery.
 """
 
-from repro.core.ids import StateId, ROOT_ID, IdAllocator
+from repro.core.ids import CommitRecord, StateId, ROOT_ID, IdAllocator
 from repro.core.ancestry import AncestryIndex, ForkPoint
 from repro.core.state_dag import State, StateDAG
 from repro.core.commit import CommitPipeline
@@ -29,6 +29,7 @@ from repro.core.gc import GarbageCollector
 from repro.core.recovery import recover_store, checkpoint_store
 
 __all__ = [
+    "CommitRecord",
     "StateId",
     "ROOT_ID",
     "IdAllocator",

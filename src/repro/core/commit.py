@@ -9,8 +9,12 @@ one code path, parameterized only by the commit's *origin*:
 
 * ``LOCAL`` — an ordinary single-mode commit;
 * ``MERGE`` — a merge-mode commit over several parents (§6.2);
-* ``REMOTE`` — a replicated transaction grafted at its designated
-  state id (§6.4).
+* ``REMOTE`` — a transaction grafted at its designated state id: a
+  replicated one (§6.4) or a log replay (§6.5).
+
+Each commit becomes one :class:`~repro.core.ids.CommitRecord`, built
+here; the log appends it, the store hands it to its commit listeners
+(the replicator ships it) and recovery and remote apply take it back.
 
 Constraint evaluation (ripple-down, end checks) stays in the store —
 those decide *whether and where* to commit; the pipeline performs the
@@ -21,9 +25,9 @@ log appends and, later, fault injection.
 
 from __future__ import annotations
 
-from typing import Any, Dict, FrozenSet, Iterable, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Optional, Sequence, Union
 
-from repro.core.ids import StateId
+from repro.core.ids import CommitRecord, StateId
 from repro.core.state_dag import State, StateDAG
 from repro.core.transaction import OpTrace
 from repro.core.versions import VersionedRecordStore
@@ -55,13 +59,11 @@ class CommitPipeline:
         "versions",
         "staged",
         "wal",
-        "log_values",
         "group_commit",
         "_unflushed",
         "_hot_registry",
         "_hot_commit",
         "_hot_write_keys",
-        "_hot_remote_apply",
     )
 
     def __init__(
@@ -69,7 +71,6 @@ class CommitPipeline:
         dag: StateDAG,
         versions: Union[VersionedRecordStore, ShardedRecordStore],
         wal: Optional[WriteAheadLog] = None,
-        log_values: bool = True,
         group_commit: int = 0,
     ) -> None:
         self.dag = dag
@@ -78,7 +79,6 @@ class CommitPipeline:
         self.versions: Any = versions
         self.staged = isinstance(versions, ShardedRecordStore)
         self.wal = wal
-        self.log_values = log_values
         self.group_commit = int(group_commit)
         self._unflushed = 0
         #: per-commit metric handles, re-resolved when the default
@@ -87,19 +87,16 @@ class CommitPipeline:
         self._hot_registry = None
         self._hot_commit = None
         self._hot_write_keys = None
-        self._hot_remote_apply = None
 
     def commit(
         self,
         parents: Sequence[State],
         writes: Dict[Any, Any],
-        read_keys: FrozenSet = frozenset(),
-        write_keys: Optional[Iterable[Any]] = None,
         state_id: Optional[StateId] = None,
         origin: str = LOCAL,
         trace: Optional[OpTrace] = None,
-    ) -> State:
-        """Install one committed transaction and return its new state.
+    ) -> CommitRecord:
+        """Install one committed transaction and return its record.
 
         ``state_id`` is given only for ``REMOTE`` commits (the state
         keeps its origin-site id, §6.4). The caller holds the store lock
@@ -126,10 +123,7 @@ class CommitPipeline:
                 ) from exc
         try:
             state = self.dag.create_state(
-                parents,
-                read_keys=read_keys,
-                write_keys=frozenset(write_keys if write_keys is not None else writes),
-                state_id=state_id,
+                parents, write_keys=frozenset(writes), state_id=state_id
             )
         except Exception:
             if staged is not None:
@@ -142,13 +136,15 @@ class CommitPipeline:
                 versions.write(key, state.id, value)
         if trace is not None:
             trace.writes_applied += len(writes)
-        self._append_log(state, writes)
-        self._observe(origin, parents, writes)
+        record = CommitRecord(state.id, tuple(p.id for p in state.parents), writes)
+        self._append_log(record)
+        if origin != REMOTE:
+            self._observe(origin, parents, writes)
         if staged is not None and staged.n_shards > 1:
             m = _met.DEFAULT
             if m.enabled:
                 m.inc("tardis_commit_cross_shard_total")
-        return state
+        return record
 
     def _observe_shard_abort(self) -> None:
         m = _met.DEFAULT
@@ -157,16 +153,11 @@ class CommitPipeline:
 
     # -- write-ahead logging (§6.5) ----------------------------------------
 
-    def _append_log(self, state: State, writes: Dict[Any, Any]) -> None:
+    def _append_log(self, record: CommitRecord) -> None:
         wal = self.wal
         if wal is None:
             return
-        wal.append_commit(
-            state.id,
-            tuple(p.id for p in state.parents),
-            tuple(writes.keys()),
-            values=dict(writes) if self.log_values else None,
-        )
+        wal.append_commit(record)
         if self.group_commit > 1 and not wal.sync:
             self._unflushed += 1
             if self._unflushed >= self.group_commit:
@@ -188,10 +179,6 @@ class CommitPipeline:
             self._hot_registry = m
             self._hot_commit = m.counter("tardis_txn_commit_total")
             self._hot_write_keys = m.histogram("tardis_txn_write_keys")
-            self._hot_remote_apply = m.counter("tardis_repl_remote_apply_total")
-        if origin == REMOTE:
-            self._hot_remote_apply.inc()
-            return
         self._hot_commit.inc()
         self._hot_write_keys.record(len(writes))
         if origin == MERGE:

@@ -9,11 +9,16 @@ Both properties hold for Lamport pairs ``(counter, site)`` ordered
 lexicographically: a child's counter is one greater than the maximum of
 its parents' counters, so ancestors always order before descendants; the
 site component makes ids issued by different sites globally unique.
+
+A committed transaction is a :class:`CommitRecord`: its state id, its
+parent ids and its write set. The same record is what a site logs
+(§6.5), what it replicates (§6.4) and what recovery replays; it lives
+here so that ``core`` and ``storage`` can both import it.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple
+from typing import Any, Dict, Iterable, NamedTuple, Tuple
 
 
 class StateId(NamedTuple):
@@ -30,6 +35,18 @@ class StateId(NamedTuple):
 
 #: The identifier of the initial (empty) state at every site.
 ROOT_ID = StateId(0, "")
+
+
+class CommitRecord(NamedTuple):
+    """One committed transaction: graft ``writes`` under ``parent_ids``.
+
+    The log, the replicator and recovery all carry this one record;
+    its write set's keys are the state's write keys.
+    """
+
+    state_id: StateId
+    parent_ids: Tuple[StateId, ...]
+    writes: Dict[Any, Any]
 
 
 class IdAllocator:

@@ -51,7 +51,6 @@ class State:
         "parents",
         "children",
         "path_mask",
-        "read_keys",
         "write_keys",
         "next_branch",
         "pins",
@@ -64,7 +63,6 @@ class State:
         state_id: StateId,
         parents: Tuple["State", ...],
         path_mask: int,
-        read_keys: FrozenSet = frozenset(),
         write_keys: FrozenSet = frozenset(),
     ) -> None:
         self.id = state_id
@@ -73,9 +71,6 @@ class State:
         #: fork path as an int bitmask over the owning DAG's interned
         #: fork points; the Figure 7 subset test operates on this.
         self.path_mask = path_mask
-        #: read set of the transaction that created this state
-        #: (needed by the Serializability end constraint, §6.1.1).
-        self.read_keys = read_keys
         #: write set of the creating transaction; a collection cycle unions
         #: in the write keys of every state spliced into this one, so
         #: conflict detection survives DAG compression (§6.2, §6.3).
@@ -204,7 +199,6 @@ class StateDAG:
     def create_state(
         self,
         parents: Iterable[State],
-        read_keys: FrozenSet = frozenset(),
         write_keys: FrozenSet = frozenset(),
         state_id: Optional[StateId] = None,
     ) -> State:
@@ -242,7 +236,7 @@ class StateDAG:
             if branch >= 1:
                 mask |= self.ancestry.intern(ForkPoint(parent.id, branch))
 
-        state = State(state_id, parents, mask, read_keys, write_keys)
+        state = State(state_id, parents, mask, write_keys)
         for parent in parents:
             parent.children.append(state)
             parent.next_branch += 1

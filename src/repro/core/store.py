@@ -36,7 +36,7 @@ from repro.core.constraints import (
     StateIdConstraint,
 )
 from repro.core.gc import GarbageCollector, GCStats
-from repro.core.ids import ROOT_ID, StateId
+from repro.core.ids import ROOT_ID, CommitRecord, StateId
 from repro.core.merge import MergeTransaction
 from repro.core.state_dag import State, StateDAG
 from repro.core.transaction import (
@@ -147,7 +147,6 @@ class TardisStore:
         site: str,
         wal_path: Optional[str] = None,
         wal_sync: bool = True,
-        log_values: bool = True,
         group_commit: int = 0,
         shards: Optional[int] = None,
         shard_workers: Optional[int] = None,
@@ -186,7 +185,6 @@ class TardisStore:
             self.dag,
             self.versions,
             wal=self.wal,
-            log_values=log_values,
             group_commit=group_commit,
         )
         self.gc = GarbageCollector(self)
@@ -468,12 +466,8 @@ class TardisStore:
                 )
             created_fork = bool(current.children)
             try:
-                state = self.pipeline.commit(
-                    [current],
-                    txn.writes,
-                    read_keys=frozenset(txn.read_keys),
-                    origin=LOCAL,
-                    trace=txn.trace,
+                record = self.pipeline.commit(
+                    [current], txn.writes, origin=LOCAL, trace=txn.trace
                 )
             except CrossShardAbort:
                 # Shard prepare failed (dead/unresponsive worker); the
@@ -488,8 +482,8 @@ class TardisStore:
             self.metrics.commits += 1
             if created_fork:
                 self.metrics.forks += 1
-            txn.commit_id = state.id
-            txn.session.last_commit_id = state.id
+            txn.commit_id = record.state_id
+            txn.session.last_commit_id = record.state_id
             self._finish(txn, COMMITTED)
             m = _met.DEFAULT
             if m.enabled:
@@ -504,7 +498,7 @@ class TardisStore:
                 # the ring buffer holds only atomic values and stays
                 # invisible to the cyclic GC — resident StateId tuples
                 # were the dominant tracing cost.
-                ids = stamp(state.id, current.id)
+                ids = stamp(record.state_id, current.id)
                 t.event(
                     "txn.commit",
                     state=ids["trace"],
@@ -519,8 +513,8 @@ class TardisStore:
                     t.event(
                         "branch.fork", state=ids["trace"], site=self.site, **ids
                     )
-        self._notify_commit(state, txn.writes)
-        return state.id
+        self._notify_commit(record)
+        return record.state_id
 
     def _commit_merge(self, txn: MergeTransaction, end_constraint: Optional[Constraint]) -> StateId:
         constraint = end_constraint or self.default_end
@@ -540,12 +534,8 @@ class TardisStore:
                             % (parent.id, constraint.name)
                         )
             try:
-                state = self.pipeline.commit(
-                    txn.read_states,
-                    txn.writes,
-                    read_keys=frozenset(txn.read_keys),
-                    origin=MERGE,
-                    trace=txn.trace,
+                record = self.pipeline.commit(
+                    txn.read_states, txn.writes, origin=MERGE, trace=txn.trace
                 )
             except CrossShardAbort:
                 self._finish(txn, ABORTED)
@@ -556,55 +546,61 @@ class TardisStore:
                 raise
             self.metrics.commits += 1
             self.metrics.merges += 1
-            txn.commit_id = state.id
-            txn.session.last_commit_id = state.id
+            txn.commit_id = record.state_id
+            txn.session.last_commit_id = record.state_id
             self._finish(txn, COMMITTED)
             t = self.active_tracer()
             if t.enabled:
                 t.event(
                     "branch.merge",
-                    state=repr(state.id),
+                    state=repr(record.state_id),
                     parents=tuple(repr(p.id) for p in txn.read_states),
                     writes=len(txn.writes),
                     site=self.site,
-                    **stamp(state.id, txn.read_states[0].id)
+                    **stamp(record.state_id, txn.read_states[0].id)
                 )
-        self._notify_commit(state, txn.writes)
-        return state.id
+        self._notify_commit(record)
+        return record.state_id
 
     # -- replication hooks (§6.4) -----------------------------------------------
 
-    def add_commit_listener(self, listener: Callable[..., None]) -> None:
-        """``listener(state, writes)`` is called after each local commit."""
+    def add_commit_listener(self, listener: Callable[[CommitRecord], None]) -> None:
+        """``listener(record)`` is called after each local commit."""
         self._commit_listeners.append(listener)
 
-    def _notify_commit(self, state: State, writes: Dict[Any, Any]) -> None:
+    def _notify_commit(self, record: CommitRecord) -> None:
         for listener in self._commit_listeners:
-            listener(state, writes)
+            listener(record)
 
-    def apply_remote(
-        self,
-        state_id: StateId,
-        parent_ids: Tuple[StateId, ...],
-        writes: Dict[Any, Any],
-        read_keys: Iterable[Any] = (),
-        write_keys: Optional[Iterable[Any]] = None,
-    ) -> Optional[StateId]:
+    def apply_remote(self, record: CommitRecord) -> Optional[StateId]:
         """Apply a replicated transaction at its designated state (§6.4).
 
         The StateID constraint of the paper: the transaction is appended
-        exactly under the states named by ``parent_ids`` (a constant-time
-        presence check replaces dependency tracking). Raises
-        :class:`~repro.errors.GarbageCollectedError` / ``KeyError`` when a
-        parent is missing, in which case the replicator caches the
+        exactly under the states named by ``record.parent_ids`` (a
+        constant-time presence check replaces dependency tracking).
+        Raises :class:`~repro.errors.GarbageCollectedError` / ``KeyError``
+        when a parent is missing, in which case the replicator caches the
         transaction for later. Returns None when the state was already
         present (duplicate gossip delivery).
         """
         with self._lock:
+            state_id = self._graft(record)
+            if state_id is not None:
+                self.metrics.remote_applied += 1
+        return state_id
+
+    def _graft(self, record: CommitRecord) -> Optional[StateId]:
+        """Install ``record`` under its named parents.
+
+        ``apply_remote`` without the replication count: recovery replays
+        its log through here (§6.5).
+        """
+        with self._lock:
+            state_id = record.state_id
             if state_id in self.dag:
                 return None
             parents = []
-            for pid in parent_ids:
+            for pid in record.parent_ids:
                 if pid not in self.dag:
                     if pid == ROOT_ID:
                         # Every site shares the original empty state; if
@@ -624,16 +620,10 @@ class TardisStore:
                 # on; the paper aborts transactions that need states an
                 # erroneous ceiling collected (§6.4).
                 raise GarbageCollectedError(state_id)
-            state = self.pipeline.commit(
-                parents,
-                writes,
-                read_keys=frozenset(read_keys),
-                write_keys=write_keys,
-                state_id=state_id,
-                origin=REMOTE,
+            self.pipeline.commit(
+                parents, record.writes, state_id=state_id, origin=REMOTE
             )
-            self.metrics.remote_applied += 1
-        return state.id
+        return state_id
 
     # -- convenience autocommit helpers ----------------------------------------
 

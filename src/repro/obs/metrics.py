@@ -525,7 +525,6 @@ METRIC_NAMES: Dict[str, str] = {
     "tardis_repl_drop_total": "replication messages dropped",
     "tardis_repl_fetch_total": "replication state fetches",
     "tardis_repl_lag_total": "total cross-site replication lag (gauge)",
-    "tardis_repl_remote_apply_total": "remote commit records applied",
     "tardis_repl_send_total": "replication messages sent",
     "tardis_shard_access_total": "record accesses routed to a shard (@s<i> per shard)",
     "tardis_spec_confirm_total": "speculative executions confirmed",

@@ -13,13 +13,12 @@ when they turn out to need a state they dropped).
 """
 
 from repro.replication.network import SimNetwork
-from repro.replication.replicator import Replicator, TxnMessage
+from repro.replication.replicator import Replicator
 from repro.replication.cluster import Cluster, run_replicated_workload
 
 __all__ = [
     "SimNetwork",
     "Replicator",
-    "TxnMessage",
     "Cluster",
     "run_replicated_workload",
 ]

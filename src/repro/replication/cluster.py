@@ -271,7 +271,7 @@ def run_replicated_workload(
             ]
             replicator = cluster.replicators[site]
             replicator.apply_listener = (
-                lambda message, cores=cores: cores.execute(remote_apply_cost, lambda: None)
+                lambda record, cores=cores: cores.execute(remote_apply_cost, lambda: None)
             )
 
             for client in clients:

@@ -1,8 +1,9 @@
 """The per-site Replicator service (§6.4).
 
 Propagates locally committed transactions to every peer and applies
-remote transactions under their StateID constraint: a remote transaction
-names its parent state ids, so dependency checking reduces to a
+remote transactions under their StateID constraint. What travels is the
+commit's :class:`~repro.core.ids.CommitRecord`, the record the WAL logs:
+it names its parent state ids, so dependency checking reduces to a
 presence test in the local DAG. Transactions whose parents have not
 arrived are cached and retried as the missing states land.
 
@@ -14,24 +15,14 @@ table) fetches the missing state back from the sender (§6.4).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.core.ids import StateId
+from repro.core.ids import CommitRecord, StateId
 from repro.core.store import TardisStore
 from repro.errors import GarbageCollectedError
 from repro.obs import metrics as _met
 from repro.obs.context import stamp
 from repro.replication.network import SimNetwork
-
-
-@dataclass
-class TxnMessage:
-    """One replicated transaction: apply at ``parent_ids``, verbatim."""
-
-    state_id: StateId
-    parent_ids: Tuple[StateId, ...]
-    writes: Dict[Any, Any]
-    write_keys: Tuple[Any, ...] = ()
 
 
 @dataclass
@@ -47,33 +38,28 @@ class FetchRequest:
 class FetchResponse:
     state_id: StateId
     #: the state's content when still live at the responder...
-    message: Optional[TxnMessage] = None
+    record: Optional[CommitRecord] = None
     #: ...or the id it was promoted to when compressed away.
     promoted_to: Optional[StateId] = None
 
 
-def _stamp(message: TxnMessage) -> Dict[str, Optional[str]]:
+def _stamp(record: CommitRecord) -> Dict[str, Optional[str]]:
     """The trace ids of a replicated transaction's events."""
-    return stamp(message.state_id, *message.parent_ids[:1])
+    return stamp(record.state_id, *record.parent_ids[:1])
 
 
 class Replicator:
     """Gossips local commits; applies (or caches) remote transactions."""
 
-    def __init__(
-        self,
-        store: TardisStore,
-        network: SimNetwork,
-        apply_listener=None,
-    ):
+    def __init__(self, store: TardisStore, network: SimNetwork):
         self.store = store
         self.site = store.site
         self.network = network
-        #: messages waiting for a parent state: missing id -> messages.
-        self._pending: Dict[StateId, List[Tuple[str, TxnMessage]]] = {}
+        #: records waiting for a parent state: missing id -> records.
+        self._pending: Dict[StateId, List[Tuple[str, CommitRecord]]] = {}
         #: called after each successful remote apply (simulation charges
         #: service time through it).
-        self.apply_listener = apply_listener
+        self.apply_listener: Optional[Callable[[CommitRecord], None]] = None
         self.applied = 0
         self.cached = 0
         self.fetches = 0
@@ -83,13 +69,7 @@ class Replicator:
 
     # -- outbound -----------------------------------------------------------
 
-    def _on_local_commit(self, state, writes: Dict[Any, Any]) -> None:
-        message = TxnMessage(
-            state_id=state.id,
-            parent_ids=tuple(p.id for p in state.parents),
-            writes=dict(writes),
-            write_keys=tuple(state.write_keys),
-        )
+    def _on_local_commit(self, record: CommitRecord) -> None:
         m = _met.DEFAULT
         if m.enabled:
             m.inc("tardis_repl_send_total")
@@ -99,17 +79,17 @@ class Replicator:
             # atomic and GC-invisible.
             t.event(
                 "repl.send",
-                state=repr(state.id),
+                state=repr(record.state_id),
                 src=self.site,
                 site=self.site,
-                **_stamp(message)
+                **_stamp(record)
             )
-        self.network.broadcast(self.site, message)
+        self.network.broadcast(self.site, record)
 
     # -- inbound -------------------------------------------------------------
 
     def handle(self, src: str, message: Any) -> None:
-        if isinstance(message, TxnMessage):
+        if isinstance(message, CommitRecord):
             self._apply_or_cache(src, message)
         elif isinstance(message, FetchRequest):
             self._answer_fetch(src, message)
@@ -118,14 +98,14 @@ class Replicator:
         else:  # pragma: no cover - defensive
             raise TypeError("unknown replication message %r" % (message,))
 
-    def _apply_or_cache(self, src: str, message: TxnMessage) -> None:
+    def _apply_or_cache(self, src: str, record: CommitRecord) -> None:
         m = _met.DEFAULT
         t = self.store.active_tracer()
-        missing = [pid for pid in message.parent_ids if pid not in self.store.dag]
+        missing = [pid for pid in record.parent_ids if pid not in self.store.dag]
         if missing:
             self.cached += 1
             for pid in missing:
-                self._pending.setdefault(pid, []).append((src, message))
+                self._pending.setdefault(pid, []).append((src, record))
             # Optimistic GC recovery: the parent may be gone because we
             # collected it; ask the sender for it.
             self.fetches += 1
@@ -135,25 +115,20 @@ class Replicator:
             if t.enabled:
                 t.event(
                     "repl.cache",
-                    state=repr(message.state_id),
+                    state=repr(record.state_id),
                     missing=repr(missing[0]),
                     site=self.site,
-                    **_stamp(message)
+                    **_stamp(record)
                 )
             # The fetch is charged to the transaction waiting on it.
             self.network.send(
                 self.site,
                 src,
-                FetchRequest(missing[0], message.state_id, *message.parent_ids[:1]),
+                FetchRequest(missing[0], record.state_id, *record.parent_ids[:1]),
             )
             return
         try:
-            applied = self.store.apply_remote(
-                message.state_id,
-                message.parent_ids,
-                message.writes,
-                write_keys=message.write_keys,
-            )
+            applied = self.store.apply_remote(record)
         except GarbageCollectedError:
             # The parent's identity was collected in a way that cannot be
             # reconstructed locally (id-order violation after a flush);
@@ -164,9 +139,9 @@ class Replicator:
             if t.enabled:
                 t.event(
                     "repl.drop",
-                    state=repr(message.state_id),
+                    state=repr(record.state_id),
                     site=self.site,
-                    **_stamp(message)
+                    **_stamp(record)
                 )
             return
         if applied is not None:
@@ -176,21 +151,21 @@ class Replicator:
             if t.enabled:
                 t.event(
                     "repl.apply",
-                    state=repr(message.state_id),
+                    state=repr(record.state_id),
                     src=src,
                     site=self.site,
-                    **_stamp(message)
+                    **_stamp(record)
                 )
             if self.apply_listener is not None:
-                self.apply_listener(message)
-        self._drain_pending(message.state_id)
+                self.apply_listener(record)
+        self._drain_pending(record.state_id)
 
     def _drain_pending(self, arrived: StateId) -> None:
         waiting = self._pending.pop(arrived, None)
         if not waiting:
             return
-        for src, message in waiting:
-            self._apply_or_cache(src, message)
+        for src, record in waiting:
+            self._apply_or_cache(src, record)
 
     # -- state fetch (optimistic GC, §6.4) --------------------------------------
 
@@ -214,20 +189,18 @@ class Replicator:
             )
             return
         versions = self.store.versions
-        writes = {key: versions.record(key, state.id) for key in state.write_keys}
-        message = TxnMessage(
-            state_id=state.id,
-            parent_ids=tuple(p.id for p in state.parents),
-            writes=writes,
-            write_keys=tuple(state.write_keys),
+        record = CommitRecord(
+            state.id,
+            tuple(p.id for p in state.parents),
+            {key: versions.record(key, state.id) for key in state.write_keys},
         )
         self.network.send(
-            self.site, src, FetchResponse(request.state_id, message=message)
+            self.site, src, FetchResponse(request.state_id, record=record)
         )
 
     def _absorb_fetch(self, src: str, response: FetchResponse) -> None:
-        if response.message is not None:
-            self._apply_or_cache(src, response.message)
+        if response.record is not None:
+            self._apply_or_cache(src, response.record)
             return
         if response.promoted_to is not None:
             # The peer compressed the state away: its identity lives on in

@@ -7,9 +7,8 @@ The TARDiS store's per-key version lists live in
 records in a dict.
 """
 
-from repro.storage.wal import WriteAheadLog, LogRecord
+from repro.storage.wal import WriteAheadLog
 
 __all__ = [
     "WriteAheadLog",
-    "LogRecord",
 ]

@@ -2,13 +2,16 @@
 
 TARDiS guarantees atomicity and (optional) durability by logging, at
 commit time, the id of the commit state, its parent state ids, and the
-transaction's write-set keys. Recovery replays the log chronologically to
-rebuild the State DAG and key-version mapping.
+transaction's write set: one :class:`~repro.core.ids.CommitRecord`.
+Recovery replays the log chronologically to rebuild the State DAG and
+key-version mapping.
 
-The log is an append-only file of length-prefixed, CRC-protected pickled
-records. Two flush modes mirror the paper:
+The log is an append-only file of length-prefixed, CRC-protected
+records, each the pickled ``(state_id, parent_ids, writes)`` tuple. Two
+flush modes mirror the paper:
 
-* synchronous — every append reaches the OS before ``append`` returns;
+* synchronous — every append reaches the OS before ``append_commit``
+  returns;
 * asynchronous — appends buffer in memory and reach disk on ``flush()``
   (the paper's "asynchronous flush", trading durability for speed). The
   buffer is always written *sequentially*, so a crash leaves a clean
@@ -25,38 +28,18 @@ import os
 import pickle
 import struct
 import zlib
-from dataclasses import dataclass, field
-from typing import Any, Iterator, List, Optional, Tuple
+from typing import Iterator, List
 
+from repro.core.ids import CommitRecord, StateId
 from repro.errors import CorruptLogError
 
 _HEADER = struct.Struct("<II")  # payload length, crc32
 
-COMMIT = "commit"
-CHECKPOINT = "checkpoint"
 
-
-@dataclass
-class LogRecord:
-    """One entry of the commit log.
-
-    ``kind`` is ``COMMIT`` for ordinary transaction commits and
-    ``CHECKPOINT`` for checkpoint markers. ``payload`` carries the
-    kind-specific fields (commit state id, parent ids, write-set keys for
-    commits; the checkpoint state id for checkpoints).
-    """
-
-    kind: str
-    payload: dict = field(default_factory=dict)
-
-    def encode(self) -> bytes:
-        body = pickle.dumps((self.kind, self.payload), protocol=pickle.HIGHEST_PROTOCOL)
-        return _HEADER.pack(len(body), zlib.crc32(body)) + body
-
-    @classmethod
-    def decode(cls, body: bytes) -> "LogRecord":
-        kind, payload = pickle.loads(body)
-        return cls(kind=kind, payload=payload)
+def _encode(record: CommitRecord) -> bytes:
+    # A plain tuple: the frame does not depend on the record class.
+    body = pickle.dumps(tuple(record), protocol=pickle.HIGHEST_PROTOCOL)
+    return _HEADER.pack(len(body), zlib.crc32(body)) + body
 
 
 class WriteAheadLog:
@@ -76,39 +59,14 @@ class WriteAheadLog:
     def sync(self) -> bool:
         return self._sync
 
-    def append(self, record: LogRecord) -> None:
-        data = record.encode()
+    def append_commit(self, record: CommitRecord) -> None:
+        """Log one committed transaction."""
+        data = _encode(record)
         if self._sync:
             self._file.write(data)
             self._file.flush()
         else:
             self._buffer.append(data)
-
-    def append_commit(
-        self,
-        state_id: Any,
-        parent_ids: Tuple[Any, ...],
-        write_keys: Tuple[Any, ...],
-        values: Optional[dict] = None,
-    ) -> None:
-        """Log a transaction commit (state id, parents, write-set keys).
-
-        ``values`` may carry the written values so that recovery can also
-        repopulate the record store; the paper persists records through
-        the storage backend instead, and both paths are supported by the
-        recovery module.
-        """
-        payload = {
-            "state_id": state_id,
-            "parent_ids": tuple(parent_ids),
-            "write_keys": tuple(write_keys),
-        }
-        if values is not None:
-            payload["values"] = dict(values)
-        self.append(LogRecord(COMMIT, payload))
-
-    def append_checkpoint(self, state_id: Any) -> None:
-        self.append(LogRecord(CHECKPOINT, {"state_id": state_id}))
 
     def flush(self) -> None:
         """Write any buffered records to disk, preserving append order."""
@@ -128,7 +86,7 @@ class WriteAheadLog:
         self._buffer.clear()
         return dropped
 
-    def compact_inplace(self, keep_from_state: Any) -> int:
+    def compact_inplace(self, keep_from_state: StateId) -> int:
         """Compact this (open) log, reopening the append handle.
 
         ``compact`` rewrites the file by atomic replace; an open handle
@@ -157,8 +115,8 @@ class WriteAheadLog:
     # -- reading ----------------------------------------------------------
 
     @staticmethod
-    def read(path: str, strict: bool = False) -> Iterator[LogRecord]:
-        """Yield log records in append order.
+    def read(path: str, strict: bool = False) -> Iterator[CommitRecord]:
+        """Yield commit records in append order.
 
         A torn tail (truncated or CRC-failing final record) terminates
         iteration; with ``strict=True`` it raises
@@ -186,29 +144,26 @@ class WriteAheadLog:
                 if strict or not at_tail:
                     raise CorruptLogError("corrupt log record")
                 return
-            yield LogRecord.decode(body)
+            yield CommitRecord(*pickle.loads(body))
 
     @staticmethod
-    def compact(path: str, keep_from_state: Any, id_key=None) -> int:
+    def compact(path: str, keep_from_state: StateId) -> int:
         """Rewrite the log, dropping commit records older than a checkpoint.
 
         ``keep_from_state`` is the checkpoint state id ``s_c`` (§6.5):
         commit records whose state id orders strictly before it are
         covered by the checkpoint and dropped. Returns the number of
-        records kept. ``id_key`` optionally maps a state id to a sortable
-        value (defaults to identity).
+        records kept.
         """
-        id_key = id_key or (lambda sid: sid)
         kept = [
             record
             for record in WriteAheadLog.read(path)
-            if record.kind != COMMIT
-            or not id_key(record.payload["state_id"]) < id_key(keep_from_state)
+            if not record.state_id < keep_from_state
         ]
         tmp = path + ".compact"
         with open(tmp, "wb") as handle:
             for record in kept:
-                handle.write(record.encode())
+                handle.write(_encode(record))
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp, path)

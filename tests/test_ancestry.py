@@ -13,7 +13,7 @@ import pytest
 
 from repro import AncestryIndex, TardisStore, recover_store
 from repro.core.ancestry import ForkPoint, popcount
-from repro.core.ids import StateId
+from repro.core.ids import CommitRecord, StateId
 from repro.errors import TransactionAborted
 
 
@@ -170,6 +170,7 @@ class TestCommitPipelineRecovery:
         # 7 appends with a batch of 3: two flushes landed 6 records; the
         # 7th is buffered and lost on crash.
         store.wal.drop_buffered()
+        store.close()
         recovered, report = recover_store("A", str(tmp_path / "wal.log"))
         assert report["replayed"] == 6
         assert recovered.get("k") == 5
@@ -180,6 +181,7 @@ class TestCommitPipelineRecovery:
         for i in range(5):
             store.put("k", i, session=sess)
         store.wal.drop_buffered()
+        store.close()
         recovered, report = recover_store("A", str(tmp_path / "wal.log"))
         assert report["replayed"] == 0
         assert recovered.get("k") is None
@@ -198,7 +200,7 @@ class TestCommitPipelineRecovery:
         merge.commit()
         # A remote graft goes through the same pipeline and is logged.
         remote_id = StateId(merge.commit_id.counter + 1, "B")
-        store.apply_remote(remote_id, (merge.commit_id,), {"y": 9})
+        store.apply_remote(CommitRecord(remote_id, (merge.commit_id,), {"y": 9}))
         store.close()
         recovered, report = recover_store("A", str(tmp_path / "wal.log"))
         assert report["replayed"] == 5

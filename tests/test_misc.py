@@ -24,7 +24,6 @@ from repro.errors import (
     TransactionAborted,
 )
 from repro.replication import Cluster
-from repro.storage.wal import WriteAheadLog
 
 
 class TestErrors:
@@ -138,18 +137,6 @@ class TestVersionsEdges:
         candidates = store.versions.read_candidates("x", [s1, s2], store.dag)
         assert len(candidates) == 1
         assert candidates[0][1] == 2
-
-
-class TestWalEdges:
-    def test_compact_with_id_key(self, tmp_path):
-        path = str(tmp_path / "w.log")
-        with WriteAheadLog(path) as wal:
-            for i in (3, 1, 2):
-                wal.append_commit((i, "A"), (), ())
-        kept = WriteAheadLog.compact(
-            path, keep_from_state=(2, "A"), id_key=lambda sid: sid[0]
-        )
-        assert kept == 2
 
 
 class TestClusterEdges:

@@ -290,11 +290,7 @@ class TestShardedTardisStore:
         for i in range(10):
             store.put("k%d" % i, i)
         store.close()
-        recovered, report = recover_store(
-            "A",
-            wal,
-            store_factory=lambda site, **kw: TardisStore(site, shards=3, **kw),
-        )
+        recovered, report = recover_store("A", wal, shards=3)
         assert report["replayed"] == 10
         assert recovered.versions.n_shards == 3
         for i in range(10):

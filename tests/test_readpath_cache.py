@@ -19,7 +19,7 @@ import random
 import pytest
 
 from repro import TardisStore
-from repro.core.ids import ROOT_ID, StateId
+from repro.core.ids import ROOT_ID, CommitRecord, StateId
 from repro.errors import GarbageCollectedError, MultipleValuesError, TransactionAborted
 
 
@@ -366,8 +366,8 @@ class TestVersionLists:
         # Replicated states from other sites carry ids that sort below
         # (site "a") and between (site "z") the local ones.
         low, mid = StateId(1, "a"), StateId(1, "z")
-        store.apply_remote(mid, (ROOT_ID,), {"x": "mid"})
-        store.apply_remote(low, (ROOT_ID,), {"x": "low"})
+        store.apply_remote(CommitRecord(mid, (ROOT_ID,), {"x": "mid"}))
+        store.apply_remote(CommitRecord(low, (ROOT_ID,), {"x": "low"}))
         versions = store.versions
         assert versions.versions_of("x") == [second, mid, first, low]
         check_version_lists(versions)

@@ -5,6 +5,9 @@ import os
 import pytest
 
 from repro import TardisStore, checkpoint_store, recover_store
+from repro.core.ids import ROOT_ID, CommitRecord, StateId
+from repro.obs import metrics as met
+from repro.storage.wal import WriteAheadLog
 
 
 def make_store(tmp_path, name="wal.log", sync=True, **kw):
@@ -68,6 +71,7 @@ class TestRecovery:
         store.wal.flush()
         store.put("x", 2)  # never flushed
         store.wal.drop_buffered()  # crash
+        store.close()
         recovered, report = recover_store("A", str(tmp_path / "wal.log"))
         assert report["replayed"] == 1
         assert recovered.get("x") == 1
@@ -84,30 +88,27 @@ class TestRecovery:
         assert report["replayed"] == 1
         assert recovered.get("x") == 1
 
-    def test_partial_record_persistence_discards_suffix(self, tmp_path):
-        """Without logged values, a missing record cuts the log there (§6.5)."""
-        store = make_store(tmp_path, log_values=False)
-        store.put("x", 1)
-        store.put("y", 2)
-        store.put("z", 3)
-        store.close()
+    def test_gap_in_log_discards_suffix(self, tmp_path):
+        """A record whose parent is missing cuts the log there (§6.5)."""
+        path = str(tmp_path / "wal.log")
+        ids = [StateId(i, "A") for i in range(1, 6)]
+        records = [
+            CommitRecord(ids[0], (ROOT_ID,), {"k1": 1}),
+            CommitRecord(ids[1], (ids[0],), {"k2": 2}),
+            CommitRecord(ids[2], (ids[1],), {"k3": 3}),  # lost
+            CommitRecord(ids[3], (ids[2],), {"k4": 4}),
+            # Its parent survives, but it follows the gap.
+            CommitRecord(ids[4], (ids[1],), {"k5": 5}),
+        ]
+        with WriteAheadLog(path) as wal:
+            for record in records[:2] + records[3:]:
+                wal.append_commit(record)
 
-        persisted = {"x": 1, "z": 3}  # y's record never hit disk
-
-        def record_source(key, state_id):
-            from repro.core.recovery import _MISSING
-
-            return persisted.get(key, _MISSING)
-
-        recovered, report = recover_store(
-            "A", str(tmp_path / "wal.log"), record_source=record_source
-        )
-        # y's transaction and everything after it are discarded.
-        assert report["replayed"] == 1
+        recovered, report = recover_store("A", path)
+        assert report["replayed"] == 2
         assert report["discarded"] == 2
-        assert recovered.get("x") == 1
-        assert recovered.get("y") is None
-        assert recovered.get("z") is None
+        assert [recovered.get("k%d" % i) for i in range(1, 6)] == [1, 2, None, None, None]
+        assert ids[3] not in recovered.dag and ids[4] not in recovered.dag
 
     def test_store_close_twice(self, tmp_path):
         store = make_store(tmp_path, sync=False, group_commit=16)
@@ -118,11 +119,34 @@ class TestRecovery:
         assert report["replayed"] == 1
 
     def test_metrics_count_replays_as_local(self, tmp_path):
+        """Replays touch no replication counter, in the store or the registry."""
         store = make_store(tmp_path)
-        store.put("x", 1)
+        sess = store.session("a")
+        for i in range(5):
+            store.put("x", i, session=sess)
         store.close()
-        recovered, _ = recover_store("A", str(tmp_path / "wal.log"))
+        registry = met.MetricsRegistry(enabled=True)
+        with met.use_registry(registry):
+            recovered, report = recover_store("A", str(tmp_path / "wal.log"))
+        assert report["replayed"] == 5
         assert recovered.metrics.remote_applied == 0
+        repl = {
+            name: registry.counter_value(name)
+            for name in registry.names()
+            if name.startswith("tardis_repl_")
+        }
+        assert not any(repl.values()), repl
+
+    def test_listeners_get_the_logged_record(self, tmp_path):
+        """The record a listener gets is the one the log holds."""
+        store = make_store(tmp_path)
+        heard = []
+        store.add_commit_listener(heard.append)
+        store.put("x", 1)
+        store.put("y", 2)
+        store.close()
+        assert list(WriteAheadLog.read(str(tmp_path / "wal.log"))) == heard
+        assert [type(r) for r in heard] == [CommitRecord, CommitRecord]
 
 
 class TestCheckpoint:
@@ -146,6 +170,26 @@ class TestCheckpoint:
         assert report["checkpoint_states"] == n
         assert report["replayed"] == 1
         assert recovered.get("x") == 99
+
+    def test_compacted_log_without_snapshot_discards_all(self, tmp_path):
+        """The compacted tail's first record names parents only the
+        snapshot holds: without it, nothing in the tail can be grafted."""
+        store = make_store(tmp_path)
+        sess = store.session("a")
+        for i in range(5):
+            store.put("x", i, session=sess)
+        checkpoint_store(store, str(tmp_path / "snap.ckpt"))
+        for i in range(3):
+            store.put("y", i, session=sess)
+        store.close()
+        path = str(tmp_path / "wal.log")
+        tail = list(WriteAheadLog.read(path))
+        assert len(tail) >= 3
+
+        recovered, report = recover_store("A", path)
+        assert report["replayed"] == 0
+        assert report["discarded"] == len(tail)
+        assert recovered.get("y") is None
 
     def test_checkpoint_compacts_log(self, tmp_path):
         store = make_store(tmp_path)

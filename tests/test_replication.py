@@ -4,12 +4,12 @@ import random
 
 import pytest
 
-from repro.core.ids import StateId
+from repro.core.ids import CommitRecord, StateId
 from repro.obs import metrics as met
 from repro.obs.context import trace_id_of
 from repro.replication import Cluster, SimNetwork
 from repro.replication.cluster import PESSIMISTIC, run_replicated_workload
-from repro.replication.replicator import FetchRequest, TxnMessage
+from repro.replication.replicator import FetchRequest
 from repro.sim.des import Simulator
 from repro.workload import RunConfig, YCSBWorkload
 from repro.errors import UnknownSiteError
@@ -140,10 +140,10 @@ class TestReplication:
         parent = StateId(1, "us")
         child = StateId(2, "us")
         # Deliver the child first, directly.
-        rep_b.handle("us", TxnMessage(child, (parent,), {"k": 2}, ("k",)))
+        rep_b.handle("us", CommitRecord(child, (parent,), {"k": 2}))
         assert rep_b.pending_count == 1
         assert child not in b.dag
-        rep_b.handle("us", TxnMessage(parent, (b.dag.root.id,), {"k": 1}, ("k",)))
+        rep_b.handle("us", CommitRecord(parent, (b.dag.root.id,), {"k": 1}))
         assert rep_b.pending_count == 0
         assert child in b.dag
         assert b.get("k") == 2
@@ -151,7 +151,7 @@ class TestReplication:
     def test_duplicate_delivery_idempotent(self):
         cluster = two_sites()
         rep_b = cluster.replicators["eu"]
-        msg = TxnMessage(StateId(1, "us"), (cluster.stores["eu"].dag.root.id,), {"k": 1}, ("k",))
+        msg = CommitRecord(StateId(1, "us"), (cluster.stores["eu"].dag.root.id,), {"k": 1})
         rep_b.handle("us", msg)
         rep_b.handle("us", msg)
         assert rep_b.applied == 1
@@ -209,7 +209,7 @@ class TestReplication:
         # A late transaction parented at the collected state reaches eu.
         # eu fetched the promotion, but it flushed past the target too:
         # the dependent transaction is aborted (dropped), as §6.4 says.
-        late = TxnMessage(StateId(999, "us"), (old,), {"x": 99}, ("x",))
+        late = CommitRecord(StateId(999, "us"), (old,), {"x": 99})
         cluster.replicators["eu"].handle("us", late)
         cluster.run(until=500)
         assert cluster.replicators["eu"].fetches >= 1
@@ -235,7 +235,7 @@ class TestReplication:
         sess.place_ceiling()
         a.collect_garbage()  # us promotes old -> tip, keeps the table
         assert a.dag.resolve(old).id == tip
-        late = TxnMessage(StateId(999, "us"), (old,), {"x": 99}, ("x",))
+        late = CommitRecord(StateId(999, "us"), (old,), {"x": 99})
         cluster.replicators["eu"].handle("us", late)
         cluster.run(until=500)
         assert StateId(999, "us") in b.dag
