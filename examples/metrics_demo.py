@@ -5,7 +5,7 @@ Shows the full loop in under a minute:
 
 1. install a registry + tracer and run conflicting transactions;
 2. watch branch counters (forks, merges) and histograms accumulate;
-3. take a snapshot, do more work, diff the two — per-window counters;
+3. count one window on its own registry — per-window counters;
 4. render everything as Prometheus text and JSON;
 5. replay the recent trace events (fork, merge, GC) as a story.
 
@@ -56,13 +56,12 @@ def main() -> None:
         fanin = registry.histogram("tardis_merge_parents")
         print("merge fan-in p50=%.1f max=%.0f" % (fanin.p50, fanin.max))
 
-        # -- 3: snapshot / diff a window ----------------------------------
-        before = export.snapshot(registry)
-        contended_increments(store, sessions, rounds=2)
-        window = export.diff(before, export.snapshot(registry))
+        # -- 3: a window counts on a registry of its own -------------------
+        with met.use_registry(MetricsRegistry()) as window:
+            contended_increments(store, sessions, rounds=2)
         print("\nlast window only: %d commits, %d merges" % (
-            window["tardis_txn_commit_total"]["value"],
-            window["tardis_branch_merge_total"]["value"],
+            window.counter_value("tardis_txn_commit_total"),
+            window.counter_value("tardis_branch_merge_total"),
         ))
 
         # -- 4: exporters --------------------------------------------------

@@ -44,7 +44,6 @@ METRIC_APIS = frozenset(
         "set_gauge",
         "counter_value",
         "_feed",
-        "_count",
     }
 )
 

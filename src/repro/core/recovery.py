@@ -19,6 +19,7 @@ store and compact the log.
 
 from __future__ import annotations
 
+import os
 import pickle
 from typing import Any, Dict, Optional, Tuple
 
@@ -33,6 +34,11 @@ def checkpoint_store(store: TardisStore, snapshot_path: str) -> int:
     and drops the log records the snapshot covers, holding the store
     lock throughout: every other store call waits for it. Returns the
     number of states checkpointed.
+
+    The snapshot is written beside ``snapshot_path``, fsynced, and moved
+    over it atomically before the log is compacted, so a crash at any
+    point leaves either the old snapshot with the old log or the new
+    snapshot with a log it covers.
     """
     with store._lock:
         states = [
@@ -57,8 +63,12 @@ def checkpoint_store(store: TardisStore, snapshot_path: str) -> int:
             "promotions": promotions,
             "top_id": top,
         }
-        with open(snapshot_path, "wb") as handle:
+        tmp = snapshot_path + ".tmp"
+        with open(tmp, "wb") as handle:
             pickle.dump(payload, handle, protocol=pickle.HIGHEST_PROTOCOL)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp, snapshot_path)
         if store.wal is not None:
             store.wal.compact_inplace(keep_from_state=top)
     return len(states)

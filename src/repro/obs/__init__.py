@@ -22,14 +22,8 @@ from repro.obs.context import (
     merge_events,
     trace_id_of,
 )
-from repro.obs.export import (
-    diff,
-    histogram_from_snapshot,
-    snapshot,
-    to_json,
-    to_prometheus,
-)
-from repro.obs.flight import FlightRecorder, dag_snapshot, format_flight
+from repro.obs.export import to_json, to_prometheus
+from repro.obs.flight import dag_snapshot, flight_dump, format_flight
 from repro.obs.sampler import ObsSampler
 from repro.obs.series import (
     DivergenceMonitor,
@@ -58,7 +52,6 @@ def enable(on: bool = True) -> None:
 __all__ = [
     "Counter",
     "DivergenceMonitor",
-    "FlightRecorder",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
@@ -71,16 +64,14 @@ __all__ = [
     "dag_extent",
     "dag_snapshot",
     "default_registry",
-    "diff",
     "enable",
+    "flight_dump",
     "format_flight",
     "format_timeline",
-    "histogram_from_snapshot",
     "merge_events",
     "metrics",
     "set_default_registry",
     "set_default_tracer",
-    "snapshot",
     "to_json",
     "to_prometheus",
     "trace_id_of",

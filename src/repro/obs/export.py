@@ -1,9 +1,9 @@
-"""Render a registry to JSON / Prometheus text; snapshot/diff deltas.
+"""Render a registry to JSON or Prometheus text.
 
-``snapshot()`` captures a registry as plain data; ``diff(before, after)``
-subtracts two snapshots, which is how benchmarks report *per-run*
-counters from long-lived stores (take a snapshot before the measured
-window, one after, diff them).
+A window's counts are a registry of their own: install a fresh
+:class:`~repro.obs.metrics.MetricsRegistry` for the window
+(:func:`~repro.obs.metrics.use_registry`, as the benchmark runner, the
+cluster and ``tardis metrics`` do) and export that.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from typing import Any, Dict, Optional
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.tracing import Tracer
 
-__all__ = ["to_json", "to_prometheus", "snapshot", "diff", "histogram_from_snapshot"]
+__all__ = ["to_json", "to_prometheus"]
 
 _NAME_RE = re.compile(r"[^a-zA-Z0-9_:]")
 
@@ -78,72 +78,3 @@ def _fmt(value: float) -> str:
     if value == int(value):
         return str(int(value))
     return repr(value)
-
-
-# -- snapshot / diff --------------------------------------------------------
-
-
-def snapshot(registry: MetricsRegistry) -> Dict[str, Any]:
-    """Capture the registry as plain data (JSON-safe, including buckets)."""
-    return registry.to_dict(include_buckets=True)
-
-
-def diff(before: Dict[str, Any], after: Dict[str, Any]) -> Dict[str, Any]:
-    """Per-metric delta between two snapshots of the same registry.
-
-    Counters subtract; gauges report the *after* value plus the delta;
-    histograms subtract counts/sums and per-bucket counts, so quantiles
-    of just the window can be rebuilt via
-    :func:`histogram_from_snapshot`. Metrics absent from ``before`` are
-    treated as zero.
-    """
-    out: Dict[str, Any] = {}
-    for name, now in after.items():
-        prev = before.get(name, {})
-        kind = now.get("type")
-        if kind == "counter":
-            out[name] = {"type": kind, "value": now["value"] - prev.get("value", 0)}
-        elif kind == "gauge":
-            out[name] = {
-                "type": kind,
-                "value": now["value"],
-                "delta": now["value"] - prev.get("value", 0.0),
-            }
-        elif kind == "histogram":
-            prev_buckets = prev.get("buckets", {})
-            buckets = {
-                idx: count - prev_buckets.get(idx, 0)
-                for idx, count in now.get("buckets", {}).items()
-                if count - prev_buckets.get(idx, 0)
-            }
-            out[name] = {
-                "type": kind,
-                "count": now["count"] - prev.get("count", 0),
-                "sum": now["sum"] - prev.get("sum", 0.0),
-                "zero": now.get("zero", 0) - prev.get("zero", 0),
-                "buckets": buckets,
-            }
-        else:  # pragma: no cover - future metric kinds pass through
-            out[name] = now
-    return out
-
-
-def histogram_from_snapshot(name: str, data: Dict[str, Any]) -> Histogram:
-    """Rebuild a histogram from snapshot/diff data (quantiles of a window)."""
-    hist = Histogram(name)
-    for idx, count in data.get("buckets", {}).items():
-        index = int(idx)
-        lo, hi = Histogram.bucket_bounds(index)
-        mid = (lo + hi) / 2.0
-        hist._buckets[index] = hist._buckets.get(index, 0) + count
-        hist._count += count
-        hist._sum += mid * count
-        hist._min = min(hist._min, lo)
-        hist._max = max(hist._max, hi)
-    zero = data.get("zero", 0)
-    if zero:
-        hist._zero += zero
-        hist._count += zero
-        hist._min = min(hist._min, 0.0)
-        hist._max = max(hist._max, 0.0)
-    return hist

@@ -1,34 +1,35 @@
-"""The branch-divergence flight recorder.
+"""The branch-divergence flight dump.
 
-A flight recorder answers "what was the system doing when it went
-wrong?" without anyone watching: when a :class:`~repro.obs.series.Trigger`
-on the :class:`~repro.obs.series.DivergenceMonitor` trips (e.g. branch
-count above K for W simulated ms), the recorder freezes
+A flight dump answers "what was the system doing when it went wrong?"
+from the system's own state. :func:`flight_dump` freezes
 
-* the newest N trace events from every site's ring buffer (merged,
+* the newest trace events from every site's ring buffer (merged,
   causally ordered, with per-site drop counts so truncation is visible),
 * the tails of every divergence series (the quantitative run-up), and
-* a structural snapshot of each site's State DAG at the moment of the
-  trip (states, parents, leaves, marks, promotion-table size),
+* a structural snapshot of each site's State DAG (states, parents,
+  leaves, marks, promotion-table size),
 
-into one JSON document. ``python -m repro.tools.cli flight <dump.json>``
-pretty-prints it (:func:`format_flight`).
+into one JSON document. ``tardis trace --dump`` writes one;
+``python -m repro.tools.cli flight <dump.json>`` pretty-prints it
+(:func:`format_flight`). Live threshold trips are the sampler's alerts
+(:mod:`repro.obs.sampler`), not dumps.
 """
 
 from __future__ import annotations
 
-import json
-import os
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional
 
 from repro.obs.context import merge_events
-from repro.obs.series import DivergenceMonitor, Trigger
+from repro.obs.series import DivergenceMonitor
 from repro.obs.tracing import Tracer
 
-__all__ = ["FlightRecorder", "dag_snapshot", "format_flight"]
+__all__ = ["flight_dump", "dag_snapshot", "format_flight"]
 
-#: schema version of flight-recorder dump documents.
+#: schema version of flight dump documents.
 FLIGHT_SCHEMA_VERSION = 1
+#: newest merged trace events, and newest samples per series, a dump keeps.
+DUMP_EVENTS = 200
+DUMP_SERIES_TAIL = 32
 
 
 def dag_snapshot(store) -> Dict[str, Any]:
@@ -55,112 +56,33 @@ def dag_snapshot(store) -> Dict[str, Any]:
     }
 
 
-class FlightRecorder:
-    """Freezes trace + series + DAG state to JSON when a threshold trips.
+def flight_dump(
+    tracers: Dict[str, Tracer],
+    stores: Dict[str, Any],
+    monitor: Optional[DivergenceMonitor],
+    reason: str,
+) -> Dict[str, Any]:
+    """One flight dump document, JSON-safe.
 
     ``tracers`` maps site name to that site's :class:`Tracer` (one entry
     for a single-site store); ``stores`` maps site name to the store
-    whose DAG gets snapshotted. ``arm()`` registers a threshold rule on
-    a monitor; each excursion produces at most one dump (the trigger
-    re-arms when the series falls back below the threshold).
+    whose DAG gets snapshotted; ``monitor``'s series tails ride along
+    (none without one).
     """
-
-    def __init__(
-        self,
-        tracers: Dict[str, Tracer],
-        stores: Dict[str, Any],
-        monitor: Optional[DivergenceMonitor] = None,
-        event_limit: int = 200,
-        series_tail: int = 32,
-        out_dir: Optional[str] = None,
-    ):
-        self.tracers = dict(tracers)
-        self.stores = dict(stores)
-        self.monitor = monitor
-        self.event_limit = event_limit
-        self.series_tail = series_tail
-        #: None disables file output (dumps stay in-memory on .dumps).
-        self.out_dir = out_dir
-        self.dumps: List[Dict[str, Any]] = []
-        self.paths: List[str] = []
-
-    # -- arming ---------------------------------------------------------------
-
-    def arm(
-        self,
-        series: str,
-        threshold: float,
-        hold_ms: float,
-        monitor: Optional[DivergenceMonitor] = None,
-    ) -> Trigger:
-        """Dump when ``series`` exceeds ``threshold`` for ``hold_ms``."""
-        monitor = monitor or self.monitor
-        if monitor is None:
-            raise ValueError("no DivergenceMonitor to arm against")
-        self.monitor = monitor
-
-        def action(mon, trigger, now, name, value):
-            self.record(
-                reason="%s=%g > %g for %gms" % (name, value, threshold, hold_ms),
-                tripped_at=now,
-                rule={**trigger.to_dict(), "series_tripped": name, "value": value},
-            )
-
-        return monitor.add_trigger(series, threshold, hold_ms, action)
-
-    # -- recording ------------------------------------------------------------
-
-    def snapshot(
-        self,
-        reason: str,
-        tripped_at: Optional[float] = None,
-        rule: Optional[Dict[str, Any]] = None,
-    ) -> Dict[str, Any]:
-        """Build (without persisting) one flight dump document."""
-        events = merge_events(self.tracers)[-self.event_limit :]
-        doc: Dict[str, Any] = {
-            "flight_schema": FLIGHT_SCHEMA_VERSION,
-            "reason": reason,
-            "tripped_at_ms": tripped_at,
-            "rule": rule or {},
-            "events": [
-                {"ts": e.ts, "kind": e.kind, **{k: repr(v) if not isinstance(v, (str, int, float, bool, type(None))) else v for k, v in e.attrs.items()}}
-                for e in events
-            ],
-            "dropped_events": {
-                site: tracer.dropped for site, tracer in sorted(self.tracers.items())
-            },
-            "series": self.monitor.tails(self.series_tail) if self.monitor else {},
-            "dag": {
-                site: dag_snapshot(store)
-                for site, store in sorted(self.stores.items())
-            },
-        }
-        return doc
-
-    def record(
-        self,
-        reason: str,
-        tripped_at: Optional[float] = None,
-        rule: Optional[Dict[str, Any]] = None,
-    ) -> Dict[str, Any]:
-        """Snapshot now; persist to ``out_dir`` when configured."""
-        doc = self.snapshot(reason, tripped_at=tripped_at, rule=rule)
-        self.dumps.append(doc)
-        if self.out_dir is not None:
-            name = "flight_%03d.json" % len(self.dumps)
-            path = os.path.join(self.out_dir, name)
-            with open(path, "w") as handle:
-                json.dump(doc, handle, indent=2, default=str, sort_keys=True)
-                handle.write("\n")
-            self.paths.append(path)
-        return doc
-
-    def __repr__(self) -> str:
-        return "<FlightRecorder sites=%d dumps=%d>" % (
-            len(self.tracers),
-            len(self.dumps),
-        )
+    events = merge_events(tracers)[-DUMP_EVENTS:]
+    return {
+        "flight_schema": FLIGHT_SCHEMA_VERSION,
+        "reason": reason,
+        "events": [
+            {"ts": e.ts, "kind": e.kind, **{k: repr(v) if not isinstance(v, (str, int, float, bool, type(None))) else v for k, v in e.attrs.items()}}
+            for e in events
+        ],
+        "dropped_events": {
+            site: tracer.dropped for site, tracer in sorted(tracers.items())
+        },
+        "series": monitor.tails(DUMP_SERIES_TAIL) if monitor is not None else {},
+        "dag": {site: dag_snapshot(store) for site, store in sorted(stores.items())},
+    }
 
 
 # -- pretty printing ---------------------------------------------------------
@@ -173,18 +95,6 @@ def format_flight(doc: Dict[str, Any], event_limit: int = 50) -> str:
     lines.append(
         "FLIGHT RECORDER DUMP — %s" % doc.get("reason", "(no reason recorded)")
     )
-    tripped = doc.get("tripped_at_ms")
-    rule = doc.get("rule") or {}
-    if tripped is not None:
-        lines.append(
-            "tripped at %.3fms  rule: %s > %s held %sms"
-            % (
-                tripped,
-                rule.get("series", "?"),
-                rule.get("threshold", "?"),
-                rule.get("hold_ms", "?"),
-            )
-        )
     lines.append("=" * 72)
 
     dropped = doc.get("dropped_events") or {}

@@ -486,16 +486,13 @@ class MetricsRegistry:
 #: registry metrics (counters/gauges/histograms), name -> help.
 METRIC_NAMES: Dict[str, str] = {
     "tardis_begin_visits": "DAG states visited per begin()",
-    "tardis_branch_count": "current leaf count (gauge)",
     "tardis_branch_fork_total": "forks created by concurrent commits",
     "tardis_branch_merge_total": "merge commits",
     "tardis_commit_cross_shard_total": "commits whose write set spanned shards",
     "tardis_commit_ripple_steps": "states rippled past per commit",
     "tardis_commit_shard_abort_total": "commits aborted by a failed shard prepare",
-    "tardis_dag_depth": "longest root-to-leaf path (gauge)",
     "tardis_dag_retro_updates_total": "retroactive path_mask widenings",
     "tardis_dag_splice_total": "states spliced out of the DAG",
-    "tardis_dag_width": "widest antichain estimate (gauge)",
     "tardis_gc_cycle_total": "GC cycles run",
     "tardis_gc_live_records": "records alive after a GC cycle",
     "tardis_gc_live_states": "states alive after a GC cycle",
@@ -510,21 +507,10 @@ METRIC_NAMES: Dict[str, str] = {
     "tardis_net_buffered_total": "messages buffered by partitions",
     "tardis_net_messages_delivered_total": "network messages delivered",
     "tardis_net_messages_sent_total": "network messages sent",
-    "tardis_net_server_bytes_in_total": "bytes read from client sockets",
-    "tardis_net_server_bytes_out_total": "bytes written to client sockets",
-    "tardis_net_server_connections_active": "live server connections (gauge)",
-    "tardis_net_server_connections_total": "connections the server accepted",
-    "tardis_net_server_disconnect_aborts_total": "txns aborted by disconnect cleanup",
-    "tardis_net_server_errors_total": "error responses sent",
-    "tardis_net_server_obs_samples_total": "live sampler ticks taken",
-    "tardis_net_server_request_ms": "server request latency (ms); also labeled @op=<OP>",
-    "tardis_net_server_requests_total": "requests the server processed",
-    "tardis_net_server_timeouts_total": "requests that hit the per-request timeout",
     "tardis_repl_apply_total": "replicated commits applied locally",
     "tardis_repl_cache_total": "replication fetches served from cache",
     "tardis_repl_drop_total": "replication messages dropped",
     "tardis_repl_fetch_total": "replication state fetches",
-    "tardis_repl_lag_total": "total cross-site replication lag (gauge)",
     "tardis_repl_send_total": "replication messages sent",
     "tardis_shard_access_total": "record accesses routed to a shard (@s<i> per shard)",
     "tardis_spec_confirm_total": "speculative executions confirmed",

@@ -101,7 +101,6 @@ class ObsSampler:
         counters_fn: Optional[Callable[[], Dict[str, Any]]] = None,
         gauges_fn: Optional[Callable[[], Dict[str, Any]]] = None,
         latency_fn: Optional[Callable[[], Dict[str, Dict[str, Any]]]] = None,
-        triggers: Tuple[Tuple[str, float, float], ...] = DEFAULT_TRIGGERS,
     ) -> None:
         self.store = store
         self.site = site if site is not None else getattr(store, "site", "local")
@@ -113,7 +112,6 @@ class ObsSampler:
             {self.site: store},
             clock=monitor_clock,
             capacity=SERIES_CAPACITY,
-            measure_lag=False,
         )
         self.counters_fn = counters_fn
         self.gauges_fn = gauges_fn
@@ -123,7 +121,7 @@ class ObsSampler:
         self.seq = 0
         #: the newest completed snapshot; never mutated once published.
         self.latest: Optional[Dict[str, Any]] = None
-        for series, threshold, hold_ms in triggers:
+        for series, threshold, hold_ms in DEFAULT_TRIGGERS:
             self.arm(series, threshold, hold_ms)
 
     # -- triggers ----------------------------------------------------------
@@ -251,7 +249,7 @@ class ObsSampler:
         """A copy of ``snapshot`` with series tails cut to ``tail``.
 
         ``tail=None`` returns the snapshot as-is; ``tail=0`` drops the
-        series section entirely (the light form STATS embeds).
+        series section entirely.
         """
         if tail is None:
             return snapshot

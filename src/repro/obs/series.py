@@ -13,19 +13,19 @@ time. This module adds the missing shape:
   lag (states committed at one site, not yet applied at another);
 * :class:`Trigger` — a threshold rule (``value > threshold`` held for
   ``hold_ms``) that fires an action once per excursion — the hook the
-  flight recorder (:mod:`repro.obs.flight`) and the live sampler arm.
+  live sampler (:mod:`repro.obs.sampler`) arms.
 
-Series serialize as ``{"type": "series", "samples": [[t, v], ...]}`` and
-are folded into ``RunResult.obs_metrics`` / ``BENCH_*.json`` alongside
-the registry snapshot (see docs/internals.md §8).
+The series are the one home of divergence: nothing here writes the
+metrics registry. Series serialize as
+``{"type": "series", "samples": [[t, v], ...]}`` and are folded into
+``RunResult.obs_metrics`` / ``BENCH_*.json`` alongside the run's own
+registry (see docs/internals.md §8).
 """
 
 from __future__ import annotations
 
 from collections import deque
 from typing import Any, Callable, Dict, List, Optional, Tuple
-
-from repro.obs import metrics as _met
 
 __all__ = [
     "WindowedGauge",
@@ -110,13 +110,6 @@ class Trigger:
             self._fired[name] = True
             self.action(monitor, self, now, name, value)
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "series": self.series,
-            "threshold": self.threshold,
-            "hold_ms": self.hold_ms,
-        }
-
 
 def dag_extent(dag) -> Tuple[int, int]:
     """``(width, depth)`` of a State DAG.
@@ -151,9 +144,7 @@ class DivergenceMonitor:
     ``src`` but not yet applied at ``dst``.
 
     ``sample()`` is driven from discrete-event-simulator ticks
-    (:meth:`install`); the latest values are mirrored into the default
-    metrics registry as gauges so ``tardis top`` and Prometheus dumps
-    see them too.
+    (:meth:`install`) or by the live sampler.
     """
 
     def __init__(
@@ -162,17 +153,11 @@ class DivergenceMonitor:
         clock: Callable[[], float],
         network: Any = None,
         capacity: int = 512,
-        measure_lag: Optional[bool] = None,
     ):
         self.stores = dict(stores)
         self.clock = clock
         self.network = network
         self.capacity = capacity
-        #: measure per-peer replication lag (defaults on for >1 store;
-        #: it is an O(states) set difference per ordered pair).
-        self.measure_lag = (
-            measure_lag if measure_lag is not None else len(self.stores) > 1
-        )
         self.series: Dict[str, WindowedGauge] = {}
         self.triggers: List[Trigger] = []
         self.samples_taken = 0
@@ -208,7 +193,6 @@ class DivergenceMonitor:
     def sample(self) -> None:
         now = self.clock()
         self.samples_taken += 1
-        m = _met.DEFAULT
         for site, store in self.stores.items():
             dag = store.dag
             branch_count = len(dag.leaves())
@@ -222,11 +206,7 @@ class DivergenceMonitor:
             self._feed("tardis_dag_depth@%s" % site, now, depth)
             self._feed("tardis_merge_debt@%s" % site, now, merge_debt)
             self._feed("tardis_staleness_ms@%s" % site, now, staleness)
-            if m.enabled:
-                m.set_gauge("tardis_branch_count", branch_count)
-                m.set_gauge("tardis_dag_width", width)
-                m.set_gauge("tardis_dag_depth", depth)
-        if self.measure_lag and len(self.stores) > 1:
+        if len(self.stores) > 1:
             ids = {
                 site: {s.id for s in store.dag.states()}
                 for site, store in self.stores.items()
@@ -240,8 +220,6 @@ class DivergenceMonitor:
                     total_lag += lag
                     self._feed("tardis_repl_lag@%s->%s" % (src, dst), now, lag)
             self._feed("tardis_repl_lag@total", now, total_lag)
-            if m.enabled:
-                m.set_gauge("tardis_repl_lag_total", total_lag)
 
     def install(self, sim, interval_ms: float) -> None:
         """Schedule a recurring sample every ``interval_ms`` on ``sim``."""
@@ -259,7 +237,7 @@ class DivergenceMonitor:
         return {name: s.to_dict() for name, s in sorted(self.series.items())}
 
     def tails(self, n: int = 32) -> Dict[str, List[List[float]]]:
-        """The newest ``n`` samples of each series (flight-recorder dumps)."""
+        """The newest ``n`` samples of each series (snapshots, flight dumps)."""
         return {
             name: [[t, v] for t, v in s.samples()[-n:]]
             for name, s in sorted(self.series.items())

@@ -162,7 +162,7 @@ class WireSession:
         txn = self.txns.pop(began[1]["txn"], None)
         if txn is not None and txn.status == ACTIVE:
             txn.abort()
-            self.server._count(None, "aborts")
+            self.server._count("aborts")
 
     def commit_closed(self, closed: Any) -> None:
         """A request's ``closed``: write-free single-mode transactions its
@@ -176,7 +176,7 @@ class WireSession:
             txn = self.txns.pop(txn_id, None)
             if txn is not None:
                 txn.commit()
-                self.server._count(None, "commits")
+                self.server._count("commits")
                 txn.session.place_ceiling()
 
     def close(self) -> int:
@@ -333,7 +333,7 @@ def _merge(server: TardisServer, session: WireSession, request: _Json) -> _Json:
             else None
         )
         conflicts.append({"key": key, "base": base, "values": merge.get_all(key)})
-    server._count(None, "merges")
+    server._count("merges")
     return {
         "txn": txn_id,
         "parents": [repr(p) for p in merge.parents],
@@ -381,7 +381,7 @@ def _commit(server: TardisServer, session: WireSession, request: _Json) -> _Json
     finally:
         if txn.status != ACTIVE:
             session.txns.pop(request["txn"], None)
-            server._count(None, "commits" if txn.status == COMMITTED else "aborts")
+            server._count("commits" if txn.status == COMMITTED else "aborts")
     txn.session.place_ceiling()
     _collect_if_grown(server)
     return {"commit_state": repr(commit_id), "merge": isinstance(txn, MergeTransaction)}
@@ -410,21 +410,8 @@ def _collect_if_grown(server: TardisServer) -> None:
 def _abort(server: TardisServer, session: WireSession, request: _Json) -> _Json:
     session.txn(request).abort()
     session.txns.pop(request["txn"], None)
-    server._count(None, "aborts")
+    server._count("aborts")
     return {}
-
-
-def _obs_snapshot_now(server: TardisServer) -> _Json:
-    """The snapshot STATS and OBS_SNAPSHOT answer with.
-
-    With the sampler running, its latest snapshot (cheap, at most one
-    interval stale); without it nothing refreshes ``latest``, so
-    sample on demand — handlers run on the store executor, so this
-    is race-free.
-    """
-    if server._obs_task is not None:
-        return server.obs.latest_or_sample()
-    return server.obs.sample()
 
 
 def _stats(server: TardisServer, session: WireSession, request: _Json) -> _Json:
@@ -458,8 +445,6 @@ def _stats(server: TardisServer, session: WireSession, request: _Json) -> _Json:
     stats["obs"] = {
         "sampler": server._obs_task is not None,
         "interval_s": server.obs_sample_interval,
-        # The light form: gauges/counters/latency/shards, no series.
-        "snapshot": ObsSampler.trim(_obs_snapshot_now(server), 0),
     }
     return {"stats": stats}
 
@@ -468,7 +453,12 @@ def _obs_snapshot(server: TardisServer, session: WireSession, request: _Json) ->
     tail = request.get("tail")
     if tail is not None and not isinstance(tail, int):
         raise RequestError("BAD_REQUEST", "tail must be an integer")
-    return {"snapshot": ObsSampler.trim(_obs_snapshot_now(server), tail)}
+    # With the sampler running, its latest snapshot (at most one interval
+    # stale); without it nothing refreshes ``latest``, so sample on demand
+    # (handlers run on the store executor: race-free).
+    obs = server.obs
+    snapshot = obs.latest_or_sample() if server._obs_task is not None else obs.sample()
+    return {"snapshot": ObsSampler.trim(snapshot, tail)}
 
 
 def _bye(server: TardisServer, session: WireSession, request: _Json) -> _Json:

@@ -46,18 +46,18 @@ Production plumbing:
   ``TardisStore.close_session``, releasing read-state pins and GC
   ceilings.
 
-Observability: the ``tardis_net_server_*`` counters/gauges/histograms
-are recorded against the default metrics registry (catalogued in
-``METRIC_NAMES``, so the metric-drift rule covers them), and a plain
-stats dict — independent of whether the registry is enabled — feeds the
-STATS command and the shutdown report.
+Observability: each server count lives once, in the ``_stats`` dict,
+and each request latency in the per-op histograms of ``_op_latency``;
+STATS, ``OBS_SNAPSHOT`` and the shutdown report all read those. The
+server writes nothing to the metrics registry (the store it serves
+does).
 
 Live ops plane (docs/internals.md §14): with ``obs_sample_interval``
 set, an :class:`~repro.obs.sampler.ObsSampler` task samples the store's
 divergence series, the server gauges, per-op latency percentiles, and
 the shard plane's worker health on a wall-clock cadence (each sample
 runs on the store executor, serialized with request handlers), and runs
-the flight-recorder triggers live so threshold trips become alerts.
+the sampler's triggers live so threshold trips become alerts.
 Snapshots are served by ``OBS_SNAPSHOT``: a watcher polls, and the server
 keeps nothing per watcher. Every frame a connection writes answers one of
 its requests.
@@ -128,13 +128,12 @@ class _Connection(asyncio.BufferedProtocol):
                 server._next_conn_id += 1
                 server._conns[self.session.id] = self
         if refused:
-            server._count(None, "connections_rejected")
+            server._count("connections_rejected")
             code = "SHUTTING_DOWN" if server._closing else "SERVER_BUSY"
             self.send(error_response(None, code))
             transport.close()
             return
-        server._count("tardis_net_server_connections_total", "connections_total")
-        server._gauge_connections()
+        server._count("connections_total")
 
     def get_buffer(self, sizehint: int) -> memoryview:
         return self._view
@@ -166,7 +165,7 @@ class _Connection(asyncio.BufferedProtocol):
             return
         server = self.server
         if self._unread:
-            server._count("tardis_net_server_bytes_in_total", "bytes_in", self._unread)
+            server._count("bytes_in", self._unread)
         # Cleanup runs on the store executor like every other store
         # access, so it serializes behind a still-running handler of this
         # connection (whose answer ``write`` will then drop) instead of
@@ -221,7 +220,7 @@ class _Connection(asyncio.BufferedProtocol):
 
     def _timed_out(self, request: Dict[str, Any]) -> None:
         server = self.server
-        server._count("tardis_net_server_timeouts_total", "timeouts_total")
+        server._count("timeouts_total")
         # The handler may still be running, or yet to run. If it begins a
         # transaction, nobody will learn its id: undo that behind it on
         # the executor (serially, before this connection's next request).
@@ -311,8 +310,8 @@ class TardisServer:
         #: connection id -> the live connection (until its cleanup ran).
         self._conns: Dict[int, _Connection] = {}
         self._session_names: Set[str] = set()
-        #: every session name this server ever bound; the shutdown report
-        #: counts the ones still present in the store as leaks.
+        #: session names this server bound and has not yet cleaned up; the
+        #: shutdown report counts the ones still present in the store as leaks.
         self._owned_sessions: Set[str] = set()
         self._next_conn_id = 1
         self._inflight = 0
@@ -471,15 +470,10 @@ class TardisServer:
 
     # -- counters (the transport is _Connection, above) ---------------------
 
-    def _count(self, metric: Optional[str], stat: str, n: int = 1) -> None:
-        """Count ``n`` events in the stats dict (always on: STATS and the
-        shutdown report read it) and, under ``metric``, in the registry
-        (when enabled; None for a stat with no registry counterpart)."""
+    def _count(self, stat: str, n: int = 1) -> None:
+        """Count ``n`` events in the stats dict."""
         with self._lock:
             self._stats[stat] += n
-        m = _met.DEFAULT
-        if metric is not None and m.enabled:
-            m.inc(metric, n)
 
     def _started(self, nbytes: int) -> None:
         """A request left the decoder, ``nbytes`` read since the last one."""
@@ -487,10 +481,6 @@ class TardisServer:
             self._stats["requests_total"] += 1
             self._stats["bytes_in"] += nbytes
             self._inflight += 1
-        m = _met.DEFAULT
-        if m.enabled:
-            m.inc("tardis_net_server_requests_total")
-            m.inc("tardis_net_server_bytes_in_total", nbytes)
 
     def _sent(self, nbytes: int, error: bool, answers: bool) -> None:
         """A response frame is about to be written; ``answers``: the
@@ -501,11 +491,6 @@ class TardisServer:
                 self._stats["errors_total"] += 1
             if answers:
                 self._inflight -= 1
-        m = _met.DEFAULT
-        if m.enabled:
-            m.inc("tardis_net_server_bytes_out_total", nbytes)
-            if error:
-                m.inc("tardis_net_server_errors_total")
 
     def _observe(self, op: Optional[str], elapsed_ms: float) -> None:
         """Record one request's latency: from leaving the decoder to its
@@ -513,35 +498,20 @@ class TardisServer:
         if op is not None:
             hist = self._op_latency.get(op)
             if hist is None:
-                hist = self._op_latency[op] = _met.Histogram(
-                    "tardis_net_server_request_ms@op=%s" % op
-                )
+                hist = self._op_latency[op] = _met.Histogram(op)
             hist.record(elapsed_ms)
-        m = _met.DEFAULT
-        if m.enabled:
-            m.observe("tardis_net_server_request_ms", elapsed_ms)
-            if op is not None:
-                m.observe("tardis_net_server_request_ms@op=%s" % op, elapsed_ms)
-
-    def _gauge_connections(self) -> None:
-        m = _met.DEFAULT
-        if m.enabled:
-            with self._lock:
-                active = len(self._conns)
-            m.set_gauge("tardis_net_server_connections_active", active)
 
     def _cleanup_sync(self, session: WireSession) -> None:
         """Disconnect cleanup (executor thread): abort, close, forget."""
         aborted = session.close()
         with self._lock:
             self._conns.pop(session.id, None)
-            if session.session_name is not None:
-                self._session_names.discard(session.session_name)
+            name = session.session_name
+            if name is not None:
+                self._session_names.discard(name)
+                self._owned_sessions.discard(name)
         if aborted:
-            self._count(
-                "tardis_net_server_disconnect_aborts_total", "disconnect_aborts", aborted
-            )
-        self._gauge_connections()
+            self._count("disconnect_aborts", aborted)
 
     # -- live ops plane (the sampler task) ---------------------------------
 
@@ -595,7 +565,7 @@ class TardisServer:
                 except Exception:  # tardis: ignore[bare-except] — a failed sample must not kill the server
                     pass
                 else:
-                    self._count("tardis_net_server_obs_samples_total", "obs_samples")
+                    self._count("obs_samples")
                 delay = self.obs_sample_interval - (loop.time() - started)
                 await asyncio.sleep(max(0.0, delay))
         except asyncio.CancelledError:

@@ -14,10 +14,9 @@ Commands:
   events; ``--json`` / ``--prometheus`` switch the output format.
 * ``trace`` — run a scripted three-site replicated scenario (concurrent
   commits, replication, merge) and print one transaction's
-  causally-ordered multi-site timeline; ``--dump`` also freezes a
-  flight-recorder dump to JSON.
-* ``flight`` — pretty-print a flight-recorder dump produced by the
-  divergence monitor (or ``trace --dump``).
+  causally-ordered multi-site timeline; ``--dump`` also writes a
+  flight dump (:func:`repro.obs.flight.flight_dump`) to JSON.
+* ``flight`` — pretty-print a flight dump written by ``trace --dump``.
 * ``check`` — run the static-analysis rules (lock discipline,
   lock order, metric-name drift, hygiene) over the package and
   exit nonzero on findings; ``--format=json`` is the CI gate's input.
@@ -25,7 +24,9 @@ Commands:
   one TardisStore behind the length-prefixed JSON wire protocol, until
   SIGINT/SIGTERM; prints a ``TARDIS_SERVE_REPORT`` JSON line after the
   graceful drain and exits nonzero if any session leaked.
-  ``--obs-interval`` turns on the live ops sampler (§14).
+  ``--obs-interval`` turns on the live ops sampler (§14); ``--metrics``
+  enables the store's metrics registry and prints it as Prometheus text
+  before the report (the server's own counts are in the report).
 * ``top`` — terminal dashboard against a running server: divergence
   gauges, sparkline series, per-op latency percentiles, per-shard and
   per-worker health, and the live alert strip. ``--live`` re-renders an
@@ -48,7 +49,7 @@ from repro.obs import MetricsRegistry, Tracer, export
 from repro.obs import metrics as _met
 from repro.obs import tracing as _trc
 from repro.obs.context import format_timeline, trace_id_of
-from repro.obs.flight import FlightRecorder, format_flight
+from repro.obs.flight import flight_dump, format_flight
 from repro.replication.cluster import Cluster
 from repro.server.server import TardisServer, run_server
 from repro.sim.adapters import OCCAdapter, TardisAdapter, TwoPLAdapter
@@ -231,7 +232,7 @@ def cmd_metrics(args) -> int:
         if entry["type"] == "counter" or entry["type"] == "gauge":
             print("  %-40s %s" % (name, entry["value"]))
         elif entry["type"] == "histogram" and entry["count"]:
-            hist = export.histogram_from_snapshot(name, entry)
+            hist = registry.get(name)
             print(
                 "  %-40s count=%d p50=%.4f p99=%.4f max=%.4f"
                 % (name, entry["count"], hist.quantile(0.5), hist.quantile(0.99), entry["max"])
@@ -280,11 +281,11 @@ def cmd_trace(args) -> int:
     print(format_timeline(timeline, trace_id))
 
     if args.dump:
-        recorder = FlightRecorder(
-            cluster.tracers, cluster.stores, monitor=cluster.monitor()
+        monitor = cluster.monitor()
+        monitor.sample()
+        doc = flight_dump(
+            cluster.tracers, cluster.stores, monitor, "manual dump (tardis trace --dump)"
         )
-        recorder.monitor.sample()
-        doc = recorder.snapshot(reason="manual dump (tardis trace --dump)")
         with open(args.dump, "w") as handle:
             json.dump(doc, handle, indent=2, default=str, sort_keys=True)
             handle.write("\n")
@@ -464,7 +465,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--metrics", action="store_true",
-        help="enable the obs registry; dump Prometheus text at exit",
+        help="enable the store's metrics registry; print it as Prometheus "
+        "text at exit (server counts are in TARDIS_SERVE_REPORT)",
     )
     serve.add_argument(
         "--obs-interval", type=float, default=None,

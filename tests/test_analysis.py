@@ -596,15 +596,14 @@ PLANTED = [
     ),
     pytest.param(
         "lock-order", "server/server.py",
-        "                self._session_names.discard(session.session_name)\n",
-        "                self._session_names.discard(session.session_name)\n"
-        "            self._gauge_connections()\n",
-        id="lock-order:cleanup-gauges-under-the-lock",
+        "            report: Dict[str, Any] = dict(self._stats)\n",
+        "            report: Dict[str, Any] = self._obs_counters()\n",
+        id="lock-order:shutdown-reads-counters-under-the-lock",
     ),
     pytest.param(
         "lock-order", "server/server.py",
-        "        if aborted:\n            self._count(\n",
-        "        if aborted:\n            with self._lock:\n                self._count(\n",
+        "        if aborted:\n            self._count(",
+        "        if aborted:\n            with self._lock:\n                self._count(",
         id="lock-order:cleanup-counts-aborts-under-the-lock",
     ),
     pytest.param(
@@ -637,9 +636,9 @@ PLANTED = [
         id="async-discipline:sampler-task-dropped",
     ),
     pytest.param(
-        "metric-name-drift", "server/server.py",
-        'server._count("tardis_net_server_bytes_in_total",',
-        'server._count("tardis_net_server_" "bytesin_total",',
+        "metric-name-drift", "obs/series.py",
+        'self._feed("tardis_repl_lag@total",',
+        'self._feed("tardis_repl_" "lga@total",',
         id="metric-name-drift:producer-misspelled",
     ),
     pytest.param(

@@ -316,41 +316,6 @@ class TestExport:
         text = export.to_prometheus(reg)
         assert "_1bad_name_with_dots 1" in text
 
-    def test_snapshot_diff_counters(self):
-        reg = self._registry()
-        before = export.snapshot(reg)
-        reg.inc("commits", 3)
-        reg.set_gauge("live_states", 9.0)
-        after = export.snapshot(reg)
-        delta = export.diff(before, after)
-        assert delta["commits"]["value"] == 3
-        assert delta["live_states"]["value"] == 9.0
-        assert delta["live_states"]["delta"] == 5.0
-
-    def test_snapshot_diff_histogram_window(self):
-        reg = MetricsRegistry()
-        for v in (1.0, 2.0):
-            reg.observe("lat", v)
-        before = export.snapshot(reg)
-        for v in (100.0, 200.0, 0.0):
-            reg.observe("lat", v)
-        delta = export.diff(before, export.snapshot(reg))["lat"]
-        assert delta["count"] == 3
-        assert delta["sum"] == pytest.approx(300.0)
-        assert delta["zero"] == 1
-        # quantiles of just the window: the pre-existing 1.0/2.0 are gone
-        hist = export.histogram_from_snapshot("lat", delta)
-        assert hist.count == 3
-        assert hist.quantile(0.99) == pytest.approx(200.0, rel=1.0 / 16)
-        assert hist.quantile(0.5) == pytest.approx(100.0, rel=1.0 / 16)
-
-    def test_diff_handles_metric_absent_from_before(self):
-        reg = MetricsRegistry()
-        before = export.snapshot(reg)
-        reg.inc("new_counter", 2)
-        delta = export.diff(before, export.snapshot(reg))
-        assert delta["new_counter"]["value"] == 2
-
 
 class TestInstrumentation:
     """The store's hot paths feed an installed registry/tracer."""

@@ -104,9 +104,7 @@ class TestObsSampler:
     def test_alert_fires_on_held_excursion(self):
         store = TardisStore("A")
         clock = {"t": 0.0}
-        sampler = ObsSampler(
-            store, site="A", clock=lambda: clock["t"], triggers=()
-        )
+        sampler = ObsSampler(store, site="A", clock=lambda: clock["t"])
         sampler.arm("tardis_branch_count", 1.0, hold_ms=50.0)
         store.put("x", 0)
         txns = [store.begin(session=store.session("s%d" % i)) for i in range(3)]
@@ -236,17 +234,30 @@ class TestObsSnapshotOp:
             stats = client.stats()
             assert stats["obs"]["sampler"] is True
             assert stats["obs"]["interval_s"] == pytest.approx(0.05)
-            assert "series" not in stats["obs"]["snapshot"]  # light form
-            assert "gauges" in stats["obs"]["snapshot"]
+            # the counts are STATS's own top level, not a sampled copy
+            assert set(stats["obs"]) == {"sampler", "interval_s"}
 
-    def test_stats_snapshot_is_fresh_without_sampler(self, served_cold):
+    def test_obs_snapshot_is_fresh_without_sampler(self, served_cold):
         with TardisClient(port=served_cold.port) as client:
-            first = client.stats()["obs"]["snapshot"]["latency_ms"]
+            first = client.obs_snapshot(tail=0)["latency_ms"]
             for i in range(100):
                 client.put("x", i)
-            second = client.stats()["obs"]["snapshot"]["latency_ms"]
+            second = client.obs_snapshot(tail=0)["latency_ms"]
             before = first.get("COMMIT", {"count": 0})["count"]
             assert second["COMMIT"]["count"] - before == 100
+
+    def test_stats_does_not_sample(self, served_cold):
+        series = "tardis_branch_count@obs-cold"
+        with TardisClient(port=served_cold.port) as client:
+            client.put("x", 1)
+            first = client.obs_snapshot()
+            for _ in range(20):
+                client.stats()
+            second = client.obs_snapshot()
+        # only the two OBS_SNAPSHOTs sampled: one seq step, one point per series
+        assert second["seq"] == first["seq"] + 1
+        assert len(second["series"][series]) == len(first["series"][series]) + 1
+        assert served_cold.server.obs.seq == second["seq"]
 
     def test_sampler_ticks_accumulate(self, served_live):
         with TardisClient(port=served_live.port) as client:
@@ -291,7 +302,7 @@ class TestNoPushStream:
         with TardisClient(port=served_live.port) as client:
             stats = client.stats()
         assert not [name for name in stats if name.startswith("obs_frames")]
-        assert set(stats["obs"]) == {"sampler", "interval_s", "snapshot"}
+        assert set(stats["obs"]) == {"sampler", "interval_s"}
         assert _wait_until(lambda: served_live.server._stats["obs_samples"] > 0)
         report = served_live.stop()
         assert report["obs_samples"] > 0

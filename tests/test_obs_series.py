@@ -1,5 +1,5 @@
 """Tests for windowed series, the divergence monitor, the flight
-recorder, and cross-replica timelines (repro.obs.series /
+dump, and cross-replica timelines (repro.obs.series /
 repro.obs.flight / repro.obs.context)."""
 
 import json
@@ -16,7 +16,7 @@ from repro.obs.context import (
     stamp,
     trace_id_of,
 )
-from repro.obs.flight import FlightRecorder, dag_snapshot, format_flight
+from repro.obs.flight import dag_snapshot, flight_dump, format_flight
 from repro.obs.series import (
     DivergenceMonitor,
     Trigger,
@@ -24,6 +24,7 @@ from repro.obs.series import (
     dag_extent,
 )
 from repro.obs.tracing import Tracer
+from repro.replication.cluster import Cluster
 from repro.sim.des import Simulator
 
 
@@ -157,13 +158,28 @@ class TestDivergenceMonitor:
         assert data["tardis_repl_lag@eu->us"]["samples"] == [[0.0, 0]]
         assert data["tardis_repl_lag@total"]["samples"] == [[0.0, 1]]
 
-    def test_mirrors_gauges_into_registry(self):
-        store = branched_store()
+    def test_branch_count_is_per_site_and_only_in_the_series(self):
+        cluster = Cluster(n_sites=3)
+        us = cluster.stores["us"]
+        us.put("x", 0)
+        t1 = us.begin(session=us.session("a"))
+        t2 = us.begin(session=us.session("b"))
+        for i, txn in enumerate((t1, t2)):
+            txn.put("x", txn.get("x") + i + 1)
+        t1.commit()
+        t2.commit()  # us forks; nothing has replicated yet
         reg = met.MetricsRegistry()
         with met.use_registry(reg):
-            DivergenceMonitor({"obs": store}, clock=lambda: 0.0).sample()
-        data = reg.to_dict()
-        assert data["tardis_branch_count"]["value"] == 2
+            monitor = cluster.monitor()
+            monitor.sample()
+        counts = {
+            site: monitor.gauge("tardis_branch_count@%s" % site).last()[1]
+            for site in ("us", "eu", "asia")
+        }
+        assert counts == {"us": 2, "eu": 1, "asia": 1}
+        # no site-less copy that would hold whichever site came last
+        assert reg.get("tardis_branch_count") is None
+        assert not [n for n in reg.names() if n.startswith(("tardis_dag_", "tardis_repl_lag"))]
 
     def test_install_samples_on_des_ticks(self):
         store = TardisStore("des")
@@ -176,8 +192,8 @@ class TestDivergenceMonitor:
         assert ts == [10.0, 20.0, 30.0, 40.0]
 
 
-class TestFlightRecorder:
-    def build(self, out_dir=None):
+class TestFlightDump:
+    def build(self):
         tracer = Tracer(capacity=64, enabled=True, clock=lambda: 0.0)
         store = TardisStore("f")
         store.tracer = tracer
@@ -188,31 +204,12 @@ class TestFlightRecorder:
         t2.put("x", t2.get("x") + 2)  # read-modify-write: true conflict
         t1.commit()
         t2.commit()  # conflict: branch count goes to 2
-        now = {"t": 0.0}
-        monitor = DivergenceMonitor({"f": store}, clock=lambda: now["t"])
-        recorder = FlightRecorder(
-            {"f": tracer}, {"f": store}, monitor=monitor, out_dir=out_dir
-        )
-        return store, monitor, recorder, now
-
-    def test_trip_produces_one_dump(self):
-        store, monitor, recorder, now = self.build()
-        recorder.arm("tardis_branch_count", threshold=1, hold_ms=10.0)
+        monitor = DivergenceMonitor({"f": store}, clock=lambda: 0.0)
         monitor.sample()
-        assert recorder.dumps == []  # hold not served yet
-        now["t"] = 10.0
-        monitor.sample()
-        now["t"] = 20.0
-        monitor.sample()
-        assert len(recorder.dumps) == 1  # fired once, stayed tripped
-        doc = recorder.dumps[0]
-        assert doc["rule"]["series_tripped"] == "tardis_branch_count@f"
-        assert doc["tripped_at_ms"] == 10.0
+        return flight_dump({"f": tracer}, {"f": store}, monitor, "unit test")
 
     def test_dump_contents(self):
-        store, monitor, recorder, now = self.build()
-        monitor.sample()
-        doc = recorder.snapshot(reason="manual")
+        doc = self.build()
         kinds = {e["kind"] for e in doc["events"]}
         assert "txn.commit" in kinds and "branch.fork" in kinds
         assert all(e["site"] == "f" for e in doc["events"])
@@ -222,24 +219,21 @@ class TestFlightRecorder:
         assert len(snap["leaves"]) == 2
         assert {s["id"] for s in snap["states"]} >= set(snap["leaves"])
 
-    def test_dump_written_to_disk_and_formats(self, tmp_path):
-        store, monitor, recorder, now = self.build(out_dir=str(tmp_path))
-        monitor.sample()
-        recorder.record(reason="unit test")
-        assert len(recorder.paths) == 1
-        with open(recorder.paths[0]) as handle:
-            doc = json.load(handle)
-        text = format_flight(doc)
+    def test_dump_roundtrips_through_json_into_format_flight(self):
+        doc = self.build()
+        loaded = json.loads(json.dumps(doc, default=str, sort_keys=True))
+        assert loaded == doc  # JSON-safe as built
+        text = format_flight(loaded)
         assert "FLIGHT RECORDER DUMP — unit test" in text
         assert "tardis_branch_count@f" in text
         assert "txn.commit" in text
+        assert "leaves=2" in text
 
     def test_truncation_is_visible(self):
         tracer = Tracer(capacity=4, enabled=True, clock=lambda: 0.0)
         for i in range(9):
             tracer.event("noise", i=i)
-        recorder = FlightRecorder({"t": tracer}, {})
-        doc = recorder.snapshot(reason="drop test")
+        doc = flight_dump({"t": tracer}, {}, None, "drop test")
         assert doc["dropped_events"] == {"t": 5}
         assert "truncated timelines: t dropped 5" in format_flight(doc)
 

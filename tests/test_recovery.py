@@ -1,6 +1,7 @@
 """Tests for fault tolerance: WAL logging, crash recovery, checkpoints (§6.5)."""
 
 import os
+import pickle
 
 import pytest
 
@@ -190,6 +191,33 @@ class TestCheckpoint:
         assert report["replayed"] == 0
         assert report["discarded"] == len(tail)
         assert recovered.get("y") is None
+
+    def test_a_torn_checkpoint_loses_no_acknowledged_commit(self, tmp_path, monkeypatch):
+        store = make_store(tmp_path)
+        sess = store.session("a")
+        for i in range(25):
+            store.put("k%d" % i, i, session=sess)
+        snap = str(tmp_path / "snap.ckpt")
+        checkpoint_store(store, snap)
+        for i in range(25, 30):
+            store.put("k%d" % i, i, session=sess)
+
+        def torn_dump(obj, handle, protocol=None):
+            data = pickle.dumps(obj, protocol=protocol)
+            handle.write(data[: len(data) // 2])
+            raise OSError("crash mid-checkpoint")
+
+        monkeypatch.setattr("repro.core.recovery.pickle.dump", torn_dump)
+        with pytest.raises(OSError):
+            checkpoint_store(store, snap)
+        monkeypatch.undo()
+        store.close()
+
+        recovered, report = recover_store(
+            "A", str(tmp_path / "wal.log"), snapshot_path=snap
+        )
+        assert report["discarded"] == 0
+        assert [recovered.get("k%d" % i) for i in range(30)] == list(range(30))
 
     def test_checkpoint_compacts_log(self, tmp_path):
         store = make_store(tmp_path)

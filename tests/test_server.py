@@ -19,6 +19,7 @@ from repro.errors import (
     ShardUnavailableError,
     TransactionClosed,
 )
+from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.server import start_in_thread
 from repro.server.protocol import (
     HEADER,
@@ -142,6 +143,20 @@ class TestWireBasics:
             stats = client.stats()
             assert stats["connections_active"] == 1
             assert stats["store"]["site"] == "net-test"
+
+    def test_server_counts_live_in_its_report_not_the_registry(self):
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            handle = start_in_thread(site="registry-test")
+            with TardisClient(port=handle.port) as client:
+                client.put("x", 1)
+                assert client.get("x") == 1
+            report = handle.stop()
+        assert report["requests_total"] >= 3 and report["commits"] >= 1
+        assert report["connections_total"] == 1 and report["bytes_out"] > 0
+        # the registry holds the served store's metrics and nothing else
+        assert registry.counter_value("tardis_txn_commit_total") >= 1
+        assert not [name for name in registry.names() if name.startswith("tardis_net_")]
 
     def test_branch_and_merge_over_the_wire(self, served):
         with TardisClient(port=served.port, session="a") as a, TardisClient(
@@ -303,6 +318,16 @@ class TestDisconnectCleanup:
         reborn = TardisClient(port=served.port, session="phoenix")
         reborn.put("x", 1)
         reborn.close()
+
+    def test_cleanup_forgets_the_session_names_it_closed(self, served):
+        server = served.server
+        for i in range(300):
+            with TardisClient(port=served.port) as client:
+                client.put("k", i)
+        assert _wait_until(lambda: not server._conns)
+        with server._lock:
+            assert server._owned_sessions == set()
+        assert served.stop()["leaked_sessions"] == []
 
 
 # ---------------------------------------------------------------------------
