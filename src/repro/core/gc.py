@@ -20,14 +20,15 @@ aggressive three-pronged collection (Figure 8):
 Record promotion then rewrites record versions of deleted states to
 their promoted identity and discards all but the newest of versions that
 collapsed onto the same state, so that only current and fork-point
-versions remain.
+versions remain. The promotion table then keeps only the ids a session
+or a ceiling still holds, so it stays as small as the set of clients.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import attrgetter
-from typing import TYPE_CHECKING, Any, Callable, Dict, Iterator, List, Optional, Set
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Set
 
 from repro.core.ids import StateId
 from repro.errors import GarbageCollectedError
@@ -35,7 +36,7 @@ from repro.obs import metrics as _met
 from repro.obs.context import stamp
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.state_dag import State, StateDAG
+    from repro.core.state_dag import State
     from repro.core.store import TardisStore
 
 
@@ -48,6 +49,9 @@ class GCStats:
     states_removed: int = 0
     records_promoted: int = 0
     records_dropped: int = 0
+    #: promotion-table entries the cycle dropped: every collected id
+    #: that no session or ceiling holds (0 on a store that ships its
+    #: commits, unless the cycle flushes)
     promotions_flushed: int = 0
     fork_entries_scrubbed: int = 0
     #: live counts after the cycle
@@ -80,11 +84,14 @@ class GarbageCollector:
     def collect(self, flush_promotions: bool = False) -> GCStats:
         """Run one full cycle: mark, safe-to-gc, splice, promote records.
 
-        ``flush_promotions`` additionally drops promotion-table entries
-        once the record-promotion pass has rewritten every reference —
-        after which looking up a collected state fails outright, the
-        situation optimistic replicated GC resolves by refetching from a
-        peer (§6.4).
+        Once record promotion has re-keyed every version to a live id,
+        the promotion table keeps only the ids a session or a ceiling
+        holds (:meth:`_held_ids`); any other collected id then raises
+        :class:`~repro.errors.GarbageCollectedError`. A store whose
+        commits are shipped to peers keeps the whole table instead,
+        because a peer fetches promotions by id (§6.4).
+        ``flush_promotions`` prunes that table too, the situation
+        optimistic replicated GC resolves by refetching from a peer.
         """
         stats = GCStats()
         store = self._store
@@ -96,10 +103,9 @@ class GarbageCollector:
             promoted, dropped = store.versions.promote_and_prune(dag)
             stats.records_promoted = promoted
             stats.records_dropped = dropped
-            if flush_promotions:
-                flushed = dag.promotion_table_size
-                dag.forget_promotions(list(self._all_promotion_ids()))
-                stats.promotions_flushed = flushed - dag.promotion_table_size
+            # The replicator is the store's only commit listener.
+            if flush_promotions or not store._commit_listeners:
+                stats.promotions_flushed = dag.prune_promotions(self._held_ids())
             stats.live_states = len(dag)
             stats.live_records = store.versions.num_records()
         m = _met.DEFAULT
@@ -141,7 +147,7 @@ class GarbageCollector:
             try:
                 ceiling = dag.resolve(state_id)
             except GarbageCollectedError:
-                continue  # ceiling itself was absorbed by a newer one
+                continue  # placed at an id already dropped; a held one never is
             ancestors = self._strict_ancestors(ceiling)
             common = ancestors if common is None else (common & ancestors)
             if not common:
@@ -271,17 +277,14 @@ class GarbageCollector:
             # mask and their positions retired for reuse (§6.1.3, §6.3).
             stats.fork_entries_scrubbed = dag.retire_forks(dead_forks)
 
-    def _all_promotion_ids(self) -> Iterator[StateId]:
-        dag = self._store.dag
-        # Promotion entries still referenced by a record version must
-        # survive the flush; everything else can go.
-        referenced: Set[StateId] = set()
-        for key in list(self._store.versions.keys()):
-            referenced.update(self._store.versions.versions_of(key))
-        for sid in list(_promotion_keys(dag)):
-            if sid not in referenced:
-                yield sid
+    def _held_ids(self) -> Set[StateId]:
+        """The ids something in this process can still hand to ``resolve``.
 
-
-def _promotion_keys(dag: "StateDAG") -> List[StateId]:
-    return list(dag._promotions.keys())
+        Every registered session's anchor (``ROOT_ID`` for one that never
+        committed: the root is promoted when it is spliced) and every
+        ceiling. Record ids need no entry: promotion has just re-keyed
+        them all to live states, on every record-store plane.
+        """
+        held = {session.last_commit_id for session in self._store._sessions.values()}
+        held.update(self._ceilings.values())
+        return held

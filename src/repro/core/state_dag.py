@@ -129,7 +129,9 @@ class StateDAG:
         # Leaves in insertion order; iterated newest-first for BFS.
         self._leaves: Dict[StateId, State] = {ROOT_ID: self.root}
         #: promotion table: id of a garbage-collected state -> id of the
-        #: child that took over its identity (§6.3).
+        #: child that took over its identity (§6.3). A collection cycle
+        #: keeps only the ids a session or a ceiling holds
+        #: (``prune_promotions``).
         self._promotions: Dict[StateId, StateId] = {}
         #: count of retroactive fork-path pushes (exposed for benchmarks).
         self.retro_updates = 0
@@ -176,8 +178,9 @@ class StateDAG:
     def resolve(self, state_id: StateId) -> State:
         """Map an id to its live state, following promotions (§6.3).
 
-        Raises :class:`GarbageCollectedError` when the id is unknown,
-        which with optimistic replicated GC means the state must be
+        Raises :class:`GarbageCollectedError` when the id is unknown: a
+        collected id that no session or ceiling held at the last cycle,
+        or, with optimistic replicated GC, a state that must be
         re-fetched from a peer (§6.4).
         """
         seen = []
@@ -452,19 +455,28 @@ class StateDAG:
     def promotion_table_size(self) -> int:
         return len(self._promotions)
 
-    def forget_promotions(self, ids: Iterable[StateId]) -> None:
-        """Drop promotion entries once no record references them (§6.3).
+    def prune_promotions(self, held: Iterable[StateId]) -> int:
+        """Keep only the entries of ``held`` ids, each aimed at its live heir.
+
+        Every other entry is dropped, and its id then raises
+        :class:`GarbageCollectedError`. The collector calls this once
+        record promotion has re-keyed every version to a live id (§6.3),
+        with the ids a session or a ceiling still holds. Because each
+        kept entry is compressed, a chain never runs longer than the
+        splices made since the previous prune. Returns the number of
+        entries dropped.
 
         Dropping an entry is destructive: a cached ``resolve`` that
         relied on it would now raise, so cached reads keyed on the old
         ``destructive_gen`` must be invalidated.
         """
-        dropped = 0
-        for sid in ids:
-            if self._promotions.pop(sid, None) is not None:
-                dropped += 1
+        promotions = self._promotions
+        kept = {sid: self.resolve(sid).id for sid in held if sid in promotions}
+        dropped = len(promotions) - len(kept)
+        self._promotions = kept
         if dropped:
             self.mark_destructive()
+        return dropped
 
     # -- invariants (used by property tests) ----------------------------------
 

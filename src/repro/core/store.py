@@ -96,6 +96,21 @@ class ClientSession:
         return "<ClientSession %s @ %r>" % (self.name, self.last_commit_id)
 
 
+class _TransientSession(ClientSession):
+    """The session of a call made without one: one transaction long.
+
+    It is never registered, so it is not in ``store.sessions()`` and its
+    anchor holds no promotion-table entry (§6.3), and it places no
+    ceiling. Like a fresh session, it is anchored at the current root.
+    """
+
+    def __init__(self, store: "TardisStore") -> None:
+        super().__init__(store, "(transient)")
+
+    def place_ceiling(self) -> None:
+        pass
+
+
 class StoreMetrics:
     """Lifetime counters for one store."""
 
@@ -274,8 +289,9 @@ class TardisStore:
         constraint = begin_constraint or self.default_begin
         if not constraint.can_begin:
             raise BeginError("%s cannot be used as a begin constraint" % constraint.name)
-        session = session or self.session()
         with self._lock:
+            # Under the lock: a cycle must not drop the root it anchors at.
+            session = session or _TransientSession(self)
             probe = _ConstraintProbe(session, self.dag)
             visits = [0]
             state = self.dag.find_read_state(
@@ -313,8 +329,8 @@ class TardisStore:
         constraint = begin_constraint or AnyConstraint()
         if not constraint.can_begin:
             raise BeginError("%s cannot be used as a begin constraint" % constraint.name)
-        session = session or self.session()
         with self._lock:
+            session = session or _TransientSession(self)
             if states is not None:
                 read_states = [self.dag.resolve(sid) for sid in states]
             else:

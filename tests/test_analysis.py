@@ -478,19 +478,22 @@ class TestFlaggedViolationRegressions:
         assert probe.entries >= 1
         assert "alice" not in store._sessions
 
-    def test_forget_promotions_is_destructive(self):
-        # forget_promotions dropped entries without moving
-        # destructive_gen, leaving stale visibility-cache entries.
+    def test_prune_promotions_is_destructive(self):
+        # Dropping promotion entries without moving destructive_gen
+        # would leave stale visibility-cache entries (the old
+        # forget_promotions did once).
         dag = StateDAG("A")
         dag._promotions[("ghost", "A")] = ROOT_ID
+        dag._promotions[("held", "A")] = ROOT_ID
         before = dag.destructive_gen
-        dag.forget_promotions([("ghost", "A")])
+        assert dag.prune_promotions([("held", "A")]) == 1
         assert dag.destructive_gen > before
-        assert dag.promotion_table_size == 0
+        assert dag.promotion_table_size == 1
         # dropping nothing must NOT invalidate the cache
         before = dag.destructive_gen
-        dag.forget_promotions([("never-existed", "A")])
+        assert dag.prune_promotions([("held", "A"), ("never-existed", "A")]) == 0
         assert dag.destructive_gen == before
+        assert dag.promotion_of(("held", "A")) == ROOT_ID
 
     def test_retwis_merge_skips_collected_anchor_only(self):
         # bare-except: the session re-anchor loop swallowed *every*

@@ -328,6 +328,8 @@ def reference_collect(store):
             stats.fork_entries_scrubbed = dag.retire_forks(dead_forks)
     promoted, dropped = store.versions.promote_and_prune(dag)
     stats.records_promoted, stats.records_dropped = promoted, dropped
+    held = {s.last_commit_id for s in store.sessions()} | set(gc.ceilings.values())
+    stats.promotions_flushed = dag.prune_promotions(held)
     stats.live_states = len(dag)
     stats.live_records = store.versions.num_records()
     return stats
@@ -339,7 +341,7 @@ class TestChainSpliceEquivalence:
 
     KEYS = ["base"] + ["k%d" % i for i in range(7)]
 
-    def snapshot(self, store, ever_seen):
+    def snapshot(self, store, ever_seen, heir):
         dag = store.dag
         live = sorted(dag.states(), key=lambda s: s.id)
         return (
@@ -353,7 +355,8 @@ class TestChainSpliceEquivalence:
                 )
                 for s in live
             ],
-            [dag.resolve(sid).id for sid in sorted(ever_seen)],
+            [heir(sid) for sid in sorted(ever_seen)],
+            sorted(dag._promotions.items()),
             [
                 store.versions.read_visible(key, s, dag)
                 for s in live
@@ -365,7 +368,7 @@ class TestChainSpliceEquivalence:
         """Replay a randomized fork/merge/pin/consent history."""
         sessions = [store.session("s%d" % i) for i in range(3)]
         observed, ever_seen, pinned = [], set(), []
-        seen = {"scrubbed": 0, "refused": 0, "pinned": 0}
+        seen = {"scrubbed": 0, "refused": 0, "pinned": 0, "pruned": 0}
         refusing = [False]
 
         def consent(ids):
@@ -378,6 +381,30 @@ class TestChainSpliceEquivalence:
             return allowed
 
         store.gc.consent_filter = consent
+
+        # Both collectors end with the same prune. INV-4's promotion
+        # clause still covers every id ever seen, so each entry is
+        # recorded before the prune can drop it, and ``heir`` follows
+        # those records to the live state the id was promoted into.
+        shadow = {}
+        prune = store.dag.prune_promotions
+
+        def recording_prune(held):
+            table = dict(store.dag._promotions)
+            shadow.update(table)
+            dropped = prune(held)
+            assert store.dag._promotions == {
+                sid: heir(sid) for sid in held if sid in table
+            }
+            assert dropped == len(table) - len(store.dag._promotions)
+            return dropped
+
+        def heir(sid):
+            while store.dag.get(sid) is None and sid in shadow:
+                sid = shadow[sid]
+            return store.dag.resolve(sid).id
+
+        store.dag.prune_promotions = recording_prune
         for step in range(160):
             op = rng.random()
             sess = sessions[rng.randrange(3)]
@@ -423,8 +450,9 @@ class TestChainSpliceEquivalence:
                     )
                 stats = collect(store)
                 seen["scrubbed"] += stats.fork_entries_scrubbed
+                seen["pruned"] += stats.promotions_flushed
                 seen["pinned"] += stats.safe < stats.marked
-                observed.append(("gc", stats, self.snapshot(store, ever_seen)))
+                observed.append(("gc", stats, self.snapshot(store, ever_seen, heir)))
                 store.dag.check_invariants()
         for txn in pinned:
             txn.abort()

@@ -7,6 +7,7 @@ import pytest
 
 from repro import TardisStore, checkpoint_store, recover_store
 from repro.core.ids import ROOT_ID, CommitRecord, StateId
+from repro.errors import GarbageCollectedError
 from repro.obs import metrics as met
 from repro.storage.wal import WriteAheadLog
 
@@ -231,23 +232,36 @@ class TestCheckpoint:
 
     def test_checkpoint_after_gc_preserves_promotions(self, tmp_path):
         store = make_store(tmp_path)
-        sess = store.session("a")
+        sess, idle = store.session("a"), store.session("idle")
         first = store.put("old", "v", session=sess)
+        held = store.put("idle", "w", session=idle)
         for i in range(10):
             t = store.begin(session=sess)
             t.put("x", i)
             t.commit()
         sess.place_ceiling()
         store.collect_garbage()
+        # ``held`` was collected under the idle session's anchor, which
+        # kept its entry. A ceiling there holds it once the session closes.
+        assert store.dag.get(held) is None
+        store.gc.place_ceiling("reader", held)
+        store.close_session("idle")
+        assert store.collect_garbage().promotions_flushed == 0
+        assert store.gc.ceilings == {"a": sess.last_commit_id, "reader": held}
         snap = str(tmp_path / "snap.ckpt")
         checkpoint_store(store, snap)
         store.close()
         recovered, _ = recover_store(
             "A", str(tmp_path / "wal.log"), snapshot_path=snap
         )
-        # The promoted id still resolves after recovery.
-        assert recovered.dag.resolve(first) is not None
+        # The held id still resolves after recovery; a collected id that
+        # nothing held was dropped at the cycle and stays unresolvable.
+        assert recovered.dag.resolve(held).id == sess.last_commit_id
+        with pytest.raises(GarbageCollectedError):
+            recovered.dag.resolve(first)
+        assert recovered.dag.promotion_table_size == 1
         assert recovered.get("old") == "v"
+        assert recovered.get("idle") == "w"
 
     def test_recover_branched_checkpoint(self, tmp_path):
         store = make_store(tmp_path)

@@ -14,6 +14,7 @@ import time
 
 from repro import TardisStore
 from repro.client import TardisClient
+from repro.core.ids import ROOT_ID
 from repro.server import handlers, start_in_thread
 from repro.server.handlers import GC_GROWTH, WireSession
 from repro.server.server import TardisServer
@@ -78,7 +79,9 @@ class TestGrowthTrigger:
         # growth trigger fires after the same op on every run.
         assert (gc["cycles"], gc["states_removed"]) == (7, 3600)
         assert 0.0 < gc["pause_ms_last"] <= gc["pause_ms_max"]
-        assert store["promotions"] == server.store.dag.promotion_table_size > 0
+        # Only the two sessions' anchors and ceilings can still hold a
+        # collected id; the promotion table keeps nothing else.
+        assert store["promotions"] == server.store.dag.promotion_table_size <= 2
         # The next trigger is twice what the last cycle left plus GC_GROWTH.
         assert GC_GROWTH < server._gc_at <= 2 * store["states"] + GC_GROWTH
         # The GC fields moved into store.gc; nothing else of STATS changed.
@@ -108,6 +111,11 @@ class TestGrowthTrigger:
         store = _store_stats(idle)
         assert store["states"] <= 2 * GC_GROWTH
         assert store["gc"]["cycles"] >= 2 and store["gc"]["states_removed"] > 0
+        # I's anchor is the collected root: its entry is kept, W's
+        # anchor and ceiling are live, and nothing else is held.
+        dag = server.store.dag
+        assert store["promotions"] == dag.promotion_table_size == 1
+        assert dag.get(ROOT_ID) is None and dag.resolve(ROOT_ID) is dag.root
 
     def test_a_stuck_collector_stays_linear(self):
         server, (writer,) = _served_sessions("W")
