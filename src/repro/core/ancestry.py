@@ -96,9 +96,6 @@ class AncestryIndex:
         """Highest bit position ever assigned (mask width in bits)."""
         return len(self._point_at)
 
-    def bit_position(self, point: ForkPoint) -> Optional[int]:
-        return self._bit_of.get(point)
-
     # -- encoding ----------------------------------------------------------
 
     def intern(self, point: ForkPoint) -> int:

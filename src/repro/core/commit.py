@@ -29,7 +29,6 @@ from typing import Any, Dict, Optional, Sequence, Union
 
 from repro.core.ids import CommitRecord, StateId
 from repro.core.state_dag import State, StateDAG
-from repro.core.transaction import OpTrace
 from repro.core.versions import VersionedRecordStore
 from repro.errors import CrossShardAbort, ShardError, ShardUnavailableError
 from repro.obs import metrics as _met
@@ -94,7 +93,6 @@ class CommitPipeline:
         writes: Dict[Any, Any],
         state_id: Optional[StateId] = None,
         origin: str = LOCAL,
-        trace: Optional[OpTrace] = None,
     ) -> CommitRecord:
         """Install one committed transaction and return its record.
 
@@ -134,8 +132,6 @@ class CommitPipeline:
         else:
             for key, value in writes.items():
                 versions.write(key, state.id, value)
-        if trace is not None:
-            trace.writes_applied += len(writes)
         record = CommitRecord(state.id, tuple(p.id for p in state.parents), writes)
         self._append_log(record)
         if origin != REMOTE:

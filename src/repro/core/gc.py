@@ -21,11 +21,17 @@ Record promotion then rewrites record versions of deleted states to
 their promoted identity and discards all but the newest of versions that
 collapsed onto the same state, so that only current and fork-point
 versions remain. The promotion table then keeps only the ids a session
-or a ceiling still holds, so it stays as small as the set of clients.
+still holds, so it stays as small as the set of clients.
+
+The collector's one input is the store's table of registered sessions:
+a ceiling is a field of its :class:`~repro.core.store.ClientSession`
+(``None`` until placed), next to the session's anchor, and closing the
+session releases both. An unregistered session constrains nothing.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from operator import attrgetter
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Set
@@ -50,8 +56,8 @@ class GCStats:
     records_promoted: int = 0
     records_dropped: int = 0
     #: promotion-table entries the cycle dropped: every collected id
-    #: that no session or ceiling holds (0 on a store that ships its
-    #: commits, unless the cycle flushes)
+    #: that no session's anchor or ceiling holds (0 on a store that
+    #: ships its commits, unless the cycle flushes)
     promotions_flushed: int = 0
     fork_entries_scrubbed: int = 0
     #: live counts after the cycle
@@ -64,28 +70,30 @@ class GarbageCollector:
 
     def __init__(self, store: "TardisStore") -> None:
         self._store = store
-        self._ceilings: Dict[str, StateId] = {}
+        #: lifetime totals, whoever ran the cycles, and the pause clock:
+        #: how long the last and the longest cycle held the store lock.
         self.cycles = 0
+        self.states_removed = 0
+        self.pause_ms_last = 0.0
+        self.pause_ms_max = 0.0
         #: hook used by replicated pessimistic GC: called with the set of
         #: candidate state ids; must return the subset we may collect.
         self.consent_filter: Optional[Callable[[Set[StateId]], Set[StateId]]] = None
 
     @property
     def ceilings(self) -> Dict[str, StateId]:
-        return dict(self._ceilings)
-
-    def place_ceiling(self, client: str, state_id: StateId) -> None:
-        """Record ``client``'s promise never to read above ``state_id``."""
-        self._ceilings[client] = state_id
-
-    def clear_ceiling(self, client: str) -> None:
-        self._ceilings.pop(client, None)
+        """Each registered session's ceiling, by session name."""
+        return {
+            session.name: session.ceiling
+            for session in self._store.sessions()
+            if session.ceiling is not None
+        }
 
     def collect(self, flush_promotions: bool = False) -> GCStats:
         """Run one full cycle: mark, safe-to-gc, splice, promote records.
 
         Once record promotion has re-keyed every version to a live id,
-        the promotion table keeps only the ids a session or a ceiling
+        the promotion table keeps only the ids a registered session
         holds (:meth:`_held_ids`); any other collected id then raises
         :class:`~repro.errors.GarbageCollectedError`. A store whose
         commits are shipped to peers keeps the whole table instead,
@@ -97,6 +105,7 @@ class GarbageCollector:
         store = self._store
         dag = store.dag
         with store._lock:
+            started = time.perf_counter()
             self.cycles += 1
             if self._mark_pass():
                 self._collect_pass(stats, self._safe_pass(stats))
@@ -108,6 +117,9 @@ class GarbageCollector:
                 stats.promotions_flushed = dag.prune_promotions(self._held_ids())
             stats.live_states = len(dag)
             stats.live_records = store.versions.num_records()
+            self.states_removed += stats.states_removed
+            self.pause_ms_last = (time.perf_counter() - started) * 1000.0
+            self.pause_ms_max = max(self.pause_ms_max, self.pause_ms_last)
         m = _met.DEFAULT
         if m.enabled:
             m.inc("tardis_gc_cycle_total")
@@ -137,13 +149,15 @@ class GarbageCollector:
 
         A state is only unreadable once every ceiling-placing client has
         promised to stay below it, so the marked set is the intersection
-        of the strict-ancestor sets of all ceilings.
+        of the strict-ancestor sets of all ceilings: those of the
+        registered sessions that placed one.
         """
         dag = self._store.dag
-        if not self._ceilings:
-            return False
         common: Optional[Set[StateId]] = None
-        for state_id in self._ceilings.values():
+        for session in self._store._sessions.values():
+            state_id = session.ceiling
+            if state_id is None:
+                continue
             try:
                 ceiling = dag.resolve(state_id)
             except GarbageCollectedError:
@@ -281,10 +295,13 @@ class GarbageCollector:
         """The ids something in this process can still hand to ``resolve``.
 
         Every registered session's anchor (``ROOT_ID`` for one that never
-        committed: the root is promoted when it is spliced) and every
-        ceiling. Record ids need no entry: promotion has just re-keyed
-        them all to live states, on every record-store plane.
+        committed: the root is promoted when it is spliced) and ceiling.
+        Record ids need no entry: promotion has just re-keyed them all to
+        live states, on every record-store plane.
         """
-        held = {session.last_commit_id for session in self._store._sessions.values()}
-        held.update(self._ceilings.values())
+        held: Set[StateId] = set()
+        for session in self._store._sessions.values():
+            held.add(session.last_commit_id)
+            if session.ceiling is not None:
+                held.add(session.ceiling)
         return held

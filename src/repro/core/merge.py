@@ -44,7 +44,6 @@ class MergeTransaction(BaseTransaction):
         if not read_states:
             raise ValueError("merge transaction needs at least one read state")
         self.read_states = list(read_states)
-        self.trace.merge_parents = len(read_states)
 
     @property
     def parents(self) -> List[StateId]:

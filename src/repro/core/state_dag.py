@@ -279,9 +279,6 @@ class StateDAG:
         x_mask = x.path_mask
         return x_mask & y.path_mask == x_mask
 
-    def descendant_check_ids(self, x_id: StateId, y_id: StateId) -> bool:
-        return self.descendant_check(self.resolve(x_id), self.resolve(y_id))
-
     def ancestor_walk_check(self, x: State, y: State) -> bool:
         """Reference ancestry test by graph walk (no fork paths).
 

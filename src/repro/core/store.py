@@ -71,7 +71,9 @@ class ClientSession:
 
     Tracks the state at which the client last committed; ``Ancestor``
     reads any descendant of it (read-my-writes), ``Parent`` reads exactly
-    it (§5.1, Table 1).
+    it (§5.1, Table 1). A session registered by ``store.session`` holds
+    its anchor and its GC ceiling until ``close_session``; an unregistered
+    one (the transient session of a call made without one) holds nothing.
     """
 
     _GUARDED_BY = {"_active_txns": "external:TardisStore._lock"}
@@ -80,6 +82,9 @@ class ClientSession:
         self._store = store
         self.name = name
         self.last_commit_id: StateId = store.dag.root.id
+        #: the GC ceiling (§6.3): None until placed. While the session is
+        #: registered, the collector reads it with the anchor above.
+        self.ceiling: Optional[StateId] = None
         #: transactions begun against this session and still ACTIVE;
         #: ``close_session`` aborts them so a disconnected client cannot
         #: leave read states pinned forever.
@@ -90,25 +95,10 @@ class ClientSession:
 
     def place_ceiling(self) -> None:
         """Promise never to read above the last committed state (§6.3)."""
-        self._store.gc.place_ceiling(self.name, self.last_commit_id)
+        self.ceiling = self.last_commit_id
 
     def __repr__(self) -> str:
         return "<ClientSession %s @ %r>" % (self.name, self.last_commit_id)
-
-
-class _TransientSession(ClientSession):
-    """The session of a call made without one: one transaction long.
-
-    It is never registered, so it is not in ``store.sessions()`` and its
-    anchor holds no promotion-table entry (§6.3), and it places no
-    ceiling. Like a fresh session, it is anchored at the current root.
-    """
-
-    def __init__(self, store: "TardisStore") -> None:
-        super().__init__(store, "(transient)")
-
-    def place_ceiling(self) -> None:
-        pass
 
 
 class StoreMetrics:
@@ -250,7 +240,8 @@ class TardisStore:
         return list(self._sessions.values())
 
     def close_session(self, name: str) -> bool:
-        """Forget a client session and any ceiling it placed.
+        """Forget a client session: its anchor, its ceiling and the
+        promotion-table entries they held go with its one table entry.
 
         An inactive session's old ceiling would otherwise pin the entire
         DAG above it forever (ceilings are intersected across clients,
@@ -269,7 +260,6 @@ class TardisStore:
                     if txn.status == ACTIVE:
                         self._finish(txn, ABORTED)
                 sess._active_txns.clear()
-        self.gc.clear_ceiling(name)
         return sess is not None
 
     # -- transaction lifecycle -------------------------------------------------
@@ -291,7 +281,8 @@ class TardisStore:
             raise BeginError("%s cannot be used as a begin constraint" % constraint.name)
         with self._lock:
             # Under the lock: a cycle must not drop the root it anchors at.
-            session = session or _TransientSession(self)
+            # Unregistered, the transient session constrains no GC.
+            session = session or ClientSession(self, "(transient)")
             probe = _ConstraintProbe(session, self.dag)
             visits = [0]
             state = self.dag.find_read_state(
@@ -330,7 +321,7 @@ class TardisStore:
         if not constraint.can_begin:
             raise BeginError("%s cannot be used as a begin constraint" % constraint.name)
         with self._lock:
-            session = session or _TransientSession(self)
+            session = session or ClientSession(self, "(transient)")
             if states is not None:
                 read_states = [self.dag.resolve(sid) for sid in states]
             else:
@@ -482,9 +473,7 @@ class TardisStore:
                 )
             created_fork = bool(current.children)
             try:
-                record = self.pipeline.commit(
-                    [current], txn.writes, origin=LOCAL, trace=txn.trace
-                )
+                record = self.pipeline.commit([current], txn.writes, origin=LOCAL)
             except CrossShardAbort:
                 # Shard prepare failed (dead/unresponsive worker); the
                 # DAG is untouched, so this is a clean typed abort.
@@ -550,9 +539,7 @@ class TardisStore:
                             % (parent.id, constraint.name)
                         )
             try:
-                record = self.pipeline.commit(
-                    txn.read_states, txn.writes, origin=MERGE, trace=txn.trace
-                )
+                record = self.pipeline.commit(txn.read_states, txn.writes, origin=MERGE)
             except CrossShardAbort:
                 self._finish(txn, ABORTED)
                 self.metrics.aborts += 1

@@ -68,9 +68,7 @@ class OpTrace:
         "vis_hits",
         "ripple_steps",
         "children_checked",
-        "writes_applied",
         "created_fork",
-        "merge_parents",
     )
 
     def __init__(self) -> None:
@@ -83,9 +81,7 @@ class OpTrace:
         self.vis_hits = 0
         self.ripple_steps = 0
         self.children_checked = 0
-        self.writes_applied = 0
         self.created_fork = False
-        self.merge_parents = 0
 
 
 class BaseTransaction:

@@ -63,10 +63,6 @@ class MultipleValuesError(MergeError):
         self.candidates = candidates
 
 
-class NotAMergeTransaction(MergeError):
-    """A merge-only API call was issued on a single-mode transaction."""
-
-
 class StorageError(TardisError):
     """Base class for storage-layer errors."""
 

@@ -19,17 +19,12 @@ collocated DAG, exactly as the paper proposes; cross-datacenter
 replication is unchanged (the replicator speaks state ids, not shards).
 """
 
-from repro.partitioning.router import (
-    ShardRouter,
-    default_shard_of,
-    stable_key_bytes,
-)
+from repro.partitioning.router import ShardRouter, stable_key_bytes
 from repro.partitioning.workers import ShardedRecordStore, StagedShardCommit
 
 __all__ = [
     "ShardRouter",
     "ShardedRecordStore",
     "StagedShardCommit",
-    "default_shard_of",
     "stable_key_bytes",
 ]

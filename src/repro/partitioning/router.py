@@ -13,13 +13,13 @@ owns this key?* Two layers provide it:
   prefixes every type so ``"5"`` (a string) still routes independently
   of ``5`` (a number).
 
-* :class:`ShardRouter` — a consistent-hash ring with virtual nodes.
-  Each shard owns ``replicas`` pseudo-random points on a 32-bit ring; a
-  key belongs to the first shard point at or after its own hash
-  (wrapping). Virtual nodes smooth the distribution and give the
-  rebalance property the modulo hash lacks: growing from N to N+1
-  shards moves only ~1/(N+1) of the keyspace instead of nearly all of
-  it. :meth:`ShardRouter.plan` groups a key batch into per-shard op
+* :class:`ShardRouter` — the one key placement: a consistent-hash ring
+  with virtual nodes. Each shard owns :data:`REPLICAS` pseudo-random
+  points on a 32-bit ring; a key belongs to the first shard point at or
+  after its own hash (wrapping). Virtual nodes smooth the distribution
+  and give the rebalance property a modulo hash lacks: growing from N
+  to N+1 shards moves only ~1/(N+1) of the keyspace instead of nearly
+  all of it. :meth:`ShardRouter.plan` groups a key batch into per-shard op
   batches in ascending shard order — the deterministic order every
   multi-shard operation (cross-shard commit prepare/install, scatter
   reads) uses, so two coordinators can never stage the same pair of
@@ -32,12 +32,10 @@ import bisect
 import zlib
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
-__all__ = [
-    "stable_key_bytes",
-    "stable_shard_of",
-    "default_shard_of",
-    "ShardRouter",
-]
+__all__ = ["REPLICAS", "ShardRouter", "stable_key_bytes"]
+
+#: virtual nodes per shard on the ring.
+REPLICAS = 128
 
 
 def stable_key_bytes(key: Any) -> bytes:
@@ -67,20 +65,10 @@ def stable_key_bytes(key: Any) -> bytes:
     return b"o:" + repr(key).encode("utf-8", "backslashreplace")
 
 
-def stable_shard_of(key: Any, n_shards: int) -> int:
-    """Modulo partitioning over the stable key hash."""
-    return zlib.crc32(stable_key_bytes(key)) % n_shards
-
-
-#: the default key-to-shard function (stable serialization; see module
-#: docstring for why repr-based hashing was wrong).
-default_shard_of = stable_shard_of
-
-
-def _ring_points(n_shards: int, replicas: int) -> Tuple[List[int], List[int]]:
+def _ring_points(n_shards: int) -> Tuple[List[int], List[int]]:
     ring: List[Tuple[int, int]] = []
     for shard in range(n_shards):
-        for vnode in range(replicas):
+        for vnode in range(REPLICAS):
             ring.append((zlib.crc32(b"vn:%d:%d" % (shard, vnode)), shard))
     ring.sort()
     return [point for point, _ in ring], [shard for _, shard in ring]
@@ -91,30 +79,24 @@ class ShardRouter:
 
     ``shard_of`` overrides the ring with a custom ``(key, n_shards) ->
     index`` function (tests and workloads that want an exact placement).
-    The ring itself is a pure function of ``(n_shards, replicas)`` —
-    no instance state feeds it — so every router with the same shape
+    The ring itself is a pure function of ``n_shards`` — no instance
+    state feeds it — so every router with the same shape
     agrees on placement, including across processes.
     """
 
-    __slots__ = ("n_shards", "replicas", "_shard_of", "_points", "_owners")
+    __slots__ = ("n_shards", "_shard_of", "_points", "_owners")
 
     def __init__(
-        self,
-        n_shards: int,
-        replicas: int = 128,
-        shard_of: Optional[Callable[[Any, int], int]] = None,
+        self, n_shards: int, shard_of: Optional[Callable[[Any, int], int]] = None
     ) -> None:
         if n_shards < 1:
             raise ValueError("need at least one shard")
-        if replicas < 1:
-            raise ValueError("need at least one virtual node per shard")
         self.n_shards = n_shards
-        self.replicas = replicas
         self._shard_of = shard_of
         self._points: List[int] = []
         self._owners: List[int] = []
         if shard_of is None:
-            self._points, self._owners = _ring_points(n_shards, replicas)
+            self._points, self._owners = _ring_points(n_shards)
 
     def shard_of(self, key: Any) -> int:
         """The shard index owning ``key``."""
@@ -139,8 +121,7 @@ class ShardRouter:
         return dict(sorted(batches.items()))
 
     def __repr__(self) -> str:
-        return "<ShardRouter shards=%d replicas=%d custom=%s>" % (
+        return "<ShardRouter shards=%d custom=%s>" % (
             self.n_shards,
-            self.replicas,
             self._shard_of is not None,
         )

@@ -94,9 +94,6 @@ class SimNetwork:
                 m.inc("tardis_net_buffered_dropped_total", dropped)
         return dropped
 
-    def is_partitioned(self, a: str, b: str) -> bool:
-        return (a, b) in self._partitioned
-
     # -- messaging --------------------------------------------------------------
 
     def send(self, src: str, dst: str, message: Any) -> None:

@@ -2,7 +2,7 @@
 
 Everything in this module runs on the server's single store-executor
 thread (so it is serialized with every other store access) and touches
-no socket or event loop; its one clock times GC pauses.
+no socket or event loop.
 ``server/server.py`` is the other half — the event-loop transport — and
 reaches the store only through :meth:`WireSession.handle` and
 :meth:`WireSession.close`.
@@ -23,6 +23,10 @@ runs both before the op itself (``WRITE`` is the one-op spelling of
 ``closed``, the ids of those its client committed locally, and
 :meth:`WireSession.handle` commits them before the op runs.
 
+A connection is bound at HELLO to one registered
+:class:`~repro.core.store.ClientSession`, and keeps that object: its
+transactions begin on it, and its close (disconnect, BYE) closes it.
+
 The served store collects its garbage (docs/internals.md §3): every
 commit a session makes places its GC ceiling at its new anchor, and a
 COMMIT that leaves the DAG ``server._gc_at`` states large runs a cycle
@@ -31,11 +35,11 @@ before it is answered.
 
 from __future__ import annotations
 
-import time
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core import constraints
 from repro.core.merge import MergeTransaction
+from repro.core.store import ClientSession
 from repro.core.transaction import ACTIVE, COMMITTED, BaseTransaction
 from repro.obs.sampler import ObsSampler
 from repro.server.protocol import (
@@ -55,8 +59,8 @@ __all__ = ["GC_GROWTH", "HANDLERS", "RequestError", "WireSession", "holds_work"]
 #: before the next cycle runs (see ``_collect_if_grown``).
 GC_GROWTH = 512
 
-#: the GC fields of STATS ``store.gc``; the server's counters carry each
-#: as ``gc_<field>``.
+#: the collector's counts in STATS ``store.gc``; the server's counters
+#: (OBS_SNAPSHOT, the shutdown report) carry each as ``gc_<field>``.
 GC_FIELDS = ("cycles", "states_removed", "pause_ms_last", "pause_ms_max")
 
 #: begin-constraint names accepted by ``begin`` (Table 1 of the paper).
@@ -91,7 +95,7 @@ class RequestError(Exception):
 
 
 class WireSession:
-    """One connection's protocol state: the session binding and the
+    """One connection's protocol state: the session it bound and the
     open transactions, and the one way a request reaches the store.
 
     Everything here is mutated only on the store executor thread
@@ -101,22 +105,22 @@ class WireSession:
 
     _GUARDED_BY = {
         "txns": "external:store-executor",
-        "session_name": "external:store-executor",
+        "bound": "external:store-executor",
         "began": "external:store-executor",
     }
 
-    __slots__ = (
-        "server", "id", "session_name", "txns", "next_txn_id", "hello_done", "began",
-    )
+    __slots__ = ("server", "id", "bound", "txns", "next_txn_id", "began")
 
     def __init__(self, server: TardisServer, conn_id: int) -> None:
         self.server = server
         self.id = conn_id
-        self.session_name: Optional[str] = None
+        #: the store session HELLO bound: every transaction of this
+        #: connection begins on this object, even once in-process code
+        #: closed it, so read-my-writes never restarts at the root.
+        self.bound: Optional[ClientSession] = None
         #: txn wire id -> open BaseTransaction.
         self.txns: Dict[int, BaseTransaction] = {}
         self.next_txn_id = 1
-        self.hello_done = False
         #: (request, what it opened) for the last request that began a
         #: transaction, until the next request: a request that opens one
         #: and is not answered ``ok`` must leave nothing open. Keyed on
@@ -133,7 +137,7 @@ class WireSession:
             handler = HANDLERS.get(op) if isinstance(op, str) else None
             if handler is None:
                 raise RequestError("UNKNOWN_OP", "op=%r" % (op,))
-            if not self.hello_done and op != "HELLO":
+            if self.bound is None and op != "HELLO":
                 raise RequestError("NO_HELLO", "say HELLO first")
             if "closed" in request:
                 self.commit_closed(request["closed"])
@@ -182,14 +186,17 @@ class WireSession:
     def close(self) -> int:
         """Abort what is open and close the store session; returns how
         many transactions were still active."""
-        open_txns = sum(1 for t in self.txns.values() if t.status == ACTIVE)
+        open_txns = [t for t in self.txns.values() if t.status == ACTIVE]
         self.txns.clear()
-        if self.session_name is not None:
+        if self.bound is not None:
             # close_session aborts whatever is still ACTIVE on the
             # session (including txns above) and is idempotent, so a
             # polite BYE racing a socket drop stays safe.
-            self.server.store.close_session(self.session_name)
-        return open_txns
+            self.server.store.close_session(self.bound.name)
+        for txn in open_txns:
+            if txn.status == ACTIVE:  # begun after in-process code closed the session
+                txn.abort()
+        return len(open_txns)
 
     def txn(self, request: _Json) -> BaseTransaction:
         """The open transaction a request names (``true`` is not 1) — or
@@ -284,9 +291,9 @@ def _accepting(server: TardisServer) -> None:
 
 
 def _hello(server: TardisServer, session: WireSession, request: _Json) -> _Json:
-    if session.hello_done:
+    if session.bound is not None:
         raise RequestError(
-            "ALREADY_HELLO", "connection is bound to %r" % session.session_name
+            "ALREADY_HELLO", "connection is bound to %r" % session.bound.name
         )
     version = request.get("protocol", PROTOCOL_VERSION)
     if version != PROTOCOL_VERSION:
@@ -298,14 +305,9 @@ def _hello(server: TardisServer, session: WireSession, request: _Json) -> _Json:
     if name is not None and not isinstance(name, str):
         raise RequestError("BAD_REQUEST", "session must be a string")
     with server._lock:
-        if name is not None and name in server._session_names:
+        if name is not None and any(b.name == name for b in server._bound_sessions()):
             raise RequestError("SESSION_IN_USE", name)
-    bound = server.store.session(name)
-    with server._lock:
-        server._session_names.add(bound.name)
-        server._owned_sessions.add(bound.name)
-    session.session_name = bound.name
-    session.hello_done = True
+    bound = session.bound = server.store.session(name)
     return {"session": bound.name, "site": server.store.site, "protocol": PROTOCOL_VERSION}
 
 
@@ -314,7 +316,7 @@ def _begin(server: TardisServer, session: WireSession, request: _Json, fields: _
     _accepting(server)
     txn = server.store.begin(
         begin_constraint=_constraint(fields, "begin", BEGIN_CONSTRAINTS),
-        session=server.store.session(session.session_name),
+        session=session.bound,
         read_only=bool(fields.get("read_only", False)),
     )
     return session.open(txn, request, read_state=repr(txn.read_state.id))
@@ -322,7 +324,7 @@ def _begin(server: TardisServer, session: WireSession, request: _Json, fields: _
 
 def _merge(server: TardisServer, session: WireSession, request: _Json) -> _Json:
     _accepting(server)
-    merge = server.store.begin_merge(session=server.store.session(session.session_name))
+    merge = server.store.begin_merge(session=session.bound)
     txn_id = session.open(merge, request)["txn"]
     fork_points = merge.find_fork_points()
     conflicts: List[_Json] = []
@@ -391,20 +393,11 @@ def _collect_if_grown(server: TardisServer) -> None:
     """The growth trigger: one GC cycle once the DAG holds ``server._gc_at``
     states. The next trigger is twice what the cycle left alive plus
     :data:`GC_GROWTH`, so a collector held back by an old ceiling or a pin
-    runs at geometrically spaced sizes and its total cost stays linear."""
+    runs at geometrically spaced sizes and its total cost stays linear. The
+    collector counts the cycle and times its pause."""
     store = server.store
-    if len(store.dag) < server._gc_at:
-        return
-    started = time.perf_counter()
-    stats = store.collect_garbage()
-    pause_ms = (time.perf_counter() - started) * 1000.0
-    server._gc_at = 2 * stats.live_states + GC_GROWTH
-    with server._lock:
-        counters = server._stats
-        counters["gc_cycles"] += 1
-        counters["gc_states_removed"] += stats.states_removed
-        counters["gc_pause_ms_last"] = pause_ms
-        counters["gc_pause_ms_max"] = max(counters["gc_pause_ms_max"], pause_ms)
+    if len(store.dag) >= server._gc_at:
+        server._gc_at = 2 * store.collect_garbage().live_states + GC_GROWTH
 
 
 def _abort(server: TardisServer, session: WireSession, request: _Json) -> _Json:

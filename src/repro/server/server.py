@@ -43,14 +43,16 @@ Production plumbing:
   closes their sessions, so a drained server leaks nothing.
 * **Disconnect cleanup** — a dropped connection aborts its open
   transactions and closes its session via the (idempotent)
-  ``TardisStore.close_session``, releasing read-state pins and GC
-  ceilings.
+  ``TardisStore.close_session``, releasing read-state pins, the anchor
+  and the GC ceiling. The live connections are the server's one record
+  of the sessions it bound: each one's ``WireSession`` keeps its
+  ``ClientSession``.
 
 Observability: each server count lives once, in the ``_stats`` dict,
-and each request latency in the per-op histograms of ``_op_latency``;
-STATS, ``OBS_SNAPSHOT`` and the shutdown report all read those. The
-server writes nothing to the metrics registry (the store it serves
-does).
+each GC count in the store's collector, and each request latency in the
+per-op histograms of ``_op_latency``; STATS, ``OBS_SNAPSHOT`` and the
+shutdown report all read those. The server writes nothing to the
+metrics registry (the store it serves does).
 
 Live ops plane (docs/internals.md §14): with ``obs_sample_interval``
 set, an :class:`~repro.obs.sampler.ObsSampler` task samples the store's
@@ -70,13 +72,13 @@ import signal
 import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
-from typing import Any, Callable, Dict, Optional, Set
+from typing import Any, Callable, Dict, List, Optional
 
-from repro.core.store import TardisStore
+from repro.core.store import ClientSession, TardisStore
 from repro.errors import FrameTooLarge, ProtocolError
 from repro.obs import metrics as _met
 from repro.obs.sampler import ObsSampler
-from repro.server.handlers import GC_GROWTH, WireSession, holds_work
+from repro.server.handlers import GC_FIELDS, GC_GROWTH, WireSession, holds_work
 from repro.server.protocol import OPS, FrameDecoder, encode_frame, error_response
 
 __all__ = ["TardisServer", "ServerThread", "start_in_thread", "run_server"]
@@ -268,8 +270,6 @@ class TardisServer:
 
     _GUARDED_BY = {
         "_conns": "self._lock",
-        "_session_names": "self._lock",
-        "_owned_sessions": "self._lock",
         "_stats": "self._lock",
         "_inflight": "self._lock",
         "_gc_at": "external:store-executor",
@@ -309,10 +309,6 @@ class TardisServer:
         self._lock = threading.Lock()
         #: connection id -> the live connection (until its cleanup ran).
         self._conns: Dict[int, _Connection] = {}
-        self._session_names: Set[str] = set()
-        #: session names this server bound and has not yet cleaned up; the
-        #: shutdown report counts the ones still present in the store as leaks.
-        self._owned_sessions: Set[str] = set()
         self._next_conn_id = 1
         self._inflight = 0
         self._closing = False
@@ -329,11 +325,6 @@ class TardisServer:
             "bytes_in": 0,
             "bytes_out": 0,
             "obs_samples": 0,
-            # set by the GC cycles the executor runs (handlers._collect_if_grown)
-            "gc_cycles": 0,
-            "gc_states_removed": 0,
-            "gc_pause_ms_last": 0.0,
-            "gc_pause_ms_max": 0.0,
         }
         #: the DAG size at which a COMMIT runs the next GC cycle.
         self._gc_at = GC_GROWTH
@@ -417,15 +408,13 @@ class TardisServer:
         await self._poll(lambda: not self._conns, 5.0)
         loop = asyncio.get_running_loop()
         await loop.run_in_executor(None, self._executor.shutdown)
+        # Executor already joined (above): the store is quiesced, there
+        # is no serialization to bypass.
+        registered = self.store.sessions()  # tardis: ignore[async-discipline]
+        report = self._obs_counters()
         with self._lock:
-            leaked = sorted(
-                name
-                for name in self._owned_sessions
-                # Executor already joined (above): the store is quiesced,
-                # there is no serialization to bypass.
-                if any(s.name == name for s in self.store.sessions())  # tardis: ignore[async-discipline]
-            )
-            report: Dict[str, Any] = dict(self._stats)
+            # A connection leaves ``_conns`` once its cleanup closed its session.
+            leaked = sorted(b.name for b in self._bound_sessions() if b in registered)
         report["drained_in_time"] = drained
         report["forced_closes"] = len(survivors)
         report["leaked_sessions"] = leaked
@@ -506,19 +495,25 @@ class TardisServer:
         aborted = session.close()
         with self._lock:
             self._conns.pop(session.id, None)
-            name = session.session_name
-            if name is not None:
-                self._session_names.discard(name)
-                self._owned_sessions.discard(name)
         if aborted:
             self._count("disconnect_aborts", aborted)
+
+    def _bound_sessions(self) -> List[ClientSession]:
+        """The store sessions the live connections bound at HELLO; the
+        caller holds ``_lock``."""
+        wire = (conn.session for conn in self._conns.values())
+        return [s.bound for s in wire if s is not None and s.bound is not None]
 
     # -- live ops plane (the sampler task) ---------------------------------
 
     def _obs_counters(self) -> Dict[str, Any]:
-        """Cumulative server counters for the sampler (executor thread)."""
+        """Cumulative server counters, and the collector's as ``gc_*``,
+        for the sampler (executor thread)."""
+        gc = self.store.gc
         with self._lock:
-            return dict(self._stats)
+            counters: Dict[str, Any] = dict(self._stats)
+        counters.update(("gc_" + name, getattr(gc, name)) for name in GC_FIELDS)
+        return counters
 
     def _obs_gauges(self) -> Dict[str, Any]:
         """Instantaneous server gauges for the sampler (executor thread)."""

@@ -599,8 +599,8 @@ PLANTED = [
     ),
     pytest.param(
         "lock-order", "server/server.py",
-        "            report: Dict[str, Any] = dict(self._stats)\n",
-        "            report: Dict[str, Any] = self._obs_counters()\n",
+        "        report = self._obs_counters()\n        with self._lock:\n",
+        "        with self._lock:\n            report = self._obs_counters()\n",
         id="lock-order:shutdown-reads-counters-under-the-lock",
     ),
     pytest.param(

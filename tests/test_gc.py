@@ -57,7 +57,7 @@ class TestCeilings:
         read_id = pinned.read_state.id
         commit_chain(store, sess, 3)
         sess.place_ceiling()
-        store.gc.place_ceiling("reader", sess.last_commit_id)
+        store.session("reader").ceiling = sess.last_commit_id
         stats = store.collect_garbage()
         assert store.dag.get(read_id) is not None
         # The pinned state blocks collection of its descendants' chain?
@@ -75,7 +75,7 @@ class TestCeilings:
         a.place_ceiling()
         # b's ceiling lags at `mid`: states above mid are collectable,
         # states between mid and a's ceiling are not.
-        store.gc.place_ceiling("b", mid)
+        b.ceiling = mid
         store.collect_garbage()
         assert store.dag.get(mid) is not None
         assert len(store.dag) == 5  # mid + 4 newer states
@@ -84,7 +84,7 @@ class TestCeilings:
         sess = store.session("a")
         commit_chain(store, sess, 3)
         sess.place_ceiling()
-        store.gc.clear_ceiling(sess.name)
+        store.close_session(sess.name)  # releases the ceiling with the session
         stats = store.collect_garbage()
         assert stats.states_removed == 0
 
@@ -101,7 +101,7 @@ class TestDagCompression:
         fork_id = store.dag.fork_points_of(store.dag.leaves())[0].id
         commit_chain(store, a, 5, key="y")
         a.place_ceiling()
-        store.gc.place_ceiling("b", b.last_commit_id)
+        b.place_ceiling()
         store.collect_garbage()
         assert store.dag.get(fork_id) is not None
 
@@ -118,7 +118,7 @@ class TestDagCompression:
         m.commit()
         commit_chain(store, a, 3, key="y")
         a.place_ceiling()
-        store.gc.place_ceiling("b", a.last_commit_id)
+        b.ceiling = a.last_commit_id
         store.collect_garbage()
         # The whole pre-merge history, including the fork point whose
         # branches both collapsed into the merge, is gone.
@@ -181,7 +181,7 @@ class TestRecordPromotion:
         t2.commit()
         commit_chain(store, a, 3, key="other")
         a.place_ceiling()
-        store.gc.place_ceiling("b", b.last_commit_id)
+        b.place_ceiling()
         store.collect_garbage()
         # The fork-point version of x (value 0) is still needed for
         # three-way merges and must survive.
@@ -241,7 +241,7 @@ class TestRecordPromotion:
         tail.commit()
         assert store.dag.resolve(a.last_commit_id).path_mask != 0
         a.place_ceiling()
-        store.gc.place_ceiling("b", a.last_commit_id)
+        b.ceiling = a.last_commit_id
         stats = store.collect_garbage()
         assert stats.fork_entries_scrubbed > 0
         # The surviving chain carries no fork-path entries at all.
@@ -445,9 +445,7 @@ class TestChainSpliceEquivalence:
                 for s in sessions:
                     # Ceilings at the newest commit let a merged fork
                     # collapse completely; per-session ones leave it up.
-                    store.gc.place_ceiling(
-                        s.name, head if rng.random() < 0.5 else s.last_commit_id
-                    )
+                    s.ceiling = head if rng.random() < 0.5 else s.last_commit_id
                 stats = collect(store)
                 seen["scrubbed"] += stats.fork_entries_scrubbed
                 seen["pruned"] += stats.promotions_flushed
@@ -486,8 +484,8 @@ class TestChainSpliceEquivalence:
         m.put("x", 6)
         m.commit()
         store.put("tail", 1, session=a)
-        for name in ("a", "b"):
-            store.gc.place_ceiling(name, a.last_commit_id)
+        for sess in (a, b):
+            sess.ceiling = a.last_commit_id
         store.collect_garbage()
         (survivor,) = store.dag.states()
         assert survivor.write_keys == {"x", "left", "right0", "right1", "tail"}

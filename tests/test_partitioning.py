@@ -10,7 +10,6 @@ from repro.obs import metrics as _met
 from repro.partitioning import (
     ShardedRecordStore,
     ShardRouter,
-    default_shard_of,
     stable_key_bytes,
 )
 from repro.replication.network import SimNetwork
@@ -57,24 +56,28 @@ class TestShardRouter:
         assert list(router.plan(["a", "b"])) == [1]
 
 
+#: the placement every sharded store routes with (the ring, 8 shards).
+ring_of = ShardRouter(8).shard_of
+
+
 class TestStableShardOf:
     """Satellite (a): the shard function hashes a stable serialization."""
 
-    # Pinned assignments: changing the hash silently re-homes every key,
-    # so any change to stable_key_bytes/default_shard_of must show up
-    # here as an explicit, reviewed diff.
+    # Pinned assignments: changing the hash or the ring silently re-homes
+    # every key, so any change to stable_key_bytes/ShardRouter must show
+    # up here as an explicit, reviewed diff.
     PINNED = {
-        "alice": 1,
-        "key00042": 7,
-        ("user", 7): 7,
-        42: 4,
-        None: 4,
-        b"blob": 5,
+        "alice": 2,
+        "key00042": 5,
+        ("user", 7): 1,
+        42: 0,
+        None: 6,
+        b"blob": 7,
     }
 
     def test_pinned_assignments(self):
         for key, shard in self.PINNED.items():
-            assert default_shard_of(key, 8) == shard, key
+            assert ring_of(key) == shard, key
 
     def test_equal_numbers_route_identically(self):
         # repr-based hashing sent 42 and 42.0 to different shards even
@@ -82,7 +85,7 @@ class TestStableShardOf:
         assert stable_key_bytes(5) == stable_key_bytes(5.0)
         assert stable_key_bytes(1) == stable_key_bytes(True)
         for n in range(64):
-            assert default_shard_of(n, 8) == default_shard_of(float(n), 8)
+            assert ring_of(n) == ring_of(float(n))
 
     def test_serialization_is_type_tagged(self):
         # "1" the string must not collide with 1 the int, etc.
@@ -93,7 +96,7 @@ class TestStableShardOf:
     def test_distribution_of_stable_hash(self):
         counts = [0] * 8
         for i in range(4000):
-            counts[default_shard_of(("user", i), 8)] += 1
+            counts[ring_of(("user", i))] += 1
         assert min(counts) > 4000 / 8 * 0.6
         assert max(counts) < 4000 / 8 * 1.5
 
@@ -134,7 +137,7 @@ class TestShardedRecordStore:
     def test_distribution_roughly_even(self):
         counts = [0] * 8
         for i in range(4000):
-            counts[default_shard_of("key%05d" % i, 8)] += 1
+            counts[ring_of("key%05d" % i)] += 1
         assert min(counts) > 4000 / 8 * 0.6
         assert max(counts) < 4000 / 8 * 1.5
 

@@ -168,7 +168,7 @@ class TestSplicedCeiling:
         assert heir.id == w.last_commit_id
         # A reader places its ceiling there; once p closes, the ceiling
         # is the id's only holder.
-        store.gc.place_ceiling("reader", spliced)
+        store.session("reader").ceiling = spliced
         store.close_session("p")
         raised = []
         resolve = store.dag.resolve
@@ -237,7 +237,7 @@ class TestReplicatedStore:
         assert us.dag.resolve(first).id == sess.last_commit_id
         # flush_promotions goes through the same prune: held ids stay.
         local = eu.session("local")
-        eu.gc.place_ceiling("local", sess.last_commit_id)
+        local.ceiling = sess.last_commit_id
         stats = eu.collect_garbage(flush_promotions=True)
         assert stats.states_removed == 10
         assert eu.dag.promotion_table_size == 1

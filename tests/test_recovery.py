@@ -244,7 +244,7 @@ class TestCheckpoint:
         # ``held`` was collected under the idle session's anchor, which
         # kept its entry. A ceiling there holds it once the session closes.
         assert store.dag.get(held) is None
-        store.gc.place_ceiling("reader", held)
+        store.session("reader").ceiling = held
         store.close_session("idle")
         assert store.collect_garbage().promotions_flushed == 0
         assert store.gc.ceilings == {"a": sess.last_commit_id, "reader": held}

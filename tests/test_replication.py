@@ -229,7 +229,7 @@ class TestReplication:
         tip = sess.last_commit_id
         cluster.run(until=200)
         # eu collects up to the chain tip and flushes; the tip stays live.
-        b.gc.place_ceiling("local", tip)
+        b.session("local").ceiling = tip
         b.collect_garbage(flush_promotions=True)
         assert old not in b.dag
         sess.place_ceiling()

@@ -307,6 +307,37 @@ class TestDisconnectCleanup:
             # the aborted write is invisible
             assert observer.get("doomed", default=None) is None
 
+    def test_an_in_process_close_keeps_the_connections_anchor(self, served):
+        # A and B fork ``k``, then in-process code closes A's session. A's
+        # connection keeps the session object it bound at HELLO: its next
+        # read still sees its own write, and no second "A" is registered
+        # anchored at the root (which would read B's newer branch).
+        store = served.server.store
+        a = TardisClient(port=served.port, session="A")
+        with TardisClient(port=served.port, session="B") as b:
+            txns = [a.begin(), b.begin()]
+            for txn in txns:
+                txn.get("k", default=None)
+            for value, txn in zip("AB", txns):
+                txn.put("k", value)
+                txn.commit()
+            assert len(store.dag.leaves()) == 2
+            assert store.close_session("A") is True
+            assert a.get("k") == "A"
+            assert b.get("k") == "B"
+            assert [s.name for s in store.sessions()] == ["B"]
+            # A transaction begun on the closed session, then a hard drop:
+            # the disconnect still aborts it and releases its pin.
+            doomed = a.begin()
+            doomed.put("doomed", 1)
+            assert doomed.get("k") == "A"
+            a._sock.close()
+            # B's STATS carries the close of its last read.
+            assert _wait_until(lambda: b.stats()["disconnect_aborts"] == 1)
+            assert _total_pins(store) == 0, "pins leaked"
+            assert b.get("doomed", default=None) is None
+        assert served.stop()["leaked_sessions"] == []
+
     def test_session_name_reusable_after_disconnect(self, served):
         client = TardisClient(port=served.port, session="phoenix")
         client._sock.close()
@@ -325,8 +356,11 @@ class TestDisconnectCleanup:
             with TardisClient(port=served.port) as client:
                 client.put("k", i)
         assert _wait_until(lambda: not server._conns)
+        # The live connections are the server's only record of the names
+        # it bound, so once each cleanup ran nothing of the 300 is left.
         with server._lock:
-            assert server._owned_sessions == set()
+            assert server._bound_sessions() == []
+        assert server.store.sessions() == []
         assert served.stop()["leaked_sessions"] == []
 
 
@@ -1444,7 +1478,7 @@ class TestCallbackTransport:
                 assert raw.ask(first)["txn"] == 1
                 (conn,) = [
                     c for c in server._conns.values()
-                    if c.session.session_name == "deaf"
+                    if c.session.bound.name == "deaf"
                 ]
                 pipelined = 40  # ~20 MiB of answers: no socket buffer holds that
                 raw.send(*[

@@ -57,7 +57,7 @@ def run_scenario():
     late = us.begin(StateIdConstraint([p]), session=us.session("late"))
     late.put("x", late.get("x") * 10)
     late.commit()
-    eu.gc.place_ceiling("local", tip)
+    local.ceiling = tip
     eu.collect_garbage(flush_promotions=True)
     assert p not in eu.dag
     # Heal: eu caches the late transaction, fetches p back from us,
