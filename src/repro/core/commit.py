@@ -45,12 +45,13 @@ class CommitPipeline:
     """One code path for DAG installation, version insertion, WAL, metrics.
 
     ``group_commit`` enables group-commit batching for an *asynchronous*
-    WAL (``sync=False``): buffered log records are force-flushed to disk
-    every ``group_commit`` appends, bounding the window of commits a
-    crash can lose while amortizing the fsync. It is ignored for a
-    synchronous WAL (every append already reaches the OS) and when 0
-    (flush only on explicit ``flush()``/``close()``, the paper's pure
-    asynchronous mode).
+    WAL (``sync=False``): buffered log records are written and fsynced
+    every ``group_commit`` appends. A commit is acknowledged before it
+    is durable: a crash loses up to ``group_commit - 1`` of them. It is
+    ignored for a synchronous WAL (every append reaches the OS page
+    cache, which survives ``kill -9`` but not a power loss) and when 0
+    (nothing is written before an explicit ``flush()``/``close()``, the
+    paper's pure asynchronous mode: a crash loses every commit since).
     """
 
     __slots__ = (

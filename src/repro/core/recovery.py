@@ -24,7 +24,7 @@ import pickle
 from typing import Any, Dict, Optional, Tuple
 
 from repro.core.store import TardisStore
-from repro.storage.wal import WriteAheadLog
+from repro.storage.wal import WriteAheadLog, fsync_dir
 
 
 def checkpoint_store(store: TardisStore, snapshot_path: str) -> int:
@@ -35,10 +35,11 @@ def checkpoint_store(store: TardisStore, snapshot_path: str) -> int:
     lock throughout: every other store call waits for it. Returns the
     number of states checkpointed.
 
-    The snapshot is written beside ``snapshot_path``, fsynced, and moved
-    over it atomically before the log is compacted, so a crash at any
-    point leaves either the old snapshot with the old log or the new
-    snapshot with a log it covers.
+    The snapshot is written beside ``snapshot_path``, fsynced, moved
+    over it atomically and the rename made durable (directory fsync)
+    before the log is compacted, so a crash at any point leaves either
+    the old snapshot with the old log or the new snapshot with a log it
+    covers.
     """
     with store._lock:
         states = [
@@ -69,6 +70,7 @@ def checkpoint_store(store: TardisStore, snapshot_path: str) -> int:
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp, snapshot_path)
+        fsync_dir(snapshot_path)
         if store.wal is not None:
             store.wal.compact_inplace(keep_from_state=top)
     return len(states)

@@ -407,6 +407,9 @@ class StateDAG:
             self.root = child
         del self._states[state.id]
         self._promotions[state.id] = child.id
+        # A handle still holding the dead state (a finished transaction's
+        # read state) must not pin the chain collected after it.
+        state.children = []
         # Splicing rewrites edges and the promotion table, and the caller
         # merges write keys into the child: destructive for the
         # visibility cache.

@@ -136,7 +136,20 @@ class _ConstraintProbe:
 
 
 class TardisStore:
-    """One site of the TARDiS transactional key-value store."""
+    """One site of the TARDiS transactional key-value store.
+
+    With ``wal_path`` every commit is logged (§6.5). What a commit that
+    has returned survives depends on the log's level:
+
+    * ``wal_sync=True`` ("os"): the record reaches the OS page cache
+      before the commit returns. It survives ``kill -9``, not a power
+      loss: fsync runs only on ``wal.flush()``/``close()``.
+    * ``wal_sync=False, group_commit=N``: acknowledged before durable.
+      Every Nth commit writes and fsyncs the batch, so a crash loses up
+      to N-1 acknowledged commits.
+    * ``wal_sync=False, group_commit=0``: nothing is written before
+      ``wal.flush()``/``close()``; a crash loses every commit since.
+    """
 
     _GUARDED_BY = {
         "_sessions": "self._lock",
@@ -158,6 +171,11 @@ class TardisStore:
         shard_of: Any = None,
     ) -> None:
         self.site = site
+        # First: opening a log can raise (corruption before its tail),
+        # and nothing else is started yet.
+        self.wal: Optional[WriteAheadLog] = (
+            WriteAheadLog(wal_path, sync=wal_sync) if wal_path else None
+        )
         self.dag = StateDAG(site)
         #: the storage layer: one flat record store by default; a
         #: ``shards`` and/or ``shard_workers`` count partitions it
@@ -181,9 +199,6 @@ class TardisStore:
         self._lock = threading.RLock()
         self._sessions: Dict[str, ClientSession] = {}
         self._session_counter = 0
-        self.wal: Optional[WriteAheadLog] = (
-            WriteAheadLog(wal_path, sync=wal_sync) if wal_path else None
-        )
         #: the single commit code path: DAG install, version insert,
         #: WAL append (with optional group-commit batching), metrics.
         self.pipeline = CommitPipeline(

@@ -6,9 +6,9 @@ transaction's write set: one :class:`~repro.core.ids.CommitRecord`.
 Recovery replays the log chronologically to rebuild the State DAG and
 key-version mapping.
 
-The log is an append-only file of length-prefixed, CRC-protected
-records, each the pickled ``(state_id, parent_ids, writes)`` tuple. Two
-flush modes mirror the paper:
+The log is a file of length-prefixed, CRC-protected records, each the
+pickled ``(state_id, parent_ids, writes)`` tuple. Two flush modes
+mirror the paper:
 
 * synchronous — every append reaches the OS before ``append_commit``
   returns;
@@ -17,23 +17,41 @@ flush modes mirror the paper:
   buffer is always written *sequentially*, so a crash leaves a clean
   prefix of the log, which is exactly the invariant recovery relies on.
 
-A torn or corrupt tail record is detected by its CRC and treated as the
-end of the log.
+The file grows in preallocated extents: when a write would pass the
+preallocated end, whole extents of zeros (:data:`EXTENT` bytes each)
+are written and fsynced first, and records are then written at the
+log's logical end, inside space the file system has already allocated.
+A flush's fsync then has only data to write, not a new file size and
+new blocks to journal: a 16-record flush (write + fsync) took a median
+of about 0.26 ms growing the file and about 0.14 ms inside an extent
+(ext4, 2-vCPU VM). So an open or crashed log ends in a zero tail.
+Opening a log truncates it to its last valid record and fsyncs it;
+closing it truncates it to its logical end, so a cleanly closed log
+holds exactly its records.
+
+Reading stops at a zero length header (no record has an empty body).
+A torn record (short, or failing its CRC) ends the log if nothing but
+zeros follows it; anything else is corruption and raises
+:class:`~repro.errors.CorruptLogError`.
 """
 
 from __future__ import annotations
 
-import io
 import os
 import pickle
 import struct
 import zlib
-from typing import Iterator, List
+from typing import Iterator, List, Tuple
 
 from repro.core.ids import CommitRecord, StateId
 from repro.errors import CorruptLogError
 
 _HEADER = struct.Struct("<II")  # payload length, crc32
+
+#: bytes the log file grows by at a time, zero-filled and fsynced.
+EXTENT = 1 << 20
+#: the block an extent is filled from (no extent-sized buffer).
+_ZEROS = memoryview(bytes(64 << 10))
 
 
 def _encode(record: CommitRecord) -> bytes:
@@ -42,14 +60,82 @@ def _encode(record: CommitRecord) -> bytes:
     return _HEADER.pack(len(body), zlib.crc32(body)) + body
 
 
+def _pwrite(fd: int, data: memoryview, offset: int) -> None:
+    while data:
+        written = os.pwrite(fd, data, offset)
+        data = data[written:]
+        offset += written
+
+
+def _frames(data: bytes, strict: bool) -> Iterator[Tuple[int, int]]:
+    """Yield ``(start, end)`` of each valid record body, in log order.
+
+    Stops at the end of ``data``, at a zero length header, or at a torn
+    tail record; raises :class:`CorruptLogError` on a torn record that
+    is not the tail, and under ``strict`` on any torn record.
+    """
+    pos, total = 0, len(data)
+    while pos < total:
+        start = pos + _HEADER.size
+        if start > total:
+            if strict and any(data[pos:]):
+                raise CorruptLogError("truncated record header")
+            return
+        length, crc = _HEADER.unpack_from(data, pos)
+        if length == 0:
+            return
+        end = start + length
+        if end > total or zlib.crc32(memoryview(data)[start:end]) != crc:
+            # Only the tail can be torn: the writes are sequential.
+            at_tail = end >= total or data.count(0, end) == total - end
+            if strict or not at_tail:
+                raise CorruptLogError("corrupt log record")
+            return
+        yield start, end
+        pos = end
+
+
+def fsync_dir(path: str) -> None:
+    """Fsync the directory holding ``path``: makes its create or rename durable."""
+    fd = os.open(os.path.dirname(os.path.abspath(path)), os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
 class WriteAheadLog:
-    """Append-only, CRC-checked commit log with sync and async modes."""
+    """CRC-checked commit log with sync and async modes, grown in extents."""
 
     def __init__(self, path: str, sync: bool = True):
         self._path = path
         self._sync = sync
         self._buffer: List[bytes] = []
-        self._file = open(path, "ab")
+        self._open()
+
+    def _open(self) -> None:
+        # A file object, not a bare fd: a leaked log warns (ResourceWarning).
+        try:
+            handle = open(self._path, "r+b", buffering=0)
+            created = False
+        except FileNotFoundError:
+            handle = open(self._path, "x+b", buffering=0)
+            created = True
+        try:
+            end = 0
+            for _, end in _frames(handle.read(), strict=False):
+                pass
+            # New records never follow a torn or zero tail.
+            handle.truncate(end)
+            os.fsync(handle.fileno())
+            if created:
+                fsync_dir(self._path)
+        except BaseException:
+            handle.close()
+            raise
+        self._file = handle
+        #: where the next record goes, and where the preallocated space ends.
+        self._end = self._allocated = end
 
     @property
     def path(self) -> str:
@@ -63,17 +149,31 @@ class WriteAheadLog:
         """Log one committed transaction."""
         data = _encode(record)
         if self._sync:
-            self._file.write(data)
-            self._file.flush()
+            self._write(data)
         else:
             self._buffer.append(data)
+
+    def _write(self, data: bytes) -> None:
+        end = self._end + len(data)
+        fd = self._file.fileno()
+        if end > self._allocated:
+            # Whole zero extents up to and past ``end``, made durable
+            # once, so the flushes that follow only write data.
+            target = self._allocated
+            while target < end:
+                target += EXTENT
+            for offset in range(self._allocated, target, len(_ZEROS)):
+                _pwrite(fd, _ZEROS[: target - offset], offset)
+            os.fsync(fd)
+            self._allocated = target
+        _pwrite(fd, memoryview(data), self._end)
+        self._end = end
 
     def flush(self) -> None:
         """Write any buffered records to disk, preserving append order."""
         if self._buffer:
-            self._file.write(b"".join(self._buffer))
+            self._write(b"".join(self._buffer))
             self._buffer.clear()
-        self._file.flush()
         os.fsync(self._file.fileno())
 
     def pending(self) -> int:
@@ -87,24 +187,25 @@ class WriteAheadLog:
         return dropped
 
     def compact_inplace(self, keep_from_state: StateId) -> int:
-        """Compact this (open) log, reopening the append handle.
+        """Compact this (open) log: close, :meth:`compact`, reopen.
 
         ``compact`` rewrites the file by atomic replace; an open handle
-        would keep appending to the dead inode, so the instance method
-        closes and reopens around it.
+        would keep writing to the dead inode.
         """
-        self.flush()
-        self._file.close()
+        self.close()
         kept = WriteAheadLog.compact(self._path, keep_from_state)
-        self._file = open(self._path, "ab")
+        self._open()
         return kept
 
     def close(self) -> None:
-        """Flush and close the log file; a second call does nothing."""
+        """Flush, cut the zero tail and close; a second call does nothing."""
         if self._file.closed:
             return
-        self.flush()
-        self._file.close()
+        try:
+            self.flush()
+            self._file.truncate(self._end)
+        finally:
+            self._file.close()
 
     def __enter__(self) -> "WriteAheadLog":
         return self
@@ -118,33 +219,20 @@ class WriteAheadLog:
     def read(path: str, strict: bool = False) -> Iterator[CommitRecord]:
         """Yield commit records in append order.
 
-        A torn tail (truncated or CRC-failing final record) terminates
-        iteration; with ``strict=True`` it raises
-        :class:`~repro.errors.CorruptLogError` instead. Corruption
-        *before* the tail always raises, because the sequential-flush
-        invariant means only the tail can legitimately be torn.
+        Iteration ends at the end of the file, at a zero length header
+        (the unwritten rest of an extent) or at a torn tail record
+        (truncated or CRC-failing, followed by nothing but zeros); with
+        ``strict=True`` a torn record raises
+        :class:`~repro.errors.CorruptLogError` instead. A torn record
+        with anything else after it always raises, because the
+        sequential-flush invariant means only the tail can legitimately
+        be torn.
         """
         with open(path, "rb") as handle:
             data = handle.read()
-        stream = io.BytesIO(data)
-        total = len(data)
-        while True:
-            head = stream.read(_HEADER.size)
-            if not head:
-                return
-            if len(head) < _HEADER.size:
-                if strict:
-                    raise CorruptLogError("truncated record header")
-                return
-            length, crc = _HEADER.unpack(head)
-            body = stream.read(length)
-            torn = len(body) < length or zlib.crc32(body) != crc
-            if torn:
-                at_tail = stream.tell() >= total
-                if strict or not at_tail:
-                    raise CorruptLogError("corrupt log record")
-                return
-            yield CommitRecord(*pickle.loads(body))
+        view = memoryview(data)
+        for start, end in _frames(data, strict):
+            yield CommitRecord(*pickle.loads(view[start:end]))
 
     @staticmethod
     def compact(path: str, keep_from_state: StateId) -> int:
@@ -167,4 +255,5 @@ class WriteAheadLog:
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp, path)
+        fsync_dir(path)
         return len(kept)

@@ -1,5 +1,6 @@
 """Tests for garbage collection: ceilings, DAG compression, record promotion."""
 
+import gc
 import random
 import tracemalloc
 
@@ -7,6 +8,7 @@ import pytest
 
 from repro import TardisStore
 from repro.core.gc import GCStats
+from repro.core.state_dag import State
 from repro.errors import GarbageCollectedError, TransactionAborted
 
 
@@ -541,3 +543,29 @@ class TestCycleMemory:
         small = self.peak_mb_of_cycle(2000)
         assert small < 16.0
         assert self.peak_mb_of_cycle(4000) < 2 * small + 2.0
+
+
+class TestHeldHandle:
+    def test_a_held_handle_does_not_pin_the_states_collected_after_it(self, store):
+        """A collected state forgets its children: a finished transaction
+        kept by its caller holds its own read state, not the chain of
+        states collected after it."""
+        sess = store.session("a")
+        held = store.begin(session=sess)
+        held.put("x", -1)
+        held.commit()
+        later = []
+        for _ in range(3):
+            for i in range(20):
+                t = store.begin(session=sess)
+                t.put("k%d" % i, i)
+                later.append(t.commit())
+            sess.place_ceiling()
+            store.collect_garbage()
+        assert held.read_state.id not in store.dag  # collected, still held
+        collected = set(later) - {s.id for s in store.dag.states()}
+        assert len(collected) == len(later) - 1
+        del t  # a handle of its own: it holds its read state
+        gc.collect()
+        alive = {o.id for o in gc.get_objects() if type(o) is State}
+        assert not alive & collected

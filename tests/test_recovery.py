@@ -220,6 +220,41 @@ class TestCheckpoint:
         assert report["discarded"] == 0
         assert [recovered.get("k%d" % i) for i in range(30)] == list(range(30))
 
+    def test_a_checkpoint_is_durable_before_the_log_is_compacted(
+        self, tmp_path, monkeypatch
+    ):
+        """The snapshot's bytes, then its name, then the compaction."""
+        store = make_store(tmp_path)
+        for i in range(5):
+            store.put("k%d" % i, i)
+        snap = str(tmp_path / "snap.ckpt")
+        calls = []
+        real_fsync, real_replace = os.fsync, os.replace
+        real_compact = WriteAheadLog.compact_inplace
+
+        def fsync(fd):
+            calls.append("fsync")
+            real_fsync(fd)
+
+        def replace(src, dst):
+            calls.append("replace")
+            real_replace(src, dst)
+
+        def compact_inplace(wal, keep_from_state):
+            calls.append("compact")
+            return real_compact(wal, keep_from_state)
+
+        monkeypatch.setattr("repro.core.recovery.os.fsync", fsync)
+        monkeypatch.setattr("repro.core.recovery.os.replace", replace)
+        monkeypatch.setattr(
+            "repro.core.recovery.fsync_dir", lambda path: calls.append(("dir", path))
+        )
+        monkeypatch.setattr(WriteAheadLog, "compact_inplace", compact_inplace)
+        checkpoint_store(store, snap)
+        assert calls[:4] == ["fsync", "replace", ("dir", snap), "compact"]
+        monkeypatch.undo()
+        store.close()
+
     def test_checkpoint_compacts_log(self, tmp_path):
         store = make_store(tmp_path)
         for i in range(50):
