@@ -16,6 +16,14 @@ Each commit becomes one :class:`~repro.core.ids.CommitRecord`, built
 here; the log appends it, the store hands it to its commit listeners
 (the replicator ships it) and recovery and remote apply take it back.
 
+The order is prepare → allocate + encode → install → append → metrics:
+a sharded write set is prepared (staged) first; the record's id is
+allocated and, with a log, its entry encoded
+(:func:`~repro.storage.wal.encode_entry`) before anything is installed,
+so a write set the log cannot encode aborts the commit with nothing
+changed; then the DAG state and the versions are installed, and only
+then is the encoded entry appended.
+
 Constraint evaluation (ripple-down, end checks) stays in the store —
 those decide *whether and where* to commit; the pipeline performs the
 commit once that decision is made. Being the single choke point also
@@ -30,10 +38,15 @@ from typing import Any, Dict, Optional, Sequence, Union
 from repro.core.ids import CommitRecord, StateId
 from repro.core.state_dag import State, StateDAG
 from repro.core.versions import VersionedRecordStore
-from repro.errors import CrossShardAbort, ShardError, ShardUnavailableError
+from repro.errors import (
+    CrossShardAbort,
+    ShardError,
+    ShardUnavailableError,
+    TransactionAborted,
+)
 from repro.obs import metrics as _met
 from repro.partitioning.workers import ShardedRecordStore
-from repro.storage.wal import WriteAheadLog
+from repro.storage.wal import WriteAheadLog, encode_entry
 
 #: commit origins
 LOCAL = "local"
@@ -42,16 +55,17 @@ REMOTE = "remote"
 
 
 class CommitPipeline:
-    """One code path for DAG installation, version insertion, WAL, metrics.
+    """One code path for id allocation, log encoding, DAG installation,
+    version insertion, log append and metrics, in that order.
 
     ``group_commit`` enables group-commit batching for an *asynchronous*
-    WAL (``sync=False``): buffered log records are written and fsynced
-    every ``group_commit`` appends. A commit is acknowledged before it
-    is durable: a crash loses up to ``group_commit - 1`` of them. It is
-    ignored for a synchronous WAL (every append reaches the OS page
-    cache, which survives ``kill -9`` but not a power loss) and when 0
-    (nothing is written before an explicit ``flush()``/``close()``, the
-    paper's pure asynchronous mode: a crash loses every commit since).
+    WAL (``sync=False``): buffered log entries are written as one frame
+    and fsynced every ``group_commit`` appends. A commit is acknowledged
+    before it is durable: a crash loses up to ``group_commit - 1`` of
+    them. It is ignored for a synchronous WAL (every append reaches the
+    OS page cache, which survives ``kill -9`` but not a power loss) and
+    when 0 (nothing is written before an explicit ``flush()``/``close()``,
+    the paper's pure asynchronous mode: a crash loses every commit since).
     """
 
     __slots__ = (
@@ -108,6 +122,11 @@ class CommitPipeline:
         the DAG state exists, so a dead worker aborts the transaction
         with a typed :class:`~repro.errors.CrossShardAbort` instead of
         leaving a committed-looking state whose writes were lost.
+
+        With a log, the entry is encoded before the state is installed:
+        a write set ``pickle`` cannot encode raises
+        :class:`~repro.errors.TransactionAborted` with the DAG, the
+        versions and the log untouched (a staged commit is abandoned).
         """
         versions = self.versions
         staged: Optional[Any] = None
@@ -119,6 +138,21 @@ class CommitPipeline:
                 shard = exc.shard if isinstance(exc, ShardUnavailableError) else None
                 raise CrossShardAbort(
                     shard, "shard prepare failed: %s" % exc
+                ) from exc
+        parent_ids = tuple([p.id for p in parents])
+        if state_id is None:
+            state_id = self.dag.next_id(parent_ids)
+        record = CommitRecord(state_id, parent_ids, writes)
+        wal = self.wal
+        entry = b""
+        if wal is not None:
+            try:
+                entry = encode_entry(record)
+            except Exception as exc:
+                if staged is not None:
+                    versions.abandon_commit(staged)
+                raise TransactionAborted(
+                    "write set cannot be logged: %r" % (exc,)
                 ) from exc
         try:
             state = self.dag.create_state(
@@ -132,9 +166,9 @@ class CommitPipeline:
             versions.install_commit(staged, state)
         else:
             for key, value in writes.items():
-                versions.write(key, state.id, value)
-        record = CommitRecord(state.id, tuple(p.id for p in state.parents), writes)
-        self._append_log(record)
+                versions.write(key, state_id, value)
+        if wal is not None:
+            self._append_log(wal, entry)
         if origin != REMOTE:
             self._observe(origin, parents, writes)
         if staged is not None and staged.n_shards > 1:
@@ -150,11 +184,8 @@ class CommitPipeline:
 
     # -- write-ahead logging (§6.5) ----------------------------------------
 
-    def _append_log(self, record: CommitRecord) -> None:
-        wal = self.wal
-        if wal is None:
-            return
-        wal.append_commit(record)
+    def _append_log(self, wal: WriteAheadLog, entry: bytes) -> None:
+        wal.append_commit(entry)
         if self.group_commit > 1 and not wal.sync:
             self._unflushed += 1
             if self._unflushed >= self.group_commit:

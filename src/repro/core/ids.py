@@ -75,6 +75,11 @@ class IdAllocator:
             self._counter = state_id.counter
 
     def next_id(self, parent_ids: Iterable[StateId] = ()) -> StateId:
-        top = max((pid.counter for pid in parent_ids), default=0)
-        self._counter = max(self._counter, top) + 1
-        return StateId(self._counter, self._site)
+        # A plain loop: it runs once per commit.
+        counter = self._counter
+        for pid in parent_ids:
+            if pid[0] > counter:
+                counter = pid[0]
+        counter += 1
+        self._counter = counter
+        return StateId(counter, self._site)

@@ -8,8 +8,9 @@ id monotonicity guarantees no child is recovered before its parents,
 and each key's version list keeps itself in id order.
 
 With asynchronous flush, a crash loses a suffix of the log: the log is
-flushed sequentially, so what survives is a clean prefix (a torn tail
-record is cut by its CRC). A record whose parents are not all present —
+flushed sequentially, one frame per flush, so what survives is a clean
+prefix (a torn tail flush is cut whole by its frame's CRC; its fsync had
+not returned). A record whose parents are not all present —
 a gap in the log, or a compacted log recovered without its checkpoint —
 cannot be grafted; recovery discards it *and all subsequent records*.
 

@@ -199,6 +199,14 @@ class StateDAG:
 
     # -- construction -----------------------------------------------------
 
+    def next_id(self, parent_ids: Iterable[StateId]) -> StateId:
+        """Allocate a fresh local id for a child of ``parent_ids``.
+
+        The commit pipeline allocates before it installs (it logs the id
+        first) and passes the id to :meth:`create_state`.
+        """
+        return self._allocator.next_id(parent_ids)
+
     def create_state(
         self,
         parents: Iterable[State],

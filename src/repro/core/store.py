@@ -489,14 +489,8 @@ class TardisStore:
             created_fork = bool(current.children)
             try:
                 record = self.pipeline.commit([current], txn.writes, origin=LOCAL)
-            except CrossShardAbort:
-                # Shard prepare failed (dead/unresponsive worker); the
-                # DAG is untouched, so this is a clean typed abort.
-                self._finish(txn, ABORTED)
-                self.metrics.aborts += 1
-                t = self.active_tracer()
-                if t.enabled:
-                    t.event("txn.abort", reason="shard-unavailable", site=self.site)
+            except TransactionAborted as exc:
+                self._pipeline_aborted(txn, exc)
                 raise
             txn.trace.created_fork = created_fork
             self.metrics.commits += 1
@@ -555,12 +549,8 @@ class TardisStore:
                         )
             try:
                 record = self.pipeline.commit(txn.read_states, txn.writes, origin=MERGE)
-            except CrossShardAbort:
-                self._finish(txn, ABORTED)
-                self.metrics.aborts += 1
-                t = self.active_tracer()
-                if t.enabled:
-                    t.event("txn.abort", reason="shard-unavailable", site=self.site)
+            except TransactionAborted as exc:
+                self._pipeline_aborted(txn, exc)
                 raise
             self.metrics.commits += 1
             self.metrics.merges += 1
@@ -579,6 +569,22 @@ class TardisStore:
                 )
         self._notify_commit(record)
         return record.state_id
+
+    def _pipeline_aborted(self, txn: BaseTransaction, exc: TransactionAborted) -> None:
+        """The pipeline refused the commit before installing anything.
+
+        A shard prepare failed (dead or unresponsive worker) or the log
+        cannot encode the write set; the DAG is untouched, so this is a
+        clean typed abort.
+        """
+        self._finish(txn, ABORTED)
+        self.metrics.aborts += 1
+        t = self.active_tracer()
+        if t.enabled:
+            reason = (
+                "shard-unavailable" if isinstance(exc, CrossShardAbort) else "unloggable-writes"
+            )
+            t.event("txn.abort", reason=reason, site=self.site)
 
     # -- replication hooks (§6.4) -----------------------------------------------
 

@@ -7,8 +7,9 @@ import pytest
 
 from repro import TardisStore, checkpoint_store, recover_store
 from repro.core.ids import ROOT_ID, CommitRecord, StateId
-from repro.errors import GarbageCollectedError
+from repro.errors import GarbageCollectedError, TransactionAborted
 from repro.obs import metrics as met
+from repro.obs.tracing import Tracer
 from repro.storage.wal import WriteAheadLog
 
 
@@ -149,6 +150,70 @@ class TestRecovery:
         store.close()
         assert list(WriteAheadLog.read(str(tmp_path / "wal.log"))) == heard
         assert [type(r) for r in heard] == [CommitRecord, CommitRecord]
+
+
+LOG_LEVELS = pytest.mark.parametrize(
+    "config",
+    [{"sync": True}, {"sync": False, "group_commit": 16}],
+    ids=["wal_sync", "group_commit=16"],
+)
+
+
+class TestUnloggableWriteSet:
+    """A write set ``pickle`` cannot encode aborts the commit whole."""
+
+    @LOG_LEVELS
+    def test_nothing_is_installed_live_or_after_recovery(self, tmp_path, config):
+        store = make_store(tmp_path, **config)
+        store.tracer = Tracer()
+        store.put("b", 1)
+        states = len(store.dag)
+        t = store.begin()
+        t.put("a", lambda: 1)
+        t.put("b", 2)
+        with pytest.raises(TransactionAborted, match="cannot be logged"):
+            t.commit()
+        assert t.status == "aborted"
+        assert len(store.dag) == states
+        assert store.get("b") == 1 and store.get("a") is None
+        [event] = store.tracer.events(kind="txn.abort")
+        assert event.attrs["reason"] == "unloggable-writes"
+        store.put("c", 3)  # the log still takes commits
+        store.close()
+        recovered, report = recover_store("A", str(tmp_path / "wal.log"))
+        assert (report["replayed"], report["discarded"]) == (2, 0)
+        assert [recovered.get(k) for k in "abc"] == [None, 1, 3]
+        recovered.close()
+
+    def test_a_merge_aborts_the_same_way(self, tmp_path):
+        store = make_store(tmp_path)
+        a, b = store.session("a"), store.session("b")
+        store.put("x", 0, session=a)
+        t1, t2 = store.begin(session=a), store.begin(session=b)
+        t1.put("x", 1)
+        t2.put("x", 2)
+        t1.commit()
+        t2.commit()
+        states = len(store.dag)
+        m = store.begin_merge()
+        m.put("x", lambda: 3)
+        with pytest.raises(TransactionAborted):
+            m.commit()
+        assert m.status == "aborted" and len(store.dag) == states
+        store.close()
+
+    def test_a_staged_sharded_commit_is_abandoned(self, tmp_path):
+        store = make_store(tmp_path, shards=2)
+        writes = {"key%03d" % i: i for i in range(8)}
+        writes["key000"] = lambda: 0
+        t = store.begin()
+        for key, value in writes.items():
+            t.put(key, value)
+        with pytest.raises(TransactionAborted):
+            t.commit()
+        assert store.versions.num_records() == 0
+        assert all(link._staged == {} for link in store.versions._links)
+        store.close()
 
 
 class TestCheckpoint:

@@ -3,13 +3,16 @@
 import gc
 import os
 import pickle
+import pickletools
+import struct
+import zlib
 
 import pytest
 
-from repro.core.ids import CommitRecord, StateId
+from repro.core.ids import ROOT_ID, CommitRecord, StateId
 from repro.errors import CorruptLogError
 from repro.storage import wal as wal_module
-from repro.storage.wal import WriteAheadLog
+from repro.storage.wal import WriteAheadLog, encode_entry
 
 
 def rec(counter, parents=(), writes=None):
@@ -107,20 +110,27 @@ class TestWal:
         assert commit_ids(path) == [(1, "A")]
 
     def test_record_roundtrip(self, tmp_path):
-        """A frame holds the plain tuple; reading rebuilds the record."""
+        """A sync append is a frame of one entry of plain values."""
         path = str(tmp_path / "wal.log")
         record = CommitRecord(StateId(3, "B"), (StateId(2, "A"),), {"a": [1, 2]})
         with WriteAheadLog(path) as wal:
             wal.append_commit(record)
         with open(path, "rb") as handle:
-            body = handle.read()[8:]
-        assert type(pickle.loads(body)) is tuple
+            data = handle.read()
+        assert data == frame(record)
+        assert pickle.loads(data[8:]) == (3, "B", (2, "A"), {"a": [1, 2]})
         assert list(WriteAheadLog.read(path)) == [record]
 
 
+def frame(*records):
+    """One frame of ``records``' entries: what a group-commit flush writes."""
+    body = b"".join(encode_entry(r) for r in records)
+    return struct.pack("<II", len(body), zlib.crc32(body)) + body
+
+
 def frames(*records):
-    """The exact bytes a cleanly closed log of ``records`` holds."""
-    return b"".join(wal_module._encode(r) for r in records)
+    """The exact bytes a cleanly closed synchronous log of ``records`` holds."""
+    return b"".join(frame(r) for r in records)
 
 
 def write_bytes(path, data):
@@ -234,3 +244,75 @@ class TestPreallocatedExtents:
         with pytest.warns(ResourceWarning):
             del wal
             gc.collect()
+
+
+def flushed(path, *batches):
+    """Log each batch of records as one group-commit flush, then close."""
+    with WriteAheadLog(path, sync=False) as wal:
+        for batch in batches:
+            for record in batch:
+                wal.append_commit(record)
+            wal.flush()
+
+
+def chain(first, n, writes=lambda i: {"k%d" % i: i}):
+    return [rec(i, [StateId(i - 1, "A")], writes(i)) for i in range(first, first + n)]
+
+
+class TestFrames:
+    def test_a_flush_is_one_frame(self, tmp_path):
+        path = str(tmp_path / "wal.log")
+        first, second = chain(1, 16), chain(17, 3)
+        flushed(path, first, second)
+        with open(path, "rb") as handle:
+            assert handle.read() == frame(*first) + frame(*second)
+        assert list(WriteAheadLog.read(path)) == first + second
+
+    def test_a_torn_flush_loses_that_flush_only(self, tmp_path):
+        path = str(tmp_path / "wal.log")
+        earlier, torn = chain(1, 16), chain(17, 16)
+        flushed(path, earlier)
+        data, whole = frame(*earlier), frame(*torn)
+        cut = whole[: len(whole) // 2]  # mid-body
+        write_bytes(path, data + cut + bytes(4096))
+        assert list(WriteAheadLog.read(path)) == earlier
+        # A non-zero byte past where the torn frame would have ended.
+        rest = len(whole) - len(cut)
+        write_bytes(path, data + cut + bytes(rest + 100) + b"\x01")
+        with pytest.raises(CorruptLogError):
+            list(WriteAheadLog.read(path))
+
+    def test_entries_that_share_objects_decode_apart(self, tmp_path):
+        """Each entry is its own pickle: memo references stay in it."""
+        path = str(tmp_path / "wal.log")
+        shared = ["shared"]
+        records = [
+            rec(1, [ROOT_ID], {"x": ["first"], "y": ("a", "b")}),
+            rec(2, [StateId(1, "A")], {"p": shared, "q": shared, "r": "z"}),
+            rec(3, [StateId(2, "A"), StateId(1, "B")], {"s": "z", "t": "z"}),
+        ]
+        flushed(path, records)
+        assert list(WriteAheadLog.read(path)) == records
+
+    def test_compact_reads_back_record_equal(self, tmp_path):
+        path = str(tmp_path / "wal.log")
+        records = chain(1, 5) + [
+            rec(6, [StateId(5, "A"), StateId(4, "B")], {"m": {"nested": [1.5, None]}}),
+            rec(7, [StateId(6, "A")], {("tuple", "key"): b"bytes"}),
+        ]
+        flushed(path, records[:4], records[4:])
+        assert WriteAheadLog.compact(path, keep_from_state=(3, "A")) == 5
+        assert list(WriteAheadLog.read(path)) == records[2:]
+
+    def test_an_entry_of_plain_values_references_no_class(self):
+        record = rec(9, [StateId(8, "A"), ROOT_ID], {"k": [1, "v"], 2: (3.0, None)})
+        opcodes = {op.name for op, _arg, _pos in pickletools.genops(encode_entry(record))}
+        assert not opcodes & {"GLOBAL", "STACK_GLOBAL", "INST", "OBJ", "REDUCE"}
+
+    def test_a_log_in_the_old_record_format_is_corrupt(self, tmp_path):
+        """One pickled ``(StateId, parent StateIds, writes)`` per frame."""
+        path = str(tmp_path / "wal.log")
+        body = pickle.dumps(tuple(rec(1, [ROOT_ID], {"x": 1})), pickle.HIGHEST_PROTOCOL)
+        write_bytes(path, struct.pack("<II", len(body), zlib.crc32(body)) + body)
+        with pytest.raises(CorruptLogError):
+            list(WriteAheadLog.read(path))
