@@ -17,12 +17,13 @@ here; the log appends it, the store hands it to its commit listeners
 (the replicator ships it) and recovery and remote apply take it back.
 
 The order is prepare → allocate + encode → install → append → metrics:
-a sharded write set is prepared (staged) first; the record's id is
-allocated and, with a log, its entry encoded
+a sharded write set is planned per shard first (nothing is sent); the
+record's id is allocated and, with a log, its entry encoded
 (:func:`~repro.storage.wal.encode_entry`) before anything is installed,
 so a write set the log cannot encode aborts the commit with nothing
 changed; then the DAG state and the versions are installed, and only
-then is the encoded entry appended.
+then is the encoded entry appended. A sharded install that fails
+removes the state from the DAG again, so the commit aborts whole.
 
 Constraint evaluation (ripple-down, end checks) stays in the store —
 those decide *whether and where* to commit; the pipeline performs the
@@ -58,6 +59,9 @@ class CommitPipeline:
     """One code path for id allocation, log encoding, DAG installation,
     version insertion, log append and metrics, in that order.
 
+    On a sharded store "prepare" only plans the write set per shard; a
+    failed install removes the new state from the DAG and aborts.
+
     ``group_commit`` enables group-commit batching for an *asynchronous*
     WAL (``sync=False``): buffered log entries are written as one frame
     and fsynced every ``group_commit`` appends. A commit is acknowledged
@@ -71,7 +75,7 @@ class CommitPipeline:
     __slots__ = (
         "dag",
         "versions",
-        "staged",
+        "sharded",
         "wal",
         "group_commit",
         "_unflushed",
@@ -88,10 +92,10 @@ class CommitPipeline:
         group_commit: int = 0,
     ) -> None:
         self.dag = dag
-        #: a flat VersionedRecordStore, or (``staged``) the routed
-        #: ShardedRecordStore with its prepare/install/abandon contract.
+        #: a flat VersionedRecordStore, or (``sharded``) the routed
+        #: ShardedRecordStore with its prepare/install contract.
         self.versions: Any = versions
-        self.staged = isinstance(versions, ShardedRecordStore)
+        self.sharded = isinstance(versions, ShardedRecordStore)
         self.wal = wal
         self.group_commit = int(group_commit)
         self._unflushed = 0
@@ -115,30 +119,22 @@ class CommitPipeline:
         keeps its origin-site id, §6.4). The caller holds the store lock
         and has already settled all constraint questions.
 
-        Against a sharded storage layer the pipeline runs the shard
-        commit protocol: the write set is *prepared* (planned into
-        per-shard batches, target workers validated and — for
-        multi-shard commits — staged, in ascending shard order) before
-        the DAG state exists, so a dead worker aborts the transaction
-        with a typed :class:`~repro.errors.CrossShardAbort` instead of
-        leaving a committed-looking state whose writes were lost.
+        Against a sharded storage layer the write set is *prepared*
+        (planned into per-shard batches) before the DAG state exists and
+        installed after it, one ``write`` per shard in one scatter. When
+        any shard fails, the state is removed from the DAG again
+        (:meth:`~repro.core.state_dag.StateDAG.discard_leaf`) and the
+        commit raises a typed :class:`~repro.errors.CrossShardAbort`: a
+        dead worker never leaves half a commit visible, and the log never
+        sees it.
 
         With a log, the entry is encoded before the state is installed:
         a write set ``pickle`` cannot encode raises
         :class:`~repro.errors.TransactionAborted` with the DAG, the
-        versions and the log untouched (a staged commit is abandoned).
+        versions and the log untouched.
         """
         versions = self.versions
-        staged: Optional[Any] = None
-        if self.staged and writes:
-            try:
-                staged = versions.prepare_commit(writes)
-            except ShardError as exc:
-                self._observe_shard_abort()
-                shard = exc.shard if isinstance(exc, ShardUnavailableError) else None
-                raise CrossShardAbort(
-                    shard, "shard prepare failed: %s" % exc
-                ) from exc
+        plan = versions.prepare_commit(writes) if self.sharded and writes else None
         parent_ids = tuple([p.id for p in parents])
         if state_id is None:
             state_id = self.dag.next_id(parent_ids)
@@ -149,21 +145,22 @@ class CommitPipeline:
             try:
                 entry = encode_entry(record)
             except Exception as exc:
-                if staged is not None:
-                    versions.abandon_commit(staged)
                 raise TransactionAborted(
                     "write set cannot be logged: %r" % (exc,)
                 ) from exc
-        try:
-            state = self.dag.create_state(
-                parents, write_keys=frozenset(writes), state_id=state_id
-            )
-        except Exception:
-            if staged is not None:
-                versions.abandon_commit(staged)
-            raise
-        if staged is not None:
-            versions.install_commit(staged, state)
+        state = self.dag.create_state(
+            parents, write_keys=frozenset(writes), state_id=state_id
+        )
+        if plan is not None:
+            try:
+                versions.install_commit(plan, state)
+            except ShardError as exc:
+                self.dag.discard_leaf(state)
+                m = _met.DEFAULT
+                if m.enabled:
+                    m.inc("tardis_commit_shard_abort_total")
+                shard = exc.shard if isinstance(exc, ShardUnavailableError) else None
+                raise CrossShardAbort(shard, "shard install failed: %s" % exc) from exc
         else:
             for key, value in writes.items():
                 versions.write(key, state_id, value)
@@ -171,16 +168,11 @@ class CommitPipeline:
             self._append_log(wal, entry)
         if origin != REMOTE:
             self._observe(origin, parents, writes)
-        if staged is not None and staged.n_shards > 1:
+        if plan is not None and len(plan) > 1:
             m = _met.DEFAULT
             if m.enabled:
                 m.inc("tardis_commit_cross_shard_total")
         return record
-
-    def _observe_shard_abort(self) -> None:
-        m = _met.DEFAULT
-        if m.enabled:
-            m.inc("tardis_commit_shard_abort_total")
 
     # -- write-ahead logging (§6.5) ----------------------------------------
 

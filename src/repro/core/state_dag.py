@@ -256,6 +256,32 @@ class StateDAG:
         self._leaves[state_id] = state
         return state
 
+    def discard_leaf(self, state: State) -> None:
+        """Undo :meth:`create_state` for a commit that failed to install.
+
+        The commit pipeline calls this under the store lock, before the
+        state can gain children or reach the log. Each parent gets back
+        the branch number the state took, and a parent that is no longer
+        a fork point loses its fork-path entries. The id stays allocated
+        and resolves to nothing, so a version a shard already wrote under
+        it is an orphan: reads skip it and record promotion drops it.
+        Destructive: cached reads and every shard link's rows re-resolve.
+        """
+        if state.children or state is self.root:
+            raise ValueError("only a childless non-root state can be discarded")
+        del self._states[state.id]
+        del self._leaves[state.id]
+        unforked = set()
+        for parent in state.parents:
+            parent.children = [c for c in parent.children if c is not state]
+            parent.next_branch -= 1
+            if parent.next_branch == 1:
+                unforked.add(parent.id)
+            if not parent.children:
+                self._leaves[parent.id] = parent
+        self.retire_forks(unforked)
+        self.mark_destructive()
+
     def _retro_add(self, subtree_root: State, point: ForkPoint) -> None:
         bit = self.ancestry.intern(point)
         stack = [subtree_root]

@@ -571,11 +571,10 @@ class TardisStore:
         return record.state_id
 
     def _pipeline_aborted(self, txn: BaseTransaction, exc: TransactionAborted) -> None:
-        """The pipeline refused the commit before installing anything.
+        """The pipeline aborted the commit with the DAG unchanged.
 
-        A shard prepare failed (dead or unresponsive worker) or the log
-        cannot encode the write set; the DAG is untouched, so this is a
-        clean typed abort.
+        The log cannot encode the write set, or a shard install failed
+        (dead or unresponsive worker) and the new state was removed.
         """
         self._finish(txn, ABORTED)
         self.metrics.aborts += 1

@@ -86,9 +86,8 @@ class ShardError(StorageError):
 class ShardUnavailableError(ShardError):
     """A shard's backing worker is dead or unresponsive.
 
-    Raised by reads routed to a dead shard and by commit preparation
-    when a target worker fails its liveness check or exceeds the
-    worker timeout. ``shard`` is the shard index.
+    Raised by any request routed to a dead shard, or to one that
+    exceeds the worker timeout. ``shard`` is the shard index.
     """
 
     def __init__(self, shard, reason=""):
@@ -100,7 +99,8 @@ class ShardUnavailableError(ShardError):
 
 
 class CrossShardAbort(TransactionAborted):
-    """Typed abort: a sharded commit failed to prepare or install.
+    """Typed abort: a sharded commit failed to install, and its state
+    was removed from the DAG.
 
     Subclasses :class:`TransactionAborted` so retry loops written for
     ordinary aborts handle worker failures unchanged, while the type

@@ -20,11 +20,6 @@ replication is unchanged (the replicator speaks state ids, not shards).
 """
 
 from repro.partitioning.router import ShardRouter, stable_key_bytes
-from repro.partitioning.workers import ShardedRecordStore, StagedShardCommit
+from repro.partitioning.workers import ShardedRecordStore
 
-__all__ = [
-    "ShardRouter",
-    "ShardedRecordStore",
-    "StagedShardCommit",
-    "stable_key_bytes",
-]
+__all__ = ["ShardRouter", "ShardedRecordStore", "stable_key_bytes"]

@@ -27,7 +27,7 @@ path_mask)`` pair, enough to run Figure 7's ``descendant_check`` and
 the promotion logic verbatim against the real ``VersionedRecordStore``
 code. The pipe link owns keeping that table honest:
 
-* every write/install ships the committing state's ``(id, mask)``;
+* every write ships the committing state's ``(id, mask)``;
 * every read carries the read state's ``(id, mask)`` inline;
 * when the DAG's ``(destructive_gen, retro_updates)`` fingerprint
   moves (GC splice-out, fork retirement, retroactive mask widening),
@@ -39,12 +39,15 @@ code. The pipe link owns keeping that table honest:
   table stays proportional to live states, not to commits ever made.
 
 Failure model: a dead or unresponsive worker surfaces as
-:class:`~repro.errors.ShardUnavailableError` on reads and turns a
-commit into a typed :class:`~repro.errors.CrossShardAbort` *before*
-the DAG state is created (commits are staged: ``prepare_commit`` →
-``install_commit`` | ``abandon_commit``, driven by the CommitPipeline),
-so a worker crash never leaves a committed-looking state whose writes
-were lost. Every operation goes through one scatter/gather,
+:class:`~repro.errors.ShardUnavailableError`. A commit sends each shard
+one ``write`` under the new state's id; when any shard fails, the
+CommitPipeline removes the state from the DAG again and raises
+:class:`~repro.errors.CrossShardAbort`, so a dead worker never leaves
+half a commit visible. A version a live shard already wrote names an id
+that no longer resolves: reads skip it and the next promotion pass
+drops it. A batch the pipe cannot pickle raises
+:class:`~repro.errors.ShardError` before anything is sent, so its link
+stays in step. Every operation goes through one scatter/gather,
 :meth:`ShardedRecordStore._gather`, whose drain rule keeps a failed
 scatter from leaving a reply unread on a healthy pipe.
 """
@@ -54,6 +57,7 @@ from __future__ import annotations
 import itertools
 import multiprocessing
 import time
+from multiprocessing.reduction import ForkingPickler
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.core.state_dag import State, StateDAG
@@ -67,7 +71,7 @@ from repro.errors import (
 from repro.obs import metrics as _met
 from repro.partitioning.router import ShardRouter
 
-__all__ = ["ShardedRecordStore", "StagedShardCommit"]
+__all__ = ["ShardedRecordStore"]
 
 #: seconds to wait for one worker reply before declaring the worker
 #: dead (covers scheduling noise; real replies are sub-ms).
@@ -83,26 +87,6 @@ START_METHOD = "spawn"
 #: one mask-table entry: (live_id, path_mask), or None when the state
 #: was collected without an heir.
 _Entry = Optional[Tuple[Any, int]]
-
-
-class StagedShardCommit:
-    """A write set grouped into per-shard batches, ready to install.
-
-    ``plan`` is ``[(shard_index, [(key, value), ...]), ...]`` in
-    ascending shard order; ``token`` names the buffers a multi-shard
-    commit staged behind its links.
-    """
-
-    __slots__ = ("plan", "token")
-
-    def __init__(self, plan: List[Tuple[int, List[Tuple[Any, Any]]]], token: int = 0):
-        self.plan = plan
-        self.token = token
-
-    @property
-    def n_shards(self) -> int:
-        """Number of distinct shards the commit touches."""
-        return len(self.plan)
 
 
 class _StateView:
@@ -176,7 +160,7 @@ def _build_shards(spec) -> Dict[int, VersionedRecordStore]:
     return {shard: VersionedRecordStore() for shard in spec["shards"]}
 
 
-def _dispatch(stores, view, staged, cmd):
+def _dispatch(stores, view, cmd):
     """Execute one command tuple against a link's shard stores.
 
     ``view`` is whatever answers ``resolve``/``descendant_check`` on
@@ -200,20 +184,6 @@ def _dispatch(stores, view, staged, cmd):
         for key, value in items:
             store.write(key, sid, value)
         return len(items)
-    if op == "stage":
-        _, shard, token, items = cmd
-        staged[(shard, token)] = items
-        return True
-    if op == "install":
-        _, shard, token, sid = cmd
-        store = stores[shard]
-        for key, value in staged.pop((shard, token)):
-            store.write(key, sid, value)
-        return True
-    if op == "abandon":
-        _, shard, token = cmd
-        staged.pop((shard, token), None)
-        return True
     if op == "read_candidates":
         _, shard, key, states = cmd
         views = [_StateView(sid, mask) for sid, mask in states]
@@ -262,7 +232,6 @@ def shard_worker_main(conn, spec) -> None:
     """
     view = _ShardDagView()
     stores = _build_shards(spec)
-    staged: Dict[Tuple[int, int], List[Tuple[Any, Any]]] = {}
     while True:
         try:
             message = conn.recv()
@@ -276,7 +245,7 @@ def shard_worker_main(conn, spec) -> None:
         ok = True
         payload: Any
         try:
-            payload = [_dispatch(stores, view, staged, cmd) for cmd in cmds]
+            payload = [_dispatch(stores, view, cmd) for cmd in cmds]
             if cmds[0][0] == "promote":
                 # Every version here is now keyed by a live id; the
                 # coordinator prunes its copy by the same rule.
@@ -305,22 +274,15 @@ class _InlineLink:
     is no mask table to keep in sync.
     """
 
-    __slots__ = ("index", "_stores", "_dag", "_staged", "_inflight")
+    __slots__ = ("index", "_stores", "_dag", "_inflight")
 
-    _GUARDED_BY = {
-        "_staged": "external:TardisStore._lock",
-        "_inflight": "external:TardisStore._lock",
-    }
+    _GUARDED_BY = {"_inflight": "external:TardisStore._lock"}
 
     def __init__(self, index, spec, dag: StateDAG):
         self.index = index
         self._stores = _build_shards(spec)
         self._dag = dag
-        self._staged: Dict[Tuple[int, int], List[Tuple[Any, Any]]] = {}
         self._inflight: List[Any] = []
-
-    def check_alive(self) -> None:
-        """In-process shards cannot fail independently."""
 
     def sync_for(self, extra=None) -> None:
         return None
@@ -330,10 +292,7 @@ class _InlineLink:
 
     def request(self, batch_id, sync, cmds) -> None:
         try:
-            reply: Any = [
-                _dispatch(self._stores, self._dag, self._staged, cmd)
-                for cmd in cmds
-            ]
+            reply: Any = [_dispatch(self._stores, self._dag, cmd) for cmd in cmds]
         except TardisError as exc:
             reply = exc  # raised by collect, where a worker's error surfaces
         self._inflight.append(reply)
@@ -389,11 +348,6 @@ class _WorkerHandle:
         #: (destructive_gen, retro_updates) at the last sync.
         self._fingerprint: Tuple[int, int] = (0, 0)
 
-    def check_alive(self) -> None:
-        if not self.alive or not self.process.is_alive():
-            self.alive = False
-            raise ShardUnavailableError(self.index, "worker process is dead")
-
     # -- mask synchronization ----------------------------------------------
 
     def _entry(self, state_id) -> _Entry:
@@ -444,12 +398,31 @@ class _WorkerHandle:
         """Mirror the worker's post-promotion table pruning."""
         self._shipped = _live_entries(self._shipped)
 
+    def _unship(self, sync) -> None:
+        """Forget a sync payload the worker never received: its rows
+        and the fingerprint are re-resolved and re-shipped next time."""
+        if sync is not None:
+            for sid in sync[0]:
+                self._shipped[sid] = False  # equal to no entry
+            self._fingerprint = (-1, -1)
+
     # -- the pipe ------------------------------------------------------------
 
     def request(self, batch_id, sync, cmds) -> None:
-        self.check_alive()
+        """Send one batch. It is pickled first, so a value the pipe
+        cannot carry raises ShardError with nothing sent."""
+        if not self.alive or not self.process.is_alive():
+            self.alive = False
+            raise ShardUnavailableError(self.index, "worker process is dead")
         try:
-            self.conn.send((batch_id, sync, cmds))
+            frame = ForkingPickler.dumps((batch_id, sync, cmds))
+        except Exception as exc:  # PicklingError, TypeError, AttributeError, ...
+            self._unship(sync)
+            raise ShardError(
+                "worker %d: batch cannot be pickled: %r" % (self.index, exc)
+            ) from exc
+        try:
+            self.conn.send_bytes(frame)
         except (BrokenPipeError, OSError) as exc:
             self.alive = False
             raise ShardUnavailableError(self.index, "send failed: %s" % exc)
@@ -545,7 +518,6 @@ class ShardedRecordStore:
         "accesses": "external:TardisStore._lock",
         "_links": "external:TardisStore._lock",
         "_batch_ids": "external:TardisStore._lock",
-        "_tokens": "external:TardisStore._lock",
         "leaked_workers": "external:TardisStore._lock",
         "_closed": "external:TardisStore._lock",
         "_hot_registry": "external:TardisStore._lock",
@@ -577,7 +549,6 @@ class ShardedRecordStore:
         self._hot_registry = None
         self._hot_access: List[Any] = []
         self._batch_ids = itertools.count(1)
-        self._tokens = itertools.count(1)
         n_links = max(n_workers, 1)
         specs = [
             {"shards": [s for s in range(n_shards) if s % n_links == index]}
@@ -727,67 +698,31 @@ class ShardedRecordStore:
             hits[0] += n_hits
         return result
 
-    # -- staged commits (driven by the CommitPipeline) ---------------------
+    # -- commits (driven by the CommitPipeline) ---------------------------
 
-    def prepare_commit(self, writes: Dict[Any, Any]) -> StagedShardCommit:
-        """Plan, liveness-check, and (multi-shard) stage the write set.
+    def prepare_commit(self, writes: Dict[Any, Any]) -> List[Tuple[int, List[Any]]]:
+        """The router's plan of a write set; nothing is sent.
 
-        Runs *before* the DAG state exists. The plan is the router's:
-        per-shard batches in ascending shard order. A single-shard
-        commit only verifies its link is alive — the write itself goes
-        out in one hop at install time. A multi-shard commit ships each
-        batch to its link as a staged buffer; a failure abandons every
-        buffer and raises, leaving nothing installed anywhere.
+        ``[(shard, [(key, value), ...]), ...]`` in ascending shard order.
         """
-        plan = [
+        return [
             (shard, [(key, writes[key]) for key in batch])
             for shard, batch in self.router.plan(writes).items()
         ]
-        staged = StagedShardCommit(plan, token=next(self._tokens))
-        if len(plan) == 1:
-            self._links[plan[0][0] % len(self._links)].check_alive()
-        elif plan:
-            try:
-                self._on_shards(
-                    [("stage", shard, staged.token, items) for shard, items in plan]
-                )
-            except ShardError:
-                self.abandon_commit(staged)
-                raise
-        return staged
 
-    def install_commit(self, staged: StagedShardCommit, state: State) -> None:
-        """Install the prepared batches under the committed state id.
+    def install_commit(self, plan: List[Tuple[int, List[Any]]], state: State) -> None:
+        """Write a planned commit under ``state``: one ``write`` per shard,
+        batched per link in one scatter.
 
-        Single-shard: one combined write message (the one-hop fast
-        path). Multi-shard: an install message per staged buffer, in
-        the same order as prepare. A worker death in this window (after
-        the DAG accepted the state) marks the shard unavailable and
-        raises; the shard was already lost, and every subsequent
-        operation touching it fails the same way.
+        Raises :class:`~repro.errors.ShardError` when any link fails; the
+        CommitPipeline then removes ``state`` from the DAG, which leaves
+        whatever the live shards wrote as orphans.
         """
-        for shard, items in staged.plan:
+        for shard, items in plan:
             self._note_access(shard, len(items))
-        if staged.n_shards == 1:
-            shard, items = staged.plan[0]
-            cmds = [("write", shard, items, state.id)]
-        else:
-            cmds = [
-                ("install", shard, staged.token, state.id)
-                for shard, _items in staged.plan
-            ]
-        self._on_shards(cmds, (state.id,))
-
-    def abandon_commit(self, staged: StagedShardCommit) -> None:
-        """Drop staged buffers for a commit that will not install."""
-        if staged.n_shards <= 1:
-            return
-        try:
-            self._on_shards(
-                [("abandon", shard, staged.token) for shard, _items in staged.plan]
-            )
-        except ShardError:
-            pass  # that worker is gone; its buffer died with it
+        self._on_shards(
+            [("write", shard, items, state.id) for shard, items in plan], (state.id,)
+        )
 
     # -- maintenance -------------------------------------------------------
 

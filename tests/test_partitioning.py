@@ -149,32 +149,21 @@ class TestShardedRecordStore:
         store.write("y", state.id, 2)
         assert store.balance() == [2, 0]
 
-    def test_staged_commit_contract(self):
+    def test_commit_plan_contract(self):
         dag = StateDAG("A")
         store = ShardedRecordStore(dag, n_shards=4)
         state = dag.create_state([dag.root])
         writes = {"key%03d" % i: i for i in range(32)}
-        staged = store.prepare_commit(writes)
+        plan = store.prepare_commit(writes)
         # Planning alone writes nothing.
         assert store.num_records() == 0
-        assert staged.n_shards > 1
-        assert [shard for shard, _batch in staged.plan] == sorted(
-            shard for shard, _batch in staged.plan
-        )
-        store.install_commit(staged, state)
+        assert len(plan) > 1
+        assert [shard for shard, _batch in plan] == sorted(shard for shard, _batch in plan)
+        assert sorted(key for _shard, batch in plan for key, _value in batch) == sorted(writes)
+        store.install_commit(plan, state)
         assert store.num_records() == len(writes)
         for key, value in writes.items():
             assert store.read_visible(key, state, dag) == (state.id, value)
-
-    def test_abandon_commit_installs_nothing(self):
-        dag = StateDAG("A")
-        store = ShardedRecordStore(dag, n_shards=2)
-        writes = {"key%03d" % i: i for i in range(8)}
-        staged = store.prepare_commit(writes)
-        assert staged.n_shards == 2
-        store.abandon_commit(staged)
-        assert store.num_records() == 0
-        assert store._links[0]._staged == {}
 
 
 class TestShardedTardisStore:

@@ -1,9 +1,10 @@
 """Tests for the shard plane (routed store, links, cross-shard commits).
 
 Covers ``TardisStore(site, shards=N[, shard_workers=M])`` end to end:
-scatter/gather batched reads, the prepare/install cross-shard commit
-protocol (including typed aborts on a killed worker and the drain rule
-after a partial scatter failure), mask-table pruning, oracle
+scatter/gather batched reads, cross-shard commits (one write per
+shard, rolled back whole with a typed abort when a worker dies or a
+value cannot be pickled, and the drain rule after a partial scatter
+failure), mask-table pruning, oracle
 equivalence of both planes against the flat store under a
 branching/merging/GC workload, and worker lifecycle (clean close, no
 leaks).
@@ -13,11 +14,13 @@ real startup cost: tests share stores where possible and keep worker
 counts small.
 """
 
+import os
 import random
+import signal
 
 import pytest
 
-from repro import TardisStore
+from repro import TardisStore, recover_store
 from repro.errors import (
     CrossShardAbort,
     GarbageCollectedError,
@@ -27,6 +30,7 @@ from repro.errors import (
 from repro.obs import metrics as _met
 from repro.core.state_dag import StateDAG
 from repro.partitioning import ShardedRecordStore
+from repro.partitioning.workers import _WorkerHandle
 
 
 @pytest.fixture
@@ -193,17 +197,17 @@ class TestDrainAfterPartialFailure:
             shards = {versions.shard_index(k): k for k in by_worker[0]}
             assert len(shards) == 2  # two shards, both on the live worker
             live_a, live_b = shards.values()
-            staged = versions.prepare_commit({live_a: "a", live_b: "b"})
-            # The plan grows a shard on the dead worker between prepare
-            # and install: the worker-death window install documents.
-            dead_key = by_worker[1][0]
-            staged.plan.append((versions.shard_index(dead_key), [(dead_key, "c")]))
-            state = store.dag.create_state(store.dag.leaves())
-            with pytest.raises(ShardUnavailableError):
-                versions.install_commit(staged, state)
-            self._assert_live_worker_in_step(
-                store, [k for k in by_worker[0] if k not in (live_a, live_b)]
-            )
+            writes = {live_a: "a", live_b: "b", by_worker[1][0]: "c"}
+            plan = versions.prepare_commit(writes)
+            # Three shards: the live worker gets its two writes in one
+            # batch and they are read back; the dead worker's fails.
+            assert len(plan) == 3
+            txn = store.begin()
+            for key, value in writes.items():
+                txn.put(key, value)
+            with pytest.raises(CrossShardAbort):
+                txn.commit()
+            self._assert_live_worker_in_step(store, by_worker[0])
         finally:
             store.close()
 
@@ -215,6 +219,184 @@ class TestDrainAfterPartialFailure:
                 store.versions.num_records()
         finally:
             store.close()
+
+
+def _one_key_per_worker(store):
+    """A key on worker 0 and a key on worker 1."""
+    by_worker = {}
+    for i in range(64):
+        key = "k%d" % i
+        by_worker.setdefault(store.versions.shard_index(key) % 2, key)
+    return by_worker[0], by_worker[1]
+
+
+def _die_on_install(monkeypatch, handle):
+    """``handle``'s worker dies after a commit's writes are sent to it
+    and before it reads them. Returns the states whose install ran."""
+    install, request = ShardedRecordStore.install_commit, _WorkerHandle.request
+    installing = []
+
+    def install_commit(self, plan, state):
+        installing.append(state)
+        return install(self, plan, state)
+
+    def request_then_die(self, batch_id, sync, cmds):
+        if self is not handle or not installing:
+            return request(self, batch_id, sync, cmds)
+        os.kill(self.process.pid, signal.SIGSTOP)  # the batch stays unread
+        request(self, batch_id, sync, cmds)
+        self.kill()
+
+    monkeypatch.setattr(ShardedRecordStore, "install_commit", install_commit)
+    monkeypatch.setattr(_WorkerHandle, "request", request_then_die)
+    return installing
+
+
+class TestInstallRollback:
+    """A commit whose install fails on any shard is removed whole (§4):
+    no state, no version a reader can see, no log record."""
+
+    def test_a_worker_dying_mid_install_aborts_the_whole_commit(self, monkeypatch):
+        store = TardisStore("A", shards=4, shard_workers=2)
+        try:
+            live, dying = _one_key_per_worker(store)
+            store.put(live, "old")
+            store.put(dying, "old")
+            states, aborts = len(store.dag), store.metrics.aborts
+            _die_on_install(monkeypatch, store.versions._links[1])
+            txn = store.begin()
+            txn.put(live, "new")
+            txn.put(dying, "new")
+            with pytest.raises(CrossShardAbort):
+                txn.commit()
+            assert txn.status == "aborted"
+            assert len(store.dag) == states
+            assert store.get(live) == "old"
+            assert store.metrics.aborts == aborts + 1
+            store.dag.check_invariants()
+        finally:
+            store.close()
+
+    def test_a_rolled_back_fork_leaves_its_parent_free_to_fork(self, proc_store):
+        store = proc_store
+        a, b = _one_key_per_worker(store)
+        txn = store.begin()
+        txn.put(a, "old")
+        txn.put(b, "old")
+        txn.commit()
+        sessions = [store.session("s%d" % i) for i in range(3)]
+        t1, t2, t3 = [store.begin(session=s) for s in sessions]
+        for txn in (t1, t2, t3):
+            assert txn.get(a) == "old"  # so each later commit forks
+        t1.put(a, "t1")
+        t1.put(b, "t1")
+        t1.commit()
+        states = len(store.dag)
+        t2.put(a, "t2")
+        t2.put(b, lambda: 1)  # the pipe cannot carry it
+        with pytest.raises(CrossShardAbort):
+            t2.commit()
+        assert len(store.dag) == states and store.metrics.forks == 0
+        t3.put(a, "t3")
+        t3.commit()
+        assert store.metrics.forks == 1
+        store.dag.check_invariants()
+        reads = {}
+        for session in (sessions[0], sessions[2]):
+            txn = store.begin(session=session, read_only=True)
+            reads[session.name] = txn.get_many([a, b])
+            txn.commit()
+        assert reads == {"s0": ["t1", "t1"], "s2": ["t3", "old"]}
+
+    def test_an_unpicklable_value_aborts_and_keeps_both_links_in_step(self, proc_store):
+        store = proc_store
+        keys = ["k%d" % i for i in range(16)]
+        txn = store.begin()
+        for i, key in enumerate(keys):
+            txn.put(key, i)
+        txn.commit()
+        a, b = _one_key_per_worker(store)
+        states = len(store.dag)
+        for writes in ({a: "new", b: lambda: 1}, {b: lambda: 1}):
+            txn = store.begin()
+            for key, value in writes.items():
+                txn.put(key, value)
+            with pytest.raises(CrossShardAbort):
+                txn.commit()
+            assert txn.status == "aborted" and len(store.dag) == states
+        for key in keys:  # each link answers each request with its own reply
+            assert store.get(key) == int(key[1:])
+        txn = store.begin(read_only=True)
+        assert txn.get_many(keys) == list(range(16))
+        txn.commit()
+        for worker in store.shard_health(ping=True)["workers"]:
+            assert worker["alive"] and worker["queue_depth"] == 0
+
+    def test_a_batch_that_cannot_be_sent_leaves_the_mask_table_in_step(self, proc_store):
+        """The sync a failed send carried is shipped again later."""
+        store = proc_store
+        a, b = _one_key_per_worker(store)
+        txn = store.begin()
+        txn.put(a, "old")
+        txn.put(b, "old")
+        txn.commit()
+        first, second = store.session("first"), store.session("second")
+        t1, t2 = store.begin(session=first), store.begin(session=second)
+        t1.put(b, "first")
+        t1.commit()  # worker 1 learns t1's row
+        assert t2.get(b) == "old"
+        t2.put(a, "second")
+        t2.commit()  # a fork; only worker 0 hears that t1's row changed
+        txn = store.begin(session=second)
+        txn.put(b, lambda: 1)
+        with pytest.raises(CrossShardAbort):
+            txn.commit()  # its batch would have told worker 1
+        txn = store.begin(session=second, read_only=True)
+        assert txn.get(b) == "old"  # t1's write is on the other branch
+        txn.commit()
+
+    def test_an_orphan_version_is_invisible_and_collected(self, proc_store):
+        store = proc_store
+        a, b = _one_key_per_worker(store)
+        txn = store.begin()
+        txn.put(a, "old")
+        txn.put(b, "old")
+        txn.commit()
+        versions = store.versions
+        records = versions.num_records()
+        txn = store.begin()
+        txn.put(a, "new")
+        txn.put(b, lambda: 1)
+        with pytest.raises(CrossShardAbort):
+            txn.commit()
+        # Worker 0 wrote ``a`` under the removed state's id.
+        assert len(versions.versions_of(a)) == 2
+        assert versions.num_records() == records + 1
+        assert store.get(a) == "old"
+        store.collect_garbage()
+        assert len(versions.versions_of(a)) == 1
+        assert versions.num_records() == records
+        assert store.get(a) == "old"
+
+    def test_the_log_never_sees_a_rolled_back_commit(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "wal.log")
+        store = TardisStore("A", shards=4, shard_workers=2, wal_path=path)
+        try:
+            live, dying = _one_key_per_worker(store)
+            store.put(live, "old")
+            installing = _die_on_install(monkeypatch, store.versions._links[1])
+            txn = store.begin()
+            txn.put(live, "new")
+            txn.put(dying, "new")
+            with pytest.raises(CrossShardAbort):
+                txn.commit()
+        finally:
+            store.close()
+        recovered, report = recover_store("A", path)
+        assert report["replayed"] == 1
+        assert installing[-1].id not in recovered.dag
+        assert recovered.get(live) == "old"
+        recovered.close()
 
 
 class TestMaskTable:

@@ -205,6 +205,30 @@ class TestDagConstruction:
         c = dag.create_state([dag.root])
         assert dag.leaves() == [c, b, a]
 
+    def test_discard_leaf_undoes_a_fork(self):
+        dag = StateDAG("A")
+        base = dag.create_state([dag.root])
+        first = dag.create_state([base])
+        second = dag.create_state([base])  # fork at base
+        gen = dag.destructive_gen
+        dag.discard_leaf(second)
+        assert second.id not in dag and dag.leaves() == [first]
+        assert not base.is_fork_point and base.next_branch == 1
+        # base's fork entries are retired, as the collector would.
+        assert first.path_mask == 0 and dag.ancestry.mask_of_forks([base.id]) == 0
+        assert dag.destructive_gen > gen
+        with pytest.raises(GarbageCollectedError):
+            dag.resolve(second.id)
+        again = dag.create_state([base])  # the same parent forks cleanly
+        assert ForkPoint(base.id, 1) in points(dag, again)
+        assert not dag.descendant_check(first, again)
+        dag.discard_leaf(again)
+        dag.discard_leaf(first)
+        assert dag.leaves() == [base] and base.next_branch == 0
+        dag.check_invariants()
+        with pytest.raises(ValueError):
+            dag.discard_leaf(dag.root)
+
 
 class TestDescendantCheck:
     def test_reflexive(self):
