@@ -33,17 +33,22 @@ if TYPE_CHECKING:  # pragma: no cover
 class MergeTransaction(BaseTransaction):
     """A transaction reading from several branches and writing one."""
 
+    __slots__ = ("read_states",)
+
     def __init__(
         self,
         store: "TardisStore",
         session: "ClientSession",
-        read_states: List[State],
         begin_constraint: "Constraint",
     ) -> None:
         super().__init__(store, session, begin_constraint)
-        if not read_states:
-            raise ValueError("merge transaction needs at least one read state")
-        self.read_states = list(read_states)
+        #: the branch heads, set by ``TardisStore.begin_merge``.
+        self.read_states: List[State] = []
+
+    def _unpin(self) -> None:
+        for state in self.read_states:
+            if state.pins > 0:
+                state.pins -= 1
 
     @property
     def parents(self) -> List[StateId]:
@@ -95,7 +100,7 @@ class MergeTransaction(BaseTransaction):
         self._check_active()
         self.read_keys.add(key)
         state = self.dag.resolve(state_id)
-        hit = self._store._read_at(key, state, self.trace)
+        hit = self._store._read(key, state, self.trace)
         if hit is None or hit[1] is TOMBSTONE:
             if default is _RAISE:
                 raise KeyNotFound(key)

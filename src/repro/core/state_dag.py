@@ -165,7 +165,10 @@ class StateDAG:
 
     def leaves(self) -> List[State]:
         """Current leaves, most recent first."""
-        return sorted(self._leaves.values(), key=lambda s: s.id, reverse=True)
+        leaves = self._leaves
+        if len(leaves) == 1:
+            return list(leaves.values())  # one branch: nothing to sort
+        return sorted(leaves.values(), key=lambda s: s.id, reverse=True)
 
     def num_forks(self) -> int:
         return sum(1 for s in self._states.values() if s.is_fork_point)
@@ -336,33 +339,32 @@ class StateDAG:
     # -- read-state search (§6.1.1) ----------------------------------------
 
     def find_read_state(
-        self,
-        predicate: Callable[[State], bool],
-        count_visits: Optional[List[int]] = None,
-    ) -> Optional[State]:
+        self, predicate: Callable[[State], bool]
+    ) -> Tuple[Optional[State], int]:
         """BFS from the leaves up for the most recent acceptable state.
 
         ``predicate`` is the begin constraint (already bound to the
         client session). Ceiling-marked states are never returned (§6.3).
-        ``count_visits``, when given, is a one-element list incremented
-        per visited state — the simulation cost model charges begin cost
-        proportionally.
+        Returns the state (None when none qualifies) and the number of
+        states visited, which the simulation cost model charges begin
+        cost by.
         """
         queue = self.leaves()
-        seen: Set[StateId] = {s.id for s in queue}
+        seen: Optional[Set[StateId]] = None
         index = 0
         while index < len(queue):
             state = queue[index]
             index += 1
-            if count_visits is not None:
-                count_visits[0] += 1
             if not state.marked and predicate(state):
-                return state
+                return state, index
+            if seen is None:
+                # First expansion: the queue still holds just the leaves.
+                seen = {s.id for s in queue}
             for parent in state.parents:
                 if parent.id not in seen:
                     seen.add(parent.id)
                     queue.append(parent)
-        return None
+        return None, index
 
     # -- branch structure queries (§6.2) -------------------------------------
 

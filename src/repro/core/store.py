@@ -47,7 +47,6 @@ from repro.core.transaction import (
     OpTrace,
     Transaction,
     TOMBSTONE,
-    _NOT_FOUND,
 )
 from repro.core.versions import VersionedRecordStore
 from repro.obs import metrics as _met
@@ -120,19 +119,6 @@ class StoreMetrics:
         self.forks = 0
         self.merges = 0
         self.remote_applied = 0
-
-
-class _ConstraintProbe:
-    """Minimal transaction-shaped object for evaluating begin constraints
-    before the transaction exists."""
-
-    __slots__ = ("session", "dag", "read_keys", "write_keys")
-
-    def __init__(self, session: ClientSession, dag: StateDAG) -> None:
-        self.session = session
-        self.dag = dag
-        self.read_keys: frozenset = frozenset()
-        self.write_keys: frozenset = frozenset()
 
 
 class TardisStore:
@@ -298,18 +284,18 @@ class TardisStore:
             # Under the lock: a cycle must not drop the root it anchors at.
             # Unregistered, the transient session constrains no GC.
             session = session or ClientSession(self, "(transient)")
-            probe = _ConstraintProbe(session, self.dag)
-            visits = [0]
-            state = self.dag.find_read_state(
-                lambda s: constraint.satisfied_as_read_state(s, probe),
-                count_visits=visits,
+            # The fresh transaction (no reads, no writes) is what the
+            # constraint is evaluated against.
+            txn = Transaction(self, session, constraint, read_only)
+            state, visits = self.dag.find_read_state(
+                lambda s: constraint.satisfied_as_read_state(s, txn)
             )
             if state is None:
                 raise BeginError(
                     "no state satisfies begin constraint %s" % constraint.name
                 )
-            txn = Transaction(self, session, state, constraint, read_only=read_only)
-            txn.trace.begin_visits = visits[0]
+            txn.read_state = state
+            txn.trace.begin_visits = visits
             state.pins += 1
             session._active_txns.add(txn)
         m = _met.DEFAULT
@@ -317,7 +303,7 @@ class TardisStore:
             if self._hot_registry is not m:
                 self._hot_metrics(m)
             self._hot_begin.inc()
-            self._hot_begin_visits.record(visits[0])
+            self._hot_begin_visits.record(visits)
         return txn
 
     def begin_merge(
@@ -337,36 +323,33 @@ class TardisStore:
             raise BeginError("%s cannot be used as a begin constraint" % constraint.name)
         with self._lock:
             session = session or ClientSession(self, "(transient)")
+            txn = MergeTransaction(self, session, constraint)
             if states is not None:
                 read_states = [self.dag.resolve(sid) for sid in states]
             else:
-                probe = _ConstraintProbe(session, self.dag)
                 read_states = [
                     leaf
                     for leaf in self.dag.leaves()
-                    if not leaf.marked and constraint.satisfied_as_read_state(leaf, probe)
+                    if not leaf.marked and constraint.satisfied_as_read_state(leaf, txn)
                 ]
             if not read_states:
                 raise BeginError(
                     "no branches satisfy merge begin constraint %s" % constraint.name
                 )
-            txn = MergeTransaction(self, session, read_states, constraint)
+            txn.read_states = read_states
             for state in read_states:
                 state.pins += 1
             session._active_txns.add(txn)
         return txn
 
     def _finish(self, txn: BaseTransaction, status: str) -> None:
-        # Reentrant from the commit paths (lock already held); user-level
-        # abort() and close_session() enter here cold, so take the lock:
-        # the pin decrements and the session's active-set discard must
-        # not race a concurrent begin/commit on another connection.
-        with self._lock:
-            txn.status = status
-            txn.session._active_txns.discard(txn)
-            for state in _read_states_of(txn):
-                if state.pins > 0:
-                    state.pins -= 1
+        # The caller holds the lock (the commit paths, close_session and
+        # abort() all take it): the pin decrements and the session's
+        # active-set discard must not race a concurrent begin/commit on
+        # another connection.
+        txn.status = status
+        txn.session._active_txns.discard(txn)
+        txn._unpin()
         if status == ABORTED:
             m = _met.DEFAULT
             if m.enabled:
@@ -375,51 +358,52 @@ class TardisStore:
                 self._hot_abort.inc()
 
     # -- reads (called by transactions) ------------------------------------------
+    #
+    # Each read helper runs under the store lock, which keeps two threads
+    # from interleaving requests on one shard link. The record store
+    # keeps running ``scanned`` / ``vis_hits`` counts, and the helper
+    # charges the transaction's trace their growth across its one call
+    # (exact, because nothing else reads while the lock is held).
 
-    def _read(self, key: Any, state: State, trace: OpTrace) -> Any:
-        scanned = [0]
-        hits = [0]
-        hit = self.versions.read_visible(key, state, self.dag, scanned, hits)
-        trace.versions_scanned += scanned[0]
-        trace.vis_hits += hits[0]
-        if hit is None:
-            return _NOT_FOUND
-        return hit[1]
+    def _read(self, key: Any, state: State, trace: OpTrace) -> Optional[Tuple[StateId, Any]]:
+        """``(version_id, value)`` of ``key`` visible from ``state``, else None."""
+        versions = self.versions
+        with self._lock:
+            scanned = versions.scanned
+            hits = versions.vis_hits
+            hit = versions.read_visible(key, state, self.dag)
+            trace.versions_scanned += versions.scanned - scanned
+            trace.vis_hits += versions.vis_hits - hits
+        return hit
 
-    def _read_many(self, keys: List[Any], state: State, trace: OpTrace) -> List[Any]:
+    def _read_many(
+        self, keys: List[Any], state: State, trace: OpTrace
+    ) -> List[Optional[Tuple[StateId, Any]]]:
         """Batched ``_read``: one storage call for a whole key batch.
 
         With shard workers the batch scatters across them and their
         version walks run in parallel; flat and in-process-sharded
         storage just loop.
         """
-        scanned = [0]
-        hits = [0]
-        results = self.versions.read_visible_many(
-            keys, state, self.dag, scanned, hits
-        )
-        trace.versions_scanned += scanned[0]
-        trace.vis_hits += hits[0]
-        return [_NOT_FOUND if hit is None else hit[1] for hit in results]
-
-    def _read_at(self, key: Any, state: State, trace: OpTrace) -> Optional[Tuple[StateId, Any]]:
-        scanned = [0]
-        hits = [0]
-        hit = self.versions.read_visible(key, state, self.dag, scanned, hits)
-        trace.versions_scanned += scanned[0]
-        trace.vis_hits += hits[0]
-        return hit
+        versions = self.versions
+        with self._lock:
+            scanned = versions.scanned
+            hits = versions.vis_hits
+            found = versions.read_visible_many(keys, state, self.dag)
+            trace.versions_scanned += versions.scanned - scanned
+            trace.vis_hits += versions.vis_hits - hits
+        return found
 
     def _read_candidates(
         self, key: Any, states: List[State], trace: OpTrace
-    ) -> List[Tuple[State, StateId, Any]]:
-        scanned = [0]
-        hits = [0]
-        candidates = self.versions.read_candidates(
-            key, states, self.dag, scanned, hits
-        )
-        trace.versions_scanned += scanned[0]
-        trace.vis_hits += hits[0]
+    ) -> List[Tuple[StateId, Any]]:
+        versions = self.versions
+        with self._lock:
+            scanned = versions.scanned
+            hits = versions.vis_hits
+            candidates = versions.read_candidates(key, states, self.dag)
+            trace.versions_scanned += versions.scanned - scanned
+            trace.vis_hits += versions.vis_hits - hits
         return candidates
 
     def _conflict_writes(self, states: List[State]) -> List[Any]:
@@ -719,12 +703,6 @@ class TardisStore:
                 self.versions.n_workers,
             )
         return text + ">"
-
-
-def _read_states_of(txn: BaseTransaction) -> List[State]:
-    if isinstance(txn, MergeTransaction):
-        return txn.read_states
-    return [txn.read_state]
 
 
 # Re-exported for convenience so applications can do

@@ -85,7 +85,25 @@ class OpTrace:
 
 
 class BaseTransaction:
-    """State and operations shared by single-mode and merge transactions."""
+    """State and operations shared by single-mode and merge transactions.
+
+    A fresh transaction is also what its begin constraint is evaluated
+    against: it has its ``session`` and ``dag`` and no reads or writes
+    yet, and the store sets its read state(s) once the search is done.
+    """
+
+    __slots__ = (
+        "_store",
+        "dag",
+        "session",
+        "begin_constraint",
+        "read_only",
+        "status",
+        "read_keys",
+        "writes",
+        "trace",
+        "commit_id",
+    )
 
     def __init__(
         self,
@@ -95,6 +113,7 @@ class BaseTransaction:
         read_only: bool = False,
     ) -> None:
         self._store = store
+        self.dag: StateDAG = store.dag
         self.session = session
         self.begin_constraint = begin_constraint
         self.read_only = read_only
@@ -106,16 +125,17 @@ class BaseTransaction:
         self.commit_id: Optional[StateId] = None
 
     @property
-    def dag(self) -> StateDAG:
-        return self._store.dag
-
-    @property
     def write_keys(self) -> FrozenSet[Any]:
         return frozenset(self.writes)
 
     def _check_active(self) -> None:
         if self.status != ACTIVE:
             raise TransactionClosed("transaction is %s" % self.status)
+
+    def _unpin(self) -> None:
+        """Release the pins begin placed on the read state(s); the store
+        calls it under its lock when the transaction finishes."""
+        raise NotImplementedError
 
     # -- writes ------------------------------------------------------------
 
@@ -135,10 +155,12 @@ class BaseTransaction:
     def abort(self) -> None:
         """Abandon the transaction; buffered writes are discarded."""
         self._check_active()
-        self._store._finish(self, ABORTED)
-        t = self._store.active_tracer()
+        store = self._store
+        with store._lock:
+            store._finish(self, ABORTED)
+        t = store.active_tracer()
         if t.enabled:
-            t.event("txn.abort", reason="user", site=self._store.site)
+            t.event("txn.abort", reason="user", site=store.site)
 
     def commit(self, end_constraint: Optional["Constraint"] = None) -> StateId:
         raise NotImplementedError
@@ -162,16 +184,23 @@ class BaseTransaction:
 class Transaction(BaseTransaction):
     """A single-mode transaction operating on one branch."""
 
+    __slots__ = ("read_state",)
+
     def __init__(
         self,
         store: "TardisStore",
         session: "ClientSession",
-        read_state: State,
         begin_constraint: "Constraint",
         read_only: bool = False,
     ) -> None:
         super().__init__(store, session, begin_constraint, read_only)
-        self.read_state = read_state
+        #: set by ``TardisStore.begin`` once the BFS has chosen it.
+        self.read_state: State = None  # type: ignore[assignment]
+
+    def _unpin(self) -> None:
+        state = self.read_state
+        if state.pins > 0:
+            state.pins -= 1
 
     def get(self, key: Any, default: Any = _RAISE) -> Any:
         """Read ``key`` from this branch (own writes first, then snapshot)."""
@@ -180,8 +209,9 @@ class Transaction(BaseTransaction):
         if key in self.writes:
             value = self.writes[key]
         else:
-            value = self._store._read(key, self.read_state, self.trace)
-        if value is TOMBSTONE or value is _NOT_FOUND:
+            hit = self._store._read(key, self.read_state, self.trace)
+            value = TOMBSTONE if hit is None else hit[1]
+        if value is TOMBSTONE:
             if default is _RAISE:
                 raise KeyNotFound(key)
             return default
@@ -198,25 +228,24 @@ class Transaction(BaseTransaction):
         """
         self._check_active()
         keys = list(keys)
-        values: List[Any] = [_NOT_FOUND] * len(keys)
-        missing: List[Tuple[int, Any]] = []
-        for position, key in enumerate(keys):
-            self.read_keys.add(key)
-            if key in self.writes:
-                values[position] = self.writes[key]
+        self.read_keys.update(keys)
+        writes = self.writes
+        unread = [key for key in keys if key not in writes] if writes else keys
+        hits = iter(
+            self._store._read_many(unread, self.read_state, self.trace) if unread else ()
+        )
+        values = []
+        for key in keys:
+            if key in writes:
+                value = writes[key]
             else:
-                missing.append((position, key))
-        if missing:
-            fetched = self._store._read_many(
-                [key for _position, key in missing], self.read_state, self.trace
-            )
-            for (position, _key), value in zip(missing, fetched):
-                values[position] = value
-        for position, value in enumerate(values):
-            if value is TOMBSTONE or value is _NOT_FOUND:
+                hit = next(hits)
+                value = TOMBSTONE if hit is None else hit[1]
+            if value is TOMBSTONE:
                 if default is _RAISE:
-                    raise KeyNotFound(keys[position])
-                values[position] = default
+                    raise KeyNotFound(key)
+                value = default
+            values.append(value)
         return values
 
     def commit(self, end_constraint: Optional["Constraint"] = None) -> StateId:
@@ -235,11 +264,3 @@ class Transaction(BaseTransaction):
             self.read_state.id,
             self.status,
         )
-
-
-class _NotFoundType:
-    def __repr__(self) -> str:  # pragma: no cover
-        return "<not-found>"
-
-
-_NOT_FOUND = _NotFoundType()

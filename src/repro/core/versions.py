@@ -69,6 +69,8 @@ class VersionedRecordStore:
         "_n_records": "external:TardisStore._lock",
         "_vis_cache": "external:TardisStore._lock",
         "_vis_epoch": "external:TardisStore._lock",
+        "scanned": "external:TardisStore._lock",
+        "vis_hits": "external:TardisStore._lock",
     }
 
     def __init__(self) -> None:
@@ -81,6 +83,10 @@ class VersionedRecordStore:
         self._vis_cache: Dict[Any, list] = {}
         #: destructive watermark the cache contents were built under.
         self._vis_epoch = -1
+        #: running cost-model counts: versions examined by uncached walks
+        #: and reads the cache answered. A caller charges a read the
+        #: difference across its call.
+        self.scanned = 0
         self.vis_hits = 0
         self.vis_misses = 0
         self.vis_invalidations = 0
@@ -165,19 +171,15 @@ class VersionedRecordStore:
     # -- reads ------------------------------------------------------------
 
     def read_visible(
-        self,
-        key: Any,
-        read_state: State,
-        dag: StateDAG,
-        scanned: Optional[List[int]] = None,
-        hits: Optional[List[int]] = None,
+        self, key: Any, read_state: State, dag: StateDAG
     ) -> Optional[Tuple[StateId, Any]]:
         """Most recent version of ``key`` visible from ``read_state``.
 
         Returns ``(version_state_id, value)`` or None when the key has no
-        version on the selected branch. ``scanned`` (one-element list)
-        counts versions examined, for the cost model; ``hits`` counts
-        visibility-cache hits, which scan nothing.
+        version on the selected branch. For the cost model the running
+        ``scanned`` counter grows by the versions the walk examined, and
+        ``vis_hits`` by one when the visibility cache answered (a hit
+        scans nothing).
         """
         lst = self._versions.get(key)
         if lst is None:
@@ -210,15 +212,13 @@ class VersionedRecordStore:
                     valid = True
             if valid:
                 self.vis_hits += 1
-                if hits is not None:
-                    hits[0] += 1
                 m = _met.DEFAULT
                 if m.enabled:
                     if self._hot_registry is not m:
                         self._hot_metrics(m)
                     self._hot_vis_hit.inc()
                 return entry[1]
-        result = self._walk_versions(lst, read_state, dag, scanned)
+        result = self._walk_versions(lst, read_state, dag)
         cache[key] = [read_state.id, result, mask]
         self.vis_misses += 1
         m = _met.DEFAULT
@@ -228,23 +228,19 @@ class VersionedRecordStore:
             self._hot_vis_miss.inc()
         return result
 
-    @staticmethod
     def _walk_versions(
-        lst: List[Version],
-        read_state: State,
-        dag: StateDAG,
-        scanned: Optional[List[int]],
+        self, lst: List[Version], read_state: State, dag: StateDAG
     ) -> Optional[Version]:
         """The uncached newest-first walk (module docstring)."""
-        for entry in reversed(lst):
-            if scanned is not None:
-                scanned[0] += 1
+        for scanned, entry in enumerate(reversed(lst), 1):
             try:
                 version_state = dag.resolve(entry[0])
             except GarbageCollectedError:
                 continue  # orphaned record awaiting pruning (§6.5)
             if dag.descendant_check(version_state, read_state):
+                self.scanned += scanned
                 return entry
+        self.scanned += len(lst)
         return None
 
     def read_visible_many(
@@ -252,8 +248,6 @@ class VersionedRecordStore:
         keys: List[Any],
         read_state: State,
         dag: StateDAG,
-        scanned: Optional[List[int]] = None,
-        hits: Optional[List[int]] = None,
     ) -> List[Optional[Tuple[StateId, Any]]]:
         """Batched :meth:`read_visible`; results align with ``keys``.
 
@@ -261,18 +255,13 @@ class VersionedRecordStore:
         point exists so callers can hand whole read sets down and let
         the sharded store scatter them across its shards.
         """
-        return [
-            self.read_visible(key, read_state, dag, scanned, hits)
-            for key in keys
-        ]
+        return [self.read_visible(key, read_state, dag) for key in keys]
 
     def read_candidates(
         self,
         key: Any,
         read_states: List[State],
         dag: StateDAG,
-        scanned: Optional[List[int]] = None,
-        hits: Optional[List[int]] = None,
     ) -> List[Tuple[StateId, Any]]:
         """Maximal visible versions of ``key`` across several branches.
 
@@ -282,7 +271,7 @@ class VersionedRecordStore:
         """
         per_branch: Dict[StateId, Any] = {}
         for state in read_states:
-            hit = self.read_visible(key, state, dag, scanned, hits)
+            hit = self.read_visible(key, state, dag)
             if hit is not None:
                 per_branch.setdefault(hit[0], hit[1])
         if len(per_branch) <= 1:

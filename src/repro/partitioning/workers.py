@@ -170,14 +170,10 @@ def _dispatch(stores, view, cmd):
     op = cmd[0]
     if op == "read_many":
         _, shard, keys, rid, rmask = cmd
-        read_state = _StateView(rid, rmask)
-        scanned, hits = [0], [0]
         store = stores[shard]
-        results = [
-            store.read_visible(key, read_state, view, scanned, hits)
-            for key in keys
-        ]
-        return results, scanned[0], hits[0]
+        scanned, hits = store.scanned, store.vis_hits
+        results = store.read_visible_many(keys, _StateView(rid, rmask), view)
+        return results, store.scanned - scanned, store.vis_hits - hits
     if op == "write":
         _, shard, items, sid = cmd
         store = stores[shard]
@@ -186,10 +182,11 @@ def _dispatch(stores, view, cmd):
         return len(items)
     if op == "read_candidates":
         _, shard, key, states = cmd
+        store = stores[shard]
+        scanned, hits = store.scanned, store.vis_hits
         views = [_StateView(sid, mask) for sid, mask in states]
-        scanned, hits = [0], [0]
-        result = stores[shard].read_candidates(key, views, view, scanned, hits)
-        return result, scanned[0], hits[0]
+        result = store.read_candidates(key, views, view)
+        return result, store.scanned - scanned, store.vis_hits - hits
     if op == "promote":
         promoted = dropped = 0
         for store in stores.values():
@@ -522,6 +519,8 @@ class ShardedRecordStore:
         "_closed": "external:TardisStore._lock",
         "_hot_registry": "external:TardisStore._lock",
         "_hot_access": "external:TardisStore._lock",
+        "scanned": "external:TardisStore._lock",
+        "vis_hits": "external:TardisStore._lock",
     }
 
     def __init__(
@@ -544,6 +543,10 @@ class ShardedRecordStore:
         #: per-shard operation counters (reads + writes), for balance
         #: inspection and the simulation's shard-RPC accounting.
         self.accesses: List[int] = [0] * n_shards
+        #: running cost-model counts summed from the shards' read
+        #: replies, as the flat store keeps them (``VersionedRecordStore``).
+        self.scanned = 0
+        self.vis_hits = 0
         #: hot per-shard metric counters, re-resolved when the default
         #: registry changes identity (benchmark harnesses swap it).
         self._hot_registry = None
@@ -640,22 +643,18 @@ class ShardedRecordStore:
         self._note_access(shard)
         self._call(("write", shard, [(key, value)], state_id), (state_id,))
 
-    def read_visible(
-        self, key, read_state: State, dag: StateDAG, scanned=None, hits=None
-    ):
+    def read_visible(self, key, read_state: State, dag: StateDAG):
         shard = self.shard_index(key)
         self._note_access(shard)
-        results, n_scanned, n_hits = self._call(
+        results, scanned, hits = self._call(
             ("read_many", shard, [key], read_state.id, read_state.path_mask)
         )
-        if scanned is not None:
-            scanned[0] += n_scanned
-        if hits is not None:
-            hits[0] += n_hits
+        self.scanned += scanned
+        self.vis_hits += hits
         return results[0]
 
     def read_visible_many(
-        self, keys, read_state: State, dag: StateDAG, scanned=None, hits=None
+        self, keys, read_state: State, dag: StateDAG
     ) -> List[Optional[Tuple[Any, Any]]]:
         """Batched :meth:`read_visible`; results align with ``keys``.
 
@@ -675,27 +674,19 @@ class ShardedRecordStore:
             ]
         )
         found: Dict[Any, Any] = {}
-        for batch, (results, n_scanned, n_hits) in zip(plan.values(), replies):
+        for batch, (results, scanned, hits) in zip(plan.values(), replies):
             found.update(zip(batch, results))
-            if scanned is not None:
-                scanned[0] += n_scanned
-            if hits is not None:
-                hits[0] += n_hits
+            self.scanned += scanned
+            self.vis_hits += hits
         return [found[key] for key in keys]
 
-    def read_candidates(
-        self, key, read_states, dag: StateDAG, scanned=None, hits=None
-    ):
+    def read_candidates(self, key, read_states, dag: StateDAG):
         shard = self.shard_index(key)
         self._note_access(shard)
         states = [(state.id, state.path_mask) for state in read_states]
-        result, n_scanned, n_hits = self._call(
-            ("read_candidates", shard, key, states)
-        )
-        if scanned is not None:
-            scanned[0] += n_scanned
-        if hits is not None:
-            hits[0] += n_hits
+        result, scanned, hits = self._call(("read_candidates", shard, key, states))
+        self.scanned += scanned
+        self.vis_hits += hits
         return result
 
     # -- commits (driven by the CommitPipeline) ---------------------------

@@ -15,12 +15,13 @@ from repro.baselines import (
     TwoPhaseLockingStore,
 )
 from repro.errors import DeadlockError, KeyNotFound, TransactionClosed, ValidationError
-from repro.sim.adapters import OCCAdapter, TwoPLAdapter
+from repro.sim.adapters import OCCAdapter, TardisAdapter, TwoPLAdapter
 from repro.workload import READ_HEAVY, WRITE_HEAVY, RunConfig, YCSBWorkload, run_simulation
 
-#: seeded DES results of both baselines (``run_des_cases()`` dumped with
-#: ``json.dump(..., indent=1, sort_keys=True)``). Rewrite it only with a
-#: change meant to alter what the baselines do.
+#: seeded DES results of both baselines and of TARDiS (``run_des_cases()``
+#: dumped with ``json.dump(..., indent=1, sort_keys=True)``). Rewrite it
+#: only with a change meant to alter what one of the systems does: the
+#: TARDiS entries also pin the ``OpTrace`` counts the cost model charges.
 DES_FIXTURE = os.path.join(os.path.dirname(__file__), "baselines_des.json")
 
 
@@ -534,9 +535,9 @@ DES_CASES = [
 
 
 def run_des_cases():
-    """``{"<system>/<case>": outcome}`` for each baseline on each case."""
+    """``{"<system>/<case>": outcome}`` for each system on each case."""
     out = {}
-    for adapter_cls in (TwoPLAdapter, OCCAdapter):
+    for adapter_cls in (TwoPLAdapter, OCCAdapter, TardisAdapter):
         for case, mix, pattern in DES_CASES:
             result = run_simulation(
                 adapter_cls(),

@@ -96,20 +96,20 @@ def check_every_read(store):
     read_visible_many = versions.read_visible_many
     read_candidates = versions.read_candidates
 
-    def visible(key, state, dag, scanned=None, hits=None):
-        got = read_visible(key, state, dag, scanned, hits)
+    def visible(key, state, dag):
+        got = read_visible(key, state, dag)
         assert got == walk(store, key, state), (key, state.id)
         checked[0] += 1
         return got
 
-    def visible_many(keys, state, dag, scanned=None, hits=None):
-        got = read_visible_many(keys, state, dag, scanned, hits)
+    def visible_many(keys, state, dag):
+        got = read_visible_many(keys, state, dag)
         assert got == [walk(store, key, state) for key in keys], (keys, state.id)
         checked[0] += len(got)
         return got
 
-    def candidates(key, states, dag, scanned=None, hits=None):
-        got = read_candidates(key, states, dag, scanned, hits)
+    def candidates(key, states, dag):
+        got = read_candidates(key, states, dag)
         assert got == walk_candidates(store, key, states), key
         checked[0] += 1
         return got

@@ -17,6 +17,8 @@ counts small.
 import os
 import random
 import signal
+import sys
+import threading
 
 import pytest
 
@@ -99,6 +101,46 @@ class TestShardWorkerBasics:
         assert store.leaked_workers == 0
         store.close()  # second close is a no-op
         assert store.leaked_workers == 0
+
+
+class TestConcurrentReads:
+    def test_reads_from_two_threads_keep_the_links_in_step(self, proc_store):
+        # Each read is a request/reply on a shared worker pipe: without
+        # the store lock two threads interleave on one link and read
+        # each other's replies (or half a frame).
+        values = {"key%03d" % i: "value-%d" % i for i in range(64)}
+        txn = proc_store.begin()
+        for key, value in values.items():
+            txn.put(key, value)
+        txn.commit()
+        keys = sorted(values)
+        errors = []
+
+        def reader(seed):
+            rng = random.Random(seed)
+            session = proc_store.session("reader-%d" % seed)
+            try:
+                for _ in range(400):
+                    batch = rng.sample(keys, 4)
+                    txn = proc_store.begin(session=session, read_only=True)
+                    got = txn.get_many(batch)
+                    txn.commit()
+                    assert got == [values[key] for key in batch]
+            except BaseException as exc:  # reported by the main thread
+                errors.append(exc)
+
+        threads = [threading.Thread(target=reader, args=(seed,)) for seed in (1, 2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often, mid-request
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
 
 
 class TestWorkerFailure:

@@ -435,12 +435,10 @@ class TestSpliceOut:
         dag = StateDAG("A")
         a, b = chain(dag, dag.root, 2)
         b.marked = True
-        found = dag.find_read_state(lambda s: True)
-        assert found is a
+        found, visits = dag.find_read_state(lambda s: True)
+        assert found is a and visits == 2
 
     def test_find_read_state_counts_visits(self):
         dag = StateDAG("A")
         chain(dag, dag.root, 3)
-        visits = [0]
-        dag.find_read_state(lambda s: False, count_visits=visits)
-        assert visits[0] == 4
+        assert dag.find_read_state(lambda s: False) == (None, 4)

@@ -376,3 +376,68 @@ class TestSessions:
         assert store.get("k") == "v"
         assert store.get("missing", default="d") == "d"
         assert sid in store.dag
+
+
+class TestGetMany:
+    """``get_many(keys)`` reads exactly like ``[get(k) for k in keys]``."""
+
+    #: a buffered overwrite, a buffered delete, a buffered new key, a
+    #: committed key, a key never written anywhere, and duplicates.
+    KEYS = ["a", "b", "c", "a", "new", "never", "c"]
+
+    @staticmethod
+    def _open(store):
+        for key, value in (("a", 1), ("b", 2), ("c", 3), ("d", 4)):
+            store.put(key, value)
+        t = store.begin()
+        t.put("a", 10)
+        t.delete("b")
+        t.put("new", 5)
+        return t
+
+    def test_values_and_read_keys_match_get(self):
+        many = self._open(TardisStore("A"))
+        one = self._open(TardisStore("A"))
+        batched = many.get_many(self.KEYS, default="D")
+        singles = [one.get(key, default="D") for key in self.KEYS]
+        assert batched == singles == [10, "D", 3, 10, 5, "D", 3]
+        assert many.read_keys == one.read_keys == set(self.KEYS)
+        assert many.get_many([]) == []
+
+    @pytest.mark.parametrize(
+        "keys", [["c", "never", "b"], ["c", "b", "never"], ["a", "new", "b", "c"]]
+    )
+    def test_missing_key_is_named_like_get(self, store, keys):
+        t = self._open(store)
+        with pytest.raises(KeyNotFound) as batched:
+            t.get_many(keys)
+        # The whole batch was read before the first missing key raised.
+        assert t.read_keys == set(keys)
+        with pytest.raises(KeyNotFound) as single:
+            for key in keys:
+                t.get(key)
+        assert batched.value.key == single.value.key
+
+    @pytest.mark.parametrize("no_branching", [False, True])
+    def test_read_keys_drive_the_end_constraint_like_get(self, no_branching):
+        end = SerializabilityConstraint()
+        if no_branching:
+            end = end & NoBranchingConstraint()
+        outcomes = []
+        for batched in (True, False):
+            store = TardisStore("A")
+            t = self._open(store)
+            if batched:
+                t.get_many(self.KEYS, default=None)
+            else:
+                for key in self.KEYS:
+                    t.get(key, default=None)
+            store.put("d", 0)  # a key t never read: t ripples past it
+            store.put("never", 0)  # a key t read as missing: t stops above it
+            try:
+                t.commit(end)
+                outcomes.append((t.trace.ripple_steps, store.metrics.forks))
+            except TransactionAborted:
+                outcomes.append("aborted")
+        expected = "aborted" if no_branching else (1, 1)
+        assert outcomes == [expected, expected]
