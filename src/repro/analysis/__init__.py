@@ -1,8 +1,8 @@
 """Static analysis for the TARDiS reproduction.
 
 ``tardis check`` (see :mod:`repro.tools.cli`) runs the AST rule engine
-over ``src/repro``. The contracts it checks — ``_GUARDED_BY`` maps, the
-lock order, the metric catalogue — are documented in
+over ``src/repro``. The contracts it checks — ``_GUARDED_BY`` maps,
+async discipline, the metric catalogue — are documented in
 ``docs/internals.md`` §11.
 """
 

@@ -177,9 +177,6 @@ class Project:
     test_modules: List[SourceModule] = field(default_factory=list)
     #: markdown docs (consumers of metric names).
     docs: List[TextFile] = field(default_factory=list)
-    _class_index: Optional[Dict[str, List[Tuple["SourceModule", ast.ClassDef]]]] = field(
-        default=None, init=False, repr=False
-    )
 
     def module(self, suffix: str) -> Optional[SourceModule]:
         """The source module whose relpath ends with ``suffix``."""
@@ -187,22 +184,6 @@ class Project:
             if module.relpath.replace("\\", "/").endswith(suffix):
                 return module
         return None
-
-    def classes(self) -> Dict[str, List[Tuple["SourceModule", ast.ClassDef]]]:
-        """Whole-repo class index: name -> [(module, ClassDef), ...].
-
-        The cross-file context for rules that resolve references between
-        modules (lock-order's attribute-type inference); computed once
-        per run and cached on the project.
-        """
-        if self._class_index is None:
-            index: Dict[str, List[Tuple[SourceModule, ast.ClassDef]]] = {}
-            for module in self.modules:
-                for node in ast.walk(module.tree):
-                    if isinstance(node, ast.ClassDef):
-                        index.setdefault(node.name, []).append((module, node))
-            self._class_index = index
-        return self._class_index
 
 
 class Rule:

@@ -8,7 +8,6 @@ from repro.analysis.engine import Rule
 from repro.analysis.rules.async_discipline import AsyncDisciplineRule
 from repro.analysis.rules.hygiene import BareExceptRule, ImportHygieneRule
 from repro.analysis.rules.lock_discipline import LockDisciplineRule
-from repro.analysis.rules.lock_order import LockOrderRule
 from repro.analysis.rules.metric_drift import MetricNameDriftRule
 
 __all__ = [
@@ -17,7 +16,6 @@ __all__ = [
     "BareExceptRule",
     "ImportHygieneRule",
     "LockDisciplineRule",
-    "LockOrderRule",
     "MetricNameDriftRule",
     "default_rules",
     "rules_by_id",
@@ -26,7 +24,6 @@ __all__ = [
 #: every registered rule class, in reporting order.
 ALL_RULES: Sequence[Type[Rule]] = (
     LockDisciplineRule,
-    LockOrderRule,
     AsyncDisciplineRule,
     MetricNameDriftRule,
     ImportHygieneRule,

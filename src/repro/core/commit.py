@@ -88,14 +88,17 @@ class CommitPipeline:
         self,
         dag: StateDAG,
         versions: Union[VersionedRecordStore, ShardedRecordStore],
+        sharded: bool = False,
         wal: Optional[WriteAheadLog] = None,
         group_commit: int = 0,
     ) -> None:
         self.dag = dag
         #: a flat VersionedRecordStore, or (``sharded``) the routed
-        #: ShardedRecordStore with its prepare/install contract.
+        #: ShardedRecordStore with its prepare/install contract. Told,
+        #: not inferred from the type: in dev mode ``versions`` is the
+        #: store's lock guard around either one.
         self.versions: Any = versions
-        self.sharded = isinstance(versions, ShardedRecordStore)
+        self.sharded = sharded
         self.wal = wal
         self.group_commit = int(group_commit)
         self._unflushed = 0

@@ -129,7 +129,8 @@ def _load_snapshot(store: TardisStore, snapshot_path: str) -> int:
         dag.create_state(
             parents, write_keys=frozenset(entry["write_keys"]), state_id=entry["id"]
         )
-    for key, sid, value in payload["records"]:
-        store.versions.write(key, sid, value)
+    with store._lock:
+        for key, sid, value in payload["records"]:
+            store.versions.write(key, sid, value)
     dag._promotions.update(payload["promotions"])
     return len(payload["states"])

@@ -24,6 +24,7 @@ Typical use::
 
 from __future__ import annotations
 
+import sys
 import threading
 from typing import Any, Callable, Dict, Iterable, List, Optional, Set, Tuple
 
@@ -98,6 +99,54 @@ class ClientSession:
 
     def __repr__(self) -> str:
         return "<ClientSession %s @ %r>" % (self.name, self.last_commit_id)
+
+
+class _RecordStoreGuard:
+    """The record-store lock contract, checked at run time.
+
+    Wraps a store's record store (flat or sharded; the shard links are
+    reachable only through it) when Python runs in dev mode
+    (``python -X dev``). Every method call through the guard raises
+    :class:`AssertionError` naming the method unless the calling thread
+    holds the store lock, so a missing ``with store._lock:`` fails a
+    single-threaded test at once instead of desyncing a shard link when
+    two threads happen to interleave. Plain attribute reads (the running
+    ``scanned``/``vis_hits`` counts, ``n_shards``) pass through, and so
+    do attribute writes.
+    """
+
+    __slots__ = ("_target", "_lock")
+
+    #: methods that touch no link and no mutable state, one per line.
+    _EXEMPT = frozenset(
+        (
+            "shard_index",  # a pure function of the key and the router
+        )
+    )
+
+    def __init__(self, target: Any, lock: Any) -> None:
+        object.__setattr__(self, "_target", target)
+        object.__setattr__(self, "_lock", lock)
+
+    def __getattr__(self, name: str) -> Any:
+        attr = getattr(self._target, name)
+        if not callable(attr) or name in self._EXEMPT:
+            return attr
+        lock = self._lock
+        owner = type(self._target).__name__
+
+        def guarded(*args: Any, **kwargs: Any) -> Any:
+            # An explicit raise: ``python -O`` strips assert statements.
+            if not lock._is_owned():
+                raise AssertionError(
+                    "%s.%s called without TardisStore._lock" % (owner, name)
+                )
+            return attr(*args, **kwargs)
+
+        return guarded
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        setattr(self._target, name, value)
 
 
 class StoreMetrics:
@@ -190,9 +239,12 @@ class TardisStore:
         self.pipeline = CommitPipeline(
             self.dag,
             self.versions,
+            sharded=self._sharded,
             wal=self.wal,
             group_commit=group_commit,
         )
+        if sys.flags.dev_mode:
+            self._guard_storage()
         self.gc = GarbageCollector(self)
         #: listeners notified of each local commit (the replicator hooks in).
         self._commit_listeners: List = []
@@ -205,6 +257,16 @@ class TardisStore:
         #: registry changes identity (benchmark harnesses swap it per
         #: run) — the per-call name lookup is measurable at txn rates.
         self._hot_registry: Optional[MetricsRegistry] = None
+
+    def _guard_storage(self) -> None:
+        """Route every record-store call through a lock check.
+
+        ``__init__`` calls it in dev mode only, so the hot path is
+        untouched otherwise (docs/internals.md §11.2). Idempotent.
+        """
+        if not isinstance(self.versions, _RecordStoreGuard):
+            self.versions = _RecordStoreGuard(self.versions, self._lock)
+            self.pipeline.versions = self.versions
 
     def _hot_metrics(self, m: MetricsRegistry) -> None:
         """Resolve the hot-path metric handles against registry ``m``."""
@@ -685,12 +747,15 @@ class TardisStore:
         return self.gc.collect(flush_promotions=flush_promotions)
 
     def close(self) -> None:
-        if self.wal is not None:
-            self.wal.close()
-        if self._sharded:
-            # Shards in worker processes must be stopped; how many
-            # failed to exit cleanly is the leak gate.
-            self.leaked_workers = self.versions.close()
+        # Under the lock, so a close cannot race a commit on another
+        # thread through the log or a shard link.
+        with self._lock:
+            if self.wal is not None:
+                self.wal.close()
+            if self._sharded:
+                # Shards in worker processes must be stopped; how many
+                # failed to exit cleanly is the leak gate.
+                self.leaked_workers = self.versions.close()
 
     def __repr__(self) -> str:
         # No storage calls: with shard workers a record count is a pipe

@@ -61,17 +61,8 @@ Version = Tuple[StateId, Any]
 class VersionedRecordStore:
     """The key-version mapping: per key, its versions and their values."""
 
-    # The record store has no lock of its own: every access runs under
-    # the owning TardisStore's ``_lock``. An ``external:`` guard spec is
-    # documentation; nothing checks it.
-    _GUARDED_BY = {
-        "_versions": "external:TardisStore._lock",
-        "_n_records": "external:TardisStore._lock",
-        "_vis_cache": "external:TardisStore._lock",
-        "_vis_epoch": "external:TardisStore._lock",
-        "scanned": "external:TardisStore._lock",
-        "vis_hits": "external:TardisStore._lock",
-    }
+    # No lock of its own: every call runs under the owning TardisStore's
+    # ``_lock``, which ``python -X dev`` checks (``_RecordStoreGuard``).
 
     def __init__(self) -> None:
         #: key -> its versions in ascending id order; never empty.

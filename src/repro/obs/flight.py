@@ -47,12 +47,14 @@ def dag_snapshot(store) -> Dict[str, Any]:
                 "write_keys": len(state.write_keys),
             }
         )
+    with store._lock:
+        records = store.versions.num_records()
     return {
         "site": store.site,
         "states": states,
         "leaves": [repr(s.id) for s in store.dag.leaves()],
         "promotion_table": store.dag.promotion_table_size,
-        "records": store.versions.num_records(),
+        "records": records,
     }
 
 

@@ -273,8 +273,6 @@ class _InlineLink:
 
     __slots__ = ("index", "_stores", "_dag", "_inflight")
 
-    _GUARDED_BY = {"_inflight": "external:TardisStore._lock"}
-
     def __init__(self, index, spec, dag: StateDAG):
         self.index = index
         self._stores = _build_shards(spec)
@@ -320,17 +318,8 @@ class _WorkerHandle:
         "_dag", "_shipped", "_fingerprint",
     )
 
-    # The handle is only ever driven by the routed store, which itself
-    # runs under the owning TardisStore's lock — liveness flag, the
-    # in-order outstanding-batch queue and the mask bookkeeping
-    # included. An ``external:`` guard spec is documentation; nothing
-    # checks it.
-    _GUARDED_BY = {
-        "alive": "external:TardisStore._lock",
-        "_inflight": "external:TardisStore._lock",
-        "_shipped": "external:TardisStore._lock",
-        "_fingerprint": "external:TardisStore._lock",
-    }
+    # Driven only by the routed store, so it runs under the owning
+    # TardisStore's lock too.
 
     def __init__(self, index, shards, process, conn, dag: StateDAG):
         self.index = index
@@ -503,25 +492,11 @@ class ShardedRecordStore:
     ``tardis_shard_access_total`` metric (one ``@s<i>`` series per
     shard) so the data distribution is observable.
 
-    Every method runs under the owning TardisStore's lock (external
-    guard below); links are single-owner, so there is no
-    coordinator-side concurrency to manage beyond that.
+    Every method runs under the owning TardisStore's lock, which
+    ``python -X dev`` checks (``_RecordStoreGuard``); links are
+    single-owner, so there is no coordinator-side concurrency to manage
+    beyond that.
     """
-
-    # Every access runs under the owning TardisStore's ``_lock``, like
-    # the flat store. An ``external:`` guard spec is documentation;
-    # nothing checks it.
-    _GUARDED_BY = {
-        "accesses": "external:TardisStore._lock",
-        "_links": "external:TardisStore._lock",
-        "_batch_ids": "external:TardisStore._lock",
-        "leaked_workers": "external:TardisStore._lock",
-        "_closed": "external:TardisStore._lock",
-        "_hot_registry": "external:TardisStore._lock",
-        "_hot_access": "external:TardisStore._lock",
-        "scanned": "external:TardisStore._lock",
-        "vis_hits": "external:TardisStore._lock",
-    }
 
     def __init__(
         self,

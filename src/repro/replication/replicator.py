@@ -188,12 +188,12 @@ class Replicator:
                 FetchResponse(request.state_id, promoted_to=promoted),
             )
             return
-        versions = self.store.versions
-        record = CommitRecord(
-            state.id,
-            tuple(p.id for p in state.parents),
-            {key: versions.record(key, state.id) for key in state.write_keys},
-        )
+        with self.store._lock:
+            writes = {
+                key: self.store.versions.record(key, state.id)
+                for key in state.write_keys
+            }
+        record = CommitRecord(state.id, tuple(p.id for p in state.parents), writes)
         self.network.send(
             self.site, src, FetchResponse(request.state_id, record=record)
         )

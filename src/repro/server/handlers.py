@@ -421,16 +421,19 @@ def _stats(server: TardisServer, session: WireSession, request: _Json) -> _Json:
         for txn in list(sess._active_txns)
         if txn.status == ACTIVE
     )
-    stats["store"] = {
-        "site": store.site,
-        "states": len(store.dag),
-        "leaves": len(store.dag.leaves()),
-        "commits": store.metrics.commits,
-        "merges": store.metrics.merges,
-        "records": store.versions.num_records(),
-        "promotions": store.dag.promotion_table_size,
-        "gc": {name: stats.pop("gc_" + name) for name in GC_FIELDS},
-    }
+    # Under the store lock: with shard workers ``num_records`` is a
+    # round trip on the links a concurrent commit may be using.
+    with store._lock:
+        stats["store"] = {
+            "site": store.site,
+            "states": len(store.dag),
+            "leaves": len(store.dag.leaves()),
+            "commits": store.metrics.commits,
+            "merges": store.metrics.merges,
+            "records": store.versions.num_records(),
+            "promotions": store.dag.promotion_table_size,
+            "gc": {name: stats.pop("gc_" + name) for name in GC_FIELDS},
+        }
     shards = store.shard_health(ping=False)
     if shards is not None and "workers" in shards:
         stats["store"]["shard_workers"] = shards["n_workers"]

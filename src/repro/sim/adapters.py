@@ -226,7 +226,8 @@ class TardisAdapter(SystemAdapter):
     def pressure(self) -> float:
         if not self.pressure_per_item:
             return 1.0
-        live = len(self.store.dag) + self.store.versions.num_records()
+        with self.store._lock:
+            live = len(self.store.dag) + self.store.versions.num_records()
         over = max(0, live - self.pressure_threshold)
         return 1.0 + self.pressure_per_item * over
 
@@ -311,9 +312,11 @@ class TardisAdapter(SystemAdapter):
 
     def stats(self) -> Dict[str, Any]:
         _width, depth = dag_extent(self.store.dag)
+        with self.store._lock:
+            records = self.store.versions.num_records()
         return {
             "states": len(self.store.dag),
-            "records": self.store.versions.num_records(),
+            "records": records,
             "forks": self.store.metrics.forks,
             "merges": self.merges_run,
             "aborts": self.store.metrics.aborts,

@@ -128,14 +128,18 @@ class SpeculativeExecutor:
     # -- reads -----------------------------------------------------------------
 
     def read_confirmed(self, key: Any, default: Any = None) -> Any:
-        state = self.store.dag.resolve(self._confirmed_tip)
-        hit = self.store.versions.read_visible(key, state, self.store.dag)
+        hit = self._visible(key, self._confirmed_tip)
         return default if hit is None else hit[1]
 
     def read_speculative(self, key: Any, default: Any = None) -> Any:
-        state = self.store.dag.resolve(self._spec_tip)
-        hit = self.store.versions.read_visible(key, state, self.store.dag)
+        hit = self._visible(key, self._spec_tip)
         return default if hit is None else hit[1]
+
+    def _visible(self, key: Any, tip: Any) -> Optional[Tuple[Any, Any]]:
+        with self.store._lock:
+            return self.store.versions.read_visible(
+                key, self.store.dag.resolve(tip), self.store.dag
+            )
 
     @property
     def pending(self) -> List[Speculation]:
@@ -181,11 +185,7 @@ class SpeculativeExecutor:
                 )
                 for spec in pending:
                     for key in spec.write_keys:
-                        hit = self.store.versions.read_visible(
-                            key,
-                            self.store.dag.resolve(self._spec_tip),
-                            self.store.dag,
-                        )
+                        hit = self._visible(key, self._spec_tip)
                         if hit is not None:
                             merge.put(key, hit[1])
                 merged_id = merge.commit()

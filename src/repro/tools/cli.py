@@ -18,7 +18,7 @@ Commands:
   flight dump (:func:`repro.obs.flight.flight_dump`) to JSON.
 * ``flight`` — pretty-print a flight dump written by ``trace --dump``.
 * ``check`` — run the static-analysis rules (lock discipline,
-  lock order, metric-name drift, hygiene) over the package and
+  async discipline, metric-name drift, hygiene) over the package and
   exit nonzero on findings; ``--format=json`` is the CI gate's input.
 * ``serve`` — run the asyncio network server (docs/internals.md §12):
   one TardisStore behind the length-prefixed JSON wire protocol, until
@@ -411,8 +411,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     check = sub.add_parser(
         "check",
-        help="static analysis: lock discipline, lock order, async "
-        "discipline, metric-name drift, import hygiene, bare excepts "
+        help="static analysis: lock discipline, async discipline, "
+        "metric-name drift, import hygiene, bare excepts "
         "(docs/internals.md §11)",
     )
     check.add_argument(

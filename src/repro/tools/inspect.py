@@ -63,14 +63,16 @@ def dag_to_dot(
 def store_summary(store: TardisStore) -> Dict[str, object]:
     """A metrics snapshot suitable for logging or JSON."""
     dag = store.dag
+    with store._lock:
+        keys, records = store.versions.num_keys(), store.versions.num_records()
     return {
         "site": store.site,
         "states": len(dag),
         "leaves": len(dag.leaves()),
         "fork_points": dag.num_forks(),
         "promotions": dag.promotion_table_size,
-        "keys": store.versions.num_keys(),
-        "records": store.versions.num_records(),
+        "keys": keys,
+        "records": records,
         "commits": store.metrics.commits,
         "read_only_commits": store.metrics.read_only_commits,
         "aborts": store.metrics.aborts,
@@ -96,7 +98,8 @@ def describe_store(store: TardisStore, keys: Optional[List] = None) -> str:
         points = sorted(store.dag.ancestry.points_of(leaf.path_mask))
         lines.append("  %r  path={%s}" % (leaf.id, "".join(map(repr, points))))
         for key in keys or []:
-            hit = store.versions.read_visible(key, leaf, store.dag)
+            with store._lock:
+                hit = store.versions.read_visible(key, leaf, store.dag)
             lines.append(
                 "      %-16r = %r" % (key, None if hit is None else hit[1])
             )

@@ -409,7 +409,6 @@ class TestCli:
             "bare-except",
             "import-hygiene",
             "lock-discipline",
-            "lock-order",
             "metric-name-drift",
         ]
 
@@ -596,18 +595,6 @@ PLANTED = [
         "            self._events.clear()\n            self.dropped = 0\n",
         "            self._events.clear()\n        self.dropped = 0\n",
         id="lock-discipline:tracer-clear-resets-unlocked",
-    ),
-    pytest.param(
-        "lock-order", "server/server.py",
-        "        report = self._obs_counters()\n        with self._lock:\n",
-        "        with self._lock:\n            report = self._obs_counters()\n",
-        id="lock-order:shutdown-reads-counters-under-the-lock",
-    ),
-    pytest.param(
-        "lock-order", "server/server.py",
-        "        if aborted:\n            self._count(",
-        "        if aborted:\n            with self._lock:\n                self._count(",
-        id="lock-order:cleanup-counts-aborts-under-the-lock",
     ),
     pytest.param(
         "async-discipline", "server/server.py",

@@ -1,7 +1,5 @@
-"""Tests for the concurrency rule families of ``tardis check``:
-``async-discipline`` fixtures per violation class, interprocedural
-``lock-order`` cycles (positive and negative), and suppression
-handling."""
+"""Tests for the ``async-discipline`` rule of ``tardis check``:
+fixtures per violation class, and suppression handling."""
 
 import textwrap
 from pathlib import Path
@@ -9,7 +7,6 @@ from pathlib import Path
 from repro.analysis import check_repo, run_check
 from repro.analysis.engine import Project, SourceModule
 from repro.analysis.rules.async_discipline import AsyncDisciplineRule
-from repro.analysis.rules.lock_order import LockOrderRule
 
 
 def _module(source, relpath="src/repro/fixture.py"):
@@ -331,271 +328,6 @@ class TestDroppedCoroutines:
 
 
 # ---------------------------------------------------------------------------
-# lock-order
-# ---------------------------------------------------------------------------
-
-
-def _order_findings(source, relpath="src/repro/fixture.py"):
-    project = Project(root=Path("."), modules=[_module(source, relpath)])
-    return LockOrderRule().check_project(project)
-
-
-class TestLockOrderDirect:
-    def test_inverted_nesting_is_a_cycle(self):
-        (finding,) = _order_findings(
-            """
-            import threading
-
-            class Pair:
-                def __init__(self):
-                    self._a = threading.Lock()
-                    self._b = threading.Lock()
-
-                def ab(self):
-                    with self._a:
-                        with self._b:
-                            pass
-
-                def ba(self):
-                    with self._b:
-                        with self._a:
-                            pass
-            """
-        )
-        assert finding.rule == "lock-order"
-        assert "cycle" in finding.message
-        assert "Pair._a" in finding.message and "Pair._b" in finding.message
-
-    def test_consistent_order_is_fine(self):
-        assert not _order_findings(
-            """
-            import threading
-
-            class Pair:
-                def __init__(self):
-                    self._a = threading.Lock()
-                    self._b = threading.Lock()
-
-                def one(self):
-                    with self._a:
-                        with self._b:
-                            pass
-
-                def two(self):
-                    with self._a:
-                        with self._b:
-                            pass
-            """
-        )
-
-    def test_lock_reacquisition_is_self_deadlock(self):
-        (finding,) = _order_findings(
-            """
-            import threading
-
-            class Box:
-                def __init__(self):
-                    self._lock = threading.Lock()
-
-                def outer(self):
-                    with self._lock:
-                        with self._lock:
-                            pass
-            """
-        )
-        assert "self-deadlock" in finding.message
-
-    def test_rlock_reacquisition_is_fine(self):
-        assert not _order_findings(
-            """
-            import threading
-
-            class Box:
-                def __init__(self):
-                    self._lock = threading.RLock()
-
-                def outer(self):
-                    with self._lock:
-                        with self._lock:
-                            pass
-            """
-        )
-
-
-class TestLockOrderInterprocedural:
-    def test_cycle_through_method_call(self):
-        findings = _order_findings(
-            """
-            import threading
-
-            class Pair:
-                def __init__(self):
-                    self._a = threading.Lock()
-                    self._b = threading.Lock()
-
-                def one(self):
-                    with self._a:
-                        self.grab_b()
-
-                def grab_b(self):
-                    with self._b:
-                        pass
-
-                def two(self):
-                    with self._b:
-                        self.grab_a()
-
-                def grab_a(self):
-                    with self._a:
-                        pass
-            """
-        )
-        assert len(findings) == 1
-        assert "Pair._a" in findings[0].message
-
-    def test_self_deadlock_through_method_call(self):
-        (finding,) = _order_findings(
-            """
-            import threading
-
-            class Box:
-                def __init__(self):
-                    self._lock = threading.Lock()
-
-                def outer(self):
-                    with self._lock:
-                        self.inner()
-
-                def inner(self):
-                    with self._lock:
-                        pass
-            """
-        )
-        assert "self-deadlock" in finding.message
-
-    def test_call_without_lock_held_is_fine(self):
-        assert not _order_findings(
-            """
-            import threading
-
-            class Box:
-                def __init__(self):
-                    self._lock = threading.Lock()
-
-                def outer(self):
-                    self.inner()
-
-                def inner(self):
-                    with self._lock:
-                        pass
-            """
-        )
-
-    def test_cross_class_cycle_via_attribute_type(self):
-        findings = _order_findings(
-            """
-            import threading
-
-            class Inner:
-                def __init__(self, owner):
-                    self._b = threading.Lock()
-                    self.owner = owner
-
-                def grab(self):
-                    with self._b:
-                        pass
-
-                def call_back(self):
-                    with self._b:
-                        self.owner.touch()
-
-            class Outer:
-                def __init__(self):
-                    self._a = threading.Lock()
-                    self.inner = Inner(self)
-
-                def touch(self):
-                    with self._a:
-                        pass
-
-                def descend(self):
-                    with self._a:
-                        self.inner.grab()
-            """
-        )
-        # Outer._a -> Inner._b (descend) closes against Inner._b ->
-        # Outer._a (call_back: owner's type is not inferable, so the
-        # reverse edge must come from somewhere the rule *can* see).
-        # owner is a constructor argument, not a ClassName(...) call, so
-        # only the Outer._a -> Inner._b edge exists: acyclic.
-        assert findings == []
-
-    def test_cross_class_cycle_when_both_edges_resolvable(self):
-        findings = _order_findings(
-            """
-            import threading
-
-            class Inner:
-                def __init__(self):
-                    self._b = threading.Lock()
-                    self.peer = Outer()
-
-                def grab(self):
-                    with self._b:
-                        pass
-
-                def call_back(self):
-                    with self._b:
-                        self.peer.touch()
-
-            class Outer:
-                def __init__(self):
-                    self._a = threading.Lock()
-                    self.inner = Inner()
-
-                def touch(self):
-                    with self._a:
-                        pass
-
-                def descend(self):
-                    with self._a:
-                        self.inner.grab()
-            """
-        )
-        assert len(findings) == 1
-        assert "Inner._b" in findings[0].message
-        assert "Outer._a" in findings[0].message
-
-    def test_guarded_by_only_lock_participates(self):
-        # Lock declared via _GUARDED_BY spec (external ctor): with-sites
-        # on it still produce graph nodes.
-        (finding,) = _order_findings(
-            """
-            import threading
-
-            class Box:
-                _GUARDED_BY = {"_items": "self._lock"}
-
-                def __init__(self):
-                    self._lock = threading.Lock()
-                    self._aux = threading.Lock()
-                    self._items = {}
-
-                def one(self):
-                    with self._lock:
-                        with self._aux:
-                            pass
-
-                def two(self):
-                    with self._aux:
-                        with self._lock:
-                            pass
-            """
-        )
-        assert "Box._aux" in finding.message and "Box._lock" in finding.message
-
-
-# ---------------------------------------------------------------------------
 # regression: the real violations this rule family caught, stay fixed
 # ---------------------------------------------------------------------------
 
@@ -607,8 +339,3 @@ def test_run_server_port_file_write_is_offloaded():
     assert report.ok, "\n" + report.format()
     # The two shutdown-path store calls stay visible as suppressions.
     assert report.suppressed >= 2
-
-
-def test_repo_lock_graph_is_acyclic():
-    report = check_repo(rules=[LockOrderRule()])
-    assert report.ok, "\n" + report.format()

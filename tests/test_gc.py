@@ -163,12 +163,14 @@ class TestRecordPromotion:
     def test_stale_versions_dropped(self, store):
         sess = store.session("a")
         commit_chain(store, sess, 20, key="x")
-        assert store.versions.num_versions("x") == 20
+        with store._lock:
+            assert store.versions.num_versions("x") == 20
         sess.place_ceiling()
         stats = store.collect_garbage()
-        assert store.versions.num_versions("x") == 1
-        assert stats.records_dropped == 19
-        assert store.versions.num_records() == 1
+        with store._lock:
+            assert store.versions.num_versions("x") == 1
+            assert stats.records_dropped == 19
+            assert store.versions.num_records() == 1
         t = store.begin(session=sess)
         assert t.get("x") == 19
         t.commit()
@@ -198,7 +200,8 @@ class TestRecordPromotion:
         sess.place_ceiling()
         stats = store.collect_garbage()
         assert stats.live_states == len(store.dag)
-        assert stats.live_records == store.versions.num_records()
+        with store._lock:
+            assert stats.live_records == store.versions.num_records()
 
     def test_flush_promotions(self, store):
         sess = store.session("a")
@@ -328,12 +331,14 @@ def reference_collect(store):
                 break
         if dead_forks:
             stats.fork_entries_scrubbed = dag.retire_forks(dead_forks)
-    promoted, dropped = store.versions.promote_and_prune(dag)
+    with store._lock:
+        promoted, dropped = store.versions.promote_and_prune(dag)
     stats.records_promoted, stats.records_dropped = promoted, dropped
     held = {s.last_commit_id for s in store.sessions()} | set(gc.ceilings.values())
     stats.promotions_flushed = dag.prune_promotions(held)
     stats.live_states = len(dag)
-    stats.live_records = store.versions.num_records()
+    with store._lock:
+        stats.live_records = store.versions.num_records()
     return stats
 
 
@@ -344,6 +349,10 @@ class TestChainSpliceEquivalence:
     KEYS = ["base"] + ["k%d" % i for i in range(7)]
 
     def snapshot(self, store, ever_seen, heir):
+        with store._lock:
+            return self._snapshot(store, ever_seen, heir)
+
+    def _snapshot(self, store, ever_seen, heir):
         dag = store.dag
         live = sorted(dag.states(), key=lambda s: s.id)
         return (

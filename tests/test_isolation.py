@@ -168,7 +168,8 @@ class TestBranchSerializability:
             for leaf in store.dag.leaves():
                 view = {}
                 for key in keys:
-                    hit = store.versions.read_visible(key, leaf, store.dag)
+                    with store._lock:
+                        hit = store.versions.read_visible(key, leaf, store.dag)
                     view[key] = None if hit is None else hit[1]
                 views[leaf.id] = view
             return views

@@ -124,7 +124,8 @@ class TestVersionsEdges:
         mid_state = store.dag.leaves()[0]
         with store.begin() as t:
             t.put("a", 10)
-        snapshot = dict(store.versions.items_at(mid_state, store.dag))
+        with store._lock:
+            snapshot = dict(store.versions.items_at(mid_state, store.dag))
         assert snapshot == {"a": 1, "b": 2}
 
     def test_read_candidates_superseded_dropped(self):
@@ -134,7 +135,8 @@ class TestVersionsEdges:
         store.put("x", 2)
         s2 = store.dag.leaves()[0]
         # s1 is an ancestor of s2: only s2's version is maximal.
-        candidates = store.versions.read_candidates("x", [s1, s2], store.dag)
+        with store._lock:
+            candidates = store.versions.read_candidates("x", [s1, s2], store.dag)
         assert len(candidates) == 1
         assert candidates[0][1] == 2
 

@@ -166,7 +166,8 @@ class TestWorkerHealth:
         store = TardisStore("A", shards=2, shard_workers=2)
         try:
             store.put("x", 1)
-            store.versions.kill_worker(0)
+            with store._lock:
+                store.versions.kill_worker(0)
             health = store.shard_health()
             assert health["workers_alive"] == 1
             assert health["workers_dead"] == [0]
@@ -383,7 +384,8 @@ class TestShardedObsOverWire:
                 assert shards["n_shards"] == 4
                 assert shards["workers_alive"] == 2
                 assert shards["leaked_workers"] == 0
-                handle.server.store.versions.kill_worker(0)
+                with handle.server.store._lock:
+                    handle.server.store.versions.kill_worker(0)
                 assert _wait_until(
                     lambda: client.obs_snapshot()["shards"]["workers_dead"] == [0]
                 )

@@ -205,7 +205,8 @@ class TestShardedTardisStore:
         with store.begin() as txn:
             for i in range(100):
                 txn.put("key%04d" % i, i)
-        balance = store.versions.balance()
+        with store._lock:
+            balance = store.versions.balance()
         assert sum(balance) == 100
         assert all(b > 0 for b in balance)
         assert sum(store.versions.accesses) >= 100
@@ -246,11 +247,13 @@ class TestShardedTardisStore:
             for j in range(4):
                 txn.put("key%04d" % j, i)
             txn.commit()
-        before = store.versions.num_records()
+        with store._lock:
+            before = store.versions.num_records()
         sess.place_ceiling()
         stats = store.collect_garbage()
         assert stats.records_dropped > 0
-        assert store.versions.num_records() < before
+        with store._lock:
+            assert store.versions.num_records() < before
         txn = store.begin(session=sess)
         assert txn.get("key0000") == 29
         txn.commit()

@@ -38,9 +38,10 @@ def check_after_cycle(store):
     # Record promotion re-keyed every version to a live state, on every
     # plane: this is why the table needs no entry for a record id. The
     # worker links' mask tables hold live states only, too.
-    for key in store.versions.keys():
-        for sid in store.versions.versions_of(key):
-            assert dag.get(sid) is not None, (key, sid)
+    with store._lock:
+        for key in store.versions.keys():
+            for sid in store.versions.versions_of(key):
+                assert dag.get(sid) is not None, (key, sid)
     for link in getattr(store.versions, "_links", ()):
         assert all(dag.get(sid) is not None for sid in link._shipped)
 

@@ -57,10 +57,11 @@ def apply_schedule(store, schedule, gc_points=()):
 def final_views(store, keys):
     views = []
     for leaf in sorted(store.dag.leaves(), key=lambda s: s.id):
-        view = tuple(
-            (key, (store.versions.read_visible(key, leaf, store.dag) or (None, None))[1])
-            for key in keys
-        )
+        with store._lock:
+            view = tuple(
+                (key, (store.versions.read_visible(key, leaf, store.dag) or (None, None))[1])
+                for key in keys
+            )
         views.append(view)
     return views
 
@@ -208,7 +209,8 @@ class TestMultiSiteConvergence:
         cluster.run(until=2000)
         for store in stores:
             for key, value in expected.items():
-                versions = store.versions.versions_of(key)
-                assert versions, (store.site, key)
-                values = {store.versions.record(key, sid) for sid in versions}
-                assert value in values, (store.site, key)
+                with store._lock:
+                    versions = store.versions.versions_of(key)
+                    assert versions, (store.site, key)
+                    values = {store.versions.record(key, sid) for sid in versions}
+                    assert value in values, (store.site, key)

@@ -46,13 +46,14 @@ def walk(store, key, state):
     ``state`` can see, skipping orphans."""
     versions = store.versions
     dag = store.dag
-    for sid in versions.versions_of(key):
-        try:
-            version_state = dag.resolve(sid)
-        except GarbageCollectedError:
-            continue
-        if dag.descendant_check(version_state, state):
-            return sid, versions.record(key, sid)
+    with store._lock:
+        for sid in versions.versions_of(key):
+            try:
+                version_state = dag.resolve(sid)
+            except GarbageCollectedError:
+                continue
+            if dag.descendant_check(version_state, state):
+                return sid, versions.record(key, sid)
     return None
 
 
@@ -159,9 +160,10 @@ def drive(store, rng, steps=150):
             states = list(store.dag.states())
             for _ in range(3):
                 state = states[rng.randrange(len(states))]
-                store.versions.read_visible(
-                    KEYS[rng.randrange(len(KEYS))], state, store.dag
-                )
+                with store._lock:
+                    store.versions.read_visible(
+                        KEYS[rng.randrange(len(KEYS))], state, store.dag
+                    )
                 covered["probes"] += 1
         elif op < 0.88 and len(store.dag.leaves()) > 1:
             merge = store.begin_merge(session=sess)
@@ -181,12 +183,14 @@ def drive(store, rng, steps=150):
                 txn.commit()
                 s.place_ceiling()
             stats = store.collect_garbage(flush_promotions=rng.random() < 0.3)
-            check_version_lists(store.versions)
+            with store._lock:
+                check_version_lists(store.versions)
             covered["removed"] += stats.states_removed
             covered["promoted"] += stats.records_promoted + stats.records_dropped
             covered["scrubbed"] += stats.fork_entries_scrubbed
     for leaf in store.dag.leaves():
-        store.versions.read_visible_many(KEYS, leaf, store.dag)
+        with store._lock:
+            store.versions.read_visible_many(KEYS, leaf, store.dag)
     covered["forks"] = store.metrics.forks
     covered["merges"] = store.metrics.merges
     return covered
@@ -209,7 +213,8 @@ class TestCacheEqualsWalk:
         try:
             checked = check_every_read(store)
             covered = drive(store, random.Random(seed))
-            info = store.versions.cache_info()
+            with store._lock:
+                info = store.versions.cache_info()
         finally:
             store.close()
         # The history must reach every path that can stale an entry, and
@@ -242,7 +247,8 @@ class TestCacheBound:
             t1.commit()
             t2.commit()
         assert store.metrics.forks >= 100
-        assert store.versions.cache_info()["size"] <= len(keys)
+        with store._lock:
+            assert store.versions.cache_info()["size"] <= len(keys)
 
     def test_never_written_keys_leave_no_entry(self):
         store = TardisStore("v")
@@ -252,7 +258,8 @@ class TestCacheBound:
         for i in range(10_000):
             assert t.get("ghost%d" % i, default=None) is None
         t.commit()
-        assert store.versions.cache_info()["size"] == 0
+        with store._lock:
+            assert store.versions.cache_info()["size"] == 0
 
 
 class TestDestructiveEpoch:
@@ -270,7 +277,8 @@ class TestDestructiveEpoch:
         with store.begin() as t:
             t.put("y", 1)
         assert store.dag.destructive_gen == before
-        assert store.versions.cache_info()["size"] == 1
+        with store._lock:
+            assert store.versions.cache_info()["size"] == 1
 
     def test_splice_out_marks_destructive(self):
         store = TardisStore("g")
@@ -293,9 +301,10 @@ class TestDestructiveEpoch:
         for i in range(3):
             store.put("x", i)
         dag = store.dag
-        dag.splice_out(dag.resolve(store.versions.versions_of("y")[0]))
-        before = dag.destructive_gen
-        promoted, dropped = store.versions.promote_and_prune(dag)
+        with store._lock:
+            dag.splice_out(dag.resolve(store.versions.versions_of("y")[0]))
+            before = dag.destructive_gen
+            promoted, dropped = store.versions.promote_and_prune(dag)
         assert promoted + dropped > 0
         assert dag.destructive_gen > before
 
@@ -317,9 +326,11 @@ class TestDestructiveEpoch:
         stats = store.collect_garbage()
         assert stats.marked > 0 and stats.states_removed == 0
         assert store.dag.destructive_gen == before
-        hits = store.versions.cache_info()["hits"]
+        with store._lock:
+            hits = store.versions.cache_info()["hits"]
         assert reader.get("base") == 10
-        info = store.versions.cache_info()
+        with store._lock:
+            info = store.versions.cache_info()
         assert info["hits"] == hits + 1 and info["invalidations"] == 0
         reader.abort()
 
@@ -332,31 +343,32 @@ class TestVersionLists:
         # d's only child h (id 3) writes nothing. Splicing d out promotes
         # its version to h, which now sorts *after* v.
         store = TardisStore("p")
-        dag, versions = store.dag, store.versions
-        d = dag.create_state([dag.root], write_keys=frozenset({"x"}))
-        versions.write("x", d.id, "d")
-        v = dag.create_state([dag.root], write_keys=frozenset({"x"}))
-        versions.write("x", v.id, "v")
-        h = dag.create_state([d])
-        assert d.id < v.id < h.id
-        dag.splice_out(d)
-        assert versions.promote_and_prune(dag) == (1, 0)
-        assert versions.versions_of("x") == [h.id, v.id]
-        check_version_lists(versions)
-        assert versions.record("x", h.id) == "d"
-        assert versions.record("x", d.id) is None
-        assert versions.read_visible("x", h, dag) == (h.id, "d")
-        # A later write on v's branch appends; h's cached read holds.
-        w = dag.create_state([v], write_keys=frozenset({"x"}))
-        versions.write("x", w.id, "w")
-        hits = versions.cache_info()["hits"]
-        assert versions.read_visible("x", h, dag) == (h.id, "d")
-        assert versions.cache_info()["hits"] == hits + 1
-        assert versions.read_visible("x", w, dag) == (w.id, "w")
-        # A state that sees both old branches reads the newest id.
-        both = dag.create_state([h, v])
-        assert versions.read_visible("x", both, dag) == (h.id, "d")
-        check_version_lists(versions)
+        with store._lock:
+            dag, versions = store.dag, store.versions
+            d = dag.create_state([dag.root], write_keys=frozenset({"x"}))
+            versions.write("x", d.id, "d")
+            v = dag.create_state([dag.root], write_keys=frozenset({"x"}))
+            versions.write("x", v.id, "v")
+            h = dag.create_state([d])
+            assert d.id < v.id < h.id
+            dag.splice_out(d)
+            assert versions.promote_and_prune(dag) == (1, 0)
+            assert versions.versions_of("x") == [h.id, v.id]
+            check_version_lists(versions)
+            assert versions.record("x", h.id) == "d"
+            assert versions.record("x", d.id) is None
+            assert versions.read_visible("x", h, dag) == (h.id, "d")
+            # A later write on v's branch appends; h's cached read holds.
+            w = dag.create_state([v], write_keys=frozenset({"x"}))
+            versions.write("x", w.id, "w")
+            hits = versions.cache_info()["hits"]
+            assert versions.read_visible("x", h, dag) == (h.id, "d")
+            assert versions.cache_info()["hits"] == hits + 1
+            assert versions.read_visible("x", w, dag) == (w.id, "w")
+            # A state that sees both old branches reads the newest id.
+            both = dag.create_state([h, v])
+            assert versions.read_visible("x", both, dag) == (h.id, "d")
+            check_version_lists(versions)
 
     def test_out_of_order_writes_and_same_id_rewrite(self):
         store = TardisStore("m")
@@ -368,41 +380,43 @@ class TestVersionLists:
         low, mid = StateId(1, "a"), StateId(1, "z")
         store.apply_remote(CommitRecord(mid, (ROOT_ID,), {"x": "mid"}))
         store.apply_remote(CommitRecord(low, (ROOT_ID,), {"x": "low"}))
-        versions = store.versions
-        assert versions.versions_of("x") == [second, mid, first, low]
-        check_version_lists(versions)
-        mid_state = store.dag.resolve(mid)
-        assert versions.read_visible("x", mid_state, store.dag) == (mid, "mid")
-        # Rewriting an existing id replaces its value in place, and the
-        # cached answer for that key goes with it.
-        versions.write("x", mid, "mid2")
-        assert versions.num_records() == 4
-        assert versions.record("x", mid) == "mid2"
-        assert versions.read_visible("x", mid_state, store.dag) == (mid, "mid2")
-        assert versions.read_visible("x", store.dag.resolve(second), store.dag) == (
-            second,
-            2,
-        )
+        with store._lock:
+            versions = store.versions
+            assert versions.versions_of("x") == [second, mid, first, low]
+            check_version_lists(versions)
+            mid_state = store.dag.resolve(mid)
+            assert versions.read_visible("x", mid_state, store.dag) == (mid, "mid")
+            # Rewriting an existing id replaces its value in place, and the
+            # cached answer for that key goes with it.
+            versions.write("x", mid, "mid2")
+            assert versions.num_records() == 4
+            assert versions.record("x", mid) == "mid2"
+            assert versions.read_visible("x", mid_state, store.dag) == (mid, "mid2")
+            assert versions.read_visible("x", store.dag.resolve(second), store.dag) == (
+                second,
+                2,
+            )
 
     def test_key_with_every_version_pruned_leaves(self):
         store = TardisStore("o")
         store.put("x", 1)
-        versions, dag = store.versions, store.dag
-        # Orphans: versions whose states are gone without an heir, as a
-        # crash can leave behind (§6.5).
-        for n in (50, 51):
-            versions.write("ghost", StateId(n, "gone"), n)
-        leaf = dag.leaves()[0]
-        assert versions.read_visible("ghost", leaf, dag) is None
-        assert versions.num_keys() == 2
-        assert versions.promote_and_prune(dag) == (0, 2)
-        assert versions.num_keys() == 1
-        assert versions.num_records() == 1
-        assert versions.versions_of("ghost") == []
-        assert versions.read_visible("ghost", leaf, dag) is None
-        assert versions.record("ghost", StateId(50, "gone"), "none") == "none"
-        assert store.get("x") == 1
-        check_version_lists(versions)
+        with store._lock:
+            versions, dag = store.versions, store.dag
+            # Orphans: versions whose states are gone without an heir, as a
+            # crash can leave behind (§6.5).
+            for n in (50, 51):
+                versions.write("ghost", StateId(n, "gone"), n)
+            leaf = dag.leaves()[0]
+            assert versions.read_visible("ghost", leaf, dag) is None
+            assert versions.num_keys() == 2
+            assert versions.promote_and_prune(dag) == (0, 2)
+            assert versions.num_keys() == 1
+            assert versions.num_records() == 1
+            assert versions.versions_of("ghost") == []
+            assert versions.read_visible("ghost", leaf, dag) is None
+            assert versions.record("ghost", StateId(50, "gone"), "none") == "none"
+            assert store.get("x") == 1
+            check_version_lists(versions)
 
 
 class TestBegin:
@@ -490,7 +504,8 @@ class TestVisibilityCache:
             t = store.begin()
             assert t.get("x") == "value"
             t.abort()
-        info = store.versions.cache_info()
+        with store._lock:
+            info = store.versions.cache_info()
         assert info["hits"] >= 2
         assert info["misses"] >= 1
 
@@ -519,13 +534,15 @@ class TestVisibilityCache:
         t = store.begin(session=sess)
         assert t.get("x") == 4
         t.abort()
-        assert store.versions.cache_info()["size"] > 0
+        with store._lock:
+            assert store.versions.cache_info()["size"] > 0
         sess.place_ceiling()
         store.collect_garbage()
         t = store.begin(session=sess)
         assert t.get("x") == 4  # correct after promotion rewrote versions
         t.abort()
-        assert store.versions.cache_info()["invalidations"] > 0
+        with store._lock:
+            assert store.versions.cache_info()["invalidations"] > 0
 
 
 class TestSessionAutoNaming:

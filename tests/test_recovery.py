@@ -211,7 +211,8 @@ class TestUnloggableWriteSet:
             t.put(key, value)
         with pytest.raises(TransactionAborted):
             t.commit()
-        assert store.versions.num_records() == 0
+        with store._lock:
+            assert store.versions.num_records() == 0
         store.close()
 
 

@@ -857,7 +857,8 @@ class TestShardedServing:
             for i in range(16):
                 txn.put("key-%03d" % i, i)
             txn.commit()
-            served_sharded.server.store.versions.kill_worker(1)
+            with served_sharded.server.store._lock:
+                served_sharded.server.store.versions.kill_worker(1)
             with pytest.raises(ShardUnavailableError):
                 client.get_many(["key-%03d" % i for i in range(16)])
 

@@ -76,7 +76,8 @@ class TestShardWorkerBasics:
         for i in range(64):
             txn.put("key%03d" % i, i)
         txn.commit()
-        balance = proc_store.versions.balance()
+        with proc_store._lock:
+            balance = proc_store.versions.balance()
         assert sum(balance) == 64
         assert sum(1 for b in balance if b > 0) > 1
 
@@ -150,7 +151,8 @@ class TestWorkerFailure:
             store.put("seed", 0)
             states = len(store.dag)
             aborts = store.metrics.aborts
-            store.versions.kill_worker(0)
+            with store._lock:
+                store.versions.kill_worker(0)
             txn = store.begin()
             for i in range(16):  # hits shards on both workers
                 txn.put("key%03d" % i, i)
@@ -171,7 +173,8 @@ class TestWorkerFailure:
             for i in range(16):
                 txn.put("key%03d" % i, i)
             txn.commit()
-            store.versions.kill_worker(1)
+            with store._lock:
+                store.versions.kill_worker(1)
             txn = store.begin(read_only=True)
             with pytest.raises(ShardUnavailableError):
                 txn.get_many(["key%03d" % i for i in range(16)])
@@ -183,7 +186,8 @@ class TestWorkerFailure:
         previous = _met.set_default_registry(registry)
         store = TardisStore("A", shards=2, shard_workers=2)
         try:
-            store.versions.kill_worker(0)
+            with store._lock:
+                store.versions.kill_worker(0)
             txn = store.begin()
             for i in range(8):
                 txn.put("key%03d" % i, i)
@@ -211,7 +215,8 @@ class TestDrainAfterPartialFailure:
         by_worker = {0: [], 1: []}
         for key in keys:
             by_worker[store.versions.shard_index(key) % 2].append(key)
-        store.versions.kill_worker(1)
+        with store._lock:
+            store.versions.kill_worker(1)
         return store, by_worker
 
     @staticmethod
@@ -240,7 +245,8 @@ class TestDrainAfterPartialFailure:
             assert len(shards) == 2  # two shards, both on the live worker
             live_a, live_b = shards.values()
             writes = {live_a: "a", live_b: "b", by_worker[1][0]: "c"}
-            plan = versions.prepare_commit(writes)
+            with store._lock:
+                plan = versions.prepare_commit(writes)
             # Three shards: the live worker gets its two writes in one
             # batch and they are read back; the dead worker's fails.
             assert len(plan) == 3
@@ -257,7 +263,7 @@ class TestDrainAfterPartialFailure:
         store, _by_worker = self._store_with_dead_worker()
         try:
             assert "shards=4 workers=2" in repr(store)
-            with pytest.raises(ShardUnavailableError):
+            with pytest.raises(ShardUnavailableError), store._lock:
                 store.versions.num_records()
         finally:
             store.close()
@@ -405,19 +411,22 @@ class TestInstallRollback:
         txn.put(b, "old")
         txn.commit()
         versions = store.versions
-        records = versions.num_records()
+        with store._lock:
+            records = versions.num_records()
         txn = store.begin()
         txn.put(a, "new")
         txn.put(b, lambda: 1)
         with pytest.raises(CrossShardAbort):
             txn.commit()
         # Worker 0 wrote ``a`` under the removed state's id.
-        assert len(versions.versions_of(a)) == 2
-        assert versions.num_records() == records + 1
+        with store._lock:
+            assert len(versions.versions_of(a)) == 2
+            assert versions.num_records() == records + 1
         assert store.get(a) == "old"
         store.collect_garbage()
-        assert len(versions.versions_of(a)) == 1
-        assert versions.num_records() == records
+        with store._lock:
+            assert len(versions.versions_of(a)) == 1
+            assert versions.num_records() == records
         assert store.get(a) == "old"
 
     def test_the_log_never_sees_a_rolled_back_commit(self, tmp_path, monkeypatch):
@@ -446,10 +455,11 @@ class TestMaskTable:
         proc_store.put("x", 1)
         versions = proc_store.versions
         before = next(versions._batch_ids)
-        assert versions.num_records() == 1
-        assert versions.num_keys() == 1
-        assert sum(versions.balance()) == 1
-        assert versions.cache_info()["size"] == 0  # nothing was read
+        with proc_store._lock:
+            assert versions.num_records() == 1
+            assert versions.num_keys() == 1
+            assert sum(versions.balance()) == 1
+            assert versions.cache_info()["size"] == 0  # nothing was read
         # 4 calls x 2 workers (+ the probe above), not 4 x 4 shards.
         assert next(versions._batch_ids) - before == 1 + 4 * 2
 
@@ -464,7 +474,8 @@ class TestMaskTable:
                     session.place_ceiling()
                     store.collect_garbage()
         assert len(proc_store.dag) == len(flat.dag)
-        live = len(proc_store.dag) + proc_store.versions.num_records()
+        with proc_store._lock:
+            live = len(proc_store.dag) + proc_store.versions.num_records()
         for handle in proc_store.versions._links:
             assert len(handle._shipped) <= 4 * live
         for store in (proc_store, flat):
@@ -472,7 +483,8 @@ class TestMaskTable:
             store.collect_garbage()
         txn, oracle = proc_store.begin(read_only=True), flat.begin(read_only=True)
         assert txn.get_many(keys) == oracle.get_many(keys)
-        assert proc_store.versions.num_records() == flat.versions.num_records()
+        with proc_store._lock, flat._lock:
+            assert proc_store.versions.num_records() == flat.versions.num_records()
 
     def test_heir_state_is_resolvable_on_every_worker(self):
         """A record promoted to an heir whose own commit never touched
@@ -492,13 +504,14 @@ class TestMaskTable:
                 store.collect_garbage()
                 store.put("b", 9, session=session)
                 store.collect_garbage()
-                seen.append(
-                    (
-                        store.get("a", session=session),
-                        store.get("b", session=session),
-                        store.versions.num_records(),
+                with store._lock:
+                    seen.append(
+                        (
+                            store.get("a", session=session),
+                            store.get("b", session=session),
+                            store.versions.num_records(),
+                        )
                     )
-                )
             assert seen[0] == seen[1] == (1, 9, 3)
         finally:
             for store in stores:

@@ -122,7 +122,8 @@ class StoreMachine(RuleBasedStateMachine):
         if not hasattr(self, "store"):
             return
         for key in KEYS:
-            versions = self.store.versions.versions_of(key)
+            with self.store._lock:
+                versions = self.store.versions.versions_of(key)
             assert versions == sorted(versions, reverse=True), key
             for sid in versions:
                 self.store.dag.resolve(sid)  # must not raise
@@ -134,7 +135,8 @@ class StoreMachine(RuleBasedStateMachine):
             return
         for leaf in self.store.dag.leaves():
             for key in KEYS:
-                self.store.versions.read_visible(key, leaf, self.store.dag)
+                with self.store._lock:
+                    self.store.versions.read_visible(key, leaf, self.store.dag)
 
 
 TestStoreMachine = pytest.mark.filterwarnings("ignore")(

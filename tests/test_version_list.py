@@ -115,11 +115,12 @@ class TestVersionListBasics:
         store = TardisStore("f")
         sess = store.session("a")
         ids = [store.put("x", i, session=sess) for i in range(4)]
-        versions, dag = store.versions, store.dag
-        assert versions.versions_of("x") == ids[::-1]
-        assert versions.read_visible("x", dag.root, dag) is None
-        for i, sid in enumerate(ids):
-            assert versions.read_visible("x", dag.resolve(sid), dag) == (sid, i)
+        with store._lock:
+            versions, dag = store.versions, store.dag
+            assert versions.versions_of("x") == ids[::-1]
+            assert versions.read_visible("x", dag.root, dag) is None
+            for i, sid in enumerate(ids):
+                assert versions.read_visible("x", dag.resolve(sid), dag) == (sid, i)
 
     def test_prune_some_orphans(self):
         dag, ids = live_ids(5)
@@ -162,8 +163,9 @@ class TestVersionListBasics:
         stats = store.collect_garbage()
         assert stats.records_dropped == 19
         assert store.get("x") == 19
-        assert store.versions.num_records() == 1
-        assert store.versions.num_versions("x") == 1
+        with store._lock:
+            assert store.versions.num_records() == 1
+            assert store.versions.num_versions("x") == 1
 
 
 ids_strategy = st.builds(
