@@ -149,7 +149,7 @@ def test_obs_overhead(benchmark):
 # ---------------------------------------------------------------------------
 # Live-sampler arm: the network server with the wall-clock ObsSampler
 # (docs/internals.md §14) on vs off, same interleaved min-of-N estimator.
-# The sampler shares the store executor with request handlers, so its
+# The sampler shares the store thread with request handlers, so its
 # whole cost shows up as request latency — exactly what this measures.
 
 

@@ -2,7 +2,7 @@
 
 The server's concurrency model (docs/internals.md §12.3) has one hard
 rule: the asyncio loop must never block, and store access from the loop
-must hop through the single-worker executor. Python enforces none of
+must hop through the store thread's job queue. Python enforces none of
 this — a stray ``time.sleep`` in a handler stalls every connection, and
 an un-awaited coroutine is silently dropped with only a runtime warning
 nobody reads. This rule makes four violation classes static errors.
@@ -21,9 +21,9 @@ thread all the same (the server's request path is such a class).
    executor) and are exempt.
 
 2. **Direct store call on the loop.** In the server, every store
-   operation must go through the store executor
-   (``self._executor.submit(...)`` / ``run_in_executor``) so the loop
-   can time it out and the single worker serializes it. A direct
+   operation must be a job on the store thread
+   (``self._jobs.put((fn, *args))``) so the loop can time it out and
+   the one thread serializes it. A direct
    ``self.store.<method>(...)`` call — or one through another object,
    ``self.server.store.<method>(...)`` — in loop context is an error.
    Passing the bound method *to* the executor is fine — only actual
@@ -34,7 +34,7 @@ thread all the same (the server's request path is such a class).
    in the class's ``_GUARDED_BY`` map or assigned a
    ``threading.Lock``/``RLock`` in ``__init__`` — parks the coroutine
    with the lock held across an arbitrary suspension: every thread
-   (including the executor the loop is waiting on) that wants the lock
+   (including the store thread the loop is waiting on) that wants the lock
    then deadlocks against the loop. Hold such locks only across
    straight-line code.
 
@@ -47,8 +47,8 @@ thread all the same (the server's request path is such a class).
    unreferenced task can be garbage-collected mid-flight; keep the
    handle (and cancel it at shutdown).
 
-False positives (a coroutine that runs strictly after the executor has
-drained, say) carry ``# tardis: ignore[async-discipline]`` with a
+False positives (a coroutine that runs strictly after the store thread
+was joined, say) carry ``# tardis: ignore[async-discipline]`` with a
 reason, per docs/internals.md §11.3.
 """
 
@@ -77,7 +77,7 @@ BLOCKING_BUILTINS = frozenset({"open", "input"})
 TASK_SPAWNERS = frozenset({"create_task", "ensure_future"})
 
 #: ``self.<attr>`` receivers whose method calls must go through the
-#: store executor when made in loop context.
+#: store thread when made in loop context.
 EXECUTOR_ONLY_ATTRS = frozenset({"store"})
 
 #: base-class names whose methods are transport callbacks: plain
@@ -426,10 +426,10 @@ class AsyncDisciplineRule(Rule):
                     severity="error",
                     message=(
                         "direct %s() call on the event loop bypasses the "
-                        "store executor" % ".".join(chain)
+                        "store-thread executor" % ".".join(chain)
                     ),
-                    hint="hand it to the store executor (self._executor.submit / "
-                    "run_in_executor) so the single worker serializes it "
-                    "and the loop can time it out",
+                    hint="queue it as a store-thread job (self._jobs.put((fn, "
+                    "*args))) so the one thread serializes it and the loop "
+                    "can time it out",
                 )
             )

@@ -47,7 +47,7 @@ reference):
     }
 
 Thread-safety: the sampler has no lock of its own. The server calls
-``sample()`` on its store-executor thread (serialized with every other
+``sample()`` on its store thread (serialized with every other
 store access) and hands the returned snapshot — a plain dict that is
 never mutated afterwards — to the event loop for publishing, so readers
 only ever see completed snapshots via :meth:`latest`.
@@ -151,7 +151,7 @@ class ObsSampler:
         """Take one sample and return the snapshot document.
 
         Must run serialized with store mutations (the server calls it on
-        the store executor); the returned dict is immutable by contract.
+        the store thread); the returned dict is immutable by contract.
         """
         self.seq += 1
         # Feeds the divergence series and runs the triggers.

@@ -1,7 +1,7 @@
-"""The store-executor half of the server: sessions and op handlers.
+"""The store-thread half of the server: sessions and op handlers.
 
-Everything in this module runs on the server's single store-executor
-thread (so it is serialized with every other store access) and touches
+Everything in this module runs on the server's one store thread, as its
+jobs (so it is serialized with every other store access), and touches
 no socket or event loop.
 ``server/server.py`` is the other half — the event-loop transport — and
 reaches the store only through :meth:`WireSession.handle` and
@@ -28,9 +28,9 @@ A connection is bound at HELLO to one registered
 transactions begin on it, and its close (disconnect, BYE) closes it.
 
 The served store collects its garbage (docs/internals.md §3): every
-commit a session makes places its GC ceiling at its new anchor, and a
-COMMIT that leaves the DAG ``server._gc_at`` states large runs a cycle
-before it is answered.
+commit a session makes places its GC ceiling at its new anchor; the
+cycles themselves are the server's, run on the store thread after the
+job that grew the DAG (``TardisServer._collect_if_grown``).
 """
 
 from __future__ import annotations
@@ -53,11 +53,7 @@ from repro.server.protocol import (
 if TYPE_CHECKING:
     from repro.server.server import TardisServer
 
-__all__ = ["GC_GROWTH", "HANDLERS", "RequestError", "WireSession", "holds_work"]
-
-#: states a COMMIT may add past twice what the last GC cycle left alive
-#: before the next cycle runs (see ``_collect_if_grown``).
-GC_GROWTH = 512
+__all__ = ["HANDLERS", "RequestError", "WireSession", "holds_work"]
 
 #: the collector's counts in STATS ``store.gc``; the server's counters
 #: (OBS_SNAPSHOT, the shutdown report) carry each as ``gc_<field>``.
@@ -98,15 +94,15 @@ class WireSession:
     """One connection's protocol state: the session it bound and the
     open transactions, and the one way a request reaches the store.
 
-    Everything here is mutated only on the store executor thread
-    (``handle``) or after the connection's request loop has exited
-    (``close``, also dispatched to the executor), never concurrently.
+    Everything here is mutated only on the store thread (``handle``)
+    or after the connection's request loop has exited (``close``, also
+    a store-thread job), never concurrently.
     """
 
     _GUARDED_BY = {
-        "txns": "external:store-executor",
-        "bound": "external:store-executor",
-        "began": "external:store-executor",
+        "txns": "external:store-thread",
+        "bound": "external:store-thread",
+        "began": "external:store-thread",
     }
 
     __slots__ = ("server", "id", "bound", "txns", "next_txn_id", "began")
@@ -385,19 +381,7 @@ def _commit(server: TardisServer, session: WireSession, request: _Json) -> _Json
             session.txns.pop(request["txn"], None)
             server._count("commits" if txn.status == COMMITTED else "aborts")
     txn.session.place_ceiling()
-    _collect_if_grown(server)
     return {"commit_state": repr(commit_id), "merge": isinstance(txn, MergeTransaction)}
-
-
-def _collect_if_grown(server: TardisServer) -> None:
-    """The growth trigger: one GC cycle once the DAG holds ``server._gc_at``
-    states. The next trigger is twice what the cycle left alive plus
-    :data:`GC_GROWTH`, so a collector held back by an old ceiling or a pin
-    runs at geometrically spaced sizes and its total cost stays linear. The
-    collector counts the cycle and times its pause."""
-    store = server.store
-    if len(store.dag) >= server._gc_at:
-        server._gc_at = 2 * store.collect_garbage().live_states + GC_GROWTH
 
 
 def _abort(server: TardisServer, session: WireSession, request: _Json) -> _Json:
@@ -439,7 +423,7 @@ def _stats(server: TardisServer, session: WireSession, request: _Json) -> _Json:
         stats["store"]["shard_workers"] = shards["n_workers"]
         stats["store"]["shard_workers_alive"] = shards["workers_alive"]
     stats["obs"] = {
-        "sampler": server._obs_task is not None,
+        "sampler": server.sampling,
         "interval_s": server.obs_sample_interval,
     }
     return {"stats": stats}
@@ -451,9 +435,9 @@ def _obs_snapshot(server: TardisServer, session: WireSession, request: _Json) ->
         raise RequestError("BAD_REQUEST", "tail must be an integer")
     # With the sampler running, its latest snapshot (at most one interval
     # stale); without it nothing refreshes ``latest``, so sample on demand
-    # (handlers run on the store executor: race-free).
+    # (handlers run on the store thread: race-free).
     obs = server.obs
-    snapshot = obs.latest_or_sample() if server._obs_task is not None else obs.sample()
+    snapshot = obs.latest_or_sample() if server.sampling else obs.sample()
     return {"snapshot": ObsSampler.trim(snapshot, tail)}
 
 

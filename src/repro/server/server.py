@@ -9,19 +9,20 @@ last commit — hold per connection exactly as they do in-process.
 
 Concurrency model: the asyncio event loop multiplexes socket I/O across
 every connection, one callback-driven :class:`_Connection` per socket;
-the store operations themselves run on a dedicated single worker thread
-(``_executor``), which serializes them — the store is lock-protected,
-but its read path is optimized for the one-writer discrete-event
-harness, and a single worker keeps the wall-clock behaviour honest while
-still letting the loop time out stuck requests and keep accepting,
-parsing, and answering frames meanwhile. A request costs the loop two
-turns: the read that decodes and submits it, and the one
-``call_soon_threadsafe`` callback that brings the handler's answer back.
-The module boundary is that thread boundary: this module is what runs on
-the loop (accepting, limits, timeouts, framing, counters, the obs sampler
-task, shutdown); :mod:`repro.server.handlers` is what runs on the
-executor, and nothing on the loop here touches the store except through
-``WireSession.handle`` / ``WireSession.close``.
+the store operations themselves run as queued jobs on the one
+``tardis-store`` thread the server owns, which serializes them — the
+store is lock-protected, but its read path is optimized for the
+one-writer discrete-event harness, and one thread keeps the wall-clock
+behaviour honest while still letting the loop time out stuck requests
+and keep accepting, parsing, and answering frames meanwhile. Between
+jobs that thread also runs the GC trigger and the sampler's ticks. A
+request costs the loop two turns: the read that decodes and queues it,
+and the one ``call_soon_threadsafe`` callback that brings the handler's
+answer back. The module boundary is that thread boundary: this module
+is the loop's side (accepting, limits, timeouts, framing, counters,
+shutdown) and the store thread's own loop; :mod:`repro.server.handlers`
+is what its jobs run, and nothing on the event loop here touches the
+store except through ``WireSession.handle`` / ``WireSession.close``.
 
 Production plumbing:
 
@@ -33,7 +34,7 @@ Production plumbing:
   not reading) a connection starts no request, so a slow reader blocks
   its own connection only, one response past the high-water mark.
 * **Per-request timeouts** — a request not answered ``request_timeout``
-  seconds after it was submitted (one ``loop.call_later`` timer each,
+  seconds after it was queued (one ``loop.call_later`` timer each,
   cancelled by the answer) is answered with a ``TIMEOUT`` error; the
   connection survives and the late answer is dropped.
 * **Graceful shutdown** — :meth:`TardisServer.shutdown` stops accepting,
@@ -55,11 +56,11 @@ shutdown report all read those. The server writes nothing to the
 metrics registry (the store it serves does).
 
 Live ops plane (docs/internals.md §14): with ``obs_sample_interval``
-set, an :class:`~repro.obs.sampler.ObsSampler` task samples the store's
-divergence series, the server gauges, per-op latency percentiles, and
-the shard plane's worker health on a wall-clock cadence (each sample
-runs on the store executor, serialized with request handlers), and runs
-the sampler's triggers live so threshold trips become alerts.
+set, the store thread ticks an :class:`~repro.obs.sampler.ObsSampler`
+on a wall-clock cadence, between jobs: it samples the store's divergence
+series, the server gauges, per-op latency percentiles, and the shard
+plane's worker health, and runs the sampler's triggers live so threshold
+trips become alerts.
 Snapshots are served by ``OBS_SNAPSHOT``: a watcher polls, and the server
 keeps nothing per watcher. Every frame a connection writes answers one of
 its requests.
@@ -68,17 +69,17 @@ its requests.
 from __future__ import annotations
 
 import asyncio
+import queue
 import signal
 import threading
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.store import ClientSession, TardisStore
 from repro.errors import FrameTooLarge, ProtocolError
 from repro.obs import metrics as _met
 from repro.obs.sampler import ObsSampler
-from repro.server.handlers import GC_FIELDS, GC_GROWTH, WireSession, holds_work
+from repro.server.handlers import GC_FIELDS, WireSession, holds_work
 from repro.server.protocol import OPS, FrameDecoder, encode_frame, error_response
 
 __all__ = ["TardisServer", "ServerThread", "start_in_thread", "run_server"]
@@ -86,10 +87,14 @@ __all__ = ["TardisServer", "ServerThread", "start_in_thread", "run_server"]
 #: bytes of the one receive buffer a connection reads into, for its life.
 RECV_BUFFER = 1 << 16
 
+#: states the DAG may grow past twice what the last GC cycle left alive
+#: before the next cycle runs (see ``TardisServer._collect_if_grown``).
+GC_GROWTH = 512
+
 
 class _Connection(asyncio.BufferedProtocol):
     """One accepted socket. Everything here runs on the event loop
-    thread, as transport callbacks, except ``_run`` (store executor).
+    thread, as transport callbacks, except ``_run`` (store thread).
 
     In-order dispatch and back-pressure are one rule, kept by ``_pump``:
     the next frame leaves the decoder only when no request of this
@@ -168,12 +173,12 @@ class _Connection(asyncio.BufferedProtocol):
         server = self.server
         if self._unread:
             server._count("bytes_in", self._unread)
-        # Cleanup runs on the store executor like every other store
-        # access, so it serializes behind a still-running handler of this
+        # Cleanup runs on the store thread like every other store access,
+        # so it serializes behind a still-running handler of this
         # connection (whose answer ``write`` will then drop) instead of
-        # racing it. ``shutdown`` joins the executor only after every
-        # connection was lost, so there is one to submit to.
-        server._submit(server._cleanup_sync, self.session)
+        # racing it. ``shutdown`` stops the thread only after every
+        # connection was lost, so the job does run.
+        server._jobs.put((server._cleanup_sync, self.session))
 
     # -- the request path ----------------------------------------------------
 
@@ -204,10 +209,10 @@ class _Connection(asyncio.BufferedProtocol):
         self._timer = server._loop.call_later(
             server.request_timeout, self._timed_out, request
         )
-        server._executor.submit(self._run, request)
+        server._jobs.put((self._run, request))
 
     def _run(self, request: Dict[str, Any]) -> None:
-        """Store executor thread: one request, its answer back to the loop."""
+        """Store thread: one request, its answer back to the loop."""
         assert self.session is not None and self.server._loop is not None
         response = self.session.handle(request)
         try:
@@ -225,12 +230,9 @@ class _Connection(asyncio.BufferedProtocol):
         server._count("timeouts_total")
         # The handler may still be running, or yet to run. If it begins a
         # transaction, nobody will learn its id: undo that behind it on
-        # the executor (serially, before this connection's next request).
+        # the store thread (before this connection's next request).
         assert self.session is not None
-        try:
-            server._submit(self.session.undo, request)
-        except RuntimeError:
-            pass  # executor shut down: disconnect cleanup covers it
+        server._jobs.put((self.session.undo, request))
         message = "request exceeded %.3fs" % server.request_timeout
         self._finish(request, error_response(request.get("id"), "TIMEOUT", message))
 
@@ -272,7 +274,7 @@ class TardisServer:
         "_conns": "self._lock",
         "_stats": "self._lock",
         "_inflight": "self._lock",
-        "_gc_at": "external:store-executor",
+        "_gc_at": "external:store-thread",
     }
 
     def __init__(
@@ -301,11 +303,9 @@ class TardisServer:
         self.request_timeout = request_timeout
         self.drain_timeout = drain_timeout
         self._server: Optional[asyncio.AbstractServer] = None
-        #: single worker: store calls are serialized here so the loop can
-        #: time them out and keep servicing sockets (module docstring).
-        self._executor = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="tardis-store"
-        )
+        #: ``(fn, *args)`` jobs the store thread runs in order; ``None`` stops it.
+        self._jobs: "queue.SimpleQueue[Optional[Tuple[Any, ...]]]" = queue.SimpleQueue()
+        self._thread: Optional[threading.Thread] = None  # started by ``start()``
         self._lock = threading.Lock()
         #: connection id -> the live connection (until its cleanup ran).
         self._conns: Dict[int, _Connection] = {}
@@ -326,12 +326,12 @@ class TardisServer:
             "bytes_out": 0,
             "obs_samples": 0,
         }
-        #: the DAG size at which a COMMIT runs the next GC cycle.
+        #: the DAG size at which the store thread runs the next GC cycle.
         self._gc_at = GC_GROWTH
         self.report: Optional[Dict[str, Any]] = None
         # -- live ops plane (docs/internals.md §14) ------------------------
         #: wall seconds between sampler ticks; None leaves the sampler
-        #: task off (OBS_SNAPSHOT still works — it samples on demand).
+        #: off (OBS_SNAPSHOT still works — it samples on demand).
         self.obs_sample_interval = obs_sample_interval
         self.obs = ObsSampler(
             self.store,
@@ -344,21 +344,25 @@ class TardisServer:
         #: created/updated on the event loop thread only, snapshotted by
         #: the sampler via _obs_latency.
         self._op_latency: Dict[str, _met.Histogram] = {}
-        self._obs_task: Optional[asyncio.Task] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
 
     # -- lifecycle --------------------------------------------------------
 
     async def start(self) -> "TardisServer":
-        """Bind and start accepting; ``self.port`` holds the real port."""
+        """Bind, then start the store thread; ``self.port`` holds the real port."""
         self._loop = asyncio.get_running_loop()
         self._server = await self._loop.create_server(
             lambda: _Connection(self), self.host, self.port
         )
         self.port = self._server.sockets[0].getsockname()[1]
-        if self.obs_sample_interval is not None and self.obs_sample_interval > 0:
-            self._obs_task = self._loop.create_task(self._obs_loop())
+        self._thread = threading.Thread(target=self._serve, name="tardis-store", daemon=True)
+        self._thread.start()
         return self
+
+    @property
+    def sampling(self) -> bool:
+        """Whether the store thread ticks the sampler."""
+        return self.obs_sample_interval is not None and self.obs_sample_interval > 0
 
     @property
     def address(self) -> str:
@@ -374,7 +378,8 @@ class TardisServer:
            closed on an idle client already, and aborting it loses nothing.
         3. Force-close surviving connections; their cleanup aborts open
            transactions and closes their sessions. Wait for every
-           connection's cleanup, then join the store executor off-loop.
+           connection's cleanup, then stop the store thread and join it
+           off-loop.
 
         Returns (and stores in ``self.report``) a summary including the
         sessions the server leaked — an empty list on a clean drain.
@@ -384,16 +389,10 @@ class TardisServer:
         self._closing = True
         if self._server is not None:
             self._server.close()
-        # Stop the live ops plane first: the sampler must not hop onto
-        # the executor after it shuts down.
-        if self._obs_task is not None:
-            self._obs_task.cancel()
-            await asyncio.wait([self._obs_task], timeout=2.0)
-            self._obs_task = None
         drained = await self._poll(
             lambda: not self._inflight
             and not any(
-                holds_work(txn)  # ``txns`` changes on the executor thread: a snapshot
+                holds_work(txn)  # ``txns`` changes on the store thread: a snapshot
                 for conn in self._conns.values()
                 for txn in list(conn.session.txns.values())  # type: ignore[union-attr]
             ),
@@ -403,13 +402,14 @@ class TardisServer:
             survivors = list(self._conns.values())
         for conn in survivors:
             conn.transport.abort()  # a peer that is not reading cannot hold the close up
-        # Every connection_lost has submitted its cleanup once _conns is
+        # Every connection_lost has queued its cleanup once _conns is
         # empty; a handler slower than this wait is joined below anyway.
         await self._poll(lambda: not self._conns, 5.0)
-        loop = asyncio.get_running_loop()
-        await loop.run_in_executor(None, self._executor.shutdown)
-        # Executor already joined (above): the store is quiesced, there
-        # is no serialization to bypass.
+        if self._thread is not None:
+            self._jobs.put(None)  # behind every queued job
+            await asyncio.get_running_loop().run_in_executor(None, self._thread.join)
+        # Store thread joined (above): the store is quiesced, there is no
+        # serialization to bypass.
         registered = self.store.sessions()  # tardis: ignore[async-discipline]
         report = self._obs_counters()
         with self._lock:
@@ -424,7 +424,7 @@ class TardisServer:
         # any that had to be force-killed count as leaks in the report.
         leaked_workers = 0
         if self._owns_store:
-            # Executor joined above: teardown is single-threaded by now.
+            # Store thread joined above: teardown is single-threaded by now.
             self.store.close()  # tardis: ignore[async-discipline]
             leaked_workers = self.store.leaked_workers
         report["leaked_workers"] = leaked_workers
@@ -443,19 +443,53 @@ class TardisServer:
                 return False
             await asyncio.sleep(0.01)
 
-    def _submit(self, job: Callable[..., Any], *args: Any) -> None:
-        """Run ``job`` on the store executor with nobody waiting for it;
-        should it raise, the loop's exception handler hears of it."""
-        loop = self._loop
-        assert loop is not None
+    # -- the store thread ----------------------------------------------------
 
-        def done(future: "Future[Any]") -> None:
-            exc = future.exception()
-            if exc is not None:
-                context = {"message": "store-executor job failed", "exception": exc}
+    def _serve(self) -> None:
+        """The store thread: run each queued job in order and, after each
+        one, the GC growth trigger; tick the sampler whenever a tick is
+        due (an idle queue's ``get`` times out at the next one)."""
+        interval = self.obs_sample_interval if self.sampling else None
+        tick = time.monotonic()
+        while True:
+            wait = None if interval is None else max(0.0, tick - time.monotonic())
+            try:
+                job = self._jobs.get(timeout=wait)
+            except queue.Empty:
+                job = ()
+            if job is None:
+                return  # shutdown's sentinel
+            if job:
+                self._call(*job)
+                self._call(self._collect_if_grown)
+            if interval is not None and time.monotonic() >= tick:
+                tick = time.monotonic() + interval
+                if self._call(self.obs.sample):
+                    self._count("obs_samples")
+
+    def _call(self, fn: Callable[..., Any], *args: Any) -> bool:
+        """Run ``fn(*args)`` on the store thread; returns whether it
+        returned. A failed job reaches the loop's exception handler, a
+        failed sample only goes uncounted; either way the thread serves on."""
+        try:
+            fn(*args)
+        except Exception as exc:  # tardis: ignore[bare-except] — one failure must not stop the store thread
+            if fn != self.obs.sample:
+                loop = self._loop
+                assert loop is not None
+                context = {"message": "store-thread job failed", "exception": exc}
                 loop.call_soon_threadsafe(loop.call_exception_handler, context)
+            return False
+        return True
 
-        self._executor.submit(job, *args).add_done_callback(done)
+    def _collect_if_grown(self) -> None:
+        """The GC growth trigger, run after every job: one cycle once the
+        DAG holds ``_gc_at`` states. The next trigger is twice what it left
+        alive plus :data:`GC_GROWTH`, so a collector held back by a ceiling
+        or a pin runs at geometric sizes and its total cost stays linear."""
+        store = self.store
+        if len(store.dag) >= self._gc_at:
+            self._gc_at = 2 * store.collect_garbage().live_states + GC_GROWTH
 
     # -- counters (the transport is _Connection, above) ---------------------
 
@@ -491,7 +525,7 @@ class TardisServer:
             hist.record(elapsed_ms)
 
     def _cleanup_sync(self, session: WireSession) -> None:
-        """Disconnect cleanup (executor thread): abort, close, forget."""
+        """Disconnect cleanup (store thread): abort, close, forget."""
         aborted = session.close()
         with self._lock:
             self._conns.pop(session.id, None)
@@ -504,11 +538,11 @@ class TardisServer:
         wire = (conn.session for conn in self._conns.values())
         return [s.bound for s in wire if s is not None and s.bound is not None]
 
-    # -- live ops plane (the sampler task) ---------------------------------
+    # -- live ops plane (sampled on the store thread) -----------------------
 
     def _obs_counters(self) -> Dict[str, Any]:
         """Cumulative server counters, and the collector's as ``gc_*``,
-        for the sampler (executor thread)."""
+        for the sampler (store thread)."""
         gc = self.store.gc
         with self._lock:
             counters: Dict[str, Any] = dict(self._stats)
@@ -516,7 +550,7 @@ class TardisServer:
         return counters
 
     def _obs_gauges(self) -> Dict[str, Any]:
-        """Instantaneous server gauges for the sampler (executor thread)."""
+        """Instantaneous server gauges for the sampler (store thread)."""
         sessions = len(self.store.sessions())
         with self._lock:
             return {
@@ -540,31 +574,6 @@ class TardisServer:
                 "max": hist.max,
             }
         return out
-
-    async def _obs_loop(self) -> None:
-        """The sampler task: sample on the executor, count, sleep.
-
-        Each sample runs on the store executor, serialized with request
-        handlers — a sampler tick can delay one request by its own cost
-        (small: a DAG walk plus counter reads), never race it.
-        """
-        assert self.obs_sample_interval is not None
-        loop = asyncio.get_running_loop()
-        try:
-            while not self._closing:
-                started = loop.time()
-                try:
-                    await loop.run_in_executor(self._executor, self.obs.sample)
-                except RuntimeError:
-                    break  # executor shut down underneath us
-                except Exception:  # tardis: ignore[bare-except] — a failed sample must not kill the server
-                    pass
-                else:
-                    self._count("obs_samples")
-                delay = self.obs_sample_interval - (loop.time() - started)
-                await asyncio.sleep(max(0.0, delay))
-        except asyncio.CancelledError:
-            pass
 
 
 # ---------------------------------------------------------------------------

@@ -621,9 +621,9 @@ PLANTED = [
     ),
     pytest.param(
         "async-discipline", "server/server.py",
-        "            self._obs_task = self._loop.create_task(self._obs_loop())\n",
-        "            self._loop.create_task(self._obs_loop())\n",
-        id="async-discipline:sampler-task-dropped",
+        "        await self._poll(lambda: not self._conns, 5.0)\n",
+        "        self._poll(lambda: not self._conns, 5.0)\n",
+        id="async-discipline:shutdown-poll-not-awaited",
     ),
     pytest.param(
         "metric-name-drift", "obs/series.py",

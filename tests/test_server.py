@@ -21,6 +21,7 @@ from repro.errors import (
 )
 from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.server import start_in_thread
+from repro.server.handlers import WireSession
 from repro.server.protocol import (
     HEADER,
     MAX_FRAME,
@@ -29,6 +30,7 @@ from repro.server.protocol import (
     encode_frame,
     ok_response,
 )
+from repro.server.server import TardisServer
 
 
 def _wait_until(predicate, timeout=5.0, interval=0.02):
@@ -1546,3 +1548,72 @@ class TestCallbackTransport:
                 assert raw.frame() is None
         finally:
             handle.stop()
+
+
+# ---------------------------------------------------------------------------
+# The store thread: one per started server, joined by its shutdown, and
+# a job that raises does not end it.
+
+
+def _store_threads():
+    return {t for t in threading.enumerate() if t.name == "tardis-store"}
+
+
+class TestStoreThread:
+    def test_a_failed_job_reaches_the_loops_handler_and_the_thread_serves_on(
+        self, served, monkeypatch
+    ):
+        seen = []
+        served.loop.call_soon_threadsafe(
+            served.loop.set_exception_handler, lambda loop, context: seen.append(context)
+        )
+        original = WireSession.close
+        failed = []
+
+        def close_fails_once(session):
+            if not failed:
+                failed.append(session)
+                raise RuntimeError("close failed")
+            return original(session)
+
+        monkeypatch.setattr(WireSession, "close", close_fails_once)
+        with TardisClient(port=served.port, session="bystander") as bystander:
+            victim = TardisClient(port=served.port, session="victim")
+            victim._sock.close()  # its disconnect cleanup is the job that raises
+            assert _wait_until(lambda: seen)
+            (context,) = seen
+            assert context["message"] == "store-thread job failed"
+            assert str(context["exception"]) == "close failed"
+            # The thread serves on: another client's next request is answered.
+            bystander.put("after", 1)
+            assert bystander.get("after") == 1
+            # The failed cleanup left the victim's session open; a second
+            # run of it closes the session.
+            server = served.server
+            server._jobs.put((server._cleanup_sync, failed[0]))
+            assert _wait_until(lambda: len(server._conns) == 1)
+            assert [s.name for s in server.store.sessions()] == ["bystander"]
+        assert served.stop()["leaked_sessions"] == []
+
+    def test_a_server_never_started_starts_no_thread(self):
+        before = _store_threads()
+        TardisServer(TardisStore("cold"))
+        assert _store_threads() == before
+
+    def test_a_failed_bind_leaves_no_store_thread(self):
+        with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as holder:
+            holder.bind(("127.0.0.1", 0))
+            holder.listen()
+            before = _store_threads()
+            with pytest.raises(OSError):
+                start_in_thread(site="bind-test", port=holder.getsockname()[1])
+            assert _store_threads() == before
+
+    def test_stop_joins_the_store_thread(self):
+        before = _store_threads()
+        handle = start_in_thread(site="join-thread-test")
+        (thread,) = _store_threads() - before
+        with TardisClient(port=handle.port) as client:
+            client.put("x", 1)
+        assert handle.stop()["leaked_sessions"] == []
+        assert not thread.is_alive()

@@ -1,9 +1,9 @@
 """A served store collects its garbage (docs/internals.md §3, §12.4).
 
 Every commit a wire session makes places the session's GC ceiling at its
-new anchor, a COMMIT that grows the DAG to ``server._gc_at`` states runs
-a cycle on the store executor, and an idle connection's transactions
-stay open however long it idles. Mostly sans-IO over
+new anchor, the job that grows the DAG to ``server._gc_at`` states is
+followed by a cycle on the store thread, and an idle connection's
+transactions stay open however long it idles. Mostly sans-IO over
 ``WireSession.handle``; the idle connection and the oracle run over
 sockets.
 """
@@ -15,9 +15,9 @@ import time
 from repro import TardisStore
 from repro.client import TardisClient
 from repro.core.ids import ROOT_ID
-from repro.server import handlers, start_in_thread
-from repro.server.handlers import GC_GROWTH, WireSession
-from repro.server.server import TardisServer
+from repro.server import handlers, server as server_module, start_in_thread
+from repro.server.handlers import WireSession
+from repro.server.server import GC_GROWTH, TardisServer
 from tests.test_server import _oracle_script
 
 HOT_KEYS = ["hot-%d" % i for i in range(8)]
@@ -35,6 +35,7 @@ def _served_sessions(*names):
 
 def _ok(session, request):
     answer = session.handle(request)
+    session.server._collect_if_grown()  # what the store thread runs after each job
     assert answer["ok"], answer
     return answer
 
@@ -172,7 +173,7 @@ def _forked_round(begin, n):
 class TestReadsAcrossCycles:
     def test_every_read_matches_a_store_that_never_collects(self, monkeypatch):
         # A cycle every few states, so the rounds run across many.
-        monkeypatch.setattr(handlers, "GC_GROWTH", 8)
+        monkeypatch.setattr(server_module, "GC_GROWTH", 8)
         handle = start_in_thread(site="gc-oracle")
         handle.server._gc_at = 8
         clients = [TardisClient(port=handle.port, session="sess-%d" % i) for i in range(4)]
@@ -195,3 +196,37 @@ class TestReadsAcrossCycles:
             handle.stop()
         assert gc["cycles"] >= 10 and gc["states_removed"] > 100
         assert len(oracle.dag) == 40 * 9 + 1  # the oracle kept everything
+
+
+class TestCycleAfterTheAnswer:
+    def test_the_commit_that_grows_the_dag_is_answered_before_the_cycle(self, monkeypatch):
+        store = TardisStore("gc-after")
+        collect = store.collect_garbage
+        cycles_ended = []
+
+        def slow_collect():
+            time.sleep(0.3)
+            stats = collect()
+            cycles_ended.append(time.perf_counter())
+            return stats
+
+        monkeypatch.setattr(store, "collect_garbage", slow_collect)
+        monkeypatch.setattr(server_module, "GC_GROWTH", 8)
+        handle = start_in_thread(store)
+        handle.server._gc_at = 8
+        try:
+            with TardisClient(port=handle.port, session="writer") as client:
+                for i in range(6):
+                    client.put("k", i)  # one state each: the DAG holds 7
+                assert len(store.dag) == 7 and not cycles_ended
+                started = time.perf_counter()
+                client.put("k", 6)  # the DAG reaches 8: a cycle follows this COMMIT
+                answered = time.perf_counter()
+                gc = client.stats()["store"]["gc"]  # the connection's next request
+        finally:
+            handle.stop()
+        assert answered - started < 0.15
+        (cycle_ended,) = cycles_ended
+        assert answered < cycle_ended
+        # The cycle ran before the next request: its STATS counts it.
+        assert gc["cycles"] == 1
