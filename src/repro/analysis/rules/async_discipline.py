@@ -1,9 +1,9 @@
 """``async-discipline``: event-loop hygiene for coroutine code.
 
 The server's concurrency model (docs/internals.md §12.3) has one hard
-rule: the asyncio loop must never block, and store access from the loop
-must hop through the store thread's job queue. Python enforces none of
-this — a stray ``time.sleep`` in a handler stalls every connection, and
+rule: the asyncio loop must never block, and it must leave the store to
+the store thread. Python enforces none of this — a stray ``time.sleep``
+in a coroutine stalls accepting, ``TIMEOUT`` answers and shutdown, and
 an un-awaited coroutine is silently dropped with only a runtime warning
 nobody reads. This rule makes four violation classes static errors.
 
@@ -11,7 +11,12 @@ nobody reads. This rule makes four violation classes static errors.
 and of every method of a class whose bases name ``asyncio.Protocol`` /
 ``BufferedProtocol`` / ``DatagramProtocol`` / ``SubprocessProtocol``:
 a transport's callbacks are plain ``def``s, and they run on the loop
-thread all the same (the server's request path is such a class).
+thread all the same. The server's request path is neither — the store
+thread serves the sockets from ``recv`` to ``send`` — so it is not loop
+context. What the server's loop runs are coroutines: ``start``,
+``_accept`` (accepting and the refusals), ``_watch`` (the ``TIMEOUT``
+watchdog) and ``shutdown``, so all four classes cover those bodies; a
+plain helper one of them calls is out of the rule's sight.
 
 1. **Blocking call in a coroutine.** Calls known to block the thread —
    ``time.sleep``, anything in the ``socket`` module, sync file I/O via
@@ -21,13 +26,12 @@ thread all the same (the server's request path is such a class).
    executor) and are exempt.
 
 2. **Direct store call on the loop.** In the server, every store
-   operation must be a job on the store thread
-   (``self._jobs.put((fn, *args))``) so the loop can time it out and
-   the one thread serializes it. A direct
-   ``self.store.<method>(...)`` call — or one through another object,
-   ``self.server.store.<method>(...)`` — in loop context is an error.
-   Passing the bound method *to* the executor is fine — only actual
-   calls are flagged.
+   operation runs on the store thread — in a request's handler, or as a
+   job queued with ``self._submit(fn, *args)`` — so the one thread
+   serializes it. A direct ``self.store.<method>(...)`` call — or one
+   through another object, ``self.server.store.<method>(...)`` — in loop
+   context is an error. Passing the bound method *to* the store thread
+   is fine — only actual calls are flagged.
 
 3. **``await`` while a ``threading`` lock is held.** An ``await``
    inside ``with self.<lock>:`` — where ``<lock>`` is named as a guard
@@ -355,7 +359,7 @@ class AsyncDisciplineRule(Rule):
                         message=(
                             "await while holding threading lock self.%s — "
                             "the coroutine parks with the lock held and "
-                            "can deadlock the loop against the executor"
+                            "can deadlock the loop against the store thread"
                             % sorted(held)[0]
                         ),
                         hint="compute under the lock, release, then await "
@@ -428,8 +432,8 @@ class AsyncDisciplineRule(Rule):
                         "direct %s() call on the event loop bypasses the "
                         "store-thread executor" % ".".join(chain)
                     ),
-                    hint="queue it as a store-thread job (self._jobs.put((fn, "
-                    "*args))) so the one thread serializes it and the loop "
-                    "can time it out",
+                    hint="run it on the store thread — in a request's handler "
+                    "or as a job queued with self._submit(fn, *args) — so the "
+                    "one thread serializes it",
                 )
             )

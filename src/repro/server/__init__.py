@@ -1,11 +1,12 @@
-"""The TARDiS network front-end: wire protocol and asyncio TCP server.
+"""The TARDiS network front-end: wire protocol and TCP server.
 
 ``tardis serve`` (see :mod:`repro.tools.cli`) wraps
 :class:`TardisServer` with signal handling and a shutdown report; tests
 and in-process demos use :func:`start_in_thread`. The protocol is
 specified in docs/internals.md §12; §12.3 maps the three modules
 (protocol: framing, catalogues, client channel, error table · handlers:
-executor thread, socket-free · server: loop-thread transport).
+what a request runs, socket-free · server: the store thread that serves
+every socket, and the asyncio loop that accepts, times out and shuts down).
 """
 
 from repro.server.protocol import (

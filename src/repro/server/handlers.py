@@ -1,11 +1,11 @@
-"""The store-thread half of the server: sessions and op handlers.
+"""What a request runs: sessions and op handlers.
 
-Everything in this module runs on the server's one store thread, as its
-jobs (so it is serialized with every other store access), and touches
-no socket or event loop.
-``server/server.py`` is the other half — the event-loop transport — and
-reaches the store only through :meth:`WireSession.handle` and
-:meth:`WireSession.close`.
+Everything in this module runs on the server's one store thread (so it
+is serialized with every other store access), and touches no socket or
+event loop. ``server/server.py`` is the other half — the sockets that
+thread serves, and the asyncio loop that accepts them, times requests
+out and shuts down — and reaches the store only through
+:meth:`WireSession.handle` and :meth:`WireSession.close`.
 
 A request is answered by one plain function ``(server, session,
 request) -> response fields`` looked up in :data:`HANDLERS`; the table
@@ -30,7 +30,7 @@ transactions begin on it, and its close (disconnect, BYE) closes it.
 The served store collects its garbage (docs/internals.md §3): every
 commit a session makes places its GC ceiling at its new anchor; the
 cycles themselves are the server's, run on the store thread after the
-job that grew the DAG (``TardisServer._collect_if_grown``).
+request that grew the DAG (``TardisServer._collect_if_grown``).
 """
 
 from __future__ import annotations
@@ -94,9 +94,9 @@ class WireSession:
     """One connection's protocol state: the session it bound and the
     open transactions, and the one way a request reaches the store.
 
-    Everything here is mutated only on the store thread (``handle``)
-    or after the connection's request loop has exited (``close``, also
-    a store-thread job), never concurrently.
+    Everything here is mutated only on the store thread: by ``handle``,
+    by ``undo`` right after a handler ``TIMEOUT`` answered for, and by
+    ``close`` once the connection is dropped — never concurrently.
     """
 
     _GUARDED_BY = {
@@ -154,7 +154,7 @@ class WireSession:
     def undo(self, request: _Json) -> None:
         """Abort and forget the transaction ``request`` began, if it is
         still open: the request is being answered with an error (here, or
-        ``TIMEOUT`` by the transport), so no client will learn its id."""
+        ``TIMEOUT`` by the loop's watchdog), so no client will learn its id."""
         began = self.began
         if began is None or began[0] is not request:
             return
@@ -442,7 +442,7 @@ def _obs_snapshot(server: TardisServer, session: WireSession, request: _Json) ->
 
 
 def _bye(server: TardisServer, session: WireSession, request: _Json) -> _Json:
-    # The response is sent first; the connection loop closes after.
+    # The response is sent first; the store thread closes the socket after.
     return {}
 
 

@@ -1,4 +1,4 @@
-"""TARDiS-as-a-service: the asyncio TCP front-end.
+"""TARDiS-as-a-service: the TCP front-end.
 
 One :class:`TardisServer` wraps one :class:`~repro.core.store.TardisStore`
 and speaks the length-prefixed JSON protocol of
@@ -7,40 +7,43 @@ HELLO handshake) to one :class:`~repro.core.store.ClientSession`, so the
 paper's session guarantees — Ancestor begin anchored at the client's
 last commit — hold per connection exactly as they do in-process.
 
-Concurrency model: the asyncio event loop multiplexes socket I/O across
-every connection, one callback-driven :class:`_Connection` per socket;
-the store operations themselves run as queued jobs on the one
-``tardis-store`` thread the server owns, which serializes them — the
-store is lock-protected, but its read path is optimized for the
-one-writer discrete-event harness, and one thread keeps the wall-clock
-behaviour honest while still letting the loop time out stuck requests
-and keep accepting, parsing, and answering frames meanwhile. Between
-jobs that thread also runs the GC trigger and the sampler's ticks. A
-request costs the loop two turns: the read that decodes and queues it,
-and the one ``call_soon_threadsafe`` callback that brings the handler's
-answer back. The module boundary is that thread boundary: this module
-is the loop's side (accepting, limits, timeouts, framing, counters,
-shutdown) and the store thread's own loop; :mod:`repro.server.handlers`
-is what its jobs run, and nothing on the event loop here touches the
-store except through ``WireSession.handle`` / ``WireSession.close``.
+Concurrency model: the one ``tardis-store`` thread the server owns
+serves every accepted socket. Its ``selectors`` loop reads, decodes,
+runs the request (``WireSession.handle``), encodes and sends, one
+request per connection per round, so a request is answered on the
+thread that read it and costs the asyncio loop nothing. The store is
+lock-protected, but its read path is optimized for the one-writer
+discrete-event harness, and one thread keeps the wall-clock behaviour
+honest. After each request that thread also runs the GC trigger, and it
+ticks the sampler when a tick is due. The asyncio loop keeps three jobs:
+accepting (the connection cap and its refusals), the ``TIMEOUT``
+watchdog, and shutdown. The loop hands the store thread a new
+connection (and the stop sentinel) through a queue and one socketpair
+that wakes it. The module boundary is the socket boundary: this module
+owns sockets, limits, timeouts, framing, counters and shutdown;
+:mod:`repro.server.handlers` is what a request runs, and nothing here
+touches the store except through ``WireSession.handle`` /
+``WireSession.close``.
 
 Production plumbing:
 
 * **Backpressure** — at most ``max_connections`` live connections (the
   excess gets a ``SERVER_BUSY`` error frame and an immediate close);
   requests on one connection are processed strictly in order, so a
-  pipelining client is throttled by its own unanswered frames; between
-  the transport's ``pause_writing`` and ``resume_writing`` (the peer is
-  not reading) a connection starts no request, so a slow reader blocks
-  its own connection only, one response past the high-water mark.
-* **Per-request timeouts** — a request not answered ``request_timeout``
-  seconds after it was queued (one ``loop.call_later`` timer each,
-  cancelled by the answer) is answered with a ``TIMEOUT`` error; the
+  pipelining client is throttled by its own unanswered frames. Answer
+  bytes the socket will not take wait in the connection's out-buffer;
+  once that holds more than :data:`HIGH_WATER` bytes (the peer is not
+  reading) the connection starts no request and reads nothing until the
+  buffer is empty, so a slow reader blocks its own connection only, one
+  response past the mark.
+* **Per-request timeouts** — a request whose handler has run
+  ``request_timeout`` seconds is answered with a ``TIMEOUT`` error by
+  the loop's watchdog, which looks every ``request_timeout / 8``; the
   connection survives and the late answer is dropped.
 * **Graceful shutdown** — :meth:`TardisServer.shutdown` stops accepting,
   refuses new transactions (``SHUTTING_DOWN``) while letting open ones
-  run to COMMIT/ABORT for up to ``drain_timeout`` seconds, then closes
-  the stragglers; disconnect cleanup aborts their transactions and
+  run to COMMIT/ABORT for up to ``drain_timeout`` seconds, then cuts the
+  stragglers' sockets; disconnect cleanup aborts their transactions and
   closes their sessions, so a drained server leaks nothing.
 * **Disconnect cleanup** — a dropped connection aborts its open
   transactions and closes its session via the (idempotent)
@@ -57,10 +60,10 @@ metrics registry (the store it serves does).
 
 Live ops plane (docs/internals.md §14): with ``obs_sample_interval``
 set, the store thread ticks an :class:`~repro.obs.sampler.ObsSampler`
-on a wall-clock cadence, between jobs: it samples the store's divergence
-series, the server gauges, per-op latency percentiles, and the shard
-plane's worker health, and runs the sampler's triggers live so threshold
-trips become alerts.
+on a wall-clock cadence, between requests: it samples the store's
+divergence series, the server gauges, per-op latency percentiles, and
+the shard plane's worker health, and runs the sampler's triggers live
+so threshold trips become alerts.
 Snapshots are served by ``OBS_SNAPSHOT``: a watcher polls, and the server
 keeps nothing per watcher. Every frame a connection writes answers one of
 its requests.
@@ -70,7 +73,9 @@ from __future__ import annotations
 
 import asyncio
 import queue
+import selectors
 import signal
+import socket
 import threading
 import time
 from typing import Any, Callable, Dict, List, Optional, Tuple
@@ -84,197 +89,119 @@ from repro.server.protocol import OPS, FrameDecoder, encode_frame, error_respons
 
 __all__ = ["TardisServer", "ServerThread", "start_in_thread", "run_server"]
 
-#: bytes of the one receive buffer a connection reads into, for its life.
+#: bytes of the one receive buffer the store thread reads every socket into.
 RECV_BUFFER = 1 << 16
+
+#: out-buffer bytes above which a connection starts no request and reads
+#: nothing until the buffer is empty (asyncio's default high-water mark).
+HIGH_WATER = 1 << 16
 
 #: states the DAG may grow past twice what the last GC cycle left alive
 #: before the next cycle runs (see ``TardisServer._collect_if_grown``).
 GC_GROWTH = 512
 
+_READ, _WRITE = selectors.EVENT_READ, selectors.EVENT_WRITE
 
-class _Connection(asyncio.BufferedProtocol):
-    """One accepted socket. Everything here runs on the event loop
-    thread, as transport callbacks, except ``_run`` (store thread).
 
-    In-order dispatch and back-pressure are one rule, kept by ``_pump``:
-    the next frame leaves the decoder only when no request of this
-    connection is in flight and the transport is not ``paused``. Bytes
-    that arrive while that rule holds the connection back stop the
-    reading too, until the decoder runs dry.
+class _Connection:
+    """One accepted socket. The store thread serves it: everything here
+    runs there, except that the loop's watchdog answers ``TIMEOUT`` for
+    the request in flight and shutdown cuts the socket.
+
+    Both threads may answer the request in flight, so ``busy`` is written
+    only under ``lock``: the store thread sets it while a handler runs and
+    clears it to answer; the watchdog clears it to answer ``TIMEOUT``
+    instead, and writes that frame before it lets go. So the two never
+    write the socket at once: the store thread writes only while ``busy``
+    is None, the watchdog only while it holds the lock and takes ``busy``.
     """
 
+    _GUARDED_BY = {
+        "busy": "self.lock",
+        "deadline": "self.lock",
+        "out": "external:store-thread, or the watchdog while it clears busy",
+    }
+
     __slots__ = (
-        "server", "session", "transport", "decoder", "_view", "_unread",
-        "busy", "_since", "_timer", "paused", "eof",
+        "sock", "session", "decoder", "out", "lock", "busy", "deadline",
+        "unread", "events", "paused", "eof", "closing", "broken",
     )
 
-    def __init__(self, server: "TardisServer") -> None:
-        self.server = server
-        #: None on a connection refused at the cap.
-        self.session: Optional[WireSession] = None
+    def __init__(self, sock: socket.socket, session: WireSession) -> None:
+        self.sock = sock
+        self.session = session
         self.decoder = FrameDecoder()
-        self._view = memoryview(bytearray(RECV_BUFFER))
-        #: bytes received and not yet counted (they are, with the next request).
-        self._unread = 0
-        #: the request in flight. A handler that answers after ``TIMEOUT``
-        #: did finds another request (or none) here and is dropped.
+        #: answer bytes the socket did not take yet.
+        self.out = bytearray()
+        self.lock = threading.Lock()
+        #: the request whose handler runs, and when it times out.
         self.busy: Optional[Dict[str, Any]] = None
-        self.paused = False  # the peer is not reading: start nothing
-        self.eof = False
-
-    # -- transport callbacks -------------------------------------------------
-
-    def connection_made(self, transport: asyncio.BaseTransport) -> None:
-        assert isinstance(transport, asyncio.Transport)
-        self.transport = transport
-        server = self.server
-        with server._lock:
-            refused = server._closing or len(server._conns) >= server.max_connections
-            if not refused:
-                self.session = WireSession(server, server._next_conn_id)
-                server._next_conn_id += 1
-                server._conns[self.session.id] = self
-        if refused:
-            server._count("connections_rejected")
-            code = "SHUTTING_DOWN" if server._closing else "SERVER_BUSY"
-            self.send(error_response(None, code))
-            transport.close()
-            return
-        server._count("connections_total")
-
-    def get_buffer(self, sizehint: int) -> memoryview:
-        return self._view
-
-    def buffer_updated(self, nbytes: int) -> None:
-        self._unread += nbytes
-        self.decoder.feed(self._view[:nbytes])
-        if self.busy is None and not self.paused:
-            self._pump()
-        else:
-            # A pipelining peer: what it sent is buffered (the frame cap
-            # was checked), more is not read until ``_pump`` runs dry.
-            self.transport.pause_reading()
-
-    def eof_received(self) -> bool:
-        self.eof = True
-        self._pump()  # what is buffered is still answered, then the close
-        return True
-
-    def pause_writing(self) -> None:
-        self.paused = True
-
-    def resume_writing(self) -> None:
+        self.deadline = 0.0
+        #: bytes received and not yet counted (they are, with the next request).
+        self.unread = 0
+        #: the selector events it is registered for (0: none).
+        self.events = 0
+        #: the peer is not reading: start nothing, read nothing. Set when a
+        #: write leaves more than HIGH_WATER bytes waiting, cleared only once
+        #: ``out`` is empty, so a slowly draining socket cannot restart it
+        #: one answer at a time.
         self.paused = False
-        self._pump()
+        self.eof = False  # the peer half-closed: answer what is buffered
+        self.closing = False  # close once ``out`` is flushed
+        self.broken = False  # the socket failed or was cut: drop it
 
-    def connection_lost(self, exc: Optional[Exception]) -> None:
-        if self.session is None:
-            return
-        server = self.server
-        if self._unread:
-            server._count("bytes_in", self._unread)
-        # Cleanup runs on the store thread like every other store access,
-        # so it serializes behind a still-running handler of this
-        # connection (whose answer ``write`` will then drop) instead of
-        # racing it. ``shutdown`` stops the thread only after every
-        # connection was lost, so the job does run.
-        server._jobs.put((server._cleanup_sync, self.session))
+    def start(self, request: Dict[str, Any], deadline: float) -> None:
+        with self.lock:
+            self.busy = request
+            self.deadline = deadline
 
-    # -- the request path ----------------------------------------------------
+    def finish(self, request: Dict[str, Any]) -> bool:
+        """End ``request``; False if ``TIMEOUT`` answered it already."""
+        with self.lock:
+            if self.busy is not request:
+                return False
+            self.busy = None
+            return True
 
-    def _pump(self) -> None:
-        """Start the next buffered request, if this connection may."""
-        if self.busy is not None or self.paused or self.transport.is_closing():
-            return
+    def write(self, frame: bytes) -> None:
+        """Send ``frame``; what the socket does not take waits in ``out``."""
+        self.out += frame
+        self.flush()
+        if len(self.out) > HIGH_WATER:
+            self.paused = True
+
+    def flush(self) -> None:
         try:
-            request = self.decoder.next_frame()
-        except ProtocolError as exc:
-            # Framing is lost: answer once, then drop the link.
-            code = "FRAME_TOO_LARGE" if isinstance(exc, FrameTooLarge) else "BAD_FRAME"
-            self.send(error_response(None, code, str(exc)))
-            self.transport.close()  # once that is flushed
+            sent = self.sock.send(self.out)
+        except (BlockingIOError, InterruptedError):
             return
-        if request is None:
-            if self.eof:
-                self.transport.close()
-            else:
-                self.transport.resume_reading()  # a no-op unless paused above
+        except OSError:  # the peer is gone
+            self.broken = True
             return
-        server = self.server
-        server._started(self._unread)
-        self._unread = 0
-        self.busy = request
-        self._since = time.perf_counter()
-        assert server._loop is not None
-        self._timer = server._loop.call_later(
-            server.request_timeout, self._timed_out, request
-        )
-        server._jobs.put((self._run, request))
+        del self.out[:sent]
+        if not self.out:
+            self.paused = False
 
-    def _run(self, request: Dict[str, Any]) -> None:
-        """Store thread: one request, its answer back to the loop."""
-        assert self.session is not None and self.server._loop is not None
-        response = self.session.handle(request)
-        try:
-            self.server._loop.call_soon_threadsafe(self._answered, request, response)
-        except RuntimeError:
-            pass  # loop already closed (server stopping)
-
-    def _answered(self, request: Dict[str, Any], response: Dict[str, Any]) -> None:
-        if self.busy is request:  # else: TIMEOUT was answered in its place
-            self._timer.cancel()
-            self._finish(request, response)
-
-    def _timed_out(self, request: Dict[str, Any]) -> None:
-        server = self.server
-        server._count("timeouts_total")
-        # The handler may still be running, or yet to run. If it begins a
-        # transaction, nobody will learn its id: undo that behind it on
-        # the store thread (before this connection's next request).
-        assert self.session is not None
-        server._jobs.put((self.session.undo, request))
-        message = "request exceeded %.3fs" % server.request_timeout
-        self._finish(request, error_response(request.get("id"), "TIMEOUT", message))
-
-    def _finish(self, request: Dict[str, Any], response: Dict[str, Any]) -> None:
-        elapsed_ms = (time.perf_counter() - self._since) * 1000.0
-        self.busy = None
-        op = request.get("op")
-        # an op answered UNKNOWN_OP has no per-op histogram
-        self.server._observe(op if isinstance(op, str) and op in OPS else None, elapsed_ms)
-        self.send(response, answers=True)
-        if op == "BYE":
-            self.transport.close()
-        else:
-            self._pump()
-
-    def send(self, response: Dict[str, Any], answers: bool = False) -> None:
-        """Encode, count and write one response; ``answers``: it ends the
-        request in flight."""
-        try:
-            frame = encode_frame(response)
-        except (TypeError, ValueError, FrameTooLarge):
-            # A stored value was not JSON-serializable (possible when the
-            # store is shared with in-process writers) or the response
-            # outgrew the frame cap: degrade to a typed error.
-            frame = encode_frame(
-                error_response(
-                    response.get("id"), "INTERNAL", "response not serializable"
-                )
-            )
-        self.server._sent(len(frame), not response.get("ok", False), answers)
-        if not self.transport.is_closing():  # else: peer gone, cleanup is on its way
-            self.transport.write(frame)
+    def cut(self) -> None:
+        """Shut the socket down both ways (loop thread, at shutdown): a
+        peer that is not reading cannot hold the close up."""
+        with self.lock:
+            self.broken = True
+            try:
+                self.sock.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass  # closed already
 
 
 class TardisServer:
-    """An asyncio TCP server exposing one TardisStore over the wire."""
+    """A TCP server exposing one TardisStore over the wire."""
 
     _GUARDED_BY = {
         "_conns": "self._lock",
         "_stats": "self._lock",
         "_inflight": "self._lock",
         "_gc_at": "external:store-thread",
+        "_ready": "external:store-thread",
     }
 
     def __init__(
@@ -302,10 +229,21 @@ class TardisServer:
         self.max_connections = max_connections
         self.request_timeout = request_timeout
         self.drain_timeout = drain_timeout
-        self._server: Optional[asyncio.AbstractServer] = None
-        #: ``(fn, *args)`` jobs the store thread runs in order; ``None`` stops it.
-        self._jobs: "queue.SimpleQueue[Optional[Tuple[Any, ...]]]" = queue.SimpleQueue()
         self._thread: Optional[threading.Thread] = None  # started by ``start()``
+        # -- made by ``start()`` too: the listener, the loop's two tasks, and
+        # the socketpair that wakes the store thread's selector (its own).
+        self._listener: socket.socket
+        self._acceptor: "asyncio.Task[None]"
+        self._watchdog: "asyncio.Task[None]"
+        self._wake: socket.socket
+        self._waker: socket.socket
+        self._selector: selectors.BaseSelector
+        #: ``(fn, *args)`` jobs for the store thread (registering a connection
+        #: the loop accepted); ``None`` stops it. ``_submit`` rings it awake.
+        self._jobs: "queue.SimpleQueue[Optional[Tuple[Any, ...]]]" = queue.SimpleQueue()
+        #: connections that may hold a whole request (an ordered set).
+        self._ready: Dict[_Connection, None] = {}
+        self._view = memoryview(bytearray(RECV_BUFFER))
         self._lock = threading.Lock()
         #: connection id -> the live connection (until its cleanup ran).
         self._conns: Dict[int, _Connection] = {}
@@ -341,23 +279,35 @@ class TardisServer:
             latency_fn=self._obs_latency,
         )
         #: per-op request-latency histograms (wire op -> Histogram);
-        #: created/updated on the event loop thread only, snapshotted by
-        #: the sampler via _obs_latency.
+        #: created, updated and snapshotted on the store thread only.
         self._op_latency: Dict[str, _met.Histogram] = {}
         self._loop: Optional[asyncio.AbstractEventLoop] = None
 
     # -- lifecycle --------------------------------------------------------
 
     async def start(self) -> "TardisServer":
-        """Bind, then start the store thread; ``self.port`` holds the real port."""
-        self._loop = asyncio.get_running_loop()
-        self._server = await self._loop.create_server(
-            lambda: _Connection(self), self.host, self.port
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
+        """Bind, then start the store thread, the acceptor and the
+        watchdog; ``self.port`` holds the real port."""
+        loop = self._loop = asyncio.get_running_loop()
+        self._bind()
         self._thread = threading.Thread(target=self._serve, name="tardis-store", daemon=True)
         self._thread.start()
+        self._acceptor = loop.create_task(self._accept())
+        self._watchdog = loop.create_task(self._watch())
         return self
+
+    def _bind(self) -> None:
+        """The non-blocking listener and the wake socketpair. ``start``
+        runs it on the loop before the loop serves anything, so a bind
+        stalls no one (an executor would cost the process a thread)."""
+        family = socket.AF_INET6 if ":" in self.host else socket.AF_INET
+        self._listener = socket.create_server(
+            (self.host, self.port), family=family, backlog=100
+        )
+        self._listener.setblocking(False)
+        self.port = self._listener.getsockname()[1]
+        self._wake, self._waker = socket.socketpair()
+        self._waker.setblocking(False)  # ``_ring`` never blocks its caller
 
     @property
     def sampling(self) -> bool:
@@ -368,6 +318,61 @@ class TardisServer:
     def address(self) -> str:
         return "%s:%d" % (self.host, self.port)
 
+    async def _accept(self) -> None:
+        """Accept connections and hand them to the store thread, or
+        refuse them at the cap or while draining (loop thread)."""
+        loop = asyncio.get_running_loop()
+        while True:
+            try:
+                sock, _peer = await loop.sock_accept(self._listener)
+            except OSError:  # the peer reset before the accept, or no descriptors left
+                await asyncio.sleep(0.01)
+                continue
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            with self._lock:
+                refused = self._closing or len(self._conns) >= self.max_connections
+                if not refused:
+                    conn = _Connection(sock, WireSession(self, self._next_conn_id))
+                    self._next_conn_id += 1
+                    self._conns[conn.session.id] = conn
+            if not refused:
+                self._count("connections_total")
+                self._submit(self._settle, conn)  # registers it with the selector
+                continue
+            self._count("connections_rejected")
+            code = "SHUTTING_DOWN" if self._closing else "SERVER_BUSY"
+            frame = encode_frame(error_response(None, code))
+            self._sent(len(frame), True, False)
+            try:
+                sock.send(frame)  # a fresh socket takes one small frame
+            except OSError:
+                pass  # the peer is gone already
+            sock.close()
+
+    async def _watch(self) -> None:
+        """The ``TIMEOUT`` watchdog (loop thread): every
+        ``request_timeout / 8``, answer ``TIMEOUT`` for each request whose
+        handler has run ``request_timeout``, so it is answered within
+        ``[request_timeout, 1.125 × request_timeout]``."""
+        message = "request exceeded %.3fs" % self.request_timeout
+        while True:
+            await asyncio.sleep(self.request_timeout / 8)
+            now = time.perf_counter()
+            with self._lock:
+                conns = list(self._conns.values())
+            for conn in conns:
+                with conn.lock:
+                    request = conn.busy
+                    if request is None or conn.deadline > now:
+                        continue
+                    # The store thread drops the handler's answer and
+                    # undoes what the request began.
+                    conn.busy = None
+                    frame = encode_frame(error_response(request.get("id"), "TIMEOUT", message))
+                    self._count("timeouts_total")
+                    self._sent(len(frame), True, True)
+                    conn.write(frame)
+
     async def shutdown(self, drain_timeout: Optional[float] = None) -> Dict[str, Any]:
         """Graceful stop: drain in-flight work, close every session.
 
@@ -376,8 +381,8 @@ class TardisServer:
         2. Wait up to ``drain_timeout`` for in-flight requests and open
            transactions with writes (or merges): a write-free one may be
            closed on an idle client already, and aborting it loses nothing.
-        3. Force-close surviving connections; their cleanup aborts open
-           transactions and closes their sessions. Wait for every
+        3. Cut surviving connections (``SHUT_RDWR``); their cleanup aborts
+           open transactions and closes their sessions. Wait for every
            connection's cleanup, then stop the store thread and join it
            off-loop.
 
@@ -387,27 +392,34 @@ class TardisServer:
         if self.report is not None:
             return self.report
         self._closing = True
-        if self._server is not None:
-            self._server.close()
+        if self._thread is not None:
+            self._acceptor.cancel()
+            await asyncio.wait([self._acceptor])  # its reader is off the listener
+            self._listener.close()
         drained = await self._poll(
             lambda: not self._inflight
             and not any(
                 holds_work(txn)  # ``txns`` changes on the store thread: a snapshot
                 for conn in self._conns.values()
-                for txn in list(conn.session.txns.values())  # type: ignore[union-attr]
+                for txn in list(conn.session.txns.values())
             ),
             self.drain_timeout if drain_timeout is None else drain_timeout,
         )
         with self._lock:
             survivors = list(self._conns.values())
         for conn in survivors:
-            conn.transport.abort()  # a peer that is not reading cannot hold the close up
-        # Every connection_lost has queued its cleanup once _conns is
-        # empty; a handler slower than this wait is joined below anyway.
+            conn.cut()
+        # The store thread drops a cut connection as soon as it is not in
+        # a handler; a handler slower than this wait is joined below anyway.
         await self._poll(lambda: not self._conns, 5.0)
         if self._thread is not None:
             self._jobs.put(None)  # behind every queued job
+            self._ring()
             await asyncio.get_running_loop().run_in_executor(None, self._thread.join)
+            self._watchdog.cancel()  # TIMEOUTs are answered until the join
+            await asyncio.wait([self._watchdog])
+            self._wake.close()
+            self._waker.close()
         # Store thread joined (above): the store is quiesced, there is no
         # serialization to bypass.
         registered = self.store.sessions()  # tardis: ignore[async-discipline]
@@ -445,32 +457,75 @@ class TardisServer:
 
     # -- the store thread ----------------------------------------------------
 
+    def _submit(self, fn: Callable[..., Any], *args: Any) -> None:
+        """Queue ``fn(*args)`` for the store thread and wake it (any thread)."""
+        self._jobs.put((fn, *args))
+        self._ring()
+
+    def _ring(self) -> None:
+        try:
+            self._waker.send(b"\0")
+        except BlockingIOError:
+            pass  # bytes already wait: the thread wakes anyway
+
     def _serve(self) -> None:
-        """The store thread: run each queued job in order and, after each
-        one, the GC growth trigger; tick the sampler whenever a tick is
-        due (an idle queue's ``get`` times out at the next one)."""
+        """The store thread: a ``selectors`` loop over every connection.
+        Each round reads what arrived, then starts one request of each
+        connection that holds one and, after each, runs the GC growth
+        trigger; a sampler tick runs whenever one is due (an idle
+        ``select`` times out at the next one)."""
+        selector = self._selector = selectors.DefaultSelector()
+        selector.register(self._wake, _READ, None)  # a byte rung before this still wakes it
+        ready = self._ready
         interval = self.obs_sample_interval if self.sampling else None
         tick = time.monotonic()
+        try:
+            while True:
+                if ready:
+                    timeout: Optional[float] = 0.0
+                elif interval is None:
+                    timeout = None
+                else:
+                    timeout = max(0.0, tick - time.monotonic())
+                for key, events in selector.select(timeout):
+                    if key.data is None:
+                        if not self._run_jobs():
+                            return  # shutdown's sentinel
+                    elif not self._call(self._io, key.data, events):
+                        self._call(self._drop, key.data)
+                for conn in list(ready):
+                    if not self._call(self._step, conn):
+                        self._call(self._drop, conn)
+                    self._call(self._collect_if_grown)
+                if interval is not None and time.monotonic() >= tick:
+                    tick = time.monotonic() + interval
+                    if self._call(self.obs.sample):
+                        self._count("obs_samples")
+        finally:
+            with self._lock:
+                left = list(self._conns.values())  # what shutdown's wait did not see go
+            for conn in left:
+                self._drop(conn)
+            selector.close()
+
+    def _run_jobs(self) -> bool:
+        """The wake socket rang: run the queued jobs, each followed by the
+        GC trigger; False at the stop sentinel."""
+        self._wake.recv(4096)
         while True:
-            wait = None if interval is None else max(0.0, tick - time.monotonic())
             try:
-                job = self._jobs.get(timeout=wait)
+                job = self._jobs.get_nowait()
             except queue.Empty:
-                job = ()
+                return True
             if job is None:
-                return  # shutdown's sentinel
-            if job:
-                self._call(*job)
-                self._call(self._collect_if_grown)
-            if interval is not None and time.monotonic() >= tick:
-                tick = time.monotonic() + interval
-                if self._call(self.obs.sample):
-                    self._count("obs_samples")
+                return False
+            self._call(*job)
+            self._call(self._collect_if_grown)
 
     def _call(self, fn: Callable[..., Any], *args: Any) -> bool:
         """Run ``fn(*args)`` on the store thread; returns whether it
-        returned. A failed job reaches the loop's exception handler, a
-        failed sample only goes uncounted; either way the thread serves on."""
+        returned. A failure reaches the loop's exception handler (a failed
+        sample only goes uncounted); either way the thread serves on."""
         try:
             fn(*args)
         except Exception as exc:  # tardis: ignore[bare-except] — one failure must not stop the store thread
@@ -482,16 +537,132 @@ class TardisServer:
             return False
         return True
 
+    def _io(self, conn: _Connection, events: int) -> None:
+        """``conn``'s socket is ready: flush what waits, read what arrived."""
+        if events & _WRITE and not conn.broken:
+            conn.flush()
+            if not (conn.paused or conn.closing):
+                self._ready[conn] = None  # it may hold frames it held back
+        if events & _READ and conn not in self._ready and not conn.broken:
+            # A connection still in ``_ready`` reads no more until its
+            # buffered frames ran dry: a pipelining peer buffers little.
+            try:
+                n = conn.sock.recv_into(self._view)
+            except (BlockingIOError, InterruptedError):
+                n = -1
+            except OSError:  # reset
+                conn.broken = True
+                n = -1
+            if n > 0:
+                conn.unread += n
+                conn.decoder.feed(self._view[:n])
+                self._ready[conn] = None
+            elif n == 0:
+                conn.eof = True
+                self._ready[conn] = None
+        self._settle(conn)
+
+    def _step(self, conn: _Connection) -> None:
+        """Start ``conn``'s next buffered request, if it may."""
+        ready = self._ready
+        if conn.broken or conn.closing or conn.paused:
+            del ready[conn]  # a flush brings a paused one back
+            self._settle(conn)
+            return
+        try:
+            request = conn.decoder.next_frame()
+        except ProtocolError as exc:
+            # Framing is lost: answer once, then drop the link.
+            code = "FRAME_TOO_LARGE" if isinstance(exc, FrameTooLarge) else "BAD_FRAME"
+            self._answer(conn, error_response(None, code, str(exc)), False)
+            conn.closing = True
+            request = None
+        if request is not None:
+            self._run(conn, request)
+        if request is None or not conn.decoder.pending():
+            del ready[conn]
+            conn.closing |= conn.eof  # what was buffered is answered: close
+        self._settle(conn)
+
+    def _run(self, conn: _Connection, request: Dict[str, Any]) -> None:
+        """One request, from leaving the decoder to its answer's write."""
+        self._started(conn.unread)
+        conn.unread = 0
+        since = time.perf_counter()
+        conn.start(request, since + self.request_timeout)
+        response = conn.session.handle(request)
+        op = request.get("op")
+        # an op answered UNKNOWN_OP has no per-op histogram
+        self._observe(
+            op if isinstance(op, str) and op in OPS else None,
+            (time.perf_counter() - since) * 1000.0,
+        )
+        if not conn.finish(request):
+            # TIMEOUT answered in its place: the answer is dropped, and
+            # a transaction it began is aborted (nobody learned its id).
+            conn.session.undo(request)
+        else:
+            self._answer(conn, response, True)
+            conn.closing |= op == "BYE"
+
+    def _answer(self, conn: _Connection, response: Dict[str, Any], answers: bool) -> None:
+        """Encode, count and write one response; ``answers``: it ends the
+        request in flight."""
+        try:
+            frame = encode_frame(response)
+        except (TypeError, ValueError, FrameTooLarge):
+            # A stored value was not JSON-serializable (possible when the
+            # store is shared with in-process writers) or the response
+            # outgrew the frame cap: degrade to a typed error.
+            frame = encode_frame(
+                error_response(
+                    response.get("id"), "INTERNAL", "response not serializable"
+                )
+            )
+        self._sent(len(frame), not response.get("ok", False), answers)
+        conn.write(frame)
+
+    def _settle(self, conn: _Connection) -> None:
+        """Drop ``conn`` if it is done, else register the events it waits for."""
+        if conn.broken or (conn.closing and not conn.out):
+            self._drop(conn)
+            return
+        want = 0 if conn.eof or conn.closing or conn.paused else _READ
+        if conn.out:
+            want |= _WRITE
+        if want != conn.events:
+            if not conn.events:
+                self._selector.register(conn.sock, want, conn)
+            elif want:
+                self._selector.modify(conn.sock, want, conn)
+            else:
+                self._selector.unregister(conn.sock)
+            conn.events = want
+
+    def _drop(self, conn: _Connection) -> None:
+        """Close ``conn`` and run its disconnect cleanup (idempotent)."""
+        self._ready.pop(conn, None)
+        if conn.events:
+            self._selector.unregister(conn.sock)
+            conn.events = 0
+        with conn.lock:  # not while shutdown cuts it
+            conn.sock.close()
+        if conn.unread:
+            self._count("bytes_in", conn.unread)
+            conn.unread = 0
+        self._call(self._cleanup_sync, conn.session)
+
     def _collect_if_grown(self) -> None:
-        """The GC growth trigger, run after every job: one cycle once the
-        DAG holds ``_gc_at`` states. The next trigger is twice what it left
-        alive plus :data:`GC_GROWTH`, so a collector held back by a ceiling
-        or a pin runs at geometric sizes and its total cost stays linear."""
+        """The GC growth trigger, run after every request and job: one
+        cycle once the DAG holds ``_gc_at`` states. The next trigger is
+        twice what it left alive plus :data:`GC_GROWTH`, so a collector
+        held back by a ceiling or a pin runs at geometric sizes and its
+        total cost stays linear."""
         store = self.store
         if len(store.dag) >= self._gc_at:
             self._gc_at = 2 * store.collect_garbage().live_states + GC_GROWTH
 
-    # -- counters (the transport is _Connection, above) ---------------------
+    # -- counters ----------------------------------------------------------
 
     def _count(self, stat: str, n: int = 1) -> None:
         """Count ``n`` events in the stats dict."""
@@ -517,7 +688,7 @@ class TardisServer:
 
     def _observe(self, op: Optional[str], elapsed_ms: float) -> None:
         """Record one request's latency: from leaving the decoder to its
-        answer being ready, before encode/write (event loop thread)."""
+        handler's return, before encode/write (store thread)."""
         if op is not None:
             hist = self._op_latency.get(op)
             if hist is None:
@@ -536,7 +707,7 @@ class TardisServer:
         """The store sessions the live connections bound at HELLO; the
         caller holds ``_lock``."""
         wire = (conn.session for conn in self._conns.values())
-        return [s.bound for s in wire if s is not None and s.bound is not None]
+        return [s.bound for s in wire if s.bound is not None]
 
     # -- live ops plane (sampled on the store thread) -----------------------
 

@@ -1,8 +1,10 @@
 """End-to-end tests for the network server: sessions, concurrency,
 disconnect cleanup, graceful shutdown, and the wire error paths."""
 
+import random
 import socket
 import struct
+import sys
 import threading
 import time
 
@@ -21,7 +23,7 @@ from repro.errors import (
 )
 from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.server import start_in_thread
-from repro.server.handlers import WireSession
+from repro.server.handlers import HANDLERS, WireSession
 from repro.server.protocol import (
     HEADER,
     MAX_FRAME,
@@ -30,7 +32,7 @@ from repro.server.protocol import (
     encode_frame,
     ok_response,
 )
-from repro.server.server import TardisServer
+from repro.server.server import HIGH_WATER, TardisServer
 
 
 def _wait_until(predicate, timeout=5.0, interval=0.02):
@@ -1389,7 +1391,7 @@ class TestRefusedHello:
 
 # ---------------------------------------------------------------------------
 # What the stream reader/writer used to give for free, pinned against the
-# callback transport with raw sockets.
+# store thread's socket loop with raw sockets.
 
 
 class _Raw:
@@ -1468,6 +1470,14 @@ class TestCallbackTransport:
             assert raw.frame() is None  # then the server closes its half
         assert _wait_until(lambda: served.server.store.sessions() == [])
 
+    def test_frames_pipelined_behind_bye_are_not_run(self, served):
+        with _Raw(served.port) as raw:
+            started = served.server._stats["requests_total"]
+            raw.send({"id": 1, "op": "BYE"}, {"id": 2, "op": "STATS"})
+            assert raw.frame()["id"] == 1
+            assert raw.frame() is None  # closed after the BYE's answer
+        assert served.server._stats["requests_total"] == started + 1
+
     def test_a_peer_that_never_reads_stalls_only_itself(self, served):
         server = served.server
         keys = ["big%d" % i for i in range(16)]
@@ -1495,8 +1505,7 @@ class TestCallbackTransport:
                 # what is buffered is one answer past the high-water mark.
                 assert server._stats["requests_total"] == started
                 assert conn.decoder.pending() > 0
-                high_water = conn.transport.get_write_buffer_limits()[1]
-                assert conn.transport.get_write_buffer_size() <= high_water + MAX_FRAME + 4
+                assert len(conn.out) <= HIGH_WATER + MAX_FRAME + 4
                 # Everybody else is served meanwhile.
                 other.put("small", 1)
                 assert other.get("small") == 1
@@ -1550,6 +1559,110 @@ class TestCallbackTransport:
             handle.stop()
 
 
+class TestRequestPath:
+    """A request runs from ``recv`` to ``send`` on the store thread."""
+
+    def test_a_request_wakes_no_loop_callback(self, served, monkeypatch):
+        loop, server = served.loop, served.server
+        calls = []
+        original = loop.call_soon_threadsafe
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return original(*args, **kwargs)
+
+        with _Raw(served.port) as raw:
+            before = server._stats["requests_total"]
+            monkeypatch.setattr(loop, "call_soon_threadsafe", counting)
+            for i in range(200):
+                assert raw.ask({"id": i, "op": "STATS"})["ok"]
+            monkeypatch.undo()
+            assert server._stats["requests_total"] - before == 200
+        assert len(calls) <= 2, calls
+
+    def test_an_accepted_socket_has_nodelay(self, served):
+        with _Raw(served.port):
+            (conn,) = served.server._conns.values()
+            assert conn.sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+
+    def test_a_pipelined_burst_does_not_starve_another_connection(
+        self, served, monkeypatch
+    ):
+        read = HANDLERS["READ"]
+
+        def slow_read(server, session, request):
+            time.sleep(0.005)
+            return read(server, session, request)
+
+        monkeypatch.setitem(HANDLERS, "READ", slow_read)
+        burst = 50
+        arrivals = []
+        with _Raw(served.port, session="burst") as pipe, _Raw(served.port) as other:
+
+            def drain():
+                for _ in range(burst - 1):
+                    arrivals.append((pipe.frame()["id"], time.perf_counter()))
+
+            pipe.send(
+                {"id": 1, "op": "READ", "begin": {}, "key": "x"},
+                *[{"id": i, "op": "READ", "txn": 1, "key": "x"} for i in range(2, burst + 1)],
+            )
+            assert pipe.frame()["id"] == 1
+            reader = threading.Thread(target=drain)
+            reader.start()
+            assert other.ask({"id": 1, "op": "READ", "begin": {}, "key": "y"})["ok"]
+            answered = time.perf_counter()
+            reader.join(timeout=10.0)
+        assert [i for i, _at in arrivals] == list(range(2, burst + 1))
+        # One request per connection per round: the second connection
+        # waits for one READ of the burst, not for all of them.
+        assert answered < arrivals[-1][1]
+
+    def test_timeouts_racing_answers_leave_one_frame_per_request(self, monkeypatch):
+        # The watchdog and the store thread both may answer a request; the
+        # connection's lock must let exactly one of them, every time.
+        handle = start_in_thread(site="race-test", request_timeout=0.02)
+        stats = HANDLERS["STATS"]
+
+        def jittery(server, session, request):
+            time.sleep(request["sleep"])  # under, or well over, the timeout
+            return stats(server, session, request)
+
+        monkeypatch.setitem(HANDLERS, "STATS", jittery)
+        codes, errors = [], []
+
+        def client(seed):
+            rng = random.Random(seed)
+            try:
+                with _Raw(handle.port) as raw:
+                    for i in range(15):
+                        sleep = rng.choice((0.0, 0.005, 0.04))
+                        answer = raw.ask({"id": i, "op": "STATS", "sleep": sleep})
+                        assert answer["id"] == i, answer
+                        codes.append("ok" if answer["ok"] else answer["error"]["code"])
+            except Exception as exc:  # reported below, with the thread's seed
+                errors.append((seed, exc))
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            clients = [threading.Thread(target=client, args=(seed,)) for seed in range(4)]
+            for thread in clients:
+                thread.start()
+            for thread in clients:
+                thread.join(timeout=30.0)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(switch)
+            report = handle.stop()
+        assert errors == []
+        assert len(codes) == 60 and set(codes) <= {"ok", "TIMEOUT"}
+        assert report["timeouts_total"] == codes.count("TIMEOUT") > 0
+        assert report["requests_total"] == 4 + 60  # the HELLOs and the STATS
+        assert handle.server._inflight == 0
+        assert report["leaked_sessions"] == []
+
+
 # ---------------------------------------------------------------------------
 # The store thread: one per started server, joined by its shutdown, and
 # a job that raises does not end it.
@@ -1590,7 +1703,7 @@ class TestStoreThread:
             # The failed cleanup left the victim's session open; a second
             # run of it closes the session.
             server = served.server
-            server._jobs.put((server._cleanup_sync, failed[0]))
+            server._submit(server._cleanup_sync, failed[0])
             assert _wait_until(lambda: len(server._conns) == 1)
             assert [s.name for s in server.store.sessions()] == ["bystander"]
         assert served.stop()["leaked_sessions"] == []
