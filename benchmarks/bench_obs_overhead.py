@@ -42,7 +42,7 @@ import pytest
 
 from repro.client.client import TardisClient
 from repro.obs import tracing as _trc
-from repro.server.server import start_in_thread
+from repro.server.server import TardisServer
 from repro.sim.adapters import TardisAdapter
 from repro.workload import WRITE_HEAVY, YCSBWorkload, run_simulation
 
@@ -166,8 +166,8 @@ def _drive(client: TardisClient, ops: int) -> float:
 
 
 def _measure_live():
-    cold = start_in_thread(site="bench-cold")
-    hot = start_in_thread(site="bench-hot", obs_sample_interval=0.05)
+    cold = TardisServer(site="bench-cold").start()
+    hot = TardisServer(site="bench-hot", obs_sample_interval=0.05).start()
     try:
         clients = {
             False: TardisClient(port=cold.port),
@@ -182,8 +182,8 @@ def _measure_live():
         for client in clients.values():
             client.close()
     finally:
-        report_cold = cold.stop()
-        report_hot = hot.stop()
+        report_cold = cold.shutdown()
+        report_hot = hot.shutdown()
     minima = {arm: min(times) for arm, times in walls.items()}
     overhead = minima[True] / minima[False] - 1.0
     return minima, overhead, report_cold, report_hot

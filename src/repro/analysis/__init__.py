@@ -2,7 +2,7 @@
 
 ``tardis check`` (see :mod:`repro.tools.cli`) runs the AST rule engine
 over ``src/repro``. The contracts it checks — ``_GUARDED_BY`` maps,
-async discipline, the metric catalogue — are documented in
+the metric catalogue, import and except hygiene — are documented in
 ``docs/internals.md`` §11.
 """
 

@@ -5,14 +5,12 @@ from __future__ import annotations
 from typing import Dict, List, Sequence, Type
 
 from repro.analysis.engine import Rule
-from repro.analysis.rules.async_discipline import AsyncDisciplineRule
 from repro.analysis.rules.hygiene import BareExceptRule, ImportHygieneRule
 from repro.analysis.rules.lock_discipline import LockDisciplineRule
 from repro.analysis.rules.metric_drift import MetricNameDriftRule
 
 __all__ = [
     "ALL_RULES",
-    "AsyncDisciplineRule",
     "BareExceptRule",
     "ImportHygieneRule",
     "LockDisciplineRule",
@@ -24,7 +22,6 @@ __all__ = [
 #: every registered rule class, in reporting order.
 ALL_RULES: Sequence[Type[Rule]] = (
     LockDisciplineRule,
-    AsyncDisciplineRule,
     MetricNameDriftRule,
     ImportHygieneRule,
     BareExceptRule,

@@ -2,11 +2,12 @@
 
 ``tardis serve`` (see :mod:`repro.tools.cli`) wraps
 :class:`TardisServer` with signal handling and a shutdown report; tests
-and in-process demos use :func:`start_in_thread`. The protocol is
-specified in docs/internals.md §12; §12.3 maps the three modules
-(protocol: framing, catalogues, client channel, error table · handlers:
-what a request runs, socket-free · server: the store thread that serves
-every socket, and the asyncio loop that accepts, times out and shuts down).
+and in-process demos call ``TardisServer(...).start()`` and later its
+``shutdown()``. The protocol is specified in docs/internals.md §12; §12.3
+maps the three modules (protocol: framing, catalogues, client channel,
+error table · handlers: what a request runs, socket-free · server: the
+store thread that accepts and serves every socket, and the watchdog
+thread that answers ``TIMEOUT``).
 """
 
 from repro.server.protocol import (
@@ -19,7 +20,7 @@ from repro.server.protocol import (
     error_response,
     ok_response,
 )
-from repro.server.server import ServerThread, TardisServer, start_in_thread
+from repro.server.server import TardisServer
 
 __all__ = [
     "ERROR_CODES",
@@ -30,7 +31,5 @@ __all__ = [
     "encode_frame",
     "error_response",
     "ok_response",
-    "ServerThread",
     "TardisServer",
-    "start_in_thread",
 ]

@@ -3,8 +3,8 @@
 Everything in this module runs on the server's one store thread (so it
 is serialized with every other store access), and touches no socket or
 event loop. ``server/server.py`` is the other half — the sockets that
-thread serves, and the asyncio loop that accepts them, times requests
-out and shuts down — and reaches the store only through
+thread accepts and serves, the watchdog thread that times requests out,
+and shutdown — and reaches the store only through
 :meth:`WireSession.handle` and :meth:`WireSession.close`.
 
 A request is answered by one plain function ``(server, session,
@@ -154,7 +154,7 @@ class WireSession:
     def undo(self, request: _Json) -> None:
         """Abort and forget the transaction ``request`` began, if it is
         still open: the request is being answered with an error (here, or
-        ``TIMEOUT`` by the loop's watchdog), so no client will learn its id."""
+        ``TIMEOUT`` by the watchdog thread), so no client will learn its id."""
         began = self.began
         if began is None or began[0] is not request:
             return

@@ -7,22 +7,22 @@ HELLO handshake) to one :class:`~repro.core.store.ClientSession`, so the
 paper's session guarantees — Ancestor begin anchored at the client's
 last commit — hold per connection exactly as they do in-process.
 
-Concurrency model: the one ``tardis-store`` thread the server owns
-serves every accepted socket. Its ``selectors`` loop reads, decodes,
-runs the request (``WireSession.handle``), encodes and sends, one
-request per connection per round, so a request is answered on the
-thread that read it and costs the asyncio loop nothing. The store is
-lock-protected, but its read path is optimized for the one-writer
-discrete-event harness, and one thread keeps the wall-clock behaviour
-honest. After each request that thread also runs the GC trigger, and it
-ticks the sampler when a tick is due. The asyncio loop keeps three jobs:
-accepting (the connection cap and its refusals), the ``TIMEOUT``
-watchdog, and shutdown. The loop hands the store thread a new
-connection (and the stop sentinel) through a queue and one socketpair
-that wakes it. The module boundary is the socket boundary: this module
-owns sockets, limits, timeouts, framing, counters and shutdown;
-:mod:`repro.server.handlers` is what a request runs, and nothing here
-touches the store except through ``WireSession.handle`` /
+Concurrency model: the server runs two threads of its own. The
+``tardis-store`` thread serves everything: its ``selectors`` loop
+accepts (the connection cap and its refusals), reads, decodes, runs the
+request (``WireSession.handle``), encodes and sends, one request per
+connection per round, so a request is answered on the thread that read
+it. The store is lock-protected, but its read path is optimized for the
+one-writer discrete-event harness, and one thread keeps the wall-clock
+behaviour honest. After each request that thread also runs the GC
+trigger, and it ticks the sampler when a tick is due. The
+``tardis-watchdog`` thread only answers ``TIMEOUT``. Shutdown runs on
+its caller's thread and reaches the store thread through one
+socketpair, a bell that wakes its selector: the store thread then
+closes the listener, and later stops. The module boundary is the socket
+boundary: this module owns sockets, limits, timeouts, framing, counters
+and shutdown; :mod:`repro.server.handlers` is what a request runs, and
+nothing here touches the store except through ``WireSession.handle`` /
 ``WireSession.close``.
 
 Production plumbing:
@@ -38,7 +38,7 @@ Production plumbing:
   response past the mark.
 * **Per-request timeouts** — a request whose handler has run
   ``request_timeout`` seconds is answered with a ``TIMEOUT`` error by
-  the loop's watchdog, which looks every ``request_timeout / 8``; the
+  the watchdog thread, which looks every ``request_timeout / 8``; the
   connection survives and the late answer is dropped.
 * **Graceful shutdown** — :meth:`TardisServer.shutdown` stops accepting,
   refuses new transactions (``SHUTTING_DOWN``) while letting open ones
@@ -71,14 +71,13 @@ its requests.
 
 from __future__ import annotations
 
-import asyncio
-import queue
+import math
 import selectors
 import signal
 import socket
 import threading
 import time
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.core.store import ClientSession, TardisStore
 from repro.errors import FrameTooLarge, ProtocolError
@@ -87,13 +86,13 @@ from repro.obs.sampler import ObsSampler
 from repro.server.handlers import GC_FIELDS, WireSession, holds_work
 from repro.server.protocol import OPS, FrameDecoder, encode_frame, error_response
 
-__all__ = ["TardisServer", "ServerThread", "start_in_thread", "run_server"]
+__all__ = ["TardisServer", "run_server"]
 
 #: bytes of the one receive buffer the store thread reads every socket into.
 RECV_BUFFER = 1 << 16
 
 #: out-buffer bytes above which a connection starts no request and reads
-#: nothing until the buffer is empty (asyncio's default high-water mark).
+#: nothing until the buffer is empty.
 HIGH_WATER = 1 << 16
 
 #: states the DAG may grow past twice what the last GC cycle left alive
@@ -105,7 +104,7 @@ _READ, _WRITE = selectors.EVENT_READ, selectors.EVENT_WRITE
 
 class _Connection:
     """One accepted socket. The store thread serves it: everything here
-    runs there, except that the loop's watchdog answers ``TIMEOUT`` for
+    runs there, except that the watchdog thread answers ``TIMEOUT`` for
     the request in flight and shutdown cuts the socket.
 
     Both threads may answer the request in flight, so ``busy`` is written
@@ -183,8 +182,8 @@ class _Connection:
             self.paused = False
 
     def cut(self) -> None:
-        """Shut the socket down both ways (loop thread, at shutdown): a
-        peer that is not reading cannot hold the close up."""
+        """Shut the socket down both ways (shutdown's thread): a peer
+        that is not reading cannot hold the close up."""
         with self.lock:
             self.broken = True
             try:
@@ -202,6 +201,7 @@ class TardisServer:
         "_inflight": "self._lock",
         "_gc_at": "external:store-thread",
         "_ready": "external:store-thread",
+        "_rearm": "external:store-thread",
     }
 
     def __init__(
@@ -230,17 +230,19 @@ class TardisServer:
         self.request_timeout = request_timeout
         self.drain_timeout = drain_timeout
         self._thread: Optional[threading.Thread] = None  # started by ``start()``
-        # -- made by ``start()`` too: the listener, the loop's two tasks, and
-        # the socketpair that wakes the store thread's selector (its own).
+        # -- made by ``start()`` too: the listener, the watchdog thread, and
+        # the socketpair whose bell wakes the store thread's selector (its own).
         self._listener: socket.socket
-        self._acceptor: "asyncio.Task[None]"
-        self._watchdog: "asyncio.Task[None]"
+        self._watchdog: threading.Thread
         self._wake: socket.socket
         self._waker: socket.socket
         self._selector: selectors.BaseSelector
-        #: ``(fn, *args)`` jobs for the store thread (registering a connection
-        #: the loop accepted); ``None`` stops it. ``_submit`` rings it awake.
-        self._jobs: "queue.SimpleQueue[Optional[Tuple[Any, ...]]]" = queue.SimpleQueue()
+        #: when the listener, off the selector after a failed accept, goes
+        #: back on; inf while it is on (or closed).
+        self._rearm = math.inf
+        #: shutdown asks the store thread to stop, then the watchdog.
+        self._stopping = False
+        self._stopped = threading.Event()
         #: connections that may hold a whole request (an ordered set).
         self._ready: Dict[_Connection, None] = {}
         self._view = memoryview(bytearray(RECV_BUFFER))
@@ -281,25 +283,13 @@ class TardisServer:
         #: per-op request-latency histograms (wire op -> Histogram);
         #: created, updated and snapshotted on the store thread only.
         self._op_latency: Dict[str, _met.Histogram] = {}
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
 
     # -- lifecycle --------------------------------------------------------
 
-    async def start(self) -> "TardisServer":
-        """Bind, then start the store thread, the acceptor and the
-        watchdog; ``self.port`` holds the real port."""
-        loop = self._loop = asyncio.get_running_loop()
-        self._bind()
-        self._thread = threading.Thread(target=self._serve, name="tardis-store", daemon=True)
-        self._thread.start()
-        self._acceptor = loop.create_task(self._accept())
-        self._watchdog = loop.create_task(self._watch())
-        return self
-
-    def _bind(self) -> None:
-        """The non-blocking listener and the wake socketpair. ``start``
-        runs it on the loop before the loop serves anything, so a bind
-        stalls no one (an executor would cost the process a thread)."""
+    def start(self) -> "TardisServer":
+        """Bind the listener, then start the store thread and the watchdog
+        thread; ``self.port`` holds the real port. A failed bind raises and
+        starts nothing."""
         family = socket.AF_INET6 if ":" in self.host else socket.AF_INET
         self._listener = socket.create_server(
             (self.host, self.port), family=family, backlog=100
@@ -308,6 +298,11 @@ class TardisServer:
         self.port = self._listener.getsockname()[1]
         self._wake, self._waker = socket.socketpair()
         self._waker.setblocking(False)  # ``_ring`` never blocks its caller
+        self._thread = threading.Thread(target=self._serve, name="tardis-store", daemon=True)
+        self._watchdog = threading.Thread(target=self._watch, name="tardis-watchdog", daemon=True)
+        self._thread.start()
+        self._watchdog.start()
+        return self
 
     @property
     def sampling(self) -> bool:
@@ -318,45 +313,13 @@ class TardisServer:
     def address(self) -> str:
         return "%s:%d" % (self.host, self.port)
 
-    async def _accept(self) -> None:
-        """Accept connections and hand them to the store thread, or
-        refuse them at the cap or while draining (loop thread)."""
-        loop = asyncio.get_running_loop()
-        while True:
-            try:
-                sock, _peer = await loop.sock_accept(self._listener)
-            except OSError:  # the peer reset before the accept, or no descriptors left
-                await asyncio.sleep(0.01)
-                continue
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            with self._lock:
-                refused = self._closing or len(self._conns) >= self.max_connections
-                if not refused:
-                    conn = _Connection(sock, WireSession(self, self._next_conn_id))
-                    self._next_conn_id += 1
-                    self._conns[conn.session.id] = conn
-            if not refused:
-                self._count("connections_total")
-                self._submit(self._settle, conn)  # registers it with the selector
-                continue
-            self._count("connections_rejected")
-            code = "SHUTTING_DOWN" if self._closing else "SERVER_BUSY"
-            frame = encode_frame(error_response(None, code))
-            self._sent(len(frame), True, False)
-            try:
-                sock.send(frame)  # a fresh socket takes one small frame
-            except OSError:
-                pass  # the peer is gone already
-            sock.close()
-
-    async def _watch(self) -> None:
-        """The ``TIMEOUT`` watchdog (loop thread): every
-        ``request_timeout / 8``, answer ``TIMEOUT`` for each request whose
-        handler has run ``request_timeout``, so it is answered within
-        ``[request_timeout, 1.125 × request_timeout]``."""
+    def _watch(self) -> None:
+        """The ``TIMEOUT`` watchdog (the ``tardis-watchdog`` thread): every
+        ``request_timeout / 8`` until shutdown stops it, answer ``TIMEOUT``
+        for each request whose handler has run ``request_timeout``, so it
+        is answered within ``[request_timeout, 1.125 × request_timeout]``."""
         message = "request exceeded %.3fs" % self.request_timeout
-        while True:
-            await asyncio.sleep(self.request_timeout / 8)
+        while not self._stopped.wait(self.request_timeout / 8):
             now = time.perf_counter()
             with self._lock:
                 conns = list(self._conns.values())
@@ -373,18 +336,19 @@ class TardisServer:
                     self._sent(len(frame), True, True)
                     conn.write(frame)
 
-    async def shutdown(self, drain_timeout: Optional[float] = None) -> Dict[str, Any]:
-        """Graceful stop: drain in-flight work, close every session.
+    def shutdown(self, drain_timeout: Optional[float] = None) -> Dict[str, Any]:
+        """Graceful stop: drain in-flight work, close every session. It
+        runs on the caller's thread, which must not be the store thread.
 
-        1. Stop accepting (the listening socket closes); a new ``begin``
-           or MERGE on a live connection gets ``SHUTTING_DOWN``.
+        1. Stop accepting (the store thread closes the listener); a new
+           ``begin`` or MERGE on a live connection gets ``SHUTTING_DOWN``.
         2. Wait up to ``drain_timeout`` for in-flight requests and open
            transactions with writes (or merges): a write-free one may be
            closed on an idle client already, and aborting it loses nothing.
         3. Cut surviving connections (``SHUT_RDWR``); their cleanup aborts
            open transactions and closes their sessions. Wait for every
-           connection's cleanup, then stop the store thread and join it
-           off-loop.
+           connection's cleanup, then stop and join the store thread, and
+           then the watchdog.
 
         Returns (and stores in ``self.report``) a summary including the
         sessions the server leaked — an empty list on a clean drain.
@@ -393,10 +357,8 @@ class TardisServer:
             return self.report
         self._closing = True
         if self._thread is not None:
-            self._acceptor.cancel()
-            await asyncio.wait([self._acceptor])  # its reader is off the listener
-            self._listener.close()
-        drained = await self._poll(
+            self._ring()  # the store thread closes the listener
+        drained = self._poll(
             lambda: not self._inflight
             and not any(
                 holds_work(txn)  # ``txns`` changes on the store thread: a snapshot
@@ -411,18 +373,17 @@ class TardisServer:
             conn.cut()
         # The store thread drops a cut connection as soon as it is not in
         # a handler; a handler slower than this wait is joined below anyway.
-        await self._poll(lambda: not self._conns, 5.0)
+        self._poll(lambda: not self._conns, 5.0)
         if self._thread is not None:
-            self._jobs.put(None)  # behind every queued job
+            self._stopping = True
             self._ring()
-            await asyncio.get_running_loop().run_in_executor(None, self._thread.join)
-            self._watchdog.cancel()  # TIMEOUTs are answered until the join
-            await asyncio.wait([self._watchdog])
-            self._wake.close()
-            self._waker.close()
-        # Store thread joined (above): the store is quiesced, there is no
-        # serialization to bypass.
-        registered = self.store.sessions()  # tardis: ignore[async-discipline]
+            self._thread.join()
+            self._stopped.set()  # TIMEOUTs are answered until the join
+            self._watchdog.join()
+            for sock in (self._listener, self._wake, self._waker):
+                sock.close()
+        # Store thread joined (above): the store is quiesced.
+        registered = self.store.sessions()
         report = self._obs_counters()
         with self._lock:
             # A connection leaves ``_conns`` once its cleanup closed its session.
@@ -436,69 +397,76 @@ class TardisServer:
         # any that had to be force-killed count as leaks in the report.
         leaked_workers = 0
         if self._owns_store:
-            # Store thread joined above: teardown is single-threaded by now.
-            self.store.close()  # tardis: ignore[async-discipline]
+            self.store.close()
             leaked_workers = self.store.leaked_workers
         report["leaked_workers"] = leaked_workers
         self.report = report
         return report
 
-    async def _poll(self, done: Callable[[], bool], timeout: float) -> bool:
+    def _poll(self, done: Callable[[], bool], timeout: float) -> bool:
         """Wait up to ``timeout`` for ``done()`` (evaluated under the lock)."""
-        loop = asyncio.get_running_loop()
-        deadline = loop.time() + timeout
+        deadline = time.monotonic() + timeout
         while True:
             with self._lock:
                 if done():
                     return True
-            if loop.time() >= deadline:
+            if time.monotonic() >= deadline:
                 return False
-            await asyncio.sleep(0.01)
+            time.sleep(0.01)
 
     # -- the store thread ----------------------------------------------------
 
-    def _submit(self, fn: Callable[..., Any], *args: Any) -> None:
-        """Queue ``fn(*args)`` for the store thread and wake it (any thread)."""
-        self._jobs.put((fn, *args))
-        self._ring()
-
     def _ring(self) -> None:
+        """Wake the store thread's selector (shutdown's thread)."""
         try:
             self._waker.send(b"\0")
         except BlockingIOError:
             pass  # bytes already wait: the thread wakes anyway
 
     def _serve(self) -> None:
-        """The store thread: a ``selectors`` loop over every connection.
-        Each round reads what arrived, then starts one request of each
-        connection that holds one and, after each, runs the GC growth
-        trigger; a sampler tick runs whenever one is due (an idle
-        ``select`` times out at the next one)."""
+        """The store thread: a ``selectors`` loop over the listener and
+        every connection. Each round accepts and reads what arrived, then
+        starts one request of each connection that holds one and, after
+        each, runs the GC growth trigger; a sampler tick runs whenever one
+        is due (an idle ``select`` times out at the next one, or when the
+        listener goes back on after a failed accept)."""
         selector = self._selector = selectors.DefaultSelector()
-        selector.register(self._wake, _READ, None)  # a byte rung before this still wakes it
+        wake, listener = self._wake, self._listener
+        selector.register(wake, _READ, None)  # a byte rung before this still wakes it
+        selector.register(listener, _READ, None)
         ready = self._ready
-        interval = self.obs_sample_interval if self.sampling else None
-        tick = time.monotonic()
+        interval = self.obs_sample_interval if self.sampling else math.inf
+        tick = time.monotonic() if self.sampling else math.inf
         try:
             while True:
+                due = min(tick, self._rearm)
                 if ready:
                     timeout: Optional[float] = 0.0
-                elif interval is None:
+                elif due == math.inf:
                     timeout = None
                 else:
-                    timeout = max(0.0, tick - time.monotonic())
+                    timeout = max(0.0, due - time.monotonic())
                 for key, events in selector.select(timeout):
-                    if key.data is None:
-                        if not self._run_jobs():
-                            return  # shutdown's sentinel
-                    elif not self._call(self._io, key.data, events):
-                        self._call(self._drop, key.data)
+                    conn = key.data
+                    if conn is None:  # the bell or the listener
+                        if key.fileobj is listener:
+                            self._call(self._accept)
+                        elif not self._woken():
+                            return  # shutdown asked it to stop
+                    elif not self._call(self._io, conn, events):
+                        self._call(self._drop, conn)
                 for conn in list(ready):
                     if not self._call(self._step, conn):
                         self._call(self._drop, conn)
                     self._call(self._collect_if_grown)
-                if interval is not None and time.monotonic() >= tick:
-                    tick = time.monotonic() + interval
+                if due == math.inf:
+                    continue  # no tick and no re-arm is pending
+                now = time.monotonic()
+                if now >= self._rearm:
+                    self._rearm = math.inf
+                    selector.register(listener, _READ, None)
+                if now >= tick:
+                    tick = now + interval
                     if self._call(self.obs.sample):
                         self._count("obs_samples")
         finally:
@@ -508,32 +476,67 @@ class TardisServer:
                 self._drop(conn)
             selector.close()
 
-    def _run_jobs(self) -> bool:
-        """The wake socket rang: run the queued jobs, each followed by the
-        GC trigger; False at the stop sentinel."""
+    def _woken(self) -> bool:
+        """The bell rang: once shutdown began, take the listener off and
+        close it; False once shutdown asks the thread to stop."""
         self._wake.recv(4096)
+        listener = self._listener
+        if self._closing and listener.fileno() != -1:
+            if self._rearm == math.inf:  # on the selector, not backing off
+                self._selector.unregister(listener)
+            self._rearm = math.inf
+            listener.close()
+        return not self._stopping
+
+    def _accept(self) -> None:
+        """Accept every connection that waits, and register it, or refuse
+        it at the cap or while draining. Any other accept failure (no
+        descriptors left) takes the listener off the selector for 10 ms,
+        so it cannot spin the thread."""
         while True:
             try:
-                job = self._jobs.get_nowait()
-            except queue.Empty:
-                return True
-            if job is None:
-                return False
-            self._call(*job)
-            self._call(self._collect_if_grown)
+                sock, _peer = self._listener.accept()
+            except BlockingIOError:
+                return  # none left
+            except OSError:  # the peer reset before the accept, or no descriptors left
+                self._selector.unregister(self._listener)
+                self._rearm = time.monotonic() + 0.01
+                return
+            sock.setblocking(False)
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            with self._lock:
+                refused = self._closing or len(self._conns) >= self.max_connections
+                if not refused:
+                    conn = _Connection(sock, WireSession(self, self._next_conn_id))
+                    self._next_conn_id += 1
+                    self._conns[conn.session.id] = conn
+            if not refused:
+                self._count("connections_total")
+                self._settle(conn)  # registers it with the selector
+                continue
+            self._count("connections_rejected")
+            code = "SHUTTING_DOWN" if self._closing else "SERVER_BUSY"
+            frame = encode_frame(error_response(None, code))
+            self._sent(len(frame), True, False)
+            try:
+                sock.send(frame)  # a fresh socket takes one small frame
+            except OSError:
+                pass  # the peer is gone already
+            sock.close()
 
     def _call(self, fn: Callable[..., Any], *args: Any) -> bool:
         """Run ``fn(*args)`` on the store thread; returns whether it
-        returned. A failure reaches the loop's exception handler (a failed
+        returned. A failure reaches :func:`threading.excepthook` (a failed
         sample only goes uncounted); either way the thread serves on."""
         try:
             fn(*args)
         except Exception as exc:  # tardis: ignore[bare-except] — one failure must not stop the store thread
             if fn != self.obs.sample:
-                loop = self._loop
-                assert loop is not None
-                context = {"message": "store-thread job failed", "exception": exc}
-                loop.call_soon_threadsafe(loop.call_exception_handler, context)
+                threading.excepthook(
+                    threading.ExceptHookArgs(
+                        (type(exc), exc, exc.__traceback__, threading.current_thread())
+                    )
+                )
             return False
         return True
 
@@ -760,110 +763,32 @@ def run_server(
 
     ``port_file`` (written once the socket is bound, containing the real
     port) is how ``bench_net.py`` and the CI smoke job discover an
-    ephemeral ``--port 0`` allocation.
+    ephemeral ``--port 0`` allocation. The handlers go in before the port
+    file is written, so a signal sent once it exists is never missed; the
+    previous handlers are back when this returns.
     """
+    stop = threading.Event()
 
-    async def _main() -> Dict[str, Any]:
-        await server.start()
+    def _stop(_signum: int, _frame: Any) -> None:
+        # The handler runs on the main thread, which may hold the event's
+        # lock inside ``wait()`` when a second signal lands: set it once.
+        if not stop.is_set():
+            stop.set()
+
+    signals = (signal.SIGINT, signal.SIGTERM)
+    previous = [signal.signal(sig, _stop) for sig in signals]
+    try:
+        server.start()
         announce(
             "tardis serve: listening on %s (site=%s, max_connections=%d)"
             % (server.address, server.store.site, server.max_connections)
         )
-        loop = asyncio.get_running_loop()
         if port_file:
-
-            def _write_port() -> None:
-                with open(port_file, "w") as handle:
-                    handle.write("%d\n" % server.port)
-
-            await loop.run_in_executor(None, _write_port)
-        stop = asyncio.Event()
-        for sig in (signal.SIGINT, signal.SIGTERM):
-            try:
-                loop.add_signal_handler(sig, stop.set)
-            except (NotImplementedError, ValueError):
-                pass  # platform without signal support on loops
-        try:
-            await stop.wait()
-        finally:
-            await server.shutdown()
-        assert server.report is not None
-        return server.report
-
-    try:
-        return asyncio.run(_main())
-    except KeyboardInterrupt:
-        # Signal handlers unavailable: best effort — the loop is gone,
-        # so report whatever was gathered before the interrupt.
-        return server.report or {"interrupted": True, "leaked_sessions": []}
-
-
-# ---------------------------------------------------------------------------
-# Running a server on a background thread (tests, in-process demos).
-
-
-class ServerThread:
-    """A TardisServer running its own event loop on a daemon thread."""
-
-    def __init__(
-        self, server: TardisServer, loop: asyncio.AbstractEventLoop, thread: threading.Thread
-    ) -> None:
-        self.server = server
-        self.loop = loop
-        self.thread = thread
-
-    @property
-    def port(self) -> int:
-        return self.server.port
-
-    @property
-    def address(self) -> str:
-        return self.server.address
-
-    def stop(self, drain_timeout: Optional[float] = None) -> Dict[str, Any]:
-        """Gracefully shut the server down; returns the shutdown report."""
-        future = asyncio.run_coroutine_threadsafe(
-            self.server.shutdown(drain_timeout), self.loop
-        )
-        report = future.result(timeout=30.0)
-        self.loop.call_soon_threadsafe(self.loop.stop)
-        self.thread.join(timeout=10.0)
-        return report
-
-
-def start_in_thread(
-    store: Optional[TardisStore] = None, **server_kwargs: Any
-) -> ServerThread:
-    """Start a TardisServer on a fresh event loop in a daemon thread.
-
-    Blocks until the server is listening (``handle.port`` is bound);
-    ``handle.stop()`` drains and returns the shutdown report.
-    """
-    server = TardisServer(store=store, **server_kwargs)
-    started = threading.Event()
-    boot: Dict[str, Any] = {}
-
-    def _run() -> None:
-        loop = asyncio.new_event_loop()
-        asyncio.set_event_loop(loop)
-        boot["loop"] = loop
-        try:
-            loop.run_until_complete(server.start())
-        except OSError as exc:
-            boot["error"] = exc
-            started.set()
-            loop.close()
-            return
-        started.set()
-        try:
-            loop.run_forever()
-        finally:
-            loop.run_until_complete(loop.shutdown_asyncgens())
-            loop.close()
-
-    thread = threading.Thread(target=_run, name="tardis-server", daemon=True)
-    thread.start()
-    started.wait(timeout=10.0)
-    if "error" in boot:
-        raise boot["error"]
-    return ServerThread(server, boot["loop"], thread)
+            with open(port_file, "w") as handle:
+                handle.write("%d\n" % server.port)
+        stop.wait()
+    finally:
+        report = server.shutdown()
+        for sig, handler in zip(signals, previous):
+            signal.signal(sig, handler)
+    return report

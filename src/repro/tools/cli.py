@@ -18,9 +18,9 @@ Commands:
   flight dump (:func:`repro.obs.flight.flight_dump`) to JSON.
 * ``flight`` — pretty-print a flight dump written by ``trace --dump``.
 * ``check`` — run the static-analysis rules (lock discipline,
-  async discipline, metric-name drift, hygiene) over the package and
+  metric-name drift, hygiene) over the package and
   exit nonzero on findings; ``--format=json`` is the CI gate's input.
-* ``serve`` — run the asyncio network server (docs/internals.md §12):
+* ``serve`` — run the network server (docs/internals.md §12):
   one TardisStore behind the length-prefixed JSON wire protocol, until
   SIGINT/SIGTERM; prints a ``TARDIS_SERVE_REPORT`` JSON line after the
   graceful drain and exits nonzero if any session leaked.

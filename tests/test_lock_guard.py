@@ -23,7 +23,7 @@ from repro.core.recovery import recover_store
 from repro.core.store import _RecordStoreGuard
 from repro.core.versions import VersionedRecordStore
 from repro.partitioning.workers import ShardedRecordStore
-from repro.server import start_in_thread
+from repro.server import TardisServer
 
 PLANES = {
     "flat": {},
@@ -188,7 +188,7 @@ def test_stats_over_the_wire_on_shard_workers():
     # store lock, so the guard lets it through.
     store = TardisStore("G", shards=2, shard_workers=1)
     store._guard_storage()
-    handle = start_in_thread(store=store)
+    handle = TardisServer(store=store).start()
     try:
         with TardisClient(port=handle.port, session="stats") as client:
             client.put("x", 1)
@@ -196,7 +196,7 @@ def test_stats_over_the_wire_on_shard_workers():
         assert stats["store"]["records"] == 1
         assert stats["store"]["shard_workers_alive"] == 1
     finally:
-        handle.stop()
+        handle.shutdown()
         store.close()
 
 

@@ -18,7 +18,7 @@ from repro import TardisStore
 from repro.client import TardisClient
 from repro.errors import ServerError
 from repro.obs.sampler import OBS_SCHEMA_VERSION, ObsSampler
-from repro.server import start_in_thread
+from repro.server import TardisServer
 from repro.server.protocol import HEADER, PROTOCOL_VERSION, FrameDecoder, encode_frame
 from repro.tools.cli import main as cli_main
 
@@ -35,19 +35,19 @@ def _wait_until(predicate, timeout=5.0, interval=0.02):
 @pytest.fixture
 def served_live():
     """A server with the sampler on a fast cadence."""
-    handle = start_in_thread(site="obs-test", obs_sample_interval=0.05)
+    handle = TardisServer(site="obs-test", obs_sample_interval=0.05).start()
     yield handle
-    if handle.server.report is None:
-        handle.stop()
+    if handle.report is None:
+        handle.shutdown()
 
 
 @pytest.fixture
 def served_cold():
     """A server with no sampler task (OBS_SNAPSHOT still works)."""
-    handle = start_in_thread(site="obs-cold")
+    handle = TardisServer(site="obs-cold").start()
     yield handle
-    if handle.server.report is None:
-        handle.stop()
+    if handle.report is None:
+        handle.shutdown()
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +258,7 @@ class TestObsSnapshotOp:
         # only the two OBS_SNAPSHOTs sampled: one seq step, one point per series
         assert second["seq"] == first["seq"] + 1
         assert len(second["series"][series]) == len(first["series"][series]) + 1
-        assert served_cold.server.obs.seq == second["seq"]
+        assert served_cold.obs.seq == second["seq"]
 
     def test_sampler_ticks_accumulate(self, served_live):
         with TardisClient(port=served_live.port) as client:
@@ -287,7 +287,7 @@ class TestNoPushStream:
             subscribe = ask({"id": 2, "op": "OBS_SUBSCRIBE"})
             assert subscribe["error"]["code"] == "UNKNOWN_OP"
             # Several sampler ticks go by; nothing is written meanwhile.
-            stats = served_live.server._stats
+            stats = served_live._stats
             ticks = stats["obs_samples"]
             assert _wait_until(lambda: stats["obs_samples"] >= ticks + 3)
             sock.settimeout(0.2)
@@ -304,8 +304,8 @@ class TestNoPushStream:
             stats = client.stats()
         assert not [name for name in stats if name.startswith("obs_frames")]
         assert set(stats["obs"]) == {"sampler", "interval_s"}
-        assert _wait_until(lambda: served_live.server._stats["obs_samples"] > 0)
-        report = served_live.stop()
+        assert _wait_until(lambda: served_live._stats["obs_samples"] > 0)
+        report = served_live.shutdown()
         assert report["obs_samples"] > 0
         assert not [name for name in report if name.startswith("obs_frames")]
 
@@ -353,14 +353,14 @@ class TestSamplerOffEquivalence:
         return replies
 
     def test_responses_byte_identical_with_and_without_sampler(self):
-        cold = start_in_thread(site="oracle")
-        hot = start_in_thread(site="oracle", obs_sample_interval=0.02)
+        cold = TardisServer(site="oracle").start()
+        hot = TardisServer(site="oracle", obs_sample_interval=0.02).start()
         try:
             baseline = self._run_script(cold.port)
             live = self._run_script(hot.port)
         finally:
-            cold.stop()
-            hot.stop()
+            cold.shutdown()
+            hot.shutdown()
         assert baseline == live
 
 
@@ -370,12 +370,12 @@ class TestSamplerOffEquivalence:
 
 class TestShardedObsOverWire:
     def test_snapshot_has_shard_section_and_sees_dead_worker(self):
-        handle = start_in_thread(
+        handle = TardisServer(
             site="shard-obs",
             shards=4,
             shard_workers=2,
             obs_sample_interval=0.05,
-        )
+        ).start()
         try:
             with TardisClient(port=handle.port) as client:
                 client.put("x", 1)
@@ -384,13 +384,13 @@ class TestShardedObsOverWire:
                 assert shards["n_shards"] == 4
                 assert shards["workers_alive"] == 2
                 assert shards["leaked_workers"] == 0
-                with handle.server.store._lock:
-                    handle.server.store.versions.kill_worker(0)
+                with handle.store._lock:
+                    handle.store.versions.kill_worker(0)
                 assert _wait_until(
                     lambda: client.obs_snapshot()["shards"]["workers_dead"] == [0]
                 )
         finally:
-            handle.stop()
+            handle.shutdown()
 
 
 # ---------------------------------------------------------------------------
@@ -444,14 +444,14 @@ class TestTardisTop:
     def test_live_polls_a_fresh_snapshot_per_frame(self, sampler, capsys):
         # Polls spaced by more than the sampler's cadence each find a
         # newer sample; with the sampler off each poll samples itself.
-        handle = start_in_thread(site="obs-poll", obs_sample_interval=sampler)
+        handle = TardisServer(site="obs-poll", obs_sample_interval=sampler).start()
         try:
             rc = cli_main(
                 ["top", "--port", str(handle.port), "--live", "--frames", "3",
                  "--interval", "0.15"]
             )
         finally:
-            handle.stop()
+            handle.shutdown()
         out = capsys.readouterr().out
         assert rc == 0
         seqs = [int(seq) for seq in re.findall(r"site=obs-poll  seq=(\d+)", out)]

@@ -1,12 +1,17 @@
 """End-to-end tests for the network server: sessions, concurrency,
 disconnect cleanup, graceful shutdown, and the wire error paths."""
 
+import json
+import os
 import random
+import signal
 import socket
 import struct
+import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -22,7 +27,6 @@ from repro.errors import (
     TransactionClosed,
 )
 from repro.obs.metrics import MetricsRegistry, use_registry
-from repro.server import start_in_thread
 from repro.server.handlers import HANDLERS, WireSession
 from repro.server.protocol import (
     HEADER,
@@ -44,12 +48,19 @@ def _wait_until(predicate, timeout=5.0, interval=0.02):
     return predicate()
 
 
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def _src_env():
+    return dict(os.environ, PYTHONPATH=SRC)
+
+
 @pytest.fixture
 def served():
-    handle = start_in_thread(site="net-test")
+    handle = TardisServer(site="net-test").start()
     yield handle
-    if handle.server.report is None:
-        handle.stop()
+    if handle.report is None:
+        handle.shutdown()
 
 
 def _total_pins(store):
@@ -151,11 +162,11 @@ class TestWireBasics:
     def test_server_counts_live_in_its_report_not_the_registry(self):
         registry = MetricsRegistry()
         with use_registry(registry):
-            handle = start_in_thread(site="registry-test")
+            handle = TardisServer(site="registry-test").start()
             with TardisClient(port=handle.port) as client:
                 client.put("x", 1)
                 assert client.get("x") == 1
-            report = handle.stop()
+            report = handle.shutdown()
         assert report["requests_total"] >= 3 and report["commits"] >= 1
         assert report["connections_total"] == 1 and report["bytes_out"] > 0
         # the registry holds the served store's metrics and nothing else
@@ -279,7 +290,7 @@ class TestConcurrentClients:
                 for conflict in merge.conflicts:
                     merge.put(conflict["key"], max(conflict["values"]))
                 merge.commit()
-                if len(served.server.store.dag.leaves()) == 1:
+                if len(served.store.dag.leaves()) == 1:
                     break
             for i in range(self.N_CLIENTS):
                 assert checker.get("counter-%d" % i) == self.N_INCREMENTS
@@ -291,7 +302,7 @@ class TestConcurrentClients:
 
 class TestDisconnectCleanup:
     def test_hard_disconnect_aborts_and_unpins(self, served):
-        store = served.server.store
+        store = served.store
         client = TardisClient(port=served.port, session="dropper")
         txn = client.begin()
         txn.put("doomed", 1)
@@ -316,7 +327,7 @@ class TestDisconnectCleanup:
         # connection keeps the session object it bound at HELLO: its next
         # read still sees its own write, and no second "A" is registered
         # anchored at the root (which would read B's newer branch).
-        store = served.server.store
+        store = served.store
         a = TardisClient(port=served.port, session="A")
         with TardisClient(port=served.port, session="B") as b:
             txns = [a.begin(), b.begin()]
@@ -340,14 +351,14 @@ class TestDisconnectCleanup:
             assert _wait_until(lambda: b.stats()["disconnect_aborts"] == 1)
             assert _total_pins(store) == 0, "pins leaked"
             assert b.get("doomed", default=None) is None
-        assert served.stop()["leaked_sessions"] == []
+        assert served.shutdown()["leaked_sessions"] == []
 
     def test_session_name_reusable_after_disconnect(self, served):
         client = TardisClient(port=served.port, session="phoenix")
         client._sock.close()
         assert _wait_until(
             lambda: not any(
-                s.name == "phoenix" for s in served.server.store.sessions()
+                s.name == "phoenix" for s in served.store.sessions()
             )
         )
         reborn = TardisClient(port=served.port, session="phoenix")
@@ -355,7 +366,7 @@ class TestDisconnectCleanup:
         reborn.close()
 
     def test_cleanup_forgets_the_session_names_it_closed(self, served):
-        server = served.server
+        server = served
         for i in range(300):
             with TardisClient(port=served.port) as client:
                 client.put("k", i)
@@ -365,7 +376,7 @@ class TestDisconnectCleanup:
         with server._lock:
             assert server._bound_sessions() == []
         assert server.store.sessions() == []
-        assert served.stop()["leaked_sessions"] == []
+        assert served.shutdown()["leaked_sessions"] == []
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +385,7 @@ class TestDisconnectCleanup:
 
 class TestGracefulShutdown:
     def test_drain_lets_open_txn_commit_and_refuses_new_work(self):
-        handle = start_in_thread(site="drain-test", drain_timeout=10.0)
+        handle = TardisServer(site="drain-test", drain_timeout=10.0).start()
         client = TardisClient(port=handle.port, session="worker")
         txn = client.begin()
         txn.put("x", 1)
@@ -382,10 +393,10 @@ class TestGracefulShutdown:
 
         reports = {}
         stopper = threading.Thread(
-            target=lambda: reports.update(report=handle.stop())
+            target=lambda: reports.update(report=handle.shutdown())
         )
         stopper.start()
-        assert _wait_until(lambda: handle.server._closing)
+        assert _wait_until(lambda: handle._closing)
 
         # New transactions are refused while draining...
         late = client.begin()
@@ -408,70 +419,70 @@ class TestGracefulShutdown:
         # open on the server; aborting it with the force-close loses
         # nothing, so the drain does not wait for a frame that may never
         # come. (A transaction that holds writes does: next test.)
-        handle = start_in_thread(site="idle-test", drain_timeout=5.0)
+        handle = TardisServer(site="idle-test", drain_timeout=5.0).start()
         client = TardisClient(port=handle.port, session="idle")
         try:
             assert client.get("x") is None
             started = time.perf_counter()
-            report = handle.stop()
+            report = handle.shutdown()
             assert time.perf_counter() - started < 4.0
         finally:
             client.close()
         assert report["drained_in_time"] is True
         assert report["leaked_sessions"] == []
-        assert handle.server.store.sessions() == []
-        assert _total_pins(handle.server.store) == 0
+        assert handle.store.sessions() == []
+        assert _total_pins(handle.store) == 0
 
     def test_drain_timeout_force_closes_and_still_leaks_nothing(self):
-        handle = start_in_thread(site="force-test", drain_timeout=0.2)
+        handle = TardisServer(site="force-test", drain_timeout=0.2).start()
         client = TardisClient(port=handle.port, session="straggler")
         try:
             straggler = client.begin()
             straggler.put("x", 1)
             assert straggler.get("x") == 1  # on the server, left open on purpose
-            report = handle.stop()
+            report = handle.shutdown()
         finally:
             client.close()
         assert report["drained_in_time"] is False
         assert report["forced_closes"] >= 1
         assert report["leaked_sessions"] == []
         assert report["disconnect_aborts"] >= 1
-        assert handle.server.store.sessions() == []
+        assert handle.store.sessions() == []
 
-    def test_the_loop_keeps_turning_while_shutdown_waits_a_slow_handler_out(self):
-        handle = start_in_thread(site="join-test", drain_timeout=0.05)
-        server, store = handle.server, handle.server.store
-        gaps = []
-
-        def tick(last):  # on the loop: how long between two turns of it
-            now = time.perf_counter()
-            gaps.append(now - last)
-            if server.report is None:
-                handle.loop.call_later(0.01, tick, now)
-
+    def test_the_watchdog_answers_while_shutdown_waits_a_slow_handler_out(self):
+        handle = TardisServer(site="join-test", request_timeout=0.1).start()
+        store = handle.store
+        reports = {}
+        stopper = threading.Thread(target=lambda: reports.update(report=handle.shutdown()))
         original = TestAbandonedRequest._slow_begin(store, 0.6)
         try:
             with _Raw(handle.port) as raw:
                 raw.send({"id": 1, "op": "READ", "begin": {}, "key": "x"})
-                assert _wait_until(lambda: server._inflight == 1)
-                handle.loop.call_soon_threadsafe(tick, time.perf_counter())
-                report = handle.stop()  # waits the slow handler out
+                sent = time.perf_counter()
+                assert _wait_until(lambda: handle._inflight == 1)
+                stopper.start()  # waits the slow handler out
+                answer = raw.frame()
+                waited = time.perf_counter() - sent
+                # The watchdog thread answered, and shutdown still waits.
+                assert stopper.is_alive()
+                assert answer["error"]["code"] == "TIMEOUT"
+                assert waited < 0.2
+                stopper.join(timeout=30.0)
         finally:
             store.begin = original
-        assert report["drained_in_time"] is False
+        report = reports["report"]
+        assert report["timeouts_total"] == 1
         assert report["leaked_sessions"] == []
         assert store.sessions() == []
-        # The loop kept turning (TIMEOUTs, connection_lost) meanwhile.
-        assert len(gaps) > 10 and max(gaps) < 0.3
 
     def test_new_connections_rejected_while_draining(self):
-        handle = start_in_thread(site="reject-test", drain_timeout=5.0)
+        handle = TardisServer(site="reject-test", drain_timeout=5.0).start()
         client = TardisClient(port=handle.port, session="holder")
         txn = client.begin()
         txn.get("x", default=None)  # the request that carries the BEGIN
-        stopper = threading.Thread(target=handle.stop)
+        stopper = threading.Thread(target=handle.shutdown)
         stopper.start()
-        assert _wait_until(lambda: handle.server._closing)
+        assert _wait_until(lambda: handle._closing)
         with pytest.raises((ServerError, OSError, Exception)):
             TardisClient(port=handle.port, session="late")
         txn.commit()
@@ -730,7 +741,7 @@ class TestAbandonedRequest:
             return observer.stats()["open_txns"]
 
     def test_sync_timeout_closes_the_client_and_the_server_cleans_up(self, served):
-        store = served.server.store
+        store = served.store
         client = TardisClient(port=served.port, session="impatient", timeout=0.1)
         original = self._slow_begin(store, 0.3)
         try:
@@ -751,7 +762,7 @@ class TestAbandonedRequest:
         client.close()  # idempotent on a closed client
 
     def test_an_interrupted_call_closes_the_client(self, served):
-        store = served.server.store
+        store = served.store
         client = TardisClient(port=served.port, session="interrupted")
 
         class _Interrupted:  # the request goes out, the wait for it is cut short
@@ -788,10 +799,10 @@ class TestAbandonedRequest:
 
 @pytest.fixture
 def served_sharded():
-    handle = start_in_thread(site="net-shard", shards=4, shard_workers=2)
+    handle = TardisServer(site="net-shard", shards=4, shard_workers=2).start()
     yield handle
-    if handle.server.report is None:
-        handle.stop()
+    if handle.report is None:
+        handle.shutdown()
 
 
 class TestShardedServing:
@@ -816,7 +827,7 @@ class TestShardedServing:
         )
         assert wire == in_process
 
-        report = served_sharded.stop()
+        report = served_sharded.shutdown()
         assert report["leaked_sessions"] == []
         assert report["leaked_workers"] == 0
 
@@ -838,7 +849,7 @@ class TestShardedServing:
             assert stats["store"]["shard_workers_alive"] == 2
 
     def test_hard_disconnect_leaks_nothing_with_shards(self, served_sharded):
-        store = served_sharded.server.store
+        store = served_sharded.store
         client = TardisClient(port=served_sharded.port, session="dropper")
         txn = client.begin()
         txn.put("doomed", 1)
@@ -850,7 +861,7 @@ class TestShardedServing:
         with TardisClient(port=served_sharded.port, session="observer") as obs:
             assert obs.get("doomed", default=None) is None
 
-        report = served_sharded.stop()
+        report = served_sharded.shutdown()
         assert report["leaked_sessions"] == []
         assert report["leaked_workers"] == 0
         assert report["exit_code"] if "exit_code" in report else True
@@ -861,8 +872,8 @@ class TestShardedServing:
             for i in range(16):
                 txn.put("key-%03d" % i, i)
             txn.commit()
-            with served_sharded.server.store._lock:
-                served_sharded.server.store.versions.kill_worker(1)
+            with served_sharded.store._lock:
+                served_sharded.store.versions.kill_worker(1)
             with pytest.raises(ShardUnavailableError):
                 client.get_many(["key-%03d" % i for i in range(16)])
 
@@ -1021,7 +1032,7 @@ def _anchors_seen_by_begin(store, session_name):
 
 class TestDeferredClose:
     def test_the_anchor_is_in_place_before_the_sessions_next_begin(self, served):
-        store = served.server.store
+        store = served.store
         a = TardisClient(port=served.port, session="A")
         b = TardisClient(port=served.port, session="B")
         try:
@@ -1050,7 +1061,7 @@ class TestDeferredClose:
             b.close()
 
     def test_a_with_block_read_anchors_the_next_begin(self, served):
-        store = served.server.store
+        store = served.store
         with TardisClient(port=served.port, session="A") as a, TardisClient(
             port=served.port, session="B"
         ) as b:
@@ -1084,7 +1095,7 @@ class TestDeferredClose:
         return [read_with_begin, merge, client.stats, client.close]
 
     def test_no_pin_outlives_the_connections_next_frame(self, served):
-        store = served.server.store
+        store = served.store
         for n in range(4):
             client = TardisClient(port=served.port, session="pins-%d" % n)
             try:
@@ -1102,7 +1113,7 @@ class TestDeferredClose:
         assert store.metrics.read_only_commits == 4
 
     def test_autocommit_reads_hold_one_pin_until_the_next_frame(self, served):
-        store = served.server.store
+        store = served.store
         with TardisClient(port=served.port) as client:
             assert client.get("x") is None  # one frame; its close waits
             assert _total_pins(store) == 1
@@ -1117,7 +1128,7 @@ class TestDeferredClose:
         assert store.metrics.read_only_commits == 3
 
     def test_a_bare_socket_drop_releases_the_pin(self, served):
-        store = served.server.store
+        store = served.store
         client = TardisClient(port=served.port, session="dropper")
         assert client.get("x") is None
         assert _total_pins(store) == 1
@@ -1161,11 +1172,11 @@ class TestDeferredClose:
             # Exactly once, on the first frame that did encode.
             assert delivered == [[reader._txn_id]]
             assert client.stats()["open_txns"] == 0
-        assert _total_pins(served.server.store) == 0
+        assert _total_pins(served.store) == 0
 
     def test_every_deferred_close_is_delivered_by_a_clean_shutdown(self):
-        handle = start_in_thread(site="deliver-test", drain_timeout=2.0)
-        store = handle.server.store
+        handle = TardisServer(site="deliver-test", drain_timeout=2.0).start()
+        store = handle.store
         clients = [TardisClient(port=handle.port, session="s%d" % i) for i in range(3)]
         try:
             clients[0].put("x", 1)
@@ -1175,7 +1186,7 @@ class TestDeferredClose:
         finally:
             for client in clients:
                 client.close()
-        report = handle.stop()
+        report = handle.shutdown()
         assert report["leaked_sessions"] == []
         assert report["drained_in_time"] is True
         assert report["disconnect_aborts"] == 0  # delivered, not aborted
@@ -1316,8 +1327,8 @@ class TestBufferedWrites:
 class TestTimedOutBegin:
     @pytest.mark.parametrize("piggy_backed", [False, True])
     def test_a_begin_answered_timeout_is_undone(self, piggy_backed):
-        handle = start_in_thread(site="timeout-test", request_timeout=0.1)
-        store = handle.server.store
+        handle = TardisServer(site="timeout-test", request_timeout=0.1).start()
+        store = handle.store
         client = TardisClient(port=handle.port, session="slow")
         try:
             original = TestAbandonedRequest._slow_begin(store, 0.3)
@@ -1343,14 +1354,14 @@ class TestTimedOutBegin:
             assert client.get("x") is None
         finally:
             # Still connected: the drain has nothing to wait for.
-            report = handle.stop(drain_timeout=1.0)
+            report = handle.shutdown(drain_timeout=1.0)
             client.close()
         assert report["drained_in_time"] is True
         assert report["leaked_sessions"] == []
 
     def test_a_late_answer_is_dropped_and_the_next_request_keeps_its_id(self):
-        handle = start_in_thread(site="late-test", request_timeout=0.1)
-        store = handle.server.store
+        handle = TardisServer(site="late-test", request_timeout=0.1).start()
+        store = handle.store
         try:
             with _Raw(handle.port) as raw:
                 original = TestAbandonedRequest._slow_begin(store, 0.3)
@@ -1368,7 +1379,7 @@ class TestTimedOutBegin:
                 assert stats["stats"]["timeouts_total"] == 1
                 assert stats["stats"]["inflight"] == 1  # this STATS itself
         finally:
-            report = handle.stop(drain_timeout=1.0)
+            report = handle.shutdown(drain_timeout=1.0)
         assert report["drained_in_time"] is True
         assert report["leaked_sessions"] == []
 
@@ -1468,18 +1479,18 @@ class TestCallbackTransport:
             assert [a["id"] for a in answers] == [1, 2, 3]
             assert all(a["ok"] for a in answers)
             assert raw.frame() is None  # then the server closes its half
-        assert _wait_until(lambda: served.server.store.sessions() == [])
+        assert _wait_until(lambda: served.store.sessions() == [])
 
     def test_frames_pipelined_behind_bye_are_not_run(self, served):
         with _Raw(served.port) as raw:
-            started = served.server._stats["requests_total"]
+            started = served._stats["requests_total"]
             raw.send({"id": 1, "op": "BYE"}, {"id": 2, "op": "STATS"})
             assert raw.frame()["id"] == 1
             assert raw.frame() is None  # closed after the BYE's answer
-        assert served.server._stats["requests_total"] == started + 1
+        assert served._stats["requests_total"] == started + 1
 
     def test_a_peer_that_never_reads_stalls_only_itself(self, served):
-        server = served.server
+        server = served
         keys = ["big%d" % i for i in range(16)]
         with TardisClient(port=served.port, session="other") as other:
             txn = other.begin()
@@ -1519,7 +1530,7 @@ class TestCallbackTransport:
 
     @pytest.mark.parametrize("reset", [False, True])
     def test_a_socket_dropped_while_its_handler_runs_leaks_nothing(self, served, reset):
-        server, store = served.server, served.server.store
+        server, store = served, served.store
         raw = _Raw(served.port, session="dropper")
         original = TestAbandonedRequest._slow_begin(store, 0.3)
         try:
@@ -1542,7 +1553,7 @@ class TestCallbackTransport:
         assert server._stats["disconnect_aborts"] == 1
 
     def test_refusals_are_answered_before_the_close(self):
-        handle = start_in_thread(site="cap-test", max_connections=1)
+        handle = TardisServer(site="cap-test", max_connections=1).start()
         try:
             with TardisClient(port=handle.port, session="holder") as holder:
                 with _Raw(handle.port, hello=False) as extra:
@@ -1550,39 +1561,21 @@ class TestCallbackTransport:
                     assert refusal["error"]["code"] == "SERVER_BUSY"
                     assert extra.frame() is None
                 assert holder.stats()["connections_rejected"] == 1
-            assert _wait_until(lambda: not handle.server._conns)
+            assert _wait_until(lambda: not handle._conns)
             with _Raw(handle.port, hello=False) as raw:
                 raw.sock.sendall(HEADER.pack(MAX_FRAME + 1))
                 assert raw.frame()["error"]["code"] == "FRAME_TOO_LARGE"
                 assert raw.frame() is None
         finally:
-            handle.stop()
+            handle.shutdown()
 
 
 class TestRequestPath:
     """A request runs from ``recv`` to ``send`` on the store thread."""
 
-    def test_a_request_wakes_no_loop_callback(self, served, monkeypatch):
-        loop, server = served.loop, served.server
-        calls = []
-        original = loop.call_soon_threadsafe
-
-        def counting(*args, **kwargs):
-            calls.append(args[0])
-            return original(*args, **kwargs)
-
-        with _Raw(served.port) as raw:
-            before = server._stats["requests_total"]
-            monkeypatch.setattr(loop, "call_soon_threadsafe", counting)
-            for i in range(200):
-                assert raw.ask({"id": i, "op": "STATS"})["ok"]
-            monkeypatch.undo()
-            assert server._stats["requests_total"] - before == 200
-        assert len(calls) <= 2, calls
-
     def test_an_accepted_socket_has_nodelay(self, served):
         with _Raw(served.port):
-            (conn,) = served.server._conns.values()
+            (conn,) = served._conns.values()
             assert conn.sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
 
     def test_a_pipelined_burst_does_not_starve_another_connection(
@@ -1621,7 +1614,7 @@ class TestRequestPath:
     def test_timeouts_racing_answers_leave_one_frame_per_request(self, monkeypatch):
         # The watchdog and the store thread both may answer a request; the
         # connection's lock must let exactly one of them, every time.
-        handle = start_in_thread(site="race-test", request_timeout=0.02)
+        handle = TardisServer(site="race-test", request_timeout=0.02).start()
         stats = HANDLERS["STATS"]
 
         def jittery(server, session, request):
@@ -1654,32 +1647,65 @@ class TestRequestPath:
                 assert not thread.is_alive()
         finally:
             sys.setswitchinterval(switch)
-            report = handle.stop()
+            report = handle.shutdown()
         assert errors == []
         assert len(codes) == 60 and set(codes) <= {"ok", "TIMEOUT"}
         assert report["timeouts_total"] == codes.count("TIMEOUT") > 0
         assert report["requests_total"] == 4 + 60  # the HELLOs and the STATS
-        assert handle.server._inflight == 0
+        assert handle._inflight == 0
         assert report["leaked_sessions"] == []
 
 
 # ---------------------------------------------------------------------------
-# The store thread: one per started server, joined by its shutdown, and
-# a job that raises does not end it.
+# The store thread and the watchdog: two per started server, joined by its
+# shutdown, and a step that raises does not end the store thread.
 
 
-def _store_threads():
-    return {t for t in threading.enumerate() if t.name == "tardis-store"}
+def _new_threads(before):
+    return set(threading.enumerate()) - before
+
+
+_EMFILE_PROBE = """
+import json, os, resource, socket, time
+from repro.server.protocol import FrameDecoder, encode_frame
+from repro.server.server import TardisServer
+
+server = TardisServer(site="emfile").start()
+resource.setrlimit(resource.RLIMIT_NOFILE, (64, resource.getrlimit(resource.RLIMIT_NOFILE)[1]))
+fillers = []
+try:
+    while True:
+        fillers.append(os.open(os.devnull, os.O_RDONLY))
+except OSError:
+    pass
+os.close(fillers.pop())  # room for the client's socket, none for the accept
+client = socket.create_connection(("127.0.0.1", server.port), timeout=5.0)
+cpu = lambda: sum(resource.getrusage(resource.RUSAGE_SELF)[:2])
+before = cpu()
+time.sleep(0.5)
+cpu_s = cpu() - before
+accepted = server._stats["connections_total"]
+os.close(fillers.pop())  # room for the accept
+client.sendall(encode_frame({"id": 0, "op": "HELLO", "session": "late"}))
+decoder, answer = FrameDecoder(), None
+while answer is None:
+    decoder.feed(client.recv(65536))
+    answer = decoder.next_frame()
+client.close()
+for fd in fillers:
+    os.close(fd)
+report = server.shutdown()
+print(json.dumps({"cpu_s": cpu_s, "accepted": accepted, "hello_ok": answer["ok"],
+                  "leaked": report["leaked_sessions"]}))
+"""
 
 
 class TestStoreThread:
-    def test_a_failed_job_reaches_the_loops_handler_and_the_thread_serves_on(
+    def test_a_failed_job_reaches_threading_excepthook_and_the_thread_serves_on(
         self, served, monkeypatch
     ):
         seen = []
-        served.loop.call_soon_threadsafe(
-            served.loop.set_exception_handler, lambda loop, context: seen.append(context)
-        )
+        monkeypatch.setattr(threading, "excepthook", seen.append)
         original = WireSession.close
         failed = []
 
@@ -1692,41 +1718,109 @@ class TestStoreThread:
         monkeypatch.setattr(WireSession, "close", close_fails_once)
         with TardisClient(port=served.port, session="bystander") as bystander:
             victim = TardisClient(port=served.port, session="victim")
-            victim._sock.close()  # its disconnect cleanup is the job that raises
+            victim._sock.close()  # its disconnect cleanup is the step that raises
             assert _wait_until(lambda: seen)
-            (context,) = seen
-            assert context["message"] == "store-thread job failed"
-            assert str(context["exception"]) == "close failed"
+            (args,) = seen
+            assert args.thread.name == "tardis-store"
+            assert str(args.exc_value) == "close failed"
             # The thread serves on: another client's next request is answered.
             bystander.put("after", 1)
             assert bystander.get("after") == 1
             # The failed cleanup left the victim's session open; a second
-            # run of it closes the session.
-            server = served.server
-            server._submit(server._cleanup_sync, failed[0])
-            assert _wait_until(lambda: len(server._conns) == 1)
-            assert [s.name for s in server.store.sessions()] == ["bystander"]
-        assert served.stop()["leaked_sessions"] == []
+            # run of it, from here while the store thread is idle, closes it.
+            served._cleanup_sync(failed[0])
+            assert len(served._conns) == 1
+            assert [s.name for s in served.store.sessions()] == ["bystander"]
+        assert served.shutdown()["leaked_sessions"] == []
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="Linux accept(2) semantics")
+    def test_an_accept_out_of_descriptors_backs_off_and_recovers(self):
+        # A subprocess, because it lowers its own descriptor limit.
+        proc = subprocess.run(
+            [sys.executable, "-c", _EMFILE_PROBE],
+            env=_src_env(),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        out = json.loads(proc.stdout)
+        # No descriptor for the accept: the connection waits in the
+        # backlog, and the store thread retries every 10 ms, not in a spin.
+        assert out["accepted"] == 0
+        assert out["cpu_s"] < 0.1, out
+        # One descriptor freed: the next retry accepts and serves it.
+        assert out["hello_ok"] is True
+        assert out["leaked"] == []
 
     def test_a_server_never_started_starts_no_thread(self):
-        before = _store_threads()
+        before = set(threading.enumerate())
         TardisServer(TardisStore("cold"))
-        assert _store_threads() == before
+        assert _new_threads(before) == set()
 
     def test_a_failed_bind_leaves_no_store_thread(self):
         with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as holder:
             holder.bind(("127.0.0.1", 0))
             holder.listen()
-            before = _store_threads()
+            before = set(threading.enumerate())
             with pytest.raises(OSError):
-                start_in_thread(site="bind-test", port=holder.getsockname()[1])
-            assert _store_threads() == before
+                TardisServer(site="bind-test", port=holder.getsockname()[1]).start()
+            assert _new_threads(before) == set()
 
     def test_stop_joins_the_store_thread(self):
-        before = _store_threads()
-        handle = start_in_thread(site="join-thread-test")
-        (thread,) = _store_threads() - before
+        before = set(threading.enumerate())
+        handle = TardisServer(site="join-thread-test").start()
+        started = _new_threads(before)
+        assert {t.name for t in started} == {"tardis-store", "tardis-watchdog"}
         with TardisClient(port=handle.port) as client:
             client.put("x", 1)
-        assert handle.stop()["leaked_sessions"] == []
-        assert not thread.is_alive()
+        assert handle.shutdown()["leaked_sessions"] == []
+        assert _new_threads(before) == set()
+        assert not any(t.is_alive() for t in started)
+
+
+# ---------------------------------------------------------------------------
+# ``tardis serve`` as a process: what the e2e harness and bench_net.py run.
+
+
+class TestServeProcess:
+    @pytest.mark.parametrize("sig", [signal.SIGINT, signal.SIGTERM], ids=["SIGINT", "SIGTERM"])
+    def test_a_signal_drains_and_reports(self, tmp_path, sig):
+        port_file = tmp_path / "port.txt"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.tools.cli", "serve", "--port", "0",
+             "--port-file", str(port_file)],
+            env=_src_env(),
+            stdout=subprocess.PIPE,
+            stderr=subprocess.STDOUT,
+            text=True,
+        )
+        try:
+            assert _wait_until(
+                lambda: port_file.exists() and port_file.read_text().strip(), timeout=30.0
+            )
+            with TardisClient(port=int(port_file.read_text()), session="once") as client:
+                client.put("x", 1)
+            proc.send_signal(sig)
+            out, _ = proc.communicate(timeout=30.0)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+        assert proc.returncode == 0, out
+        (line,) = [l for l in out.splitlines() if l.startswith("TARDIS_SERVE_REPORT ")]
+        report = json.loads(line.split(" ", 1)[1])
+        assert report["commits"] == 1
+        assert report["leaked_sessions"] == []
+        assert report["drained_in_time"] is True
+
+    def test_the_serve_path_imports_no_asyncio(self):
+        probe = "import sys, repro.tools.cli; assert 'asyncio' not in sys.modules"
+        proc = subprocess.run(
+            [sys.executable, "-c", probe],
+            env=_src_env(),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr

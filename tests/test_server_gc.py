@@ -1,7 +1,7 @@
 """A served store collects its garbage (docs/internals.md §3, §12.4).
 
 Every commit a wire session makes places the session's GC ceiling at its
-new anchor, the job that grows the DAG to ``server._gc_at`` states is
+new anchor, the request that grows the DAG to ``server._gc_at`` states is
 followed by a cycle on the store thread, and an idle connection's
 transactions stay open however long it idles. Mostly sans-IO over
 ``WireSession.handle``; the idle connection and the oracle run over
@@ -15,7 +15,7 @@ import time
 from repro import TardisStore
 from repro.client import TardisClient
 from repro.core.ids import ROOT_ID
-from repro.server import handlers, server as server_module, start_in_thread
+from repro.server import handlers, server as server_module
 from repro.server.handlers import WireSession
 from repro.server.server import GC_GROWTH, TardisServer
 from tests.test_server import _oracle_script
@@ -35,7 +35,7 @@ def _served_sessions(*names):
 
 def _ok(session, request):
     answer = session.handle(request)
-    session.server._collect_if_grown()  # what the store thread runs after each job
+    session.server._collect_if_grown()  # what the store thread runs after each request
     assert answer["ok"], answer
     return answer
 
@@ -137,8 +137,8 @@ class TestIdleConnections:
     def test_a_txn_that_read_then_idled_still_commits_its_write(self):
         # ``request_timeout`` bounds one request, not a transaction: a
         # transaction may idle between its read and its buffered write.
-        handle = start_in_thread(site="idle", request_timeout=0.2)
-        store = handle.server.store
+        handle = TardisServer(site="idle", request_timeout=0.2).start()
+        store = handle.store
         try:
             with TardisClient(port=handle.port, session="idler") as client:
                 client.put("x", 1)
@@ -151,10 +151,10 @@ class TestIdleConnections:
                 assert client.get("x") == 2
                 # Its commit placed the ceiling at the new anchor.
                 assert "idler" in store.gc.ceilings
-            report = handle.stop()
+            report = handle.shutdown()
         finally:
-            if handle.server.report is None:
-                handle.stop()
+            if handle.report is None:
+                handle.shutdown()
         assert report["leaked_sessions"] == [] and report["disconnect_aborts"] == 0
         assert report["gc_cycles"] == 0
 
@@ -174,8 +174,8 @@ class TestReadsAcrossCycles:
     def test_every_read_matches_a_store_that_never_collects(self, monkeypatch):
         # A cycle every few states, so the rounds run across many.
         monkeypatch.setattr(server_module, "GC_GROWTH", 8)
-        handle = start_in_thread(site="gc-oracle")
-        handle.server._gc_at = 8
+        handle = TardisServer(site="gc-oracle").start()
+        handle._gc_at = 8
         clients = [TardisClient(port=handle.port, session="sess-%d" % i) for i in range(4)]
         oracle = TardisStore("oracle")
         sessions = [oracle.session("sess-%d" % i) for i in range(4)]
@@ -193,7 +193,7 @@ class TestReadsAcrossCycles:
         finally:
             for client in clients:
                 client.close()
-            handle.stop()
+            handle.shutdown()
         assert gc["cycles"] >= 10 and gc["states_removed"] > 100
         assert len(oracle.dag) == 40 * 9 + 1  # the oracle kept everything
 
@@ -212,8 +212,8 @@ class TestCycleAfterTheAnswer:
 
         monkeypatch.setattr(store, "collect_garbage", slow_collect)
         monkeypatch.setattr(server_module, "GC_GROWTH", 8)
-        handle = start_in_thread(store)
-        handle.server._gc_at = 8
+        handle = TardisServer(store).start()
+        handle._gc_at = 8
         try:
             with TardisClient(port=handle.port, session="writer") as client:
                 for i in range(6):
@@ -224,7 +224,7 @@ class TestCycleAfterTheAnswer:
                 answered = time.perf_counter()
                 gc = client.stats()["store"]["gc"]  # the connection's next request
         finally:
-            handle.stop()
+            handle.shutdown()
         assert answered - started < 0.15
         (cycle_ended,) = cycles_ended
         assert answered < cycle_ended

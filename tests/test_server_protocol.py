@@ -21,7 +21,7 @@ from repro.errors import (
     ShardUnavailableError,
     TransactionAborted,
 )
-from repro.server import TardisServer, handlers, protocol, start_in_thread
+from repro.server import TardisServer, handlers, protocol
 from repro.server.handlers import HANDLERS, WireSession
 from repro.server.protocol import (
     ERROR_CODES,
@@ -388,11 +388,11 @@ class TestHandlerTable:
     def test_handle_answers_the_oracle_script_as_the_socket_path_does(self):
         from tests.test_obs_live import TestSamplerOffEquivalence as oracle
 
-        served = start_in_thread(site="oracle")
+        served = TardisServer(site="oracle").start()
         try:
             wire = oracle._run_script(served.port)
         finally:
-            served.stop()
+            served.shutdown()
         # No socket, no loop, no thread: an unstarted server and the
         # session object the read loop would have driven.
         session = WireSession(TardisServer(TardisStore("oracle")), 1)
@@ -684,7 +684,7 @@ class TestPiggyBackedBeginAndWrites:
 
     def test_undo_aborts_only_what_that_request_began(self):
         # The transport's half of TIMEOUT: the handler ran to the end
-        # after the loop gave up on it; ``undo`` runs behind it.
+        # after the watchdog gave up on it; ``undo`` runs behind it.
         _server, session = _session()
         slow = {"id": 1, "op": "READ", "begin": {}, "key": "x"}
         assert session.handle(slow)["txn"] == 1
