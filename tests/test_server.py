@@ -1,9 +1,12 @@
 """End-to-end tests for the network server: sessions, concurrency,
 disconnect cleanup, graceful shutdown, and the wire error paths."""
 
+import errno
 import json
 import os
 import random
+import re
+import select
 import signal
 import socket
 import struct
@@ -36,7 +39,7 @@ from repro.server.protocol import (
     encode_frame,
     ok_response,
 )
-from repro.server.server import HIGH_WATER, TardisServer
+from repro.server.server import HIGH_WATER, TardisServer, run_server
 
 
 def _wait_until(predicate, timeout=5.0, interval=0.02):
@@ -1780,6 +1783,386 @@ class TestStoreThread:
 
 
 # ---------------------------------------------------------------------------
+# The plain lifecycle: ``start()`` binds and starts two threads, and
+# ``shutdown()`` on the caller's thread undoes all of it.
+
+
+def _hold(monkeypatch):
+    """Make a STATS request carrying ``hold`` keep the store thread in its
+    handler until the returned event is set (or 10 s pass)."""
+    gate = threading.Event()
+    stats = HANDLERS["STATS"]
+
+    def holding(server, session, request):
+        if request.get("hold"):
+            gate.wait(10.0)
+        return stats(server, session, request)
+
+    monkeypatch.setitem(HANDLERS, "STATS", holding)
+    return gate
+
+
+def _open_fds():
+    return set(os.listdir("/proc/self/fd"))
+
+
+_PROC_FDS = pytest.mark.skipif(
+    not os.path.isdir("/proc/self/fd"), reason="lists descriptors through /proc"
+)
+
+
+class TestLifecycle:
+    def test_start_returns_the_server_with_its_bound_port(self):
+        server = TardisServer(site="start-test")
+        try:
+            assert server.start() is server
+            assert server.port != 0
+            assert server.address == "127.0.0.1:%d" % server.port
+            with TardisClient(port=server.port) as client:
+                assert client.site == "start-test"
+        finally:
+            server.shutdown()
+
+    @_PROC_FDS
+    def test_a_failed_bind_leaves_no_socket_open(self):
+        with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as holder:
+            holder.bind(("127.0.0.1", 0))
+            holder.listen()
+            before = _open_fds()
+            with pytest.raises(OSError):
+                TardisServer(site="bind-fd-test", port=holder.getsockname()[1]).start()
+            assert _open_fds() - before == set()
+
+    def test_shutdown_twice_returns_the_same_report(self):
+        handle = TardisServer(site="twice-test").start()
+        first = handle.shutdown()
+        assert handle.shutdown() is first
+        assert handle.report is first
+
+    def test_a_server_never_started_shuts_down_clean(self):
+        before = set(threading.enumerate())
+        report = TardisServer(site="cold-stop").shutdown()
+        assert _new_threads(before) == set()
+        assert report["drained_in_time"] is True
+        assert report["forced_closes"] == 0
+        assert report["leaked_sessions"] == []
+        assert report["requests_total"] == 0
+
+    def test_after_shutdown_the_port_refuses_connections(self):
+        handle = TardisServer(site="refuse-test").start()
+        handle.shutdown()
+        with pytest.raises(ConnectionRefusedError):
+            socket.create_connection(("127.0.0.1", handle.port), timeout=5.0).close()
+
+    def test_shutdown_closes_every_socket_the_server_made(self):
+        handle = TardisServer(site="close-test").start()
+        with TardisClient(port=handle.port) as client:
+            client.put("x", 1)
+        handle.shutdown()
+        assert [s.fileno() for s in (handle._listener, handle._wake, handle._waker)] == [-1] * 3
+
+    @_PROC_FDS
+    def test_a_server_started_and_stopped_holds_no_descriptor(self):
+        before = _open_fds()
+        handle = TardisServer(site="fd-test").start()
+        with TardisClient(port=handle.port) as client:
+            client.put("x", 1)
+        handle.shutdown()
+        # The listener, the bell's two ends, the selector and the
+        # accepted connection are all closed.
+        assert _open_fds() - before == set()
+
+    def test_a_drain_timeout_passed_to_shutdown_overrides_the_constructors(self):
+        handle = TardisServer(site="override-test", drain_timeout=30.0).start()
+        client = TardisClient(port=handle.port, session="straggler")
+        try:
+            txn = client.begin()
+            txn.put("x", 1)
+            assert txn.get("x") == 1  # holds writes: the drain waits for it
+            started = time.perf_counter()
+            report = handle.shutdown(drain_timeout=0.1)
+            took = time.perf_counter() - started
+        finally:
+            client.close()
+        assert took < 5.0
+        assert report["drained_in_time"] is False
+        assert report["forced_closes"] == 1
+        assert report["leaked_sessions"] == []
+
+    def test_a_store_passed_in_outlives_the_server(self):
+        store = TardisStore("lent", shards=2, shard_workers=1)
+        try:
+            handle = TardisServer(store).start()
+            with TardisClient(port=handle.port) as client:
+                client.put("x", 1)
+            assert handle.shutdown()["leaked_workers"] == 0
+            # The server closes only a store it built: the workers serve on.
+            assert store.begin().get("x") == 1
+        finally:
+            store.close()
+        assert store.leaked_workers == 0
+
+    def test_shutdown_does_not_wait_out_the_watchdogs_period(self):
+        # The watchdog looks every request_timeout / 8 = 7.5 s; it sleeps
+        # on an event that shutdown sets, not in time.sleep.
+        handle = TardisServer(site="slow-watch", request_timeout=60.0).start()
+        time.sleep(0.05)
+        started = time.perf_counter()
+        handle.shutdown()
+        assert time.perf_counter() - started < 2.0
+        assert not handle._watchdog.is_alive()
+
+    def test_an_ipv6_host_is_served(self):
+        try:
+            with socket.socket(socket.AF_INET6, socket.SOCK_STREAM) as probe:
+                probe.bind(("::1", 0))
+        except OSError:
+            pytest.skip("no IPv6 loopback")
+        handle = TardisServer(host="::1", site="v6").start()
+        try:
+            assert handle._listener.family == socket.AF_INET6
+            with TardisClient(host="::1", port=handle.port) as client:
+                client.put("x", 1)
+                assert client.get("x") == 1
+        finally:
+            report = handle.shutdown()
+        assert report["leaked_sessions"] == []
+
+    def test_two_servers_run_side_by_side(self):
+        left = TardisServer(site="left").start()
+        right = TardisServer(site="right").start()
+        try:
+            with TardisClient(port=left.port) as a, TardisClient(port=right.port) as b:
+                a.put("x", "left")
+                b.put("x", "right")
+            left.shutdown()
+            # One server's shutdown stops its own threads only.
+            with TardisClient(port=right.port) as b:
+                assert b.get("x") == "right"
+            assert left.store.begin().get("x") == "left"
+        finally:
+            left.shutdown()
+            report = right.shutdown()
+        assert report["leaked_sessions"] == []
+
+    @pytest.mark.skipif(
+        not hasattr(time, "pthread_getcpuclockid"), reason="per-thread CPU clocks"
+    )
+    def test_an_idle_server_burns_no_cpu(self):
+        handle = TardisServer(site="idle-cpu").start()
+        try:
+            with TardisClient(port=handle.port) as client:
+                client.put("x", 1)
+            assert _wait_until(lambda: not handle._conns)
+            clocks = [
+                time.pthread_getcpuclockid(t.ident) for t in (handle._thread, handle._watchdog)
+            ]
+            before = [time.clock_gettime(c) for c in clocks]
+            time.sleep(0.5)
+            spent = [time.clock_gettime(c) - b for c, b in zip(clocks, before)]
+        finally:
+            handle.shutdown()
+        # The store thread blocks in select, the watchdog on its event.
+        assert max(spent) < 0.05, spent
+
+
+class TestAcceptLoop:
+    def test_connections_that_queue_while_a_handler_runs_are_all_accepted(
+        self, served, monkeypatch
+    ):
+        gate = _hold(monkeypatch)
+        try:
+            with _Raw(served.port) as holder:
+                holder.send({"id": 1, "op": "STATS", "hold": True})
+                assert _wait_until(lambda: served._inflight == 1)
+                queued = [_Raw(served.port, hello=False) for _ in range(20)]
+                try:
+                    # The kernel completed them; the store thread is busy.
+                    assert served._stats["connections_total"] == 1
+                    gate.set()
+                    assert holder.frame()["id"] == 1
+                    for i, raw in enumerate(queued):
+                        assert raw.ask({"id": 0, "op": "HELLO", "session": "q%d" % i})["ok"]
+                    assert served._stats["connections_total"] == 21
+                finally:
+                    for raw in queued:
+                        raw.sock.close()
+        finally:
+            gate.set()
+        assert _wait_until(lambda: served.store.sessions() == [])
+
+    def test_a_queued_burst_past_the_cap_is_refused_but_for_one(self, monkeypatch):
+        handle = TardisServer(site="burst-cap", max_connections=2).start()
+        gate = _hold(monkeypatch)
+        try:
+            with _Raw(handle.port) as holder:
+                holder.send({"id": 1, "op": "STATS", "hold": True})
+                assert _wait_until(lambda: handle._inflight == 1)
+                queued = [_Raw(handle.port, hello=False) for _ in range(5)]
+                try:
+                    gate.set()
+                    assert holder.frame()["id"] == 1
+                    socks = [raw.sock for raw in queued]
+                    assert _wait_until(lambda: len(select.select(socks, [], [], 0)[0]) == 4)
+                    readable = select.select(socks, [], [], 0)[0]
+                    refused = [raw for raw in queued if raw.sock in readable]
+                    (kept,) = [raw for raw in queued if raw.sock not in readable]
+                    for raw in refused:
+                        assert raw.frame()["error"]["code"] == "SERVER_BUSY"
+                        assert raw.frame() is None
+                    assert kept.ask({"id": 0, "op": "HELLO", "session": "kept"})["ok"]
+                finally:
+                    for raw in queued:
+                        raw.sock.close()
+        finally:
+            gate.set()
+            report = handle.shutdown()
+        assert report["connections_total"] == 2
+        assert report["connections_rejected"] == 4
+        assert report["leaked_sessions"] == []
+
+    def test_an_aborted_accept_puts_the_listener_back(self, served, monkeypatch):
+        accept = socket.socket.accept
+        aborted = []
+
+        def aborts_once(sock):
+            if not aborted:
+                aborted.append(sock)
+                raise ConnectionAbortedError(errno.ECONNABORTED, "aborted")
+            return accept(sock)
+
+        seen = []
+        monkeypatch.setattr(threading, "excepthook", seen.append)
+        monkeypatch.setattr(socket.socket, "accept", aborts_once)
+        # The connection waits in the backlog until the listener is back.
+        with TardisClient(port=served.port, session="second-try") as client:
+            client.put("x", 1)
+            assert client.get("x") == 1
+        assert len(aborted) == 1
+        assert served._stats["connections_total"] == 1
+        assert seen == []  # an accept failure is handled, not reported
+
+    def test_the_listener_backing_off_holds_up_no_connection(self, served, monkeypatch):
+        accept = socket.socket.accept
+        attempts = []
+        full = threading.Event()
+
+        def out_of_descriptors(sock):
+            if full.is_set():
+                attempts.append(time.monotonic())
+                raise OSError(errno.EMFILE, "Too many open files")
+            return accept(sock)
+
+        monkeypatch.setattr(socket.socket, "accept", out_of_descriptors)
+        with TardisClient(port=served.port, session="inside") as inside:
+            full.set()
+            with _Raw(served.port, hello=False) as outside:
+                assert _wait_until(lambda: attempts)
+                started = time.monotonic()
+                for i in range(10):
+                    inside.put("k", i)
+                    assert inside.get("k") == i
+                    time.sleep(0.02)
+                elapsed = time.monotonic() - started
+                # One try per 10 ms back-off, not a spin; the connection
+                # already accepted is served all the while.
+                tries = sum(1 for at in attempts if at >= started)
+                assert tries <= elapsed / 0.01 + 5, (tries, elapsed)
+                assert served._stats["connections_total"] == 1
+                full.clear()
+                assert outside.ask({"id": 0, "op": "HELLO", "session": "outside"})["ok"]
+        assert served._stats["connections_total"] == 2
+
+    def test_shutdown_during_the_back_off_closes_the_listener_for_good(self, monkeypatch):
+        handle = TardisServer(site="backoff-stop").start()
+        seen = []
+        monkeypatch.setattr(threading, "excepthook", seen.append)
+
+        def fails_as_shutdown_begins(sock):
+            # On the store thread: shutdown's first step lands while the
+            # listener is off the selector.
+            handle._closing = True
+            handle._ring()
+            raise OSError(errno.EMFILE, "Too many open files")
+
+        monkeypatch.setattr(socket.socket, "accept", fails_as_shutdown_begins)
+        with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as peer:
+            # The listener may close before the connect returns: a reset is fine.
+            peer.connect_ex(("127.0.0.1", handle.port))
+            assert _wait_until(lambda: handle._listener.fileno() == -1)
+            time.sleep(0.05)  # past the re-arm time: a closed listener stays off
+        report = handle.shutdown()
+        assert seen == []
+        assert not handle._thread.is_alive()
+        assert report["connections_total"] == 0
+        assert report["leaked_sessions"] == []
+
+
+class TestBell:
+    def test_a_full_bell_does_not_block_its_ringer(self, served, monkeypatch):
+        gate = _hold(monkeypatch)
+        try:
+            with _Raw(served.port) as holder:
+                holder.send({"id": 1, "op": "STATS", "hold": True})
+                assert _wait_until(lambda: served._inflight == 1)
+                try:
+                    while True:
+                        served._waker.send(b"\0" * 4096, socket.MSG_DONTWAIT)
+                except BlockingIOError:
+                    pass  # the bell's buffer is full
+                ringer = threading.Thread(target=served._ring, daemon=True)
+                ringer.start()
+                ringer.join(timeout=5.0)
+                assert not ringer.is_alive()
+                gate.set()
+                assert holder.frame()["id"] == 1
+                # The store thread empties the bell and serves on.
+                assert holder.ask({"id": 2, "op": "STATS"})["ok"]
+        finally:
+            gate.set()
+        assert served.shutdown()["leaked_sessions"] == []
+
+    def test_a_failed_sampler_tick_goes_uncounted_and_unreported(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(threading, "excepthook", seen.append)
+        handle = TardisServer(site="bad-sampler", obs_sample_interval=0.01)
+        ticks = []
+
+        def fails():
+            ticks.append(1)
+            raise RuntimeError("sample failed")
+
+        handle.obs.sample = fails
+        handle.start()
+        try:
+            assert _wait_until(lambda: len(ticks) >= 3)
+            with TardisClient(port=handle.port) as client:
+                client.put("x", 1)
+                assert client.get("x") == 1
+        finally:
+            report = handle.shutdown()
+        assert report["obs_samples"] == 0
+        assert seen == []
+
+    def test_a_timeout_is_answered_no_sooner_than_the_timeout(self, monkeypatch):
+        handle = TardisServer(site="bound-test", request_timeout=0.2).start()
+        gate = _hold(monkeypatch)
+        try:
+            with _Raw(handle.port) as raw:
+                sent = time.perf_counter()
+                answer = raw.ask({"id": 1, "op": "STATS", "hold": True})
+                waited = time.perf_counter() - sent
+                gate.set()
+        finally:
+            gate.set()
+            report = handle.shutdown()
+        assert answer["error"]["code"] == "TIMEOUT"
+        # Within [T, 1.125 T], plus the scheduling of a shared machine.
+        assert 0.2 <= waited < 0.4, waited
+        assert report["timeouts_total"] == 1
+
+
+# ---------------------------------------------------------------------------
 # ``tardis serve`` as a process: what the e2e harness and bench_net.py run.
 
 
@@ -1824,3 +2207,117 @@ class TestServeProcess:
             timeout=60,
         )
         assert proc.returncode == 0, proc.stderr
+
+    def test_src_runs_no_event_loop(self):
+        pattern = re.compile(r"asyncio|async def|await |run_in_executor|call_soon_threadsafe")
+        hits = [
+            "%s:%d" % (path.relative_to(SRC), n)
+            for path in sorted(Path(SRC).rglob("*.py"))
+            for n, line in enumerate(path.read_text().splitlines(), 1)
+            if pattern.search(line)
+        ]
+        assert hits == []
+
+
+# ---------------------------------------------------------------------------
+# ``run_server`` in this process: the signal handlers it installs and restores.
+
+
+_SIGNALS = (signal.SIGINT, signal.SIGTERM)
+
+
+def _once_bound(port_file, sig, then, errors):
+    """On a helper thread: once ``port_file`` names the port, run
+    ``then(port, fire)``, where ``fire()`` sends ``sig`` to this process.
+    If ``then`` fails before it fired, the signal is sent anyway, so
+    ``run_server`` returns; if the port never appears, none is sent."""
+    fired = []
+
+    def fire():
+        fired.append(sig)
+        os.kill(os.getpid(), sig)
+
+    def body():
+        if not _wait_until(
+            lambda: port_file.exists() and port_file.read_text().strip(), timeout=30.0
+        ):
+            return
+        try:
+            then(int(port_file.read_text()), fire)
+        except Exception as exc:  # reported by the test, on its own thread
+            errors.append(exc)
+        finally:
+            if not fired:
+                fire()
+
+    helper = threading.Thread(target=body, daemon=True)
+    helper.start()
+    return helper
+
+
+class TestRunServer:
+    @pytest.mark.parametrize("sig", _SIGNALS, ids=["SIGINT", "SIGTERM"])
+    def test_a_signal_drains_and_restores_the_handlers(self, tmp_path, sig):
+        port_file = tmp_path / "port"
+        handlers = {s: signal.getsignal(s) for s in _SIGNALS}
+        errors, lines = [], []
+
+        def commit_once(port, fire):
+            with TardisClient(port=port, session="once") as client:
+                client.put("x", 1)
+            fire()
+
+        helper = _once_bound(port_file, sig, commit_once, errors)
+        server = TardisServer(site="run-test")
+        report = run_server(server, port_file=str(port_file), announce=lines.append)
+        helper.join(timeout=5.0)
+        assert errors == []
+        assert {s: signal.getsignal(s) for s in _SIGNALS} == handlers
+        assert int(port_file.read_text()) == server.port
+        assert lines == [
+            "tardis serve: listening on 127.0.0.1:%d (site=run-test, max_connections=128)"
+            % server.port
+        ]
+        assert report["commits"] == 1
+        assert report["drained_in_time"] is True
+        assert report["leaked_sessions"] == []
+        assert not server._thread.is_alive() and not server._watchdog.is_alive()
+
+    def test_a_second_signal_while_it_drains_is_absorbed(self, tmp_path):
+        port_file = tmp_path / "port"
+        server = TardisServer(site="twice-signalled", drain_timeout=10.0)
+        errors = []
+
+        def drain_through_two_signals(port, fire):
+            with TardisClient(port=port, session="late") as client:
+                txn = client.begin()
+                txn.put("x", 1)
+                assert txn.get("x") == 1  # holds writes: the drain waits
+                fire()
+                assert _wait_until(lambda: server._closing)
+                fire()  # the handler is still in: it only sets the event again
+                time.sleep(0.1)
+                txn.commit()
+
+        helper = _once_bound(port_file, signal.SIGINT, drain_through_two_signals, errors)
+        report = run_server(server, port_file=str(port_file), announce=lambda line: None)
+        helper.join(timeout=5.0)
+        assert errors == []
+        assert report["drained_in_time"] is True
+        assert report["commits"] == 1
+        assert report["leaked_sessions"] == []
+
+    def test_a_failed_bind_raises_and_restores_the_handlers(self, tmp_path):
+        port_file = tmp_path / "port"
+        handlers = {s: signal.getsignal(s) for s in _SIGNALS}
+        lines = []
+        with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as holder:
+            holder.bind(("127.0.0.1", 0))
+            holder.listen()
+            server = TardisServer(site="run-bind", port=holder.getsockname()[1])
+            with pytest.raises(OSError):
+                run_server(server, port_file=str(port_file), announce=lines.append)
+        assert {s: signal.getsignal(s) for s in _SIGNALS} == handlers
+        assert not port_file.exists()
+        assert lines == []
+        assert server._thread is None
