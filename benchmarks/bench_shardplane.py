@@ -19,7 +19,11 @@ update transaction reads that key at the head, so the arms compare a mix
 of walks and cache hits.
 
 Results go to ``BENCH_shardplane.json``: per-arm read/write key
-throughput plus ``speedup_vs_inproc`` ratios. ``cpu_count`` and
+throughput plus ``speedup_vs_inproc`` ratios. Each worker arm also
+records ``ping_us``, the median of ``PINGS`` health-ping round trips
+(``worker_health(ping=True)``'s ``ping_ms`` × 1000) over the idle
+store after its run: the cost of one shard-link message with no
+record work behind it. ``cpu_count`` and
 ``cpu_affinity`` are recorded alongside because the ratios only show
 parallel speedup when the container actually has cores to run the
 workers on; on a single-core host the proc plane pays its IPC overhead
@@ -36,6 +40,7 @@ from __future__ import annotations
 import argparse
 import os
 import random
+import statistics
 import sys
 import time
 
@@ -53,6 +58,8 @@ from repro.workload.mixes import READ_HEAVY, YCSBWorkload  # noqa: E402
 
 N_SHARDS = 8
 WORKER_SWEEP = [1, 2, 4, 8]
+#: health-ping round trips per worker arm behind ``ping_us``.
+PINGS = 200
 
 
 def _build_store(arm: str, workers: int) -> TardisStore:
@@ -78,6 +85,15 @@ def _preload_and_stack(store: TardisStore, n_keys: int, history: int):
             txn.put(key, round_no)
         txn.commit()
     return old_id
+
+
+def _ping_us(store: TardisStore) -> float:
+    """Median health-ping round trip over every worker, in microseconds."""
+    pings = []
+    for _ in range(PINGS):
+        for worker in store.shard_health(ping=True)["workers"]:
+            pings.append(worker["ping_ms"])
+    return statistics.median(pings) * 1000.0
 
 
 def _run_arm(arm: str, workers: int, args) -> dict:
@@ -120,6 +136,7 @@ def _run_arm(arm: str, workers: int, args) -> dict:
                 reads += len(read_keys)
             commits += 1
         wall_s = time.perf_counter() - wall_start
+        ping_us = None if arm == "inproc" else _ping_us(store)
     finally:
         store.close()
     result = {
@@ -133,10 +150,14 @@ def _run_arm(arm: str, workers: int, args) -> dict:
         "reads": reads,
         "writes": writes,
         "leaked_workers": store.leaked_workers,
+        "ping_us": ping_us,
     }
     print(
-        "bench_shardplane: %-8s %6.2fs wall, %7.0f reads/s, %6.0f writes/s"
-        % (label, wall_s, result["read_keys_per_s"], result["write_keys_per_s"])
+        "bench_shardplane: %-8s %6.2fs wall, %7.0f reads/s, %6.0f writes/s%s"
+        % (
+            label, wall_s, result["read_keys_per_s"], result["write_keys_per_s"],
+            "" if ping_us is None else ", ping %.1f us" % ping_us,
+        )
     )
     return result
 
@@ -188,6 +209,7 @@ def main(argv=None) -> int:
         "txns_per_arm": args.txns,
         "seed": args.seed,
         "smoke": args.smoke,
+        "pings_per_arm": PINGS,
     }
     path = write_bench_json("shardplane", metrics, config)
     print(

@@ -758,7 +758,7 @@ class TardisStore:
                 self.leaked_workers = self.versions.close()
 
     def __repr__(self) -> str:
-        # No storage calls: with shard workers a record count is a pipe
+        # No storage calls: with shard workers a record count is a link
         # round trip that needs the store lock and fails once a worker
         # is dead, and a repr must be safe from a log line or debugger.
         text = "<TardisStore site=%s states=%d" % (self.site, len(self.dag))

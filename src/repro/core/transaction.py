@@ -34,7 +34,7 @@ class _Tombstone:
 
     def __reduce__(self) -> Tuple[Any, ...]:
         # Tombstones are compared by identity (``value is TOMBSTONE``),
-        # so a pickle round trip — e.g. through a shard-worker pipe —
+        # so a pickle round trip — e.g. through a shard link —
         # must yield the singleton, not a fresh instance.
         return (_load_tombstone, ())
 

@@ -12,20 +12,26 @@ links* that all speak one pair of calls::
 
 * :class:`_InlineLink` (``n_workers=0``) runs the batch in-process
   against the store's real State DAG. This is the reference plane: the
-  oracle fuzz compares the pipe plane against it.
-* :class:`_WorkerHandle` (``n_workers=W``) is a duplex pipe to a worker
-  *process* that owns shards ``{i : i % W == w}`` — a worker can own
-  several shards, the partial-replication shape. Both ends execute the
-  same :func:`_dispatch` command table.
+  oracle fuzz compares the worker plane against it.
+* :class:`_WorkerHandle` (``n_workers=W``) is one end of a stream
+  socket pair whose other end a worker *process* holds; the worker owns
+  shards ``{i : i % W == w}`` — a worker can own several shards, the
+  partial-replication shape. Both ends execute the same
+  :func:`_dispatch` command table.
 
-The hard part of the pipe plane is that a worker must answer visibility
+The link is framed: each batch and each reply is one ``!I`` length
+header followed by the message's pickle, written with one ``sendall``
+and read with ``recv_into`` into a per-link buffer
+(:class:`_FrameReader`), so a small reply costs one receive call.
+
+The hard part of the worker plane is that a worker must answer visibility
 questions — *is version state x an ancestor of read state y?* —
 without holding the State DAG, which lives (and mutates) in the
 coordinator. The worker keeps a :class:`_ShardDagView`: a mask table
 mapping every version state id it stores to its resolved ``(live_id,
 path_mask)`` pair, enough to run Figure 7's ``descendant_check`` and
 the promotion logic verbatim against the real ``VersionedRecordStore``
-code. The pipe link owns keeping that table honest:
+code. The worker link owns keeping that table honest:
 
 * every write ships the committing state's ``(id, mask)``;
 * every read carries the read state's ``(id, mask)`` inline;
@@ -39,25 +45,30 @@ code. The pipe link owns keeping that table honest:
   table stays proportional to live states, not to commits ever made.
 
 Failure model: a dead or unresponsive worker surfaces as
-:class:`~repro.errors.ShardUnavailableError`. A commit sends each shard
-one ``write`` under the new state's id; when any shard fails, the
+:class:`~repro.errors.ShardUnavailableError`, detected on the socket
+itself: a dead worker as EPIPE, ECONNRESET or end of stream, a wedged
+one as the socket's timeout; nothing polls the process per request.
+A commit sends each shard one ``write`` under the new state's id;
+when any shard fails, the
 CommitPipeline removes the state from the DAG again and raises
 :class:`~repro.errors.CrossShardAbort`, so a dead worker never leaves
 half a commit visible. A version a live shard already wrote names an id
 that no longer resolves: reads skip it and the next promotion pass
-drops it. A batch the pipe cannot pickle raises
+drops it. A batch the link cannot pickle raises
 :class:`~repro.errors.ShardError` before anything is sent, so its link
 stays in step. Every operation goes through one scatter/gather,
 :meth:`ShardedRecordStore._gather`, whose drain rule keeps a failed
-scatter from leaving a reply unread on a healthy pipe.
+scatter from leaving a reply unread on a healthy link.
 """
 
 from __future__ import annotations
 
 import itertools
 import multiprocessing
+import pickle
+import socket
+import struct
 import time
-from multiprocessing.reduction import ForkingPickler
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.core.state_dag import State, StateDAG
@@ -80,8 +91,15 @@ WORKER_TIMEOUT = 30.0
 #: seconds a health ping may take before the worker counts as wedged.
 PING_TIMEOUT = 1.0
 
+#: the length header that opens every frame on a shard link.
+_HEADER = struct.Struct("!I")
+
+#: bytes each end of a shard link reads into at once; a frame larger
+#: than this takes a second, exactly sized read.
+RECV_BUFFER = 1 << 16
+
 #: workers are spawned, never forked: a fork would copy the
-#: coordinator's held locks and every other worker's pipe end.
+#: coordinator's held locks and every other worker's socket end.
 START_METHOD = "spawn"
 
 #: one mask-table entry: (live_id, path_mask), or None when the state
@@ -105,7 +123,7 @@ def _live_entries(table: Dict[Any, _Entry]) -> Dict[Any, _Entry]:
     Promotion rewrites every version to its live id and drops orphans,
     so an entry that is ``None`` or an alias (``live_id != sid``) can
     no longer be looked up by any version on the worker. Both ends of
-    a pipe apply this same rule, which keeps them equal without
+    a link apply this same rule, which keeps them equal without
     shipping the deletions.
     """
     return {
@@ -218,46 +236,102 @@ def _dispatch(stores, view, cmd):
     raise ValueError("unknown shard command %r" % (op,))
 
 
-def shard_worker_main(conn, spec) -> None:
+def _frame(message) -> bytes:
+    """One frame of a shard link: the ``!I`` length header, then the
+    message's pickle. Raises whatever pickling raises."""
+    body = pickle.dumps(message, pickle.HIGHEST_PROTOCOL)
+    return _HEADER.pack(len(body)) + body
+
+
+class _FrameReader:
+    """Reads a shard link's frames from a stream socket with ``recv_into``.
+
+    A frame that arrives whole and fits the buffer, the common case,
+    costs one ``recv_into``. The read loops only while the header is
+    split; a body that is split or larger than the buffer is finished in
+    its own exactly sized bytearray. Bytes past the frame (a frame sent
+    behind it) stay buffered for the next read.
+    """
+
+    __slots__ = ("_view", "_start", "_end")
+
+    def __init__(self, size: int = RECV_BUFFER):
+        self._view = memoryview(bytearray(size))
+        self._start = self._end = 0
+
+    @staticmethod
+    def _fill(source, into) -> int:
+        got = source.recv_into(into)
+        if not got:
+            raise EOFError("shard link closed")
+        return got
+
+    def read(self, source) -> Any:
+        """The next message on ``source`` (anything with ``recv_into``).
+        Raises EOFError when the stream ends, mid-frame or not."""
+        view, start, end = self._view, self._start, self._end
+        while end - start < _HEADER.size:
+            if start:  # a split header: move its first bytes to the front
+                view[: end - start] = view[start:end]
+                start, end = 0, end - start
+            end += self._fill(source, view[end:])
+        (size,) = _HEADER.unpack_from(view, start)
+        start += _HEADER.size
+        have = end - start
+        if have >= size:
+            body = view[start : start + size]
+            start += size
+            self._start, self._end = (0, 0) if start == end else (start, end)
+            return pickle.loads(body)
+        self._start = self._end = 0
+        rest = bytearray(size)
+        rest[:have] = view[start:end]
+        into = memoryview(rest)
+        while have < size:
+            have += self._fill(source, into[have:])
+        return pickle.loads(rest)
+
+
+def shard_worker_main(sock, spec) -> None:
     """Entry point of one shard worker process.
 
-    The loop applies the piggybacked mask sync, runs the command batch,
-    and replies ``(batch_id, ok, payload)``; any exception is
-    marshalled back for the coordinator to re-raise typed, because a
-    worker that dies on a bad command would turn one poisoned request
-    into a whole dead shard.
+    The loop reads one batch frame, applies the piggybacked mask sync,
+    runs the command batch, and replies ``(batch_id, ok, payload)`` in
+    one frame; any exception is marshalled back for the coordinator to
+    re-raise typed, because a worker that dies on a bad command would
+    turn one poisoned request into a whole dead shard. End of stream is
+    the stop signal: the coordinator half-closes its end to stop the
+    worker, and a coordinator that dies closes it too.
     """
     view = _ShardDagView()
     stores = _build_shards(spec)
-    while True:
-        try:
-            message = conn.recv()
-        except (EOFError, OSError):
-            break
-        if message is None:  # graceful shutdown sentinel
-            break
-        batch_id, sync, cmds = message
-        if sync is not None:
-            view.apply_sync(sync[0], sync[1])
-        ok = True
-        payload: Any
-        try:
-            payload = [_dispatch(stores, view, cmd) for cmd in cmds]
-            if cmds[0][0] == "promote":
-                # Every version here is now keyed by a live id; the
-                # coordinator prunes its copy by the same rule.
-                view.table = _live_entries(view.table)
-        except GarbageCollectedError as exc:
-            ok, payload = False, ("gc", exc.state_id)
-        # Marshalled and re-raised typed by the coordinator's collect();
-        # swallowing here keeps the shard alive across a poisoned request.
-        except Exception as exc:  # tardis: ignore[bare-except]
-            ok, payload = False, ("error", "%s: %s" % (type(exc).__name__, exc))
-        try:
-            conn.send((batch_id, ok, payload))
-        except (BrokenPipeError, OSError):
-            break
-    conn.close()
+    frames = _FrameReader()
+    with sock:
+        while True:
+            try:
+                batch_id, sync, cmds = frames.read(sock)
+            except (EOFError, OSError):
+                break
+            if sync is not None:
+                view.apply_sync(sync[0], sync[1])
+            ok = True
+            payload: Any
+            try:
+                payload = [_dispatch(stores, view, cmd) for cmd in cmds]
+                if cmds[0][0] == "promote":
+                    # Every version here is now keyed by a live id; the
+                    # coordinator prunes its copy by the same rule.
+                    view.table = _live_entries(view.table)
+            except GarbageCollectedError as exc:
+                ok, payload = False, ("gc", exc.state_id)
+            # Marshalled and re-raised typed by the coordinator's collect();
+            # swallowing here keeps the shard alive across a poisoned request.
+            except Exception as exc:  # tardis: ignore[bare-except]
+                ok, payload = False, ("error", "%s: %s" % (type(exc).__name__, exc))
+            try:
+                sock.sendall(_frame((batch_id, ok, payload)))
+            except OSError:
+                break
 
 
 class _InlineLink:
@@ -303,31 +377,37 @@ class _InlineLink:
 
 
 class _WorkerHandle:
-    """Coordinator-side endpoint of one worker: pipe, liveness, masks.
+    """Coordinator-side endpoint of one worker: socket, liveness, masks.
 
-    Requests and replies travel strictly in order on the duplex pipe;
-    ``request`` sends, ``collect`` receives the oldest outstanding
-    reply — the split is what lets scatter/gather sends go out to every
-    worker before any reply is awaited. The handle also owns the
-    coordinator's copy of the worker's mask table (what was shipped,
-    and the DAG fingerprint it was resolved under).
+    Requests and replies travel strictly in order on one stream socket,
+    one frame each; ``request`` sends, ``collect`` receives the oldest
+    outstanding reply — the split is what lets scatter/gather sends go
+    out to every worker before any reply is awaited. A dead worker shows
+    on the socket itself (EPIPE or ECONNRESET on send or receive, or end
+    of stream); a wedged one as the socket's timeout. The handle also
+    owns the coordinator's copy of the worker's mask table (what was
+    shipped, and the DAG fingerprint it was resolved under).
     """
 
     __slots__ = (
-        "index", "shards", "process", "conn", "alive", "_inflight",
-        "_dag", "_shipped", "_fingerprint",
+        "index", "shards", "process", "sock", "alive", "_inflight",
+        "_frames", "_timeout", "_dag", "_shipped", "_fingerprint",
     )
 
     # Driven only by the routed store, so it runs under the owning
     # TardisStore's lock too.
 
-    def __init__(self, index, shards, process, conn, dag: StateDAG):
+    def __init__(self, index, shards, process, sock, dag: StateDAG):
         self.index = index
         self.shards = shards
         self.process = process
-        self.conn = conn
+        self.sock = sock
         self.alive = True
         self._inflight: List[int] = []
+        self._frames = _FrameReader()
+        #: the socket's timeout, reset only when a collect asks for another.
+        self._timeout = WORKER_TIMEOUT
+        sock.settimeout(WORKER_TIMEOUT)
         self._dag = dag
         #: {state_id: entry} exactly as the worker's table holds it.
         self._shipped: Dict[Any, _Entry] = {}
@@ -392,41 +472,42 @@ class _WorkerHandle:
                 self._shipped[sid] = False  # equal to no entry
             self._fingerprint = (-1, -1)
 
-    # -- the pipe ------------------------------------------------------------
+    # -- the socket ----------------------------------------------------------
 
     def request(self, batch_id, sync, cmds) -> None:
-        """Send one batch. It is pickled first, so a value the pipe
-        cannot carry raises ShardError with nothing sent."""
-        if not self.alive or not self.process.is_alive():
-            self.alive = False
+        """Send one batch as one frame. It is pickled first, so a value
+        the link cannot carry raises ShardError with nothing sent."""
+        if not self.alive:
             raise ShardUnavailableError(self.index, "worker process is dead")
         try:
-            frame = ForkingPickler.dumps((batch_id, sync, cmds))
+            frame = _frame((batch_id, sync, cmds))
         except Exception as exc:  # PicklingError, TypeError, AttributeError, ...
             self._unship(sync)
             raise ShardError(
                 "worker %d: batch cannot be pickled: %r" % (self.index, exc)
             ) from exc
         try:
-            self.conn.send_bytes(frame)
-        except (BrokenPipeError, OSError) as exc:
+            self.sock.sendall(frame)
+        except OSError as exc:
             self.alive = False
             raise ShardUnavailableError(self.index, "send failed: %s" % exc)
         self._inflight.append(batch_id)
 
     def collect(self, timeout):
         batch_id = self._inflight.pop(0)
+        if timeout != self._timeout:
+            self.sock.settimeout(timeout)
+            self._timeout = timeout
         try:
-            if not self.conn.poll(timeout):
-                self.alive = False
-                raise ShardUnavailableError(
-                    self.index, "no reply within %.1fs" % timeout
-                )
-            reply = self.conn.recv()
+            reply_id, ok, payload = self._frames.read(self.sock)
+        except TimeoutError:
+            self.alive = False
+            raise ShardUnavailableError(
+                self.index, "no reply within %.1fs" % timeout
+            )
         except (EOFError, OSError) as exc:
             self.alive = False
             raise ShardUnavailableError(self.index, "worker died: %s" % exc)
-        reply_id, ok, payload = reply
         if reply_id != batch_id:
             self.alive = False
             raise ShardUnavailableError(
@@ -440,13 +521,16 @@ class _WorkerHandle:
         return payload
 
     def shutdown(self, timeout=2.0) -> bool:
-        """Stop the worker; True when a live one had to be force-killed."""
+        """Stop the worker; True when a live one had to be force-killed.
+
+        Half-closing the socket is the stop signal: the worker answers
+        what it has already read, then reads end of stream and exits.
+        """
         was_alive = self.process.is_alive()
-        if was_alive and self.alive:
-            try:
-                self.conn.send(None)
-            except (BrokenPipeError, OSError):
-                pass
+        try:
+            self.sock.shutdown(socket.SHUT_WR)
+        except OSError:
+            pass
         self.process.join(timeout)
         graceful = not self.process.is_alive()
         if not graceful:
@@ -455,7 +539,7 @@ class _WorkerHandle:
             if self.process.is_alive():
                 self.process.kill()
                 self.process.join(1.0)
-        self.conn.close()
+        self.sock.close()
         self.alive = False
         return was_alive and not graceful
 
@@ -468,16 +552,21 @@ class _WorkerHandle:
 
 def _spawn_worker(index, spec, dag: StateDAG) -> _WorkerHandle:
     ctx = multiprocessing.get_context(START_METHOD)
-    parent_conn, child_conn = ctx.Pipe(duplex=True)
+    ours, theirs = socket.socketpair()
     process = ctx.Process(
         target=shard_worker_main,
-        args=(child_conn, spec),
+        args=(theirs, spec),  # spawn hands the child a duplicate of the fd
         name="tardis-shard-%d" % index,
         daemon=True,
     )
-    process.start()
-    child_conn.close()
-    return _WorkerHandle(index, spec["shards"], process, parent_conn, dag)
+    try:
+        process.start()
+    except BaseException:
+        ours.close()
+        raise
+    finally:
+        theirs.close()
+    return _WorkerHandle(index, spec["shards"], process, ours, dag)
 
 
 class ShardedRecordStore:

@@ -289,11 +289,17 @@ class TardisServer:
     def start(self) -> "TardisServer":
         """Bind the listener, then start the store thread and the watchdog
         thread; ``self.port`` holds the real port. A failed bind raises and
-        starts nothing."""
+        starts nothing; a store the server built is closed first, with
+        its shard workers."""
         family = socket.AF_INET6 if ":" in self.host else socket.AF_INET
-        self._listener = socket.create_server(
-            (self.host, self.port), family=family, backlog=100
-        )
+        try:
+            self._listener = socket.create_server(
+                (self.host, self.port), family=family, backlog=100
+            )
+        except BaseException:
+            if self._owns_store:
+                self.store.close()
+            raise
         self._listener.setblocking(False)
         self.port = self._listener.getsockname()[1]
         self._wake, self._waker = socket.socketpair()

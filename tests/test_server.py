@@ -1833,6 +1833,41 @@ class TestLifecycle:
                 TardisServer(site="bind-fd-test", port=holder.getsockname()[1]).start()
             assert _open_fds() - before == set()
 
+    def test_a_failed_bind_closes_the_store_it_built(self):
+        with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as holder:
+            holder.bind(("127.0.0.1", 0))
+            holder.listen()
+            server = TardisServer(
+                site="bind-store-test", shards=2, shard_workers=1,
+                port=holder.getsockname()[1],
+            )
+            worker = server.store.versions._links[0].process
+            with pytest.raises(OSError):
+                server.start()
+        # The worker was stopped, not left for a later shutdown() to reap.
+        assert not worker.is_alive()
+        assert worker.exitcode == 0
+        report = server.shutdown()
+        assert report["leaked_workers"] == 0
+        assert report["leaked_sessions"] == []
+
+    def test_a_failed_bind_leaves_a_store_passed_in_open(self):
+        store = TardisStore("lent-bind", shards=2, shard_workers=1)
+        try:
+            store.put("x", 1)
+            with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as holder:
+                holder.bind(("127.0.0.1", 0))
+                holder.listen()
+                server = TardisServer(store, port=holder.getsockname()[1])
+                with pytest.raises(OSError):
+                    server.start()
+            assert store.get("x") == 1
+            assert server.shutdown()["leaked_workers"] == 0
+            assert store.get("x") == 1
+        finally:
+            store.close()
+        assert store.leaked_workers == 0
+
     def test_shutdown_twice_returns_the_same_report(self):
         handle = TardisServer(site="twice-test").start()
         first = handle.shutdown()

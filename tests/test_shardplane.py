@@ -15,10 +15,14 @@ counts small.
 """
 
 import os
+import pickle
 import random
+import select
+import selectors
 import signal
 import sys
 import threading
+import time
 
 import pytest
 
@@ -32,7 +36,8 @@ from repro.errors import (
 from repro.obs import metrics as _met
 from repro.core.state_dag import StateDAG
 from repro.partitioning import ShardedRecordStore
-from repro.partitioning.workers import _WorkerHandle
+from repro.partitioning import workers as _workers
+from repro.partitioning.workers import _FrameReader, _WorkerHandle, _frame
 
 
 @pytest.fixture
@@ -197,6 +202,170 @@ class TestWorkerFailure:
         finally:
             store.close()
             _met.set_default_registry(previous)
+
+
+    def test_a_worker_killed_with_a_batch_in_flight_fails_fast(self):
+        store = TardisStore("A", shards=2, shard_workers=1)
+        try:
+            versions = store.versions
+            handle = versions._links[0]
+            pid = handle.process.pid
+            with store._lock:
+                os.kill(pid, signal.SIGSTOP)  # the batch stays unread
+                handle.request(next(versions._batch_ids), None, [("ping",)])
+                os.kill(pid, signal.SIGKILL)
+                started = time.perf_counter()
+                with pytest.raises(ShardUnavailableError, match="worker died"):
+                    handle.collect(_workers.WORKER_TIMEOUT)
+                took = time.perf_counter() - started
+            assert took < 1.0  # seen on the socket, not after WORKER_TIMEOUT
+            assert not handle.alive
+        finally:
+            store.close()
+
+    def test_a_worker_that_died_unseen_fails_the_next_request(self):
+        # No kill_worker(): nothing marked the link dead before the read.
+        store = TardisStore("A", shards=2, shard_workers=1)
+        try:
+            store.put("x", 1)
+            handle = store.versions._links[0]
+            handle.process.kill()
+            handle.process.join(5.0)
+            assert handle.alive
+            with pytest.raises(ShardUnavailableError):
+                store.get("x")
+            assert not handle.alive
+            with pytest.raises(ShardUnavailableError, match="dead"):
+                store.get("x")
+        finally:
+            store.close()
+        assert store.leaked_workers == 0
+
+    def test_a_stopped_worker_times_out_and_is_reaped(self, monkeypatch):
+        store = TardisStore("A", shards=2, shard_workers=1)
+        try:
+            store.put("x", 1)
+            handle = store.versions._links[0]
+            monkeypatch.setattr(_workers, "WORKER_TIMEOUT", 0.5)
+            os.kill(handle.process.pid, signal.SIGSTOP)
+            started = time.perf_counter()
+            with pytest.raises(ShardUnavailableError, match="no reply"):
+                store.get("x")
+            assert time.perf_counter() - started < 5.0
+            assert not handle.alive
+        finally:
+            store.close()
+        assert not handle.process.is_alive()
+        assert store.leaked_workers == 1
+
+
+class _Trickle:
+    """A stream that hands out at most ``chunk`` bytes per ``recv_into``."""
+
+    def __init__(self, data, chunk):
+        self._data = memoryview(data)
+        self._chunk = chunk
+        self.calls = 0
+
+    def recv_into(self, into):
+        self.calls += 1
+        got = min(self._chunk, len(into), len(self._data))
+        into[:got] = self._data[:got]
+        self._data = self._data[got:]
+        return got
+
+
+class _CountingSocket:
+    """Wraps a link's socket and records every call made on it."""
+
+    def __init__(self, sock):
+        self.sock = sock
+        self.calls = []
+
+    def sendall(self, data):
+        self.calls.append("sendall")
+        return self.sock.sendall(data)
+
+    def recv_into(self, into):
+        self.calls.append("recv_into")
+        return self.sock.recv_into(into)
+
+    def __getattr__(self, name):
+        self.calls.append(name)
+        return getattr(self.sock, name)
+
+
+def _forbidden(*args, **kwargs):
+    raise AssertionError("a shard RPC polled its socket")
+
+
+class TestFraming:
+    MESSAGES = [("a", 1, None), list(range(50)), {"k": "v" * 40}]
+
+    @pytest.mark.parametrize("buffer", [8, 64, _workers.RECV_BUFFER])
+    @pytest.mark.parametrize("chunk", [1, 3, 1 << 20])
+    def test_frames_decode_however_the_stream_splits_them(self, buffer, chunk):
+        # chunk=1: every header and payload is split; buffer=8: every
+        # payload is larger than the buffer; chunk=1<<20: a read takes
+        # all the buffer holds, so frames share reads and split anywhere.
+        source = _Trickle(b"".join(_frame(m) for m in self.MESSAGES), chunk)
+        reader = _FrameReader(buffer)
+        assert [reader.read(source) for _ in self.MESSAGES] == self.MESSAGES
+        with pytest.raises(EOFError):
+            reader.read(source)
+
+    def test_frames_that_arrive_together_take_one_read(self):
+        source = _Trickle(_frame("one") + _frame("two"), 1 << 20)
+        reader = _FrameReader()
+        assert (reader.read(source), reader.read(source)) == ("one", "two")
+        assert source.calls == 1
+
+    def test_a_stream_that_ends_mid_frame_is_eof(self):
+        data = _frame(list(range(100)))
+        for cut in (2, len(data) - 1):
+            with pytest.raises(EOFError):
+                _FrameReader(16).read(_Trickle(data[:cut], 5))
+
+    def test_a_reply_larger_than_the_receive_buffer_round_trips(self):
+        store = TardisStore("A", shards=2, shard_workers=1)
+        try:
+            keys = ["key%06d" % i for i in range(20000)]
+            # One worker owns both shards: its write batch and its
+            # replies carry every key, several buffers' worth.
+            assert len(pickle.dumps(keys)) > 2 * _workers.RECV_BUFFER
+            txn = store.begin()
+            for i, key in enumerate(keys):
+                txn.put(key, i)
+            txn.commit()
+            with store._lock:
+                assert sorted(store.versions.keys()) == keys
+            txn = store.begin(read_only=True)
+            assert txn.get_many(keys) == list(range(20000))
+            txn.commit()
+            assert store.get(keys[-1]) == 19999  # the link is still in step
+        finally:
+            store.close()
+
+    def test_one_rpc_is_one_sendall_and_one_recv_into(self, monkeypatch):
+        store = TardisStore("A", shards=2, shard_workers=1)
+        try:
+            store.put("x", 1)
+            versions = store.versions
+            handle = versions._links[0]
+            counting = _CountingSocket(handle.sock)
+            monkeypatch.setattr(select, "select", _forbidden)
+            monkeypatch.setattr(select, "poll", _forbidden)
+            monkeypatch.setattr(selectors, "DefaultSelector", _forbidden)
+            handle.sock = counting
+            try:
+                with store._lock:
+                    assert versions.num_versions("x") == 1
+            finally:
+                handle.sock = counting.sock
+            # No process poll, no selector, no settimeout per call.
+            assert counting.calls == ["sendall", "recv_into"]
+        finally:
+            store.close()
 
 
 class TestDrainAfterPartialFailure:
