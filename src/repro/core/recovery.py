@@ -11,37 +11,44 @@ With asynchronous flush, a crash loses a suffix of the log: the log is
 flushed sequentially, one frame per flush, so what survives is a clean
 prefix (a torn tail flush is cut whole by its frame's CRC; its fsync had
 not returned). A record whose parents are not all present —
-a gap in the log, or a compacted log recovered without its checkpoint —
+a gap in the log, or a compacted log whose checkpoint was lost —
 cannot be grafted; recovery discards it *and all subsequent records*.
 
 Checkpoints (``checkpoint_store``) snapshot the full DAG and record
-store and compact the log.
+store to ``<log>.ckpt`` and compact the log.
+
+The one replay is ``TardisStore._replay``: ``TardisStore(site,
+wal_path=p)`` runs it before it appends to ``p``, and ``recover_store``
+runs it, read-only, into a store without a log.
 """
 
 from __future__ import annotations
 
 import os
 import pickle
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Tuple
 
-from repro.core.store import TardisStore
-from repro.storage.wal import WriteAheadLog, fsync_dir
+from repro.core.store import CHECKPOINT_SUFFIX, TardisStore
+from repro.storage.wal import fsync_dir
 
 
-def checkpoint_store(store: TardisStore, snapshot_path: str) -> int:
+def checkpoint_store(store: TardisStore) -> int:
     """Take a checkpoint: snapshot + log compaction.
 
-    Serializes every DAG state and record version to ``snapshot_path``
-    and drops the log records the snapshot covers, holding the store
-    lock throughout: every other store call waits for it. Returns the
-    number of states checkpointed.
+    Serializes every DAG state and record version to ``<log>.ckpt``
+    beside ``store``'s log and drops the log records the snapshot
+    covers, holding the store lock throughout: every other store call
+    waits for it. Returns the number of states checkpointed. A store
+    without a log has nowhere to put one: ``ValueError``.
 
-    The snapshot is written beside ``snapshot_path``, fsynced, moved
-    over it atomically and the rename made durable (directory fsync)
-    before the log is compacted, so a crash at any point leaves either
-    the old snapshot with the old log or the new snapshot with a log it
-    covers.
+    The snapshot is written beside its final name, fsynced, moved over
+    it atomically and the rename made durable (directory fsync) before
+    the log is compacted, so a crash at any point leaves either the old
+    snapshot with the old log or the new snapshot with a log it covers.
     """
+    if store.wal is None:
+        raise ValueError("%r has no log to checkpoint beside" % (store,))
+    snapshot_path = store.wal.path + CHECKPOINT_SUFFIX
     with store._lock:
         states = [
             {
@@ -72,65 +79,24 @@ def checkpoint_store(store: TardisStore, snapshot_path: str) -> int:
             os.fsync(handle.fileno())
         os.replace(tmp, snapshot_path)
         fsync_dir(snapshot_path)
-        if store.wal is not None:
-            store.wal.compact_inplace(keep_from_state=top)
+        store.wal.compact_inplace(keep_from_state=top)
     return len(states)
 
 
 def recover_store(
-    site: str,
-    wal_path: str,
-    snapshot_path: Optional[str] = None,
-    **store_kwargs: Any,
+    site: str, wal_path: str, **store_kwargs: Any
 ) -> Tuple[TardisStore, Dict[str, int]]:
-    """Rebuild a store from its checkpoint and commit log.
+    """Rebuild a store from a log and its checkpoint, read-only.
 
     ``store_kwargs`` configure the rebuilt :class:`TardisStore` (e.g.
-    ``shards``). Returns ``(store, report)`` where ``report`` counts
-    replayed and discarded transactions and the states the checkpoint
-    restored.
+    ``shards``); it has no log, and ``wal_path`` is only read. Returns
+    ``(store, report)``, where ``report`` (also ``store.recovery``)
+    counts the states the checkpoint restored and the replayed and
+    discarded transactions.
     """
     store = TardisStore(site, **store_kwargs)
-    report = {"checkpoint_states": 0, "replayed": 0, "discarded": 0}
-
-    if snapshot_path is not None:
-        report["checkpoint_states"] = _load_snapshot(store, snapshot_path)
-
-    dag = store.dag
-    cut = False
-    for record in WriteAheadLog.read(wal_path):
-        if cut:
-            report["discarded"] += 1
-            continue
-        if record.state_id in dag:
-            continue  # already in the checkpoint
-        if not all(pid in dag for pid in record.parent_ids):
-            # Atomicity: a state this transaction builds on never became
-            # durable; discard it and every subsequent state (§6.5).
-            cut = True
-            report["discarded"] += 1
-            continue
-        store._graft(record)
-        report["replayed"] += 1
-    return store, report
-
-
-def _load_snapshot(store: TardisStore, snapshot_path: str) -> int:
-    with open(snapshot_path, "rb") as handle:
-        payload = pickle.load(handle)
-    dag = store.dag
-    for entry in payload["states"]:
-        if entry["id"] == dag.root.id:
-            continue
-        # A snapshot taken after garbage collection may start from a state
-        # whose original ancestors (including the root) were compressed
-        # away; anchor it at the fresh store's root.
-        parents = [dag.resolve(pid) for pid in entry["parents"]] or [dag.root]
-        dag.create_state(
-            parents, write_keys=frozenset(entry["write_keys"]), state_id=entry["id"]
-        )
-    with store._lock:
-        for key, sid, value in payload["records"]:
-            store.versions.write(key, sid, value)
-    dag._promotions.update(payload["promotions"])
-    return len(payload["states"])
+    try:
+        return store, store._replay(wal_path)
+    except BaseException:
+        store.close()
+        raise

@@ -24,6 +24,8 @@ Typical use::
 
 from __future__ import annotations
 
+import os
+import pickle
 import sys
 import threading
 from typing import Any, Callable, Dict, Iterable, List, Optional, Set, Tuple
@@ -57,6 +59,7 @@ from repro.obs import tracing as _trc
 from repro.obs.tracing import Tracer
 from repro.errors import (
     BeginError,
+    CorruptLogError,
     CrossShardAbort,
     GarbageCollectedError,
     TardisError,
@@ -64,6 +67,10 @@ from repro.errors import (
 )
 from repro.partitioning.workers import ShardedRecordStore
 from repro.storage.wal import WriteAheadLog
+
+#: a log's checkpoint (``recovery.checkpoint_store``) is the file beside
+#: it named ``<log>`` + this.
+CHECKPOINT_SUFFIX = ".ckpt"
 
 
 class ClientSession:
@@ -184,6 +191,15 @@ class TardisStore:
       to N-1 acknowledged commits.
     * ``wal_sync=False, group_commit=0``: nothing is written before
       ``wal.flush()``/``close()``; a crash loses every commit since.
+
+    Opening a log is recovering it: the store first loads the log's
+    checkpoint (``<wal_path>.ckpt``, if one exists) and grafts every
+    record the log holds, then appends after them, its state ids
+    continuing past the replayed ones. ``recovery`` holds the replay's
+    report. A log the replay would cut (a gap, or a compacted log whose
+    checkpoint is gone) raises :class:`~repro.errors.CorruptLogError`
+    with the file untouched: new commits after a gap would be dropped
+    by the next recovery. ``recover_store`` reads such a log.
     """
 
     _GUARDED_BY = {
@@ -236,11 +252,11 @@ class TardisStore:
         self._session_counter = 0
         #: the single commit code path: DAG install, version insert,
         #: WAL append (with optional group-commit batching), metrics.
+        #: The log is attached once it has been replayed.
         self.pipeline = CommitPipeline(
             self.dag,
             self.versions,
             sharded=self._sharded,
-            wal=self.wal,
             group_commit=group_commit,
         )
         if sys.flags.dev_mode:
@@ -257,6 +273,75 @@ class TardisStore:
         #: registry changes identity (benchmark harnesses swap it per
         #: run) — the per-call name lookup is measurable at txn rates.
         self._hot_registry: Optional[MetricsRegistry] = None
+        #: what the replay of a log found (checkpoint states, replayed,
+        #: discarded); None when no log was replayed into this store.
+        self.recovery: Optional[Dict[str, int]] = None
+        if self.wal is not None:
+            try:
+                discarded = self._replay(self.wal.path)["discarded"]
+                if discarded:
+                    raise CorruptLogError(
+                        "%s: replay would discard %d records (a gap, or"
+                        " a compacted log without its checkpoint)"
+                        % (self.wal.path, discarded)
+                    )
+            except BaseException:
+                self.close()
+                raise
+            self.pipeline.wal = self.wal
+
+    def _replay(self, wal_path: str) -> Dict[str, int]:
+        """Load ``<wal_path>.ckpt`` if it exists, then graft ``wal_path``.
+
+        The one replay (§6.5): ``__init__`` runs it before it attaches
+        its log, so nothing replayed is logged again; ``recover_store``
+        runs it on a store without a log. A record whose parents are not
+        all present cuts the log: it and every later record are
+        discarded, not grafted. Sets and returns ``recovery``.
+        """
+        report = {"checkpoint_states": 0, "replayed": 0, "discarded": 0}
+        snapshot_path = wal_path + CHECKPOINT_SUFFIX
+        if os.path.exists(snapshot_path):
+            report["checkpoint_states"] = self._load_checkpoint(snapshot_path)
+        dag = self.dag
+        cut = False
+        for record in WriteAheadLog.read(wal_path):
+            if cut:
+                report["discarded"] += 1
+                continue
+            if record.state_id in dag:
+                continue  # already in the checkpoint
+            if not all(pid in dag for pid in record.parent_ids):
+                # Atomicity: a state this transaction builds on never
+                # became durable; discard it and every later state.
+                cut = True
+                report["discarded"] += 1
+                continue
+            self._graft(record)
+            report["replayed"] += 1
+        self.recovery = report
+        return report
+
+    def _load_checkpoint(self, snapshot_path: str) -> int:
+        """Install a ``checkpoint_store`` snapshot; returns its state count."""
+        with open(snapshot_path, "rb") as handle:
+            payload = pickle.load(handle)
+        dag = self.dag
+        for entry in payload["states"]:
+            if entry["id"] == dag.root.id:
+                continue
+            # A snapshot taken after garbage collection may start from a
+            # state whose original ancestors (including the root) were
+            # compressed away; anchor it at the fresh store's root.
+            parents = [dag.resolve(pid) for pid in entry["parents"]] or [dag.root]
+            dag.create_state(
+                parents, write_keys=frozenset(entry["write_keys"]), state_id=entry["id"]
+            )
+        with self._lock:
+            for key, sid, value in payload["records"]:
+                self.versions.write(key, sid, value)
+        dag._promotions.update(payload["promotions"])
+        return len(payload["states"])
 
     def _guard_storage(self) -> None:
         """Route every record-store call through a lock check.

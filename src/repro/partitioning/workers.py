@@ -525,20 +525,24 @@ class _WorkerHandle:
 
         Half-closing the socket is the stop signal: the worker answers
         what it has already read, then reads end of stream and exits.
+        A link already found dead cannot carry it: its worker is killed
+        at once, with no grace to wait out.
         """
         was_alive = self.process.is_alive()
-        try:
-            self.sock.shutdown(socket.SHUT_WR)
-        except OSError:
-            pass
-        self.process.join(timeout)
-        graceful = not self.process.is_alive()
-        if not graceful:
-            self.process.terminate()
-            self.process.join(1.0)
-            if self.process.is_alive():
-                self.process.kill()
+        graceful = False
+        if self.alive:
+            try:
+                self.sock.shutdown(socket.SHUT_WR)
+            except OSError:
+                pass
+            self.process.join(timeout)
+            graceful = not self.process.is_alive()
+            if not graceful:
+                self.process.terminate()
                 self.process.join(1.0)
+        if self.process.is_alive():
+            self.process.kill()
+            self.process.join(1.0)
         self.sock.close()
         self.alive = False
         return was_alive and not graceful

@@ -6,8 +6,9 @@ Commands:
   print the result row; useful for quick what-if runs without pytest.
 * ``demo`` — run a canned branch/merge walkthrough and dump the State
   DAG as Graphviz DOT.
-* ``recover`` — inspect a write-ahead log: replay it into a fresh store
-  and print the recovery report and store summary.
+* ``recover`` — inspect a write-ahead log: replay its checkpoint
+  (``LOG.ckpt``, if any) and the log into a fresh store, read-only, and
+  print the recovery report and store summary.
 * ``metrics`` — a "tardis top": run a short workload with the
   observability subsystem enabled and print branch health (per-branch
   depth, conflict rate, GC debt), the metric registry, and recent trace
@@ -370,7 +371,10 @@ def build_parser() -> argparse.ArgumentParser:
     demo.add_argument("--dot", action="store_true", help="emit Graphviz DOT")
     demo.set_defaults(func=cmd_demo)
 
-    recover = sub.add_parser("recover", help="replay a write-ahead log")
+    recover = sub.add_parser(
+        "recover",
+        help="replay a write-ahead log and its checkpoint (LOG.ckpt), read-only",
+    )
     recover.add_argument("wal", help="path to the commit log")
     recover.set_defaults(func=cmd_recover)
 

@@ -7,7 +7,7 @@ import pytest
 
 from repro import TardisStore, checkpoint_store, recover_store
 from repro.core.ids import ROOT_ID, CommitRecord, StateId
-from repro.errors import GarbageCollectedError, TransactionAborted
+from repro.errors import CorruptLogError, GarbageCollectedError, TransactionAborted
 from repro.obs import metrics as met
 from repro.obs.tracing import Tracer
 from repro.storage.wal import WriteAheadLog
@@ -152,6 +152,94 @@ class TestRecovery:
         assert [type(r) for r in heard] == [CommitRecord, CommitRecord]
 
 
+class TestReopen:
+    """Opening a log is recovering it: the store appends after what it replayed."""
+
+    @pytest.mark.parametrize("kw", [{}, {"shards": 2}], ids=["flat", "shards=2"])
+    def test_an_acknowledged_commit_after_a_reopen_survives(self, tmp_path, kw):
+        store = make_store(tmp_path, **kw)
+        store.put("x", 1)
+        store.put("y", 2)
+        store.close()
+        store = make_store(tmp_path, **kw)
+        assert store.recovery == {"checkpoint_states": 0, "replayed": 2, "discarded": 0}
+        assert repr(store.put("z", 3)) == "s3@A"
+        assert [store.get(k) for k in "xyz"] == [1, 2, 3]
+        store.close()
+        path = str(tmp_path / "wal.log")
+        assert [repr(r.state_id) for r in WriteAheadLog.read(path)] == ["s1@A", "s2@A", "s3@A"]
+        recovered, report = recover_store("A", path, **kw)
+        try:
+            assert (report["replayed"], report["discarded"]) == (3, 0)
+            assert [recovered.get(k) for k in "xyz"] == [1, 2, 3]
+        finally:
+            recovered.close()
+
+    def test_a_reopen_without_commits_logs_and_counts_nothing(self, tmp_path):
+        store = make_store(tmp_path)
+        for i in range(4):
+            store.put("k%d" % i, i)
+        store.close()
+        path = str(tmp_path / "wal.log")
+        size = os.path.getsize(path)
+        store = make_store(tmp_path)
+        assert store.recovery["replayed"] == 4
+        assert (store.metrics.commits, store.metrics.remote_applied) == (0, 0)
+        assert [store.get("k%d" % i) for i in range(4)] == list(range(4))
+        store.close()
+        assert len(list(WriteAheadLog.read(path))) == 4
+        assert os.path.getsize(path) == size
+
+    def test_a_reopen_after_a_checkpoint_loads_it_and_continues(self, tmp_path):
+        store = make_store(tmp_path)
+        for i in range(5):
+            store.put("x", i)
+        n = checkpoint_store(store)
+        store.put("y", 1)
+        store.close()
+        store = make_store(tmp_path)
+        assert store.recovery == {"checkpoint_states": n, "replayed": 1, "discarded": 0}
+        assert (store.get("x"), store.get("y")) == (4, 1)
+        assert repr(store.put("z", 2)) == "s7@A"  # after five puts and y
+        store.close()
+        recovered, report = recover_store("A", str(tmp_path / "wal.log"))
+        assert (report["checkpoint_states"], report["discarded"]) == (n, 0)
+        assert [recovered.get(k) for k in "xyz"] == [4, 1, 2]
+
+    def test_a_compacted_log_without_its_checkpoint_is_refused(
+        self, tmp_path, monkeypatch
+    ):
+        store = make_store(tmp_path)
+        for i in range(5):
+            store.put("x", i)
+        checkpoint_store(store)
+        store.put("y", 1)
+        store.close()
+        path = str(tmp_path / "wal.log")
+        os.remove(path + ".ckpt")
+        with open(path, "rb") as handle:
+            before = handle.read()
+        opened = []
+
+        class RecordingLog(WriteAheadLog):
+            def _open(self):
+                super()._open()
+                opened.append(self._file)
+
+        monkeypatch.setattr("repro.core.store.WriteAheadLog", RecordingLog)
+        with pytest.raises(CorruptLogError, match="discard 2 records"):
+            make_store(tmp_path)
+        assert len(opened) == 1 and opened[0].closed
+        with open(path, "rb") as handle:
+            assert handle.read() == before
+
+    def test_a_checkpoint_needs_a_log(self):
+        store = TardisStore("A")
+        store.put("x", 1)
+        with pytest.raises(ValueError, match="no log"):
+            checkpoint_store(store)
+
+
 LOG_LEVELS = pytest.mark.parametrize(
     "config",
     [{"sync": True}, {"sync": False, "group_commit": 16}],
@@ -224,16 +312,14 @@ class TestCheckpoint:
             t = store.begin(session=sess)
             t.put("x", i)
             t.commit()
-        snap = str(tmp_path / "snap.ckpt")
-        n = checkpoint_store(store, snap)
+        n = checkpoint_store(store)
         assert n == len(store.dag)
+        assert os.path.exists(store.wal.path + ".ckpt")
         # More commits after the checkpoint land in the compacted log.
         store.put("x", 99, session=sess)
         store.close()
 
-        recovered, report = recover_store(
-            "A", str(tmp_path / "wal.log"), snapshot_path=snap
-        )
+        recovered, report = recover_store("A", str(tmp_path / "wal.log"))
         assert report["checkpoint_states"] == n
         assert report["replayed"] == 1
         assert recovered.get("x") == 99
@@ -245,11 +331,12 @@ class TestCheckpoint:
         sess = store.session("a")
         for i in range(5):
             store.put("x", i, session=sess)
-        checkpoint_store(store, str(tmp_path / "snap.ckpt"))
+        checkpoint_store(store)
         for i in range(3):
             store.put("y", i, session=sess)
         store.close()
         path = str(tmp_path / "wal.log")
+        os.remove(path + ".ckpt")
         tail = list(WriteAheadLog.read(path))
         assert len(tail) >= 3
 
@@ -263,8 +350,7 @@ class TestCheckpoint:
         sess = store.session("a")
         for i in range(25):
             store.put("k%d" % i, i, session=sess)
-        snap = str(tmp_path / "snap.ckpt")
-        checkpoint_store(store, snap)
+        checkpoint_store(store)
         for i in range(25, 30):
             store.put("k%d" % i, i, session=sess)
 
@@ -275,13 +361,11 @@ class TestCheckpoint:
 
         monkeypatch.setattr("repro.core.recovery.pickle.dump", torn_dump)
         with pytest.raises(OSError):
-            checkpoint_store(store, snap)
+            checkpoint_store(store)
         monkeypatch.undo()
         store.close()
 
-        recovered, report = recover_store(
-            "A", str(tmp_path / "wal.log"), snapshot_path=snap
-        )
+        recovered, report = recover_store("A", str(tmp_path / "wal.log"))
         assert report["discarded"] == 0
         assert [recovered.get("k%d" % i) for i in range(30)] == list(range(30))
 
@@ -292,7 +376,7 @@ class TestCheckpoint:
         store = make_store(tmp_path)
         for i in range(5):
             store.put("k%d" % i, i)
-        snap = str(tmp_path / "snap.ckpt")
+        snap = store.wal.path + ".ckpt"
         calls = []
         real_fsync, real_replace = os.fsync, os.replace
         real_compact = WriteAheadLog.compact_inplace
@@ -315,7 +399,7 @@ class TestCheckpoint:
             "repro.core.recovery.fsync_dir", lambda path: calls.append(("dir", path))
         )
         monkeypatch.setattr(WriteAheadLog, "compact_inplace", compact_inplace)
-        checkpoint_store(store, snap)
+        checkpoint_store(store)
         assert calls[:4] == ["fsync", "replace", ("dir", snap), "compact"]
         monkeypatch.undo()
         store.close()
@@ -325,7 +409,7 @@ class TestCheckpoint:
         for i in range(50):
             store.put("x", i)
         size_before = os.path.getsize(store.wal.path)
-        checkpoint_store(store, str(tmp_path / "snap.ckpt"))
+        checkpoint_store(store)
         size_after = os.path.getsize(store.wal.path)
         assert size_after < size_before / 5
         store.close()
@@ -348,12 +432,9 @@ class TestCheckpoint:
         store.close_session("idle")
         assert store.collect_garbage().promotions_flushed == 0
         assert store.gc.ceilings == {"a": sess.last_commit_id, "reader": held}
-        snap = str(tmp_path / "snap.ckpt")
-        checkpoint_store(store, snap)
+        checkpoint_store(store)
         store.close()
-        recovered, _ = recover_store(
-            "A", str(tmp_path / "wal.log"), snapshot_path=snap
-        )
+        recovered, _ = recover_store("A", str(tmp_path / "wal.log"))
         # The held id still resolves after recovery; a collected id that
         # nothing held was dropped at the cycle and stays unresolvable.
         assert recovered.dag.resolve(held).id == sess.last_commit_id
@@ -374,12 +455,9 @@ class TestCheckpoint:
         t2.get("x")
         t1.commit()
         t2.commit()
-        snap = str(tmp_path / "snap.ckpt")
-        checkpoint_store(store, snap)
+        checkpoint_store(store)
         store.close()
-        recovered, _ = recover_store(
-            "A", str(tmp_path / "wal.log"), snapshot_path=snap
-        )
+        recovered, _ = recover_store("A", str(tmp_path / "wal.log"))
         assert len(recovered.dag.leaves()) == 2
         m = recovered.begin_merge()
         assert sorted(m.get_all("x")) == [1, 2]

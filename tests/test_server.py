@@ -494,6 +494,39 @@ class TestGracefulShutdown:
 
 
 # ---------------------------------------------------------------------------
+# Restart: a server on a logged store serves what its last life acknowledged.
+
+
+def _counter(state):
+    """The counter of a wire state id such as ``s5@net``."""
+    return int(state[1:].split("@")[0])
+
+
+class TestRestartOnALog:
+    def _life(self, path, work):
+        store = TardisStore("net", wal_path=path)
+        server = TardisServer(store=store).start()
+        try:
+            with TardisClient(port=server.port, session="a") as client:
+                return work(client)
+        finally:
+            server.shutdown()
+            store.close()
+
+    def test_a_second_life_reads_every_acknowledged_value(self, tmp_path):
+        path = str(tmp_path / "net.wal")
+        states = self._life(path, lambda c: [c.put("k%d" % i, i) for i in range(5)])
+
+        def second(client):
+            values = [client.get("k%d" % i) for i in range(5)]
+            return values, client.put("after", 1)
+
+        values, first = self._life(path, second)
+        assert values == list(range(5))
+        assert _counter(first) > max(map(_counter, states))
+
+
+# ---------------------------------------------------------------------------
 # Wire error paths: framing violations and protocol misuse.
 
 

@@ -254,7 +254,10 @@ class TestWorkerFailure:
             assert time.perf_counter() - started < 5.0
             assert not handle.alive
         finally:
+            started = time.perf_counter()
             store.close()
+        # A dead link is killed at once: no grace, no terminate step.
+        assert time.perf_counter() - started < 1.0
         assert not handle.process.is_alive()
         assert store.leaked_workers == 1
 

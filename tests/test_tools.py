@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro import TardisStore
+from repro import TardisStore, checkpoint_store
 from repro.tools import dag_to_dot, describe_store, store_summary
 from repro.tools.cli import main
 
@@ -157,6 +157,27 @@ class TestCli:
         out = capsys.readouterr().out
         assert '"replayed": 1' in out
         assert "recovered" in out
+
+    def test_recover_command_reads_the_checkpoint_beside_the_log(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        wal = str(tmp_path / "wal.log")
+        store = TardisStore("A", wal_path=wal)
+        for i in range(3):
+            store.put("x", i)
+        n = checkpoint_store(store)
+        store.close()
+        described = []
+        monkeypatch.setattr(
+            "repro.tools.cli.describe_store",
+            lambda store: described.append(store) or describe_store(store),
+        )
+        assert main(["recover", wal]) == 0
+        out = capsys.readouterr().out
+        report = json.loads(out.split("recovery report:", 1)[1].splitlines()[0])
+        assert report == {"checkpoint_states": n, "replayed": 0, "discarded": 0}
+        [recovered] = described
+        assert recovered.get("x") == 2
 
 
 class TestTraceCommand:

@@ -10,7 +10,9 @@ the count and the values against the durability level:
 * ``group_commit=0``: nothing is written before ``flush``/``close``.
 
 A kill "at a growth boundary" lands right after (or right before) the
-commit whose write grew the log by an extent. Running this file as a
+commit whose write grew the log by an extent. A second killed writer
+then reopens the store on the same log and commits: the log must repeat
+no state id, and recovery returns both writers' commits. Running this file as a
 script runs the long seeded sweep: ``python tests/test_wal_crash.py``.
 """
 
@@ -23,7 +25,6 @@ import time
 
 import pytest
 
-from repro.core.ids import ROOT_ID, CommitRecord, StateId
 from repro.core.recovery import recover_store
 from repro.core.store import TardisStore
 from repro.storage import wal as wal_module
@@ -117,24 +118,28 @@ def check_recovery(path, expected, size=0):
 
 
 def check_reopen_appends(path, extra=3):
-    """A second killed writer appends after the valid prefix."""
+    """A second killed writer reopens the store and appends after its log."""
     old = list(WriteAheadLog.read(path))
-    new, parent = [], old[-1].state_id if old else ROOT_ID
-    for i in range(1, extra + 1):
-        new.append(CommitRecord(StateId(parent.counter + 1, "A"), (parent,), {"new%d" % i: i}))
-        parent = new[-1].state_id
 
     def work():
-        wal = WriteAheadLog(path, sync=True)
-        for record in new:
-            wal.append_commit(record)
+        store = TardisStore("A", wal_path=path)
+        for i in range(1, extra + 1):
+            store.put("new%d" % i, i)
 
     in_killed_child(work)
-    assert list(WriteAheadLog.read(path)) == old + new
+    records = list(WriteAheadLog.read(path))
+    ids = [r.state_id for r in records]
+    assert len(set(ids)) == len(ids), ids
+    assert records[: len(old)] == old
+    assert [r.writes for r in records[len(old):]] == [
+        {"new%d" % i: i} for i in range(1, extra + 1)
+    ]
     recovered, report = recover_store("R", path)
     try:
         assert (report["replayed"], report["discarded"]) == (len(old) + extra, 0)
-        assert recovered.get("new%d" % extra) == extra
+        assert [recovered.get("new%d" % i) for i in range(1, extra + 1)] == list(
+            range(1, extra + 1)
+        )
     finally:
         recovered.close()
 
