@@ -9,21 +9,24 @@ replication between them, aggregate throughput reported.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
-from repro.core.ids import ROOT_ID
 from repro.core.store import TardisStore
-from repro.obs import metrics as _met
 from repro.obs import tracing as _trc
 from repro.obs.context import causal_timeline, merge_events
 from repro.obs.series import DivergenceMonitor
 from repro.replication.network import SimNetwork
 from repro.replication.replicator import Replicator
 from repro.sim.adapters import TardisAdapter
-from repro.sim.des import Resource, Simulator
-from repro.workload.runner import RunConfig, RunResult, _Client, _Measure
+from repro.sim.des import Simulator
+from repro.workload.runner import (
+    RunConfig,
+    RunResult,
+    _obs_snapshot,
+    _run_registry,
+    _Site,
+)
 
 OPTIMISTIC = "optimistic"
 PESSIMISTIC = "pessimistic"
@@ -58,7 +61,13 @@ class Cluster:
         trace_capacity: int = 4096,
     ):
         if sites is None:
+            if not 1 <= n_sites <= len(SITE_NAMES):
+                raise ValueError(
+                    "n_sites must be 1..%d, got %r" % (len(SITE_NAMES), n_sites)
+                )
             sites = SITE_NAMES[:n_sites]
+        elif not sites:
+            raise ValueError("a cluster needs at least one site")
         store_kwargs = store_kwargs or {}
         self.sim = sim or Simulator()
         self.network = SimNetwork(self.sim, default_latency_ms=default_latency_ms)
@@ -176,20 +185,6 @@ class ReplicatedRunResult:
         )
 
 
-def _make_maintenance(sim, adapter, measure, cores, config):
-    """Per-site periodic merge+GC task (bound per site: the obvious
-    closure-over-loop-variable version reschedules the wrong site's)."""
-
-    def run_maintenance() -> None:
-        cost = adapter.maintenance()
-        measure.maintenance_work += cost
-        if cost:
-            cores.execute(cost, lambda: None)
-        sim.schedule(config.maintenance_interval_ms, run_maintenance)
-
-    return run_maintenance
-
-
 def run_replicated_workload(
     n_sites: int,
     workload_factory: Callable[[], Any],
@@ -201,12 +196,13 @@ def run_replicated_workload(
 ) -> ReplicatedRunResult:
     """Closed-loop clients at every site with async replication (Fig 12).
 
-    ``config.n_clients`` and ``config.cores`` are per site. One site
-    seeds the database and the seed replicates for ``settle_ms`` before
-    any client starts (every site measures against a populated store).
-    Remote transaction application charges ``remote_apply_cost`` to the
-    destination site's cores — by design it never contends with local
-    transactions (§7.1.6), so aggregate throughput scales with sites.
+    ``config.n_clients`` and ``config.cores`` are per site; every site
+    runs ``run_simulation``'s loop (``_Site``) on the cluster's simulator.
+    One site seeds the database and the seed replicates for ``settle_ms``
+    before any client starts (every site measures against a populated
+    store). Remote transaction application charges ``remote_apply_cost``
+    to the destination site's cores — by design it never contends with
+    local transactions (§7.1.6), so aggregate throughput scales with sites.
     """
     sim = Simulator()
     cluster = Cluster(
@@ -214,105 +210,42 @@ def run_replicated_workload(
         sim=sim,
         default_latency_ms=default_latency_ms,
     )
-    measures = []
-    adapters = []
-    site_cores = {}
-    registry = (
-        _met.MetricsRegistry(enabled=True) if config.collect_metrics else None
-    )
     monitor = None
     if config.series_interval_ms:
         monitor = cluster.monitor()
         monitor.install(sim, config.series_interval_ms)
 
-    # One cluster-wide registry: every site's stores and replicators
-    # record into it while the run executes (single simulator thread).
-    previous_default = None
-    if registry is not None:
-        previous_default = _met.set_default_registry(registry)
-    try:
-        seed_workload = workload_factory()
-        preload = getattr(seed_workload, "preload", None)
-        site_adapters = {}
-        for site in cluster.sites:
-            site_adapters[site] = TardisAdapter(
-                store=cluster.stores[site], branching=branching
-            )
+    # One cluster-wide registry: every site's stores, replicators and
+    # clients record into it while the run executes.
+    with _run_registry(config) as registry:
+        preload = getattr(workload_factory(), "preload", None)
+        adapters = [
+            TardisAdapter(store=store, branching=branching)
+            for store in cluster.stores.values()
+        ]
         if preload:
-            site_adapters[cluster.sites[0]].preload(preload)
+            adapters[0].preload(preload)
             sim.run(until=settle_ms)  # let the seed replicate everywhere
 
-        start_at = sim.now
-        warmup_abs = start_at + config.warmup_ms
-        end_at = start_at + config.duration_ms
-
-        for index, site in enumerate(cluster.sites):
-            adapter = site_adapters[site]
-            adapters.append(adapter)
-            cores = Resource(sim, config.cores)
-            serial = Resource(sim, 1)
-            site_cores[site] = cores
-            measure = _Measure(warmup_abs, registry)
-            measures.append(measure)
-            workload = workload_factory()
-            waiters: Dict[Any, _Client] = {}
-            clients = [
-                _Client(
-                    "%s-client-%d" % (site, i),
-                    sim,
-                    cores,
-                    adapter,
-                    workload,
-                    random.Random(config.seed * 7919 + index * 131 + i),
-                    measure,
-                    waiters,
-                    serial,
-                )
-                for i in range(config.n_clients)
-            ]
-            replicator = cluster.replicators[site]
-            replicator.apply_listener = (
-                lambda record, cores=cores: cores.execute(remote_apply_cost, lambda: None)
+        sites = []
+        for index, adapter in enumerate(adapters):
+            name = adapter.store.site
+            site = _Site(
+                sim, adapter, workload_factory(), config, registry, name, index
             )
-
-            for client in clients:
-                client.start()
-
-            if config.maintenance_interval_ms:
-                sim.schedule(
-                    config.maintenance_interval_ms,
-                    _make_maintenance(sim, adapter, measure, cores, config),
+            cluster.replicators[name].apply_listener = (
+                lambda record, cores=site.cores: cores.execute(
+                    remote_apply_cost, lambda: None
                 )
-
-        sim.run(until=end_at)
-    finally:
-        if registry is not None:
-            _met.set_default_registry(previous_default)
-
-    window_s = max(config.duration_ms - config.warmup_ms, 1e-9) / 1000.0
-    per_site = []
-    for adapter, measure in zip(adapters, measures):
-        per_site.append(
-            RunResult(
-                system="tardis@%s" % adapter.store.site,
-                n_clients=config.n_clients,
-                duration_ms=config.duration_ms,
-                commits=measure.commits,
-                aborts=measure.aborts,
-                throughput_tps=measure.commits / window_s,
-                mean_latency_ms=measure.latency.mean,
-                p50_latency_ms=measure.latency.p50,
-                p99_latency_ms=measure.latency.p99,
-                adapter_stats=adapter.stats(),
             )
-        )
-    obs_metrics = registry.to_dict() if registry is not None else {}
-    if monitor is not None:
-        obs_metrics.update(monitor.to_dict())
+            sites.append(site)
+        sim.run(until=sim.now + config.duration_ms)
+
+    per_site = [site.result() for site in sites]
     return ReplicatedRunResult(
         n_sites=n_sites,
         per_site=per_site,
         aggregate_tps=sum(r.throughput_tps for r in per_site),
         messages=cluster.network.messages_sent,
-        obs_metrics=obs_metrics,
+        obs_metrics=_obs_snapshot(registry, monitor),
     )

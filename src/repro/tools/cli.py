@@ -156,13 +156,8 @@ def cmd_metrics(args) -> int:
     )
     registry = MetricsRegistry(enabled=True)
     tracer = Tracer(capacity=max(args.events * 8, 1024), enabled=True)
-    previous_registry = _met.set_default_registry(registry)
-    previous_tracer = _trc.set_default_tracer(tracer)
-    try:
+    with _met.use_registry(registry), _trc.use_tracer(tracer):
         result = run_simulation(adapter, workload, config)
-    finally:
-        _met.set_default_registry(previous_registry)
-        _trc.set_default_tracer(previous_tracer)
 
     if args.json:
         print(export.to_json(registry, tracer, event_limit=args.events))

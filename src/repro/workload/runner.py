@@ -7,15 +7,19 @@ retrying from ``begin`` on aborts), and the simulated service time of
 every operation is executed on a bounded pool of server cores. The
 result captures the paper's measurements: throughput, latency
 distribution, per-operation cost breakdown (Table 3), abort/retry
-counts, and the fraction of useful work (Figure 14d).
+counts, and the fraction of useful work (Figure 14d). ``_Site`` is one
+site's half of that loop; ``run_replicated_workload`` runs one per
+replica on a shared simulator (Figure 12).
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from contextlib import contextmanager
+from dataclasses import dataclass, field, replace
+from typing import Any, Callable, Dict, Iterator, List, Optional
 
+from repro.core.store import TardisStore
 from repro.obs import metrics as _met
 from repro.obs.series import DivergenceMonitor
 from repro.sim.adapters import SystemAdapter
@@ -303,39 +307,47 @@ class _Client:
             hook(self.cid)
 
 
-def run_simulation(
-    adapter: SystemAdapter, workload, config: RunConfig
-) -> RunResult:
-    """Execute one closed-loop run and aggregate the measurements."""
-    sim = Simulator()
-    cores = Resource(sim, config.cores)
-    serial = Resource(sim, 1)  # per-system critical section (OCC validation)
-    registry = (
-        _met.MetricsRegistry(enabled=True) if config.collect_metrics else None
-    )
-    measure = _Measure(config.warmup_ms, registry)
-    waiters: Dict[Any, _Client] = {}
+class _Site:
+    """One site's closed-loop clients on a shared simulator.
 
-    # The per-run registry doubles as the library default for the
-    # duration of the run, so the stores' own counters (forks, merges,
-    # GC cycles) fold into the same place as the runner's histograms.
-    previous_default = None
-    if registry is not None:
-        previous_default = _met.set_default_registry(registry)
-    try:
-        preload = getattr(workload, "preload", None)
-        if preload:
-            adapter.preload(preload)
+    Building a site gives it its own cores and serial resource and a
+    ``_Measure`` whose window opens ``config.warmup_ms`` after the site
+    starts; it then starts the clients and schedules the maintenance and
+    sample ticks, in that order (the DES breaks ties by schedule order).
+    ``run_simulation`` drives one site, ``run_replicated_workload`` one
+    per cluster store, through the same loop. ``site`` names the replica
+    (``None`` for a lone system) and ``index`` offsets its client seeds.
+    """
 
+    def __init__(
+        self,
+        sim: Simulator,
+        adapter: SystemAdapter,
+        workload,
+        config: RunConfig,
+        registry: Optional[_met.MetricsRegistry],
+        site: Optional[str] = None,
+        index: int = 0,
+    ):
+        self.sim = sim
+        self.adapter = adapter
+        self.config = config
+        self.system = adapter.name if site is None else "%s@%s" % (adapter.name, site)
+        self.cores = Resource(sim, config.cores)
+        serial = Resource(sim, 1)  # per-system critical section (OCC validation)
+        self.measure = _Measure(sim.now + config.warmup_ms, registry)
+        self.samples: List[Dict[str, Any]] = []
+        prefix = "client" if site is None else "%s-client" % site
+        waiters: Dict[Any, _Client] = {}
         clients = [
             _Client(
-                "client-%d" % i,
+                "%s-%d" % (prefix, i),
                 sim,
-                cores,
+                self.cores,
                 adapter,
                 workload,
-                random.Random(config.seed * 7919 + i),
-                measure,
+                random.Random(config.seed * 7919 + index * 131 + i),
+                self.measure,
                 waiters,
                 serial,
             )
@@ -343,74 +355,107 @@ def run_simulation(
         ]
         for client in clients:
             client.start()
-
         if config.maintenance_interval_ms:
-
-            def run_maintenance() -> None:
-                cost = adapter.maintenance()
-                measure.maintenance_work += cost
-                if cost:
-                    cores.execute(cost, lambda: None)
-                sim.schedule(config.maintenance_interval_ms, run_maintenance)
-
-            sim.schedule(config.maintenance_interval_ms, run_maintenance)
-
-        samples: List[Dict[str, Any]] = []
+            self._every(config.maintenance_interval_ms, self._maintain)
         if config.sample_interval_ms:
+            self._every(config.sample_interval_ms, self._sample)
 
-            def take_sample() -> None:
-                entry = {"t_ms": sim.now, "commits": measure.commits_total}
-                entry.update(adapter.stats())
-                samples.append(entry)
-                sim.schedule(config.sample_interval_ms, take_sample)
+    def _every(self, interval_ms: float, tick: Callable[[], None]) -> None:
+        def run() -> None:
+            tick()
+            self.sim.schedule(interval_ms, run)
 
-            sim.schedule(config.sample_interval_ms, take_sample)
+        self.sim.schedule(interval_ms, run)
 
-        monitor = None
-        store = getattr(adapter, "store", None)
-        if config.series_interval_ms and store is not None:
-            monitor = DivergenceMonitor(
-                {store.site: store}, clock=lambda: sim.now
-            )
-            monitor.install(sim, config.series_interval_ms)
+    def _maintain(self) -> None:
+        cost = self.adapter.maintenance()
+        self.measure.maintenance_work += cost
+        if cost:
+            self.cores.execute(cost, lambda: None)
 
-        sim.run(until=config.duration_ms)
-    finally:
-        if registry is not None:
-            _met.set_default_registry(previous_default)
+    def _sample(self) -> None:
+        entry = {"t_ms": self.sim.now, "commits": self.measure.commits_total}
+        entry.update(self.adapter.stats())
+        self.samples.append(entry)
 
-    measure.flush()
-    window_s = max(config.duration_ms - config.warmup_ms, 1e-9) / 1000.0
-    total_work = (
-        measure.useful_work
-        + measure.wasted_work
-        + measure.wait_time
-        + measure.maintenance_work
-    )
-    result = RunResult(
-        system=adapter.name,
-        n_clients=config.n_clients,
-        duration_ms=config.duration_ms,
-        commits=measure.commits,
-        aborts=measure.aborts,
-        lock_waits=measure.lock_waits,
-        throughput_tps=measure.commits / window_s,
-        mean_latency_ms=measure.latency.mean,
-        p50_latency_ms=measure.latency.p50,
-        p99_latency_ms=measure.latency.p99,
-        goodput=(measure.useful_work / total_work) if total_work > 0 else 1.0,
-        # busy_time counts service scheduled before the cutoff even when
-        # it completes after it, so clamp the rounding overshoot.
-        utilization=min(
-            1.0, cores.busy_time / (config.cores * config.duration_ms)
-        ),
-        op_breakdown_ms=measure.breakdown.as_dict(),
-        adapter_stats=adapter.stats(),
-        samples=samples,
-        obs_metrics=registry.to_dict() if registry is not None else {},
-    )
+    def result(self) -> RunResult:
+        """What the site measured; call once, after the run."""
+        measure, config = self.measure, self.config
+        measure.flush()
+        window_s = max(config.duration_ms - config.warmup_ms, 1e-9) / 1000.0
+        total_work = (
+            measure.useful_work
+            + measure.wasted_work
+            + measure.wait_time
+            + measure.maintenance_work
+        )
+        return RunResult(
+            system=self.system,
+            n_clients=config.n_clients,
+            duration_ms=config.duration_ms,
+            commits=measure.commits,
+            aborts=measure.aborts,
+            lock_waits=measure.lock_waits,
+            throughput_tps=measure.commits / window_s,
+            mean_latency_ms=measure.latency.mean,
+            p50_latency_ms=measure.latency.p50,
+            p99_latency_ms=measure.latency.p99,
+            goodput=(measure.useful_work / total_work) if total_work > 0 else 1.0,
+            # busy_time counts service scheduled before the cutoff even when
+            # it completes after it, so clamp the rounding overshoot.
+            utilization=min(
+                1.0, self.cores.busy_time / (config.cores * config.duration_ms)
+            ),
+            op_breakdown_ms=measure.breakdown.as_dict(),
+            adapter_stats=self.adapter.stats(),
+            samples=self.samples,
+        )
+
+
+@contextmanager
+def _run_registry(config: RunConfig) -> Iterator[Optional[_met.MetricsRegistry]]:
+    """A fresh registry, installed as the library default for the run.
+
+    The stores' own counters (forks, merges, GC cycles, replication) then
+    fold into the same place as the runner's histograms. Yields ``None``
+    and installs nothing when ``config.collect_metrics`` is off.
+    """
+    if not config.collect_metrics:
+        yield None
+        return
+    with _met.use_registry(_met.MetricsRegistry(enabled=True)) as registry:
+        yield registry
+
+
+def _obs_snapshot(
+    registry: Optional[_met.MetricsRegistry], monitor: Optional[DivergenceMonitor]
+) -> Dict[str, Any]:
+    obs = registry.to_dict() if registry is not None else {}
     if monitor is not None:
-        result.obs_metrics.update(monitor.to_dict())
+        obs.update(monitor.to_dict())
+    return obs
+
+
+def run_simulation(
+    adapter: SystemAdapter, workload, config: RunConfig
+) -> RunResult:
+    """Execute one closed-loop run and aggregate the measurements."""
+    sim = Simulator()
+    monitor = None
+    with _run_registry(config) as registry:
+        preload = getattr(workload, "preload", None)
+        if preload:
+            adapter.preload(preload)
+        site = _Site(sim, adapter, workload, config, registry)
+        # The divergence series describe a branching DAG: only a TARDiS
+        # store has one (the baselines' stores have no site and no DAG).
+        store = getattr(adapter, "store", None)
+        if config.series_interval_ms and isinstance(store, TardisStore):
+            monitor = DivergenceMonitor({store.site: store}, clock=lambda: sim.now)
+            monitor.install(sim, config.series_interval_ms)
+        sim.run(until=config.duration_ms)
+    result = site.result()
+    result.obs_metrics = _obs_snapshot(registry, monitor)
     return result
 
 
@@ -426,18 +471,9 @@ def sweep_clients(
     throughput/latency curves (Figures 9 and 10) are produced.
     """
     base = config or RunConfig()
-    results = []
-    for n in client_counts:
-        cfg = RunConfig(
-            n_clients=n,
-            duration_ms=base.duration_ms,
-            warmup_ms=base.warmup_ms,
-            cores=base.cores,
-            seed=base.seed,
-            maintenance_interval_ms=base.maintenance_interval_ms,
-            sample_interval_ms=base.sample_interval_ms,
-            series_interval_ms=base.series_interval_ms,
-            collect_metrics=base.collect_metrics,
+    return [
+        run_simulation(
+            adapter_factory(), workload_factory(), replace(base, n_clients=n)
         )
-        results.append(run_simulation(adapter_factory(), workload_factory(), cfg))
-    return results
+        for n in client_counts
+    ]

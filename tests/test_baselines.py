@@ -15,6 +15,7 @@ from repro.baselines import (
     TwoPhaseLockingStore,
 )
 from repro.errors import DeadlockError, KeyNotFound, TransactionClosed, ValidationError
+from repro.replication.cluster import run_replicated_workload
 from repro.sim.adapters import OCCAdapter, TardisAdapter, TwoPLAdapter
 from repro.workload import READ_HEAVY, WRITE_HEAVY, RunConfig, YCSBWorkload, run_simulation
 
@@ -23,6 +24,32 @@ from repro.workload import READ_HEAVY, WRITE_HEAVY, RunConfig, YCSBWorkload, run
 #: only with a change meant to alter what one of the systems does: the
 #: TARDiS entries also pin the ``OpTrace`` counts the cost model charges.
 DES_FIXTURE = os.path.join(os.path.dirname(__file__), "baselines_des.json")
+
+#: a seeded 2-site ``run_replicated_workload`` (see
+#: ``test_replicated_run_matches_the_pin``), recorded under the same rule.
+REPLICATED_PIN = {
+    "messages": 1946,
+    "per_site": [
+        {
+            "system": "tardis@us",
+            "commits": 793,
+            "aborts": 0,
+            "p99_latency_ms": 0.4901599999999247,
+            "adapter_stats": {"states": 22, "records": 1623, "forks": 21,
+                              "merges": 6, "aborts": 0, "leaves": 1,
+                              "dag_depth": 9},
+        },
+        {
+            "system": "tardis@eu",
+            "commits": 793,
+            "aborts": 0,
+            "p99_latency_ms": 0.485819999999916,
+            "adapter_stats": {"states": 22, "records": 1553, "forks": 22,
+                              "merges": 6, "aborts": 0, "leaves": 1,
+                              "dag_depth": 9},
+        },
+    ],
+}
 
 
 class TestLockManager:
@@ -562,3 +589,35 @@ class TestDESOutputPinned:
         assert fixture["bdb/write-heavy-zipfian"]["lock_waits"] > 0
         assert fixture["occ/write-heavy-zipfian"]["aborts"] > 0
         assert run_des_cases() == fixture
+
+    def test_replicated_run_matches_the_pin(self):
+        result = run_replicated_workload(
+            2,
+            lambda: YCSBWorkload(mix=WRITE_HEAVY, n_keys=200, pattern="zipfian"),
+            RunConfig(n_clients=4, duration_ms=60.0, warmup_ms=10.0, cores=2,
+                      seed=3, maintenance_interval_ms=10.0),
+        )
+        assert result.messages == REPLICATED_PIN["messages"]
+        assert [
+            {
+                "system": r.system,
+                "commits": r.commits,
+                "aborts": r.aborts,
+                "p99_latency_ms": r.p99_latency_ms,
+                "adapter_stats": r.adapter_stats,
+            }
+            for r in result.per_site
+        ] == REPLICATED_PIN["per_site"]
+
+
+@pytest.mark.parametrize("adapter_cls", [TwoPLAdapter, OCCAdapter])
+def test_baselines_run_without_divergence_series(adapter_cls):
+    """Series sampling is a no-op on a store without a branching DAG."""
+    result = run_simulation(
+        adapter_cls(),
+        YCSBWorkload(n_keys=200),
+        RunConfig(n_clients=4, duration_ms=30.0, warmup_ms=5.0,
+                  series_interval_ms=5.0),
+    )
+    assert result.commits > 0
+    assert not [v for v in result.obs_metrics.values() if v.get("type") == "series"]

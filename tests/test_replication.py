@@ -8,7 +8,11 @@ from repro.core.ids import CommitRecord, StateId
 from repro.obs import metrics as met
 from repro.obs.context import trace_id_of
 from repro.replication import Cluster, SimNetwork
-from repro.replication.cluster import PESSIMISTIC, run_replicated_workload
+from repro.replication.cluster import (
+    PESSIMISTIC,
+    SITE_NAMES,
+    run_replicated_workload,
+)
 from repro.replication.replicator import FetchRequest
 from repro.sim.des import Simulator
 from repro.workload import RunConfig, YCSBWorkload
@@ -282,6 +286,18 @@ class TestReplication:
         with pytest.raises(ValueError):
             Cluster(n_sites=2, gc_mode="yolo")
 
+    def test_site_count_is_checked(self):
+        assert Cluster(n_sites=len(SITE_NAMES)).sites == SITE_NAMES
+        for n in (0, len(SITE_NAMES) + 1):
+            with pytest.raises(ValueError):
+                Cluster(n_sites=n)
+        with pytest.raises(ValueError):
+            Cluster(sites=[])
+        with pytest.raises(ValueError):
+            run_replicated_workload(
+                len(SITE_NAMES) + 1, YCSBWorkload, RunConfig(duration_ms=1)
+            )
+
 
 class TestReplicatedWorkload:
     def test_aggregate_scales_with_sites(self):
@@ -307,6 +323,27 @@ class TestReplicatedWorkload:
         assert len(result.per_site) == 2
         assert all(r.commits > 0 for r in result.per_site)
         assert "sites=2" in result.summary()
+
+    def test_per_site_results_carry_every_metric(self):
+        """Each site reports what a one-site run does; the cluster-wide
+        registry's run_* metrics add up the sites."""
+        result = run_replicated_workload(
+            2,
+            lambda: YCSBWorkload(n_keys=200),
+            RunConfig(n_clients=4, duration_ms=60, warmup_ms=10, cores=2,
+                      seed=3, maintenance_interval_ms=10,
+                      sample_interval_ms=10, collect_metrics=True),
+        )
+        commits = sum(r.commits for r in result.per_site)
+        assert commits > 0
+        obs = result.obs_metrics
+        assert obs["run_commit_total"]["value"] == commits
+        assert obs["run_txn_latency_ms"]["count"] == commits
+        for site in result.per_site:
+            assert {"begin", "get", "put", "commit"} <= set(site.op_breakdown_ms)
+            assert 0 < site.goodput <= 1
+            assert 0 < site.utilization <= 1
+            assert site.samples
 
 
 class TestNetworkMetrics:
