@@ -172,8 +172,10 @@ def cmd_metrics(args) -> int:
         return data.get(name, {}).get("value", 0)
 
     print(result.summary())
+    # The branch and GC panels describe a TARDiS store; the 2PL and OCC
+    # baselines have no DAG (the check run_simulation makes too).
     store = getattr(adapter, "store", None)
-    if store is not None:
+    if isinstance(store, TardisStore):
         commits = counter("tardis_txn_commit_total")
         forks = counter("tardis_branch_fork_total")
         merges = counter("tardis_branch_merge_total")
@@ -410,9 +412,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     check = sub.add_parser(
         "check",
-        help="static analysis: lock discipline, async discipline, "
-        "metric-name drift, import hygiene, bare excepts "
-        "(docs/internals.md §11)",
+        help="static analysis: %s (docs/internals.md §11)"
+        % ", ".join(rule.id for rule in analysis.ALL_RULES),
     )
     check.add_argument(
         "--format", choices=["text", "json"], default="text",

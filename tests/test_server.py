@@ -40,6 +40,7 @@ from repro.server.protocol import (
     ok_response,
 )
 from repro.server.server import HIGH_WATER, TardisServer, run_server
+from tests.history import History, check
 
 
 def _wait_until(predicate, timeout=5.0, interval=0.02):
@@ -194,58 +195,60 @@ class TestWireBasics:
 
 
 # ---------------------------------------------------------------------------
-# Oracle equivalence: the same script over the wire and in-process must
-# land in the same final state.
+# A recorded history: a script over the wire on a logged store, every
+# answer checked against the store's own log (tests/history.py).
 
 
-def _oracle_script(begin, merge_begin):
-    """Run the canonical script against any (begin, merge) pair of
-    callables and return the final readable key->value map."""
-    for i in range(4):
-        txn = begin(i)
+SCRIPT_END = {"key-0": 0, "key-1": 1, "key-2": 2, "key-3": 3, "shared": 3}
+
+
+def _script(history, clients):
+    """Each client writes ``key-<i>`` and ``shared``, a merge keeps the
+    largest ``shared`` of its conflicts, and a reader reads it all back;
+    returns what the reader saw."""
+    for i, client in enumerate(clients):
+        txn = history.record(client.begin(), client.session)
         txn.put("key-%d" % i, i)
         txn.put("shared", i)
         txn.commit()
-    merge = merge_begin()
-    conflicts = merge.conflicts if hasattr(merge, "conflicts") else None
-    if conflicts is None:  # in-process MergeTransaction
-        keys = sorted(merge.find_conflict_writes())
-        for key in keys:
-            merge.put(key, max(merge.get_all(key)))
-    else:
-        for conflict in sorted(conflicts, key=lambda c: c["key"]):
-            merge.put(conflict["key"], max(conflict["values"]))
+    merge = history.record(clients[0].merge(), clients[0].session)
+    for conflict in merge.conflicts:
+        merge.put(conflict["key"], max(conflict["values"]))
     merge.commit()
-    reader = begin(0)
-    out = {}
-    for i in range(4):
-        out["key-%d" % i] = reader.get("key-%d" % i, default=None)
-    out["shared"] = reader.get("shared", default=None)
+    reader = history.record(clients[0].begin(), clients[0].session)
+    out = {key: reader.get(key, default=None) for key in sorted(SCRIPT_END)}
     reader.commit()
     return out
 
 
-class TestOracleEquivalence:
-    def test_wire_final_state_matches_in_process(self, served):
-        clients = [
-            TardisClient(port=served.port, session="sess-%d" % i) for i in range(4)
-        ]
-        try:
-            wire = _oracle_script(
-                lambda i: clients[i].begin(), lambda: clients[0].merge()
-            )
-        finally:
-            for client in clients:
-                client.close()
+def _logged_server(tmp_path, **sharding):
+    """A started server over a store logging to ``tmp_path/wal.log``."""
+    store = TardisStore("net-log", wal_path=str(tmp_path / "wal.log"), **sharding)
+    return TardisServer(store).start()
 
-        store = TardisStore("oracle")
-        sessions = [store.session("sess-%d" % i) for i in range(4)]
-        in_process = _oracle_script(
-            lambda i: store.begin(session=sessions[i]),
-            lambda: store.begin_merge(session=sessions[0]),
-        )
-        assert wire == in_process
-        assert wire["shared"] == 3  # max of the conflicting writes
+
+def _run_script(handle):
+    """The script from four sessions; returns the reader's view and the
+    history, with the server shut down and its store closed."""
+    history = History()
+    clients = [TardisClient(port=handle.port, session="sess-%d" % i) for i in range(4)]
+    try:
+        out = _script(history, clients)
+    finally:
+        for client in clients:
+            client.close()
+        report = handle.shutdown()
+        handle.store.close()
+    assert report["leaked_sessions"] == []
+    assert handle.store.leaked_workers == 0
+    return out, history
+
+
+class TestWireHistory:
+    def test_the_wire_script_checks_against_the_log(self, tmp_path):
+        out, history = _run_script(_logged_server(tmp_path))
+        assert out == SCRIPT_END
+        assert check(history, str(tmp_path / "wal.log")) == []
 
 
 # ---------------------------------------------------------------------------
@@ -842,30 +845,10 @@ def served_sharded():
 
 
 class TestShardedServing:
-    def test_wire_script_matches_flat_store(self, served_sharded):
-        clients = [
-            TardisClient(port=served_sharded.port, session="sess-%d" % i)
-            for i in range(4)
-        ]
-        try:
-            wire = _oracle_script(
-                lambda i: clients[i].begin(), lambda: clients[0].merge()
-            )
-        finally:
-            for client in clients:
-                client.close()
-
-        store = TardisStore("oracle")
-        sessions = [store.session("sess-%d" % i) for i in range(4)]
-        in_process = _oracle_script(
-            lambda i: store.begin(session=sessions[i]),
-            lambda: store.begin_merge(session=sessions[0]),
-        )
-        assert wire == in_process
-
-        report = served_sharded.shutdown()
-        assert report["leaked_sessions"] == []
-        assert report["leaked_workers"] == 0
+    def test_the_wire_script_checks_against_the_log(self, tmp_path):
+        out, history = _run_script(_logged_server(tmp_path, shards=4, shard_workers=2))
+        assert out == SCRIPT_END
+        assert check(history, str(tmp_path / "wal.log")) == []
 
     def test_read_many_over_the_wire(self, served_sharded):
         with TardisClient(port=served_sharded.port, session="batch") as client:

@@ -4,8 +4,8 @@ Every commit a wire session makes places the session's GC ceiling at its
 new anchor, the request that grows the DAG to ``server._gc_at`` states is
 followed by a cycle on the store thread, and an idle connection's
 transactions stay open however long it idles. Mostly sans-IO over
-``WireSession.handle``; the idle connection and the oracle run over
-sockets.
+``WireSession.handle``; the idle connection and the checked history run
+over sockets.
 """
 
 import math
@@ -18,7 +18,9 @@ from repro.core.ids import ROOT_ID
 from repro.server import handlers, server as server_module
 from repro.server.handlers import WireSession
 from repro.server.server import GC_GROWTH, TardisServer
-from tests.test_server import _oracle_script
+from repro.storage.wal import WriteAheadLog
+from tests.history import History, check
+from tests.test_server import SCRIPT_END, _script
 
 HOT_KEYS = ["hot-%d" % i for i in range(8)]
 
@@ -159,43 +161,39 @@ class TestIdleConnections:
         assert report["gc_cycles"] == 0
 
 
-def _forked_round(begin, n):
+def _forked_round(history, clients, n):
     """Four sessions begin before any of them commits, so the commits
-    fork; returns what each read of the last merge's answer."""
-    txns = [begin(i) for i in range(4)]
-    seen = [txn.get("round", default=None) for txn in txns]
+    fork; each reads what the last merge left."""
+    txns = [history.record(c.begin(), c.session) for c in clients]
+    for txn in txns:
+        txn.get("round", default=None)
     for i, txn in enumerate(txns):
         txn.put("round", 10 * n + i)
         txn.commit()
-    return seen
 
 
 class TestReadsAcrossCycles:
-    def test_every_read_matches_a_store_that_never_collects(self, monkeypatch):
+    def test_every_read_checks_against_the_log(self, monkeypatch, tmp_path):
         # A cycle every few states, so the rounds run across many.
         monkeypatch.setattr(server_module, "GC_GROWTH", 8)
-        handle = TardisServer(site="gc-oracle").start()
+        path = str(tmp_path / "wal.log")
+        handle = TardisServer(TardisStore("gc-log", wal_path=path)).start()
         handle._gc_at = 8
         clients = [TardisClient(port=handle.port, session="sess-%d" % i) for i in range(4)]
-        oracle = TardisStore("oracle")
-        sessions = [oracle.session("sess-%d" % i) for i in range(4)]
+        history = History()
         try:
             for n in range(40):
-                wire_begin = lambda i: clients[i].begin()  # noqa: E731
-                oracle_begin = lambda i: oracle.begin(session=sessions[i])  # noqa: E731
-                assert _forked_round(wire_begin, n) == _forked_round(oracle_begin, n)
-                wire = _oracle_script(wire_begin, lambda: clients[0].merge())
-                in_process = _oracle_script(
-                    oracle_begin, lambda: oracle.begin_merge(session=sessions[0])
-                )
-                assert wire == in_process
+                _forked_round(history, clients, n)
+                assert _script(history, clients) == SCRIPT_END
             gc = clients[0].stats()["store"]["gc"]
         finally:
             for client in clients:
                 client.close()
             handle.shutdown()
+            handle.store.close()
         assert gc["cycles"] >= 10 and gc["states_removed"] > 100
-        assert len(oracle.dag) == 40 * 9 + 1  # the oracle kept everything
+        assert len(list(WriteAheadLog.read(path))) == 40 * 9  # the log keeps every state
+        assert check(history, path) == []
 
 
 class TestCycleAfterTheAnswer:

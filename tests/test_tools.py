@@ -1,12 +1,13 @@
 """Tests for the tooling: DOT export, store summaries, CLI."""
 
+import argparse
 import json
 
 import pytest
 
-from repro import TardisStore, checkpoint_store
+from repro import TardisStore, analysis, checkpoint_store
 from repro.tools import dag_to_dot, describe_store, store_summary
-from repro.tools.cli import main
+from repro.tools.cli import build_parser, main
 
 
 @pytest.fixture
@@ -147,6 +148,29 @@ class TestCli:
         assert "# TYPE baseline_2pl_commit_total counter" in out
         # no branch panel for a non-TARDiS system, but the dump works
         assert "tardis_branch_fork_total" not in out
+
+    @pytest.mark.parametrize("system", ["bdb", "occ"])
+    def test_metrics_command_on_a_baseline(self, capsys, system):
+        rc = main([
+            "metrics", "--system", system, "--duration", "5", "--clients", "2",
+        ])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "-- metrics" in out
+        # a baseline has no DAG: no branch or GC panel
+        assert "-- branches" not in out and "-- gc debt" not in out
+
+    def test_check_help_names_exactly_the_registered_rules(self):
+        subcommands = next(
+            action for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        help_text = next(
+            action.help for action in subcommands._choices_actions
+            if action.dest == "check"
+        )
+        listed = help_text.split(": ", 1)[1].split(" (", 1)[0].split(", ")
+        assert listed == [rule.id for rule in analysis.ALL_RULES]
 
     def test_recover_command(self, tmp_path, capsys):
         wal = str(tmp_path / "wal.log")

@@ -11,12 +11,14 @@ the count and the values against the durability level:
 
 A kill "at a growth boundary" lands right after (or right before) the
 commit whose write grew the log by an extent. A second killed writer
-then reopens the store on the same log and commits: the log must repeat
-no state id, and recovery returns both writers' commits. Running this file as a
+then reopens the store on the same log and commits: the log must keep
+its shape and every acknowledged commit (``tests.history.check_log``),
+and recovery returns both writers' commits. Running this file as a
 script runs the long seeded sweep: ``python tests/test_wal_crash.py``.
 """
 
 import os
+import pickle
 import random
 import signal
 import sys
@@ -29,6 +31,10 @@ from repro.core.recovery import recover_store
 from repro.core.store import TardisStore
 from repro.storage import wal as wal_module
 from repro.storage.wal import WriteAheadLog
+
+if __name__ == "__main__":  # run as a script: the repo root holds ``tests``
+    sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+from tests.history import check_log  # noqa: E402
 
 pytestmark = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 
@@ -106,6 +112,12 @@ def durable(n, config):
     return n // group * group if group > 1 else 0
 
 
+def _loads(stream):
+    """Every pickle in ``stream``, in order."""
+    while stream.peek(1):
+        yield pickle.load(stream)
+
+
 def check_recovery(path, expected, size=0):
     recovered, report = recover_store("R", path)
     try:
@@ -118,22 +130,30 @@ def check_recovery(path, expected, size=0):
 
 
 def check_reopen_appends(path, extra=3):
-    """A second killed writer reopens the store and appends after its log."""
+    """A second killed writer reopens the store and appends after its log.
+
+    The log keeps the shape of rule 4 in tests/history.py (unique ids,
+    parents logged first) and holds every commit either writer was
+    acknowledged for: the first one's surviving records, and each commit
+    the second one's ``put`` returned (it reports them down a pipe).
+    """
     old = list(WriteAheadLog.read(path))
+    acks, report_ack = os.pipe()
 
     def work():
         store = TardisStore("A", wal_path=path)
         for i in range(1, extra + 1):
-            store.put("new%d" % i, i)
+            writes = {"new%d" % i: i}
+            os.write(report_ack, pickle.dumps((store.put("new%d" % i, i), writes)))
 
-    in_killed_child(work)
-    records = list(WriteAheadLog.read(path))
-    ids = [r.state_id for r in records]
-    assert len(set(ids)) == len(ids), ids
-    assert records[: len(old)] == old
-    assert [r.writes for r in records[len(old):]] == [
-        {"new%d" % i: i} for i in range(1, extra + 1)
-    ]
+    with os.fdopen(acks, "rb") as stream:
+        try:
+            in_killed_child(work)
+        finally:
+            os.close(report_ack)
+        acked = [(r.state_id, r.writes) for r in old] + list(_loads(stream))
+    assert len(acked) == len(old) + extra
+    assert check_log(list(WriteAheadLog.read(path)), acked) == []
     recovered, report = recover_store("R", path)
     try:
         assert (report["replayed"], report["discarded"]) == (len(old) + extra, 0)
