@@ -41,6 +41,7 @@ import time
 import pytest
 
 from repro.client.client import TardisClient
+from repro.obs import metrics as _met
 from repro.obs import tracing as _trc
 from repro.server.server import TardisServer
 from repro.sim.adapters import TardisAdapter
@@ -147,22 +148,30 @@ def test_obs_overhead(benchmark):
 
 
 # ---------------------------------------------------------------------------
-# Live-sampler arm: the network server with the wall-clock ObsSampler
-# (docs/internals.md §14) on vs off, same interleaved min-of-N estimator.
-# The sampler shares the store thread with request handlers, so its
-# whole cost shows up as request latency — exactly what this measures.
+# Live arm: the network server as ``tardis serve --obs-interval --metrics``
+# runs it (the wall-clock ObsSampler of docs/internals.md §14, and the
+# metrics registry, which also turns on the server's request rows) vs a
+# plain server, same interleaved min-of-N estimator. Both share the store
+# thread with request handlers, so their whole cost shows up as request
+# latency — exactly what this measures. The registry is process-global:
+# it is on only while the hot arm's client drives.
 
 
-def _drive(client: TardisClient, ops: int) -> float:
+def _drive(client: TardisClient, ops: int, metrics: bool) -> float:
     gc.collect()
-    start = time.perf_counter()
-    for i in range(ops):
-        key = "k%d" % (i % 32)
-        if i % 3 == 2:
-            client.get(key)
-        else:
-            client.put(key, i)
-    return time.perf_counter() - start
+    was = _met.DEFAULT.enabled
+    _met.enable(metrics)
+    try:
+        start = time.perf_counter()
+        for i in range(ops):
+            key = "k%d" % (i % 32)
+            if i % 3 == 2:
+                client.get(key)
+            else:
+                client.put(key, i)
+        return time.perf_counter() - start
+    finally:
+        _met.enable(was)
 
 
 def _measure_live():
@@ -174,11 +183,11 @@ def _measure_live():
             True: TardisClient(port=hot.port),
         }
         walls = {False: [], True: []}
-        _drive(clients[False], LIVE_OPS)  # warm-up both paths
-        _drive(clients[True], LIVE_OPS)
+        _drive(clients[False], LIVE_OPS, False)  # warm-up both paths
+        _drive(clients[True], LIVE_OPS, True)
         for _ in range(LIVE_ROUNDS):
             for live in (False, True):
-                walls[live].append(_drive(clients[live], LIVE_OPS))
+                walls[live].append(_drive(clients[live], LIVE_OPS, live))
         for client in clients.values():
             client.close()
     finally:
@@ -186,28 +195,30 @@ def _measure_live():
         report_hot = hot.shutdown()
     minima = {arm: min(times) for arm, times in walls.items()}
     overhead = minima[True] / minima[False] - 1.0
-    return minima, overhead, report_cold, report_hot
+    return minima, overhead, report_cold, report_hot, hot.rows_total, cold.rows_total
 
 
 @pytest.mark.benchmark(group="obs-overhead")
 def test_obs_live_sampler_overhead(benchmark):
-    minima, overhead, report_cold, report_hot = run_once(benchmark, _measure_live)
+    minima, overhead, report_cold, report_hot, rows_hot, rows_cold = run_once(
+        benchmark, _measure_live
+    )
 
     report = Report(
         "obs_overhead_live",
-        "Live ops plane overhead: wall-clock sampler on vs off (network server)",
+        "Live ops plane overhead: sampler and request rows on vs off (network server)",
     )
     report.table(
-        ["arm", "wall(s)/round", "server commits"],
+        ["arm", "wall(s)/round", "server commits", "rows"],
         [
-            ["sampler off", "%.3f" % minima[False], str(report_cold["commits"])],
-            ["sampler on", "%.3f" % minima[True], str(report_hot["commits"])],
+            ["all off", "%.3f" % minima[False], str(report_cold["commits"]), str(rows_cold)],
+            ["sampler+rows", "%.3f" % minima[True], str(report_hot["commits"]), str(rows_hot)],
         ],
-        widths=[14, 16, 16],
+        widths=[14, 16, 16, 8],
     )
     report.line()
     report.line(
-        "live sampler wall overhead: %+.1f%% — interleaved min-of-%d, %d ops/round"
+        "live wall overhead: %+.1f%% — interleaved min-of-%d, %d ops/round"
         % (100 * overhead, LIVE_ROUNDS, LIVE_OPS)
     )
     report.line("(CI gate <10% on live_wall_overhead_pct in BENCH_obs_overhead.json)")
@@ -225,12 +236,15 @@ def test_obs_live_sampler_overhead(benchmark):
     merged["live_wall_s_off"] = minima[False]
     merged["live_wall_s_on"] = minima[True]
     merged["live_sampler_samples"] = report_hot["obs_samples"]
+    merged["live_rows"] = rows_hot
     if os.environ.get("TARDIS_BENCH_JSON", "1") != "0":
         write_bench_json("obs_overhead", merged)
 
-    # The sampler actually ran, and both servers drained clean.
+    # The sampler ran and the rows were recorded on the hot server only,
+    # and both servers drained clean.
     assert report_hot["obs_samples"] > 0
     assert report_cold["obs_samples"] == 0
+    assert rows_hot > 0 and rows_cold == 0
     assert report_cold["leaked_sessions"] == []
     assert report_hot["leaked_sessions"] == []
     # Loose in-test bound (CI enforces the strict 10% on the artifact).

@@ -23,7 +23,6 @@ from repro.obs.context import (
     trace_id_of,
 )
 from repro.obs.export import to_json, to_prometheus
-from repro.obs.flight import dag_snapshot, flight_dump, format_flight
 from repro.obs.sampler import ObsSampler
 from repro.obs.series import (
     DivergenceMonitor,
@@ -62,11 +61,8 @@ __all__ = [
     "WindowedGauge",
     "causal_timeline",
     "dag_extent",
-    "dag_snapshot",
     "default_registry",
     "enable",
-    "flight_dump",
-    "format_flight",
     "format_timeline",
     "merge_events",
     "metrics",

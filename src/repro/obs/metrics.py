@@ -13,7 +13,8 @@ paths can skip all work with one attribute check::
 Histograms are **fixed log-linear buckets** (HdrHistogram-style): each
 power of two is split into :data:`Histogram.SUBBUCKETS` linear
 sub-buckets, so ``record`` is O(1), memory is proportional to the number
-of *occupied* buckets (a sparse dict), and two histograms recorded on
+of *occupied* buckets (a sparse dict) plus at most :data:`PENDING`
+samples not yet folded into them, and two histograms recorded on
 different threads or sites merge by adding bucket counts. Quantile
 estimates are bucket midpoints, so the relative error is bounded by
 ``1 / SUBBUCKETS`` (see :meth:`Histogram.quantile`). This is the
@@ -30,6 +31,7 @@ from __future__ import annotations
 
 import math
 import threading
+from collections import Counter as _tally
 from contextlib import contextmanager
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
@@ -47,37 +49,60 @@ __all__ = [
     "use_registry",
 ]
 
+#: samples a histogram (increments a counter) buffers before its
+#: ``record`` (``inc``) folds them in under the lock; a reader folds
+#: whatever is buffered first.
+PENDING = 64
+
 
 class Counter:
     """A monotonically increasing named count."""
 
     kind = "counter"
-    __slots__ = ("name", "help", "_value", "_lock")
+    __slots__ = ("name", "help", "_value", "_lock", "_pending")
 
-    _GUARDED_BY = {"_value": "self._lock"}
+    _GUARDED_BY = {
+        # see Histogram._pending
+        "_pending": "external:atomic-list-ops",
+        "_value": "self._lock",
+    }
 
     def __init__(self, name: str, help: str = ""):
         self.name = name
         self.help = help
         self._value = 0
         self._lock = threading.Lock()
+        self._pending: List[int] = []
 
     @property
     def value(self) -> int:
+        self._fold()
         return self._value
 
     def inc(self, n: int = 1) -> None:
+        # one append, as Histogram.record; the lock is taken per batch
+        pending = self._pending
+        pending.append(n)
+        if len(pending) >= PENDING:
+            self._fold()
+
+    def _fold(self) -> None:
+        """Add the buffered increments to the value, under the lock."""
         with self._lock:
-            self._value += n
+            pending = self._pending
+            n = len(pending)
+            if n:
+                self._value += sum(pending[:n])
+                del pending[:n]
 
     def merge(self, other: "Counter") -> None:
-        self.inc(other._value)
+        self.inc(other.value)
 
     def to_dict(self) -> Dict[str, Any]:
-        return {"type": self.kind, "value": self._value}
+        return {"type": self.kind, "value": self.value}
 
     def __repr__(self) -> str:
-        return "<Counter %s=%d>" % (self.name, self._value)
+        return "<Counter %s=%d>" % (self.name, self.value)
 
 
 class Gauge:
@@ -142,9 +167,13 @@ class Histogram:
         "_min",
         "_max",
         "_lock",
+        "_pending",
     )
 
     _GUARDED_BY = {
+        # appended to without the lock, and emptied (``del [:n]``) under
+        # it: each is one list operation, atomic on its own
+        "_pending": "external:atomic-list-ops",
         "_buckets": "self._lock",
         "_zero": "self._lock",
         "_count": "self._lock",
@@ -163,6 +192,7 @@ class Histogram:
         self._min = math.inf
         self._max = -math.inf
         self._lock = threading.Lock()
+        self._pending: List[float] = []
 
     # -- recording -------------------------------------------------------
 
@@ -187,57 +217,47 @@ class Histogram:
         return lo, hi
 
     def record(self, value: float) -> None:
-        # bucket_index inlined: record runs several times per transaction
-        # and the classmethod dispatch is measurable at that rate.
-        if value <= 0.0:
-            index = None
-        else:
-            m, e = math.frexp(value)
-            sub = int((m * 2.0 - 1.0) * self.SUBBUCKETS)
-            if sub >= self.SUBBUCKETS:  # m rounded up to 1.0
-                sub = self.SUBBUCKETS - 1
-            index = e * self.SUBBUCKETS + sub
-        with self._lock:
-            self._count += 1
-            self._sum += value
-            if value < self._min:
-                self._min = value
-            if value > self._max:
-                self._max = value
-            if index is None:
-                self._zero += 1
-            else:
-                self._buckets[index] = self._buckets.get(index, 0) + 1
+        # One append and no lock: record runs several times per served
+        # request, where a lock and a bucketing per sample would be most
+        # of what an enabled registry costs it.
+        pending = self._pending
+        pending.append(value)
+        if len(pending) >= PENDING:
+            self._fold()
 
     def record_many(self, values) -> None:
-        """Fold a batch of samples in under one lock acquisition.
+        """Record a batch of samples (the workload runner's latency
+        list, at the end of a run) with one fold."""
+        self._pending.extend(values)
+        self._fold()
 
-        For producers that already keep their samples elsewhere (the
-        workload runner's latency list), one end-of-run batch costs a
-        single lock and loop instead of a per-transaction ``record``.
-        """
-        subbuckets = self.SUBBUCKETS
+    def _fold(self) -> None:
+        """Fold the buffered samples into the buckets, under the lock.
+        Samples appended meanwhile land past the ``n`` taken here and
+        wait for the next fold. Equal samples (most of the store's
+        small counts) are bucketed once."""
         with self._lock:
+            pending = self._pending
+            n = len(pending)
+            if not n:
+                return
+            batch = pending[:n]
+            self._count += n
+            self._sum += sum(batch)
+            self._min = min(self._min, min(batch))
+            self._max = max(self._max, max(batch))
             buckets = self._buckets
-            for value in values:
-                self._count += 1
-                self._sum += value
-                if value < self._min:
-                    self._min = value
-                if value > self._max:
-                    self._max = value
-                if value <= 0.0:
-                    self._zero += 1
-                    continue
-                m, e = math.frexp(value)
-                sub = int((m * 2.0 - 1.0) * subbuckets)
-                if sub >= subbuckets:  # m rounded up to 1.0
-                    sub = subbuckets - 1
-                index = e * subbuckets + sub
-                buckets[index] = buckets.get(index, 0) + 1
+            for value, k in _tally(batch).items():
+                index = self.bucket_index(value)
+                if index is None:
+                    self._zero += k
+                else:
+                    buckets[index] = buckets.get(index, 0) + k
+            del pending[:n]
 
     def merge(self, other: "Histogram") -> None:
         """Fold another histogram in (cross-thread / cross-site merge)."""
+        other._fold()
         with other._lock:
             buckets = dict(other._buckets)
             zero, count = other._zero, other._count
@@ -255,22 +275,27 @@ class Histogram:
 
     @property
     def count(self) -> int:
+        self._fold()
         return self._count
 
     @property
     def sum(self) -> float:
+        self._fold()
         return self._sum
 
     @property
     def mean(self) -> float:
+        self._fold()
         return self._sum / self._count if self._count else 0.0
 
     @property
     def min(self) -> float:
+        self._fold()
         return self._min if self._count else 0.0
 
     @property
     def max(self) -> float:
+        self._fold()
         return self._max if self._count else 0.0
 
     def quantile(self, q: float) -> float:
@@ -280,6 +305,7 @@ class Histogram:
         sample, clamped to the observed min/max — so the estimate's
         relative error is at most ``1 / SUBBUCKETS``.
         """
+        self._fold()
         with self._lock:
             count = self._count
             if not count:
@@ -309,6 +335,7 @@ class Histogram:
 
     def buckets(self) -> List[Tuple[float, int]]:
         """Occupied buckets as ``(upper_bound, count)``, ascending."""
+        self._fold()
         with self._lock:
             out = [(0.0, self._zero)] if self._zero else []
             for index in sorted(self._buckets):
@@ -328,13 +355,14 @@ class Histogram:
             "p99": self.p99,
         }
         if include_buckets:
+            self._fold()
             with self._lock:
                 data["zero"] = self._zero
                 data["buckets"] = {str(i): n for i, n in sorted(self._buckets.items())}
         return data
 
     def __repr__(self) -> str:
-        return "<Histogram %s n=%d mean=%.4g>" % (self.name, self._count, self.mean)
+        return "<Histogram %s n=%d mean=%.4g>" % (self.name, self.count, self.mean)
 
 
 class MetricsRegistry:

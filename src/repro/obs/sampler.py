@@ -8,11 +8,12 @@ server's. An :class:`ObsSampler` owns
 * a :class:`~repro.obs.series.DivergenceMonitor` over the one store it
   watches (branch count, DAG width/depth, merge debt, staleness), with
   its clock rebased to wall milliseconds since the sampler was built;
-* extra server-plane series fed from caller-supplied callables —
-  sessions, in-flight requests, connections, cumulative request/commit
-  counts, per-shard access totals, and per-worker queue depth/liveness
-  from the proc-shard plane (the ``tardis_net_*`` / ``tardis_shard_*``
-  entries of ``SERIES_NAMES``);
+* extra server-plane series fed from the server's side of a snapshot
+  (one caller-supplied callable) — sessions, in-flight requests,
+  connections, cumulative request/commit counts — and from the store's
+  shard health: per-shard access totals, and per-worker queue
+  depth/liveness from the proc-shard plane (the ``tardis_net_*`` /
+  ``tardis_shard_*`` entries of ``SERIES_NAMES``);
 * triggers that run *live* on every sample: a threshold trip appends a
   JSON-safe alert to a bounded ring, so divergence excursions surface
   while the server is up instead of in a post-mortem file.
@@ -44,6 +45,8 @@ reference):
         "alerts": [{"t_ms", "series", "value", "threshold",
                     "hold_ms", "reason"}, ...],
         "alerts_total": 1,        # trips since the sampler started
+        "slow": [{"seq", "t_start", "t_end", "cpu", "layer", "name",
+                  "parent", "txn", "n", "spans"?}, ...],   # slow requests, GC cycles
     }
 
 Thread-safety: the sampler has no lock of its own. The server calls
@@ -84,13 +87,13 @@ DEFAULT_TRIGGERS: Tuple[Tuple[str, float, float], ...] = (
 
 
 class ObsSampler:
-    """Samples one live store (plus server-plane callables) on demand.
+    """Samples one live store (plus a server-plane callable) on demand.
 
-    ``counters_fn`` returns cumulative server counters (requests_total,
-    commits, ...); ``gauges_fn`` returns instantaneous server gauges
-    (sessions, inflight, connections); ``latency_fn`` returns per-op
-    latency summaries. All three are optional so the sampler also works
-    bare against a store (tests, embedding).
+    ``server_fn`` returns the server's side of a snapshot: ``counters``
+    (cumulative: requests_total, commits, ...), ``gauges``
+    (instantaneous: sessions, inflight, connections), ``latency_ms``
+    (per-op summaries) and ``slow`` (slow request rows). It is optional
+    so the sampler also works bare against a store (tests, embedding).
     """
 
     def __init__(
@@ -98,9 +101,7 @@ class ObsSampler:
         store: Any,
         site: Optional[str] = None,
         clock: Callable[[], float] = time.monotonic,
-        counters_fn: Optional[Callable[[], Dict[str, Any]]] = None,
-        gauges_fn: Optional[Callable[[], Dict[str, Any]]] = None,
-        latency_fn: Optional[Callable[[], Dict[str, Dict[str, Any]]]] = None,
+        server_fn: Optional[Callable[[], Dict[str, Any]]] = None,
     ) -> None:
         self.store = store
         self.site = site if site is not None else getattr(store, "site", "local")
@@ -113,9 +114,7 @@ class ObsSampler:
             clock=monitor_clock,
             capacity=SERIES_CAPACITY,
         )
-        self.counters_fn = counters_fn
-        self.gauges_fn = gauges_fn
-        self.latency_fn = latency_fn
+        self.server_fn = server_fn
         self.alerts: deque = deque(maxlen=ALERT_CAPACITY)
         self.alerts_total = 0
         self.seq = 0
@@ -170,34 +169,21 @@ class ObsSampler:
             last = self.monitor.gauge("%s@%s" % (base, self.site)).last()
             gauges[base[len("tardis_") :]] = last[1] if last else 0
 
-        if self.gauges_fn is not None:
-            g = self.gauges_fn()
-            gauges["sessions"] = g.get("sessions", 0)
-            gauges["inflight"] = g.get("inflight", 0)
-            gauges["connections"] = g.get("connections", 0)
-            self.monitor._feed("tardis_net_sessions@%s" % self.site, now, gauges["sessions"])
-            self.monitor._feed("tardis_net_inflight@%s" % self.site, now, gauges["inflight"])
-            self.monitor._feed(
-                "tardis_net_connections@%s" % self.site, now, gauges["connections"]
-            )
-
         counters: Dict[str, Any] = {}
-        if self.counters_fn is not None:
-            counters = dict(self.counters_fn())
-            self.monitor._feed(
-                "tardis_net_requests@%s" % self.site,
-                now,
-                counters.get("requests_total", 0),
-            )
-            self.monitor._feed(
-                "tardis_net_commits@%s" % self.site, now, counters.get("commits", 0)
-            )
+        latency: Dict[str, Dict[str, Any]] = {}
+        slow: List[Dict[str, Any]] = []
+        if self.server_fn is not None:
+            server = self.server_fn()
+            counters, latency, slow = dict(server["counters"]), server["latency_ms"], server["slow"]
+            gauges.update(server["gauges"])
+            site = self.site
+            self.monitor._feed("tardis_net_sessions@%s" % site, now, gauges["sessions"])
+            self.monitor._feed("tardis_net_inflight@%s" % site, now, gauges["inflight"])
+            self.monitor._feed("tardis_net_connections@%s" % site, now, gauges["connections"])
+            self.monitor._feed("tardis_net_requests@%s" % site, now, counters["requests_total"])
+            self.monitor._feed("tardis_net_commits@%s" % site, now, counters["commits"])
         counters["store_commits"] = store.metrics.commits
         counters["store_merges"] = store.metrics.merges
-
-        latency: Dict[str, Dict[str, Any]] = {}
-        if self.latency_fn is not None:
-            latency = self.latency_fn()
 
         shards = self._shard_section(now)
 
@@ -213,6 +199,7 @@ class ObsSampler:
             "series": self.monitor.tails(SNAPSHOT_TAIL),
             "alerts": list(self.alerts),
             "alerts_total": self.alerts_total,
+            "slow": slow,
         }
         self.latest = snapshot
         return snapshot

@@ -237,7 +237,7 @@ class DivergenceMonitor:
         return {name: s.to_dict() for name, s in sorted(self.series.items())}
 
     def tails(self, n: int = 32) -> Dict[str, List[List[float]]]:
-        """The newest ``n`` samples of each series (snapshots, flight dumps)."""
+        """The newest ``n`` samples of each series (snapshots)."""
         return {
             name: [[t, v] for t, v in s.samples()[-n:]]
             for name, s in sorted(self.series.items())

@@ -58,6 +58,18 @@ per-op histograms of ``_op_latency``; STATS, ``OBS_SNAPSHOT`` and the
 shutdown report all read those. The server writes nothing to the
 metrics registry (the store it serves does).
 
+Request rows (docs/internals.md §14.1): while the metrics registry is
+enabled, the point that times a request for its histogram also splits
+it into layers: ``server.request`` (from the ``select`` return of the
+round that read its last bytes to its reply's write), tiled by
+``server.wait``, ``server.handle`` (the histogram's sample) and
+``server.reply``. A request whose handler ran longer than
+:data:`SLOW_FACTOR` times its op's p99, and every GC cycle, is kept as
+one row (:data:`ROW_COLUMNS`, the layer split in ``spans``) in
+``slow``, the ring ``OBS_SNAPSHOT`` ships; other requests only advance
+the row count. With the registry off a request reads the clock no more
+than it does to time itself.
+
 Live ops plane (docs/internals.md §14): with ``obs_sample_interval``
 set, the store thread ticks an :class:`~repro.obs.sampler.ObsSampler`
 on a wall-clock cadence, between requests: it samples the store's
@@ -77,7 +89,8 @@ import signal
 import socket
 import threading
 import time
-from typing import Any, Callable, Dict, List, Optional
+from collections import deque
+from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.core.store import ClientSession, TardisStore
 from repro.errors import FrameTooLarge, ProtocolError
@@ -98,6 +111,27 @@ HIGH_WATER = 1 << 16
 #: states the DAG may grow past twice what the last GC cycle left alive
 #: before the next cycle runs (see ``TardisServer._collect_if_grown``).
 GC_GROWTH = 512
+
+#: the columns of a row. Times are ``perf_counter`` seconds, ``cpu`` the
+#: store thread's ``thread_time`` inside the span, ``parent`` the sequence
+#: number of the enclosing row (-1: none), ``txn`` the wire transaction id
+#: (-1: none), ``n`` a count: bytes read, or states a GC cycle removed. A
+#: row's sequence number (``seq``) is its place among all rows the server
+#: produced, four per request (the request, then its three spans) and one
+#: per GC cycle, kept or not.
+ROW_COLUMNS = ("t_start", "t_end", "cpu", "layer", "name", "parent", "txn", "n")
+#: the spans that tile a ``server.request`` row, in order.
+SPANS = ("server.wait", "server.handle", "server.reply")
+#: slow requests and GC cycles ``slow`` keeps.
+SLOW_ROWS = 256
+#: a request is slow once its ``server.handle`` span is longer than
+#: SLOW_FACTOR times its op's p99, read from the op's histogram every
+#: SLOW_EVERY requests of that op (an op with fewer has no threshold).
+SLOW_FACTOR = 4.0
+SLOW_EVERY = 128
+
+#: a ``(perf_counter, thread_time)`` pair read at one point.
+Clocks = Tuple[float, float]
 
 _READ, _WRITE = selectors.EVENT_READ, selectors.EVENT_WRITE
 
@@ -123,7 +157,7 @@ class _Connection:
 
     __slots__ = (
         "sock", "session", "decoder", "out", "lock", "busy", "deadline",
-        "unread", "events", "paused", "eof", "closing", "broken",
+        "unread", "arrived", "events", "paused", "eof", "closing", "broken",
     )
 
     def __init__(self, sock: socket.socket, session: WireSession) -> None:
@@ -138,6 +172,9 @@ class _Connection:
         self.deadline = 0.0
         #: bytes received and not yet counted (they are, with the next request).
         self.unread = 0
+        #: ``perf_counter`` and ``thread_time`` at the ``select`` return of
+        #: the round that last read bytes; None if the registry was off.
+        self.arrived: Optional[Clocks] = None
         #: the selector events it is registered for (0: none).
         self.events = 0
         #: the peer is not reading: start nothing, read nothing. Set when a
@@ -202,6 +239,10 @@ class TardisServer:
         "_gc_at": "external:store-thread",
         "_ready": "external:store-thread",
         "_rearm": "external:store-thread",
+        "_round": "external:store-thread",
+        "_slow_at": "external:store-thread",
+        "rows_total": "external:store-thread",
+        "slow": "external:store-thread",
     }
 
     def __init__(
@@ -273,16 +314,21 @@ class TardisServer:
         #: wall seconds between sampler ticks; None leaves the sampler
         #: off (OBS_SNAPSHOT still works — it samples on demand).
         self.obs_sample_interval = obs_sample_interval
-        self.obs = ObsSampler(
-            self.store,
-            site=self.store.site,
-            counters_fn=self._obs_counters,
-            gauges_fn=self._obs_gauges,
-            latency_fn=self._obs_latency,
-        )
+        self.obs = ObsSampler(self.store, site=self.store.site, server_fn=self._obs_server)
         #: per-op request-latency histograms (wire op -> Histogram);
         #: created, updated and snapshotted on the store thread only.
         self._op_latency: Dict[str, _met.Histogram] = {}
+        # -- request rows (store thread only) --------------------------------
+        #: rows produced so far: the next row's sequence number.
+        self.rows_total = 0
+        #: slow requests and every GC cycle, as JSON-safe row dicts with
+        #: their ``seq`` (a request's also with its ``spans``).
+        self.slow: Deque[Dict[str, Any]] = deque(maxlen=SLOW_ROWS)
+        #: op -> [its requests left until the next p99 read, slow seconds].
+        self._slow_at: Dict[str, List[float]] = {}
+        #: the clocks at this round's ``select`` return; None with the
+        #: registry off.
+        self._round: Optional[Clocks] = None
 
     # -- lifecycle --------------------------------------------------------
 
@@ -452,7 +498,11 @@ class TardisServer:
                     timeout = None
                 else:
                     timeout = max(0.0, due - time.monotonic())
-                for key, events in selector.select(timeout):
+                selected = selector.select(timeout)
+                self._round = (
+                    (time.perf_counter(), time.thread_time()) if _met.DEFAULT.enabled else None
+                )
+                for key, events in selected:
                     conn = key.data
                     if conn is None:  # the bell or the listener
                         if key.fileobj is listener:
@@ -564,6 +614,7 @@ class TardisServer:
                 n = -1
             if n > 0:
                 conn.unread += n
+                conn.arrived = self._round
                 conn.decoder.feed(self._view[:n])
                 self._ready[conn] = None
             elif n == 0:
@@ -594,18 +645,27 @@ class TardisServer:
         self._settle(conn)
 
     def _run(self, conn: _Connection, request: Dict[str, Any]) -> None:
-        """One request, from leaving the decoder to its answer's write."""
-        self._started(conn.unread)
+        """One request, from leaving the decoder to its answer's write;
+        with ``conn.arrived`` set (the registry was on when its bytes
+        came in) it is also split into rows."""
+        arrived, nbytes = conn.arrived, conn.unread
+        self._started(nbytes)
         conn.unread = 0
         since = time.perf_counter()
+        if arrived:
+            cpu_since = time.thread_time()
         conn.start(request, since + self.request_timeout)
         response = conn.session.handle(request)
+        handled = time.perf_counter()
+        if arrived:
+            cpu_handled = time.thread_time()
         op = request.get("op")
         # an op answered UNKNOWN_OP has no per-op histogram
-        self._observe(
-            op if isinstance(op, str) and op in OPS else None,
-            (time.perf_counter() - since) * 1000.0,
-        )
+        op = op if isinstance(op, str) and op in OPS else None
+        self._observe(op, (handled - since) * 1000.0)
+        # before the write: Python work after it holds the GIL that a
+        # client in this process, woken by the reply, waits for
+        seq = self._slow_seq(op, handled - since) if arrived else None
         if not conn.finish(request):
             # TIMEOUT answered in its place: the answer is dropped, and
             # a transaction it began is aborted (nobody learned its id).
@@ -613,6 +673,10 @@ class TardisServer:
         else:
             self._answer(conn, response, True)
             conn.closing |= op == "BYE"
+        if seq is not None:
+            self._keep_request(
+                seq, op, request, nbytes, arrived, (since, cpu_since), (handled, cpu_handled)
+            )
 
     def _answer(self, conn: _Connection, response: Dict[str, Any], answers: bool) -> None:
         """Encode, count and write one response; ``answers``: it ends the
@@ -669,7 +733,64 @@ class TardisServer:
         total cost stays linear."""
         store = self.store
         if len(store.dag) >= self._gc_at:
-            self._gc_at = 2 * store.collect_garbage().live_states + GC_GROWTH
+            clocks = (time.perf_counter(), time.thread_time()) if _met.DEFAULT.enabled else None
+            report = store.collect_garbage()
+            self._gc_at = 2 * report.live_states + GC_GROWTH
+            if clocks:
+                start, cpu = clocks
+                self.rows_total += 1
+                self._keep(self.rows_total - 1, (
+                    start, time.perf_counter(), time.thread_time() - cpu,
+                    "gc.cycle", "collect_garbage", -1, -1, report.states_removed,
+                ))
+
+    # -- request rows (store thread) ---------------------------------------
+
+    def _keep(self, seq: int, row: Tuple[Any, ...], spans: Optional[Dict[str, Any]] = None) -> None:
+        """Keep ``row`` (see ROW_COLUMNS) in ``slow`` as a dict with its
+        ``seq``, and a request's ``spans``."""
+        entry: Dict[str, Any] = dict(zip(ROW_COLUMNS, row))
+        entry["seq"] = seq
+        if spans is not None:
+            entry["spans"] = spans
+        self.slow.append(entry)
+
+    def _slow_seq(self, op: Optional[str], handle_s: float) -> Optional[int]:
+        """Number a request's four rows; return the first one's ``seq``
+        if its ``server.handle`` span, ``handle_s``, outran its op's
+        threshold (the request is slow), else None."""
+        seq = self.rows_total
+        self.rows_total = seq + 4
+        if op is None:
+            return None
+        # [requests of ``op`` left until the threshold is read again, it]
+        at = self._slow_at.get(op)
+        if at is None:
+            at = self._slow_at[op] = [SLOW_EVERY, math.inf]
+        at[0] -= 1
+        if not at[0]:
+            at[0] = SLOW_EVERY
+            at[1] = SLOW_FACTOR * self._op_latency[op].quantile(0.99) / 1000.0
+        return seq if handle_s > at[1] else None
+
+    def _keep_request(
+        self, seq: int, op: str, request: Dict[str, Any], nbytes: int,
+        arrived: Clocks, started: Clocks, handled: Clocks,
+    ) -> None:
+        """Keep a slow request in ``slow``: its ``server.request`` row,
+        from ``arrived`` (its round's ``select`` return) to the end of
+        its reply's write, read here, and in ``spans`` the three rows
+        between those and ``started`` and ``handled``, which tile it
+        (rows ``seq + 1`` to ``seq + 3``, as ``[t_start, t_end, cpu]``)."""
+        end = (time.perf_counter(), time.thread_time())
+        bounds = (arrived, started, handled, end)
+        spans = {
+            layer: [a[0], b[0], b[1] - a[1]] for layer, a, b in zip(SPANS, bounds, bounds[1:])
+        }
+        txn = request.get("txn")
+        txn = txn if isinstance(txn, int) else -1
+        row = (arrived[0], end[0], end[1] - arrived[1], "server.request", op, -1, txn, nbytes)
+        self._keep(seq, row, spans)
 
     # -- counters ----------------------------------------------------------
 
@@ -738,6 +859,16 @@ class TardisServer:
                 "inflight": self._inflight,
                 "connections": len(self._conns),
             }
+
+    def _obs_server(self) -> Dict[str, Any]:
+        """The server's side of a snapshot (store thread): counters,
+        gauges, per-op latency and the slow ring."""
+        return {
+            "counters": self._obs_counters(),
+            "gauges": self._obs_gauges(),
+            "latency_ms": self._obs_latency(),
+            "slow": list(self.slow),
+        }
 
     def _obs_latency(self) -> Dict[str, Dict[str, Any]]:
         """Per-op latency summaries from the request histograms."""

@@ -15,9 +15,7 @@ Commands:
   events; ``--json`` / ``--prometheus`` switch the output format.
 * ``trace`` — run a scripted three-site replicated scenario (concurrent
   commits, replication, merge) and print one transaction's
-  causally-ordered multi-site timeline; ``--dump`` also writes a
-  flight dump (:func:`repro.obs.flight.flight_dump`) to JSON.
-* ``flight`` — pretty-print a flight dump written by ``trace --dump``.
+  causally-ordered multi-site timeline.
 * ``check`` — run the static-analysis rules (lock discipline,
   metric-name drift, hygiene) over the package and
   exit nonzero on findings; ``--format=json`` is the CI gate's input.
@@ -26,13 +24,15 @@ Commands:
   SIGINT/SIGTERM; prints a ``TARDIS_SERVE_REPORT`` JSON line after the
   graceful drain and exits nonzero if any session leaked.
   ``--obs-interval`` turns on the live ops sampler (§14); ``--metrics``
-  enables the store's metrics registry and prints it as Prometheus text
-  before the report (the server's own counts are in the report).
+  enables the metrics registry, which also turns on the server's
+  request rows (its slow ones reach ``OBS_SNAPSHOT``), and prints the
+  registry as Prometheus text before the report (the server's own
+  counts are in the report).
 * ``top`` — terminal dashboard against a running server: divergence
   gauges, sparkline series, per-op latency percentiles, per-shard and
-  per-worker health, and the live alert strip. ``--live`` re-renders an
-  ``OBS_SNAPSHOT`` every ``--interval``; without it, one snapshot table
-  and exit.
+  per-worker health, slow requests and GC cycles split by layer, and the
+  live alert strip. ``--live`` re-renders an ``OBS_SNAPSHOT`` every
+  ``--interval``; without it, one snapshot table and exit.
 """
 
 from __future__ import annotations
@@ -50,7 +50,6 @@ from repro.obs import MetricsRegistry, Tracer, export
 from repro.obs import metrics as _met
 from repro.obs import tracing as _trc
 from repro.obs.context import format_timeline, trace_id_of
-from repro.obs.flight import flight_dump, format_flight
 from repro.replication.cluster import Cluster
 from repro.server.server import TardisServer, run_server
 from repro.sim.adapters import OCCAdapter, TardisAdapter, TwoPLAdapter
@@ -277,25 +276,6 @@ def cmd_trace(args) -> int:
         print("no events for trace %r; known traces: %s" % (trace_id, known))
         return 1
     print(format_timeline(timeline, trace_id))
-
-    if args.dump:
-        monitor = cluster.monitor()
-        monitor.sample()
-        doc = flight_dump(
-            cluster.tracers, cluster.stores, monitor, "manual dump (tardis trace --dump)"
-        )
-        with open(args.dump, "w") as handle:
-            json.dump(doc, handle, indent=2, default=str, sort_keys=True)
-            handle.write("\n")
-        print()
-        print("flight dump written to %s" % args.dump)
-    return 0
-
-
-def cmd_flight(args) -> int:
-    with open(args.dump) as handle:
-        doc = json.load(handle)
-    print(format_flight(doc, event_limit=args.events))
     return 0
 
 
@@ -400,15 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="trace id (state id repr, e.g. s1@us); default: the first us commit",
     )
     trace.add_argument("--key", default="counter", help="contended key")
-    trace.add_argument(
-        "--dump", default=None, help="also write a flight-recorder dump here"
-    )
     trace.set_defaults(func=cmd_trace)
-
-    flight = sub.add_parser("flight", help="pretty-print a flight-recorder dump")
-    flight.add_argument("dump", help="path to a flight dump JSON")
-    flight.add_argument("--events", type=int, default=50, help="trace events to show")
-    flight.set_defaults(func=cmd_flight)
 
     check = sub.add_parser(
         "check",
@@ -465,8 +437,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--metrics", action="store_true",
-        help="enable the store's metrics registry; print it as Prometheus "
-        "text at exit (server counts are in TARDIS_SERVE_REPORT)",
+        help="enable the metrics registry, and with it the server's request "
+        "rows (slow ones show in OBS_SNAPSHOT and tardis top); print the "
+        "registry as Prometheus text at exit (server counts are in "
+        "TARDIS_SERVE_REPORT)",
     )
     serve.add_argument(
         "--obs-interval", type=float, default=None,

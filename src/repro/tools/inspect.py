@@ -63,25 +63,24 @@ def dag_to_dot(
 def store_summary(store: TardisStore) -> Dict[str, object]:
     """A metrics snapshot suitable for logging or JSON."""
     dag = store.dag
-    with store._lock:
-        keys, records = store.versions.num_keys(), store.versions.num_records()
-    return {
-        "site": store.site,
-        "states": len(dag),
-        "leaves": len(dag.leaves()),
-        "fork_points": dag.num_forks(),
-        "promotions": dag.promotion_table_size,
-        "keys": keys,
-        "records": records,
-        "commits": store.metrics.commits,
-        "read_only_commits": store.metrics.read_only_commits,
-        "aborts": store.metrics.aborts,
-        "forks": store.metrics.forks,
-        "merges": store.metrics.merges,
-        "remote_applied": store.metrics.remote_applied,
-        "sessions": len(store.sessions()),
-        "gc_cycles": store.gc.cycles,
-    }
+    with store._lock:  # a concurrent commit or GC cycle changes the DAG
+        return {
+            "site": store.site,
+            "states": len(dag),
+            "leaves": len(dag.leaves()),
+            "fork_points": dag.num_forks(),
+            "promotions": dag.promotion_table_size,
+            "keys": store.versions.num_keys(),
+            "records": store.versions.num_records(),
+            "commits": store.metrics.commits,
+            "read_only_commits": store.metrics.read_only_commits,
+            "aborts": store.metrics.aborts,
+            "forks": store.metrics.forks,
+            "merges": store.metrics.merges,
+            "remote_applied": store.metrics.remote_applied,
+            "sessions": len(store.sessions()),
+            "gc_cycles": store.gc.cycles,
+        }
 
 
 def describe_store(store: TardisStore, keys: Optional[List] = None) -> str:
@@ -94,13 +93,13 @@ def describe_store(store: TardisStore, keys: Optional[List] = None) -> str:
         lines.append("  %-18s %s" % (name, value))
     lines.append("")
     lines.append("branches (leaves, newest first):")
-    for leaf in store.dag.leaves():
-        points = sorted(store.dag.ancestry.points_of(leaf.path_mask))
-        lines.append("  %r  path={%s}" % (leaf.id, "".join(map(repr, points))))
-        for key in keys or []:
-            with store._lock:
+    with store._lock:
+        for leaf in store.dag.leaves():
+            points = sorted(store.dag.ancestry.points_of(leaf.path_mask))
+            lines.append("  %r  path={%s}" % (leaf.id, "".join(map(repr, points))))
+            for key in keys or []:
                 hit = store.versions.read_visible(key, leaf, store.dag)
-            lines.append(
-                "      %-16r = %r" % (key, None if hit is None else hit[1])
-            )
+                lines.append(
+                    "      %-16r = %r" % (key, None if hit is None else hit[1])
+                )
     return "\n".join(lines)

@@ -2,8 +2,8 @@
 
 Renders the observability snapshots of docs/internals.md §14 — divergence
 gauges, sparkline series, per-op latency percentiles, the per-shard /
-per-worker table, and the alert strip — against a running ``tardis
-serve``. Two modes:
+per-worker table, the slow requests and GC cycles split by layer, and
+the alert strip — against a running ``tardis serve``. Two modes:
 
 * **one-shot** (default): one ``OBS_SNAPSHOT`` request, one rendered
   table, exit. Works against any server — with the sampler off the
@@ -29,8 +29,12 @@ from typing import Any, Dict, List, Sequence
 from repro.client.client import TardisClient
 from repro.errors import NetworkError
 from repro.server.handlers import GC_FIELDS
+from repro.server.server import SPANS
 
 __all__ = ["sparkline", "render_snapshot", "cmd_top"]
+
+#: the newest slow requests and GC cycles the slow panel shows.
+SLOW_SHOWN = 12
 
 #: eight-level bar glyphs, lowest to highest.
 SPARK = "▁▂▃▄▅▆▇█"
@@ -177,6 +181,34 @@ def render_snapshot(snapshot: Dict[str, Any], width: int = 40) -> str:
                         ping,
                     )
                 )
+
+    slow = snapshot.get("slow", [])
+    if slow:
+        lines.append("")
+        lines.append("-- slow requests and gc cycles (ms) " + "-" * (width - 2))
+        lines.append(
+            "  %-12s %-16s %8s %8s %8s %8s %8s"
+            % ("t_start", "what", "wall", "cpu", "wait", "handle", "reply")
+        )
+        for row in slow[-SLOW_SHOWN:]:
+            if row["layer"] == "gc.cycle":
+                what, tail = "gc.cycle", "  removed=%d" % row["n"]
+            else:
+                spans = row["spans"]
+                what, tail = row["name"], "".join(
+                    " %8.2f" % (1000.0 * (spans[layer][1] - spans[layer][0]))
+                    for layer in SPANS
+                )
+            lines.append(
+                "  %-12.3f %-16s %8.2f %8.2f%s"
+                % (
+                    row["t_start"],
+                    what,
+                    1000.0 * (row["t_end"] - row["t_start"]),
+                    1000.0 * row["cpu"],
+                    tail,
+                )
+            )
 
     alerts = snapshot.get("alerts", [])
     if alerts:

@@ -627,8 +627,8 @@ PLANTED = [
     ),
     pytest.param(
         "import-hygiene", "tools/cli.py",
-        "def cmd_flight(args) -> int:\n",
-        "def cmd_flight(args) -> int:\n    import json\n\n",
+        "def cmd_recover(args) -> int:\n",
+        "def cmd_recover(args) -> int:\n    import json\n\n",
         id="import-hygiene:function-local-import",
     ),
     pytest.param(

@@ -3,6 +3,7 @@
 import json
 import math
 import random
+import sys
 import threading
 
 import pytest
@@ -230,6 +231,57 @@ class TestRegistry:
             assert active is mine
             assert met.DEFAULT is mine
         assert met.DEFAULT is original
+
+
+class TestBufferedRecording:
+    """``record``/``inc`` append to a per-metric list; the one that fills
+    ``PENDING`` entries, or any reader, folds it under the lock."""
+
+    def test_buffer_is_bounded_and_a_read_folds_it(self):
+        hist, counter = Histogram("h"), Counter("c")
+        for i in range(met.PENDING + 5):
+            hist.record(float(i))
+            counter.inc(2)
+        assert len(hist._pending) == 5 and len(counter._pending) == 5
+        assert hist.count == met.PENDING + 5 and hist.max == met.PENDING + 4
+        assert counter.value == 2 * (met.PENDING + 5)
+        assert hist._pending == [] and counter._pending == []
+
+    def test_folds_racing_appends_lose_nothing(self):
+        """Writers append while readers fold (and a fold slices off only
+        what it counted), at a tiny switch interval."""
+        was = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            hist, counter = Histogram("h"), Counter("c")
+            n_writers, per_writer = 4, 3_000
+            done = threading.Event()
+
+            def write():
+                for i in range(per_writer):
+                    hist.record(1.0 + i % 7)
+                    counter.inc()
+
+            def read():
+                while not done.is_set():
+                    hist.quantile(0.5)
+                    counter.value
+
+            readers = [threading.Thread(target=read) for _ in range(2)]
+            writers = [threading.Thread(target=write) for _ in range(n_writers)]
+            for t in readers + writers:
+                t.start()
+            for t in writers:
+                t.join()
+            done.set()
+            for t in readers:
+                t.join()
+        finally:
+            sys.setswitchinterval(was)
+        assert counter.value == n_writers * per_writer
+        assert hist.count == n_writers * per_writer
+        assert sum(c for _ub, c in hist.buckets()) == hist.count
+        assert hist.sum == sum(1.0 + i % 7 for i in range(per_writer)) * n_writers
 
 
 class TestTracer:

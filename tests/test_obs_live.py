@@ -121,22 +121,29 @@ class TestObsSampler:
         assert alert["value"] > 1.0
         assert "flight_dumps" not in snapshot
 
-    def test_counters_and_gauges_callables_feed_series(self):
+    def test_the_server_callable_feeds_series(self):
         store = TardisStore("A")
+        slow = [{"seq": 0, "t_start": 1.0, "t_end": 2.0, "cpu": 0.5, "layer": "gc.cycle",
+                 "name": "collect_garbage", "parent": -1, "txn": -1, "n": 9}]
         sampler = ObsSampler(
             store,
             site="A",
-            counters_fn=lambda: {"requests_total": 7, "commits": 3},
-            gauges_fn=lambda: {"sessions": 2, "inflight": 1, "connections": 4},
-            latency_fn=lambda: {"READ": {"count": 1, "mean": 0.5, "p50": 0.5,
-                                         "p90": 0.5, "p99": 0.5, "max": 0.5}},
+            server_fn=lambda: {
+                "counters": {"requests_total": 7, "commits": 3},
+                "gauges": {"sessions": 2, "inflight": 1, "connections": 4},
+                "latency_ms": {"READ": {"count": 1, "mean": 0.5, "p50": 0.5,
+                                        "p90": 0.5, "p99": 0.5, "max": 0.5}},
+                "slow": slow,
+            },
         )
         snapshot = sampler.sample()
         assert snapshot["gauges"]["sessions"] == 2
         assert snapshot["counters"]["requests_total"] == 7
         assert snapshot["latency_ms"]["READ"]["count"] == 1
+        assert snapshot["slow"] == slow
         assert snapshot["series"]["tardis_net_requests@A"][-1][1] == 7
         assert snapshot["series"]["tardis_net_sessions@A"][-1][1] == 2
+        assert ObsSampler(store).sample()["slow"] == []
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,5 @@
-"""Tests for windowed series, the divergence monitor, the flight
-dump, and cross-replica timelines (repro.obs.series /
-repro.obs.flight / repro.obs.context)."""
-
-import json
+"""Tests for windowed series, the divergence monitor, and cross-replica
+timelines (repro.obs.series / repro.obs.context)."""
 
 import pytest
 
@@ -16,7 +13,6 @@ from repro.obs.context import (
     stamp,
     trace_id_of,
 )
-from repro.obs.flight import dag_snapshot, flight_dump, format_flight
 from repro.obs.series import (
     DivergenceMonitor,
     Trigger,
@@ -190,61 +186,6 @@ class TestDivergenceMonitor:
         assert monitor.samples_taken == 4
         ts = [t for t, _ in monitor.gauge("tardis_branch_count@des").samples()]
         assert ts == [10.0, 20.0, 30.0, 40.0]
-
-
-class TestFlightDump:
-    def build(self):
-        tracer = Tracer(capacity=64, enabled=True, clock=lambda: 0.0)
-        store = TardisStore("f")
-        store.tracer = tracer
-        a, b = store.session("a"), store.session("b")
-        store.put("x", 0, session=a)
-        t1, t2 = store.begin(session=a), store.begin(session=b)
-        t1.put("x", t1.get("x") + 1)
-        t2.put("x", t2.get("x") + 2)  # read-modify-write: true conflict
-        t1.commit()
-        t2.commit()  # conflict: branch count goes to 2
-        monitor = DivergenceMonitor({"f": store}, clock=lambda: 0.0)
-        monitor.sample()
-        return flight_dump({"f": tracer}, {"f": store}, monitor, "unit test")
-
-    def test_dump_contents(self):
-        doc = self.build()
-        kinds = {e["kind"] for e in doc["events"]}
-        assert "txn.commit" in kinds and "branch.fork" in kinds
-        assert all(e["site"] == "f" for e in doc["events"])
-        assert doc["dropped_events"] == {"f": 0}
-        assert doc["series"]["tardis_branch_count@f"] == [[0.0, 2]]
-        snap = doc["dag"]["f"]
-        assert len(snap["leaves"]) == 2
-        assert {s["id"] for s in snap["states"]} >= set(snap["leaves"])
-
-    def test_dump_roundtrips_through_json_into_format_flight(self):
-        doc = self.build()
-        loaded = json.loads(json.dumps(doc, default=str, sort_keys=True))
-        assert loaded == doc  # JSON-safe as built
-        text = format_flight(loaded)
-        assert "FLIGHT RECORDER DUMP — unit test" in text
-        assert "tardis_branch_count@f" in text
-        assert "txn.commit" in text
-        assert "leaves=2" in text
-
-    def test_truncation_is_visible(self):
-        tracer = Tracer(capacity=4, enabled=True, clock=lambda: 0.0)
-        for i in range(9):
-            tracer.event("noise", i=i)
-        doc = flight_dump({"t": tracer}, {}, None, "drop test")
-        assert doc["dropped_events"] == {"t": 5}
-        assert "truncated timelines: t dropped 5" in format_flight(doc)
-
-    def test_dag_snapshot_shape(self):
-        store = branched_store()
-        snap = dag_snapshot(store)
-        assert snap["site"] == "obs"
-        leaf_ids = set(snap["leaves"])
-        leaves = [s for s in snap["states"] if s["id"] in leaf_ids]
-        assert all(s["leaf"] for s in leaves)
-        assert snap["records"] >= 3
 
 
 class TestTimelineReconstruction:

@@ -1,0 +1,263 @@
+"""Request rows and the slow ring (docs/internals.md §14.1).
+
+While the metrics registry is enabled the server splits each request
+into four rows at the point that times it for its per-op histogram,
+and numbers them; a request whose handler outran its op's threshold,
+and every GC cycle, is kept in the slow ring that ``OBS_SNAPSHOT``
+ships and ``tardis top`` renders. With the registry off nothing is
+recorded and a request reads the clock as often as it does to time
+itself.
+"""
+
+import socket
+import threading
+import time
+
+import pytest
+
+from repro.client import TardisClient
+from repro.obs import metrics as met
+from repro.server import handlers
+from repro.server import server as server_module
+from repro.server.handlers import WireSession
+from repro.server.server import (
+    ROW_COLUMNS,
+    SLOW_EVERY,
+    SLOW_ROWS,
+    SPANS,
+    TardisServer,
+    _Connection,
+)
+from repro.tools.top import render_snapshot
+
+
+@pytest.fixture
+def registry_on():
+    was = met.DEFAULT.enabled
+    met.enable(True)
+    yield
+    met.enable(was)
+
+
+@pytest.fixture
+def served():
+    handle = TardisServer(site="rows").start()
+    yield handle
+    if handle.report is None:
+        handle.shutdown()
+
+
+@pytest.fixture
+def sansio():
+    """An unstarted server and one connection over a socketpair: ``run``
+    hands a request to ``TardisServer._run`` the way the store thread
+    does after ``_io`` read it in a round."""
+    server = TardisServer(site="rows")
+    ours, theirs = socket.socketpair()
+    theirs.setblocking(False)
+    conn = _Connection(ours, WireSession(server, 1))
+
+    def run(request):
+        round_clocks = (time.perf_counter(), time.thread_time())
+        conn.arrived = round_clocks if met.DEFAULT.enabled else None
+        server._run(conn, dict(request))
+        try:
+            theirs.recv(1 << 20)  # the answer; keeps the socket drainable
+        except BlockingIOError:
+            pass
+
+    run.server = server
+    run({"op": "HELLO", "session": "rows"})
+    yield run
+    ours.close()
+    theirs.close()
+
+
+@pytest.fixture
+def every_request_slow(monkeypatch):
+    """Each op reads its threshold at once, and the threshold is zero."""
+    monkeypatch.setattr(server_module, "SLOW_EVERY", 1)
+    monkeypatch.setattr(server_module, "SLOW_FACTOR", 0.0)
+
+
+class _CountingTime:
+    """The ``time`` module, counting the clock reads of the server."""
+
+    def __init__(self):
+        self.reads = {"perf_counter": 0, "thread_time": 0}
+
+    def perf_counter(self):
+        self.reads["perf_counter"] += 1
+        return time.perf_counter()
+
+    def thread_time(self):
+        self.reads["thread_time"] += 1
+        return time.thread_time()
+
+    def __getattr__(self, name):
+        return getattr(time, name)
+
+
+class TestRegistryOff:
+    def test_nothing_is_recorded_and_every_request_still_counts(self, served):
+        client = TardisClient(port=served.port)
+        for i in range(20):
+            client.put("k%d" % (i % 4), i)
+            client.get("k1")
+        snapshot = client.obs_snapshot(tail=0)
+        stats = client.stats()
+        client.close()
+        assert served.rows_total == 0 and list(served.slow) == []
+        assert snapshot["slow"] == []
+        assert snapshot["latency_ms"]["COMMIT"]["count"] == 20
+        assert snapshot["latency_ms"]["READ"]["count"] == 20
+        assert snapshot["latency_ms"]["HELLO"]["count"] == 1
+        # the HELLO, 40 requests, the snapshot and this STATS
+        assert stats["requests_total"] == 43
+
+    def test_a_request_reads_the_clock_twice_as_before(
+        self, sansio, every_request_slow, monkeypatch
+    ):
+        clock = _CountingTime()
+        monkeypatch.setattr(server_module, "time", clock)
+        sansio({"op": "READ", "begin": {}, "key": "x"})
+        # ``since`` and the handler's return, the histogram's two reads
+        assert clock.reads == {"perf_counter": 2, "thread_time": 0}
+        assert sansio.server.rows_total == 0 and list(sansio.server.slow) == []
+
+
+class TestRegistryOn:
+    def test_spans_tile_the_request_and_handle_is_the_histogram_sample(
+        self, sansio, registry_on, every_request_slow, monkeypatch
+    ):
+        samples = []
+        observe = sansio.server._observe
+        monkeypatch.setattr(
+            sansio.server, "_observe", lambda op, ms: samples.append(ms) or observe(op, ms)
+        )
+        read = {"op": "READ", "begin": {}, "key": "x"}
+        for i in range(5):
+            sansio(read)
+            sansio({"op": "COMMIT", "txn": i + 1, "writes": [{"key": "x", "value": i}]})
+        kept = list(sansio.server.slow)  # the HELLO ran with the registry off
+        assert len(kept) == 10 == len(samples)
+        assert [row["seq"] for row in kept] == list(range(0, 40, 4))
+        assert sansio.server.rows_total == 40
+        for row, sample in zip(kept, samples):
+            assert set(row) == set(ROW_COLUMNS) | {"seq", "spans"}
+            assert row["layer"] == "server.request" and row["parent"] == -1
+            assert row["name"] in ("READ", "COMMIT")
+            spans = [row["spans"][layer] for layer in SPANS]
+            assert list(row["spans"]) == list(SPANS)
+            # the spans share their boundary clock reads
+            assert spans[0][0] == row["t_start"] and spans[-1][1] == row["t_end"]
+            assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
+            assert sum(cpu for _, _, cpu in spans) == pytest.approx(row["cpu"])
+            start, end, _ = row["spans"]["server.handle"]
+            assert (end - start) * 1000.0 == sample
+        assert [row["txn"] for row in kept] == [1, 1, 2, 2, 3, 3, 4, 4, 5, 5]
+
+    def test_a_fast_request_reads_thread_time_twice_a_slow_one_three_times(
+        self, sansio, registry_on, monkeypatch
+    ):
+        clock = _CountingTime()
+        monkeypatch.setattr(server_module, "time", clock)
+        sansio({"op": "READ", "begin": {}, "key": "x"})
+        assert list(sansio.server.slow) == []  # no threshold yet: not slow
+        assert clock.reads == {"perf_counter": 2, "thread_time": 2}
+        monkeypatch.setattr(server_module, "SLOW_EVERY", 1)
+        monkeypatch.setattr(server_module, "SLOW_FACTOR", 0.0)
+        sansio({"op": "COMMIT", "txn": 1, "writes": []})
+        assert len(sansio.server.slow) == 1
+        # plus the end of the reply's write, read for a slow request only
+        assert clock.reads == {"perf_counter": 5, "thread_time": 5}
+
+    def test_the_slow_ring_stops_growing_at_its_constant(self, sansio, registry_on):
+        server = sansio.server
+        for _ in range(8):
+            sansio({"op": "READ", "begin": {}, "key": "x"})
+        assert server.rows_total == 32 and list(server.slow) == []
+        for _ in range(SLOW_ROWS + 3):
+            server._gc_at = 0  # every call runs a cycle
+            server._collect_if_grown()
+        assert len(server.slow) == SLOW_ROWS
+        assert all(row["layer"] == "gc.cycle" for row in server.slow)
+        assert server.slow[-1]["seq"] == server.rows_total - 1 == 32 + SLOW_ROWS + 2
+
+
+class TestSlowRing:
+    def test_a_planted_slow_read_lands_in_slow_and_in_top(
+        self, served, registry_on, monkeypatch
+    ):
+        read = handlers.HANDLERS["READ"]
+
+        def slow_read(server, session, request):
+            if request.get("key") == "slow":
+                time.sleep(0.05)
+            return read(server, session, request)
+
+        monkeypatch.setitem(handlers.HANDLERS, "READ", slow_read)
+        client = TardisClient(port=served.port)
+        for _ in range(SLOW_EVERY):  # an op has no threshold before these
+            client.get("fast")
+        client.get("slow")
+        snapshot = client.obs_snapshot(tail=0)
+        client.close()
+        (planted,) = [
+            row for row in snapshot["slow"]
+            if row["name"] == "READ" and row["t_end"] - row["t_start"] >= 0.05
+        ]
+        start, end, cpu = planted["spans"]["server.handle"]
+        assert end - start >= 0.05 and cpu < 0.05  # the sleep is wall, not cpu
+        text = render_snapshot(snapshot)
+        assert "-- slow requests and gc cycles (ms)" in text
+        panel = text.split("-- slow requests and gc cycles (ms)")[1].splitlines()[2:]
+        reads = [line.split() for line in panel if line.split()[1:2] == ["READ"]]
+        (fields,) = [f for f in reads if float(f[2]) >= 50.0]
+        wall, cpu, wait, handle, reply = map(float, fields[2:7])
+        assert handle >= 50.0 and cpu < wall
+        assert wait + handle + reply == pytest.approx(wall, abs=0.02)
+
+    def test_a_gc_cycle_lands_in_slow(self, served, registry_on):
+        client = TardisClient(port=served.port)
+        i = 0
+        while client.stats()["store"]["gc"]["cycles"] == 0:
+            client.put("k%d" % (i % 8), i)
+            i += 1
+        snapshot = client.obs_snapshot(tail=0)
+        client.close()
+        (cycle,) = [row for row in snapshot["slow"] if row["layer"] == "gc.cycle"]
+        assert cycle["parent"] == -1 and cycle["txn"] == -1
+        assert cycle["n"] == served.store.gc.states_removed > 0
+        assert cycle["t_end"] > cycle["t_start"]
+        text = render_snapshot(snapshot)
+        assert "gc.cycle" in text and "removed=%d" % cycle["n"] in text
+
+    def test_queueing_does_not_make_a_request_slow(self, served, registry_on):
+        """Eight clients at once: their requests wait behind each other,
+        but only a handler span is held against the threshold, so the
+        ring still holds the first GC cycle after more requests than it
+        has room for."""
+        clients = [TardisClient(port=served.port) for _ in range(8)]
+
+        def drive(client, n):
+            for i in range(n):
+                client.put("k%d" % (i % 16), i)
+
+        def wave(n):
+            threads = [threading.Thread(target=drive, args=(c, n)) for c in clients]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+
+        while served.store.gc.cycles == 0:
+            wave(25)
+        after = served.rows_total
+        wave(SLOW_ROWS // 4)  # two ring's worth of requests
+        snapshot = clients[0].obs_snapshot(tail=0)
+        for client in clients:
+            client.close()
+        assert (served.rows_total - after) // 4 >= 2 * SLOW_ROWS
+        cycles = [row for row in snapshot["slow"] if row["layer"] == "gc.cycle"]
+        assert cycles and cycles[0]["seq"] < after

@@ -64,6 +64,25 @@ class TestSummary:
         assert summary["commits"] == 4
         assert summary["leaves"] == 1
 
+    def test_summary_and_report_read_the_dag_under_the_store_lock(self, branched_store):
+        # A writer thread's commit or GC cycle resizes the DAG's state
+        # table: an unlocked ``num_forks`` raised "dictionary changed size
+        # during iteration" within seconds of such a writer.
+        store = branched_store
+        unlocked = []
+        for name in ("num_forks", "leaves"):
+            read = getattr(store.dag, name)
+
+            def checked(*args, _read=read, _name=name):
+                if not store._lock._is_owned():
+                    unlocked.append(_name)
+                return _read(*args)
+
+            setattr(store.dag, name, checked)
+        store_summary(store)
+        describe_store(store, keys=["x"])
+        assert unlocked == []
+
     def test_describe_store(self, branched_store):
         text = describe_store(branched_store, keys=["x"])
         assert "site 'demo'" in text
@@ -228,18 +247,3 @@ class TestTraceCommand:
         out = capsys.readouterr().out
         assert "no events for trace 's999@zz'" in out
         assert "s1@us" in out  # known traces are suggested
-
-    def test_trace_dump_then_flight_pretty_print(self, tmp_path, capsys):
-        dump = str(tmp_path / "flight.json")
-        assert main(["trace", "--dump", dump]) == 0
-        capsys.readouterr()  # discard the timeline output
-        with open(dump) as handle:
-            doc = json.load(handle)
-        assert doc["flight_schema"] == 1
-        assert doc["dag"].keys() == {"us", "eu", "asia"}
-        assert main(["flight", dump]) == 0
-        out = capsys.readouterr().out
-        assert "FLIGHT RECORDER DUMP" in out
-        assert "-- state DAGs" in out
-        assert "-- last" in out and "trace events" in out
-        assert "tardis_branch_count@us" in out
