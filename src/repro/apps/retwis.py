@@ -25,7 +25,6 @@ import random
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.store import ClientSession, TardisStore
-from repro.errors import GarbageCollectedError
 from repro.workload.mixes import TxnSpec
 
 TIMELINE_CAP = 50
@@ -147,16 +146,8 @@ class RetwisApp:
             return 0
         conflicts = merge.find_conflict_writes()
         retwis_merge_resolver(merge, conflicts)
-        merge.commit()
         # Clients adopt the merged branch.
-        merged_state = self.store.dag.resolve(merge.commit_id)
-        for session in self.store.sessions():
-            try:
-                anchor = session.last_commit_state()
-            except GarbageCollectedError:
-                continue
-            if self.store.dag.descendant_check(anchor, merged_state):
-                session.last_commit_id = merge.commit_id
+        self.store.adopt_merge(merge.commit())
         return len(conflicts)
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.store import ClientSession, TardisStore
-from repro.errors import GarbageCollectedError, KeyNotFound
+from repro.errors import KeyNotFound
 
 
 def _stock_key(item: str) -> str:
@@ -163,14 +163,7 @@ class GameStore:
         for key in conflicts:
             if key.startswith("cart:") and key not in merge.writes:
                 merge.put(key, cart_of(key.split(":", 1)[1]))
-        merge.commit()
-        for session in store.sessions():
-            try:
-                anchor = session.last_commit_state()
-            except GarbageCollectedError:
-                continue
-            if store.dag.descendant_check(anchor, store.dag.resolve(merge.commit_id)):
-                session.last_commit_id = merge.commit_id
+        store.adopt_merge(merge.commit())
         return losers
 
     def _strip(self, merge, customer: str, item: str) -> None:

@@ -99,8 +99,9 @@ class MergeTransaction(BaseTransaction):
         """
         self._check_active()
         self.read_keys.add(key)
-        state = self.dag.resolve(state_id)
-        hit = self._store._read(key, state, self.trace)
+        with self._store._lock:
+            state = self.dag.resolve(state_id)
+            hit = self._store._read(key, state, self.trace)
         if hit is None or hit[1] is TOMBSTONE:
             if default is _RAISE:
                 raise KeyNotFound(key)
@@ -116,11 +117,12 @@ class MergeTransaction(BaseTransaction):
         here.
         """
         self._check_active()
-        if state_ids is None:
-            states = self.read_states
-        else:
-            states = [self.dag.resolve(sid) for sid in state_ids]
-        return [s.id for s in self.dag.fork_points_of(states)]
+        with self._store._lock:
+            if state_ids is None:
+                states = self.read_states
+            else:
+                states = [self.dag.resolve(sid) for sid in state_ids]
+            return [s.id for s in self.dag.fork_points_of(states)]
 
     def find_conflict_writes(self, state_ids: Optional[List[StateId]] = None) -> List[Any]:
         """Keys with conflicting values across the selected branches.
@@ -129,11 +131,12 @@ class MergeTransaction(BaseTransaction):
         branches since their (nearest) fork point (Table 2, §6.2).
         """
         self._check_active()
-        if state_ids is None:
-            states = self.read_states
-        else:
-            states = [self.dag.resolve(sid) for sid in state_ids]
-        conflicts = self._store._conflict_writes(states)
+        with self._store._lock:
+            if state_ids is None:
+                states = self.read_states
+            else:
+                states = [self.dag.resolve(sid) for sid in state_ids]
+            conflicts = self._store._conflict_writes(states)
         m = _met.DEFAULT
         if m.enabled:
             m.observe("tardis_merge_conflict_keys", len(conflicts))

@@ -63,7 +63,7 @@ def checkpoint_store(store: TardisStore) -> int:
             for key in store.versions.keys()
             for sid in store.versions.versions_of(key)
         ]
-        promotions = dict(store.dag._promotions)
+        promotions = store.dag.promotions()
         top = max((s.id for s in store.dag.states()), default=store.dag.root.id)
         payload = {
             "site": store.site,

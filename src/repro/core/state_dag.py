@@ -117,7 +117,12 @@ class State:
 
 
 class StateDAG:
-    """The per-site directed acyclic graph of datastore states."""
+    """The per-site directed acyclic graph of datastore states.
+
+    No lock of its own: a store's DAG is read and written under the
+    owning TardisStore's ``_lock`` (``resolve`` writes too: it compresses
+    promotion chains), which ``python -X dev`` checks (``_LockGuard``).
+    """
 
     def __init__(self, site: str) -> None:
         self.site = site
@@ -486,6 +491,19 @@ class StateDAG:
 
     def promotion_of(self, state_id: StateId) -> Optional[StateId]:
         return self._promotions.get(state_id)
+
+    def promotions(self) -> Dict[StateId, StateId]:
+        """A copy of the promotion table (a checkpoint stores it)."""
+        return dict(self._promotions)
+
+    def add_promotions(self, promotions: Dict[StateId, StateId]) -> None:
+        """Learn ids that now live on in other states.
+
+        A checkpoint load restores its table here, and the replicator
+        records a promotion a peer reported (§6.4). Adding aliases
+        changes no state a cached read resolved, so it is not destructive.
+        """
+        self._promotions.update(promotions)
 
     @property
     def promotion_table_size(self) -> int:

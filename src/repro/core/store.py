@@ -28,7 +28,7 @@ import os
 import pickle
 import sys
 import threading
-from typing import Any, Callable, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Set, Tuple, cast
 
 from repro.core.commit import LOCAL, MERGE, REMOTE, CommitPipeline
 from repro.core.constraints import (
@@ -108,26 +108,33 @@ class ClientSession:
         return "<ClientSession %s @ %r>" % (self.name, self.last_commit_id)
 
 
-class _RecordStoreGuard:
-    """The record-store lock contract, checked at run time.
+class _LockGuard:
+    """The store's lock contract, checked at run time.
 
-    Wraps a store's record store (flat or sharded; the shard links are
-    reachable only through it) when Python runs in dev mode
-    (``python -X dev``). Every method call through the guard raises
-    :class:`AssertionError` naming the method unless the calling thread
-    holds the store lock, so a missing ``with store._lock:`` fails a
-    single-threaded test at once instead of desyncing a shard link when
-    two threads happen to interleave. Plain attribute reads (the running
-    ``scanned``/``vis_hits`` counts, ``n_shards``) pass through, and so
-    do attribute writes.
+    Wraps both planes of a store when Python runs in dev mode (``python
+    -X dev``): its record store (flat or sharded; the shard links are
+    reachable only through it) and its State DAG, which a GC cycle
+    splices and ``resolve`` path-compresses while transactions run.
+    Every method call and ``len()``/``in`` through the guard raises
+    :class:`AssertionError` naming the class and method unless the
+    calling thread holds the store lock, so a missing ``with
+    store._lock:`` fails a single-threaded test at once instead of
+    desyncing a shard link or iterating a dict a writer resizes when two
+    threads happen to interleave. Plain attribute reads (the running
+    ``scanned``/``vis_hits`` counts, ``n_shards``, ``dag.root``) pass
+    through, and so do attribute writes.
     """
 
     __slots__ = ("_target", "_lock")
 
-    #: methods that touch no link and no mutable state, one per line.
+    #: constant-time reads of one dict or pure functions, one per line.
     _EXEMPT = frozenset(
         (
-            "shard_index",  # a pure function of the key and the router
+            "ShardedRecordStore.shard_index",  # a pure function of the key and the router
+            "StateDAG.__len__",  # len() of the state table
+            "StateDAG.__contains__",  # two dict lookups (a peer's GC consent asks it)
+            "StateDAG.get",  # one dict lookup, no promotion walk
+            "StateDAG.promotion_of",  # one dict lookup, no chain compression
         )
     )
 
@@ -137,10 +144,10 @@ class _RecordStoreGuard:
 
     def __getattr__(self, name: str) -> Any:
         attr = getattr(self._target, name)
-        if not callable(attr) or name in self._EXEMPT:
+        owner = type(self._target).__name__
+        if not callable(attr) or "%s.%s" % (owner, name) in self._EXEMPT:
             return attr
         lock = self._lock
-        owner = type(self._target).__name__
 
         def guarded(*args: Any, **kwargs: Any) -> Any:
             # An explicit raise: ``python -O`` strips assert statements.
@@ -154,6 +161,13 @@ class _RecordStoreGuard:
 
     def __setattr__(self, name: str, value: Any) -> None:
         setattr(self._target, name, value)
+
+    # Operators are looked up on the type, never through __getattr__.
+    def __len__(self) -> int:
+        return int(self.__getattr__("__len__")())
+
+    def __contains__(self, item: Any) -> bool:
+        return bool(self.__getattr__("__contains__")(item))
 
 
 class StoreMetrics:
@@ -260,7 +274,7 @@ class TardisStore:
             group_commit=group_commit,
         )
         if sys.flags.dev_mode:
-            self._guard_storage()
+            self._guard_lock()
         self.gc = GarbageCollector(self)
         #: listeners notified of each local commit (the replicator hooks in).
         self._commit_listeners: List = []
@@ -301,29 +315,33 @@ class TardisStore:
         """
         report = {"checkpoint_states": 0, "replayed": 0, "discarded": 0}
         snapshot_path = wal_path + CHECKPOINT_SUFFIX
-        if os.path.exists(snapshot_path):
-            report["checkpoint_states"] = self._load_checkpoint(snapshot_path)
         dag = self.dag
         cut = False
-        for record in WriteAheadLog.read(wal_path):
-            if cut:
-                report["discarded"] += 1
-                continue
-            if record.state_id in dag:
-                continue  # already in the checkpoint
-            if not all(pid in dag for pid in record.parent_ids):
-                # Atomicity: a state this transaction builds on never
-                # became durable; discard it and every later state.
-                cut = True
-                report["discarded"] += 1
-                continue
-            self._graft(record)
-            report["replayed"] += 1
+        with self._lock:
+            if os.path.exists(snapshot_path):
+                report["checkpoint_states"] = self._load_checkpoint(snapshot_path)
+            for record in WriteAheadLog.read(wal_path):
+                if cut:
+                    report["discarded"] += 1
+                    continue
+                if record.state_id in dag:
+                    continue  # already in the checkpoint
+                if not all(pid in dag for pid in record.parent_ids):
+                    # Atomicity: a state this transaction builds on never
+                    # became durable; discard it and every later state.
+                    cut = True
+                    report["discarded"] += 1
+                    continue
+                self._graft(record)
+                report["replayed"] += 1
         self.recovery = report
         return report
 
     def _load_checkpoint(self, snapshot_path: str) -> int:
-        """Install a ``checkpoint_store`` snapshot; returns its state count."""
+        """Install a ``checkpoint_store`` snapshot; returns its state count.
+
+        ``_replay`` calls it holding the store lock.
+        """
         with open(snapshot_path, "rb") as handle:
             payload = pickle.load(handle)
         dag = self.dag
@@ -337,21 +355,25 @@ class TardisStore:
             dag.create_state(
                 parents, write_keys=frozenset(entry["write_keys"]), state_id=entry["id"]
             )
-        with self._lock:
-            for key, sid, value in payload["records"]:
-                self.versions.write(key, sid, value)
-        dag._promotions.update(payload["promotions"])
+        for key, sid, value in payload["records"]:
+            self.versions.write(key, sid, value)
+        dag.add_promotions(payload["promotions"])
         return len(payload["states"])
 
-    def _guard_storage(self) -> None:
-        """Route every record-store call through a lock check.
+    def _guard_lock(self) -> None:
+        """Route every record-store and DAG call through a lock check.
 
         ``__init__`` calls it in dev mode only, so the hot path is
-        untouched otherwise (docs/internals.md §11.2). Idempotent.
+        untouched otherwise (docs/internals.md §11.2). The pipeline gets
+        both wrappers, and every later transaction the guarded DAG
+        through ``self.dag``. A sharded record store keeps the raw DAG:
+        it is reachable only through its own guard. Idempotent.
         """
-        if not isinstance(self.versions, _RecordStoreGuard):
-            self.versions = _RecordStoreGuard(self.versions, self._lock)
+        if not isinstance(self.versions, _LockGuard):
+            self.versions = _LockGuard(self.versions, self._lock)
+            self.dag = cast(StateDAG, _LockGuard(self.dag, self._lock))
             self.pipeline.versions = self.versions
+            self.pipeline.dag = self.dag
 
     def _hot_metrics(self, m: MetricsRegistry) -> None:
         """Resolve the hot-path metric handles against registry ``m``."""
@@ -554,6 +576,7 @@ class TardisStore:
         return candidates
 
     def _conflict_writes(self, states: List[State]) -> List[Any]:
+        # The caller (``MergeTransaction.find_conflict_writes``) holds the lock.
         forks = self.dag.fork_points_of(states)
         if not forks:
             return []
@@ -700,6 +723,28 @@ class TardisStore:
                 )
         self._notify_commit(record)
         return record.state_id
+
+    def adopt_merge(self, merge_id: StateId) -> List[str]:
+        """Re-anchor every session whose last commit ``merge_id`` subsumes.
+
+        The application-level convergence step after a merge commits:
+        without it each client rides its own branch forever and the DAG
+        can never be collected. A session whose anchor was collected is
+        skipped; it re-anchors on its next commit. Returns the names of
+        the sessions moved.
+        """
+        with self._lock:
+            merged = self.dag.resolve(merge_id)
+            moved = []
+            for session in self._sessions.values():
+                try:
+                    anchor = session.last_commit_state()
+                except GarbageCollectedError:
+                    continue
+                if self.dag.descendant_check(anchor, merged):
+                    session.last_commit_id = merge_id
+                    moved.append(session.name)
+        return moved
 
     def _pipeline_aborted(self, txn: BaseTransaction, exc: TransactionAborted) -> None:
         """The pipeline aborted the commit with the DAG unchanged.

@@ -62,7 +62,7 @@ class VersionedRecordStore:
     """The key-version mapping: per key, its versions and their values."""
 
     # No lock of its own: every call runs under the owning TardisStore's
-    # ``_lock``, which ``python -X dev`` checks (``_RecordStoreGuard``).
+    # ``_lock``, which ``python -X dev`` checks (``_LockGuard``).
 
     def __init__(self) -> None:
         #: key -> its versions in ascending id order; never empty.

@@ -193,10 +193,11 @@ class DivergenceMonitor:
     def sample(self) -> None:
         now = self.clock()
         self.samples_taken += 1
+        # One store's lock at a time, never two nested.
         for site, store in self.stores.items():
-            dag = store.dag
-            branch_count = len(dag.leaves())
-            width, depth = dag_extent(dag)
+            with store._lock:
+                branch_count = len(store.dag.leaves())
+                width, depth = dag_extent(store.dag)
             if branch_count <= 1:
                 self._last_converged[site] = now
             staleness = now - self._last_converged.setdefault(site, now)
@@ -207,10 +208,10 @@ class DivergenceMonitor:
             self._feed("tardis_merge_debt@%s" % site, now, merge_debt)
             self._feed("tardis_staleness_ms@%s" % site, now, staleness)
         if len(self.stores) > 1:
-            ids = {
-                site: {s.id for s in store.dag.states()}
-                for site, store in self.stores.items()
-            }
+            ids = {}
+            for site, store in self.stores.items():
+                with store._lock:
+                    ids[site] = {s.id for s in store.dag.states()}
             total_lag = 0
             for src, src_ids in ids.items():
                 for dst, dst_ids in ids.items():

@@ -586,7 +586,7 @@ class ShardedRecordStore:
     shard) so the data distribution is observable.
 
     Every method runs under the owning TardisStore's lock, which
-    ``python -X dev`` checks (``_RecordStoreGuard``); links are
+    ``python -X dev`` checks (``_LockGuard``); links are
     single-owner, so there is no coordinator-side concurrency to manage
     beyond that.
     """

@@ -131,10 +131,10 @@ class Cluster:
         """
         values = []
         for store in self.stores.values():
-            leaves = store.dag.leaves()
-            if len(leaves) != 1:
-                return False
             with store._lock:
+                leaves = store.dag.leaves()
+                if len(leaves) != 1:
+                    return False
                 hit = store.versions.read_visible(key, leaves[0], store.dag)
             values.append(hit if hit is None else hit[1])
         return all(v == values[0] for v in values)

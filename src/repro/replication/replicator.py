@@ -179,24 +179,23 @@ class Replicator:
                 site=self.site,
                 **stamp(request.waiting, request.waiting_parent)
             )
-        state = self.store.dag.get(request.state_id)
-        if state is None:
-            promoted = self.store.dag.promotion_of(request.state_id)
-            self.network.send(
-                self.site,
-                src,
-                FetchResponse(request.state_id, promoted_to=promoted),
-            )
-            return
         with self.store._lock:
-            writes = {
-                key: self.store.versions.record(key, state.id)
-                for key in state.write_keys
-            }
-        record = CommitRecord(state.id, tuple(p.id for p in state.parents), writes)
-        self.network.send(
-            self.site, src, FetchResponse(request.state_id, record=record)
-        )
+            state = self.store.dag.get(request.state_id)
+            if state is None:
+                response = FetchResponse(
+                    request.state_id,
+                    promoted_to=self.store.dag.promotion_of(request.state_id),
+                )
+            else:
+                writes = {
+                    key: self.store.versions.record(key, state.id)
+                    for key in state.write_keys
+                }
+                record = CommitRecord(
+                    state.id, tuple(p.id for p in state.parents), writes
+                )
+                response = FetchResponse(request.state_id, record=record)
+        self.network.send(self.site, src, response)
 
     def _absorb_fetch(self, src: str, response: FetchResponse) -> None:
         if response.record is not None:
@@ -206,11 +205,11 @@ class Replicator:
             # The peer compressed the state away: its identity lives on in
             # the promoted descendant. Record the same promotion locally
             # so dependent transactions resolve, then retry them.
-            if response.promoted_to in self.store.dag:
-                if response.state_id not in self.store.dag:
-                    self.store.dag._promotions[response.state_id] = (
-                        response.promoted_to
-                    )
+            dag = self.store.dag
+            if response.promoted_to in dag:
+                with self.store._lock:
+                    if response.state_id not in dag:
+                        dag.add_promotions({response.state_id: response.promoted_to})
                 self._drain_pending(response.state_id)
                 return
             # We collected past the promotion target too (and flushed the

@@ -399,15 +399,15 @@ def _stats(server: TardisServer, session: WireSession, request: _Json) -> _Json:
     stats["inflight"] = gauges["inflight"]
     stats["draining"] = server._closing
     stats["open_sessions"] = gauges["sessions"]
-    stats["open_txns"] = sum(
-        1
-        for sess in store.sessions()
-        for txn in list(sess._active_txns)
-        if txn.status == ACTIVE
-    )
     # Under the store lock: with shard workers ``num_records`` is a
     # round trip on the links a concurrent commit may be using.
     with store._lock:
+        stats["open_txns"] = sum(
+            1
+            for sess in store.sessions()
+            for txn in sess._active_txns
+            if txn.status == ACTIVE
+        )
         stats["store"] = {
             "site": store.site,
             "states": len(store.dag),

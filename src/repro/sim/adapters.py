@@ -34,7 +34,6 @@ from repro.core.store import TardisStore
 from repro.core.transaction import Transaction
 from repro.errors import (
     DeadlockError,
-    GarbageCollectedError,
     TransactionAborted,
     ValidationError,
 )
@@ -234,8 +233,9 @@ class TardisAdapter(SystemAdapter):
     def maintenance(self) -> float:
         """Merge all divergent branches (last-writer-wins), then GC."""
         cost = 0.0
-        leaves = self.store.dag.leaves()
-        if len(leaves) > 1:
+        with self.store._lock:
+            branched = len(self.store.dag.leaves()) > 1
+        if branched:
             cost += self.merge_all_lww()
         if self.gc_enabled:
             for session in self.store.sessions():
@@ -293,36 +293,22 @@ class TardisAdapter(SystemAdapter):
             cost += self.costs.commit_base + self.costs.log_append
         except TransactionAborted:  # pragma: no cover - LWW merge is Any/Ser safe
             return cost
-        # Clients adopt the merged branch: re-anchor every session whose
-        # last commit the merge subsumes (the application-level
-        # convergence step; without it each client rides its own branch
-        # forever and the DAG can never be collected).
-        dag = self.store.dag
-        merge_state = dag.resolve(merge_id)
-        for session in self.store.sessions():
-            try:
-                anchor = session.last_commit_state()
-            except GarbageCollectedError:
-                # The session's anchor was collected out from under it;
-                # it re-anchors on its next commit.
-                continue
-            if dag.descendant_check(anchor, merge_state):
-                session.last_commit_id = merge_id
+        self.store.adopt_merge(merge_id)
         return cost
 
     def stats(self) -> Dict[str, Any]:
-        _width, depth = dag_extent(self.store.dag)
-        with self.store._lock:
-            records = self.store.versions.num_records()
-        return {
-            "states": len(self.store.dag),
-            "records": records,
-            "forks": self.store.metrics.forks,
-            "merges": self.merges_run,
-            "aborts": self.store.metrics.aborts,
-            "leaves": len(self.store.dag.leaves()),
-            "dag_depth": depth,
-        }
+        store = self.store
+        with store._lock:
+            _width, depth = dag_extent(store.dag)
+            return {
+                "states": len(store.dag),
+                "records": store.versions.num_records(),
+                "forks": store.metrics.forks,
+                "merges": self.merges_run,
+                "aborts": store.metrics.aborts,
+                "leaves": len(store.dag.leaves()),
+                "dag_depth": depth,
+            }
 
 
 class TwoPLAdapter(SystemAdapter):

@@ -178,12 +178,14 @@ def cmd_metrics(args) -> int:
         commits = counter("tardis_txn_commit_total")
         forks = counter("tardis_branch_fork_total")
         merges = counter("tardis_branch_merge_total")
+        with store._lock:
+            leaves = store.dag.leaves()
         print()
         print("-- branches " + "-" * 48)
         print(
             "leaves=%d  live_states=%d  conflict_rate=%.2f%% (%d forks / %d commits)  merges=%d"
             % (
-                len(store.dag.leaves()),
+                len(leaves),
                 len(store.dag),
                 100.0 * forks / max(commits, 1),
                 forks,
@@ -191,7 +193,7 @@ def cmd_metrics(args) -> int:
                 merges,
             )
         )
-        for leaf in store.dag.leaves():
+        for leaf in leaves:
             print(
                 "  leaf %-24s depth=%-3d %s"
                 % (leaf.id, popcount(leaf.path_mask), "merge" if leaf.is_merge else "")

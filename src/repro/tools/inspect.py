@@ -29,33 +29,35 @@ def dag_to_dot(
         '  node [shape=box, style="rounded,filled", fillcolor=white, '
         'fontname="monospace", fontsize=10];',
     ]
-    for state in sorted(store.dag.states(), key=lambda s: s.id):
-        label = repr(state.id)
-        if show_writes and state.write_keys:
-            keys = sorted(map(str, state.write_keys))
-            shown = ",".join(keys[:max_label_keys])
-            if len(keys) > max_label_keys:
-                shown += ",..."
-            label += "\\n{%s}" % shown
-        attrs = ['label="%s"' % label]
-        if state.is_leaf:
-            attrs.append("fillcolor=palegreen")
-        if state.is_fork_point:
-            attrs.append("fillcolor=lightblue")
-            attrs.append("penwidth=2")
-        if state.is_merge:
-            attrs.append("fillcolor=khaki")
-        if state.marked:
-            attrs.append("fontcolor=gray40")
-            attrs.append("style=\"rounded,filled,dashed\"")
-        lines.append("  %s [%s];" % (_dot_id(state.id), ", ".join(attrs)))
-    for state in store.dag.states():
-        seen = set()
-        for child in state.children:
-            if id(child) in seen:
-                continue
-            seen.add(id(child))
-            lines.append("  %s -> %s;" % (_dot_id(state.id), _dot_id(child.id)))
+    # A concurrent commit or GC cycle changes the DAG.
+    with store._lock:
+        for state in sorted(store.dag.states(), key=lambda s: s.id):
+            label = repr(state.id)
+            if show_writes and state.write_keys:
+                keys = sorted(map(str, state.write_keys))
+                shown = ",".join(keys[:max_label_keys])
+                if len(keys) > max_label_keys:
+                    shown += ",..."
+                label += "\\n{%s}" % shown
+            attrs = ['label="%s"' % label]
+            if state.is_leaf:
+                attrs.append("fillcolor=palegreen")
+            if state.is_fork_point:
+                attrs.append("fillcolor=lightblue")
+                attrs.append("penwidth=2")
+            if state.is_merge:
+                attrs.append("fillcolor=khaki")
+            if state.marked:
+                attrs.append("fontcolor=gray40")
+                attrs.append("style=\"rounded,filled,dashed\"")
+            lines.append("  %s [%s];" % (_dot_id(state.id), ", ".join(attrs)))
+        for state in store.dag.states():
+            seen = set()
+            for child in state.children:
+                if id(child) in seen:
+                    continue
+                seen.add(id(child))
+                lines.append("  %s -> %s;" % (_dot_id(state.id), _dot_id(child.id)))
     lines.append("}")
     return "\n".join(lines)
 

@@ -84,6 +84,8 @@ class TestAncestryFuzz:
         for step in range(60):
             action = rng.random()
             session = rng.choice(sessions)
+            with store._lock:
+                branched = len(store.dag.leaves()) > 1
             if action < 0.70:
                 txn = store.begin(session=session)
                 txn.put(rng.choice(keys), step)
@@ -91,7 +93,7 @@ class TestAncestryFuzz:
                     txn.commit()
                 except TransactionAborted:
                     pass
-            elif action < 0.85 and len(store.dag.leaves()) > 1:
+            elif action < 0.85 and branched:
                 merge = store.begin_merge(session=session)
                 for key in merge.find_conflict_writes():
                     values = merge.get_all(key)
@@ -108,17 +110,19 @@ class TestAncestryFuzz:
             if step % 15 == 14:
                 self._assert_equivalence(store)
         self._assert_equivalence(store)
-        store.dag.check_invariants()
+        with store._lock:
+            store.dag.check_invariants()
 
     @staticmethod
     def _assert_equivalence(store):
         dag = store.dag
-        states = list(dag.states())
-        for x in states:
-            for y in states:
-                assert dag.descendant_check(x, y) == dag.ancestor_walk_check(
-                    x, y
-                ), (x.id, y.id)
+        with store._lock:
+            states = list(dag.states())
+            for x in states:
+                for y in states:
+                    assert dag.descendant_check(x, y) == dag.ancestor_walk_check(
+                        x, y
+                    ), (x.id, y.id)
 
     def test_gc_scrub_retires_bits(self):
         store = TardisStore("A")
@@ -143,9 +147,10 @@ class TestAncestryFuzz:
         stats2 = store.collect_garbage()
         assert stats1.fork_entries_scrubbed + stats2.fork_entries_scrubbed > 0
         assert len(store.dag.ancestry) == 0
-        for state in store.dag.states():
-            assert state.path_mask == 0
-        store.dag.check_invariants()
+        with store._lock:
+            for state in store.dag.states():
+                assert state.path_mask == 0
+            store.dag.check_invariants()
 
 
 class TestCommitPipelineRecovery:

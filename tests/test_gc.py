@@ -100,7 +100,8 @@ class TestDagCompression:
         t2.put("x", t2.get("x") + 1)
         t1.commit()
         t2.commit()
-        fork_id = store.dag.fork_points_of(store.dag.leaves())[0].id
+        with store._lock:
+            fork_id = store.dag.fork_points_of(store.dag.leaves())[0].id
         commit_chain(store, a, 5, key="y")
         a.place_ceiling()
         b.place_ceiling()
@@ -217,7 +218,7 @@ class TestRecordPromotion:
         commit_chain(store, sess, 5)
         sess.place_ceiling()
         store.collect_garbage(flush_promotions=True)
-        with pytest.raises(GarbageCollectedError):
+        with store._lock, pytest.raises(GarbageCollectedError):
             store.dag.resolve(first)
 
     def test_repeated_collection_is_idempotent(self, store):
@@ -244,20 +245,23 @@ class TestRecordPromotion:
         tail = store.begin(session=a)
         tail.put("y", 1)
         tail.commit()
-        assert store.dag.resolve(a.last_commit_id).path_mask != 0
+        with store._lock:
+            assert store.dag.resolve(a.last_commit_id).path_mask != 0
         a.place_ceiling()
         b.ceiling = a.last_commit_id
         stats = store.collect_garbage()
         assert stats.fork_entries_scrubbed > 0
         # The surviving chain carries no fork-path entries at all.
-        for state in store.dag.states():
-            assert list(store.dag.ancestry.points_of(state.path_mask)) == []
+        with store._lock:
+            for state in store.dag.states():
+                assert list(store.dag.ancestry.points_of(state.path_mask)) == []
         # Visibility still correct after the scrub.
         t = store.begin(session=a)
         assert t.get("x") == 6
         assert t.get("y") == 1
         t.commit()
-        store.dag.check_invariants()
+        with store._lock:
+            store.dag.check_invariants()
 
     def test_gc_under_load_interleaved(self, store):
         """Collect between batches; correctness of latest value holds."""
@@ -284,60 +288,59 @@ def reference_collect(store):
     per victim — re-sorting the DAG and re-testing every state on every
     sweep. Quadratic on long chains, which is why it lives here.
     """
-    dag, gc = store.dag, store.gc
-    stats = GCStats()
-    common = None
-    for state_id in gc.ceilings.values():
-        try:
-            ceiling = dag.resolve(state_id)
-        except GarbageCollectedError:
-            continue
-        ancestors, stack = set(), list(ceiling.parents)
-        while stack:
-            current = stack.pop()
-            if current.id not in ancestors:
-                ancestors.add(current.id)
-                stack.extend(current.parents)
-        common = ancestors if common is None else common & ancestors
-    if common:
-        for state in list(dag.states()):
-            if state.id in common:
-                state.marked = True
-        stats.marked = sum(1 for s in dag.states() if s.marked)
-        for state in sorted(dag.states(), key=lambda s: s.id):
-            state.safe_to_gc = (
-                state.marked
-                and state.pins == 0
-                and all(p.safe_to_gc for p in state.parents)
-            )
-        stats.safe = sum(1 for s in dag.states() if s.safe_to_gc)
-        dead_forks = set()
-        while True:
-            candidates = [
-                s
-                for s in sorted(dag.states(), key=lambda s: s.id)
-                if s.safe_to_gc and s.children and len(set(map(id, s.children))) == 1
-            ]
-            if gc.consent_filter is not None:
-                allowed = gc.consent_filter({s.id for s in candidates})
-                candidates = [s for s in candidates if s.id in allowed]
-            for state in candidates:
-                if state.next_branch >= 2:
-                    dead_forks.add(state.id)
-                child = dag.splice_out(state)
-                child.write_keys = child.write_keys | state.write_keys
-            stats.states_removed += len(candidates)
-            if not candidates:
-                break
-        if dead_forks:
-            stats.fork_entries_scrubbed = dag.retire_forks(dead_forks)
     with store._lock:
+        dag, gc = store.dag, store.gc
+        stats = GCStats()
+        common = None
+        for state_id in gc.ceilings.values():
+            try:
+                ceiling = dag.resolve(state_id)
+            except GarbageCollectedError:
+                continue
+            ancestors, stack = set(), list(ceiling.parents)
+            while stack:
+                current = stack.pop()
+                if current.id not in ancestors:
+                    ancestors.add(current.id)
+                    stack.extend(current.parents)
+            common = ancestors if common is None else common & ancestors
+        if common:
+            for state in list(dag.states()):
+                if state.id in common:
+                    state.marked = True
+            stats.marked = sum(1 for s in dag.states() if s.marked)
+            for state in sorted(dag.states(), key=lambda s: s.id):
+                state.safe_to_gc = (
+                    state.marked
+                    and state.pins == 0
+                    and all(p.safe_to_gc for p in state.parents)
+                )
+            stats.safe = sum(1 for s in dag.states() if s.safe_to_gc)
+            dead_forks = set()
+            while True:
+                candidates = [
+                    s
+                    for s in sorted(dag.states(), key=lambda s: s.id)
+                    if s.safe_to_gc and s.children and len(set(map(id, s.children))) == 1
+                ]
+                if gc.consent_filter is not None:
+                    allowed = gc.consent_filter({s.id for s in candidates})
+                    candidates = [s for s in candidates if s.id in allowed]
+                for state in candidates:
+                    if state.next_branch >= 2:
+                        dead_forks.add(state.id)
+                    child = dag.splice_out(state)
+                    child.write_keys = child.write_keys | state.write_keys
+                stats.states_removed += len(candidates)
+                if not candidates:
+                    break
+            if dead_forks:
+                stats.fork_entries_scrubbed = dag.retire_forks(dead_forks)
         promoted, dropped = store.versions.promote_and_prune(dag)
-    stats.records_promoted, stats.records_dropped = promoted, dropped
-    held = {s.last_commit_id for s in store.sessions()} | set(gc.ceilings.values())
-    stats.promotions_flushed = dag.prune_promotions(held)
-    stats.live_states = len(dag)
-    with store._lock:
+        stats.records_promoted, stats.records_dropped = promoted, dropped
+        held = {s.last_commit_id for s in store.sessions()} | set(gc.ceilings.values())
+        stats.promotions_flushed = dag.prune_promotions(held)
+        stats.live_states = len(dag)
         stats.live_records = store.versions.num_records()
     return stats
 
@@ -367,7 +370,7 @@ class TestChainSpliceEquivalence:
                 for s in live
             ],
             [heir(sid) for sid in sorted(ever_seen)],
-            sorted(dag._promotions.items()),
+            sorted(dag.promotions().items()),
             [
                 store.versions.read_visible(key, s, dag)
                 for s in live
@@ -401,13 +404,12 @@ class TestChainSpliceEquivalence:
         prune = store.dag.prune_promotions
 
         def recording_prune(held):
-            table = dict(store.dag._promotions)
+            table = store.dag.promotions()
             shadow.update(table)
             dropped = prune(held)
-            assert store.dag._promotions == {
-                sid: heir(sid) for sid in held if sid in table
-            }
-            assert dropped == len(table) - len(store.dag._promotions)
+            kept = store.dag.promotions()
+            assert kept == {sid: heir(sid) for sid in held if sid in table}
+            assert dropped == len(table) - len(kept)
             return dropped
 
         def heir(sid):
@@ -442,7 +444,9 @@ class TestChainSpliceEquivalence:
             elif op < 0.74 and pinned:
                 pinned.pop(0).commit()
             elif op < 0.86:
-                if len(store.dag.leaves()) > 1:
+                with store._lock:
+                    branched = len(store.dag.leaves()) > 1
+                if branched:
                     merge = store.begin_merge(session=sess)
                     conflicts = merge.find_conflict_writes()
                     observed.append(("conflicts", tuple(conflicts)))
@@ -450,7 +454,8 @@ class TestChainSpliceEquivalence:
                         merge.put(key, max(merge.get_all(key), key=repr))
                     observed.append(("merge", merge.commit()))
             else:
-                ever_seen.update(s.id for s in store.dag.states())
+                with store._lock:
+                    ever_seen.update(s.id for s in store.dag.states())
                 refusing[0] = rng.random() < 0.4
                 head = max(s.last_commit_id for s in sessions)
                 for s in sessions:
@@ -462,7 +467,8 @@ class TestChainSpliceEquivalence:
                 seen["pruned"] += stats.promotions_flushed
                 seen["pinned"] += stats.safe < stats.marked
                 observed.append(("gc", stats, self.snapshot(store, ever_seen, heir)))
-                store.dag.check_invariants()
+                with store._lock:
+                    store.dag.check_invariants()
         for txn in pinned:
             txn.abort()
         return observed, seen
@@ -498,7 +504,8 @@ class TestChainSpliceEquivalence:
         for sess in (a, b):
             sess.ceiling = a.last_commit_id
         store.collect_garbage()
-        (survivor,) = store.dag.states()
+        with store._lock:
+            (survivor,) = store.dag.states()
         assert survivor.write_keys == {"x", "left", "right0", "right1", "tail"}
 
     def test_write_keys_survive_a_failing_consent_filter(self, store):
@@ -517,7 +524,8 @@ class TestChainSpliceEquivalence:
         store.gc.consent_filter = consent
         with pytest.raises(RuntimeError):
             store.collect_garbage()
-        (survivor,) = store.dag.states()
+        with store._lock:
+            (survivor,) = store.dag.states()
         assert survivor.write_keys == {"x", "y"}
 
 
@@ -535,7 +543,8 @@ class TestCycleMemory:
         sess.place_ceiling()
         # Holding the victims makes the peak count every write-key set a
         # splice hangs on one of them, not only those alive at one time.
-        victims = list(store.dag.states())
+        with store._lock:
+            victims = list(store.dag.states())
         tracemalloc.start()
         try:
             stats = store.collect_garbage()
@@ -543,7 +552,8 @@ class TestCycleMemory:
         finally:
             tracemalloc.stop()
         assert stats.states_removed == n_commits == len(victims) - 1
-        (survivor,) = store.dag.states()
+        with store._lock:
+            (survivor,) = store.dag.states()
         assert len(survivor.write_keys) == n_keys
         return peak / 1e6
 
@@ -572,7 +582,8 @@ class TestHeldHandle:
             sess.place_ceiling()
             store.collect_garbage()
         assert held.read_state.id not in store.dag  # collected, still held
-        collected = set(later) - {s.id for s in store.dag.states()}
+        with store._lock:
+            collected = set(later) - {s.id for s in store.dag.states()}
         assert len(collected) == len(later) - 1
         del t  # a handle of its own: it holds its read state
         gc.collect()

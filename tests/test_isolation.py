@@ -88,7 +88,8 @@ def run_random_history(
 
 def branch_states(store, leaf):
     """The states on the path(s) from the root to ``leaf``, id order."""
-    states = store.dag.states_between(leaf, store.dag.root)
+    with store._lock:
+        states = store.dag.states_between(leaf, store.dag.root)
     return sorted(states, key=lambda s: s.id)
 
 
@@ -103,7 +104,9 @@ def check_branch_serializable(store, recorded, require_all_ro=True):
     updates = {t.commit_id: t for t in recorded if t.writes}
     readonly = [t for t in recorded if not t.writes]
     verified_ro = set()
-    for leaf in store.dag.leaves():
+    with store._lock:
+        leaves = store.dag.leaves()
+    for leaf in leaves:
         replay = {}
         snapshots = {store.dag.root.id: {}}
         for state in branch_states(store, leaf):
@@ -142,7 +145,8 @@ class TestBranchSerializability:
     def test_sequential_histories_single_branch(self, seed):
         store, recorded = run_random_history(seed, interleave=False)
         # Without interleaving there are no conflicts: one branch only.
-        assert len(store.dag.leaves()) == 1
+        with store._lock:
+            assert len(store.dag.leaves()) == 1
         check_branch_serializable(store, recorded)
 
     @given(st.integers(0, 10_000))
@@ -165,13 +169,13 @@ class TestBranchSerializability:
 
         def leaf_views():
             views = {}
-            for leaf in store.dag.leaves():
-                view = {}
-                for key in keys:
-                    with store._lock:
+            with store._lock:
+                for leaf in store.dag.leaves():
+                    view = {}
+                    for key in keys:
                         hit = store.versions.read_visible(key, leaf, store.dag)
-                    view[key] = None if hit is None else hit[1]
-                views[leaf.id] = view
+                        view[key] = None if hit is None else hit[1]
+                    views[leaf.id] = view
             return views
 
         before = leaf_views()
@@ -194,23 +198,24 @@ class TestSnapshotIsolationBranch:
             seed, end_constraint=SnapshotIsolationConstraint()
         )
         by_commit = {t.commit_id: t for t in recorded}
-        for leaf in store.dag.leaves():
-            states = branch_states(store, leaf)
-            # First-committer-wins: within one branch, consecutive
-            # writers of a key must have observed each other: the later
-            # one's snapshot (read state) is a descendant of the earlier
-            # writer's commit state.
-            last_writer = {}
-            for state in states:
-                txn = by_commit.get(state.id)
-                if txn is None:
-                    continue
-                for key in txn.writes:
-                    if key in last_writer:
-                        earlier = store.dag.get(last_writer[key])
-                        if earlier is not None:
-                            assert store.dag.descendant_check(earlier, state)
-                    last_writer[key] = state.id
+        with store._lock:
+            for leaf in store.dag.leaves():
+                states = branch_states(store, leaf)
+                # First-committer-wins: within one branch, consecutive
+                # writers of a key must have observed each other: the
+                # later one's snapshot (read state) is a descendant of
+                # the earlier writer's commit state.
+                last_writer = {}
+                for state in states:
+                    txn = by_commit.get(state.id)
+                    if txn is None:
+                        continue
+                    for key in txn.writes:
+                        if key in last_writer:
+                            earlier = store.dag.get(last_writer[key])
+                            if earlier is not None:
+                                assert store.dag.descendant_check(earlier, state)
+                        last_writer[key] = state.id
 
 
 class TestSessionGuarantees:
@@ -265,4 +270,5 @@ class TestSessionGuarantees:
         # Each branch counted its own increments only.
         assert store.begin(session=a, read_only=True).get("x") == 11
         assert store.begin(session=b, read_only=True).get("x") == 11
-        assert len(store.dag.leaves()) == 2
+        with store._lock:
+            assert len(store.dag.leaves()) == 2

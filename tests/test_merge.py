@@ -33,7 +33,8 @@ class TestMergeBasics:
         fork_counter(store)
         m = store.begin_merge()
         assert len(m.parents) == 2
-        assert {p for p in m.parents} == {l.id for l in store.dag.leaves()}
+        with store._lock:
+            assert {p for p in m.parents} == {l.id for l in store.dag.leaves()}
         m.abort()
 
     def test_find_fork_points(self, store):
@@ -115,7 +116,8 @@ class TestMergeCommit:
         m.commit()
         assert merged == 20
         assert store.get("c") == 20
-        assert len(store.dag.leaves()) == 1
+        with store._lock:
+            assert len(store.dag.leaves()) == 1
         assert store.metrics.merges == 1
 
     def test_merge_three_branches(self, store):
@@ -129,7 +131,8 @@ class TestMergeCommit:
         fork_counter(store)
         m, _ = self.merge_counter(store)
         sid = m.commit()
-        state = store.dag.resolve(sid)
+        with store._lock:
+            state = store.dag.resolve(sid)
         assert {p.id for p in state.parents} == set(m.parents)
 
     def test_after_merge_single_mode_sees_merged_value(self, store):
@@ -163,7 +166,8 @@ class TestMergeCommit:
         m = store.begin_merge()
         m.put("c", 999)
         m.abort()
-        assert len(store.dag.leaves()) == 2
+        with store._lock:
+            assert len(store.dag.leaves()) == 2
         assert store.metrics.merges == 0
 
     def test_merge_end_constraint_failure_aborts(self, store):
@@ -206,7 +210,8 @@ class TestMergeCommit:
 
     def test_explicit_states_merge(self, store):
         fork_counter(store)
-        leaves = [l.id for l in store.dag.leaves()]
+        with store._lock:
+            leaves = [l.id for l in store.dag.leaves()]
         m = store.begin_merge(states=leaves[:1])
         assert m.parents == leaves[:1]
         m.abort()

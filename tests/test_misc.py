@@ -72,7 +72,9 @@ class TestReprsAndHelpers:
         t2.commit()
         merge = store.begin_merge(session=a)
         merge.put("x", 3)
-        merged = store.dag.resolve(merge.commit())
+        merge_id = merge.commit()
+        with store._lock:
+            merged = store.dag.resolve(merge_id)
         assert "fork_points=2" in repr(merged)
         assert "fork_points=0" in repr(store.dag.root)
 
@@ -121,7 +123,8 @@ class TestVersionsEdges:
             t.put("a", 1)
             t.put("b", 2)
         mid = store.session("s").last_commit_id
-        mid_state = store.dag.leaves()[0]
+        with store._lock:
+            mid_state = store.dag.leaves()[0]
         with store.begin() as t:
             t.put("a", 10)
         with store._lock:
@@ -131,9 +134,11 @@ class TestVersionsEdges:
     def test_read_candidates_superseded_dropped(self):
         store = TardisStore("A")
         store.put("x", 1)
-        s1 = store.dag.leaves()[0]
+        with store._lock:
+            s1 = store.dag.leaves()[0]
         store.put("x", 2)
-        s2 = store.dag.leaves()[0]
+        with store._lock:
+            s2 = store.dag.leaves()[0]
         # s1 is an ancestor of s2: only s2's version is maximal.
         with store._lock:
             candidates = store.versions.read_candidates("x", [s1, s2], store.dag)

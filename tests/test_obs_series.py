@@ -103,15 +103,17 @@ class TestDagExtent:
         store = TardisStore("lin")
         for i in range(3):
             store.put("k", i)
-        width, depth = dag_extent(store.dag)
+        with store._lock:
+            width, depth = dag_extent(store.dag)
         assert width == 1
         assert depth == 3  # root at depth 0, three commits
 
     def test_forked_dag_width(self):
         store = branched_store()
-        width, depth = dag_extent(store.dag)
+        with store._lock:
+            width, depth = dag_extent(store.dag)
+            assert len(store.dag.leaves()) == 2
         assert width == 2  # the two conflicting commits share a level
-        assert len(store.dag.leaves()) == 2
 
 
 class TestDivergenceMonitor:

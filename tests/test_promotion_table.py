@@ -33,12 +33,12 @@ def check_after_cycle(store):
     dag = store.dag
     held = held_ids(store)
     assert dag.promotion_table_size <= len(held)
-    for sid in held:
-        dag.resolve(sid)
-    # Record promotion re-keyed every version to a live state, on every
-    # plane: this is why the table needs no entry for a record id. The
-    # worker links' mask tables hold live states only, too.
     with store._lock:
+        for sid in held:
+            dag.resolve(sid)
+        # Record promotion re-keyed every version to a live state, on
+        # every plane: this is why the table needs no entry for a record
+        # id. The worker links' mask tables hold live states only, too.
         for key in store.versions.keys():
             for sid in store.versions.versions_of(key):
                 assert dag.get(sid) is not None, (key, sid)
@@ -91,7 +91,7 @@ def drive(store, collect, commits=10240):
                 assert stats.states_removed > 0
                 check_after_cycle(store)
                 assert first not in held_ids(store)
-                with pytest.raises(GarbageCollectedError):
+                with store._lock, pytest.raises(GarbageCollectedError):
                     store.dag.resolve(first)
                 with pytest.raises(BeginError):
                     store.begin(StateIdConstraint([first]))
@@ -120,7 +120,8 @@ class TestTheTableIsBounded:
         assert store.gc.cycles == 10240 // CYCLE_EVERY
         # The root, collected long ago, still resolves for ``idle``.
         assert store.dag.root.id != ROOT_ID
-        assert store.dag.resolve(ROOT_ID) is store.dag.root
+        with store._lock:
+            assert store.dag.resolve(ROOT_ID) is store.dag.root
         assert 1 <= store.dag.promotion_table_size <= 3
 
     def test_worker_process_store_reads_like_the_flat_store(self, oracle_reads):
@@ -142,14 +143,15 @@ class TestTheTableIsBounded:
         # root and five commits collected; only idle's anchor is kept.
         assert (stats.states_removed, stats.promotions_flushed) == (6, 5)
         assert store.dag.promotion_table_size == 1
-        assert store.dag.resolve(ROOT_ID).id == sess.last_commit_id
-        with pytest.raises(GarbageCollectedError):
-            store.dag.resolve(first)
+        with store._lock:
+            assert store.dag.resolve(ROOT_ID).id == sess.last_commit_id
+            with pytest.raises(GarbageCollectedError):
+                store.dag.resolve(first)
         store.close_session("idle")
         stats = store.collect_garbage()
         assert (stats.states_removed, stats.promotions_flushed) == (0, 1)
         assert store.dag.promotion_table_size == 0
-        with pytest.raises(GarbageCollectedError):
+        with store._lock, pytest.raises(GarbageCollectedError):
             store.dag.resolve(ROOT_ID)
         assert idle.last_commit_id == ROOT_ID
 
@@ -165,7 +167,8 @@ class TestSplicedCeiling:
         store.collect_garbage()
         # ``spliced`` was collected while p's anchor held its entry.
         assert store.dag.get(spliced) is None
-        heir = store.dag.resolve(spliced)
+        with store._lock:
+            heir = store.dag.resolve(spliced)
         assert heir.id == w.last_commit_id
         # A reader places its ceiling there; once p closes, the ceiling
         # is the id's only holder.
@@ -235,13 +238,15 @@ class TestReplicatedStore:
         assert us.dag.promotion_table_size == 10
         # A peer asking for ``first`` is answered with its heir (§6.4).
         assert us.dag.promotion_of(first) is not None
-        assert us.dag.resolve(first).id == sess.last_commit_id
+        with us._lock:
+            assert us.dag.resolve(first).id == sess.last_commit_id
         # flush_promotions goes through the same prune: held ids stay.
         local = eu.session("local")
         local.ceiling = sess.last_commit_id
         stats = eu.collect_garbage(flush_promotions=True)
         assert stats.states_removed == 10
         assert eu.dag.promotion_table_size == 1
-        assert eu.dag.resolve(local.last_commit_id) is eu.dag.root
-        with pytest.raises(GarbageCollectedError):
-            eu.dag.resolve(first)
+        with eu._lock:
+            assert eu.dag.resolve(local.last_commit_id) is eu.dag.root
+            with pytest.raises(GarbageCollectedError):
+                eu.dag.resolve(first)

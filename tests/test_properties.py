@@ -56,7 +56,9 @@ def apply_schedule(store, schedule, gc_points=()):
 
 def final_views(store, keys):
     views = []
-    for leaf in sorted(store.dag.leaves(), key=lambda s: s.id):
+    with store._lock:
+        leaves = sorted(store.dag.leaves(), key=lambda s: s.id)
+    for leaf in leaves:
         with store._lock:
             view = tuple(
                 (key, (store.versions.read_visible(key, leaf, store.dag) or (None, None))[1])
@@ -110,7 +112,9 @@ class TestGcEquivalence:
         # last GC point (up to 10 transactions' worth, each possibly
         # forking) are still uncollected when the schedule ends, so the
         # count can legitimately exceed the steady-state handful.
-        if len(store.dag.leaves()) == 1:
+        with store._lock:
+            converged = len(store.dag.leaves()) == 1
+        if converged:
             assert len(store.dag) <= 32
 
 

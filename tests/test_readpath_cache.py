@@ -131,6 +131,8 @@ def drive(store, rng, steps=150):
     for step in range(steps):
         op = rng.random()
         sess = sessions[rng.randrange(len(sessions))]
+        with store._lock:
+            branched = len(store.dag.leaves()) > 1
         if op < 0.20:
             # Overlapping read-write pairs on ``base``: branch on conflict.
             other = sessions[(sessions.index(sess) + 1) % len(sessions)]
@@ -157,15 +159,15 @@ def drive(store, rng, steps=150):
         elif op < 0.75:
             # Reads from arbitrary live states, interior ones included:
             # masks and ids the transactions above would not pick.
-            states = list(store.dag.states())
-            for _ in range(3):
-                state = states[rng.randrange(len(states))]
-                with store._lock:
+            with store._lock:
+                states = list(store.dag.states())
+                for _ in range(3):
+                    state = states[rng.randrange(len(states))]
                     store.versions.read_visible(
                         KEYS[rng.randrange(len(KEYS))], state, store.dag
                     )
-                covered["probes"] += 1
-        elif op < 0.88 and len(store.dag.leaves()) > 1:
+                    covered["probes"] += 1
+        elif op < 0.88 and branched:
             merge = store.begin_merge(session=sess)
             for key in merge.find_conflict_writes():
                 merge.put(key, max(merge.get_all(key), key=repr))
@@ -188,8 +190,8 @@ def drive(store, rng, steps=150):
             covered["removed"] += stats.states_removed
             covered["promoted"] += stats.records_promoted + stats.records_dropped
             covered["scrubbed"] += stats.fork_entries_scrubbed
-    for leaf in store.dag.leaves():
-        with store._lock:
+    with store._lock:
+        for leaf in store.dag.leaves():
             store.versions.read_visible_many(KEYS, leaf, store.dag)
     covered["forks"] = store.metrics.forks
     covered["merges"] = store.metrics.merges

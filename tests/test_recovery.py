@@ -53,11 +53,13 @@ class TestRecovery:
         recovered, report = recover_store("A", str(tmp_path / "wal.log"))
         assert report["replayed"] == 4
         assert recovered.get("x") == 6
-        assert recovered.dag.num_forks() == store.dag.num_forks()
-        # Branch structure identical: same leaves.
-        assert {l.id for l in recovered.dag.leaves()} == {
-            l.id for l in store.dag.leaves()
-        }
+        with store._lock:
+            forks = store.dag.num_forks()
+            leaves = {l.id for l in store.dag.leaves()}
+        with recovered._lock:
+            assert recovered.dag.num_forks() == forks
+            # Branch structure identical: same leaves.
+            assert {l.id for l in recovered.dag.leaves()} == leaves
 
     def test_recovered_store_continues(self, tmp_path):
         store = make_store(tmp_path)
@@ -437,9 +439,10 @@ class TestCheckpoint:
         recovered, _ = recover_store("A", str(tmp_path / "wal.log"))
         # The held id still resolves after recovery; a collected id that
         # nothing held was dropped at the cycle and stays unresolvable.
-        assert recovered.dag.resolve(held).id == sess.last_commit_id
-        with pytest.raises(GarbageCollectedError):
-            recovered.dag.resolve(first)
+        with recovered._lock:
+            assert recovered.dag.resolve(held).id == sess.last_commit_id
+            with pytest.raises(GarbageCollectedError):
+                recovered.dag.resolve(first)
         assert recovered.dag.promotion_table_size == 1
         assert recovered.get("old") == "v"
         assert recovered.get("idle") == "w"
@@ -458,7 +461,8 @@ class TestCheckpoint:
         checkpoint_store(store)
         store.close()
         recovered, _ = recover_store("A", str(tmp_path / "wal.log"))
-        assert len(recovered.dag.leaves()) == 2
+        with recovered._lock:
+            assert len(recovered.dag.leaves()) == 2
         m = recovered.begin_merge()
         assert sorted(m.get_all("x")) == [1, 2]
         m.abort()

@@ -91,7 +91,8 @@ class TestReplication:
         sid = a.put("x", 1)
         cluster.run(until=100)
         assert sid in b.dag
-        assert b.dag.resolve(sid).id == sid
+        with b._lock:
+            assert b.dag.resolve(sid).id == sid
 
     def test_bidirectional_non_conflicting(self):
         cluster = two_sites()
@@ -101,8 +102,9 @@ class TestReplication:
         cluster.run(until=100)
         # Writes happened concurrently at different sites: each site now
         # holds both branches; values readable per branch.
-        assert len(a.dag.leaves()) == 2
-        assert len(b.dag.leaves()) == 2
+        for store in (a, b):
+            with store._lock:
+                assert len(store.dag.leaves()) == 2
 
     def test_cross_site_conflict_and_merge(self):
         cluster = two_sites()
@@ -178,7 +180,8 @@ class TestReplication:
         assert b.get("x", session=b.session("fresh")) in (0, 1)
         t = b.begin(session=b.session("reader"))
         # The replicated branch is present even if not merged.
-        assert len(b.dag.leaves()) == 2
+        with b._lock:
+            assert len(b.dag.leaves()) == 2
         t.commit()
 
     def test_fetch_recovers_promoted_state(self):
@@ -238,12 +241,14 @@ class TestReplication:
         assert old not in b.dag
         sess.place_ceiling()
         a.collect_garbage()  # us promotes old -> tip, keeps the table
-        assert a.dag.resolve(old).id == tip
+        with a._lock:
+            assert a.dag.resolve(old).id == tip
         late = CommitRecord(StateId(999, "us"), (old,), {"x": 99})
         cluster.replicators["eu"].handle("us", late)
         cluster.run(until=500)
         assert StateId(999, "us") in b.dag
-        assert b.dag.resolve(StateId(999, "us")).parents[0].id == tip
+        with b._lock:
+            assert b.dag.resolve(StateId(999, "us")).parents[0].id == tip
 
     def test_fetch_content_recovers_lost_gossip(self):
         """A dropped gossip message is refetched by content on demand."""

@@ -68,7 +68,8 @@ def served():
 
 
 def _total_pins(store):
-    return sum(state.pins for state in store.dag.states())
+    with store._lock:
+        return sum(state.pins for state in store.dag.states())
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +297,9 @@ class TestConcurrentClients:
                 for conflict in merge.conflicts:
                     merge.put(conflict["key"], max(conflict["values"]))
                 merge.commit()
-                if len(served.store.dag.leaves()) == 1:
+                with served.store._lock:
+                    converged = len(served.store.dag.leaves()) == 1
+                if converged:
                     break
             for i in range(self.N_CLIENTS):
                 assert checker.get("counter-%d" % i) == self.N_INCREMENTS
@@ -342,7 +345,8 @@ class TestDisconnectCleanup:
             for value, txn in zip("AB", txns):
                 txn.put("k", value)
                 txn.commit()
-            assert len(store.dag.leaves()) == 2
+            with store._lock:
+                assert len(store.dag.leaves()) == 2
             assert store.close_session("A") is True
             assert a.get("k") == "A"
             assert b.get("k") == "B"
@@ -1031,7 +1035,8 @@ class TestFramesPerTransaction:
 
 
 def _state_named(store, name):
-    (state,) = [s for s in store.dag.states() if repr(s.id) == name]
+    with store._lock:
+        (state,) = [s for s in store.dag.states() if repr(s.id) == name]
     return state
 
 
@@ -1071,9 +1076,11 @@ class TestDeferredClose:
             # The close rode ahead of the begin, in the same frame.
             assert anchors == [read_at]
             assert later.read_state != read_at
-            assert store.dag.descendant_check(
-                _state_named(store, read_at), _state_named(store, later.read_state)
-            )
+            with store._lock:
+                assert store.dag.descendant_check(
+                    _state_named(store, read_at),
+                    _state_named(store, later.read_state),
+                )
             later.commit()
         finally:
             a.close()

@@ -118,7 +118,8 @@ class TestGrowthTrigger:
         # anchor and ceiling are live, and nothing else is held.
         dag = server.store.dag
         assert store["promotions"] == dag.promotion_table_size == 1
-        assert dag.get(ROOT_ID) is None and dag.resolve(ROOT_ID) is dag.root
+        with server.store._lock:
+            assert dag.get(ROOT_ID) is None and dag.resolve(ROOT_ID) is dag.root
 
     def test_a_stuck_collector_stays_linear(self):
         server, (writer,) = _served_sessions("W")

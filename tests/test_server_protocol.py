@@ -632,7 +632,7 @@ class TestPiggyBackedBeginAndWrites:
         assert answer["error"]["code"] == code
         assert "txn" not in answer
         assert session.txns == {} and _open_txns(session) == 0
-        assert all(state.pins == 0 for state in server.store.dag.states())
+        assert _pins(server) == 0
 
     def test_piggy_backed_begin_is_refused_while_draining(self):
         server, session = _session()
@@ -702,7 +702,8 @@ class TestPiggyBackedBeginAndWrites:
 
 
 def _pins(server):
-    return sum(state.pins for state in server.store.dag.states())
+    with server.store._lock:
+        return sum(state.pins for state in server.store.dag.states())
 
 
 class TestClosedField:

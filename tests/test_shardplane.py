@@ -491,7 +491,8 @@ class TestInstallRollback:
             assert len(store.dag) == states
             assert store.get(live) == "old"
             assert store.metrics.aborts == aborts + 1
-            store.dag.check_invariants()
+            with store._lock:
+                store.dag.check_invariants()
         finally:
             store.close()
 
@@ -518,7 +519,8 @@ class TestInstallRollback:
         t3.put(a, "t3")
         t3.commit()
         assert store.metrics.forks == 1
-        store.dag.check_invariants()
+        with store._lock:
+            store.dag.check_invariants()
         reads = {}
         for session in (sessions[0], sessions[2]):
             txn = store.begin(session=session, read_only=True)

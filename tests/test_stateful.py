@@ -90,8 +90,9 @@ class StoreMachine(RuleBasedStateMachine):
     @rule(session=st.sampled_from(SESSIONS))
     def merge_all(self, session):
         store = self.store
-        if len(store.dag.leaves()) < 2:
-            return
+        with store._lock:
+            if len(store.dag.leaves()) < 2:
+                return
         merge = store.begin_merge(session=store.session(session))
         for key in merge.find_conflict_writes():
             try:
@@ -115,7 +116,8 @@ class StoreMachine(RuleBasedStateMachine):
     @invariant()
     def dag_invariants_hold(self):
         if hasattr(self, "store"):
-            self.store.dag.check_invariants()
+            with self.store._lock:
+                self.store.dag.check_invariants()
 
     @invariant()
     def version_lists_sorted_and_resolvable(self):
@@ -124,18 +126,18 @@ class StoreMachine(RuleBasedStateMachine):
         for key in KEYS:
             with self.store._lock:
                 versions = self.store.versions.versions_of(key)
-            assert versions == sorted(versions, reverse=True), key
-            for sid in versions:
-                self.store.dag.resolve(sid)  # must not raise
+                assert versions == sorted(versions, reverse=True), key
+                for sid in versions:
+                    self.store.dag.resolve(sid)  # must not raise
 
     @invariant()
     def leaves_always_readable(self):
         """Every leaf can serve a read-only transaction."""
         if not hasattr(self, "store"):
             return
-        for leaf in self.store.dag.leaves():
-            for key in KEYS:
-                with self.store._lock:
+        with self.store._lock:
+            for leaf in self.store.dag.leaves():
+                for key in KEYS:
                     self.store.versions.read_visible(key, leaf, self.store.dag)
 
 

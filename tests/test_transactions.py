@@ -132,7 +132,8 @@ class TestBranchOnConflict:
     def test_conflict_creates_branch(self, store):
         self.two_conflicting(store)
         assert store.metrics.forks == 1
-        assert len(store.dag.leaves()) == 2
+        with store._lock:
+            assert len(store.dag.leaves()) == 2
         assert store.metrics.aborts == 0
 
     def test_branches_are_isolated(self, store):
@@ -155,7 +156,8 @@ class TestBranchOnConflict:
         t1.commit()
         t2.commit()  # ripples past t1's commit: no fork
         assert store.metrics.forks == 0
-        assert len(store.dag.leaves()) == 1
+        with store._lock:
+            assert len(store.dag.leaves()) == 1
         t3 = store.begin()
         assert t3.get("x") == 1
         assert t3.get("y") == 2
@@ -343,7 +345,8 @@ class TestRippleDown:
             other.commit()
         t.commit()
         assert store.metrics.forks == 0
-        assert len(store.dag.leaves()) == 1
+        with store._lock:
+            assert len(store.dag.leaves()) == 1
         assert t.trace.ripple_steps == 3
 
     def test_commit_stops_before_conflicting_state(self, store):
