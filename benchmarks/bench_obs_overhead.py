@@ -42,7 +42,6 @@ import pytest
 
 from repro.client.client import TardisClient
 from repro.obs import metrics as _met
-from repro.obs import tracing as _trc
 from repro.server.server import TardisServer
 from repro.sim.adapters import TardisAdapter
 from repro.workload import WRITE_HEAVY, YCSBWorkload, run_simulation
@@ -63,15 +62,13 @@ def _run(instrumented: bool):
     cfg.series_interval_ms = 5.0 if instrumented else None
     adapter = TardisAdapter(branching=True)
     workload = YCSBWorkload(mix=WRITE_HEAVY, n_keys=N_KEYS)
-    tracer = None
-    if instrumented:
-        tracer = _trc.Tracer(capacity=4096, enabled=True)
-        adapter.store.tracer = tracer
+    recorder = adapter.store.recorder
+    recorder.enabled = instrumented
     gc.collect()  # don't charge this run for the previous run's garbage
     start = time.perf_counter()
     result = run_simulation(adapter, workload, cfg)
     wall_s = time.perf_counter() - start
-    return result, wall_s, tracer
+    return result, wall_s, recorder
 
 
 def _measure():
@@ -195,7 +192,7 @@ def _measure_live():
         report_hot = hot.shutdown()
     minima = {arm: min(times) for arm, times in walls.items()}
     overhead = minima[True] / minima[False] - 1.0
-    return minima, overhead, report_cold, report_hot, hot.rows_total, cold.rows_total
+    return minima, overhead, report_cold, report_hot, hot.store.recorder.seq, cold.store.recorder.seq
 
 
 @pytest.mark.benchmark(group="obs-overhead")

@@ -1,25 +1,20 @@
 #!/usr/bin/env python
-"""Observability walkthrough: metrics, tracing, exporters.
+"""Observability walkthrough: metrics, the store's rows, exporters.
 
 Shows the full loop in under a minute:
 
-1. install a registry + tracer and run conflicting transactions;
+1. install a registry, enable the store's recorder and run conflicting
+   transactions;
 2. watch branch counters (forks, merges) and histograms accumulate;
 3. count one window on its own registry — per-window counters;
 4. render everything as Prometheus text and JSON;
-5. replay the recent trace events (fork, merge, GC) as a story.
+5. replay the recent branch rows (commit, fork, merge) as a story.
 
 Run:  python examples/metrics_demo.py
 """
 
 from repro import TardisStore
-from repro.obs import (
-    MetricsRegistry,
-    Tracer,
-    export,
-    metrics as met,
-    tracing as trc,
-)
+from repro.obs import MetricsRegistry, export, format_row, metrics as met
 
 
 def contended_increments(store, sessions, rounds: int) -> None:
@@ -39,10 +34,10 @@ def contended_increments(store, sessions, rounds: int) -> None:
 
 def main() -> None:
     registry = MetricsRegistry()
-    tracer = Tracer(capacity=256)
 
-    with met.use_registry(registry), trc.use_tracer(tracer):
+    with met.use_registry(registry):
         store = TardisStore("demo")
+        store.recorder.enabled = True
         sessions = [store.session("s%d" % i) for i in range(3)]
         store.put("hits", 0, session=sessions[0])
 
@@ -68,20 +63,16 @@ def main() -> None:
         prom = export.to_prometheus(registry)
         print("\nPrometheus text (first lines):")
         print("\n".join(prom.splitlines()[:6]))
-        doc = export.to_json(registry, tracer, event_limit=5, indent=None)
+        doc = export.to_json(registry, store.recorder, event_limit=5, indent=None)
         print("\nJSON document: %d chars" % len(doc))
 
-        # -- 5: the event log as a story ----------------------------------
-        print("\nrecent branch events:")
-        for event in tracer.events(limit=8):
-            attrs = " ".join(
-                "%s=%s" % kv for kv in sorted(event.attrs.items())
-                if kv[0] in ("state", "parent", "parents", "reason", "removed")
-            )
-            print("  %-14s %s" % (event.kind, attrs))
+        # -- 5: the rows as a story ----------------------------------------
+        print("\nrecent branch rows:")
+        for row in store.recorder.rows()[-8:]:
+            print("  " + format_row(row))
 
-    # Outside the context managers the library defaults are restored:
-    # the store records nothing further.
+    # Outside the context manager the default registry is restored: the
+    # store counts nothing further (its recorder stays on).
     assert not met.DEFAULT.enabled
 
 

@@ -39,7 +39,6 @@ from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Set
 from repro.core.ids import StateId
 from repro.errors import GarbageCollectedError
 from repro.obs import metrics as _met
-from repro.obs.context import stamp
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.state_dag import State
@@ -129,17 +128,8 @@ class GarbageCollector:
             m.set_gauge("tardis_gc_live_states", stats.live_states)
             m.set_gauge("tardis_gc_live_records", stats.live_records)
             m.set_gauge("tardis_gc_promotion_table", dag.promotion_table_size)
-        t = store.active_tracer()
-        if t.enabled:
-            t.event(
-                "gc.cycle",
-                site=store.site,
-                marked=stats.marked,
-                removed=stats.states_removed,
-                promoted=stats.records_promoted,
-                dropped=stats.records_dropped,
-                live_states=stats.live_states,
-            )
+        if store.recorder.enabled:
+            store.recorder.event("gc", "cycle", None, n=stats.states_removed)
         return stats
 
     # -- pass 1: ceiling marking (bottom-up) --------------------------------
@@ -232,7 +222,7 @@ class GarbageCollector:
         is unioned into the survivors once.
         """
         dag = self._store.dag
-        tracer = self._store.active_tracer()
+        rec = self._store.recorder
         dead_forks: Set[StateId] = set()
         inherited: Dict["State", Set[Any]] = {}
         try:
@@ -254,18 +244,12 @@ class GarbageCollector:
                         # none (its ancestors), so the entries are scrubbable.
                         dead_forks.add(sid)
                     child = dag.splice_out(state)
-                    if tracer.enabled:
+                    if rec.enabled:
                         # ``parent`` is the state's parent as it is spliced
                         # (None once its ancestors went first).
                         parents = state.parents
-                        ids = stamp(sid, parents[0].id if parents else None)
-                        tracer.event(
-                            "gc.promotion",
-                            state=ids["trace"],
-                            promoted_to=repr(child.id),
-                            site=dag.site,
-                            **ids
-                        )
+                        parent = repr(parents[0].id) if parents else None
+                        rec.event("gc", "promotion", repr(sid), parent, ref=repr(child.id))
                     keys = inherited.pop(state, None)
                     if keys is None:
                         keys = set(state.write_keys)

@@ -53,10 +53,8 @@ from repro.core.transaction import (
 )
 from repro.core.versions import VersionedRecordStore
 from repro.obs import metrics as _met
-from repro.obs.context import stamp
 from repro.obs.metrics import MetricsRegistry
-from repro.obs import tracing as _trc
-from repro.obs.tracing import Tracer
+from repro.obs.tracing import Recorder
 from repro.errors import (
     BeginError,
     CorruptLogError,
@@ -278,11 +276,9 @@ class TardisStore:
         self.gc = GarbageCollector(self)
         #: listeners notified of each local commit (the replicator hooks in).
         self._commit_listeners: List = []
-        #: per-store tracer; None falls back to the module default, so a
-        #: cluster can give each site its own ring buffer while
-        #: single-store code keeps using ``obs.tracing.DEFAULT``. Every
-        #: event about this store's states goes through active_tracer().
-        self.tracer: Optional[Tracer] = None
+        #: every row about this store goes here: its branch rows (while
+        #: ``recorder.enabled``) and a server's rows.
+        self.recorder = Recorder()
         #: per-transaction metric handles, re-resolved when the default
         #: registry changes identity (benchmark harnesses swap it per
         #: run) — the per-call name lookup is measurable at txn rates.
@@ -384,10 +380,6 @@ class TardisStore:
         self._hot_abort = m.counter("tardis_txn_abort_total")
         self._hot_ripple = m.histogram("tardis_commit_ripple_steps")
         self._hot_fork = m.counter("tardis_branch_fork_total")
-
-    def active_tracer(self) -> Tracer:
-        """Where this store's events go: its own tracer, else the default."""
-        return self.tracer if self.tracer is not None else _trc.DEFAULT
 
     # -- sessions -----------------------------------------------------------
 
@@ -634,9 +626,8 @@ class TardisStore:
             if not constraint.allows_commit_at(current, txn):
                 self._finish(txn, ABORTED)
                 self.metrics.aborts += 1
-                t = self.active_tracer()
-                if t.enabled:
-                    t.event("txn.abort", reason="end-constraint", site=self.site)
+                if self.recorder.enabled:
+                    self.recorder.event("txn", "abort", None, ref="end-constraint")
                 raise TransactionAborted(
                     "no commit state satisfies end constraint %s" % constraint.name
                 )
@@ -660,27 +651,16 @@ class TardisStore:
                 self._hot_ripple.record(txn.trace.ripple_steps)
                 if created_fork:
                     self._hot_fork.inc()
-            t = self.active_tracer()
-            if t.enabled:
-                # Events carry state *ids as strings* (== trace ids), so
-                # the ring buffer holds only atomic values and stays
-                # invisible to the cyclic GC — resident StateId tuples
-                # were the dominant tracing cost.
-                ids = stamp(record.state_id, current.id)
-                t.event(
-                    "txn.commit",
-                    state=ids["trace"],
-                    writes=len(txn.writes),
-                    ripple=txn.trace.ripple_steps,
-                    fork=created_fork,
-                    site=self.site,
-                    **ids
-                )
+            rec = self.recorder
+            if rec.enabled:
+                # Rows name states by *id strings* (== trace ids): a ring
+                # entry of atomic values leaves the cyclic GC's tracked
+                # set, where resident StateIds never do.
+                trace, parent = repr(record.state_id), repr(current.id)
+                rec.event("txn", "commit", trace, parent, len(txn.writes))
                 if created_fork:
-                    # ``parent`` is the fork's DAG parent: the stamp's.
-                    t.event(
-                        "branch.fork", state=ids["trace"], site=self.site, **ids
-                    )
+                    # ``parent`` is the fork's DAG parent.
+                    rec.event("branch", "fork", trace, parent)
         self._notify_commit(record)
         return record.state_id
 
@@ -692,11 +672,8 @@ class TardisStore:
                     if not constraint.allows_commit_at(parent, txn):
                         self._finish(txn, ABORTED)
                         self.metrics.aborts += 1
-                        t = self.active_tracer()
-                        if t.enabled:
-                            t.event(
-                                "txn.abort", reason="merge-end-constraint", site=self.site
-                            )
+                        if self.recorder.enabled:
+                            self.recorder.event("txn", "abort", None, ref="merge-end-constraint")
                         raise TransactionAborted(
                             "merge parent %r fails end constraint %s"
                             % (parent.id, constraint.name)
@@ -711,15 +688,10 @@ class TardisStore:
             txn.commit_id = record.state_id
             txn.session.last_commit_id = record.state_id
             self._finish(txn, COMMITTED)
-            t = self.active_tracer()
-            if t.enabled:
-                t.event(
-                    "branch.merge",
-                    state=repr(record.state_id),
-                    parents=tuple(repr(p.id) for p in txn.read_states),
-                    writes=len(txn.writes),
-                    site=self.site,
-                    **stamp(record.state_id, txn.read_states[0].id)
+            if self.recorder.enabled:
+                first, *others = (repr(p.id) for p in txn.read_states)
+                self.recorder.event(
+                    "branch", "merge", repr(record.state_id), first, len(txn.writes), tuple(others)
                 )
         self._notify_commit(record)
         return record.state_id
@@ -754,12 +726,11 @@ class TardisStore:
         """
         self._finish(txn, ABORTED)
         self.metrics.aborts += 1
-        t = self.active_tracer()
-        if t.enabled:
+        if self.recorder.enabled:
             reason = (
                 "shard-unavailable" if isinstance(exc, CrossShardAbort) else "unloggable-writes"
             )
-            t.event("txn.abort", reason=reason, site=self.site)
+            self.recorder.event("txn", "abort", None, ref=reason)
 
     # -- replication hooks (§6.4) -----------------------------------------------
 

@@ -158,9 +158,8 @@ class BaseTransaction:
         store = self._store
         with store._lock:
             store._finish(self, ABORTED)
-        t = store.active_tracer()
-        if t.enabled:
-            t.event("txn.abort", reason="user", site=store.site)
+        if store.recorder.enabled:
+            store.recorder.event("txn", "abort", None, ref="user")
 
     def commit(self, end_constraint: Optional["Constraint"] = None) -> StateId:
         raise NotImplementedError

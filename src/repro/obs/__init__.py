@@ -1,23 +1,26 @@
-"""Observability: metrics registry, branch-aware tracing, exporters.
+"""Observability: metrics registry, one row recorder per store, exporters.
 
 Zero-dependency, near-zero-overhead when disabled. See
-docs/internals.md §8 for the metric name catalogue and usage patterns.
+docs/internals.md §8 for the metric name catalogue, the row catalogue
+and usage patterns.
 
 Quick start::
 
     from repro import obs
 
-    obs.enable()                       # turn on the default registry+tracer
+    obs.metrics.enable()               # turn on the default registry
     store = TardisStore("siteA")
+    store.recorder.enabled = True      # and this store's branch rows
     ...                                # run transactions
     print(obs.to_prometheus(obs.metrics.DEFAULT))
-    for event in obs.tracing.DEFAULT.events(kind="branch.fork"):
-        print(event)
+    for row in store.recorder.rows():
+        print(obs.format_row(row))
 """
 
 from repro.obs import metrics, tracing
 from repro.obs.context import (
     causal_timeline,
+    format_row,
     format_timeline,
     merge_events,
     trace_id_of,
@@ -39,14 +42,7 @@ from repro.obs.metrics import (
     set_default_registry,
     use_registry,
 )
-from repro.obs.tracing import TraceEvent, Tracer, set_default_tracer, use_tracer
-
-
-def enable(on: bool = True) -> None:
-    """Toggle both the default registry and the default tracer."""
-    metrics.enable(on)
-    tracing.enable(on)
-
+from repro.obs.tracing import Recorder
 
 __all__ = [
     "Counter",
@@ -55,23 +51,20 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "ObsSampler",
-    "TraceEvent",
-    "Tracer",
+    "Recorder",
     "Trigger",
     "WindowedGauge",
     "causal_timeline",
     "dag_extent",
     "default_registry",
-    "enable",
+    "format_row",
     "format_timeline",
     "merge_events",
     "metrics",
     "set_default_registry",
-    "set_default_tracer",
     "to_json",
     "to_prometheus",
     "trace_id_of",
     "tracing",
     "use_registry",
-    "use_tracer",
 ]

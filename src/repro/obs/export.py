@@ -13,7 +13,7 @@ import re
 from typing import Any, Dict, Optional
 
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
-from repro.obs.tracing import Tracer
+from repro.obs.tracing import Recorder
 
 __all__ = ["to_json", "to_prometheus"]
 
@@ -32,15 +32,17 @@ def _prom_name(name: str) -> str:
 
 def to_json(
     registry: MetricsRegistry,
-    tracer: Optional[Tracer] = None,
+    recorder: Optional[Recorder] = None,
     indent: Optional[int] = 2,
     include_buckets: bool = False,
     event_limit: int = 100,
 ) -> str:
-    """The registry (and optionally recent trace events) as a JSON doc."""
+    """The registry (and optionally a recorder's newest rows, as
+    ``events``) as a JSON doc."""
     payload: Dict[str, Any] = {"metrics": registry.to_dict(include_buckets)}
-    if tracer is not None:
-        payload["events"] = tracer.to_list(limit=event_limit)
+    if recorder is not None:
+        rows = recorder.rows()
+        payload["events"] = rows[-event_limit:] if event_limit > 0 else []
     return json.dumps(payload, indent=indent, default=str, sort_keys=True)
 
 

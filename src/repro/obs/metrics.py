@@ -545,7 +545,7 @@ METRIC_NAMES: Dict[str, str] = {
     "tardis_spec_misspec_total": "misspeculations detected",
     "tardis_spec_reexec_total": "speculative re-executions",
     "tardis_spec_submit_total": "speculative submissions",
-    "tardis_trace_dropped_total": "trace events dropped by the ring",
+    "tardis_trace_dropped_total": "rows evicted from a store recorder's ring",
     "tardis_txn_abort_total": "transactions aborted",
     "tardis_txn_begin_total": "transactions begun",
     "tardis_txn_commit_readonly_total": "read-only commit fast paths",

@@ -1,39 +1,52 @@
-"""Branch-aware tracing: a bounded ring-buffer event log.
+"""One recorder: a bounded ring of flat rows, one per store.
 
-An event is a point-in-time record of a branch-level happening the paper
-reasons about — commit, fork, merge, promotion, GC, replication apply —
-a ``kind`` plus free-form attributes (state ids, key counts). A
-:class:`Tracer` keeps the newest ``capacity`` events and counts the ones
-it evicts, so tracing is safe to leave on in long runs: memory is fixed,
-and recording is an O(1) deque append under one lock.
+Everything the system records about what happened is a row of one
+schema, :data:`ROW_COLUMNS`: ``(t_start, t_end, cpu, layer, name,
+parent, txn, n)``. Two writers share it, each through its store's
+:class:`Recorder` (``store.recorder``):
 
-Routing: every event about a store's states goes to that store's
-``tracer`` attribute, or to the module-level :data:`DEFAULT` when it is
-None. Like metrics, :data:`DEFAULT` starts disabled — hot paths guard
-with ``if tracer.enabled:`` and pay one attribute check.
+* **Branch rows** — a point-in-time branch event the paper reasons about
+  (commit, fork, merge, promotion, GC, replication, speculation) is a row
+  with ``t_start == t_end`` and ``cpu`` 0.0; ``layer`` is its family,
+  ``name`` its kind, ``txn`` the trace id of the state it is about (a
+  state id string, see :mod:`repro.obs.context`), ``parent`` the trace id
+  of that state's first parent, and ``n`` its count. The store records
+  them only while ``recorder.enabled`` is set (off by default; hot paths
+  pay one attribute check).
+* **Server rows** — the network server's slow requests (each with the
+  three span rows that tile it) and GC cycles (docs/internals.md §14.1),
+  written while the metrics registry is on, whatever ``enabled`` says.
 
-Event kind catalogue (see docs/internals.md §8):
+A row's ``seq`` is its place in its recorder's stream; rows a writer
+numbers but does not keep (:meth:`Recorder.skip`) leave gaps, so
+``rows(after=seq)`` is a cursor. The ring keeps the newest ``capacity``
+rows and counts the ones it evicts. Rows hold only atomic values and
+tuples of strings (state ids as trace-id strings), so a resident ring
+stays invisible to the cyclic GC.
 
-=====================  ===================================================
-kind                   attrs
-=====================  ===================================================
-``txn.commit``         ``state``, ``writes``, ``ripple``, ``fork``
-``txn.abort``          ``reason``
-``branch.fork``        ``state``, ``parent``
-``branch.merge``       ``state``, ``parents``, ``writes``
-``gc.cycle``           ``marked``, ``removed``, ``promoted``, ``dropped``, ``live_states``
-``gc.promotion``       ``state``, ``promoted_to``
-``repl.send``          ``state``, ``src``
-``repl.apply``         ``state``, ``src``
-``repl.cache``         ``state``, ``missing``
-``repl.fetch``         ``state``, ``peer``
-``repl.drop``          ``state``
-``spec.confirm``       ``tickets``
-``spec.misspeculate``  ``tickets``
-=====================  ===================================================
+Branch row catalogue (docs/internals.md §8 says what each column holds):
 
-All but the ``spec.*`` events also carry ``site``, and every event that
-names a state carries ``trace``/``parent`` (see :mod:`repro.obs.context`).
+=======================  ==========  ===============  ======================
+``layer.name``           ``txn``     ``n``            ``ref``
+=======================  ==========  ===============  ======================
+``txn.commit``           its state   writes
+``txn.abort``                                         the reason
+``branch.fork``          its state
+``branch.merge``         its state   writes           the other parents
+``gc.cycle``                         states removed
+``gc.promotion``         its state                    the state promoted to
+``repl.send``            its state
+``repl.apply``           its state                    the sending site
+``repl.cache``           its state                    the missing parent
+``repl.fetch``           waiting                      the fetched state
+``repl.drop``            its state
+``spec.confirm``                     tickets
+``spec.misspeculate``                tickets
+=======================  ==========  ===============  ======================
+
+A row with a ``txn`` has its first parent's trace id as ``parent``.
+``ref`` is the one value a branch row holds beyond the columns (None on
+every other row).
 """
 
 from __future__ import annotations
@@ -41,151 +54,110 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from contextlib import contextmanager
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Sequence, Tuple
 
 from repro.obs import metrics as _met
 
-__all__ = [
-    "TraceEvent",
-    "Tracer",
-    "DEFAULT",
-    "set_default_tracer",
-    "enable",
-    "use_tracer",
-]
+__all__ = ["ROW_COLUMNS", "ENTRY", "Recorder"]
+
+#: the columns of a row. Times are seconds on the recorder's clock (the
+#: server's are ``perf_counter``), ``cpu`` the recording thread's
+#: ``thread_time`` inside the span.
+ROW_COLUMNS = ("t_start", "t_end", "cpu", "layer", "name", "parent", "txn", "n")
+#: a kept row as the ring holds it, and as :meth:`Recorder.rows` names it.
+ENTRY = ("seq",) + ROW_COLUMNS + ("ref",)
 
 
-class TraceEvent:
-    """One entry of the event log."""
-
-    __slots__ = ("ts", "kind", "attrs")
-
-    def __init__(self, ts: float, kind: str, attrs: Dict[str, Any]):
-        self.ts = ts
-        self.kind = kind
-        self.attrs = attrs
-
-    def to_dict(self) -> Dict[str, Any]:
-        data = {"ts": self.ts, "kind": self.kind}
-        data.update(self.attrs)
-        return data
-
-    def __repr__(self) -> str:
-        attrs = " ".join("%s=%r" % kv for kv in self.attrs.items())
-        return "<%s %s>" % (self.kind, attrs)
-
-
-class Tracer:
-    """A bounded ring buffer of trace events with drop accounting."""
+class Recorder:
+    """A bounded ring of rows with one numbering and drop accounting."""
 
     _GUARDED_BY = {
-        "_events": "self._lock",
+        "_rows": "self._lock",
+        "seq": "self._lock",
         "dropped": "self._lock",
     }
 
-    def __init__(
-        self,
-        capacity: int = 4096,
-        enabled: bool = True,
-        clock=time.perf_counter,
-    ):
+    def __init__(self, capacity: int = 4096, enabled: bool = False, clock=time.perf_counter):
+        #: gates the store's own (branch) rows only.
         self.enabled = enabled
         self.capacity = capacity
-        self._clock = clock
-        self._events: deque = deque(maxlen=capacity)
+        self.clock = clock
+        self._rows: deque = deque(maxlen=capacity)
         self._lock = threading.Lock()
-        #: events evicted by the ring buffer — a nonzero value means the
-        #: oldest part of any reconstructed timeline is missing.
+        #: rows numbered so far: the next row's ``seq``.
+        self.seq = 0
+        #: rows evicted by the ring — a nonzero value means the oldest
+        #: part of any reconstructed timeline is missing.
         self.dropped = 0
         #: cached tardis_trace_dropped_total counter (at capacity, every
-        #: append evicts, so the metric lookup must not be per-event).
+        #: append evicts, so the metric lookup must not be per-row).
         self._drop_registry = None
         self._drop_counter = None
 
-    # -- events ----------------------------------------------------------
-    #
-    # The ring stores raw ``(ts, kind, attrs)`` tuples, not TraceEvent
-    # objects: recording is the hot path (several events per traced
-    # commit) and the wrapper is only needed by readers, so it is
-    # materialized lazily in :meth:`events`. Successive ``events()``
-    # calls therefore return *new* TraceEvent wrappers, but they share
-    # the underlying attrs dicts, so attr mutations (e.g. the site
-    # tagging in ``merge_events``) stick across calls.
-
-    def event(self, kind: str, **attrs: Any) -> None:
-        """Record a point event; no-op when disabled."""
-        if not self.enabled:
-            return
-        ts = self._clock()
+    def event(
+        self, layer: str, name: str, txn: Any, parent: Any = None, n: int = 0, ref: Any = None
+    ) -> None:
+        """Record a branch event as a point row now; callers check ``enabled``."""
+        t = self.clock()
         with self._lock:
-            evicting = len(self._events) == self.capacity
+            seq = self.seq
+            self.seq = seq + 1
+            evicting = len(self._rows) == self.capacity
             if evicting:
                 self.dropped += 1
-            self._events.append((ts, kind, attrs))
+            self._rows.append((seq, t, t, 0.0, layer, name, parent, txn, n, ref))
         if evicting:
-            registry = _met.DEFAULT
-            if registry.enabled:
-                if self._drop_registry is not registry:
-                    self._drop_registry = registry
-                    self._drop_counter = registry.counter(
-                        "tardis_trace_dropped_total"
-                    )
-                self._drop_counter.inc()
+            self._count_drops(1)
 
-    def events(
-        self, kind: Optional[str] = None, limit: Optional[int] = None
-    ) -> List[TraceEvent]:
-        """Newest-last view of the buffer, optionally filtered by kind."""
+    def add(
+        self, row: Tuple[Any, ...], spans: Sequence[Tuple[float, float, float, str]] = ()
+    ) -> None:
+        """Keep ``row`` (see ROW_COLUMNS) and the spans that tile it, each
+        ``(t_start, t_end, cpu, layer)``: a row of its own whose ``parent``
+        is ``row``'s seq and whose ``name``, ``txn`` and ``n`` are ``row``'s.
+        The rows take consecutive numbers."""
+        _, _, _, _, name, _, txn, n = row
         with self._lock:
-            raw = list(self._events)
-        if kind is not None:
-            raw = [entry for entry in raw if entry[1] == kind]
-        if limit is not None:
-            raw = raw[-limit:] if limit > 0 else []
-        return [TraceEvent(ts, k, attrs) for ts, k, attrs in raw]
+            seq = self.seq
+            entries = [(seq,) + row + (None,)]
+            entries += [
+                (seq + i, start, end, cpu, layer, name, seq, txn, n, None)
+                for i, (start, end, cpu, layer) in enumerate(spans, 1)
+            ]
+            self.seq = seq + len(entries)
+            evicted = max(0, len(self._rows) + len(entries) - self.capacity)
+            self.dropped += evicted
+            self._rows.extend(entries)
+        if evicted:
+            self._count_drops(evicted)
 
-    def clear(self) -> None:
+    def skip(self, n: int) -> None:
+        """Number ``n`` rows that are not kept."""
         with self._lock:
-            self._events.clear()
-            self.dropped = 0
+            self.seq += n
+
+    def _count_drops(self, n: int) -> None:
+        registry = _met.DEFAULT
+        if registry.enabled:
+            if self._drop_registry is not registry:
+                self._drop_registry = registry
+                self._drop_counter = registry.counter("tardis_trace_dropped_total")
+            self._drop_counter.inc(n)
+
+    def rows(self, after: int = -1) -> List[Dict[str, Any]]:
+        """The kept rows numbered after ``after``, oldest first, as dicts
+        keyed by :data:`ENTRY` (a cursor passes the last ``seq`` it read)."""
+        with self._lock:
+            kept = [entry for entry in self._rows if entry[0] > after]
+        return [dict(zip(ENTRY, entry)) for entry in kept]
 
     def __len__(self) -> int:
-        return len(self._events)
-
-    def to_list(self, limit: Optional[int] = None) -> List[Dict[str, Any]]:
-        return [e.to_dict() for e in self.events(limit=limit)]
+        return len(self._rows)
 
     def __repr__(self) -> str:
-        return "<Tracer enabled=%s events=%d/%d>" % (
+        return "<Recorder enabled=%s rows=%d/%d seq=%d>" % (
             self.enabled,
-            len(self._events),
+            len(self._rows),
             self.capacity,
+            self.seq,
         )
-
-
-#: The library-wide default tracer. Disabled until a consumer opts in.
-DEFAULT = Tracer(enabled=False)
-
-
-def set_default_tracer(tracer: Tracer) -> Tracer:
-    """Install ``tracer`` as the module default; returns the previous one."""
-    global DEFAULT
-    previous = DEFAULT
-    DEFAULT = tracer
-    return previous
-
-
-def enable(on: bool = True) -> None:
-    """Toggle recording on the current default tracer."""
-    DEFAULT.enabled = on
-
-
-@contextmanager
-def use_tracer(tracer: Tracer):
-    """Temporarily install ``tracer`` as the default."""
-    previous = set_default_tracer(tracer)
-    try:
-        yield tracer
-    finally:
-        set_default_tracer(previous)

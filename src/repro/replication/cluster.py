@@ -13,9 +13,9 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.core.store import TardisStore
-from repro.obs import tracing as _trc
 from repro.obs.context import causal_timeline, merge_events
 from repro.obs.series import DivergenceMonitor
+from repro.obs.tracing import Recorder
 from repro.replication.network import SimNetwork
 from repro.replication.replicator import Replicator
 from repro.sim.adapters import TardisAdapter
@@ -76,18 +76,12 @@ class Cluster:
                 self.network.set_latency(pair[0], pair[1], lat)
         self.stores: Dict[str, TardisStore] = {}
         self.replicators: Dict[str, Replicator] = {}
-        #: per-site ring buffers on the simulated clock (trace=True).
-        self.tracers: Dict[str, _trc.Tracer] = {}
         for site in sites:
             store = TardisStore(site, **store_kwargs)
             if trace:
-                tracer = _trc.Tracer(
-                    capacity=trace_capacity,
-                    enabled=True,
-                    clock=lambda: self.sim.now,
+                store.recorder = Recorder(
+                    capacity=trace_capacity, enabled=True, clock=lambda: self.sim.now
                 )
-                store.tracer = tracer
-                self.tracers[site] = tracer
             self.stores[site] = store
             self.replicators[site] = Replicator(store, self.network)
         self.gc_mode = gc_mode
@@ -145,8 +139,11 @@ class Cluster:
     # -- cross-replica tracing ------------------------------------------------
 
     def events(self, kind: Optional[str] = None):
-        """All sites' trace events merged into one time-ordered stream."""
-        return merge_events(self.tracers, kind=kind)
+        """All sites' rows merged into one time-ordered stream (see
+        :func:`~repro.obs.context.merge_events`)."""
+        return merge_events(
+            {site: store.recorder for site, store in self.stores.items()}, kind=kind
+        )
 
     def timeline(self, trace_id: str):
         """One transaction's causally ordered multi-site timeline.

@@ -21,7 +21,6 @@ from repro.core.ids import CommitRecord, StateId
 from repro.core.store import TardisStore
 from repro.errors import GarbageCollectedError
 from repro.obs import metrics as _met
-from repro.obs.context import stamp
 from repro.replication.network import SimNetwork
 
 
@@ -43,9 +42,12 @@ class FetchResponse:
     promoted_to: Optional[StateId] = None
 
 
-def _stamp(record: CommitRecord) -> Dict[str, Optional[str]]:
-    """The trace ids of a replicated transaction's events."""
-    return stamp(record.state_id, *record.parent_ids[:1])
+def _row(store: TardisStore, name: str, record: CommitRecord, ref: Optional[str] = None) -> None:
+    """Record a ``repl`` row about ``record``: its trace id and its first
+    parent's (the caller checks ``recorder.enabled``)."""
+    parents = record.parent_ids
+    parent = repr(parents[0]) if parents else None
+    store.recorder.event("repl", name, repr(record.state_id), parent, ref=ref)
 
 
 class Replicator:
@@ -73,17 +75,8 @@ class Replicator:
         m = _met.DEFAULT
         if m.enabled:
             m.inc("tardis_repl_send_total")
-        t = self.store.active_tracer()
-        if t.enabled:
-            # state ids travel as strings (trace ids) so ring entries stay
-            # atomic and GC-invisible.
-            t.event(
-                "repl.send",
-                state=repr(record.state_id),
-                src=self.site,
-                site=self.site,
-                **_stamp(record)
-            )
+        if self.store.recorder.enabled:
+            _row(self.store, "send", record)
         self.network.broadcast(self.site, record)
 
     # -- inbound -------------------------------------------------------------
@@ -100,7 +93,7 @@ class Replicator:
 
     def _apply_or_cache(self, src: str, record: CommitRecord) -> None:
         m = _met.DEFAULT
-        t = self.store.active_tracer()
+        traced = self.store.recorder.enabled
         missing = [pid for pid in record.parent_ids if pid not in self.store.dag]
         if missing:
             self.cached += 1
@@ -112,14 +105,8 @@ class Replicator:
             if m.enabled:
                 m.inc("tardis_repl_cache_total")
                 m.inc("tardis_repl_fetch_total")
-            if t.enabled:
-                t.event(
-                    "repl.cache",
-                    state=repr(record.state_id),
-                    missing=repr(missing[0]),
-                    site=self.site,
-                    **_stamp(record)
-                )
+            if traced:
+                _row(self.store, "cache", record, repr(missing[0]))
             # The fetch is charged to the transaction waiting on it.
             self.network.send(
                 self.site,
@@ -136,26 +123,15 @@ class Replicator:
             self.dropped += 1
             if m.enabled:
                 m.inc("tardis_repl_drop_total")
-            if t.enabled:
-                t.event(
-                    "repl.drop",
-                    state=repr(record.state_id),
-                    site=self.site,
-                    **_stamp(record)
-                )
+            if traced:
+                _row(self.store, "drop", record)
             return
         if applied is not None:
             self.applied += 1
             if m.enabled:
                 m.inc("tardis_repl_apply_total")
-            if t.enabled:
-                t.event(
-                    "repl.apply",
-                    state=repr(record.state_id),
-                    src=src,
-                    site=self.site,
-                    **_stamp(record)
-                )
+            if traced:
+                _row(self.store, "apply", record, src)
             if self.apply_listener is not None:
                 self.apply_listener(record)
         self._drain_pending(record.state_id)
@@ -170,14 +146,15 @@ class Replicator:
     # -- state fetch (optimistic GC, §6.4) --------------------------------------
 
     def _answer_fetch(self, src: str, request: FetchRequest) -> None:
-        t = self.store.active_tracer()
-        if t.enabled:
-            t.event(
-                "repl.fetch",
-                state=repr(request.state_id),
-                peer=src,
-                site=self.site,
-                **stamp(request.waiting, request.waiting_parent)
+        rec = self.store.recorder
+        if rec.enabled:
+            parent = request.waiting_parent
+            rec.event(
+                "repl",
+                "fetch",
+                repr(request.waiting),
+                None if parent is None else repr(parent),
+                ref=repr(request.state_id),
             )
         with self.store._lock:
             state = self.store.dag.get(request.state_id)

@@ -64,11 +64,12 @@ it into layers: ``server.request`` (from the ``select`` return of the
 round that read its last bytes to its reply's write), tiled by
 ``server.wait``, ``server.handle`` (the histogram's sample) and
 ``server.reply``. A request whose handler ran longer than
-:data:`SLOW_FACTOR` times its op's p99, and every GC cycle, is kept as
-one row (:data:`ROW_COLUMNS`, the layer split in ``spans``) in
-``slow``, the ring ``OBS_SNAPSHOT`` ships; other requests only advance
-the row count. With the registry off a request reads the clock no more
-than it does to time itself.
+:data:`SLOW_FACTOR` times its op's p99 (its four rows), and every GC
+cycle (one row), is kept in the store's recorder
+(:class:`~repro.obs.tracing.Recorder`), whose server rows
+``OBS_SNAPSHOT`` ships as ``slow``; other requests only advance the
+recorder's numbering. With the registry off a request reads the clock no
+more than it does to time itself.
 
 Live ops plane (docs/internals.md §14): with ``obs_sample_interval``
 set, the store thread ticks an :class:`~repro.obs.sampler.ObsSampler`
@@ -89,8 +90,7 @@ import signal
 import socket
 import threading
 import time
-from collections import deque
-from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.store import ClientSession, TardisStore
 from repro.errors import FrameTooLarge, ProtocolError
@@ -112,18 +112,15 @@ HIGH_WATER = 1 << 16
 #: before the next cycle runs (see ``TardisServer._collect_if_grown``).
 GC_GROWTH = 512
 
-#: the columns of a row. Times are ``perf_counter`` seconds, ``cpu`` the
-#: store thread's ``thread_time`` inside the span, ``parent`` the sequence
-#: number of the enclosing row (-1: none), ``txn`` the wire transaction id
-#: (-1: none), ``n`` a count: bytes read, or states a GC cycle removed. A
-#: row's sequence number (``seq``) is its place among all rows the server
-#: produced, four per request (the request, then its three spans) and one
-#: per GC cycle, kept or not.
-ROW_COLUMNS = ("t_start", "t_end", "cpu", "layer", "name", "parent", "txn", "n")
-#: the spans that tile a ``server.request`` row, in order.
+#: the spans that tile a ``server.request`` row, in order. In the
+#: server's rows (``repro.obs.tracing.ROW_COLUMNS``) times are
+#: ``perf_counter`` seconds, ``cpu`` the store thread's ``thread_time``
+#: inside the span, ``parent`` the ``seq`` of the enclosing row (-1:
+#: none), ``txn`` the wire transaction id (-1: none), ``n`` a count: bytes
+#: read, or states a GC cycle removed. The server numbers four rows per
+#: request (the request, then its three spans) and one per GC cycle, kept
+#: or not.
 SPANS = ("server.wait", "server.handle", "server.reply")
-#: slow requests and GC cycles ``slow`` keeps.
-SLOW_ROWS = 256
 #: a request is slow once its ``server.handle`` span is longer than
 #: SLOW_FACTOR times its op's p99, read from the op's histogram every
 #: SLOW_EVERY requests of that op (an op with fewer has no threshold).
@@ -241,8 +238,6 @@ class TardisServer:
         "_rearm": "external:store-thread",
         "_round": "external:store-thread",
         "_slow_at": "external:store-thread",
-        "rows_total": "external:store-thread",
-        "slow": "external:store-thread",
     }
 
     def __init__(
@@ -319,11 +314,6 @@ class TardisServer:
         #: created, updated and snapshotted on the store thread only.
         self._op_latency: Dict[str, _met.Histogram] = {}
         # -- request rows (store thread only) --------------------------------
-        #: rows produced so far: the next row's sequence number.
-        self.rows_total = 0
-        #: slow requests and every GC cycle, as JSON-safe row dicts with
-        #: their ``seq`` (a request's also with its ``spans``).
-        self.slow: Deque[Dict[str, Any]] = deque(maxlen=SLOW_ROWS)
         #: op -> [its requests left until the next p99 read, slow seconds].
         self._slow_at: Dict[str, List[float]] = {}
         #: the clocks at this round's ``select`` return; None with the
@@ -665,7 +655,7 @@ class TardisServer:
         self._observe(op, (handled - since) * 1000.0)
         # before the write: Python work after it holds the GIL that a
         # client in this process, woken by the reply, waits for
-        seq = self._slow_seq(op, handled - since) if arrived else None
+        slow = self._slow(op, handled - since) if arrived else False
         if not conn.finish(request):
             # TIMEOUT answered in its place: the answer is dropped, and
             # a transaction it began is aborted (nobody learned its id).
@@ -673,9 +663,9 @@ class TardisServer:
         else:
             self._answer(conn, response, True)
             conn.closing |= op == "BYE"
-        if seq is not None:
+        if slow:
             self._keep_request(
-                seq, op, request, nbytes, arrived, (since, cpu_since), (handled, cpu_handled)
+                op, request, nbytes, arrived, (since, cpu_since), (handled, cpu_handled)
             )
 
     def _answer(self, conn: _Connection, response: Dict[str, Any], answers: bool) -> None:
@@ -738,59 +728,67 @@ class TardisServer:
             self._gc_at = 2 * report.live_states + GC_GROWTH
             if clocks:
                 start, cpu = clocks
-                self.rows_total += 1
-                self._keep(self.rows_total - 1, (
+                self.store.recorder.add((
                     start, time.perf_counter(), time.thread_time() - cpu,
                     "gc.cycle", "collect_garbage", -1, -1, report.states_removed,
                 ))
 
     # -- request rows (store thread) ---------------------------------------
 
-    def _keep(self, seq: int, row: Tuple[Any, ...], spans: Optional[Dict[str, Any]] = None) -> None:
-        """Keep ``row`` (see ROW_COLUMNS) in ``slow`` as a dict with its
-        ``seq``, and a request's ``spans``."""
-        entry: Dict[str, Any] = dict(zip(ROW_COLUMNS, row))
-        entry["seq"] = seq
-        if spans is not None:
-            entry["spans"] = spans
-        self.slow.append(entry)
-
-    def _slow_seq(self, op: Optional[str], handle_s: float) -> Optional[int]:
-        """Number a request's four rows; return the first one's ``seq``
-        if its ``server.handle`` span, ``handle_s``, outran its op's
-        threshold (the request is slow), else None."""
-        seq = self.rows_total
-        self.rows_total = seq + 4
-        if op is None:
-            return None
-        # [requests of ``op`` left until the threshold is read again, it]
-        at = self._slow_at.get(op)
-        if at is None:
-            at = self._slow_at[op] = [SLOW_EVERY, math.inf]
-        at[0] -= 1
-        if not at[0]:
-            at[0] = SLOW_EVERY
-            at[1] = SLOW_FACTOR * self._op_latency[op].quantile(0.99) / 1000.0
-        return seq if handle_s > at[1] else None
+    def _slow(self, op: Optional[str], handle_s: float) -> bool:
+        """Whether a request's ``server.handle`` span, ``handle_s``,
+        outran its op's threshold (the request is slow); if not, its four
+        rows are numbered here and not kept."""
+        if op is not None:
+            # [requests of ``op`` left until the threshold is read again, it]
+            at = self._slow_at.get(op)
+            if at is None:
+                at = self._slow_at[op] = [SLOW_EVERY, math.inf]
+            at[0] -= 1
+            if not at[0]:
+                at[0] = SLOW_EVERY
+                at[1] = SLOW_FACTOR * self._op_latency[op].quantile(0.99) / 1000.0
+            if handle_s > at[1]:
+                return True
+        self.store.recorder.skip(1 + len(SPANS))
+        return False
 
     def _keep_request(
-        self, seq: int, op: str, request: Dict[str, Any], nbytes: int,
+        self, op: str, request: Dict[str, Any], nbytes: int,
         arrived: Clocks, started: Clocks, handled: Clocks,
     ) -> None:
-        """Keep a slow request in ``slow``: its ``server.request`` row,
-        from ``arrived`` (its round's ``select`` return) to the end of
-        its reply's write, read here, and in ``spans`` the three rows
-        between those and ``started`` and ``handled``, which tile it
-        (rows ``seq + 1`` to ``seq + 3``, as ``[t_start, t_end, cpu]``)."""
+        """Keep a slow request in the store's recorder: its
+        ``server.request`` row, from ``arrived`` (its round's ``select``
+        return) to the end of its reply's write, read here, and the three
+        span rows between those and ``started`` and ``handled``, which
+        tile it."""
         end = (time.perf_counter(), time.thread_time())
         bounds = (arrived, started, handled, end)
-        spans = {
-            layer: [a[0], b[0], b[1] - a[1]] for layer, a, b in zip(SPANS, bounds, bounds[1:])
-        }
         txn = request.get("txn")
         txn = txn if isinstance(txn, int) else -1
-        row = (arrived[0], end[0], end[1] - arrived[1], "server.request", op, -1, txn, nbytes)
-        self._keep(seq, row, spans)
+        self.store.recorder.add(
+            (arrived[0], end[0], end[1] - arrived[1], "server.request", op, -1, txn, nbytes),
+            [(a[0], b[0], b[1] - a[1], layer) for layer, a, b in zip(SPANS, bounds, bounds[1:])],
+        )
+
+    def _slow_rows(self) -> List[Dict[str, Any]]:
+        """The server's kept rows, oldest first: every GC cycle, and every
+        slow request with its spans as ``{layer: [t_start, t_end, cpu]}``
+        (keys: ROW_COLUMNS, ``seq`` and a request's ``spans``)."""
+        kept: List[Dict[str, Any]] = []
+        spans_of: Dict[int, Dict[str, Any]] = {}  # a kept request's seq -> its spans
+        for row in self.store.recorder.rows():
+            del row["ref"]
+            layer = row["layer"]
+            if layer in SPANS:
+                spans = spans_of.get(row["parent"])
+                if spans is not None:  # else the ring evicted its request
+                    spans[layer] = [row["t_start"], row["t_end"], row["cpu"]]
+            elif layer in ("server.request", "gc.cycle"):
+                if layer == "server.request":
+                    row["spans"] = spans_of[row["seq"]] = {}
+                kept.append(row)
+        return kept
 
     # -- counters ----------------------------------------------------------
 
@@ -867,7 +865,7 @@ class TardisServer:
             "counters": self._obs_counters(),
             "gauges": self._obs_gauges(),
             "latency_ms": self._obs_latency(),
-            "slow": list(self.slow),
+            "slow": self._slow_rows(),
         }
 
     def _obs_latency(self) -> Dict[str, Dict[str, Any]]:

@@ -200,9 +200,8 @@ class SpeculativeExecutor:
             m = _met.DEFAULT
             if m.enabled:
                 m.inc("tardis_spec_confirm_total", len(pending))
-            t = self.store.active_tracer()
-            if t.enabled:
-                t.event("spec.confirm", tickets=tuple(s.ticket for s in pending))
+            if self.store.recorder.enabled:
+                self.store.recorder.event("spec", "confirm", None, n=len(pending))
             return True
 
         # Misspeculation: abandon the branch, replay in ticket order on
@@ -212,9 +211,8 @@ class SpeculativeExecutor:
         if m.enabled:
             m.inc("tardis_spec_misspec_total")
             m.inc("tardis_spec_reexec_total", len(pending))
-        t = self.store.active_tracer()
-        if t.enabled:
-            t.event("spec.misspeculate", tickets=tuple(s.ticket for s in pending))
+        if self.store.recorder.enabled:
+            self.store.recorder.event("spec", "misspeculate", None, n=len(pending))
         self._spec_tip = self._confirmed_tip
         for spec in pending:
             spec.executions += 1

@@ -11,8 +11,9 @@ Commands:
   print the recovery report and store summary.
 * ``metrics`` — a "tardis top": run a short workload with the
   observability subsystem enabled and print branch health (per-branch
-  depth, conflict rate, GC debt), the metric registry, and recent trace
-  events; ``--json`` / ``--prometheus`` switch the output format.
+  depth, conflict rate, GC debt), the metric registry, and the store
+  recorder's recent rows; ``--json`` / ``--prometheus`` switch the
+  output format.
 * ``trace`` — run a scripted three-site replicated scenario (concurrent
   commits, replication, merge) and print one transaction's
   causally-ordered multi-site timeline.
@@ -46,10 +47,9 @@ from repro import analysis
 from repro.core.ancestry import popcount
 from repro.core.recovery import recover_store
 from repro.core.store import TardisStore
-from repro.obs import MetricsRegistry, Tracer, export
+from repro.obs import MetricsRegistry, export
 from repro.obs import metrics as _met
-from repro.obs import tracing as _trc
-from repro.obs.context import format_timeline, trace_id_of
+from repro.obs.context import format_row, format_timeline, trace_id_of
 from repro.replication.cluster import Cluster
 from repro.server.server import TardisServer, run_server
 from repro.sim.adapters import OCCAdapter, TardisAdapter, TwoPLAdapter
@@ -150,16 +150,21 @@ def cmd_metrics(args) -> int:
         seed=args.seed,
         maintenance_interval_ms=5.0 if args.system.startswith("tardis") else None,
         # The runner would swap in its own per-run registry; we install
-        # ours instead so the tracer and exporters see live objects.
+        # ours instead so the exporters see live objects.
         collect_metrics=False,
     )
+    # The branch, GC and rows panels describe a TARDiS store; the 2PL and
+    # OCC baselines have no DAG (the check run_simulation makes too).
+    store = getattr(adapter, "store", None)
+    recorder = store.recorder if isinstance(store, TardisStore) else None
+    if recorder is not None:
+        recorder.enabled = True
     registry = MetricsRegistry(enabled=True)
-    tracer = Tracer(capacity=max(args.events * 8, 1024), enabled=True)
-    with _met.use_registry(registry), _trc.use_tracer(tracer):
+    with _met.use_registry(registry):
         result = run_simulation(adapter, workload, config)
 
     if args.json:
-        print(export.to_json(registry, tracer, event_limit=args.events))
+        print(export.to_json(registry, recorder, event_limit=args.events))
         return 0
     if args.prometheus:
         print(export.to_prometheus(registry))
@@ -171,10 +176,7 @@ def cmd_metrics(args) -> int:
         return data.get(name, {}).get("value", 0)
 
     print(result.summary())
-    # The branch and GC panels describe a TARDiS store; the 2PL and OCC
-    # baselines have no DAG (the check run_simulation makes too).
-    store = getattr(adapter, "store", None)
-    if isinstance(store, TardisStore):
+    if recorder is not None:
         commits = counter("tardis_txn_commit_total")
         forks = counter("tardis_branch_fork_total")
         merges = counter("tardis_branch_merge_total")
@@ -237,15 +239,12 @@ def cmd_metrics(args) -> int:
                 % (name, entry["count"], hist.quantile(0.5), hist.quantile(0.99), entry["max"])
             )
 
-    events = tracer.events(limit=args.events)
-    if events:
+    rows = recorder.rows()[-args.events:] if recorder is not None and args.events > 0 else []
+    if rows:
         print()
-        print(
-            "-- recent events (ring dropped=%d) " % tracer.dropped + "-" * 25
-        )
-        for event in events:
-            attrs = " ".join("%s=%s" % kv for kv in sorted(event.attrs.items()))
-            print("  %10.4f %-18s %s" % (event.ts, event.kind, attrs))
+        print("-- recent rows (ring dropped=%d) " % recorder.dropped + "-" * 27)
+        for row in rows:
+            print("  %10.4f %s" % (row["t_start"], format_row(row)))
     return 0
 
 
@@ -272,9 +271,7 @@ def cmd_trace(args) -> int:
     trace_id = args.txn or trace_id_of(sid_us)
     timeline = cluster.timeline(trace_id)
     if not timeline:
-        known = ", ".join(
-            sorted({str(e.attrs.get("trace")) for e in cluster.events() if e.attrs.get("trace")})
-        )
+        known = ", ".join(sorted({row["txn"] for row in cluster.events() if row["txn"]}))
         print("no events for trace %r; known traces: %s" % (trace_id, known))
         return 1
     print(format_timeline(timeline, trace_id))
@@ -368,8 +365,8 @@ def build_parser() -> argparse.ArgumentParser:
     metrics.add_argument("--cores", type=int, default=8)
     metrics.add_argument("--duration", type=float, default=100.0)
     metrics.add_argument("--seed", type=int, default=0)
-    metrics.add_argument("--events", type=int, default=10, help="trace events to show")
-    metrics.add_argument("--json", action="store_true", help="dump registry + events as JSON")
+    metrics.add_argument("--events", type=int, default=10, help="recent rows to show")
+    metrics.add_argument("--json", action="store_true", help="dump registry + rows as JSON")
     metrics.add_argument("--prometheus", action="store_true", help="Prometheus text format")
     metrics.set_defaults(func=cmd_metrics)
 

@@ -592,9 +592,9 @@ PLANTED = [
     ),
     pytest.param(
         "lock-discipline", "obs/tracing.py",
-        "            self._events.clear()\n            self.dropped = 0\n",
-        "            self._events.clear()\n        self.dropped = 0\n",
-        id="lock-discipline:tracer-clear-resets-unlocked",
+        "        with self._lock:\n            self.seq += n\n",
+        "        self.seq += n\n",
+        id="lock-discipline:recorder-skip-numbers-unlocked",
     ),
     pytest.param(
         "metric-name-drift", "obs/series.py",

@@ -13,11 +13,10 @@ from repro.obs import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    Tracer,
+    Recorder,
     export,
 )
 from repro.obs import metrics as met
-from repro.obs import tracing as trc
 
 
 class TestCounterGauge:
@@ -284,44 +283,50 @@ class TestBufferedRecording:
         assert hist.sum == sum(1.0 + i % 7 for i in range(per_writer)) * n_writers
 
 
-class TestTracer:
-    def test_event_recording_and_filtering(self):
-        tr = Tracer()
-        tr.event("branch.fork", state="s1", parent="s0")
-        tr.event("branch.merge", state="s2")
-        assert len(tr) == 2
-        forks = tr.events(kind="branch.fork")
-        assert len(forks) == 1
-        assert forks[0].attrs["state"] == "s1"
-        assert len(tr.events(limit=1)) == 1
-        assert tr.events(limit=0) == []  # not "everything" via [-0:]
+class TestRecorder:
+    def test_event_is_a_point_row(self):
+        rec = Recorder(clock=lambda: 1.5)
+        rec.event("branch", "fork", "s1", "s0")
+        rec.event("txn", "abort", None, ref="user")
+        assert len(rec) == 2
+        assert rec.rows() == [
+            {"seq": 0, "t_start": 1.5, "t_end": 1.5, "cpu": 0.0, "layer": "branch",
+             "name": "fork", "parent": "s0", "txn": "s1", "n": 0, "ref": None},
+            {"seq": 1, "t_start": 1.5, "t_end": 1.5, "cpu": 0.0, "layer": "txn",
+             "name": "abort", "parent": None, "txn": None, "n": 0, "ref": "user"},
+        ]
+
+    def test_one_numbering_and_a_cursor(self):
+        rec = Recorder()
+        rec.event("txn", "commit", "s1", "s0", 2)
+        rec.skip(4)  # a request numbered and not kept
+        rec.add((1.0, 4.0, 2.0, "server.request", "READ", -1, 7, 30),
+                [(1.0, 2.0, 0.5, "server.wait"), (2.0, 4.0, 1.5, "server.handle")])
+        rec.event("gc", "cycle", None, n=3)
+        rows = rec.rows()
+        assert [row["seq"] for row in rows] == [0, 5, 6, 7, 8] and rec.seq == 9
+        request, wait, handle = rows[1:4]
+        assert (wait["parent"], handle["parent"]) == (request["seq"], request["seq"])
+        assert [(r["layer"], r["name"], r["txn"], r["n"]) for r in (wait, handle)] == [
+            ("server.wait", "READ", 7, 30), ("server.handle", "READ", 7, 30),
+        ]
+        assert rec.rows(after=6) == rows[3:]
+        assert rec.rows(after=8) == []
 
     def test_ring_buffer_bounded(self):
-        tr = Tracer(capacity=10)
+        rec = Recorder(capacity=10)
         for i in range(25):
-            tr.event("tick", i=i)
-        events = tr.events()
-        assert len(events) == 10
-        assert [e.attrs["i"] for e in events] == list(range(15, 25))
+            rec.event("tick", "tick", None, n=i)
+        assert [row["n"] for row in rec.rows()] == list(range(15, 25))
+        assert rec.dropped == 15
 
-    def test_disabled_tracer_noop(self):
-        tr = Tracer(enabled=False)
-        tr.event("x")
-        assert len(tr) == 0
+    def test_new_stores_record_no_branch_rows(self):
+        from repro.core.store import TardisStore
 
-    def test_default_tracer_swap(self):
-        mine = Tracer()
-        previous = trc.set_default_tracer(mine)
-        try:
-            trc.DEFAULT.event("ping")
-            assert len(mine.events()) == 1
-        finally:
-            trc.set_default_tracer(previous)
-
-    def test_event_to_dict(self):
-        tr = Tracer(clock=lambda: 1.5)
-        tr.event("gc.cycle", removed=3)
-        assert tr.to_list() == [{"ts": 1.5, "kind": "gc.cycle", "removed": 3}]
+        store = TardisStore("quiet")
+        store.put("k", 1)
+        assert not store.recorder.enabled
+        assert len(store.recorder) == 0 and store.recorder.seq == 0
 
 
 class TestExport:
@@ -335,13 +340,16 @@ class TestExport:
 
     def test_json_round_trip(self):
         reg = self._registry()
-        tr = Tracer()
-        tr.event("branch.fork", state="s1")
-        doc = json.loads(export.to_json(reg, tr, include_buckets=True))
+        rec = Recorder()
+        rec.event("branch", "merge", "s3", "s1", 2, ("s2",))
+        doc = json.loads(export.to_json(reg, rec, include_buckets=True))
         assert doc["metrics"]["commits"] == {"type": "counter", "value": 7}
         assert doc["metrics"]["lat_ms"]["count"] == 4
         assert doc["metrics"]["lat_ms"]["zero"] == 1
-        assert doc["events"][0]["kind"] == "branch.fork"
+        assert doc["events"][0]["name"] == "merge"
+        assert doc["events"][0]["ref"] == ["s2"]
+        assert json.loads(export.to_json(reg, rec, event_limit=0))["events"] == []
+        assert "events" not in json.loads(export.to_json(reg))
 
     def test_prometheus_format(self):
         text = export.to_prometheus(self._registry())
@@ -370,15 +378,15 @@ class TestExport:
 
 
 class TestInstrumentation:
-    """The store's hot paths feed an installed registry/tracer."""
+    """The store's hot paths feed an installed registry and its recorder."""
 
     def test_store_counters_and_events(self):
         from repro.core.store import TardisStore
 
         reg = MetricsRegistry()
-        tr = Tracer()
-        with met.use_registry(reg), trc.use_tracer(tr):
+        with met.use_registry(reg):
             store = TardisStore("obs")
+            store.recorder.enabled = True
             a, b = store.session("a"), store.session("b")
             store.put("k", 0, session=a)
             t1, t2 = store.begin(session=a), store.begin(session=b)
@@ -394,10 +402,8 @@ class TestInstrumentation:
         assert data["tardis_txn_commit_total"]["value"] >= 3
         assert data["tardis_branch_fork_total"]["value"] == 1
         assert data["tardis_branch_merge_total"]["value"] == 1
-        kinds = {e.kind for e in tr.events()}
-        assert "txn.commit" in kinds
-        assert "branch.fork" in kinds
-        assert "branch.merge" in kinds
+        kinds = {"%s.%s" % (row["layer"], row["name"]) for row in store.recorder.rows()}
+        assert kinds == {"txn.commit", "branch.fork", "branch.merge"}
 
     def test_disabled_by_default(self):
         """An uninstrumented run records nothing into the global default."""

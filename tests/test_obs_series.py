@@ -5,12 +5,10 @@ import pytest
 
 from repro import TardisStore
 from repro.obs import metrics as met
-from repro.obs import tracing as trc
 from repro.obs.context import (
     causal_timeline,
     format_timeline,
     merge_events,
-    stamp,
     trace_id_of,
 )
 from repro.obs.series import (
@@ -19,7 +17,7 @@ from repro.obs.series import (
     WindowedGauge,
     dag_extent,
 )
-from repro.obs.tracing import Tracer
+from repro.obs.tracing import Recorder
 from repro.replication.cluster import Cluster
 from repro.sim.des import Simulator
 
@@ -191,67 +189,69 @@ class TestDivergenceMonitor:
 
 
 class TestTimelineReconstruction:
-    def test_stamp_derives_ids(self):
+    def test_rows_derive_ids_from_the_state(self):
         store = TardisStore("us")
+        store.recorder.enabled = True
         sid = store.put("x", 1)
-        root = store.dag.root.id
-        assert stamp(sid, root) == {"trace": trace_id_of(sid), "parent": "s0"}
-        assert stamp(root) == {"trace": "s0", "parent": None}
+        (row,) = store.recorder.rows()
+        assert (row["layer"], row["name"]) == ("txn", "commit")
+        assert (row["txn"], row["parent"]) == (trace_id_of(sid), "s0")
+        assert row["t_start"] == row["t_end"] and row["cpu"] == 0.0
 
     def test_merge_events_orders_and_tags_sites(self):
-        t_us = Tracer(clock=lambda: 0.0)
-        t_eu = Tracer(clock=lambda: 0.0)
-        t_us.event("a")
-        t_eu.event("b")
-        merged = merge_events({"us": t_us, "eu": t_eu})
+        r_us = Recorder(clock=lambda: 0.0)
+        r_eu = Recorder(clock=lambda: 0.0)
+        r_us.event("x", "a", None)
+        r_eu.event("x", "b", None)
+        merged = merge_events({"us": r_us, "eu": r_eu})
         # equal timestamps: ties break by site name, deterministically
-        assert [e.attrs["site"] for e in merged] == ["eu", "us"]
-        assert [e.kind for e in merged] == ["b", "a"]
+        assert [row["site"] for row in merged] == ["eu", "us"]
+        assert [row["name"] for row in merged] == ["b", "a"]
+        assert merge_events({"us": r_us, "eu": r_eu}, kind="x.a") == [merged[1]]
 
     def test_causal_timeline_includes_consumers(self):
-        tracer = Tracer(clock=lambda: 0.0)
-        tracer.event("txn.commit", state="s1@us", trace="s1@us", parent=None)
-        tracer.event("repl.apply", state="s1@us", trace="s1@us", src="us")
-        tracer.event("txn.commit", state="s2@eu", trace="s2@eu", parent="s1@us")
-        tracer.event(
-            "branch.merge", state="s3@eu", trace="s3@eu",
-            parents=("s1@us", "s2@eu"),
-        )
-        tracer.event("txn.commit", state="s9@eu", trace="s9@eu", parent="s8@eu")
-        events = merge_events({"eu": tracer})
-        timeline = causal_timeline(events, "s1@us")
-        kinds = [e.kind for e in timeline]
+        rec = Recorder(clock=lambda: 0.0)
+        rec.event("txn", "commit", "s1@us", None)
+        rec.event("repl", "apply", "s1@us", None, ref="us")
+        rec.event("txn", "commit", "s2@eu", "s1@us")
+        rec.event("branch", "merge", "s3@eu", "s2@eu", ref=("s1@us",))
+        rec.event("txn", "commit", "s9@eu", "s8@eu")
+        rec.event("repl", "cache", "s10@eu", "s9@eu", ref="s1@us")  # names it, not its consumer
+        timeline = causal_timeline(merge_events({"eu": rec}), "s1@us")
+        kinds = ["%s.%s" % (row["layer"], row["name"]) for row in timeline]
         assert kinds == ["txn.commit", "repl.apply", "txn.commit", "branch.merge"]
         text = format_timeline(timeline, "s1@us")
         assert text.startswith("trace s1@us: 4 events")
+        assert "branch.merge   s3@eu parent=s2@eu n=0 ref=s1@us" in text
 
     def test_store_events_reconstruct_locally(self):
-        tracer = Tracer(enabled=True, clock=lambda: 0.0)
         store = TardisStore("us")
-        store.tracer = tracer
+        store.recorder = Recorder(enabled=True, clock=lambda: 0.0)
         sid = store.put("x", 1)
         timeline = causal_timeline(
-            merge_events({"us": tracer}), trace_id_of(sid)
+            merge_events({"us": store.recorder}), trace_id_of(sid)
         )
-        assert [e.kind for e in timeline] == ["txn.commit"]
-        assert timeline[0].attrs["state"] == repr(sid)
+        assert [row["name"] for row in timeline] == ["commit"]
+        assert timeline[0]["txn"] == repr(sid)
 
 
-class TestTracerDropAccounting:
+class TestRecorderDropAccounting:
     def test_dropped_counts_evictions(self):
-        tracer = Tracer(capacity=3, enabled=True)
+        rec = Recorder(capacity=3)
         for i in range(5):
-            tracer.event("e", i=i)
-        assert tracer.dropped == 2
-        assert [e.attrs["i"] for e in tracer.events()] == [2, 3, 4]
-        tracer.clear()
-        assert tracer.dropped == 0
+            rec.event("e", "e", None, n=i)
+        assert rec.dropped == 2
+        assert [row["n"] for row in rec.rows()] == [2, 3, 4]
+        assert [row["seq"] for row in rec.rows()] == [2, 3, 4] and rec.seq == 5
 
     def test_dropped_metric_mirrored(self):
         reg = met.MetricsRegistry()
         with met.use_registry(reg):
-            tracer = Tracer(capacity=2, enabled=True)
-            for i in range(6):
-                tracer.event("e", i=i)
-        assert tracer.dropped == 4
-        assert reg.to_dict()["tardis_trace_dropped_total"]["value"] == 4
+            rec = Recorder(capacity=2)
+            for i in range(3):
+                rec.event("e", "e", None, n=i)
+            rec.add((0.0, 1.0, 0.5, "server.request", "READ", -1, 7, 10),
+                    [(0.0, 0.5, 0.2, "server.wait")])
+        assert rec.dropped == 3
+        assert reg.to_dict()["tardis_trace_dropped_total"]["value"] == 3
+

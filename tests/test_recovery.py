@@ -9,7 +9,6 @@ from repro import TardisStore, checkpoint_store, recover_store
 from repro.core.ids import ROOT_ID, CommitRecord, StateId
 from repro.errors import CorruptLogError, GarbageCollectedError, TransactionAborted
 from repro.obs import metrics as met
-from repro.obs.tracing import Tracer
 from repro.storage.wal import WriteAheadLog
 
 
@@ -255,7 +254,7 @@ class TestUnloggableWriteSet:
     @LOG_LEVELS
     def test_nothing_is_installed_live_or_after_recovery(self, tmp_path, config):
         store = make_store(tmp_path, **config)
-        store.tracer = Tracer()
+        store.recorder.enabled = True
         store.put("b", 1)
         states = len(store.dag)
         t = store.begin()
@@ -266,8 +265,8 @@ class TestUnloggableWriteSet:
         assert t.status == "aborted"
         assert len(store.dag) == states
         assert store.get("b") == 1 and store.get("a") is None
-        [event] = store.tracer.events(kind="txn.abort")
-        assert event.attrs["reason"] == "unloggable-writes"
+        [abort] = [row for row in store.recorder.rows() if row["name"] == "abort"]
+        assert abort["ref"] == "unloggable-writes"
         store.put("c", 3)  # the log still takes commits
         store.close()
         recovered, report = recover_store("A", str(tmp_path / "wal.log"))

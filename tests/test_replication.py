@@ -438,20 +438,14 @@ class TestTracePropagation:
         cluster.network.partition("us", "eu")
         sid = a.put("x", 1)
         cluster.run(until=50)  # buffered: nothing applied at eu
-        applies = [
-            e for e in cluster.events(kind="repl.apply")
-            if e.attrs.get("site") == "eu"
-        ]
+        applies = [row for row in cluster.events(kind="repl.apply") if row["site"] == "eu"]
         assert applies == []
         cluster.network.heal("us", "eu")
         cluster.run(until=200)
-        applies = [
-            e for e in cluster.events(kind="repl.apply")
-            if e.attrs.get("site") == "eu"
-        ]
-        assert [e.attrs["trace"] for e in applies] == [trace_id_of(sid)]
+        applies = [row for row in cluster.events(kind="repl.apply") if row["site"] == "eu"]
+        assert [row["txn"] for row in applies] == [trace_id_of(sid)]
         # the full timeline reads commit -> send -> apply
-        kinds = [e.kind for e in cluster.timeline(trace_id_of(sid))]
+        kinds = ["%s.%s" % (row["layer"], row["name"]) for row in cluster.timeline(trace_id_of(sid))]
         assert kinds[0] == "txn.commit"
         assert "repl.send" in kinds and "repl.apply" in kinds
 
@@ -469,12 +463,12 @@ class TestTracePropagation:
                 cluster.run(until=cluster.sim.now + rng.uniform(5.0, 120.0))
         cluster.run()  # drain all replication traffic
 
-        assert all(t.dropped == 0 for t in cluster.tracers.values())
+        assert all(s.recorder.dropped == 0 for s in cluster.stores.values())
         commits = {}
-        for event in cluster.events(kind="txn.commit"):
-            commits.setdefault(event.attrs["trace"], []).append(event)
-        for event in cluster.events(kind="repl.apply"):
-            trace = event.attrs["trace"]
+        for row in cluster.events(kind="txn.commit"):
+            commits.setdefault(row["txn"], []).append(row)
+        for row in cluster.events(kind="repl.apply"):
+            trace = row["txn"]
             origin = commits.get(trace)
             assert origin is not None, "apply %r has no commit" % trace
             assert len(origin) == 1, "trace %r committed %d times" % (
@@ -482,9 +476,9 @@ class TestTracePropagation:
             )
             # the commit happened at the trace id's origin site, the
             # apply anywhere else
-            origin_site = origin[0].attrs["site"]
+            origin_site = origin[0]["site"]
             assert trace.endswith("@" + origin_site)
-            assert event.attrs["site"] != origin_site
+            assert row["site"] != origin_site
         # with 120 puts over 3 sites there was real replication traffic
         applies = cluster.events(kind="repl.apply")
         assert len(applies) >= 120  # each commit applies at >= 1 peer

@@ -1,12 +1,12 @@
-"""Request rows and the slow ring (docs/internals.md §14.1).
+"""Request rows in the store's recorder (docs/internals.md §14.1).
 
 While the metrics registry is enabled the server splits each request
 into four rows at the point that times it for its per-op histogram,
-and numbers them; a request whose handler outran its op's threshold,
-and every GC cycle, is kept in the slow ring that ``OBS_SNAPSHOT``
-ships and ``tardis top`` renders. With the registry off nothing is
-recorded and a request reads the clock as often as it does to time
-itself.
+and numbers them in its store's recorder; a request whose handler
+outran its op's threshold, and every GC cycle, is kept there, and
+``OBS_SNAPSHOT`` ships those rows as ``slow``, which ``tardis top``
+renders. With the registry off nothing is recorded and a request reads
+the clock as often as it does to time itself.
 """
 
 import socket
@@ -17,17 +17,11 @@ import pytest
 
 from repro.client import TardisClient
 from repro.obs import metrics as met
+from repro.obs.tracing import ROW_COLUMNS
 from repro.server import handlers
 from repro.server import server as server_module
 from repro.server.handlers import WireSession
-from repro.server.server import (
-    ROW_COLUMNS,
-    SLOW_EVERY,
-    SLOW_ROWS,
-    SPANS,
-    TardisServer,
-    _Connection,
-)
+from repro.server.server import SLOW_EVERY, SPANS, TardisServer, _Connection
 from repro.tools.top import render_snapshot
 
 
@@ -107,7 +101,7 @@ class TestRegistryOff:
         snapshot = client.obs_snapshot(tail=0)
         stats = client.stats()
         client.close()
-        assert served.rows_total == 0 and list(served.slow) == []
+        assert served.store.recorder.seq == 0 and len(served.store.recorder) == 0
         assert snapshot["slow"] == []
         assert snapshot["latency_ms"]["COMMIT"]["count"] == 20
         assert snapshot["latency_ms"]["READ"]["count"] == 20
@@ -123,7 +117,8 @@ class TestRegistryOff:
         sansio({"op": "READ", "begin": {}, "key": "x"})
         # ``since`` and the handler's return, the histogram's two reads
         assert clock.reads == {"perf_counter": 2, "thread_time": 0}
-        assert sansio.server.rows_total == 0 and list(sansio.server.slow) == []
+        recorder = sansio.server.store.recorder
+        assert recorder.seq == 0 and len(recorder) == 0
 
 
 class TestRegistryOn:
@@ -139,10 +134,10 @@ class TestRegistryOn:
         for i in range(5):
             sansio(read)
             sansio({"op": "COMMIT", "txn": i + 1, "writes": [{"key": "x", "value": i}]})
-        kept = list(sansio.server.slow)  # the HELLO ran with the registry off
+        kept = sansio.server._slow_rows()  # the HELLO ran with the registry off
         assert len(kept) == 10 == len(samples)
         assert [row["seq"] for row in kept] == list(range(0, 40, 4))
-        assert sansio.server.rows_total == 40
+        assert sansio.server.store.recorder.seq == 40 == len(sansio.server.store.recorder)
         for row, sample in zip(kept, samples):
             assert set(row) == set(ROW_COLUMNS) | {"seq", "spans"}
             assert row["layer"] == "server.request" and row["parent"] == -1
@@ -163,26 +158,28 @@ class TestRegistryOn:
         clock = _CountingTime()
         monkeypatch.setattr(server_module, "time", clock)
         sansio({"op": "READ", "begin": {}, "key": "x"})
-        assert list(sansio.server.slow) == []  # no threshold yet: not slow
+        assert sansio.server._slow_rows() == []  # no threshold yet: not slow
         assert clock.reads == {"perf_counter": 2, "thread_time": 2}
         monkeypatch.setattr(server_module, "SLOW_EVERY", 1)
         monkeypatch.setattr(server_module, "SLOW_FACTOR", 0.0)
         sansio({"op": "COMMIT", "txn": 1, "writes": []})
-        assert len(sansio.server.slow) == 1
+        assert len(sansio.server._slow_rows()) == 1
         # plus the end of the reply's write, read for a slow request only
         assert clock.reads == {"perf_counter": 5, "thread_time": 5}
 
-    def test_the_slow_ring_stops_growing_at_its_constant(self, sansio, registry_on):
+    def test_the_kept_rows_stop_at_the_recorders_capacity(self, sansio, registry_on):
         server = sansio.server
+        recorder = server.store.recorder
         for _ in range(8):
             sansio({"op": "READ", "begin": {}, "key": "x"})
-        assert server.rows_total == 32 and list(server.slow) == []
-        for _ in range(SLOW_ROWS + 3):
+        assert recorder.seq == 32 and server._slow_rows() == []
+        for _ in range(recorder.capacity + 3):
             server._gc_at = 0  # every call runs a cycle
             server._collect_if_grown()
-        assert len(server.slow) == SLOW_ROWS
-        assert all(row["layer"] == "gc.cycle" for row in server.slow)
-        assert server.slow[-1]["seq"] == server.rows_total - 1 == 32 + SLOW_ROWS + 2
+        kept = server._slow_rows()
+        assert len(kept) == recorder.capacity == len(recorder) and recorder.dropped == 3
+        assert all(row["layer"] == "gc.cycle" for row in kept)
+        assert kept[-1]["seq"] == recorder.seq - 1 == 32 + recorder.capacity + 2
 
 
 class TestSlowRing:
@@ -236,8 +233,8 @@ class TestSlowRing:
     def test_queueing_does_not_make_a_request_slow(self, served, registry_on):
         """Eight clients at once: their requests wait behind each other,
         but only a handler span is held against the threshold, so the
-        ring still holds the first GC cycle after more requests than it
-        has room for."""
+        recorder still holds the first GC cycle after more requests than
+        it has room for (a kept request takes four rows)."""
         clients = [TardisClient(port=served.port) for _ in range(8)]
 
         def drive(client, n):
@@ -253,11 +250,12 @@ class TestSlowRing:
 
         while served.store.gc.cycles == 0:
             wave(25)
-        after = served.rows_total
-        wave(SLOW_ROWS // 4)  # two ring's worth of requests
+        recorder = served.store.recorder
+        after = recorder.seq
+        wave(recorder.capacity // 16)  # two rings' worth of requests
         snapshot = clients[0].obs_snapshot(tail=0)
         for client in clients:
             client.close()
-        assert (served.rows_total - after) // 4 >= 2 * SLOW_ROWS
+        assert (recorder.seq - after) // 4 >= 2 * (recorder.capacity // 4)
         cycles = [row for row in snapshot["slow"] if row["layer"] == "gc.cycle"]
         assert cycles and cycles[0]["seq"] < after

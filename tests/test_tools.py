@@ -6,6 +6,7 @@ import json
 import pytest
 
 from repro import TardisStore, analysis, checkpoint_store
+from repro.obs.tracing import ROW_COLUMNS
 from repro.tools import dag_to_dot, describe_store, store_summary
 from repro.tools.cli import build_parser, main
 
@@ -126,16 +127,17 @@ class TestCli:
         assert "-- gc debt" in out
         assert "tardis_txn_commit_total" in out
         assert "leaf " in out
+        panel = out.split("-- recent rows (ring dropped=")[1].splitlines()[1:]
+        assert len(panel) == 10
+        assert {line.split()[1].split(".")[0] for line in panel} <= {"txn", "branch", "gc"}
 
     def test_metrics_command_leaves_defaults_restored(self):
         from repro.obs import metrics as met
-        from repro.obs import tracing as trc
 
-        before_reg, before_trc = met.DEFAULT, trc.DEFAULT
+        before_reg = met.DEFAULT
         assert main(["metrics", "--clients", "2", "--duration", "20",
                      "--cores", "2"]) == 0
         assert met.DEFAULT is before_reg
-        assert trc.DEFAULT is before_trc
 
     def test_metrics_json(self, capsys):
         rc = main([
@@ -146,7 +148,8 @@ class TestCli:
         assert rc == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["metrics"]["tardis_txn_begin_total"]["value"] > 0
-        assert len(payload["events"]) <= 5
+        assert len(payload["events"]) == 5
+        assert all(set(row) == {"seq", *ROW_COLUMNS, "ref"} for row in payload["events"])
 
     def test_metrics_prometheus(self, capsys):
         rc = main([
@@ -233,6 +236,19 @@ class TestTraceCommand:
             if "repl.apply" in line
         }
         assert apply_sites >= {"eu", "asia"}
+
+    def test_trace_of_a_merged_parent_shows_the_merge(self, capsys):
+        assert main(["trace", "--txn", "s1@eu"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "trace s1@eu: 5 events across 3 sites"
+        # (time, site, layer.name, trace id)
+        assert [line.split()[:4] for line in lines[1:]] == [
+            ["0.000ms", "eu", "txn.commit", "s1@eu"],
+            ["0.000ms", "eu", "repl.send", "s1@eu"],
+            ["50.000ms", "us", "repl.apply", "s1@eu"],
+            ["125.000ms", "asia", "repl.apply", "s1@eu"],
+            ["300.000ms", "asia", "branch.merge", "s2@asia"],
+        ]
 
     def test_trace_unknown_txn_lists_known(self, capsys):
         assert main(["trace", "--txn", "s999@zz"]) == 1

@@ -1,23 +1,22 @@
-"""A trace id is a state id, and every event goes to its store's tracer.
+"""A trace id is a state id, and every row goes to its store's recorder.
 
 ``trace_ids_cluster.json`` holds ``[kind, attrs]`` for every event a
 seeded ``Cluster(trace=True)`` scenario recorded before trace ids were
-derived at the emitter: forks, a partition and a heal, a GC with
-``flush_promotions`` that forces ``repl.cache → repl.fetch → repl.apply``,
-a merge, and a ``repl.drop``. The same scenario must still produce exactly
-those events. The only extra events allowed are the GC events and the
-user aborts, which used to skip the sites' tracers.
+derived at the emitter, and before events became rows: forks, a
+partition and a heal, a GC with ``flush_promotions`` that forces
+``repl.cache → repl.fetch → repl.apply``, a merge, and a ``repl.drop``.
+The same scenario must still produce exactly those events, projected onto
+the row columns (:func:`project`). The only extra rows allowed are the GC
+rows and the user aborts, which used to skip the sites' tracers.
 """
 
 import json
 import os
 
 from repro import TardisStore
-from repro import obs
 from repro.core.constraints import StateIdConstraint
-from repro.obs import metrics as met
-from repro.obs import tracing as trc
-from repro.obs.context import causal_timeline, trace_id_of
+from repro.obs.context import causal_timeline, merge_events, trace_id_of
+from repro.obs.tracing import Recorder
 from repro.replication import Cluster
 from repro.speculation import SpeculativeExecutor
 from repro.speculation.executor import RemoteTxn
@@ -88,25 +87,64 @@ def run_scenario():
     return cluster
 
 
-#: events that went to the module default tracer instead of the site's
+#: the attributes of a fixture event that no row column holds, by kind.
+#: ``state`` is the row's ``txn`` (except on ``repl.fetch``, whose
+#: fetched state is its ``ref``), ``site`` its recorder's store, a
+#: ``repl.send``'s ``src`` that site too, a fetch's ``peer`` the site whose
+#: ``repl.cache`` row carries the same ``txn``, a commit's ``ripple`` is in
+#: ``tardis_commit_ripple_steps`` and its ``fork`` is the ``branch.fork``
+#: row after it.
+DROPPED = {
+    "txn.commit": {"state", "ripple", "fork"},
+    "branch.fork": {"state"},
+    "branch.merge": {"state"},
+    "repl.send": {"state", "src"},
+    "repl.apply": {"state"},
+    "repl.cache": {"state"},
+    "repl.fetch": {"peer"},
+    "repl.drop": {"state"},
+}
+#: the attribute a kind keeps in ``n``, and in ``ref``.
+N_FROM = {"txn.commit": "writes", "branch.merge": "writes"}
+REF_FROM = {
+    "branch.merge": "parents", "repl.apply": "src",
+    "repl.cache": "missing", "repl.fetch": "state",
+}
+
+
+def project(kind, attrs):
+    """A fixture event as ``[site, layer, name, parent, txn, n, ref]``."""
+    attrs = dict(attrs)
+    site, txn, parent = attrs.pop("site"), attrs.pop("trace"), attrs.pop("parent")
+    n = attrs.pop(N_FROM[kind]) if kind in N_FROM else 0
+    ref = attrs.pop(REF_FROM[kind]) if kind in REF_FROM else None
+    if kind == "branch.merge":  # the first parent is ``parent``
+        assert ref[0] == parent
+        ref = ref[1:]
+    assert set(attrs) == DROPPED[kind]
+    assert kind == "repl.fetch" or attrs["state"] == txn
+    layer, name = kind.split(".")
+    return [site, layer, name, parent, txn, n, ref]
+
+
+#: rows that went to the module default tracer instead of the site's
 #: own before every store event took one route.
-def _rerouted(kind, attrs):
-    return kind.startswith("gc.") or (
-        kind == "txn.abort" and attrs.get("reason") == "user"
-    )
+def _rerouted(row):
+    return row["layer"] == "gc" or (row["name"] == "abort" and row["ref"] == "user")
 
 
 def _captured(cluster):
-    return json.loads(
-        json.dumps([[e.kind, e.attrs] for e in cluster.events()])
-    )
+    return json.loads(json.dumps([
+        [row[c] for c in ("site", "layer", "name", "parent", "txn", "n", "ref")]
+        for row in cluster.events()
+        if not _rerouted(row)
+    ]))
 
 
 class TestEquivalence:
-    def test_cluster_events_match_the_fixture(self):
+    def test_cluster_rows_match_the_fixture(self):
         cluster = run_scenario()
-        assert all(t.dropped == 0 for t in cluster.tracers.values())
-        events = _captured(cluster)
+        assert all(s.recorder.dropped == 0 for s in cluster.stores.values())
         with open(FIXTURE) as handle:
             fixture = json.load(handle)
         kinds = {kind for kind, _attrs in fixture}
@@ -114,17 +152,15 @@ class TestEquivalence:
             "txn.commit", "branch.fork", "branch.merge", "repl.send",
             "repl.apply", "repl.cache", "repl.fetch", "repl.drop",
         } <= kinds
-        assert [e for e in events if not _rerouted(*e)] == fixture
+        assert _captured(cluster) == [project(*event) for event in fixture]
 
     def test_fetch_is_charged_to_the_waiting_transaction(self):
         cluster = run_scenario()
-        cached = cluster.events(kind="repl.cache")[0].attrs
-        fetch = cluster.events(kind="repl.fetch")[0].attrs
-        assert fetch["state"] == cached["missing"]
-        assert (fetch["trace"], fetch["parent"]) == (
-            cached["trace"], cached["parent"],
-        )
-        assert cached["trace"] == cached["state"]
+        cached = cluster.events(kind="repl.cache")[0]
+        fetch = cluster.events(kind="repl.fetch")[0]
+        assert fetch["ref"] == cached["ref"]  # the missing state is fetched
+        assert (fetch["txn"], fetch["parent"]) == (cached["txn"], cached["parent"])
+        assert fetch["site"] != cached["site"]  # the fetch's peer
 
 
 class TestOneRoute:
@@ -140,40 +176,38 @@ class TestOneRoute:
         cluster.run()
         for store in cluster.stores.values():
             store.collect_garbage()
-        kinds = [e.kind for e in cluster.events()]
-        assert kinds.count("gc.cycle") == 3
+        cycles = cluster.events(kind="gc.cycle")
+        assert sorted(row["site"] for row in cycles) == sorted(cluster.sites)
         aborts = cluster.events(kind="txn.abort")
-        assert sorted(e.attrs["site"] for e in aborts) == sorted(cluster.sites)
-        assert all(e.attrs["reason"] == "user" for e in aborts)
-        assert {e.attrs["site"] for e in cluster.events(kind="gc.cycle")} == set(
-            cluster.sites
-        )
+        assert sorted(row["site"] for row in aborts) == sorted(cluster.sites)
+        assert all(row["ref"] == "user" for row in aborts)
 
-    def test_gc_promotions_reach_the_store_tracer(self):
-        tracer = trc.Tracer(enabled=True, clock=lambda: 0.0)
+    def test_gc_promotions_reach_the_store_recorder(self):
         store = TardisStore("g")
-        store.tracer = tracer
+        store.recorder.enabled = True
         sess = store.session("w")
         first = store.put("x", 0, session=sess)
         for i in range(3):
             store.put("x", i + 1, session=sess)
         sess.place_ceiling()
         stats = store.collect_garbage()
-        promotions = tracer.events(kind="gc.promotion")
+        rows = merge_events({"g": store.recorder})
+        promotions = [row for row in rows if row["name"] == "promotion"]
         assert len(promotions) == stats.states_removed > 0
-        assert repr(first) in {e.attrs["state"] for e in promotions}
-        assert all(e.attrs["trace"] == e.attrs["state"] for e in promotions)
+        assert repr(first) in {row["txn"] for row in promotions}
+        # the last state spliced out was promoted into a live one
+        with store._lock:
+            live = {repr(s.id) for s in store.dag.states()}
+        assert promotions[-1]["ref"] in live
         # The chain is spliced oldest first, so each state is the root
         # when it goes: no parent is left to name.
-        assert all(e.attrs["parent"] is None for e in promotions)
-        assert tracer.events(kind="gc.cycle")[0].attrs["removed"] == (
-            stats.states_removed
-        )
+        assert all(row["parent"] is None for row in promotions)
+        (cycle,) = [row for row in rows if row["name"] == "cycle"]
+        assert cycle["n"] == stats.states_removed
 
-    def test_speculation_events_reach_the_store_tracer(self):
-        tracer = trc.Tracer(enabled=True, clock=lambda: 0.0)
+    def test_speculation_rows_reach_the_store_recorder(self):
         executor = SpeculativeExecutor()
-        executor.store.tracer = tracer
+        executor.store.recorder.enabled = True
 
         def bump(txn):
             txn.put("x", txn.get("x", default=0) + 1)
@@ -182,51 +216,44 @@ class TestOneRoute:
         executor.deliver_confirmed([RemoteTxn(writes={"y": 1})])
         executor.submit(bump)
         executor.deliver_confirmed([RemoteTxn(writes={"x": 9})])
-        kinds = [e.kind for e in tracer.events()]
-        assert kinds.count("spec.confirm") == 1
-        assert kinds.count("spec.misspeculate") == 1
+        spec = [(row["name"], row["n"]) for row in executor.store.recorder.rows()
+                if row["layer"] == "spec"]
+        assert spec == [("confirm", 1), ("misspeculate", 1)]
 
-    def test_commit_schema_does_not_depend_on_wiring(self):
-        def commit_attrs(store):
-            a, b = store.session("a"), store.session("b")
-            store.put("x", 0, session=a)
-            t1, t2 = store.begin(session=a), store.begin(session=b)
-            t1.put("x", t1.get("x") + 1)
-            t2.put("x", t2.get("x") + 2)
-            t1.commit()
-            t2.commit()
-            merge = store.begin_merge(session=a)
-            merge.put("x", 3)
-            merge.commit()
+    def test_commit_fork_and_merge_rows_name_their_parents(self):
+        store = TardisStore("s")
+        store.recorder.enabled = True
+        a, b = store.session("a"), store.session("b")
+        store.put("x", 0, session=a)
+        t1, t2 = store.begin(session=a), store.begin(session=b)
+        t1.put("x", t1.get("x") + 1)
+        t2.put("x", t2.get("x") + 2)
+        t1.commit()
+        forked = t2.commit()
+        merge = store.begin_merge(session=a)
+        merge.put("x", 3)
+        merged = merge.commit()
+        rows = store.recorder.rows()
+        assert [(row["layer"], row["name"]) for row in rows] == [
+            ("txn", "commit"), ("txn", "commit"), ("txn", "commit"),
+            ("branch", "fork"), ("branch", "merge"),
+        ]
+        assert all(row["parent"] is not None for row in rows)
+        fork, merge_row = rows[3], rows[4]
+        assert (fork["txn"], fork["parent"]) == (repr(forked), rows[2]["parent"])
+        assert merge_row["txn"] == repr(merged) and merge_row["n"] == 1
+        assert len(merge_row["ref"]) == 1  # the second parent
 
-        own = trc.Tracer(enabled=True, clock=lambda: 0.0)
-        wired = TardisStore("s")
-        wired.tracer = own
-        commit_attrs(wired)
-        default = trc.Tracer(enabled=True, clock=lambda: 0.0)
-        with trc.use_tracer(default):
-            plain = TardisStore("s")
-            commit_attrs(plain)
-        schema = [(e.kind, e.attrs) for e in own.events()]
-        assert [(e.kind, e.attrs) for e in default.events()] == schema
-        assert {kind for kind, _attrs in schema} == {
-            "txn.commit", "branch.fork", "branch.merge",
-        }
-        for _kind, attrs in schema:
-            assert attrs["trace"] == attrs["state"]
-            assert attrs["parent"] is not None
-
-    def test_plain_store_timeline_under_obs_enable(self):
-        tracer = trc.Tracer(enabled=False, clock=lambda: 0.0)
-        with met.use_registry(met.MetricsRegistry(enabled=False)):
-            with trc.use_tracer(tracer):
-                obs.enable()
-                store = TardisStore("us")
-                sid = store.put("x", 1)
-                child = store.put("x", 2)
-                obs.enable(False)
-        timeline = causal_timeline(tracer.events(), trace_id_of(sid))
-        assert [e.kind for e in timeline] == ["txn.commit", "txn.commit"]
-        assert timeline[0].attrs["trace"] == repr(sid)
-        assert timeline[0].attrs["parent"] == repr(store.dag.root.id)
-        assert timeline[1].attrs["trace"] == repr(child)
+    def test_plain_store_timeline(self):
+        store = TardisStore("us")
+        store.recorder = Recorder(enabled=True, clock=lambda: 0.0)
+        sid = store.put("x", 1)
+        child = store.put("x", 2)
+        store.recorder.enabled = False
+        store.put("x", 3)  # not recorded
+        timeline = causal_timeline(merge_events({"us": store.recorder}), trace_id_of(sid))
+        assert [row["name"] for row in timeline] == ["commit", "commit"]
+        assert timeline[0]["txn"] == repr(sid)
+        with store._lock:
+            assert timeline[0]["parent"] == repr(store.dag.root.id)
+        assert timeline[1]["txn"] == repr(child)
