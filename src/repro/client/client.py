@@ -52,7 +52,7 @@ server aborts what was open, later calls raise ``NetworkError``.
 from __future__ import annotations
 
 import socket
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, Iterable, List, Optional
 
 from repro.errors import (
     FrameTooLarge,
@@ -116,11 +116,11 @@ class _BaseClientTransaction:
         changes nothing)."""
         self._check_active()
         begin, pending = self._begin, self._writes
-        writes = pending if carry is None else pending[:carry]
         if begin is None:
             fields["txn"] = self._txn_id
         else:
             fields["begin"] = begin
+        writes = pending if carry is None else pending[:carry]
         if writes:
             fields["writes"] = writes
             self._writes = pending[len(writes) :]
@@ -159,26 +159,31 @@ class _BaseClientTransaction:
         response = self._request("READ", {"key": key})
         if response["found"]:
             return response["value"]
-        if default is _RAISE:
-            raise KeyNotFound(key)
-        return default
+        return self._missing(key, default)
 
-    def get_many(self, keys: List[Any], default: Any = _RAISE) -> List[Any]:
+    def get_many(self, keys: Iterable[Any], default: Any = _RAISE) -> List[Any]:
         """Batch read: one READ_MANY round trip for the whole key list.
 
         Against a shard-partitioned server the batch fans out across the
         shard workers in parallel, so this is the wire API that actually
         exercises the scatter/gather read path.
         """
-        response = self._request("READ_MANY", {"keys": list(keys)})
-        values = []
-        for key, found, value in zip(keys, response["found"], response["values"]):
-            if not found:
-                if default is _RAISE:
-                    raise KeyNotFound(key)
-                value = default
-            values.append(value)
+        keys = keys if type(keys) is list else list(keys)
+        response = self._request("READ_MANY", {"keys": keys})
+        values: List[Any] = response["values"]
+        found = response["found"]
+        if False in found:
+            values = [
+                value if hit else self._missing(key, default)
+                for key, hit, value in zip(keys, found, values)
+            ]
         return values
+
+    @staticmethod
+    def _missing(key: Any, default: Any) -> Any:
+        if default is _RAISE:
+            raise KeyNotFound(key)
+        return default
 
     def _buffer(self, write: _Json) -> None:
         """``put``/``delete``: no frame; the next request carries it."""
@@ -291,10 +296,12 @@ class TardisClient:
         that cannot be framed (value not JSON, over the cap) costs an
         id, not the link, nor the ``closed`` list the next frame carries."""
         message = self._channel.request(op, fields)
-        if self._closed:
-            message["closed"] = self._closed
+        closed = self._closed
+        if closed:
+            message["closed"] = closed
         frame = encode_frame(message)
-        self._closed = []
+        if closed:
+            self._closed = []
         return frame
 
     def _exchange(self, frame: bytes) -> _Json:
@@ -304,12 +311,12 @@ class TardisClient:
         would be read as the next request's — so that loses the connection
         like EOF or an id mismatch: drop the socket, and the server's
         disconnect cleanup aborts what was open."""
-        channel = self._channel
+        channel, sock = self._channel, self._sock
         try:
-            self._sock.sendall(frame)
-            response = channel.response()
-            while response is None:
-                channel.feed(self._sock.recv(65536))
+            sock.sendall(frame)
+            response = None
+            while response is None:  # nothing is buffered: one request is in flight
+                channel.feed(sock.recv(65536))
                 response = channel.response()
         except BaseException:
             if channel.awaiting is not None:
@@ -369,7 +376,7 @@ class TardisClient:
         """Single-read autocommit transaction."""
         return self._read_once(lambda txn: txn.get(key, default=default))
 
-    def get_many(self, keys: List[Any], default: Any = None) -> List[Any]:
+    def get_many(self, keys: Iterable[Any], default: Any = None) -> List[Any]:
         """Batch-read autocommit transaction (one READ_MANY frame)."""
         return self._read_once(lambda txn: txn.get_many(keys, default=default))
 

@@ -47,7 +47,6 @@ from repro.server.protocol import (
     PROTOCOL_VERSION,
     code_for,
     error_response,
-    ok_response,
 )
 
 if TYPE_CHECKING:
@@ -125,22 +124,26 @@ class WireSession:
         self.began: Optional[Tuple[_Json, _Json]] = None
 
     def handle(self, request: _Json) -> _Json:
-        """Run one request; always returns a response, never raises."""
+        """Run one request; always returns a response, never raises. An
+        ``ok`` answer is the handler's fields, what a piggy-backed begin
+        opened, then ``id`` and ``ok``: built once, in place."""
         request_id = request.get("id")
         op = request.get("op")
         self.began = None
         try:
-            handler = HANDLERS.get(op) if isinstance(op, str) else None
+            handler = HANDLERS.get(op) if type(op) is str else None
             if handler is None:
                 raise RequestError("UNKNOWN_OP", "op=%r" % (op,))
             if self.bound is None and op != "HELLO":
                 raise RequestError("NO_HELLO", "say HELLO first")
             if "closed" in request:
                 self.commit_closed(request["closed"])
-            fields = handler(self.server, self, request)
+            response = handler(self.server, self, request)
             if self.began is not None:
-                fields.update(self.began[1])  # a piggy-backed begin answers here
-            return ok_response(request_id, **fields)
+                response.update(self.began[1])  # a piggy-backed begin answers here
+            response["id"] = request_id
+            response["ok"] = True
+            return response
         except RequestError as exc:
             self.undo(request)
             return error_response(request_id, exc.code, exc.message)
@@ -166,14 +169,20 @@ class WireSession:
 
     def commit_closed(self, closed: Any) -> None:
         """A request's ``closed``: write-free single-mode transactions its
-        client committed locally. Checked whole, then committed ahead of the op
-        (so the anchor precedes its ``begin``); an id of nothing open is ignored."""
-        if not isinstance(closed, list) or any(type(i) is not int for i in closed):
+        client committed locally. Checked whole in one pass, then committed
+        ahead of the op (so the anchor precedes its ``begin``); an id of
+        nothing open is ignored."""
+        if type(closed) is not list:
             raise RequestError("BAD_REQUEST", "closed must be a list of txn ids")
-        if any(i in self.txns and holds_work(self.txns[i]) for i in closed):
-            raise RequestError("BAD_REQUEST", "closed names a txn with writes or a merge")
+        txns = self.txns
         for txn_id in closed:
-            txn = self.txns.pop(txn_id, None)
+            if type(txn_id) is not int:
+                raise RequestError("BAD_REQUEST", "closed must be a list of txn ids")
+            txn = txns.get(txn_id)
+            if txn is not None and holds_work(txn):
+                raise RequestError("BAD_REQUEST", "closed names a txn with writes or a merge")
+        for txn_id in closed:
+            txn = txns.pop(txn_id, None)
             if txn is not None:
                 txn.commit()
                 self.server._count("commits")
@@ -199,31 +208,36 @@ class WireSession:
         begins: ``begin`` in place of ``txn`` runs BEGIN first and leaves
         the new id in ``request["txn"]``. Then the request's ``writes``
         are applied, all of them or (ill-formed) none."""
-        writes = _writes(request)
+        writes = request.get("writes")
+        if writes is not None:
+            _check_writes(writes)
         begin = request.get("begin")
-        if begin is not None:
-            if "txn" in request or not isinstance(begin, dict):
+        if begin is None:
+            txn_id = request.get("txn")
+            txn = self.txns.get(txn_id) if type(txn_id) is int else None
+            if txn is None:
+                raise RequestError("UNKNOWN_TXN", "txn=%r" % (txn_id,))
+        else:
+            if "txn" in request or type(begin) is not dict:
                 raise RequestError("BAD_REQUEST", "begin is an object, given in place of txn")
-            request["txn"] = _begin(self.server, self, request, begin)["txn"]
-        txn_id = request.get("txn")
-        txn = self.txns.get(txn_id) if type(txn_id) is int else None
-        if txn is None:
-            raise RequestError("UNKNOWN_TXN", "txn=%r" % (txn_id,))
-        for write in writes:
-            if write.get("delete", False):
-                txn.delete(write["key"])
-            else:
-                txn.put(write["key"], write["value"])
+            txn = _begin(self.server, self, request, begin)
+        if writes:
+            for write in writes:
+                if write.get("delete", False):
+                    txn.delete(write["key"])
+                else:
+                    txn.put(write["key"], write["value"])
         return txn
 
-    def open(self, txn: BaseTransaction, request: _Json, **opened: Any) -> _Json:
-        """Register the transaction ``request`` began; returns what its
-        answer says about it (``txn``, the wire id, plus ``opened``)."""
-        opened["txn"] = self.next_txn_id
-        self.next_txn_id += 1
-        self.txns[opened["txn"]] = txn
+    def open(self, txn: BaseTransaction, request: _Json, opened: _Json) -> int:
+        """Register the transaction ``request`` began, as ``request["txn"]``;
+        returns its wire id. ``opened`` is what the answer says about it,
+        ``txn`` added here."""
+        txn_id = opened["txn"] = request["txn"] = self.next_txn_id
+        self.next_txn_id = txn_id + 1
+        self.txns[txn_id] = txn
         self.began = (request, opened)
-        return opened
+        return txn_id
 
 
 def holds_work(txn: BaseTransaction) -> bool:
@@ -245,14 +259,12 @@ def _scalar(key: Any) -> Any:
 def _key(request: _Json) -> Any:
     if "key" not in request:
         raise RequestError("BAD_REQUEST", "%s needs a key" % request["op"])
-    return _scalar(request["key"])
+    key = request["key"]
+    return key if type(key) is str else _scalar(key)
 
 
-def _writes(request: _Json) -> List[_Json]:
-    """The request's ``writes``, checked whole before any is applied."""
-    writes = request.get("writes")
-    if writes is None:
-        return []
+def _check_writes(writes: Any) -> None:
+    """A request's ``writes``, checked whole before any is applied."""
     if not isinstance(writes, list):
         raise RequestError("BAD_REQUEST", "writes must be a list")
     for write in writes:
@@ -261,7 +273,6 @@ def _writes(request: _Json) -> List[_Json]:
         _scalar(write["key"])
         if "value" not in write and not write.get("delete", False):
             raise RequestError("BAD_REQUEST", "a write needs a value (or delete)")
-    return writes
 
 
 def _constraint(
@@ -307,7 +318,9 @@ def _hello(server: TardisServer, session: WireSession, request: _Json) -> _Json:
     return {"session": bound.name, "site": server.store.site, "protocol": PROTOCOL_VERSION}
 
 
-def _begin(server: TardisServer, session: WireSession, request: _Json, fields: _Json) -> _Json:
+def _begin(
+    server: TardisServer, session: WireSession, request: _Json, fields: _Json
+) -> BaseTransaction:
     """Begin the transaction ``request`` carries (``fields``: its ``begin`` object)."""
     _accepting(server)
     txn = server.store.begin(
@@ -315,13 +328,14 @@ def _begin(server: TardisServer, session: WireSession, request: _Json, fields: _
         session=session.bound,
         read_only=bool(fields.get("read_only", False)),
     )
-    return session.open(txn, request, read_state=repr(txn.read_state.id))
+    session.open(txn, request, {"read_state": repr(txn.read_state.id)})
+    return txn
 
 
 def _merge(server: TardisServer, session: WireSession, request: _Json) -> _Json:
     _accepting(server)
     merge = server.store.begin_merge(session=session.bound)
-    txn_id = session.open(merge, request)["txn"]
+    txn_id = session.open(merge, request, {})
     fork_points = merge.find_fork_points()
     conflicts: List[_Json] = []
     for key in merge.find_conflict_writes():
@@ -353,12 +367,13 @@ def _read_many(server: TardisServer, session: WireSession, request: _Json) -> _J
     if not isinstance(keys, list):
         raise RequestError("BAD_REQUEST", "READ_MANY needs a keys list")
     for key in keys:
-        _scalar(key)
+        if type(key) is not str:
+            _scalar(key)
     values = session.txn(request).get_many(keys, default=_MISSING)
-    return {
-        "found": [value is not _MISSING for value in values],
-        "values": [None if value is _MISSING else value for value in values],
-    }
+    found = [value is not _MISSING for value in values]
+    if False in found:
+        values = [None if value is _MISSING else value for value in values]
+    return {"found": found, "values": values}
 
 
 def _write(server: TardisServer, session: WireSession, request: _Json) -> _Json:

@@ -156,8 +156,25 @@ def exception_for(response: Dict[str, Any]) -> Exception:
 
 
 #: one encoder for every frame either side sends (``json.dumps`` with
-#: options would build one per call); compact and key-sorted.
-_encode_json = json.JSONEncoder(separators=(",", ":"), sort_keys=True).encode
+#: options would build one per call): compact, keys in insertion order.
+#: Sorting them cost more than the rest of encoding a small answer, and
+#: no reader may rely on key order (docs/internals.md §12.1).
+_encode_json = json.JSONEncoder(separators=(",", ":")).encode
+
+_raw_decode = json.JSONDecoder().raw_decode
+
+
+def _decode_json(text: str) -> Any:
+    """``json.loads(text)``, without its two whitespace scans when ``text``
+    is one document with nothing around it, as every frame either side
+    writes is."""
+    try:
+        value, end = _raw_decode(text)
+        if end == len(text):
+            return value
+    except ValueError:
+        pass  # whitespace before it, or not JSON: json.loads says which
+    return json.loads(text)
 
 
 def encode_frame(obj: Dict[str, Any], max_frame: int = MAX_FRAME) -> bytes:
@@ -191,13 +208,11 @@ class FrameDecoder:
     stream is unrecoverable and the connection must be closed.
     """
 
-    __slots__ = ("_buffer", "_need", "max_frame", "frames_decoded", "bytes_fed")
+    __slots__ = ("_buffer", "max_frame", "frames_decoded", "bytes_fed")
 
     def __init__(self, max_frame: int = MAX_FRAME) -> None:
+        #: bytes fed and not yet consumed; a frame leaves it whole.
         self._buffer = bytearray()
-        #: payload length of the frame in progress; None while the
-        #: header itself is incomplete.
-        self._need: Optional[int] = None
         self.max_frame = max_frame
         self.frames_decoded = 0
         self.bytes_fed = 0
@@ -211,24 +226,24 @@ class FrameDecoder:
         return len(self._buffer)
 
     def next_frame(self) -> Optional[Dict[str, Any]]:
-        """The next complete message, or None until more bytes arrive."""
-        if self._need is None:
-            if len(self._buffer) < HEADER.size:
-                return None
-            (length,) = HEADER.unpack(bytes(self._buffer[: HEADER.size]))
-            if length == 0:
-                raise ProtocolError("zero-length frame")
-            if length > self.max_frame:
-                raise FrameTooLarge(length, self.max_frame)
-            del self._buffer[: HEADER.size]
-            self._need = length
-        if len(self._buffer) < self._need:
+        """The next complete message, or None until more bytes arrive. The
+        header is read in place; the payload is copied once, as it leaves
+        the buffer, and decoded from that copy."""
+        buffer = self._buffer
+        if len(buffer) < HEADER.size:
             return None
-        payload = bytes(self._buffer[: self._need])
-        del self._buffer[: self._need]
-        self._need = None
+        (length,) = HEADER.unpack_from(buffer)
+        if length == 0:
+            raise ProtocolError("zero-length frame")
+        if length > self.max_frame:
+            raise FrameTooLarge(length, self.max_frame)
+        end = HEADER.size + length
+        if len(buffer) < end:
+            return None
+        payload = buffer[HEADER.size : end]
+        del buffer[:end]
         try:
-            message = json.loads(payload.decode("utf-8"))
+            message = _decode_json(payload.decode("utf-8"))
         except (UnicodeDecodeError, ValueError) as exc:
             raise ProtocolError("undecodable frame payload: %s" % exc)
         if not isinstance(message, dict):

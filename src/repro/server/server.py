@@ -197,23 +197,33 @@ class _Connection:
             return True
 
     def write(self, frame: bytes) -> None:
-        """Send ``frame``; what the socket does not take waits in ``out``."""
-        self.out += frame
-        self.flush()
-        if len(self.out) > HIGH_WATER:
+        """Send ``frame``, straight from it when nothing waits before it;
+        what the socket does not take waits in ``out``."""
+        out = self.out
+        if out:
+            out += frame
+            self.flush()
+        else:
+            sent = self._send(frame)
+            if sent < len(frame):
+                out += memoryview(frame)[sent:]
+        if len(out) > HIGH_WATER:
             self.paused = True
 
     def flush(self) -> None:
-        try:
-            sent = self.sock.send(self.out)
-        except (BlockingIOError, InterruptedError):
-            return
-        except OSError:  # the peer is gone
-            self.broken = True
-            return
-        del self.out[:sent]
+        del self.out[: self._send(self.out)]
         if not self.out:
             self.paused = False
+
+    def _send(self, data: Any) -> int:
+        """One ``send`` of ``data``; the bytes it took."""
+        try:
+            return self.sock.send(data)
+        except (BlockingIOError, InterruptedError):
+            return 0
+        except OSError:  # the peer is gone
+            self.broken = True
+            return 0
 
     def cut(self) -> None:
         """Shut the socket down both ways (shutdown's thread): a peer
@@ -504,7 +514,6 @@ class TardisServer:
                 for conn in list(ready):
                     if not self._call(self._step, conn):
                         self._call(self._drop, conn)
-                    self._call(self._collect_if_grown)
                 if due == math.inf:
                     continue  # no tick and no re-arm is pending
                 now = time.monotonic()
@@ -613,7 +622,8 @@ class TardisServer:
         self._settle(conn)
 
     def _step(self, conn: _Connection) -> None:
-        """Start ``conn``'s next buffered request, if it may."""
+        """Start ``conn``'s next buffered request, if it may, then run the
+        GC growth trigger: one guarded call of the store thread."""
         ready = self._ready
         if conn.broken or conn.closing or conn.paused:
             del ready[conn]  # a flush brings a paused one back
@@ -624,7 +634,7 @@ class TardisServer:
         except ProtocolError as exc:
             # Framing is lost: answer once, then drop the link.
             code = "FRAME_TOO_LARGE" if isinstance(exc, FrameTooLarge) else "BAD_FRAME"
-            self._answer(conn, error_response(None, code, str(exc)), False)
+            self._answer(conn, error_response(None, code, str(exc)), None)
             conn.closing = True
             request = None
         if request is not None:
@@ -633,6 +643,7 @@ class TardisServer:
             del ready[conn]
             conn.closing |= conn.eof  # what was buffered is answered: close
         self._settle(conn)
+        self._collect_if_grown()
 
     def _run(self, conn: _Connection, request: Dict[str, Any]) -> None:
         """One request, from leaving the decoder to its answer's write;
@@ -661,28 +672,30 @@ class TardisServer:
             # a transaction it began is aborted (nobody learned its id).
             conn.session.undo(request)
         else:
-            self._answer(conn, response, True)
+            self._answer(conn, response, request)
             conn.closing |= op == "BYE"
         if slow:
             self._keep_request(
                 op, request, nbytes, arrived, (since, cpu_since), (handled, cpu_handled)
             )
 
-    def _answer(self, conn: _Connection, response: Dict[str, Any], answers: bool) -> None:
-        """Encode, count and write one response; ``answers``: it ends the
-        request in flight."""
+    def _answer(
+        self, conn: _Connection, response: Dict[str, Any], request: Optional[Dict[str, Any]]
+    ) -> None:
+        """Encode, count and write one response: the answer to ``request``,
+        the request in flight, or (None) a refusal that answers none."""
         try:
             frame = encode_frame(response)
         except (TypeError, ValueError, FrameTooLarge):
             # A stored value was not JSON-serializable (possible when the
             # store is shared with in-process writers) or the response
-            # outgrew the frame cap: degrade to a typed error.
-            frame = encode_frame(
-                error_response(
-                    response.get("id"), "INTERNAL", "response not serializable"
-                )
-            )
-        self._sent(len(frame), not response.get("ok", False), answers)
+            # outgrew the frame cap: degrade to a typed error, which, like
+            # any error answer, leaves nothing the request began open.
+            if request is not None:
+                conn.session.undo(request)
+            response = error_response(response.get("id"), "INTERNAL", "response not serializable")
+            frame = encode_frame(response)
+        self._sent(len(frame), not response.get("ok", False), request is not None)
         conn.write(frame)
 
     def _settle(self, conn: _Connection) -> None:
@@ -716,7 +729,7 @@ class TardisServer:
         self._call(self._cleanup_sync, conn.session)
 
     def _collect_if_grown(self) -> None:
-        """The GC growth trigger, run after every request and job: one
+        """The GC growth trigger, run after every connection step: one
         cycle once the DAG holds ``_gc_at`` states. The next trigger is
         twice what it left alive plus :data:`GC_GROWTH`, so a collector
         held back by a ceiling or a pin runs at geometric sizes and its

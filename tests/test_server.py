@@ -39,7 +39,7 @@ from repro.server.protocol import (
     encode_frame,
     ok_response,
 )
-from repro.server.server import HIGH_WATER, TardisServer, run_server
+from repro.server.server import HIGH_WATER, TardisServer, _Connection, run_server
 from tests.history import History, check
 
 
@@ -163,6 +163,57 @@ class TestWireBasics:
             stats = client.stats()
             assert stats["connections_active"] == 1
             assert stats["store"]["site"] == "net-test"
+
+    @pytest.mark.parametrize("default", [None, "dflt"])
+    def test_get_many_answers_what_the_in_process_read_does(self, served, default):
+        served.store.put("a", 1)
+        served.store.put("b", [2])
+        shapes = {
+            "list": lambda: ["a", "b"],
+            "tuple": lambda: ("b", "a"),
+            "generator": lambda: (key for key in ["a", "b", "a"]),
+            "duplicates": lambda: ["a", "a", "b", "b"],
+            "missing": lambda: ["a", "absent", "b"],
+        }
+        kwargs = {} if default is None else {"default": default}
+
+        def answer(txn, keys):
+            try:
+                return txn.get_many(keys, **kwargs)
+            except KeyNotFound as exc:
+                return ("KeyNotFound", exc.key)
+
+        with TardisClient(port=served.port, session="parity") as client:
+            for name, keys in shapes.items():
+                local = served.store.begin(read_only=True)
+                expected = answer(local, keys())
+                local.commit()
+                wire = client.begin(read_only=True)
+                assert answer(wire, keys()) == expected, name
+                if wire.status == "active":
+                    wire.commit()
+                # The autocommit spelling defaults a missing key to None.
+                local = served.store.begin(read_only=True)
+                auto = local.get_many(keys(), default=kwargs.get("default"))
+                local.commit()
+                assert client.get_many(keys(), **kwargs) == auto, name
+        # The last shape read a missing key: it raised, or took the default.
+        missing = ("KeyNotFound", "absent") if default is None else [1, default, [2]]
+        assert expected == missing
+
+    def test_an_answer_that_cannot_be_encoded_is_an_error_and_closes_its_begin(self, served):
+        served.store.put("odd", {1, 2})  # an in-process writer: a set is not JSON
+        with TardisClient(port=served.port, session="reader") as client:
+            txn = client.begin(read_only=True)
+            with pytest.raises(ServerError) as info:
+                txn.get("odd")
+            assert info.value.code == "INTERNAL"
+            assert txn.status == "aborted"
+            stats = client.stats()
+            assert stats["errors_total"] == 1
+            # The begin that rode on the READ is undone, its pin released.
+            assert stats["open_txns"] == 0
+            assert _total_pins(served.store) == 0
 
     def test_server_counts_live_in_its_report_not_the_registry(self):
         registry = MetricsRegistry()
@@ -1757,6 +1808,37 @@ class TestStoreThread:
             served._cleanup_sync(failed[0])
             assert len(served._conns) == 1
             assert [s.name for s in served.store.sessions()] == ["bystander"]
+        assert served.shutdown()["leaked_sessions"] == []
+
+    def test_a_failed_request_step_drops_only_its_connection(self, served, monkeypatch):
+        seen = []
+        monkeypatch.setattr(threading, "excepthook", seen.append)
+        original = _Connection.write
+
+        def write_fails_once(conn, frame):
+            bound = conn.session.bound
+            if not seen and bound is not None and bound.name == "victim":
+                raise RuntimeError("write failed")
+            return original(conn, frame)
+
+        with TardisClient(port=served.port, session="bystander") as bystander:
+            victim = TardisClient(port=served.port, session="victim")
+            monkeypatch.setattr(_Connection, "write", write_fails_once)
+            # The victim's answer is never written: its link is dropped.
+            with pytest.raises(NetworkError):
+                victim.get("k")
+            (args,) = seen
+            assert args.thread.name == "tardis-store"
+            assert str(args.exc_value) == "write failed"
+            # That connection's cleanup ran: its session is closed.
+            assert _wait_until(
+                lambda: [s.name for s in served.store.sessions()] == ["bystander"]
+            )
+            assert len(served._conns) == 1
+            # The thread serves on: another client's next request is answered.
+            bystander.put("after", 1)
+            assert bystander.get("after") == 1
+            victim.close()
         assert served.shutdown()["leaked_sessions"] == []
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="Linux accept(2) semantics")

@@ -129,6 +129,27 @@ class TestFrameDecoder:
         with pytest.raises(ProtocolError):
             decoder.next_frame()
 
+    @pytest.mark.parametrize(
+        "payload",
+        [b'{"a":1}', b' {"a": [1, 2]}\n', b'\t{"a":"x"} ', b'{"a":1}{"b":2}', b'{"a":1} x',
+         b" ", b'{"a":', b"\xef\xbb\xbf{}", b'{"a":NaN}', b'{"a":"\x01"}'],
+    )
+    def test_a_payload_is_read_as_json_loads_reads_it(self, payload):
+        # Frames are parsed without json.loads's whitespace scans; what
+        # the decoder accepts, and what it refuses, must not change.
+        try:
+            expected = json.loads(payload.decode("utf-8"))
+        except ValueError:
+            expected = ProtocolError
+        decoder = FrameDecoder()
+        decoder.feed(HEADER.pack(len(payload)) + payload)
+        if expected is ProtocolError:
+            with pytest.raises(ProtocolError):
+                decoder.next_frame()
+        else:
+            assert decoder.next_frame() == expected  # json's one NaN object
+            assert decoder.pending() == 0
+
     def test_fuzz_random_chunking_round_trips(self):
         rng = random.Random(42)
         objs = [
