@@ -46,7 +46,11 @@ SITE_NAMES = ["us", "eu", "asia", "s4", "s5", "s6"]
 
 
 class Cluster:
-    """N fully replicated TARDiS sites over a simulated WAN."""
+    """N fully replicated TARDiS sites over a simulated WAN.
+
+    ``store_kwargs`` go to every site's ``TardisStore``; a ``wal_path``
+    ``p`` gives each site its own log, ``p.<site>``.
+    """
 
     def __init__(
         self,
@@ -77,7 +81,10 @@ class Cluster:
         self.stores: Dict[str, TardisStore] = {}
         self.replicators: Dict[str, Replicator] = {}
         for site in sites:
-            store = TardisStore(site, **store_kwargs)
+            kwargs = dict(store_kwargs)
+            if kwargs.get("wal_path"):
+                kwargs["wal_path"] = "%s.%s" % (kwargs["wal_path"], site)
+            store = TardisStore(site, **kwargs)
             if trace:
                 store.recorder = Recorder(
                     capacity=trace_capacity, enabled=True, clock=lambda: self.sim.now

@@ -15,7 +15,7 @@ table) fetches the missing state back from the sender (§6.4).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.core.ids import CommitRecord, StateId
 from repro.core.store import TardisStore
@@ -59,6 +59,8 @@ class Replicator:
         self.network = network
         #: records waiting for a parent state: missing id -> records.
         self._pending: Dict[StateId, List[Tuple[str, CommitRecord]]] = {}
+        #: ids of the records dropped here (see :meth:`_drop`).
+        self.dropped_ids: Set[StateId] = set()
         #: called after each successful remote apply (simulation charges
         #: service time through it).
         self.apply_listener: Optional[Callable[[CommitRecord], None]] = None
@@ -94,6 +96,12 @@ class Replicator:
     def _apply_or_cache(self, src: str, record: CommitRecord) -> None:
         m = _met.DEFAULT
         traced = self.store.recorder.enabled
+        dropped = self.dropped_ids
+        if record.state_id in dropped:
+            return
+        if any(pid in dropped for pid in record.parent_ids):
+            self._drop([record])
+            return
         missing = [pid for pid in record.parent_ids if pid not in self.store.dag]
         if missing:
             self.cached += 1
@@ -118,13 +126,8 @@ class Replicator:
             applied = self.store.apply_remote(record)
         except GarbageCollectedError:
             # The parent's identity was collected in a way that cannot be
-            # reconstructed locally (id-order violation after a flush);
-            # the paper aborts transactions needing such states (§6.4).
-            self.dropped += 1
-            if m.enabled:
-                m.inc("tardis_repl_drop_total")
-            if traced:
-                _row(self.store, "drop", record)
+            # reconstructed locally (id-order violation after a flush).
+            self._drop([record])
             return
         if applied is not None:
             self.applied += 1
@@ -135,6 +138,36 @@ class Replicator:
             if self.apply_listener is not None:
                 self.apply_listener(record)
         self._drain_pending(record.state_id)
+
+    def _drop(self, doomed: List[CommitRecord]) -> None:
+        """Drop the records ``doomed`` and, recursively, every record
+        cached under one of them: none of them can be placed here.
+
+        The paper aborts transactions that need a state an erroneous
+        ceiling collected (§6.4). A dropped record's id is remembered in
+        ``dropped_ids``, so a record that names it as a parent later is
+        dropped on arrival instead of fetching its chain again. The set
+        holds one id per dropped record for the replicator's life: nothing
+        yet tells when no peer can still name an id.
+        """
+        m = _met.DEFAULT
+        traced = self.store.recorder.enabled
+        pending = self._pending
+        while doomed:
+            record = doomed.pop()
+            if record.state_id in self.dropped_ids:
+                continue
+            self.dropped_ids.add(record.state_id)
+            self.dropped += 1
+            if m.enabled:
+                m.inc("tardis_repl_drop_total")
+            if traced:
+                _row(self.store, "drop", record)
+            for pid in record.parent_ids:  # a merge may wait on two parents
+                rest = [w for w in pending.pop(pid, ()) if w[1].state_id != record.state_id]
+                if rest:
+                    pending[pid] = rest
+            doomed.extend(r for _src, r in pending.pop(record.state_id, ()))
 
     def _drain_pending(self, arrived: StateId) -> None:
         waiting = self._pending.pop(arrived, None)
@@ -178,28 +211,24 @@ class Replicator:
         if response.record is not None:
             self._apply_or_cache(src, response.record)
             return
-        if response.promoted_to is not None:
+        if response.state_id in self.store.dag:
+            return  # it arrived while the fetch was in flight
+        if response.promoted_to is not None and response.promoted_to in self.store.dag:
             # The peer compressed the state away: its identity lives on in
             # the promoted descendant. Record the same promotion locally
             # so dependent transactions resolve, then retry them.
             dag = self.store.dag
-            if response.promoted_to in dag:
-                with self.store._lock:
-                    if response.state_id not in dag:
-                        dag.add_promotions({response.state_id: response.promoted_to})
-                self._drain_pending(response.state_id)
-                return
-            # We collected past the promotion target too (and flushed the
-            # trail): recovering would need the peer's full DAG; the
-            # paper aborts the dependent transactions instead (§6.4).
-            dropped = self._pending.pop(response.state_id, [])
-            self.dropped += len(dropped)
+            with self.store._lock:
+                if response.state_id not in dag:
+                    dag.add_promotions({response.state_id: response.promoted_to})
+            self._drain_pending(response.state_id)
             return
-        # Peer knows nothing: an erroneously placed ceiling collected the
-        # state everywhere. Dependent transactions are dropped (the paper
-        # aborts transactions that access such states).
-        dropped = self._pending.pop(response.state_id, [])
-        self.dropped += len(dropped)
+        # We collected past the promotion target too (and flushed the
+        # trail), or the peer knows nothing (an erroneously placed ceiling
+        # collected the state everywhere): recovering would need the
+        # peer's full DAG, so the dependent transactions are dropped. The
+        # id itself is not: its own record may still arrive from its origin.
+        self._drop([r for _src, r in self._pending.pop(response.state_id, ())])
 
     # -- introspection -------------------------------------------------------------
 

@@ -39,6 +39,11 @@ empty list for a correct history:
 
 Rules 3 and 5 are the ones the store keeps; the stronger forms it does
 not keep yet are pinned in ``tests/test_history.py::TestKnownGaps``.
+
+:func:`check_sites` judges a replicated run: each site's rows against
+that site's own log under rules 1-5, and the logs against each other
+under rules 6-9 (see its docstring); the placement gaps it names are
+pinned in ``tests/test_replicated_history.py::TestKnownGaps``.
 """
 
 from __future__ import annotations
@@ -51,6 +56,7 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 from repro.core.ids import ROOT_ID, CommitRecord, StateId
 from repro.core.transaction import TOMBSTONE
 from repro.errors import KeyNotFound, TransactionAborted
+from repro.replication import Cluster
 from repro.storage.wal import WriteAheadLog
 
 _RAISE = object()
@@ -132,8 +138,8 @@ class Recorded:
     Works over an in-process transaction or a ``TardisClient`` one: the
     calls are the ones both spell the same, plus the merge helpers each
     side has (``get_all``, ``find_conflict_writes``,
-    ``find_fork_points`` in process; ``parents``, ``fork_points``,
-    ``conflicts`` on the wire).
+    ``find_fork_points``, ``get_for_id`` in process; ``parents``,
+    ``fork_points``, ``conflicts`` on the wire).
     """
 
     def __init__(self, history: History, handle: Any, session: Optional[str], begin: str) -> None:
@@ -211,6 +217,18 @@ class Recorded:
         forks = self.handle.find_fork_points()
         self.row.fork_points = tuple(map(state_id, forks))
         return forks
+
+    def get_for_id(self, key: Any, sid: Any, default: Any = _RAISE) -> Any:
+        """Read ``key`` at ``sid``; at the first fork point it is the
+        three-way merge's base, which rule 2 checks."""
+        value = self.handle.get_for_id(key, sid, default=MISSING)
+        if self.row.fork_points[:1] == (state_id(sid),):
+            self.row.bases[key] = None if value is MISSING else value
+        if value is MISSING:
+            if default is _RAISE:
+                raise KeyNotFound(key)
+            return default
+        return value
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -291,6 +309,24 @@ class LogDAG:
         value = MISSING if writer is None else self.writes[self.index[writer]][key]
         return MISSING if value is TOMBSTONE else value
 
+    def unresolved(self, key: Any, heads: Sequence[StateId], collected: Any) -> bool:
+        """Among ``heads`` and their ancestors, a state of ``collected``
+        wrote ``key``, so did a state concurrent with it, and no state
+        after both wrote it: a conflict no merge resolved, whose collected
+        writer a GC cycle re-keyed."""
+        mask = 0
+        for head in heads:
+            mask |= self.ancestors[self.index[head]]
+        writers = [w for w in self._writers.get(key, ()) if mask >> self.index[w] & 1]
+        return any(
+            not self.is_ancestor(u, w)
+            and not self.is_ancestor(w, u)
+            and not any(self.is_ancestor(u, m) and self.is_ancestor(w, m) for m in writers)
+            for u in writers
+            if u in collected
+            for w in writers
+        )
+
     def written_since(self, fork: StateId, head: StateId) -> set:
         """Keys written by the states after ``fork`` on ``head``'s ancestry:
         descendants of ``fork`` among ``head`` and its ancestors."""
@@ -360,31 +396,162 @@ def check_log(records: Sequence[CommitRecord], acked: Iterable[Tuple[StateId, Di
 def check(history: History, path: str) -> List[str]:
     """Every violation of rules 1-5 by ``history`` against the log at
     ``path``; an empty list when there is none."""
-    rows = history.rows
     records = list(WriteAheadLog.read(path))
-    dag = LogDAG(records)
-    logged = [row for row in rows if row.logged]
-    problems = check_log(records, [(row.commit_state, row.writes) for row in logged])
-    acked = {row.commit_state for row in logged}
-    problems += [
+    acked = {row.commit_state for row in history.rows if row.logged}
+    return _check_site(history.rows, records) + [
         "rule 4: %r is logged, but no commit of the history was acknowledged for it"
         % (record.state_id,)
         for record in records
         if record.state_id not in acked
     ]
+
+
+def _check_site(rows: Sequence[Row], records: Sequence[CommitRecord], collected: Any = ()) -> List[str]:
+    """Rules 1-5 of ``rows`` against one log, but for rule 4's "no commit
+    nobody was acknowledged for". A rule 1 or 2 answer that
+    :meth:`LogDAG.unresolved` explains with the ``collected`` ids is
+    named ``gap 3``."""
+    dag = LogDAG(records)
+    logged = [row for row in rows if row.logged]
+    problems = check_log(records, [(row.commit_state, row.writes) for row in logged])
     for row in rows:
         if row.merge:
-            problems += _check_merge(row, dag)
+            problems += _check_merge(row, dag, collected)
         else:
-            problems += _check_txn(row, dag)
+            problems += _check_txn(row, dag, collected)
     return problems + _check_sessions(rows, dag)
+
+
+def logged_cluster(path: str, n_sites: int, **kwargs: Any) -> Cluster:
+    """A cluster whose sites log to ``<path>.<site>``."""
+    return Cluster(n_sites=n_sites, store_kwargs={"wal_path": path}, **kwargs)
+
+
+def histories_of(cluster: Cluster) -> Dict[str, History]:
+    return {site: History() for site in cluster.sites}
+
+
+def settle(cluster: Cluster, histories: Dict[str, History]) -> None:
+    """Drain the network, then read, at every site, every key a site's
+    transactions wrote."""
+    cluster.run()
+    keys = sorted({key for h in histories.values() for row in h.rows for key in row.writes}, key=repr)
+    for site, store in cluster.stores.items():
+        reader = histories[site].record(store.begin(read_only=True), None)
+        reader.get_many(keys, default=None)
+        reader.commit()
+
+
+def check_sites(cluster: Cluster, histories: Dict[str, History]) -> List[str]:
+    """Every violation by the sites of a quiescent, logged ``Cluster``.
+
+    Each site's rows are checked against that site's own log under rules
+    1-5, and the logs against each other under rules 6-9:
+
+    6. **placement** — a state id has the same parents and write set in
+       every log that holds it (the StateID constraint, §6.4);
+    7. **same ids** — every log holds the same ids;
+    8. **origin** — every record of every log was acknowledged exactly
+       once, at its origin site (the site its id names);
+    9. **convergence** — ``cluster.converged(k)`` is what the logs say:
+       each has one leaf, and rule 1 reads ``k`` there alike.
+
+    Three known gaps are named instead of reported under their rule:
+    ``gap 1``, an id missing from a site's log that the site's replicator
+    dropped; ``gap 2``, a record logged under the heir of its parent: a
+    descendant of an id in the receiving site's promotion table; ``gap
+    3``, a rule 1 or 2 answer over a conflict no merge resolved, one of
+    whose writers that site collected (record promotion re-keyed it).
+    """
+    logs = {site: list(WriteAheadLog.read(store.wal.path)) for site, store in cluster.stores.items()}
+    dags = {site: LogDAG(records) for site, records in logs.items()}
+    promoted = {}
+    for site, store in cluster.stores.items():
+        with store._lock:
+            promoted[site] = store.dag.promotions()
+    acks: Dict[StateId, List[str]] = defaultdict(list)
+    for site, history in histories.items():
+        for row in history.rows:
+            if row.logged:
+                acks[row.commit_state].append(site)
+    problems = []
+    for site, records in logs.items():
+        problems += [
+            p.replace(": ", " at %s: " % site, 1)
+            for p in _check_site(histories[site].rows, records, promoted[site])
+        ]
+    placed: Dict[StateId, Dict[str, CommitRecord]] = defaultdict(dict)
+    for site, records in logs.items():
+        for record in records:
+            placed[record.state_id].setdefault(site, record)
+    for sid, at in placed.items():
+        if acks[sid] != [sid.site]:
+            problems.append(
+                "rule 8: %r is logged at %s, acknowledged at %s"
+                % (sid, ", ".join(sorted(at)), ", ".join(acks[sid]) or "no site")
+            )
+        origin = at.get(sid.site) or next(iter(at.values()))
+        for site, record in at.items():
+            if record[1:] != origin[1:]:
+                problems.append(misplaced(site, origin, record, dags[site], promoted[site]))
+    for site, replicator in cluster.replicators.items():
+        dropped = replicator.dropped_ids
+        for sid in sorted(set(placed) - {record.state_id for record in logs[site]}):
+            if sid in dropped:
+                problems.append("gap 1: %r is not in %s's log: its replicator dropped it" % (sid, site))
+            else:
+                problems.append("rule 7: %r is not in %s's log" % (sid, site))
+    return problems + _check_convergence(cluster, dags)
+
+
+def misplaced(
+    site: str, origin: CommitRecord, record: CommitRecord, dag: LogDAG, promoted: Dict
+) -> str:
+    """The rule 6 line for ``record`` as ``site`` logged it against
+    ``origin``, or its gap 2 name (``dag`` and ``promoted`` are the
+    site's log and promotion table)."""
+    if record.writes == origin.writes and len(record.parent_ids) == len(origin.parent_ids) and all(
+        mine == theirs
+        or (theirs in promoted and theirs in dag and mine in dag and dag.is_ancestor(theirs, mine))
+        for mine, theirs in zip(record.parent_ids, origin.parent_ids)
+    ):
+        return "gap 2: %r is logged at %s under %r, heirs of %r" % (
+            record.state_id, site, record.parent_ids, origin.parent_ids,
+        )
+    return "rule 6: %r is logged at %s under %r writing %r, at %s under %r writing %r" % (
+        record.state_id, site, record.parent_ids, record.writes,
+        origin.state_id.site, origin.parent_ids, origin.writes,
+    )
+
+
+def _check_convergence(cluster: Any, dags: Dict[str, LogDAG]) -> List[str]:
+    """Rule 9 for every key a log holds."""
+    leaves = {}
+    for site, dag in dags.items():
+        ends = [sid for sid in dag.index if not dag.children.get(sid)]
+        leaves[site] = ends[0] if len(ends) == 1 else None
+    keys = {key for dag in dags.values() for writes in dag.writes for key in writes}
+    problems = []
+    for key in sorted(keys, key=repr):
+        values = []
+        for site, dag in dags.items():
+            if leaves[site] is None:
+                break
+            writer = dag.writer(key, leaves[site])
+            values.append(None if writer is None else dag.writes[dag.index[writer]][key])
+        said = len(values) == len(dags) and all(v == values[0] for v in values)
+        if cluster.converged(key) != said:
+            problems.append(
+                "rule 9: Cluster.converged(%r) is %s, the logs say %s" % (key, not said, said)
+            )
+    return problems
 
 
 def _unknown(dag: LogDAG, *sids: Optional[StateId]) -> List[str]:
     return ["%r is not a logged state" % (sid,) for sid in sids if sid is not None and sid not in dag]
 
 
-def _check_txn(row: Row, dag: LogDAG) -> List[str]:
+def _check_txn(row: Row, dag: LogDAG, collected: Any) -> List[str]:
     problems = []
     where = "txn of %s at %r" % (row.session, row.read_state)
     if row.read_state is None:
@@ -398,9 +565,10 @@ def _check_txn(row: Row, dag: LogDAG) -> List[str]:
         else:
             expected = dag.read(key, row.read_state)
         if answer is not expected and answer != expected:
+            rule = "gap 3" if dag.unresolved(key, [row.read_state], collected) else "rule 1"
             problems.append(
-                "rule 1: %s read %r = %s, the log says %s"
-                % (where, key, _show(answer), _show(expected))
+                "%s: %s read %r = %s, the log says %s"
+                % (rule, where, key, _show(answer), _show(expected))
             )
     if row.status != "committed":
         return problems
@@ -428,7 +596,7 @@ def _check_txn(row: Row, dag: LogDAG) -> List[str]:
     return problems
 
 
-def _check_merge(row: Row, dag: LogDAG) -> List[str]:
+def _check_merge(row: Row, dag: LogDAG, collected: Any) -> List[str]:
     where = "merge of %s over %r" % (row.session, row.parents)
     missing = _unknown(dag, *row.parents, *row.fork_points)
     if missing:
@@ -443,8 +611,9 @@ def _check_merge(row: Row, dag: LogDAG) -> List[str]:
         expected = [dag.writes[dag.index[w]][key] for w in newest]
         expected = [value for value in expected if value is not TOMBSTONE]
         if values != expected:
+            rule = "gap 3" if dag.unresolved(key, row.parents, collected) else "rule 2"
             problems.append(
-                "rule 2: %s get_all(%r) = %r, the log says %r" % (where, key, values, expected)
+                "%s: %s get_all(%r) = %r, the log says %r" % (rule, where, key, values, expected)
             )
     for key, base in row.bases.items():
         expected = dag.read(key, row.fork_points[0]) if row.fork_points else MISSING

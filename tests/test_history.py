@@ -86,62 +86,74 @@ def run_schedule(store, seed, steps=200):
     Three sessions, each with at most one open transaction at a time, so
     a commit can meet another session's newer write and fork; merges
     resolve every conflict, GC cycles run with every ceiling placed.
-    Aborts and requests on collected states are outcomes of the schedule;
-    a ``CrossShardAbort`` or ``ShardUnavailableError`` is not: the flat
-    store cannot raise either, so on a sharded plane it fails the run.
     """
     history = History()
     rng = random.Random(seed)
     sessions = [store.session("c%d" % i) for i in range(3)]
     open_txns = [None] * 3
     for _step in range(steps):
-        i = rng.randrange(3)
-        session, txn = sessions[i], open_txns[i]
-        roll = rng.random()
-        try:
-            if roll < 0.6:
-                if txn is None:
-                    txn = open_txns[i] = history.record(
-                        store.begin(session=session, read_only=rng.random() < 0.2),
-                        session.name,
-                    )
-                op, key = rng.random(), rng.choice(KEYS)
-                if op < 0.4 or txn.read_only:
-                    txn.get(key, default=None)
-                elif op < 0.5:
-                    txn.get_many(rng.sample(KEYS, 3), default=None)
-                elif op < 0.9:
-                    txn.put(key, rng.randrange(1000))
-                else:
-                    txn.delete(key)
-            elif roll < 0.82:
-                if txn is not None:
-                    open_txns[i] = None
-                    txn.commit()
-            elif roll < 0.86:
-                if txn is not None:
-                    open_txns[i] = None
-                    txn.abort()
-            elif roll < 0.93:
-                merge = history.record(store.begin_merge(session=session), session.name)
-                resolve(merge)
-                merge.get_all(rng.choice(KEYS))
-                merge.commit()
+        step(history, store, sessions, open_txns, rng)
+    finish(history, store, open_txns)
+    return history
+
+
+def step(history, store, sessions, open_txns, rng):
+    """One step of a schedule: a read or write (beginning a transaction
+    when the session has none open), a commit, an abort, a merge or a GC
+    cycle. Aborts and requests on collected states are outcomes of the
+    schedule; a ``CrossShardAbort`` or ``ShardUnavailableError`` is not:
+    the flat store cannot raise either, so on a sharded plane it fails
+    the run."""
+    i = rng.randrange(len(sessions))
+    session, txn = sessions[i], open_txns[i]
+    roll = rng.random()
+    try:
+        if roll < 0.6:
+            if txn is None:
+                txn = open_txns[i] = history.record(
+                    store.begin(session=session, read_only=rng.random() < 0.2),
+                    session.name,
+                )
+            op, key = rng.random(), rng.choice(KEYS)
+            if op < 0.4 or txn.read_only:
+                txn.get(key, default=None)
+            elif op < 0.5:
+                txn.get_many(rng.sample(KEYS, 3), default=None)
+            elif op < 0.9:
+                txn.put(key, rng.randrange(1000))
             else:
-                for s in sessions:
-                    s.place_ceiling()
-                store.collect_garbage()
-        except CrossShardAbort:
-            raise  # a shard-plane failure: the flat store cannot raise it
-        except (TransactionAborted, GarbageCollectedError):
-            pass
+                txn.delete(key)
+        elif roll < 0.82:
+            if txn is not None:
+                open_txns[i] = None
+                txn.commit()
+        elif roll < 0.86:
+            if txn is not None:
+                open_txns[i] = None
+                txn.abort()
+        elif roll < 0.93:
+            merge = history.record(store.begin_merge(session=session), session.name)
+            resolve(merge)
+            merge.get_all(rng.choice(KEYS))
+            merge.commit()
+        else:
+            for s in sessions:
+                s.place_ceiling()
+            store.collect_garbage()
+    except CrossShardAbort:
+        raise  # a shard-plane failure: the flat store cannot raise it
+    except (TransactionAborted, GarbageCollectedError):
+        pass
+
+
+def finish(history, store, open_txns):
+    """Commit the open transactions, then read every key once."""
     for txn in open_txns:
         if txn is not None:
             txn.commit()
     reader = history.record(store.begin(read_only=True), None)
     reader.get_many(KEYS, default=None)
     reader.commit()
-    return history
 
 
 def seeded_history(plane, seed, path):

@@ -1,0 +1,357 @@
+"""Replicated histories checked against every site's own log (tests/history.py).
+
+A logged ``Cluster`` gives each site its own log (``<wal_path>.<site>``),
+and :func:`tests.history.check_sites` judges a quiescent run from the
+sites' rows and logs alone: rules 1-5 per site, and the cross-site rules
+6-9 (placement, same ids, origin, convergence).
+
+* seeded schedules on 2 and 3 sites under both ``gc_mode``s: the step
+  body of ``tests/test_history.py``'s schedule at every site, then a
+  partition with commits on both sides, a heal, and a merge that every
+  site adopts (``TardisStore.adopt_merge``);
+* mutation tests: each plants one replication bug and the checker must
+  report it;
+* ``TestKnownGaps``: the two placement gaps the checker names (``gap 1``,
+  a peer's commit dropped after a local GC cycle; ``gap 2``, a commit
+  grafted under the heir of its parent), pinned as the store shows them.
+
+Running this file as a script sweeps 2 and 3 sites under both
+``gc_mode``s and prints each rule's violation count:
+``python tests/test_replicated_history.py [seeds]``.
+"""
+
+import os
+import random
+import re
+import sys
+import tempfile
+from collections import Counter
+
+import pytest
+
+from repro.core.ids import ROOT_ID, CommitRecord, StateId
+from repro.core.store import TardisStore
+from repro.core.versions import VersionedRecordStore
+from repro.replication.cluster import OPTIMISTIC, PESSIMISTIC
+from repro.replication.replicator import Replicator
+from repro.storage.wal import WriteAheadLog
+
+if __name__ == "__main__":  # run as a script: the repo root holds ``tests``
+    sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+from tests.history import (  # noqa: E402
+    LogDAG,
+    check_sites,
+    histories_of,
+    logged_cluster,
+    misplaced,
+    settle,
+)
+from tests.test_history import finish, put, read, resolve, shape, step  # noqa: E402
+
+GC_MODES = [OPTIMISTIC, PESSIMISTIC]
+#: the tier-1 seeds, fixed before any of their results was seen.
+SEEDS = [5, 8]
+
+
+# ---------------------------------------------------------------------------
+# The seeded schedule.
+
+
+def run_cluster(cluster, seed, steps=120):
+    """Drive every site of ``cluster`` with one seeded interleaving;
+    returns the sites' Histories.
+
+    Three phases of ``steps`` steps each, every step at a random site
+    with the network advanced now and then: all sites connected; the
+    first site partitioned from the others; healed. Then every site
+    finishes (commits its open transactions, reads every key), the
+    network drains, the first site merges every branch it holds, and
+    each site that holds the merge adopts it.
+    """
+    rng = random.Random(seed)
+    sites = cluster.sites
+    histories = histories_of(cluster)
+    sessions = {
+        site: [store.session("%s%d" % (site, i)) for i in range(3)]
+        for site, store in cluster.stores.items()
+    }
+    open_txns = {site: [None] * 3 for site in sites}
+
+    def run_steps():
+        for _step in range(steps):
+            site = rng.choice(sites)
+            step(histories[site], cluster.stores[site], sessions[site], open_txns[site], rng)
+            if rng.random() < 0.3:
+                cluster.run(until=cluster.sim.now + rng.uniform(1.0, 30.0))
+
+    run_steps()
+    for other in sites[1:]:
+        cluster.network.partition(sites[0], other)
+    run_steps()
+    for other in sites[1:]:
+        cluster.network.heal(sites[0], other)
+    run_steps()
+    for site, store in cluster.stores.items():
+        finish(histories[site], store, open_txns[site])
+    cluster.run()
+    store, session = cluster.stores[sites[0]], sessions[sites[0]][0]
+    merge = histories[sites[0]].record(store.begin_merge(session=session), session.name)
+    resolve(merge)
+    merged = merge.commit()
+    cluster.run()
+    for store in cluster.stores.values():
+        if merged in store.dag:
+            store.adopt_merge(merged)
+    settle(cluster, histories)
+    return histories
+
+
+def seeded_run(path, n_sites, gc_mode, seed):
+    """One schedule on a fresh logged cluster: ``(problems, facts)``."""
+    cluster = logged_cluster(path, n_sites, gc_mode=gc_mode)
+    try:
+        histories = run_cluster(cluster, seed)
+        problems = check_sites(cluster, histories)
+        shapes = [shape(store.wal.path) for store in cluster.stores.values()]
+        facts = Counter(
+            applied=sum(r.applied for r in cluster.replicators.values()),
+            dropped=sum(r.dropped for r in cluster.replicators.values()),
+            cycles=sum(s.gc.cycles for s in cluster.stores.values()),
+            forks=sum(forks for forks, _merges in shapes),
+            merges=sum(merges for _forks, merges in shapes),
+        )
+    finally:
+        for store in cluster.stores.values():
+            store.close()
+    return problems, facts
+
+
+def unnamed(problems):
+    """The violations that are not a named gap."""
+    return [p for p in problems if not p.startswith("gap ")]
+
+
+class TestSeededClusters:
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("gc_mode", GC_MODES)
+    @pytest.mark.parametrize("n_sites", [2, 3])
+    def test_every_site_checks_against_its_own_log(self, tmp_path, n_sites, gc_mode, seed):
+        problems, facts = seeded_run(str(tmp_path / "wal"), n_sites, gc_mode, seed)
+        assert unnamed(problems) == []
+        # The schedule replicated, branched, merged and collected.
+        assert facts["applied"] > 0 and facts["cycles"] > 0, facts
+        assert facts["forks"] > 0 and facts["merges"] > 0, facts
+
+
+# ---------------------------------------------------------------------------
+# Mutation tests: plant a replication bug, and the checker says so.
+
+
+def exchange(cluster):
+    """Commits at both sites, replicated; a merge at ``us``; reads."""
+    histories = histories_of(cluster)
+    us, eu = cluster.stores["us"], cluster.stores["eu"]
+    a, b = us.session("a"), eu.session("b")
+    put(histories["us"], us, a, "x", 1)
+    cluster.run()
+    put(histories["eu"], eu, b, "x", 2)
+    put(histories["us"], us, a, "y", 1)
+    cluster.run()
+    merge = histories["us"].record(us.begin_merge(session=a), "a")
+    resolve(merge)
+    merge.commit()
+    cluster.run()
+    put(histories["eu"], eu, b, "z", 3)
+    settle(cluster, histories)
+    return histories
+
+
+def rules(problems):
+    return {p.split(":")[0] for p in problems}
+
+
+class TestMutations:
+    def test_the_unplanted_exchange_checks(self, cluster_at):
+        cluster = cluster_at(default_latency_ms=10)
+        assert check_sites(cluster, exchange(cluster)) == []
+        assert all(cluster.converged(key) for key in "xyz")
+
+    def test_a_record_grafted_under_the_wrong_parent(self, cluster_at, monkeypatch):
+        real = TardisStore.apply_remote
+
+        def under_the_root(self, record):
+            return real(self, record._replace(parent_ids=(ROOT_ID,)))
+
+        monkeypatch.setattr(TardisStore, "apply_remote", under_the_root)
+        cluster = cluster_at(default_latency_ms=10)
+        assert "rule 6" in rules(check_sites(cluster, exchange(cluster)))
+
+    def test_a_silently_dropped_record(self, cluster_at, monkeypatch):
+        real = Replicator._apply_or_cache
+        lost = StateId(1, "us")
+
+        def lose(self, src, record):
+            if record.state_id != lost:
+                real(self, src, record)
+
+        monkeypatch.setattr(Replicator, "_apply_or_cache", lose)
+        cluster = cluster_at(default_latency_ms=10)
+        problems = check_sites(cluster, exchange(cluster))
+        assert "rule 7: s1@us is not in eu's log" in problems, problems
+
+    def test_an_altered_write_set(self, cluster_at, monkeypatch):
+        real = TardisStore.apply_remote
+
+        def altered(self, record):
+            return real(self, record._replace(writes=dict(record.writes, planted=1)))
+
+        monkeypatch.setattr(TardisStore, "apply_remote", altered)
+        cluster = cluster_at(default_latency_ms=10)
+        assert "rule 6" in rules(check_sites(cluster, exchange(cluster)))
+
+    def test_a_stale_read_of_a_merged_key_after_a_cycle(self, cluster_at, monkeypatch):
+        """A GC cycle collects both writers of ``x`` into the merge that
+        resolved them; a read that misses the merge's write is still a
+        rule 1 violation, not the unresolved-conflict gap 3."""
+        cluster = cluster_at(default_latency_ms=10)
+        histories = histories_of(cluster)
+        us, eu = cluster.stores["us"], cluster.stores["eu"]
+        a, b = us.session("a"), eu.session("b")
+        put(histories["us"], us, a, "x", 1)
+        put(histories["eu"], eu, b, "x", 2)
+        cluster.run()
+        merge = histories["us"].record(us.begin_merge(session=a), "a")
+        resolve(merge)
+        merged = merge.commit()
+        a.place_ceiling()
+        us.collect_garbage()
+        with us._lock:
+            assert {StateId(1, "us"), StateId(1, "eu")} <= set(us.dag.promotions())
+        real = VersionedRecordStore.read_visible
+
+        def before_the_merge(self, key, state, dag):
+            hit = real(self, key, state, dag)
+            return (StateId(1, "us"), 1) if key == "x" else hit  # a branch's write
+
+        monkeypatch.setattr(VersionedRecordStore, "read_visible", before_the_merge)
+        assert read(histories["us"], us, a, "x") == [1]
+        settle(cluster, histories)
+        assert check_sites(cluster, histories) == [
+            "rule 1 at %s: txn of %s at %r read 'x' = 1, the log says 2" % (site, session, merged)
+            for site, session in (("us", "a"), ("us", None), ("eu", None))
+        ]
+
+
+# ---------------------------------------------------------------------------
+# Two placement gaps: the store does not place a remote commit under its
+# StateID constraint once a local GC cycle collected the parent. Each test
+# pins what the store does today, so mending a gap fails its pin (then turn
+# the pin into a clean checker run).
+
+
+class TestKnownGaps:
+    @pytest.mark.parametrize("gc_mode", GC_MODES)
+    def test_a_peer_commit_after_one_local_cycle_is_dropped(self, cluster_at, gc_mode):
+        """``us`` collects the root, promoting it to ``s2@us``; ``eu``'s
+        concurrent ``s1@eu`` then resolves its parent to an heir with a
+        larger id, and it and every commit after it are dropped."""
+        cluster = cluster_at(gc_mode=gc_mode, default_latency_ms=10)
+        histories = histories_of(cluster)
+        us, eu = cluster.stores["us"], cluster.stores["eu"]
+        w, e = us.session("w"), eu.session("e")
+        put(histories["us"], us, w, "x", 0)
+        put(histories["us"], us, w, "x", 1)
+        put(histories["eu"], eu, e, "y", 0)  # concurrent: under s0
+        w.place_ceiling()
+        us.collect_garbage()
+        for value in range(1, 4):
+            cluster.run(until=cluster.sim.now + 5)
+            put(histories["eu"], eu, e, "y", value)
+        settle(cluster, histories)
+        assert check_sites(cluster, histories) == [
+            "gap 1: s%d@eu is not in us's log: its replicator dropped it" % n
+            for n in range(1, 5)
+        ]
+        assert not cluster.converged("y")
+
+    @pytest.mark.parametrize("gc_mode", GC_MODES)
+    def test_a_peer_commit_is_grafted_under_a_smaller_heir(self, cluster_at, gc_mode):
+        """``eu`` collects ``s1@us`` into its own ``s2@eu``; ``us``'s
+        concurrent ``s2@us`` (under ``s1@us``) then lands under
+        ``s2@eu``, and reads ``k`` differently at the two sites."""
+        cluster = cluster_at(gc_mode=gc_mode, default_latency_ms=10)
+        histories = histories_of(cluster)
+        us, eu = cluster.stores["us"], cluster.stores["eu"]
+        u, e = us.session("u"), eu.session("e")
+        put(histories["us"], us, u, "k", 1)
+        cluster.run()
+        put(histories["eu"], eu, e, "k", 2)
+        grafted = put(histories["us"], us, u, "j", 1)
+        e.place_ceiling()
+        eu.collect_garbage()
+        settle(cluster, histories)
+        assert check_sites(cluster, histories) == [
+            "gap 2: s2@us is logged at eu under (s2@eu,), heirs of (s1@us,)"
+        ]
+        logs = {site: LogDAG(WriteAheadLog.read(s.wal.path)) for site, s in cluster.stores.items()}
+        assert (logs["us"].read("k", grafted), logs["eu"].read("k", grafted)) == (1, 2)
+
+    def test_a_fetched_promotion_grafts_under_the_heir(self, cluster_at):
+        """Optimistic GC: a transaction whose parent ``eu`` collected and
+        flushed fetches the parent's promotion from ``us`` and is grafted
+        under the heir. Only an injected record reaches this path: a
+        peer that sent a commit still holds its parent, or has promoted
+        it into the commit itself."""
+        cluster = cluster_at(default_latency_ms=10)
+        histories = histories_of(cluster)
+        us, eu = cluster.stores["us"], cluster.stores["eu"]
+        sess = us.session("writer")
+        old = put(histories["us"], us, sess, "x", 1)
+        for value in range(2, 5):
+            tip = put(histories["us"], us, sess, "x", value)
+        cluster.run()
+        # eu collects up to the chain tip and flushes; the tip stays live.
+        eu.session("local").ceiling = tip
+        eu.collect_garbage(flush_promotions=True)
+        sess.place_ceiling()
+        us.collect_garbage()  # us promotes old -> tip, keeps the table
+        late = CommitRecord(StateId(999, "us"), (old,), {"x": 99})
+        cluster.replicators["eu"].handle("us", late)
+        settle(cluster, histories)
+        assert cluster.replicators["eu"].fetches == 1
+        # The injected record has no commit at its origin, so the logs
+        # alone cannot name the gap; judged against the record sent:
+        assert check_sites(cluster, histories) == [
+            "rule 8: s999@us is logged at eu, acknowledged at no site",
+            "rule 7: s999@us is not in us's log",
+        ]
+        records = list(WriteAheadLog.read(eu.wal.path))
+        logged = next(r for r in records if r.state_id == late.state_id)
+        with eu._lock:
+            promoted = eu.dag.promotions()
+        assert misplaced("eu", late, logged, LogDAG(records), promoted) == (
+            "gap 2: s999@us is logged at eu under (s4@us,), heirs of (s1@us,)"
+        )
+
+
+def main(seeds=24):
+    totals, failures = Counter(), 0
+    with tempfile.TemporaryDirectory() as tmp:
+        for seed in range(seeds):
+            for n_sites in (2, 3):
+                for gc_mode in GC_MODES:
+                    path = os.path.join(tmp, "%d-%d-%s" % (seed, n_sites, gc_mode))
+                    problems, facts = seeded_run(path, n_sites, gc_mode, seed)
+                    counts = Counter(re.search(r"(rule|gap) \d", p).group() for p in problems)
+                    totals.update(counts)
+                    failures += bool(unnamed(problems))
+                    print("seed %3d %d sites %-11s: %3d applied, %3d dropped, %s"
+                          % (seed, n_sites, gc_mode, facts["applied"], facts["dropped"],
+                             dict(sorted(counts.items())) or "ok"))
+    print("%d runs, %d with a violation that is not a named gap; totals %s"
+          % (seeds * 4, failures, dict(sorted(totals.items()))))
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(*map(int, sys.argv[1:])))

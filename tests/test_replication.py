@@ -1,10 +1,14 @@
-"""Tests for multi-site replication: gossip, caching, partitions, GC modes."""
+"""Tests for multi-site replication: gossip, caching, partitions, GC modes.
+
+The cross-site scenarios run on logged clusters and are judged by
+:func:`tests.history.check_sites` against every site's own log.
+"""
 
 import random
 
 import pytest
 
-from repro.core.ids import CommitRecord, StateId
+from repro.core.ids import ROOT_ID, CommitRecord, StateId
 from repro.obs import metrics as met
 from repro.obs.context import trace_id_of
 from repro.replication import Cluster, SimNetwork
@@ -13,10 +17,12 @@ from repro.replication.cluster import (
     SITE_NAMES,
     run_replicated_workload,
 )
-from repro.replication.replicator import FetchRequest
 from repro.sim.des import Simulator
+from repro.storage.wal import WriteAheadLog
 from repro.workload import RunConfig, YCSBWorkload
 from repro.errors import UnknownSiteError
+from tests.history import check_log, check_sites, histories_of, settle
+from tests.test_history import put, read
 
 
 def two_sites(latency=10.0, **kw):
@@ -106,36 +112,38 @@ class TestReplication:
             with store._lock:
                 assert len(store.dag.leaves()) == 2
 
-    def test_cross_site_conflict_and_merge(self):
-        cluster = two_sites()
+    def test_cross_site_conflict_and_merge(self, cluster_at):
+        cluster = cluster_at(default_latency_ms=10)
+        histories = histories_of(cluster)
         a, b = cluster.stores["us"], cluster.stores["eu"]
-        a.put("x", 0)
+        alice, bruno = a.session("alice"), b.session("bruno")
+        put(histories["us"], a, alice, "x", 0)
         cluster.run(until=100)
         # Conflicting increments at both sites (the Wikipedia scenario).
-        ta = a.begin(session=a.session("alice"))
-        ta.put("x", ta.get("x") + 1)
-        ta.commit()
-        tb = b.begin(session=b.session("bruno"))
-        tb.put("x", tb.get("x") + 5)
-        tb.commit()
+        for site, store, session, delta in (("us", a, alice, 1), ("eu", b, bruno, 5)):
+            txn = histories[site].record(store.begin(session=session), session.name)
+            txn.put("x", txn.get("x") + delta)
+            txn.commit()
         cluster.run(until=300)
-        # Both sites see both branches.
-        for store in (a, b):
-            merge = store.begin_merge()
-            assert sorted(merge.get_all("x")) == [1, 5]
-            assert merge.find_conflict_writes() == ["x"]
+        # Both sites see both branches, and the conflict on x.
+        for site, store in cluster.stores.items():
+            merge = histories[site].record(store.begin_merge(), None)
+            merge.get_all("x")
+            merge.find_conflict_writes()
+            assert len(merge.parents) == 2
             merge.abort()
-        # Merge at one site; the merge replicates.
-        merge = a.begin_merge(session=a.session("alice"))
+        # A three-way merge at one site replicates, and eu adopts it.
+        merge = histories["us"].record(a.begin_merge(session=alice), "alice")
         fork = merge.find_fork_points()[0]
         base = merge.get_for_id("x", fork)
         merge.put("x", base + sum(v - base for v in merge.get_all("x")))
-        merge.commit()
+        merged = merge.commit()
         cluster.run(until=600)
+        assert b.adopt_merge(merged) == ["bruno"]
+        read(histories["eu"], b, bruno, "x")
+        settle(cluster, histories)
+        assert check_sites(cluster, histories) == []
         assert cluster.converged("x")
-        tb2 = b.begin(session=b.session("checker"))
-        assert tb2.get("x") == 6  # 0 + 1 + 5, the three-way merge
-        tb2.commit()
 
     def test_out_of_order_delivery_cached(self):
         """A child arriving before its parent is cached, then applied."""
@@ -163,109 +171,198 @@ class TestReplication:
         assert rep_b.applied == 1
         assert cluster.stores["eu"].get("k") == 1
 
-    def test_partition_then_heal_converges(self):
-        cluster = two_sites()
+    def test_partition_then_heal_converges(self, cluster_at):
+        cluster = cluster_at(default_latency_ms=10)
+        histories = histories_of(cluster)
         a, b = cluster.stores["us"], cluster.stores["eu"]
-        a.put("x", 0)
+        writer, reader = a.session("writer"), b.session("reader")
+        put(histories["us"], a, writer, "x", 0)
         cluster.run(until=100)
         cluster.network.partition("us", "eu")
-        a.put("x", 1)
-        b_t = b.begin()
-        b_t.put("y", 2)
-        b_t.commit()
+        put(histories["us"], a, writer, "x", 1)
+        put(histories["eu"], b, reader, "y", 2)
         cluster.run(until=200)
-        assert b.get("x") == 0  # partition holds
+        assert cluster.network.buffered_count == 2  # the partition holds
+        read(histories["eu"], b, reader, "x")
         cluster.network.heal("us", "eu")
         cluster.run(until=400)
-        assert b.get("x", session=b.session("fresh")) in (0, 1)
-        t = b.begin(session=b.session("reader"))
-        # The replicated branch is present even if not merged.
-        with b._lock:
-            assert len(b.dag.leaves()) == 2
-        t.commit()
+        read(histories["eu"], b, b.session("fresh"), "x")
+        # The replicated branch is present at eu; a merge there joins it.
+        merge = histories["eu"].record(b.begin_merge(session=reader), "reader")
+        assert len(merge.parents) == 2
+        merged = merge.commit()
+        cluster.run()
+        a.adopt_merge(merged)
+        settle(cluster, histories)
+        assert check_sites(cluster, histories) == []
+        assert cluster.converged("x") and cluster.converged("y")
 
-    def test_fetch_recovers_promoted_state(self):
+    def test_fetch_recovers_promoted_state(self, cluster_at):
         """Optimistic GC: a flushed promotion is refetched from a peer.
 
-        Both sites share a replicated chain and collect it; ``eu``
-        additionally flushes its promotion table. A late transaction
-        referencing a collected state then arrives at ``eu``: the fetch
-        returns the peer's promotion, which eu adopts and applies under.
+        Behind a partition, ``us`` commits ``late`` under ``old`` and
+        collects ``old`` into it, while ``eu`` commits under ``old`` too,
+        collects it and flushes its promotion. On the heal, ``eu`` caches
+        ``late`` and fetches ``old``: ``us`` answers with its promotion,
+        whose target ``eu`` cannot place, so ``late`` is dropped (§6.4),
+        and ``us`` drops ``eu``'s commit, whose parent now resolves to an
+        heir with a larger id. Both drops are gap 1.
         """
-        cluster = two_sites()
+        cluster = cluster_at(default_latency_ms=10)
+        histories = histories_of(cluster)
         a, b = cluster.stores["us"], cluster.stores["eu"]
-        sess = a.session("writer")
-        old = a.put("x", 1, session=sess)
-        for i in range(3):
-            t = a.begin(session=sess)
-            t.put("x", i + 2)
-            t.commit()
-        cluster.run(until=200)
-        assert old in b.dag
-        # Both sites collect the chain; eu flushes promotions too.
-        sess.place_ceiling()
-        a.collect_garbage()  # us keeps its promotion table
-        sess_b = b.session("local")
-        t = b.begin(session=sess_b)
-        t.put("z", 1)
-        t.commit()
-        sess_b.place_ceiling()
+        writer, local = a.session("writer"), b.session("local")
+        put(histories["us"], a, writer, "x", 1)  # old
+        cluster.run(until=100)
+        cluster.network.partition("us", "eu")
+        put(histories["us"], a, writer, "x", 2)  # late
+        put(histories["eu"], b, local, "z", 1)
+        writer.place_ceiling()
+        a.collect_garbage()
+        local.place_ceiling()
         b.collect_garbage(flush_promotions=True)
-        assert old not in b.dag  # flushed
-        assert old in a.dag      # promoted, promotion retained
-        # A late transaction parented at the collected state reaches eu.
-        # eu fetched the promotion, but it flushed past the target too:
-        # the dependent transaction is aborted (dropped), as §6.4 says.
-        late = CommitRecord(StateId(999, "us"), (old,), {"x": 99})
-        cluster.replicators["eu"].handle("us", late)
-        cluster.run(until=500)
-        assert cluster.replicators["eu"].fetches >= 1
-        assert cluster.replicators["eu"].dropped == 1
-        assert cluster.replicators["eu"].pending_count == 0
+        cluster.network.heal("us", "eu")
+        settle(cluster, histories)
+        replicator = cluster.replicators["eu"]
+        assert (replicator.fetches, replicator.dropped, replicator.pending_count) == (1, 1, 0)
+        assert check_sites(cluster, histories) == [
+            "gap 1: s2@eu is not in us's log: its replicator dropped it",
+            "gap 1: s2@us is not in eu's log: its replicator dropped it",
+        ]
 
-    def test_fetch_promotion_adopted_when_target_live(self):
-        """Optimistic GC: the fetched promotion resolves the missing id."""
-        cluster = two_sites()
-        a, b = cluster.stores["us"], cluster.stores["eu"]
-        sess = a.session("writer")
-        old = a.put("x", 1, session=sess)
-        for i in range(3):
-            t = a.begin(session=sess)
-            t.put("x", i + 2)
-            t.commit()
-        tip = sess.last_commit_id
-        cluster.run(until=200)
-        # eu collects up to the chain tip and flushes; the tip stays live.
-        b.session("local").ceiling = tip
-        b.collect_garbage(flush_promotions=True)
-        assert old not in b.dag
-        sess.place_ceiling()
-        a.collect_garbage()  # us promotes old -> tip, keeps the table
-        with a._lock:
-            assert a.dag.resolve(old).id == tip
-        late = CommitRecord(StateId(999, "us"), (old,), {"x": 99})
-        cluster.replicators["eu"].handle("us", late)
-        cluster.run(until=500)
-        assert StateId(999, "us") in b.dag
-        with b._lock:
-            assert b.dag.resolve(StateId(999, "us")).parents[0].id == tip
-
-    def test_fetch_content_recovers_lost_gossip(self):
+    def test_fetch_content_recovers_lost_gossip(self, cluster_at):
         """A dropped gossip message is refetched by content on demand."""
-        cluster = two_sites()
-        a, b = cluster.stores["us"], cluster.stores["eu"]
+        cluster = cluster_at(default_latency_ms=10)
+        histories = histories_of(cluster)
+        a = cluster.stores["us"]
+        writer = a.session("writer")
         # Cut the link so eu misses the first commit entirely...
         cluster.network.partition("us", "eu")
-        lost = a.put("x", 1)
+        put(histories["us"], a, writer, "x", 1)
         # ...simulate message loss: discard the buffer, then heal.
         assert cluster.network.drop_buffered("us", "eu") == 1
         cluster.network.heal("us", "eu")
-        child = a.put("x", 2)
-        cluster.run(until=400)
+        put(histories["us"], a, writer, "x", 2)
+        settle(cluster, histories)
         # eu cached the child, fetched the lost parent, applied both.
-        assert lost in b.dag
-        assert child in b.dag
-        assert b.get("x") == 2
+        assert cluster.replicators["eu"].fetches == 1
+        assert check_sites(cluster, histories) == []
+
+    def test_three_site_fuzz_every_apply_resolves_to_one_commit(self, cluster_at):
+        """Randomized puts over 3 sites: every record of every site's log
+        was acknowledged exactly once, at its origin site (rule 8), and
+        every log ends holding every commit (rule 7)."""
+        rng = random.Random(20160814)
+        cluster = cluster_at(n_sites=3)
+        histories = histories_of(cluster)
+        writers = {site: store.session("writer") for site, store in cluster.stores.items()}
+        for step in range(120):
+            site = rng.choice(cluster.sites)
+            key = "k%d" % rng.randrange(8)
+            put(histories[site], cluster.stores[site], writers[site], key, (site, step))
+            if rng.random() < 0.3:
+                cluster.run(until=cluster.sim.now + rng.uniform(5.0, 120.0))
+        settle(cluster, histories)
+        assert check_sites(cluster, histories) == []
+
+    def test_each_site_logs_to_its_own_file(self, cluster_at, tmp_path):
+        """A ``wal_path`` gives every site its own log, ``<path>.<site>``,
+        holding every commit of the cluster once, with its write set."""
+        cluster = cluster_at()
+        acked = [
+            (store.put(site, value), {site: value})
+            for site, store in cluster.stores.items()
+            for value in range(3)
+        ]
+        cluster.run()
+        for site in cluster.sites:
+            records = list(WriteAheadLog.read(str(tmp_path / ("wal." + site))))
+            assert len(records) == 6
+            assert check_log(records, acked) == []
+
+    def test_a_dropped_commit_drops_the_commits_cached_under_it(self):
+        reg = met.MetricsRegistry()
+        with met.use_registry(reg):
+            cluster = two_sites()
+            us, replicator = cluster.stores["us"], cluster.replicators["us"]
+            writer = us.session("w")
+            us.put("x", 0, session=writer)
+            us.put("x", 1, session=writer)
+            writer.place_ceiling()
+            us.collect_garbage()  # s0's heir is now s2@us
+            chain = [
+                CommitRecord(StateId(n, "eu"), (StateId(n - 1, "eu") if n > 1 else ROOT_ID,), {"y": n})
+                for n in range(1, 5)
+            ]
+            replicator.handle("eu", chain[2])
+            replicator.handle("eu", chain[1])
+            assert replicator.pending_count == 2
+            replicator.handle("eu", chain[0])  # under s0: its heir's id is larger
+            assert (replicator.pending_count, replicator.dropped) == (0, 3)
+            fetches = replicator.fetches
+            replicator.handle("eu", chain[3])  # dropped on arrival, no fetch
+            cluster.run()
+        assert (replicator.pending_count, replicator.fetches) == (0, fetches)
+        assert replicator.dropped == reg.to_dict()["tardis_repl_drop_total"]["value"] == 4
+
+    def test_a_dropped_merge_leaves_no_entry_under_its_other_parent(self):
+        cluster = two_sites()
+        replicator = cluster.replicators["eu"]
+        merge = CommitRecord(StateId(5, "us"), (StateId(3, "us"), StateId(4, "us")), {"x": 1})
+        replicator.handle("us", merge)
+        assert (replicator.fetches, replicator.pending_count) == (1, 2)
+        cluster.run()  # us knows no s3@us: the fetch finds no record
+        assert (replicator.dropped, replicator.pending_count) == (1, 0)
+
+    @pytest.mark.parametrize("gc_mode", ["optimistic", PESSIMISTIC])
+    def test_a_dropped_branch_costs_at_most_one_fetch_per_commit(self, gc_mode):
+        """``us`` drops ``eu``'s concurrent commits after one local GC
+        cycle (gap 1); every later commit of that branch is dropped too,
+        with nothing left cached and at most one fetch round each."""
+        cluster = two_sites(gc_mode=gc_mode)
+        us, eu = cluster.stores["us"], cluster.stores["eu"]
+        writer, local = us.session("w"), eu.session("e")
+        us.put("x", 0, session=writer)
+        us.put("x", 1, session=writer)
+        eu.put("y", 0, session=local)  # concurrent: under s0
+        writer.place_ceiling()
+        us.collect_garbage()
+        replicator = cluster.replicators["us"]
+        for value in range(1, 10):
+            fetches = replicator.fetches
+            cluster.run(until=cluster.sim.now + 5)
+            eu.put("y", value, session=local)
+            cluster.run()
+            assert replicator.fetches - fetches <= 1
+            assert replicator.pending_count == 0
+        assert (replicator.applied, replicator.dropped) == (0, 10)
+
+    def test_a_failed_fetch_drops_the_waiting_commit_not_the_parent_it_asked_for(self, cluster_at):
+        """``asia`` gets ``eu``'s ``s3@eu`` before its parent ``s2@us``,
+        which ``eu`` has collected into ``s3@eu``: the fetch finds no
+        record, and only ``s3@eu`` is dropped. ``s2@us`` still arrives
+        from its origin on the heal, and is applied."""
+        cluster = cluster_at(n_sites=3, default_latency_ms=10)
+        histories = histories_of(cluster)
+        us, eu = cluster.stores["us"], cluster.stores["eu"]
+        u, e = us.session("u"), eu.session("e")
+        cluster.network.partition("us", "asia")
+        put(histories["us"], us, u, "k", 1)
+        parent = put(histories["us"], us, u, "j", 1)
+        cluster.run()
+        child = put(histories["eu"], eu, e, "k", 2)
+        e.place_ceiling()
+        eu.collect_garbage()  # eu promotes s1@us and s2@us into s3@eu
+        cluster.run()
+        replicator = cluster.replicators["asia"]
+        assert (replicator.fetches, replicator.dropped, replicator.pending_count) == (1, 1, 0)
+        cluster.network.heal("us", "asia")
+        settle(cluster, histories)
+        assert parent in cluster.stores["asia"].dag
+        assert (replicator.applied, replicator.dropped) == (2, 1)
+        assert check_sites(cluster, histories) == [
+            "gap 1: %r is not in asia's log: its replicator dropped it" % (child,)
+        ]
 
     def test_pessimistic_gc_waits_for_peers(self):
         cluster = Cluster(n_sites=2, default_latency_ms=10, gc_mode=PESSIMISTIC)
@@ -448,37 +545,3 @@ class TestTracePropagation:
         kinds = ["%s.%s" % (row["layer"], row["name"]) for row in cluster.timeline(trace_id_of(sid))]
         assert kinds[0] == "txn.commit"
         assert "repl.send" in kinds and "repl.apply" in kinds
-
-    def test_three_site_fuzz_every_apply_resolves_to_one_commit(self):
-        """Randomized puts over 3 sites: every repl.apply trace id maps
-        back to exactly one txn.commit at the originating site."""
-        rng = random.Random(20160814)
-        cluster = Cluster(n_sites=3, trace=True, trace_capacity=65536)
-        sites = cluster.sites
-        for step in range(120):
-            site = rng.choice(sites)
-            key = "k%d" % rng.randrange(8)
-            cluster.stores[site].put(key, (site, step))
-            if rng.random() < 0.3:
-                cluster.run(until=cluster.sim.now + rng.uniform(5.0, 120.0))
-        cluster.run()  # drain all replication traffic
-
-        assert all(s.recorder.dropped == 0 for s in cluster.stores.values())
-        commits = {}
-        for row in cluster.events(kind="txn.commit"):
-            commits.setdefault(row["txn"], []).append(row)
-        for row in cluster.events(kind="repl.apply"):
-            trace = row["txn"]
-            origin = commits.get(trace)
-            assert origin is not None, "apply %r has no commit" % trace
-            assert len(origin) == 1, "trace %r committed %d times" % (
-                trace, len(origin),
-            )
-            # the commit happened at the trace id's origin site, the
-            # apply anywhere else
-            origin_site = origin[0]["site"]
-            assert trace.endswith("@" + origin_site)
-            assert row["site"] != origin_site
-        # with 120 puts over 3 sites there was real replication traffic
-        applies = cluster.events(kind="repl.apply")
-        assert len(applies) >= 120  # each commit applies at >= 1 peer
