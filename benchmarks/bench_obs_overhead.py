@@ -41,7 +41,6 @@ import time
 import pytest
 
 from repro.client.client import TardisClient
-from repro.obs import metrics as _met
 from repro.server.server import TardisServer
 from repro.sim.adapters import TardisAdapter
 from repro.workload import WRITE_HEAVY, YCSBWorkload, run_simulation
@@ -150,41 +149,38 @@ def test_obs_overhead(benchmark):
 # metrics registry, which also turns on the server's request rows) vs a
 # plain server, same interleaved min-of-N estimator. Both share the store
 # thread with request handlers, so their whole cost shows up as request
-# latency — exactly what this measures. The registry is process-global:
-# it is on only while the hot arm's client drives.
+# latency — exactly what this measures. The registry is the hot server's
+# store's own, so it is on for the hot arm only.
 
 
-def _drive(client: TardisClient, ops: int, metrics: bool) -> float:
+def _drive(client: TardisClient, ops: int) -> float:
     gc.collect()
-    was = _met.DEFAULT.enabled
-    _met.enable(metrics)
-    try:
-        start = time.perf_counter()
-        for i in range(ops):
-            key = "k%d" % (i % 32)
-            if i % 3 == 2:
-                client.get(key)
-            else:
-                client.put(key, i)
-        return time.perf_counter() - start
-    finally:
-        _met.enable(was)
+    start = time.perf_counter()
+    for i in range(ops):
+        key = "k%d" % (i % 32)
+        if i % 3 == 2:
+            client.get(key)
+        else:
+            client.put(key, i)
+    return time.perf_counter() - start
 
 
 def _measure_live():
     cold = TardisServer(site="bench-cold").start()
-    hot = TardisServer(site="bench-hot", obs_sample_interval=0.05).start()
+    hot = TardisServer(site="bench-hot", obs_sample_interval=0.05)
+    hot.store.registry.enabled = True  # as ``tardis serve --metrics`` does
+    hot.start()
     try:
         clients = {
             False: TardisClient(port=cold.port),
             True: TardisClient(port=hot.port),
         }
         walls = {False: [], True: []}
-        _drive(clients[False], LIVE_OPS, False)  # warm-up both paths
-        _drive(clients[True], LIVE_OPS, True)
+        _drive(clients[False], LIVE_OPS)  # warm-up both paths
+        _drive(clients[True], LIVE_OPS)
         for _ in range(LIVE_ROUNDS):
             for live in (False, True):
-                walls[live].append(_drive(clients[live], LIVE_OPS, live))
+                walls[live].append(_drive(clients[live], LIVE_OPS))
         for client in clients.values():
             client.close()
     finally:

@@ -20,7 +20,7 @@ import itertools
 from typing import Any, Dict, List, Set, Tuple
 
 from repro.errors import KeyNotFound, TransactionClosed, ValidationError
-from repro.obs import metrics as _met
+from repro.obs.metrics import MetricsRegistry
 
 ACTIVE = "active"
 COMMITTED = "committed"
@@ -75,6 +75,8 @@ class OCCStore:
         #: total number of (committed-writer, reader) set checks, for the
         #: cost model — this is OCC's expensive validation phase.
         self.validation_checks = 0
+        #: this store's metrics, off until a reader turns them on.
+        self.registry = MetricsRegistry(enabled=False)
 
     def __len__(self) -> int:
         return len(self._records)
@@ -129,7 +131,7 @@ class OCCStore:
             self.aborts += 1
             self.validation_failures += 1
             self._active_starts.pop(txn.txn_id, None)
-            m = _met.DEFAULT
+            m = self.registry
             if m.enabled:
                 m.inc("baseline_occ_abort_total")
                 m.inc("baseline_occ_validation_fail_total")
@@ -143,7 +145,7 @@ class OCCStore:
         txn.status = COMMITTED
         self.commits += 1
         self._active_starts.pop(txn.txn_id, None)
-        m = _met.DEFAULT
+        m = self.registry
         if m.enabled:
             m.inc("baseline_occ_commit_total")
             m.observe("baseline_occ_validation_checks", checks)

@@ -23,7 +23,7 @@ from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.baselines.locks import LockManager, LockMode, LockRequest
 from repro.errors import KeyNotFound, TransactionClosed
-from repro.obs import metrics as _met
+from repro.obs.metrics import MetricsRegistry
 
 ACTIVE = "active"
 COMMITTED = "committed"
@@ -87,6 +87,8 @@ class TwoPhaseLockingStore:
         self.locks = LockManager()
         self.commits = 0
         self.aborts = 0
+        #: this store's metrics, off until a reader turns them on.
+        self.registry = MetricsRegistry(enabled=False)
 
     def __len__(self) -> int:
         return len(self._records)
@@ -134,7 +136,7 @@ class TwoPhaseLockingStore:
         self._records.update(txn.writes)
         txn.status = COMMITTED
         self.commits += 1
-        m = _met.DEFAULT
+        m = self.registry
         if m.enabled:
             m.inc("baseline_2pl_commit_total")
         return self.locks.release_all(txn.txn_id)
@@ -143,7 +145,7 @@ class TwoPhaseLockingStore:
         self._check(txn)
         txn.status = ABORTED
         self.aborts += 1
-        m = _met.DEFAULT
+        m = self.registry
         if m.enabled:
             m.inc("baseline_2pl_abort_total")
             m.set_gauge("baseline_2pl_deadlocks", self.locks.deadlocks)

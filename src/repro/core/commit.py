@@ -45,7 +45,7 @@ from repro.errors import (
     ShardUnavailableError,
     TransactionAborted,
 )
-from repro.obs import metrics as _met
+from repro.obs.metrics import MetricsRegistry
 from repro.partitioning.workers import ShardedRecordStore
 from repro.storage.wal import WriteAheadLog, encode_entry
 
@@ -79,15 +79,16 @@ class CommitPipeline:
         "wal",
         "group_commit",
         "_unflushed",
-        "_hot_registry",
-        "_hot_commit",
-        "_hot_write_keys",
+        "registry",
+        "_commits",
+        "_write_keys",
     )
 
     def __init__(
         self,
         dag: StateDAG,
         versions: Union[VersionedRecordStore, ShardedRecordStore],
+        registry: MetricsRegistry,
         sharded: bool = False,
         wal: Optional[WriteAheadLog] = None,
         group_commit: int = 0,
@@ -102,12 +103,11 @@ class CommitPipeline:
         self.wal = wal
         self.group_commit = int(group_commit)
         self._unflushed = 0
-        #: per-commit metric handles, re-resolved when the default
-        #: registry changes identity (benchmark harnesses swap it per
-        #: run) — the name lookup is measurable at commit rates.
-        self._hot_registry = None
-        self._hot_commit = None
-        self._hot_write_keys = None
+        #: the owning store's registry, and the two per-commit handles
+        #: (a name lookup per commit is measurable at commit rates).
+        self.registry = registry
+        self._commits = registry.counter("tardis_txn_commit_total")
+        self._write_keys = registry.histogram("tardis_txn_write_keys")
 
     def commit(
         self,
@@ -159,9 +159,7 @@ class CommitPipeline:
                 versions.install_commit(plan, state)
             except ShardError as exc:
                 self.dag.discard_leaf(state)
-                m = _met.DEFAULT
-                if m.enabled:
-                    m.inc("tardis_commit_shard_abort_total")
+                self.registry.inc("tardis_commit_shard_abort_total")
                 shard = exc.shard if isinstance(exc, ShardUnavailableError) else None
                 raise CrossShardAbort(shard, "shard install failed: %s" % exc) from exc
         else:
@@ -172,9 +170,7 @@ class CommitPipeline:
         if origin != REMOTE:
             self._observe(origin, parents, writes)
         if plan is not None and len(plan) > 1:
-            m = _met.DEFAULT
-            if m.enabled:
-                m.inc("tardis_commit_cross_shard_total")
+            self.registry.inc("tardis_commit_cross_shard_total")
         return record
 
     # -- write-ahead logging (§6.5) ----------------------------------------
@@ -186,24 +182,18 @@ class CommitPipeline:
             if self._unflushed >= self.group_commit:
                 wal.flush()
                 self._unflushed = 0
-                m = _met.DEFAULT
-                if m.enabled:
-                    m.inc("tardis_wal_group_flush_total")
+                self.registry.inc("tardis_wal_group_flush_total")
 
     # -- observability -----------------------------------------------------
 
     def _observe(
         self, origin: str, parents: Sequence[State], writes: Dict[Any, Any]
     ) -> None:
-        m = _met.DEFAULT
+        m = self.registry
         if not m.enabled:
             return
-        if self._hot_registry is not m:
-            self._hot_registry = m
-            self._hot_commit = m.counter("tardis_txn_commit_total")
-            self._hot_write_keys = m.histogram("tardis_txn_write_keys")
-        self._hot_commit.inc()
-        self._hot_write_keys.record(len(writes))
+        self._commits.inc()
+        self._write_keys.record(len(writes))
         if origin == MERGE:
             m.inc("tardis_branch_merge_total")
             m.observe("tardis_merge_parents", len(parents))

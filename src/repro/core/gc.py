@@ -38,7 +38,6 @@ from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Set
 
 from repro.core.ids import StateId
 from repro.errors import GarbageCollectedError
-from repro.obs import metrics as _met
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.state_dag import State
@@ -96,7 +95,8 @@ class GarbageCollector:
         holds (:meth:`_held_ids`); any other collected id then raises
         :class:`~repro.errors.GarbageCollectedError`. A store whose
         commits are shipped to peers keeps the whole table instead,
-        because a peer fetches promotions by id (§6.4).
+        because ``_graft`` and ``StateDAG.__contains__`` resolve a
+        peer's parent ids through it (§6.4).
         ``flush_promotions`` prunes that table too, the situation
         optimistic replicated GC resolves by refetching from a peer.
         """
@@ -111,7 +111,8 @@ class GarbageCollector:
             promoted, dropped = store.versions.promote_and_prune(dag)
             stats.records_promoted = promoted
             stats.records_dropped = dropped
-            # The replicator is the store's only commit listener.
+            # The replicator is the store's only commit listener; a peer's
+            # parent ids resolve through the table, so it keeps it whole.
             if flush_promotions or not store._commit_listeners:
                 stats.promotions_flushed = dag.prune_promotions(self._held_ids())
             stats.live_states = len(dag)
@@ -119,7 +120,7 @@ class GarbageCollector:
             self.states_removed += stats.states_removed
             self.pause_ms_last = (time.perf_counter() - started) * 1000.0
             self.pause_ms_max = max(self.pause_ms_max, self.pause_ms_last)
-        m = _met.DEFAULT
+        m = store.registry
         if m.enabled:
             m.inc("tardis_gc_cycle_total")
             m.inc("tardis_gc_states_removed_total", stats.states_removed)

@@ -23,7 +23,6 @@ from repro.core.ids import StateId
 from repro.core.state_dag import State
 from repro.core.transaction import BaseTransaction, TOMBSTONE, _RAISE
 from repro.errors import KeyNotFound, MultipleValuesError
-from repro.obs import metrics as _met
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.constraints import Constraint
@@ -137,9 +136,7 @@ class MergeTransaction(BaseTransaction):
             else:
                 states = [self.dag.resolve(sid) for sid in state_ids]
             conflicts = self._store._conflict_writes(states)
-        m = _met.DEFAULT
-        if m.enabled:
-            m.observe("tardis_merge_conflict_keys", len(conflicts))
+        self._store.registry.observe("tardis_merge_conflict_keys", len(conflicts))
         return conflicts
 
     # -- commit ---------------------------------------------------------------

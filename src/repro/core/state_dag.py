@@ -40,7 +40,6 @@ from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional
 from repro.core.ancestry import AncestryIndex, ForkPoint, popcount
 from repro.core.ids import ROOT_ID, IdAllocator, StateId
 from repro.errors import GarbageCollectedError
-from repro.obs import metrics as _met
 
 
 class State:
@@ -138,8 +137,10 @@ class StateDAG:
         #: keeps only the ids a session or a ceiling holds
         #: (``prune_promotions``).
         self._promotions: Dict[StateId, StateId] = {}
-        #: count of retroactive fork-path pushes (exposed for benchmarks).
+        #: count of retroactive fork-path pushes (exposed for benchmarks),
+        #: and of states spliced out; the store mirrors both.
         self.retro_updates = 0
+        self.splices = 0
         #: count of *destructive* events — ones that rewrite existing
         #: bookkeeping (splice-out merges write keys into the child, fork
         #: retirement rewrites masks, record promotion rewrites version
@@ -148,11 +149,6 @@ class StateDAG:
         #: under an older value (docs/internals.md §10); append-only
         #: events (plain commits, GC marking) leave it alone.
         self.destructive_gen = 0
-        #: cached splice counter — splice_out runs once per collected
-        #: state (roughly once per commit at steady state), so the
-        #: per-call registry name lookup is measurable.
-        self._hot_registry = None
-        self._hot_splice = None
 
     # -- basic queries ----------------------------------------------------
 
@@ -302,9 +298,6 @@ class StateDAG:
             state.path_mask |= bit
             stack.extend(state.children)
             self.retro_updates += 1
-        m = _met.DEFAULT
-        if m.enabled:
-            m.inc("tardis_dag_retro_updates_total", len(visited))
 
     # -- visibility (Figure 7) ---------------------------------------------
 
@@ -455,12 +448,7 @@ class StateDAG:
         # merges write keys into the child: destructive for the
         # visibility cache.
         self.mark_destructive()
-        m = _met.DEFAULT
-        if m.enabled:
-            if self._hot_registry is not m:
-                self._hot_registry = m
-                self._hot_splice = m.counter("tardis_dag_splice_total")
-            self._hot_splice.inc()
+        self.splices += 1
         return child
 
     def retire_forks(self, dead_fork_ids: Set[StateId]) -> int:

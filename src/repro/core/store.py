@@ -52,7 +52,6 @@ from repro.core.transaction import (
     TOMBSTONE,
 )
 from repro.core.versions import VersionedRecordStore
-from repro.obs import metrics as _met
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import Recorder
 from repro.errors import (
@@ -262,12 +261,27 @@ class TardisStore:
         self._lock = threading.RLock()
         self._sessions: Dict[str, ClientSession] = {}
         self._session_counter = 0
+        #: this store's metrics, off until a reader turns them on. The
+        #: store, its pipeline, collector and merges, and a replicator
+        #: or speculation executor built on it record here; the counts
+        #: the layers below keep natively are mirrored on read.
+        registry = self.registry = MetricsRegistry(enabled=False)
+        registry.collect = self._mirror_counts
+        #: per-transaction handles: a name lookup per call is
+        #: measurable at transaction rates.
+        self._begins = registry.counter("tardis_txn_begin_total")
+        self._begin_visits = registry.histogram("tardis_begin_visits")
+        self._readonly_commits = registry.counter("tardis_txn_commit_readonly_total")
+        self._aborts = registry.counter("tardis_txn_abort_total")
+        self._ripple_steps = registry.histogram("tardis_commit_ripple_steps")
+        self._forks = registry.counter("tardis_branch_fork_total")
         #: the single commit code path: DAG install, version insert,
         #: WAL append (with optional group-commit batching), metrics.
         #: The log is attached once it has been replayed.
         self.pipeline = CommitPipeline(
             self.dag,
             self.versions,
+            registry,
             sharded=self._sharded,
             group_commit=group_commit,
         )
@@ -279,10 +293,6 @@ class TardisStore:
         #: every row about this store goes here: its branch rows (while
         #: ``recorder.enabled``) and a server's rows.
         self.recorder = Recorder()
-        #: per-transaction metric handles, re-resolved when the default
-        #: registry changes identity (benchmark harnesses swap it per
-        #: run) — the per-call name lookup is measurable at txn rates.
-        self._hot_registry: Optional[MetricsRegistry] = None
         #: what the replay of a log found (checkpoint states, replayed,
         #: discarded); None when no log was replayed into this store.
         self.recovery: Optional[Dict[str, int]] = None
@@ -371,15 +381,29 @@ class TardisStore:
             self.pipeline.versions = self.versions
             self.pipeline.dag = self.dag
 
-    def _hot_metrics(self, m: MetricsRegistry) -> None:
-        """Resolve the hot-path metric handles against registry ``m``."""
-        self._hot_registry = m
-        self._hot_begin = m.counter("tardis_txn_begin_total")
-        self._hot_begin_visits = m.histogram("tardis_begin_visits")
-        self._hot_commit_readonly = m.counter("tardis_txn_commit_readonly_total")
-        self._hot_abort = m.counter("tardis_txn_abort_total")
-        self._hot_ripple = m.histogram("tardis_commit_ripple_steps")
-        self._hot_fork = m.counter("tardis_branch_fork_total")
+    def _mirror_counts(self) -> None:
+        """The registry's ``collect`` hook: mirror the counts the layers
+        below keep natively, each once it is nonzero (as a pushed count
+        appears on its first event). A sharded store mirrors its
+        per-shard accesses; the shards' cache counts stay with them."""
+        registry, versions, dag = self.registry, self.versions, self.dag
+        with self._lock:
+            if self._sharded:
+                if any(versions.accesses):
+                    for i, n in enumerate(versions.accesses):
+                        registry.counter("tardis_shard_access_total@s%d" % i).mirror(n)
+            elif versions.vis_hits or versions.vis_misses or versions.vis_invalidations:
+                registry.counter("tardis_vis_cache_hit_total").mirror(versions.vis_hits)
+                registry.counter("tardis_vis_cache_miss_total").mirror(versions.vis_misses)
+                registry.counter("tardis_vis_cache_invalidations_total").mirror(
+                    versions.vis_invalidations
+                )
+            if dag.retro_updates:
+                registry.counter("tardis_dag_retro_updates_total").mirror(dag.retro_updates)
+            if dag.splices:
+                registry.counter("tardis_dag_splice_total").mirror(dag.splices)
+            if self.recorder.dropped:
+                registry.counter("tardis_trace_dropped_total").mirror(self.recorder.dropped)
 
     # -- sessions -----------------------------------------------------------
 
@@ -459,12 +483,9 @@ class TardisStore:
             txn.trace.begin_visits = visits
             state.pins += 1
             session._active_txns.add(txn)
-        m = _met.DEFAULT
-        if m.enabled:
-            if self._hot_registry is not m:
-                self._hot_metrics(m)
-            self._hot_begin.inc()
-            self._hot_begin_visits.record(visits)
+        if self.registry.enabled:
+            self._begins.inc()
+            self._begin_visits.record(visits)
         return txn
 
     def begin_merge(
@@ -511,12 +532,8 @@ class TardisStore:
         txn.status = status
         txn.session._active_txns.discard(txn)
         txn._unpin()
-        if status == ABORTED:
-            m = _met.DEFAULT
-            if m.enabled:
-                if self._hot_registry is not m:
-                    self._hot_metrics(m)
-                self._hot_abort.inc()
+        if status == ABORTED and self.registry.enabled:
+            self._aborts.inc()
 
     # -- reads (called by transactions) ------------------------------------------
     #
@@ -598,11 +615,8 @@ class TardisStore:
                 txn.commit_id = txn.read_state.id
                 txn.session.last_commit_id = txn.read_state.id
                 self._finish(txn, COMMITTED)
-                m = _met.DEFAULT
-                if m.enabled:
-                    if self._hot_registry is not m:
-                        self._hot_metrics(m)
-                    self._hot_commit_readonly.inc()
+                if self.registry.enabled:
+                    self._readonly_commits.inc()
                 return txn.commit_id
             if not constraint.can_end:
                 self._finish(txn, ABORTED)
@@ -644,13 +658,10 @@ class TardisStore:
             txn.commit_id = record.state_id
             txn.session.last_commit_id = record.state_id
             self._finish(txn, COMMITTED)
-            m = _met.DEFAULT
-            if m.enabled:
-                if self._hot_registry is not m:
-                    self._hot_metrics(m)
-                self._hot_ripple.record(txn.trace.ripple_steps)
+            if self.registry.enabled:
+                self._ripple_steps.record(txn.trace.ripple_steps)
                 if created_fork:
-                    self._hot_fork.inc()
+                    self._forks.inc()
             rec = self.recorder
             if rec.enabled:
                 # Rows name states by *id strings* (== trace ids): a ring

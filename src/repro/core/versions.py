@@ -51,8 +51,6 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple
 from repro.core.ids import StateId
 from repro.core.state_dag import State, StateDAG
 from repro.errors import GarbageCollectedError
-from repro.obs import metrics as _met
-from repro.obs.metrics import Counter, MetricsRegistry
 
 #: one record version: ``(state_id, value)``.
 Version = Tuple[StateId, Any]
@@ -76,23 +74,12 @@ class VersionedRecordStore:
         self._vis_epoch = -1
         #: running cost-model counts: versions examined by uncached walks
         #: and reads the cache answered. A caller charges a read the
-        #: difference across its call.
+        #: difference across its call. The owning store mirrors the three
+        #: cache counts into its registry when the registry is read.
         self.scanned = 0
         self.vis_hits = 0
         self.vis_misses = 0
         self.vis_invalidations = 0
-        #: hot metric handles, re-resolved when the default registry
-        #: changes identity (benchmark harnesses swap it per run).
-        self._hot_registry: Optional[MetricsRegistry] = None
-        self._hot_vis_hit: Optional[Counter] = None
-        self._hot_vis_miss: Optional[Counter] = None
-        self._hot_vis_inval: Optional[Counter] = None
-
-    def _hot_metrics(self, m: MetricsRegistry) -> None:
-        self._hot_registry = m
-        self._hot_vis_hit = m.counter("tardis_vis_cache_hit_total")
-        self._hot_vis_miss = m.counter("tardis_vis_cache_miss_total")
-        self._hot_vis_inval = m.counter("tardis_vis_cache_invalidations_total")
 
     def cache_info(self) -> Dict[str, Any]:
         """Visibility-cache introspection (tests, ``tardis top``)."""
@@ -182,11 +169,6 @@ class VersionedRecordStore:
             if dropped:
                 cache.clear()
                 self.vis_invalidations += dropped
-                m = _met.DEFAULT
-                if m.enabled:
-                    if self._hot_registry is not m:
-                        self._hot_metrics(m)
-                    self._hot_vis_inval.inc(dropped)
             self._vis_epoch = epoch
         mask = read_state.path_mask
         entry = cache.get(key)
@@ -203,20 +185,10 @@ class VersionedRecordStore:
                     valid = True
             if valid:
                 self.vis_hits += 1
-                m = _met.DEFAULT
-                if m.enabled:
-                    if self._hot_registry is not m:
-                        self._hot_metrics(m)
-                    self._hot_vis_hit.inc()
                 return entry[1]
         result = self._walk_versions(lst, read_state, dag)
         cache[key] = [read_state.id, result, mask]
         self.vis_misses += 1
-        m = _met.DEFAULT
-        if m.enabled:
-            if self._hot_registry is not m:
-                self._hot_metrics(m)
-            self._hot_vis_miss.inc()
         return result
 
     def _walk_versions(

@@ -8,11 +8,11 @@ Quick start::
 
     from repro import obs
 
-    obs.metrics.enable()               # turn on the default registry
     store = TardisStore("siteA")
-    store.recorder.enabled = True      # and this store's branch rows
+    store.registry.enabled = True      # this store's metrics
+    store.recorder.enabled = True      # and its branch rows
     ...                                # run transactions
-    print(obs.to_prometheus(obs.metrics.DEFAULT))
+    print(obs.to_prometheus(store.registry))
     for row in store.recorder.rows():
         print(obs.format_row(row))
 """
@@ -38,9 +38,6 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    default_registry,
-    set_default_registry,
-    use_registry,
 )
 from repro.obs.tracing import Recorder
 
@@ -56,15 +53,12 @@ __all__ = [
     "WindowedGauge",
     "causal_timeline",
     "dag_extent",
-    "default_registry",
     "format_row",
     "format_timeline",
     "merge_events",
     "metrics",
-    "set_default_registry",
     "to_json",
     "to_prometheus",
     "trace_id_of",
     "tracing",
-    "use_registry",
 ]

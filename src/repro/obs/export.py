@@ -1,9 +1,9 @@
 """Render a registry to JSON or Prometheus text.
 
-A window's counts are a registry of their own: install a fresh
-:class:`~repro.obs.metrics.MetricsRegistry` for the window
-(:func:`~repro.obs.metrics.use_registry`, as the benchmark runner, the
-cluster and ``tardis metrics`` do) and export that.
+Each owner of counts has a registry of its own (``store.registry``, a
+network's, a run's); a view over several owners is a fresh
+:class:`~repro.obs.metrics.MetricsRegistry` they are merged into, as the
+benchmark runner and the cluster runner build one.
 """
 
 from __future__ import annotations

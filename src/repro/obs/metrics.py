@@ -4,9 +4,7 @@ A :class:`MetricsRegistry` is a thread-safe namespace of named metrics.
 The registry carries a single cheap ``enabled`` flag so instrumented hot
 paths can skip all work with one attribute check::
 
-    from repro.obs import metrics as obs
-
-    reg = obs.DEFAULT
+    reg = store.registry
     if reg.enabled:
         reg.inc("tardis_txn_commit_total")
 
@@ -21,10 +19,16 @@ estimates are bucket midpoints, so the relative error is bounded by
 contrast with :class:`repro.workload.stats.LatencyStats`, which keeps
 every sample.
 
-The module-level :data:`DEFAULT` registry starts **disabled**: the
-library records nothing until a consumer turns it on (``enable()``) or
-installs its own registry (``use_registry``), so un-instrumented users
-pay only the flag check.
+There is no process-wide registry. Each owner of counts has its own,
+**disabled** until a reader turns it on: every
+:class:`~repro.core.store.TardisStore` (``store.registry``, which its
+pipeline, collector, merges, replicator and speculation executor record
+into), each :class:`~repro.replication.network.SimNetwork`, each
+baseline store, and each run of the workload runner. A reader that wants
+one view merges the owners' registries (:meth:`MetricsRegistry.merge`).
+A count an owner already keeps natively is not pushed per event: the
+owner's ``collect`` hook mirrors it into the registry whenever the
+registry is read (:meth:`Counter.mirror`).
 """
 
 from __future__ import annotations
@@ -32,21 +36,15 @@ from __future__ import annotations
 import math
 import threading
 from collections import Counter as _tally
-from contextlib import contextmanager
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "DEFAULT",
     "METRIC_NAMES",
     "SERIES_NAMES",
-    "default_registry",
-    "set_default_registry",
-    "enable",
-    "use_registry",
 ]
 
 #: samples a histogram (increments a counter) buffers before its
@@ -95,6 +93,11 @@ class Counter:
                 self._value += sum(pending[:n])
                 del pending[:n]
 
+    def mirror(self, total: int) -> None:
+        """Set the value to ``total``, a count its owner keeps natively
+        (a registry's ``collect`` hook calls it on every read)."""
+        self.inc(total - self.value)
+
     def merge(self, other: "Counter") -> None:
         self.inc(other.value)
 
@@ -116,7 +119,8 @@ class Gauge:
     def __init__(self, name: str, help: str = ""):
         self.name = name
         self.help = help
-        self._value = 0.0
+        # An int zero: a gauge merged into a fresh one keeps its type.
+        self._value: float = 0
         self._lock = threading.Lock()
 
     @property
@@ -382,6 +386,16 @@ class MetricsRegistry:
         self.enabled = enabled
         self._metrics: Dict[str, Any] = {}
         self._lock = threading.Lock()
+        #: the owner's mirror of the counts it keeps natively, called
+        #: before every read of an enabled registry (``names``, ``get``,
+        #: ``counter_value``, ``len`` and ``in``, and so every export
+        #: and merge).
+        self.collect: Optional[Callable[[], None]] = None
+
+    def _collected(self) -> Dict[str, Any]:
+        if self.collect is not None and self.enabled:
+            self.collect()
+        return self._metrics
 
     # -- structure -------------------------------------------------------
 
@@ -414,7 +428,7 @@ class MetricsRegistry:
         return self._get_or_create(Histogram, name, help)
 
     def get(self, name: str):
-        return self._metrics.get(name)
+        return self._collected().get(name)
 
     def counter_value(self, name: str, default: int = 0) -> int:
         """Current value of counter ``name``; ``default`` when absent.
@@ -424,23 +438,23 @@ class MetricsRegistry:
         ``tardis_*_cache_hit_total`` / ``_miss_total``) without
         creating the metric as a side effect.
         """
-        metric = self._metrics.get(name)
+        metric = self._collected().get(name)
         if metric is None or not isinstance(metric, Counter):
             return default
         return metric.value
 
     def names(self) -> List[str]:
-        return sorted(self._metrics)
+        return sorted(self._collected())
 
     def metrics(self) -> Iterator[Any]:
         for name in self.names():
             yield self._metrics[name]
 
     def __len__(self) -> int:
-        return len(self._metrics)
+        return len(self._collected())
 
     def __contains__(self, name: str) -> bool:
-        return name in self._metrics
+        return name in self._collected()
 
     # -- convenience recorders -------------------------------------------
 
@@ -476,9 +490,8 @@ class MetricsRegistry:
 
     def merge(self, other: "MetricsRegistry") -> None:
         """Fold another registry in (same-named metrics must agree on kind)."""
-        for name in other.names():
-            theirs = other.get(name)
-            mine = self._get_or_create(type(theirs), name, theirs.help)
+        for theirs in other.metrics():
+            mine = self._get_or_create(type(theirs), theirs.name, theirs.help)
             mine.merge(theirs)
 
     def to_dict(self, include_buckets: bool = False) -> Dict[str, Any]:
@@ -575,34 +588,3 @@ SERIES_NAMES: Dict[str, str] = {
     "tardis_shard_workers_alive": "live shard workers over time",
     "tardis_staleness_ms": "time since the site last had a single leaf",
 }
-
-
-#: The library-wide default registry. Disabled until a consumer opts in.
-DEFAULT = MetricsRegistry(enabled=False)
-
-
-def default_registry() -> MetricsRegistry:
-    return DEFAULT
-
-
-def set_default_registry(registry: MetricsRegistry) -> MetricsRegistry:
-    """Install ``registry`` as the module default; returns the previous one."""
-    global DEFAULT
-    previous = DEFAULT
-    DEFAULT = registry
-    return previous
-
-
-def enable(on: bool = True) -> None:
-    """Toggle recording on the current default registry."""
-    DEFAULT.enabled = on
-
-
-@contextmanager
-def use_registry(registry: MetricsRegistry):
-    """Temporarily install ``registry`` as the default (benchmark runs)."""
-    previous = set_default_registry(registry)
-    try:
-        yield registry
-    finally:
-        set_default_registry(previous)

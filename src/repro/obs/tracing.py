@@ -15,7 +15,7 @@ parent, txn, n)``. Two writers share it, each through its store's
   pay one attribute check).
 * **Server rows** — the network server's slow requests (each with the
   three span rows that tile it) and GC cycles (docs/internals.md §14.1),
-  written while the metrics registry is on, whatever ``enabled`` says.
+  written while the store's metrics registry is on, whatever ``enabled`` says.
 
 A row's ``seq`` is its place in its recorder's stream; rows a writer
 numbers but does not keep (:meth:`Recorder.skip`) leave gaps, so
@@ -56,8 +56,6 @@ import time
 from collections import deque
 from typing import Any, Dict, List, Sequence, Tuple
 
-from repro.obs import metrics as _met
-
 __all__ = ["ROW_COLUMNS", "ENTRY", "Recorder"]
 
 #: the columns of a row. Times are seconds on the recorder's clock (the
@@ -87,12 +85,9 @@ class Recorder:
         #: rows numbered so far: the next row's ``seq``.
         self.seq = 0
         #: rows evicted by the ring — a nonzero value means the oldest
-        #: part of any reconstructed timeline is missing.
+        #: part of any reconstructed timeline is missing (the store
+        #: mirrors it as tardis_trace_dropped_total).
         self.dropped = 0
-        #: cached tardis_trace_dropped_total counter (at capacity, every
-        #: append evicts, so the metric lookup must not be per-row).
-        self._drop_registry = None
-        self._drop_counter = None
 
     def event(
         self, layer: str, name: str, txn: Any, parent: Any = None, n: int = 0, ref: Any = None
@@ -102,12 +97,9 @@ class Recorder:
         with self._lock:
             seq = self.seq
             self.seq = seq + 1
-            evicting = len(self._rows) == self.capacity
-            if evicting:
+            if len(self._rows) == self.capacity:
                 self.dropped += 1
             self._rows.append((seq, t, t, 0.0, layer, name, parent, txn, n, ref))
-        if evicting:
-            self._count_drops(1)
 
     def add(
         self, row: Tuple[Any, ...], spans: Sequence[Tuple[float, float, float, str]] = ()
@@ -128,21 +120,11 @@ class Recorder:
             evicted = max(0, len(self._rows) + len(entries) - self.capacity)
             self.dropped += evicted
             self._rows.extend(entries)
-        if evicted:
-            self._count_drops(evicted)
 
     def skip(self, n: int) -> None:
         """Number ``n`` rows that are not kept."""
         with self._lock:
             self.seq += n
-
-    def _count_drops(self, n: int) -> None:
-        registry = _met.DEFAULT
-        if registry.enabled:
-            if self._drop_registry is not registry:
-                self._drop_registry = registry
-                self._drop_counter = registry.counter("tardis_trace_dropped_total")
-            self._drop_counter.inc(n)
 
     def rows(self, after: int = -1) -> List[Dict[str, Any]]:
         """The kept rows numbered after ``after``, oldest first, as dicts

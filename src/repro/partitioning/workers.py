@@ -79,7 +79,6 @@ from repro.errors import (
     ShardUnavailableError,
     TardisError,
 )
-from repro.obs import metrics as _met
 from repro.partitioning.router import ShardRouter
 
 __all__ = ["ShardedRecordStore"]
@@ -581,9 +580,9 @@ class ShardedRecordStore:
     way all consistency decisions (read-state selection, commit
     rippling, branching, merging, GC marking) stay with the transaction
     manager that owns ``dag``; only record reads, writes and pruning
-    fan out. Per-shard access counters are exported as the
-    ``tardis_shard_access_total`` metric (one ``@s<i>`` series per
-    shard) so the data distribution is observable.
+    fan out. Per-shard access counts (``accesses``) are mirrored by the
+    owning store as the ``tardis_shard_access_total`` metric (one
+    ``@s<i>`` series per shard) so the data distribution is observable.
 
     Every method runs under the owning TardisStore's lock, which
     ``python -X dev`` checks (``_LockGuard``); links are
@@ -615,10 +614,6 @@ class ShardedRecordStore:
         #: replies, as the flat store keeps them (``VersionedRecordStore``).
         self.scanned = 0
         self.vis_hits = 0
-        #: hot per-shard metric counters, re-resolved when the default
-        #: registry changes identity (benchmark harnesses swap it).
-        self._hot_registry = None
-        self._hot_access: List[Any] = []
         self._batch_ids = itertools.count(1)
         n_links = max(n_workers, 1)
         specs = [
@@ -639,16 +634,6 @@ class ShardedRecordStore:
 
     def _note_access(self, index: int, count: int = 1) -> None:
         self.accesses[index] += count
-        m = _met.DEFAULT
-        if not m.enabled:
-            return
-        if self._hot_registry is not m:
-            self._hot_registry = m
-            self._hot_access = [
-                m.counter("tardis_shard_access_total@s%d" % i)
-                for i in range(self.n_shards)
-            ]
-        self._hot_access[index].inc(count)
 
     def _gather(
         self, batches: Dict[int, List[tuple]], extra=None

@@ -24,7 +24,6 @@ from repro.workload.runner import (
     RunConfig,
     RunResult,
     _obs_snapshot,
-    _run_registry,
     _Site,
 )
 
@@ -177,8 +176,8 @@ class ReplicatedRunResult:
     per_site: List[RunResult] = field(default_factory=list)
     aggregate_tps: float = 0.0
     messages: int = 0
-    #: cluster-wide observability registry snapshot (all sites fold into
-    #: one registry: replication counters, forks, merges, GC).
+    #: cluster-wide observability snapshot: every site's registries and
+    #: the network's merged (replication counters, forks, merges, GC).
     obs_metrics: Dict[str, Any] = field(default_factory=dict)
 
     def summary(self) -> str:
@@ -219,37 +218,43 @@ def run_replicated_workload(
         monitor = cluster.monitor()
         monitor.install(sim, config.series_interval_ms)
 
-    # One cluster-wide registry: every site's stores, replicators and
-    # clients record into it while the run executes.
-    with _run_registry(config) as registry:
-        preload = getattr(workload_factory(), "preload", None)
-        adapters = [
-            TardisAdapter(store=store, branching=branching)
-            for store in cluster.stores.values()
-        ]
-        if preload:
-            adapters[0].preload(preload)
-            sim.run(until=settle_ms)  # let the seed replicate everywhere
+    # Every site's store (and its replicator) and the network record into
+    # their own registries from the preload on; the snapshot merges them.
+    owners = [*cluster.stores.values(), cluster.network]
+    if config.collect_metrics:
+        for owner in owners:
+            owner.registry.enabled = True
+    preload = getattr(workload_factory(), "preload", None)
+    adapters = [
+        TardisAdapter(store=store, branching=branching)
+        for store in cluster.stores.values()
+    ]
+    if preload:
+        adapters[0].preload(preload)
+        sim.run(until=settle_ms)  # let the seed replicate everywhere
 
-        sites = []
-        for index, adapter in enumerate(adapters):
-            name = adapter.store.site
-            site = _Site(
-                sim, adapter, workload_factory(), config, registry, name, index
+    sites = []
+    for index, adapter in enumerate(adapters):
+        name = adapter.store.site
+        site = _Site(sim, adapter, workload_factory(), config, name, index)
+        cluster.replicators[name].apply_listener = (
+            lambda record, cores=site.cores: cores.execute(
+                remote_apply_cost, lambda: None
             )
-            cluster.replicators[name].apply_listener = (
-                lambda record, cores=site.cores: cores.execute(
-                    remote_apply_cost, lambda: None
-                )
-            )
-            sites.append(site)
-        sim.run(until=sim.now + config.duration_ms)
+        )
+        sites.append(site)
+    sim.run(until=sim.now + config.duration_ms)
 
     per_site = [site.result() for site in sites]
+    registries = (
+        [site.measure.registry for site in sites] + [owner.registry for owner in owners]
+        if config.collect_metrics
+        else []
+    )
     return ReplicatedRunResult(
         n_sites=n_sites,
         per_site=per_site,
         aggregate_tps=sum(r.throughput_tps for r in per_site),
         messages=cluster.network.messages_sent,
-        obs_metrics=_obs_snapshot(registry, monitor),
+        obs_metrics=_obs_snapshot(registries, monitor),
     )

@@ -6,11 +6,11 @@ flushes them. This stands in for the paper's Netty transport and the
 Google Cloud three-zone deployment of §7.1.6 — what matters for the
 experiments is asynchrony and latency, both of which are preserved.
 
-Transport behaviour is observable two ways: plain instance counters
-(``messages_sent`` etc., always on, used by the cluster harness) and the
-mirrored ``tardis_net_*`` metrics in the default registry (when it is
-enabled), so replication benchmarks report the transport alongside the
-store. The counters reconcile at any instant::
+Transport behaviour is counted once, in plain instance counters
+(``messages_sent`` etc., used by the cluster harness). The network's own
+``registry`` mirrors them as the ``tardis_net_*`` metrics when it is
+read (once it is enabled), so replication benchmarks report the
+transport alongside the stores. The counters reconcile at any instant::
 
     sent == delivered + in_flight + buffered + dropped
 """
@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, List, Tuple
 
 from repro.errors import UnknownSiteError
-from repro.obs import metrics as _met
+from repro.obs.metrics import MetricsRegistry
 from repro.sim.des import Simulator
 
 
@@ -44,6 +44,26 @@ class SimNetwork:
         self.buffered_dropped = 0
         #: messages scheduled but not yet delivered.
         self._in_flight = 0
+        #: off until a reader turns it on; the counts above are mirrored
+        #: into it on read.
+        self.registry = MetricsRegistry(enabled=False)
+        self.registry.collect = self._mirror_counts
+
+    def _mirror_counts(self) -> None:
+        """Each transport count once it is nonzero (the registry's hook)."""
+        registry = self.registry
+        if self.messages_sent:
+            registry.counter("tardis_net_messages_sent_total").mirror(self.messages_sent)
+        if self.messages_delivered:
+            registry.counter("tardis_net_messages_delivered_total").mirror(
+                self.messages_delivered
+            )
+        if self.messages_buffered:
+            registry.counter("tardis_net_buffered_total").mirror(self.messages_buffered)
+        if self.buffered_flushed:
+            registry.counter("tardis_net_buffered_flushed_total").mirror(self.buffered_flushed)
+        if self.buffered_dropped:
+            registry.counter("tardis_net_buffered_dropped_total").mirror(self.buffered_dropped)
 
     def connect(self, site: str, handler: Callable[[str, Any], None]) -> None:
         """Register ``handler(src, message)`` as ``site``'s inbox."""
@@ -68,13 +88,10 @@ class SimNetwork:
 
     def heal(self, a: str, b: str) -> None:
         """Restore the link and flush buffered messages, in send order."""
-        m = _met.DEFAULT
         for pair in ((a, b), (b, a)):
             self._partitioned.discard(pair)
             flushed = self._buffered.pop(pair, [])
             self.buffered_flushed += len(flushed)
-            if m.enabled and flushed:
-                m.inc("tardis_net_buffered_flushed_total", len(flushed))
             for message in flushed:
                 self._schedule(pair[0], pair[1], message)
 
@@ -88,10 +105,6 @@ class SimNetwork:
         for pair in ((a, b), (b, a)):
             dropped += len(self._buffered.pop(pair, []))
         self.buffered_dropped += dropped
-        if dropped:
-            m = _met.DEFAULT
-            if m.enabled:
-                m.inc("tardis_net_buffered_dropped_total", dropped)
         return dropped
 
     # -- messaging --------------------------------------------------------------
@@ -100,14 +113,9 @@ class SimNetwork:
         if dst not in self._handlers:
             raise UnknownSiteError("no site %r" % dst)
         self.messages_sent += 1
-        m = _met.DEFAULT
-        if m.enabled:
-            m.inc("tardis_net_messages_sent_total")
         if (src, dst) in self._partitioned:
             self._buffered.setdefault((src, dst), []).append(message)
             self.messages_buffered += 1
-            if m.enabled:
-                m.inc("tardis_net_buffered_total")
             return
         self._schedule(src, dst, message)
 
@@ -122,9 +130,6 @@ class SimNetwork:
         def deliver() -> None:
             self._in_flight -= 1
             self.messages_delivered += 1
-            m = _met.DEFAULT
-            if m.enabled:
-                m.inc("tardis_net_messages_delivered_total")
             self._handlers[dst](src, message)
 
         self._sim.schedule(self.latency(src, dst), deliver)

@@ -9,7 +9,9 @@ arrived are cached and retried as the missing states land.
 
 For optimistic replicated GC, a replicator that receives a transaction
 whose parent it has already collected (and flushed from the promotion
-table) fetches the missing state back from the sender (§6.4).
+table) fetches the missing state back from the sender (§6.4). The sender
+answers with the state's record while the state is live, else with
+nothing, and the waiting transactions are dropped.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 from repro.core.ids import CommitRecord, StateId
 from repro.core.store import TardisStore
 from repro.errors import GarbageCollectedError
-from repro.obs import metrics as _met
 from repro.replication.network import SimNetwork
 
 
@@ -36,10 +37,8 @@ class FetchRequest:
 @dataclass
 class FetchResponse:
     state_id: StateId
-    #: the state's content when still live at the responder...
+    #: the state's content when still live at the responder, else None.
     record: Optional[CommitRecord] = None
-    #: ...or the id it was promoted to when compressed away.
-    promoted_to: Optional[StateId] = None
 
 
 def _row(store: TardisStore, name: str, record: CommitRecord, ref: Optional[str] = None) -> None:
@@ -74,9 +73,7 @@ class Replicator:
     # -- outbound -----------------------------------------------------------
 
     def _on_local_commit(self, record: CommitRecord) -> None:
-        m = _met.DEFAULT
-        if m.enabled:
-            m.inc("tardis_repl_send_total")
+        self.store.registry.inc("tardis_repl_send_total")
         if self.store.recorder.enabled:
             _row(self.store, "send", record)
         self.network.broadcast(self.site, record)
@@ -94,7 +91,7 @@ class Replicator:
             raise TypeError("unknown replication message %r" % (message,))
 
     def _apply_or_cache(self, src: str, record: CommitRecord) -> None:
-        m = _met.DEFAULT
+        m = self.store.registry
         traced = self.store.recorder.enabled
         dropped = self.dropped_ids
         if record.state_id in dropped:
@@ -150,7 +147,7 @@ class Replicator:
         holds one id per dropped record for the replicator's life: nothing
         yet tells when no peer can still name an id.
         """
-        m = _met.DEFAULT
+        m = self.store.registry
         traced = self.store.recorder.enabled
         pending = self._pending
         while doomed:
@@ -192,10 +189,7 @@ class Replicator:
         with self.store._lock:
             state = self.store.dag.get(request.state_id)
             if state is None:
-                response = FetchResponse(
-                    request.state_id,
-                    promoted_to=self.store.dag.promotion_of(request.state_id),
-                )
+                response = FetchResponse(request.state_id)
             else:
                 writes = {
                     key: self.store.versions.record(key, state.id)
@@ -213,21 +207,10 @@ class Replicator:
             return
         if response.state_id in self.store.dag:
             return  # it arrived while the fetch was in flight
-        if response.promoted_to is not None and response.promoted_to in self.store.dag:
-            # The peer compressed the state away: its identity lives on in
-            # the promoted descendant. Record the same promotion locally
-            # so dependent transactions resolve, then retry them.
-            dag = self.store.dag
-            with self.store._lock:
-                if response.state_id not in dag:
-                    dag.add_promotions({response.state_id: response.promoted_to})
-            self._drain_pending(response.state_id)
-            return
-        # We collected past the promotion target too (and flushed the
-        # trail), or the peer knows nothing (an erroneously placed ceiling
-        # collected the state everywhere): recovering would need the
-        # peer's full DAG, so the dependent transactions are dropped. The
-        # id itself is not: its own record may still arrive from its origin.
+        # The peer no longer holds the state live (it compressed it away,
+        # or never had it): recovering would need the peer's full DAG, so
+        # the dependent transactions are dropped. The id itself is not:
+        # its own record may still arrive from its origin.
         self._drop([r for _src, r in self._pending.pop(response.state_id, ())])
 
     # -- introspection -------------------------------------------------------------

@@ -55,14 +55,14 @@ Production plumbing:
 Observability: each server count lives once, in the ``_stats`` dict,
 each GC count in the store's collector, and each request latency in the
 per-op histograms of ``_op_latency``; STATS, ``OBS_SNAPSHOT`` and the
-shutdown report all read those. The server writes nothing to the
-metrics registry (the store it serves does).
+shutdown report all read those. The server writes nothing to a
+metrics registry (the store it serves records into its own).
 
-Request rows (docs/internals.md §14.1): while the metrics registry is
-enabled, the point that times a request for its histogram also splits
-it into layers: ``server.request`` (from the ``select`` return of the
-round that read its last bytes to its reply's write), tiled by
-``server.wait``, ``server.handle`` (the histogram's sample) and
+Request rows (docs/internals.md §14.1): while the served store's
+registry is enabled, the point that times a request for its histogram
+also splits it into layers: ``server.request`` (from the ``select``
+return of the round that read its last bytes to its reply's write),
+tiled by ``server.wait``, ``server.handle`` (the histogram's sample) and
 ``server.reply``. A request whose handler ran longer than
 :data:`SLOW_FACTOR` times its op's p99 (its four rows), and every GC
 cycle (one row), is kept in the store's recorder
@@ -487,6 +487,7 @@ class TardisServer:
         selector.register(wake, _READ, None)  # a byte rung before this still wakes it
         selector.register(listener, _READ, None)
         ready = self._ready
+        registry = self.store.registry
         interval = self.obs_sample_interval if self.sampling else math.inf
         tick = time.monotonic() if self.sampling else math.inf
         try:
@@ -500,7 +501,7 @@ class TardisServer:
                     timeout = max(0.0, due - time.monotonic())
                 selected = selector.select(timeout)
                 self._round = (
-                    (time.perf_counter(), time.thread_time()) if _met.DEFAULT.enabled else None
+                    (time.perf_counter(), time.thread_time()) if registry.enabled else None
                 )
                 for key, events in selected:
                     conn = key.data
@@ -736,7 +737,9 @@ class TardisServer:
         total cost stays linear."""
         store = self.store
         if len(store.dag) >= self._gc_at:
-            clocks = (time.perf_counter(), time.thread_time()) if _met.DEFAULT.enabled else None
+            clocks = (
+                (time.perf_counter(), time.thread_time()) if store.registry.enabled else None
+            )
             report = store.collect_garbage()
             self._gc_at = 2 * report.live_states + GC_GROWTH
             if clocks:

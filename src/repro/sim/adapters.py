@@ -56,9 +56,11 @@ class OpResult:
 
 
 class SystemAdapter:
-    """Base adapter; subclasses wrap one store instance."""
+    """Base adapter; subclasses wrap one store instance, ``store``, whose
+    ``registry`` the runner turns on and reads."""
 
     name = "base"
+    store: Any
 
     def __init__(self, costs: Optional[CostModel] = None):
         self.costs = costs or CostModel()
@@ -129,13 +131,9 @@ class TardisAdapter(SystemAdapter):
         pressure_threshold: int = 50_000,
         costs: Optional[CostModel] = None,
         merge_resolver=None,
-        shards: Optional[int] = None,
-        shard_workers: Optional[int] = None,
     ):
         super().__init__(costs)
-        if store is None:
-            store = TardisStore("sim", shards=shards, shard_workers=shard_workers)
-        self.store = store
+        self.store = store if store is not None else TardisStore("sim")
         self.begin_constraint = begin_constraint or AncestorConstraint()
         if end_constraint is not None:
             self.end_constraint = end_constraint

@@ -36,7 +36,6 @@ from repro.core.constraints import (
 )
 from repro.core.store import TardisStore
 from repro.errors import TransactionAborted
-from repro.obs import metrics as _met
 
 PENDING = "pending"
 CONFIRMED = "confirmed"
@@ -98,7 +97,7 @@ class SpeculativeExecutor:
         self._execute(spec, self._spec_session, anchor=self._spec_tip)
         self._spec_tip = spec.commit_id or self._spec_tip
         self._pending.append(spec)
-        m = _met.DEFAULT
+        m = self.store.registry
         if m.enabled:
             m.inc("tardis_spec_submit_total")
         return spec
@@ -197,7 +196,7 @@ class SpeculativeExecutor:
                 spec.status = CONFIRMED
                 self.confirmed_count += 1
             self._pending = []
-            m = _met.DEFAULT
+            m = self.store.registry
             if m.enabled:
                 m.inc("tardis_spec_confirm_total", len(pending))
             if self.store.recorder.enabled:
@@ -207,7 +206,7 @@ class SpeculativeExecutor:
         # Misspeculation: abandon the branch, replay in ticket order on
         # the new confirmed prefix.
         self.misspeculations += 1
-        m = _met.DEFAULT
+        m = self.store.registry
         if m.enabled:
             m.inc("tardis_spec_misspec_total")
             m.inc("tardis_spec_reexec_total", len(pending))

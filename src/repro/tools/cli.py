@@ -25,10 +25,10 @@ Commands:
   SIGINT/SIGTERM; prints a ``TARDIS_SERVE_REPORT`` JSON line after the
   graceful drain and exits nonzero if any session leaked.
   ``--obs-interval`` turns on the live ops sampler (§14); ``--metrics``
-  enables the metrics registry, which also turns on the server's
-  request rows (its slow ones reach ``OBS_SNAPSHOT``), and prints the
-  registry as Prometheus text before the report (the server's own
-  counts are in the report).
+  turns on the served store's metrics registry, which also turns on the
+  server's request rows (its slow ones reach ``OBS_SNAPSHOT``), and
+  prints that registry as Prometheus text before the report (the
+  server's own counts are in the report).
 * ``top`` — terminal dashboard against a running server: divergence
   gauges, sparkline series, per-op latency percentiles, per-shard and
   per-worker health, slow requests and GC cycles split by layer, and the
@@ -47,8 +47,7 @@ from repro import analysis
 from repro.core.ancestry import popcount
 from repro.core.recovery import recover_store
 from repro.core.store import TardisStore
-from repro.obs import MetricsRegistry, export
-from repro.obs import metrics as _met
+from repro.obs import export
 from repro.obs.context import format_row, format_timeline, trace_id_of
 from repro.replication.cluster import Cluster
 from repro.server.server import TardisServer, run_server
@@ -149,19 +148,16 @@ def cmd_metrics(args) -> int:
         cores=args.cores,
         seed=args.seed,
         maintenance_interval_ms=5.0 if args.system.startswith("tardis") else None,
-        # The runner would swap in its own per-run registry; we install
-        # ours instead so the exporters see live objects.
-        collect_metrics=False,
     )
     # The branch, GC and rows panels describe a TARDiS store; the 2PL and
     # OCC baselines have no DAG (the check run_simulation makes too).
-    store = getattr(adapter, "store", None)
+    store = adapter.store
     recorder = store.recorder if isinstance(store, TardisStore) else None
     if recorder is not None:
         recorder.enabled = True
-    registry = MetricsRegistry(enabled=True)
-    with _met.use_registry(registry):
-        result = run_simulation(adapter, workload, config)
+    # The run turns the store's registry on; it is what gets shown.
+    result = run_simulation(adapter, workload, config)
+    registry = store.registry
 
     if args.json:
         print(export.to_json(registry, recorder, event_limit=args.events))
@@ -303,8 +299,6 @@ def cmd_check(args) -> int:
 
 
 def cmd_serve(args) -> int:
-    if args.metrics:
-        _met.enable(True)
     server = TardisServer(
         host=args.host,
         port=args.port,
@@ -316,9 +310,10 @@ def cmd_serve(args) -> int:
         drain_timeout=args.drain_timeout,
         obs_sample_interval=args.obs_interval,
     )
+    server.store.registry.enabled = args.metrics
     report = run_server(server, port_file=args.port_file)
     if args.metrics:
-        print(export.to_prometheus(_met.DEFAULT))
+        print(export.to_prometheus(server.store.registry))
     print("TARDIS_SERVE_REPORT " + json.dumps(report, sort_keys=True), flush=True)
     failed = report.get("leaked_sessions") or report.get("leaked_workers")
     return 0 if not failed else 1
@@ -436,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--metrics", action="store_true",
-        help="enable the metrics registry, and with it the server's request "
+        help="enable the served store's metrics registry, and with it the server's request "
         "rows (slow ones show in OBS_SNAPSHOT and tardis top); print the "
         "registry as Prometheus text at exit (server counts are in "
         "TARDIS_SERVE_REPORT)",

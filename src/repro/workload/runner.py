@@ -15,12 +15,11 @@ replica on a shared simulator (Figure 12).
 from __future__ import annotations
 
 import random
-from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, Iterator, List, Optional
+from typing import Any, Callable, Dict, Iterable, List, Optional
 
 from repro.core.store import TardisStore
-from repro.obs import metrics as _met
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.series import DivergenceMonitor
 from repro.sim.adapters import SystemAdapter
 from repro.sim.des import Resource, Simulator
@@ -42,9 +41,8 @@ class RunConfig:
     #: width/depth, merge debt, replication lag) this often; folded into
     #: ``obs_metrics`` as ``{"type": "series", ...}`` entries.
     series_interval_ms: Optional[float] = None
-    #: attach a per-run observability registry (folded into
-    #: ``RunResult.obs_metrics``); the run installs it as the library
-    #: default so store-level counters land in it too.
+    #: turn on the stores' registries and fold them, with the run's own,
+    #: into ``RunResult.obs_metrics``.
     collect_metrics: bool = True
 
 
@@ -65,7 +63,7 @@ class RunResult:
     op_breakdown_ms: Dict[str, float] = field(default_factory=dict)
     adapter_stats: Dict[str, Any] = field(default_factory=dict)
     samples: List[Dict[str, Any]] = field(default_factory=list)
-    #: snapshot of the per-run observability registry (counter values,
+    #: snapshot of the run's registries merged (counter values,
     #: histogram summaries), keyed by metric name.
     obs_metrics: Dict[str, Any] = field(default_factory=dict)
 
@@ -88,20 +86,18 @@ class RunResult:
 class _Measure:
     """Shared measurement state for one run."""
 
-    def __init__(self, warmup: float, registry: Optional[_met.MetricsRegistry] = None):
+    def __init__(self, warmup: float, collect: bool):
         self.warmup = warmup
-        #: per-run observability registry (None when metrics are off).
-        self.registry = registry
-        #: registry-side run_* metrics are pre-registered (so they are
-        #: present in obs_metrics even for an idle run) but only written
-        #: by :meth:`flush` — per-transaction they would duplicate the
-        #: native counters below at a measurable wall cost.
-        if registry is not None:
-            self.commit_counter = registry.counter("run_commit_total")
-            self.abort_counter = registry.counter("run_abort_total")
-            self.latency_hist = registry.histogram("run_txn_latency_ms")
-        else:
-            self.commit_counter = self.abort_counter = self.latency_hist = None
+        #: the run's own registry, on when ``collect``. Its run_* metrics
+        #: are pre-registered (so they are present in obs_metrics even
+        #: for an idle run) but only written by :meth:`flush` —
+        #: per-transaction they would duplicate the native counters
+        #: below at a measurable wall cost.
+        self.registry = MetricsRegistry(enabled=collect)
+        if collect:
+            self.commit_counter = self.registry.counter("run_commit_total")
+            self.abort_counter = self.registry.counter("run_abort_total")
+            self.latency_hist = self.registry.histogram("run_txn_latency_ms")
         self.commits = 0
         self.aborts = 0
         self.lock_waits = 0
@@ -115,7 +111,7 @@ class _Measure:
 
     def flush(self) -> None:
         """Mirror the natively tracked run counters into the registry."""
-        if self.registry is None:
+        if not self.registry.enabled:
             return
         self.commit_counter.inc(self.commits)
         self.abort_counter.inc(self.aborts)
@@ -325,7 +321,6 @@ class _Site:
         adapter: SystemAdapter,
         workload,
         config: RunConfig,
-        registry: Optional[_met.MetricsRegistry],
         site: Optional[str] = None,
         index: int = 0,
     ):
@@ -335,7 +330,7 @@ class _Site:
         self.system = adapter.name if site is None else "%s@%s" % (adapter.name, site)
         self.cores = Resource(sim, config.cores)
         serial = Resource(sim, 1)  # per-system critical section (OCC validation)
-        self.measure = _Measure(sim.now + config.warmup_ms, registry)
+        self.measure = _Measure(sim.now + config.warmup_ms, config.collect_metrics)
         self.samples: List[Dict[str, Any]] = []
         prefix = "client" if site is None else "%s-client" % site
         waiters: Dict[Any, _Client] = {}
@@ -412,25 +407,15 @@ class _Site:
         )
 
 
-@contextmanager
-def _run_registry(config: RunConfig) -> Iterator[Optional[_met.MetricsRegistry]]:
-    """A fresh registry, installed as the library default for the run.
-
-    The stores' own counters (forks, merges, GC cycles, replication) then
-    fold into the same place as the runner's histograms. Yields ``None``
-    and installs nothing when ``config.collect_metrics`` is off.
-    """
-    if not config.collect_metrics:
-        yield None
-        return
-    with _met.use_registry(_met.MetricsRegistry(enabled=True)) as registry:
-        yield registry
-
-
 def _obs_snapshot(
-    registry: Optional[_met.MetricsRegistry], monitor: Optional[DivergenceMonitor]
+    registries: Iterable[MetricsRegistry], monitor: Optional[DivergenceMonitor]
 ) -> Dict[str, Any]:
-    obs = registry.to_dict() if registry is not None else {}
+    """``registries`` merged, in order, plus the monitor's series: one
+    view over every owner of counts in the run."""
+    merged = MetricsRegistry()
+    for registry in registries:
+        merged.merge(registry)
+    obs = merged.to_dict()
     if monitor is not None:
         obs.update(monitor.to_dict())
     return obs
@@ -439,23 +424,30 @@ def _obs_snapshot(
 def run_simulation(
     adapter: SystemAdapter, workload, config: RunConfig
 ) -> RunResult:
-    """Execute one closed-loop run and aggregate the measurements."""
+    """Execute one closed-loop run and aggregate the measurements.
+
+    With ``config.collect_metrics`` the adapter's store records into its
+    registry from the preload on; ``obs_metrics`` merges it with the
+    run's own.
+    """
     sim = Simulator()
     monitor = None
-    with _run_registry(config) as registry:
-        preload = getattr(workload, "preload", None)
-        if preload:
-            adapter.preload(preload)
-        site = _Site(sim, adapter, workload, config, registry)
-        # The divergence series describe a branching DAG: only a TARDiS
-        # store has one (the baselines' stores have no site and no DAG).
-        store = getattr(adapter, "store", None)
-        if config.series_interval_ms and isinstance(store, TardisStore):
-            monitor = DivergenceMonitor({store.site: store}, clock=lambda: sim.now)
-            monitor.install(sim, config.series_interval_ms)
-        sim.run(until=config.duration_ms)
+    store = adapter.store
+    if config.collect_metrics:
+        store.registry.enabled = True
+    preload = getattr(workload, "preload", None)
+    if preload:
+        adapter.preload(preload)
+    site = _Site(sim, adapter, workload, config)
+    # The divergence series describe a branching DAG: only a TARDiS
+    # store has one (the baselines' stores have no site and no DAG).
+    if config.series_interval_ms and isinstance(store, TardisStore):
+        monitor = DivergenceMonitor({store.site: store}, clock=lambda: sim.now)
+        monitor.install(sim, config.series_interval_ms)
+    sim.run(until=config.duration_ms)
     result = site.result()
-    result.obs_metrics = _obs_snapshot(registry, monitor)
+    registries = [site.measure.registry, store.registry] if config.collect_metrics else []
+    result.obs_metrics = _obs_snapshot(registries, monitor)
     return result
 
 

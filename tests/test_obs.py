@@ -212,24 +212,28 @@ class TestRegistry:
         assert hist.count == n_threads * per_thread
         assert sum(c for _ub, c in hist.buckets()) == hist.count
 
-    def test_default_registry_swap(self):
-        mine = MetricsRegistry()
-        previous = met.set_default_registry(mine)
-        try:
-            assert met.default_registry() is mine
-            met.DEFAULT.inc("x")
-            assert mine.counter("x").value == 1
-        finally:
-            met.set_default_registry(previous)
-        assert met.default_registry() is previous
+    def test_collect_hook_mirrors_on_every_read(self):
+        """An owner's native count reaches its registry on read, and only
+        while the registry is on."""
+        native = {"n": 3}
+        reg = MetricsRegistry(enabled=False)
+        reg.collect = lambda: reg.counter("x").mirror(native["n"])
+        assert "x" not in reg and reg.to_dict() == {}
+        reg.enabled = True
+        assert reg.counter_value("x") == 3
+        native["n"] = 7
+        assert reg.to_dict()["x"]["value"] == 7
+        assert reg.get("x").value == 7 and len(reg) == 1
 
-    def test_use_registry_context(self):
+    def test_merge_reads_through_the_hook(self):
+        native = {"n": 4}
         mine = MetricsRegistry()
-        original = met.DEFAULT
-        with met.use_registry(mine) as active:
-            assert active is mine
-            assert met.DEFAULT is mine
-        assert met.DEFAULT is original
+        mine.collect = lambda: mine.counter("x").mirror(native["n"])
+        view = MetricsRegistry()
+        view.merge(mine)
+        view.merge(mine)
+        assert view.counter_value("x") == 8
+        assert mine.counter_value("x") == 4  # mirroring is idempotent
 
 
 class TestBufferedRecording:
@@ -378,26 +382,25 @@ class TestExport:
 
 
 class TestInstrumentation:
-    """The store's hot paths feed an installed registry and its recorder."""
+    """The store's hot paths feed its own registry and its recorder."""
 
     def test_store_counters_and_events(self):
         from repro.core.store import TardisStore
 
-        reg = MetricsRegistry()
-        with met.use_registry(reg):
-            store = TardisStore("obs")
-            store.recorder.enabled = True
-            a, b = store.session("a"), store.session("b")
-            store.put("k", 0, session=a)
-            t1, t2 = store.begin(session=a), store.begin(session=b)
-            t1.put("k", t1.get("k") + 1)
-            t2.put("k", t2.get("k") + 2)  # read-modify-write: true conflict
-            t1.commit()
-            t2.commit()  # conflicts -> fork
-            merge = store.begin_merge(session=a)
-            merge.put("k", max(merge.get_all("k")))
-            merge.commit()
-        data = reg.to_dict()
+        store = TardisStore("obs")
+        store.registry.enabled = True
+        store.recorder.enabled = True
+        a, b = store.session("a"), store.session("b")
+        store.put("k", 0, session=a)
+        t1, t2 = store.begin(session=a), store.begin(session=b)
+        t1.put("k", t1.get("k") + 1)
+        t2.put("k", t2.get("k") + 2)  # read-modify-write: true conflict
+        t1.commit()
+        t2.commit()  # conflicts -> fork
+        merge = store.begin_merge(session=a)
+        merge.put("k", max(merge.get_all("k")))
+        merge.commit()
+        data = store.registry.to_dict()
         assert data["tardis_txn_begin_total"]["value"] >= 3
         assert data["tardis_txn_commit_total"]["value"] >= 3
         assert data["tardis_branch_fork_total"]["value"] == 1
@@ -406,24 +409,28 @@ class TestInstrumentation:
         assert kinds == {"txn.commit", "branch.fork", "branch.merge"}
 
     def test_disabled_by_default(self):
-        """An uninstrumented run records nothing into the global default."""
+        """A store's registry is off until a reader turns it on: nothing
+        is recorded and nothing is mirrored."""
         from repro.core.store import TardisStore
 
-        baseline = len(met.DEFAULT)
         store = TardisStore("quiet")
         txn = store.begin()
         txn.put("k", 1)
         txn.commit()
-        assert len(met.DEFAULT) == baseline
-        assert not met.DEFAULT.enabled
+        assert store.get("k") == 1
+        assert not store.registry.enabled
+        data = store.registry.to_dict()
+        assert "tardis_vis_cache_miss_total" not in data
+        assert all(entry.get("value", entry.get("count")) == 0 for entry in data.values())
 
     def test_run_simulation_folds_registry(self):
         from repro.sim.adapters import TardisAdapter
         from repro.workload import RunConfig, YCSBWorkload, run_simulation
         from repro.workload.mixes import WRITE_HEAVY
 
+        adapter = TardisAdapter(branching=True)
         result = run_simulation(
-            TardisAdapter(branching=True),
+            adapter,
             YCSBWorkload(mix=WRITE_HEAVY, n_keys=50),
             RunConfig(n_clients=4, duration_ms=30.0, warmup_ms=5.0, seed=1,
                       maintenance_interval_ms=5.0),
@@ -431,8 +438,9 @@ class TestInstrumentation:
         assert result.obs_metrics["tardis_txn_commit_total"]["value"] > 0
         assert result.obs_metrics["run_commit_total"]["value"] == result.commits
         assert result.obs_metrics["run_txn_latency_ms"]["count"] > 0
-        # the swap is restored afterwards
-        assert not met.DEFAULT.enabled
+        # the run turned the store's own registry on and merged it in
+        store_view = adapter.store.registry.to_dict()
+        assert store_view == {n: result.obs_metrics[n] for n in store_view}
 
     def test_run_simulation_collect_metrics_off(self):
         from repro.sim.adapters import TardisAdapter
@@ -446,3 +454,73 @@ class TestInstrumentation:
                       collect_metrics=False),
         )
         assert result.obs_metrics == {}
+
+
+#: the metric names a fixed single-site TARDiS run reports
+TARDIS_RUN_NAMES = {
+    "run_abort_total", "run_commit_total", "run_txn_latency_ms",
+    "tardis_begin_visits", "tardis_branch_fork_total", "tardis_branch_merge_total",
+    "tardis_commit_ripple_steps", "tardis_dag_retro_updates_total", "tardis_dag_splice_total",
+    "tardis_gc_cycle_total", "tardis_gc_live_records", "tardis_gc_live_states",
+    "tardis_gc_promotion_table", "tardis_gc_records_dropped_total",
+    "tardis_gc_records_promoted_total", "tardis_gc_states_removed_total",
+    "tardis_merge_conflict_keys", "tardis_merge_parents", "tardis_txn_abort_total",
+    "tardis_txn_begin_total", "tardis_txn_commit_readonly_total", "tardis_txn_commit_total",
+    "tardis_txn_write_keys", "tardis_vis_cache_hit_total",
+    "tardis_vis_cache_invalidations_total", "tardis_vis_cache_miss_total",
+}
+
+
+class TestRegistryAgreesWithNativeCounts:
+    """A run's registries, merged, report exactly what the objects count
+    natively: the store's pushed counters, the counts it mirrors from the
+    layers below, and the same names a run reported when every object
+    recorded into one shared registry."""
+
+    CONFIG = dict(n_clients=8, duration_ms=100, warmup_ms=10, seed=3)
+
+    def test_single_site_counters_equal_the_native_counts(self):
+        from repro.sim.adapters import TardisAdapter
+        from repro.workload import RunConfig, YCSBWorkload, run_simulation
+
+        adapter = TardisAdapter()
+        result = run_simulation(
+            adapter, YCSBWorkload(n_keys=50), RunConfig(maintenance_interval_ms=20, **self.CONFIG)
+        )
+        store, obs = adapter.store, result.obs_metrics
+        native = {
+            "tardis_txn_commit_total": store.metrics.commits,
+            "tardis_branch_fork_total": store.metrics.forks,
+            "tardis_branch_merge_total": store.metrics.merges,
+            "tardis_txn_commit_readonly_total": store.metrics.read_only_commits,
+            "tardis_vis_cache_hit_total": store.versions.vis_hits,
+            "tardis_vis_cache_miss_total": store.versions.vis_misses,
+            "tardis_vis_cache_invalidations_total": store.versions.vis_invalidations,
+            "tardis_gc_cycle_total": store.gc.cycles,
+            "tardis_gc_states_removed_total": store.gc.states_removed,
+        }
+        assert {name: obs[name]["value"] for name in native} == native
+        assert min(native.values()) > 0  # every count was exercised
+        assert set(obs) == TARDIS_RUN_NAMES
+
+    def test_baseline_and_cluster_runs_report_the_same_names(self):
+        from repro.replication.cluster import run_replicated_workload
+        from repro.sim.adapters import TwoPLAdapter
+        from repro.workload import RunConfig, YCSBWorkload, run_simulation
+        from repro.workload.mixes import WRITE_HEAVY
+
+        bdb = run_simulation(TwoPLAdapter(), YCSBWorkload(n_keys=50), RunConfig(**self.CONFIG))
+        assert set(bdb.obs_metrics) == {
+            "baseline_2pl_abort_total", "baseline_2pl_commit_total", "baseline_2pl_deadlocks",
+            "baseline_2pl_lock_waits", "run_abort_total", "run_commit_total", "run_txn_latency_ms",
+        }
+        config = RunConfig(**dict(self.CONFIG, n_clients=2), maintenance_interval_ms=20)
+        cluster = run_replicated_workload(
+            3, lambda: YCSBWorkload(mix=WRITE_HEAVY, n_keys=40), config
+        )
+        assert set(cluster.obs_metrics) == TARDIS_RUN_NAMES | {
+            "tardis_net_messages_delivered_total", "tardis_net_messages_sent_total",
+            "tardis_repl_apply_total", "tardis_repl_drop_total", "tardis_repl_send_total",
+        }
+        sent = cluster.obs_metrics["tardis_net_messages_sent_total"]["value"]
+        assert sent == cluster.messages

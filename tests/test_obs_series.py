@@ -164,18 +164,18 @@ class TestDivergenceMonitor:
             txn.put("x", txn.get("x") + i + 1)
         t1.commit()
         t2.commit()  # us forks; nothing has replicated yet
-        reg = met.MetricsRegistry()
-        with met.use_registry(reg):
-            monitor = cluster.monitor()
-            monitor.sample()
+        for store in cluster.stores.values():
+            store.registry.enabled = True
+        monitor = cluster.monitor()
+        monitor.sample()
         counts = {
             site: monitor.gauge("tardis_branch_count@%s" % site).last()[1]
             for site in ("us", "eu", "asia")
         }
         assert counts == {"us": 2, "eu": 1, "asia": 1}
-        # no site-less copy that would hold whichever site came last
-        assert reg.get("tardis_branch_count") is None
-        assert not [n for n in reg.names() if n.startswith(("tardis_dag_", "tardis_repl_lag"))]
+        # no registry copy that would hold whichever site came last
+        for store in cluster.stores.values():
+            assert not [n for n in store.registry.names() if n.split("@")[0] in met.SERIES_NAMES]
 
     def test_install_samples_on_des_ticks(self):
         store = TardisStore("des")
@@ -245,13 +245,15 @@ class TestRecorderDropAccounting:
         assert [row["seq"] for row in rec.rows()] == [2, 3, 4] and rec.seq == 5
 
     def test_dropped_metric_mirrored(self):
-        reg = met.MetricsRegistry()
-        with met.use_registry(reg):
-            rec = Recorder(capacity=2)
-            for i in range(3):
-                rec.event("e", "e", None, n=i)
-            rec.add((0.0, 1.0, 0.5, "server.request", "READ", -1, 7, 10),
-                    [(0.0, 0.5, 0.2, "server.wait")])
+        """The store mirrors its recorder's drop count into its registry."""
+        store = TardisStore("drops")
+        store.registry.enabled = True
+        rec = store.recorder = Recorder(capacity=2)
+        for i in range(3):
+            rec.event("e", "e", None, n=i)
+        assert store.registry.counter_value("tardis_trace_dropped_total") == 1
+        rec.add((0.0, 1.0, 0.5, "server.request", "READ", -1, 7, 10),
+                [(0.0, 0.5, 0.2, "server.wait")])
         assert rec.dropped == 3
-        assert reg.to_dict()["tardis_trace_dropped_total"]["value"] == 3
+        assert store.registry.to_dict()["tardis_trace_dropped_total"]["value"] == 3
 

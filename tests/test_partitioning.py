@@ -6,7 +6,6 @@ import pytest
 
 from repro import TardisStore
 from repro.core.state_dag import StateDAG
-from repro.obs import metrics as _met
 from repro.partitioning import (
     ShardedRecordStore,
     ShardRouter,
@@ -105,23 +104,20 @@ class TestShardAccessMetrics:
     """Satellite (b): per-shard access counters in the obs registry."""
 
     def test_accesses_exported_per_shard(self):
-        registry = _met.MetricsRegistry(enabled=True)
-        previous = _met.set_default_registry(registry)
-        try:
-            store = TardisStore("A", shards=4)
-            with store.begin() as txn:
-                for i in range(64):
-                    txn.put("key%04d" % i, i)
-            store.get("key0000")
-            total = 0
-            for shard in range(4):
-                total += registry.counter_value(
-                    "tardis_shard_access_total@s%d" % shard
-                )
-            assert total == sum(store.versions.accesses)
-            assert total >= 64
-        finally:
-            _met.set_default_registry(previous)
+        store = TardisStore("A", shards=4)
+        registry = store.registry
+        registry.enabled = True
+        with store.begin() as txn:
+            for i in range(64):
+                txn.put("key%04d" % i, i)
+        store.get("key0000")
+        total = 0
+        for shard in range(4):
+            total += registry.counter_value(
+                "tardis_shard_access_total@s%d" % shard
+            )
+        assert total == sum(store.versions.accesses)
+        assert total >= 64
 
 
 class TestShardedRecordStore:

@@ -8,7 +8,6 @@ import pytest
 from repro import TardisStore, checkpoint_store, recover_store
 from repro.core.ids import ROOT_ID, CommitRecord, StateId
 from repro.errors import CorruptLogError, GarbageCollectedError, TransactionAborted
-from repro.obs import metrics as met
 from repro.storage.wal import WriteAheadLog
 
 
@@ -129,9 +128,11 @@ class TestRecovery:
         for i in range(5):
             store.put("x", i, session=sess)
         store.close()
-        registry = met.MetricsRegistry(enabled=True)
-        with met.use_registry(registry):
-            recovered, report = recover_store("A", str(tmp_path / "wal.log"))
+        # recover_store's replay, into a store whose registry is on.
+        recovered = TardisStore("A")
+        registry = recovered.registry
+        registry.enabled = True
+        report = recovered._replay(str(tmp_path / "wal.log"))
         assert report["replayed"] == 5
         assert recovered.metrics.remote_applied == 0
         repl = {

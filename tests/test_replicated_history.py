@@ -43,7 +43,6 @@ from tests.history import (  # noqa: E402
     check_sites,
     histories_of,
     logged_cluster,
-    misplaced,
     settle,
 )
 from tests.test_history import finish, put, read, resolve, shape, step  # noqa: E402
@@ -296,12 +295,14 @@ class TestKnownGaps:
         logs = {site: LogDAG(WriteAheadLog.read(s.wal.path)) for site, s in cluster.stores.items()}
         assert (logs["us"].read("k", grafted), logs["eu"].read("k", grafted)) == (1, 2)
 
-    def test_a_fetched_promotion_grafts_under_the_heir(self, cluster_at):
+    def test_a_fetch_of_a_collected_parent_drops_the_waiting_record(self, cluster_at):
         """Optimistic GC: a transaction whose parent ``eu`` collected and
-        flushed fetches the parent's promotion from ``us`` and is grafted
-        under the heir. Only an injected record reaches this path: a
-        peer that sent a commit still holds its parent, or has promoted
-        it into the commit itself."""
+        flushed fetches the parent from ``us``, which has promoted it
+        away. A fetch is answered with content or with nothing, so the
+        record is dropped, and nothing is logged at ``eu``. Only an
+        injected record reaches this path: a peer that sent a commit
+        still holds its parent, or has promoted it into the commit
+        itself."""
         cluster = cluster_at(default_latency_ms=10)
         histories = histories_of(cluster)
         us, eu = cluster.stores["us"], cluster.stores["eu"]
@@ -316,23 +317,13 @@ class TestKnownGaps:
         sess.place_ceiling()
         us.collect_garbage()  # us promotes old -> tip, keeps the table
         late = CommitRecord(StateId(999, "us"), (old,), {"x": 99})
-        cluster.replicators["eu"].handle("us", late)
+        replicator = cluster.replicators["eu"]
+        replicator.handle("us", late)
         settle(cluster, histories)
-        assert cluster.replicators["eu"].fetches == 1
-        # The injected record has no commit at its origin, so the logs
-        # alone cannot name the gap; judged against the record sent:
-        assert check_sites(cluster, histories) == [
-            "rule 8: s999@us is logged at eu, acknowledged at no site",
-            "rule 7: s999@us is not in us's log",
-        ]
-        records = list(WriteAheadLog.read(eu.wal.path))
-        logged = next(r for r in records if r.state_id == late.state_id)
-        with eu._lock:
-            promoted = eu.dag.promotions()
-        assert misplaced("eu", late, logged, LogDAG(records), promoted) == (
-            "gap 2: s999@us is logged at eu under (s4@us,), heirs of (s1@us,)"
-        )
-
+        assert replicator.fetches == 1
+        assert (replicator.dropped, replicator.pending_count) == (1, 0)
+        assert late.state_id not in {r.state_id for r in WriteAheadLog.read(eu.wal.path)}
+        assert check_sites(cluster, histories) == []
 
 def main(seeds=24):
     totals, failures = Counter(), 0

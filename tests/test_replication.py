@@ -9,7 +9,6 @@ import random
 import pytest
 
 from repro.core.ids import ROOT_ID, CommitRecord, StateId
-from repro.obs import metrics as met
 from repro.obs.context import trace_id_of
 from repro.replication import Cluster, SimNetwork
 from repro.replication.cluster import (
@@ -281,29 +280,28 @@ class TestReplication:
             assert check_log(records, acked) == []
 
     def test_a_dropped_commit_drops_the_commits_cached_under_it(self):
-        reg = met.MetricsRegistry()
-        with met.use_registry(reg):
-            cluster = two_sites()
-            us, replicator = cluster.stores["us"], cluster.replicators["us"]
-            writer = us.session("w")
-            us.put("x", 0, session=writer)
-            us.put("x", 1, session=writer)
-            writer.place_ceiling()
-            us.collect_garbage()  # s0's heir is now s2@us
-            chain = [
-                CommitRecord(StateId(n, "eu"), (StateId(n - 1, "eu") if n > 1 else ROOT_ID,), {"y": n})
-                for n in range(1, 5)
-            ]
-            replicator.handle("eu", chain[2])
-            replicator.handle("eu", chain[1])
-            assert replicator.pending_count == 2
-            replicator.handle("eu", chain[0])  # under s0: its heir's id is larger
-            assert (replicator.pending_count, replicator.dropped) == (0, 3)
-            fetches = replicator.fetches
-            replicator.handle("eu", chain[3])  # dropped on arrival, no fetch
-            cluster.run()
+        cluster = two_sites()
+        us, replicator = cluster.stores["us"], cluster.replicators["us"]
+        us.registry.enabled = True
+        writer = us.session("w")
+        us.put("x", 0, session=writer)
+        us.put("x", 1, session=writer)
+        writer.place_ceiling()
+        us.collect_garbage()  # s0's heir is now s2@us
+        chain = [
+            CommitRecord(StateId(n, "eu"), (StateId(n - 1, "eu") if n > 1 else ROOT_ID,), {"y": n})
+            for n in range(1, 5)
+        ]
+        replicator.handle("eu", chain[2])
+        replicator.handle("eu", chain[1])
+        assert replicator.pending_count == 2
+        replicator.handle("eu", chain[0])  # under s0: its heir's id is larger
+        assert (replicator.pending_count, replicator.dropped) == (0, 3)
+        fetches = replicator.fetches
+        replicator.handle("eu", chain[3])  # dropped on arrival, no fetch
+        cluster.run()
         assert (replicator.pending_count, replicator.fetches) == (0, fetches)
-        assert replicator.dropped == reg.to_dict()["tardis_repl_drop_total"]["value"] == 4
+        assert replicator.dropped == us.registry.counter_value("tardis_repl_drop_total") == 4
 
     def test_a_dropped_merge_leaves_no_entry_under_its_other_parent(self):
         cluster = two_sites()
@@ -460,13 +458,12 @@ class TestNetworkMetrics:
         }
 
     def test_send_deliver_mirrored(self):
-        reg = met.MetricsRegistry()
-        with met.use_registry(reg):
-            cluster = two_sites()
-            cluster.stores["us"].put("x", 1)
-            cluster.run(until=100)
+        cluster = two_sites()
         net = cluster.network
-        mirrored = self.net_metrics(reg)
+        net.registry.enabled = True
+        cluster.stores["us"].put("x", 1)
+        cluster.run(until=100)
+        mirrored = self.net_metrics(net.registry)
         assert mirrored["tardis_net_messages_sent_total"] == net.messages_sent
         assert (
             mirrored["tardis_net_messages_delivered_total"]
@@ -475,22 +472,21 @@ class TestNetworkMetrics:
         assert net.messages_sent > 0
 
     def test_partition_heal_drop_mirrored(self):
-        reg = met.MetricsRegistry()
-        with met.use_registry(reg):
-            cluster = two_sites()
-            a = cluster.stores["us"]
-            cluster.network.partition("us", "eu")
-            a.put("x", 1)
-            a.put("x", 2)
-            cluster.run(until=50)
-            assert cluster.network.buffered_count == 2
-            dropped = cluster.network.drop_buffered("us", "eu")
-            assert dropped == 2
-            a.put("x", 3)  # buffers again behind the same partition
-            cluster.network.heal("us", "eu")
-            cluster.run(until=200)
+        cluster = two_sites()
         net = cluster.network
-        mirrored = self.net_metrics(reg)
+        net.registry.enabled = True
+        a = cluster.stores["us"]
+        net.partition("us", "eu")
+        a.put("x", 1)
+        a.put("x", 2)
+        cluster.run(until=50)
+        assert net.buffered_count == 2
+        dropped = net.drop_buffered("us", "eu")
+        assert dropped == 2
+        a.put("x", 3)  # buffers again behind the same partition
+        net.heal("us", "eu")
+        cluster.run(until=200)
+        mirrored = self.net_metrics(net.registry)
         assert mirrored["tardis_net_buffered_total"] == net.messages_buffered == 3
         assert mirrored["tardis_net_buffered_dropped_total"] == 2
         assert mirrored["tardis_net_buffered_flushed_total"] == 1

@@ -16,7 +16,6 @@ import time
 import pytest
 
 from repro.client import TardisClient
-from repro.obs import metrics as met
 from repro.obs.tracing import ROW_COLUMNS
 from repro.server import handlers
 from repro.server import server as server_module
@@ -26,11 +25,13 @@ from repro.tools.top import render_snapshot
 
 
 @pytest.fixture
-def registry_on():
-    was = met.DEFAULT.enabled
-    met.enable(True)
-    yield
-    met.enable(was)
+def registry_on(request):
+    """Turn on the registry of the store the test's server serves."""
+    if "sansio" in request.fixturenames:
+        server = request.getfixturevalue("sansio").server
+    else:
+        server = request.getfixturevalue("served")
+    server.store.registry.enabled = True
 
 
 @pytest.fixture
@@ -53,7 +54,7 @@ def sansio():
 
     def run(request):
         round_clocks = (time.perf_counter(), time.thread_time())
-        conn.arrived = round_clocks if met.DEFAULT.enabled else None
+        conn.arrived = round_clocks if server.store.registry.enabled else None
         server._run(conn, dict(request))
         try:
             theirs.recv(1 << 20)  # the answer; keeps the socket drainable

@@ -29,7 +29,6 @@ from repro.errors import (
     ShardUnavailableError,
     TransactionClosed,
 )
-from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.server.handlers import HANDLERS, WireSession
 from repro.server.protocol import (
     HEADER,
@@ -216,13 +215,14 @@ class TestWireBasics:
             assert _total_pins(served.store) == 0
 
     def test_server_counts_live_in_its_report_not_the_registry(self):
-        registry = MetricsRegistry()
-        with use_registry(registry):
-            handle = TardisServer(site="registry-test").start()
-            with TardisClient(port=handle.port) as client:
-                client.put("x", 1)
-                assert client.get("x") == 1
-            report = handle.shutdown()
+        handle = TardisServer(site="registry-test")
+        registry = handle.store.registry
+        registry.enabled = True
+        handle.start()
+        with TardisClient(port=handle.port) as client:
+            client.put("x", 1)
+            assert client.get("x") == 1
+        report = handle.shutdown()
         assert report["requests_total"] >= 3 and report["commits"] >= 1
         assert report["connections_total"] == 1 and report["bytes_out"] > 0
         # the registry holds the served store's metrics and nothing else

@@ -31,7 +31,6 @@ from repro.errors import (
     ShardUnavailableError,
     TransactionAborted,
 )
-from repro.obs import metrics as _met
 from repro.core.state_dag import StateDAG
 from repro.partitioning import ShardedRecordStore
 from repro.partitioning import workers as _workers
@@ -85,18 +84,16 @@ class TestShardWorkerBasics:
         assert sum(1 for b in balance if b > 0) > 1
 
     def test_cross_shard_commit_metric(self):
-        registry = _met.MetricsRegistry(enabled=True)
-        previous = _met.set_default_registry(registry)
         store = TardisStore("A", shards=4, shard_workers=2)
+        store.registry.enabled = True
         try:
             txn = store.begin()
             for i in range(16):  # certainly spans shards
                 txn.put("key%03d" % i, i)
             txn.commit()
-            assert registry.counter_value("tardis_commit_cross_shard_total") >= 1
+            assert store.registry.counter_value("tardis_commit_cross_shard_total") >= 1
         finally:
             store.close()
-            _met.set_default_registry(previous)
 
     def test_close_is_idempotent_and_leak_free(self):
         store = TardisStore("A", shards=4, shard_workers=2)
@@ -185,9 +182,9 @@ class TestWorkerFailure:
             store.close()
 
     def test_shard_abort_metric(self):
-        registry = _met.MetricsRegistry(enabled=True)
-        previous = _met.set_default_registry(registry)
         store = TardisStore("A", shards=2, shard_workers=2)
+        registry = store.registry
+        registry.enabled = True
         try:
             with store._lock:
                 store.versions.kill_worker(0)
@@ -199,7 +196,6 @@ class TestWorkerFailure:
             assert registry.counter_value("tardis_commit_shard_abort_total") == 1
         finally:
             store.close()
-            _met.set_default_registry(previous)
 
 
     def test_a_worker_killed_with_a_batch_in_flight_fails_fast(self):

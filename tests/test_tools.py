@@ -131,13 +131,13 @@ class TestCli:
         assert len(panel) == 10
         assert {line.split()[1].split(".")[0] for line in panel} <= {"txn", "branch", "gc"}
 
-    def test_metrics_command_leaves_defaults_restored(self):
-        from repro.obs import metrics as met
-
-        before_reg = met.DEFAULT
+    def test_metrics_command_reads_the_runs_store(self, capsys):
+        """``tardis metrics`` shows the registry of the store it ran."""
         assert main(["metrics", "--clients", "2", "--duration", "20",
-                     "--cores", "2"]) == 0
-        assert met.DEFAULT is before_reg
+                     "--cores", "2", "--prometheus"]) == 0
+        text = capsys.readouterr().out
+        assert "tardis_txn_commit_total" in text
+        assert "run_commit_total" not in text  # the run's own counts stay in obs_metrics
 
     def test_metrics_json(self, capsys):
         rc = main([
