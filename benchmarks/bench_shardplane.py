@@ -23,7 +23,11 @@ throughput plus ``speedup_vs_inproc`` ratios. Each worker arm also
 records ``ping_us``, the median of ``PINGS`` health-ping round trips
 (``worker_health(ping=True)``'s ``ping_ms`` × 1000) over the idle
 store after its run: the cost of one shard-link message with no
-record work behind it. ``cpu_count`` and
+record work behind it. Beside it, every arm records ``read_us``, the
+median of ``READS`` one-key ``read_visible`` round trips on the idle
+store (a cache hit: the per-RPC budget of a read, framing included),
+and each worker arm the byte sizes of that read's request and reply
+frames (``read_request_bytes``, ``read_reply_bytes``). ``cpu_count`` and
 ``cpu_affinity`` are recorded alongside because the ratios only show
 parallel speedup when the container actually has cores to run the
 workers on; on a single-core host the proc plane pays its IPC overhead
@@ -60,6 +64,8 @@ N_SHARDS = 8
 WORKER_SWEEP = [1, 2, 4, 8]
 #: health-ping round trips per worker arm behind ``ping_us``.
 PINGS = 200
+#: one-key reads per arm behind ``read_us``.
+READS = 2000
 
 
 def _build_store(arm: str, workers: int) -> TardisStore:
@@ -94,6 +100,53 @@ def _ping_us(store: TardisStore) -> float:
         for worker in store.shard_health(ping=True)["workers"]:
             pings.append(worker["ping_ms"])
     return statistics.median(pings) * 1000.0
+
+
+class _FrameSizes:
+    """Wraps a shard link's socket and keeps the size of the last frame
+    sent and the last reply received (one ``recv_into`` each)."""
+
+    def __init__(self, sock):
+        self.sock = sock
+        self.sent = self.received = 0
+
+    def sendall(self, data):
+        self.sent = len(data)
+        return self.sock.sendall(data)
+
+    def recv_into(self, into):
+        self.received = self.sock.recv_into(into)
+        return self.received
+
+    def __getattr__(self, name):
+        return getattr(self.sock, name)
+
+
+def _read_budget(store: TardisStore, key: str) -> dict:
+    """``read_us``: the median one-key ``read_visible`` round trip on the
+    idle store; on a worker arm, the sizes of that read's two frames."""
+    versions, dag = store.versions, store.dag
+    sent = received = None
+    with store._lock:
+        state = dag.leaves()[0]
+        times = []
+        for _ in range(READS):
+            started = time.perf_counter()
+            versions.read_visible(key, state, dag)
+            times.append(time.perf_counter() - started)
+        if versions.n_workers:
+            handle = versions._links[versions.shard_index(key) % versions.n_workers]
+            handle.sock = sizes = _FrameSizes(handle.sock)
+            try:
+                versions.read_visible(key, state, dag)
+            finally:
+                handle.sock = sizes.sock
+            sent, received = sizes.sent, sizes.received
+    return {
+        "read_us": statistics.median(times) * 1e6,
+        "read_request_bytes": sent,
+        "read_reply_bytes": received,
+    }
 
 
 def _run_arm(arm: str, workers: int, args) -> dict:
@@ -137,6 +190,7 @@ def _run_arm(arm: str, workers: int, args) -> dict:
             commits += 1
         wall_s = time.perf_counter() - wall_start
         ping_us = None if arm == "inproc" else _ping_us(store)
+        budget = _read_budget(store, specs[0].ops[0][1])
     finally:
         store.close()
     result = {
@@ -151,12 +205,15 @@ def _run_arm(arm: str, workers: int, args) -> dict:
         "writes": writes,
         "leaked_workers": store.leaked_workers,
         "ping_us": ping_us,
+        **budget,
     }
     print(
-        "bench_shardplane: %-8s %6.2fs wall, %7.0f reads/s, %6.0f writes/s%s"
+        "bench_shardplane: %-8s %6.2fs wall, %7.0f reads/s, %6.0f writes/s, read %.1f us%s"
         % (
             label, wall_s, result["read_keys_per_s"], result["write_keys_per_s"],
-            "" if ping_us is None else ", ping %.1f us" % ping_us,
+            budget["read_us"],
+            "" if ping_us is None else ", ping %.1f us (frames %d/%d B)"
+            % (ping_us, budget["read_request_bytes"], budget["read_reply_bytes"]),
         )
     )
     return result
@@ -210,6 +267,7 @@ def main(argv=None) -> int:
         "seed": args.seed,
         "smoke": args.smoke,
         "pings_per_arm": PINGS,
+        "reads_per_arm": READS,
     }
     path = write_bench_json("shardplane", metrics, config)
     print(

@@ -384,15 +384,16 @@ class TardisStore:
     def _mirror_counts(self) -> None:
         """The registry's ``collect`` hook: mirror the counts the layers
         below keep natively, each once it is nonzero (as a pushed count
-        appears on its first event). A sharded store mirrors its
-        per-shard accesses; the shards' cache counts stay with them."""
+        appears on its first event). Either record store keeps the cache
+        counts (a sharded one sums its shards' read replies, so reading
+        them sends no link message); a sharded one also mirrors its
+        per-shard accesses."""
         registry, versions, dag = self.registry, self.versions, self.dag
         with self._lock:
-            if self._sharded:
-                if any(versions.accesses):
-                    for i, n in enumerate(versions.accesses):
-                        registry.counter("tardis_shard_access_total@s%d" % i).mirror(n)
-            elif versions.vis_hits or versions.vis_misses or versions.vis_invalidations:
+            if self._sharded and any(versions.accesses):
+                for i, n in enumerate(versions.accesses):
+                    registry.counter("tardis_shard_access_total@s%d" % i).mirror(n)
+            if versions.vis_hits or versions.vis_misses or versions.vis_invalidations:
                 registry.counter("tardis_vis_cache_hit_total").mirror(versions.vis_hits)
                 registry.counter("tardis_vis_cache_miss_total").mirror(versions.vis_misses)
                 registry.counter("tardis_vis_cache_invalidations_total").mirror(

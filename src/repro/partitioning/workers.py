@@ -23,6 +23,12 @@ The link is framed: each batch and each reply is one ``!I`` length
 header followed by the message's pickle, written with one ``sendall``
 and read with ``recv_into`` into a per-link buffer
 (:class:`_FrameReader`), so a small reply costs one receive call.
+A frame carries plain values only: a state id crosses as a plain
+``(counter, site)`` tuple, never as a :class:`~repro.core.ids.StateId`,
+whose pickle is a class lookup and a ``__getnewargs__`` call per id.
+:class:`ShardedRecordStore` turns the ids it reads back into
+``StateId`` again (:func:`_state_id`), so its callers see what the flat
+store returns.
 
 The hard part of the worker plane is that a worker must answer visibility
 questions — *is version state x an ancestor of read state y?* —
@@ -71,6 +77,7 @@ import struct
 import time
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
+from repro.core.ids import StateId
 from repro.core.state_dag import State, StateDAG
 from repro.core.versions import VersionedRecordStore
 from repro.errors import (
@@ -106,6 +113,17 @@ START_METHOD = "spawn"
 _Entry = Optional[Tuple[Any, int]]
 
 
+def _state_id(pair) -> StateId:
+    """An id read back from a link, a :class:`StateId` again (without
+    NamedTuple's Python-level ``__new__``)."""
+    return tuple.__new__(StateId, pair)
+
+
+def _typed(hit):
+    """A version ``(id, value)`` read back from a link, its id typed."""
+    return None if hit is None else (tuple.__new__(StateId, hit[0]), hit[1])
+
+
 class _StateView:
     """The two fields of a State that visibility checks consume."""
 
@@ -114,6 +132,25 @@ class _StateView:
     def __init__(self, state_id, path_mask):
         self.id = state_id
         self.path_mask = path_mask
+
+
+def _plain_rows(masks: Dict[Any, _Entry], extra) -> Dict[Any, _Entry]:
+    """Mask rows as they cross the link: every id a plain tuple, one
+    tuple per state, and the batch's own ids (``extra``, already plain)
+    the very objects its commands name, so the pickle memo sends each
+    state once."""
+    plain = {sid: sid for sid in extra or ()}
+
+    def pair(sid):
+        found = plain.get(sid)
+        if found is None:
+            found = plain[sid] = tuple(sid)
+        return found
+
+    return {
+        pair(sid): None if entry is None else (pair(entry[0]), entry[1])
+        for sid, entry in masks.items()
+    }
 
 
 def _live_entries(table: Dict[Any, _Entry]) -> Dict[Any, _Entry]:
@@ -177,20 +214,34 @@ def _build_shards(spec) -> Dict[int, VersionedRecordStore]:
     return {shard: VersionedRecordStore() for shard in spec["shards"]}
 
 
+def _counted(store, read, *args):
+    """A read reply: ``read(*args)``'s result, then how far it moved
+    ``store``'s running read counts (scanned, cache hits, misses and
+    invalidations)."""
+    scanned, hits = store.scanned, store.vis_hits
+    misses, invalidations = store.vis_misses, store.vis_invalidations
+    return (
+        read(*args),
+        store.scanned - scanned,
+        store.vis_hits - hits,
+        store.vis_misses - misses,
+        store.vis_invalidations - invalidations,
+    )
+
+
 def _dispatch(stores, view, cmd):
     """Execute one command tuple against a link's shard stores.
 
     ``view`` is whatever answers ``resolve``/``descendant_check`` on
     this side of the link: the real StateDAG in-process, a
-    :class:`_ShardDagView` in a worker.
+    :class:`_ShardDagView` in a worker. Reads answer with
+    :func:`_counted` replies.
     """
     op = cmd[0]
     if op == "read_many":
         _, shard, keys, rid, rmask = cmd
         store = stores[shard]
-        scanned, hits = store.scanned, store.vis_hits
-        results = store.read_visible_many(keys, _StateView(rid, rmask), view)
-        return results, store.scanned - scanned, store.vis_hits - hits
+        return _counted(store, store.read_visible_many, keys, _StateView(rid, rmask), view)
     if op == "write":
         _, shard, items, sid = cmd
         store = stores[shard]
@@ -200,10 +251,8 @@ def _dispatch(stores, view, cmd):
     if op == "read_candidates":
         _, shard, key, states = cmd
         store = stores[shard]
-        scanned, hits = store.scanned, store.vis_hits
         views = [_StateView(sid, mask) for sid, mask in states]
-        result = store.read_candidates(key, views, view)
-        return result, store.scanned - scanned, store.vis_hits - hits
+        return _counted(store, store.read_candidates, key, views, view)
     if op == "promote":
         promoted = dropped = 0
         for store in stores.values():
@@ -213,7 +262,9 @@ def _dispatch(stores, view, cmd):
         return promoted, dropped
     if op == "items_at":
         _, shard, sid, mask = cmd
-        return list(stores[shard].items_at(_StateView(sid, mask), view))
+        store = stores[shard]
+        state = _StateView(sid, mask)
+        return _counted(store, lambda: list(store.items_at(state, view)))
     if op == "num_versions":
         return stores[cmd[1]].num_versions(cmd[2])
     if op == "versions_of":
@@ -425,8 +476,8 @@ class _WorkerHandle:
     def sync_for(self, extra=None):
         """The piggyback sync payload for one outbound batch, or None.
 
-        ``extra`` names state ids the batch itself introduces (the
-        committing state). The expensive part — re-resolving every
+        ``extra`` names the plain state ids the batch itself introduces
+        (the committing state). The expensive part — re-resolving every
         shipped id — only runs when the DAG's destructive/retro
         fingerprint moved since the last batch to this worker, which
         happens at GC/fork-retire/retro rates, not per commit.
@@ -454,10 +505,12 @@ class _WorkerHandle:
                 ship(sid, self._entry(sid))
             self._fingerprint = fingerprint
         for sid in extra or ():
-            ship(sid, self._entry(sid))
+            entry = self._entry(sid)
+            # The table keeps the DAG's own id object, not a copy.
+            ship(entry[0] if entry is not None and entry[0] == sid else sid, entry)
         if not masks and not bump:
             return None
-        return (masks, bump)
+        return (_plain_rows(masks, extra), bump)
 
     def prune_masks(self) -> None:
         """Mirror the worker's post-promotion table pruning."""
@@ -610,10 +663,13 @@ class ShardedRecordStore:
         #: per-shard operation counters (reads + writes), for balance
         #: inspection and the simulation's shard-RPC accounting.
         self.accesses: List[int] = [0] * n_shards
-        #: running cost-model counts summed from the shards' read
-        #: replies, as the flat store keeps them (``VersionedRecordStore``).
+        #: running cost-model and cache counts summed from the shards'
+        #: read replies, as the flat store keeps them
+        #: (``VersionedRecordStore``).
         self.scanned = 0
         self.vis_hits = 0
+        self.vis_misses = 0
+        self.vis_invalidations = 0
         self._batch_ids = itertools.count(1)
         n_links = max(n_workers, 1)
         specs = [
@@ -665,6 +721,8 @@ class ShardedRecordStore:
                 replies[link.index] = link.collect(WORKER_TIMEOUT)
             except TardisError as exc:
                 failure = failure or exc
+        if isinstance(failure, GarbageCollectedError):
+            raise GarbageCollectedError(_state_id(failure.state_id)) from failure
         if failure is not None:
             raise failure
         return replies
@@ -688,23 +746,36 @@ class ShardedRecordStore:
         index = cmd[1] % len(self._links)
         return self._gather({index: [cmd]}, extra)[index][0]
 
+    def _charge(self, reply):
+        """Add a read reply's count deltas to the running counts; its result."""
+        result, scanned, hits, misses, invalidations = reply
+        self.scanned += scanned
+        self.vis_hits += hits
+        self.vis_misses += misses
+        self.vis_invalidations += invalidations
+        return result
+
     # -- VersionedRecordStore interface ------------------------------------
+    #
+    # Ids go out as plain tuples (``tuple(state.id)``) and come back
+    # typed (``_state_id``, ``_typed``).
 
     def write(self, key: Any, state_id, value: Any) -> None:
         """Single-version install (recovery/replication replay path)."""
         shard = self.shard_index(key)
         self._note_access(shard)
-        self._call(("write", shard, [(key, value)], state_id), (state_id,))
+        sid = tuple(state_id)
+        self._call(("write", shard, [(key, value)], sid), (sid,))
 
     def read_visible(self, key, read_state: State, dag: StateDAG):
         shard = self.shard_index(key)
         self._note_access(shard)
-        results, scanned, hits = self._call(
-            ("read_many", shard, [key], read_state.id, read_state.path_mask)
+        results = self._charge(
+            self._call(
+                ("read_many", shard, [key], tuple(read_state.id), read_state.path_mask)
+            )
         )
-        self.scanned += scanned
-        self.vis_hits += hits
-        return results[0]
+        return _typed(results[0])
 
     def read_visible_many(
         self, keys, read_state: State, dag: StateDAG
@@ -720,27 +791,21 @@ class ShardedRecordStore:
         plan = self.router.plan(keys)
         for shard, batch in plan.items():
             self._note_access(shard, len(batch))
+        rid, rmask = tuple(read_state.id), read_state.path_mask
         replies = self._on_shards(
-            [
-                ("read_many", shard, batch, read_state.id, read_state.path_mask)
-                for shard, batch in plan.items()
-            ]
+            [("read_many", shard, batch, rid, rmask) for shard, batch in plan.items()]
         )
         found: Dict[Any, Any] = {}
-        for batch, (results, scanned, hits) in zip(plan.values(), replies):
-            found.update(zip(batch, results))
-            self.scanned += scanned
-            self.vis_hits += hits
-        return [found[key] for key in keys]
+        for batch, reply in zip(plan.values(), replies):
+            found.update(zip(batch, self._charge(reply)))
+        return [_typed(found[key]) for key in keys]
 
     def read_candidates(self, key, read_states, dag: StateDAG):
         shard = self.shard_index(key)
         self._note_access(shard)
-        states = [(state.id, state.path_mask) for state in read_states]
-        result, scanned, hits = self._call(("read_candidates", shard, key, states))
-        self.scanned += scanned
-        self.vis_hits += hits
-        return result
+        states = [(tuple(state.id), state.path_mask) for state in read_states]
+        result = self._charge(self._call(("read_candidates", shard, key, states)))
+        return [_typed(hit) for hit in result]
 
     # -- commits (driven by the CommitPipeline) ---------------------------
 
@@ -764,9 +829,9 @@ class ShardedRecordStore:
         """
         for shard, items in plan:
             self._note_access(shard, len(items))
-        self._on_shards(
-            [("write", shard, items, state.id) for shard, items in plan], (state.id,)
-        )
+        # One tuple for the write commands and the state's mask row.
+        sid = tuple(state.id)
+        self._on_shards([("write", shard, items, sid) for shard, items in plan], (sid,))
 
     # -- maintenance -------------------------------------------------------
 
@@ -814,7 +879,7 @@ class ShardedRecordStore:
 
     def versions_of(self, key: Any) -> List:
         shard = self.shard_index(key)
-        return self._call(("versions_of", shard, key))
+        return [_state_id(sid) for sid in self._call(("versions_of", shard, key))]
 
     def keys(self) -> Iterator[Any]:
         cmds = [("keys", shard) for shard in range(self.n_shards)]
@@ -822,16 +887,14 @@ class ShardedRecordStore:
             yield from batch
 
     def items_at(self, state: State, dag: StateDAG):
-        cmds = [
-            ("items_at", shard, state.id, state.path_mask)
-            for shard in range(self.n_shards)
-        ]
-        for batch in self._on_shards(cmds):
-            yield from batch
+        sid = tuple(state.id)
+        cmds = [("items_at", shard, sid, state.path_mask) for shard in range(self.n_shards)]
+        for reply in self._on_shards(cmds):
+            yield from self._charge(reply)
 
     def record(self, key: Any, state_id, default: Any = None) -> Any:
         shard = self.shard_index(key)
-        return self._call(("record", shard, key, state_id, default))
+        return self._call(("record", shard, key, tuple(state_id), default))
 
     # -- lifecycle ---------------------------------------------------------
 

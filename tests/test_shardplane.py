@@ -15,7 +15,9 @@ counts small.
 
 import os
 import pickle
+import pickletools
 import random
+import re
 import select
 import selectors
 import signal
@@ -26,8 +28,10 @@ import time
 import pytest
 
 from repro import TardisStore, recover_store
+from repro.core.ids import StateId
 from repro.errors import (
     CrossShardAbort,
+    GarbageCollectedError,
     ShardUnavailableError,
     TransactionAborted,
 )
@@ -273,19 +277,25 @@ class _Trickle:
 
 
 class _CountingSocket:
-    """Wraps a link's socket and records every call made on it."""
+    """Wraps a link's socket and records every call made on it, and
+    every byte sent and received."""
 
     def __init__(self, sock):
         self.sock = sock
         self.calls = []
+        self.sent = bytearray()
+        self.received = bytearray()
 
     def sendall(self, data):
         self.calls.append("sendall")
+        self.sent += data
         return self.sock.sendall(data)
 
     def recv_into(self, into):
         self.calls.append("recv_into")
-        return self.sock.recv_into(into)
+        got = self.sock.recv_into(into)
+        self.received += into[:got]
+        return got
 
     def __getattr__(self, name):
         self.calls.append(name)
@@ -688,3 +698,199 @@ class TestMaskTable:
 
 def _a_alone(key, n_shards):
     return 0 if key == "a" else 1
+
+
+def _bodies(stream):
+    """The pickles of the frames a link's byte stream holds."""
+    header, view, bodies = _workers._HEADER, memoryview(stream), []
+    while view:
+        (size,) = header.unpack_from(view)
+        bodies.append(bytes(view[header.size : header.size + size]))
+        view = view[header.size + size :]
+    return bodies
+
+
+#: pickle opcodes that name or build an object of a class.
+_CLASS_OPCODES = {"GLOBAL", "STACK_GLOBAL", "INST", "OBJ", "NEWOBJ", "NEWOBJ_EX", "REDUCE"}
+
+
+class TestPlainFrames:
+    """A shard link carries plain values only: ids cross as (counter,
+    site) tuples, so no frame pickles a class (docs/internals.md §13.2)."""
+
+    def test_no_frame_names_a_class(self):
+        store = TardisStore("A", shards=4, shard_workers=2)
+        sockets = []
+        try:
+            for handle in store.versions._links:
+                handle.sock = _CountingSocket(handle.sock)
+                sockets.append(handle.sock)
+            keys = ["key%02d" % i for i in range(16)]
+            a, b = store.session("a"), store.session("b")
+            txn = store.begin(session=a)  # preload: every shard, both links
+            for i, key in enumerate(keys):
+                txn.put(key, i)
+            txn.commit()
+            assert store.get(keys[0], session=a) == 0
+            txn = store.begin(read_only=True, session=a)
+            assert txn.get_many(keys) == list(range(16))
+            txn.commit()
+            for key in keys[:4]:  # read-modify-write commits
+                txn = store.begin(session=a)
+                txn.put(key, txn.get(key) + 1)
+                txn.commit()
+            t1, t2 = store.begin(session=a), store.begin(session=b)
+            t1.put(keys[0], t1.get(keys[0]) + 1)
+            t2.put(keys[0], t2.get(keys[0]) + 2)
+            t1.commit()
+            t2.commit()  # a fork
+            merge = store.begin_merge(session=a)
+            merge.put(keys[0], max(merge.get_all(keys[0])))  # read_candidates
+            merge.commit()
+            with store._lock:
+                assert len(store.versions.versions_of(keys[0])) == 5
+            for session in (a, b):
+                session.place_ceiling()
+            stats = store.collect_garbage()  # re-syncs masks, promotes
+            assert stats.states_removed and stats.records_promoted
+            assert store.get(keys[0], session=a) == 3
+        finally:
+            store.close()
+        ops, synced = set(), 0
+        for sock in sockets:
+            for body in _bodies(sock.sent):
+                _, sync, cmds = pickle.loads(body)
+                ops.update(cmd[0] for cmd in cmds)
+                synced += sync is not None and bool(sync[0])
+        assert ops >= {"write", "read_many", "read_candidates", "versions_of", "promote"}
+        assert synced
+        for sock in sockets:
+            for body in _bodies(sock.sent) + _bodies(sock.received):
+                named = {op.name for op, _, _ in pickletools.genops(body)}
+                assert not named & _CLASS_OPCODES, pickle.loads(body)
+
+
+PLANES = {
+    "flat": {},
+    "inline": {"shards": 4},
+    "workers": {"shards": 4, "shard_workers": 2},
+}
+
+
+def _forked(store):
+    """Load eight keys, then fork key k0 into two branches; the read
+    states of both branch heads."""
+    a, b = store.session("a"), store.session("b")
+    txn = store.begin(session=a)
+    for i in range(8):
+        txn.put("k%d" % i, i)
+    txn.commit()
+    t1, t2 = store.begin(session=a), store.begin(session=b)
+    t1.put("k0", t1.get("k0") + 1)
+    t2.put("k0", t2.get("k0") + 2)
+    t1.commit()
+    t2.commit()
+    with store._lock:
+        return store.dag.resolve(a.last_commit_id), store.dag.resolve(b.last_commit_id)
+
+
+def _id_answers(store):
+    """What the record store answers, ids included, on a forked key."""
+    keys = ["k%d" % i for i in range(8)]
+    sa, sb = _forked(store)
+    versions, dag = store.versions, store.dag
+    with store._lock:
+        return {
+            "read_visible": [versions.read_visible("k0", sa, dag)],
+            "read_visible_many": versions.read_visible_many(keys, sb, dag),
+            "read_candidates": versions.read_candidates("k0", [sa, sb], dag),
+            "versions_of": [(sid, None) for sid in versions.versions_of("k0")],
+        }
+
+
+class TestIdsComeBackTyped:
+    """Every plane hands its callers StateIds, as the flat store does."""
+
+    @pytest.mark.parametrize("plane", sorted(PLANES))
+    def test_read_answers_carry_state_ids(self, plane):
+        flat, store = TardisStore("A"), TardisStore("A", **PLANES[plane])
+        try:
+            answers = _id_answers(store)
+            assert answers == _id_answers(flat)
+        finally:
+            store.close()
+        ids = [sid for hits in answers.values() for sid, _ in hits]
+        assert len(ids) == 1 + 8 + 2 + 3
+        assert all(type(sid) is StateId for sid in ids)
+        assert all(re.fullmatch(r"s\d+@A", repr(sid)) for sid in ids)
+
+    @pytest.mark.parametrize("plane", sorted(PLANES))
+    def test_a_garbage_collected_error_names_a_state_id(self, plane, monkeypatch):
+        store = TardisStore("A", **PLANES[plane])
+        try:
+            sa, sb = _forked(store)
+            versions, dag = store.versions, store.dag
+            gone = sb.id
+            with store._lock:
+                # Leaves k0's cache entry at sb, whose version is gone
+                # below: sb's read hits the cache, sa's walks past it,
+                # and comparing the two candidates resolves it.
+                versions.read_candidates("k0", [sa, sb], dag)
+            if plane == "workers":
+                send = _WorkerHandle.request
+
+                def forget(self, batch_id, sync, cmds):
+                    send(self, batch_id, ({tuple(gone): None}, False), cmds)
+
+                monkeypatch.setattr(_WorkerHandle, "request", forget)
+            else:
+                resolve = StateDAG.resolve
+
+                def forgotten(self, state_id):
+                    if state_id == gone:
+                        raise GarbageCollectedError(state_id)
+                    return resolve(self, state_id)
+
+                monkeypatch.setattr(StateDAG, "resolve", forgotten)
+            with store._lock, pytest.raises(GarbageCollectedError) as excinfo:
+                versions.read_candidates("k0", [sb, sa], dag)
+            assert type(excinfo.value.state_id) is StateId
+            assert excinfo.value.state_id == gone
+        finally:
+            store.close()
+
+
+class TestShardedCacheCounts:
+    @pytest.mark.parametrize("plane", ["inline", "workers"])
+    def test_the_registry_mirrors_the_shards_cache_counts(self, plane):
+        store = TardisStore("A", **PLANES[plane])
+        try:
+            keys = ["key%02d" % i for i in range(16)]
+            session = store.session("w")
+            for i in range(64):
+                store.put(keys[i % 16], i, session=session)
+            for _ in range(2):  # misses, then hits
+                txn = store.begin(read_only=True, session=session)
+                txn.get_many(keys)
+                txn.commit()
+            session.place_ceiling()
+            store.collect_garbage()
+            store.get(keys[0], session=session)  # drops the cache: invalidations
+            versions, registry = store.versions, store.registry
+            with store._lock:
+                info = versions.cache_info()
+            registry.enabled = True
+            before = next(versions._batch_ids)
+            counted = [
+                registry.counter_value("tardis_vis_cache_%s_total" % name)
+                for name in ("hit", "miss", "invalidations")
+            ]
+            assert counted == [info["hits"], info["misses"], info["invalidations"]]
+            assert min(counted) > 0
+            assert next(versions._batch_ids) == before + 1  # no link message
+            if plane == "workers":
+                with store._lock:
+                    versions.kill_worker(0)
+                assert registry.to_dict()["tardis_vis_cache_hit_total"]["value"] == info["hits"]
+        finally:
+            store.close()
