@@ -31,11 +31,22 @@ charged for collecting the previous arm's garbage. The in-test hard
 assertion is deliberately loose (no false failures); the min-ratio
 estimate is persisted in ``BENCH_obs_overhead.json`` and CI enforces
 the 10% gate on it.
+
+Beside the wall estimate, ``calls_overhead_pct`` counts what the
+instrumented arm adds: one ``sys.setprofile`` pass per arm, outside the
+timed rounds, counts every Python and C call of one run. The count is
+deterministic (a fixed-seed simulation), so it resolves what a
+wall-clock ratio on a shared box cannot, and ``calls_added_by_file``
+says where the added calls go: a Python call is charged to the file of
+the called function, a C call (``[C]``) to the file it was called from.
 """
 
+import collections
 import gc
 import json
 import os
+import sys
+import sysconfig
 import time
 
 import pytest
@@ -88,9 +99,52 @@ def _measure():
     return results, minima, tracers, overhead
 
 
+#: files listed in ``calls_added_by_file``, the largest additions first.
+CALL_FILES = 12
+
+
+#: where a counted file is named from: this checkout, then the stdlib.
+_ROOTS = (REPO_ROOT, sysconfig.get_paths()["stdlib"])
+
+
+def _where(path: str) -> str:
+    for root in _ROOTS:
+        if path.startswith(root + os.sep):
+            return os.path.relpath(path, root)
+    return path
+
+
+def _count_calls(instrumented: bool) -> collections.Counter:
+    """The Python and C calls of one ``_run`` of an arm, by source file."""
+    calls: collections.Counter = collections.Counter()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            calls[frame.f_code.co_filename] += 1
+        elif event == "c_call":
+            calls[frame.f_code.co_filename + " [C]"] += 1
+
+    sys.setprofile(profile)
+    try:
+        _run(instrumented)
+    finally:
+        sys.setprofile(None)
+    return collections.Counter({_where(path): n for path, n in calls.items()})
+
+
+def _call_overhead():
+    """``(calls off, calls on, {file: calls added})`` over one run per arm."""
+    off, on = _count_calls(False), _count_calls(True)
+    added = {path: on[path] - off[path] for path in on.keys() | off.keys()}
+    top = sorted(added.items(), key=lambda item: -abs(item[1]))[:CALL_FILES]
+    return sum(off.values()), sum(on.values()), dict(top)
+
+
 @pytest.mark.benchmark(group="obs-overhead")
 def test_obs_overhead(benchmark):
     results, walls, tracers, overhead = run_once(benchmark, _measure)
+    calls_off, calls_on, calls_added = _call_overhead()
+    calls_overhead = calls_on / calls_off - 1.0
     off, on = results[False], results[True]
     tracer = tracers[True]
 
@@ -115,7 +169,18 @@ def test_obs_overhead(benchmark):
     report.line("(CI gate <10%; simulated results are identical by")
     report.line("construction — recording is free in simulated time, so")
     report.line("only the host pays)")
+    report.line()
+    report.line(
+        "call overhead: %+.2f%% (%d calls off, %d on; one profiled run per arm)"
+        % (100 * calls_overhead, calls_off, calls_on)
+    )
+    for path, added in calls_added.items():
+        report.line("  %+9d  %s" % (added, path))
     report.metric("wall_overhead_pct", 100 * overhead)
+    report.metric("calls_overhead_pct", 100 * calls_overhead)
+    report.metric("calls_off", calls_off)
+    report.metric("calls_on", calls_on)
+    report.metric("calls_added_by_file", calls_added)
     report.metric("wall_s_off", walls[False])
     report.metric("wall_s_on", walls[True])
     report.metric("sim_tput_off", off.throughput_tps)

@@ -27,7 +27,11 @@ record work behind it. Beside it, every arm records ``read_us``, the
 median of ``READS`` one-key ``read_visible`` round trips on the idle
 store (a cache hit: the per-RPC budget of a read, framing included),
 and each worker arm the byte sizes of that read's request and reply
-frames (``read_request_bytes``, ``read_reply_bytes``). ``cpu_count`` and
+frames (``read_request_bytes``, ``read_reply_bytes``). Each worker arm
+records its start-up too: ``start_ms``, from store construction until
+every worker has answered a health ping, and ``worker_hwm_mb``, each
+worker's peak resident set (``VmHWM`` of ``/proc/<pid>/status``) right
+after that first ping. ``cpu_count`` and
 ``cpu_affinity`` are recorded alongside because the ratios only show
 parallel speedup when the container actually has cores to run the
 workers on; on a single-core host the proc plane pays its IPC overhead
@@ -68,10 +72,29 @@ PINGS = 200
 READS = 2000
 
 
-def _build_store(arm: str, workers: int) -> TardisStore:
+def _vm_hwm_mb(pid: int) -> float:
+    """Peak resident set of ``pid`` in MB (``VmHWM`` of /proc/pid/status)."""
+    with open("/proc/%d/status" % pid) as handle:
+        for line in handle:
+            if line.startswith("VmHWM:"):
+                return int(line.split()[1]) / 1024.0
+    raise RuntimeError("no VmHWM for pid %d" % pid)
+
+
+def _build_store(arm: str, workers: int):
+    """The arm's store, and for a worker arm its start-up: ``start_ms``
+    (construction until every worker has answered a ping) and
+    ``worker_hwm_mb`` (each worker's ``VmHWM`` just after)."""
     if arm == "inproc":
-        return TardisStore("bench", shards=N_SHARDS)
-    return TardisStore("bench", shards=N_SHARDS, shard_workers=workers)
+        return TardisStore("bench", shards=N_SHARDS), {}
+    started = time.perf_counter()
+    store = TardisStore("bench", shards=N_SHARDS, shard_workers=workers)
+    health = store.shard_health(ping=True)["workers"]
+    start_ms = (time.perf_counter() - started) * 1000.0
+    return store, {
+        "start_ms": start_ms,
+        "worker_hwm_mb": [_vm_hwm_mb(worker["pid"]) for worker in health],
+    }
 
 
 def _preload_and_stack(store: TardisStore, n_keys: int, history: int):
@@ -150,7 +173,7 @@ def _read_budget(store: TardisStore, key: str) -> dict:
 
 
 def _run_arm(arm: str, workers: int, args) -> dict:
-    store = _build_store(arm, workers)
+    store, startup = _build_store(arm, workers)
     label = arm if arm == "inproc" else "proc-%dw" % workers
     try:
         old_id = _preload_and_stack(store, args.keys, args.history)
@@ -205,6 +228,8 @@ def _run_arm(arm: str, workers: int, args) -> dict:
         "writes": writes,
         "leaked_workers": store.leaked_workers,
         "ping_us": ping_us,
+        "start_ms": startup.get("start_ms"),
+        "worker_hwm_mb": startup.get("worker_hwm_mb"),
         **budget,
     }
     print(
@@ -212,8 +237,12 @@ def _run_arm(arm: str, workers: int, args) -> dict:
         % (
             label, wall_s, result["read_keys_per_s"], result["write_keys_per_s"],
             budget["read_us"],
-            "" if ping_us is None else ", ping %.1f us (frames %d/%d B)"
-            % (ping_us, budget["read_request_bytes"], budget["read_reply_bytes"]),
+            "" if ping_us is None else ", ping %.1f us (frames %d/%d B), start %.0f ms, "
+            "worker hwm %.1f MB"
+            % (
+                ping_us, budget["read_request_bytes"], budget["read_reply_bytes"],
+                startup["start_ms"], max(startup["worker_hwm_mb"]),
+            ),
         )
     )
     return result

@@ -20,36 +20,13 @@ Quick start::
         t.put("greeting", "hello")
 """
 
-from repro.core import (
-    AncestorConstraint,
-    AncestryIndex,
-    And,
-    AnyConstraint,
-    ClientSession,
-    CommitPipeline,
-    ForkPoint,
-    GarbageCollector,
-    IdAllocator,
-    KBranchingConstraint,
-    MergeTransaction,
-    NoBranchingConstraint,
-    Or,
-    ParentConstraint,
-    ReadCommittedConstraint,
-    ROOT_ID,
-    SerializabilityConstraint,
-    SnapshotIsolationConstraint,
-    State,
-    StateDAG,
-    StateId,
-    StateIdConstraint,
-    TardisStore,
-    TOMBSTONE,
-    Transaction,
-    checkpoint_store,
-    recover_store,
-)
-from repro import errors
+from typing import TYPE_CHECKING
+
+from repro._lazy import exports
+
+if TYPE_CHECKING:
+    from repro import errors
+    from repro.core import *  # noqa: F403 (the names of __all__ below)
 
 __version__ = "1.0.0"
 
@@ -84,3 +61,13 @@ __all__ = [
     "errors",
     "__version__",
 ]
+
+# Each name resolves on first use, so ``import repro.core.ids`` (a shard
+# worker's first import) does not import the store behind it.
+__getattr__ = exports(
+    __name__,
+    {
+        "repro.core": [name for name in __all__ if name not in ("errors", "__version__")],
+        "repro.errors": ["errors"],
+    },
+)

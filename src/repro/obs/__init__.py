@@ -17,29 +17,34 @@ Quick start::
         print(obs.format_row(row))
 """
 
-from repro.obs import metrics, tracing
-from repro.obs.context import (
-    causal_timeline,
-    format_row,
-    format_timeline,
-    merge_events,
-    trace_id_of,
-)
-from repro.obs.export import to_json, to_prometheus
-from repro.obs.sampler import ObsSampler
-from repro.obs.series import (
-    DivergenceMonitor,
-    Trigger,
-    WindowedGauge,
-    dag_extent,
-)
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
-from repro.obs.tracing import Recorder
+from typing import TYPE_CHECKING
+
+from repro._lazy import exports
+
+if TYPE_CHECKING:
+    from repro.obs import metrics, tracing
+    from repro.obs.context import (
+        causal_timeline,
+        format_row,
+        format_timeline,
+        merge_events,
+        trace_id_of,
+    )
+    from repro.obs.export import to_json, to_prometheus
+    from repro.obs.sampler import ObsSampler
+    from repro.obs.series import (
+        DivergenceMonitor,
+        Trigger,
+        WindowedGauge,
+        dag_extent,
+    )
+    from repro.obs.metrics import (
+        Counter,
+        Gauge,
+        Histogram,
+        MetricsRegistry,
+    )
+    from repro.obs.tracing import Recorder
 
 __all__ = [
     "Counter",
@@ -62,3 +67,23 @@ __all__ = [
     "trace_id_of",
     "tracing",
 ]
+
+# Each name resolves on first use (``repro._lazy``): the store imports
+# ``metrics`` and ``tracing`` only, the server ``sampler`` and ``series``.
+__getattr__ = exports(
+    __name__,
+    {
+        "repro.obs.metrics": ("metrics", "Counter", "Gauge", "Histogram", "MetricsRegistry"),
+        "repro.obs.tracing": ("tracing", "Recorder"),
+        "repro.obs.context": (
+            "causal_timeline",
+            "format_row",
+            "format_timeline",
+            "merge_events",
+            "trace_id_of",
+        ),
+        "repro.obs.export": ("to_json", "to_prometheus"),
+        "repro.obs.sampler": ("ObsSampler",),
+        "repro.obs.series": ("DivergenceMonitor", "Trigger", "WindowedGauge", "dag_extent"),
+    },
+)

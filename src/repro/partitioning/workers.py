@@ -19,6 +19,14 @@ links* that all speak one pair of calls::
   partial-replication shape. Both ends execute the same
   :func:`_dispatch` command table.
 
+A worker is its own small program (:func:`_spawn_worker`): a fresh
+``python -S`` with the coordinator's interpreter flags runs
+:data:`_BOOT`, which imports this module and serves the one fd it
+inherits. It never re-runs the coordinator's main module, and the lazy
+package ``__init__`` modules (``repro._lazy``) keep its imports to the
+record-store code it runs: ``core.ids``, ``core.ancestry``,
+``core.state_dag``, ``core.versions``, ``errors`` and this package.
+
 The link is framed: each batch and each reply is one ``!I`` length
 header followed by the message's pickle, written with one ``sendall``
 and read with ``recv_into`` into a per-link buffer
@@ -70,10 +78,11 @@ scatter from leaving a reply unread on a healthy link.
 from __future__ import annotations
 
 import itertools
-import multiprocessing
+import os
 import pickle
 import socket
 import struct
+import sys
 import time
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
@@ -104,9 +113,20 @@ _HEADER = struct.Struct("!I")
 #: than this takes a second, exactly sized read.
 RECV_BUFFER = 1 << 16
 
-#: workers are spawned, never forked: a fork would copy the
-#: coordinator's held locks and every other worker's socket end.
-START_METHOD = "spawn"
+#: the directory that holds the ``repro`` package: a worker runs
+#: without ``site``, so its boot puts this first on ``sys.path``.
+_PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+
+#: a worker process's whole program, run with ``python -S -c``: it
+#: imports this module (and so only the record-store code it runs) and
+#: serves its end of the link, the one fd it inherits.
+_BOOT = """\
+import sys
+sys.path.insert(0, %(root)r)
+import socket
+from repro.partitioning.workers import shard_worker_main
+shard_worker_main(socket.socket(fileno=%(fd)d), %(spec)r)
+"""
 
 #: one mask-table entry: (live_id, path_mask), or None when the state
 #: was collected without an heir.
@@ -580,21 +600,21 @@ class _WorkerHandle:
         A link already found dead cannot carry it: its worker is killed
         at once, with no grace to wait out.
         """
-        was_alive = self.process.is_alive()
+        process = self.process
+        was_alive = process.poll() is None
         graceful = False
         if self.alive:
             try:
                 self.sock.shutdown(socket.SHUT_WR)
             except OSError:
                 pass
-            self.process.join(timeout)
-            graceful = not self.process.is_alive()
+            graceful = _reaped(process, timeout)
             if not graceful:
-                self.process.terminate()
-                self.process.join(1.0)
-        if self.process.is_alive():
-            self.process.kill()
-            self.process.join(1.0)
+                process.terminate()
+                _reaped(process, 1.0)
+        if process.poll() is None:
+            process.kill()
+            _reaped(process, 1.0)
         self.sock.close()
         self.alive = False
         return was_alive and not graceful
@@ -602,21 +622,44 @@ class _WorkerHandle:
     def kill(self) -> None:
         """Hard-kill the worker (fault injection for tests)."""
         self.process.kill()
-        self.process.join(2.0)
+        _reaped(self.process, 2.0)
         self.alive = False
 
 
-def _spawn_worker(index, spec, dag: StateDAG) -> _WorkerHandle:
-    ctx = multiprocessing.get_context(START_METHOD)
-    ours, theirs = socket.socketpair()
-    process = ctx.Process(
-        target=shard_worker_main,
-        args=(theirs, spec),  # spawn hands the child a duplicate of the fd
-        name="tardis-shard-%d" % index,
-        daemon=True,
-    )
+def _reaped(process, timeout) -> bool:
+    """Wait up to ``timeout`` seconds for ``process`` to exit; True if it did."""
+    # The coordinator's alone: a worker never loads it.
+    import subprocess  # tardis: ignore[import-hygiene]
+
     try:
-        process.start()
+        process.wait(timeout)
+    except subprocess.TimeoutExpired:
+        return False
+    return True
+
+
+def _spawn_worker(index, spec, dag: StateDAG) -> _WorkerHandle:
+    """Start one worker process on a fresh link.
+
+    The worker is its own program (:data:`_BOOT`), not a fork of the
+    coordinator and not ``multiprocessing``'s spawn, which re-runs the
+    coordinator's main module in the child and imports the whole
+    package there: it starts with the coordinator's interpreter flags
+    (``-X dev`` and ``-W`` options reach it), without ``site``, with
+    stdin on ``/dev/null``, and of the coordinator's descriptors it
+    holds only stdout, stderr and its own end of the link.
+    """
+    import subprocess  # tardis: ignore[import-hygiene]
+
+    ours, theirs = socket.socketpair()
+    fd = theirs.fileno()
+    boot = _BOOT % {"root": _PACKAGE_ROOT, "fd": fd, "spec": spec}
+    try:
+        process = subprocess.Popen(
+            [sys.executable, *subprocess._args_from_interpreter_flags(), "-S", "-c", boot],
+            stdin=subprocess.DEVNULL,
+            pass_fds=(fd,),
+        )
     except BaseException:
         ours.close()
         raise
@@ -912,7 +955,7 @@ class ShardedRecordStore:
         """
         out: List[Dict[str, Any]] = []
         for handle in self._links if self.n_workers else ():
-            alive = handle.alive and handle.process.is_alive()
+            alive = handle.alive and handle.process.poll() is None
             entry: Dict[str, Any] = {
                 "worker": handle.index,
                 "shards": list(handle.shards),

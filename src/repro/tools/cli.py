@@ -41,42 +41,44 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 
-from repro import analysis
-from repro.core.ancestry import popcount
-from repro.core.recovery import recover_store
-from repro.core.store import TardisStore
-from repro.obs import export
-from repro.obs.context import format_row, format_timeline, trace_id_of
-from repro.replication.cluster import Cluster
-from repro.server.server import TardisServer, run_server
-from repro.sim.adapters import OCCAdapter, TardisAdapter, TwoPLAdapter
-from repro.tools.inspect import dag_to_dot, describe_store, store_summary
-from repro.tools.top import cmd_top
-from repro.workload import RunConfig, YCSBWorkload, run_simulation
-from repro.workload.mixes import BLIND_WRITE, MIXED, READ_HEAVY, READ_ONLY, WRITE_HEAVY
+# Each command imports what it runs (each such import carries an
+# ``import-hygiene`` waiver), so ``tardis serve`` starts without the
+# simulator, the analysis rules or the replication cluster.
 
+#: ``--system``: the simulator adapter (``repro.sim.adapters``) and its
+#: keyword arguments.
 SYSTEMS = {
-    "tardis": lambda: TardisAdapter(branching=True),
-    "tardis-nb": lambda: TardisAdapter(branching=False),
-    "bdb": TwoPLAdapter,
-    "occ": OCCAdapter,
+    "tardis": ("TardisAdapter", {"branching": True}),
+    "tardis-nb": ("TardisAdapter", {"branching": False}),
+    "bdb": ("TwoPLAdapter", {}),
+    "occ": ("OCCAdapter", {}),
 }
 
+#: ``check``'s rule ids, named in its help without importing the rules
+#: (``tests/test_tools.py`` holds them equal to ``analysis.ALL_RULES``).
+CHECK_RULES = ("lock-discipline", "metric-name-drift", "import-hygiene", "bare-except")
+
+#: ``--mix``: the operation mix's name in ``repro.workload.mixes``.
 MIXES = {
-    "read-only": READ_ONLY,
-    "read-heavy": READ_HEAVY,
-    "mixed": MIXED,
-    "write-heavy": WRITE_HEAVY,
-    "blind-write": BLIND_WRITE,
+    "read-only": "READ_ONLY",
+    "read-heavy": "READ_HEAVY",
+    "mixed": "MIXED",
+    "write-heavy": "WRITE_HEAVY",
+    "blind-write": "BLIND_WRITE",
 }
 
 
-def cmd_bench(args) -> int:
-    adapter = SYSTEMS[args.system]()
+def _simulation(args):
+    """The adapter, workload and run config that ``bench`` and
+    ``metrics`` hand to ``run_simulation``."""
+    from repro.sim import adapters  # tardis: ignore[import-hygiene]
+    from repro.workload import RunConfig, YCSBWorkload, mixes  # tardis: ignore[import-hygiene]
+
+    adapter_name, adapter_kwargs = SYSTEMS[args.system]
+    adapter = getattr(adapters, adapter_name)(**adapter_kwargs)
     workload = YCSBWorkload(
-        mix=MIXES[args.mix], n_keys=args.keys, pattern=args.pattern
+        mix=getattr(mixes, MIXES[args.mix]), n_keys=args.keys, pattern=args.pattern
     )
     config = RunConfig(
         n_clients=args.clients,
@@ -86,7 +88,13 @@ def cmd_bench(args) -> int:
         seed=args.seed,
         maintenance_interval_ms=5.0 if args.system.startswith("tardis") else None,
     )
-    result = run_simulation(adapter, workload, config)
+    return adapter, workload, config
+
+
+def cmd_bench(args) -> int:
+    from repro.workload import run_simulation  # tardis: ignore[import-hygiene]
+
+    result = run_simulation(*_simulation(args))
     if args.json:
         payload = {
             "system": result.system,
@@ -108,6 +116,9 @@ def cmd_bench(args) -> int:
 
 
 def cmd_demo(args) -> int:
+    from repro.core.store import TardisStore  # tardis: ignore[import-hygiene]
+    from repro.tools.inspect import dag_to_dot, describe_store  # tardis: ignore[import-hygiene]
+
     store = TardisStore("demo")
     alice, bruno = store.session("alice"), store.session("bruno")
     store.put("counter", 0, session=alice)
@@ -129,6 +140,9 @@ def cmd_demo(args) -> int:
 
 
 def cmd_recover(args) -> int:
+    from repro.core.recovery import recover_store  # tardis: ignore[import-hygiene]
+    from repro.tools.inspect import describe_store  # tardis: ignore[import-hygiene]
+
     store, report = recover_store("recovered", args.wal)
     print("recovery report:", json.dumps(report))
     print()
@@ -137,18 +151,13 @@ def cmd_recover(args) -> int:
 
 
 def cmd_metrics(args) -> int:
-    adapter = SYSTEMS[args.system]()
-    workload = YCSBWorkload(
-        mix=MIXES[args.mix], n_keys=args.keys, pattern=args.pattern
-    )
-    config = RunConfig(
-        n_clients=args.clients,
-        duration_ms=args.duration,
-        warmup_ms=args.duration * 0.1,
-        cores=args.cores,
-        seed=args.seed,
-        maintenance_interval_ms=5.0 if args.system.startswith("tardis") else None,
-    )
+    from repro.core.ancestry import popcount  # tardis: ignore[import-hygiene]
+    from repro.core.store import TardisStore  # tardis: ignore[import-hygiene]
+    from repro.obs import export  # tardis: ignore[import-hygiene]
+    from repro.obs.context import format_row  # tardis: ignore[import-hygiene]
+    from repro.workload import run_simulation  # tardis: ignore[import-hygiene]
+
+    adapter, workload, config = _simulation(args)
     # The branch, GC and rows panels describe a TARDiS store; the 2PL and
     # OCC baselines have no DAG (the check run_simulation makes too).
     store = adapter.store
@@ -251,6 +260,9 @@ def cmd_trace(args) -> int:
     lands), replication forks every site's DAG, and a third site merges —
     so the printed timeline reads commit → replicate → apply → merge.
     """
+    from repro.obs.context import format_timeline, trace_id_of  # tardis: ignore[import-hygiene]
+    from repro.replication.cluster import Cluster  # tardis: ignore[import-hygiene]
+
     cluster = Cluster(n_sites=3, trace=True)
     us, eu, asia = (cluster.stores[s] for s in ("us", "eu", "asia"))
 
@@ -275,6 +287,10 @@ def cmd_trace(args) -> int:
 
 
 def cmd_check(args) -> int:
+    from pathlib import Path  # tardis: ignore[import-hygiene]
+
+    from repro import analysis  # tardis: ignore[import-hygiene]
+
     if args.list_rules:
         for cls in analysis.ALL_RULES:
             print("%-20s %s" % (cls.id, cls.description))
@@ -299,6 +315,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_serve(args) -> int:
+    from repro.server.server import TardisServer, run_server  # tardis: ignore[import-hygiene]
+
     server = TardisServer(
         host=args.host,
         port=args.port,
@@ -313,10 +331,18 @@ def cmd_serve(args) -> int:
     server.store.registry.enabled = args.metrics
     report = run_server(server, port_file=args.port_file)
     if args.metrics:
+        from repro.obs import export  # tardis: ignore[import-hygiene]
+
         print(export.to_prometheus(server.store.registry))
     print("TARDIS_SERVE_REPORT " + json.dumps(report, sort_keys=True), flush=True)
     failed = report.get("leaked_sessions") or report.get("leaked_workers")
     return 0 if not failed else 1
+
+
+def cmd_top(args) -> int:
+    from repro.tools import top  # tardis: ignore[import-hygiene]
+
+    return top.cmd_top(args)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -378,8 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     check = sub.add_parser(
         "check",
-        help="static analysis: %s (docs/internals.md §11)"
-        % ", ".join(rule.id for rule in analysis.ALL_RULES),
+        help="static analysis: %s (docs/internals.md §11)" % ", ".join(CHECK_RULES),
     )
     check.add_argument(
         "--format", choices=["text", "json"], default="text",

@@ -1,6 +1,25 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
 from tests.history import logged_cluster
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+@pytest.fixture
+def fresh_python():
+    """``run(*args, **popen_kwargs)``: a text-mode ``Popen`` of a fresh
+    interpreter that imports this checkout's ``repro``."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([SRC] + [p for p in [env.get("PYTHONPATH")] if p])
+
+    def run(*args, **kwargs):
+        return subprocess.Popen([sys.executable, *args], env=env, text=True, **kwargs)
+
+    return run
 
 
 @pytest.fixture

@@ -1,5 +1,9 @@
 """Coverage for smaller surfaces: errors, reprs, edge paths, cross-site apps."""
 
+import json
+import subprocess
+import sys
+
 import pytest
 
 from repro import (
@@ -197,3 +201,45 @@ class TestRetwisAcrossSites:
             c for _a, c in RetwisApp(cluster.stores["eu"]).read_own_timeline("carla")
         ]
         assert set(timeline_eu) == {"from us", "from eu"}
+
+
+class TestLazyPackages:
+    """``repro``, ``repro.core`` and ``repro.obs`` re-export lazily (PEP 562)."""
+
+    @staticmethod
+    def _modules_after(fresh_python, source):
+        """Every module a fresh interpreter holds after running ``source``."""
+        run = fresh_python(
+            "-c", source + "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))",
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        out, err = run.communicate(timeout=60)
+        assert run.returncode == 0, err[-2000:]
+        return json.loads(out)
+
+    def test_importing_the_version_lists_loads_no_store(self, fresh_python):
+        modules = self._modules_after(fresh_python, "import repro.core.versions")
+        assert "repro.core.versions" in modules
+        assert "repro.core.store" not in modules
+
+    def test_the_cli_imports_what_its_command_runs(self, fresh_python):
+        modules = self._modules_after(fresh_python, "import repro.tools.cli, repro.server.server")
+        unused_by_serve = ("repro.sim", "repro.analysis", "repro.replication", "repro.workload")
+        assert [m for m in modules if m.startswith(unused_by_serve)] == []
+
+    def test_every_name_in_all_resolves(self):
+        namespace = {}
+        exec("from repro import TardisStore, errors", namespace)
+        assert namespace["errors"].TardisError is TardisError
+        for package in ("repro", "repro.core", "repro.obs"):
+            namespace = {}
+            exec("from %s import *" % package, namespace)
+            assert set(sys.modules[package].__all__) <= set(namespace), package
+
+    def test_an_unknown_name_is_an_attribute_error(self):
+        import repro.core
+
+        with pytest.raises(AttributeError, match="no attribute 'Nope'"):
+            repro.core.Nope  # noqa: B018
+        with pytest.raises(ImportError):
+            exec("from repro import Nope", {})

@@ -8,11 +8,12 @@ failure), mask-table pruning and worker lifecycle (clean close, no
 leaks). Histories of both planes under a branching/merging/GC workload
 are checked against their logs in tests/test_history.py.
 
-Worker processes use the ``spawn`` start method, so each store pays
-real startup cost: tests share stores where possible and keep worker
-counts small.
+Each worker is a fresh interpreter (``_spawn_worker``), so each store
+pays real startup cost: tests share stores where possible and keep
+worker counts small.
 """
 
+import json
 import os
 import pickle
 import pickletools
@@ -21,7 +22,10 @@ import re
 import select
 import selectors
 import signal
+import socket
+import subprocess
 import sys
+import textwrap
 import threading
 import time
 
@@ -228,7 +232,7 @@ class TestWorkerFailure:
             store.put("x", 1)
             handle = store.versions._links[0]
             handle.process.kill()
-            handle.process.join(5.0)
+            handle.process.wait(5.0)
             assert handle.alive
             with pytest.raises(ShardUnavailableError):
                 store.get("x")
@@ -256,8 +260,99 @@ class TestWorkerFailure:
             store.close()
         # A dead link is killed at once: no grace, no terminate step.
         assert time.perf_counter() - started < 1.0
-        assert not handle.process.is_alive()
+        assert handle.process.poll() is not None
         assert store.leaked_workers == 1
+
+
+def _running(pid) -> bool:
+    """Whether ``pid`` is a process that has not exited (a zombie has)."""
+    try:
+        with open("/proc/%d/stat" % pid) as handle:
+            return handle.read().rpartition(")")[2].split()[0] != "Z"
+    except OSError:
+        return False
+
+
+#: seconds a worker may take to see its coordinator's end of the link
+#: close (it reads end of stream at once; the bound covers a loaded box).
+EXIT_BOUND = 5.0
+
+
+class TestWorkerBoot:
+    """A worker is its own program: ``python -S -c _BOOT`` on one fd."""
+
+    def test_a_script_that_builds_a_worker_store_runs_once(self, tmp_path, fresh_python):
+        marks = tmp_path / "marks"
+        script = tmp_path / "app.py"
+        script.write_text(textwrap.dedent(
+            """\
+            import sys
+
+            with open(sys.argv[1], "a") as marks:  # a top-level side effect
+                marks.write("ran\\n")
+
+            if __name__ == "__main__":
+                from repro import TardisStore
+
+                store = TardisStore("A", shards=2, shard_workers=2)
+                store.put("x", 1)
+                assert store.get("x") == 1
+                store.close()
+                assert store.leaked_workers == 0
+            """
+        ))
+        app = fresh_python(str(script), str(marks), stderr=subprocess.PIPE)
+        _, err = app.communicate(timeout=60)
+        assert app.returncode == 0, err[-2000:]
+        assert marks.read_text() == "ran\n"
+
+    def test_workers_exit_when_their_coordinator_is_killed(self, fresh_python):
+        coordinator = fresh_python(
+            "-c",
+            textwrap.dedent(
+                """\
+                import json, time
+                from repro import TardisStore
+
+                store = TardisStore("A", shards=2, shard_workers=2)
+                store.put("x", 1)
+                workers = store.shard_health(ping=False)["workers"]
+                print(json.dumps([w["pid"] for w in workers]), flush=True)
+                time.sleep(60)
+                """
+            ),
+            stdout=subprocess.PIPE,
+        )
+        try:
+            pids = json.loads(coordinator.stdout.readline())
+            assert len(pids) == 2 and all(_running(pid) for pid in pids)
+        finally:
+            coordinator.kill()
+            coordinator.wait(10.0)
+            coordinator.stdout.close()
+        deadline = time.monotonic() + EXIT_BOUND
+        while any(_running(pid) for pid in pids) and time.monotonic() < deadline:
+            time.sleep(0.02)
+        assert not [pid for pid in pids if _running(pid)]
+
+    def test_the_boot_imports_only_the_record_store(self, fresh_python):
+        ours, theirs = socket.socketpair()
+        with theirs:
+            ours.close()  # the worker reads end of stream and returns
+            fd = theirs.fileno()
+            boot = _workers._BOOT % {
+                "root": _workers._PACKAGE_ROOT, "fd": fd, "spec": {"shards": [0]},
+            }
+            worker = fresh_python(
+                "-S", "-c", boot + "import json\nprint(json.dumps(sorted(sys.modules)))\n",
+                pass_fds=(fd,), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            )
+            out, err = worker.communicate(timeout=60)
+        assert worker.returncode == 0, err[-2000:]
+        modules = json.loads(out)
+        assert "repro.core.versions" in modules
+        banned = ("repro.core.store", "repro.server", "repro.obs", "multiprocessing", "subprocess")
+        assert [m for m in modules if m.startswith(banned)] == []
 
 
 class _Trickle:

@@ -207,7 +207,7 @@ class TestCli:
         store.close()
         described = []
         monkeypatch.setattr(
-            "repro.tools.cli.describe_store",
+            "repro.tools.inspect.describe_store",
             lambda store: described.append(store) or describe_store(store),
         )
         assert main(["recover", wal]) == 0
